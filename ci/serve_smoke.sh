@@ -17,9 +17,11 @@
 #      fanned-out query (budget must bound the actual pulses, which must
 #      equal the RESULT RunStats), overflow and dump the flight recorder,
 #      and check the shutdown trace merged the shard fan-out spans,
-#   9. serve with `--backend columnar --batch-window 300`, fire concurrent
-#      clients with DISTINCT filter values over one shared table, check
-#      every fused answer byte-matches its solo run, and check the
+#   9. serve with `--backend columnar --io poll`, pipeline three queries
+#      with DISTINCT filter values over one shared table onto one socket
+#      in a single write (the reactor counts all three as arriving before
+#      it dispatches the first, so they are admitted as one batch), check
+#      every fused RESULT frame byte-matches its solo run, and check the
 #      `sdb_columnar_*` metrics advanced (word planes packed at ingest,
 #      shared-operand scans actually fused).
 # Any failure exits nonzero.
@@ -299,7 +301,7 @@ cat "$WORK/serve4.log"
 # ---- Round 5: columnar backend — fused shared-operand batches ----------
 
 ADDR5=127.0.0.1:14175
-"$SDB" serve --addr "$ADDR5" --backend columnar --batch-window 300 > "$WORK/serve5.log" 2>&1 &
+"$SDB" serve --addr "$ADDR5" --backend columnar --io poll > "$WORK/serve5.log" 2>&1 &
 SRV5=$!
 
 for _ in $(seq 1 100); do
@@ -309,13 +311,28 @@ for _ in $(seq 1 100); do
 done
 grep -q "listening on" "$WORK/serve5.log" || { echo "columnar server never came up"; cat "$WORK/serve5.log"; exit 1; }
 
+# Send the given QUERY texts to the columnar server over one raw socket in
+# ONE write, then print the RESULT frame of each answer (every query
+# answers RESULT + HOST; the HOST frame carries host time and is dropped).
+wire_results() {
+  local payload="" q line
+  for q in "$@"; do payload+="QUERY $q"$'\n'; done
+  exec 3<>"/dev/tcp/${ADDR5%:*}/${ADDR5#*:}"
+  printf '%s' "$payload" >&3
+  for q in "$@"; do
+    IFS= read -r line <&3; printf '%s\n' "$line"
+    IFS= read -r line <&3
+  done
+  exec 3>&-
+}
+
 # Load once, then take solo baselines: each filter runs alone, so no
-# fusion partner exists and the answer is the plain per-query one. (The
-# load is its own invocation so the baselines don't carry its banner.)
+# fusion partner exists and the answer is the plain per-query one.
 "$SDB" --connect "$ADDR5" --table "emp=$WORK/emp.csv:str,int" 'dedup(scan(emp))' > /dev/null
-"$SDB" --connect "$ADDR5" 'filter(scan(emp), c1 >= 10)' > "$WORK/solo10.txt"
-"$SDB" --connect "$ADDR5" 'filter(scan(emp), c1 >= 20)' > "$WORK/solo20.txt"
-"$SDB" --connect "$ADDR5" 'filter(scan(emp), c1 >= 30)' > "$WORK/solo30.txt"
+for v in 10 20 30; do
+  wire_results "filter(scan(emp), c1 >= $v)" > "$WORK/solo$v.txt"
+  grep -q '^RESULT rows=' "$WORK/solo$v.txt" || { echo "columnar solo filter failed"; cat "$WORK/solo$v.txt"; exit 1; }
+done
 grep -q 'ada,10' "$WORK/solo10.txt" || { echo "columnar solo filter lost a row"; exit 1; }
 grep -q 'edsger,30' "$WORK/solo30.txt" || { echo "columnar solo filter lost a row"; exit 1; }
 
@@ -331,35 +348,25 @@ STEPS_BEFORE=$(awk '$1 == "sdb_columnar_fused_steps_total" { print $2 }' "$WORK/
 BATCHES_BEFORE=${BATCHES_BEFORE:-0}
 STEPS_BEFORE=${STEPS_BEFORE:-0}
 
-# Concurrent clients with DISTINCT filter values land in one 300 ms
-# admission window. Distinct values keep the scheduler's CSE out of it,
-# so the merged batch really evaluates three predicates — the columnar
+# Three pipelined queries with DISTINCT filter values, one write: the
+# reactor counts the whole round as arriving, so the scheduler gathers all
+# three into one batch. Distinct values keep the scheduler's CSE out of
+# it, so the merged batch really evaluates three predicates — the columnar
 # backend answers them with one fused pass over emp's word planes while
-# pricing each query exactly as its solo run. Scheduling can in principle
-# split the batch, so give the merge a few attempts before failing.
-for attempt in 1 2 3; do
-  "$SDB" --connect "$ADDR5" 'filter(scan(emp), c1 >= 10)' > "$WORK/fused10.txt" &
-  C1=$!
-  "$SDB" --connect "$ADDR5" 'filter(scan(emp), c1 >= 20)' > "$WORK/fused20.txt" &
-  C2=$!
-  "$SDB" --connect "$ADDR5" 'filter(scan(emp), c1 >= 30)' > "$WORK/fused30.txt" &
-  C3=$!
-  wait "$C1" "$C2" "$C3"
-  "$SDB" --connect "$ADDR5" --metrics > "$WORK/metrics5b.txt"
-  BATCHES_NOW=$(awk '$1 == "sdb_columnar_fused_batches_total" { print $2 }' "$WORK/metrics5b.txt")
-  BATCHES_NOW=${BATCHES_NOW:-0}
-  if awk -v a="$BATCHES_NOW" -v b="$BATCHES_BEFORE" 'BEGIN { exit !(a > b) }'; then
-    break
-  fi
-  echo "attempt $attempt: concurrent clients were not admitted as one batch, retrying"
-done
+# pricing each query exactly as its solo run.
+wire_results 'filter(scan(emp), c1 >= 10)' 'filter(scan(emp), c1 >= 20)' \
+  'filter(scan(emp), c1 >= 30)' > "$WORK/fused.txt"
+"$SDB" --connect "$ADDR5" --metrics > "$WORK/metrics5b.txt"
 
 # Every fused answer must byte-match its solo baseline.
-for v in 10 20 30; do
-  cmp -s "$WORK/solo$v.txt" "$WORK/fused$v.txt" \
-    || { echo "fused answer for c1 >= $v diverged from its solo run"; \
-         diff "$WORK/solo$v.txt" "$WORK/fused$v.txt" || true; exit 1; }
-done
+cat "$WORK/solo10.txt" "$WORK/solo20.txt" "$WORK/solo30.txt" > "$WORK/solo.txt"
+cmp -s "$WORK/solo.txt" "$WORK/fused.txt" \
+  || { echo "fused answers diverged from their solo runs"; \
+       diff "$WORK/solo.txt" "$WORK/fused.txt" || true; exit 1; }
+
+# The round was admitted whole, and no gather ever sat out its window.
+awk '$1 == "sdb_batch_window_close_total{reason=\"deadline\"}" && $2 == 0 { found = 1 } END { exit !found }' \
+  "$WORK/metrics5b.txt" || { echo "a gather closed on its deadline (leaked arrival)"; cat "$WORK/metrics5b.txt"; exit 1; }
 
 # The fused-scan counters must have advanced: at least one fused batch
 # covering at least two of the shared-operand steps.

@@ -11,6 +11,8 @@ use systolic_telemetry::metrics::{
     Counter, Gauge, Histogram, Registry, LATENCY_BOUNDS_NS, SIZE_BOUNDS,
 };
 
+use crate::scheduler::WindowClose;
+
 /// Instruments for one server instance.
 pub(crate) struct ServerMetrics {
     registry: Registry,
@@ -50,6 +52,12 @@ pub(crate) struct ServerMetrics {
     /// lazy packs both count; a low number relative to loads means the
     /// zero-detour path is doing its job).
     pub(crate) columnar_builds: Arc<Gauge>,
+    /// Requests read off a socket that have not reached the scheduler yet,
+    /// synced from the server's arrival count at exposition time.
+    arriving: Arc<Gauge>,
+    /// `sdb_batch_window_close_total{reason=...}`, indexed by
+    /// [`WindowClose`].
+    window_close: [Arc<Counter>; 3],
 }
 
 impl ServerMetrics {
@@ -115,6 +123,19 @@ impl ServerMetrics {
             "sdb_columnar_builds",
             "Columnar word-plane packs performed by this process (ingest-time and lazy).",
         );
+        let arriving = registry.gauge(
+            "sdb_arriving",
+            "Requests read off a socket that have not reached the scheduler yet.",
+        );
+        // Registered up front so all three reasons render from the first
+        // scrape: an absent `deadline` series could not be told from zero.
+        let window_close = WindowClose::ALL.map(|r| {
+            registry.counter_with(
+                "sdb_batch_window_close_total",
+                "Admission gathers closed, by reason (idle, full, deadline).",
+                &[("reason", r.label())],
+            )
+        });
         ServerMetrics {
             registry,
             latency,
@@ -133,7 +154,16 @@ impl ServerMetrics {
             plan_cache_misses,
             cse_hits,
             columnar_builds,
+            arriving,
+            window_close,
         }
+    }
+
+    /// `sdb_batch_window_close_total{reason=...}`: why the scheduler stopped
+    /// gathering and admitted a batch. A non-zero `deadline` count means a
+    /// counted arrival never reached the scheduler in time — a leak.
+    pub(crate) fn window_close(&self, reason: WindowClose) -> &Counter {
+        &self.window_close[reason as usize]
     }
 
     /// The backend identity series, `sdb_server_backend_info{backend=...}`:
@@ -171,7 +201,8 @@ impl ServerMetrics {
     }
 
     /// Render this server's exposition followed by the process-global one.
-    pub(crate) fn exposition(&self) -> String {
+    pub(crate) fn exposition(&self, arriving: usize) -> String {
+        self.arriving.set(arriving as f64);
         // The relation crate cannot depend on the telemetry registry, so
         // its pack counter is bridged into the exposition here.
         self.columnar_builds
@@ -197,9 +228,19 @@ mod tests {
         systolic_telemetry::metrics::global()
             .counter("sdb_machine_runs_total", "")
             .add(0);
-        let text = m.exposition();
+        m.window_close(WindowClose::Idle).inc();
+        let text = m.exposition(2);
         let exp = systolic_telemetry::prom::validate(&text).expect("exposition parses");
         assert_eq!(exp.value("sdb_server_queries_total", ""), Some(1.0));
+        assert_eq!(exp.value("sdb_arriving", ""), Some(2.0));
+        assert_eq!(
+            exp.value("sdb_batch_window_close_total", "{reason=\"idle\"}"),
+            Some(1.0)
+        );
+        assert_eq!(
+            exp.value("sdb_batch_window_close_total", "{reason=\"deadline\"}"),
+            Some(0.0)
+        );
         assert_eq!(
             exp.value("sdb_op_pulses_total", "{op=\"intersect\"}"),
             Some(42.0)

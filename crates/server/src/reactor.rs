@@ -3,8 +3,10 @@
 //! One reactor thread owns every connection: it multiplexes the listener,
 //! a wake pipe, and all client sockets through a single poll(2) call, so an
 //! idle connection costs one `pollfd` — not a parked worker thread. Complete
-//! request frames are handed to a small worker pool (which may block on the
-//! admission scheduler); finished responses come back through a completion
+//! request frames are counted as on their way to the admission scheduler —
+//! every frame of a read before the first is dispatched, so a pipelined round
+//! lands in one batch — and handed to a small worker pool (which may block
+//! on the scheduler); finished responses come back through a completion
 //! list plus a wake byte, and the reactor writes them out strictly in
 //! per-connection request order, so clients may *pipeline* many frames and
 //! still read answers in the order they asked.
@@ -23,20 +25,20 @@
 //! the shared dispatcher, and a grace period bounds how long a slow reader
 //! can hold the server open.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::mpsc::Sender;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::locks;
 use crate::protocol::err_frame;
-use crate::scheduler::Job;
+use crate::scheduler::{Arrival, Job};
 use crate::server::{handle_request, Reply, Shared};
 
 /// Thin poll(2) binding. This module and [`crate::shutdown`] are the
@@ -97,7 +99,8 @@ mod sys {
     }
 }
 
-/// A complete request frame handed to the worker pool.
+/// A complete request frame handed to the worker pool, already counted in
+/// [`Shared::arriving`].
 struct WorkItem {
     token: usize,
     generation: u64,
@@ -197,59 +200,128 @@ pub(crate) fn serve<'scope>(
     shared: &Arc<Shared>,
     jobs: Sender<Job>,
 ) -> io::Result<()> {
-    let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
-    let work_rx = Arc::new(Mutex::new(work_rx));
+    let workers = shared.cfg.workers.max(1);
+    let pool = Arc::new(WorkPool::new(workers));
     let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
     let (wake_tx, wake_rx) = UnixStream::pair()?;
     wake_rx.set_nonblocking(true)?;
     wake_tx.set_nonblocking(true)?;
 
-    for _ in 0..shared.cfg.workers.max(1) {
-        let work_rx = Arc::clone(&work_rx);
+    // Everything that can fail happens before the first spawn: a worker
+    // parked on a pool that is never closed would hang the scope's join.
+    let wakes = (0..workers)
+        .map(|_| wake_tx.try_clone())
+        .collect::<io::Result<Vec<_>>>()?;
+    for (me, wake) in wakes.into_iter().enumerate() {
+        let pool = Arc::clone(&pool);
         let completions = Arc::clone(&completions);
         let shared = Arc::clone(shared);
         let jobs = jobs.clone();
-        let wake = wake_tx.try_clone()?;
-        scope.spawn(move || pool_worker(&work_rx, &completions, &shared, &jobs, wake));
+        scope.spawn(move || pool_worker(&pool, me, &completions, &shared, &jobs, wake));
     }
-    // Workers hold the only remaining job senders: when `work_tx` drops at
-    // the end of the reactor loop they exit, their job senders drop, and
-    // the scheduler's channel hangs up — the same deadlock-free teardown
-    // order as the threads model.
-    drop(jobs);
 
-    let mut reactor = Reactor {
+    // The reactor keeps one job sender, to wake the scheduler when it
+    // answers a counted frame itself. It drops with the reactor, and the
+    // pool closes right after, so the workers exit and drop theirs — the
+    // scheduler's channel hangs up in the same deadlock-free teardown order
+    // as the threads model.
+    let outcome = Reactor {
         shared,
         conns: Vec::new(),
         free: Vec::new(),
         generation: 0,
-        work_tx,
+        pool: Arc::clone(&pool),
+        jobs,
         completions,
         wake_rx,
         queued: 0,
-    };
-    reactor.run(listener)
+    }
+    .run(listener);
+    pool.close();
+    outcome
+}
+
+/// The frames waiting for a worker, and the workers waiting for a frame.
+///
+/// A frame goes to the *most recently idle* worker (LIFO): under a light
+/// load the same few threads serve everything, so only their stacks and
+/// allocator arenas are ever touched — rotating through the whole pool
+/// would page in all of them.
+struct WorkPool {
+    state: Mutex<PoolState>,
+    /// One condvar per worker, so a push wakes exactly the worker it chose.
+    wakers: Vec<Condvar>,
+}
+
+#[derive(Default)]
+struct PoolState {
+    items: VecDeque<WorkItem>,
+    /// Parked workers, most recently parked last.
+    idle: Vec<usize>,
+    closed: bool,
+}
+
+impl WorkPool {
+    fn new(workers: usize) -> WorkPool {
+        WorkPool {
+            state: Mutex::new(PoolState::default()),
+            wakers: (0..workers).map(|_| Condvar::new()).collect(),
+        }
+    }
+
+    fn push(&self, item: WorkItem) {
+        let mut state = locks::lock(&self.state);
+        state.items.push_back(item);
+        let chosen = state.idle.pop();
+        drop(state);
+        // With nobody idle, a busy worker takes the frame when it next asks.
+        if let Some(worker) = chosen {
+            self.wakers[worker].notify_one();
+        }
+    }
+
+    /// The next frame for worker `me`, parking until one is pushed its way;
+    /// `None` once the pool is closed *and* drained.
+    fn next(&self, me: usize) -> Option<WorkItem> {
+        let mut state = locks::lock(&self.state);
+        loop {
+            if let Some(item) = state.items.pop_front() {
+                return Some(item);
+            }
+            if state.closed {
+                return None;
+            }
+            state.idle.push(me);
+            // Parked until a push takes `me` off the idle list (a spurious
+            // wakeup leaves it there) or the pool closes.
+            while state.idle.contains(&me) && !state.closed {
+                state = locks::wait(&self.wakers[me], state);
+            }
+        }
+    }
+
+    fn close(&self) {
+        locks::lock(&self.state).closed = true;
+        for waker in &self.wakers {
+            waker.notify_one();
+        }
+    }
 }
 
 /// One pool worker: take a frame, run the shared dispatcher (blocking on
 /// the scheduler is fine here), hand the rendered bytes back, wake the
 /// reactor.
 fn pool_worker(
-    work_rx: &Mutex<Receiver<WorkItem>>,
+    pool: &WorkPool,
+    me: usize,
     completions: &Mutex<Vec<Completion>>,
     shared: &Shared,
     jobs: &Sender<Job>,
     mut wake: UnixStream,
 ) {
-    loop {
-        // Holding the lock while blocked in `recv` is the standard shared-
-        // receiver pattern: exactly one worker waits in `recv`, the rest
-        // wait on the mutex, and an arriving item releases both in turn.
-        let item = match locks::lock(work_rx).recv() {
-            Ok(item) => item,
-            Err(_) => return,
-        };
-        let reply = handle_request(shared, jobs, &item.line);
+    while let Some(item) = pool.next(me) {
+        let arrival = Arrival::counted(&shared.arriving, jobs);
+        let reply = handle_request(shared, jobs, &item.line, arrival);
         push_completion(
             completions,
             &mut wake,
@@ -285,14 +357,16 @@ struct Reactor<'a> {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     generation: u64,
-    work_tx: Sender<WorkItem>,
+    pool: Arc<WorkPool>,
+    /// Only ever carries `Job::Wake`.
+    jobs: Sender<Job>,
     completions: Arc<Mutex<Vec<Completion>>>,
     wake_rx: UnixStream,
     queued: usize,
 }
 
 impl Reactor<'_> {
-    fn run(&mut self, listener: &TcpListener) -> io::Result<()> {
+    fn run(mut self, listener: &TcpListener) -> io::Result<()> {
         let mut fds: Vec<sys::PollFd> = Vec::new();
         let mut tokens: Vec<usize> = Vec::new();
         let mut drain_started: Option<Instant> = None;
@@ -482,9 +556,17 @@ impl Reactor<'_> {
     /// Pull every complete line out of the read buffer and dispatch it;
     /// enforce the frame size cap on what remains.
     fn extract_frames(&mut self, token: usize) {
-        loop {
+        let Some(Some(conn)) = self.conns.get_mut(token) else {
+            return;
+        };
+        // Count every complete frame of this read as on its way *before*
+        // the first is dispatched: the scheduler then waits for the whole
+        // pipelined round instead of admitting its first frame alone.
+        let mut counted = conn.read_buf.iter().filter(|&&b| b == b'\n').count();
+        self.shared.arriving.add(counted);
+        while counted > 0 {
             let Some(Some(conn)) = self.conns.get_mut(token) else {
-                return;
+                break;
             };
             let Some(pos) = conn.read_buf.iter().position(|&b| b == b'\n') else {
                 break;
@@ -495,19 +577,23 @@ impl Reactor<'_> {
                 line_bytes.pop();
             }
             if line_bytes.len() > self.shared.cfg.max_request_bytes {
+                // Closes the connection: the frames behind this one are
+                // never served, so their counts come back with it.
                 let max = self.shared.cfg.max_request_bytes;
                 self.complete_local(
                     token,
                     err_frame("too_large", &format!("frame exceeds {max} bytes")),
                     true,
                 );
-                return;
+                break;
             }
+            counted -= 1;
             match String::from_utf8(line_bytes) {
                 Ok(line) => self.dispatch(token, line),
                 Err(_) => {
                     // Framing survived but the payload is garbage; answer
                     // in order and keep the session.
+                    self.shared.arriving.cancel(1, &self.jobs);
                     self.complete_local(
                         token,
                         err_frame("proto", "frame is not valid UTF-8"),
@@ -515,6 +601,10 @@ impl Reactor<'_> {
                     );
                 }
             }
+        }
+        if counted > 0 {
+            self.shared.arriving.cancel(counted, &self.jobs);
+            return;
         }
         let Some(Some(conn)) = self.conns.get_mut(token) else {
             return;
@@ -532,12 +622,13 @@ impl Reactor<'_> {
         }
     }
 
-    /// Hand one frame to the worker pool — or shed it with `ERR overloaded`
-    /// when more requests are queued than the pool plus the configured
-    /// backlog would ever serve promptly.
+    /// Hand one counted frame to the worker pool — its count goes with it —
+    /// or shed it with `ERR overloaded` when more requests are queued than
+    /// the pool plus the configured backlog would ever serve promptly.
     fn dispatch(&mut self, token: usize, line: String) {
         let shed_at = self.shared.cfg.workers.max(1) + self.shared.cfg.max_pending;
         if self.queued >= shed_at {
+            self.shared.arriving.cancel(1, &self.jobs);
             self.shared.counters.update(|c| c.refused += 1);
             self.shared.metrics.refused.inc();
             self.complete_local(
@@ -548,6 +639,7 @@ impl Reactor<'_> {
             return;
         }
         let Some(Some(conn)) = self.conns.get_mut(token) else {
+            self.shared.arriving.cancel(1, &self.jobs);
             return;
         };
         let seq = conn.next_seq;
@@ -564,7 +656,7 @@ impl Reactor<'_> {
         self.shared
             .counters
             .update(|c| c.queue_hwm = c.queue_hwm.max(queued));
-        let _ = self.work_tx.send(WorkItem {
+        self.pool.push(WorkItem {
             token,
             generation,
             seq,
@@ -645,6 +737,53 @@ mod tests {
         fds[0].revents = 0;
         assert_eq!(sys::wait(&mut fds, 1000).unwrap(), 1);
         assert!(fds[0].revents & sys::POLLIN != 0);
+    }
+
+    #[test]
+    fn the_pool_reuses_the_most_recently_idle_worker_and_drains_on_close() {
+        const WORKERS: usize = 3;
+        let pool = Arc::new(WorkPool::new(WORKERS));
+        let (served_tx, served_rx) = std::sync::mpsc::channel();
+        let threads: Vec<_> = (0..WORKERS)
+            .map(|me| {
+                let pool = Arc::clone(&pool);
+                let served = served_tx.clone();
+                thread::spawn(move || {
+                    while let Some(item) = pool.next(me) {
+                        served.send((me, item.seq)).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let item = |seq| WorkItem {
+            token: 0,
+            generation: 0,
+            seq,
+            line: String::new(),
+        };
+        let all_parked = || loop {
+            let state = locks::lock(&pool.state);
+            if state.idle.len() == WORKERS {
+                return *state.idle.last().unwrap();
+            }
+            drop(state);
+            thread::yield_now();
+        };
+        // Whoever parked last serves — and parks last again, so keeps
+        // serving: the other workers are never touched.
+        let hot = all_parked();
+        for seq in 0..4 {
+            pool.push(item(seq));
+            assert_eq!(served_rx.recv().unwrap(), (hot, seq));
+            assert_eq!(all_parked(), hot);
+        }
+        // A frame pushed before the close is still served.
+        pool.push(item(4));
+        pool.close();
+        assert_eq!(served_rx.recv().unwrap().1, 4);
+        for t in threads {
+            t.join().unwrap();
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ use crate::client::{Client, ClientError};
 use crate::engine::{kind_name, store_names};
 use crate::locks;
 use crate::protocol::{err_frame, parse_result_frame, result_frame};
-use crate::scheduler::{Job, QueryReply};
+use crate::scheduler::{Arrival, Job, QueryReply};
 use crate::server::{IoModel, ServerConfig, ServerHandle, Shared};
 
 /// Client connection sets the fan-out rotates over, so several worker
@@ -291,6 +291,7 @@ impl Router {
         &self,
         shared: &Shared,
         tx: &Sender<Job>,
+        arrival: &mut Option<Arrival<'_>>,
         expr: &Expr,
         query: &str,
         trace: Option<TraceCtx>,
@@ -310,6 +311,11 @@ impl Router {
         for (row, line) in value.rows.iter().zip(&merged_lines) {
             expected[home_shard(&row[0], self.shards)].push(line.as_str());
         }
+
+        // From here the worker parks on the shards' sockets, and what it
+        // submits afterwards is a `Job::Price` that merges with nothing:
+        // the local scheduler must not hold a batch open for this request.
+        *arrival = None;
 
         // Fan the query out and read every shard's RESULT + CARDS. When
         // tracing is live the fan-out span's context is stamped onto each

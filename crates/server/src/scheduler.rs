@@ -1,12 +1,16 @@
 //! The admission scheduler: the single thread that owns the machine.
 //!
-//! Workers hand it jobs over a channel; it gathers whatever arrives within
-//! a short window (or until the batch cap) and admits the set as *one*
-//! merged dependency-level schedule via
+//! Workers hand it jobs over a channel; it gathers what is *present* —
+//! whatever queued while the machine was busy, plus every request already
+//! read off a socket and still on its way (the [`Arrivals`] count) — and
+//! admits the set as *one* merged dependency-level schedule via
 //! [`System::run_batch_accounted`] — this is where the paper's "set of
 //! transactions" concurrency actually happens: queries from different TCP
 //! connections share crossbar ports and devices inside one simulated
-//! makespan.
+//! makespan. Batching comes from backpressure, never from a timer: with
+//! the queue empty and nothing counted the batch is admitted at once, and
+//! the batch window only bounds how long a counted request may be waited
+//! for.
 //!
 //! Each query's reply still carries its *standalone* accounting (stats and
 //! timeline priced as if it ran alone), which `run_batch_accounted`
@@ -20,8 +24,8 @@
 //! merged requests keep distinct trace ids while both point at the one
 //! batch that served them.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -114,6 +118,109 @@ fn claim(fence: &AtomicBool) -> bool {
     !fence.swap(true, Ordering::SeqCst)
 }
 
+/// Requests that have been read off a socket but have not reached the
+/// scheduler yet. The gather loop admits the moment its queue is empty and
+/// this reads zero; every counted request gives its count back exactly once
+/// — see [`Arrival`] (worker side) and [`Counted`] (travelling in a job).
+#[derive(Debug, Default)]
+pub(crate) struct Arrivals(AtomicUsize);
+
+impl Arrivals {
+    /// Count `n` requests just read off a socket.
+    pub(crate) fn add(&self, n: usize) {
+        self.0.fetch_add(n, Ordering::SeqCst);
+    }
+
+    /// Requests currently on their way.
+    pub(crate) fn pending(&self) -> usize {
+        self.0.load(Ordering::SeqCst)
+    }
+
+    /// Give `n` counts back; `true` when that left nothing on its way.
+    fn give_back(&self, n: usize) -> bool {
+        n > 0 && self.0.fetch_sub(n, Ordering::SeqCst) == n
+    }
+
+    /// Give back `n` counts whose requests ended where they were read (a
+    /// front end answered them itself), waking the scheduler if a gather
+    /// may be waiting on them.
+    pub(crate) fn cancel(&self, n: usize, wake: &Sender<Job>) {
+        if self.give_back(n) {
+            let _ = wake.send(Job::Wake);
+        }
+    }
+}
+
+/// One counted request in the hands of the worker serving it. Dropping it
+/// gives the count back and wakes the scheduler — the request ended without
+/// a job (`ERR`, `STATS`, shed, draining) or is about to park on something
+/// slow (a relation lock, the shard fan-out), and a gather must not sit out
+/// its window waiting for it. [`Arrival::into_job`] moves the count into a
+/// job instead.
+pub(crate) struct Arrival<'a> {
+    arrivals: &'a Arc<Arrivals>,
+    wake: &'a Sender<Job>,
+}
+
+impl<'a> Arrival<'a> {
+    /// Adopt one count already added with [`Arrivals::add`].
+    pub(crate) fn counted(arrivals: &'a Arc<Arrivals>, wake: &'a Sender<Job>) -> Self {
+        Arrival { arrivals, wake }
+    }
+
+    /// Travel with a job. The count must not come back on the sender's side
+    /// of the channel: the scheduler would wake on the job, see its own
+    /// submitter still counted, and sleep out the window.
+    pub(crate) fn into_job(self) -> Counted {
+        let counted = Counted(Arc::clone(self.arrivals));
+        std::mem::forget(self);
+        counted
+    }
+}
+
+impl Drop for Arrival<'_> {
+    fn drop(&mut self) {
+        self.arrivals.cancel(1, self.wake);
+    }
+}
+
+/// A count travelling inside a [`Job`]; given back when the scheduler
+/// dequeues the job (or when an undeliverable job is dropped).
+pub(crate) struct Counted(Arc<Arrivals>);
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.0.give_back(1);
+    }
+}
+
+/// Why a gather stopped and its batch was admitted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WindowClose {
+    /// The queue was empty and nothing was on its way.
+    Idle,
+    /// The batch reached `max_batch`.
+    Full,
+    /// A counted request did not show up within the batch window.
+    Deadline,
+}
+
+impl WindowClose {
+    /// Every reason, in declaration order (`reason as usize` indexes it).
+    pub(crate) const ALL: [WindowClose; 3] =
+        [WindowClose::Idle, WindowClose::Full, WindowClose::Deadline];
+
+    /// The `reason` label of `sdb_batch_window_close_total` and of the
+    /// `server.batch_window` span.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            WindowClose::Idle => "idle",
+            WindowClose::Full => "full",
+            WindowClose::Deadline => "deadline",
+        }
+    }
+}
+
 /// A finished query, as the scheduler reports it to a worker.
 pub(crate) struct QueryReply {
     /// The result relation (still encoded; the worker renders it).
@@ -162,6 +269,8 @@ pub(crate) enum Job {
         /// When the worker submitted the job (host clock; feeds the
         /// profile's queue-wait, never pulse accounting).
         submitted: Instant,
+        /// The request's arrival count, when it is still counted.
+        arrival: Option<Counted>,
     },
     /// Price a prepared query from per-step cardinalities gathered off the
     /// machine (the shard router's merge path) — real disk reads for the
@@ -195,18 +304,78 @@ pub(crate) enum Job {
         fence: Arc<AtomicBool>,
         /// Acknowledgement carrying the row count.
         reply: SyncSender<usize>,
+        /// The request's arrival count, when it is still counted.
+        arrival: Option<Counted>,
     },
     /// Snapshot the durable history and reset the WAL.
     Checkpoint {
         /// Delivers (records, snapshot bytes) or the rendered error.
         reply: SyncSender<Result<(u64, u64), String>>,
     },
+    /// No work: a count was given back off the scheduler thread, so a
+    /// gather waiting on it should look again. Neither starts nor closes a
+    /// batch.
+    Wake,
+}
+
+impl Job {
+    /// The job has reached the scheduler: its journey, and so its arrival
+    /// count, ends here.
+    fn dequeued(mut self) -> Job {
+        if let Job::Query { arrival, .. } | Job::Load { arrival, .. } = &mut self {
+            *arrival = None;
+        }
+        self
+    }
+}
+
+/// Gather one batch behind `first`: everything already queued joins; with
+/// the queue empty the batch closes at once unless a counted request is
+/// still on its way, and such a request is waited for no longer than
+/// `window`.
+fn gather(
+    first: Job,
+    jobs: &Receiver<Job>,
+    arrivals: &Arrivals,
+    window: Duration,
+    max_batch: usize,
+) -> (Vec<Job>, WindowClose) {
+    let mut batch = vec![first.dequeued()];
+    let deadline = Instant::now() + window;
+    let reason = loop {
+        if batch.len() >= max_batch.max(1) {
+            break WindowClose::Full;
+        }
+        let next = match jobs.try_recv() {
+            Ok(job) => Ok(job),
+            Err(TryRecvError::Disconnected) => break WindowClose::Idle,
+            Err(TryRecvError::Empty) => {
+                if arrivals.pending() == 0 {
+                    break WindowClose::Idle;
+                }
+                let now = Instant::now();
+                if now >= deadline {
+                    break WindowClose::Deadline;
+                }
+                jobs.recv_timeout(deadline - now)
+            }
+        };
+        match next {
+            Ok(Job::Wake) => {}
+            Ok(job) => batch.push(job.dequeued()),
+            Err(RecvTimeoutError::Timeout) => break WindowClose::Deadline,
+            Err(RecvTimeoutError::Disconnected) => break WindowClose::Idle,
+        }
+    };
+    (batch, reason)
 }
 
 /// Run the scheduler until every job sender has hung up.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run(
     mut system: System,
     jobs: Receiver<Job>,
+    arrivals: Arc<Arrivals>,
     window: Duration,
     max_batch: usize,
     counters: Arc<Counters>,
@@ -214,21 +383,15 @@ pub(crate) fn run(
     mut durable: Option<Durable>,
 ) {
     while let Ok(first) = jobs.recv() {
-        let mut window_span = root_span("server.batch_window");
-        let mut batch = vec![first];
-        let deadline = Instant::now() + window;
-        while batch.len() < max_batch.max(1) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match jobs.recv_timeout(deadline - now) {
-                Ok(job) => batch.push(job),
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-            }
+        if matches!(first, Job::Wake) {
+            continue;
         }
+        let mut window_span = root_span("server.batch_window");
+        let (batch, reason) = gather(first, &jobs, &arrivals, window, max_batch);
         window_span.arg("jobs", batch.len());
+        window_span.arg("reason", reason.label());
         drop(window_span);
+        metrics.window_close(reason).inc();
 
         // Loads first, in arrival order: a query admitted in the same
         // window as the load it depends on sees the table. A load whose
@@ -244,6 +407,7 @@ pub(crate) fn run(
                     csv,
                     fence,
                     reply,
+                    arrival: _,
                 } => {
                     if !claim(&fence) {
                         continue;
@@ -266,6 +430,7 @@ pub(crate) fn run(
                     };
                     let _ = reply.send(answer);
                 }
+                Job::Wake => {}
                 Job::Price {
                     expr,
                     cards,
@@ -301,6 +466,7 @@ pub(crate) fn run(
                     fence,
                     reply,
                     submitted,
+                    arrival: _,
                 } => queries.push(PendingQuery {
                     expr,
                     text,
@@ -559,6 +725,7 @@ mod tests {
         run(
             system,
             rx,
+            Arc::new(Arrivals::default()),
             Duration::from_millis(1),
             16,
             Arc::clone(&counters),
@@ -581,6 +748,7 @@ mod tests {
             csv: String::new(),
             fence: f,
             reply,
+            arrival: None,
         }
     }
 
@@ -596,7 +764,139 @@ mod tests {
             fence: f,
             reply,
             submitted: Instant::now(),
+            arrival: None,
         }
+    }
+
+    /// A live query job whose reply nobody reads, counted in `arrivals`
+    /// when given.
+    fn job(arrivals: Option<&Arc<Arrivals>>) -> Job {
+        let (reply, _) = mpsc::sync_channel(1);
+        let mut job = query_job("scan(t)", fence(false), reply);
+        if let (Job::Query { arrival, .. }, Some(arrivals)) = (&mut job, arrivals) {
+            arrivals.add(1);
+            *arrival = Some(Counted(Arc::clone(arrivals)));
+        }
+        job
+    }
+
+    /// Long enough that a gather which waits it out is unmistakable.
+    const LONG: Duration = Duration::from_millis(500);
+    /// Short enough to sit out in a test.
+    const SHORT: Duration = Duration::from_millis(30);
+
+    #[test]
+    fn an_idle_gather_admits_at_once() {
+        let (_tx, rx) = mpsc::channel();
+        let arrivals = Arrivals::default();
+        let started = Instant::now();
+        let (batch, reason) = gather(job(None), &rx, &arrivals, LONG, 16);
+        assert_eq!((batch.len(), reason), (1, WindowClose::Idle));
+        assert!(started.elapsed() < LONG / 4, "{:?}", started.elapsed());
+    }
+
+    #[test]
+    fn queued_jobs_join_until_the_batch_is_full() {
+        let (tx, rx) = mpsc::channel();
+        let arrivals = Arc::new(Arrivals::default());
+        for _ in 0..5 {
+            tx.send(job(Some(&arrivals))).unwrap();
+        }
+        let (batch, reason) = gather(job(None), &rx, &arrivals, LONG, 4);
+        assert_eq!((batch.len(), reason), (4, WindowClose::Full));
+        // The two left behind are still queued, hence still counted.
+        assert_eq!(arrivals.pending(), 2);
+        let (batch, reason) = gather(rx.recv().unwrap(), &rx, &arrivals, LONG, 4);
+        assert_eq!((batch.len(), reason), (2, WindowClose::Idle));
+        assert_eq!(arrivals.pending(), 0);
+    }
+
+    #[test]
+    fn a_counted_arrival_is_waited_for_and_merged() {
+        let (tx, rx) = mpsc::channel();
+        let arrivals = Arc::new(Arrivals::default());
+        // Counted before the gather starts, sent only once it is running
+        // (or about to): either way the gather must not admit without it.
+        let late = job(Some(&arrivals));
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let sender = std::thread::spawn(move || {
+            go_rx.recv().unwrap();
+            tx.send(late).unwrap();
+            tx
+        });
+        let started = Instant::now();
+        go_tx.send(()).unwrap();
+        let (batch, reason) = gather(job(None), &rx, &arrivals, LONG, 16);
+        assert_eq!((batch.len(), reason), (2, WindowClose::Idle));
+        assert!(started.elapsed() < LONG / 4, "{:?}", started.elapsed());
+        assert_eq!(arrivals.pending(), 0);
+        drop(sender.join().unwrap());
+    }
+
+    #[test]
+    fn an_arrival_that_never_comes_is_bounded_by_the_window() {
+        let (_tx, rx) = mpsc::channel();
+        let arrivals = Arrivals::default();
+        arrivals.add(1);
+        let started = Instant::now();
+        let (batch, reason) = gather(job(None), &rx, &arrivals, SHORT, 16);
+        assert_eq!((batch.len(), reason), (1, WindowClose::Deadline));
+        assert!(started.elapsed() >= SHORT);
+    }
+
+    #[test]
+    fn a_wake_neither_starts_nor_closes_a_batch() {
+        // Mid-gather: a wake makes the gather look again, and with a count
+        // still out it keeps waiting — here, into the deadline.
+        let (tx, rx) = mpsc::channel();
+        let arrivals = Arrivals::default();
+        arrivals.add(1);
+        tx.send(Job::Wake).unwrap();
+        let started = Instant::now();
+        let (batch, reason) = gather(job(None), &rx, &arrivals, SHORT, 16);
+        assert_eq!((batch.len(), reason), (1, WindowClose::Deadline));
+        assert!(started.elapsed() >= SHORT);
+
+        // Idle: wakes alone run nothing and close nothing.
+        let (tx, rx) = mpsc::channel();
+        tx.send(Job::Wake).unwrap();
+        tx.send(Job::Wake).unwrap();
+        drop(tx);
+        let metrics = Arc::new(ServerMetrics::new());
+        run(
+            System::new(MachineConfig::default()).unwrap(),
+            rx,
+            Arc::new(Arrivals::default()),
+            LONG,
+            16,
+            Arc::new(Counters::default()),
+            Arc::clone(&metrics),
+            None,
+        );
+        for reason in WindowClose::ALL {
+            assert_eq!(metrics.window_close(reason).get(), 0, "{reason:?}");
+        }
+    }
+
+    #[test]
+    fn a_dropped_arrival_wakes_only_when_nothing_else_is_on_its_way() {
+        let (tx, rx) = mpsc::channel();
+        let arrivals = Arc::new(Arrivals::default());
+        arrivals.add(3);
+        // Ends without a job while others are still out: no wake yet.
+        drop(Arrival::counted(&arrivals, &tx));
+        assert_eq!(arrivals.pending(), 2);
+        assert!(rx.try_recv().is_err());
+        // Moves into a job: the sender's side neither gives back nor wakes.
+        let counted = Arrival::counted(&arrivals, &tx).into_job();
+        assert_eq!(arrivals.pending(), 2);
+        drop(counted);
+        assert_eq!(arrivals.pending(), 1);
+        assert!(rx.try_recv().is_err());
+        // The last one out wakes the scheduler.
+        drop(Arrival::counted(&arrivals, &tx));
+        assert_eq!(arrivals.pending(), 0);
+        assert!(matches!(rx.try_recv(), Ok(Job::Wake)));
     }
 
     fn fence(claimed_by_worker: bool) -> Arc<AtomicBool> {

@@ -34,7 +34,7 @@ use crate::protocol::{
     spans_frame, Request,
 };
 use crate::router::{RouteOutcome, Router};
-use crate::scheduler::{self, Job};
+use crate::scheduler::{self, Arrival, Arrivals, Job};
 use crate::shutdown;
 
 /// Which connection front end the server runs.
@@ -91,8 +91,10 @@ pub struct ServerConfig {
     /// How long a session waits for the scheduler to answer one request
     /// before giving up with `ERR timeout`.
     pub request_timeout: Duration,
-    /// How long the admission scheduler gathers concurrently-arriving
-    /// queries before admitting them as one merged schedule.
+    /// The longest the admission scheduler waits for a request that has been
+    /// read off a socket but has not reached it yet. It never waits for
+    /// requests that may not exist: with nothing queued and nothing on its
+    /// way a batch is admitted at once.
     pub batch_window: Duration,
     /// Largest number of jobs admitted as one batch.
     pub max_batch: usize,
@@ -247,6 +249,9 @@ pub(crate) struct Shared {
     pub(crate) active: AtomicUsize,
     pub(crate) cfg: ServerConfig,
     pub(crate) stop: AtomicBool,
+    /// Requests read off a socket that have not reached the scheduler yet:
+    /// what its gather waits for instead of a timer.
+    pub(crate) arriving: Arc<Arrivals>,
     pub(crate) started: Instant,
     /// The shard router, when `cfg.shards > 1`. The local system always
     /// holds a full copy of every table, so routing is an optimisation and
@@ -297,6 +302,7 @@ impl Shared {
             active: AtomicUsize::new(0),
             cfg,
             stop: AtomicBool::new(false),
+            arriving: Arc::new(Arrivals::default()),
             started: Instant::now(),
             router,
             lock_table: LockTable::new(),
@@ -498,10 +504,12 @@ fn serve_on(
         let max_batch = shared.cfg.max_batch;
         let sched_counters = Arc::clone(&shared.counters);
         let sched_metrics = Arc::clone(&shared.metrics);
+        let arriving = Arc::clone(&shared.arriving);
         scope.spawn(move || {
             scheduler::run(
                 system,
                 rx,
+                arriving,
                 window,
                 max_batch,
                 sched_counters,
@@ -714,7 +722,16 @@ impl Reply {
 /// thread-per-connection loop and the poll reactor's worker pool) share, so
 /// protocol semantics cannot drift between the two I/O models. Blocking is
 /// allowed here — callers run it on worker threads, never on the reactor.
-pub(crate) fn handle_request(shared: &Shared, tx: &mpsc::Sender<Job>, line: &str) -> Reply {
+///
+/// `arrival` is the request's count in [`Shared::arriving`]. It travels with
+/// a `LOAD` or query into its job; every other path gives it back by
+/// dropping it — at the latest when this function returns.
+pub(crate) fn handle_request(
+    shared: &Shared,
+    tx: &mpsc::Sender<Job>,
+    line: &str,
+    arrival: Arrival<'_>,
+) -> Reply {
     let request = match parse_request(line) {
         Ok(request) => request,
         Err(msg) => return Reply::frame(err_frame("proto", &msg)),
@@ -727,21 +744,33 @@ pub(crate) fn handle_request(shared: &Shared, tx: &mpsc::Sender<Job>, line: &str
         }
         Request::Stats => Reply::frame(stats_frame(shared)),
         // Like STATS: observability stays answerable while draining.
-        Request::Metrics => Reply::frame(metrics_frame(&shared.metrics.exposition())),
+        Request::Metrics => {
+            // A scrape must not count itself in `sdb_arriving`.
+            drop(arrival);
+            let arriving = shared.arriving.pending();
+            Reply::frame(metrics_frame(&shared.metrics.exposition(arriving)))
+        }
         Request::Profiles => Reply::frame(profiles_frame(&shared.recorder.dump_json())),
         _ if shared.stopping() => Reply::frame(err_frame(
             "shutting_down",
             "server is draining; no new work",
         )),
         Request::Load { name, kinds, csv } => {
-            Reply::frame(handle_load(shared, tx, &name, &kinds, &csv))
+            Reply::frame(handle_load(shared, tx, arrival, &name, &kinds, &csv))
         }
-        Request::Query(query) => respond_query(shared, tx, &query, QueryMode::Plain, None),
-        Request::Profile(query) => respond_query(shared, tx, &query, QueryMode::Profile, None),
+        Request::Query(query) => respond_query(shared, tx, arrival, &query, QueryMode::Plain, None),
+        Request::Profile(query) => {
+            respond_query(shared, tx, arrival, &query, QueryMode::Profile, None)
+        }
         Request::QueryCards { query, trace } => {
-            respond_query(shared, tx, &query, QueryMode::Cards, trace)
+            respond_query(shared, tx, arrival, &query, QueryMode::Cards, trace)
         }
-        Request::Checkpoint => Reply::frame(handle_checkpoint(shared, tx)),
+        Request::Checkpoint => {
+            // The checkpoint job is never batched: it must not find its own
+            // submitter still on its way and wait out the window for it.
+            drop(arrival);
+            Reply::frame(handle_checkpoint(shared, tx))
+        }
     }
 }
 
@@ -789,6 +818,7 @@ fn handle_checkpoint(shared: &Shared, tx: &mpsc::Sender<Job>) -> String {
 fn respond_query(
     shared: &Shared,
     tx: &mpsc::Sender<Job>,
+    arrival: Arrival<'_>,
     query: &str,
     mode: QueryMode,
     stamp: Option<TraceCtx>,
@@ -804,7 +834,7 @@ fn respond_query(
     };
     span.arg("query", query);
     let trace = span.ctx();
-    let (mut frames, profile) = handle_query(shared, tx, query, trace, mode);
+    let (mut frames, profile) = handle_query(shared, tx, arrival, query, trace, mode);
     drop(span);
     let elapsed = started.elapsed();
     shared.metrics.latency.observe(elapsed.as_nanos() as u64);
@@ -884,7 +914,9 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) ->
             }
             FrameRead::Frame(line) => line,
         };
-        let reply = handle_request(shared, tx, &line);
+        shared.arriving.add(1);
+        let arrival = Arrival::counted(&shared.arriving, tx);
+        let reply = handle_request(shared, tx, &line, arrival);
         for frame in &reply.frames {
             send(&mut stream, frame)?;
         }
@@ -975,6 +1007,7 @@ fn valid_table_name(name: &str) -> bool {
 fn handle_load(
     shared: &Shared,
     tx: &mpsc::Sender<Job>,
+    arrival: Arrival<'_>,
     name: &str,
     kinds: &[systolic_relation::DomainKind],
     csv: &str,
@@ -987,8 +1020,14 @@ fn handle_load(
     }
     // Exclusive relation lock for the whole load: a concurrent query
     // scanning this name blocks until the relation is fully registered,
-    // loaded, and acknowledged — it can never observe a partial load.
-    let _lock = shared.lock_table.acquire(name, LockMode::Exclusive);
+    // loaded, and acknowledged — it can never observe a partial load. A
+    // load that has to wait for the lock stops being counted as on its way.
+    let mut arrival = Some(arrival);
+    let _lock = shared
+        .lock_table
+        .acquire_all_or(vec![(name.to_string(), LockMode::Exclusive)], || {
+            arrival = None
+        });
     // Register under the write lock, then ship the encoded relation to the
     // scheduler so it lands on the machine's disk in admission order. The
     // registration is speculative until the scheduler acknowledges the
@@ -1014,6 +1053,7 @@ fn handle_load(
         csv: csv.to_string(),
         fence: Arc::clone(&fence),
         reply: reply_tx,
+        arrival: arrival.map(Arrival::into_job),
     };
     if tx.send(job).is_err() {
         locks::write(&shared.store).unregister(name);
@@ -1121,6 +1161,7 @@ fn optimize_plan(
 fn handle_query(
     shared: &Shared,
     tx: &mpsc::Sender<Job>,
+    arrival: Arrival<'_>,
     query: &str,
     trace: Option<TraceCtx>,
     mode: QueryMode,
@@ -1166,8 +1207,12 @@ fn handle_query(
             .into_iter()
             .map(|n| (n, LockMode::Exclusive)),
     );
+    // A request that parks — here on a lock, below on the shard fan-out —
+    // stops being counted as on its way: whoever holds the lock may be
+    // sitting in the very batch a gather would keep open for this request.
+    let mut arrival = Some(arrival);
     let lock_started = Instant::now();
-    let _lock = shared.lock_table.acquire_all(wants);
+    let _lock = shared.lock_table.acquire_all_or(wants, || arrival = None);
     let lock_wait_ns = lock_started.elapsed().as_nanos() as u64;
     let finish = |result: String, reply: &scheduler::QueryReply, rows: u64| {
         let built = profile::build(
@@ -1192,7 +1237,7 @@ fn handle_query(
         (frames, Some(built))
     };
     if let Some(router) = &shared.router {
-        match router.try_query(shared, tx, &expr, query, trace) {
+        match router.try_query(shared, tx, &mut arrival, &expr, query, trace) {
             RouteOutcome::Answered { result, reply } => {
                 shared.metrics.sharded.inc();
                 shared.counters.update(|c| c.sharded += 1);
@@ -1221,6 +1266,7 @@ fn handle_query(
             fence: Arc::clone(&fence),
             reply: reply_tx,
             submitted: Instant::now(),
+            arrival: arrival.map(Arrival::into_job),
         })
         .is_err()
     {
@@ -1282,6 +1328,7 @@ fn handle_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::parse_metrics_frame;
 
     #[test]
     fn table_names_are_validated() {
@@ -1291,6 +1338,37 @@ mod tests {
         assert!(!valid_table_name("2fast"));
         assert!(!valid_table_name("a-b"));
         assert!(!valid_table_name("a b"));
+    }
+
+    #[test]
+    fn requests_that_end_without_a_job_give_their_count_back_and_wake() {
+        let shared = Shared::new(ServerConfig::default()).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let ask = |line: &str| {
+            shared.arriving.add(1);
+            let arrival = Arrival::counted(&shared.arriving, &tx);
+            let reply = handle_request(&shared, &tx, line, arrival);
+            assert_eq!(shared.arriving.pending(), 0, "{line}");
+            assert!(matches!(rx.try_recv(), Ok(Job::Wake)), "{line}");
+            assert!(rx.try_recv().is_err(), "{line}: submitted a job");
+            reply.frames[0].clone()
+        };
+        assert!(ask("BOGUS").starts_with("ERR proto "));
+        assert!(ask("QUERY scan(").starts_with("ERR parse "));
+        assert!(ask("QUERY scan(ghost)").starts_with("ERR analysis "));
+        assert!(ask("LOAD 2fast int 1").starts_with("ERR proto "));
+        assert!(ask("LOAD t int x").starts_with("ERR relation "));
+        assert!(ask("STATS").starts_with("STATS "));
+        assert!(ask("PROFILES").starts_with("PROFILES"));
+        // The scrape does not count itself.
+        let scrape = parse_metrics_frame(&ask("METRICS")).unwrap();
+        assert!(scrape.contains("\nsdb_arriving 0\n"), "{scrape}");
+        // A CHECKPOINT that did reach the scheduler would be uncounted too.
+        assert!(ask("CHECKPOINT").starts_with("ERR not_durable "));
+        assert_eq!(ask("CLOSE"), "BYE");
+        shared.stop.store(true, Ordering::SeqCst);
+        assert!(ask("QUERY scan(t)").starts_with("ERR shutting_down "));
+        assert!(ask("LOAD t int 1").starts_with("ERR shutting_down "));
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! *chosen* plan, so `PROFILE`'s `drift_pulses >= 0` invariant keeps
 //! holding against the optimized budget.
 
+mod common;
+
 use systolic_machine::MachineConfig;
 use systolic_server::{spawn, Client, ServerConfig};
 
@@ -200,14 +202,14 @@ fn profile_drift_stays_nonnegative_against_the_chosen_plan() {
     let _ = handle.join();
 }
 
-/// Identical read-only queries arriving in one admission window share a
-/// slot in the merged schedule; every client still gets the full answer.
+/// Identical read-only queries gathered into one batch share a slot in the
+/// merged schedule; every client still gets the full answer.
 #[test]
 fn batch_window_cse_shares_slots_without_changing_answers() {
-    use std::thread;
+    const CLIENTS: usize = 8;
     let handle = spawn(ServerConfig {
-        batch_window: std::time::Duration::from_millis(50),
-        workers: 12,
+        workers: CLIENTS + 4,
+        machine: common::sim_machine(),
         ..config(true, 1)
     })
     .unwrap();
@@ -218,46 +220,32 @@ fn batch_window_cse_shares_slots_without_changing_answers() {
     }
     let q = "dedup(union(scan(a), scan(b)))";
     let expect = setup.query(q).unwrap();
-    // Fire the same query from 8 connections at once so the scheduler's
-    // gather window merges them.
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut c = Client::connect(addr).unwrap();
-                    let r = c.query(q).unwrap();
-                    let _ = c.close();
-                    (r.rows, r.csv, r.total_pulses)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (rows, csv, pulses) = h.join().unwrap();
-            assert_eq!(rows, expect.rows);
-            assert_eq!(csv, expect.csv);
-            assert_eq!(
-                pulses, expect.total_pulses,
-                "solo accounting must be preserved"
-            );
-        }
-    });
-    let stats = setup.stats_line().unwrap();
-    let cse: u64 = stats
-        .split_whitespace()
-        .find_map(|f| f.strip_prefix("cse_hits="))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("no cse_hits in {stats}"));
-    // Whether batches formed depends on timing; when they did, duplicates
-    // must have been shared. Either way the answers above already proved
-    // correctness — this asserts the counter is wired, not a race.
-    let batches = stats
-        .split_whitespace()
-        .find_map(|f| f.strip_prefix("batches="))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap();
-    if batches > 0 {
-        assert!(cse > 0, "batches formed but no slots were shared: {stats}");
+    // Send the same query on 8 connections while the machine is occupied:
+    // all 8 queue behind it and are gathered into one batch.
+    let occupied = common::occupy_machine(addr);
+    let mut clients: Vec<Client> = (0..CLIENTS)
+        .map(|_| {
+            let mut c = Client::connect(addr).unwrap();
+            c.send_query(q).unwrap();
+            c
+        })
+        .collect();
+    common::await_arriving(addr, CLIENTS);
+    occupied.finish();
+    for c in &mut clients {
+        let (frame, _host) = c.recv_query_frames().unwrap();
+        assert_eq!(frame, expect.raw, "solo accounting must be preserved");
+        let _ = c.close();
     }
+    let stats = setup.stats_line().unwrap();
+    let field = |name: &str| common::stat(&stats, name);
+    assert_eq!(field("batches"), 1, "{stats}");
+    assert_eq!(field("max_batch"), CLIENTS as u64, "{stats}");
+    assert_eq!(
+        field("cse_hits"),
+        CLIENTS as u64 - 1,
+        "one slot, every duplicate shared: {stats}"
+    );
     let _ = setup.close();
     handle.shutdown();
     let _ = handle.join();

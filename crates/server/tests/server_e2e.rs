@@ -6,8 +6,12 @@
 //! hardware stats both — to (a) the same server queried serially and (b) a
 //! fresh in-process [`Engine`] per the one-shot `sdb` path.
 
+mod common;
+
 use std::thread;
 use std::time::Duration;
+
+use common::{await_arriving, load_occupier, metric, occupy_machine, sim_machine, OCCUPIER_QUERY};
 
 use systolic_machine::{Backend, MachineConfig};
 use systolic_relation::DomainKind;
@@ -227,25 +231,29 @@ fn closed_form_backend_result_frames_are_byte_identical_to_sim() {
 
 #[test]
 fn requests_time_out_instead_of_hanging() {
-    // A 1ms request timeout against a 200ms admission window: the worker
-    // gives up long before the scheduler even forms the batch, wins the
-    // timeout fence, and the load must be skipped whole — the catalog can
-    // never advertise a table whose load the client was told failed.
+    // A 100ms request timeout against a machine held busy for about a
+    // second. Both sides of the timeout fence get exercised: the occupying
+    // query times out *after* the scheduler claimed it, so its worker must
+    // keep waiting for the real answer; the load behind it times out while
+    // still queued, wins the fence, and must be skipped whole — the catalog
+    // can never advertise a table whose load the client was told failed.
     let handle = spawn(ServerConfig {
-        request_timeout: Duration::from_millis(1),
-        batch_window: Duration::from_millis(200),
+        request_timeout: Duration::from_millis(100),
+        machine: sim_machine(),
         ..local_config()
     })
     .unwrap();
+    let occupied = occupy_machine(handle.addr);
     let mut client = Client::connect(handle.addr).unwrap();
     match client.load_csv("t", "int", "1\n2\n") {
         Err(ClientError::Remote { kind, .. }) => assert_eq!(kind, "timeout"),
-        Ok(_) => panic!("load should not beat a 1ms timeout with a 200ms window"),
+        Ok(_) => panic!("a load queued behind a busy machine cannot beat a 100ms timeout"),
         Err(other) => panic!("unexpected load error {other}"),
     }
-    // The speculative registration was undone with the fence...
+    // The speculative registration was undone with the fence (only the
+    // occupier's own table remains)...
     let stats = client.stats_line().unwrap();
-    assert!(stats.contains(" tables=0 "), "{stats}");
+    assert!(stats.contains(" tables=1 "), "{stats}");
     // ...so the query is rejected by static analysis (unknown relation)
     // instead of being answered from a table the client never loaded.
     match client.query("scan(t)") {
@@ -253,12 +261,17 @@ fn requests_time_out_instead_of_hanging() {
         Ok(_) => panic!("query must not see the fenced table"),
         Err(other) => panic!("unexpected error {other}"),
     }
+    // The occupier lost its fence to the scheduler: a real answer, late.
+    let answer = occupied.finish();
+    assert!(answer.starts_with("RESULT rows="), "{answer}");
+    // Every path above gave its arrival count back.
+    assert_eq!(metric(handle.addr, "sdb_arriving", ""), 0.0);
     client.close().unwrap();
     handle.shutdown();
     let report = handle.join().unwrap();
-    assert!(report.timeouts >= 1);
+    assert_eq!(report.timeouts, 1, "only the load's timeout was real");
     assert_eq!(
-        report.loads, 0,
+        report.loads, 1,
         "a fenced load must never reach the machine"
     );
 }
@@ -333,26 +346,25 @@ fn overloaded_server_refuses_politely() {
 
 #[test]
 fn shutdown_drains_in_flight_queries() {
-    // A 150ms admission window makes the query in flight for at least that
-    // long — shutdown lands mid-flight and must not eat the answer.
+    // One query inside the machine and one queued behind it: shutdown lands
+    // mid-flight and must not eat either answer.
     let handle = spawn(ServerConfig {
-        batch_window: Duration::from_millis(150),
+        machine: sim_machine(),
         ..local_config()
     })
     .unwrap();
     let addr = handle.addr;
     let mut setup = Client::connect(addr).unwrap();
     setup.load_csv("t", "int", "1\n2\n3\n").unwrap();
-
-    let in_flight = thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client.query("filter(scan(t), c0 >= 2)")
-    });
-    thread::sleep(Duration::from_millis(30));
+    let occupied = occupy_machine(addr);
+    let mut queued = Client::connect(addr).unwrap();
+    queued.send_query("filter(scan(t), c0 >= 2)").unwrap();
+    await_arriving(addr, 1);
     handle.shutdown();
 
-    let result = in_flight.join().unwrap().unwrap();
-    assert_eq!(result.rows, 2);
+    let (frame, _host) = queued.recv_query_frames().unwrap();
+    assert!(frame.starts_with("RESULT rows=2 "), "{frame}");
+    assert!(occupied.finish().starts_with("RESULT rows="));
 
     // The idle setup connection is told BYE (or sees the listener go away)
     // rather than hanging; either way the server exits cleanly.
@@ -464,6 +476,93 @@ fn stats_frame_carries_uptime_and_latency_summary() {
     assert_eq!(report.slow_queries, 0);
 }
 
+/// The gather rule as an operator sees it, on both front ends: requests sent
+/// one at a time close every window `idle` — never `deadline`, which would
+/// mean a counted arrival leaked — and every way a request can end (answered,
+/// refused by the parser or the analyzer, abandoned by a client that hangs
+/// up mid-pipeline) leaves `sdb_arriving` at zero. The window is set long
+/// enough that a single leak would also show as a stall.
+#[test]
+fn depth_one_requests_close_every_window_idle_and_leak_no_arrivals() {
+    for io in [IoModel::Threads, IoModel::Poll] {
+        let handle = spawn(ServerConfig {
+            io,
+            batch_window: Duration::from_millis(500),
+            ..local_config()
+        })
+        .unwrap();
+        let addr = handle.addr;
+        let close = |reason: &str| {
+            metric(
+                addr,
+                "sdb_batch_window_close_total",
+                &format!("{{reason=\"{reason}\"}}"),
+            )
+        };
+        let mut c = Client::connect(addr).unwrap();
+        c.load_csv("t", "int", "1\n2\n3\n").unwrap();
+        assert_eq!(c.query("filter(scan(t), c0 >= 2)").unwrap().rows, 2);
+        // A lone load and a lone query: one gather each, both closed idle.
+        assert_eq!(close("idle"), 2.0, "{io:?}");
+
+        for refused in ["scan(", "scan(ghost)"] {
+            assert!(matches!(c.query(refused), Err(ClientError::Remote { .. })));
+        }
+        c.stats_line().unwrap();
+        // A client that pipelines three queries and hangs up unread.
+        let mut rude = Client::connect(addr).unwrap();
+        for _ in 0..3 {
+            rude.send_query("filter(scan(t), c0 >= 2)").unwrap();
+        }
+        drop(rude);
+        await_arriving(addr, 0);
+        assert_eq!(c.query("scan(t)").unwrap().rows, 3);
+
+        assert_eq!(close("deadline"), 0.0, "{io:?}: an arrival leaked");
+        assert_eq!(close("full"), 0.0, "{io:?}");
+        assert!(close("idle") >= 3.0, "{io:?}");
+        assert_eq!(metric(addr, "sdb_arriving", ""), 0.0, "{io:?}");
+        c.close().unwrap();
+        handle.shutdown();
+        handle.join().unwrap();
+    }
+}
+
+/// The same over the shard router: a routed query gives its count back
+/// before the fan-out and its `Job::Price` is uncounted, a declined one
+/// falls back to a local run — neither may hold a window to its deadline.
+#[test]
+fn routed_and_fallback_queries_leak_no_arrivals() {
+    let handle = spawn(ServerConfig {
+        shards: 2,
+        batch_window: Duration::from_millis(500),
+        ..local_config()
+    })
+    .unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    load_all(&mut c);
+    for q in QUERIES {
+        c.raw_query_frames(q).unwrap();
+    }
+    let text = c.metrics().unwrap();
+    let exp = systolic_telemetry::prom::validate(&text).unwrap();
+    assert!(exp.value("sdb_server_sharded_total", "").unwrap_or(0.0) >= 1.0);
+    assert!(
+        exp.value("sdb_server_shard_fallback_total", "")
+            .unwrap_or(0.0)
+            >= 1.0
+    );
+    assert_eq!(
+        exp.value("sdb_batch_window_close_total", "{reason=\"deadline\"}"),
+        Some(0.0),
+        "an arrival leaked"
+    );
+    assert_eq!(exp.value("sdb_arriving", ""), Some(0.0));
+    c.close().unwrap();
+    handle.shutdown();
+    handle.join().unwrap();
+}
+
 /// Serializes the tests that install the process-global span collector
 /// (directly or via a server's `trace_out`).
 fn collector_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -483,7 +582,7 @@ fn merged_requests_keep_distinct_traces_but_share_the_batch_span() {
     let _guard = collector_lock();
     let collector = systolic_telemetry::install();
     let handle = spawn(ServerConfig {
-        batch_window: Duration::from_millis(300),
+        machine: sim_machine(),
         ..local_config()
     })
     .unwrap();
@@ -492,19 +591,30 @@ fn merged_requests_keep_distinct_traces_but_share_the_batch_span() {
     setup.load_csv("trc", "int", "1\n2\n3\n").unwrap();
     setup.close().unwrap();
 
+    // Both requests queue behind an occupied machine, so the gather that
+    // follows it finds them together.
     let queries = ["filter(scan(trc), c0 >= 1)", "filter(scan(trc), c0 >= 2)"];
-    thread::scope(|scope| {
-        for q in queries {
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                client.query(q).unwrap();
-                client.close().unwrap();
-            });
-        }
-    });
+    let occupied = occupy_machine(addr);
+    let mut clients: Vec<Client> = queries
+        .iter()
+        .map(|q| {
+            let mut client = Client::connect(addr).unwrap();
+            client.send_query(q).unwrap();
+            client
+        })
+        .collect();
+    await_arriving(addr, queries.len());
+    occupied.finish();
+    for client in &mut clients {
+        client.recv_query_frames().unwrap();
+        client.close().unwrap();
+    }
     handle.shutdown();
     let report = handle.join().unwrap();
-    assert!(report.batches >= 1, "the 300ms window must merge both");
+    assert_eq!(
+        report.batches, 1,
+        "jobs queued together are admitted together"
+    );
 
     let spans = collector.drain();
     systolic_telemetry::uninstall();
@@ -817,85 +927,83 @@ fn poll_reactor_keeps_determinism_across_hundreds_of_connections() {
     assert_eq!(report.timeouts, 0);
 }
 
-/// Overload under poll: with one worker, no pending allowance, and a long
-/// admission window, a burst of pipelined frames is shed with
+/// Overload under poll: with one worker and no pending allowance, frames
+/// pipelined behind a slow query that holds the worker are shed with
 /// `ERR overloaded` — in pipeline order, without wedging the connection —
-/// while at least the first frame is answered for real.
+/// while the occupying query itself is answered for real.
 #[test]
 fn poll_front_end_sheds_pipelined_overload_in_order() {
     let handle = spawn(ServerConfig {
         io: IoModel::Poll,
         workers: 1,
         max_pending: 0,
-        batch_window: Duration::from_millis(200),
+        machine: sim_machine(),
         ..local_config()
     })
     .unwrap();
     let mut c = Client::connect(handle.addr).unwrap();
     c.load_csv("t", "int", "1\n2\n3\n").unwrap();
+    load_occupier(&mut c);
 
     const BURST: usize = 6;
+    c.send_query(OCCUPIER_QUERY).unwrap();
     for _ in 0..BURST {
         c.send_query("filter(scan(t), c0 >= 2)").unwrap();
     }
-    let mut served = 0usize;
-    let mut shed = 0usize;
+    let (frame, _host) = c.recv_query_frames().unwrap();
+    assert!(frame.starts_with("RESULT rows="), "{frame}");
     for i in 0..BURST {
         match c.recv_query_frames() {
-            Ok((frame, _host)) => {
-                assert!(frame.starts_with("RESULT rows=2 "), "answer {i}: {frame}");
-                served += 1;
-            }
-            Err(ClientError::Remote { kind, .. }) => {
-                assert_eq!(kind, "overloaded", "answer {i}");
-                shed += 1;
-            }
-            other => panic!("answer {i}: expected RESULT or overloaded, got {other:?}"),
+            Err(ClientError::Remote { kind, .. }) => assert_eq!(kind, "overloaded", "answer {i}"),
+            other => panic!("answer {i}: the only worker was held, got {other:?}"),
         }
     }
-    assert!(served >= 1, "the occupying query itself must be answered");
-    assert!(shed >= 1, "a 6-deep burst over a 1-worker pool must shed");
 
-    // The connection survives shedding: a fresh query is answered.
+    // The connection survives shedding: a fresh query is answered. Shed
+    // frames gave their arrival counts back, or this gather would sit out
+    // its window — and say so in the close reasons.
     let result = c.query("filter(scan(t), c0 >= 2)").unwrap();
     assert_eq!(result.rows, 2);
+    let deadline = "{reason=\"deadline\"}";
+    assert_eq!(
+        metric(handle.addr, "sdb_batch_window_close_total", deadline),
+        0.0
+    );
+    assert_eq!(metric(handle.addr, "sdb_arriving", ""), 0.0);
     c.close().unwrap();
     handle.shutdown();
-    handle.join().unwrap();
+    let report = handle.join().unwrap();
+    assert_eq!(report.refused, BURST as u64);
 }
 
-/// Drain under poll: shutdown lands while pipelined queries are in flight
-/// behind a long admission window; every already-accepted frame is still
-/// answered before the reactor closes the connection.
+/// Drain under poll: shutdown lands while pipelined queries are queued
+/// behind a busy machine; every already-accepted frame is still answered
+/// before the reactor closes the connection.
 #[test]
 fn poll_shutdown_drains_pipelined_in_flight_queries() {
     let handle = spawn(ServerConfig {
         io: IoModel::Poll,
-        batch_window: Duration::from_millis(150),
+        machine: sim_machine(),
         ..local_config()
     })
     .unwrap();
     let addr = handle.addr;
     let mut setup = Client::connect(addr).unwrap();
     setup.load_csv("t", "int", "1\n2\n3\n").unwrap();
+    let occupied = occupy_machine(addr);
 
-    let in_flight = thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        for _ in 0..3 {
-            client.send_query("filter(scan(t), c0 >= 2)").unwrap();
-        }
-        (0..3)
-            .map(|_| client.recv_query_frames().map(|(r, _)| r))
-            .collect::<Result<Vec<_>, _>>()
-    });
-    thread::sleep(Duration::from_millis(30));
+    let mut client = Client::connect(addr).unwrap();
+    for _ in 0..3 {
+        client.send_query("filter(scan(t), c0 >= 2)").unwrap();
+    }
+    await_arriving(addr, 3);
     handle.shutdown();
 
-    let frames = in_flight.join().unwrap().unwrap();
-    assert_eq!(frames.len(), 3);
-    for frame in &frames {
+    for _ in 0..3 {
+        let (frame, _host) = client.recv_query_frames().unwrap();
         assert!(frame.starts_with("RESULT rows=2 "), "{frame}");
     }
+    assert!(occupied.finish().starts_with("RESULT rows="));
     drop(setup);
     handle.join().unwrap();
 }
@@ -1021,8 +1129,10 @@ fn sharded_trace_out_parents_shard_spans_under_the_fanout() {
     .unwrap();
     let mut c = Client::connect(handle.addr).unwrap();
     load_all(&mut c);
-    // A shardable query, so the router actually fans out.
-    let shardable = "intersect(scan(a), scan(b))";
+    // A shardable query, so the router actually fans out — spelled like no
+    // other test's, because sharded servers of concurrently running tests
+    // record their fan-outs into the same process-global collector.
+    let shardable = "intersect(scan(b), scan(a))";
     c.query(shardable).unwrap();
     let text = c.metrics().unwrap();
     let exp = systolic_telemetry::prom::validate(&text).unwrap();
@@ -1044,22 +1154,30 @@ fn sharded_trace_out_parents_shard_spans_under_the_fanout() {
             .collect::<Vec<_>>()
     };
 
-    let fanouts = named("server.shard_fanout");
+    // The outer request is its trace's root span...
+    let requests = named("server.request");
+    let asks = |e: &Json| {
+        let query = e.get("args").and_then(|a| a.get("query"));
+        query.and_then(Json::as_str) == Some(shardable)
+    };
+    let root = requests
+        .iter()
+        .find(|e| asks(e) && arg(e, "parent_id").is_none())
+        .expect("the outer request is the trace's root span");
+    let trace_id = arg(root, "trace_id").unwrap();
+
+    // ...its one fan-out parents under it...
+    let fanouts: Vec<_> = named("server.shard_fanout")
+        .into_iter()
+        .filter(|e| arg(e, "trace_id") == Some(trace_id))
+        .collect();
     assert_eq!(
         fanouts.len(),
         1,
         "one fan-out span for the one routed query"
     );
     let fanout = fanouts[0];
-    let trace_id = arg(fanout, "trace_id").unwrap();
     let fanout_span = arg(fanout, "span_id").unwrap();
-
-    // The fan-out parents under the outer request's root span...
-    let requests = named("server.request");
-    let root = requests
-        .iter()
-        .find(|e| arg(e, "trace_id") == Some(trace_id) && arg(e, "parent_id").is_none())
-        .expect("the outer request is the trace's root span");
     assert_eq!(arg(fanout, "parent_id"), arg(root, "span_id"));
 
     // ...and both shards' request spans parent under the fan-out, on the

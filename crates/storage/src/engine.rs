@@ -29,7 +29,7 @@ use crate::blob::{BlobStore, SharedBlobStore};
 use crate::error::{Result, StorageError};
 use crate::metrics::StorageMetrics;
 use crate::pool::ReplacerKind;
-use crate::wal::{decode_records, encode_records, Wal, WalRecord};
+use crate::wal::{decode_records, encode_frame, for_each_record, Wal, WalRecord};
 
 /// Name of the blob holding the snapshot record stream.
 const SNAPSHOT_BLOB: &str = "snapshot";
@@ -63,9 +63,9 @@ pub struct CheckpointReport {
 pub struct StorageEngine {
     dir: PathBuf,
     wal: Wal,
-    /// Full ordered logical history (snapshot + log), the next checkpoint's
-    /// contents.
-    history: Vec<WalRecord>,
+    /// Records in the ordered logical history (snapshot + log). The records
+    /// themselves live only on disk: the next checkpoint re-reads them.
+    records: usize,
     /// Records currently in the WAL tail (resets at checkpoint).
     wal_tail: usize,
     blobs: SharedBlobStore,
@@ -136,7 +136,7 @@ impl StorageEngine {
         let engine = StorageEngine {
             dir: dir.to_path_buf(),
             wal,
-            history: history.clone(),
+            records: history.len(),
             wal_tail: wal_count,
             blobs: SharedBlobStore::new(blobs),
             pool_pages,
@@ -163,7 +163,7 @@ impl StorageEngine {
 
     /// Records in the logical history.
     pub fn history_len(&self) -> usize {
-        self.history.len()
+        self.records
     }
 
     /// Records currently in the WAL tail (since the last checkpoint).
@@ -184,7 +184,7 @@ impl StorageEngine {
             csv: csv.to_string(),
         };
         let lsn = self.wal.append(&rec)?;
-        self.history.push(rec);
+        self.records += 1;
         self.wal_tail += 1;
         Ok(lsn)
     }
@@ -195,9 +195,45 @@ impl StorageEngine {
             text: text.to_string(),
         };
         let lsn = self.wal.append(&rec)?;
-        self.history.push(rec);
+        self.records += 1;
         self.wal_tail += 1;
         Ok(lsn)
+    }
+
+    /// The full logical history as one snapshot stream, rebuilt from what
+    /// is durable: the last snapshot's frames as they stand, then the log's
+    /// records framed to continue their numbering. Fails with
+    /// [`StorageError::Corrupt`] if that is not exactly the records this
+    /// engine acknowledged.
+    fn durable_history(&self) -> Result<Vec<u8>> {
+        let mut bytes = Vec::new();
+        let mut records = 0usize;
+        let snap_path = self.dir.join("checkpoint.pg");
+        if snap_path.exists() {
+            let mut snap = BlobStore::open(
+                &snap_path,
+                SNAPSHOT_POOL_PAGES,
+                self.replacer,
+                self.metrics.clone(),
+            )?;
+            bytes = snap.get(SNAPSHOT_BLOB)?;
+            for_each_record(&bytes, |_| records += 1)?;
+        }
+        for rec in self.wal.read_records()? {
+            if rec != WalRecord::Checkpoint {
+                bytes.extend_from_slice(&encode_frame(records as u64, &rec));
+                records += 1;
+            }
+        }
+        if records != self.records {
+            return Err(StorageError::Corrupt {
+                detail: format!(
+                    "checkpoint: {records} records durable, {} acknowledged",
+                    self.records
+                ),
+            });
+        }
+        Ok(bytes)
     }
 
     /// Take a checkpoint: snapshot the full history to a fresh paged file,
@@ -209,7 +245,7 @@ impl StorageEngine {
     /// (replaying them after the snapshot would double-apply, which is why
     /// the truncation must follow the rename — and does).
     pub fn checkpoint(&mut self) -> Result<CheckpointReport> {
-        let bytes = encode_records(&self.history);
+        let bytes = self.durable_history()?;
         let tmp = self.dir.join("checkpoint.tmp");
         let _ = fs::remove_file(&tmp);
         {
@@ -229,7 +265,7 @@ impl StorageEngine {
         self.wal_tail = 0;
         self.metrics.checkpoints.inc();
         Ok(CheckpointReport {
-            records: self.history.len(),
+            records: self.records,
             bytes: bytes.len() as u64,
         })
     }
@@ -319,6 +355,56 @@ mod tests {
         assert_eq!(replay.len(), 3);
         assert_eq!(replay[2], load_int("c", "3\n"));
         assert_eq!(e.history_len(), 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn repeated_checkpoints_rebuild_the_history_from_disk_in_order() {
+        let dir = tmpdir("recheckpoint");
+        let (mut e, _, _) = StorageEngine::open(&dir).unwrap();
+        let names = ["a", "b", "c", "d", "e"];
+        for name in &names[..3] {
+            e.log_load(name, &["int".into()], &format!("{name}\n"))
+                .unwrap();
+        }
+        let first = e.checkpoint().unwrap();
+        assert_eq!(first.records, 3);
+        for name in &names[3..] {
+            e.log_load(name, &["int".into()], &format!("{name}\n"))
+                .unwrap();
+        }
+        // The second snapshot = the first one's frames + the two logged
+        // since, exactly what encoding the whole history at once gives.
+        let second = e.checkpoint().unwrap();
+        assert_eq!(second.records, 5);
+        assert_eq!(e.history_len(), 5);
+        let want: Vec<WalRecord> = names
+            .iter()
+            .map(|name| load_int(name, &format!("{name}\n")))
+            .collect();
+        assert_eq!(second.bytes, crate::wal::encode_records(&want).len() as u64);
+        drop(e);
+        let (e, replay, report) = StorageEngine::open(&dir).unwrap();
+        assert_eq!(report.checkpoint_records, 5);
+        assert_eq!(report.wal_records, 0);
+        assert_eq!(replay, want);
+        assert_eq!(e.history_len(), 5);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_refuses_a_log_that_lost_records() {
+        let dir = tmpdir("lostlog");
+        let (mut e, _, _) = StorageEngine::open(&dir).unwrap();
+        e.log_load("a", &["int".into()], "1\n").unwrap();
+        e.log_load("b", &["int".into()], "2\n").unwrap();
+        // Someone else truncates the log under the running engine.
+        fs::write(dir.join("wal.log"), b"").unwrap();
+        assert!(matches!(e.checkpoint(), Err(StorageError::Corrupt { .. })));
+        assert!(
+            !dir.join("checkpoint.pg").exists(),
+            "a refused checkpoint must not replace the snapshot"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

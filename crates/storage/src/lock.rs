@@ -77,12 +77,24 @@ impl LockTable {
 
     /// Block until *every* requested lock is grantable, then take them all
     /// atomically. Duplicate names collapse to the strongest mode requested.
-    pub fn acquire_all(&self, mut wants: Vec<(String, LockMode)>) -> LockGuard<'_> {
+    pub fn acquire_all(&self, wants: Vec<(String, LockMode)>) -> LockGuard<'_> {
+        self.acquire_all_or(wants, || {})
+    }
+
+    /// [`LockTable::acquire_all`], calling `before_wait` once if — and
+    /// before — the caller has to block: a session about to park can first
+    /// tell whoever is counting on it.
+    pub fn acquire_all_or(
+        &self,
+        mut wants: Vec<(String, LockMode)>,
+        before_wait: impl FnOnce(),
+    ) -> LockGuard<'_> {
         // Sort and collapse duplicates, exclusive winning — a session that
         // both reads and writes a name needs the write lock.
         wants.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         wants.dedup_by(|next, keep| next.0 == keep.0);
 
+        let mut before_wait = Some(before_wait);
         let mut state = self.state.lock().unwrap();
         loop {
             let all_free = wants
@@ -96,6 +108,9 @@ impl LockTable {
                     table: self,
                     held: wants,
                 };
+            }
+            if let Some(f) = before_wait.take() {
+                f();
             }
             state = self.released.wait(state).unwrap();
         }
@@ -163,7 +178,6 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::thread;
-    use std::time::Duration;
 
     #[test]
     fn readers_share_writers_exclude() {
@@ -181,6 +195,13 @@ mod tests {
         assert!(t
             .try_acquire_all(vec![("dept".into(), LockMode::Exclusive)])
             .is_some());
+    }
+
+    #[test]
+    fn an_uncontended_acquire_never_calls_the_wait_hook() {
+        let t = LockTable::new();
+        let wants = vec![("emp".to_string(), LockMode::Exclusive)];
+        let _g = t.acquire_all_or(wants, || panic!("nothing to wait for"));
     }
 
     #[test]
@@ -204,11 +225,14 @@ mod tests {
         let t2 = t.clone();
         let done = Arc::new(AtomicUsize::new(0));
         let done2 = done.clone();
+        let (parking_tx, parking_rx) = std::sync::mpsc::channel();
         let h = thread::spawn(move || {
-            let _w = t2.acquire("emp", LockMode::Exclusive);
+            let wants = vec![("emp".to_string(), LockMode::Exclusive)];
+            let _w = t2.acquire_all_or(wants, || parking_tx.send(()).unwrap());
             done2.store(1, Ordering::SeqCst);
         });
-        thread::sleep(Duration::from_millis(30));
+        // The hook fires exactly when the writer is about to block.
+        parking_rx.recv().unwrap();
         assert_eq!(done.load(Ordering::SeqCst), 0, "writer must wait");
         drop(r);
         h.join().unwrap();

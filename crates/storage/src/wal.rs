@@ -156,9 +156,12 @@ pub fn encode_frame(lsn: u64, record: &WalRecord) -> Vec<u8> {
     out
 }
 
-/// Encode a record sequence as concatenated frames (checkpoint snapshots
-/// reuse the WAL framing so one parser covers both).
-pub fn encode_records(records: &[WalRecord]) -> Vec<u8> {
+/// Encode a record sequence as concatenated frames numbered from zero —
+/// the snapshot stream format (checkpoint snapshots reuse the WAL framing so
+/// one parser covers both). The engine assembles snapshots incrementally
+/// from what is durable; tests hold it to this one-shot reference.
+#[cfg(test)]
+pub(crate) fn encode_records(records: &[WalRecord]) -> Vec<u8> {
     let mut out = Vec::new();
     for (i, r) in records.iter().enumerate() {
         out.extend_from_slice(&encode_frame(i as u64, r));
@@ -170,19 +173,47 @@ pub fn encode_records(records: &[WalRecord]) -> Vec<u8> {
 /// for checkpoint snapshots, which are written atomically and must be whole).
 pub fn decode_records(bytes: &[u8]) -> Result<Vec<WalRecord>> {
     let mut out = Vec::new();
+    for_each_record(bytes, |record| out.push(record))?;
+    Ok(out)
+}
+
+/// Strictly walk a record sequence, handing each record to `visit` — what
+/// [`decode_records`] collects, for callers that only need to look.
+pub fn for_each_record(bytes: &[u8], mut visit: impl FnMut(WalRecord)) -> Result<()> {
     let mut at = 0usize;
     while at < bytes.len() {
         match parse_frame(&bytes[at..]) {
             ParsedFrame::Ok {
                 record, frame_len, ..
             } => {
-                out.push(record);
+                visit(record);
                 at += frame_len;
             }
             ParsedFrame::Bad { detail } => return Err(StorageError::Corrupt { detail }),
         }
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Leniently walk a log image: every intact `(lsn, record)` from the start,
+/// and the byte offset where the first bad frame (or the end) was met.
+fn intact_prefix(raw: &[u8]) -> (Vec<(u64, WalRecord)>, usize) {
+    let mut records = Vec::new();
+    let mut at = 0usize;
+    while at < raw.len() {
+        match parse_frame(&raw[at..]) {
+            ParsedFrame::Ok {
+                lsn,
+                record,
+                frame_len,
+            } => {
+                records.push((lsn, record));
+                at += frame_len;
+            }
+            ParsedFrame::Bad { .. } => break,
+        }
+    }
+    (records, at)
 }
 
 enum ParsedFrame {
@@ -266,23 +297,8 @@ impl Wal {
         let mut raw = Vec::new();
         file.read_to_end(&mut raw)?;
 
-        let mut records = Vec::new();
-        let mut at = 0usize;
-        let mut next_lsn = 0u64;
-        while at < raw.len() {
-            match parse_frame(&raw[at..]) {
-                ParsedFrame::Ok {
-                    lsn,
-                    record,
-                    frame_len,
-                } => {
-                    next_lsn = next_lsn.max(lsn + 1);
-                    records.push((lsn, record));
-                    at += frame_len;
-                }
-                ParsedFrame::Bad { .. } => break,
-            }
-        }
+        let (records, at) = intact_prefix(&raw);
+        let next_lsn = records.iter().map(|(lsn, _)| lsn + 1).max().unwrap_or(0);
         let tail = WalTail {
             valid_bytes: at as u64,
             dropped_bytes: (raw.len() - at) as u64,
@@ -337,6 +353,26 @@ impl Wal {
         self.next_lsn += 1;
         self.bytes += frame.len() as u64;
         Ok(lsn)
+    }
+
+    /// Re-read the records this log holds on disk, in append order. Every
+    /// append was fsynced before it was counted, so anything but exactly
+    /// [`Wal::bytes`] bytes of intact frames means the file is no longer
+    /// what was written.
+    pub fn read_records(&self) -> Result<Vec<WalRecord>> {
+        let raw = std::fs::read(&self.path)?;
+        let (records, at) = intact_prefix(&raw);
+        if at as u64 != self.bytes || at != raw.len() {
+            return Err(StorageError::Corrupt {
+                detail: format!(
+                    "wal: {} intact of {} bytes on disk, {} appended",
+                    at,
+                    raw.len(),
+                    self.bytes
+                ),
+            });
+        }
+        Ok(records.into_iter().map(|(_, record)| record).collect())
     }
 
     /// Truncate the log to empty (after a checkpoint made it redundant).
