@@ -110,4 +110,11 @@ if ! awk -v f="$FUSED" -v u="$UNFUSED" 'BEGIN { exit !(f+0 >= u+0 && f+0 > 0) }'
   echo "e22 fused_qps_16 $FUSED is below unfused_qps_16 $UNFUSED" >&2
   exit 1
 fi
-echo "e22 columnar-vs-kernel speedup: ${COL_SPEEDUP}x (>= 1x); fused 16-client batch: ${FUSED} q/s vs ${UNFUSED} unfused"
+# On the device path the machine serves (TiledPipelined), pricing a run
+# must stay the smaller part of running it — a ratio, so any runner holds it.
+SHARE=$(sed -n 's/.*"pipelined_accounting_share": \([0-9.]*\).*/\1/p' "$E22")
+if ! awk -v s="$SHARE" 'BEGIN { exit !(s != "" && s+0 <= 0.5) }'; then
+  echo "e22 pipelined_accounting_share '$SHARE' exceeds 0.5 (or is missing)" >&2
+  exit 1
+fi
+echo "e22 columnar-vs-kernel speedup: ${COL_SPEEDUP}x (>= 1x); fused 16-client batch: ${FUSED} q/s vs ${UNFUSED} unfused; device-path accounting share: ${SHARE}"

@@ -1160,7 +1160,8 @@ fn e21_backend_speedup() -> (Summary, Vec<(String, Extra)>) {
 
 /// E22: the columnar backend on its own terms. Three acts: per-operator
 /// wall time against the scalar kernel baseline at a size where the
-/// word-parallel planes matter; fused shared-operand batch throughput at
+/// word-parallel planes matter, then the same operators on the device
+/// path the machine serves them on, with the accounting's share; fused shared-operand batch throughput at
 /// 1/4/16 concurrent queries over one relation (the columnar backend
 /// answers them in a single word-plane pass, per-query accounting
 /// untouched); and ingest bandwidth of the zero-detour columnar CSV path
@@ -1189,31 +1190,33 @@ fn e22_columnar() -> (Summary, Vec<(String, Extra)>) {
     let join_specs = [JoinSpec::eq(ka, kb)];
 
     type Run = (systolic_relation::MultiRelation, systolic_core::ExecStats);
-    type Runner<'a> = Box<dyn Fn(Backend) -> Run + 'a>;
+    type Runner<'a> = Box<dyn Fn(Execution, Backend) -> Run + 'a>;
     let runners: Vec<(&str, Runner)> = vec![
         (
             "intersect",
-            Box::new(|bk| ops::intersect_with(&sa, &sb, exec, bk).unwrap()),
+            Box::new(|ex, bk| ops::intersect_with(&sa, &sb, ex, bk).unwrap()),
         ),
         (
             "union",
-            Box::new(|bk| ops::union_with(&sa, &sb, exec, bk).unwrap()),
+            Box::new(|ex, bk| ops::union_with(&sa, &sb, ex, bk).unwrap()),
         ),
         (
             "difference",
-            Box::new(|bk| ops::difference_with(&sa, &sb, exec, bk).unwrap()),
+            Box::new(|ex, bk| ops::difference_with(&sa, &sb, ex, bk).unwrap()),
         ),
         (
             "dedup",
-            Box::new(|bk| ops::dedup_with(&sa, exec, bk).unwrap()),
+            Box::new(|ex, bk| ops::dedup_with(&sa, ex, bk).unwrap()),
         ),
         (
             "join",
-            Box::new(|bk| ops::join_with(&ja, &jb, &join_specs, exec, bk).unwrap()),
+            Box::new(|ex, bk| ops::join_with(&ja, &jb, &join_specs, ex, bk).unwrap()),
         ),
         (
             "divide",
-            Box::new(|bk| ops::divide_binary_with(&dividend, 0, 1, &divisor, 0, exec, bk).unwrap()),
+            Box::new(|ex, bk| {
+                ops::divide_binary_with(&dividend, 0, 1, &divisor, 0, ex, bk).unwrap()
+            }),
         ),
     ];
 
@@ -1232,12 +1235,12 @@ fn e22_columnar() -> (Summary, Vec<(String, Extra)>) {
         // Same discipline as E21: one untimed warm-up (which also performs
         // the one-time word-plane pack), then best-of-REPS.
         let mut best = |bk: Backend| -> (Run, u64) {
-            let _ = run(bk);
+            let _ = run(exec, bk);
             let mut best_ns = u64::MAX;
             let mut out = None;
             for _ in 0..REPS {
                 let t0 = Instant::now();
-                let r = run(bk);
+                let r = run(exec, bk);
                 let ns = t0.elapsed().as_nanos() as u64;
                 sum.exec(&r.1);
                 if ns < best_ns {
@@ -1277,6 +1280,67 @@ fn e22_columnar() -> (Summary, Vec<(String, Extra)>) {
         "columnar_vs_kernel_speedup".to_string(),
         Extra::F64(speedup),
     ));
+
+    // Act 1b: the served path. Marching is what the paper draws, but no
+    // device in `machine` runs it: they all run `TiledPipelined` on the
+    // 32 x 32 x 8 array, whose accounting walks tile shapes instead of
+    // evaluating one formula. The same six operators again, columnar, and
+    // next to each the time its price function takes alone — the share of
+    // a run that is bookkeeping rather than the operator.
+    println!();
+    println!("device path (TiledPipelined 32x32x8, columnar) and its accounting:");
+    let device = Execution::TiledPipelined(ArrayLimits::new(32, 32, 8));
+    let m = sa.arity();
+    let pricers: [&dyn Fn() -> systolic_core::ExecStats; 6] = [
+        &|| ops::price_membership(device, sa.len(), sb.len(), m),
+        &|| ops::price_union(device, sa.len(), sb.len(), m),
+        &|| ops::price_membership(device, sa.len(), sb.len(), m),
+        &|| ops::price_dedup(device, sa.len(), m),
+        &|| ops::price_join(device, ja.len(), jb.len(), join_specs.len()),
+        // Division has no price function (its array's cost depends on the
+        // data); its shape-priced part is the distinct-key pre-pass.
+        &|| ops::price_project(device, dividend.len(), 1),
+    ];
+    let mut run_total = 0u64;
+    let mut price_total = 0u64;
+    let mut t = Table::new(&["op", "device wall", "price wall"]);
+    for ((name, run), price) in runners.iter().zip(pricers) {
+        let _ = run(device, Backend::Columnar);
+        let mut run_ns = u64::MAX;
+        let mut price_ns = u64::MAX;
+        for _ in 0..REPS {
+            let t0 = Instant::now();
+            let (_, stats) = run(device, Backend::Columnar);
+            run_ns = run_ns.min(t0.elapsed().as_nanos() as u64);
+            let t0 = Instant::now();
+            let priced = std::hint::black_box(price());
+            price_ns = price_ns.min(t0.elapsed().as_nanos() as u64);
+            sum.exec(&stats);
+            assert!(
+                *name == "divide" || priced == stats,
+                "{name}: priced stats differ from the run's"
+            );
+        }
+        // The largest is union's dedup of 2n = 4096 rows: 16 384 tiles of
+        // 4096 x 4096 x 2, priced by shape.
+        assert!(price_ns < 2_000_000, "{name} priced in {price_ns} ns");
+        run_total += run_ns;
+        price_total += price_ns;
+        extras.push((format!("pipelined_ns_{name}"), Extra::U64(run_ns)));
+        t.rowd(&[
+            name.to_string(),
+            fmt_ns(run_ns as f64),
+            fmt_ns(price_ns as f64),
+        ]);
+    }
+    print!("{}", t.render());
+    let share = price_total as f64 / run_total.max(1) as f64;
+    println!(
+        "accounting share: {} of {} -> {share:.4} (bound 0.5)",
+        fmt_ns(price_total as f64),
+        fmt_ns(run_total as f64),
+    );
+    extras.push(("pipelined_accounting_share".to_string(), Extra::F64(share)));
 
     // Act 2: fused shared-operand batches. C concurrent point queries hit
     // the same 64k-row relation; under the columnar backend the machine

@@ -30,7 +30,7 @@ const SCHEMA: &[(&str, bool)] = &[
 /// Optional keys the cross-backend comparison experiments (`e21`, `e22`)
 /// append: aggregate wall times per backend and the measured speedups.
 /// Per-operator wall times use the `sim_ns_<op>` / `kernel_ns_<op>` /
-/// `columnar_ns_<op>` prefixes.
+/// `columnar_ns_<op>` / `pipelined_ns_<op>` prefixes.
 const OPTIONAL: &[(&str, bool)] = &[
     ("sim_wall_ns", true),
     ("kernel_wall_ns", true),
@@ -40,6 +40,10 @@ const OPTIONAL: &[(&str, bool)] = &[
     // shared-operand batch throughput at each client count, and the two
     // CSV ingest bandwidths (rows-then-pack vs zero-detour).
     ("columnar_vs_kernel_speedup", false),
+    // Its device-path arm (`TiledPipelined` on the 32 x 32 x 8 array):
+    // per-operator wall times use the `pipelined_ns_<op>` prefix; the
+    // share is time in `price_*` over time in `*_with`.
+    ("pipelined_accounting_share", false),
     ("fused_qps_1", false),
     ("fused_qps_4", false),
     ("fused_qps_16", false),
@@ -91,6 +95,7 @@ fn per_op_key(key: &str) -> bool {
     key.strip_prefix("sim_ns_")
         .or_else(|| key.strip_prefix("kernel_ns_"))
         .or_else(|| key.strip_prefix("columnar_ns_"))
+        .or_else(|| key.strip_prefix("pipelined_ns_"))
         .or_else(|| key.strip_prefix("rewrites_"))
         .is_some_and(|op| !op.is_empty() && op.chars().all(|c| c.is_ascii_lowercase() || c == '_'))
 }

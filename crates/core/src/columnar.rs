@@ -34,7 +34,7 @@ use std::collections::{HashMap, HashSet};
 
 use systolic_fabric::{CompareOp, Elem};
 use systolic_relation::columnar::CmpMasks;
-use systolic_relation::{ColumnarRelation, Row};
+use systolic_relation::{ColumnarRelation, CompositeSpec, MultiRelation, Row};
 
 use crate::kernel;
 use crate::matrix::TMatrix;
@@ -145,40 +145,33 @@ pub(crate) fn t_matrix_into(
 }
 
 /// [`kernel::membership_bits`] over composite codes: `t_i = OR_j
-/// (a_i == b_j)` with `B`'s tuples hashed as single `u64` codes when the
-/// packed column widths sum to at most 64 bits (rows of `A` outside a
-/// packed range cannot match and short-circuit to FALSE). Falls back to
-/// the row kernel when the widths do not fit.
-pub fn membership_bits(a: &[Row], b_rows: &[Row], b: &ColumnarRelation) -> Vec<bool> {
+/// (a_i == b_j)` with `B`'s tuples hashed as single `u64` codes when its
+/// column widths sum to at most 64 bits (rows of `A` outside a code range
+/// cannot match and short-circuit to FALSE). Falls back to the row kernel
+/// when the widths do not fit. Only `B`'s code *layout* is needed, so a
+/// relation whose planes were never packed is not packed here either.
+pub fn membership_bits(a: &[Row], b: &MultiRelation) -> Vec<bool> {
     let Some(spec) = b.composite_spec() else {
-        return kernel::membership_bits(a, b_rows);
+        return kernel::membership_bits(a, b.rows());
     };
-    let set: HashSet<u64> = b_rows
-        .iter()
-        .map(|r| ColumnarRelation::composite_code(&spec, r))
-        .collect();
+    let set: HashSet<u64> = b.rows().iter().map(|r| spec.code(r)).collect();
     a.iter()
-        .map(|r| {
-            b.try_composite_code(&spec, r)
-                .is_some_and(|code| set.contains(&code))
-        })
+        .map(|r| spec.try_code(r).is_some_and(|code| set.contains(&code)))
         .collect()
 }
 
 /// [`kernel::duplicate_bits`] over composite codes: `dup[i] = OR_{j < i}
 /// (a_i == a_j)` with first occurrences tracked in a `u64`-keyed map.
 /// Falls back to the row kernel when the widths do not fit one word.
-pub fn duplicate_bits(rows: &[Row], packed: &ColumnarRelation) -> Vec<bool> {
-    let Some(spec) = packed.composite_spec() else {
+pub fn duplicate_bits(a: &MultiRelation) -> Vec<bool> {
+    let rows = a.rows();
+    let Some(spec) = a.composite_spec() else {
         return kernel::duplicate_bits(rows);
     };
     let mut first: HashMap<u64, usize> = HashMap::with_capacity(rows.len());
     rows.iter()
         .enumerate()
-        .map(|(i, r)| {
-            let code = ColumnarRelation::composite_code(&spec, r);
-            *first.entry(code).or_insert(i) < i
-        })
+        .map(|(i, r)| *first.entry(spec.code(r)).or_insert(i) < i)
         .collect()
 }
 
@@ -231,11 +224,10 @@ pub fn quotient_flags(
 
 /// [`kernel::quotient_flags_multi`] with divisor bit sets (as
 /// [`quotient_flags`]) and, when the key columns fit one composite word,
-/// `u64`-keyed row→key lookup via `keys_packed`'s composite codes.
+/// `u64`-keyed row→key lookup via the keys' composite codes.
 pub fn quotient_flags_multi(
     rows: &[Vec<Elem>],
     keys: &[Vec<Elem>],
-    keys_packed: &ColumnarRelation,
     kw: usize,
     divisor: &[Elem],
 ) -> (Vec<bool>, usize) {
@@ -248,14 +240,14 @@ pub fn quotient_flags_multi(
     let words = nd.div_ceil(64).max(1);
     let mut bits = vec![0u64; keys.len() * words];
     let mut hits = 0usize;
-    if let Some(spec) = keys_packed.composite_spec() {
+    if let Some(spec) = CompositeSpec::from_rows(keys, kw) {
         let index: HashMap<u64, usize> = keys
             .iter()
             .enumerate()
-            .map(|(r, k)| (ColumnarRelation::composite_code(&spec, k), r))
+            .map(|(r, k)| (spec.code(k), r))
             .collect();
         for row in rows {
-            let Some(code) = keys_packed.try_composite_code(&spec, &row[..kw]) else {
+            let Some(code) = spec.try_code(&row[..kw]) else {
                 continue;
             };
             if let Some(&r) = index.get(&code) {
@@ -367,6 +359,10 @@ mod tests {
         ColumnarRelation::from_rows(rows, m)
     }
 
+    fn multi(rows: &[Row], m: usize) -> MultiRelation {
+        MultiRelation::new(systolic_relation::gen::synth_schema(m), rows.to_vec()).unwrap()
+    }
+
     #[test]
     fn t_matrix_matches_the_row_kernel_for_every_op() {
         for ops in [
@@ -405,23 +401,28 @@ mod tests {
     fn membership_and_duplicates_match_the_row_kernels() {
         let a = relation(23, 2, 0);
         let b = relation(17, 2, 3);
-        let packed = pack(&b, 2);
-        assert_eq!(
-            membership_bits(&a, &b, &packed),
-            kernel::membership_bits(&a, &b)
-        );
+        // Cold (layout from the rows) and warm (layout from the planes).
+        let cold = multi(&b, 2);
+        let warm = multi(&b, 2);
+        warm.columnar();
         // Foreign values far outside B's packed range.
         let wild: Vec<Row> = vec![vec![i64::MIN, 0], vec![0, i64::MAX], b[0].clone()];
-        assert_eq!(
-            membership_bits(&wild, &b, &packed),
-            kernel::membership_bits(&wild, &b)
-        );
+        for b_rel in [&cold, &warm] {
+            assert_eq!(membership_bits(&a, b_rel), kernel::membership_bits(&a, &b));
+            assert_eq!(
+                membership_bits(&wild, b_rel),
+                kernel::membership_bits(&wild, &b)
+            );
+        }
+        assert!(!cold.columnar_built(), "hashing tuples packs no planes");
         let dupes = relation(31, 3, 1);
-        let packed = pack(&dupes, 3);
-        assert_eq!(
-            duplicate_bits(&dupes, &packed),
-            kernel::duplicate_bits(&dupes)
-        );
+        let cold = multi(&dupes, 3);
+        let warm = multi(&dupes, 3);
+        warm.columnar();
+        for rel in [&cold, &warm] {
+            assert_eq!(duplicate_bits(rel), kernel::duplicate_bits(&dupes));
+        }
+        assert!(!cold.columnar_built(), "hashing tuples packs no planes");
     }
 
     #[test]
@@ -429,18 +430,14 @@ mod tests {
         // Two full-width columns cannot composite-code; results must still
         // match via the fallback.
         let b: Vec<Row> = vec![vec![i64::MIN, 0], vec![i64::MAX, i64::MAX], vec![0, 5]];
-        let packed = pack(&b, 2);
-        assert!(packed.composite_spec().is_none());
+        let b_rel = multi(&b, 2);
+        assert!(b_rel.composite_spec().is_none());
         let a: Vec<Row> = vec![vec![0, 5], vec![1, 1], vec![i64::MAX, i64::MAX]];
-        assert_eq!(
-            membership_bits(&a, &b, &packed),
-            kernel::membership_bits(&a, &b)
-        );
+        assert_eq!(membership_bits(&a, &b_rel), kernel::membership_bits(&a, &b));
         let mut dupes = b.clone();
         dupes.extend_from_slice(&b);
-        let packed = pack(&dupes, 2);
         assert_eq!(
-            duplicate_bits(&dupes, &packed),
+            duplicate_bits(&multi(&dupes, 2)),
             kernel::duplicate_bits(&dupes)
         );
     }
@@ -476,9 +473,8 @@ mod tests {
                 }
             }
             let divisor: Vec<Elem> = (0..nd as Elem).collect();
-            let packed = pack(&keys, kw);
             let expect = kernel::quotient_flags_multi(&rows, &keys, kw, &divisor);
-            let got = quotient_flags_multi(&rows, &keys, &packed, kw, &divisor);
+            let got = quotient_flags_multi(&rows, &keys, kw, &divisor);
             assert_eq!(got, expect, "n {n} kw {kw} nd {nd}");
         }
     }

@@ -351,14 +351,69 @@ pub(crate) fn tiled_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits)
     out
 }
 
+/// A step-2 arithmetic progression of schedule base pulses: one tile's `A`
+/// (or `B`) stream, tuple `k` entering lane 0 at `start + 2k`.
+#[derive(Debug, Clone, Copy)]
+struct Stream {
+    start: u64,
+    len: u64,
+}
+
+impl Stream {
+    fn last(self) -> u64 {
+        self.start + 2 * (self.len - 1)
+    }
+
+    /// The same stream `by` pulses later.
+    fn delayed(self, by: u64) -> Stream {
+        Stream {
+            start: self.start + by,
+            ..self
+        }
+    }
+}
+
+/// `#{(i, j) : i < a.len, j < b.len, |a_i - b_j| <= span, a_i - b_j = span
+/// (mod 2)}` — the (a, b) tuple pairs of two streams that share a
+/// cell-pulse in a `span + 1`-row grid, in O(1).
+///
+/// With `c = a.start - b.start` the difference is `c + 2(i - j)`, so the
+/// parity condition is on `c` alone (`c = span (mod 2)`, else no pair
+/// meets) and the range condition bounds `d = i - j` to
+/// `[(-span - c) / 2, (span - c) / 2]` — both ends integral under that
+/// parity. Pairs with `i - j <= x` form a clipped staircase in the
+/// `a.len x b.len` rectangle whose area `below` sums in closed form.
+fn crossings(a: Stream, b: Stream, span: u64) -> u64 {
+    let c = a.start as i64 - b.start as i64;
+    let span = span as i64;
+    if (c - span) % 2 != 0 {
+        return 0;
+    }
+    let (ta, tb) = (a.len as i64, b.len as i64);
+    // #{(i, j) in [0, ta) x [0, tb) : i - j <= x}: rows `i <= x` are full
+    // (`tb` each); row `i` in `(x, x + tb)` keeps `tb - (i - x)`.
+    let below = |x: i64| -> i64 {
+        let full = (x + 1).clamp(0, ta);
+        let (lo, hi) = (full, (x + tb - 1).min(ta - 1));
+        let n = (hi - lo + 1).max(0);
+        full * tb + n * (tb + x) - (lo + hi) * n / 2
+    };
+    (below((span - c) / 2) - below((-span - c) / 2 - 1)) as u64
+}
+
 /// A pipelined tiled run ([`crate::tiling::t_matrix_tiled_pipelined`]):
 /// every tile's streams injected back-to-back into one running
 /// `rows x m` grid.
 ///
-/// This replays the exact injection arithmetic of the simulator's feeder
-/// loop — per tile, the schedule base pulse of each `A` tuple
-/// (`2i + phase_a + offset + delta`) and `B` tuple (`2j + phase_b +
-/// offset`) — without materialising any word. From those bases:
+/// This replays the injection arithmetic of the simulator's feeder loop by
+/// tile *shape*, never word by word: a tile's `A` tuples enter at
+/// `2i + phase_a + offset + delta` and its `B` tuples at `2j + phase_b +
+/// offset` — two [`Stream`]s fixed by the tile's shape and `offset` — so
+/// every per-tile quantity is a maximum or a pair count over arithmetic
+/// progressions, and `offset` advances by a function of the shape alone.
+/// One sweep of `B` under an `A` chunk is at most two runs of identical
+/// tiles (§8: full chunks, then one remainder), each priced once and
+/// multiplied: `O(n_a / max_a)` time, `O(1)` memory. From the streams:
 ///
 /// * pulses = (last activity) + 1, where each data word's activity ends
 ///   `rows - 1` pulses after its (lane-`m-1`) injection and each `t` seed's
@@ -371,59 +426,74 @@ pub(crate) fn tiled_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits)
 ///   in range) — including *cross-tile* crossings, which is exactly why
 ///   this cannot be a per-tile sum. `t` words still ride their own tile's
 ///   `A` wavefront and add nothing.
+///
+/// `D` splits by tile pair ([`crossings`]). Within a tile every pair
+/// meets (§3.2). Across tiles only *neighbours* can: a tile's last `A`
+/// base is at least `offset + rows - 1` (`delta` pads short tiles up to
+/// the physical grid), so `offset` advances by more than `rows - 1 + m`
+/// per tile and a tile two places back ended more than `rows - 1` pulses
+/// before this one began. The window of tiles still within reach is
+/// therefore the previous tile alone.
 pub(crate) fn pipelined_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits) -> ExecStats {
     debug_assert!(n_a > 0 && n_b > 0 && m > 0);
     let tile_a = limits.max_a;
-    let tile_b = limits.max_b;
-    let rows = (tile_a.min(n_a) + tile_b.min(n_b)).saturating_sub(1).max(1);
+    let rows = (tile_a.min(n_a) + limits.max_b.min(n_b))
+        .saturating_sub(1)
+        .max(1);
+    let span = (rows - 1) as u64;
+    let lane = (m - 1) as u64;
+    let b_runs = chunks(n_b, limits.max_b);
+    // Cross-tile meetings of two neighbouring tiles' `(A, B)` streams.
+    let between = |p: (Stream, Stream), q: (Stream, Stream)| {
+        crossings(q.0, p.1, span) + crossings(p.0, q.1, span)
+    };
     let mut offset = 0u64;
     let mut tiles = 0u64;
+    let mut words = 0u64;
+    let mut meetings = 0u64;
     let mut last_activity = 0u64;
-    let mut base_a: Vec<u64> = Vec::new();
-    let mut base_b: Vec<u64> = Vec::new();
+    let mut prev: Option<(Stream, Stream)> = None;
     for a0 in (0..n_a).step_by(tile_a) {
         let ta = (a0 + tile_a).min(n_a) - a0;
-        for b0 in (0..n_b).step_by(tile_b) {
-            let tb = (b0 + tile_b).min(n_b) - b0;
+        for &(tb, count) in &b_runs {
+            // `count` identical tiles, each `advance` pulses behind the
+            // one before; `a` and `b` are the first one's streams.
             let (phase_a, phase_b) = phases(ta, tb);
             let delta = (rows - (ta + tb - 1)) as u64;
-            let mut last_inject = 0u64;
-            for i in 0..ta as u64 {
-                let base = 2 * i + phase_a + offset + delta;
-                base_a.push(base);
-                last_inject = last_inject.max(base + (m - 1) as u64);
-                last_activity = last_activity.max(base + (m - 1) as u64 + (rows - 1) as u64);
-            }
-            for j in 0..tb as u64 {
-                let base = 2 * j + phase_b + offset;
-                base_b.push(base);
-                last_inject = last_inject.max(base + (m - 1) as u64);
-                last_activity = last_activity.max(base + (m - 1) as u64 + (rows - 1) as u64);
-            }
+            let a = Stream {
+                start: phase_a + offset + delta,
+                len: ta as u64,
+            };
+            let b = Stream {
+                start: phase_b + offset,
+                len: tb as u64,
+            };
+            debug_assert!(a.last() >= offset + span, "only neighbours can meet");
+            let last_inject = a.last().max(b.last()) + lane;
             // Last t seed: pair (ta-1, tb-1) injected at its meeting pulse.
-            let t_last = (ta - 1 + tb - 1) as u64 + phase_a + (ta - 1) as u64 + offset + delta;
-            last_activity = last_activity.max(t_last + (m - 1) as u64);
-            tiles += 1;
-            offset = last_inject + 2;
+            let t_last = a.last() + (tb - 1) as u64;
+            // The next tile streams in two pulses after our last injection.
+            let advance = last_inject + 2 - offset;
+            let to_last = (count - 1) * advance;
+            last_activity = last_activity
+                .max(last_inject + to_last + span)
+                .max(t_last + to_last + lane);
+            // The run's tile that starts `by` pulses after its first.
+            let tile = |by: u64| (a.delayed(by), b.delayed(by));
+            meetings += count * a.len * b.len;
+            if let Some(prev) = prev {
+                meetings += between(prev, tile(0));
+            }
+            if count > 1 {
+                meetings += (count - 1) * between(tile(0), tile(advance));
+            }
+            prev = Some(tile(to_last));
+            words += count * (a.len + b.len);
+            tiles += count;
+            offset += count * advance;
         }
     }
     let pulses = last_activity + 1;
-
-    // D: meeting (a, b) base pairs, counted by parity-split binary search.
-    let mut by_parity: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
-    for &s in &base_b {
-        by_parity[(s % 2) as usize].push(s);
-    }
-    debug_assert!(by_parity.iter().all(|v| v.is_sorted()));
-    let span = (rows - 1) as u64;
-    let mut meetings = 0u64;
-    for &s_a in &base_a {
-        let lane = &by_parity[((s_a + span) % 2) as usize];
-        let lo = lane.partition_point(|&s| s < s_a.saturating_sub(span));
-        let hi = lane.partition_point(|&s| s <= s_a + span);
-        meetings += (hi - lo) as u64;
-    }
-    let words = (base_a.len() + base_b.len()) as u64;
     let busy = m as u64 * (rows as u64 * words - meetings);
     let cells = rows * m;
     ExecStats {
@@ -501,6 +571,78 @@ mod tests {
                     .collect()
             })
             .collect()
+    }
+
+    /// The per-word routine [`pipelined_stats`] replaced, kept as its
+    /// reference: one base pulse per streamed tuple per tile, meetings
+    /// counted by a parity-split binary search over every `B` base.
+    fn pipelined_stats_per_word(
+        n_a: usize,
+        n_b: usize,
+        m: usize,
+        limits: ArrayLimits,
+    ) -> ExecStats {
+        debug_assert!(n_a > 0 && n_b > 0 && m > 0);
+        let tile_a = limits.max_a;
+        let tile_b = limits.max_b;
+        let rows = (tile_a.min(n_a) + tile_b.min(n_b)).saturating_sub(1).max(1);
+        let mut offset = 0u64;
+        let mut tiles = 0u64;
+        let mut last_activity = 0u64;
+        let mut base_a: Vec<u64> = Vec::new();
+        let mut base_b: Vec<u64> = Vec::new();
+        for a0 in (0..n_a).step_by(tile_a) {
+            let ta = (a0 + tile_a).min(n_a) - a0;
+            for b0 in (0..n_b).step_by(tile_b) {
+                let tb = (b0 + tile_b).min(n_b) - b0;
+                let (phase_a, phase_b) = phases(ta, tb);
+                let delta = (rows - (ta + tb - 1)) as u64;
+                let mut last_inject = 0u64;
+                for i in 0..ta as u64 {
+                    let base = 2 * i + phase_a + offset + delta;
+                    base_a.push(base);
+                    last_inject = last_inject.max(base + (m - 1) as u64);
+                    last_activity = last_activity.max(base + (m - 1) as u64 + (rows - 1) as u64);
+                }
+                for j in 0..tb as u64 {
+                    let base = 2 * j + phase_b + offset;
+                    base_b.push(base);
+                    last_inject = last_inject.max(base + (m - 1) as u64);
+                    last_activity = last_activity.max(base + (m - 1) as u64 + (rows - 1) as u64);
+                }
+                // Last t seed: pair (ta-1, tb-1) injected at its meeting pulse.
+                let t_last = (ta - 1 + tb - 1) as u64 + phase_a + (ta - 1) as u64 + offset + delta;
+                last_activity = last_activity.max(t_last + (m - 1) as u64);
+                tiles += 1;
+                offset = last_inject + 2;
+            }
+        }
+        let pulses = last_activity + 1;
+
+        // D: meeting (a, b) base pairs, counted by parity-split binary search.
+        let mut by_parity: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+        for &s in &base_b {
+            by_parity[(s % 2) as usize].push(s);
+        }
+        debug_assert!(by_parity.iter().all(|v| v.is_sorted()));
+        let span = (rows - 1) as u64;
+        let mut meetings = 0u64;
+        for &s_a in &base_a {
+            let lane = &by_parity[((s_a + span) % 2) as usize];
+            let lo = lane.partition_point(|&s| s < s_a.saturating_sub(span));
+            let hi = lane.partition_point(|&s| s <= s_a + span);
+            meetings += (hi - lo) as u64;
+        }
+        let words = (base_a.len() + base_b.len()) as u64;
+        let busy = m as u64 * (rows as u64 * words - meetings);
+        let cells = rows * m;
+        ExecStats {
+            pulses,
+            cells,
+            busy_cell_pulses: busy,
+            total_cell_pulses: pulses * cells as u64,
+            array_runs: tiles,
+        }
     }
 
     #[test]
@@ -614,13 +756,19 @@ mod tests {
     #[test]
     fn pipelined_stats_match_the_simulator_exactly() {
         let ops2 = vec![CompareOp::Eq; 2];
-        for (n_a, n_b) in [(13, 17), (1, 1), (5, 1), (2, 9)] {
+        // 10 x 7 and 7 x 10 put many short tiles back to back (one-row
+        // `B` or `A` chunks, one-row remainders), so cross-tile crossings
+        // with both neighbours carry most of the busy count.
+        for (n_a, n_b) in [(13, 17), (1, 1), (5, 1), (2, 9), (10, 7), (7, 10)] {
             let a = relation(n_a, 2, 0);
             let b = relation(n_b, 2, 3);
             for limits in [
                 ArrayLimits::new(4, 4, 2),
                 ArrayLimits::new(5, 3, 2),
                 ArrayLimits::new(1, 1, 2),
+                ArrayLimits::new(3, 1, 2),
+                ArrayLimits::new(1, 3, 2),
+                ArrayLimits::new(2, 2, 2),
                 ArrayLimits::new(100, 100, 2),
             ] {
                 let sim =
@@ -631,6 +779,46 @@ mod tests {
                     "{n_a}x{n_b} {limits:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn pipelined_stats_match_the_per_word_reference_at_device_scale() {
+        let device = ArrayLimits::new(32, 32, 8);
+        for (n_a, n_b, m) in [(2048, 2048, 2), (2048, 33, 1), (2047, 2049, 3), (33, 33, 8)] {
+            assert_eq!(
+                pipelined_stats(n_a, n_b, m, device),
+                pipelined_stats_per_word(n_a, n_b, m, device),
+                "{n_a}x{n_b}x{m}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Bit-identity with the per-word reference over arbitrary shapes:
+        /// `k` and `rem` place `n` on either side of a tile boundary
+        /// (`n < max`, `n = k * max`, one-row remainders `n = k * max + 1`),
+        /// and the two axes draw their limits independently.
+        #[test]
+        fn pipelined_stats_equal_the_per_word_reference(
+            max_a in 1usize..=9,
+            max_b in 1usize..=9,
+            k_a in 0usize..=4,
+            k_b in 0usize..=4,
+            rem_a in 0usize..=9,
+            rem_b in 0usize..=9,
+            m in 1usize..=3,
+        ) {
+            let n_a = (k_a * max_a + rem_a % (max_a + 1)).max(1);
+            let n_b = (k_b * max_b + rem_b % (max_b + 1)).max(1);
+            let limits = ArrayLimits::new(max_a, max_b, m);
+            proptest::prop_assert_eq!(
+                pipelined_stats(n_a, n_b, m, limits),
+                pipelined_stats_per_word(n_a, n_b, m, limits),
+                "{}x{}x{} {:?}", n_a, n_b, m, limits
+            );
         }
     }
 

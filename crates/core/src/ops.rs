@@ -157,7 +157,7 @@ fn membership(
     }
     if backend.is_closed_form() {
         let hits = if backend == Backend::Columnar {
-            crate::columnar::membership_bits(a.rows(), b.rows(), &b.columnar())
+            crate::columnar::membership_bits(a.rows(), b)
         } else {
             kernel::membership_bits(a.rows(), b.rows())
         };
@@ -252,7 +252,7 @@ pub fn dedup_with(a: &MultiRelation, exec: Execution, backend: Backend) -> Resul
         // The §5 array compares A to itself with the strict-lower-triangle
         // seed: a row is dropped iff an earlier equal row exists.
         let dup = if backend == Backend::Columnar {
-            crate::columnar::duplicate_bits(a.rows(), &a.columnar())
+            crate::columnar::duplicate_bits(a)
         } else {
             kernel::duplicate_bits(a.rows())
         };
@@ -676,8 +676,7 @@ pub fn divide_with(
                 }
             }
             let (flags, hits) = if backend == Backend::Columnar {
-                let packed = systolic_relation::ColumnarRelation::from_rows(&keys, kw);
-                crate::columnar::quotient_flags_multi(&rows, &keys, &packed, kw, &divisor)
+                crate::columnar::quotient_flags_multi(&rows, &keys, kw, &divisor)
             } else {
                 kernel::quotient_flags_multi(&rows, &keys, kw, &divisor)
             };

@@ -64,6 +64,94 @@ pub struct CmpMasks {
     pub gt: Vec<u64>,
 }
 
+/// How a whole row packs into one `u64` *composite code*: per column the
+/// offset base, the bit position and the code width, widths summing to at
+/// most 64 bits. Composite codes embed row equality — two rows of the
+/// relation are equal iff their codes are — which turns tuple hashing into
+/// `u64` hashing.
+///
+/// The layout depends only on each column's extremes, so it comes either
+/// from an already packed [`ColumnarRelation`] or from one min/max pass
+/// over a row matrix ([`CompositeSpec::from_rows`]) — no bit plane is
+/// needed, or built, to hash tuples.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompositeSpec {
+    /// Per column: `(base, shift, width)`.
+    cols: Vec<(Elem, u32, u32)>,
+}
+
+impl CompositeSpec {
+    /// Lay `(base, width)` columns out low bits first; `None` past 64 bits.
+    fn from_columns(cols: impl Iterator<Item = (Elem, u32)>) -> Option<CompositeSpec> {
+        let mut shift = 0u32;
+        let mut spec = Vec::new();
+        for (base, width) in cols {
+            if shift + width > 64 {
+                return None;
+            }
+            // A constant column after 64 bits of codes sits at shift 64;
+            // it only ever contributes 0, so any in-range shift will do.
+            spec.push((base, shift.min(63), width));
+            shift += width;
+        }
+        Some(CompositeSpec { cols: spec })
+    }
+
+    /// The layout [`ColumnarRelation::from_rows`] would arrive at, from
+    /// the per-column extremes alone.
+    pub fn from_rows(rows: &[Row], arity: usize) -> Option<CompositeSpec> {
+        // An empty column packs as the constant 0, as in `pack_column`.
+        let mut extremes: Vec<(Elem, Elem)> = match rows.first() {
+            Some(first) => first.iter().map(|&v| (v, v)).collect(),
+            None => vec![(0, 0); arity],
+        };
+        debug_assert_eq!(extremes.len(), arity);
+        for row in rows {
+            for ((lo, hi), &v) in extremes.iter_mut().zip(row) {
+                *lo = (*lo).min(v);
+                *hi = (*hi).max(v);
+            }
+        }
+        Self::from_columns(
+            extremes
+                .into_iter()
+                .map(|(lo, hi)| (lo, code_width(lo, hi))),
+        )
+    }
+
+    /// Encode one row of the relation the spec was derived from (every
+    /// value in range).
+    pub fn code(&self, row: &[Elem]) -> u64 {
+        let mut code = 0u64;
+        for (&(base, shift, _), &v) in self.cols.iter().zip(row) {
+            code |= (v.wrapping_sub(base) as u64) << shift;
+        }
+        code
+    }
+
+    /// Encode a *foreign* row, or `None` when any value falls outside a
+    /// column's code range (such a row cannot equal any row of the
+    /// relation).
+    pub fn try_code(&self, row: &[Elem]) -> Option<u64> {
+        let mut code = 0u64;
+        for (&(base, shift, width), &v) in self.cols.iter().zip(row) {
+            let off = (v as i128) - (base as i128);
+            if off < 0 || off >= (1i128 << width) {
+                return None;
+            }
+            code |= (off as u64) << shift;
+        }
+        Some(code)
+    }
+}
+
+/// Significant bits of the offset codes of a column spanning `base..=max`.
+fn code_width(base: Elem, max: Elem) -> u32 {
+    // `max - base` fits u64 for any i64 pair with max >= base.
+    let span = max.wrapping_sub(base) as u64;
+    64 - span.leading_zeros()
+}
+
 impl ColumnarRelation {
     /// Pack a row matrix (`arity` columns) into word planes. One pass to
     /// find per-column extremes, one pass to scatter bits.
@@ -136,46 +224,11 @@ impl ColumnarRelation {
             .collect()
     }
 
-    /// Per-column `(base, shift)` for packing a whole row into one `u64`
-    /// composite code, when the column widths sum to at most 64 bits.
-    /// Composite codes order-embed row equality: two rows are equal iff
-    /// their codes are equal, which turns tuple hashing into `u64` hashing.
-    pub fn composite_spec(&self) -> Option<Vec<(Elem, u32)>> {
-        let mut shift = 0u32;
-        let mut spec = Vec::with_capacity(self.cols.len());
-        for c in &self.cols {
-            if shift + c.width > 64 {
-                return None;
-            }
-            spec.push((c.base, shift));
-            shift += c.width;
-        }
-        Some(spec)
-    }
-
-    /// Encode one row under this relation's own composite spec. Only valid
-    /// for rows drawn from the packed relation (every value in range).
-    pub fn composite_code(spec: &[(Elem, u32)], row: &[Elem]) -> u64 {
-        let mut code = 0u64;
-        for ((base, shift), &v) in spec.iter().zip(row) {
-            code |= (v.wrapping_sub(*base) as u64) << shift;
-        }
-        code
-    }
-
-    /// Encode a *foreign* row under this relation's composite spec, or
-    /// `None` when any value falls outside a column's packed range (such a
-    /// row cannot equal any packed row).
-    pub fn try_composite_code(&self, spec: &[(Elem, u32)], row: &[Elem]) -> Option<u64> {
-        let mut code = 0u64;
-        for (c, ((base, shift), &v)) in self.cols.iter().zip(spec.iter().zip(row)) {
-            let off = (v as i128) - (*base as i128);
-            if off < 0 || off >= (1i128 << c.width) {
-                return None;
-            }
-            code |= (off as u64) << shift;
-        }
-        Some(code)
+    /// The composite-code layout of this relation's rows, read off the
+    /// packed columns' bases and widths; `None` when the widths sum past
+    /// 64 bits.
+    pub fn composite_spec(&self) -> Option<CompositeSpec> {
+        CompositeSpec::from_columns(self.cols.iter().map(|c| (c.base, c.width)))
     }
 
     /// Compare column `col` against `value`, producing all three primitive
@@ -293,13 +346,7 @@ impl ColumnarBuilder {
 fn pack_column(values: &[Elem], words: usize) -> ColumnPlanes {
     let base = values.iter().copied().min().unwrap_or(0);
     let max = values.iter().copied().max().unwrap_or(0);
-    // `max - base` fits u64 for any i64 pair with max >= base.
-    let span = max.wrapping_sub(base) as u64;
-    let width = if span == 0 {
-        0
-    } else {
-        64 - span.leading_zeros()
-    };
+    let width = code_width(base, max);
     let mut planes = vec![0u64; width as usize * words];
     for (i, &v) in values.iter().enumerate() {
         let code = v.wrapping_sub(base) as u64;
@@ -398,10 +445,7 @@ mod tests {
         ];
         let c = ColumnarRelation::from_rows(&rows, 2);
         let spec = c.composite_spec().expect("small widths fit");
-        let codes: Vec<u64> = rows
-            .iter()
-            .map(|r| ColumnarRelation::composite_code(&spec, r))
-            .collect();
+        let codes: Vec<u64> = rows.iter().map(|r| spec.code(r)).collect();
         for (i, a) in rows.iter().enumerate() {
             for (j, b) in rows.iter().enumerate() {
                 assert_eq!(a == b, codes[i] == codes[j], "rows {i} vs {j}");
@@ -410,13 +454,26 @@ mod tests {
         // Foreign rows outside the packed *bit* range cannot encode (26 is
         // past column 1's 4-bit code range [10, 25]; 21 is inside it and
         // encodes harmlessly to a code no packed row holds).
-        assert_eq!(c.try_composite_code(&spec, &[0, 10]), None);
-        assert_eq!(c.try_composite_code(&spec, &[1, 26]), None);
-        assert!(c.try_composite_code(&spec, &[1, 21]).is_some());
-        assert_eq!(
-            c.try_composite_code(&spec, &[2, 20]),
-            Some(ColumnarRelation::composite_code(&spec, &[2, 20]))
-        );
+        assert_eq!(spec.try_code(&[0, 10]), None);
+        assert_eq!(spec.try_code(&[1, 26]), None);
+        assert!(spec.try_code(&[1, 21]).is_some());
+        assert_eq!(spec.try_code(&[2, 20]), Some(spec.code(&[2, 20])));
+    }
+
+    #[test]
+    fn spec_from_rows_equals_the_packed_spec() {
+        let cases: Vec<(Vec<Row>, usize)> = vec![
+            (vec![vec![1, 10], vec![2, 20], vec![1, 25]], 2),
+            (vec![vec![5, -3, 1_000_000], vec![-7, -3, 0]], 3),
+            (vec![vec![i64::MIN, 0], vec![i64::MAX, 1]], 2), // over-wide
+            (vec![vec![i64::MIN], vec![i64::MAX]], 1),
+            (vec![], 2),
+            (vec![vec![], vec![]], 0),
+        ];
+        for (rows, arity) in cases {
+            let packed = ColumnarRelation::from_rows(&rows, arity).composite_spec();
+            assert_eq!(CompositeSpec::from_rows(&rows, arity), packed, "{rows:?}");
+        }
     }
 
     #[test]
@@ -424,9 +481,15 @@ mod tests {
         let rows: Vec<Row> = vec![vec![i64::MIN, 0], vec![i64::MAX, 1]];
         let c = ColumnarRelation::from_rows(&rows, 2);
         assert!(c.composite_spec().is_none(), "64 + 1 bits cannot fit");
-        // A single full-width column alone is fine.
+        // A single full-width column alone is fine, also with a constant
+        // column (zero code bits) behind it.
         let c = ColumnarRelation::from_rows(&[vec![i64::MIN], vec![i64::MAX]], 1);
         assert!(c.composite_spec().is_some());
+        let rows: Vec<Row> = vec![vec![i64::MIN, 5], vec![i64::MAX, 5]];
+        let spec = CompositeSpec::from_rows(&rows, 2).expect("64 + 0 bits fit");
+        assert_ne!(spec.code(&rows[0]), spec.code(&rows[1]));
+        assert_eq!(spec.try_code(&rows[1]), Some(spec.code(&rows[1])));
+        assert_eq!(spec.try_code(&[0, 6]), None);
     }
 
     #[test]
@@ -441,7 +504,7 @@ mod tests {
         let c = ColumnarRelation::from_rows(&[vec![], vec![]], 0);
         assert_eq!(c.n_rows(), 2);
         assert_eq!(c.arity(), 0);
-        assert_eq!(c.composite_spec(), Some(vec![]));
+        assert_eq!(c.composite_spec(), CompositeSpec::from_rows(&[], 0));
     }
 
     #[test]

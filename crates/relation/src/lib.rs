@@ -32,7 +32,7 @@ pub mod schema;
 pub mod store;
 
 pub use catalog::Catalog;
-pub use columnar::{ColumnarBuilder, ColumnarRelation};
+pub use columnar::{ColumnarBuilder, ColumnarRelation, CompositeSpec};
 pub use csv::{
     canonical_field, export_csv, import_csv, import_csv_columnar, render_field, split_line,
 };

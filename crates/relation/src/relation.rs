@@ -10,7 +10,7 @@
 use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
-use crate::columnar::ColumnarRelation;
+use crate::columnar::{ColumnarRelation, CompositeSpec};
 use crate::domain::Elem;
 use crate::error::RelationError;
 use crate::schema::Schema;
@@ -28,10 +28,14 @@ pub type Row = Vec<Elem>;
 struct ColumnarCache(Arc<OnceLock<Arc<ColumnarRelation>>>);
 
 /// A collection of tuples in which duplicates are allowed (§2.5).
+///
+/// The row matrix is shared: a clone is a reference-count bump, so a
+/// relation handed from disk to memory to device to result costs nothing
+/// proportional to its rows. [`MultiRelation::push`] copies on write.
 #[derive(Debug, Clone)]
 pub struct MultiRelation {
     schema: Schema,
-    rows: Vec<Row>,
+    rows: Arc<Vec<Row>>,
     cache: ColumnarCache,
 }
 
@@ -46,9 +50,14 @@ impl Eq for MultiRelation {}
 impl MultiRelation {
     /// An empty multi-relation over `schema`.
     pub fn empty(schema: Schema) -> Self {
+        Self::from_parts(schema, Vec::new())
+    }
+
+    /// Wrap rows already known to match `schema`, with a cold cache.
+    fn from_parts(schema: Schema, rows: Vec<Row>) -> Self {
         MultiRelation {
             schema,
-            rows: Vec::new(),
+            rows: Arc::new(rows),
             cache: ColumnarCache::default(),
         }
     }
@@ -63,11 +72,7 @@ impl MultiRelation {
                 });
             }
         }
-        Ok(MultiRelation {
-            schema,
-            rows,
-            cache: ColumnarCache::default(),
-        })
+        Ok(Self::from_parts(schema, rows))
     }
 
     /// The bit-packed columnar view of this relation, built on first use
@@ -77,6 +82,16 @@ impl MultiRelation {
             .0
             .get_or_init(|| Arc::new(ColumnarRelation::from_rows(&self.rows, self.schema.arity())))
             .clone()
+    }
+
+    /// The composite-code layout of the rows: read off the columnar view
+    /// when one is already packed, else derived from the rows' extremes
+    /// without packing anything.
+    pub fn composite_spec(&self) -> Option<CompositeSpec> {
+        match self.cache.0.get() {
+            Some(packed) => packed.composite_spec(),
+            None => CompositeSpec::from_rows(&self.rows, self.schema.arity()),
+        }
     }
 
     /// Whether the columnar view has already been packed (by this relation
@@ -127,9 +142,10 @@ impl MultiRelation {
         &self.rows
     }
 
-    /// Append a row, validating arity. Detaches any packed columnar view
-    /// (this copy's rows change; clones keep the view consistent with
-    /// *their* unchanged rows).
+    /// Append a row, validating arity. Detaches this copy from whatever
+    /// it shares with its clones: the row matrix is copied first if a
+    /// clone still holds it, and the columnar cache cell is left to the
+    /// clones (whose rows it describes, packed or yet to be).
     pub fn push(&mut self, row: Row) -> Result<(), RelationError> {
         if row.len() != self.schema.arity() {
             return Err(RelationError::ArityMismatch {
@@ -137,10 +153,11 @@ impl MultiRelation {
                 got: row.len(),
             });
         }
-        if self.cache.0.get().is_some() {
-            self.cache = ColumnarCache::default();
+        match Arc::get_mut(&mut self.cache.0) {
+            Some(cell) => drop(cell.take()),
+            None => self.cache = ColumnarCache::default(),
         }
-        self.rows.push(row);
+        Arc::make_mut(&mut self.rows).push(row);
         Ok(())
     }
 
@@ -153,13 +170,10 @@ impl MultiRelation {
     /// Requires union-compatibility.
     pub fn concat(&self, other: &MultiRelation) -> Result<MultiRelation, RelationError> {
         self.schema.require_union_compatible(other.schema())?;
-        let mut rows = self.rows.clone();
+        let mut rows = Vec::with_capacity(self.len() + other.len());
+        rows.extend(self.rows.iter().cloned());
         rows.extend(other.rows.iter().cloned());
-        Ok(MultiRelation {
-            schema: self.schema.clone(),
-            rows,
-            cache: ColumnarCache::default(),
-        })
+        Ok(Self::from_parts(self.schema.clone(), rows))
     }
 
     /// Projection over column indices, producing a multi-relation ("the set
@@ -172,11 +186,7 @@ impl MultiRelation {
             .iter()
             .map(|row| cols.iter().map(|&c| row[c]).collect())
             .collect();
-        Ok(MultiRelation {
-            schema,
-            rows,
-            cache: ColumnarCache::default(),
-        })
+        Ok(Self::from_parts(schema, rows))
     }
 
     /// Keep the rows whose index satisfies `keep` — how a host assembles an
@@ -190,11 +200,7 @@ impl MultiRelation {
             .filter(|(i, _)| keep(*i))
             .map(|(_, r)| r.clone())
             .collect();
-        MultiRelation {
-            schema: self.schema.clone(),
-            rows,
-            cache: ColumnarCache::default(),
-        }
+        Self::from_parts(self.schema.clone(), rows)
     }
 
     /// Number of *distinct* tuples.
@@ -263,11 +269,7 @@ impl Relation {
             }
         }
         Relation {
-            inner: MultiRelation {
-                schema: multi.schema().clone(),
-                rows,
-                cache: ColumnarCache::default(),
-            },
+            inner: MultiRelation::from_parts(multi.schema().clone(), rows),
         }
     }
 
@@ -392,6 +394,72 @@ mod tests {
         let c =
             MultiRelation::new(Schema::uniform(1, DomainId(9)), vec![vec![1], vec![2]]).unwrap();
         assert!(!a.set_eq(&c), "incompatible schemas are never set-equal");
+    }
+
+    #[test]
+    fn shared_rows_clone_then_push_leaves_the_original_untouched() {
+        let rows = vec![vec![1, 10], vec![2, 20], vec![3, 30]];
+        for warm in [false, true] {
+            let original = MultiRelation::new(schema(2), rows.clone()).unwrap();
+            if warm {
+                original.columnar();
+            }
+            let mut copy = original.clone();
+            assert_eq!(copy.rows().as_ptr(), original.rows().as_ptr(), "shared");
+            assert_eq!(copy.columnar_token(), original.columnar_token());
+            copy.push(vec![4, 40]).unwrap();
+            assert_eq!(original.rows(), rows.as_slice());
+            assert_eq!(copy.len(), 4);
+            assert_ne!(copy.rows().as_ptr(), original.rows().as_ptr());
+            // The view — packed before the push or only after it — is the
+            // original's: it describes three rows, and the copy packs its own.
+            assert_ne!(copy.columnar_token(), original.columnar_token());
+            assert_eq!(copy.columnar().to_rows(), copy.rows());
+            assert_eq!(original.columnar().to_rows(), rows);
+        }
+    }
+
+    #[test]
+    fn shared_rows_push_without_clones_keeps_the_matrix_and_drops_the_view() {
+        let mut mr = MultiRelation::new(schema(1), vec![vec![1], vec![2]]).unwrap();
+        mr.columnar();
+        mr.push(vec![3]).unwrap();
+        assert!(!mr.columnar_built(), "a stale view must not survive a push");
+        assert_eq!(mr.columnar().to_rows(), mr.rows());
+    }
+
+    #[test]
+    fn shared_rows_derived_relations_never_alias_their_input() {
+        let a = MultiRelation::new(schema(2), vec![vec![1, 10], vec![2, 20]]).unwrap();
+        let b = MultiRelation::new(schema(2), vec![vec![3, 30]]).unwrap();
+        a.columnar();
+        let derived = [
+            a.filter_by_index(|_| true),
+            a.concat(&b).unwrap(),
+            a.project(&[0, 1]).unwrap(),
+            Relation::dedup_first(&a).into_multi(),
+        ];
+        for mut d in derived {
+            assert_ne!(d.rows().as_ptr(), a.rows().as_ptr());
+            assert_ne!(d.columnar_token(), a.columnar_token());
+            assert!(!d.columnar_built());
+            d.push(vec![9, 90]).unwrap();
+            assert_eq!(a.rows(), &[vec![1, 10], vec![2, 20]]);
+        }
+    }
+
+    #[test]
+    fn shared_rows_equality_ignores_sharing_and_the_cache() {
+        let a = MultiRelation::new(schema(1), vec![vec![1], vec![2]]).unwrap();
+        let shared = a.clone();
+        let rebuilt = MultiRelation::new(schema(1), vec![vec![1], vec![2]]).unwrap();
+        a.columnar();
+        assert!(shared.columnar_built() && !rebuilt.columnar_built());
+        assert_eq!(a, shared);
+        assert_eq!(a, rebuilt);
+        let mut longer = a.clone();
+        longer.push(vec![3]).unwrap();
+        assert_ne!(a, longer);
     }
 
     #[test]

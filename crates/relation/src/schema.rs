@@ -1,5 +1,7 @@
 //! Schemas, columns and union-compatibility (§2.4).
 
+use std::sync::Arc;
+
 use crate::domain::DomainId;
 use crate::error::RelationError;
 
@@ -23,10 +25,11 @@ impl Column {
 }
 
 /// An ordered list of columns; tuples of a relation with this schema carry
-/// one encoded element per column.
+/// one encoded element per column. Immutable once built, so clones share
+/// the column list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
 }
 
 impl Schema {
@@ -37,7 +40,9 @@ impl Schema {
     /// column.
     pub fn new(columns: Vec<Column>) -> Self {
         assert!(!columns.is_empty(), "schema must have at least one column");
-        Schema { columns }
+        Schema {
+            columns: columns.into(),
+        }
     }
 
     /// A schema of `m` columns all drawn from the same `domain`, named
@@ -88,7 +93,7 @@ impl Schema {
             && self
                 .columns
                 .iter()
-                .zip(&other.columns)
+                .zip(other.columns.iter())
                 .all(|(a, b)| a.domain == b.domain)
     }
 
@@ -99,7 +104,7 @@ impl Schema {
                 detail: format!("arity {} vs {}", self.arity(), other.arity()),
             });
         }
-        for (k, (a, b)) in self.columns.iter().zip(&other.columns).enumerate() {
+        for (k, (a, b)) in self.columns.iter().zip(other.columns.iter()).enumerate() {
             if a.domain != b.domain {
                 return Err(RelationError::NotUnionCompatible {
                     detail: format!(
@@ -142,7 +147,7 @@ impl Schema {
                 });
             }
         }
-        let mut out = self.columns.clone();
+        let mut out = self.columns.to_vec();
         for (k, col) in other.columns.iter().enumerate() {
             if !pairs.iter().any(|&(_, cb)| cb == k) {
                 out.push(col.clone());
