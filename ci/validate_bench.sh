@@ -17,19 +17,20 @@ fi
 
 cargo run -p systolic-bench --bin validate_artifacts -- "$DIR"
 
-# The cross-backend speedup experiment must be present and must have
-# recorded at least the 5x host-wall-time win the kernel backend promises.
+# The backend speedup experiment must be present and must have recorded
+# at least a 100x host-wall-time win for the columnar backend over the
+# pulse simulator (the committed artifact reads ~1000x).
 E21="$DIR/BENCH_e21_backend_speedup.json"
 if [[ ! -f "$E21" ]]; then
   echo "missing $E21" >&2
   exit 1
 fi
 SPEEDUP=$(sed -n 's/.*"speedup": \([0-9.]*\).*/\1/p' "$E21")
-if ! awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 5.0) }'; then
-  echo "e21 speedup $SPEEDUP is below the required 5x" >&2
+if ! awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 100.0) }'; then
+  echo "e21 speedup $SPEEDUP is below the required 100x" >&2
   exit 1
 fi
-echo "e21 kernel-vs-sim speedup: ${SPEEDUP}x (>= 5x)"
+echo "e21 columnar-vs-sim speedup: ${SPEEDUP}x (>= 100x)"
 
 # The durability experiment must be present with a live WAL append rate —
 # a zero rate would mean the fsynced append path never ran.
@@ -91,17 +92,11 @@ if ! awk -v r="$RULES" 'BEGIN { exit !(r >= 4) }'; then
 fi
 echo "optimizer: $P_BASE -> $P_OPT pulses, $HITS rewrite sites across $RULES rules"
 
-# The columnar experiment must be present, the word-plane scans must be at
-# least as fast as the scalar kernel in aggregate, and fused shared-operand
-# batches must not lose to running the same batch unfused.
+# The columnar experiment must be present, and a fused shared-operand
+# batch must not lose to the same backend answering its queries one by one.
 E22="$DIR/BENCH_e22_columnar.json"
 if [[ ! -f "$E22" ]]; then
   echo "missing $E22" >&2
-  exit 1
-fi
-COL_SPEEDUP=$(sed -n 's/.*"columnar_vs_kernel_speedup": \([0-9.]*\).*/\1/p' "$E22")
-if ! awk -v s="$COL_SPEEDUP" 'BEGIN { exit !(s >= 1.0) }'; then
-  echo "e22 columnar_vs_kernel_speedup $COL_SPEEDUP is below the required 1x" >&2
   exit 1
 fi
 FUSED=$(sed -n 's/.*"fused_qps_16": \([0-9.]*\).*/\1/p' "$E22")
@@ -117,4 +112,4 @@ if ! awk -v s="$SHARE" 'BEGIN { exit !(s != "" && s+0 <= 0.5) }'; then
   echo "e22 pipelined_accounting_share '$SHARE' exceeds 0.5 (or is missing)" >&2
   exit 1
 fi
-echo "e22 columnar-vs-kernel speedup: ${COL_SPEEDUP}x (>= 1x); fused 16-client batch: ${FUSED} q/s vs ${UNFUSED} unfused; device-path accounting share: ${SHARE}"
+echo "e22 fused 16-client batch: ${FUSED} q/s vs ${UNFUSED} unfused; device-path accounting share: ${SHARE}"

@@ -27,22 +27,19 @@ const SCHEMA: &[(&str, bool)] = &[
     ("queries_per_sec", false),
 ];
 
-/// Optional keys the cross-backend comparison experiments (`e21`, `e22`)
-/// append: aggregate wall times per backend and the measured speedups.
-/// Per-operator wall times use the `sim_ns_<op>` / `kernel_ns_<op>` /
-/// `columnar_ns_<op>` / `pipelined_ns_<op>` prefixes.
+/// Optional keys the backend experiments (`e21`, `e22`) append. `e21`:
+/// aggregate wall time per backend and `speedup = sim / columnar`, with
+/// per-operator wall times under the `sim_ns_<op>` / `columnar_ns_<op>`
+/// prefixes.
 const OPTIONAL: &[(&str, bool)] = &[
     ("sim_wall_ns", true),
-    ("kernel_wall_ns", true),
     ("columnar_wall_ns", true),
     ("speedup", false),
-    // e22_columnar: kernel-vs-columnar closed-form aggregate, fused
-    // shared-operand batch throughput at each client count, and the two
-    // CSV ingest bandwidths (rows-then-pack vs zero-detour).
-    ("columnar_vs_kernel_speedup", false),
-    // Its device-path arm (`TiledPipelined` on the 32 x 32 x 8 array):
-    // per-operator wall times use the `pipelined_ns_<op>` prefix; the
-    // share is time in `price_*` over time in `*_with`.
+    // e22_columnar, device path (`TiledPipelined` on the 32 x 32 x 8
+    // array): per-operator wall times use the `pipelined_ns_<op>` prefix;
+    // the share is time in `price_*` over time in `*_with`. Then fused vs
+    // solo shared-operand throughput at each client count, and the two CSV
+    // ingest bandwidths (rows-then-pack vs zero-detour).
     ("pipelined_accounting_share", false),
     ("fused_qps_1", false),
     ("fused_qps_4", false),
@@ -93,7 +90,6 @@ const OPTIONAL: &[(&str, bool)] = &[
 /// per-rule rewrite hit count.
 fn per_op_key(key: &str) -> bool {
     key.strip_prefix("sim_ns_")
-        .or_else(|| key.strip_prefix("kernel_ns_"))
         .or_else(|| key.strip_prefix("columnar_ns_"))
         .or_else(|| key.strip_prefix("pipelined_ns_"))
         .or_else(|| key.strip_prefix("rewrites_"))
@@ -206,44 +202,22 @@ fn check_file(path: &Path) -> Result<(), Vec<String>> {
             }
         }
     }
-    if let (Some(sim), Some(kernel), Some(speedup)) = (
+    if let (Some(sim), Some(columnar), Some(speedup)) = (
         doc.get("sim_wall_ns").and_then(Json::as_u64),
-        doc.get("kernel_wall_ns").and_then(Json::as_u64),
-        doc.get("speedup").and_then(Json::as_f64),
-    ) {
-        if kernel == 0 {
-            errs.push("kernel_wall_ns is zero".to_string());
-        } else {
-            let expect = sim as f64 / kernel as f64;
-            // The writer rounds to 3 decimal places.
-            if (speedup - expect).abs() > 5e-4 * expect.max(1.0) {
-                errs.push(format!("speedup {speedup} != sim/kernel = {expect:.3}"));
-            }
-        }
-        if !speedup.is_finite() || speedup < 0.0 {
-            errs.push(format!("speedup {speedup} is not finite and non-negative"));
-        }
-    }
-    if let (Some(kernel), Some(columnar), Some(speedup)) = (
-        doc.get("kernel_wall_ns").and_then(Json::as_u64),
         doc.get("columnar_wall_ns").and_then(Json::as_u64),
-        doc.get("columnar_vs_kernel_speedup").and_then(Json::as_f64),
+        doc.get("speedup").and_then(Json::as_f64),
     ) {
         if columnar == 0 {
             errs.push("columnar_wall_ns is zero".to_string());
         } else {
-            let expect = kernel as f64 / columnar as f64;
+            let expect = sim as f64 / columnar as f64;
             // The writer rounds to 3 decimal places.
             if (speedup - expect).abs() > 5e-4 * expect.max(1.0) {
-                errs.push(format!(
-                    "columnar_vs_kernel_speedup {speedup} != kernel/columnar = {expect:.3}"
-                ));
+                errs.push(format!("speedup {speedup} != sim/columnar = {expect:.3}"));
             }
         }
         if !speedup.is_finite() || speedup < 0.0 {
-            errs.push(format!(
-                "columnar_vs_kernel_speedup {speedup} is not finite and non-negative"
-            ));
+            errs.push(format!("speedup {speedup} is not finite and non-negative"));
         }
     }
 

@@ -1,42 +1,43 @@
 //! Columnar scan kernels: the [`Backend::Columnar`] result paths.
 //!
-//! [`crate::kernel`] already computes every operator's observable result in
-//! closed form, but its hot loops still walk row-oriented `Vec<Vec<Elem>>`
-//! relations one tuple-pair comparison chain at a time. This module
-//! re-expresses those loops over the bit-packed word planes of
+//! Every observable an array emits — `T` (§3.3), the membership bits (§4),
+//! the quotient flags (§7) — is a pure function of the operands, so the
+//! fast backend computes it without stepping a grid. This module does so
+//! over the bit-packed word planes of
 //! [`systolic_relation::ColumnarRelation`] (one `u64` plane per significant
 //! bit of a column's §2.3 offset codes, 64 rows per word):
 //!
 //! * [`t_matrix`] assembles whole `TMatrix` rows at a time — per streamed
 //!   `A` tuple, each comparison column becomes `width` branch-free word
 //!   operations over `B`'s planes instead of `|B|` scalar compare chains.
-//! * [`membership_bits`] / [`duplicate_bits`] replace tuple hashing with
-//!   `u64` *composite-code* hashing when the column widths fit one word
-//!   (foreign tuples outside a packed range cannot match and are rejected
-//!   before hashing), falling back to the row kernels when they do not.
-//! * [`quotient_flags`] / [`quotient_flags_multi`] replace the per-key
-//!   `HashSet<Elem>` of matched divisor values with a bit set over the
-//!   distinct divisor elements, reducing the §7 all-present test to a
-//!   popcount.
+//! * [`membership_bits`] / [`duplicate_bits`] hash tuples as single `u64`
+//!   *composite codes* when the column widths fit one word (foreign tuples
+//!   outside a packed range cannot match and are rejected before hashing).
+//!   A relation whose codes need more than 64 bits hashes its rows
+//!   instead: that is the only path that can answer for such an input, so
+//!   it is not a second backend, just this one's wide-tuple case.
+//! * [`quotient_flags`] / [`quotient_flags_multi`] hold each key's matched
+//!   divisor values as a bit set over the distinct divisor elements,
+//!   reducing the §7 all-present test to a popcount.
 //! * [`fused_select`] is the multi-query scan: when several admitted
 //!   queries share an operand relation, each *distinct* predicate mask is
 //!   computed once over the shared planes and the per-query keep vectors
 //!   are ANDed from those masks — one pass over the operand, per-query
 //!   results identical to running [`select_bits`] separately.
 //!
-//! Everything here is a *result* kernel only. The analytic `ExecStats`
-//! formulas in [`crate::kernel`] are shared verbatim by the kernel and
-//! columnar backends, which is why stats, timelines, and RESULT frames are
-//! bit-identical by construction; the differential tests additionally pin
-//! the result bits against both the row kernels and the pulse simulator.
+//! Everything here is a *result* kernel only. The `ExecStats` come from
+//! the analytic formulas in [`crate::kernel`], which is why stats,
+//! timelines, and RESULT frames are bit-identical to the simulator by
+//! construction; the tests here and the differential suites pin the result
+//! bits against the simulated arrays.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 
 use systolic_fabric::{CompareOp, Elem};
 use systolic_relation::columnar::CmpMasks;
 use systolic_relation::{ColumnarRelation, CompositeSpec, MultiRelation, Row};
 
-use crate::kernel;
 use crate::matrix::TMatrix;
 use crate::select::Predicate;
 
@@ -89,8 +90,7 @@ fn live_mask(words: usize, tail: u64) -> impl Fn(usize) -> u64 {
 }
 
 /// The comparison matrix `T` over word planes: `t_{ij} = AND_c
-/// ops[c](a[i][cols_a[c]], b[cols_b[c]])`, bit-identical to
-/// [`kernel::t_matrix`] over the corresponding key projections.
+/// ops[c](a[i][cols_a[c]], b[j][cols_b[c]])` — the Figure 3-2 AND chain.
 ///
 /// `B` is the packed operand; each streamed `A` tuple produces one packed
 /// `TMatrix` row as `width`-bounded word loops over `B`'s planes (the
@@ -144,15 +144,18 @@ pub(crate) fn t_matrix_into(
     }
 }
 
-/// [`kernel::membership_bits`] over composite codes: `t_i = OR_j
-/// (a_i == b_j)` with `B`'s tuples hashed as single `u64` codes when its
-/// column widths sum to at most 64 bits (rows of `A` outside a code range
-/// cannot match and short-circuit to FALSE). Falls back to the row kernel
-/// when the widths do not fit. Only `B`'s code *layout* is needed, so a
-/// relation whose planes were never packed is not packed here either.
+/// The accumulated membership bits of §4: `t_i = OR_j (a_i == b_j)`.
+/// Equality-only (as every membership path is), so a hash set of `B`'s
+/// tuples replaces the `|A| x |B|` comparison sweep — keyed by single
+/// `u64` composite codes when `B`'s column widths sum to at most 64 bits
+/// (rows of `A` outside a code range cannot match and short-circuit to
+/// FALSE), by the rows themselves when they do not. Only `B`'s code
+/// *layout* is needed, so a relation whose planes were never packed is not
+/// packed here either.
 pub fn membership_bits(a: &[Row], b: &MultiRelation) -> Vec<bool> {
     let Some(spec) = b.composite_spec() else {
-        return kernel::membership_bits(a, b.rows());
+        let set: HashSet<&[Elem]> = b.rows().iter().map(|r| r.as_slice()).collect();
+        return a.iter().map(|r| set.contains(r.as_slice())).collect();
     };
     let set: HashSet<u64> = b.rows().iter().map(|r| spec.code(r)).collect();
     a.iter()
@@ -160,18 +163,23 @@ pub fn membership_bits(a: &[Row], b: &MultiRelation) -> Vec<bool> {
         .collect()
 }
 
-/// [`kernel::duplicate_bits`] over composite codes: `dup[i] = OR_{j < i}
-/// (a_i == a_j)` with first occurrences tracked in a `u64`-keyed map.
-/// Falls back to the row kernel when the widths do not fit one word.
+/// The §5 triangle-masked self-membership: `dup[i] = OR_{j < i}
+/// (a_i == a_j)` — TRUE iff an earlier equal tuple exists. Tuples are
+/// keyed as in [`membership_bits`]: composite codes, or rows when a code
+/// would not fit one word.
 pub fn duplicate_bits(a: &MultiRelation) -> Vec<bool> {
     let rows = a.rows();
-    let Some(spec) = a.composite_spec() else {
-        return kernel::duplicate_bits(rows);
-    };
-    let mut first: HashMap<u64, usize> = HashMap::with_capacity(rows.len());
-    rows.iter()
-        .enumerate()
-        .map(|(i, r)| *first.entry(spec.code(r)).or_insert(i) < i)
+    match a.composite_spec() {
+        Some(spec) => earlier_equal(rows.iter().map(|r| spec.code(r))),
+        None => earlier_equal(rows.iter().map(|r| r.as_slice())),
+    }
+}
+
+/// `out[i]` is TRUE iff some `j < i` has `keys[j] == keys[i]`.
+fn earlier_equal<K: Hash + Eq>(keys: impl ExactSizeIterator<Item = K>) -> Vec<bool> {
+    let mut first: HashMap<K, usize> = HashMap::with_capacity(keys.len());
+    keys.enumerate()
+        .map(|(i, k)| *first.entry(k).or_insert(i) < i)
         .collect()
 }
 
@@ -189,10 +197,12 @@ fn all_covered(bits: &[u64], r: usize, words: usize, nd: usize) -> bool {
     pop as usize == nd
 }
 
-/// [`kernel::quotient_flags`] with the per-key matched set held as a bit
-/// set over the *distinct* divisor elements: `flags[r]` is TRUE iff every
-/// divisor element is paired with `keys[r]`, decided by a popcount instead
-/// of `nd` hash probes per key. `hits` is identical to the row kernel's.
+/// The §7 quotient flags: `flags[r]` is TRUE iff every divisor element is
+/// paired (through some dividend pair) with `keys[r]`. Each key's matched
+/// set is a bit set over the *distinct* divisor elements, so the test is a
+/// popcount instead of `nd` hash probes per key. `hits` — the number of
+/// pairs whose key matches a pre-loaded row, which the stats need — is
+/// returned alongside. Keys must be distinct (as the arrays require).
 pub fn quotient_flags(
     pairs: &[(Elem, Elem)],
     keys: &[Elem],
@@ -222,9 +232,9 @@ pub fn quotient_flags(
     (flags, hits)
 }
 
-/// [`kernel::quotient_flags_multi`] with divisor bit sets (as
-/// [`quotient_flags`]) and, when the key columns fit one composite word,
-/// `u64`-keyed row→key lookup via the keys' composite codes.
+/// Multi-column-key variant of [`quotient_flags`]: rows are
+/// `(x_1..x_K, y)`, keys are composite — looked up by their `u64`
+/// composite codes when the key columns fit one word, by slice otherwise.
 pub fn quotient_flags_multi(
     rows: &[Vec<Elem>],
     keys: &[Vec<Elem>],
@@ -344,6 +354,10 @@ pub fn fused_select(packed: &ColumnarRelation, queries: &[&[Predicate]]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comparison::ComparisonArray2d;
+    use crate::dedup::RemoveDuplicatesArray;
+    use crate::division::{DivisionArray, DivisionArrayMulti};
+    use crate::intersection::{IntersectionArray, SetOpMode};
 
     fn relation(n: usize, m: usize, seed: i64) -> Vec<Row> {
         (0..n)
@@ -363,8 +377,30 @@ mod tests {
         MultiRelation::new(systolic_relation::gen::synth_schema(m), rows.to_vec()).unwrap()
     }
 
+    /// What the simulated §3.3 array emits for the same operands.
+    fn simulated_t(a: &[Row], b: &[Row], ops: &[CompareOp]) -> TMatrix {
+        ComparisonArray2d::with_ops(ops.to_vec())
+            .t_matrix(a, b, |_, _| true)
+            .unwrap()
+            .t
+    }
+
+    /// The §4 membership bits and §5 earlier-duplicate bits, as the
+    /// simulated arrays emit them.
+    fn simulated_membership(a: &[Row], b: &[Row]) -> Vec<bool> {
+        IntersectionArray::new(b[0].len())
+            .run(a, b, SetOpMode::Intersect)
+            .unwrap()
+            .t
+    }
+
+    fn simulated_duplicates(rows: &[Row]) -> Vec<bool> {
+        let out = RemoveDuplicatesArray::new(rows[0].len()).run(rows).unwrap();
+        out.keep.into_iter().map(|k| !k).collect()
+    }
+
     #[test]
-    fn t_matrix_matches_the_row_kernel_for_every_op() {
+    fn t_matrix_matches_the_simulated_array_for_every_op() {
         for ops in [
             vec![CompareOp::Eq, CompareOp::Eq],
             vec![CompareOp::Lt, CompareOp::Ge],
@@ -375,9 +411,8 @@ mod tests {
                 let a = relation(n_a, 2, 0);
                 let b = relation(n_b, 2, 3);
                 let packed = pack(&b, 2);
-                let reference = kernel::t_matrix(&a, &b, &ops, |_, _| true);
                 let got = t_matrix(&a, &[0, 1], &packed, &[0, 1], &ops);
-                assert_eq!(got, reference, "{ops:?} {n_a}x{n_b}");
+                assert_eq!(got, simulated_t(&a, &b, &ops), "{ops:?} {n_a}x{n_b}");
             }
         }
     }
@@ -391,14 +426,13 @@ mod tests {
         let a: Vec<Row> = vec![vec![-5], vec![10], vec![11], vec![99], vec![i64::MIN]];
         for op in CompareOp::ALL {
             let ops = [op];
-            let reference = kernel::t_matrix(&a, &b, &ops, |_, _| true);
             let got = t_matrix(&a, &[0], &packed, &[0], &ops);
-            assert_eq!(got, reference, "{op:?}");
+            assert_eq!(got, simulated_t(&a, &b, &ops), "{op:?}");
         }
     }
 
     #[test]
-    fn membership_and_duplicates_match_the_row_kernels() {
+    fn membership_and_duplicates_match_the_simulated_arrays() {
         let a = relation(23, 2, 0);
         let b = relation(17, 2, 3);
         // Cold (layout from the rows) and warm (layout from the planes).
@@ -408,10 +442,10 @@ mod tests {
         // Foreign values far outside B's packed range.
         let wild: Vec<Row> = vec![vec![i64::MIN, 0], vec![0, i64::MAX], b[0].clone()];
         for b_rel in [&cold, &warm] {
-            assert_eq!(membership_bits(&a, b_rel), kernel::membership_bits(&a, &b));
+            assert_eq!(membership_bits(&a, b_rel), simulated_membership(&a, &b));
             assert_eq!(
                 membership_bits(&wild, b_rel),
-                kernel::membership_bits(&wild, &b)
+                simulated_membership(&wild, &b)
             );
         }
         assert!(!cold.columnar_built(), "hashing tuples packs no planes");
@@ -420,43 +454,48 @@ mod tests {
         let warm = multi(&dupes, 3);
         warm.columnar();
         for rel in [&cold, &warm] {
-            assert_eq!(duplicate_bits(rel), kernel::duplicate_bits(&dupes));
+            assert_eq!(duplicate_bits(rel), simulated_duplicates(&dupes));
         }
         assert!(!cold.columnar_built(), "hashing tuples packs no planes");
     }
 
     #[test]
-    fn overwide_relations_fall_back_to_the_row_kernels() {
-        // Two full-width columns cannot composite-code; results must still
-        // match via the fallback.
+    fn overwide_relations_hash_rows_and_still_match_the_simulated_arrays() {
+        // Two full-width columns need 128 code bits: no composite code, so
+        // the tuples hash as rows.
         let b: Vec<Row> = vec![vec![i64::MIN, 0], vec![i64::MAX, i64::MAX], vec![0, 5]];
         let b_rel = multi(&b, 2);
         assert!(b_rel.composite_spec().is_none());
         let a: Vec<Row> = vec![vec![0, 5], vec![1, 1], vec![i64::MAX, i64::MAX]];
-        assert_eq!(membership_bits(&a, &b_rel), kernel::membership_bits(&a, &b));
+        let got = membership_bits(&a, &b_rel);
+        assert_eq!(got, simulated_membership(&a, &b));
+        assert_eq!(got, [true, false, true]);
         let mut dupes = b.clone();
         dupes.extend_from_slice(&b);
-        assert_eq!(
-            duplicate_bits(&multi(&dupes, 2)),
-            kernel::duplicate_bits(&dupes)
-        );
+        let got = duplicate_bits(&multi(&dupes, 2));
+        assert_eq!(got, simulated_duplicates(&dupes));
+        assert_eq!(got, [false, false, false, true, true, true]);
     }
 
     #[test]
-    fn quotient_flags_match_the_row_kernel() {
+    fn quotient_flags_match_the_simulated_division_array() {
         let pairs: Vec<(Elem, Elem)> = (0..40).map(|p| (p % 6, p % 5)).collect();
         let divisor: Vec<Elem> = vec![0, 1, 2, 3, 2, 0]; // duplicates allowed
         for keys in [vec![0, 1, 2, 3, 4, 5], vec![1, 3], vec![9], vec![]] {
             for nd in [0, 3, divisor.len()] {
-                let expect = kernel::quotient_flags(&pairs, &keys, &divisor[..nd]);
-                let got = quotient_flags(&pairs, &keys, &divisor[..nd]);
-                assert_eq!(got, expect, "keys {keys:?} nd {nd}");
+                let sim = DivisionArray
+                    .divide_with_keys(&pairs, &keys, &divisor[..nd], false)
+                    .unwrap();
+                let (flags, hits) = quotient_flags(&pairs, &keys, &divisor[..nd]);
+                assert_eq!(flags, sim.quotient_flags, "keys {keys:?} nd {nd}");
+                let matching = pairs.iter().filter(|(x, _)| keys.contains(x)).count();
+                assert_eq!(hits, matching, "keys {keys:?} nd {nd}");
             }
         }
     }
 
     #[test]
-    fn quotient_flags_multi_match_the_row_kernel() {
+    fn quotient_flags_multi_match_the_simulated_division_array() {
         for (n, kw, nd) in [(12, 2, 3), (5, 1, 2), (7, 3, 0), (4, 2, 1)] {
             let rows: Vec<Vec<Elem>> = (0..n)
                 .map(|p| {
@@ -465,17 +504,11 @@ mod tests {
                     r
                 })
                 .collect();
-            let mut keys: Vec<Vec<Elem>> = Vec::new();
-            let mut seen = HashSet::new();
-            for row in &rows {
-                if seen.insert(row[..kw].to_vec()) {
-                    keys.push(row[..kw].to_vec());
-                }
-            }
             let divisor: Vec<Elem> = (0..nd as Elem).collect();
-            let expect = kernel::quotient_flags_multi(&rows, &keys, kw, &divisor);
-            let got = quotient_flags_multi(&rows, &keys, kw, &divisor);
-            assert_eq!(got, expect, "n {n} kw {kw} nd {nd}");
+            let sim = DivisionArrayMulti::new(kw).divide(&rows, &divisor).unwrap();
+            let (flags, hits) = quotient_flags_multi(&rows, &sim.keys, kw, &divisor);
+            assert_eq!(flags, sim.quotient_flags, "n {n} kw {kw} nd {nd}");
+            assert_eq!(hits, n, "every row's key is pre-loaded");
         }
     }
 

@@ -279,52 +279,14 @@ pub fn t_matrix_tiled_parallel_timed(
     Ok((TiledOutcome { t, stats }, host))
 }
 
-/// Kernel-backend counterpart of [`t_matrix_tiled_parallel`]: the rows of
-/// `A` are split into contiguous chunks, each chunk's block of `T` is
-/// computed with the closed-form comparison kernel on its own worker, and
-/// the blocks are pasted back in row order. The result is bit-identical to
-/// the single-threaded kernel (and therefore to every simulator tiling);
-/// only host wall-clock time changes with `threads` — which honours
-/// [`THREADS_ENV`] exactly as the simulated parallel executor does.
-pub fn kernel_t_matrix_parallel(
-    a: &[Vec<Elem>],
-    b: &[Vec<Elem>],
-    ops: &[CompareOp],
-    threads: usize,
-) -> TMatrix {
-    assert!(!ops.is_empty(), "tuple width must be positive");
-    let threads = resolve_threads(threads);
-    let chunk = a.len().div_ceil(threads.max(1)).max(1);
-    let n_jobs = a.len().div_ceil(chunk);
-    let mut section_span = systolic_telemetry::span("executor.parallel_section");
-    section_span.arg("threads", threads);
-    section_span.arg("jobs", n_jobs);
-    let start = std::time::Instant::now();
-    let blocks = run_jobs(threads, n_jobs, |k| {
-        let lo = k * chunk;
-        let hi = (lo + chunk).min(a.len());
-        crate::kernel::t_matrix(&a[lo..hi], b, ops, |_, _| true)
-    });
-    let host = HostStats {
-        wall_ns: start.elapsed().as_nanos() as u64,
-        threads,
-        jobs: n_jobs,
-    };
-    drop(section_span);
-    record_section(host);
-    let mut t = TMatrix::new(a.len(), b.len());
-    for (k, block) in blocks.iter().enumerate() {
-        t.paste(k * chunk, 0, block);
-    }
-    t
-}
-
-/// Columnar-backend counterpart of [`kernel_t_matrix_parallel`]: the
-/// streamed rows of `A` are split into contiguous chunks and each worker
-/// scans the shared word planes of `B` ([`crate::columnar::t_matrix`]),
-/// writing its own band of `T` directly. Bit-identical to the
-/// single-threaded columnar scan (and therefore to the row kernel and
-/// every simulator tiling) at any thread count.
+/// Columnar-backend counterpart of [`t_matrix_tiled_parallel`]: the
+/// streamed rows of `A` are split into contiguous chunks, each worker
+/// scans the shared word planes of `B` ([`crate::columnar::t_matrix`]) for
+/// its own band of `T`, and the bands are pasted back in row order.
+/// Bit-identical to the single-threaded columnar scan (and therefore to
+/// every simulator tiling) at any thread count; only host wall-clock time
+/// changes with `threads` — which honours [`THREADS_ENV`] exactly as the
+/// simulated parallel executor does.
 pub fn columnar_t_matrix_parallel(
     a: &[Vec<Elem>],
     cols_a: &[usize],
@@ -473,25 +435,17 @@ mod tests {
     }
 
     #[test]
-    fn kernel_parallel_matrix_is_bit_identical_to_single_threaded() {
-        let a = relation(13, 3, 0);
-        let b = relation(9, 3, 3);
-        let ops = vec![CompareOp::Eq; 3];
-        let single = crate::kernel::t_matrix(&a, &b, &ops, |_, _| true);
-        for threads in [1, 2, 8, 64] {
-            let par = kernel_t_matrix_parallel(&a, &b, &ops, threads);
-            assert_eq!(par, single, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn columnar_parallel_matrix_is_bit_identical_to_single_threaded() {
         let a = relation(77, 3, 0);
         let b = relation(69, 3, 3);
         let packed = systolic_relation::ColumnarRelation::from_rows(&b, 3);
         let ops = vec![CompareOp::Eq, CompareOp::Le, CompareOp::Ne];
         let cols = [0usize, 1, 2];
-        let single = crate::kernel::t_matrix(&a, &b, &ops, |_, _| true);
+        let single = crate::columnar::t_matrix(&a, &cols, &packed, &cols, &ops);
+        let simulated = crate::comparison::ComparisonArray2d::with_ops(ops.clone())
+            .t_matrix(&a, &b, |_, _| true)
+            .unwrap();
+        assert_eq!(single, simulated.t);
         for threads in [1, 2, 8, 64] {
             let par = columnar_t_matrix_parallel(&a, &cols, &packed, &cols, &ops, threads);
             assert_eq!(par, single, "{threads} threads");

@@ -1,59 +1,54 @@
-//! The kernel execution backend: closed-form results + analytic pulse
-//! accounting, bit-identical to the pulse-accurate simulator.
+//! The [`Backend`] choice and the analytic pulse accounting every
+//! closed-form run shares, bit-identical to the pulse-accurate simulator.
 //!
 //! The simulator in this crate steps every `fabric::Grid` cell on every
 //! pulse, so an operator costs `O(pulses x cells)` host time even though
 //! the *observable* outcome — the boolean matrix `T` (§3.3), the membership
 //! bits (§4), the quotient flags (§7), and the [`ExecStats`] — is a pure
-//! function of the inputs and the schedule. This module computes those
-//! observables directly:
+//! function of the inputs and the schedule. [`Backend::Columnar`] computes
+//! those observables directly:
 //!
-//! * **Results** come from tight host loops over the relations (one
-//!   short-circuit comparison chain per tuple pair; hash-based membership
-//!   and first-occurrence maps where the arrays compute set semantics).
-//! * **Statistics** come from the closed-form injection-pulse arithmetic of
-//!   [`systolic_fabric::CompareSchedule`] / `FixedSchedule`: every word a
-//!   feeder would inject occupies a known set of cell-pulses, and the
-//!   paper's schedules make coincidences (two words meeting in a cell)
-//!   exactly enumerable. Each function documents the word-by-word
-//!   accounting it replaces.
+//! * **Results** come from the word-plane scans in [`crate::columnar`].
+//! * **Statistics** come from this module: the closed-form injection-pulse
+//!   arithmetic of [`systolic_fabric::CompareSchedule`] / `FixedSchedule`.
+//!   Every word a feeder would inject occupies a known set of cell-pulses,
+//!   and the paper's schedules make coincidences (two words meeting in a
+//!   cell) exactly enumerable. Each function documents the word-by-word
+//!   accounting it replaces. Operators reach the shape-pure ones only
+//!   through the `price_*` functions of [`crate::ops`]; division, whose
+//!   cost depends on the data, passes `division[_multi]_stats` the hit
+//!   count its scan produced.
 //!
 //! The invariant — enforced by the differential tests here, in `ops`, and
 //! in `tests/backend_differential.rs` — is **bit-identity**: for every
 //! operator, every [`crate::ops::Execution`] strategy, every tile shape and
-//! thread count, the kernel backend produces the same `TMatrix`, the same
+//! thread count, the columnar backend produces the same `TMatrix`, the same
 //! keep/quotient bits, and the same `ExecStats` (pulses, cells, busy/total
 //! cell-pulses, array runs) as running the simulated hardware.
 //!
 //! One observable intentionally differs: the fabric's *telemetry counters*
-//! (`sdb_fabric_*`) do not advance under the kernel backend, because no
+//! (`sdb_fabric_*`) do not advance under the columnar backend, because no
 //! grid is ever stepped. Everything derived from `ExecStats` — timelines,
 //! machine `RunStats`, server frames — is identical.
-
-use std::collections::{HashMap, HashSet};
-
-use systolic_fabric::{CompareOp, Elem};
 
 use crate::stats::ExecStats;
 use crate::tiling::ArrayLimits;
 
-/// Environment variable selecting the default backend (`sim`, `kernel`, or
+/// Environment variable selecting the default backend (`sim` or
 /// `columnar`) when a configuration does not set one explicitly — the CI
 /// toggle that runs the whole test suite once per backend.
 pub const BACKEND_ENV: &str = "SYSTOLIC_BACKEND";
 
-/// How to execute an operator: on the pulse-accurate simulated fabric, or
-/// with the closed-form kernels in this module.
+/// How to execute an operator: on the pulse-accurate simulated fabric (the
+/// oracle), or in closed form (the fast path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Step the simulated grid pulse by pulse (the reference semantics).
     #[default]
     Sim,
-    /// Closed-form results + analytic stats, bit-identical to [`Self::Sim`].
-    Kernel,
-    /// Closed-form results computed by bit-sliced word-plane scans
-    /// ([`crate::columnar`]); stats identical to [`Self::Kernel`] because
-    /// both share the analytic formulas.
+    /// Results from bit-sliced word-plane scans ([`crate::columnar`]),
+    /// stats from the analytic formulas in this module; bit-identical to
+    /// [`Self::Sim`].
     Columnar,
 }
 
@@ -62,7 +57,6 @@ impl Backend {
     pub fn parse(s: &str) -> Option<Backend> {
         match s {
             "sim" => Some(Backend::Sim),
-            "kernel" => Some(Backend::Kernel),
             "columnar" => Some(Backend::Columnar),
             _ => None,
         }
@@ -72,24 +66,22 @@ impl Backend {
     pub fn label(self) -> &'static str {
         match self {
             Backend::Sim => "sim",
-            Backend::Kernel => "kernel",
             Backend::Columnar => "columnar",
         }
     }
 
-    /// Whether this backend computes results in closed form (no grid is
-    /// stepped) — everything except the pulse-accurate simulator.
-    pub fn is_closed_form(self) -> bool {
-        self != Backend::Sim
-    }
-
-    /// The default backend: [`BACKEND_ENV`] if set to a valid name, else
-    /// [`Backend::Sim`].
-    pub fn from_env() -> Backend {
-        std::env::var(BACKEND_ENV)
-            .ok()
-            .and_then(|v| Backend::parse(&v))
-            .unwrap_or(Backend::Sim)
+    /// The default backend: [`BACKEND_ENV`] if set, else [`Backend::Sim`].
+    /// A value that names no backend is an error, never a silent `Sim` — a
+    /// stale toggle would otherwise run a whole suite on the wrong backend
+    /// and report green.
+    pub fn from_env() -> Result<Backend, String> {
+        let Some(value) = std::env::var_os(BACKEND_ENV) else {
+            return Ok(Backend::Sim);
+        };
+        value
+            .to_str()
+            .and_then(Backend::parse)
+            .ok_or_else(|| format!("{BACKEND_ENV} expects sim or columnar, got {value:?}"))
     }
 }
 
@@ -97,101 +89,6 @@ impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
     }
-}
-
-// ---------------------------------------------------------------------------
-// Result kernels (what the arrays compute, as tight host loops)
-// ---------------------------------------------------------------------------
-
-/// The full comparison matrix `T`: `t_{ij} = initial(i, j) AND_c
-/// ops[c](a[i][c], b[j][c])` — exactly the Figure 3-2 AND chain, with the
-/// same short-circuit a FALSE west seed ("poisons the result") provides.
-pub fn t_matrix(
-    a: &[Vec<Elem>],
-    b: &[Vec<Elem>],
-    ops: &[CompareOp],
-    mut initial: impl FnMut(usize, usize) -> bool,
-) -> crate::matrix::TMatrix {
-    let mut t = crate::matrix::TMatrix::new(a.len(), b.len());
-    for (i, ra) in a.iter().enumerate() {
-        for (j, rb) in b.iter().enumerate() {
-            if initial(i, j) && ops.iter().enumerate().all(|(c, op)| op.eval(ra[c], rb[c])) {
-                t.set(i, j, true);
-            }
-        }
-    }
-    t
-}
-
-/// The accumulated membership bits of §4: `t_i = OR_j (a_i == b_j)`.
-/// Equality-only (as every membership path is), so a hash set of `B`'s
-/// tuples replaces the `|A| x |B|` comparison sweep.
-pub fn membership_bits(a: &[Vec<Elem>], b: &[Vec<Elem>]) -> Vec<bool> {
-    let set: HashSet<&[Elem]> = b.iter().map(|r| r.as_slice()).collect();
-    a.iter().map(|r| set.contains(r.as_slice())).collect()
-}
-
-/// The §5 triangle-masked self-membership: `dup[i] = OR_{j < i}
-/// (a_i == a_j)` — TRUE iff an earlier equal tuple exists.
-pub fn duplicate_bits(rows: &[Vec<Elem>]) -> Vec<bool> {
-    let mut first: HashMap<&[Elem], usize> = HashMap::new();
-    rows.iter()
-        .enumerate()
-        .map(|(i, r)| *first.entry(r.as_slice()).or_insert(i) < i)
-        .collect()
-}
-
-/// The §7 quotient flags: `flags[r]` is TRUE iff every divisor element is
-/// paired (through some dividend pair) with `keys[r]`. `hits` — the number
-/// of pairs whose key matches a pre-loaded row, which the stats need — is
-/// returned alongside. Keys must be distinct (as the arrays require).
-pub fn quotient_flags(
-    pairs: &[(Elem, Elem)],
-    keys: &[Elem],
-    divisor: &[Elem],
-) -> (Vec<bool>, usize) {
-    let index: HashMap<Elem, usize> = keys.iter().enumerate().map(|(r, &k)| (k, r)).collect();
-    let mut matched: Vec<HashSet<Elem>> = vec![HashSet::new(); keys.len()];
-    let mut hits = 0usize;
-    for &(x, y) in pairs {
-        if let Some(&r) = index.get(&x) {
-            hits += 1;
-            matched[r].insert(y);
-        }
-    }
-    let flags = matched
-        .iter()
-        .map(|set| divisor.iter().all(|y| set.contains(y)))
-        .collect();
-    (flags, hits)
-}
-
-/// Multi-column-key variant of [`quotient_flags`]: rows are
-/// `(x_1..x_K, y)`, keys are composite.
-pub fn quotient_flags_multi(
-    rows: &[Vec<Elem>],
-    keys: &[Vec<Elem>],
-    kw: usize,
-    divisor: &[Elem],
-) -> (Vec<bool>, usize) {
-    let index: HashMap<&[Elem], usize> = keys
-        .iter()
-        .enumerate()
-        .map(|(r, k)| (k.as_slice(), r))
-        .collect();
-    let mut matched: Vec<HashSet<Elem>> = vec![HashSet::new(); keys.len()];
-    let mut hits = 0usize;
-    for row in rows {
-        if let Some(&r) = index.get(&row[..kw]) {
-            hits += 1;
-            matched[r].insert(row[kw]);
-        }
-    }
-    let flags = matched
-        .iter()
-        .map(|set| divisor.iter().all(|y| set.contains(y)))
-        .collect();
-    (flags, hits)
 }
 
 // ---------------------------------------------------------------------------
@@ -557,11 +454,13 @@ pub(crate) fn division_multi_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar;
     use crate::comparison::ComparisonArray2d;
     use crate::division::{DivisionArray, DivisionArrayMulti};
     use crate::fixed::FixedOperandArray;
     use crate::intersection::{IntersectionArray, SetOpMode};
     use crate::tiling;
+    use systolic_fabric::{CompareOp, Elem};
 
     fn relation(n: usize, m: usize, seed: i64) -> Vec<Vec<Elem>> {
         (0..n)
@@ -646,38 +545,18 @@ mod tests {
     }
 
     #[test]
-    fn backend_parsing_and_labels() {
-        assert_eq!(Backend::parse("sim"), Some(Backend::Sim));
-        assert_eq!(Backend::parse("kernel"), Some(Backend::Kernel));
-        assert_eq!(Backend::parse("columnar"), Some(Backend::Columnar));
-        assert_eq!(Backend::parse("fpga"), None);
-        assert_eq!(Backend::Kernel.label(), "kernel");
-        assert_eq!(Backend::Columnar.label(), "columnar");
-        assert_eq!(Backend::default(), Backend::Sim);
-        assert_eq!(format!("{}", Backend::Kernel), "kernel");
-        assert!(!Backend::Sim.is_closed_form());
-        assert!(Backend::Kernel.is_closed_form());
-        assert!(Backend::Columnar.is_closed_form());
-    }
-
-    #[test]
-    fn t_matrix_matches_the_simulated_comparison_array() {
-        let ops = [
-            vec![CompareOp::Eq, CompareOp::Eq],
-            vec![CompareOp::Lt, CompareOp::Eq],
-            vec![CompareOp::Ge, CompareOp::Ne],
-        ];
-        for ops in &ops {
-            for (n_a, n_b) in [(1, 1), (3, 2), (4, 7), (6, 6)] {
-                let a = relation(n_a, 2, 0);
-                let b = relation(n_b, 2, 3);
-                let sim = ComparisonArray2d::with_ops(ops.clone())
-                    .t_matrix(&a, &b, |i, j| (i + j) % 3 != 0)
-                    .unwrap();
-                let fast = t_matrix(&a, &b, ops, |i, j| (i + j) % 3 != 0);
-                assert_eq!(fast, sim.t, "{ops:?} {n_a}x{n_b}");
-            }
+    fn backend_names_round_trip_exactly_sim_and_columnar() {
+        for backend in [Backend::Sim, Backend::Columnar] {
+            assert_eq!(Backend::parse(backend.label()), Some(backend));
+            assert_eq!(format!("{backend}"), backend.label());
         }
+        assert_eq!(Backend::Sim.label(), "sim");
+        assert_eq!(Backend::Columnar.label(), "columnar");
+        // The row-kernel backend is gone, and its name is not an alias.
+        for gone in ["kernel", "fpga", "", "Sim", "columnar "] {
+            assert_eq!(Backend::parse(gone), None, "{gone:?}");
+        }
+        assert_eq!(Backend::default(), Backend::Sim);
     }
 
     #[test]
@@ -832,7 +711,7 @@ mod tests {
                 let sim = DivisionArray
                     .divide_with_keys(&pairs, &keys, &divisor[..nd], false)
                     .unwrap();
-                let (flags, hits) = quotient_flags(&pairs, &keys, &divisor[..nd]);
+                let (flags, hits) = columnar::quotient_flags(&pairs, &keys, &divisor[..nd]);
                 assert_eq!(flags, sim.quotient_flags, "keys {keys:?} nd {nd}");
                 assert_eq!(
                     division_stats(pairs.len(), keys.len(), nd, hits),
@@ -855,7 +734,7 @@ mod tests {
                 .collect();
             let divisor: Vec<Elem> = (0..nd as Elem).collect();
             let sim = DivisionArrayMulti::new(kw).divide(&rows, &divisor).unwrap();
-            let (flags, hits) = quotient_flags_multi(&rows, &sim.keys, kw, &divisor);
+            let (flags, hits) = columnar::quotient_flags_multi(&rows, &sim.keys, kw, &divisor);
             assert_eq!(flags, sim.quotient_flags, "n {n} kw {kw} nd {nd}");
             assert_eq!(
                 division_multi_stats(n, sim.keys.len(), kw, nd, hits),
@@ -863,20 +742,5 @@ mod tests {
                 "n {n} kw {kw} nd {nd}"
             );
         }
-    }
-
-    #[test]
-    fn membership_and_duplicate_bits_match_the_arrays() {
-        let a = relation(11, 2, 0);
-        let b = relation(7, 2, 3);
-        let sim = IntersectionArray::new(2)
-            .run(&a, &b, SetOpMode::Intersect)
-            .unwrap();
-        assert_eq!(membership_bits(&a, &b), sim.t);
-        let dupes = relation(9, 2, 1);
-        let sim = IntersectionArray::new(2)
-            .run_masked(&dupes, &dupes, SetOpMode::Intersect, |i, j| i > j, false)
-            .unwrap();
-        assert_eq!(duplicate_bits(&dupes), sim.t);
     }
 }

@@ -16,7 +16,8 @@
 //! | §8 word-to-bit-level transformation | [`bitlevel`] |
 //! | §8 problem decomposition | [`tiling`] |
 //! | host-parallel execution of independent tiles | [`executor`] |
-//! | closed-form kernel backend (analytic stats) | [`kernel`] |
+//! | backend choice + analytic pulse accounting | [`kernel`] |
+//! | closed-form results over bit-packed word planes | [`columnar`] |
 //! | §8 pattern-match chip (ref \[3\]) | [`patmatch`] |
 //! | operator API over relations | [`ops`] |
 //!

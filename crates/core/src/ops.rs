@@ -8,6 +8,11 @@
 //! exactly the division of labour the paper describes (the array produces
 //! `t` bits or `T`; "it is then a simple matter to use the t_i's to
 //! generate C from A", §4.2).
+//!
+//! Each `*_with` operator dispatches on its [`Backend`] exactly once:
+//! [`Backend::Sim`] steps the array, [`Backend::Columnar`] takes the bits
+//! from [`crate::columnar`] and the [`ExecStats`] from the `price_*`
+//! function that prices the same run without data.
 
 use systolic_fabric::{CompareOp, Elem};
 use systolic_relation::{MultiRelation, RelationError, Row, Schema};
@@ -155,54 +160,56 @@ fn membership(
         };
         return Ok((out, ExecStats::default()));
     }
-    if backend.is_closed_form() {
-        let hits = if backend == Backend::Columnar {
-            crate::columnar::membership_bits(a.rows(), b)
-        } else {
-            kernel::membership_bits(a.rows(), b.rows())
-        };
-        let keep: Vec<bool> = match mode {
-            SetOpMode::Intersect => hits,
-            SetOpMode::Difference => hits.into_iter().map(|x| !x).collect(),
-        };
-        let stats = kernel_membership_stats(exec, a.len(), b.len(), a.arity());
-        return Ok((a.filter_by_index(|i| keep[i]), stats));
-    }
-    let (keep, stats) = match exec {
-        Execution::Marching => {
-            let out = IntersectionArray::new(a.arity()).run(a.rows(), b.rows(), mode)?;
-            (out.keep, out.stats)
-        }
-        Execution::FixedOperand => {
-            let out = FixedOperandArray::preload(b.rows()).run(a.rows(), mode)?;
-            (out.keep, out.stats)
-        }
-        Execution::Tiled(limits) => {
-            tiling::membership_tiled(a.rows(), b.rows(), mode, limits, |_, _| true)?
-        }
-        Execution::TiledPipelined(limits) if limits.max_cols >= a.arity() => {
-            let ops_eq = vec![CompareOp::Eq; a.arity()];
-            let out =
-                tiling::t_matrix_tiled_pipelined(a.rows(), b.rows(), &ops_eq, limits, |_, _| true)?;
-            let t = out.t.row_ors();
+    let (keep, stats) = match backend {
+        Backend::Columnar => {
+            let hits = crate::columnar::membership_bits(a.rows(), b);
             let keep = match mode {
-                SetOpMode::Intersect => t,
-                SetOpMode::Difference => t.into_iter().map(|x| !x).collect(),
+                SetOpMode::Intersect => hits,
+                SetOpMode::Difference => hits.into_iter().map(|x| !x).collect(),
             };
-            (keep, out.stats)
+            (keep, price_membership(exec, a.len(), b.len(), a.arity()))
         }
-        Execution::TiledPipelined(limits) => {
-            // Column splitting required: fall back to drain-per-tile.
-            tiling::membership_tiled(a.rows(), b.rows(), mode, limits, |_, _| true)?
-        }
-        Execution::Parallel { limits, threads } => crate::executor::membership_tiled_parallel(
-            a.rows(),
-            b.rows(),
-            mode,
-            limits,
-            threads,
-            |_, _| true,
-        )?,
+        Backend::Sim => match exec {
+            Execution::Marching => {
+                let out = IntersectionArray::new(a.arity()).run(a.rows(), b.rows(), mode)?;
+                (out.keep, out.stats)
+            }
+            Execution::FixedOperand => {
+                let out = FixedOperandArray::preload(b.rows()).run(a.rows(), mode)?;
+                (out.keep, out.stats)
+            }
+            Execution::Tiled(limits) => {
+                tiling::membership_tiled(a.rows(), b.rows(), mode, limits, |_, _| true)?
+            }
+            Execution::TiledPipelined(limits) if limits.max_cols >= a.arity() => {
+                let ops_eq = vec![CompareOp::Eq; a.arity()];
+                let out = tiling::t_matrix_tiled_pipelined(
+                    a.rows(),
+                    b.rows(),
+                    &ops_eq,
+                    limits,
+                    |_, _| true,
+                )?;
+                let t = out.t.row_ors();
+                let keep = match mode {
+                    SetOpMode::Intersect => t,
+                    SetOpMode::Difference => t.into_iter().map(|x| !x).collect(),
+                };
+                (keep, out.stats)
+            }
+            Execution::TiledPipelined(limits) => {
+                // Column splitting required: fall back to drain-per-tile.
+                tiling::membership_tiled(a.rows(), b.rows(), mode, limits, |_, _| true)?
+            }
+            Execution::Parallel { limits, threads } => crate::executor::membership_tiled_parallel(
+                a.rows(),
+                b.rows(),
+                mode,
+                limits,
+                threads,
+                |_, _| true,
+            )?,
+        },
     };
     Ok((a.filter_by_index(|i| keep[i]), stats))
 }
@@ -248,57 +255,61 @@ pub fn dedup_with(a: &MultiRelation, exec: Execution, backend: Backend) -> Resul
     if a.is_empty() {
         return Ok((a.clone(), ExecStats::default()));
     }
-    if backend.is_closed_form() {
-        // The §5 array compares A to itself with the strict-lower-triangle
-        // seed: a row is dropped iff an earlier equal row exists.
-        let dup = if backend == Backend::Columnar {
-            crate::columnar::duplicate_bits(a)
-        } else {
-            kernel::duplicate_bits(a.rows())
-        };
-        let stats = kernel_membership_stats(exec, a.len(), a.len(), a.arity());
-        return Ok((a.filter_by_index(|i| !dup[i]), stats));
-    }
-    let (dup_flags, stats) = match exec {
-        Execution::Marching => {
-            let out = RemoveDuplicatesArray::new(a.arity()).run(a.rows())?;
-            // RemoveDuplicatesArray already returns keep flags.
-            return Ok((a.filter_by_index(|i| out.keep[i]), out.stats));
-        }
-        Execution::FixedOperand => {
-            let out = FixedOperandArray::preload(a.rows()).run_masked(
+    // The §5 array compares A to itself with the strict-lower-triangle
+    // seed: a row is dropped iff an earlier equal row exists.
+    let (dup_flags, stats) = match backend {
+        Backend::Columnar => (
+            crate::columnar::duplicate_bits(a),
+            price_dedup(exec, a.len(), a.arity()),
+        ),
+        Backend::Sim => match exec {
+            Execution::Marching => {
+                let out = RemoveDuplicatesArray::new(a.arity()).run(a.rows())?;
+                // RemoveDuplicatesArray already returns keep flags.
+                return Ok((a.filter_by_index(|i| out.keep[i]), out.stats));
+            }
+            Execution::FixedOperand => {
+                let out = FixedOperandArray::preload(a.rows()).run_masked(
+                    a.rows(),
+                    SetOpMode::Difference,
+                    |i, j| i > j,
+                )?;
+                return Ok((a.filter_by_index(|i| out.keep[i]), out.stats));
+            }
+            Execution::Tiled(limits) => tiling::membership_tiled(
                 a.rows(),
-                SetOpMode::Difference,
+                a.rows(),
+                SetOpMode::Intersect,
+                limits,
                 |i, j| i > j,
-            )?;
-            return Ok((a.filter_by_index(|i| out.keep[i]), out.stats));
-        }
-        Execution::Tiled(limits) => {
-            tiling::membership_tiled(a.rows(), a.rows(), SetOpMode::Intersect, limits, |i, j| {
-                i > j
-            })?
-        }
-        Execution::TiledPipelined(limits) if limits.max_cols >= a.arity() => {
-            let ops_eq = vec![CompareOp::Eq; a.arity()];
-            let out =
-                tiling::t_matrix_tiled_pipelined(a.rows(), a.rows(), &ops_eq, limits, |i, j| {
-                    i > j
-                })?;
-            (out.t.row_ors(), out.stats)
-        }
-        Execution::TiledPipelined(limits) => {
-            tiling::membership_tiled(a.rows(), a.rows(), SetOpMode::Intersect, limits, |i, j| {
-                i > j
-            })?
-        }
-        Execution::Parallel { limits, threads } => crate::executor::membership_tiled_parallel(
-            a.rows(),
-            a.rows(),
-            SetOpMode::Intersect,
-            limits,
-            threads,
-            |i, j| i > j,
-        )?,
+            )?,
+            Execution::TiledPipelined(limits) if limits.max_cols >= a.arity() => {
+                let ops_eq = vec![CompareOp::Eq; a.arity()];
+                let out = tiling::t_matrix_tiled_pipelined(
+                    a.rows(),
+                    a.rows(),
+                    &ops_eq,
+                    limits,
+                    |i, j| i > j,
+                )?;
+                (out.t.row_ors(), out.stats)
+            }
+            Execution::TiledPipelined(limits) => tiling::membership_tiled(
+                a.rows(),
+                a.rows(),
+                SetOpMode::Intersect,
+                limits,
+                |i, j| i > j,
+            )?,
+            Execution::Parallel { limits, threads } => crate::executor::membership_tiled_parallel(
+                a.rows(),
+                a.rows(),
+                SetOpMode::Intersect,
+                limits,
+                threads,
+                |i, j| i > j,
+            )?,
+        },
     };
     // Tiled path returns "has an earlier duplicate" flags in intersect mode.
     Ok((a.filter_by_index(|i| !dup_flags[i]), stats))
@@ -378,17 +389,17 @@ pub fn join_with(
         return Ok((MultiRelation::empty(schema), ExecStats::default()));
     }
     let arr = JoinArray::new(specs.to_vec());
-    if backend.is_closed_form() {
-        let ops: Vec<CompareOp> = specs.iter().map(|s| s.op).collect();
-        // The matrix is independent of the tiling (tiles only partition the
-        // pair space); only the host fan-out differs under `Parallel`.
-        let t = if backend == Backend::Columnar {
+    let ops: Vec<CompareOp> = specs.iter().map(|s| s.op).collect();
+    let (t, stats) = match backend {
+        Backend::Columnar => {
             // Scan B's cached word planes column by column — no key
-            // projections are materialized at all.
+            // projections are materialized at all. The matrix is
+            // independent of the tiling (tiles only partition the pair
+            // space); only the host fan-out differs under `Parallel`.
             let cols_a: Vec<usize> = specs.iter().map(|s| s.col_a).collect();
             let cols_b: Vec<usize> = specs.iter().map(|s| s.col_b).collect();
             let packed = b.columnar();
-            if let Execution::Parallel { threads, .. } = exec {
+            let t = if let Execution::Parallel { threads, .. } = exec {
                 crate::executor::columnar_t_matrix_parallel(
                     a.rows(),
                     &cols_a,
@@ -399,90 +410,59 @@ pub fn join_with(
                 )
             } else {
                 crate::columnar::t_matrix(a.rows(), &cols_a, &packed, &cols_b, &ops)
+            };
+            (t, price_join(exec, a.len(), b.len(), ops.len()))
+        }
+        Backend::Sim => match exec {
+            Execution::Marching => {
+                let out = arr.t_matrix(a.rows(), b.rows())?;
+                (out.t, out.stats)
             }
-        } else {
-            let a_keys: Vec<Row> = a
-                .rows()
-                .iter()
-                .map(|row| specs.iter().map(|s| row[s.col_a]).collect())
-                .collect();
-            let b_keys: Vec<Row> = b
-                .rows()
-                .iter()
-                .map(|row| specs.iter().map(|s| row[s.col_b]).collect())
-                .collect();
-            if let Execution::Parallel { threads, .. } = exec {
-                crate::executor::kernel_t_matrix_parallel(&a_keys, &b_keys, &ops, threads)
-            } else {
-                kernel::t_matrix(&a_keys, &b_keys, &ops, |_, _| true)
-            }
-        };
-        let stats = match exec {
-            Execution::Marching => kernel::compare_run_stats(a.len(), b.len(), ops.len()),
-            Execution::FixedOperand => kernel::fixed_t_matrix_stats(a.len(), b.len(), ops.len()),
-            Execution::TiledPipelined(limits) if limits.max_cols >= ops.len() => {
-                kernel::pipelined_stats(a.len(), b.len(), ops.len(), limits)
+            Execution::FixedOperand => {
+                let b_keys: Vec<Row> = b
+                    .rows()
+                    .iter()
+                    .map(|row| specs.iter().map(|s| row[s.col_b]).collect())
+                    .collect();
+                let a_keys: Vec<Row> = a
+                    .rows()
+                    .iter()
+                    .map(|row| specs.iter().map(|s| row[s.col_a]).collect())
+                    .collect();
+                FixedOperandArray::preload(&b_keys).t_matrix(&a_keys, &ops)?
             }
             Execution::Tiled(limits)
             | Execution::TiledPipelined(limits)
             | Execution::Parallel { limits, .. } => {
-                kernel::tiled_stats(a.len(), b.len(), ops.len(), limits)
+                let a_keys: Vec<Row> = a
+                    .rows()
+                    .iter()
+                    .map(|row| specs.iter().map(|s| row[s.col_a]).collect())
+                    .collect();
+                let b_keys: Vec<Row> = b
+                    .rows()
+                    .iter()
+                    .map(|row| specs.iter().map(|s| row[s.col_b]).collect())
+                    .collect();
+                let pipelined =
+                    matches!(exec, Execution::TiledPipelined(_)) && limits.max_cols >= ops.len();
+                let out = if pipelined {
+                    tiling::t_matrix_tiled_pipelined(&a_keys, &b_keys, &ops, limits, |_, _| true)?
+                } else if let Execution::Parallel { threads, .. } = exec {
+                    crate::executor::t_matrix_tiled_parallel(
+                        &a_keys,
+                        &b_keys,
+                        &ops,
+                        limits,
+                        threads,
+                        |_, _| true,
+                    )?
+                } else {
+                    tiling::t_matrix_tiled(&a_keys, &b_keys, &ops, limits, |_, _| true)?
+                };
+                (out.t, out.stats)
             }
-        };
-        let rows = arr.assemble(a.rows(), b.rows(), &t);
-        return Ok((MultiRelation::new(schema, rows)?, stats));
-    }
-    let (t, stats) = match exec {
-        Execution::Marching => {
-            let out = arr.t_matrix(a.rows(), b.rows())?;
-            (out.t, out.stats)
-        }
-        Execution::FixedOperand => {
-            let b_keys: Vec<Row> = b
-                .rows()
-                .iter()
-                .map(|row| specs.iter().map(|s| row[s.col_b]).collect())
-                .collect();
-            let a_keys: Vec<Row> = a
-                .rows()
-                .iter()
-                .map(|row| specs.iter().map(|s| row[s.col_a]).collect())
-                .collect();
-            let ops: Vec<CompareOp> = specs.iter().map(|s| s.op).collect();
-            FixedOperandArray::preload(&b_keys).t_matrix(&a_keys, &ops)?
-        }
-        Execution::Tiled(limits)
-        | Execution::TiledPipelined(limits)
-        | Execution::Parallel { limits, .. } => {
-            let a_keys: Vec<Row> = a
-                .rows()
-                .iter()
-                .map(|row| specs.iter().map(|s| row[s.col_a]).collect())
-                .collect();
-            let b_keys: Vec<Row> = b
-                .rows()
-                .iter()
-                .map(|row| specs.iter().map(|s| row[s.col_b]).collect())
-                .collect();
-            let ops: Vec<CompareOp> = specs.iter().map(|s| s.op).collect();
-            let pipelined =
-                matches!(exec, Execution::TiledPipelined(_)) && limits.max_cols >= ops.len();
-            let out = if pipelined {
-                tiling::t_matrix_tiled_pipelined(&a_keys, &b_keys, &ops, limits, |_, _| true)?
-            } else if let Execution::Parallel { threads, .. } = exec {
-                crate::executor::t_matrix_tiled_parallel(
-                    &a_keys,
-                    &b_keys,
-                    &ops,
-                    limits,
-                    threads,
-                    |_, _| true,
-                )?
-            } else {
-                tiling::t_matrix_tiled(&a_keys, &b_keys, &ops, limits, |_, _| true)?
-            };
-            (out.t, out.stats)
-        }
+        },
     };
     let rows = arr.assemble(a.rows(), b.rows(), &t);
     Ok((MultiRelation::new(schema, rows)?, stats))
@@ -516,22 +496,13 @@ pub fn select_with(
     if a.is_empty() {
         return Ok((a.clone(), ExecStats::default()));
     }
-    if backend.is_closed_form() {
-        let keep: Vec<bool> = if backend == Backend::Columnar {
-            crate::columnar::select_bits(&a.columnar(), predicates)
-        } else {
-            a.rows()
-                .iter()
-                .map(|row| predicates.iter().all(|p| p.eval(row)))
-                .collect()
-        };
-        // The selection array is a one-row fixed-operand array: the
-        // predicate constants resident, the relation streaming through.
-        let stats = kernel::fixed_t_matrix_stats(a.len(), 1, predicates.len());
-        return Ok((a.filter_by_index(|i| keep[i]), stats));
-    }
-    let arr = crate::select::SelectionArray::new(predicates.to_vec());
-    let (keep, stats) = arr.run(a.rows())?;
+    let (keep, stats) = match backend {
+        Backend::Columnar => (
+            crate::columnar::select_bits(&a.columnar(), predicates),
+            price_select(a.len(), predicates.len()),
+        ),
+        Backend::Sim => crate::select::SelectionArray::new(predicates.to_vec()).run(a.rows())?,
+    };
     Ok((a.filter_by_index(|i| keep[i]), stats))
 }
 
@@ -577,28 +548,24 @@ pub fn divide_binary_with(
     // Step 2: the division array proper.
     let pairs: Vec<(Elem, Elem)> = a.rows().iter().map(|r| (r[key], r[ca])).collect();
     let divisor: Vec<Elem> = b.rows().iter().map(|r| r[cb]).collect();
-    let rows: Vec<Row> = if backend.is_closed_form() {
-        let (flags, hits) = if backend == Backend::Columnar {
-            crate::columnar::quotient_flags(&pairs, &keys, &divisor)
-        } else {
-            kernel::quotient_flags(&pairs, &keys, &divisor)
-        };
-        stats.merge_sequential(&kernel::division_stats(
-            pairs.len(),
-            keys.len(),
-            divisor.len(),
-            hits,
-        ));
-        keys.iter()
-            .zip(&flags)
-            .filter(|&(_, &f)| f)
-            .map(|(&k, _)| vec![k])
-            .collect()
-    } else {
-        let out = DivisionArray.divide_with_keys(&pairs, &keys, &divisor, false)?;
-        stats.merge_sequential(&out.stats);
-        out.quotient.iter().map(|&x| vec![x]).collect()
+    let (flags, run) = match backend {
+        Backend::Columnar => {
+            let (flags, hits) = crate::columnar::quotient_flags(&pairs, &keys, &divisor);
+            let run = kernel::division_stats(pairs.len(), keys.len(), divisor.len(), hits);
+            (flags, run)
+        }
+        Backend::Sim => {
+            let out = DivisionArray.divide_with_keys(&pairs, &keys, &divisor, false)?;
+            (out.quotient_flags, out.stats)
+        }
     };
+    stats.merge_sequential(&run);
+    let rows: Vec<Row> = keys
+        .iter()
+        .zip(&flags)
+        .filter(|&(_, &f)| f)
+        .map(|(&k, _)| vec![k])
+        .collect();
     Ok((MultiRelation::new(schema, rows)?, stats))
 }
 
@@ -664,35 +631,36 @@ pub fn divide_with(
             })
             .collect();
         let divisor: Vec<Elem> = b.rows().iter().map(|r| r[cb[0]]).collect();
-        if backend.is_closed_form() {
-            let kw = key_cols.len();
-            // First-occurrence distinct composite keys, as the array's
-            // pre-load step identifies them.
-            let mut keys: Vec<Row> = Vec::new();
-            let mut seen = std::collections::HashSet::new();
-            for row in &rows {
-                if seen.insert(row[..kw].to_vec()) {
-                    keys.push(row[..kw].to_vec());
+        let kw = key_cols.len();
+        let (quotient, stats) = match backend {
+            Backend::Columnar => {
+                // First-occurrence distinct composite keys, as the array's
+                // pre-load step identifies them.
+                let mut keys: Vec<Row> = Vec::new();
+                let mut seen = std::collections::HashSet::new();
+                for row in &rows {
+                    if seen.insert(row[..kw].to_vec()) {
+                        keys.push(row[..kw].to_vec());
+                    }
                 }
+                let (flags, hits) =
+                    crate::columnar::quotient_flags_multi(&rows, &keys, kw, &divisor);
+                let stats =
+                    kernel::division_multi_stats(rows.len(), keys.len(), kw, divisor.len(), hits);
+                let quotient: Vec<Row> = keys
+                    .into_iter()
+                    .zip(&flags)
+                    .filter(|&(_, &f)| f)
+                    .map(|(k, _)| k)
+                    .collect();
+                (quotient, stats)
             }
-            let (flags, hits) = if backend == Backend::Columnar {
-                crate::columnar::quotient_flags_multi(&rows, &keys, kw, &divisor)
-            } else {
-                kernel::quotient_flags_multi(&rows, &keys, kw, &divisor)
-            };
-            let stats =
-                kernel::division_multi_stats(rows.len(), keys.len(), kw, divisor.len(), hits);
-            let quotient: Vec<Row> = keys
-                .into_iter()
-                .zip(&flags)
-                .filter(|&(_, &f)| f)
-                .map(|(k, _)| k)
-                .collect();
-            return Ok((MultiRelation::new(schema, quotient)?, stats));
-        }
-        let out =
-            crate::division::DivisionArrayMulti::new(key_cols.len()).divide(&rows, &divisor)?;
-        return Ok((MultiRelation::new(schema, out.quotient)?, out.stats));
+            Backend::Sim => {
+                let out = crate::division::DivisionArrayMulti::new(kw).divide(&rows, &divisor)?;
+                (out.quotient, out.stats)
+            }
+        };
+        return Ok((MultiRelation::new(schema, quotient)?, stats));
     }
     // Composite encoding: every distinct key-projection / value-projection
     // row becomes one integer.
@@ -992,74 +960,73 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_backends_are_bit_identical_across_every_execution() {
-        // The tentpole invariant at the ops layer: same result rows, same
-        // ExecStats, for every operator under every execution strategy —
-        // for BOTH closed-form backends (row kernels and columnar scans).
+    fn columnar_backend_is_bit_identical_to_sim_across_every_execution() {
+        // The invariant at the ops layer: same result rows, same ExecStats
+        // as the simulated arrays, for every operator under every
+        // execution strategy.
         let mut rng = StdRng::seed_from_u64(600);
         let (a, b) = gen::pair_with_overlap(&mut rng, 13, 10, 2, 0.4);
         let (a, b) = (a.into_multi(), b.into_multi());
         let dupes = gen::with_duplicates(&mut rng, 9, 3, 3);
         let (da, db, _) = gen::division_instance(&mut rng, 8, 3, 3);
-        for backend in [Backend::Kernel, Backend::Columnar] {
-            for exec in EXECS {
-                let sim = intersect(&a, &b, exec).unwrap();
-                let fast = intersect_with(&a, &b, exec, backend).unwrap();
-                assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} intersect");
-                assert_eq!(fast.1, sim.1, "{backend} {exec:?} intersect stats");
-                let sim = difference(&a, &b, exec).unwrap();
-                let fast = difference_with(&a, &b, exec, backend).unwrap();
-                assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} difference");
-                assert_eq!(fast.1, sim.1, "{backend} {exec:?} difference stats");
-                let sim = union(&a, &b, exec).unwrap();
-                let fast = union_with(&a, &b, exec, backend).unwrap();
-                assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} union");
-                assert_eq!(fast.1, sim.1, "{backend} {exec:?} union stats");
-                let sim = dedup(&dupes, exec).unwrap();
-                let fast = dedup_with(&dupes, exec, backend).unwrap();
-                assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} dedup");
-                assert_eq!(fast.1, sim.1, "{backend} {exec:?} dedup stats");
-                let sim = project(&dupes, &[0, 2], exec).unwrap();
-                let fast = project_with(&dupes, &[0, 2], exec, backend).unwrap();
-                assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} project");
-                assert_eq!(fast.1, sim.1, "{backend} {exec:?} project stats");
-                let specs = [JoinSpec::eq(0, 0), JoinSpec::theta(1, 1, CompareOp::Le)];
-                let sim = join(&a, &b, &specs, exec).unwrap();
-                let fast = join_with(&a, &b, &specs, exec, backend).unwrap();
-                assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} join");
-                assert_eq!(fast.1, sim.1, "{backend} {exec:?} join stats");
-                let sim = divide_binary(&da, 0, 1, &db, 0, exec).unwrap();
-                let fast = divide_binary_with(&da, 0, 1, &db, 0, exec, backend).unwrap();
-                assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} divide");
-                assert_eq!(fast.1, sim.1, "{backend} {exec:?} divide stats");
-            }
-            // Selection and general (multi-column) division ignore the
-            // strategy.
-            use crate::select::Predicate;
-            let preds = [
-                Predicate::new(0, CompareOp::Gt, 2),
-                Predicate::new(1, CompareOp::Ne, 5),
-            ];
-            let sim = select(&a, &preds, Execution::Marching).unwrap();
-            let fast = select_with(&a, &preds, Execution::Marching, backend).unwrap();
-            assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} select rows");
-            assert_eq!(fast.1, sim.1, "{backend} select stats");
-            let wide = multi(
-                3,
-                &[
-                    &[1, 1, 10],
-                    &[1, 1, 11],
-                    &[2, 2, 10],
-                    &[1, 2, 10],
-                    &[1, 2, 11],
-                ],
-            );
-            let wdiv = multi(1, &[&[10], &[11]]);
-            let sim = divide(&wide, &[2], &wdiv, &[0], Execution::Marching).unwrap();
-            let fast = divide_with(&wide, &[2], &wdiv, &[0], Execution::Marching, backend).unwrap();
-            assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} multi-divide rows");
-            assert_eq!(fast.1, sim.1, "{backend} multi-divide stats");
+        let backend = Backend::Columnar;
+        for exec in EXECS {
+            let sim = intersect(&a, &b, exec).unwrap();
+            let fast = intersect_with(&a, &b, exec, backend).unwrap();
+            assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} intersect");
+            assert_eq!(fast.1, sim.1, "{backend} {exec:?} intersect stats");
+            let sim = difference(&a, &b, exec).unwrap();
+            let fast = difference_with(&a, &b, exec, backend).unwrap();
+            assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} difference");
+            assert_eq!(fast.1, sim.1, "{backend} {exec:?} difference stats");
+            let sim = union(&a, &b, exec).unwrap();
+            let fast = union_with(&a, &b, exec, backend).unwrap();
+            assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} union");
+            assert_eq!(fast.1, sim.1, "{backend} {exec:?} union stats");
+            let sim = dedup(&dupes, exec).unwrap();
+            let fast = dedup_with(&dupes, exec, backend).unwrap();
+            assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} dedup");
+            assert_eq!(fast.1, sim.1, "{backend} {exec:?} dedup stats");
+            let sim = project(&dupes, &[0, 2], exec).unwrap();
+            let fast = project_with(&dupes, &[0, 2], exec, backend).unwrap();
+            assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} project");
+            assert_eq!(fast.1, sim.1, "{backend} {exec:?} project stats");
+            let specs = [JoinSpec::eq(0, 0), JoinSpec::theta(1, 1, CompareOp::Le)];
+            let sim = join(&a, &b, &specs, exec).unwrap();
+            let fast = join_with(&a, &b, &specs, exec, backend).unwrap();
+            assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} join");
+            assert_eq!(fast.1, sim.1, "{backend} {exec:?} join stats");
+            let sim = divide_binary(&da, 0, 1, &db, 0, exec).unwrap();
+            let fast = divide_binary_with(&da, 0, 1, &db, 0, exec, backend).unwrap();
+            assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} divide");
+            assert_eq!(fast.1, sim.1, "{backend} {exec:?} divide stats");
         }
+        // Selection and general (multi-column) division ignore the
+        // strategy.
+        use crate::select::Predicate;
+        let preds = [
+            Predicate::new(0, CompareOp::Gt, 2),
+            Predicate::new(1, CompareOp::Ne, 5),
+        ];
+        let sim = select(&a, &preds, Execution::Marching).unwrap();
+        let fast = select_with(&a, &preds, Execution::Marching, backend).unwrap();
+        assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} select rows");
+        assert_eq!(fast.1, sim.1, "{backend} select stats");
+        let wide = multi(
+            3,
+            &[
+                &[1, 1, 10],
+                &[1, 1, 11],
+                &[2, 2, 10],
+                &[1, 2, 10],
+                &[1, 2, 11],
+            ],
+        );
+        let wdiv = multi(1, &[&[10], &[11]]);
+        let sim = divide(&wide, &[2], &wdiv, &[0], Execution::Marching).unwrap();
+        let fast = divide_with(&wide, &[2], &wdiv, &[0], Execution::Marching, backend).unwrap();
+        assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} multi-divide rows");
+        assert_eq!(fast.1, sim.1, "{backend} multi-divide stats");
     }
 
     #[test]

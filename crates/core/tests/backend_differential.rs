@@ -1,7 +1,7 @@
 //! The cross-backend differential harness: for every operator, every
 //! execution strategy, and randomly drawn relations, comparator vectors,
-//! and tile shapes, BOTH closed-form backends — the row kernels and the
-//! bit-sliced columnar scans — must agree with the pulse-accurate
+//! and tile shapes, the columnar backend — bit-sliced word-plane scans
+//! plus analytic accounting — must agree with the pulse-accurate
 //! simulator bit-for-bit: the same result rows, the same `TMatrix`, and
 //! the same `ExecStats` (pulses, busy/total cell-pulses, array runs) the
 //! grid would have counted.
@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 
 use systolic_core::ops::{self, Execution};
-use systolic_core::{kernel, ArrayLimits, Backend, JoinSpec, ProgrammableJoinArray};
+use systolic_core::{ArrayLimits, Backend, JoinSpec, ProgrammableJoinArray};
 use systolic_fabric::CompareOp;
 use systolic_relation::gen::synth_schema;
 use systolic_relation::MultiRelation;
@@ -85,36 +85,34 @@ proptest! {
         };
         let a = rel(m, trim(seed_a));
         let b = rel(m, trim(seed_b));
-        for backend in [Backend::Kernel, Backend::Columnar] {
-            for (label, sim, fast) in [
-                (
-                    "intersect",
-                    ops::intersect_with(&a, &b, exec, Backend::Sim),
-                    ops::intersect_with(&a, &b, exec, backend),
-                ),
-                (
-                    "difference",
-                    ops::difference_with(&a, &b, exec, Backend::Sim),
-                    ops::difference_with(&a, &b, exec, backend),
-                ),
-                (
-                    "union",
-                    ops::union_with(&a, &b, exec, Backend::Sim),
-                    ops::union_with(&a, &b, exec, backend),
-                ),
-                (
-                    "dedup",
-                    ops::dedup_with(&a, exec, Backend::Sim),
-                    ops::dedup_with(&a, exec, backend),
-                ),
-                (
-                    "project",
-                    ops::project_with(&a, &[0], exec, Backend::Sim),
-                    ops::project_with(&a, &[0], exec, backend),
-                ),
-            ] {
-                assert_identical(label, &sim.unwrap(), &fast.unwrap())?;
-            }
+        for (label, sim, fast) in [
+            (
+                "intersect",
+                ops::intersect_with(&a, &b, exec, Backend::Sim),
+                ops::intersect_with(&a, &b, exec, Backend::Columnar),
+            ),
+            (
+                "difference",
+                ops::difference_with(&a, &b, exec, Backend::Sim),
+                ops::difference_with(&a, &b, exec, Backend::Columnar),
+            ),
+            (
+                "union",
+                ops::union_with(&a, &b, exec, Backend::Sim),
+                ops::union_with(&a, &b, exec, Backend::Columnar),
+            ),
+            (
+                "dedup",
+                ops::dedup_with(&a, exec, Backend::Sim),
+                ops::dedup_with(&a, exec, Backend::Columnar),
+            ),
+            (
+                "project",
+                ops::project_with(&a, &[0], exec, Backend::Sim),
+                ops::project_with(&a, &[0], exec, Backend::Columnar),
+            ),
+        ] {
+            assert_identical(label, &sim.unwrap(), &fast.unwrap())?;
         }
     }
 
@@ -134,14 +132,12 @@ proptest! {
             .map(|(ca, cb, op)| JoinSpec::theta(ca, cb, op))
             .collect();
         let sim = ops::join_with(&a, &b, &specs, exec, Backend::Sim).unwrap();
-        for backend in [Backend::Kernel, Backend::Columnar] {
-            let fast = ops::join_with(&a, &b, &specs, exec, backend).unwrap();
-            assert_identical("join", &sim, &fast)?;
-        }
+        let fast = ops::join_with(&a, &b, &specs, exec, Backend::Columnar).unwrap();
+        assert_identical("join", &sim, &fast)?;
     }
 
-    /// The kernel's closed-form `T` equals the programmable array's, entry
-    /// for entry, for arbitrary comparator vectors — the matrix itself, not
+    /// The word-plane `T` equals the programmable array's, entry for
+    /// entry, for arbitrary comparator vectors — the matrix itself, not
     /// just the assembled result.
     #[test]
     fn programmable_t_matrix_agrees(
@@ -163,8 +159,6 @@ proptest! {
         let sim = ProgrammableJoinArray::new(m)
             .t_matrix(&a, &b, &ops_vec)
             .unwrap();
-        let fast = kernel::t_matrix(&a, &b, &ops_vec, |_, _| true);
-        prop_assert_eq!(&fast, &sim.t);
         let packed = systolic_relation::ColumnarRelation::from_rows(&b, m);
         let cols: Vec<usize> = (0..m).collect();
         let cols_scan =
@@ -183,10 +177,8 @@ proptest! {
         let a = rel(2, seed_a);
         let b = rel(1, seed_b);
         let sim = ops::divide_binary_with(&a, 0, 1, &b, 0, exec, Backend::Sim).unwrap();
-        for backend in [Backend::Kernel, Backend::Columnar] {
-            let fast = ops::divide_binary_with(&a, 0, 1, &b, 0, exec, backend).unwrap();
-            assert_identical("divide", &sim, &fast)?;
-        }
+        let fast = ops::divide_binary_with(&a, 0, 1, &b, 0, exec, Backend::Columnar).unwrap();
+        assert_identical("divide", &sim, &fast)?;
     }
 
     /// Selection: random predicate columns and constants.
@@ -211,10 +203,8 @@ proptest! {
             })
             .collect();
         let sim = ops::select_with(&a, &preds, Execution::Marching, Backend::Sim).unwrap();
-        for backend in [Backend::Kernel, Backend::Columnar] {
-            let fast = ops::select_with(&a, &preds, Execution::Marching, backend).unwrap();
-            assert_identical("select", &sim, &fast)?;
-        }
+        let fast = ops::select_with(&a, &preds, Execution::Marching, Backend::Columnar).unwrap();
+        assert_identical("select", &sim, &fast)?;
     }
 }
 
@@ -266,34 +256,86 @@ fn empty_and_exact_fit_shapes_agree() {
                     "{label} stats ({rows_a:?} vs {rows_b:?}, {exec:?})"
                 );
             };
-            for backend in [Backend::Kernel, Backend::Columnar] {
-                ident(
-                    "intersect",
-                    ops::intersect_with(&a, &b, exec, Backend::Sim).unwrap(),
-                    ops::intersect_with(&a, &b, exec, backend).unwrap(),
-                );
-                ident(
-                    "union",
-                    ops::union_with(&a, &b, exec, Backend::Sim).unwrap(),
-                    ops::union_with(&a, &b, exec, backend).unwrap(),
-                );
-                ident(
-                    "dedup",
-                    ops::dedup_with(&a, exec, Backend::Sim).unwrap(),
-                    ops::dedup_with(&a, exec, backend).unwrap(),
-                );
-                let specs = [JoinSpec::eq(0, 0)];
-                ident(
-                    "join",
-                    ops::join_with(&a, &b, &specs, exec, Backend::Sim).unwrap(),
-                    ops::join_with(&a, &b, &specs, exec, backend).unwrap(),
-                );
-                ident(
-                    "divide",
-                    ops::divide_binary_with(&a, 0, 1, &b, 0, exec, Backend::Sim).unwrap(),
-                    ops::divide_binary_with(&a, 0, 1, &b, 0, exec, backend).unwrap(),
-                );
-            }
+            let fast = Backend::Columnar;
+            ident(
+                "intersect",
+                ops::intersect_with(&a, &b, exec, Backend::Sim).unwrap(),
+                ops::intersect_with(&a, &b, exec, fast).unwrap(),
+            );
+            ident(
+                "union",
+                ops::union_with(&a, &b, exec, Backend::Sim).unwrap(),
+                ops::union_with(&a, &b, exec, fast).unwrap(),
+            );
+            ident(
+                "dedup",
+                ops::dedup_with(&a, exec, Backend::Sim).unwrap(),
+                ops::dedup_with(&a, exec, fast).unwrap(),
+            );
+            let specs = [JoinSpec::eq(0, 0)];
+            ident(
+                "join",
+                ops::join_with(&a, &b, &specs, exec, Backend::Sim).unwrap(),
+                ops::join_with(&a, &b, &specs, exec, fast).unwrap(),
+            );
+            ident(
+                "divide",
+                ops::divide_binary_with(&a, 0, 1, &b, 0, exec, Backend::Sim).unwrap(),
+                ops::divide_binary_with(&a, 0, 1, &b, 0, exec, fast).unwrap(),
+            );
         }
     }
+}
+
+/// Two full-range columns need 128 composite-code bits, so the columnar
+/// set operators hash whole rows instead of one-word codes — the one input
+/// class the word-plane layout cannot code. Rows and stats must still be
+/// the simulator's.
+#[test]
+fn overwide_relations_agree() {
+    let wide = |rows: &[[i64; 2]]| rel(2, rows.iter().map(|r| r.to_vec()).collect());
+    let a = wide(&[[0, 5], [i64::MAX, i64::MAX], [1, 1], [0, 5], [i64::MIN, 0]]);
+    let b = wide(&[[i64::MIN, 0], [i64::MAX, i64::MAX], [7, 7]]);
+    assert!(a.composite_spec().is_none() && b.composite_spec().is_none());
+    for exec in [
+        Execution::Marching,
+        Execution::FixedOperand,
+        Execution::Tiled(ArrayLimits::new(2, 2, 1)),
+        Execution::TiledPipelined(ArrayLimits::new(2, 2, 2)),
+        Execution::Parallel {
+            limits: ArrayLimits::new(2, 2, 1),
+            threads: 2,
+        },
+    ] {
+        for (label, sim, fast) in [
+            (
+                "intersect",
+                ops::intersect_with(&a, &b, exec, Backend::Sim),
+                ops::intersect_with(&a, &b, exec, Backend::Columnar),
+            ),
+            (
+                "difference",
+                ops::difference_with(&a, &b, exec, Backend::Sim),
+                ops::difference_with(&a, &b, exec, Backend::Columnar),
+            ),
+            (
+                "union",
+                ops::union_with(&a, &b, exec, Backend::Sim),
+                ops::union_with(&a, &b, exec, Backend::Columnar),
+            ),
+            (
+                "dedup",
+                ops::dedup_with(&a, exec, Backend::Sim),
+                ops::dedup_with(&a, exec, Backend::Columnar),
+            ),
+        ] {
+            let (sim, fast) = (sim.unwrap(), fast.unwrap());
+            assert_eq!(fast.0.rows(), sim.0.rows(), "{label} rows ({exec:?})");
+            assert_eq!(fast.1, sim.1, "{label} stats ({exec:?})");
+        }
+    }
+    let (i, _) = ops::intersect_with(&a, &b, Execution::Marching, Backend::Columnar).unwrap();
+    assert_eq!(i.rows(), &[vec![i64::MAX, i64::MAX], vec![i64::MIN, 0]]);
+    let (d, _) = ops::dedup_with(&a, Execution::Marching, Backend::Columnar).unwrap();
+    assert_eq!(d.len(), 4, "the second (0, 5) is dropped");
 }

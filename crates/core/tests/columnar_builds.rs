@@ -29,11 +29,11 @@ fn tuple_hashing_operators_pack_no_word_planes() {
     assert_eq!(build_count(), before, "a cold relation was packed");
     assert!(!a.columnar_built() && !b.columnar_built());
 
-    // Same rows as the scalar kernel, and as a run over warm operands.
+    // Same rows as the simulator, and as a run over warm operands.
     a.columnar();
     b.columnar();
     let after_warm = build_count();
-    for backend in [Backend::Kernel, Backend::Columnar] {
+    for backend in [Backend::Sim, Backend::Columnar] {
         assert_eq!(ops::union_with(&a, &b, exec, backend).unwrap().0, u);
         assert_eq!(ops::project_with(&a, &[1], exec, backend).unwrap().0, p);
         assert_eq!(

@@ -42,7 +42,7 @@ pub struct Device {
     /// Pulse period in nanoseconds (§8's conservative comparison time).
     pub clock_ns: f64,
     /// How operator runs are computed: pulse simulation or the closed-form
-    /// kernel. Results and [`ExecStats`] are bit-identical either way.
+    /// columnar scans. Results and [`ExecStats`] are bit-identical either way.
     pub backend: Backend,
 }
 
@@ -240,13 +240,14 @@ mod tests {
             ),
         ];
         for (kind, op, inputs) in cases {
-            let dev = Device::new(0, kind, limits(), 350.0, Backend::Kernel);
+            // Priced without data, checked against the stepped arrays.
+            let dev = Device::new(0, kind, limits(), 350.0, Backend::Sim);
             let shapes: Vec<(usize, usize)> = inputs.iter().map(|r| (r.len(), r.arity())).collect();
             let priced = dev.price(&op, &shapes).unwrap();
             let (_, actual) = dev.execute(&op, &inputs).unwrap();
             assert_eq!(priced, actual, "{op:?} price");
         }
-        let div = Device::new(0, DeviceKind::Divide, limits(), 350.0, Backend::Kernel);
+        let div = Device::new(0, DeviceKind::Divide, limits(), 350.0, Backend::Sim);
         assert!(matches!(
             div.price(
                 &PlanOp::DivideBinary {
@@ -261,7 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_device_is_bit_identical_to_sim_device() {
+    fn columnar_device_is_bit_identical_to_sim_device() {
         let rows_a: Vec<Vec<i64>> = (0..10).map(|i| vec![i, i % 3]).collect();
         let rows_b: Vec<Vec<i64>> = (5..15).map(|i| vec![i, i % 4]).collect();
         let a = MultiRelation::new(synth_schema(2), rows_a).unwrap();
@@ -289,7 +290,7 @@ mod tests {
             let sim = Device::new(0, kind, limits(), 350.0, Backend::Sim)
                 .execute(&op, &inputs)
                 .unwrap();
-            let fast = Device::new(0, kind, limits(), 350.0, Backend::Kernel)
+            let fast = Device::new(0, kind, limits(), 350.0, Backend::Columnar)
                 .execute(&op, &inputs)
                 .unwrap();
             assert_eq!(fast.0.rows(), sim.0.rows(), "{op:?} rows");

@@ -162,12 +162,17 @@ pub struct MachineConfig {
     /// [`RunStats`] are bit-identical at every thread count.
     pub host_threads: usize,
     /// How devices compute operator runs: the pulse-accurate simulator or
-    /// the closed-form kernel backend. Results, [`RunStats`] and
+    /// the closed-form columnar backend. Results, [`RunStats`] and
     /// [`Timeline`]s are bit-identical either way; only host speed changes.
     pub backend: Backend,
 }
 
 impl Default for MachineConfig {
+    /// # Panics
+    ///
+    /// If `SYSTOLIC_BACKEND` is set to something that names no backend
+    /// (see [`Backend::from_env`]): a default that quietly fell back to the
+    /// simulator would let a stale toggle test the wrong backend.
     fn default() -> Self {
         let limits = ArrayLimits::new(32, 32, 8);
         MachineConfig {
@@ -184,7 +189,7 @@ impl Default for MachineConfig {
             ],
             clock_ns: 350.0,
             host_threads: 0,
-            backend: Backend::from_env(),
+            backend: Backend::from_env().unwrap_or_else(|e| panic!("{e}")),
         }
     }
 }
@@ -2047,8 +2052,8 @@ mod tests {
     }
 
     #[test]
-    fn kernel_backend_runs_are_bit_identical_to_sim() {
-        // The tentpole invariant at the machine layer: same result rows,
+    fn columnar_backend_runs_are_bit_identical_to_sim() {
+        // The invariant at the machine layer: same result rows,
         // same RunStats, same Timeline event for event — the backend is
         // invisible to everything the paper measures.
         let build = |backend: Backend| {
@@ -2071,29 +2076,29 @@ mod tests {
             Expr::scan("a").join(Expr::scan("b"), vec![JoinSpec::eq(0, 0)]),
             Expr::scan("takes").divide(Expr::scan("courses"), 0, 1, 0),
         ];
-        for backend in [Backend::Kernel, Backend::Columnar] {
-            for expr in &exprs {
-                let sim = build(Backend::Sim).run(expr).unwrap();
-                let fast = build(backend).run(expr).unwrap();
-                assert_eq!(fast.result.rows(), sim.result.rows());
-                assert_eq!(fast.stats, sim.stats);
-                assert_eq!(fast.timeline.events(), sim.timeline.events());
-            }
-            // And batched: the merged schedule and every standalone
-            // accounting.
-            let queries = [exprs[0].clone(), exprs[1].clone()];
-            let sim = build(Backend::Sim).run_batch_accounted(&queries).unwrap();
-            let fast = build(backend).run_batch_accounted(&queries).unwrap();
-            assert_eq!(fast.combined.stats, sim.combined.stats);
-            assert_eq!(
-                fast.combined.timeline.events(),
-                sim.combined.timeline.events()
-            );
-            for (f, s) in fast.queries.iter().zip(&sim.queries) {
-                assert_eq!(f.result.rows(), s.result.rows());
-                assert_eq!(f.stats, s.stats);
-                assert_eq!(f.timeline.events(), s.timeline.events());
-            }
+        for expr in &exprs {
+            let sim = build(Backend::Sim).run(expr).unwrap();
+            let fast = build(Backend::Columnar).run(expr).unwrap();
+            assert_eq!(fast.result.rows(), sim.result.rows());
+            assert_eq!(fast.stats, sim.stats);
+            assert_eq!(fast.timeline.events(), sim.timeline.events());
+        }
+        // And batched: the merged schedule and every standalone
+        // accounting.
+        let queries = [exprs[0].clone(), exprs[1].clone()];
+        let sim = build(Backend::Sim).run_batch_accounted(&queries).unwrap();
+        let fast = build(Backend::Columnar)
+            .run_batch_accounted(&queries)
+            .unwrap();
+        assert_eq!(fast.combined.stats, sim.combined.stats);
+        assert_eq!(
+            fast.combined.timeline.events(),
+            sim.combined.timeline.events()
+        );
+        for (f, s) in fast.queries.iter().zip(&sim.queries) {
+            assert_eq!(f.result.rows(), s.result.rows());
+            assert_eq!(f.stats, s.stats);
+            assert_eq!(f.timeline.events(), s.timeline.events());
         }
     }
 
@@ -2148,9 +2153,6 @@ mod tests {
             machine_counters().fused_steps.get(),
         );
         let sim = build(Backend::Sim).run_batch_accounted(&queries).unwrap();
-        let kernel = build(Backend::Kernel)
-            .run_batch_accounted(&queries)
-            .unwrap();
         let columnar = build(Backend::Columnar)
             .run_batch_accounted(&queries)
             .unwrap();
@@ -2167,17 +2169,15 @@ mod tests {
                 "expected at least four fused steps"
             );
         }
-        for other in [&kernel, &columnar] {
-            assert_eq!(other.combined.stats, sim.combined.stats);
-            assert_eq!(
-                other.combined.timeline.events(),
-                sim.combined.timeline.events()
-            );
-            for (o, s) in other.queries.iter().zip(&sim.queries) {
-                assert_eq!(o.result.rows(), s.result.rows());
-                assert_eq!(o.stats, s.stats);
-                assert_eq!(o.timeline.events(), s.timeline.events());
-            }
+        assert_eq!(columnar.combined.stats, sim.combined.stats);
+        assert_eq!(
+            columnar.combined.timeline.events(),
+            sim.combined.timeline.events()
+        );
+        for (c, s) in columnar.queries.iter().zip(&sim.queries) {
+            assert_eq!(c.result.rows(), s.result.rows());
+            assert_eq!(c.stats, s.stats);
+            assert_eq!(c.timeline.events(), s.timeline.events());
         }
         // The batch was not degenerate: every query delivered rows.
         for q in &sim.queries {

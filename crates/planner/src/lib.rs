@@ -36,7 +36,7 @@ use std::time::Instant;
 use systolic_analyzer::{
     analyze, plan_alignment, Analysis, CatalogView, Code, Diagnostic, TableInfo,
 };
-use systolic_machine::{Action, DeviceKind, Expr, MachineConfig, Plan};
+use systolic_machine::{Action, Backend, DeviceKind, Expr, MachineConfig, Plan};
 use systolic_perfmodel::marching_pulses;
 
 /// Optimizer options.
@@ -72,9 +72,8 @@ pub struct StepPlacement {
     pub device: String,
     /// Predicted pulses on the chosen device(s).
     pub pulses: u64,
-    /// Backend recommendation (`sim`, `kernel` or `columnar`) —
-    /// advisory: all backends are bit-identical, only host wall time
-    /// differs.
+    /// Backend recommendation (`sim` or `columnar`) — advisory: both
+    /// backends are bit-identical, only host wall time differs.
     pub backend: &'static str,
 }
 
@@ -106,13 +105,10 @@ impl PlanChoice {
     }
 }
 
-/// Past this predicted budget the vectorised kernel backend amortises its
-/// setup cost over enough pulses to beat the cycle-accurate simulator.
-const KERNEL_PULSE_THRESHOLD: u64 = 4096;
-
-/// Past this predicted budget the bit-packed columnar backend amortises
-/// plane packing over enough data to beat even the row-at-a-time kernel.
-const COLUMNAR_PULSE_THRESHOLD: u64 = 65_536;
+/// Past this predicted budget the closed-form columnar backend is the
+/// recommendation: stepping the cycle-accurate simulator through that many
+/// pulses costs more host time than the word-plane scan's setup.
+const COLUMNAR_PULSE_THRESHOLD: u64 = 4096;
 
 /// How many full rule sweeps the engine runs before declaring fixpoint.
 const MAX_PASSES: usize = 8;
@@ -381,11 +377,9 @@ fn place(expr: &Expr, view: &CatalogView, machine: &MachineConfig) -> Vec<StepPl
             device: devices.join("+"),
             pulses: total,
             backend: if total >= COLUMNAR_PULSE_THRESHOLD {
-                "columnar"
-            } else if total >= KERNEL_PULSE_THRESHOLD {
-                "kernel"
+                Backend::Columnar.label()
             } else {
-                "sim"
+                Backend::Sim.label()
             },
         });
     }
@@ -527,9 +521,9 @@ mod tests {
     }
 
     #[test]
-    fn backend_recommendation_has_three_tiers() {
-        // sim below the kernel threshold, kernel between the two, columnar
-        // once the predicted budget is large enough to amortise packing.
+    fn backend_recommendation_has_two_tiers() {
+        // sim below the one threshold, columnar from it upwards — however
+        // far above.
         let mut v = CatalogView::new();
         for (name, rows) in [
             ("tiny_a", 3),
@@ -548,7 +542,7 @@ mod tests {
             c.placement[0].backend
         };
         assert_eq!(tier("tiny_a", "tiny_b"), "sim");
-        assert_eq!(tier("mid_a", "mid_b"), "kernel");
+        assert_eq!(tier("mid_a", "mid_b"), "columnar");
         assert_eq!(tier("big_a", "big_b"), "columnar");
     }
 
@@ -776,7 +770,7 @@ mod tests {
         assert_eq!(c.placement.len(), plan.op_steps());
         for p in &c.placement {
             assert!(!p.device.is_empty(), "{p:?}");
-            assert!(["sim", "kernel", "columnar"].contains(&p.backend));
+            assert!(["sim", "columnar"].contains(&p.backend));
         }
         // Division lists both its dedup pre-pass and division devices.
         let div = c.placement.iter().find(|p| p.label == "divide").unwrap();

@@ -6,12 +6,12 @@
 //! significant bit, 64 rows per word. A comparison of the whole column
 //! against a constant then runs as `width` bitwise word operations per 64
 //! rows instead of 64 scalar compares — the bulk-bitwise execution shape
-//! the kernel backend's hot loops scan.
+//! the columnar backend's hot loops scan.
 //!
 //! This module owns only the *layout* (planes, builder, primitive
 //! equal/less/greater masks); the operator kernels that consume the masks
 //! live in `systolic_core::columnar`, and every result they produce is
-//! bit-identical to the row-at-a-time reference paths.
+//! bit-identical to the simulated arrays'.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -168,8 +168,8 @@ impl ServerMetrics {
 
     /// The backend identity series, `sdb_server_backend_info{backend=...}`:
     /// set to 1 at startup so a scraper can tell whether this server runs
-    /// the pulse simulator or the closed-form kernel. RESULT frames are
-    /// bit-identical either way; only host speed differs.
+    /// the pulse simulator or the closed-form columnar scans. RESULT frames
+    /// are bit-identical either way; only host speed differs.
     pub(crate) fn backend_info(&self, backend: &str) -> Arc<Counter> {
         self.registry.counter_with(
             "sdb_server_backend_info",

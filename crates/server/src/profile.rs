@@ -61,7 +61,7 @@ pub(crate) struct QueryProfile {
     pub query: String,
     /// Trace id of the serving request span (0 when tracing is off).
     pub trace_id: u64,
-    /// Executing backend label (`sim` or `kernel`).
+    /// Executing backend label (`sim` or `columnar`).
     pub backend: String,
     /// The `ERR` frame, for queries that failed instead of producing
     /// numbers — error profiles still land in the flight recorder.

@@ -27,7 +27,7 @@
 //! STATS tables=<n> queries=<n> loads=<n> batches=<n> max_batch=<n> \
 //!       refused=<n> timeouts=<n> active=<n> uptime_ms=<n> queue_hwm=<n> \
 //!       slow=<n> lat_p50_ns=<n> lat_p95_ns=<n> lat_p99_ns=<n> lat_count=<n> \
-//!       backend=<sim|kernel>
+//!       backend=<sim|columnar>
 //! METRICS <escaped Prometheus text exposition>
 //! CHECKPOINTED records=<n> bytes=<n>
 //! BYE

@@ -162,14 +162,14 @@ fn sixteen_concurrent_clients_match_serial_and_one_shot() {
     assert_eq!(report.timeouts, 0);
 }
 
-/// The ISSUE-5 (and ISSUE-10) acceptance check at the wire level: servers
-/// running the closed-form kernel and bit-packed columnar backends answer
-/// every query with `RESULT` frames *byte-identical* to a pulse-simulator
-/// server's — rows, makespan, pulses, array runs, disk bytes, concurrency,
-/// and CSV all included — while their `STATS` frames and `METRICS`
-/// expositions advertise which backend produced them.
+/// The backend acceptance check at the wire level: a server running the
+/// closed-form columnar backend answers every query with `RESULT` frames
+/// *byte-identical* to a pulse-simulator server's — rows, makespan,
+/// pulses, array runs, disk bytes, concurrency, and CSV all included —
+/// while its `STATS` frame and `METRICS` exposition advertise which
+/// backend produced them.
 #[test]
-fn closed_form_backend_result_frames_are_byte_identical_to_sim() {
+fn columnar_backend_result_frames_are_byte_identical_to_sim() {
     let spawn_with = |backend: Backend| {
         spawn(ServerConfig {
             machine: MachineConfig {
@@ -199,34 +199,28 @@ fn closed_form_backend_result_frames_are_byte_identical_to_sim() {
     sim.join().unwrap();
     assert!(sim_stats.contains(" backend=sim"), "{sim_stats}");
 
-    for backend in [Backend::Kernel, Backend::Columnar] {
-        let label = backend.label();
-        let server = spawn_with(backend);
-        let (frames, stats, metrics) = run_all(&server);
-        server.shutdown();
-        server.join().unwrap();
+    let server = spawn_with(Backend::Columnar);
+    let (frames, stats, metrics) = run_all(&server);
+    server.shutdown();
+    server.join().unwrap();
 
-        assert_eq!(
-            frames, sim_frames,
-            "{label} RESULT frames must be byte-identical to sim"
-        );
-        assert!(stats.contains(&format!(" backend={label}")), "{stats}");
-        let exp = systolic_telemetry::prom::validate(&metrics).unwrap();
-        assert_eq!(
-            exp.value(
-                "sdb_server_backend_info",
-                &format!("{{backend=\"{label}\"}}")
-            ),
-            Some(1.0),
-            "{label} server must advertise its backend"
-        );
-        // Every LOAD packs word planes while parsing (zero-detour ingest),
-        // so the pack gauge must be visible and non-zero by now.
-        assert!(
-            exp.value("sdb_columnar_builds", "").unwrap_or(0.0) >= TABLES.len() as f64,
-            "ingest must have packed columnar planes"
-        );
-    }
+    assert_eq!(
+        frames, sim_frames,
+        "columnar RESULT frames must be byte-identical to sim"
+    );
+    assert!(stats.contains(" backend=columnar"), "{stats}");
+    let exp = systolic_telemetry::prom::validate(&metrics).unwrap();
+    assert_eq!(
+        exp.value("sdb_server_backend_info", "{backend=\"columnar\"}"),
+        Some(1.0),
+        "a columnar server must advertise its backend"
+    );
+    // Every LOAD packs word planes while parsing (zero-detour ingest),
+    // so the pack gauge must be visible and non-zero by now.
+    assert!(
+        exp.value("sdb_columnar_builds", "").unwrap_or(0.0) >= TABLES.len() as f64,
+        "ingest must have packed columnar planes"
+    );
 }
 
 #[test]
@@ -1035,10 +1029,10 @@ fn profile_results_are_byte_identical_and_bounded_by_the_budget() {
             },
         ),
         (
-            "kernel",
+            "columnar",
             ServerConfig {
                 machine: MachineConfig {
-                    backend: Backend::Kernel,
+                    backend: Backend::Columnar,
                     ..MachineConfig::default()
                 },
                 ..local_config()

@@ -7,7 +7,10 @@ fn main() {
         Ok(output) => print!("{output}"),
         Err(e) => {
             eprintln!("{e}");
-            std::process::exit(1);
+            // 2 for a command line (or environment) sdb cannot act on, 1
+            // for a run that failed.
+            let usage = matches!(e, systolic_db::cli::CliError::Usage(_));
+            std::process::exit(if usage { 2 } else { 1 });
         }
     }
 }

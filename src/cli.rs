@@ -172,9 +172,9 @@ pub struct CliArgs {
     /// parallelism). Changes only how fast the host simulates, never the
     /// simulated results.
     pub threads: usize,
-    /// Operator backend: pulse simulator or closed-form kernel. `None`
-    /// falls back to the `SYSTOLIC_BACKEND` environment variable, else
-    /// the simulator. Results and hardware stats are bit-identical either
+    /// Operator backend: pulse simulator or closed-form columnar scans.
+    /// `None` falls back to the `SYSTOLIC_BACKEND` environment variable,
+    /// else the simulator. Results and hardware stats are bit-identical either
     /// way; only host speed changes.
     pub backend: Option<Backend>,
     /// Write a Chrome-trace-event JSON file merging the simulated-machine
@@ -330,11 +330,11 @@ pub enum Command {
 
 /// Usage text.
 pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...] [--stats] \
-[--threads N] [--backend sim|kernel|columnar] [--trace-out FILE] QUERY
+[--threads N] [--backend sim|columnar] [--trace-out FILE] QUERY
        sdb check [--table NAME=PATH:type,...] [--json] [--explain] [--limits A,B,C] \
 [--memory BYTES] QUERY
-       sdb profile --table NAME=PATH:type,... [--stats] [--threads N] [--backend sim|kernel|columnar] QUERY
-       sdb serve [--addr HOST:PORT] [--threads N] [--backend sim|kernel|columnar] [--workers N] \
+       sdb profile --table NAME=PATH:type,... [--stats] [--threads N] [--backend sim|columnar] QUERY
+       sdb serve [--addr HOST:PORT] [--threads N] [--backend sim|columnar] [--workers N] \
 [--io threads|poll] [--shards N] [--batch-window MS] [--slow-query-ms MS] \
 [--data-dir DIR] [--pool-pages N] [--replacer clock|lru] [--trace-out FILE] \
 [--profile-history N] [--optimize on|off]
@@ -345,10 +345,10 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
   --threads N: simulate independent plan steps on N host threads (0 = auto
                via SYSTOLIC_THREADS, else the host's parallelism; results
                and hardware stats unchanged)
-  --backend B: run operators on the pulse simulator (sim, the default),
-               the closed-form kernel (kernel) or the bit-packed columnar
-               scanner (columnar); same results and hardware stats, much
-               faster host time; default via SYSTOLIC_BACKEND
+  --backend B: run operators on the pulse simulator (sim, the default) or
+               the closed-form bit-packed columnar scanner (columnar); same
+               results and hardware stats, much faster host time; default
+               via SYSTOLIC_BACKEND, which must name one of the two
   --trace-out FILE: write a Chrome/Perfetto trace of the run (simulated
                machine and host spans on separate process tracks)
   check: statically verify the query (schemas, domains, tiling coverage,
@@ -418,11 +418,8 @@ fn parse_number(flag: &str, value: &str) -> Result<usize, CliError> {
 }
 
 fn parse_backend(value: &str) -> Result<Backend, CliError> {
-    Backend::parse(value).ok_or_else(|| {
-        CliError::Usage(format!(
-            "--backend expects sim, kernel or columnar, got {value:?}"
-        ))
-    })
+    Backend::parse(value)
+        .ok_or_else(|| CliError::Usage(format!("--backend expects sim or columnar, got {value:?}")))
 }
 
 /// Parse one-shot command-line arguments (excluding `argv[0]`).
@@ -1056,8 +1053,12 @@ fn run_connect(args: &ConnectArgs) -> Result<String, CliError> {
 }
 
 /// Full CLI entry point over argv (reads CSV files from disk, may serve
-/// forever in `serve` mode).
+/// forever in `serve` mode). A `SYSTOLIC_BACKEND` that names no backend is
+/// a usage error up front, whatever the command: every `MachineConfig`
+/// default reads it, and falling back to the simulator would run the wrong
+/// backend without saying so.
 pub fn main_with_args(argv: &[String]) -> Result<String, CliError> {
+    Backend::from_env().map_err(CliError::Usage)?;
     match parse_command(argv)? {
         Command::OneShot(args) => {
             let mut tables = Vec::with_capacity(args.tables.len());
@@ -1450,11 +1451,11 @@ mod tests {
             "--table",
             "a=a.csv:int",
             "--backend",
-            "kernel",
+            "columnar",
             "scan(a)",
         ]))
         .unwrap();
-        assert_eq!(args.backend, Some(Backend::Kernel));
+        assert_eq!(args.backend, Some(Backend::Columnar));
         assert_eq!(
             parse_args(&argv(&["--table", "a=a.csv:int", "scan(a)"]))
                 .unwrap()
@@ -1462,18 +1463,20 @@ mod tests {
             None,
             "unset flag defers to SYSTOLIC_BACKEND"
         );
-        assert!(matches!(
-            parse_args(&argv(&[
-                "--table",
-                "a=a.csv:int",
-                "--backend",
-                "turbo",
-                "scan(a)"
-            ])),
-            Err(CliError::Usage(_))
-        ));
-        match parse_command(&argv(&["serve", "--backend", "kernel"])).unwrap() {
-            Command::Serve(s) => assert_eq!(s.backend, Some(Backend::Kernel)),
+        // The removed row-kernel backend is rejected like any unknown name
+        // (`tests/backend_selection.rs` covers every mode and the toggle).
+        for gone in ["kernel", "turbo"] {
+            let args = ["--table", "a=a.csv:int", "--backend", gone, "scan(a)"];
+            match parse_args(&argv(&args)) {
+                Err(CliError::Usage(msg)) => assert_eq!(
+                    msg,
+                    format!("--backend expects sim or columnar, got {gone:?}")
+                ),
+                other => panic!("--backend {gone} must be a usage error, got {other:?}"),
+            }
+        }
+        match parse_command(&argv(&["serve", "--backend", "sim"])).unwrap() {
+            Command::Serve(s) => assert_eq!(s.backend, Some(Backend::Sim)),
             other => panic!("expected serve, got {other:?}"),
         }
         match parse_command(&argv(&["serve", "--backend", "columnar"])).unwrap() {
@@ -1483,7 +1486,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_backend_output_is_identical_to_sim() {
+    fn columnar_backend_output_is_identical_to_sim() {
         let a = (
             spec("a", vec![DomainKind::Int]),
             "1\n2\n2\n3\n4\n".to_string(),
@@ -1497,9 +1500,9 @@ mod tests {
         ] {
             let tables = [a.clone(), b.clone()];
             let sim = run_query_traced(&tables, query, false, 0, Some(Backend::Sim), None).unwrap();
-            let kernel =
-                run_query_traced(&tables, query, false, 0, Some(Backend::Kernel), None).unwrap();
-            assert_eq!(kernel, sim, "{query}");
+            let columnar =
+                run_query_traced(&tables, query, false, 0, Some(Backend::Columnar), None).unwrap();
+            assert_eq!(columnar, sim, "{query}");
         }
     }
 
@@ -1733,7 +1736,7 @@ mod tests {
             "a=a.csv:int",
             "--stats",
             "--backend",
-            "kernel",
+            "columnar",
             "scan(a)",
         ]))
         .unwrap()
@@ -1741,7 +1744,7 @@ mod tests {
             Command::Profile(p) => {
                 assert_eq!(p.tables.len(), 1);
                 assert!(p.stats);
-                assert_eq!(p.backend, Some(Backend::Kernel));
+                assert_eq!(p.backend, Some(Backend::Columnar));
                 assert_eq!(p.query, "scan(a)");
             }
             other => panic!("expected profile, got {other:?}"),

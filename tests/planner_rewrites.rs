@@ -8,7 +8,7 @@
 //! * the results are byte-identical — same schema, same rows, in order —
 //!   on the pulse simulator;
 //! * the chosen plan is also byte-identical across backends (sim vs the
-//!   closed-form kernel), so the cheaper plan stays backend-invariant.
+//!   closed-form columnar scans), so the cheaper plan stays backend-invariant.
 
 use systolic_db::analyzer::{CatalogView, ColumnInfo};
 use systolic_db::arrays::{JoinSpec, Predicate};
@@ -117,14 +117,14 @@ fn prove_rule(expr: Expr, rule: &str) {
         "rewrite changed the rows for {expr:?} -> {:?}",
         choice.expr
     );
-    let kernel = fresh_system(Backend::Kernel).run(&choice.expr).unwrap();
+    let columnar = fresh_system(Backend::Columnar).run(&choice.expr).unwrap();
     assert_eq!(
         opt.result.rows(),
-        kernel.result.rows(),
+        columnar.result.rows(),
         "chosen plan differs across backends for {:?}",
         choice.expr
     );
-    assert_eq!(opt.stats.total_pulses, kernel.stats.total_pulses);
+    assert_eq!(opt.stats.total_pulses, columnar.stats.total_pulses);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! * never costs more §8 pulses than the unoptimized baseline;
 //! * runs to a byte-identical result — same rows, in order — on the pulse
 //!   simulator;
-//! * stays byte-identical on the closed-form kernel backend, so the
+//! * stays byte-identical on the closed-form columnar backend, so the
 //!   cheaper plan preserves the repo's backend-invariance guarantee;
 //! * reports every accepted rewrite with a positive site count and a
 //!   rule id from the default (sound) set.
@@ -201,11 +201,11 @@ proptest! {
                     base.result.rows(), sim.result.rows(),
                     "rows diverged for {:?} -> {:?}", expr, choice.expr
                 );
-                let kernel = fresh_system(Backend::Kernel)
+                let columnar = fresh_system(Backend::Columnar)
                     .run(&choice.expr)
-                    .expect("chosen plans run on the kernel backend");
-                prop_assert_eq!(sim.result.rows(), kernel.result.rows());
-                prop_assert_eq!(sim.stats.total_pulses, kernel.stats.total_pulses);
+                    .expect("chosen plans run on the columnar backend");
+                prop_assert_eq!(sim.result.rows(), columnar.result.rows());
+                prop_assert_eq!(sim.stats.total_pulses, columnar.stats.total_pulses);
             }
         }
     }
