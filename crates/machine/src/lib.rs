@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod account;
 pub mod device;
 pub mod error;
 pub mod plan;
@@ -35,6 +36,7 @@ pub mod system;
 pub mod timeline;
 pub mod tree;
 
+pub use account::PricedOutcome;
 pub use device::{Device, DeviceKind};
 pub use error::{MachineError, Result};
 pub use plan::{push_selections, Action, Expr, Plan, PlanOp, PlanStep};

@@ -8,7 +8,7 @@
 //! be processed outside the disks" — modelled as a selection predicate
 //! applied during the transfer at no extra cost.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use systolic_core::select::Predicate;
 use systolic_fabric::CompareOp;
@@ -21,6 +21,10 @@ use crate::error::{MachineError, Result};
 /// every element as one integer word).
 pub fn relation_bytes(rel: &MultiRelation, bytes_per_word: u64) -> u64 {
     rel.len() as u64 * rel.arity() as u64 * bytes_per_word
+}
+
+fn shape_of(rel: &MultiRelation) -> (u64, usize) {
+    (rel.len() as u64, rel.arity())
 }
 
 /// A selection predicate a logic-per-track disk can apply on the fly.
@@ -52,15 +56,16 @@ impl TrackFilter {
 }
 
 /// The paged backing of one disk: a shared blob store plus this disk's
-/// namespace prefix and the set of names it owns. Each simulated disk keys
-/// its blobs as `d<i>:<name>` so two disks holding the same relation name
-/// (possible when `store(...)` write-backs pick channels by load) never
-/// alias each other's bytes.
+/// namespace prefix and the names it owns, each with the `(rows, arity)` it
+/// was written with — so pricing can size a stored relation without
+/// decoding a page. Each simulated disk keys its blobs as `d<i>:<name>` so a
+/// name that moves between disks (`store(...)` write-backs pick channels by
+/// load) never aliases another disk's bytes.
 #[derive(Debug)]
 struct Backing {
     store: SharedBlobStore,
     prefix: String,
-    owned: HashSet<String>,
+    owned: HashMap<String, (u64, usize)>,
 }
 
 impl Backing {
@@ -113,7 +118,7 @@ impl Disk {
         let mut backing = Backing {
             store,
             prefix,
-            owned: HashSet::new(),
+            owned: HashMap::new(),
         };
         for (name, rel) in self.relations.drain() {
             // Move-in failures fall through to the map below via re-insert;
@@ -123,7 +128,7 @@ impl Disk {
                 .put_next(&backing.key(&name), &codec::encode_relation(&rel))
                 .is_ok()
             {
-                backing.owned.insert(name);
+                backing.owned.insert(name, shape_of(&rel));
             }
         }
         self.backing = Some(backing);
@@ -142,6 +147,7 @@ impl Disk {
     /// WAL above this layer owns durability, and reads must keep working.
     pub fn store(&mut self, name: impl Into<String>, rel: MultiRelation) {
         let name = name.into();
+        self.remove(&name);
         if let Some(backing) = &mut self.backing {
             let key = backing.key(&name);
             if backing
@@ -149,29 +155,39 @@ impl Disk {
                 .put_next(&key, &codec::encode_relation(&rel))
                 .is_ok()
             {
-                backing.owned.insert(name);
+                backing.owned.insert(name, shape_of(&rel));
                 return;
             }
         }
         self.relations.insert(name, rel);
     }
 
+    /// Forget `name`, if stored here. A relation has one home on the
+    /// machine: whoever writes it to another disk drops this copy.
+    pub fn remove(&mut self, name: &str) {
+        self.relations.remove(name);
+        if let Some(backing) = &mut self.backing {
+            backing.owned.remove(name);
+        }
+    }
+
+    /// `(rows, arity)` of a stored relation, without fetching it: all that
+    /// pricing a read needs (§8: transfer time is a function of size).
+    pub fn shape(&self, name: &str) -> Option<(u64, usize)> {
+        self.relations.get(name).map(shape_of).or_else(|| {
+            self.backing
+                .as_ref()
+                .and_then(|b| b.owned.get(name).copied())
+        })
+    }
+
     /// Names of stored relations (unspecified order).
     pub fn names(&self) -> Vec<String> {
         let mut out: Vec<String> = self.relations.keys().cloned().collect();
         if let Some(backing) = &self.backing {
-            out.extend(backing.owned.iter().cloned());
+            out.extend(backing.owned.keys().cloned());
         }
         out
-    }
-
-    /// Whether a relation with this name is stored here.
-    pub fn has(&self, name: &str) -> bool {
-        self.relations.contains_key(name)
-            || self
-                .backing
-                .as_ref()
-                .is_some_and(|b| b.owned.contains(name))
     }
 
     /// Fetch a stored relation (decoding from pages when backed).
@@ -182,7 +198,7 @@ impl Disk {
         let backing = self
             .backing
             .as_ref()
-            .filter(|b| b.owned.contains(name))
+            .filter(|b| b.owned.contains_key(name))
             .ok_or_else(|| MachineError::UnknownRelation {
                 name: name.to_string(),
             })?;
@@ -276,7 +292,9 @@ impl Disk {
     }
 }
 
-/// One memory module on the crossbar.
+/// One memory module on the crossbar: a byte budget and the size of each
+/// staged relation. The rows themselves never enter the scheduler — a
+/// module's only job in the model is to be full or not.
 #[derive(Debug)]
 pub struct MemoryModule {
     /// Module index (its crossbar port).
@@ -284,25 +302,18 @@ pub struct MemoryModule {
     /// Capacity in bytes.
     pub capacity: u64,
     used: u64,
-    contents: HashMap<String, MultiRelation>,
-    bytes_per_word: u64,
+    contents: HashMap<String, u64>,
 }
 
 impl MemoryModule {
     /// An empty module.
-    pub fn new(id: usize, capacity: u64, bytes_per_word: u64) -> Self {
+    pub fn new(id: usize, capacity: u64) -> Self {
         MemoryModule {
             id,
             capacity,
             used: 0,
             contents: HashMap::new(),
-            bytes_per_word,
         }
-    }
-
-    /// Word size used for byte accounting.
-    pub fn bytes_per_word(&self) -> u64 {
-        self.bytes_per_word
     }
 
     /// Bytes currently used.
@@ -315,13 +326,12 @@ impl MemoryModule {
         self.capacity - self.used
     }
 
-    /// Store a relation under `name`, accounting capacity.
-    pub fn store(&mut self, name: impl Into<String>, rel: MultiRelation) -> Result<()> {
-        let bytes = relation_bytes(&rel, self.bytes_per_word);
+    /// Stage `bytes` under `name`, accounting capacity.
+    pub fn store(&mut self, name: impl Into<String>, bytes: u64) -> Result<()> {
         let name = name.into();
         // Replacing frees the old copy first.
         if let Some(old) = self.contents.remove(&name) {
-            self.used -= relation_bytes(&old, self.bytes_per_word);
+            self.used -= old;
         }
         if bytes > self.free() {
             let res = Err(MachineError::MemoryOverflow {
@@ -332,25 +342,20 @@ impl MemoryModule {
             return res;
         }
         self.used += bytes;
-        self.contents.insert(name, rel);
+        self.contents.insert(name, bytes);
         Ok(())
     }
 
-    /// Look up a relation.
-    pub fn get(&self, name: &str) -> Option<&MultiRelation> {
-        self.contents.get(name)
+    /// Bytes staged under `name`.
+    pub fn get(&self, name: &str) -> Option<u64> {
+        self.contents.get(name).copied()
     }
 
-    /// Drop a relation, freeing its bytes.
-    pub fn evict(&mut self, name: &str) -> Option<MultiRelation> {
-        let rel = self.contents.remove(name)?;
-        self.used -= relation_bytes(&rel, self.bytes_per_word);
-        Some(rel)
-    }
-
-    /// Names held by this module.
-    pub fn names(&self) -> Vec<&str> {
-        self.contents.keys().map(|s| s.as_str()).collect()
+    /// Drop a staged relation, freeing (and returning) its bytes.
+    pub fn evict(&mut self, name: &str) -> Option<u64> {
+        let bytes = self.contents.remove(name)?;
+        self.used -= bytes;
+        Some(bytes)
     }
 }
 
@@ -401,14 +406,15 @@ mod tests {
 
     #[test]
     fn memory_accounts_capacity_and_rejects_overflow() {
-        let mut m = MemoryModule::new(0, 100, 4);
-        m.store("a", rel(&[&[1, 1], &[2, 2]])).unwrap(); // 16 bytes
+        let mut m = MemoryModule::new(0, 100);
+        m.store("a", relation_bytes(&rel(&[&[1, 1], &[2, 2]]), 4))
+            .unwrap(); // 16 bytes
         assert_eq!(m.used(), 16);
         assert_eq!(m.free(), 84);
         let big_rows: Vec<Vec<Elem>> = (0..20).map(|i| vec![i, i]).collect();
         let big = MultiRelation::new(synth_schema(2), big_rows).unwrap(); // 160 bytes
         assert!(matches!(
-            m.store("b", big),
+            m.store("b", relation_bytes(&big, 4)),
             Err(MachineError::MemoryOverflow { .. })
         ));
         assert!(m.get("a").is_some());
@@ -417,12 +423,11 @@ mod tests {
 
     #[test]
     fn memory_replacement_frees_the_old_copy() {
-        let mut m = MemoryModule::new(0, 64, 4);
-        m.store("a", rel(&[&[1, 1], &[2, 2], &[3, 3], &[4, 4]]))
-            .unwrap(); // 32
-        m.store("a", rel(&[&[9, 9]])).unwrap(); // 8 after freeing 32
+        let mut m = MemoryModule::new(0, 64);
+        m.store("a", 32).unwrap();
+        m.store("a", 8).unwrap(); // 8 after freeing 32
         assert_eq!(m.used(), 8);
-        assert_eq!(m.evict("a").unwrap().len(), 1);
+        assert_eq!(m.evict("a"), Some(8));
         assert_eq!(m.used(), 0);
         assert!(m.evict("a").is_none());
     }
@@ -458,7 +463,7 @@ mod tests {
         // The bytes really live in the paged store, under the disk prefix.
         assert!(store.contains("d0:emp"));
         assert!(store.contains("d0:dept"));
-        assert!(!backed.has("missing"));
+        assert!(backed.shape("missing").is_none());
         let mut names = backed.names();
         names.sort();
         assert_eq!(names, vec!["dept".to_string(), "emp".to_string()]);

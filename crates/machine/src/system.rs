@@ -17,31 +17,32 @@
 //! operation holds its input-memory ports, its output-memory port and its
 //! device for the whole (pipelined) run.
 //!
-//! Scheduling is split into two passes. The execute pass performs
+//! Scheduling is split into two passes. The execute pass (here) performs
 //! every data-dependent computation — disk reads and device runs, which are
-//! pure functions of disk contents and `(op, inputs, limits)` — and records
-//! the results. The accounting pass then prices those records against a
-//! fresh set of resource clocks. Because the records carry no clock state,
-//! the *same* executions can be accounted more than once: once inside a
-//! merged multi-transaction schedule and once standalone per transaction
-//! (see [`System::run_batch_accounted`]), which is what lets a long-running
-//! query service batch concurrent clients without perturbing per-request
-//! statistics.
+//! pure functions of disk contents and `(op, inputs, limits)` — keeps the
+//! rows in its dataflow map, and records each step's *shape*. The
+//! accounting pass ([`crate::account`]) prices those records against a
+//! fresh set of resource clocks and never sees a row. Because the records
+//! carry no clock state, the *same* executions can be accounted more than
+//! once: once inside a merged multi-transaction schedule and once standalone
+//! per transaction (see [`System::run_batch_accounted`]), which is what lets
+//! a long-running query service batch concurrent clients without perturbing
+//! per-request statistics.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use systolic_core::{ArrayLimits, Backend};
+use systolic_core::{ArrayLimits, Backend, ExecStats};
 use systolic_relation::MultiRelation;
-use systolic_storage::pool::Replacer;
 use systolic_storage::{ReplacerKind, SharedBlobStore, StorageMetrics};
 use systolic_telemetry as telemetry;
 use systolic_telemetry::metrics::{self, Counter};
 
+use crate::account::{PricedOutcome, StepCost, StepRecord, StepShape, WriteBacks};
 use crate::device::{Device, DeviceKind};
 use crate::error::{MachineError, Result};
-use crate::plan::{Action, Expr, Plan, PlanOp};
-use crate::storage::{relation_bytes, Disk, MemoryModule, TrackFilter};
+use crate::plan::{Action, Expr, Plan, PlanOp, PlanStep};
+use crate::storage::{Disk, TrackFilter};
 use crate::timeline::Timeline;
 
 struct MachineCounters {
@@ -101,7 +102,7 @@ fn record_fused_batch(steps: usize) {
 /// Feed the global registry from a completed run's aggregate stats. Called
 /// once per externally observable run (solo, or merged batch) — the
 /// per-query re-accounting inside a batch is *not* counted again.
-fn record_run_metrics(stats: &RunStats) {
+pub(crate) fn record_run_metrics(stats: &RunStats) {
     if !metrics::metrics_enabled() {
         return;
     }
@@ -110,17 +111,6 @@ fn record_run_metrics(stats: &RunStats) {
     c.pulses.add(stats.total_pulses);
     c.array_runs.add(stats.array_runs);
     c.disk_bytes.add(stats.bytes_from_disk);
-}
-
-/// A schedulable resource (a crossbar port or a device).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Res {
-    Disk(usize),
-    Mem(usize),
-    Dev(usize),
-    /// The single shared channel of a bus interconnect (unused under the
-    /// crossbar, which is internally non-blocking).
-    Bus,
 }
 
 /// The interconnection strategy (§9: "many strategies are possible for the
@@ -284,178 +274,45 @@ pub struct BatchOutcome {
     pub combined: RunOutcome,
 }
 
-/// The data-dependent part of one plan step, captured ahead of accounting.
-///
-/// Device runs are pure functions of `(op, inputs, limits)` and disk reads
-/// are pure functions of disk contents, so these records carry no clock
-/// state and can be priced under any resource-clock history.
-#[derive(Debug)]
-enum StepExec {
-    /// Outcome of the disk read feeding a `Load` step.
-    Load(Result<LoadExec>),
-    /// Precomputed device run for an `Op` step; `None` when the eligible
-    /// devices disagree on limits (or inputs did not resolve) and the run
-    /// must happen inline during accounting.
-    Op(Option<Result<(MultiRelation, systolic_core::ExecStats)>>),
-    /// `Store` steps move already-staged data; nothing to precompute.
-    Store,
+/// A step's output as the execute pass computed it: the rows, plus the
+/// array statistics under each distinct device limits that could run it.
+type OpRun = Result<(MultiRelation, Vec<(ArrayLimits, ExecStats)>)>;
+
+/// A step output, out of the execute pass's dataflow map.
+fn output(values: &HashMap<&str, MultiRelation>, name: &str) -> Result<MultiRelation> {
+    values
+        .get(name)
+        .cloned()
+        .ok_or_else(|| MachineError::UnknownRelation {
+            name: name.to_string(),
+        })
 }
 
-/// What a disk delivered for one `Load` step.
-#[derive(Debug)]
-struct LoadExec {
-    delivered: MultiRelation,
-    duration: u64,
-    disk_id: usize,
-}
-
-/// Per-run scheduler state: staging memories, port clocks and placement.
-///
-/// Every accounting pass starts from a fresh `Transient`, so a long-lived
-/// [`System`] schedules each run exactly as a freshly built machine would —
-/// only disk contents (base relations and `store(...)` write-backs) persist
-/// across runs.
-struct Transient {
-    memories: Vec<MemoryModule>,
-    free_at: HashMap<Res, u64>,
-    placement: HashMap<String, usize>,
-    placement_rr: usize,
-    /// Remaining *future* uses per staged name (op inputs, store inputs and
-    /// the final result fetch). A name at zero is dead data a full memory
-    /// may reclaim.
-    uses: HashMap<String, usize>,
-    /// Staging replacement policy — the same [`Replacer`] family that
-    /// drives the buffer pool, here keyed by staged-relation name.
-    replacer: Box<dyn Replacer<String>>,
-    storage_metrics: Arc<StorageMetrics>,
-}
-
-impl std::fmt::Debug for Transient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Transient")
-            .field("memories", &self.memories)
-            .field("placement", &self.placement)
-            .finish()
-    }
-}
-
-impl Transient {
-    /// Pick a module with room for `bytes`, preferring the module whose
-    /// port frees earliest (so independent operations land on distinct
-    /// ports — which is what makes concurrent operation possible), then the
-    /// emptiest, breaking remaining ties round-robin.
-    ///
-    /// When no module has room, staged relations with no remaining uses
-    /// are evicted — in replacement-policy order — until one does. Runs
-    /// that fit without eviction schedule exactly as before (the eviction
-    /// path only runs where the machine previously failed with
-    /// [`MachineError::MemoryOverflow`]). Dropping a dead staged copy frees
-    /// buffer space without any data movement, so it costs nothing on the
-    /// simulated clocks.
-    fn choose_memory(&mut self, bytes: u64) -> Result<usize> {
-        loop {
-            if let Some(id) = self.try_choose(bytes) {
-                return Ok(id);
-            }
-            if !self.evict_one_dead() {
-                return Err(MachineError::MemoryOverflow {
-                    module: self.placement_rr,
-                    requested: bytes,
-                    available: self.memories.iter().map(|m| m.free()).max().unwrap_or(0),
-                });
-            }
-        }
-    }
-
-    fn try_choose(&mut self, bytes: u64) -> Option<usize> {
-        let n = self.memories.len();
-        let start = self.placement_rr;
-        let mut best: Option<(u64, u64, usize)> = None; // (port_free_at, -free, id)
-        for k in 0..n {
-            let id = (start + k) % n;
-            if self.memories[id].free() < bytes {
-                continue;
-            }
-            let port = self.free_at.get(&Res::Mem(id)).copied().unwrap_or(0);
-            let key = (port, u64::MAX - self.memories[id].free());
-            if best.is_none_or(|(p, f, _)| key < (p, f)) {
-                best = Some((key.0, key.1, id));
-            }
-        }
-        let (_, _, id) = best?;
-        self.placement_rr = (id + 1) % n;
-        Some(id)
-    }
-
-    /// Reclaim one dead staged relation, policy order. Victims that still
-    /// have uses ahead are skipped (and re-tracked). Returns whether any
-    /// bytes were freed.
-    fn evict_one_dead(&mut self) -> bool {
-        let mut skipped: Vec<String> = Vec::new();
-        let mut freed = false;
-        while let Some(name) = self.replacer.victim() {
-            if self.uses.get(&name).copied().unwrap_or(0) > 0 {
-                skipped.push(name);
-                continue;
-            }
-            if let Some(home) = self.placement.remove(&name) {
-                if self.memories[home].evict(&name).is_some() {
-                    self.storage_metrics.staging_evictions.inc();
-                    freed = true;
-                    break;
-                }
-            }
-        }
-        for name in skipped {
-            self.replacer.record_access(&name);
-        }
-        freed
-    }
-
-    /// Stage a relation into `target`, tracking it for replacement.
-    fn stage(&mut self, target: usize, name: &str, rel: MultiRelation) -> Result<()> {
-        self.memories[target].store(name.to_string(), rel)?;
-        self.placement.insert(name.to_string(), target);
-        self.replacer.record_access(&name.to_string());
-        Ok(())
-    }
-
-    /// Note that one pending use of `name` has happened.
-    fn consume(&mut self, name: &str) {
-        if let Some(n) = self.uses.get_mut(name) {
-            *n = n.saturating_sub(1);
-        }
-    }
-
-    /// Look up a staged relation by name.
-    fn fetch(&mut self, name: &str) -> Result<MultiRelation> {
-        let &home = self
-            .placement
-            .get(name)
-            .ok_or_else(|| MachineError::UnknownRelation {
-                name: name.to_string(),
-            })?;
-        self.replacer.record_access(&name.to_string());
-        self.memories[home]
-            .get(name)
-            .cloned()
-            .ok_or_else(|| MachineError::UnknownRelation {
-                name: name.to_string(),
-            })
+/// The shape record of a computed relation.
+fn shape_of(rel: &MultiRelation, cost: StepCost) -> StepShape {
+    StepShape {
+        rows: rel.len() as u64,
+        arity: rel.arity(),
+        cost,
     }
 }
 
 /// The integrated machine: disks + memories + systolic devices + crossbar.
 #[derive(Debug)]
 pub struct System {
-    disks: Vec<Disk>,
-    memories: Vec<MemoryModule>,
-    devices: Vec<Device>,
-    interconnect: Interconnect,
+    pub(crate) disks: Vec<Disk>,
+    /// Memory modules on the crossbar: how many, how large, and the word
+    /// size staged relations are sized with. What they hold at any moment
+    /// is per-run scheduler state, not machine state.
+    pub(crate) memories: usize,
+    pub(crate) memory_capacity: u64,
+    pub(crate) bytes_per_word: u64,
+    pub(crate) devices: Vec<Device>,
+    pub(crate) interconnect: Interconnect,
     disk_rr: usize,
     host_threads: usize,
-    staging_replacer: ReplacerKind,
-    storage_metrics: Arc<StorageMetrics>,
+    pub(crate) staging_replacer: ReplacerKind,
+    pub(crate) storage_metrics: Arc<StorageMetrics>,
 }
 
 impl System {
@@ -464,9 +321,6 @@ impl System {
         if config.memories == 0 || config.devices.is_empty() || config.disks == 0 {
             return Err(MachineError::EmptyConfiguration);
         }
-        let memories = (0..config.memories)
-            .map(|id| MemoryModule::new(id, config.memory_capacity, config.bytes_per_word))
-            .collect();
         let devices = config
             .devices
             .iter()
@@ -478,7 +332,9 @@ impl System {
         let disks = (0..config.disks).map(|_| Disk::paper_disk()).collect();
         Ok(System {
             disks,
-            memories,
+            memories: config.memories,
+            memory_capacity: config.memory_capacity,
+            bytes_per_word: config.bytes_per_word,
             devices,
             interconnect: config.interconnect,
             disk_rr: 0,
@@ -508,18 +364,31 @@ impl System {
     }
 
     /// Store a base relation on a disk (round-robin across the disks, so
-    /// consecutive base relations can be loaded in parallel).
+    /// consecutive base relations can be loaded in parallel), replacing any
+    /// relation of that name wherever it was.
     pub fn load_base(&mut self, name: impl Into<String>, rel: MultiRelation) {
         let d = self.disk_rr;
         self.disk_rr = (self.disk_rr + 1) % self.disks.len();
+        self.write(d, name.into(), rel);
+    }
+
+    /// Write `rel` to disk `d` as the machine's one copy of `name`: a
+    /// stale copy left on another disk would shadow it (or be shadowed by
+    /// it) depending on disk order.
+    fn write(&mut self, d: usize, name: String, rel: MultiRelation) {
+        for disk in &mut self.disks {
+            disk.remove(&name);
+        }
         self.disks[d].store(name, rel);
     }
 
-    /// The disk holding a base relation.
-    fn disk_of(&self, name: &str) -> Result<usize> {
+    /// The disk holding a base relation, and the `(rows, arity)` it is
+    /// stored with.
+    pub(crate) fn base_shape(&self, name: &str) -> Result<(usize, u64, usize)> {
         self.disks
             .iter()
-            .position(|d| d.has(name))
+            .enumerate()
+            .find_map(|(d, disk)| disk.shape(name).map(|(rows, arity)| (d, rows, arity)))
             .ok_or_else(|| MachineError::UnknownRelation {
                 name: name.to_string(),
             })
@@ -527,7 +396,7 @@ impl System {
 
     /// Whether a base relation with this name is stored on some disk.
     pub fn has_base(&self, name: &str) -> bool {
-        self.disk_of(name).is_ok()
+        self.base_shape(name).is_ok()
     }
 
     /// Number of disks.
@@ -542,24 +411,7 @@ impl System {
 
     /// Number of memory modules.
     pub fn memory_count(&self) -> usize {
-        self.memories.len()
-    }
-
-    /// Fresh per-run scheduler state mirroring this machine's memory shape.
-    fn transient(&self) -> Transient {
-        Transient {
-            memories: self
-                .memories
-                .iter()
-                .map(|m| MemoryModule::new(m.id, m.capacity, m.bytes_per_word()))
-                .collect(),
-            free_at: HashMap::new(),
-            placement: HashMap::new(),
-            placement_rr: 0,
-            uses: HashMap::new(),
-            replacer: self.staging_replacer.build(),
-            storage_metrics: self.storage_metrics.clone(),
-        }
+        self.memories
     }
 
     /// Compile and run a transaction.
@@ -604,38 +456,30 @@ impl System {
         let mut batch_span = telemetry::span("machine.batch");
         batch_span.arg("queries", exprs.len());
         let host_start = std::time::Instant::now();
-        let threads = systolic_core::executor::resolve_threads(self.host_threads);
         let (plans, merged, offsets) = {
             let _sp = telemetry::span("machine.plan");
             let plans: Vec<Plan> = exprs.iter().map(Plan::compile).collect();
             let (merged, offsets) = Self::merge_plans(&plans);
             (plans, merged, offsets)
         };
-        let records = {
-            let _sp = telemetry::span("machine.execute");
-            self.execute_steps(&merged, threads)
-        };
-        let mut shared = self.transient();
-        let mut combined = {
+        let (records, values) = self.execute_steps(&merged);
+        let accounted = {
             let _sp = telemetry::span("machine.account");
-            self.account(&merged, &records, &mut shared)?
+            self.account(&merged, &records)?
         };
         let mut queries = Vec::with_capacity(plans.len());
         for (plan, &offset) in plans.iter().zip(&offsets) {
-            let slice = &records[offset..offset + plan.steps.len()];
-            let mut solo = self.transient();
+            let steps = offset..offset + plan.steps.len();
             let _sp = telemetry::span("machine.account_solo");
-            let outcome = self.account(plan, slice, &mut solo)?;
+            let (solo, _) = self.account(plan, &records[steps.clone()])?;
             queries.push(QueryOutcome {
-                result: outcome.result,
-                stats: outcome.stats,
-                timeline: outcome.timeline,
-                step_rows: outcome.step_rows,
+                result: output(&values, &merged.steps[steps.end - 1].output)?,
+                stats: solo.stats,
+                timeline: solo.timeline,
+                step_rows: solo.step_rows,
             });
         }
-        self.memories = shared.memories;
-        combined.host_wall_ns = host_start.elapsed().as_nanos() as u64;
-        record_run_metrics(&combined.stats);
+        let combined = self.finish(&merged, accounted, &values, host_start)?;
         Ok(BatchOutcome { queries, combined })
     }
 
@@ -673,27 +517,38 @@ impl System {
         (merged, offsets)
     }
 
-    /// Run every data-dependent part of a plan ahead of the accounting
-    /// pass: all disk reads, plus every `Op` step's device run, fanning
-    /// steps of the same dependency level over host worker threads.
+    /// The execute pass: run every data-dependent part of a plan — all disk
+    /// reads, plus every `Op` step's device run, fanning steps of the same
+    /// dependency level over host worker threads. Returns each step's shape
+    /// record for the accounting pass, and the dataflow map (step output
+    /// name → relation): the one place a run's rows live.
     ///
-    /// Precomputing device runs is sound because [`Device::execute`] is a
-    /// pure function of `(op, inputs, device.limits)` — it touches no
-    /// clocks and no machine state — so the result does not depend on
-    /// *which* eligible device instance the accounting pass later picks, as
-    /// long as every eligible device has identical limits. Steps that fail
-    /// that condition (heterogeneous limits, or no eligible device at all)
-    /// are recorded as deferred and executed inline by the accounting pass,
-    /// preserving the sequential error order.
-    #[allow(clippy::type_complexity)]
-    fn execute_steps(&self, plan: &Plan, threads: usize) -> Vec<StepExec> {
+    /// Running ahead of the scheduler is sound because [`Device::execute`]
+    /// is a pure function of `(op, inputs, device.limits)` — it touches no
+    /// clocks and no machine state — and the *rows* it returns do not
+    /// depend on the limits at all (§8: decomposition is invisible to
+    /// results). Only the array statistics do, and which device instance a
+    /// step gets is decided by the clock history; so a step is run once per
+    /// distinct limits among its eligible devices ([`System::runners`]:
+    /// once, in every shipped configuration) and accounting picks the
+    /// statistics of the device it chose.
+    ///
+    /// A step that could not run — its load failed, no device takes its
+    /// operator, an input never materialised — leaves an error record;
+    /// accounting surfaces the first of them, in step order.
+    fn execute_steps<'p>(
+        &self,
+        plan: &'p Plan,
+    ) -> (Vec<StepRecord>, HashMap<&'p str, MultiRelation>) {
+        let _sp = telemetry::span("machine.execute");
+        let threads = systolic_core::executor::resolve_threads(self.host_threads);
         let fuse = self.backend() == Backend::Columnar;
         // Under the columnar backend, Load steps of one base relation are
         // grouped into a single fused disk scan: the relation is fetched
         // once and every group member's track filter is evaluated in one
         // pass over its word planes. Each member is still priced as its
         // own full transfer, so accounting is unchanged.
-        let mut fused_loads: HashMap<usize, Result<LoadExec>> = HashMap::new();
+        let mut fused_loads: HashMap<usize, (MultiRelation, u64, usize)> = HashMap::new();
         if fuse {
             let mut order: Vec<&str> = Vec::new();
             let mut groups: HashMap<&str, Vec<usize>> = HashMap::new();
@@ -720,75 +575,61 @@ impl System {
                         _ => unreachable!("load group holds load steps"),
                     })
                     .collect();
-                let fused = self.disk_of(name).and_then(|disk_id| {
+                let fused = self.base_shape(name).and_then(|(disk_id, ..)| {
                     Ok((disk_id, self.disks[disk_id].read_many(name, &filters)?))
                 });
-                match fused {
-                    Ok((disk_id, outs)) => {
-                        let mut sp = telemetry::span("machine.fused_load");
-                        sp.arg("relation", name);
-                        sp.arg("steps", ids.len());
-                        record_fused_batch(ids.len());
-                        for (&id, (delivered, duration)) in ids.iter().zip(outs) {
-                            fused_loads.insert(
-                                id,
-                                Ok(LoadExec {
-                                    delivered,
-                                    duration,
-                                    disk_id,
-                                }),
-                            );
-                        }
-                    }
-                    Err(e) => {
-                        for &id in ids {
-                            fused_loads.insert(id, Err(e.clone()));
-                        }
+                // A group that cannot be read fails step by step below,
+                // exactly as its solo reads would.
+                if let Ok((disk_id, outs)) = fused {
+                    let mut sp = telemetry::span("machine.fused_load");
+                    sp.arg("relation", name);
+                    sp.arg("steps", ids.len());
+                    record_fused_batch(ids.len());
+                    for (&id, (delivered, duration)) in ids.iter().zip(outs) {
+                        fused_loads.insert(id, (delivered, duration, disk_id));
                     }
                 }
             }
         }
-        let mut records: Vec<StepExec> = plan
+        // Dataflow values by output name (plan steps are topologically
+        // ordered, so a level's inputs are always produced by lower
+        // levels).
+        let mut values: HashMap<&str, MultiRelation> = HashMap::new();
+        let mut records: Vec<StepRecord> = plan
             .steps
             .iter()
             .map(|step| match &step.action {
-                Action::Load { relation, filter } => {
-                    StepExec::Load(match fused_loads.remove(&step.id) {
-                        Some(record) => record,
-                        None => self.disk_of(relation).and_then(|disk_id| {
-                            self.disks[disk_id].read(relation, *filter).map(
-                                |(delivered, duration)| LoadExec {
-                                    delivered,
-                                    duration,
-                                    disk_id,
-                                },
-                            )
-                        }),
-                    })
-                }
-                Action::Op { .. } => StepExec::Op(None),
-                Action::Store { .. } => StepExec::Store,
+                Action::Load { relation, filter } => fused_loads
+                    .remove(&step.id)
+                    .map_or_else(
+                        || {
+                            let (d, ..) = self.base_shape(relation)?;
+                            let (delivered, duration) = self.disks[d].read(relation, *filter)?;
+                            Ok((delivered, duration, d))
+                        },
+                        Ok,
+                    )
+                    .map(|(delivered, duration, disk_id)| {
+                        let shape = shape_of(&delivered, StepCost::Load { disk_id, duration });
+                        values.insert(step.output.as_str(), delivered);
+                        shape
+                    }),
+                // Until the step runs. Never surfaced if it does not: the
+                // upstream failure that starved it comes first.
+                Action::Op { .. } | Action::Store { .. } => Err(MachineError::UnknownRelation {
+                    name: step.output.clone(),
+                }),
             })
             .collect();
-        // Dataflow values by output name (plan steps are topologically
-        // ordered, so a level's inputs are always produced by lower
-        // levels). Load errors are ignored here and resurface, in step
-        // order, during accounting.
-        let mut values: HashMap<&str, MultiRelation> = HashMap::new();
-        for step in &plan.steps {
-            if let StepExec::Load(Ok(load)) = &records[step.id] {
-                values.insert(step.output.as_str(), load.delivered.clone());
-            }
-        }
         let mut level: Vec<usize> = vec![0; plan.steps.len()];
         for step in &plan.steps {
             level[step.id] = step.deps.iter().map(|&d| level[d] + 1).max().unwrap_or(0);
         }
         let max_level = level.iter().copied().max().unwrap_or(0);
         for lv in 0..=max_level {
-            // Op steps of this level whose inputs resolved and whose
-            // eligible devices all agree on limits run concurrently.
-            let batch: Vec<(&crate::plan::PlanStep, &Device, Vec<&MultiRelation>)> = plan
+            // Op steps of this level whose inputs resolved and that some
+            // device takes run concurrently, each once per distinct limits.
+            let batch: Vec<(&PlanStep, Vec<&Device>, Vec<&MultiRelation>)> = plan
                 .steps
                 .iter()
                 .filter(|s| level[s.id] == lv)
@@ -798,24 +639,19 @@ impl System {
                     };
                     let staged: Option<Vec<&MultiRelation>> =
                         inputs.iter().map(|n| values.get(n.as_str())).collect();
-                    let eligible: Vec<&Device> =
-                        self.devices.iter().filter(|d| d.can_execute(op)).collect();
-                    let first = *eligible.first()?;
-                    if eligible.iter().any(|d| d.limits != first.limits) {
-                        return None;
-                    }
-                    Some((step, first, staged?))
+                    Some((step, self.runners(op), staged?))
                 })
+                .filter(|(_, runners, _)| !runners.is_empty())
                 .collect();
+            let mut done: Vec<(&PlanStep, OpRun)> = Vec::with_capacity(batch.len());
             // Under the columnar backend, Select steps of this level whose
             // staged inputs are clones of one relation (they share a
             // columnar cache cell) are answered by a single fused pass
             // over its word planes. Results and stats are exactly what
             // each device run would produce: the keep vectors equal
             // `select_bits` per query, and the selection array's stats are
-            // a closed-form function of the input shape.
-            let mut fused: HashMap<usize, Result<(MultiRelation, systolic_core::ExecStats)>> =
-                HashMap::new();
+            // a closed-form function of the input shape (under any limits).
+            let mut fused: Vec<bool> = vec![false; batch.len()];
             if fuse {
                 let mut order: Vec<usize> = Vec::new();
                 let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
@@ -870,49 +706,50 @@ impl System {
                     let keeps = systolic_core::fused_select(&packed, &queries);
                     record_fused_batch(idxs.len());
                     for ((&k, preds), keep) in idxs.iter().zip(&queries).zip(&keeps) {
-                        let input = batch[k].2[0];
-                        let out = input.filter_by_index(|i| keep[i]);
-                        let stats = systolic_core::ops::price_select(input.len(), preds.len());
-                        fused.insert(k, Ok((out, stats)));
+                        let (step, runners, staged) = &batch[k];
+                        let out = staged[0].filter_by_index(|i| keep[i]);
+                        let stats = systolic_core::ops::price_select(staged[0].len(), preds.len());
+                        let runs = runners.iter().map(|d| (d.limits, stats)).collect();
+                        done.push((step, Ok((out, runs))));
+                        fused[k] = true;
                     }
                 }
             }
-            let live: Vec<usize> = (0..batch.len())
-                .filter(|k| !fused.contains_key(k))
-                .collect();
-            let outs = systolic_core::executor::run_jobs(threads, live.len(), |j| {
-                let (step, device, staged) = &batch[live[j]];
+            let live: Vec<usize> = (0..batch.len()).filter(|&k| !fused[k]).collect();
+            let outs = systolic_core::executor::run_jobs(threads, live.len(), |j| -> OpRun {
+                let (step, runners, staged) = &batch[live[j]];
                 let Action::Op { op, .. } = &step.action else {
                     unreachable!()
                 };
-                device.execute(op, staged)
+                // The rows are the same under every limits: keep the first.
+                let mut rows = None;
+                let mut runs = Vec::with_capacity(runners.len());
+                for device in runners {
+                    let (out, stats) = device.execute(op, staged)?;
+                    runs.push((device.limits, stats));
+                    rows.get_or_insert(out);
+                }
+                Ok((rows.expect("a live step has a runner"), runs))
             });
-            let ids: Vec<(usize, &str)> = live
-                .iter()
-                .map(|&k| (batch[k].0.id, batch[k].0.output.as_str()))
-                .collect();
-            let fused_out: Vec<(
-                usize,
-                &str,
-                Result<(MultiRelation, systolic_core::ExecStats)>,
-            )> = fused
-                .into_iter()
-                .map(|(k, res)| (batch[k].0.id, batch[k].0.output.as_str(), res))
-                .collect();
-            for ((id, output), res) in ids.into_iter().zip(outs) {
-                if let Ok((out, _)) = &res {
-                    values.insert(output, out.clone());
-                }
-                records[id] = StepExec::Op(Some(res));
-            }
-            for (id, output, res) in fused_out {
-                if let Ok((out, _)) = &res {
-                    values.insert(output, out.clone());
-                }
-                records[id] = StepExec::Op(Some(res));
+            done.extend(live.iter().map(|&k| batch[k].0).zip(outs));
+            for (step, run) in done {
+                records[step.id] = run.map(|(out, runs)| {
+                    let shape = shape_of(&out, StepCost::Op(runs));
+                    values.insert(step.output.as_str(), out);
+                    shape
+                });
             }
         }
-        records
+        // A store moves an already-staged relation: its record is that
+        // relation's shape.
+        for step in &plan.steps {
+            if let Action::Store { input, .. } = &step.action {
+                if let Some(rel) = values.get(input.as_str()) {
+                    records[step.id] = Ok(shape_of(rel, StepCost::Store));
+                }
+            }
+        }
+        (records, values)
     }
 
     /// The backend every device computes with (all devices share the
@@ -921,223 +758,30 @@ impl System {
         self.devices[0].backend
     }
 
-    /// The accounting pass: walk the plan in step order, allocate memory
-    /// ports and devices under the deterministic list-scheduling policy,
-    /// and price each step's recorded execution against `t`'s resource
-    /// clocks. `records` must be positionally aligned with `plan.steps`.
-    fn account(
+    /// Close a run the accounting pass accepted: take its result out of
+    /// the dataflow map and apply its `store(...)` write-backs — once per
+    /// run, each to the disk whose channel the schedule charged.
+    fn finish(
         &mut self,
         plan: &Plan,
-        records: &[StepExec],
-        t: &mut Transient,
+        (priced, write_backs): (PricedOutcome, WriteBacks),
+        values: &HashMap<&str, MultiRelation>,
+        host_start: std::time::Instant,
     ) -> Result<RunOutcome> {
-        let mut timeline = Timeline::default();
-        let mut step_end: Vec<u64> = vec![0; plan.steps.len()];
-        let mut step_rows: Vec<u64> = vec![0; plan.steps.len()];
-        let mut stats = RunStats::default();
-
-        // Pending-use counts drive staging eviction: a staged name whose
-        // count hits zero is dead and may be reclaimed under memory
-        // pressure. The final result fetch counts as a use.
-        t.uses.clear();
-        for step in &plan.steps {
-            match &step.action {
-                Action::Op { inputs, .. } => {
-                    for n in inputs {
-                        *t.uses.entry(n.clone()).or_insert(0) += 1;
-                    }
-                }
-                Action::Store { input, .. } => {
-                    *t.uses.entry(input.clone()).or_insert(0) += 1;
-                }
-                Action::Load { .. } => {}
-            }
+        let result = output(values, plan.result_name())?;
+        for (step, disk) in write_backs {
+            let Action::Store { input, as_name } = &plan.steps[step].action else {
+                unreachable!("write-backs come from store steps")
+            };
+            self.write(disk, as_name.clone(), output(values, input)?);
         }
-        *t.uses.entry(plan.result_name().to_string()).or_insert(0) += 1;
-
-        for step in &plan.steps {
-            let ready = step.deps.iter().map(|&d| step_end[d]).max().unwrap_or(0);
-            match &step.action {
-                Action::Load { relation, .. } => {
-                    let StepExec::Load(record) = &records[step.id] else {
-                        unreachable!("load step paired with a load record")
-                    };
-                    let load = match record {
-                        Ok(load) => load,
-                        Err(e) => return Err(e.clone()),
-                    };
-                    let bytes =
-                        relation_bytes(&load.delivered, self.disks[load.disk_id].bytes_per_word);
-                    let target = t.choose_memory(bytes)?;
-                    let mut resources = vec![Res::Disk(load.disk_id), Res::Mem(target)];
-                    if self.interconnect == Interconnect::SharedBus {
-                        resources.push(Res::Bus);
-                    }
-                    let start = resources
-                        .iter()
-                        .map(|r| t.free_at.get(r).copied().unwrap_or(0))
-                        .max()
-                        .unwrap_or(0)
-                        .max(ready);
-                    let end = start + load.duration;
-                    for r in resources {
-                        t.free_at.insert(r, end);
-                    }
-                    t.stage(target, &step.output, load.delivered.clone())?;
-                    step_rows[step.id] = load.delivered.len() as u64;
-                    stats.bytes_from_disk += bytes;
-                    timeline.push(
-                        start,
-                        end,
-                        format!("disk{}", load.disk_id),
-                        format!("read {relation}"),
-                    );
-                    timeline.push(
-                        start,
-                        end,
-                        format!("mem{target}"),
-                        format!("receive {}", step.output),
-                    );
-                    step_end[step.id] = end;
-                }
-                Action::Op { op, inputs } => {
-                    // Same error order as a purely sequential walk: staged
-                    // inputs first, then device eligibility.
-                    let staged: Vec<MultiRelation> =
-                        inputs.iter().map(|n| t.fetch(n)).collect::<Result<_>>()?;
-                    // Memory ports are charged for the inputs' homes as of
-                    // this step, captured before any eviction can reclaim a
-                    // now-dead input while placing the output.
-                    let input_ports: Vec<usize> =
-                        inputs.iter().map(|n| t.placement[n.as_str()]).collect();
-                    for n in inputs {
-                        t.consume(n);
-                    }
-                    // Pick the matching device that frees earliest.
-                    let dev_id = self
-                        .devices
-                        .iter()
-                        .filter(|d| d.can_execute(op))
-                        .min_by_key(|d| t.free_at.get(&Res::Dev(d.id)).copied().unwrap_or(0))
-                        .map(|d| d.id)
-                        .ok_or_else(|| MachineError::NoDevice { kind: op.label() })?;
-                    // Use the recorded device run if the execution pass
-                    // produced one; otherwise simulate inline. Either way
-                    // the value is a pure function of (op, inputs, limits),
-                    // so the accounting below is unaffected.
-                    let (out, run_stats) = match &records[step.id] {
-                        StepExec::Op(Some(result)) => result.clone()?,
-                        StepExec::Op(None) => {
-                            let refs: Vec<&MultiRelation> = staged.iter().collect();
-                            self.devices[dev_id].execute(op, &refs)?
-                        }
-                        _ => unreachable!("op step paired with an op record"),
-                    };
-                    let duration = self.devices[dev_id].run_ns(&run_stats).max(1);
-                    let out_bytes = relation_bytes(&out, self.disks[0].bytes_per_word);
-                    let target = t.choose_memory(out_bytes)?;
-                    let mut resources = vec![Res::Dev(dev_id), Res::Mem(target)];
-                    for port in &input_ports {
-                        resources.push(Res::Mem(*port));
-                    }
-                    if self.interconnect == Interconnect::SharedBus {
-                        resources.push(Res::Bus);
-                    }
-                    resources.sort_by_key(|r| match r {
-                        Res::Disk(i) => (0usize, *i),
-                        Res::Mem(i) => (1, *i),
-                        Res::Dev(i) => (2, *i),
-                        Res::Bus => (3, 0),
-                    });
-                    resources.dedup();
-                    let start = resources
-                        .iter()
-                        .map(|r| t.free_at.get(r).copied().unwrap_or(0))
-                        .max()
-                        .unwrap_or(0)
-                        .max(ready);
-                    let end = start + duration;
-                    for r in &resources {
-                        t.free_at.insert(*r, end);
-                    }
-                    step_rows[step.id] = out.len() as u64;
-                    t.stage(target, &step.output, out)?;
-                    stats.total_pulses += run_stats.pulses;
-                    stats.array_runs += run_stats.array_runs;
-                    let dev_name = self.devices[dev_id].name.clone();
-                    timeline.push_pulsed(
-                        start,
-                        end,
-                        dev_name,
-                        format!("{} -> {}", op.label(), step.output),
-                        run_stats.pulses,
-                    );
-                    for r in &resources {
-                        if let Res::Mem(i) = r {
-                            timeline.push(
-                                start,
-                                end,
-                                format!("mem{i}"),
-                                format!("port busy: {}", op.label()),
-                            );
-                        }
-                    }
-                    step_end[step.id] = end;
-                }
-                Action::Store { input, as_name } => {
-                    let rel = t.fetch(input)?;
-                    let input_port = t.placement[input.as_str()];
-                    t.consume(input);
-                    step_rows[step.id] = rel.len() as u64;
-                    let bytes = relation_bytes(&rel, self.disks[0].bytes_per_word);
-                    // Write back to the least-recently-used disk channel.
-                    let disk_id = (0..self.disks.len())
-                        .min_by_key(|d| t.free_at.get(&Res::Disk(*d)).copied().unwrap_or(0))
-                        .unwrap_or(0);
-                    let duration = self.disks[disk_id].transfer_ns(bytes).max(1);
-                    let mut resources = vec![Res::Disk(disk_id), Res::Mem(input_port)];
-                    if self.interconnect == Interconnect::SharedBus {
-                        resources.push(Res::Bus);
-                    }
-                    let start = resources
-                        .iter()
-                        .map(|r| t.free_at.get(r).copied().unwrap_or(0))
-                        .max()
-                        .unwrap_or(0)
-                        .max(ready);
-                    let end = start + duration;
-                    for r in resources {
-                        t.free_at.insert(r, end);
-                    }
-                    self.disks[disk_id].store(as_name.clone(), rel);
-                    timeline.push(
-                        start,
-                        end,
-                        format!("disk{disk_id}"),
-                        format!("write {as_name}"),
-                    );
-                    timeline.push(
-                        start,
-                        end,
-                        format!("mem{input_port}"),
-                        format!("drain {input}"),
-                    );
-                    step_end[step.id] = end;
-                }
-            }
-        }
-
-        let result = t.fetch(plan.result_name())?;
-        stats.makespan_ns = timeline.makespan_ns();
-        stats.max_device_concurrency = timeline.max_concurrency(|r| {
-            r.starts_with("setop") || r.starts_with("join") || r.starts_with("divide")
-        });
+        record_run_metrics(&priced.stats);
         Ok(RunOutcome {
             result,
-            timeline,
-            stats,
-            host_wall_ns: 0,
-            step_rows,
+            timeline: priced.timeline,
+            stats: priced.stats,
+            host_wall_ns: host_start.elapsed().as_nanos() as u64,
+            step_rows: priced.step_rows,
         })
     }
 
@@ -1150,147 +794,12 @@ impl System {
     pub fn run_plan(&mut self, plan: &Plan) -> Result<RunOutcome> {
         let _run_span = telemetry::span("machine.run");
         let host_start = std::time::Instant::now();
-        let threads = systolic_core::executor::resolve_threads(self.host_threads);
-        let records = {
-            let _sp = telemetry::span("machine.execute");
-            self.execute_steps(plan, threads)
-        };
-        let mut t = self.transient();
-        let mut outcome = {
+        let (records, values) = self.execute_steps(plan);
+        let accounted = {
             let _sp = telemetry::span("machine.account");
-            self.account(plan, &records, &mut t)?
+            self.account(plan, &records)?
         };
-        self.memories = t.memories;
-        outcome.host_wall_ns = host_start.elapsed().as_nanos() as u64;
-        record_run_metrics(&outcome.stats);
-        Ok(outcome)
-    }
-
-    /// Price a compiled plan from per-step output cardinalities alone,
-    /// without running any operator — the re-pricing half of relation
-    /// sharding. `cards[i]` is the output cardinality of `plan.steps[i]` as
-    /// observed by whoever actually ran the data (for a partitioned run:
-    /// the sum over the partitions' [`RunOutcome::step_rows`]).
-    ///
-    /// `Load` steps read the real disks, so this machine must hold the full
-    /// base relations; `Op` steps are charged [`Device::price`] stats over
-    /// phantom relations of the given cardinalities. Because every
-    /// shape-pure operator's [`systolic_core::ExecStats`] is a function of
-    /// input shape only, the returned `stats`, `timeline` and `step_rows`
-    /// are bit-identical to [`System::run_plan`] on the same machine
-    /// whenever `cards` matches what that run would produce. The `result`
-    /// relation is a shape-only placeholder and must not be read.
-    ///
-    /// Plans containing `store(...)` or division are refused
-    /// ([`MachineError::Unpriceable`]): their cost depends on the data, not
-    /// just its shape. So are ops whose eligible devices disagree on array
-    /// limits (the stats would depend on which instance the clock history
-    /// picks).
-    pub fn price_plan(&mut self, plan: &Plan, cards: &[u64]) -> Result<RunOutcome> {
-        use systolic_fabric::CompareOp;
-        use systolic_relation::gen::synth_schema;
-
-        let _run_span = telemetry::span("machine.price");
-        let host_start = std::time::Instant::now();
-        if cards.len() != plan.steps.len() {
-            return Err(MachineError::Unpriceable {
-                step: format!(
-                    "plan of {} steps given {} cardinalities",
-                    plan.steps.len(),
-                    cards.len()
-                ),
-            });
-        }
-        // Output shape per step output name, for pricing downstream ops.
-        let mut shapes: HashMap<&str, (usize, usize)> = HashMap::new();
-        let mut records: Vec<StepExec> = Vec::with_capacity(plan.steps.len());
-        for step in &plan.steps {
-            match &step.action {
-                Action::Load { relation, filter } => {
-                    let record = self.disk_of(relation).and_then(|disk_id| {
-                        self.disks[disk_id]
-                            .read(relation, *filter)
-                            .map(|(delivered, duration)| LoadExec {
-                                delivered,
-                                duration,
-                                disk_id,
-                            })
-                    });
-                    if let Ok(load) = &record {
-                        shapes.insert(
-                            step.output.as_str(),
-                            (load.delivered.len(), load.delivered.arity()),
-                        );
-                    }
-                    records.push(StepExec::Load(record));
-                }
-                Action::Op { op, inputs } => {
-                    let staged: Option<Vec<(usize, usize)>> = inputs
-                        .iter()
-                        .map(|n| shapes.get(n.as_str()).copied())
-                        .collect();
-                    let Some(staged) = staged else {
-                        // An input's Load failed; the accounting pass below
-                        // surfaces that error first (deps precede this step),
-                        // so this record is never reached.
-                        records.push(StepExec::Op(Some(Err(MachineError::Unpriceable {
-                            step: format!("{} with unresolved inputs", op.label()),
-                        }))));
-                        continue;
-                    };
-                    use crate::plan::PlanOp;
-                    let m_out = match op {
-                        PlanOp::Intersect
-                        | PlanOp::Difference
-                        | PlanOp::Union
-                        | PlanOp::Dedup
-                        | PlanOp::Select(_) => staged[0].1,
-                        PlanOp::Project(cols) => cols.len(),
-                        PlanOp::Join(specs) => {
-                            let pure_equi = specs.iter().all(|s| s.op == CompareOp::Eq);
-                            let dropped = if pure_equi { specs.len() } else { 0 };
-                            staged[0].1 + staged[1].1 - dropped
-                        }
-                        PlanOp::DivideBinary { .. } => {
-                            return Err(MachineError::Unpriceable { step: op.label() })
-                        }
-                    };
-                    let eligible: Vec<&Device> =
-                        self.devices.iter().filter(|d| d.can_execute(op)).collect();
-                    let first = *eligible
-                        .first()
-                        .ok_or_else(|| MachineError::NoDevice { kind: op.label() })?;
-                    if eligible.iter().any(|d| d.limits != first.limits) {
-                        return Err(MachineError::Unpriceable {
-                            step: format!("{} on devices with unequal limits", op.label()),
-                        });
-                    }
-                    let run_stats = first.price(op, &staged)?;
-                    let rows_out = cards[step.id] as usize;
-                    // A placeholder relation with the right shape: account()
-                    // only uses its row count and arity (staging bytes).
-                    let phantom = if rows_out == 0 {
-                        MultiRelation::empty(synth_schema(m_out))
-                    } else {
-                        let rows = (0..rows_out as i64).map(|i| vec![i; m_out]).collect();
-                        MultiRelation::new(synth_schema(m_out), rows)?
-                    };
-                    shapes.insert(step.output.as_str(), (rows_out, m_out));
-                    records.push(StepExec::Op(Some(Ok((phantom, run_stats)))));
-                }
-                Action::Store { .. } => {
-                    return Err(MachineError::Unpriceable {
-                        step: "store".into(),
-                    })
-                }
-            }
-        }
-        let mut t = self.transient();
-        let mut outcome = self.account(plan, &records, &mut t)?;
-        self.memories = t.memories;
-        outcome.host_wall_ns = host_start.elapsed().as_nanos() as u64;
-        record_run_metrics(&outcome.stats);
-        Ok(outcome)
+        self.finish(plan, accounted, &values, host_start)
     }
 }
 
@@ -1407,8 +916,13 @@ mod tests {
         use crate::storage::TrackFilter;
         use systolic_core::select::Predicate;
         use systolic_fabric::CompareOp;
+        let below = |value| TrackFilter {
+            col: 0,
+            op: CompareOp::Lt,
+            value,
+        };
         // One expression per shape-pure operator family, including
-        // multi-step plans and a filtered scan.
+        // multi-step plans and filtered scans.
         let exprs: Vec<Expr> = vec![
             Expr::scan("a").intersect(Expr::scan("b")),
             Expr::scan("a").difference(Expr::scan("b")),
@@ -1419,44 +933,78 @@ mod tests {
             Expr::scan("a").project(vec![1]),
             Expr::scan("a").select(vec![Predicate::new(0, CompareOp::Ge, 40)]),
             Expr::scan("a").join(Expr::scan("b"), vec![JoinSpec::eq(0, 0)]),
-            Expr::scan_filtered(
-                "a",
-                TrackFilter {
-                    col: 0,
-                    op: CompareOp::Lt,
-                    value: 20,
-                },
-            )
-            .intersect(Expr::scan("b")),
+            Expr::scan_filtered("a", below(20)).intersect(Expr::scan("b")),
+            // Both sides filtered on the disk, one of them down to nothing:
+            // the delivered cardinalities come from `cards`, the transfer
+            // times from the stored shapes.
+            Expr::scan_filtered("b", below(40))
+                .join(Expr::scan_filtered("c", below(0)), vec![JoinSpec::eq(0, 0)]),
             // Empty intermediate: a ∩ c is empty, so downstream ops
             // short-circuit — priced and run alike.
             Expr::scan("a")
                 .intersect(Expr::scan("c"))
                 .union(Expr::scan("b")),
         ];
-        for expr in &exprs {
-            let mut runner = System::default_machine();
-            let mut pricer = System::default_machine();
-            for sys in [&mut runner, &mut pricer] {
+        for disks in [1, 3] {
+            for expr in &exprs {
+                let mut sys = System::new(MachineConfig {
+                    disks,
+                    ..MachineConfig::default()
+                })
+                .unwrap();
                 sys.load_base("a", seq(0..50));
                 sys.load_base("b", seq(25..75));
                 sys.load_base("c", seq(100..110));
+                let plan = Plan::compile(&push_selections(expr.clone()));
+                let ran = sys.run_plan(&plan).unwrap();
+                // Pricing takes `&self`: it is repeatable on a long-lived
+                // machine because it cannot change one.
+                for _ in 0..2 {
+                    let priced = sys.price_plan(&plan, &ran.step_rows).unwrap();
+                    assert_eq!(priced.stats, ran.stats, "{expr} stats");
+                    assert_eq!(priced.step_rows, ran.step_rows, "{expr} step_rows");
+                    assert_eq!(
+                        priced.timeline.events(),
+                        ran.timeline.events(),
+                        "{expr} timeline"
+                    );
+                }
             }
-            let plan = Plan::compile(&push_selections(expr.clone()));
-            let ran = runner.run_plan(&plan).unwrap();
-            let priced = pricer.price_plan(&plan, &ran.step_rows).unwrap();
-            assert_eq!(priced.stats, ran.stats, "{expr} stats");
-            assert_eq!(priced.step_rows, ran.step_rows, "{expr} step_rows");
-            assert_eq!(
-                priced.timeline.events(),
-                ran.timeline.events(),
-                "{expr} timeline"
-            );
-            // Pricing is repeatable on the same long-lived machine: every
-            // pass starts from fresh transient state.
-            let again = pricer.price_plan(&plan, &ran.step_rows).unwrap();
-            assert_eq!(again.stats, ran.stats, "{expr} repriced stats");
         }
+    }
+
+    #[test]
+    fn price_plan_on_a_paged_system_touches_no_page() {
+        use crate::storage::TrackFilter;
+        use systolic_fabric::CompareOp;
+        use systolic_storage::BlobStore;
+        // A private metrics instance: the buffer pool's counters are exact,
+        // whatever other tests do to the shared ones.
+        let metrics = Arc::new(StorageMetrics::from_registry(&metrics::Registry::new()));
+        let mut path = std::env::temp_dir();
+        path.push(format!("sdb_price_plan_paged_{}.pg", std::process::id()));
+        let store = SharedBlobStore::new(
+            BlobStore::create(&path, 8, ReplacerKind::Clock, metrics.clone()).unwrap(),
+        );
+        let mut sys = System::default_machine();
+        sys.attach_storage(&store);
+        sys.load_base("a", seq(0..50));
+        sys.load_base("b", seq(25..75));
+        let filter = TrackFilter {
+            col: 0,
+            op: CompareOp::Ge,
+            value: 30,
+        };
+        let plan = Plan::compile(&Expr::scan_filtered("a", filter).intersect(Expr::scan("b")));
+        let ran = sys.run_plan(&plan).unwrap();
+        let touched = || metrics.pool_hits.get() + metrics.pool_misses.get();
+        let before = touched();
+        assert!(before > 0, "the run decoded pages through the pool");
+        let priced = sys.price_plan(&plan, &ran.step_rows).unwrap();
+        assert_eq!(touched(), before, "pricing fetched a page");
+        assert_eq!(priced.stats, ran.stats);
+        assert_eq!(priced.timeline.events(), ran.timeline.events());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1479,6 +1027,18 @@ mod tests {
         let wrong_len = Plan::compile(&Expr::scan("takes").dedup());
         assert!(matches!(
             sys.price_plan(&wrong_len, &[1]),
+            Err(MachineError::Unpriceable { .. })
+        ));
+        // A filter cannot deliver more rows than the disk holds.
+        let filter = crate::storage::TrackFilter {
+            col: 0,
+            op: systolic_fabric::CompareOp::Ge,
+            value: 0,
+        };
+        let filtered = Plan::compile(&Expr::scan_filtered("takes", filter).dedup());
+        assert!(sys.price_plan(&filtered, &[3, 3]).is_ok());
+        assert!(matches!(
+            sys.price_plan(&filtered, &[4, 4]),
             Err(MachineError::Unpriceable { .. })
         ));
     }
@@ -1682,33 +1242,76 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_device_limits_fall_back_to_inline_execution() {
-        // Two set-op devices with different limits: the scheduler cannot
-        // precompute (the result depends on which device is picked), so the
-        // parallel path must defer to accounting — and still match the
-        // sequential run exactly.
-        let config = |host_threads: usize| MachineConfig {
-            devices: vec![
-                (DeviceKind::SetOp, ArrayLimits::new(8, 8, 4)),
-                (DeviceKind::SetOp, ArrayLimits::new(16, 16, 4)),
-                (DeviceKind::Join, ArrayLimits::new(8, 8, 4)),
-                (DeviceKind::Divide, ArrayLimits::new(8, 8, 4)),
-            ],
-            host_threads,
-            ..MachineConfig::default()
-        };
-        let build = |host_threads: usize| {
-            let mut sys = System::new(config(host_threads)).unwrap();
+    fn heterogeneous_device_limits_record_one_run_per_distinct_limits() {
+        // Set-op and divide devices that disagree on limits: the pulses of
+        // a step depend on which instance the clock history picks, so the
+        // execute pass records the run under each distinct limits and
+        // accounting picks. Sequential, host-parallel, batched-then-solo
+        // and (where priceable) priced schedules must all agree, under
+        // both backends.
+        let build = |host_threads: usize, backend: Backend| {
+            let mut sys = System::new(MachineConfig {
+                devices: vec![
+                    (DeviceKind::SetOp, ArrayLimits::new(8, 8, 4)),
+                    (DeviceKind::SetOp, ArrayLimits::new(16, 16, 4)),
+                    (DeviceKind::Join, ArrayLimits::new(8, 8, 4)),
+                    (DeviceKind::Divide, ArrayLimits::new(8, 8, 4)),
+                    (DeviceKind::Divide, ArrayLimits::new(3, 5, 2)),
+                ],
+                host_threads,
+                backend,
+                ..MachineConfig::default()
+            })
+            .unwrap();
             sys.load_base("a", seq(0..48));
             sys.load_base("b", seq(24..72));
+            let takes = (0..12).flat_map(|s| (0..=s % 4).map(move |c| vec![s, 10 + c]));
+            sys.load_base("takes", rel(takes.collect()));
+            sys.load_base("courses", rel((0..3).map(|c| vec![10 + c, 0]).collect()));
             sys
         };
-        let expr = Expr::scan("a").intersect(Expr::scan("b")).project(vec![0]);
-        let sequential = build(1).run(&expr).unwrap();
-        let parallel = build(4).run(&expr).unwrap();
-        assert_eq!(parallel.result.rows(), sequential.result.rows());
-        assert_eq!(parallel.stats, sequential.stats);
-        assert_eq!(parallel.timeline.events(), sequential.timeline.events());
+        let set_ops = Expr::scan("a").intersect(Expr::scan("b")).project(vec![0]);
+        // Two divisions in one transaction, so both divide devices run.
+        let divide = || Expr::scan("takes").divide(Expr::scan("courses"), 0, 1, 0);
+        let divisions = divide().union(divide().dedup());
+        let same = |what: &str, got: (&[Row], &RunStats, &Timeline), want: &RunOutcome| {
+            assert_eq!(got.0, want.result.rows(), "{what} rows");
+            assert_eq!(got.1, &want.stats, "{what} stats");
+            assert_eq!(got.2.events(), want.timeline.events(), "{what} timeline");
+        };
+        let oracle: Vec<RunOutcome> = [&set_ops, &divisions]
+            .iter()
+            .map(|expr| build(1, Backend::Sim).run(expr).unwrap())
+            .collect();
+        assert_eq!(oracle[1].result.len(), 6, "students with s % 4 >= 2");
+        for device in ["setop0", "setop1", "divide3", "divide4"] {
+            assert!(
+                oracle.iter().any(|o| o.timeline.busy_ns(device) > 0),
+                "{device} never ran: the limits were not exercised"
+            );
+        }
+        for backend in [Backend::Sim, Backend::Columnar] {
+            for (expr, want) in [&set_ops, &divisions].into_iter().zip(&oracle) {
+                for threads in [1, 4] {
+                    let out = build(threads, backend).run(expr).unwrap();
+                    let what = format!("{expr} {backend:?} x{threads}");
+                    same(&what, (out.result.rows(), &out.stats, &out.timeline), want);
+                }
+            }
+            let batch = build(1, backend)
+                .run_batch_accounted(&[set_ops.clone(), divisions.clone()])
+                .unwrap();
+            for (q, want) in batch.queries.iter().zip(&oracle) {
+                let what = format!("batched {backend:?}");
+                same(&what, (q.result.rows(), &q.stats, &q.timeline), want);
+            }
+        }
+        let plan = Plan::compile(&set_ops);
+        let priced = build(1, Backend::Sim)
+            .price_plan(&plan, &oracle[0].step_rows)
+            .unwrap();
+        assert_eq!(priced.stats, oracle[0].stats);
+        assert_eq!(priced.timeline.events(), oracle[0].timeline.events());
     }
 
     #[test]
@@ -1975,6 +1578,80 @@ mod tests {
             .events()
             .iter()
             .any(|e| e.resource.starts_with("disk") && e.label.contains("write a_and_b")));
+    }
+
+    /// The disks holding a relation of this name.
+    fn homes(sys: &System, name: &str) -> Vec<usize> {
+        (0..sys.disks.len())
+            .filter(|&d| sys.disks[d].names().iter().any(|n| n == name))
+            .collect()
+    }
+
+    #[test]
+    fn a_newer_write_back_replaces_an_older_copy_on_another_disk() {
+        let mut sys = System::new(MachineConfig {
+            disks: 2,
+            ..MachineConfig::default()
+        })
+        .unwrap();
+        sys.load_base("a", seq(0..20));
+        sys.load_base("b", seq(100..130));
+        // `b` sits on disk 1, so the idle channel — where the first
+        // write-back lands — is disk 0; for `a` it is the other way round.
+        sys.run(&Expr::scan("b").dedup().store("x")).unwrap();
+        assert_eq!(homes(&sys, "x"), [0]);
+        sys.run(&Expr::scan("a").dedup().store("x")).unwrap();
+        assert_eq!(homes(&sys, "x"), [1], "one copy, the newer one");
+        let x = sys.run(&Expr::scan("x")).unwrap();
+        assert_eq!(x.result.rows(), seq(0..20).rows());
+    }
+
+    #[test]
+    fn reloading_a_base_relation_replaces_it_wherever_it_was() {
+        let mut sys = System::new(MachineConfig {
+            disks: 2,
+            ..MachineConfig::default()
+        })
+        .unwrap();
+        sys.load_base("a", seq(0..20));
+        // Round-robin sends the reload to the other disk.
+        sys.load_base("a", seq(0..5));
+        assert_eq!(homes(&sys, "a"), [1]);
+        assert_eq!(sys.run(&Expr::scan("a")).unwrap().result.len(), 5);
+    }
+
+    #[test]
+    fn a_batched_store_is_written_once_to_the_disk_the_merged_schedule_charged() {
+        let mut sys = System::new(MachineConfig {
+            disks: 2,
+            ..MachineConfig::default()
+        })
+        .unwrap();
+        sys.load_base("a", seq(0..60));
+        sys.load_base("b", seq(10..30));
+        // Alone, the store query finds disk 0 idle (it only reads `b`, on
+        // disk 1). Merged with a query still loading the larger `a` off
+        // disk 0, the channel that frees first is disk 1: a write-back per
+        // accounting pass would leave a copy on each.
+        let batch = sys
+            .run_batch_accounted(&[
+                Expr::scan("a").dedup(),
+                Expr::scan("b").dedup().store("kept"),
+            ])
+            .unwrap();
+        let written = |timeline: &Timeline| -> Vec<String> {
+            timeline
+                .events()
+                .iter()
+                .filter(|e| e.label == "write kept")
+                .map(|e| e.resource.clone())
+                .collect()
+        };
+        assert_eq!(written(&batch.queries[1].timeline), ["disk0"]);
+        assert_eq!(written(&batch.combined.timeline), ["disk1"]);
+        assert_eq!(homes(&sys, "kept"), [1]);
+        let kept = sys.run(&Expr::scan("kept")).unwrap();
+        assert_eq!(kept.result.rows(), batch.queries[1].result.rows());
     }
 
     #[test]

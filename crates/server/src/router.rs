@@ -414,11 +414,13 @@ impl Router {
         // would report.
         match self.price(shared, tx, expr, cards, trace) {
             PriceOutcome::Priced(reply) => {
-                if reply.result.len() != value.rows.len() {
+                // The root step was priced at the cardinality the merged
+                // rows have, or the stats describe some other run.
+                if reply.step_rows.last().copied() != Some(value.rows.len() as u64) {
                     return RouteOutcome::NotRouted;
                 }
                 RouteOutcome::Answered {
-                    result: result_frame(reply.result.len(), &reply.stats, &csv),
+                    result: result_frame(value.rows.len(), &reply.stats, &csv),
                     reply,
                 }
             }
@@ -454,9 +456,10 @@ impl Router {
             Ok(reply) => reply,
             Err(RecvTimeoutError::Timeout) => {
                 if fence.swap(true, Ordering::SeqCst) {
-                    // The scheduler claimed the job: the pricing is landing
-                    // (it advances the machine's memory state just like a
-                    // run), so wait for the real answer.
+                    // The scheduler claimed the job and is pricing it right
+                    // now. Pricing mutates nothing, so giving up would be
+                    // safe — but the answer is microseconds away and the
+                    // shards already did the work; wait for it.
                     match reply_rx.recv() {
                         Ok(reply) => reply,
                         Err(_) => return PriceOutcome::Fallback,

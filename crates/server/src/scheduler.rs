@@ -46,7 +46,7 @@ struct PendingQuery {
     text: String,
     trace: Option<TraceCtx>,
     fence: Arc<AtomicBool>,
-    reply: SyncSender<Result<QueryReply, MachineError>>,
+    reply: SyncSender<QueryAnswer>,
     /// When the submitting worker handed the job to the scheduler.
     submitted: Instant,
     /// Host ns from submission to admission (queue + gather window).
@@ -221,10 +221,13 @@ impl WindowClose {
     }
 }
 
-/// A finished query, as the scheduler reports it to a worker.
+/// What a [`Job::Query`] is answered with: the result relation (still
+/// encoded; the worker renders it) and the run's report.
+pub(crate) type QueryAnswer = Result<(MultiRelation, QueryReply), MachineError>;
+
+/// What the machine reported about a finished query — run or, for
+/// [`Job::Price`], priced from cardinalities (which yields no relation).
 pub(crate) struct QueryReply {
-    /// The result relation (still encoded; the worker renders it).
-    pub result: MultiRelation,
     /// Standalone simulated-hardware statistics.
     pub stats: RunStats,
     /// Host wall-clock nanoseconds for the run that produced this answer
@@ -265,7 +268,7 @@ pub(crate) enum Job {
         fence: Arc<AtomicBool>,
         /// Where to deliver the answer; capacity-1 channel so the send
         /// never blocks even if the worker gave up waiting.
-        reply: SyncSender<Result<QueryReply, MachineError>>,
+        reply: SyncSender<QueryAnswer>,
         /// When the worker submitted the job (host clock; feeds the
         /// profile's queue-wait, never pulse accounting).
         submitted: Instant,
@@ -273,8 +276,8 @@ pub(crate) enum Job {
         arrival: Option<Counted>,
     },
     /// Price a prepared query from per-step cardinalities gathered off the
-    /// machine (the shard router's merge path) — real disk reads for the
-    /// `Load` steps, analytic stats for the `Op` steps, no operator runs.
+    /// machine (the shard router's merge path) — stored shapes for the
+    /// `Load` steps, analytic stats for the `Op` steps; no row is touched.
     Price {
         /// The prepared expression (identical to what the shards ran).
         expr: Expr,
@@ -448,7 +451,6 @@ pub(crate) fn run(
                     let _span = span_in(trace, "server.price");
                     let plan = Plan::compile(&expr);
                     let _ = reply.send(system.price_plan(&plan, &cards).map(|o| QueryReply {
-                        result: o.result,
                         stats: o.stats,
                         host_wall_ns: o.host_wall_ns,
                         step_rows: o.step_rows,
@@ -529,9 +531,7 @@ pub(crate) fn run(
             1 => {
                 let q = queries.pop().expect("len checked");
                 let _span = span_in(q.trace, "server.run_solo");
-                let _ = q
-                    .reply
-                    .send(run_solo(&mut system, &q.expr, &metrics).map(|r| q.host_waits(r)));
+                let _ = q.reply.send(run_solo(&mut system, &q, &metrics));
             }
             n => {
                 counters.update(|c| {
@@ -555,42 +555,29 @@ pub(crate) fn run(
             counters.update(|c| c.queries += 1);
             metrics.queries.add(1);
             let _span = span_in(q.trace, "server.run_solo");
-            let _ = q
-                .reply
-                .send(run_solo(&mut system, &q.expr, &metrics).map(|r| q.host_waits(r)));
+            let _ = q.reply.send(run_solo(&mut system, &q, &metrics));
         }
     }
 }
 
-impl PendingQuery {
-    /// Stamp the host-side waits measured for this job onto its reply.
-    fn host_waits(&self, mut reply: QueryReply) -> QueryReply {
-        reply.queue_wait_ns = self.queue_wait_ns;
-        reply.wal_fsync_ns = self.wal_fsync_ns;
-        reply
-    }
-}
-
-fn run_solo(
-    system: &mut System,
-    expr: &Expr,
-    metrics: &ServerMetrics,
-) -> Result<QueryReply, MachineError> {
+/// Run one pending query alone, stamping the host-side waits measured for
+/// it onto the reply.
+fn run_solo(system: &mut System, q: &PendingQuery, metrics: &ServerMetrics) -> QueryAnswer {
     let storage = systolic_storage::StorageMetrics::shared();
     let (hits0, misses0) = (storage.pool_hits.get(), storage.pool_misses.get());
-    let out = system.run(expr)?;
+    let out = system.run(&q.expr)?;
     record_op_pulses(metrics, &out.timeline);
-    Ok(QueryReply {
-        result: out.result,
+    let reply = QueryReply {
         stats: out.stats,
         host_wall_ns: out.host_wall_ns,
         step_rows: out.step_rows,
         timeline: out.timeline,
-        queue_wait_ns: 0,
-        wal_fsync_ns: 0,
+        queue_wait_ns: q.queue_wait_ns,
+        wal_fsync_ns: q.wal_fsync_ns,
         pool_hits: storage.pool_hits.get().saturating_sub(hits0),
         pool_misses: storage.pool_misses.get().saturating_sub(misses0),
-    })
+    };
+    Ok((out.result, reply))
 }
 
 /// Feed `sdb_op_pulses_total{op=...}` from timeline device events. Array
@@ -669,8 +656,7 @@ fn run_merged(
                     run_span.arg("batch_span", ctx.span_id);
                 }
                 drop(run_span);
-                let _ = q.reply.send(Ok(QueryReply {
-                    result: outcome.result,
+                let reply = QueryReply {
                     stats: outcome.stats,
                     host_wall_ns,
                     step_rows: outcome.step_rows,
@@ -679,7 +665,8 @@ fn run_merged(
                     wal_fsync_ns: q.wal_fsync_ns,
                     pool_hits,
                     pool_misses,
-                }));
+                };
+                let _ = q.reply.send(Ok((outcome.result, reply)));
             }
         }
         Err(_) => {
@@ -687,9 +674,7 @@ fn run_merged(
             // not re-claim (it would see `true` and wrongly skip).
             for q in queries.drain(..) {
                 let _span = span_in(q.trace, "server.run_solo");
-                let _ = q
-                    .reply
-                    .send(run_solo(system, &q.expr, metrics).map(|r| q.host_waits(r)));
+                let _ = q.reply.send(run_solo(system, &q, metrics));
             }
         }
     }
@@ -752,11 +737,7 @@ mod tests {
         }
     }
 
-    fn query_job(
-        text: &str,
-        f: Arc<AtomicBool>,
-        reply: SyncSender<Result<QueryReply, MachineError>>,
-    ) -> Job {
+    fn query_job(text: &str, f: Arc<AtomicBool>, reply: SyncSender<QueryAnswer>) -> Job {
         Job::Query {
             expr: parse(text).unwrap(),
             text: text.into(),
@@ -933,8 +914,8 @@ mod tests {
             dead_rx.try_recv().is_err(),
             "a fenced query must never be answered"
         );
-        let reply = live_rx.try_recv().unwrap().unwrap();
-        assert_eq!(reply.result.len(), 2);
+        let (rows, _) = live_rx.try_recv().unwrap().unwrap();
+        assert_eq!(rows.len(), 2);
         assert_eq!(counters.snapshot().queries, 1, "only the live query runs");
     }
 

@@ -1308,15 +1308,15 @@ fn handle_query(
         }
     };
     match reply {
-        Ok(reply) => {
+        Ok((rows, reply)) => {
             let csv = {
                 let store = locks::read(&shared.store);
-                store.render_csv(&reply.result)
+                store.render_csv(&rows)
             };
             match csv {
                 Ok(csv) => {
-                    let result = result_frame(reply.result.len(), &reply.stats, &csv);
-                    finish(result, &reply, reply.result.len() as u64)
+                    let result = result_frame(rows.len(), &reply.stats, &csv);
+                    finish(result, &reply, rows.len() as u64)
                 }
                 Err(e) => (vec![engine_err_frame(&e)], None),
             }

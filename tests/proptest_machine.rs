@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use systolic_db::arrays::ops::{self, Execution};
 use systolic_db::arrays::JoinSpec;
-use systolic_db::machine::{Expr, MachineConfig, System};
+use systolic_db::machine::{Expr, MachineConfig, Plan, System, TrackFilter};
 use systolic_db::relation::gen::synth_schema;
 use systolic_db::relation::MultiRelation;
 
@@ -161,5 +161,39 @@ proptest! {
         sys.load_base("r2", base("r2"));
         let out = sys.run(&expr).unwrap();
         prop_assert!(out.result.set_eq(&interpret(&expr)));
+    }
+
+    #[test]
+    fn pricing_from_cardinalities_equals_the_run(
+        l in arb_set_expr(),
+        r in arb_set_expr(),
+        join in any::<bool>(),
+        cut in 0i64..20,
+    ) {
+        use systolic_db::fabric::CompareOp;
+        // Every shape-pure plan: the schedule priced from the run's own
+        // per-step cardinalities is the run's schedule — on two disks, with
+        // a logic-per-track load whose delivered size only `cards` knows.
+        let mut sys = System::new(MachineConfig {
+            disks: 2,
+            ..MachineConfig::default()
+        })
+        .unwrap();
+        sys.load_base("r0", base("r0"));
+        sys.load_base("r1", base("r1"));
+        sys.load_base("r2", base("r2"));
+        let filter = TrackFilter { col: 0, op: CompareOp::Lt, value: cut };
+        let l = l.union(Expr::scan_filtered("r0", filter));
+        let expr = if join {
+            l.join(r, vec![JoinSpec::eq(0, 0)])
+        } else {
+            l.difference(r)
+        };
+        let plan = Plan::compile(&expr);
+        let ran = sys.run_plan(&plan).unwrap();
+        let priced = sys.price_plan(&plan, &ran.step_rows).unwrap();
+        prop_assert_eq!(priced.stats, ran.stats, "expr {}", expr);
+        prop_assert_eq!(priced.timeline.events(), ran.timeline.events(), "expr {}", expr);
+        prop_assert_eq!(priced.step_rows, ran.step_rows);
     }
 }
