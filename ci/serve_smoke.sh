@@ -21,9 +21,9 @@
 #      with DISTINCT filter values over one shared table onto one socket
 #      in a single write (the reactor counts all three as arriving before
 #      it dispatches the first, so they are admitted as one batch), check
-#      every fused RESULT frame byte-matches its solo run, and check the
-#      `sdb_columnar_*` metrics advanced (word planes packed at ingest,
-#      shared-operand scans actually fused).
+#      every batched RESULT frame byte-matches its solo run, that word
+#      planes were packed at ingest (`sdb_columnar_builds`), and that the
+#      scheduler admitted the round whole (`sdb_batch_size` +1 batch of 3).
 # Any failure exits nonzero.
 set -euo pipefail
 
@@ -298,7 +298,7 @@ grep -q 'server.shard_fanout' "$TRACE" || { echo "trace has no fan-out span"; ex
 echo "--- profiled server log ---"
 cat "$WORK/serve4.log"
 
-# ---- Round 5: columnar backend — fused shared-operand batches ----------
+# ---- Round 5: columnar backend — one merged batch over a shared table ---
 
 ADDR5=127.0.0.1:14175
 "$SDB" serve --addr "$ADDR5" --backend columnar --io poll > "$WORK/serve5.log" 2>&1 &
@@ -326,8 +326,8 @@ wire_results() {
   exec 3>&-
 }
 
-# Load once, then take solo baselines: each filter runs alone, so no
-# fusion partner exists and the answer is the plain per-query one.
+# Load once, then take solo baselines: each filter runs alone, in a batch
+# of one.
 "$SDB" --connect "$ADDR5" --table "emp=$WORK/emp.csv:str,int" 'dedup(scan(emp))' > /dev/null
 for v in 10 20 30; do
   wire_results "filter(scan(emp), c1 >= $v)" > "$WORK/solo$v.txt"
@@ -343,38 +343,36 @@ grep -q 'sdb_server_backend_info{backend="columnar"} 1' "$WORK/metrics5a.txt" \
   || { echo "server is not running the columnar backend"; cat "$WORK/metrics5a.txt"; exit 1; }
 awk '$1 == "sdb_columnar_builds" && $2 >= 1 { found = 1 } END { exit !found }' \
   "$WORK/metrics5a.txt" || { echo "columnar ingest never packed word planes"; cat "$WORK/metrics5a.txt"; exit 1; }
-BATCHES_BEFORE=$(awk '$1 == "sdb_columnar_fused_batches_total" { print $2 }' "$WORK/metrics5a.txt")
-STEPS_BEFORE=$(awk '$1 == "sdb_columnar_fused_steps_total" { print $2 }' "$WORK/metrics5a.txt")
-BATCHES_BEFORE=${BATCHES_BEFORE:-0}
-STEPS_BEFORE=${STEPS_BEFORE:-0}
+batch_metric() { awk -v name="$1" '$1 == name { print $2 }' "$2"; }
+ADMITTED_BEFORE=$(batch_metric sdb_batch_size_count "$WORK/metrics5a.txt")
+QUERIES_BEFORE=$(batch_metric sdb_batch_size_sum "$WORK/metrics5a.txt")
 
 # Three pipelined queries with DISTINCT filter values, one write: the
 # reactor counts the whole round as arriving, so the scheduler gathers all
 # three into one batch. Distinct values keep the scheduler's CSE out of
-# it, so the merged batch really evaluates three predicates — the columnar
-# backend answers them with one fused pass over emp's word planes while
-# pricing each query exactly as its solo run.
+# it, so the merged batch really evaluates three predicates, each priced
+# exactly as its solo run.
 wire_results 'filter(scan(emp), c1 >= 10)' 'filter(scan(emp), c1 >= 20)' \
-  'filter(scan(emp), c1 >= 30)' > "$WORK/fused.txt"
+  'filter(scan(emp), c1 >= 30)' > "$WORK/batched.txt"
 "$SDB" --connect "$ADDR5" --metrics > "$WORK/metrics5b.txt"
 
-# Every fused answer must byte-match its solo baseline.
+# Every batched answer must byte-match its solo baseline.
 cat "$WORK/solo10.txt" "$WORK/solo20.txt" "$WORK/solo30.txt" > "$WORK/solo.txt"
-cmp -s "$WORK/solo.txt" "$WORK/fused.txt" \
-  || { echo "fused answers diverged from their solo runs"; \
-       diff "$WORK/solo.txt" "$WORK/fused.txt" || true; exit 1; }
+cmp -s "$WORK/solo.txt" "$WORK/batched.txt" \
+  || { echo "batched answers diverged from their solo runs"; \
+       diff "$WORK/solo.txt" "$WORK/batched.txt" || true; exit 1; }
 
 # The round was admitted whole, and no gather ever sat out its window.
 awk '$1 == "sdb_batch_window_close_total{reason=\"deadline\"}" && $2 == 0 { found = 1 } END { exit !found }' \
   "$WORK/metrics5b.txt" || { echo "a gather closed on its deadline (leaked arrival)"; cat "$WORK/metrics5b.txt"; exit 1; }
 
-# The fused-scan counters must have advanced: at least one fused batch
-# covering at least two of the shared-operand steps.
-awk -v b="$BATCHES_BEFORE" '$1 == "sdb_columnar_fused_batches_total" && $2 > b+0 { found = 1 } END { exit !found }' \
-  "$WORK/metrics5b.txt" || { echo "no fused batch was recorded"; cat "$WORK/metrics5b.txt"; exit 1; }
-awk -v s="$STEPS_BEFORE" '$1 == "sdb_columnar_fused_steps_total" && $2 >= s+2 { found = 1 } END { exit !found }' \
-  "$WORK/metrics5b.txt" || { echo "fused batch covered fewer than two steps"; cat "$WORK/metrics5b.txt"; exit 1; }
-echo "columnar: fused answers match solo; fused batches $BATCHES_BEFORE -> $(awk '$1 == "sdb_columnar_fused_batches_total" { print $2 }' "$WORK/metrics5b.txt")"
+# Exactly one admission happened across the round, and it held all three.
+ADMITTED=$(batch_metric sdb_batch_size_count "$WORK/metrics5b.txt")
+QUERIES=$(batch_metric sdb_batch_size_sum "$WORK/metrics5b.txt")
+[[ $((ADMITTED - ADMITTED_BEFORE)) -eq 1 && $((QUERIES - QUERIES_BEFORE)) -eq 3 ]] \
+  || { echo "round was not admitted as one batch of three: batches $ADMITTED_BEFORE -> $ADMITTED, queries $QUERIES_BEFORE -> $QUERIES"; \
+       cat "$WORK/metrics5b.txt"; exit 1; }
+echo "columnar: batched answers match solo; sdb_batch_size count $ADMITTED_BEFORE -> $ADMITTED, sum $QUERIES_BEFORE -> $QUERIES"
 
 kill -TERM "$SRV5"
 if ! wait "$SRV5"; then

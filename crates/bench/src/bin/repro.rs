@@ -1147,15 +1147,11 @@ fn e21_backend_speedup() -> (Summary, Vec<(String, Extra)>) {
     (sum, extras)
 }
 
-/// E22: the columnar backend on its own terms. Three acts: the six
+/// E22: the columnar backend on its own terms. Two acts: the six
 /// operators on the device path the machine serves them on, with the
-/// accounting's share of each run; fused shared-operand batch throughput
-/// at 1/4/16 concurrent queries over one relation (answered in a single
-/// word-plane pass, per-query accounting untouched) against the same
-/// backend answering them one at a time; and ingest bandwidth of the
+/// accounting's share of each run; and ingest bandwidth of the
 /// zero-detour columnar CSV path against parse-rows-then-pack.
 fn e22_columnar() -> (Summary, Vec<(String, Extra)>) {
-    use systolic_machine::{MachineConfig, TrackFilter};
     use systolic_relation::{import_csv, import_csv_columnar, Catalog, Column, DomainKind, Schema};
 
     let mut sum = Summary::default();
@@ -1163,7 +1159,7 @@ fn e22_columnar() -> (Summary, Vec<(String, Extra)>) {
     heading(
         "E22",
         "columnar word-plane execution (host wall time)",
-        "\u{a7}2.3 domain coding packs tuples into bit planes; one 64-bit word then carries 64 tuples per host op, and queries sharing an operand share its scan",
+        "\u{a7}2.3 domain coding packs tuples into bit planes; one 64-bit word then carries 64 tuples per host op",
     );
 
     // Act 1: the served path. The simulator is out of the picture, so the
@@ -1264,89 +1260,7 @@ fn e22_columnar() -> (Summary, Vec<(String, Extra)>) {
     );
     extras.push(("pipelined_accounting_share".to_string(), Extra::F64(share)));
 
-    // Act 2: fused shared-operand batches. C concurrent point queries hit
-    // the same 64k-row relation. Admitted together, the machine answers
-    // all C with one fused pass over the operand's word planes (per-request
-    // pulse accounting still priced solo — the machine suite proves
-    // bit-identity); admitted one at a time, the same backend makes C
-    // passes. Distinct filter values keep the admission scheduler's CSE
-    // out of the way: this measures fusion, not deduplication.
-    println!();
-    println!("fused shared-operand batches (64k-row operand, point filters):");
-    let emp = workloads::seq_multi(65_536, 2, 0);
-    let mut t = Table::new(&[
-        "clients",
-        "unfused (solo) q/s",
-        "fused (one batch) q/s",
-        "fused answers match",
-    ]);
-    for &clients in &[1usize, 4, 16] {
-        let queries: Vec<Expr> = (0..clients)
-            .map(|i| {
-                Expr::scan_filtered(
-                    "emp",
-                    TrackFilter {
-                        col: 0,
-                        op: CompareOp::Eq,
-                        value: ((i as i64) * 4099 + 17) % 65_536,
-                    },
-                )
-            })
-            .collect();
-        let mut best = |fused: bool| {
-            let mut best_ns = u64::MAX;
-            let mut out = Vec::new();
-            for rep in 0..=REPS {
-                let mut sys = System::new(MachineConfig {
-                    backend: Backend::Columnar,
-                    ..MachineConfig::default()
-                })
-                .unwrap();
-                sys.load_base("emp", emp.clone());
-                let t0 = Instant::now();
-                let answers = if fused {
-                    sys.run_batch_accounted(&queries).unwrap().queries
-                } else {
-                    queries
-                        .iter()
-                        .flat_map(|q| {
-                            let solo = sys.run_batch_accounted(std::slice::from_ref(q));
-                            solo.unwrap().queries
-                        })
-                        .collect()
-                };
-                let ns = t0.elapsed().as_nanos() as u64;
-                // Rep 0 is the warm-up: it pays the one-time word-plane
-                // pack (shared by every later clone of `emp`), never timed.
-                if rep > 0 {
-                    sum.pulses(answers.iter().map(|a| a.stats.total_pulses).sum());
-                    best_ns = best_ns.min(ns);
-                }
-                out = answers;
-            }
-            (out, best_ns)
-        };
-        let (unfused, unfused_ns) = best(false);
-        let (fused, fused_ns) = best(true);
-        let matches = unfused.len() == fused.len()
-            && unfused
-                .iter()
-                .zip(&fused)
-                .all(|(u, f)| u.result.rows() == f.result.rows() && u.stats == f.stats);
-        let unfused_qps = clients as f64 / (unfused_ns as f64 / 1e9);
-        let fused_qps = clients as f64 / (fused_ns as f64 / 1e9);
-        extras.push((format!("unfused_qps_{clients}"), Extra::F64(unfused_qps)));
-        extras.push((format!("fused_qps_{clients}"), Extra::F64(fused_qps)));
-        t.rowd(&[
-            clients.to_string(),
-            format!("{unfused_qps:.0}"),
-            format!("{fused_qps:.0}"),
-            matches.to_string(),
-        ]);
-    }
-    print!("{}", t.render());
-
-    // Act 3: ingest bandwidth. The zero-detour path packs word planes
+    // Act 2: ingest bandwidth. The zero-detour path packs word planes
     // while parsing; the detour path parses rows first and packs after —
     // same catalog, same CSV, both ending with rows AND planes in memory.
     println!();

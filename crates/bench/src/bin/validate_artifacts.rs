@@ -37,16 +37,9 @@ const OPTIONAL: &[(&str, bool)] = &[
     ("speedup", false),
     // e22_columnar, device path (`TiledPipelined` on the 32 x 32 x 8
     // array): per-operator wall times use the `pipelined_ns_<op>` prefix;
-    // the share is time in `price_*` over time in `*_with`. Then fused vs
-    // solo shared-operand throughput at each client count, and the two CSV
-    // ingest bandwidths (rows-then-pack vs zero-detour).
+    // the share is time in `price_*` over time in `*_with`. Then the two
+    // CSV ingest bandwidths (rows-then-pack vs zero-detour).
     ("pipelined_accounting_share", false),
-    ("fused_qps_1", false),
-    ("fused_qps_4", false),
-    ("fused_qps_16", false),
-    ("unfused_qps_1", false),
-    ("unfused_qps_4", false),
-    ("unfused_qps_16", false),
     ("ingest_row_mb_per_sec", false),
     ("ingest_columnar_mb_per_sec", false),
     // serve_throughput: shard count behind the poll(2) reactor and the

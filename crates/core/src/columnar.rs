@@ -19,11 +19,6 @@
 //! * [`quotient_flags`] / [`quotient_flags_multi`] hold each key's matched
 //!   divisor values as a bit set over the distinct divisor elements,
 //!   reducing the §7 all-present test to a popcount.
-//! * [`fused_select`] is the multi-query scan: when several admitted
-//!   queries share an operand relation, each *distinct* predicate mask is
-//!   computed once over the shared planes and the per-query keep vectors
-//!   are ANDed from those masks — one pass over the operand, per-query
-//!   results identical to running [`select_bits`] separately.
 //!
 //! Everything here is a *result* kernel only. The `ExecStats` come from
 //! the analytic formulas in [`crate::kernel`], which is why stats,
@@ -321,36 +316,6 @@ pub fn select_bits(packed: &ColumnarRelation, predicates: &[Predicate]) -> Vec<b
     mask_to_bits(&select_mask(packed, predicates), packed.n_rows())
 }
 
-/// The fused multi-query scan: evaluate many queries' predicate lists in
-/// **one pass** over a shared operand's word planes. Each *distinct*
-/// `(col, op, value)` mask across all queries is computed once, then every
-/// query's keep vector is the word-wise AND of its predicates' masks —
-/// exactly [`select_bits`] per query, with the shared-mask work deduped.
-pub fn fused_select(packed: &ColumnarRelation, queries: &[&[Predicate]]) -> Vec<Vec<bool>> {
-    let words = packed.words();
-    let tail = packed.tail_mask();
-    let live = live_mask(words, tail);
-    let mut masks = CmpMasks::default();
-    let mut cache: HashMap<(usize, CompareOp, Elem), Vec<u64>> = HashMap::new();
-    let mut out = Vec::with_capacity(queries.len());
-    for preds in queries {
-        let mut acc: Vec<u64> = (0..words).map(&live).collect();
-        for p in *preds {
-            let mask = cache.entry((p.col, p.op, p.value)).or_insert_with(|| {
-                packed.cmp_masks_into(p.col, p.value, &mut masks);
-                let mut m = vec![0u64; words];
-                combine_left(p.op, &masks, &live, &mut m);
-                m
-            });
-            for (x, &m) in acc.iter_mut().zip(mask.iter()) {
-                *x &= m;
-            }
-        }
-        out.push(mask_to_bits(&acc, packed.n_rows()));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,26 +496,6 @@ mod tests {
                 .collect();
             assert_eq!(select_bits(&packed, &preds), expect, "{preds:?}");
         }
-    }
-
-    #[test]
-    fn fused_select_matches_solo_scans() {
-        let rows = relation(130, 3, 5);
-        let packed = pack(&rows, 3);
-        let q1 = vec![Predicate::new(0, CompareOp::Gt, 2)];
-        let q2 = vec![
-            Predicate::new(0, CompareOp::Gt, 2), // shared mask with q1
-            Predicate::new(1, CompareOp::Le, 3),
-        ];
-        let q3 = vec![Predicate::new(2, CompareOp::Eq, 4)];
-        let q4: Vec<Predicate> = vec![]; // empty predicate list keeps all
-        let queries: Vec<&[Predicate]> = vec![&q1, &q2, &q3, &q4];
-        let fused = fused_select(&packed, &queries);
-        assert_eq!(fused.len(), 4);
-        for (k, preds) in queries.iter().enumerate() {
-            assert_eq!(fused[k], select_bits(&packed, preds), "query {k}");
-        }
-        assert!(fused[3].iter().all(|&x| x), "empty query keeps every row");
     }
 
     #[test]

@@ -56,7 +56,6 @@ pub mod select;
 pub mod stats;
 pub mod tiling;
 
-pub use columnar::fused_select;
 pub use comparison::{ComparisonArray2d, LinearComparisonArray};
 pub use dedup::RemoveDuplicatesArray;
 pub use division::{DivisionArray, DivisionArrayMulti};

@@ -10,7 +10,6 @@
 
 use std::collections::HashMap;
 
-use systolic_core::select::Predicate;
 use systolic_fabric::CompareOp;
 use systolic_relation::{Elem, MultiRelation};
 use systolic_storage::{codec, SharedBlobStore};
@@ -40,6 +39,10 @@ pub struct TrackFilter {
 
 impl TrackFilter {
     /// Apply to a relation (used by the disk during a read).
+    ///
+    /// # Panics
+    ///
+    /// If `col` is not a column of `rel`; [`Disk::read`] checks first.
     pub fn apply(&self, rel: &MultiRelation) -> MultiRelation {
         let rows = rel.rows();
         let col = self.col;
@@ -94,8 +97,6 @@ pub struct Disk {
     pub revolution_ns: u64,
     /// Word size used for byte accounting.
     pub bytes_per_word: u64,
-    /// Whether the disk has logic-per-track filtering.
-    pub logic_per_track: bool,
 }
 
 impl Disk {
@@ -108,7 +109,6 @@ impl Disk {
             bytes_per_revolution: 500_000,
             revolution_ns: 16_666_667,
             bytes_per_word: 4,
-            logic_per_track: true,
         }
     }
 
@@ -223,72 +223,23 @@ impl Disk {
     /// Returns the delivered relation and the transfer time. The *full*
     /// relation crosses the head even when filtered (the filter sits behind
     /// the head), so transfer time is based on the stored size — but the
-    /// bytes delivered to memory shrink.
+    /// bytes delivered to memory shrink. A filter on a column the relation
+    /// does not have is [`RelationError::ColumnOutOfRange`], checked before
+    /// any row is looked at (an empty relation included), exactly as the
+    /// same predicate fails as an on-device selection.
+    ///
+    /// [`RelationError::ColumnOutOfRange`]: systolic_relation::RelationError::ColumnOutOfRange
     pub fn read(&self, name: &str, filter: Option<TrackFilter>) -> Result<(MultiRelation, u64)> {
         let stored = self.fetch(name)?;
         let time = self.transfer_ns(relation_bytes(&stored, self.bytes_per_word));
         let delivered = match filter {
-            Some(f) if self.logic_per_track => f.apply(&stored),
             Some(f) => {
-                // No track logic: the filter still happens, but host-side
-                // after a full read; same data, same modelled time.
+                stored.schema().column(f.col)?;
                 f.apply(&stored)
             }
             None => stored,
         };
         Ok((delivered, time))
-    }
-
-    /// Read a relation once and deliver it under several per-request track
-    /// filters — the fused-scan variant of [`Disk::read`].
-    ///
-    /// The *model* is unchanged: each request is an independent read whose
-    /// full stored relation crosses the head, so every entry is priced
-    /// exactly as a solo [`Disk::read`] and delivers the same rows. Only
-    /// the host-side work is shared: the relation is fetched (and, when
-    /// backed, page-decoded) once, and all filters are evaluated in one
-    /// fused pass over its bit-packed word planes instead of one row scan
-    /// per request.
-    pub fn read_many(
-        &self,
-        name: &str,
-        filters: &[Option<TrackFilter>],
-    ) -> Result<Vec<(MultiRelation, u64)>> {
-        let stored = self.fetch(name)?;
-        let time = self.transfer_ns(relation_bytes(&stored, self.bytes_per_word));
-        let arity = stored.arity();
-        // The fused path mirrors `TrackFilter::apply` bit for bit (the
-        // differential suite pins columnar selection to the scalar scan);
-        // out-of-range columns fall back so they fail exactly as a solo
-        // read would.
-        let fusable = !stored.is_empty() && filters.iter().flatten().all(|f| f.col < arity);
-        let some: Vec<usize> = (0..filters.len())
-            .filter(|&i| filters[i].is_some())
-            .collect();
-        let mut delivered: Vec<Option<MultiRelation>> = vec![None; filters.len()];
-        if fusable && some.len() >= 2 {
-            let packed = stored.columnar();
-            let preds: Vec<Vec<Predicate>> = some
-                .iter()
-                .map(|&i| {
-                    let f = filters[i].expect("index of a Some filter");
-                    vec![Predicate::new(f.col, f.op, f.value)]
-                })
-                .collect();
-            let queries: Vec<&[Predicate]> = preds.iter().map(Vec::as_slice).collect();
-            let keeps = systolic_core::fused_select(&packed, &queries);
-            for (&i, keep) in some.iter().zip(&keeps) {
-                delivered[i] = Some(stored.filter_by_index(|r| keep[r]));
-            }
-        } else {
-            for &i in &some {
-                delivered[i] = Some(filters[i].expect("index of a Some filter").apply(&stored));
-            }
-        }
-        Ok(delivered
-            .into_iter()
-            .map(|d| (d.unwrap_or_else(|| stored.clone()), time))
-            .collect())
     }
 }
 
@@ -468,44 +419,6 @@ mod tests {
         names.sort();
         assert_eq!(names, vec!["dept".to_string(), "emp".to_string()]);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn fused_read_many_matches_solo_reads_exactly() {
-        let mut d = Disk::paper_disk();
-        let rows: Vec<Vec<Elem>> = (0..130).map(|i| vec![i, i % 7]).collect();
-        d.store("emp", MultiRelation::new(synth_schema(2), rows).unwrap());
-        let filters = [
-            None,
-            Some(TrackFilter {
-                col: 1,
-                op: CompareOp::Lt,
-                value: 3,
-            }),
-            Some(TrackFilter {
-                col: 0,
-                op: CompareOp::Ge,
-                value: 100,
-            }),
-            Some(TrackFilter {
-                col: 1,
-                op: CompareOp::Eq,
-                value: 6,
-            }),
-        ];
-        let fused = d.read_many("emp", &filters).unwrap();
-        assert_eq!(fused.len(), filters.len());
-        for (filter, (got, got_ns)) in filters.iter().zip(&fused) {
-            let (want, want_ns) = d.read("emp", *filter).unwrap();
-            assert_eq!(got.rows(), want.rows(), "{filter:?} rows diverge");
-            assert_eq!(got_ns, &want_ns, "{filter:?} must price as a solo read");
-        }
-        assert!(d.read_many("missing", &filters).is_err());
-        // Empty relations take the scalar fallback and still agree.
-        d.store("none", MultiRelation::empty(synth_schema(2)));
-        for (got, _) in d.read_many("none", &filters).unwrap() {
-            assert!(got.is_empty());
-        }
     }
 
     #[test]

@@ -41,8 +41,8 @@ use systolic_telemetry::metrics::{self, Counter};
 use crate::account::{PricedOutcome, StepCost, StepRecord, StepShape, WriteBacks};
 use crate::device::{Device, DeviceKind};
 use crate::error::{MachineError, Result};
-use crate::plan::{Action, Expr, Plan, PlanOp, PlanStep};
-use crate::storage::{Disk, TrackFilter};
+use crate::plan::{Action, Expr, Plan, PlanStep};
+use crate::storage::Disk;
 use crate::timeline::Timeline;
 
 struct MachineCounters {
@@ -50,8 +50,6 @@ struct MachineCounters {
     pulses: std::sync::Arc<Counter>,
     array_runs: std::sync::Arc<Counter>,
     disk_bytes: std::sync::Arc<Counter>,
-    fused_batches: std::sync::Arc<Counter>,
-    fused_steps: std::sync::Arc<Counter>,
 }
 
 fn machine_counters() -> &'static MachineCounters {
@@ -75,28 +73,8 @@ fn machine_counters() -> &'static MachineCounters {
                 "sdb_machine_disk_bytes_total",
                 "Bytes read from disk across all machine runs (§9 disk channel).",
             ),
-            fused_batches: r.counter(
-                "sdb_columnar_fused_batches_total",
-                "Fused columnar scans: groups of plan steps sharing an operand relation answered by one pass over its word planes.",
-            ),
-            fused_steps: r.counter(
-                "sdb_columnar_fused_steps_total",
-                "Plan steps whose execution was covered by a fused columnar scan.",
-            ),
         }
     })
-}
-
-/// Count one fused columnar scan covering `steps` plan steps. The fused
-/// pass changes host work only — results, stats and timelines stay
-/// bit-identical — so these counters are the observable trace of it.
-fn record_fused_batch(steps: usize) {
-    if !metrics::metrics_enabled() {
-        return;
-    }
-    let c = machine_counters();
-    c.fused_batches.inc();
-    c.fused_steps.add(steps as u64);
 }
 
 /// Feed the global registry from a completed run's aggregate stats. Called
@@ -542,55 +520,6 @@ impl System {
     ) -> (Vec<StepRecord>, HashMap<&'p str, MultiRelation>) {
         let _sp = telemetry::span("machine.execute");
         let threads = systolic_core::executor::resolve_threads(self.host_threads);
-        let fuse = self.backend() == Backend::Columnar;
-        // Under the columnar backend, Load steps of one base relation are
-        // grouped into a single fused disk scan: the relation is fetched
-        // once and every group member's track filter is evaluated in one
-        // pass over its word planes. Each member is still priced as its
-        // own full transfer, so accounting is unchanged.
-        let mut fused_loads: HashMap<usize, (MultiRelation, u64, usize)> = HashMap::new();
-        if fuse {
-            let mut order: Vec<&str> = Vec::new();
-            let mut groups: HashMap<&str, Vec<usize>> = HashMap::new();
-            for step in &plan.steps {
-                if let Action::Load { relation, .. } = &step.action {
-                    groups
-                        .entry(relation.as_str())
-                        .or_insert_with(|| {
-                            order.push(relation.as_str());
-                            Vec::new()
-                        })
-                        .push(step.id);
-                }
-            }
-            for name in order {
-                let ids = &groups[name];
-                if ids.len() < 2 {
-                    continue;
-                }
-                let filters: Vec<Option<TrackFilter>> = ids
-                    .iter()
-                    .map(|&id| match &plan.steps[id].action {
-                        Action::Load { filter, .. } => *filter,
-                        _ => unreachable!("load group holds load steps"),
-                    })
-                    .collect();
-                let fused = self.base_shape(name).and_then(|(disk_id, ..)| {
-                    Ok((disk_id, self.disks[disk_id].read_many(name, &filters)?))
-                });
-                // A group that cannot be read fails step by step below,
-                // exactly as its solo reads would.
-                if let Ok((disk_id, outs)) = fused {
-                    let mut sp = telemetry::span("machine.fused_load");
-                    sp.arg("relation", name);
-                    sp.arg("steps", ids.len());
-                    record_fused_batch(ids.len());
-                    for (&id, (delivered, duration)) in ids.iter().zip(outs) {
-                        fused_loads.insert(id, (delivered, duration, disk_id));
-                    }
-                }
-            }
-        }
         // Dataflow values by output name (plan steps are topologically
         // ordered, so a level's inputs are always produced by lower
         // levels).
@@ -599,21 +528,14 @@ impl System {
             .steps
             .iter()
             .map(|step| match &step.action {
-                Action::Load { relation, filter } => fused_loads
-                    .remove(&step.id)
-                    .map_or_else(
-                        || {
-                            let (d, ..) = self.base_shape(relation)?;
-                            let (delivered, duration) = self.disks[d].read(relation, *filter)?;
-                            Ok((delivered, duration, d))
-                        },
-                        Ok,
-                    )
-                    .map(|(delivered, duration, disk_id)| {
+                Action::Load { relation, filter } => {
+                    self.base_shape(relation).and_then(|(disk_id, ..)| {
+                        let (delivered, duration) = self.disks[disk_id].read(relation, *filter)?;
                         let shape = shape_of(&delivered, StepCost::Load { disk_id, duration });
                         values.insert(step.output.as_str(), delivered);
-                        shape
-                    }),
+                        Ok(shape)
+                    })
+                }
                 // Until the step runs. Never surfaced if it does not: the
                 // upstream failure that starved it comes first.
                 Action::Op { .. } | Action::Store { .. } => Err(MachineError::UnknownRelation {
@@ -643,81 +565,8 @@ impl System {
                 })
                 .filter(|(_, runners, _)| !runners.is_empty())
                 .collect();
-            let mut done: Vec<(&PlanStep, OpRun)> = Vec::with_capacity(batch.len());
-            // Under the columnar backend, Select steps of this level whose
-            // staged inputs are clones of one relation (they share a
-            // columnar cache cell) are answered by a single fused pass
-            // over its word planes. Results and stats are exactly what
-            // each device run would produce: the keep vectors equal
-            // `select_bits` per query, and the selection array's stats are
-            // a closed-form function of the input shape (under any limits).
-            let mut fused: Vec<bool> = vec![false; batch.len()];
-            if fuse {
-                let mut order: Vec<usize> = Vec::new();
-                let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-                for (k, (step, _, staged)) in batch.iter().enumerate() {
-                    let Action::Op {
-                        op: PlanOp::Select(preds),
-                        ..
-                    } = &step.action
-                    else {
-                        continue;
-                    };
-                    let [input] = staged.as_slice() else { continue };
-                    // Mirror `select_with`'s guards so the fused path and
-                    // a solo device run agree on errors and on the
-                    // empty-input fast path.
-                    if input.is_empty()
-                        || preds.is_empty()
-                        || preds.iter().any(|p| p.col >= input.arity())
-                    {
-                        continue;
-                    }
-                    groups
-                        .entry(input.columnar_token())
-                        .or_insert_with(|| {
-                            order.push(input.columnar_token());
-                            Vec::new()
-                        })
-                        .push(k);
-                }
-                for token in order {
-                    let idxs = &groups[&token];
-                    if idxs.len() < 2 {
-                        continue;
-                    }
-                    let mut sp = telemetry::span("machine.fused_select");
-                    sp.arg("steps", idxs.len());
-                    let shared = batch[idxs[0]].2[0];
-                    let packed = shared.columnar();
-                    let queries: Vec<&[systolic_core::select::Predicate]> = idxs
-                        .iter()
-                        .map(|&k| {
-                            let Action::Op {
-                                op: PlanOp::Select(preds),
-                                ..
-                            } = &batch[k].0.action
-                            else {
-                                unreachable!("select group holds select steps")
-                            };
-                            preds.as_slice()
-                        })
-                        .collect();
-                    let keeps = systolic_core::fused_select(&packed, &queries);
-                    record_fused_batch(idxs.len());
-                    for ((&k, preds), keep) in idxs.iter().zip(&queries).zip(&keeps) {
-                        let (step, runners, staged) = &batch[k];
-                        let out = staged[0].filter_by_index(|i| keep[i]);
-                        let stats = systolic_core::ops::price_select(staged[0].len(), preds.len());
-                        let runs = runners.iter().map(|d| (d.limits, stats)).collect();
-                        done.push((step, Ok((out, runs))));
-                        fused[k] = true;
-                    }
-                }
-            }
-            let live: Vec<usize> = (0..batch.len()).filter(|&k| !fused[k]).collect();
-            let outs = systolic_core::executor::run_jobs(threads, live.len(), |j| -> OpRun {
-                let (step, runners, staged) = &batch[live[j]];
+            let outs = systolic_core::executor::run_jobs(threads, batch.len(), |j| -> OpRun {
+                let (step, runners, staged) = &batch[j];
                 let Action::Op { op, .. } = &step.action else {
                     unreachable!()
                 };
@@ -729,10 +578,10 @@ impl System {
                     runs.push((device.limits, stats));
                     rows.get_or_insert(out);
                 }
-                Ok((rows.expect("a live step has a runner"), runs))
+                Ok((rows.expect("a batched step has a runner"), runs))
             });
-            done.extend(live.iter().map(|&k| batch[k].0).zip(outs));
-            for (step, run) in done {
+            let steps: Vec<&PlanStep> = batch.iter().map(|(step, ..)| *step).collect();
+            for (step, run) in steps.into_iter().zip(outs) {
                 records[step.id] = run.map(|(out, runs)| {
                     let shape = shape_of(&out, StepCost::Op(runs));
                     values.insert(step.output.as_str(), out);
@@ -750,12 +599,6 @@ impl System {
             }
         }
         (records, values)
-    }
-
-    /// The backend every device computes with (all devices share the
-    /// configured backend).
-    fn backend(&self) -> Backend {
-        self.devices[0].backend
     }
 
     /// Close a run the accounting pass accepted: take its result out of
@@ -1780,15 +1623,14 @@ mod tests {
     }
 
     #[test]
-    fn columnar_batches_fuse_shared_operand_scans_without_observable_change() {
+    fn columnar_batches_over_shared_operands_are_bit_identical_to_sim() {
+        use crate::storage::TrackFilter;
         use systolic_core::select::Predicate;
         use systolic_fabric::CompareOp;
 
         // A batch where several queries share operand relations: two
-        // track-filtered loads of `emp` (fused into one disk scan), two
-        // on-device selections over unfiltered `emp` clones (fused into
-        // one word-plane pass), and one selection over `dept` that must
-        // not join either group.
+        // track-filtered loads of `emp`, two on-device selections over
+        // unfiltered `emp` clones, and one selection over `dept`.
         let build = |backend: Backend| {
             let mut sys = System::new(MachineConfig {
                 backend,
@@ -1825,27 +1667,10 @@ mod tests {
             Expr::scan("emp").select(vec![Predicate::new(1, CompareOp::Ge, 5)]),
             Expr::scan("dept").select(vec![Predicate::new(1, CompareOp::Eq, 0)]),
         ];
-        let before = (
-            machine_counters().fused_batches.get(),
-            machine_counters().fused_steps.get(),
-        );
         let sim = build(Backend::Sim).run_batch_accounted(&queries).unwrap();
         let columnar = build(Backend::Columnar)
             .run_batch_accounted(&queries)
             .unwrap();
-        // The fused scans really ran: the two shared-`emp` loads and the
-        // two shared-`emp` selects each form one batch (counters are
-        // global, so concurrent tests may add more on top).
-        if systolic_telemetry::metrics::metrics_enabled() {
-            assert!(
-                machine_counters().fused_batches.get() >= before.0 + 2,
-                "expected at least two fused batches"
-            );
-            assert!(
-                machine_counters().fused_steps.get() >= before.1 + 4,
-                "expected at least four fused steps"
-            );
-        }
         assert_eq!(columnar.combined.stats, sim.combined.stats);
         assert_eq!(
             columnar.combined.timeline.events(),
@@ -1860,6 +1685,112 @@ mod tests {
         for q in &sim.queries {
             assert!(!q.result.is_empty());
         }
+    }
+
+    /// A fresh paged store in the temp dir, for `attach_storage` systems.
+    fn paged_store(tag: &str) -> (SharedBlobStore, std::path::PathBuf) {
+        let mut path = std::env::temp_dir();
+        path.push(format!("sdb_machine_{tag}_{}.pg", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let store = SharedBlobStore::new(
+            systolic_storage::BlobStore::create(
+                &path,
+                8,
+                ReplacerKind::Clock,
+                StorageMetrics::shared(),
+            )
+            .unwrap(),
+        );
+        (store, path)
+    }
+
+    #[test]
+    fn paged_batches_of_differently_filtered_loads_equal_their_solo_runs() {
+        use crate::storage::TrackFilter;
+        use systolic_fabric::CompareOp;
+
+        // Each load of the batch decodes `emp`'s pages on its own; what a
+        // query gets must not depend on who else read the relation.
+        let build = |tag: &str| {
+            let (store, path) = paged_store(tag);
+            let mut sys = System::default_machine();
+            sys.attach_storage(&store);
+            let emp = |range: std::ops::Range<i64>| rel(range.map(|i| vec![i, i % 7]).collect());
+            sys.load_base("emp", emp(0..300));
+            sys.load_base("b", emp(100..200));
+            (sys, path)
+        };
+        let filter = |col, op, value| TrackFilter { col, op, value };
+        let queries = [
+            Expr::scan_filtered("emp", filter(0, CompareOp::Ge, 250)),
+            Expr::scan_filtered("emp", filter(1, CompareOp::Lt, 3)),
+            Expr::scan_filtered("emp", filter(1, CompareOp::Eq, 6)).dedup(),
+            Expr::scan("emp").intersect(Expr::scan("b")),
+            Expr::scan_filtered("emp", filter(0, CompareOp::Lt, 150)).intersect(Expr::scan("b")),
+        ];
+        let (mut sys, path) = build("batch");
+        let batch = sys.run_batch_accounted(&queries).unwrap();
+        let _ = std::fs::remove_file(&path);
+        for (k, (expr, got)) in queries.iter().zip(&batch.queries).enumerate() {
+            let (mut fresh, path) = build(&format!("solo{k}"));
+            let solo = fresh.run(expr).unwrap();
+            let _ = std::fs::remove_file(&path);
+            assert!(!solo.result.is_empty(), "{expr} is degenerate");
+            assert_eq!(got.result.rows(), solo.result.rows(), "{expr} rows");
+            assert_eq!(got.stats, solo.stats, "{expr} stats");
+            assert_eq!(got.step_rows, solo.step_rows, "{expr} step_rows");
+            assert_eq!(
+                got.timeline.events(),
+                solo.timeline.events(),
+                "{expr} timeline"
+            );
+        }
+    }
+
+    #[test]
+    fn an_out_of_range_track_filter_is_a_typed_error_on_both_disk_kinds() {
+        use crate::storage::TrackFilter;
+        use systolic_core::CoreError;
+        use systolic_fabric::CompareOp;
+        use systolic_relation::RelationError;
+
+        let filter = TrackFilter {
+            col: 5,
+            op: CompareOp::Ge,
+            value: 0,
+        };
+        let want = MachineError::Core(CoreError::Relation(RelationError::ColumnOutOfRange {
+            index: 5,
+            arity: 2,
+        }));
+        let (store, path) = paged_store("filter_out_of_range");
+        for paged in [false, true] {
+            let mut sys = System::default_machine();
+            if paged {
+                sys.attach_storage(&store);
+            }
+            sys.load_base("a", seq(0..10));
+            sys.load_base("none", MultiRelation::empty(synth_schema(2)));
+            // Solo, and on an empty relation (the column is checked before
+            // any row, as `select_with` orders it).
+            for name in ["a", "none"] {
+                let err = sys.run(&Expr::scan_filtered(name, filter)).unwrap_err();
+                assert_eq!(err, want, "paged {paged}, relation {name}");
+            }
+            // Beside two healthy queries the batch fails with the same
+            // typed error, and the machine goes on answering.
+            let err = sys
+                .run_batch_accounted(&[
+                    Expr::scan("a").dedup(),
+                    Expr::scan_filtered("a", filter),
+                    Expr::scan("a"),
+                ])
+                .unwrap_err();
+            assert_eq!(err, want, "paged {paged}, batched");
+            let next = sys.run(&Expr::scan("a")).unwrap();
+            assert_eq!(next.result.rows(), seq(0..10).rows());
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -109,9 +109,7 @@ impl MultiRelation {
     }
 
     /// An identity token for the shared cache cell: two relations return
-    /// the same token iff they are clones sharing one columnar view —
-    /// which is how a batch recognizes queries scanning the same staged
-    /// operand.
+    /// the same token iff they are clones sharing one columnar view.
     pub fn columnar_token(&self) -> usize {
         Arc::as_ptr(&self.cache.0) as usize
     }

@@ -45,9 +45,9 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
 use systolic_core::select::Predicate;
@@ -63,7 +63,7 @@ use crate::client::{Client, ClientError};
 use crate::engine::{kind_name, store_names};
 use crate::locks;
 use crate::protocol::{err_frame, parse_result_frame, result_frame};
-use crate::scheduler::{Arrival, Job, QueryReply};
+use crate::scheduler::{submit_fenced, Arrival, Fenced, Job, QueryReply};
 use crate::server::{IoModel, ServerConfig, ServerHandle, Shared};
 
 /// Client connection sets the fan-out rotates over, so several worker
@@ -439,42 +439,18 @@ impl Router {
         cards: Vec<u64>,
         trace: Option<TraceCtx>,
     ) -> PriceOutcome {
-        let fence = Arc::new(AtomicBool::new(false));
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        let job = Job::Price {
+        let waited = submit_fenced(shared, tx, |fence, reply| Job::Price {
             expr: expr.clone(),
             cards,
             trace,
-            fence: Arc::clone(&fence),
-            reply: reply_tx,
+            fence,
+            reply,
             submitted: Instant::now(),
-        };
-        if tx.send(job).is_err() {
-            return PriceOutcome::Fallback;
-        }
-        let reply = match reply_rx.recv_timeout(shared.cfg.request_timeout) {
-            Ok(reply) => reply,
-            Err(RecvTimeoutError::Timeout) => {
-                if fence.swap(true, Ordering::SeqCst) {
-                    // The scheduler claimed the job and is pricing it right
-                    // now. Pricing mutates nothing, so giving up would be
-                    // safe — but the answer is microseconds away and the
-                    // shards already did the work; wait for it.
-                    match reply_rx.recv() {
-                        Ok(reply) => reply,
-                        Err(_) => return PriceOutcome::Fallback,
-                    }
-                } else {
-                    shared.counters.update(|c| c.timeouts += 1);
-                    shared.metrics.timeouts.inc();
-                    return PriceOutcome::Failed(err_frame("timeout", "query timed out"));
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return PriceOutcome::Fallback,
-        };
-        match reply {
-            Ok(reply) => PriceOutcome::Priced(reply),
-            Err(_) => PriceOutcome::Fallback,
+        });
+        match waited {
+            Fenced::Answered(Ok(reply)) => PriceOutcome::Priced(reply),
+            Fenced::Answered(Err(_)) | Fenced::Gone { .. } => PriceOutcome::Fallback,
+            Fenced::TimedOut => PriceOutcome::Failed(err_frame("timeout", "query timed out")),
         }
     }
 }

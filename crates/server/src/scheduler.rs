@@ -25,7 +25,7 @@
 //! batch that served them.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -36,7 +36,7 @@ use systolic_telemetry::{root_span, span_in, TraceCtx};
 
 use crate::engine::{kind_name, store_names};
 use crate::metrics::ServerMetrics;
-use crate::server::{Counters, DurableStats};
+use crate::server::{Counters, DurableStats, Shared};
 
 /// A query waiting in a merged batch: its expression and source text, the
 /// submitting request's trace, its timeout fence, the reply channel, and the
@@ -116,6 +116,49 @@ impl Durable {
 /// about.
 fn claim(fence: &AtomicBool) -> bool {
     !fence.swap(true, Ordering::SeqCst)
+}
+
+/// How a worker's wait on a fenced job ended.
+pub(crate) enum Fenced<T> {
+    /// The scheduler ran the job and this is its answer.
+    Answered(T),
+    /// The worker timed out first and took the fence: the scheduler will
+    /// skip the job whole, so `ERR timeout` is the truth. Already counted.
+    TimedOut,
+    /// The scheduler hung up — `mid_run` when it had claimed the job first
+    /// (its side effects may have landed), otherwise before touching it.
+    Gone { mid_run: bool },
+}
+
+/// The worker's half of the fence race: submit the job `build` makes around
+/// a fresh fence and capacity-1 reply channel (the send never blocks, even
+/// to a worker that gave up), and wait out the request timeout for its
+/// answer. On expiry the worker tries to [`claim`] the fence itself; losing
+/// means the job is running and its side effects will land, so it blocks
+/// for the real answer rather than tell the client a lie.
+pub(crate) fn submit_fenced<T>(
+    shared: &Shared,
+    tx: &Sender<Job>,
+    build: impl FnOnce(Arc<AtomicBool>, SyncSender<T>) -> Job,
+) -> Fenced<T> {
+    let fence = Arc::new(AtomicBool::new(false));
+    let (reply_tx, reply_rx) = sync_channel(1);
+    if tx.send(build(Arc::clone(&fence), reply_tx)).is_err() {
+        return Fenced::Gone { mid_run: false };
+    }
+    match reply_rx.recv_timeout(shared.cfg.request_timeout) {
+        Ok(answer) => Fenced::Answered(answer),
+        Err(RecvTimeoutError::Disconnected) => Fenced::Gone { mid_run: false },
+        Err(RecvTimeoutError::Timeout) if claim(&fence) => {
+            shared.counters.update(|c| c.timeouts += 1);
+            shared.metrics.timeouts.inc();
+            Fenced::TimedOut
+        }
+        Err(RecvTimeoutError::Timeout) => match reply_rx.recv() {
+            Ok(answer) => Fenced::Answered(answer),
+            Err(_) => Fenced::Gone { mid_run: true },
+        },
+    }
 }
 
 /// Requests that have been read off a socket but have not reached the

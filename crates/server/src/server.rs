@@ -34,7 +34,7 @@ use crate::protocol::{
     spans_frame, Request,
 };
 use crate::router::{RouteOutcome, Router};
-use crate::scheduler::{self, Arrival, Arrivals, Job};
+use crate::scheduler::{self, Arrival, Arrivals, Fenced, Job};
 use crate::shutdown;
 
 /// Which connection front end the server runs.
@@ -1044,48 +1044,30 @@ fn handle_load(
             Err(e) => return engine_err_frame(&e),
         }
     };
-    let fence = Arc::new(AtomicBool::new(false));
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let job = Job::Load {
+    let waited = scheduler::submit_fenced(shared, tx, |fence, reply| Job::Load {
         name: name.to_string(),
         rel,
         kinds: kinds.to_vec(),
         csv: csv.to_string(),
-        fence: Arc::clone(&fence),
-        reply: reply_tx,
+        fence,
+        reply,
         arrival: arrival.map(Arrival::into_job),
-    };
-    if tx.send(job).is_err() {
-        locks::write(&shared.store).unregister(name);
-        return err_frame("shutting_down", "scheduler has exited");
-    }
-    match reply_rx.recv_timeout(shared.cfg.request_timeout) {
-        Ok(rows) => loaded_shard_forwarded(shared, name, kinds, csv, rows),
-        Err(RecvTimeoutError::Timeout) => {
-            if fence.swap(true, Ordering::SeqCst) {
-                // The scheduler claimed the fence first: the load is landing
-                // (or has landed) on the machine, so wait for the real
-                // acknowledgement rather than telling the client a lie.
-                match reply_rx.recv() {
-                    Ok(rows) => loaded_shard_forwarded(shared, name, kinds, csv, rows),
-                    Err(_) => err_frame("shutting_down", "scheduler exited mid-load"),
-                }
-            } else {
-                // We won: the scheduler will skip the job, so the relation
-                // never reaches the machine. Undo the speculative catalog
-                // registration to match.
-                locks::write(&shared.store).unregister(name);
-                shared.counters.update(|c| c.timeouts += 1);
-                shared.metrics.timeouts.inc();
-                err_frame("timeout", "load timed out")
-            }
+    });
+    match waited {
+        Fenced::Answered(rows) => loaded_shard_forwarded(shared, name, kinds, csv, rows),
+        // The scheduler skips the job, so the relation never reaches the
+        // machine: undo the speculative catalog registration to match.
+        Fenced::TimedOut => {
+            locks::write(&shared.store).unregister(name);
+            err_frame("timeout", "load timed out")
         }
-        Err(RecvTimeoutError::Disconnected) => {
-            // Scheduler died without acknowledging; the load may or may not
-            // have landed, but no client was told it did — drop it.
+        // Never acknowledged; the load may or may not have landed, but no
+        // client was told it did — drop it.
+        Fenced::Gone { mid_run: false } => {
             locks::write(&shared.store).unregister(name);
             err_frame("shutting_down", "scheduler has exited")
         }
+        Fenced::Gone { mid_run: true } => err_frame("shutting_down", "scheduler exited mid-load"),
     }
 }
 
@@ -1256,55 +1238,26 @@ fn handle_query(
             }
         }
     }
-    let fence = Arc::new(AtomicBool::new(false));
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    if tx
-        .send(Job::Query {
-            expr,
-            text: query.to_string(),
-            trace,
-            fence: Arc::clone(&fence),
-            reply: reply_tx,
-            submitted: Instant::now(),
-            arrival: arrival.map(Arrival::into_job),
-        })
-        .is_err()
-    {
-        return (
-            vec![err_frame("shutting_down", "scheduler has exited")],
-            None,
-        );
-    }
-    let reply = match reply_rx.recv_timeout(shared.cfg.request_timeout) {
-        Ok(reply) => reply,
-        Err(RecvTimeoutError::Timeout) => {
-            if fence.swap(true, Ordering::SeqCst) {
-                // The scheduler claimed the fence first: the query is
-                // running and its side effects (e.g. `store(...)`) will
-                // land, so block for the real answer — `ERR timeout` here
-                // would let the catalog diverge from what the client heard.
-                match reply_rx.recv() {
-                    Ok(reply) => reply,
-                    Err(_) => {
-                        return (
-                            vec![err_frame("shutting_down", "scheduler exited mid-query")],
-                            None,
-                        )
-                    }
-                }
+    let waited = scheduler::submit_fenced(shared, tx, |fence, reply| Job::Query {
+        expr,
+        text: query.to_string(),
+        trace,
+        fence,
+        reply,
+        submitted: Instant::now(),
+        arrival: arrival.map(Arrival::into_job),
+    });
+    let reply = match waited {
+        Fenced::Answered(reply) => reply,
+        // Skipped whole — no run, no `store(...)` side effects.
+        Fenced::TimedOut => return (vec![err_frame("timeout", "query timed out")], None),
+        Fenced::Gone { mid_run } => {
+            let detail = if mid_run {
+                "scheduler exited mid-query"
             } else {
-                // We won: the scheduler will skip the query entirely — no
-                // run, no side effects — so `ERR timeout` is the truth.
-                shared.counters.update(|c| c.timeouts += 1);
-                shared.metrics.timeouts.inc();
-                return (vec![err_frame("timeout", "query timed out")], None);
-            }
-        }
-        Err(RecvTimeoutError::Disconnected) => {
-            return (
-                vec![err_frame("shutting_down", "scheduler has exited")],
-                None,
-            )
+                "scheduler has exited"
+            };
+            return (vec![err_frame("shutting_down", detail)], None);
         }
     };
     match reply {

@@ -6,8 +6,10 @@
 use proptest::prelude::*;
 
 use systolic_db::arrays::ops::{self, Execution};
+use systolic_db::arrays::select::Predicate;
 use systolic_db::arrays::JoinSpec;
-use systolic_db::machine::{Expr, MachineConfig, Plan, System, TrackFilter};
+use systolic_db::fabric::CompareOp;
+use systolic_db::machine::{Backend, Expr, MachineConfig, Plan, System, TrackFilter};
 use systolic_db::relation::gen::synth_schema;
 use systolic_db::relation::MultiRelation;
 
@@ -105,6 +107,26 @@ fn arb_set_expr() -> impl Strategy<Value = Expr> {
     })
 }
 
+/// One query over `r0`: a track-filtered scan, or an on-device select of
+/// one or two predicates. Constants reach outside `r0`'s value range.
+fn arb_r0_query() -> impl Strategy<Value = Expr> {
+    let term = || {
+        let op = (0..CompareOp::ALL.len()).prop_map(|i| CompareOp::ALL[i]);
+        (0usize..2, op, -2i64..26)
+    };
+    prop_oneof![
+        term()
+            .prop_map(|(col, op, value)| Expr::scan_filtered("r0", TrackFilter { col, op, value })),
+        prop::collection::vec(term(), 1..3).prop_map(|terms| {
+            let preds = terms
+                .into_iter()
+                .map(|(col, op, value)| Predicate::new(col, op, value))
+                .collect();
+            Expr::scan("r0").select(preds)
+        }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -195,5 +217,38 @@ proptest! {
         prop_assert_eq!(priced.stats, ran.stats, "expr {}", expr);
         prop_assert_eq!(priced.timeline.events(), ran.timeline.events(), "expr {}", expr);
         prop_assert_eq!(priced.step_rows, ran.step_rows);
+    }
+
+    #[test]
+    fn batches_over_one_base_relation_equal_their_solo_runs(
+        queries in prop::collection::vec(arb_r0_query(), 2..7),
+    ) {
+        // Queries that all read `r0` — through the disk's track filter or
+        // through the selection array — share nothing observable: on either
+        // backend, at either thread count, each one's standalone accounting
+        // inside the batch is its run alone on a fresh machine.
+        for backend in [Backend::Sim, Backend::Columnar] {
+            for host_threads in [1, 4] {
+                let fresh = || {
+                    let mut sys = System::new(MachineConfig {
+                        backend,
+                        host_threads,
+                        ..MachineConfig::default()
+                    })
+                    .unwrap();
+                    sys.load_base("r0", base("r0"));
+                    sys
+                };
+                let batch = fresh().run_batch_accounted(&queries).unwrap();
+                prop_assert_eq!(batch.queries.len(), queries.len());
+                for (expr, got) in queries.iter().zip(&batch.queries) {
+                    let solo = fresh().run(expr).unwrap();
+                    let at = format!("{expr} on {backend:?} x{host_threads}");
+                    prop_assert_eq!(got.result.rows(), solo.result.rows(), "{}", at);
+                    prop_assert_eq!(got.stats, solo.stats, "{}", at);
+                    prop_assert_eq!(&got.step_rows, &solo.step_rows, "{}", at);
+                }
+            }
+        }
     }
 }
