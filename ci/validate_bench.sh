@@ -19,7 +19,7 @@ cargo run -p systolic-bench --bin validate_artifacts -- "$DIR"
 
 # The backend speedup experiment must be present and must have recorded
 # at least a 100x host-wall-time win for the columnar backend over the
-# pulse simulator (the committed artifact reads ~1000x).
+# pulse simulator (the committed artifact reads ~1800x).
 E21="$DIR/BENCH_e21_backend_speedup.json"
 if [[ ! -f "$E21" ]]; then
   echo "missing $E21" >&2
@@ -106,3 +106,17 @@ if ! awk -v s="$SHARE" 'BEGIN { exit !(s != "" && s+0 <= 0.5) }'; then
   exit 1
 fi
 echo "e22 device-path accounting share: ${SHARE}"
+
+# An equi-join must cost what its result rows cost, not |A|·|B| bits of `T`:
+# on the same device path, its wall time against the union's — a ratio
+# inside one run, so host speed cancels. Both results are vectors of rows
+# and the join's is 65 490 of them, which alone holds the ratio near 6; the
+# join from key buckets reads about 7, the dense-`T` join it replaced read
+# 11.8 (its last committed artifact) to 12.5.
+J_NS=$(sed -n 's/.*"pipelined_ns_join": \([0-9]*\).*/\1/p' "$E22")
+U_NS=$(sed -n 's/.*"pipelined_ns_union": \([0-9]*\).*/\1/p' "$E22")
+if ! awk -v j="$J_NS" -v u="$U_NS" 'BEGIN { exit !(j != "" && u+0 > 0 && j+0 <= 10 * u) }'; then
+  echo "e22 pipelined_ns_join '$J_NS' exceeds 10 x pipelined_ns_union '$U_NS' (or is missing)" >&2
+  exit 1
+fi
+echo "e22 join/union wall ratio: $(awk -v j="$J_NS" -v u="$U_NS" 'BEGIN { printf "%.1f", j / u }') (<= 10)"

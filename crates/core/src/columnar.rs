@@ -10,6 +10,12 @@
 //! * [`t_matrix`] assembles whole `TMatrix` rows at a time — per streamed
 //!   `A` tuple, each comparison column becomes `width` branch-free word
 //!   operations over `B`'s planes instead of `|B|` scalar compare chains.
+//!   It is the join path for *theta* comparators only.
+//! * [`equi_join_rows`] is the join path when every comparator is `=`: `B`'s
+//!   row indices are bucketed by join key and each `A` row probes once, so
+//!   the work is `|A| + |B| + matches`, not the `|A| x |B|` bits of a dense
+//!   `T` — and the rows still come out in `T`'s row-major order. Keys are
+//!   chosen as for the membership bits below.
 //! * [`membership_bits`] / [`duplicate_bits`] hash tuples as single `u64`
 //!   *composite codes* when the column widths fit one word (foreign tuples
 //!   outside a packed range cannot match and are rejected before hashing).
@@ -136,6 +142,104 @@ pub(crate) fn t_matrix_into(
             }
         }
         t.row_words_mut(row0 + i).copy_from_slice(&acc);
+    }
+}
+
+/// The rows of a pure equi-join (§6.2), derived without `T`: row `a[i]`
+/// followed by `b[j]` less its join columns, for every pair whose join
+/// columns are equal, in row-major `(i, j)` order — exactly what
+/// [`crate::join::JoinArray::assemble`] reads off the TRUE entries of the
+/// match matrix, and in the same order, which is what keeps RESULT frames
+/// byte-identical to the simulator's.
+///
+/// A single join column is keyed by the element itself; several by one
+/// `u64` composite code of `B`'s key columns (an `A` key outside a code
+/// range matches nothing), or by the key slice when the codes need more
+/// than 64 bits.
+pub fn equi_join_rows(a: &[Row], cols_a: &[usize], b: &[Row], cols_b: &[usize]) -> Vec<Row> {
+    debug_assert_eq!(cols_a.len(), cols_b.len());
+    let matches = if let (&[col_a], &[col_b]) = (cols_a, cols_b) {
+        MatchList::probe(b.iter().map(|r| r[col_b]), a.iter().map(|r| Some(r[col_a])))
+    } else {
+        let keys = |rows: &[Row], cols: &[usize]| -> Vec<Row> {
+            rows.iter()
+                .map(|r| cols.iter().map(|&c| r[c]).collect())
+                .collect()
+        };
+        let (a_keys, b_keys) = (keys(a, cols_a), keys(b, cols_b));
+        match CompositeSpec::from_rows(&b_keys, cols_b.len()) {
+            Some(spec) => MatchList::probe(
+                b_keys.iter().map(|k| spec.code(k)),
+                a_keys.iter().map(|k| spec.try_code(k)),
+            ),
+            None => MatchList::probe(
+                b_keys.iter().map(|k| k.as_slice()),
+                a_keys.iter().map(|k| Some(k.as_slice())),
+            ),
+        }
+    };
+    let kept_b: Vec<usize> = (0..b.first().map_or(0, Vec::len))
+        .filter(|k| !cols_b.contains(k))
+        .collect();
+    let mut out = Vec::with_capacity(matches.total);
+    for (row_a, &first) in a.iter().zip(&matches.first) {
+        let mut j = first;
+        while j != MatchList::END {
+            let row_b = &b[j];
+            let mut row = Vec::with_capacity(row_a.len() + kept_b.len());
+            row.extend_from_slice(row_a);
+            row.extend(kept_b.iter().map(|&k| row_b[k]));
+            out.push(row);
+            j = matches.next[j];
+        }
+    }
+    out
+}
+
+/// The TRUE positions of an equality `T`, as a list rather than a matrix:
+/// for each row of `A` the chain of `B` rows with an equal key.
+struct MatchList {
+    /// Per row `i` of `A`: its smallest matching `j`, or [`Self::END`].
+    first: Vec<usize>,
+    /// Per row `j` of `B`: the next larger `j` with the same key, or
+    /// [`Self::END`]. Following a chain visits `j` ascending, so walking
+    /// `first` in order is `T`'s row-major order.
+    next: Vec<usize>,
+    /// Number of matching pairs: the join's result size.
+    total: usize,
+}
+
+impl MatchList {
+    const END: usize = usize::MAX;
+
+    /// Bucket `B`'s row indices by key, then let each row of `A` probe
+    /// once (`None`: a key no row of `B` can equal).
+    fn probe<K: Hash + Eq>(
+        b_keys: impl DoubleEndedIterator<Item = K> + ExactSizeIterator,
+        a_keys: impl Iterator<Item = Option<K>>,
+    ) -> MatchList {
+        // A bucket is a chain through `next`, with its head and length in
+        // the map. Threading the chains from the last row of `B` backwards
+        // leaves each one starting at its smallest `j`, with no allocation
+        // per key.
+        let mut next = vec![Self::END; b_keys.len()];
+        let mut buckets: HashMap<K, (usize, usize)> = HashMap::with_capacity(b_keys.len());
+        for (j, key) in b_keys.enumerate().rev() {
+            let (head, len) = buckets.entry(key).or_insert((Self::END, 0));
+            next[j] = *head;
+            (*head, *len) = (j, *len + 1);
+        }
+        let mut total = 0;
+        let first = a_keys
+            .map(|key| {
+                let (head, len) = key
+                    .and_then(|k| buckets.get(&k).copied())
+                    .unwrap_or((Self::END, 0));
+                total += len;
+                head
+            })
+            .collect();
+        MatchList { first, next, total }
     }
 }
 
@@ -394,6 +498,46 @@ mod tests {
             let got = t_matrix(&a, &[0], &packed, &[0], &ops);
             assert_eq!(got, simulated_t(&a, &b, &ops), "{op:?}");
         }
+    }
+
+    #[test]
+    fn equi_join_rows_are_what_assembling_the_t_matrix_gives() {
+        use crate::join::{JoinArray, JoinSpec};
+        // Keys drawn from five values: every bucket holds several rows.
+        let a = relation(23, 3, 0);
+        let mut b = relation(17, 3, 3);
+        for (cols_a, cols_b) in [
+            (vec![0], vec![0]),
+            (vec![2], vec![0]),
+            (vec![0, 1], vec![0, 1]),
+            (vec![1, 0, 2], vec![2, 1, 1]),
+        ] {
+            let specs: Vec<JoinSpec> = cols_a
+                .iter()
+                .zip(&cols_b)
+                .map(|(&ca, &cb)| JoinSpec::eq(ca, cb))
+                .collect();
+            let ops = vec![CompareOp::Eq; specs.len()];
+            let t = t_matrix(&a, &cols_a, &pack(&b, 3), &cols_b, &ops);
+            assert_eq!(
+                equi_join_rows(&a, &cols_a, &b, &cols_b),
+                JoinArray::new(specs).assemble(&a, &b, &t),
+                "{cols_a:?} = {cols_b:?}"
+            );
+        }
+        // Key columns too wide for one composite code: keyed by slice.
+        b.push(vec![i64::MIN, i64::MAX, 0]);
+        b.push(vec![i64::MAX, i64::MIN, 0]);
+        let wild = vec![b[18].clone(), vec![9, 9, 9], b[17].clone(), b[0].clone()];
+        let cols = [0, 1];
+        let t = t_matrix(&wild, &cols, &pack(&b, 3), &cols, &[CompareOp::Eq; 2]);
+        let specs = vec![JoinSpec::eq(0, 0), JoinSpec::eq(1, 1)];
+        assert_eq!(
+            equi_join_rows(&wild, &cols, &b, &cols),
+            JoinArray::new(specs).assemble(&wild, &b, &t)
+        );
+        assert!(equi_join_rows(&[], &cols, &b, &cols).is_empty());
+        assert!(equi_join_rows(&a, &cols, &[], &cols).is_empty());
     }
 
     #[test]

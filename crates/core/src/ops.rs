@@ -388,16 +388,23 @@ pub fn join_with(
     if a.is_empty() || b.is_empty() {
         return Ok((MultiRelation::empty(schema), ExecStats::default()));
     }
+    let cols_a: Vec<usize> = specs.iter().map(|s| s.col_a).collect();
+    let cols_b: Vec<usize> = specs.iter().map(|s| s.col_b).collect();
+    if backend == Backend::Columnar && pure_equi {
+        // The rows straight from key buckets, in `T`'s row-major order; no
+        // matrix is built, so there is nothing for `Parallel` to fan out.
+        let rows = crate::columnar::equi_join_rows(a.rows(), &cols_a, b.rows(), &cols_b);
+        let stats = price_join(exec, a.len(), b.len(), specs.len());
+        return Ok((MultiRelation::new(schema, rows)?, stats));
+    }
     let arr = JoinArray::new(specs.to_vec());
     let ops: Vec<CompareOp> = specs.iter().map(|s| s.op).collect();
     let (t, stats) = match backend {
         Backend::Columnar => {
-            // Scan B's cached word planes column by column — no key
-            // projections are materialized at all. The matrix is
-            // independent of the tiling (tiles only partition the pair
-            // space); only the host fan-out differs under `Parallel`.
-            let cols_a: Vec<usize> = specs.iter().map(|s| s.col_a).collect();
-            let cols_b: Vec<usize> = specs.iter().map(|s| s.col_b).collect();
+            // A theta comparator: scan B's cached word planes column by
+            // column — no key projections are materialized at all. The
+            // matrix is independent of the tiling (tiles only partition the
+            // pair space); only the host fan-out differs under `Parallel`.
             let packed = b.columnar();
             let t = if let Execution::Parallel { threads, .. } = exec {
                 crate::executor::columnar_t_matrix_parallel(

@@ -136,6 +136,36 @@ proptest! {
         assert_identical("join", &sim, &fast)?;
     }
 
+    /// Equi-joins (§6.1), which the columnar backend answers from key
+    /// buckets without building `T`: one to three key columns over a tiny
+    /// domain (every key heavily duplicated on both sides), `A` values far
+    /// outside anything `B` holds, through every execution strategy and a
+    /// four-thread `Parallel` — equal to the simulator as an *ordered*
+    /// relation (schema and row sequence) with its stats.
+    #[test]
+    fn equi_joins_agree(
+        exec in exec_strategy(),
+        limits in limits_strategy(),
+        pairs in prop::collection::vec((0usize..3, 0usize..3), 1..=3),
+        seed_a in prop::collection::vec(
+            prop::collection::vec(
+                prop_oneof![-2i64..3, -2i64..3, Just(i64::MIN), Just(i64::MAX), Just(40i64)],
+                3,
+            ),
+            0..=9,
+        ),
+        seed_b in rows_strategy(3, 9),
+    ) {
+        let a = rel(3, seed_a);
+        let b = rel(3, seed_b);
+        let specs: Vec<JoinSpec> = pairs.into_iter().map(|(ca, cb)| JoinSpec::eq(ca, cb)).collect();
+        for exec in [exec, Execution::Parallel { limits, threads: 4 }] {
+            let sim = ops::join_with(&a, &b, &specs, exec, Backend::Sim).unwrap();
+            let fast = ops::join_with(&a, &b, &specs, exec, Backend::Columnar).unwrap();
+            prop_assert_eq!(&fast, &sim, "{:?}", exec);
+        }
+    }
+
     /// The word-plane `T` equals the programmable array's, entry for
     /// entry, for arbitrary comparator vectors — the matrix itself, not
     /// just the assembled result.
@@ -338,4 +368,109 @@ fn overwide_relations_agree() {
     assert_eq!(i.rows(), &[vec![i64::MAX, i64::MAX], vec![i64::MIN, 0]]);
     let (d, _) = ops::dedup_with(&a, Execution::Marching, Backend::Columnar).unwrap();
     assert_eq!(d.len(), 4, "the second (0, 5) is dropped");
+}
+
+fn every_execution() -> [Execution; 6] {
+    [
+        Execution::Marching,
+        Execution::FixedOperand,
+        Execution::Tiled(ArrayLimits::new(2, 3, 1)),
+        Execution::TiledPipelined(ArrayLimits::new(2, 3, 2)),
+        Execution::Parallel {
+            limits: ArrayLimits::new(2, 3, 1),
+            threads: 1,
+        },
+        Execution::Parallel {
+            limits: ArrayLimits::new(2, 3, 1),
+            threads: 4,
+        },
+    ]
+}
+
+/// The equi-join's corner inputs, pinned for every execution: an empty side,
+/// and two full-range key columns whose composite code needs 128 bits, so
+/// the buckets are keyed by the key slices themselves.
+#[test]
+fn equi_join_corner_inputs_agree() {
+    let wide = |rows: &[[i64; 3]]| rel(3, rows.iter().map(|r| r.to_vec()).collect());
+    let a = wide(&[
+        [i64::MIN, i64::MAX, 1],
+        [0, 5, 2],
+        [i64::MIN, i64::MAX, 3],
+        [i64::MAX, i64::MIN, 4],
+        [0, 6, 5],
+    ]);
+    let b = wide(&[
+        [0, 5, 10],
+        [i64::MIN, i64::MAX, 11],
+        [i64::MAX, i64::MAX, 12],
+        [0, 5, 13],
+        [i64::MIN, i64::MAX, 14],
+    ]);
+    let empty = rel(3, vec![]);
+    let one = [JoinSpec::eq(0, 0)];
+    let two = [JoinSpec::eq(0, 0), JoinSpec::eq(1, 1)];
+    let key_rows: Vec<Vec<i64>> = b.rows().iter().map(|r| r[..2].to_vec()).collect();
+    assert!(
+        systolic_relation::CompositeSpec::from_rows(&key_rows, 2).is_none(),
+        "the two-column key must not fit one code word"
+    );
+    for exec in every_execution() {
+        for (label, left, right, specs) in [
+            ("wide key", &a, &b, &two[..]),
+            ("one column of it", &a, &b, &one[..]),
+            ("empty A", &empty, &b, &two[..]),
+            ("empty B", &a, &empty, &one[..]),
+            ("both empty", &empty, &empty, &two[..]),
+        ] {
+            let sim = ops::join_with(left, right, specs, exec, Backend::Sim).unwrap();
+            let fast = ops::join_with(left, right, specs, exec, Backend::Columnar).unwrap();
+            assert_eq!(fast, sim, "{label} ({exec:?})");
+        }
+    }
+    let (rows, _) = ops::join_with(&a, &b, &two, Execution::Marching, Backend::Columnar).unwrap();
+    assert_eq!(
+        rows.rows(),
+        &[
+            vec![i64::MIN, i64::MAX, 1, 11],
+            vec![i64::MIN, i64::MAX, 1, 14],
+            vec![0, 5, 2, 10],
+            vec![0, 5, 2, 13],
+            vec![i64::MIN, i64::MAX, 3, 11],
+            vec![i64::MIN, i64::MAX, 3, 14],
+        ],
+        "row-major (i, j): T's order"
+    );
+}
+
+/// Which join path ran is a property of the comparators alone. The theta
+/// path scans `B`'s word planes (`columnar::t_matrix`), so it packs them; the
+/// bucketed equi-join reads rows and packs nothing. One `<` beside an `=`
+/// is enough to need `T`.
+#[test]
+fn a_theta_comparator_still_goes_through_the_word_plane_t_matrix() {
+    let rows =
+        |seed: i64| -> Vec<Vec<i64>> { (0..7).map(|i| vec![(i + seed) % 3, i % 4]).collect() };
+    let a = rel(2, rows(0));
+    let equi = [JoinSpec::eq(0, 0), JoinSpec::eq(1, 1)];
+    let mixed = [JoinSpec::eq(0, 0), JoinSpec::theta(1, 1, CompareOp::Lt)];
+    for exec in every_execution() {
+        let b = rel(2, rows(1));
+        let fast = ops::join_with(&a, &b, &equi, exec, Backend::Columnar).unwrap();
+        assert_eq!(
+            fast,
+            ops::join_with(&a, &b, &equi, exec, Backend::Sim).unwrap()
+        );
+        assert!(!b.columnar_built(), "an equi-join built planes ({exec:?})");
+        let fast = ops::join_with(&a, &b, &mixed, exec, Backend::Columnar).unwrap();
+        assert_eq!(
+            fast,
+            ops::join_with(&a, &b, &mixed, exec, Backend::Sim).unwrap()
+        );
+        assert!(
+            b.columnar_built(),
+            "a theta join skipped t_matrix ({exec:?})"
+        );
+        assert_eq!(fast.0.arity(), 4, "a theta join keeps B's key columns");
+    }
 }

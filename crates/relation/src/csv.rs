@@ -9,7 +9,7 @@
 
 use crate::catalog::Catalog;
 use crate::columnar::ColumnarBuilder;
-use crate::domain::{Datum, DomainKind};
+use crate::domain::{Datum, Domain, DomainKind, Elem};
 use crate::error::RelationError;
 use crate::relation::MultiRelation;
 use crate::schema::Schema;
@@ -57,11 +57,48 @@ pub fn split_line(line: &str) -> Result<Vec<String>, RelationError> {
 /// Render one field, quoting when necessary (the inverse of
 /// [`split_line`]'s unquoting; public for the same text-level consumers).
 pub fn render_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+    let mut out = String::with_capacity(s.len());
+    push_field(&mut out, s);
+    out
+}
+
+/// Append one field to `out` under the quoting rule: a field containing a
+/// comma or a quote is wrapped in quotes with its quotes doubled, any other
+/// is copied as it is.
+fn push_field(out: &mut String, s: &str) {
+    if !s.contains([',', '"']) {
+        out.push_str(s);
+        return;
     }
+    out.push('"');
+    for (k, run) in s.split('"').enumerate() {
+        if k > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(run);
+    }
+    out.push('"');
+}
+
+/// Append the decimal digits of `v`, formatted on the stack.
+fn push_int(out: &mut String, v: i64) {
+    // 19 digits of `i64::MIN`'s magnitude and its sign.
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut n = v.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits and a sign"));
 }
 
 /// Parse a field according to the domain kind.
@@ -180,32 +217,104 @@ pub fn import_csv_columnar(
 }
 
 /// Export a multi-relation as CSV text with a header line.
+///
+/// One pass, one buffer: each column's [`Domain`] is resolved once for the
+/// relation and every cell is appended straight to the output — integers and
+/// `day#` dates as digits, booleans as literals, strings copied out of the
+/// dictionary under the quoting rule — so no typed value and no per-cell
+/// `String` exists on the way from §2.3 codes to bytes. Errors are the ones
+/// decoding the rows in order would raise: the first row, and in it the
+/// first cell, that does not decode.
 pub fn export_csv(catalog: &Catalog, rel: &MultiRelation) -> Result<String, RelationError> {
-    let mut out = String::new();
-    let names: Vec<String> = rel
-        .schema()
-        .columns()
-        .iter()
-        .map(|c| render_field(&c.name))
-        .collect();
-    out.push_str(&names.join(","));
+    let columns = rel.schema().columns();
+    let domains: Vec<&Domain> = columns.iter().map(|c| catalog.domain(c.domain)).collect();
+    // A guess at a short cell and its separator; longer cells grow it.
+    let mut out = String::with_capacity((rel.len() + 1) * columns.len() * 6);
+    for (k, column) in columns.iter().enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        push_field(&mut out, &column.name);
+    }
     out.push('\n');
     for row in rel.rows() {
-        let datums = catalog.decode_row(rel.schema(), row)?;
-        let cells: Vec<String> = datums
-            .iter()
-            .map(|d| render_field(&d.to_string()))
-            .collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
+        push_row(&mut out, &domains, row)?;
     }
     Ok(out)
+}
+
+/// Append one row's line, decoding each cell under its column's domain.
+fn push_row(out: &mut String, domains: &[&Domain], row: &[Elem]) -> Result<(), RelationError> {
+    if row.len() != domains.len() {
+        return Err(RelationError::ArityMismatch {
+            expected: domains.len(),
+            got: row.len(),
+        });
+    }
+    for (k, (&code, domain)) in row.iter().zip(domains).enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        match domain.kind() {
+            DomainKind::Int => push_int(out, code),
+            DomainKind::Date => {
+                out.push_str("day#");
+                push_int(out, code);
+            }
+            DomainKind::Bool => out.push_str(match code {
+                0 => "false",
+                1 => "true",
+                _ => return Err(RelationError::DecodeOutOfRange { code }),
+            }),
+            DomainKind::Str => push_field(out, domain.dict_str(code)?),
+        }
+    }
+    out.push('\n');
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Column;
+    use proptest::prelude::*;
+
+    /// The export the one-pass writer replaced — a `Vec<Datum>` per row, a
+    /// `String` per cell and a `join` per line — kept as the reference the
+    /// new one is compared against byte for byte.
+    mod reference {
+        use super::super::*;
+
+        pub fn render_field(s: &str) -> String {
+            if s.contains(',') || s.contains('"') {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s.to_string()
+            }
+        }
+
+        pub fn export_csv(catalog: &Catalog, rel: &MultiRelation) -> Result<String, RelationError> {
+            let mut out = String::new();
+            let names: Vec<String> = rel
+                .schema()
+                .columns()
+                .iter()
+                .map(|c| render_field(&c.name))
+                .collect();
+            out.push_str(&names.join(","));
+            out.push('\n');
+            for row in rel.rows() {
+                let datums = catalog.decode_row(rel.schema(), row)?;
+                let cells: Vec<String> = datums
+                    .iter()
+                    .map(|d| render_field(&d.to_string()))
+                    .collect();
+                out.push_str(&cells.join(","));
+                out.push('\n');
+            }
+            Ok(out)
+        }
+    }
 
     fn setup() -> (Catalog, Schema) {
         let mut cat = Catalog::new();
@@ -317,5 +426,120 @@ mod tests {
         assert!(rel.is_empty());
         let rel = import_csv(&mut cat, &schema, "\n  \n").unwrap();
         assert!(rel.is_empty());
+    }
+
+    const KINDS: [DomainKind; 4] = [
+        DomainKind::Int,
+        DomainKind::Str,
+        DomainKind::Bool,
+        DomainKind::Date,
+    ];
+
+    /// Integers with the extremes (19 digits and a sign) over-represented.
+    fn ints() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            Just(i64::MIN),
+            Just(i64::MAX),
+            Just(0i64),
+            -1000i64..1000,
+            any::<i64>(),
+        ]
+    }
+
+    /// Short strings over everything the quoting rule looks at: commas,
+    /// quotes, backslashes, spaces at either end, multi-byte characters —
+    /// and, at length zero, the empty string.
+    fn texts() -> impl Strategy<Value = String> {
+        const PALETTE: [char; 8] = ['a', 'b', ',', '"', '\\', ' ', 'é', '→'];
+        prop::collection::vec(0usize..PALETTE.len(), 0..7)
+            .prop_map(|picks| picks.into_iter().map(|k| PALETTE[k]).collect())
+    }
+
+    /// One catalog domain and one (possibly quoted) column name per kind
+    /// picked, and `cells` cut to that width and typed by it.
+    fn encode(
+        picks: &[usize],
+        names: &[String],
+        cells: &[Vec<(i64, String)>],
+    ) -> (Catalog, MultiRelation) {
+        let mut cat = Catalog::new();
+        let columns = picks
+            .iter()
+            .zip(names)
+            .map(|(&k, name)| Column::new(name.clone(), cat.add_domain("d", KINDS[k])))
+            .collect();
+        let rows: Vec<Vec<Datum>> = cells
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .zip(picks)
+                    .map(|((v, s), &k)| match KINDS[k] {
+                        DomainKind::Int => Datum::Int(*v),
+                        DomainKind::Date => Datum::Date(*v),
+                        DomainKind::Bool => Datum::Bool(v & 1 == 1),
+                        DomainKind::Str => Datum::str(s.clone()),
+                    })
+                    .collect()
+            })
+            .collect();
+        let rel = cat.encode_multi(Schema::new(columns), &rows).unwrap();
+        (cat, rel)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn one_pass_export_is_the_reference_export_byte_for_byte(
+            picks in prop::collection::vec(0usize..KINDS.len(), 1..6),
+            names in prop::collection::vec(texts(), 5),
+            cells in prop::collection::vec(prop::collection::vec((ints(), texts()), 5), 0..10),
+        ) {
+            let (cat, rel) = encode(&picks, &names, &cells);
+            let text = export_csv(&cat, &rel).unwrap();
+            prop_assert_eq!(&text, &reference::export_csv(&cat, &rel).unwrap());
+            // And each field on its own, for the text-level consumers.
+            for name in &names {
+                prop_assert_eq!(render_field(name), reference::render_field(name));
+                prop_assert_eq!(split_line(&render_field(name)).unwrap(), vec![name.clone()]);
+            }
+        }
+    }
+
+    #[test]
+    fn undecodable_rows_fail_as_the_reference_export_does() {
+        let mut cat = Catalog::new();
+        let flag = cat.add_domain("flag", DomainKind::Bool);
+        let names = cat.add_domain("names", DomainKind::Str);
+        let schema = Schema::new(vec![Column::new("flag", flag), Column::new("name", names)]);
+        let known = cat.domain_mut(names).encode(&Datum::str("ada")).unwrap();
+        // A good row first: the error replaces the text, it does not cut it.
+        for (bad, code) in [
+            (vec![2, known], 2),             // no such boolean
+            (vec![1, known + 1], known + 1), // past the dictionary
+            (vec![0, -1], -1),               // before it
+            (vec![7, -9], 7),                // the first bad cell is the one named
+        ] {
+            let rel = MultiRelation::new(schema.clone(), vec![vec![1, known], bad]).unwrap();
+            let got = export_csv(&cat, &rel);
+            assert_eq!(got, reference::export_csv(&cat, &rel));
+            assert_eq!(got, Err(RelationError::DecodeOutOfRange { code }));
+        }
+        // No relation can hold a row of the wrong width, so the line writer
+        // is asked directly, against the row decoder it stands in for.
+        let domains = [cat.domain(flag), cat.domain(names)];
+        for row in [vec![1], vec![1, known, 0], vec![]] {
+            assert_eq!(
+                push_row(&mut String::new(), &domains, &row),
+                cat.decode_row(&schema, &row).map(|_| ())
+            );
+            assert_eq!(
+                push_row(&mut String::new(), &domains, &row),
+                Err(RelationError::ArityMismatch {
+                    expected: 2,
+                    got: row.len()
+                })
+            );
+        }
     }
 }

@@ -168,12 +168,19 @@ impl Domain {
                 1 => Ok(Datum::Bool(true)),
                 _ => Err(RelationError::DecodeOutOfRange { code }),
             },
-            DomainKind::Str => self
-                .dict
-                .get(usize::try_from(code).map_err(|_| RelationError::DecodeOutOfRange { code })?)
-                .map(|s| Datum::Str(s.clone()))
-                .ok_or(RelationError::DecodeOutOfRange { code }),
+            DomainKind::Str => self.dict_str(code).map(Datum::str),
         }
+    }
+
+    /// The dictionary entry behind a string `code`, borrowed — what output
+    /// paths copy from instead of cloning a [`Datum`] per cell. Errors as
+    /// [`Self::decode`] does on a code with no entry.
+    pub fn dict_str(&self, code: Elem) -> Result<&str, RelationError> {
+        usize::try_from(code)
+            .ok()
+            .and_then(|at| self.dict.get(at))
+            .map(String::as_str)
+            .ok_or(RelationError::DecodeOutOfRange { code })
     }
 }
 

@@ -9,16 +9,29 @@ use std::io::{self, BufRead};
 
 /// Escape a payload so it fits on one line.
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
+    let mut out = String::with_capacity(s.len() + s.len() / 16);
+    escape_into(&mut out, s);
     out
+}
+
+/// [`escape`], appended to a frame under construction.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
+    // The three escaped bytes are ASCII, so they never fall inside a
+    // multi-byte character: the runs between them are whole `str`s and are
+    // copied as such.
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        let escaped = match byte {
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            _ => continue,
+        };
+        out.push_str(&s[run..at]);
+        out.push_str(escaped);
+        run = at + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// Invert [`escape`]. Errors on a dangling or unknown escape.
@@ -115,7 +128,41 @@ pub fn read_frame<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
+
+    /// The `char`-by-`char` escape the byte scan replaced, kept as the
+    /// reference it is compared against.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        for c in s.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Multi-byte characters sit right beside every escaped byte, and an
+        /// `n` or `r` behind a backslash must not read back as an escape.
+        #[test]
+        fn escape_is_the_reference_escape_and_unescape_inverts_it(
+            picks in prop::collection::vec(0usize..10, 0..24),
+        ) {
+            const PALETTE: [char; 10] = ['\\', '\n', '\r', 'n', 'r', 'a', ',', 'é', '→', '𝄞'];
+            let s: String = picks.into_iter().map(|k| PALETTE[k]).collect();
+            let escaped = escape(&s);
+            prop_assert_eq!(&escaped, &reference_escape(&s));
+            prop_assert!(!escaped.contains(['\n', '\r']));
+            prop_assert_eq!(unescape(&escaped), Ok(s));
+        }
+    }
 
     #[test]
     fn escape_round_trips() {

@@ -50,13 +50,15 @@
 //! stable `SA00N` code and `at=<start>..<end>`), `relation`, `machine`,
 //! `timeout`, `overloaded`, `shutting_down`, `too_large`, `conflict`.
 
+use std::fmt::Write as _;
+
 use systolic_analyzer::Diagnostic;
 use systolic_machine::{ParseError, RunStats};
 use systolic_relation::DomainKind;
 use systolic_telemetry::TraceCtx;
 
 use crate::engine::parse_kinds;
-use crate::frame::{escape, unescape};
+use crate::frame::{escape, escape_into, unescape};
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,18 +206,22 @@ pub fn queryc_request(query: &str, trace: Option<TraceCtx>) -> String {
     }
 }
 
-/// Render the deterministic half of a query answer.
+/// Render the deterministic half of a query answer: the header and the
+/// escaped CSV written into one buffer sized for both.
 pub fn result_frame(rows: usize, stats: &RunStats, csv: &str) -> String {
-    format!(
+    let mut frame = String::with_capacity(160 + csv.len() + csv.len() / 16);
+    let _ = write!(
+        frame,
         "RESULT rows={rows} makespan_ns={} pulses={} array_runs={} disk_bytes={} \
-         concurrency={} csv={}",
+         concurrency={} csv=",
         stats.makespan_ns,
         stats.total_pulses,
         stats.array_runs,
         stats.bytes_from_disk,
         stats.max_device_concurrency,
-        escape(csv),
-    )
+    );
+    escape_into(&mut frame, csv);
+    frame
 }
 
 /// Render the nondeterministic half of a query answer.

@@ -20,10 +20,12 @@
 //! requests are queued than `workers + max_pending`, new frames are answered
 //! `ERR overloaded` locally (still in pipeline order) instead of waiting.
 //!
-//! Shutdown drains like the threads model: in-flight requests are answered,
-//! idle connections get `BYE`, new work is refused `ERR shutting_down` by
-//! the shared dispatcher, and a grace period bounds how long a slow reader
-//! can hold the server open.
+//! Shutdown drains like the threads model: in-flight requests are answered
+//! (a connection the workers still owe replies keeps its slot, however long
+//! the machine takes — each request is bounded by the query timeout), idle
+//! connections get `BYE`, new work is refused `ERR shutting_down` by the
+//! shared dispatcher, and a grace period bounds how long a peer that will
+//! not read what it has been sent can hold the server open.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -39,7 +41,7 @@ use std::time::{Duration, Instant};
 use crate::locks;
 use crate::protocol::err_frame;
 use crate::scheduler::{Arrival, Job};
-use crate::server::{handle_request, Reply, Shared};
+use crate::server::{handle_request, Shared};
 
 /// Thin poll(2) binding. This module and [`crate::shutdown`] are the
 /// crate's only `unsafe_code` exceptions (the crate root carries
@@ -142,8 +144,9 @@ struct Conn {
     closing: bool,
     /// Peer closed its write half; serve what's pipelined, then close.
     read_eof: bool,
-    /// Drain `BYE` already queued (shutdown path), never queue another.
-    said_bye: bool,
+    /// When a shutdown pass first found nothing owed to this connection but
+    /// the bytes in `write_buf`: the start of its [`DRAIN_GRACE`].
+    drained_at: Option<Instant>,
 }
 
 impl Conn {
@@ -160,7 +163,7 @@ impl Conn {
             inflight: 0,
             closing: false,
             read_eof: false,
-            said_bye: false,
+            drained_at: None,
         }
     }
 
@@ -179,6 +182,22 @@ impl Conn {
         }
     }
 
+    /// One shutdown pass at `now`; `false` means the connection has used up
+    /// its grace and is dropped. While the workers owe it replies it is kept
+    /// and the clock does not run. Once everything owed has been rendered it
+    /// is told `BYE`, and only then does [`DRAIN_GRACE`] start — for a peer
+    /// that will not take its bytes.
+    fn drain(&mut self, now: Instant) -> bool {
+        if !self.closing {
+            if self.inflight > 0 || !self.pending.is_empty() {
+                return true;
+            }
+            self.write_buf.extend_from_slice(b"BYE\n");
+            self.closing = true;
+        }
+        now.duration_since(*self.drained_at.get_or_insert(now)) <= DRAIN_GRACE
+    }
+
     /// Whether this connection has nothing left to do and can be dropped.
     fn finished(&self) -> bool {
         let drained = self.write_pos >= self.write_buf.len();
@@ -187,8 +206,8 @@ impl Conn {
     }
 }
 
-/// How long, after a drain begins, a peer that won't read its responses may
-/// keep its connection (and thus the server) alive.
+/// How long, during a drain, a peer that has been sent everything it is owed
+/// and won't read it may keep its connection (and thus the server) alive.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
 /// Run the poll front end on the calling thread, spawning its worker pool
@@ -329,20 +348,11 @@ fn pool_worker(
                 token: item.token,
                 generation: item.generation,
                 seq: item.seq,
-                bytes: render(&reply),
                 close: reply.close,
+                bytes: reply.into_wire(),
             },
         );
     }
-}
-
-fn render(reply: &Reply) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    for frame in &reply.frames {
-        bytes.extend_from_slice(frame.as_bytes());
-        bytes.push(b'\n');
-    }
-    bytes
 }
 
 fn push_completion(completions: &Mutex<Vec<Completion>>, wake: &mut UnixStream, c: Completion) {
@@ -369,20 +379,11 @@ impl Reactor<'_> {
     fn run(mut self, listener: &TcpListener) -> io::Result<()> {
         let mut fds: Vec<sys::PollFd> = Vec::new();
         let mut tokens: Vec<usize> = Vec::new();
-        let mut drain_started: Option<Instant> = None;
         loop {
             let stopping = self.shared.stopping();
             if stopping {
-                let started = *drain_started.get_or_insert_with(Instant::now);
-                self.begin_drain();
+                self.drain(Instant::now());
                 if self.open_conns() == 0 {
-                    return Ok(());
-                }
-                if started.elapsed() > DRAIN_GRACE {
-                    // A peer that won't read its BYE doesn't get to pin the
-                    // process.
-                    self.conns.clear();
-                    self.publish_active();
                     return Ok(());
                 }
             }
@@ -458,17 +459,20 @@ impl Reactor<'_> {
             .store(self.open_conns(), Ordering::SeqCst);
     }
 
-    /// On shutdown: every connection with no work in flight gets `BYE` and
-    /// closes once it drains; connections still owed responses get their
-    /// `BYE` on a later pass, after `flush_ordered` empties them.
-    fn begin_drain(&mut self) {
-        for slot in &mut self.conns {
-            let Some(conn) = slot else { continue };
-            if conn.inflight == 0 && conn.pending.is_empty() && !conn.said_bye && !conn.closing {
-                conn.write_buf.extend_from_slice(b"BYE\n");
-                conn.said_bye = true;
-                conn.closing = true;
+    /// On shutdown: give every connection its [`Conn::drain`] pass and drop
+    /// the ones whose grace has run out — a peer that won't read its `BYE`
+    /// doesn't get to pin the process.
+    fn drain(&mut self, now: Instant) {
+        let mut changed = false;
+        for token in 0..self.conns.len() {
+            if self.conns[token].as_mut().is_some_and(|c| !c.drain(now)) {
+                self.conns[token] = None;
+                self.free.push(token);
+                changed = true;
             }
+        }
+        if changed {
+            self.publish_active();
         }
     }
 
@@ -786,16 +790,17 @@ mod tests {
         }
     }
 
+    /// A connection as the reactor holds it, and the peer's end of it.
+    fn connected() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (Conn::new(stream, 1), peer)
+    }
+
     #[test]
     fn flush_ordered_releases_responses_in_request_order() {
-        let (stream, _peer) = {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let peer = TcpStream::connect(addr).unwrap();
-            let (stream, _) = listener.accept().unwrap();
-            (stream, peer)
-        };
-        let mut conn = Conn::new(stream, 1);
+        let (mut conn, _peer) = connected();
         conn.next_seq = 3;
         conn.inflight = 3;
         // Responses 1 and 2 finish before 0: nothing may be written yet.
@@ -811,14 +816,7 @@ mod tests {
 
     #[test]
     fn a_closing_response_discards_later_pipeline_entries() {
-        let (stream, _peer) = {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let peer = TcpStream::connect(addr).unwrap();
-            let (stream, _) = listener.accept().unwrap();
-            (stream, peer)
-        };
-        let mut conn = Conn::new(stream, 1);
+        let (mut conn, _peer) = connected();
         conn.next_seq = 2;
         conn.inflight = 2;
         conn.pending.insert(0, (b"BYE\n".to_vec(), true));
@@ -827,5 +825,54 @@ mod tests {
         assert!(conn.closing);
         assert_eq!(conn.write_buf, b"BYE\n".to_vec());
         assert!(conn.pending.is_empty());
+    }
+
+    #[test]
+    fn a_drain_keeps_a_connection_the_workers_still_owe_replies() {
+        let (mut conn, _peer) = connected();
+        conn.next_seq = 2;
+        conn.inflight = 2;
+        let stop = Instant::now();
+        let late = stop + DRAIN_GRACE + Duration::from_secs(60);
+        // Both requests are behind a busy machine for longer than the grace.
+        assert!(conn.drain(stop));
+        assert!(conn.drain(late), "dropped with replies owed");
+        assert!(conn.write_buf.is_empty(), "BYE ahead of an owed reply");
+        // One finishes out of order: still owed the other.
+        conn.pending.insert(1, (b"second\n".to_vec(), false));
+        conn.flush_ordered();
+        assert!(conn.drain(late));
+        assert!(!conn.closing);
+        // The last one lands. Only now is the connection told BYE, and only
+        // now does its grace start.
+        conn.pending.insert(0, (b"first\n".to_vec(), false));
+        conn.flush_ordered();
+        assert!(conn.drain(late));
+        assert_eq!(conn.write_buf, b"first\nsecond\nBYE\n".to_vec());
+        assert!(conn.closing);
+        assert!(conn.drain(late + DRAIN_GRACE));
+        assert!(!conn.drain(late + DRAIN_GRACE + Duration::from_millis(1)));
+    }
+
+    #[test]
+    fn a_drain_drops_a_connection_that_only_has_unread_output_after_the_grace() {
+        let (mut conn, _peer) = connected();
+        conn.write_buf
+            .extend_from_slice(b"RESULT rendered, never read\n");
+        let stop = Instant::now();
+        assert!(conn.drain(stop));
+        assert!(conn.write_buf.ends_with(b"BYE\n"));
+        assert!(conn.drain(stop + DRAIN_GRACE));
+        assert!(!conn.drain(stop + DRAIN_GRACE + Duration::from_millis(1)));
+        // A reply that closed the connection is owed nothing either, even
+        // with a frame behind it that the pipeline discarded.
+        let (mut conn, _peer) = connected();
+        conn.next_seq = 2;
+        conn.inflight = 2;
+        conn.pending.insert(0, (b"BYE\n".to_vec(), true));
+        conn.flush_ordered();
+        assert!(conn.drain(stop));
+        assert_eq!(conn.write_buf, b"BYE\n".to_vec(), "one BYE");
+        assert!(!conn.drain(stop + DRAIN_GRACE + Duration::from_millis(1)));
     }
 }

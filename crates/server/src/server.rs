@@ -658,14 +658,9 @@ fn threads_front_end<'scope>(
     result
 }
 
-fn refuse(stream: TcpStream) {
-    let mut stream = stream;
-    let _ = writeln!(
-        stream,
-        "{}",
-        err_frame("overloaded", "server is at capacity")
-    );
-    let _ = stream.flush();
+fn refuse(mut stream: TcpStream) {
+    let frame = err_frame("overloaded", "server is at capacity");
+    let _ = stream.write_all(&Reply::closing(frame).into_wire());
 }
 
 fn worker_loop(queue: &ConnQueue, shared: &Shared, tx: &mpsc::Sender<Job>) {
@@ -676,12 +671,6 @@ fn worker_loop(queue: &ConnQueue, shared: &Shared, tx: &mpsc::Sender<Job>) {
         let _ = serve_conn(stream, shared, tx);
         shared.active.fetch_sub(1, Ordering::SeqCst);
     }
-}
-
-fn send(stream: &mut TcpStream, frame: &str) -> io::Result<()> {
-    stream.write_all(frame.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
 }
 
 fn engine_err_frame(err: &EngineError) -> String {
@@ -715,6 +704,21 @@ impl Reply {
             frames: vec![frame],
             close: true,
         }
+    }
+
+    /// The reply as it goes on the wire — every frame and its newline in one
+    /// buffer, so both front ends hand the socket a whole reply at a time
+    /// (with `TCP_NODELAY`, a write is a segment). The buffer is the first
+    /// frame's own: a `RESULT` is not copied again to be sent.
+    pub(crate) fn into_wire(self) -> Vec<u8> {
+        let mut frames = self.frames.into_iter();
+        let mut bytes = frames.next().map(String::into_bytes).unwrap_or_default();
+        bytes.push(b'\n');
+        for frame in frames {
+            bytes.extend_from_slice(frame.as_bytes());
+            bytes.push(b'\n');
+        }
+        bytes
     }
 }
 
@@ -897,7 +901,7 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) ->
         let line = match read_frame(&mut reader, &mut partial, shared.cfg.max_request_bytes)? {
             FrameRead::TimedOut => {
                 if shared.stopping() {
-                    send(&mut stream, "BYE")?;
+                    stream.write_all(b"BYE\n")?;
                     return Ok(());
                 }
                 continue;
@@ -909,7 +913,7 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) ->
                     "too_large",
                     &format!("frame exceeds {} bytes", shared.cfg.max_request_bytes),
                 );
-                send(&mut stream, &frame)?;
+                stream.write_all(&Reply::closing(frame).into_wire())?;
                 return Ok(());
             }
             FrameRead::Frame(line) => line,
@@ -917,10 +921,9 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) ->
         shared.arriving.add(1);
         let arrival = Arrival::counted(&shared.arriving, tx);
         let reply = handle_request(shared, tx, &line, arrival);
-        for frame in &reply.frames {
-            send(&mut stream, frame)?;
-        }
-        if reply.close {
+        let close = reply.close;
+        stream.write_all(&reply.into_wire())?;
+        if close {
             return Ok(());
         }
     }
@@ -1262,6 +1265,9 @@ fn handle_query(
     };
     match reply {
         Ok((rows, reply)) => {
+            // From bits to bytes: the host-side step the arrays leave to us.
+            let mut span = span_in(trace, "server.render");
+            span.arg("rows", rows.len());
             let csv = {
                 let store = locks::read(&shared.store);
                 store.render_csv(&rows)
@@ -1269,6 +1275,8 @@ fn handle_query(
             match csv {
                 Ok(csv) => {
                     let result = result_frame(rows.len(), &reply.stats, &csv);
+                    span.arg("bytes", result.len());
+                    drop(span);
                     finish(result, &reply, rows.len() as u64)
                 }
                 Err(e) => (vec![engine_err_frame(&e)], None),

@@ -646,6 +646,25 @@ fn merged_requests_keep_distinct_traces_but_share_the_batch_span() {
         .find(|s| s.name == "server.batch" && s.span_id.to_string() == batch_ids[0])
         .expect("the shared batch span exists");
     assert_eq!(batch.arg("size"), Some("2"));
+
+    // Turning the answer into bytes is a layer the server names: one
+    // `server.render` span under each request, carrying that reply's row
+    // count and frame size.
+    for request in &requests {
+        let render = spans
+            .iter()
+            .find(|s| s.name == "server.render" && s.trace_id == request.trace_id)
+            .expect("each request trace carries its render span");
+        assert_eq!(render.parent_id, Some(request.span_id));
+        let rows = if request.arg("query") == Some(queries[0]) {
+            "3"
+        } else {
+            "2"
+        };
+        assert_eq!(render.arg("rows"), Some(rows));
+        let bytes: usize = render.arg("bytes").unwrap().parse().unwrap();
+        assert!(bytes > "RESULT rows=".len(), "{bytes}");
+    }
 }
 
 /// Every statically-checkable SA00N class the default machine can exhibit
@@ -919,6 +938,65 @@ fn poll_reactor_keeps_determinism_across_hundreds_of_connections() {
         "every pipelined query must be served exactly once"
     );
     assert_eq!(report.timeouts, 0);
+}
+
+/// The result path — rows to CSV text to an escaped frame to one socket
+/// write — answers with the bytes it answered with before it was rewritten:
+/// a join, a union, and a filter over a string column whose values need
+/// quoting and escaping return, under both front ends, the `RESULT` frames
+/// recorded from the commit before the one-pass writer.
+#[test]
+fn result_frames_are_the_recorded_bytes_on_both_front_ends() {
+    const RECORDED: [(&str, &str); 3] = [
+        (
+            "join(scan(emp), scan(dept), 1 = 0)",
+            "RESULT rows=2 makespan_ns=4133 pulses=8 array_runs=1 disk_bytes=40 concurrency=1 \
+             csv=c0,c1,c1\\nada,10,storage\\ngrace,20,query\\n",
+        ),
+        (
+            "union(scan(a), scan(b))",
+            "RESULT rows=5 makespan_ns=11216 pulses=29 array_runs=1 disk_bytes=32 concurrency=1 \
+             csv=c0\\n1\\n2\\n3\\n4\\n5\\n",
+        ),
+        (
+            // Dictionary code 9 is `plain`: the ten strings of `emp`, `dept`
+            // and `notes` are interned in load order.
+            "filter(scan(notes), c0 != 9)",
+            "RESULT rows=4 makespan_ns=1333 pulses=0 array_runs=0 disk_bytes=32 concurrency=0 \
+             csv=c0,c1\\n\"doe, jane\",1\\n\"say \"\"hi\"\"\",2\\nback\\\\slash,3\\n padded ,4\\n",
+        ),
+    ];
+    const NOTES: &str =
+        "\"doe, jane\",1\n\"say \"\"hi\"\"\",2\nback\\slash,3\n padded ,4\nplain,5\n";
+    for io in [IoModel::Threads, IoModel::Poll] {
+        let handle = spawn(ServerConfig {
+            io,
+            ..local_config()
+        })
+        .unwrap();
+        let mut c = Client::connect(handle.addr).unwrap();
+        for (name, kinds, _, csv) in &TABLES[..4] {
+            c.load_csv(name, kinds, csv).unwrap();
+        }
+        c.load_csv("notes", "str,int", NOTES).unwrap();
+        for (query, recorded) in RECORDED {
+            let (frame, _host) = c.raw_query_frames(query).unwrap();
+            assert_eq!(frame, recorded, "{io:?} {query}");
+        }
+        // The same three as one pipelined write: one reply buffer each.
+        let queries = RECORDED.map(|(query, _)| query);
+        for ((frame, _host), (query, recorded)) in c
+            .pipeline_queries(&queries)
+            .unwrap()
+            .into_iter()
+            .zip(RECORDED)
+        {
+            assert_eq!(frame, recorded, "{io:?} pipelined {query}");
+        }
+        c.close().unwrap();
+        handle.shutdown();
+        handle.join().unwrap();
+    }
 }
 
 /// Overload under poll: with one worker and no pending allowance, frames
