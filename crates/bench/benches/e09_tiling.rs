@@ -1,17 +1,11 @@
 //! E9 — problem decomposition (§8): cost of solving one problem on
 //! progressively smaller physical arrays. Results are asserted identical to
 //! the unbounded run every iteration.
-//!
-//! The second group compares host wall-clock time of the sequential tiled
-//! executor against the host-parallel one at 1/4/8 worker threads — the
-//! simulated hardware cost is identical by construction (asserted every
-//! iteration), only the host speed changes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use systolic_bench::workloads;
-use systolic_core::executor::t_matrix_tiled_parallel;
 use systolic_core::tiling::{t_matrix_tiled, ArrayLimits};
 use systolic_core::ComparisonArray2d;
 use systolic_fabric::CompareOp;
@@ -51,49 +45,9 @@ fn bench_tiling(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_host_parallel(c: &mut Criterion) {
-    let a = workloads::seq_rows(96, 2, 0);
-    let b = workloads::seq_rows(96, 2, 48);
-    let ops_eq = vec![CompareOp::Eq; 2];
-    let limits = ArrayLimits::new(8, 8, 2);
-    let serial = t_matrix_tiled(&a, &b, &ops_eq, limits, |_, _| true).unwrap();
-    let mut g = c.benchmark_group("e09/host-parallel");
-    g.bench_function("serial", |bch| {
-        bch.iter(|| {
-            let out =
-                t_matrix_tiled(black_box(&a), black_box(&b), &ops_eq, limits, |_, _| true).unwrap();
-            assert_eq!(out.t, serial.t);
-            out.stats.pulses
-        })
-    });
-    for threads in [1usize, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("threads", threads),
-            &threads,
-            |bch, &threads| {
-                bch.iter(|| {
-                    let out = t_matrix_tiled_parallel(
-                        black_box(&a),
-                        black_box(&b),
-                        &ops_eq,
-                        limits,
-                        threads,
-                        |_, _| true,
-                    )
-                    .unwrap();
-                    assert_eq!(out.t, serial.t);
-                    assert_eq!(out.stats, serial.stats);
-                    out.stats.pulses
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = quick();
-    targets = bench_tiling, bench_host_parallel
+    targets = bench_tiling
 }
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! E20 — telemetry overhead: the disabled hot path must be a no-op.
 //!
-//! The span/metric instrumentation threads through `machine::system`, the
-//! executor and the server request loop, so its *disabled* cost is what every
+//! The span/metric instrumentation threads through `machine::system` and
+//! the server request loop, so its *disabled* cost is what every
 //! uninstrumented run pays. These benchmarks measure that cost directly
 //! (span open/drop, annotated span, `record_between`, counter increments)
 //! against an installed-collector run of the same code, and assert the

@@ -107,22 +107,6 @@ pub fn t_matrix(
     debug_assert_eq!(cols_a.len(), ops.len());
     debug_assert_eq!(cols_b.len(), ops.len());
     let mut t = TMatrix::new(a.len(), b.n_rows());
-    t_matrix_into(a, cols_a, b, cols_b, ops, &mut t, 0);
-    t
-}
-
-/// [`t_matrix`] writing rows `row0..row0 + a.len()` of an existing matrix
-/// (the parallel executor's chunked form; see
-/// [`crate::executor::columnar_t_matrix_parallel`]).
-pub(crate) fn t_matrix_into(
-    a: &[Row],
-    cols_a: &[usize],
-    b: &ColumnarRelation,
-    cols_b: &[usize],
-    ops: &[CompareOp],
-    t: &mut TMatrix,
-    row0: usize,
-) {
     let words = b.words();
     let tail = b.tail_mask();
     let live = live_mask(words, tail);
@@ -141,8 +125,9 @@ pub(crate) fn t_matrix_into(
                 *x &= m;
             }
         }
-        t.row_words_mut(row0 + i).copy_from_slice(&acc);
+        t.row_words_mut(i).copy_from_slice(&acc);
     }
+    t
 }
 
 /// The rows of a pure equi-join (§6.2), derived without `T`: row `a[i]`

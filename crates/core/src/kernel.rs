@@ -21,8 +21,8 @@
 //!
 //! The invariant — enforced by the differential tests here, in `ops`, and
 //! in `tests/backend_differential.rs` — is **bit-identity**: for every
-//! operator, every [`crate::ops::Execution`] strategy, every tile shape and
-//! thread count, the columnar backend produces the same `TMatrix`, the same
+//! operator, every [`crate::ops::Execution`] strategy and every tile
+//! shape, the columnar backend produces the same `TMatrix`, the same
 //! keep/quotient bits, and the same `ExecStats` (pulses, cells, busy/total
 //! cell-pulses, array runs) as running the simulated hardware.
 //!
@@ -225,11 +225,10 @@ fn chunks(n: usize, max: usize) -> Vec<(usize, u64)> {
     v
 }
 
-/// A sequential tiled run ([`crate::tiling::t_matrix_tiled`], also the
-/// parallel executor's accounting): one [`compare_run_stats`] grid run per
-/// (A-chunk, B-chunk, column-group) tile, merged sequentially. Tile sizes
-/// take at most two distinct values per axis, so the sum collapses to at
-/// most eight weighted terms.
+/// A sequential tiled run ([`crate::tiling::t_matrix_tiled`]): one
+/// [`compare_run_stats`] grid run per (A-chunk, B-chunk, column-group)
+/// tile, merged sequentially. Tile sizes take at most two distinct values
+/// per axis, so the sum collapses to at most eight weighted terms.
 pub(crate) fn tiled_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits) -> ExecStats {
     let mut out = ExecStats::default();
     for &(ta, ca) in &chunks(n_a, limits.max_a) {

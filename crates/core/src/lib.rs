@@ -15,7 +15,6 @@
 //! | §8 fixed-operand optimisation | [`fixed`] |
 //! | §8 word-to-bit-level transformation | [`bitlevel`] |
 //! | §8 problem decomposition | [`tiling`] |
-//! | host-parallel execution of independent tiles | [`executor`] |
 //! | backend choice + analytic pulse accounting | [`kernel`] |
 //! | closed-form results over bit-packed word planes | [`columnar`] |
 //! | §8 pattern-match chip (ref \[3\]) | [`patmatch`] |
@@ -44,7 +43,6 @@ pub mod comparison;
 pub mod dedup;
 pub mod division;
 pub mod error;
-pub mod executor;
 pub mod fixed;
 pub mod intersection;
 pub mod join;
@@ -60,7 +58,6 @@ pub use comparison::{ComparisonArray2d, LinearComparisonArray};
 pub use dedup::RemoveDuplicatesArray;
 pub use division::{DivisionArray, DivisionArrayMulti};
 pub use error::{CoreError, Result};
-pub use executor::HostStats;
 pub use fixed::FixedOperandArray;
 pub use intersection::{IntersectionArray, SetOpMode};
 pub use join::{JoinArray, JoinSpec, ProgrammableJoinArray};

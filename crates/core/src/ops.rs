@@ -43,19 +43,6 @@ pub enum Execution {
     /// [`Execution::Tiled`] when `limits.max_cols` cannot cover the
     /// operation's streamed tuple width (pipelining cannot split columns).
     TiledPipelined(ArrayLimits),
-    /// As [`Execution::Tiled`], with the independent tile runs fanned over
-    /// host worker threads (see [`crate::executor`]). The result relation
-    /// and the simulated-hardware [`ExecStats`] are bit-identical to
-    /// [`Execution::Tiled`]; only host wall-clock time changes. `threads: 0`
-    /// means "auto" (the `SYSTOLIC_THREADS` environment variable, else the
-    /// host's available parallelism — see
-    /// [`crate::executor::resolve_threads`]).
-    Parallel {
-        /// Physical capacity of the simulated array, as for `Tiled`.
-        limits: ArrayLimits,
-        /// Host worker threads (`0` = auto).
-        threads: usize,
-    },
 }
 
 /// Result of an operator run: the output relation and the hardware cost.
@@ -72,9 +59,9 @@ fn kernel_membership_stats(exec: Execution, n_a: usize, n_b: usize, m: usize) ->
         Execution::TiledPipelined(limits) if limits.max_cols >= m => {
             kernel::pipelined_stats(n_a, n_b, m, limits)
         }
-        Execution::Tiled(limits)
-        | Execution::TiledPipelined(limits)
-        | Execution::Parallel { limits, .. } => kernel::tiled_stats(n_a, n_b, m, limits),
+        Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
+            kernel::tiled_stats(n_a, n_b, m, limits)
+        }
     }
 }
 
@@ -132,9 +119,9 @@ pub fn price_join(exec: Execution, n_a: usize, n_b: usize, n_specs: usize) -> Ex
         Execution::TiledPipelined(limits) if limits.max_cols >= n_specs => {
             kernel::pipelined_stats(n_a, n_b, n_specs, limits)
         }
-        Execution::Tiled(limits)
-        | Execution::TiledPipelined(limits)
-        | Execution::Parallel { limits, .. } => kernel::tiled_stats(n_a, n_b, n_specs, limits),
+        Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
+            kernel::tiled_stats(n_a, n_b, n_specs, limits)
+        }
     }
 }
 
@@ -201,14 +188,6 @@ fn membership(
                 // Column splitting required: fall back to drain-per-tile.
                 tiling::membership_tiled(a.rows(), b.rows(), mode, limits, |_, _| true)?
             }
-            Execution::Parallel { limits, threads } => crate::executor::membership_tiled_parallel(
-                a.rows(),
-                b.rows(),
-                mode,
-                limits,
-                threads,
-                |_, _| true,
-            )?,
         },
     };
     Ok((a.filter_by_index(|i| keep[i]), stats))
@@ -301,14 +280,6 @@ pub fn dedup_with(a: &MultiRelation, exec: Execution, backend: Backend) -> Resul
                 limits,
                 |i, j| i > j,
             )?,
-            Execution::Parallel { limits, threads } => crate::executor::membership_tiled_parallel(
-                a.rows(),
-                a.rows(),
-                SetOpMode::Intersect,
-                limits,
-                threads,
-                |i, j| i > j,
-            )?,
         },
     };
     // Tiled path returns "has an earlier duplicate" flags in intersect mode.
@@ -392,7 +363,7 @@ pub fn join_with(
     let cols_b: Vec<usize> = specs.iter().map(|s| s.col_b).collect();
     if backend == Backend::Columnar && pure_equi {
         // The rows straight from key buckets, in `T`'s row-major order; no
-        // matrix is built, so there is nothing for `Parallel` to fan out.
+        // matrix is built.
         let rows = crate::columnar::equi_join_rows(a.rows(), &cols_a, b.rows(), &cols_b);
         let stats = price_join(exec, a.len(), b.len(), specs.len());
         return Ok((MultiRelation::new(schema, rows)?, stats));
@@ -404,20 +375,9 @@ pub fn join_with(
             // A theta comparator: scan B's cached word planes column by
             // column — no key projections are materialized at all. The
             // matrix is independent of the tiling (tiles only partition the
-            // pair space); only the host fan-out differs under `Parallel`.
+            // pair space).
             let packed = b.columnar();
-            let t = if let Execution::Parallel { threads, .. } = exec {
-                crate::executor::columnar_t_matrix_parallel(
-                    a.rows(),
-                    &cols_a,
-                    &packed,
-                    &cols_b,
-                    &ops,
-                    threads,
-                )
-            } else {
-                crate::columnar::t_matrix(a.rows(), &cols_a, &packed, &cols_b, &ops)
-            };
+            let t = crate::columnar::t_matrix(a.rows(), &cols_a, &packed, &cols_b, &ops);
             (t, price_join(exec, a.len(), b.len(), ops.len()))
         }
         Backend::Sim => match exec {
@@ -438,9 +398,7 @@ pub fn join_with(
                     .collect();
                 FixedOperandArray::preload(&b_keys).t_matrix(&a_keys, &ops)?
             }
-            Execution::Tiled(limits)
-            | Execution::TiledPipelined(limits)
-            | Execution::Parallel { limits, .. } => {
+            Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
                 let a_keys: Vec<Row> = a
                     .rows()
                     .iter()
@@ -455,15 +413,6 @@ pub fn join_with(
                     matches!(exec, Execution::TiledPipelined(_)) && limits.max_cols >= ops.len();
                 let out = if pipelined {
                     tiling::t_matrix_tiled_pipelined(&a_keys, &b_keys, &ops, limits, |_, _| true)?
-                } else if let Execution::Parallel { threads, .. } = exec {
-                    crate::executor::t_matrix_tiled_parallel(
-                        &a_keys,
-                        &b_keys,
-                        &ops,
-                        limits,
-                        threads,
-                        |_, _| true,
-                    )?
                 } else {
                     tiling::t_matrix_tiled(&a_keys, &b_keys, &ops, limits, |_, _| true)?
                 };
@@ -743,7 +692,7 @@ mod tests {
     use systolic_baseline::{nested_loop, OpCounter};
     use systolic_relation::gen::{self, synth_schema};
 
-    const EXECS: [Execution; 6] = [
+    const EXECS: [Execution; 4] = [
         Execution::Marching,
         Execution::FixedOperand,
         Execution::Tiled(ArrayLimits {
@@ -756,22 +705,6 @@ mod tests {
             max_b: 3,
             max_cols: 3,
         }),
-        Execution::Parallel {
-            limits: ArrayLimits {
-                max_a: 4,
-                max_b: 3,
-                max_cols: 2,
-            },
-            threads: 1,
-        },
-        Execution::Parallel {
-            limits: ArrayLimits {
-                max_a: 4,
-                max_b: 3,
-                max_cols: 2,
-            },
-            threads: 4,
-        },
     ];
 
     fn multi(m: usize, rows: &[&[Elem]]) -> MultiRelation {
@@ -941,29 +874,6 @@ mod tests {
         .unwrap();
         assert!(out.is_empty());
         assert_eq!(s.pulses, 0);
-    }
-
-    #[test]
-    fn parallel_execution_is_bit_identical_to_tiled() {
-        // Same result rows AND same simulated-hardware stats, any thread
-        // count: host parallelism must be invisible to everything the paper
-        // measures.
-        let mut rng = StdRng::seed_from_u64(559);
-        let (a, b) = gen::pair_with_overlap(&mut rng, 14, 11, 2, 0.4);
-        let (a, b) = (a.into_multi(), b.into_multi());
-        let limits = ArrayLimits::new(4, 3, 2);
-        let (seq, seq_stats) = intersect(&a, &b, Execution::Tiled(limits)).unwrap();
-        let (seq_j, seq_j_stats) =
-            join(&a, &b, &[JoinSpec::eq(0, 0)], Execution::Tiled(limits)).unwrap();
-        for threads in [1, 4] {
-            let exec = Execution::Parallel { limits, threads };
-            let (par, par_stats) = intersect(&a, &b, exec).unwrap();
-            assert_eq!(par.rows(), seq.rows(), "{threads} threads");
-            assert_eq!(par_stats, seq_stats, "{threads} threads");
-            let (par_j, par_j_stats) = join(&a, &b, &[JoinSpec::eq(0, 0)], exec).unwrap();
-            assert_eq!(par_j.rows(), seq_j.rows(), "{threads} threads join");
-            assert_eq!(par_j_stats, seq_j_stats, "{threads} threads join");
-        }
     }
 
     #[test]

@@ -41,8 +41,6 @@ fn exec_strategy() -> impl Strategy<Value = Execution> {
         Just(Execution::FixedOperand),
         limits_strategy().prop_map(Execution::Tiled),
         limits_strategy().prop_map(Execution::TiledPipelined),
-        (limits_strategy(), 0usize..4)
-            .prop_map(|(limits, threads)| Execution::Parallel { limits, threads }),
     ]
 }
 
@@ -139,13 +137,12 @@ proptest! {
     /// Equi-joins (§6.1), which the columnar backend answers from key
     /// buckets without building `T`: one to three key columns over a tiny
     /// domain (every key heavily duplicated on both sides), `A` values far
-    /// outside anything `B` holds, through every execution strategy and a
-    /// four-thread `Parallel` — equal to the simulator as an *ordered*
-    /// relation (schema and row sequence) with its stats.
+    /// outside anything `B` holds, through every execution strategy — equal
+    /// to the simulator as an *ordered* relation (schema and row sequence)
+    /// with its stats.
     #[test]
     fn equi_joins_agree(
         exec in exec_strategy(),
-        limits in limits_strategy(),
         pairs in prop::collection::vec((0usize..3, 0usize..3), 1..=3),
         seed_a in prop::collection::vec(
             prop::collection::vec(
@@ -159,11 +156,9 @@ proptest! {
         let a = rel(3, seed_a);
         let b = rel(3, seed_b);
         let specs: Vec<JoinSpec> = pairs.into_iter().map(|(ca, cb)| JoinSpec::eq(ca, cb)).collect();
-        for exec in [exec, Execution::Parallel { limits, threads: 4 }] {
-            let sim = ops::join_with(&a, &b, &specs, exec, Backend::Sim).unwrap();
-            let fast = ops::join_with(&a, &b, &specs, exec, Backend::Columnar).unwrap();
-            prop_assert_eq!(&fast, &sim, "{:?}", exec);
-        }
+        let sim = ops::join_with(&a, &b, &specs, exec, Backend::Sim).unwrap();
+        let fast = ops::join_with(&a, &b, &specs, exec, Backend::Columnar).unwrap();
+        prop_assert_eq!(&fast, &sim, "{:?}", exec);
     }
 
     /// The word-plane `T` equals the programmable array's, entry for
@@ -264,10 +259,6 @@ fn empty_and_exact_fit_shapes_agree() {
         Execution::FixedOperand,
         Execution::Tiled(ArrayLimits::new(4, 4, 2)),
         Execution::TiledPipelined(ArrayLimits::new(4, 4, 2)),
-        Execution::Parallel {
-            limits: ArrayLimits::new(4, 4, 2),
-            threads: 2,
-        },
     ];
     for (rows_a, rows_b) in shapes {
         let a = rel(2, rows_a.clone());
@@ -332,10 +323,6 @@ fn overwide_relations_agree() {
         Execution::FixedOperand,
         Execution::Tiled(ArrayLimits::new(2, 2, 1)),
         Execution::TiledPipelined(ArrayLimits::new(2, 2, 2)),
-        Execution::Parallel {
-            limits: ArrayLimits::new(2, 2, 1),
-            threads: 2,
-        },
     ] {
         for (label, sim, fast) in [
             (
@@ -370,20 +357,12 @@ fn overwide_relations_agree() {
     assert_eq!(d.len(), 4, "the second (0, 5) is dropped");
 }
 
-fn every_execution() -> [Execution; 6] {
+fn every_execution() -> [Execution; 4] {
     [
         Execution::Marching,
         Execution::FixedOperand,
         Execution::Tiled(ArrayLimits::new(2, 3, 1)),
         Execution::TiledPipelined(ArrayLimits::new(2, 3, 2)),
-        Execution::Parallel {
-            limits: ArrayLimits::new(2, 3, 1),
-            threads: 1,
-        },
-        Execution::Parallel {
-            limits: ArrayLimits::new(2, 3, 1),
-            threads: 4,
-        },
     ]
 }
 

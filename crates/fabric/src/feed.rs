@@ -16,12 +16,7 @@ use crate::word::Word;
 ///
 /// `lane` is the column index for the north/south edges and the row index for
 /// the west edge (nothing is ever fed from the east: `t` values flow east).
-///
-/// `Send` is a supertrait so a fully loaded [`crate::grid::Grid`] can be
-/// handed to a worker thread: the host-parallel executor in `systolic-core`
-/// runs independent tiles on independent grids concurrently. Feeders are
-/// precomputed schedules, so this costs implementations nothing.
-pub trait Feeder: Send {
+pub trait Feeder {
     /// The word to inject into `lane` at `pulse` (usually `Word::Null`).
     fn feed(&mut self, pulse: u64, lane: usize) -> Word;
 

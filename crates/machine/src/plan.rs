@@ -419,7 +419,16 @@ impl Plan {
             Action::Load {
                 relation,
                 filter: Some(_),
-            } => format!("{relation}@mem/filtered"),
+            } => {
+                // One relation under two track filters is two staged
+                // copies: every one after the first carries its step id.
+                let name = format!("{relation}@mem/filtered");
+                if self.steps.iter().any(|s| s.output == name) {
+                    format!("{name}#{id}")
+                } else {
+                    name
+                }
+            }
             Action::Op { .. } => format!("tmp{id}"),
             // A store passes its staged input through as the plan result.
             Action::Store { input, .. } => input.clone(),

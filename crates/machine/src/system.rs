@@ -32,7 +32,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use systolic_core::{ArrayLimits, Backend, ExecStats};
+use systolic_core::{ArrayLimits, Backend};
 use systolic_relation::MultiRelation;
 use systolic_storage::{ReplacerKind, SharedBlobStore, StorageMetrics};
 use systolic_telemetry as telemetry;
@@ -123,12 +123,6 @@ pub struct MachineConfig {
     pub devices: Vec<(DeviceKind, ArrayLimits)>,
     /// Pulse period in nanoseconds (§8: 350 ns conservative).
     pub clock_ns: f64,
-    /// Host worker threads for simulating independent plan steps
-    /// concurrently (`0` = auto: the `SYSTOLIC_THREADS` environment
-    /// variable, else the host's available parallelism). This changes only
-    /// how fast the *host* simulates; the simulated [`Timeline`] and
-    /// [`RunStats`] are bit-identical at every thread count.
-    pub host_threads: usize,
     /// How devices compute operator runs: the pulse-accurate simulator or
     /// the closed-form columnar backend. Results, [`RunStats`] and
     /// [`Timeline`]s are bit-identical either way; only host speed changes.
@@ -156,7 +150,6 @@ impl Default for MachineConfig {
                 (DeviceKind::Divide, limits),
             ],
             clock_ns: 350.0,
-            host_threads: 0,
             backend: Backend::from_env().unwrap_or_else(|e| panic!("{e}")),
         }
     }
@@ -252,10 +245,6 @@ pub struct BatchOutcome {
     pub combined: RunOutcome,
 }
 
-/// A step's output as the execute pass computed it: the rows, plus the
-/// array statistics under each distinct device limits that could run it.
-type OpRun = Result<(MultiRelation, Vec<(ArrayLimits, ExecStats)>)>;
-
 /// A step output, out of the execute pass's dataflow map.
 fn output(values: &HashMap<&str, MultiRelation>, name: &str) -> Result<MultiRelation> {
     values
@@ -288,7 +277,6 @@ pub struct System {
     pub(crate) devices: Vec<Device>,
     pub(crate) interconnect: Interconnect,
     disk_rr: usize,
-    host_threads: usize,
     pub(crate) staging_replacer: ReplacerKind,
     pub(crate) storage_metrics: Arc<StorageMetrics>,
 }
@@ -316,7 +304,6 @@ impl System {
             devices,
             interconnect: config.interconnect,
             disk_rr: 0,
-            host_threads: config.host_threads,
             staging_replacer: ReplacerKind::Clock,
             storage_metrics: StorageMetrics::shared(),
         })
@@ -495,11 +482,11 @@ impl System {
         (merged, offsets)
     }
 
-    /// The execute pass: run every data-dependent part of a plan — all disk
-    /// reads, plus every `Op` step's device run, fanning steps of the same
-    /// dependency level over host worker threads. Returns each step's shape
-    /// record for the accounting pass, and the dataflow map (step output
-    /// name → relation): the one place a run's rows live.
+    /// The execute pass: run every data-dependent part of a plan — each disk
+    /// read and each `Op` step's device run — in one walk of the steps in
+    /// plan order. Returns each step's shape record for the accounting
+    /// pass, and the dataflow map (step output name → relation): the one
+    /// place a run's rows live.
     ///
     /// Running ahead of the scheduler is sound because [`Device::execute`]
     /// is a pure function of `(op, inputs, device.limits)` — it touches no
@@ -519,86 +506,62 @@ impl System {
         plan: &'p Plan,
     ) -> (Vec<StepRecord>, HashMap<&'p str, MultiRelation>) {
         let _sp = telemetry::span("machine.execute");
-        let threads = systolic_core::executor::resolve_threads(self.host_threads);
         // Dataflow values by output name (plan steps are topologically
-        // ordered, so a level's inputs are always produced by lower
-        // levels).
+        // ordered, so a step's inputs are always produced by earlier steps).
         let mut values: HashMap<&str, MultiRelation> = HashMap::new();
-        let mut records: Vec<StepRecord> = plan
+        let records = plan
             .steps
             .iter()
-            .map(|step| match &step.action {
-                Action::Load { relation, filter } => {
-                    self.base_shape(relation).and_then(|(disk_id, ..)| {
-                        let (delivered, duration) = self.disks[disk_id].read(relation, *filter)?;
-                        let shape = shape_of(&delivered, StepCost::Load { disk_id, duration });
-                        values.insert(step.output.as_str(), delivered);
-                        Ok(shape)
-                    })
-                }
-                // Until the step runs. Never surfaced if it does not: the
-                // upstream failure that starved it comes first.
-                Action::Op { .. } | Action::Store { .. } => Err(MachineError::UnknownRelation {
-                    name: step.output.clone(),
-                }),
-            })
+            .map(|step| self.execute_step(step, &mut values))
             .collect();
-        let mut level: Vec<usize> = vec![0; plan.steps.len()];
-        for step in &plan.steps {
-            level[step.id] = step.deps.iter().map(|&d| level[d] + 1).max().unwrap_or(0);
-        }
-        let max_level = level.iter().copied().max().unwrap_or(0);
-        for lv in 0..=max_level {
-            // Op steps of this level whose inputs resolved and that some
-            // device takes run concurrently, each once per distinct limits.
-            let batch: Vec<(&PlanStep, Vec<&Device>, Vec<&MultiRelation>)> = plan
-                .steps
-                .iter()
-                .filter(|s| level[s.id] == lv)
-                .filter_map(|step| {
-                    let Action::Op { op, inputs } = &step.action else {
-                        return None;
-                    };
-                    let staged: Option<Vec<&MultiRelation>> =
-                        inputs.iter().map(|n| values.get(n.as_str())).collect();
-                    Some((step, self.runners(op), staged?))
-                })
-                .filter(|(_, runners, _)| !runners.is_empty())
-                .collect();
-            let outs = systolic_core::executor::run_jobs(threads, batch.len(), |j| -> OpRun {
-                let (step, runners, staged) = &batch[j];
-                let Action::Op { op, .. } = &step.action else {
-                    unreachable!()
-                };
+        (records, values)
+    }
+
+    /// One step of the execute pass: its shape record, with the relation a
+    /// load or an operator produced added to `values`.
+    fn execute_step<'p>(
+        &self,
+        step: &'p PlanStep,
+        values: &mut HashMap<&'p str, MultiRelation>,
+    ) -> StepRecord {
+        // What a step with a missing input or no device leaves. Never
+        // surfaced: accounting meets the upstream failure that starved it,
+        // or the missing device, first.
+        let starved = || MachineError::UnknownRelation {
+            name: step.output.clone(),
+        };
+        let (out, cost) = match &step.action {
+            Action::Load { relation, filter } => {
+                let (disk_id, ..) = self.base_shape(relation)?;
+                let (delivered, duration) = self.disks[disk_id].read(relation, *filter)?;
+                (delivered, StepCost::Load { disk_id, duration })
+            }
+            Action::Op { op, inputs } => {
+                let staged: Vec<&MultiRelation> = inputs
+                    .iter()
+                    .map(|n| values.get(n.as_str()))
+                    .collect::<Option<_>>()
+                    .ok_or_else(starved)?;
                 // The rows are the same under every limits: keep the first.
                 let mut rows = None;
-                let mut runs = Vec::with_capacity(runners.len());
-                for device in runners {
-                    let (out, stats) = device.execute(op, staged)?;
+                let mut runs = Vec::new();
+                for device in self.runners(op) {
+                    let (out, stats) = device.execute(op, &staged)?;
                     runs.push((device.limits, stats));
                     rows.get_or_insert(out);
                 }
-                Ok((rows.expect("a batched step has a runner"), runs))
-            });
-            let steps: Vec<&PlanStep> = batch.iter().map(|(step, ..)| *step).collect();
-            for (step, run) in steps.into_iter().zip(outs) {
-                records[step.id] = run.map(|(out, runs)| {
-                    let shape = shape_of(&out, StepCost::Op(runs));
-                    values.insert(step.output.as_str(), out);
-                    shape
-                });
+                (rows.ok_or_else(starved)?, StepCost::Op(runs))
             }
-        }
-        // A store moves an already-staged relation: its record is that
-        // relation's shape.
-        for step in &plan.steps {
-            if let Action::Store { input, .. } = &step.action {
-                if let Some(rel) = values.get(input.as_str()) {
-                    records[step.id] = Ok(shape_of(rel, StepCost::Store));
-                }
+            // A store moves an already-staged relation: its record is that
+            // relation's shape, and the dataflow map gains nothing.
+            Action::Store { input, .. } => {
+                let rel = values.get(input.as_str()).ok_or_else(starved)?;
+                return Ok(shape_of(rel, StepCost::Store));
             }
-        }
-        (records, values)
+        };
+        let shape = shape_of(&out, cost);
+        values.insert(step.output.as_str(), out);
+        Ok(shape)
     }
 
     /// Close a run the accounting pass accepted: take its result out of
@@ -906,6 +869,53 @@ mod tests {
     }
 
     #[test]
+    fn the_first_failing_step_in_plan_order_decides_the_error() {
+        // Two different failures in one run: a join on a machine without a
+        // join device, and a scan of a relation no disk holds. Whichever
+        // comes first in step order is the error, and a failed run writes
+        // nothing back.
+        let build = |backend: Backend| {
+            let mut sys = System::new(MachineConfig {
+                devices: vec![(DeviceKind::SetOp, ArrayLimits::new(8, 8, 4))],
+                backend,
+                ..MachineConfig::default()
+            })
+            .unwrap();
+            sys.load_base("a", seq(0..6));
+            sys.load_base("b", seq(3..9));
+            sys
+        };
+        let join = || Expr::scan("a").join(Expr::scan("b"), vec![JoinSpec::eq(0, 0)]);
+        let ghost = || Expr::scan("ghost");
+        let no_device = |e: &MachineError| matches!(e, MachineError::NoDevice { .. });
+        let unknown = |e: &MachineError| match e {
+            MachineError::UnknownRelation { name } => name == "ghost",
+            _ => false,
+        };
+        for backend in [Backend::Sim, Backend::Columnar] {
+            let mut sys = build(backend);
+            let join_first = Plan::compile(&join().union(ghost()).store("kept"));
+            let err = sys.run_plan(&join_first).unwrap_err();
+            assert!(no_device(&err), "{backend:?} join first: {err:?}");
+            let ghost_first = Plan::compile(&ghost().union(join()).store("kept"));
+            let err = sys.run_plan(&ghost_first).unwrap_err();
+            assert!(unknown(&err), "{backend:?} ghost first: {err:?}");
+
+            // A batch puts q0's steps before q1's; q0 here is sound.
+            let sound = || Expr::scan("a").dedup().store("kept");
+            let err = sys
+                .run_batch_accounted(&[sound(), join(), ghost().dedup()])
+                .unwrap_err();
+            assert!(no_device(&err), "{backend:?} batched join first: {err:?}");
+            let err = sys
+                .run_batch_accounted(&[sound(), ghost().dedup(), join()])
+                .unwrap_err();
+            assert!(unknown(&err), "{backend:?} batched ghost first: {err:?}");
+            assert!(!sys.has_base("kept"), "a failed run stored a relation");
+        }
+    }
+
+    #[test]
     fn dead_staged_inputs_are_evicted_under_memory_pressure() {
         use systolic_storage::{ReplacerKind, StorageMetrics};
         // scan(a).dedup().union(scan(b)) compiles depth-first: by the time
@@ -1021,78 +1031,13 @@ mod tests {
     }
 
     #[test]
-    fn host_parallel_plans_are_bit_identical_to_sequential() {
-        // Host threads must be invisible to everything simulated: same
-        // result rows, same RunStats, same Timeline, event for event.
-        let build = |host_threads: usize| {
-            let mut sys = System::new(MachineConfig {
-                host_threads,
-                ..MachineConfig::default()
-            })
-            .unwrap();
-            sys.load_base("a", seq(0..64));
-            sys.load_base("b", seq(32..96));
-            sys.load_base("c", seq(100..164));
-            sys.load_base("d", seq(132..196));
-            sys
-        };
-        let expr = Expr::scan("a")
-            .intersect(Expr::scan("b"))
-            .union(Expr::scan("c").intersect(Expr::scan("d")))
-            .project(vec![0]);
-        let sequential = build(1).run(&expr).unwrap();
-        for threads in [2, 4, 8] {
-            let parallel = build(threads).run(&expr).unwrap();
-            assert_eq!(
-                parallel.result.rows(),
-                sequential.result.rows(),
-                "{threads} threads"
-            );
-            assert_eq!(parallel.stats, sequential.stats, "{threads} threads");
-            assert_eq!(
-                parallel.timeline.events(),
-                sequential.timeline.events(),
-                "{threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn host_parallel_batches_are_bit_identical_to_sequential() {
-        let build = |host_threads: usize| {
-            let mut sys = System::new(MachineConfig {
-                host_threads,
-                ..MachineConfig::default()
-            })
-            .unwrap();
-            sys.load_base("a", seq(0..32));
-            sys.load_base("b", seq(16..48));
-            sys.load_base("c", seq(100..132));
-            sys
-        };
-        let queries = [
-            Expr::scan("a").intersect(Expr::scan("b")),
-            Expr::scan("a").difference(Expr::scan("b")),
-            Expr::scan("c").dedup(),
-        ];
-        let (seq_results, seq_out) = build(1).run_batch(&queries).unwrap();
-        let (par_results, par_out) = build(4).run_batch(&queries).unwrap();
-        for (s, p) in seq_results.iter().zip(&par_results) {
-            assert_eq!(s.rows(), p.rows());
-        }
-        assert_eq!(par_out.stats, seq_out.stats);
-        assert_eq!(par_out.timeline.events(), seq_out.timeline.events());
-    }
-
-    #[test]
     fn heterogeneous_device_limits_record_one_run_per_distinct_limits() {
         // Set-op and divide devices that disagree on limits: the pulses of
         // a step depend on which instance the clock history picks, so the
         // execute pass records the run under each distinct limits and
-        // accounting picks. Sequential, host-parallel, batched-then-solo
-        // and (where priceable) priced schedules must all agree, under
-        // both backends.
-        let build = |host_threads: usize, backend: Backend| {
+        // accounting picks. Solo, batched-then-solo and (where priceable)
+        // priced schedules must all agree, under both backends.
+        let build = |backend: Backend| {
             let mut sys = System::new(MachineConfig {
                 devices: vec![
                     (DeviceKind::SetOp, ArrayLimits::new(8, 8, 4)),
@@ -1101,7 +1046,6 @@ mod tests {
                     (DeviceKind::Divide, ArrayLimits::new(8, 8, 4)),
                     (DeviceKind::Divide, ArrayLimits::new(3, 5, 2)),
                 ],
-                host_threads,
                 backend,
                 ..MachineConfig::default()
             })
@@ -1124,7 +1068,7 @@ mod tests {
         };
         let oracle: Vec<RunOutcome> = [&set_ops, &divisions]
             .iter()
-            .map(|expr| build(1, Backend::Sim).run(expr).unwrap())
+            .map(|expr| build(Backend::Sim).run(expr).unwrap())
             .collect();
         assert_eq!(oracle[1].result.len(), 6, "students with s % 4 >= 2");
         for device in ["setop0", "setop1", "divide3", "divide4"] {
@@ -1135,13 +1079,11 @@ mod tests {
         }
         for backend in [Backend::Sim, Backend::Columnar] {
             for (expr, want) in [&set_ops, &divisions].into_iter().zip(&oracle) {
-                for threads in [1, 4] {
-                    let out = build(threads, backend).run(expr).unwrap();
-                    let what = format!("{expr} {backend:?} x{threads}");
-                    same(&what, (out.result.rows(), &out.stats, &out.timeline), want);
-                }
+                let out = build(backend).run(expr).unwrap();
+                let what = format!("{expr} {backend:?}");
+                same(&what, (out.result.rows(), &out.stats, &out.timeline), want);
             }
-            let batch = build(1, backend)
+            let batch = build(backend)
                 .run_batch_accounted(&[set_ops.clone(), divisions.clone()])
                 .unwrap();
             for (q, want) in batch.queries.iter().zip(&oracle) {
@@ -1150,7 +1092,7 @@ mod tests {
             }
         }
         let plan = Plan::compile(&set_ops);
-        let priced = build(1, Backend::Sim)
+        let priced = build(Backend::Sim)
             .price_plan(&plan, &oracle[0].step_rows)
             .unwrap();
         assert_eq!(priced.stats, oracle[0].stats);
@@ -1744,6 +1686,38 @@ mod tests {
                 solo.timeline.events(),
                 "{expr} timeline"
             );
+        }
+    }
+
+    #[test]
+    fn two_track_filters_over_one_relation_are_two_staged_copies() {
+        use crate::storage::TrackFilter;
+        use systolic_fabric::CompareOp;
+
+        // Both loads stage `a` filtered; each consumer must get its own.
+        let only = |value| {
+            let filter = TrackFilter {
+                col: 0,
+                op: CompareOp::Eq,
+                value,
+            };
+            Expr::scan_filtered("a", filter)
+        };
+        for backend in [Backend::Sim, Backend::Columnar] {
+            for expr in [only(1).union(only(2)), only(1).dedup().union(only(2))] {
+                let mut sys = System::new(MachineConfig {
+                    backend,
+                    ..MachineConfig::default()
+                })
+                .unwrap();
+                sys.load_base("a", seq(0..4));
+                let out = sys.run(&expr).unwrap();
+                assert_eq!(
+                    out.result.rows(),
+                    &[vec![1, 1], vec![2, 2]],
+                    "{expr} {backend:?}"
+                );
+            }
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Request-level series live in a registry owned by the server instance (so
 //! two servers in one process — common in tests — don't mix request
-//! metrics), while substrate series (grid, executor, machine) accumulate in
-//! the process-global registry. The `METRICS` wire verb renders both.
+//! metrics), while substrate series (grid, machine) accumulate in the
+//! process-global registry. The `METRICS` wire verb renders both.
 
 use std::sync::Arc;
 

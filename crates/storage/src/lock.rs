@@ -13,7 +13,7 @@
 //! on others, which is the only way lock-order cycles form.
 
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// How a session intends to touch a relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -70,6 +70,16 @@ impl LockTable {
         LockTable::default()
     }
 
+    /// The grant map, whether or not a holder panicked. Every critical
+    /// section here is a few map updates that cannot themselves panic, and
+    /// the one foreign call made under the lock (`before_wait`) runs before
+    /// anything is granted — so the map is consistent after a poisoning
+    /// panic, and refusing it would fail every later session (and abort in
+    /// [`LockGuard`]'s `drop` during an unwind).
+    fn state(&self) -> MutexGuard<'_, HashMap<String, LockState>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Acquire one lock; see [`LockTable::acquire_all`].
     pub fn acquire(&self, name: &str, mode: LockMode) -> LockGuard<'_> {
         self.acquire_all(vec![(name.to_string(), mode)])
@@ -95,7 +105,7 @@ impl LockTable {
         wants.dedup_by(|next, keep| next.0 == keep.0);
 
         let mut before_wait = Some(before_wait);
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.state();
         loop {
             let all_free = wants
                 .iter()
@@ -112,7 +122,10 @@ impl LockTable {
             if let Some(f) = before_wait.take() {
                 f();
             }
-            state = self.released.wait(state).unwrap();
+            state = self
+                .released
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -120,7 +133,7 @@ impl LockTable {
     pub fn try_acquire_all(&self, mut wants: Vec<(String, LockMode)>) -> Option<LockGuard<'_>> {
         wants.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         wants.dedup_by(|next, keep| next.0 == keep.0);
-        let mut state = self.state.lock().unwrap();
+        let mut state = self.state();
         let all_free = wants
             .iter()
             .all(|(name, mode)| state.get(name).map(|s| s.grantable(*mode)).unwrap_or(true));
@@ -138,7 +151,7 @@ impl LockTable {
 
     /// Number of names with at least one grant (for tests/telemetry).
     pub fn held_names(&self) -> usize {
-        self.state.lock().unwrap().len()
+        self.state().len()
     }
 }
 
@@ -158,7 +171,7 @@ impl LockGuard<'_> {
 
 impl Drop for LockGuard<'_> {
     fn drop(&mut self) {
-        let mut state = self.table.state.lock().unwrap();
+        let mut state = self.table.state();
         for (name, mode) in &self.held {
             if let Some(s) = state.get_mut(name) {
                 s.release(*mode);
@@ -238,6 +251,35 @@ mod tests {
         h.join().unwrap();
         assert_eq!(done.load(Ordering::SeqCst), 1);
         assert_eq!(t.held_names(), 0, "idle entries are pruned");
+    }
+
+    #[test]
+    fn a_panic_in_the_wait_hook_does_not_poison_the_table() {
+        let t = LockTable::new();
+        let emp = |mode| vec![("emp".to_string(), mode)];
+        let reader = t.acquire("emp", LockMode::Shared);
+        // A contended writer panics in its hook, with the table locked.
+        let hook = thread::scope(|s| {
+            s.spawn(|| {
+                t.acquire_all_or(emp(LockMode::Exclusive), || panic!("hook failed"));
+            })
+            .join()
+        });
+        assert!(hook.is_err(), "the hook's panic reaches the session");
+        // Every entry point still works, and the panicking session holds
+        // nothing: one reader, then none.
+        assert_eq!(t.held_names(), 1);
+        assert!(t.try_acquire_all(emp(LockMode::Exclusive)).is_none());
+        drop(
+            t.try_acquire_all(emp(LockMode::Shared))
+                .expect("readers share"),
+        );
+        drop(reader);
+        assert_eq!(t.held_names(), 0, "no grant leaked");
+        let writer = t.acquire_all_or(emp(LockMode::Exclusive), || panic!("nothing to wait for"));
+        assert!(t.try_acquire_all(emp(LockMode::Shared)).is_none());
+        drop(writer);
+        assert_eq!(t.held_names(), 0);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! used by the no-op overhead bench.
 //!
 //! Registries are cheap; the process keeps one [`global`] registry for
-//! substrate-level series (grid pulses, executor jobs, machine runs) while a
-//! server instance owns a private registry for its request-level series, so
-//! two servers in one process don't mix request metrics.
+//! substrate-level series (grid pulses, machine runs) while a server
+//! instance owns a private registry for its request-level series, so two
+//! servers in one process don't mix request metrics.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

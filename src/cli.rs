@@ -167,11 +167,6 @@ pub struct CliArgs {
     pub query: String,
     /// Whether to print hardware statistics after the result.
     pub stats: bool,
-    /// Host worker threads for the simulation (`0` = auto: the
-    /// `SYSTOLIC_THREADS` environment variable, else the host's available
-    /// parallelism). Changes only how fast the host simulates, never the
-    /// simulated results.
-    pub threads: usize,
     /// Operator backend: pulse simulator or closed-form columnar scans.
     /// `None` falls back to the `SYSTOLIC_BACKEND` environment variable,
     /// else the simulator. Results and hardware stats are bit-identical either
@@ -187,8 +182,6 @@ pub struct CliArgs {
 pub struct ServeArgs {
     /// Listen address.
     pub addr: String,
-    /// Host simulation threads (as in [`CliArgs::threads`]).
-    pub threads: usize,
     /// Operator backend (as in [`CliArgs::backend`]).
     pub backend: Option<Backend>,
     /// Connection worker threads.
@@ -226,7 +219,6 @@ impl Default for ServeArgs {
         let defaults = ServerConfig::default();
         ServeArgs {
             addr: defaults.addr,
-            threads: 0,
             backend: None,
             workers: defaults.workers,
             io: defaults.io,
@@ -306,8 +298,6 @@ pub struct ProfileArgs {
     pub query: String,
     /// Whether to print the stats footer after the result too.
     pub stats: bool,
-    /// Host simulation threads (as in [`CliArgs::threads`]).
-    pub threads: usize,
     /// Operator backend (as in [`CliArgs::backend`]).
     pub backend: Option<Backend>,
 }
@@ -330,11 +320,11 @@ pub enum Command {
 
 /// Usage text.
 pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...] [--stats] \
-[--threads N] [--backend sim|columnar] [--trace-out FILE] QUERY
+[--backend sim|columnar] [--trace-out FILE] QUERY
        sdb check [--table NAME=PATH:type,...] [--json] [--explain] [--limits A,B,C] \
 [--memory BYTES] QUERY
-       sdb profile --table NAME=PATH:type,... [--stats] [--threads N] [--backend sim|columnar] QUERY
-       sdb serve [--addr HOST:PORT] [--threads N] [--backend sim|columnar] [--workers N] \
+       sdb profile --table NAME=PATH:type,... [--stats] [--backend sim|columnar] QUERY
+       sdb serve [--addr HOST:PORT] [--backend sim|columnar] [--workers N] \
 [--io threads|poll] [--shards N] [--batch-window MS] [--slow-query-ms MS] \
 [--data-dir DIR] [--pool-pages N] [--replacer clock|lru] [--trace-out FILE] \
 [--profile-history N] [--optimize on|off]
@@ -342,9 +332,6 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
 [--profiles] [--metrics] [--check-metrics] [--checkpoint] [--shutdown] [QUERY]
   types: int, str, bool, date
   query: scan/filter/intersect/difference/union/dedup/project/join/divide
-  --threads N: simulate independent plan steps on N host threads (0 = auto
-               via SYSTOLIC_THREADS, else the host's parallelism; results
-               and hardware stats unchanged)
   --backend B: run operators on the pulse simulator (sim, the default) or
                the closed-form bit-packed columnar scanner (columnar); same
                results and hardware stats, much faster host time; default
@@ -433,10 +420,6 @@ pub fn parse_args(argv: &[String]) -> Result<CliArgs, CliError> {
                 args.tables.push(parse_table_spec(spec)?);
             }
             "--stats" => args.stats = true,
-            "--threads" => {
-                let value = flag_value("--threads", &mut it)?;
-                args.threads = parse_number("--threads", value)?;
-            }
             "--backend" => {
                 let value = flag_value("--backend", &mut it)?;
                 args.backend = Some(parse_backend(value)?);
@@ -470,10 +453,6 @@ fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, CliError> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--addr" => args.addr = flag_value("--addr", &mut it)?.clone(),
-            "--threads" => {
-                let value = flag_value("--threads", &mut it)?;
-                args.threads = parse_number("--threads", value)?;
-            }
             "--backend" => {
                 let value = flag_value("--backend", &mut it)?;
                 args.backend = Some(parse_backend(value)?);
@@ -650,10 +629,6 @@ fn parse_profile_args(argv: &[String]) -> Result<ProfileArgs, CliError> {
                 args.tables.push(parse_table_spec(spec)?);
             }
             "--stats" => args.stats = true,
-            "--threads" => {
-                let value = flag_value("--threads", &mut it)?;
-                args.threads = parse_number("--threads", value)?;
-            }
             "--backend" => {
                 let value = flag_value("--backend", &mut it)?;
                 args.backend = Some(parse_backend(value)?);
@@ -721,9 +696,8 @@ pub fn run_query(
     tables: &[(TableSpec, String)],
     query: &str,
     stats: bool,
-    threads: usize,
 ) -> Result<String, CliError> {
-    run_query_traced(tables, query, stats, threads, None, None)
+    run_query_traced(tables, query, stats, None, None)
 }
 
 /// [`run_query`] plus an explicit backend choice and, when `trace_out` is
@@ -733,12 +707,11 @@ pub fn run_query_traced(
     tables: &[(TableSpec, String)],
     query: &str,
     stats: bool,
-    threads: usize,
     backend: Option<Backend>,
     trace_out: Option<&Path>,
 ) -> Result<String, CliError> {
     let collector = trace_out.map(|_| systolic_telemetry::install());
-    let run = run_engine(tables, query, stats, threads, backend);
+    let run = run_engine(tables, query, stats, backend);
     let spans = collector.map(|c| {
         systolic_telemetry::uninstall();
         c.drain()
@@ -760,13 +733,9 @@ fn run_engine(
     tables: &[(TableSpec, String)],
     query: &str,
     stats: bool,
-    threads: usize,
     backend: Option<Backend>,
 ) -> Result<(String, RunOutcome), CliError> {
-    let mut config = MachineConfig {
-        host_threads: threads,
-        ..MachineConfig::default()
-    };
+    let mut config = MachineConfig::default();
     if let Some(backend) = backend {
         config.backend = backend;
     }
@@ -900,10 +869,7 @@ pub fn run_check(
 
 fn run_serve(args: &ServeArgs) -> Result<(), CliError> {
     let defaults = ServerConfig::default();
-    let mut machine = MachineConfig {
-        host_threads: args.threads,
-        ..MachineConfig::default()
-    };
+    let mut machine = MachineConfig::default();
     if let Some(backend) = args.backend {
         machine.backend = backend;
     }
@@ -934,10 +900,7 @@ fn run_serve(args: &ServeArgs) -> Result<(), CliError> {
 /// re-deriving the profile here) guarantees the printed profile is exactly
 /// what a long-lived server would report for the same query.
 pub fn run_profile(tables: &[(TableSpec, String)], args: &ProfileArgs) -> Result<String, CliError> {
-    let mut machine = MachineConfig {
-        host_threads: args.threads,
-        ..MachineConfig::default()
-    };
+    let mut machine = MachineConfig::default();
     if let Some(backend) = args.backend {
         machine.backend = backend;
     }
@@ -1070,7 +1033,6 @@ pub fn main_with_args(argv: &[String]) -> Result<String, CliError> {
                 &tables,
                 &args.query,
                 args.stats,
-                args.threads,
                 args.backend,
                 args.trace_out.as_deref().map(Path::new),
             )
@@ -1147,30 +1109,28 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_parsing() {
-        let args = parse_args(&argv(&[
-            "--table",
-            "a=a.csv:int",
-            "--threads",
-            "4",
-            "scan(a)",
-        ]))
-        .unwrap();
-        assert_eq!(args.threads, 4);
-        assert!(matches!(
-            parse_args(&argv(&[
+    fn the_removed_threads_flag_is_a_usage_error_on_every_verb() {
+        // A stale `--threads` in a script must fail loudly, not be ignored.
+        for args in [
+            argv(&["--table", "a=a.csv:int", "--threads", "4", "scan(a)"]),
+            argv(&[
+                "profile",
                 "--table",
                 "a=a.csv:int",
                 "--threads",
-                "lots",
-                "scan(a)"
-            ])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse_args(&argv(&["--table", "a=a.csv:int", "--threads"])),
-            Err(CliError::Usage(_))
-        ));
+                "4",
+                "scan(a)",
+            ]),
+            argv(&["serve", "--threads", "4"]),
+        ] {
+            match parse_command(&args) {
+                Err(CliError::Usage(msg)) => assert!(
+                    msg.starts_with("unexpected ") && msg.contains("argument \"--threads\""),
+                    "{args:?}: {msg}"
+                ),
+                other => panic!("{args:?}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1185,8 +1145,6 @@ mod tests {
             "127.0.0.1:0",
             "--workers",
             "8",
-            "--threads",
-            "2",
             "--batch-window",
             "5",
             "--io",
@@ -1199,7 +1157,6 @@ mod tests {
             Command::Serve(s) => {
                 assert_eq!(s.addr, "127.0.0.1:0");
                 assert_eq!(s.workers, 8);
-                assert_eq!(s.threads, 2);
                 assert_eq!(s.batch_window_ms, 5);
                 assert_eq!(s.io, IoModel::Poll);
                 assert_eq!(s.shards, 4);
@@ -1499,21 +1456,11 @@ mod tests {
             "join(scan(a), scan(b), 0 <= 0)",
         ] {
             let tables = [a.clone(), b.clone()];
-            let sim = run_query_traced(&tables, query, false, 0, Some(Backend::Sim), None).unwrap();
+            let sim = run_query_traced(&tables, query, false, Some(Backend::Sim), None).unwrap();
             let columnar =
-                run_query_traced(&tables, query, false, 0, Some(Backend::Columnar), None).unwrap();
+                run_query_traced(&tables, query, false, Some(Backend::Columnar), None).unwrap();
             assert_eq!(columnar, sim, "{query}");
         }
-    }
-
-    #[test]
-    fn threads_do_not_change_query_output() {
-        let a = (spec("a", vec![DomainKind::Int]), "1\n2\n3\n4\n".to_string());
-        let b = (spec("b", vec![DomainKind::Int]), "2\n3\n5\n".to_string());
-        let query = "intersect(scan(a), scan(b))";
-        let sequential = run_query(&[a.clone(), b.clone()], query, false, 1).unwrap();
-        let parallel = run_query(&[a, b], query, false, 4).unwrap();
-        assert_eq!(sequential, parallel);
     }
 
     #[test]
@@ -1526,7 +1473,7 @@ mod tests {
             spec("dept", vec![DomainKind::Int, DomainKind::Str]),
             "10,storage\n20,query\n".to_string(),
         );
-        let out = run_query(&[emp, dept], "join(scan(emp), scan(dept), 1 = 0)", false, 0).unwrap();
+        let out = run_query(&[emp, dept], "join(scan(emp), scan(dept), 1 = 0)", false).unwrap();
         assert!(out.contains("ada,10,storage"));
         assert!(out.contains("grace,20,query"));
         assert!(!out.contains("edsger"));
@@ -1538,7 +1485,7 @@ mod tests {
             spec("nums", vec![DomainKind::Int, DomainKind::Int]),
             "1,10\n2,20\n3,30\n".to_string(),
         );
-        let out = run_query(&[t], "filter(scan(nums), c1 >= 20)", true, 0).unwrap();
+        let out = run_query(&[t], "filter(scan(nums), c1 >= 20)", true).unwrap();
         assert!(out.contains("2,20"));
         assert!(out.contains("3,30"));
         assert!(!out.contains("1,10"));
@@ -1550,7 +1497,7 @@ mod tests {
     fn set_operations_across_tables() {
         let a = (spec("a", vec![DomainKind::Int]), "1\n2\n3\n".to_string());
         let b = (spec("b", vec![DomainKind::Int]), "2\n3\n4\n".to_string());
-        let out = run_query(&[a, b], "intersect(scan(a), scan(b))", false, 0).unwrap();
+        let out = run_query(&[a, b], "intersect(scan(a), scan(b))", false).unwrap();
         let lines: Vec<&str> = out.lines().skip(1).collect();
         assert_eq!(lines, vec!["2", "3"]);
     }
@@ -1559,20 +1506,15 @@ mod tests {
     fn errors_are_surfaced() {
         let t = (spec("a", vec![DomainKind::Int]), "1\n".to_string());
         assert!(matches!(
-            run_query(std::slice::from_ref(&t), "explode(scan(a))", false, 0),
+            run_query(std::slice::from_ref(&t), "explode(scan(a))", false),
             Err(CliError::Query { .. })
         ));
         assert!(matches!(
-            run_query(std::slice::from_ref(&t), "scan(missing)", false, 0),
+            run_query(std::slice::from_ref(&t), "scan(missing)", false),
             Err(CliError::Machine(_))
         ));
         assert!(matches!(
-            run_query(
-                &[(t.0.clone(), "notanint\n".to_string())],
-                "scan(a)",
-                false,
-                0
-            ),
+            run_query(&[(t.0.clone(), "notanint\n".to_string())], "scan(a)", false),
             Err(CliError::Relation(_))
         ));
     }
@@ -1580,7 +1522,7 @@ mod tests {
     #[test]
     fn parse_errors_display_with_a_caret() {
         let t = (spec("a", vec![DomainKind::Int]), "1\n".to_string());
-        let err = run_query(std::slice::from_ref(&t), "explode(scan(a))", false, 0).unwrap_err();
+        let err = run_query(std::slice::from_ref(&t), "explode(scan(a))", false).unwrap_err();
         let rendered = err.to_string();
         assert!(rendered.contains('^'), "{rendered}");
         assert!(rendered.contains("explode(scan(a))"), "{rendered}");
@@ -1597,7 +1539,6 @@ mod tests {
             &[takes, core],
             "divide(scan(takes), scan(core), 0, 1, 0)",
             false,
-            0,
         )
         .unwrap();
         assert!(out.contains("ida"));
@@ -1630,7 +1571,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sdb-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
-        run_query_traced(&[a, b], query, false, 0, None, Some(&path)).unwrap();
+        run_query_traced(&[a, b], query, false, None, Some(&path)).unwrap();
 
         let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).expect("valid JSON");
         let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
@@ -1660,7 +1601,7 @@ mod tests {
         let _guard = trace_lock();
         let a = (spec("a", vec![DomainKind::Int]), "1\n".to_string());
         let path = Path::new("/proc/no-such-dir/trace.json");
-        let err = run_query_traced(&[a], "scan(a)", false, 0, None, Some(path)).unwrap_err();
+        let err = run_query_traced(&[a], "scan(a)", false, None, Some(path)).unwrap_err();
         match &err {
             CliError::Io(e) => {
                 let msg = e.to_string();
@@ -1925,7 +1866,6 @@ mod tests {
             )],
             "filter(scan(nums), c1 >= 20)",
             false,
-            0,
         )
         .unwrap();
         assert!(out.contains(&local), "{out}\nvs\n{local}");

@@ -89,10 +89,6 @@ fn three_baseline_families_and_three_executions_all_agree() {
         Execution::Marching,
         Execution::FixedOperand,
         Execution::Tiled(ArrayLimits::new(6, 5, 2)),
-        Execution::Parallel {
-            limits: ArrayLimits::new(6, 5, 2),
-            threads: 4,
-        },
     ] {
         let (got, _) = ops::intersect(&a, &b, exec).unwrap();
         assert!(got.set_eq(&reference), "{exec:?}");

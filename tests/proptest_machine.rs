@@ -225,29 +225,26 @@ proptest! {
     ) {
         // Queries that all read `r0` — through the disk's track filter or
         // through the selection array — share nothing observable: on either
-        // backend, at either thread count, each one's standalone accounting
-        // inside the batch is its run alone on a fresh machine.
+        // backend each one's standalone accounting inside the batch is its
+        // run alone on a fresh machine.
         for backend in [Backend::Sim, Backend::Columnar] {
-            for host_threads in [1, 4] {
-                let fresh = || {
-                    let mut sys = System::new(MachineConfig {
-                        backend,
-                        host_threads,
-                        ..MachineConfig::default()
-                    })
-                    .unwrap();
-                    sys.load_base("r0", base("r0"));
-                    sys
-                };
-                let batch = fresh().run_batch_accounted(&queries).unwrap();
-                prop_assert_eq!(batch.queries.len(), queries.len());
-                for (expr, got) in queries.iter().zip(&batch.queries) {
-                    let solo = fresh().run(expr).unwrap();
-                    let at = format!("{expr} on {backend:?} x{host_threads}");
-                    prop_assert_eq!(got.result.rows(), solo.result.rows(), "{}", at);
-                    prop_assert_eq!(got.stats, solo.stats, "{}", at);
-                    prop_assert_eq!(&got.step_rows, &solo.step_rows, "{}", at);
-                }
+            let fresh = || {
+                let mut sys = System::new(MachineConfig {
+                    backend,
+                    ..MachineConfig::default()
+                })
+                .unwrap();
+                sys.load_base("r0", base("r0"));
+                sys
+            };
+            let batch = fresh().run_batch_accounted(&queries).unwrap();
+            prop_assert_eq!(batch.queries.len(), queries.len());
+            for (expr, got) in queries.iter().zip(&batch.queries) {
+                let solo = fresh().run(expr).unwrap();
+                let at = format!("{expr} on {backend:?}");
+                prop_assert_eq!(got.result.rows(), solo.result.rows(), "{}", at);
+                prop_assert_eq!(got.stats, solo.stats, "{}", at);
+                prop_assert_eq!(&got.step_rows, &solo.step_rows, "{}", at);
             }
         }
     }

@@ -18,19 +18,11 @@ fn multi(max_n: usize, m: usize, domain: i64) -> impl Strategy<Value = MultiRela
         .prop_map(move |rows| MultiRelation::new(synth_schema(m), rows).unwrap())
 }
 
-fn executions() -> [Execution; 5] {
+fn executions() -> [Execution; 3] {
     [
         Execution::Marching,
         Execution::FixedOperand,
         Execution::Tiled(ArrayLimits::new(3, 4, 1)),
-        Execution::Parallel {
-            limits: ArrayLimits::new(3, 4, 1),
-            threads: 1,
-        },
-        Execution::Parallel {
-            limits: ArrayLimits::new(3, 4, 1),
-            threads: 8,
-        },
     ]
 }
 
@@ -199,57 +191,22 @@ proptest! {
         let (diff, _) = ops::difference(&a, &b, Execution::Marching).unwrap();
         prop_assert_eq!(inter.len() + diff.len(), a.len());
     }
-
-    #[test]
-    fn parallel_execution_is_bit_identical_to_tiled(
-        a in multi(10, 2, 6),
-        b in multi(10, 2, 6),
-    ) {
-        // The host-parallel executor must be invisible to everything the
-        // simulation measures: identical result matrix (hence identical
-        // relation, in row order) AND identical hardware ExecStats, for any
-        // thread count, on randomized relations.
-        let limits = ArrayLimits::new(3, 4, 1);
-        let (seq, seq_stats) = ops::intersect(&a, &b, Execution::Tiled(limits)).unwrap();
-        let (seq_dedup, seq_dedup_stats) = ops::dedup(&a, Execution::Tiled(limits)).unwrap();
-        let (seq_join, seq_join_stats) =
-            ops::join(&a, &b, &[JoinSpec::eq(0, 0)], Execution::Tiled(limits)).unwrap();
-        for threads in [1usize, 8] {
-            let exec = Execution::Parallel { limits, threads };
-            let (par, par_stats) = ops::intersect(&a, &b, exec).unwrap();
-            prop_assert_eq!(par.rows(), seq.rows(), "{} threads", threads);
-            prop_assert_eq!(par_stats, seq_stats, "{} threads", threads);
-            let (par_dedup, par_dedup_stats) = ops::dedup(&a, exec).unwrap();
-            prop_assert_eq!(par_dedup.rows(), seq_dedup.rows(), "{} threads dedup", threads);
-            prop_assert_eq!(par_dedup_stats, seq_dedup_stats, "{} threads dedup", threads);
-            let (par_join, par_join_stats) =
-                ops::join(&a, &b, &[JoinSpec::eq(0, 0)], exec).unwrap();
-            prop_assert_eq!(par_join.rows(), seq_join.rows(), "{} threads join", threads);
-            prop_assert_eq!(par_join_stats, seq_join_stats, "{} threads join", threads);
-        }
-    }
 }
 
 #[test]
-fn parallel_execution_handles_empty_and_single_tile_cases() {
+fn tiled_execution_handles_empty_and_single_tile_cases() {
     // Deterministic edge cases the strategies above cannot generate: an
     // empty operand (short-circuits before any grid run) and a relation
-    // that fits a single tile (one job, no fan-out).
-    let limits = ArrayLimits::new(8, 8, 2);
+    // that fits a single tile.
+    let exec = Execution::Tiled(ArrayLimits::new(8, 8, 2));
     let empty = MultiRelation::empty(synth_schema(2));
     let one = MultiRelation::new(synth_schema(2), vec![vec![1, 2]]).unwrap();
-    for threads in [1usize, 8] {
-        let exec = Execution::Parallel { limits, threads };
-        let (r, s) = ops::intersect(&empty, &one, exec).unwrap();
-        assert!(r.is_empty());
-        assert_eq!(s, systolic_db::arrays::ExecStats::default());
-        let (r, _) = ops::difference(&one, &empty, exec).unwrap();
-        assert_eq!(r.rows(), one.rows());
-        // Single tile: the whole problem is one job.
-        let (seq, seq_stats) = ops::intersect(&one, &one, Execution::Tiled(limits)).unwrap();
-        let (par, par_stats) = ops::intersect(&one, &one, exec).unwrap();
-        assert_eq!(par.rows(), seq.rows());
-        assert_eq!(par_stats, seq_stats);
-        assert_eq!(par_stats.array_runs, 1, "one tile, one array run");
-    }
+    let (r, s) = ops::intersect(&empty, &one, exec).unwrap();
+    assert!(r.is_empty());
+    assert_eq!(s, systolic_db::arrays::ExecStats::default());
+    let (r, _) = ops::difference(&one, &empty, exec).unwrap();
+    assert_eq!(r.rows(), one.rows());
+    let (r, s) = ops::intersect(&one, &one, exec).unwrap();
+    assert_eq!(r.rows(), one.rows());
+    assert_eq!(s.array_runs, 1, "one tile, one array run");
 }
