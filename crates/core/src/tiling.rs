@@ -150,7 +150,6 @@ fn pipelined_run(
     mut initial: impl FnMut(usize, usize) -> bool,
     trim: u64,
 ) -> Result<TiledOutcome> {
-    use std::collections::HashMap;
     use systolic_fabric::{CompareSchedule, Grid, ScheduleFeeder, Word};
 
     let m = ops.len();
@@ -171,8 +170,10 @@ fn pipelined_run(
     let mut north = ScheduleFeeder::new();
     let mut south = ScheduleFeeder::new();
     let mut west = ScheduleFeeder::new();
-    // (lane, pulse) -> (global i, global j) for decoding every tile's exits.
-    let mut exit_map: HashMap<(usize, u64), (usize, usize)> = HashMap::new();
+    // exits[pulse] holds (row, global i, global j) for every result
+    // scheduled to leave the east edge at that pulse, row-ascending once
+    // all tiles are in — the decode table for every tile's exits.
+    let mut exits: Vec<Vec<(usize, usize, usize)>> = Vec::new();
     let mut offset = 0u64;
     let mut tiles = 0u64;
     // The last pulse at which any word is still inside the grid. Tracking it
@@ -220,12 +221,12 @@ fn pipelined_run(
                         Word::Bool(initial(a0 + i, b0 + j)),
                     );
                     last_activity = last_activity.max(pulse + offset + delta + m as u64 - 1);
-                    let exit = (
-                        sched.meeting_row(i, j),
-                        sched.t_exit_pulse(i, j) + offset + delta,
-                    );
-                    let prev = exit_map.insert(exit, (a0 + i, b0 + j));
-                    debug_assert!(prev.is_none(), "tile exit collision at {exit:?}");
+                    let exit = usize::try_from(sched.t_exit_pulse(i, j) + offset + delta)
+                        .expect("exit pulse fits in usize");
+                    if exits.len() <= exit {
+                        exits.resize_with(exit + 1, Vec::new);
+                    }
+                    exits[exit].push((sched.meeting_row(i, j), a0 + i, b0 + j));
                 }
             }
             tiles += 1;
@@ -233,6 +234,13 @@ fn pipelined_run(
             // injection lands two pulses (one tuple slot) after our last.
             offset = last_inject + 2;
         }
+    }
+    for (pulse, bucket) in exits.iter_mut().enumerate() {
+        bucket.sort_unstable_by_key(|&(row, _, _)| row);
+        debug_assert!(
+            bucket.windows(2).all(|w| w[0].0 != w[1].0),
+            "tile exit collision at pulse {pulse}"
+        );
     }
     grid.set_north_feeder(north);
     grid.set_south_feeder(south);
@@ -249,8 +257,13 @@ fn pipelined_run(
     let mut t = TMatrix::new(a.len(), b.len());
     let mut seen = 0usize;
     for em in grid.east_emissions().emissions() {
-        match exit_map.get(&(em.lane, em.pulse)) {
-            Some(&(i, j)) => {
+        let bucket = usize::try_from(em.pulse).ok().and_then(|p| exits.get(p));
+        let scheduled = bucket.and_then(|bucket| {
+            let k = bucket.binary_search_by_key(&em.lane, |&(row, _, _)| row);
+            k.ok().map(|k| bucket[k])
+        });
+        match scheduled {
+            Some((_, i, j)) => {
                 let v = em.word.as_bool().ok_or_else(|| {
                     crate::error::CoreError::ScheduleViolation {
                         detail: format!("non-boolean result {:?}", em.word),
@@ -471,6 +484,38 @@ mod tests {
                 .unwrap();
         let expect = TMatrix::from_fn(5, 5, |i, j| i > j && rows[i] == rows[j]);
         assert_eq!(out.t, expect);
+    }
+
+    #[test]
+    fn pipelined_exit_decode_places_every_result() {
+        // Each case stresses one part of the exit table: one tile that is
+        // the whole problem, edge tiles shorter than the grid (the `delta`
+        // shift), one-tuple tiles, and seed masks that leave whole columns
+        // of T FALSE (dedup's `i > j` empties the last column).
+        let ops = vec![CompareOp::Eq, CompareOp::Le];
+        let masks: [fn(usize, usize) -> bool; 3] = [|_, _| true, |i, j| i > j, |i, j| i < j];
+        for (n_a, n_b, limits) in [
+            (6, 4, ArrayLimits::new(8, 8, 2)),
+            (13, 17, ArrayLimits::new(5, 3, 2)),
+            (7, 9, ArrayLimits::new(4, 6, 2)),
+            (5, 6, ArrayLimits::new(1, 1, 2)),
+            (1, 1, ArrayLimits::new(1, 1, 2)),
+        ] {
+            let a = relation(n_a, 2, 0);
+            let b = relation(n_b, 2, 4);
+            for mask in masks {
+                let out = pipelined_run(&a, &b, &ops, limits, mask, 0).unwrap();
+                let expect = TMatrix::from_fn(n_a, n_b, |i, j| {
+                    mask(i, j) && a[i][0] == b[j][0] && a[i][1] <= b[j][1]
+                });
+                assert_eq!(out.t, expect, "{n_a}x{n_b} on {limits:?}");
+                assert_eq!(
+                    out.stats,
+                    crate::kernel::pipelined_stats(n_a, n_b, 2, limits),
+                    "{n_a}x{n_b} on {limits:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,55 +1,38 @@
-//! Boundary feeders and collectors.
+//! Boundary schedules and collectors.
 //!
 //! A systolic array computes correctly only if "all of the data \[is\] in the
 //! right place at the right time" (§3.1) — the inputs are *staggered* on the
-//! array boundary. Feeders encode those staggered injection schedules; the
-//! grid asks each boundary feeder for a word per lane per pulse. Collectors
-//! record every word that falls off an edge, together with the pulse and lane
-//! at which it did, so operator front-ends can decode results using the same
-//! schedule arithmetic that produced the inputs.
+//! array boundary. A [`ScheduleFeeder`] holds one edge's staggered injection
+//! schedule bucketed by pulse, so the grid takes a whole pulse's injections
+//! in one lane-ascending pass. Collectors record every word that falls off
+//! an edge, together with the pulse and lane at which it did, so operator
+//! front-ends can decode results using the same schedule arithmetic that
+//! produced the inputs.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use crate::word::Word;
 
-/// A source of boundary input words.
+/// One edge's injection schedule: the words to write into the edge cells'
+/// input latches, bucketed by pulse.
 ///
 /// `lane` is the column index for the north/south edges and the row index for
 /// the west edge (nothing is ever fed from the east: `t` values flow east).
-pub trait Feeder {
-    /// The word to inject into `lane` at `pulse` (usually `Word::Null`).
-    fn feed(&mut self, pulse: u64, lane: usize) -> Word;
-
-    /// A pulse by which this feeder will only ever produce `Word::Null`.
-    /// Used by the simulation driver to detect quiescence.
-    fn horizon(&self) -> u64;
-}
-
-/// A feeder that never injects anything.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullFeeder;
-
-impl Feeder for NullFeeder {
-    fn feed(&mut self, _pulse: u64, _lane: usize) -> Word {
-        Word::Null
-    }
-    fn horizon(&self) -> u64 {
-        0
-    }
-}
-
-/// A feeder driven by a precomputed `(pulse, lane) -> Word` schedule.
-///
-/// This is the workhorse: the `schedule` module computes the staggered
-/// injection times for each array and materialises them here.
+/// An empty schedule injects nothing; the `schedule` module computes the
+/// staggered injection times for each array and materialises them here.
 #[derive(Debug, Default, Clone)]
 pub struct ScheduleFeeder {
-    entries: HashMap<(u64, usize), Word>,
-    horizon: u64,
+    /// `pulses[p]` holds the `(lane, word)` injections at pulse `p`,
+    /// lane-ascending; its length is the horizon. A deque, because the §3
+    /// schedules push a pulse's lanes in descending order (tuple `i + 1`
+    /// lands one lane lower than tuple `i`), and a deque inserts at either
+    /// end without moving the rest.
+    pulses: Vec<VecDeque<(usize, Word)>>,
+    len: usize,
 }
 
 impl ScheduleFeeder {
-    /// An empty schedule (equivalent to [`NullFeeder`]).
+    /// An empty schedule: it never injects anything.
     pub fn new() -> Self {
         Self::default()
     }
@@ -74,35 +57,51 @@ impl ScheduleFeeder {
         if word == Word::Null {
             return;
         }
-        if let Some(prev) = self.entries.insert((pulse, lane), word) {
-            assert_eq!(
-                prev, word,
-                "feeder slot collision at pulse {pulse}, lane {lane}: {prev:?} vs {word:?}"
-            );
+        let p = usize::try_from(pulse).expect("injection pulse fits in usize");
+        if self.pulses.len() <= p {
+            self.pulses.resize_with(p + 1, VecDeque::new);
         }
-        self.horizon = self.horizon.max(pulse + 1);
+        let bucket = &mut self.pulses[p];
+        match bucket.binary_search_by_key(&lane, |&(l, _)| l) {
+            Ok(k) => {
+                let prev = bucket[k].1;
+                assert_eq!(
+                    prev, word,
+                    "feeder slot collision at pulse {pulse}, lane {lane}: {prev:?} vs {word:?}"
+                );
+            }
+            Err(k) => {
+                bucket.insert(k, (lane, word));
+                self.len += 1;
+            }
+        }
+    }
+
+    /// The `(lane, word)` injections at `pulse`, lane-ascending (none when
+    /// nothing is scheduled then).
+    pub fn at(&self, pulse: u64) -> impl Iterator<Item = (usize, Word)> + '_ {
+        usize::try_from(pulse)
+            .ok()
+            .and_then(|p| self.pulses.get(p))
+            .into_iter()
+            .flatten()
+            .copied()
+    }
+
+    /// A pulse by which this schedule injects nothing more (one past its last
+    /// injection; 0 when empty). Used by the grid to detect quiescence.
+    pub fn horizon(&self) -> u64 {
+        self.pulses.len() as u64
     }
 
     /// Number of scheduled (non-null) injections.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// `true` if no injections are scheduled.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-impl Feeder for ScheduleFeeder {
-    fn feed(&mut self, pulse: u64, lane: usize) -> Word {
-        self.entries
-            .get(&(pulse, lane))
-            .copied()
-            .unwrap_or(Word::Null)
-    }
-    fn horizon(&self) -> u64 {
-        self.horizon
+        self.len == 0
     }
 }
 
@@ -169,15 +168,57 @@ impl Collector {
 mod tests {
     use super::*;
 
+    fn slots(f: &ScheduleFeeder, pulse: u64) -> Vec<(usize, Word)> {
+        f.at(pulse).collect()
+    }
+
     #[test]
-    fn schedule_feeder_returns_scheduled_words_and_null_otherwise() {
-        let mut f = ScheduleFeeder::from_entries([(0, 0, Word::Elem(5)), (2, 1, Word::Bool(true))]);
-        assert_eq!(f.feed(0, 0), Word::Elem(5));
-        assert_eq!(f.feed(0, 1), Word::Null);
-        assert_eq!(f.feed(1, 0), Word::Null);
-        assert_eq!(f.feed(2, 1), Word::Bool(true));
+    fn schedule_feeder_returns_scheduled_words_and_nothing_otherwise() {
+        let f = ScheduleFeeder::from_entries([(0, 0, Word::Elem(5)), (2, 1, Word::Bool(true))]);
+        assert_eq!(slots(&f, 0), &[(0, Word::Elem(5))]);
+        assert_eq!(slots(&f, 1), []);
+        assert_eq!(slots(&f, 2), &[(1, Word::Bool(true))]);
+        assert_eq!(slots(&f, 3), []);
+        assert_eq!(slots(&f, u64::MAX), []);
         assert_eq!(f.horizon(), 3);
         assert_eq!(f.len(), 2);
+    }
+
+    #[test]
+    fn out_of_order_pushes_come_back_lane_ascending() {
+        let mut f = ScheduleFeeder::new();
+        f.push(4, 3, Word::Elem(30));
+        f.push(1, 0, Word::Elem(0));
+        f.push(4, 0, Word::Elem(0));
+        f.push(4, 7, Word::Bool(false));
+        f.push(4, 1, Word::Drain);
+        f.push(4, 3, Word::Elem(30));
+        assert_eq!(
+            slots(&f, 4),
+            &[
+                (0, Word::Elem(0)),
+                (1, Word::Drain),
+                (3, Word::Elem(30)),
+                (7, Word::Bool(false)),
+            ]
+        );
+        assert_eq!(slots(&f, 1), &[(0, Word::Elem(0))]);
+        assert_eq!(f.len(), 5);
+    }
+
+    #[test]
+    fn horizon_is_one_past_the_last_injection() {
+        let mut f = ScheduleFeeder::new();
+        assert_eq!(f.horizon(), 0);
+        f.push(0, 2, Word::Elem(1));
+        assert_eq!(f.horizon(), 1);
+        f.push(10_000, 0, Word::Elem(2));
+        assert_eq!(f.horizon(), 10_001);
+        // An earlier push never lowers it.
+        f.push(5, 0, Word::Elem(3));
+        assert_eq!(f.horizon(), 10_001);
+        assert_eq!(slots(&f, 10_000), &[(0, Word::Elem(2))]);
+        assert_eq!(f.len(), 3);
     }
 
     #[test]
@@ -217,9 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn null_feeder_is_always_quiet() {
-        let mut f = NullFeeder;
-        assert_eq!(f.feed(123, 45), Word::Null);
+    fn empty_feeder_is_always_quiet() {
+        let f = ScheduleFeeder::new();
+        assert_eq!(slots(&f, 123), []);
         assert_eq!(f.horizon(), 0);
+        assert!(f.is_empty());
     }
 }

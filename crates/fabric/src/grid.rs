@@ -11,12 +11,17 @@
 //! visible to its neighbour at pulse `k+1`, so "all of the data in the array
 //! moves synchronously" (§2.1) regardless of evaluation order. Words that
 //! fall off the south, north, or east edges are recorded by [`Collector`]s;
-//! boundary inputs are supplied per-pulse by [`Feeder`]s on the north, south
-//! and west edges. Linearly connected arrays (Fig 2-1(b)) are grids with a
-//! single row or column.
+//! boundary inputs come from pulse-bucketed [`ScheduleFeeder`]s on the
+//! north, south and west edges, one lane-ascending pass per edge per pulse.
+//! Linearly connected arrays (Fig 2-1(b)) are grids with a single row or column.
+//!
+//! A pulse costs what moves: each cell takes its input latches as it reads
+//! them, so the planes swapped out for the next pulse are already idle, and
+//! the grid counts the words left on its wires, so quiescence is one
+//! comparison. Every cell is still pulsed every pulse.
 
 use crate::cell::{Cell, CellIo};
-use crate::feed::{Collector, Feeder, NullFeeder};
+use crate::feed::{Collector, ScheduleFeeder};
 use crate::trace::{TraceFrame, Tracer};
 use crate::word::Word;
 
@@ -78,15 +83,18 @@ pub struct Grid<C: Cell> {
     b: Vec<Word>,
     /// Eastbound words entering each cell this pulse.
     t: Vec<Word>,
-    /// Scratch planes for the next pulse (double buffering).
+    /// Planes for the next pulse (double buffering); all idle between
+    /// pulses, because `step` takes every input latch it reads.
     a_next: Vec<Word>,
     b_next: Vec<Word>,
     t_next: Vec<Word>,
+    /// Present words on the `a`, `b` and `t` planes between pulses.
+    live: usize,
     pulse: u64,
     stats: GridStats,
-    north: Box<dyn Feeder>,
-    south: Box<dyn Feeder>,
-    west: Box<dyn Feeder>,
+    north: ScheduleFeeder,
+    south: ScheduleFeeder,
+    west: ScheduleFeeder,
     east_out: Collector,
     south_out: Collector,
     north_out: Collector,
@@ -117,11 +125,12 @@ impl<C: Cell> Grid<C> {
             a_next: vec![Word::Null; n],
             b_next: vec![Word::Null; n],
             t_next: vec![Word::Null; n],
+            live: 0,
             pulse: 0,
             stats: GridStats::default(),
-            north: Box::new(NullFeeder),
-            south: Box::new(NullFeeder),
-            west: Box::new(NullFeeder),
+            north: ScheduleFeeder::new(),
+            south: ScheduleFeeder::new(),
+            west: ScheduleFeeder::new(),
             east_out: Collector::default(),
             south_out: Collector::default(),
             north_out: Collector::default(),
@@ -164,19 +173,21 @@ impl<C: Cell> Grid<C> {
         &mut self.cells[r * self.cols + c]
     }
 
-    /// Install the feeder driving the north edge (relation `A`, southbound).
-    pub fn set_north_feeder(&mut self, f: impl Feeder + 'static) {
-        self.north = Box::new(f);
+    /// Install the schedule driving the north edge (relation `A`,
+    /// southbound).
+    pub fn set_north_feeder(&mut self, f: ScheduleFeeder) {
+        self.north = f;
     }
 
-    /// Install the feeder driving the south edge (relation `B`, northbound).
-    pub fn set_south_feeder(&mut self, f: impl Feeder + 'static) {
-        self.south = Box::new(f);
+    /// Install the schedule driving the south edge (relation `B`,
+    /// northbound).
+    pub fn set_south_feeder(&mut self, f: ScheduleFeeder) {
+        self.south = f;
     }
 
-    /// Install the feeder driving the west edge (initial `t` values).
-    pub fn set_west_feeder(&mut self, f: impl Feeder + 'static) {
-        self.west = Box::new(f);
+    /// Install the schedule driving the west edge (initial `t` values).
+    pub fn set_west_feeder(&mut self, f: ScheduleFeeder) {
+        self.west = f;
     }
 
     /// Words that left the east edge (the results side in most arrays).
@@ -209,86 +220,80 @@ impl<C: Cell> Grid<C> {
     /// outputs to neighbouring latches and edge collectors.
     pub fn step(&mut self) {
         let pulse = self.pulse;
-        // Boundary injection: feeders write directly into the input latches
-        // of the edge cells for this pulse.
-        for c in 0..self.cols {
-            let w = self.north.feed(pulse, c);
-            if w.is_present() {
-                self.a[c] = w;
-            }
-            let w = self.south.feed(pulse, c);
-            if w.is_present() {
-                self.b[(self.rows - 1) * self.cols + c] = w;
-            }
+        let (rows, cols) = (self.rows, self.cols);
+        // Boundary injection: this pulse's scheduled words go straight into
+        // the input latches of the edge cells, which no neighbour writes.
+        // Lanes beyond the edge are never read.
+        let south_row = (rows - 1) * cols;
+        for (c, w) in self.north.at(pulse).take_while(|&(c, _)| c < cols) {
+            self.a[c] = w;
         }
-        for r in 0..self.rows {
-            let w = self.west.feed(pulse, r);
-            if w.is_present() {
-                self.t[r * self.cols] = w;
-            }
+        for (c, w) in self.south.at(pulse).take_while(|&(c, _)| c < cols) {
+            self.b[south_row + c] = w;
+        }
+        for (r, w) in self.west.at(pulse).take_while(|&(r, _)| r < rows) {
+            self.t[r * cols] = w;
         }
 
         if let Some(tracer) = &mut self.tracer {
-            tracer.snapshot(pulse, self.rows, self.cols, &self.a, &self.b, &self.t);
-        }
-
-        for slot in self.a_next.iter_mut() {
-            *slot = Word::Null;
-        }
-        for slot in self.b_next.iter_mut() {
-            *slot = Word::Null;
-        }
-        for slot in self.t_next.iter_mut() {
-            *slot = Word::Null;
+            tracer.snapshot(pulse, rows, cols, &self.a, &self.b, &self.t);
         }
 
         let mut busy = 0u64;
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let idx = r * self.cols + c;
-                let mut io = CellIo::with_inputs(self.a[idx], self.b[idx], self.t[idx]);
+        let mut live = 0usize;
+        for r in 0..rows {
+            for c in 0..cols {
+                let idx = r * cols + c;
+                let mut io = CellIo::with_inputs(
+                    std::mem::take(&mut self.a[idx]),
+                    std::mem::take(&mut self.b[idx]),
+                    std::mem::take(&mut self.t[idx]),
+                );
                 if io.any_input() {
                     busy += 1;
                 }
                 self.cells[idx].pulse(&mut io);
-                if r + 1 < self.rows {
-                    self.a_next[(r + 1) * self.cols + c] = io.a_out;
+                if r + 1 < rows {
+                    self.a_next[idx + cols] = io.a_out;
+                    live += usize::from(io.a_out.is_present());
                 } else {
                     self.south_out.collect(pulse, c, io.a_out);
                 }
                 if r > 0 {
-                    self.b_next[(r - 1) * self.cols + c] = io.b_out;
+                    self.b_next[idx - cols] = io.b_out;
+                    live += usize::from(io.b_out.is_present());
                 } else {
                     self.north_out.collect(pulse, c, io.b_out);
                 }
-                if c + 1 < self.cols {
-                    self.t_next[r * self.cols + c + 1] = io.t_out;
+                if c + 1 < cols {
+                    self.t_next[idx + 1] = io.t_out;
+                    live += usize::from(io.t_out.is_present());
                 } else {
                     self.east_out.collect(pulse, r, io.t_out);
                 }
             }
         }
 
+        // Every latch of `a`, `b` and `t` was taken above, so the planes
+        // swapped out are idle and need no clearing.
         std::mem::swap(&mut self.a, &mut self.a_next);
         std::mem::swap(&mut self.b, &mut self.b_next);
         std::mem::swap(&mut self.t, &mut self.t_next);
+        self.live = live;
 
         self.stats.pulses += 1;
         self.stats.busy_cell_pulses += busy;
         self.stats.active_ops += busy;
-        self.stats.total_cell_pulses += (self.rows * self.cols) as u64;
+        self.stats.total_cell_pulses += (rows * cols) as u64;
         self.pulse += 1;
     }
 
     /// `true` when no feeder will inject again and every wire is idle.
     pub fn is_quiescent(&self) -> bool {
-        let feeders_done = self.north.horizon() <= self.pulse
+        self.north.horizon() <= self.pulse
             && self.south.horizon() <= self.pulse
-            && self.west.horizon() <= self.pulse;
-        feeders_done
-            && self.a.iter().all(|w| !w.is_present())
-            && self.b.iter().all(|w| !w.is_present())
-            && self.t.iter().all(|w| !w.is_present())
+            && self.west.horizon() <= self.pulse
+            && self.live == 0
     }
 
     /// Pulse the grid until it drains, or fail after `max_pulses`.
@@ -316,10 +321,9 @@ impl<C: Cell> Grid<C> {
             &mut self.b_next,
             &mut self.t_next,
         ] {
-            for w in plane.iter_mut() {
-                *w = Word::Null;
-            }
+            plane.fill(Word::Null);
         }
+        self.live = 0;
         self.pulse = 0;
         self.stats = GridStats::default();
         self.east_out.clear();

@@ -11,9 +11,9 @@
 //!   control word);
 //! * [`cell::Cell`] — the 3-in/3-out processor prototype of Figure 2-2;
 //! * [`grid::Grid`] — orthogonally connected arrays (Figure 2-1) with
-//!   double-buffered wires, boundary [`feed::Feeder`]s and edge
-//!   [`feed::Collector`]s, utilisation statistics, and optional per-pulse
-//!   tracing;
+//!   double-buffered wires, pulse-bucketed boundary
+//!   [`feed::ScheduleFeeder`]s and edge [`feed::Collector`]s, utilisation
+//!   statistics, and optional per-pulse tracing;
 //! * [`schedule`] — the closed-form staggered input schedules of §3 and the
 //!   fixed-operand variant of §8;
 //! * [`trace`] — ASCII rendering of in-flight data, used to reproduce the
@@ -56,7 +56,7 @@ pub mod trace;
 pub mod word;
 
 pub use cell::{Cell, CellIo};
-pub use feed::{Collector, Emission, Feeder, NullFeeder, ScheduleFeeder};
+pub use feed::{Collector, Emission, ScheduleFeeder};
 pub use grid::{Grid, GridStats, NotQuiescent};
 pub use schedule::{CompareSchedule, FixedSchedule};
 pub use trace::{render_animation, render_frame, TraceFrame};
