@@ -14,9 +14,9 @@
 //! systolic arrays before they are finally combined") — AND across column
 //! groups, then OR across `B` tiles for membership-style operations.
 
-use systolic_fabric::{CompareOp, Elem};
+use systolic_fabric::{CompareOp, CompareSchedule, Elem, Emission, Grid, ScheduleFeeder, Word};
 
-use crate::comparison::ComparisonArray2d;
+use crate::comparison::{CompareCell, ComparisonArray2d};
 use crate::error::Result;
 use crate::intersection::SetOpMode;
 use crate::matrix::TMatrix;
@@ -147,11 +147,49 @@ fn pipelined_run(
     b: &[Vec<Elem>],
     ops: &[CompareOp],
     limits: ArrayLimits,
-    mut initial: impl FnMut(usize, usize) -> bool,
+    initial: impl FnMut(usize, usize) -> bool,
     trim: u64,
 ) -> Result<TiledOutcome> {
-    use systolic_fabric::{CompareSchedule, Grid, ScheduleFeeder, Word};
+    let (grid, mut tiles) = pipelined_grid(a, b, ops, limits, initial, trim)?;
+    let mut t = TMatrix::new(a.len(), b.len());
+    let mut seen = 0usize;
+    decode_east(&mut tiles, grid.east_emissions().emissions(), |i, j, v| {
+        t.set(i, j, v);
+        seen += 1;
+    })?;
+    if seen != a.len() * b.len() {
+        return Err(crate::error::CoreError::ScheduleViolation {
+            detail: format!("expected {} results, saw {seen}", a.len() * b.len()),
+        });
+    }
+    let mut stats = ExecStats::from_grid(grid.stats(), grid.cell_count());
+    stats.array_runs = tiles.len() as u64;
+    Ok(TiledOutcome { t, stats })
+}
 
+/// Where one pipelined tile's results leave the east edge: its schedule's
+/// exit pulses shifted by `shift`, its pairs offset by `(a0, b0)`, all of
+/// them inside the pulse window `first..=last`.
+struct TileExits {
+    sched: CompareSchedule,
+    shift: u64,
+    a0: usize,
+    b0: usize,
+    first: u64,
+    last: u64,
+}
+
+/// Stream every tile of the problem back-to-back through one comparison
+/// grid and run it to quiescence within the exact budget less `trim`.
+/// Returns the drained grid and each tile's exit window.
+fn pipelined_grid(
+    a: &[Vec<Elem>],
+    b: &[Vec<Elem>],
+    ops: &[CompareOp],
+    limits: ArrayLimits,
+    mut initial: impl FnMut(usize, usize) -> bool,
+    trim: u64,
+) -> Result<(Grid<CompareCell>, Vec<TileExits>)> {
     let m = ops.len();
     assert!(m > 0, "tuple width must be positive");
     assert!(
@@ -164,18 +202,13 @@ fn pipelined_run(
     let rows = (tile_a.min(a.len()) + tile_b.min(b.len()))
         .saturating_sub(1)
         .max(1);
-    let mut grid: Grid<crate::comparison::CompareCell> =
-        Grid::new(rows, m, |_, c| crate::comparison::CompareCell::new(ops[c]));
+    let mut grid: Grid<CompareCell> = Grid::new(rows, m, |_, c| CompareCell::new(ops[c]));
 
     let mut north = ScheduleFeeder::new();
     let mut south = ScheduleFeeder::new();
     let mut west = ScheduleFeeder::new();
-    // exits[pulse] holds (row, global i, global j) for every result
-    // scheduled to leave the east edge at that pulse, row-ascending once
-    // all tiles are in — the decode table for every tile's exits.
-    let mut exits: Vec<Vec<(usize, usize, usize)>> = Vec::new();
+    let mut tiles = Vec::new();
     let mut offset = 0u64;
-    let mut tiles = 0u64;
     // The last pulse at which any word is still inside the grid. Tracking it
     // per injection yields an *exact* run budget instead of a padded guess:
     // an A or B word injected at pulse p is processed by one row per pulse
@@ -194,11 +227,11 @@ fn pipelined_run(
             // rows below the top, but it physically enters at row rows - 1.
             // Delaying the A stream (and the t seeds, and the exit pulses)
             // by the difference restores the meeting geometry.
-            let delta = (rows - sched.rows()) as u64;
+            let shift = offset + (rows - sched.rows()) as u64;
             let mut last_inject = 0u64;
             for (i, row) in a[a0..a1].iter().enumerate() {
                 for (c, &e) in row.iter().enumerate() {
-                    let p = sched.a_injection(i, c) + offset + delta;
+                    let p = sched.a_injection(i, c) + shift;
                     north.push(p, c, Word::Elem(e));
                     last_inject = last_inject.max(p);
                     last_activity = last_activity.max(p + rows as u64 - 1);
@@ -215,32 +248,23 @@ fn pipelined_run(
             for i in 0..(a1 - a0) {
                 for j in 0..(b1 - b0) {
                     let (lane, pulse) = sched.t_injection(i, j);
-                    west.push(
-                        pulse + offset + delta,
-                        lane,
-                        Word::Bool(initial(a0 + i, b0 + j)),
-                    );
-                    last_activity = last_activity.max(pulse + offset + delta + m as u64 - 1);
-                    let exit = usize::try_from(sched.t_exit_pulse(i, j) + offset + delta)
-                        .expect("exit pulse fits in usize");
-                    if exits.len() <= exit {
-                        exits.resize_with(exit + 1, Vec::new);
-                    }
-                    exits[exit].push((sched.meeting_row(i, j), a0 + i, b0 + j));
+                    west.push(pulse + shift, lane, Word::Bool(initial(a0 + i, b0 + j)));
+                    last_activity = last_activity.max(pulse + shift + m as u64 - 1);
                 }
             }
-            tiles += 1;
+            // A result's exit pulse grows with i + j.
+            tiles.push(TileExits {
+                sched,
+                shift,
+                a0,
+                b0,
+                first: sched.t_exit_pulse(0, 0) + shift,
+                last: sched.t_exit_pulse(a1 - a0 - 1, b1 - b0 - 1) + shift,
+            });
             // The next tile streams in right behind this one: its first
             // injection lands two pulses (one tuple slot) after our last.
             offset = last_inject + 2;
         }
-    }
-    for (pulse, bucket) in exits.iter_mut().enumerate() {
-        bucket.sort_unstable_by_key(|&(row, _, _)| row);
-        debug_assert!(
-            bucket.windows(2).all(|w| w[0].0 != w[1].0),
-            "tile exit collision at pulse {pulse}"
-        );
     }
     grid.set_north_feeder(north);
     grid.set_south_feeder(south);
@@ -253,32 +277,53 @@ fn pipelined_run(
     // directions: `trim == 1` must fail with `NotQuiescent`.
     let budget = last_activity + 1;
     grid.run_until_quiescent(budget.saturating_sub(trim))?;
+    Ok((grid, tiles))
+}
 
-    let mut t = TMatrix::new(a.len(), b.len());
-    let mut seen = 0usize;
-    for em in grid.east_emissions().emissions() {
-        let bucket = usize::try_from(em.pulse).ok().and_then(|p| exits.get(p));
-        let scheduled = bucket.and_then(|bucket| {
-            let k = bucket.binary_search_by_key(&em.lane, |&(row, _, _)| row);
-            k.ok().map(|k| bucket[k])
+/// Decode east-edge emissions (in pulse order) by inverting each tile's
+/// schedule, calling `place(i, j, v)` for every scheduled result. Returns
+/// how many off-schedule booleans were discarded.
+///
+/// Only the few tiles whose exit window holds an emission's pulse are
+/// asked. Two scheduled results never share one `(row, pulse)` wire, so
+/// the first tile that claims a slot owns it.
+fn decode_east(
+    tiles: &mut [TileExits],
+    emissions: &[Emission],
+    mut place: impl FnMut(usize, usize, bool),
+) -> Result<usize> {
+    // The decode does not rely on the order tiles were laid out in: sorted
+    // by first exit, every window open at a pulse lies in `lo..hi`.
+    tiles.sort_unstable_by_key(|tile| tile.first);
+    let (mut lo, mut hi) = (0, 0);
+    let mut discarded = 0;
+    for em in emissions {
+        while hi < tiles.len() && tiles[hi].first <= em.pulse {
+            hi += 1;
+        }
+        while lo < hi && tiles[lo].last < em.pulse {
+            lo += 1;
+        }
+        let scheduled = tiles[lo..hi].iter().find_map(|tile| {
+            let (i, j) = tile.sched.pair_at_exit(em.lane, em.pulse - tile.shift)?;
+            Some((tile.a0 + i, tile.b0 + j))
         });
         match scheduled {
-            Some((_, i, j)) => {
+            Some((i, j)) => {
                 let v = em.word.as_bool().ok_or_else(|| {
                     crate::error::CoreError::ScheduleViolation {
                         detail: format!("non-boolean result {:?}", em.word),
                     }
                 })?;
-                t.set(i, j, v);
-                seen += 1;
+                place(i, j, v);
             }
             // With tiles streaming back-to-back, words of adjacent tiles
             // cross inside the grid and compare as they pass; those
             // don't-care outputs exit at off-schedule pulses and the
             // controller discards them (exactly as a §9 controller gates
-            // result capture by schedule). The completeness check below
+            // result capture by schedule). The caller's completeness check
             // still guarantees every *scheduled* result arrived.
-            None if em.word.as_bool().is_some() => {}
+            None if em.word.as_bool().is_some() => discarded += 1,
             None => {
                 return Err(crate::error::CoreError::ScheduleViolation {
                     detail: format!(
@@ -289,14 +334,7 @@ fn pipelined_run(
             }
         }
     }
-    if seen != a.len() * b.len() {
-        return Err(crate::error::CoreError::ScheduleViolation {
-            detail: format!("expected {} results, saw {seen}", a.len() * b.len()),
-        });
-    }
-    let mut stats = ExecStats::from_grid(grid.stats(), grid.cell_count());
-    stats.array_runs = tiles;
-    Ok(TiledOutcome { t, stats })
+    Ok(discarded)
 }
 
 /// Membership outcome of a tiled intersection/difference: one keep-flag per
@@ -514,6 +552,40 @@ mod tests {
                     crate::kernel::pipelined_stats(n_a, n_b, 2, limits),
                     "{n_a}x{n_b} on {limits:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn pipelined_exit_decode_sets_every_pair_exactly_once() {
+        // A short edge tile follows full tiles on both axes, so tile exit
+        // windows differ in length and shift. Every pair must be decoded
+        // exactly once, and every east emission is either a decoded result
+        // or a discarded off-schedule boolean.
+        let ops = vec![CompareOp::Eq, CompareOp::Le];
+        let masks: [fn(usize, usize) -> bool; 2] = [|_, _| true, |i, j| i > j];
+        for (n_a, n_b, limits) in [
+            (33, 65, ArrayLimits::new(32, 32, 2)),
+            (31, 2, ArrayLimits::new(4, 8, 2)),
+            (9, 14, ArrayLimits::new(4, 5, 2)),
+        ] {
+            let a = relation(n_a, 2, 0);
+            let b = relation(n_b, 2, 4);
+            for mask in masks {
+                let (grid, mut tiles) = pipelined_grid(&a, &b, &ops, limits, mask, 0).unwrap();
+                let mut hits = vec![0u32; n_a * n_b];
+                let emissions = grid.east_emissions().emissions();
+                let discarded = decode_east(&mut tiles, emissions, |i, j, v| {
+                    hits[i * n_b + j] += 1;
+                    let expect = mask(i, j) && a[i][0] == b[j][0] && a[i][1] <= b[j][1];
+                    assert_eq!(v, expect, "T[{i}][{j}] for {n_a}x{n_b} on {limits:?}");
+                })
+                .unwrap();
+                assert!(
+                    hits.iter().all(|&h| h == 1),
+                    "{n_a}x{n_b} on {limits:?}: a pair decoded other than once"
+                );
+                assert_eq!(hits.len() + discarded, emissions.len());
             }
         }
     }

@@ -19,8 +19,11 @@
 //!
 //! On each pulse a cell latches its three inputs, performs a short
 //! computation, and presents its three outputs, which its neighbours latch at
-//! the next pulse. The fabric enforces this by double-buffering all wires, so
-//! the order in which cells are evaluated within a pulse cannot matter.
+//! the next pulse. The fabric keeps each wire plane in its stream's own
+//! frame: a cell writes its outputs into the slots it read, which its
+//! neighbours own on the next pulse, and each slot belongs to one cell per
+//! pulse, so the order in which cells are evaluated within a pulse cannot
+//! matter.
 
 use crate::word::Word;
 

@@ -7,18 +7,29 @@
 //! * the `b` plane carries relation `B` northbound (bottom-to-top),
 //! * the `t` plane carries intermediate results eastbound (left-to-right).
 //!
-//! All wires are double-buffered: a word written by a cell at pulse `k` is
-//! visible to its neighbour at pulse `k+1`, so "all of the data in the array
-//! moves synchronously" (§2.1) regardless of evaluation order. Words that
-//! fall off the south, north, or east edges are recorded by [`Collector`]s;
-//! boundary inputs come from pulse-bucketed [`ScheduleFeeder`]s on the
-//! north, south and west edges, one lane-ascending pass per edge per pulse.
-//! Linearly connected arrays (Fig 2-1(b)) are grids with a single row or column.
+//! "All of the data in the array moves synchronously" (§2.1): every word
+//! moves one cell per pulse in its stream's direction, so in its own
+//! stream's frame it stands still. Each plane is therefore a ring kept in
+//! that frame:
 //!
-//! A pulse costs what moves: each cell takes its input latches as it reads
-//! them, so the planes swapped out for the next pulse are already idle, and
-//! the grid counts the words left on its wires, so quiescence is one
-//! comparison. Every cell is still pulsed every pulse.
+//! * the `a` plane holds row `r` at ring slot `(r - pulse) mod rows`,
+//! * the `b` plane holds row `r` at ring slot `(r + pulse) mod rows`,
+//! * the `t` plane holds column `c` of each row at slot `(c - pulse) mod cols`.
+//!
+//! A cell reads its three inputs from its own slots and writes its three
+//! outputs back into the same slots, which its neighbours own on the next
+//! pulse. Each slot belongs to exactly one cell per pulse, so a word written
+//! at pulse `k` is read at pulse `k+1` whatever the evaluation order. The
+//! slots an edge cell writes are the ones the next pulse injects into: after
+//! the cell loop their words go to the south, north and east [`Collector`]s,
+//! leaving the slots idle. Boundary inputs come from pulse-bucketed
+//! [`ScheduleFeeder`]s on the north, south and west edges, one lane-ascending
+//! pass per edge per pulse. Linearly connected arrays (Fig 2-1(b)) are grids
+//! with a single row or column.
+//!
+//! A pulse costs the comparisons: no word is copied between planes, and the
+//! grid counts the words left on its wires, so quiescence is one comparison.
+//! Every cell is still pulsed every pulse.
 
 use crate::cell::{Cell, CellIo};
 use crate::feed::{Collector, ScheduleFeeder};
@@ -39,10 +50,6 @@ pub struct GridStats {
     pub busy_cell_pulses: u64,
     /// `pulses x rows x cols` — the denominator for utilisation.
     pub total_cell_pulses: u64,
-    /// Number of cell activations that performed a comparison or logic
-    /// operation (incremented by cells via [`CellIo`] conventions: a cell is
-    /// counted as working when any input was present).
-    pub active_ops: u64,
 }
 
 impl GridStats {
@@ -77,17 +84,15 @@ pub struct Grid<C: Cell> {
     rows: usize,
     cols: usize,
     cells: Vec<C>,
-    /// Southbound words entering each cell this pulse (`rows x cols`).
+    /// Southbound words, `cols` per ring slot; row `r` reads slot
+    /// `(r - pulse) mod rows`.
     a: Vec<Word>,
-    /// Northbound words entering each cell this pulse.
+    /// Northbound words, `cols` per ring slot; row `r` reads slot
+    /// `(r + pulse) mod rows`.
     b: Vec<Word>,
-    /// Eastbound words entering each cell this pulse.
+    /// Eastbound words, one ring of `cols` slots per row; column `c` reads
+    /// slot `(c - pulse) mod cols`.
     t: Vec<Word>,
-    /// Planes for the next pulse (double buffering); all idle between
-    /// pulses, because `step` takes every input latch it reads.
-    a_next: Vec<Word>,
-    b_next: Vec<Word>,
-    t_next: Vec<Word>,
     /// Present words on the `a`, `b` and `t` planes between pulses.
     live: usize,
     pulse: u64,
@@ -122,9 +127,6 @@ impl<C: Cell> Grid<C> {
             a: vec![Word::Null; n],
             b: vec![Word::Null; n],
             t: vec![Word::Null; n],
-            a_next: vec![Word::Null; n],
-            b_next: vec![Word::Null; n],
-            t_next: vec![Word::Null; n],
             live: 0,
             pulse: 0,
             stats: GridStats::default(),
@@ -216,75 +218,82 @@ impl<C: Cell> Grid<C> {
         self.tracer.as_ref().map(|t| t.frames()).unwrap_or(&[])
     }
 
-    /// Execute one pulse: latch boundary inputs, pulse every cell, transfer
-    /// outputs to neighbouring latches and edge collectors.
+    /// Execute one pulse: latch boundary inputs, pulse every cell in place,
+    /// and hand the words that crossed an edge to its collector.
     pub fn step(&mut self) {
         let pulse = self.pulse;
         let (rows, cols) = (self.rows, self.cols);
-        // Boundary injection: this pulse's scheduled words go straight into
-        // the input latches of the edge cells, which no neighbour writes.
-        // Lanes beyond the edge are never read.
-        let south_row = (rows - 1) * cols;
+        // This pulse's ring slots of row 0 on the `a` and `b` planes and of
+        // column 0 on the `t` plane.
+        let a0 = (rows - (pulse % rows as u64) as usize) % rows;
+        let b0 = (pulse % rows as u64) as usize;
+        let t0 = (cols - (pulse % cols as u64) as usize) % cols;
+
+        // Boundary injection: this pulse's scheduled words go into the edge
+        // cells' input slots, which the last pulse's edge collection left
+        // idle. Lanes beyond the edge are never read.
+        let b_south = (b0 + rows - 1) % rows * cols;
         for (c, w) in self.north.at(pulse).take_while(|&(c, _)| c < cols) {
-            self.a[c] = w;
+            self.a[a0 * cols + c] = w;
         }
         for (c, w) in self.south.at(pulse).take_while(|&(c, _)| c < cols) {
-            self.b[south_row + c] = w;
+            self.b[b_south + c] = w;
         }
         for (r, w) in self.west.at(pulse).take_while(|&(r, _)| r < rows) {
-            self.t[r * cols] = w;
+            self.t[r * cols + t0] = w;
         }
 
         if let Some(tracer) = &mut self.tracer {
-            tracer.snapshot(pulse, rows, cols, &self.a, &self.b, &self.t);
+            let by_row = |plane: &[Word], slot: &dyn Fn(usize, usize) -> usize| -> Vec<Word> {
+                (0..rows)
+                    .flat_map(|r| (0..cols).map(move |c| plane[slot(r, c)]))
+                    .collect()
+            };
+            let a = by_row(&self.a, &|r, c| (a0 + r) % rows * cols + c);
+            let b = by_row(&self.b, &|r, c| (b0 + r) % rows * cols + c);
+            let t = by_row(&self.t, &|r, c| r * cols + (t0 + c) % cols);
+            tracer.snapshot(pulse, rows, cols, &a, &b, &t);
         }
 
         let mut busy = 0u64;
         let mut live = 0usize;
-        for r in 0..rows {
+        let n = rows * cols;
+        // Row `r`'s `a` and `b` slots start `r` whole rows after `a0` and
+        // `b0`, so the flat indices wrap only at row boundaries.
+        let (mut ia, mut ib) = (a0 * cols, b0 * cols);
+        for row in (0..n).step_by(cols) {
+            let cells = &mut self.cells[row..][..cols];
+            let a = &mut self.a[ia..][..cols];
+            let b = &mut self.b[ib..][..cols];
+            let t = &mut self.t[row..][..cols];
+            let mut tc = t0;
             for c in 0..cols {
-                let idx = r * cols + c;
-                let mut io = CellIo::with_inputs(
-                    std::mem::take(&mut self.a[idx]),
-                    std::mem::take(&mut self.b[idx]),
-                    std::mem::take(&mut self.t[idx]),
-                );
-                if io.any_input() {
-                    busy += 1;
-                }
-                self.cells[idx].pulse(&mut io);
-                if r + 1 < rows {
-                    self.a_next[idx + cols] = io.a_out;
-                    live += usize::from(io.a_out.is_present());
-                } else {
-                    self.south_out.collect(pulse, c, io.a_out);
-                }
-                if r > 0 {
-                    self.b_next[idx - cols] = io.b_out;
-                    live += usize::from(io.b_out.is_present());
-                } else {
-                    self.north_out.collect(pulse, c, io.b_out);
-                }
-                if c + 1 < cols {
-                    self.t_next[idx + 1] = io.t_out;
-                    live += usize::from(io.t_out.is_present());
-                } else {
-                    self.east_out.collect(pulse, r, io.t_out);
-                }
+                let mut io = CellIo::with_inputs(a[c], b[c], t[tc]);
+                busy += u64::from(io.any_input());
+                cells[c].pulse(&mut io);
+                (a[c], b[c], t[tc]) = (io.a_out, io.b_out, io.t_out);
+                live += usize::from(io.a_out.is_present())
+                    + usize::from(io.b_out.is_present())
+                    + usize::from(io.t_out.is_present());
+                tc = if tc + 1 == cols { 0 } else { tc + 1 };
             }
+            ia = if ia + cols == n { 0 } else { ia + cols };
+            ib = if ib + cols == n { 0 } else { ib + cols };
         }
 
-        // Every latch of `a`, `b` and `t` was taken above, so the planes
-        // swapped out are idle and need no clearing.
-        std::mem::swap(&mut self.a, &mut self.a_next);
-        std::mem::swap(&mut self.b, &mut self.b_next);
-        std::mem::swap(&mut self.t, &mut self.t_next);
+        // Each edge cell wrote its outgoing word into a slot the next pulse
+        // injects into: the south row's `a` slot, the north row's `b` slot
+        // and the east column's `t` slots.
+        let a_south = (a0 + rows - 1) % rows * cols;
+        let t_east = self.t.iter_mut().skip((t0 + cols - 1) % cols).step_by(cols);
+        live -= drain_edge(&mut self.south_out, pulse, &mut self.a[a_south..][..cols]);
+        live -= drain_edge(&mut self.north_out, pulse, &mut self.b[b0 * cols..][..cols]);
+        live -= drain_edge(&mut self.east_out, pulse, t_east);
         self.live = live;
 
         self.stats.pulses += 1;
         self.stats.busy_cell_pulses += busy;
-        self.stats.active_ops += busy;
-        self.stats.total_cell_pulses += (rows * cols) as u64;
+        self.stats.total_cell_pulses += n as u64;
         self.pulse += 1;
     }
 
@@ -313,14 +322,7 @@ impl<C: Cell> Grid<C> {
     /// state) so the same physical array can run another problem — §9's
     /// integrated system reuses its fixed arrays across operations.
     pub fn reset(&mut self) {
-        for plane in [
-            &mut self.a,
-            &mut self.b,
-            &mut self.t,
-            &mut self.a_next,
-            &mut self.b_next,
-            &mut self.t_next,
-        ] {
+        for plane in [&mut self.a, &mut self.b, &mut self.t] {
             plane.fill(Word::Null);
         }
         self.live = 0;
@@ -336,6 +338,21 @@ impl<C: Cell> Grid<C> {
             cell.reset();
         }
     }
+}
+
+/// Move the words an edge emitted this pulse into its collector,
+/// lane-ascending, leaving their slots idle for the next injection. Returns
+/// how many words it moved.
+fn drain_edge<'a>(
+    out: &mut Collector,
+    pulse: u64,
+    slots: impl IntoIterator<Item = &'a mut Word>,
+) -> usize {
+    let before = out.len();
+    for (lane, slot) in slots.into_iter().enumerate() {
+        out.collect(pulse, lane, std::mem::take(slot));
+    }
+    out.len() - before
 }
 
 #[cfg(test)]

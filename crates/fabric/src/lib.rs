@@ -10,10 +10,12 @@
 //!   (integer-encoded relation elements, booleans, null, and a drain
 //!   control word);
 //! * [`cell::Cell`] — the 3-in/3-out processor prototype of Figure 2-2;
-//! * [`grid::Grid`] — orthogonally connected arrays (Figure 2-1) with
-//!   double-buffered wires, pulse-bucketed boundary
-//!   [`feed::ScheduleFeeder`]s and edge [`feed::Collector`]s, utilisation
-//!   statistics, and optional per-pulse tracing;
+//! * [`grid::Grid`] — orthogonally connected arrays (Figure 2-1) whose
+//!   wire planes each stay in their stream's own frame (a cell rewrites its
+//!   words in place and edge words are collected from the next injection
+//!   slot), pulse-bucketed boundary [`feed::ScheduleFeeder`]s and edge
+//!   [`feed::Collector`]s, utilisation statistics, and optional per-pulse
+//!   tracing;
 //! * [`schedule`] — the closed-form staggered input schedules of §3 and the
 //!   fixed-operand variant of §8;
 //! * [`trace`] — ASCII rendering of in-flight data, used to reproduce the

@@ -398,7 +398,11 @@ impl Registry {
                             let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cum}");
                         }
                         let _ = writeln!(out, "{name}_sum {}", h.sum());
-                        let _ = writeln!(out, "{name}_count {}", h.count());
+                        // `observe` bumps a bucket and the count as two
+                        // separate adds, so a scrape can land between them:
+                        // the `+Inf` total just summed is the count this
+                        // rendering's buckets agree with.
+                        let _ = writeln!(out, "{name}_count {cum}");
                     }
                 }
             }

@@ -238,6 +238,29 @@ mod tests {
     }
 
     #[test]
+    fn scrapes_validate_while_another_thread_observes() {
+        let _l = crate::metrics::test_guard();
+        let r = Registry::new();
+        let h = r.histogram("lat_ns", "Latency.", &[10, 100]);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                let mut v = 0u64;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    h.observe(v % 200);
+                    v += 7;
+                }
+            });
+            start.wait();
+            let verdict = (0..3000).try_for_each(|_| validate(&r.render()).map(drop));
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            verdict.expect("every scrape must validate");
+        });
+    }
+
+    #[test]
     fn undeclared_sample_is_rejected() {
         let err = validate("# TYPE a counter\na 1\nb 2\n").unwrap_err();
         assert!(err.contains("b"), "{err}");
