@@ -8,7 +8,7 @@
 //! (§3.2, §3.3).
 
 use systolic_fabric::{
-    Cell, CellIo, CompareOp, CompareSchedule, Elem, Grid, ScheduleFeeder, TraceFrame, Word,
+    Cell, CellIo, CompareGrid, CompareOp, CompareSchedule, Elem, ScheduleFeeder, TraceFrame, Word,
 };
 
 use crate::error::{CoreError, Result};
@@ -21,6 +21,11 @@ use crate::stats::ExecStats;
 /// The comparator is parameterised by a [`CompareOp`] to support the
 /// non-equi-join of §6.3.2 ("processors in the array would simply perform
 /// that comparison"); the default is equality.
+///
+/// The comparison arrays themselves run on [`CompareGrid`], which steps
+/// this cell's rule over packed lanes; the cell is the rule as a [`Cell`],
+/// for arrays that mix it with other processors and as the reference a
+/// `Grid` of it pins `CompareGrid` to.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompareCell {
     /// The comparison this processor applies.
@@ -107,25 +112,24 @@ impl LinearComparisonArray {
     pub fn run(&self, a: &[Elem], b: &[Elem], initial: bool, trace: bool) -> Result<LinearOutcome> {
         assert_eq!(a.len(), self.m, "tuple a has wrong width");
         assert_eq!(b.len(), self.m, "tuple b has wrong width");
-        let op = self.op;
-        let mut grid: Grid<CompareCell> = Grid::new(1, self.m, |_, _| CompareCell::new(op));
+        let mut grid = CompareGrid::new(1, &vec![self.op; self.m]);
         if trace {
             grid.enable_tracing();
         }
         // Staggered inputs (the "slanted" tuples of Figure 3-1): element k
         // of both tuples enters lane k at pulse k, so that a_k and b_k meet
         // the k-th processor at pulse k, together with the running AND.
-        grid.set_north_feeder(ScheduleFeeder::from_entries(
-            a.iter()
-                .enumerate()
-                .map(|(k, &e)| (k as u64, k, Word::Elem(e))),
-        ));
-        grid.set_south_feeder(ScheduleFeeder::from_entries(
-            b.iter()
-                .enumerate()
-                .map(|(k, &e)| (k as u64, k, Word::Elem(e))),
-        ));
-        grid.set_west_feeder(ScheduleFeeder::from_entries([(0, 0, Word::Bool(initial))]));
+        let staggered = |tuple: &[Elem]| {
+            ScheduleFeeder::from_entries(
+                tuple
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &e)| (k as u64, k, Word::Elem(e))),
+            )
+        };
+        grid.set_north_feeder(staggered(a))?;
+        grid.set_south_feeder(staggered(b))?;
+        grid.set_west_feeder(ScheduleFeeder::from_entries([(0, 0, Word::Bool(initial))]))?;
         grid.run_until_quiescent(4 * self.m as u64 + 8)?;
         // The verdict exits east from the rightmost processor at pulse m-1.
         let result = grid
@@ -218,15 +222,13 @@ impl ComparisonArray2d {
     ) -> Result<MatrixOutcome> {
         let m = self.m();
         let sched = CompareSchedule::new(a.len(), b.len(), m);
-        let ops = &self.ops;
-        let mut grid: Grid<CompareCell> =
-            Grid::new(sched.rows(), m, |_, c| CompareCell::new(ops[c]));
+        let mut grid = CompareGrid::new(sched.rows(), &self.ops);
         if trace {
             grid.enable_tracing();
         }
-        grid.set_north_feeder(sched.a_feeder(a));
-        grid.set_south_feeder(sched.b_feeder(b));
-        grid.set_west_feeder(sched.t_feeder(initial));
+        grid.set_north_feeder(sched.a_feeder(a))?;
+        grid.set_south_feeder(sched.b_feeder(b))?;
+        grid.set_west_feeder(sched.t_feeder(initial))?;
         grid.run_until_quiescent(sched.pulse_bound())?;
 
         let mut t = TMatrix::new(a.len(), b.len());

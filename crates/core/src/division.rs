@@ -214,13 +214,13 @@ impl DivisionArray {
         // Pairs enter from the bottom: x at pulse p into lane 0, y one step
         // behind into lane 1; the drain token follows the last pair.
         let n = pairs.len() as u64;
-        let mut south = ScheduleFeeder::new();
+        let mut south = Vec::new();
         for (p, &(x, y)) in pairs.iter().enumerate() {
-            south.push(p as u64, 0, Word::Elem(x));
-            south.push(p as u64 + 1, 1, Word::Elem(y));
+            south.push((p as u64, 0, Word::Elem(x)));
+            south.push((p as u64 + 1, 1, Word::Elem(y)));
         }
-        south.push(n, 0, Word::Drain);
-        grid.set_south_feeder(south);
+        south.push((n, 0, Word::Drain));
+        grid.set_south_feeder(ScheduleFeeder::from_entries(south));
         let bound = n + (rows + nd) as u64 + 8;
         grid.run_until_quiescent(bound)?;
 
@@ -395,15 +395,15 @@ impl DivisionArrayMulti {
         // key-match boolean reaches the gate. Pairs one pulse apart; the
         // drain follows the last pair through lane 0 (and fans east).
         let n = rows.len() as u64;
-        let mut south = ScheduleFeeder::new();
+        let mut south = Vec::new();
         for (p, row) in rows.iter().enumerate() {
             for (c, &x) in row[..kw].iter().enumerate() {
-                south.push((p + c) as u64, c, Word::Elem(x));
+                south.push(((p + c) as u64, c, Word::Elem(x)));
             }
-            south.push((p + kw) as u64, kw, Word::Elem(row[kw]));
+            south.push(((p + kw) as u64, kw, Word::Elem(row[kw])));
         }
-        south.push(n, 0, Word::Drain);
-        grid.set_south_feeder(south);
+        south.push((n, 0, Word::Drain));
+        grid.set_south_feeder(ScheduleFeeder::from_entries(south));
         let bound = n + (grid_rows + cols) as u64 + 8;
         grid.run_until_quiescent(bound)?;
 

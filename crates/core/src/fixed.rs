@@ -12,7 +12,7 @@
 //! `n_A + n_B - 1`, runs in roughly half the pulses, and roughly doubles
 //! utilisation — all measured by experiment E10.
 
-use systolic_fabric::{Cell, CellIo, CompareOp, Elem, FixedSchedule, Grid, Word};
+use systolic_fabric::{Cell, CellIo, CompareOp, Elem, FixedSchedule, Grid, ScheduleFeeder, Word};
 
 use crate::error::{CoreError, Result};
 use crate::intersection::{AccumulateCell, MembershipOutcome, SetOpMode};
@@ -125,11 +125,8 @@ impl FixedOperandArray {
                 FixedCell::Accumulate(AccumulateCell)
             }
         });
-        let mut north = sched.a_feeder(a);
-        for (pulse, lane, word) in sched.acc_feeder_entries() {
-            north.push(pulse, lane, word);
-        }
-        grid.set_north_feeder(north);
+        let north = sched.a_entries(a).chain(sched.acc_feeder_entries());
+        grid.set_north_feeder(ScheduleFeeder::from_entries(north));
         grid.set_west_feeder(sched.t_feeder(initial));
         grid.run_until_quiescent(sched.pulse_bound())?;
 

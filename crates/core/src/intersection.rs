@@ -11,7 +11,9 @@
 //! FALSE for any a_i that was in A, but not in B, which is precisely the
 //! condition for a_i being in the difference" (§4.3).
 
-use systolic_fabric::{Cell, CellIo, CompareOp, CompareSchedule, Elem, Grid, TraceFrame, Word};
+use systolic_fabric::{
+    Cell, CellIo, CompareOp, CompareSchedule, Elem, Grid, ScheduleFeeder, TraceFrame, Word,
+};
 
 use crate::comparison::CompareCell;
 use crate::error::{CoreError, Result};
@@ -144,11 +146,8 @@ impl IntersectionArray {
         }
         // North feeder carries both relation A (columns 0..m-1) and the
         // FALSE-initialised accumulator stream (column m, §4.2).
-        let mut north = sched.a_feeder(a);
-        for (pulse, lane, word) in sched.acc_feeder_entries() {
-            north.push(pulse, lane, word);
-        }
-        grid.set_north_feeder(north);
+        let north = sched.a_entries(a).chain(sched.acc_feeder_entries());
+        grid.set_north_feeder(ScheduleFeeder::from_entries(north));
         grid.set_south_feeder(sched.b_feeder(b));
         grid.set_west_feeder(sched.t_feeder(initial));
         grid.run_until_quiescent(sched.pulse_bound())?;

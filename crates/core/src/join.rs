@@ -207,26 +207,26 @@ impl ProgrammableJoinArray {
         let delay = m as u64;
         let mut grid: Grid<ProgrammableCompareCell> =
             Grid::new(sched.rows(), m, |_, _| ProgrammableCompareCell::default());
-        let mut north = ScheduleFeeder::new();
+        let mut north = Vec::new();
         for (i, tup) in a.iter().enumerate() {
             for (c, &e) in tup.iter().enumerate() {
-                north.push(sched.a_injection(i, c) + delay, c, Word::Elem(e));
+                north.push((sched.a_injection(i, c) + delay, c, Word::Elem(e)));
             }
         }
-        grid.set_north_feeder(north);
-        let mut south = ScheduleFeeder::new();
+        grid.set_north_feeder(ScheduleFeeder::from_entries(north));
+        let mut south = Vec::new();
         for (j, tup) in b.iter().enumerate() {
             for (c, &e) in tup.iter().enumerate() {
-                south.push(sched.b_injection(j, c) + delay, c, Word::Elem(e));
+                south.push((sched.b_injection(j, c) + delay, c, Word::Elem(e)));
             }
         }
-        grid.set_south_feeder(south);
-        let mut west = ScheduleFeeder::new();
+        grid.set_south_feeder(ScheduleFeeder::from_entries(south));
+        let mut west = Vec::new();
         // Data seeds, delayed.
         for i in 0..a.len() {
             for j in 0..b.len() {
                 let (lane, pulse) = sched.t_injection(i, j);
-                west.push(pulse + delay, lane, Word::Bool(true));
+                west.push((pulse + delay, lane, Word::Bool(true)));
             }
         }
         // The opcode sweep: for each row, m opcodes ending one pulse before
@@ -242,11 +242,11 @@ impl ProgrammableJoinArray {
             if let Some(first) = first {
                 let start = first + delay - m as u64;
                 for (c, &op) in ops.iter().enumerate() {
-                    west.push(start + c as u64, lane, Word::Op(op));
+                    west.push((start + c as u64, lane, Word::Op(op)));
                 }
             }
         }
-        grid.set_west_feeder(west);
+        grid.set_west_feeder(ScheduleFeeder::from_entries(west));
         grid.run_until_quiescent(sched.pulse_bound() + delay + 4)?;
 
         let mut t = TMatrix::new(a.len(), b.len());

@@ -1,8 +1,9 @@
 //! The [`Backend`] choice and the analytic pulse accounting every
 //! closed-form run shares, bit-identical to the pulse-accurate simulator.
 //!
-//! The simulator in this crate steps every `fabric::Grid` cell on every
-//! pulse, so an operator costs `O(pulses x cells)` host time even though
+//! The simulator in this crate steps every cell of an array on every pulse
+//! (`fabric::CompareGrid` for the comparison arrays, `fabric::Grid` for the
+//! others), so an operator costs `O(pulses x cells)` host time even though
 //! the *observable* outcome — the boolean matrix `T` (§3.3), the membership
 //! bits (§4), the quotient flags (§7), and the [`ExecStats`] — is a pure
 //! function of the inputs and the schedule. [`Backend::Columnar`] computes

@@ -100,13 +100,13 @@ impl PatternMatchChip {
         // Cell c sees the text delayed by c pulses: lane c carries text[p]
         // at pulse p, restricted to the alignments that use it. Alignment i
         // meets cell c (character text[i+c]) at pulse i + c.
-        let mut north = ScheduleFeeder::new();
+        let mut north = Vec::new();
         for c in 0..k {
             for i in 0..alignments {
-                north.push((i + c) as u64, c, Word::Elem(text[i + c]));
+                north.push(((i + c) as u64, c, Word::Elem(text[i + c])));
             }
         }
-        grid.set_north_feeder(north);
+        grid.set_north_feeder(ScheduleFeeder::from_entries(north));
         grid.set_west_feeder(ScheduleFeeder::from_entries(
             (0..alignments).map(|i| (i as u64, 0, Word::Bool(true))),
         ));

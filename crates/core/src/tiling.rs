@@ -14,9 +14,11 @@
 //! systolic arrays before they are finally combined") — AND across column
 //! groups, then OR across `B` tiles for membership-style operations.
 
-use systolic_fabric::{CompareOp, CompareSchedule, Elem, Emission, Grid, ScheduleFeeder, Word};
+use systolic_fabric::{
+    CompareGrid, CompareOp, CompareSchedule, Elem, Emission, ScheduleFeeder, Word,
+};
 
-use crate::comparison::{CompareCell, ComparisonArray2d};
+use crate::comparison::ComparisonArray2d;
 use crate::error::Result;
 use crate::intersection::SetOpMode;
 use crate::matrix::TMatrix;
@@ -189,7 +191,7 @@ fn pipelined_grid(
     limits: ArrayLimits,
     mut initial: impl FnMut(usize, usize) -> bool,
     trim: u64,
-) -> Result<(Grid<CompareCell>, Vec<TileExits>)> {
+) -> Result<(CompareGrid, Vec<TileExits>)> {
     let m = ops.len();
     assert!(m > 0, "tuple width must be positive");
     assert!(
@@ -202,11 +204,10 @@ fn pipelined_grid(
     let rows = (tile_a.min(a.len()) + tile_b.min(b.len()))
         .saturating_sub(1)
         .max(1);
-    let mut grid: Grid<CompareCell> = Grid::new(rows, m, |_, c| CompareCell::new(ops[c]));
+    let mut grid = CompareGrid::new(rows, ops);
 
-    let mut north = ScheduleFeeder::new();
-    let mut south = ScheduleFeeder::new();
-    let mut west = ScheduleFeeder::new();
+    // Every tile's injections, gathered into one table per edge.
+    let (mut north, mut south, mut west) = (Vec::new(), Vec::new(), Vec::new());
     let mut tiles = Vec::new();
     let mut offset = 0u64;
     // The last pulse at which any word is still inside the grid. Tracking it
@@ -232,7 +233,7 @@ fn pipelined_grid(
             for (i, row) in a[a0..a1].iter().enumerate() {
                 for (c, &e) in row.iter().enumerate() {
                     let p = sched.a_injection(i, c) + shift;
-                    north.push(p, c, Word::Elem(e));
+                    north.push((p, c, Word::Elem(e)));
                     last_inject = last_inject.max(p);
                     last_activity = last_activity.max(p + rows as u64 - 1);
                 }
@@ -240,7 +241,7 @@ fn pipelined_grid(
             for (j, row) in b[b0..b1].iter().enumerate() {
                 for (c, &e) in row.iter().enumerate() {
                     let p = sched.b_injection(j, c) + offset;
-                    south.push(p, c, Word::Elem(e));
+                    south.push((p, c, Word::Elem(e)));
                     last_inject = last_inject.max(p);
                     last_activity = last_activity.max(p + rows as u64 - 1);
                 }
@@ -248,7 +249,7 @@ fn pipelined_grid(
             for i in 0..(a1 - a0) {
                 for j in 0..(b1 - b0) {
                     let (lane, pulse) = sched.t_injection(i, j);
-                    west.push(pulse + shift, lane, Word::Bool(initial(a0 + i, b0 + j)));
+                    west.push((pulse + shift, lane, Word::Bool(initial(a0 + i, b0 + j))));
                     last_activity = last_activity.max(pulse + shift + m as u64 - 1);
                 }
             }
@@ -266,9 +267,9 @@ fn pipelined_grid(
             offset = last_inject + 2;
         }
     }
-    grid.set_north_feeder(north);
-    grid.set_south_feeder(south);
-    grid.set_west_feeder(west);
+    grid.set_north_feeder(ScheduleFeeder::from_entries(north))?;
+    grid.set_south_feeder(ScheduleFeeder::from_entries(south))?;
+    grid.set_west_feeder(ScheduleFeeder::from_entries(west))?;
     // Exact budget: the last in-flight word is consumed during the step at
     // pulse `last_activity`, so the grid is quiescent exactly at pulse
     // `last_activity + 1` and not one pulse sooner (a word is still in a

@@ -3,32 +3,31 @@
 //! A systolic array computes correctly only if "all of the data \[is\] in the
 //! right place at the right time" (§3.1) — the inputs are *staggered* on the
 //! array boundary. A [`ScheduleFeeder`] holds one edge's staggered injection
-//! schedule bucketed by pulse, so the grid takes a whole pulse's injections
-//! in one lane-ascending pass. Collectors record every word that falls off
-//! an edge, together with the pulse and lane at which it did, so operator
-//! front-ends can decode results using the same schedule arithmetic that
-//! produced the inputs.
-
-use std::collections::VecDeque;
+//! schedule as a flat pulse-indexed table, so the grid takes a whole pulse's
+//! injections as one lane-ascending slice. Collectors record every word that
+//! falls off an edge, together with the pulse and lane at which it did, so
+//! operator front-ends can decode results using the same schedule arithmetic
+//! that produced the inputs.
 
 use crate::word::Word;
 
 /// One edge's injection schedule: the words to write into the edge cells'
-/// input latches, bucketed by pulse.
+/// input latches, indexed by pulse.
 ///
 /// `lane` is the column index for the north/south edges and the row index for
 /// the west edge (nothing is ever fed from the east: `t` values flow east).
 /// An empty schedule injects nothing; the `schedule` module computes the
 /// staggered injection times for each array and materialises them here.
+///
+/// The table is built once, from all of its entries: two flat buffers, not
+/// one per pulse, however long the schedule.
 #[derive(Debug, Default, Clone)]
 pub struct ScheduleFeeder {
-    /// `pulses[p]` holds the `(lane, word)` injections at pulse `p`,
-    /// lane-ascending; its length is the horizon. A deque, because the §3
-    /// schedules push a pulse's lanes in descending order (tuple `i + 1`
-    /// lands one lane lower than tuple `i`), and a deque inserts at either
-    /// end without moving the rest.
-    pulses: Vec<VecDeque<(usize, Word)>>,
-    len: usize,
+    /// `slots[offsets[p]..offsets[p + 1]]` holds the `(lane, word)`
+    /// injections at pulse `p`, lane-ascending; `offsets.len() - 1` is the
+    /// horizon (`offsets` is empty for an empty schedule).
+    offsets: Vec<usize>,
+    slots: Vec<(usize, Word)>,
 }
 
 impl ScheduleFeeder {
@@ -37,71 +36,104 @@ impl ScheduleFeeder {
         Self::default()
     }
 
-    /// Build from `(pulse, lane, word)` triples.
+    /// Build from `(pulse, lane, word)` triples, in any order. `Null` words
+    /// inject nothing and are dropped; the identical entry given twice counts
+    /// once.
+    ///
+    /// One counting pass sizes each pulse's bucket, one pass scatters the
+    /// entries into them, and one pass sorts each bucket by lane and drops
+    /// repeats.
     ///
     /// # Panics
     /// Panics if two entries target the same `(pulse, lane)` slot with
     /// different words — that would mean two data items collide on one wire,
     /// which is always a schedule construction bug.
     pub fn from_entries(entries: impl IntoIterator<Item = (u64, usize, Word)>) -> Self {
-        let mut f = Self::new();
-        for (pulse, lane, word) in entries {
-            f.push(pulse, lane, word);
+        let entries: Vec<(u64, usize, Word)> = entries.into_iter().collect();
+        let present = || entries.iter().filter(|&&(_, _, word)| word.is_present());
+        let Some(last) = present().map(|&(pulse, _, _)| pulse).max() else {
+            return Self::new();
+        };
+        let horizon = usize::try_from(last).expect("injection pulse fits in usize") + 1;
+
+        // offsets[p + 1] counts pulse p's entries; the prefix sum turns
+        // offsets[p] into the start of its bucket.
+        let mut offsets = vec![0usize; horizon + 1];
+        for &(pulse, _, _) in present() {
+            offsets[pulse as usize + 1] += 1;
         }
-        f
+        for p in 1..=horizon {
+            offsets[p] += offsets[p - 1];
+        }
+        // Scatter, advancing each bucket's start to its end as it fills;
+        // shifting the table one place restores the starts.
+        let mut slots = vec![(0, Word::Null); offsets[horizon]];
+        for &(pulse, lane, word) in present() {
+            let next = &mut offsets[pulse as usize];
+            slots[*next] = (lane, word);
+            *next += 1;
+        }
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+
+        // Sort each bucket by lane and compact out identical repeats. The
+        // kept prefix never overtakes the bucket being read.
+        let mut kept = 0;
+        for p in 0..horizon {
+            let (lo, hi) = (offsets[p], offsets[p + 1]);
+            let bucket = &mut slots[lo..hi];
+            if bucket.windows(2).any(|w| w[0].0 > w[1].0) {
+                // The §3 generators fill a pulse's lanes in descending order.
+                if bucket.windows(2).all(|w| w[0].0 > w[1].0) {
+                    bucket.reverse();
+                } else {
+                    bucket.sort_unstable_by_key(|&(lane, _)| lane);
+                }
+            }
+            offsets[p] = kept;
+            for k in lo..hi {
+                let (lane, word) = slots[k];
+                if kept > offsets[p] && slots[kept - 1].0 == lane {
+                    let prev = slots[kept - 1].1;
+                    assert_eq!(
+                        prev, word,
+                        "feeder slot collision at pulse {p}, lane {lane}: {prev:?} vs {word:?}"
+                    );
+                    continue;
+                }
+                slots[kept] = (lane, word);
+                kept += 1;
+            }
+        }
+        offsets[horizon] = kept;
+        slots.truncate(kept);
+        ScheduleFeeder { offsets, slots }
     }
 
-    /// Add one injection. Panics on conflicting double-booking (same slot,
-    /// different word); inserting the identical word twice is idempotent.
-    pub fn push(&mut self, pulse: u64, lane: usize, word: Word) {
-        if word == Word::Null {
-            return;
-        }
-        let p = usize::try_from(pulse).expect("injection pulse fits in usize");
-        if self.pulses.len() <= p {
-            self.pulses.resize_with(p + 1, VecDeque::new);
-        }
-        let bucket = &mut self.pulses[p];
-        match bucket.binary_search_by_key(&lane, |&(l, _)| l) {
-            Ok(k) => {
-                let prev = bucket[k].1;
-                assert_eq!(
-                    prev, word,
-                    "feeder slot collision at pulse {pulse}, lane {lane}: {prev:?} vs {word:?}"
-                );
-            }
-            Err(k) => {
-                bucket.insert(k, (lane, word));
-                self.len += 1;
-            }
-        }
-    }
-
-    /// The `(lane, word)` injections at `pulse`, lane-ascending (none when
+    /// The `(lane, word)` injections at `pulse`, lane-ascending (empty when
     /// nothing is scheduled then).
-    pub fn at(&self, pulse: u64) -> impl Iterator<Item = (usize, Word)> + '_ {
-        usize::try_from(pulse)
-            .ok()
-            .and_then(|p| self.pulses.get(p))
-            .into_iter()
-            .flatten()
-            .copied()
+    pub fn at(&self, pulse: u64) -> &[(usize, Word)] {
+        if pulse >= self.horizon() {
+            return &[];
+        }
+        let p = pulse as usize;
+        &self.slots[self.offsets[p]..self.offsets[p + 1]]
     }
 
     /// A pulse by which this schedule injects nothing more (one past its last
     /// injection; 0 when empty). Used by the grid to detect quiescence.
     pub fn horizon(&self) -> u64 {
-        self.pulses.len() as u64
+        self.offsets.len().saturating_sub(1) as u64
     }
 
     /// Number of scheduled (non-null) injections.
     pub fn len(&self) -> usize {
-        self.len
+        self.slots.len()
     }
 
     /// `true` if no injections are scheduled.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.slots.is_empty()
     }
 }
 
@@ -169,7 +201,7 @@ mod tests {
     use super::*;
 
     fn slots(f: &ScheduleFeeder, pulse: u64) -> Vec<(usize, Word)> {
-        f.at(pulse).collect()
+        f.at(pulse).to_vec()
     }
 
     #[test]
@@ -186,13 +218,14 @@ mod tests {
 
     #[test]
     fn out_of_order_pushes_come_back_lane_ascending() {
-        let mut f = ScheduleFeeder::new();
-        f.push(4, 3, Word::Elem(30));
-        f.push(1, 0, Word::Elem(0));
-        f.push(4, 0, Word::Elem(0));
-        f.push(4, 7, Word::Bool(false));
-        f.push(4, 1, Word::Drain);
-        f.push(4, 3, Word::Elem(30));
+        let f = ScheduleFeeder::from_entries([
+            (4, 3, Word::Elem(30)),
+            (1, 0, Word::Elem(0)),
+            (4, 0, Word::Elem(0)),
+            (4, 7, Word::Bool(false)),
+            (4, 1, Word::Drain),
+            (4, 3, Word::Elem(30)),
+        ]);
         assert_eq!(
             slots(&f, 4),
             &[
@@ -207,42 +240,60 @@ mod tests {
     }
 
     #[test]
+    fn descending_lanes_come_back_ascending() {
+        let f = ScheduleFeeder::from_entries(
+            (0..5).rev().map(|lane| (2, lane, Word::Elem(lane as i64))),
+        );
+        let lanes: Vec<usize> = f.at(2).iter().map(|&(lane, _)| lane).collect();
+        assert_eq!(lanes, [0, 1, 2, 3, 4]);
+    }
+
+    #[test]
     fn horizon_is_one_past_the_last_injection() {
-        let mut f = ScheduleFeeder::new();
-        assert_eq!(f.horizon(), 0);
-        f.push(0, 2, Word::Elem(1));
-        assert_eq!(f.horizon(), 1);
-        f.push(10_000, 0, Word::Elem(2));
-        assert_eq!(f.horizon(), 10_001);
-        // An earlier push never lowers it.
-        f.push(5, 0, Word::Elem(3));
+        assert_eq!(ScheduleFeeder::new().horizon(), 0);
+        assert_eq!(
+            ScheduleFeeder::from_entries([(0, 2, Word::Elem(1))]).horizon(),
+            1
+        );
+        // An earlier entry never lowers it, wherever it comes in the list.
+        let f = ScheduleFeeder::from_entries([
+            (0, 2, Word::Elem(1)),
+            (10_000, 0, Word::Elem(2)),
+            (5, 0, Word::Elem(3)),
+        ]);
         assert_eq!(f.horizon(), 10_001);
         assert_eq!(slots(&f, 10_000), &[(0, Word::Elem(2))]);
         assert_eq!(f.len(), 3);
     }
 
     #[test]
+    fn a_long_schedule_is_two_flat_buffers() {
+        // Nothing is allocated per pulse: 10 001 pulses are one offset per
+        // pulse in one buffer and one slot per injection in another.
+        let f = ScheduleFeeder::from_entries([(10_000, 1, Word::Elem(2)), (3, 0, Word::Elem(1))]);
+        assert_eq!(f.offsets.len(), 10_002);
+        assert_eq!(f.slots.len(), 2);
+        assert!(f.slots.capacity() <= 2);
+        assert!((4..10_000).all(|p| f.at(p).is_empty()));
+    }
+
+    #[test]
     fn schedule_feeder_ignores_null_pushes() {
-        let mut f = ScheduleFeeder::new();
-        f.push(4, 0, Word::Null);
+        let f = ScheduleFeeder::from_entries([(4, 0, Word::Null)]);
         assert!(f.is_empty());
         assert_eq!(f.horizon(), 0);
     }
 
     #[test]
     fn idempotent_double_push_is_allowed() {
-        let mut f = ScheduleFeeder::new();
-        f.push(1, 1, Word::Elem(9));
-        f.push(1, 1, Word::Elem(9));
+        let f = ScheduleFeeder::from_entries([(1, 1, Word::Elem(9)), (1, 1, Word::Elem(9))]);
         assert_eq!(f.len(), 1);
     }
 
     #[test]
     #[should_panic(expected = "feeder slot collision")]
     fn conflicting_double_push_panics() {
-        let mut f = ScheduleFeeder::new();
-        f.push(1, 1, Word::Elem(9));
-        f.push(1, 1, Word::Elem(8));
+        ScheduleFeeder::from_entries([(1, 1, Word::Elem(9)), (1, 1, Word::Elem(8))]);
     }
 
     #[test]

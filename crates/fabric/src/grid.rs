@@ -22,10 +22,11 @@
 //! at pulse `k` is read at pulse `k+1` whatever the evaluation order. The
 //! slots an edge cell writes are the ones the next pulse injects into: after
 //! the cell loop their words go to the south, north and east [`Collector`]s,
-//! leaving the slots idle. Boundary inputs come from pulse-bucketed
+//! leaving the slots idle. Boundary inputs come from pulse-indexed
 //! [`ScheduleFeeder`]s on the north, south and west edges, one lane-ascending
 //! pass per edge per pulse. Linearly connected arrays (Fig 2-1(b)) are grids
-//! with a single row or column.
+//! with a single row or column. The comparison array, whose cells are all
+//! alike, runs on [`crate::CompareGrid`] instead.
 //!
 //! A pulse costs the comparisons: no word is copied between planes, and the
 //! grid counts the words left on its wires, so quiescence is one comparison.
@@ -233,13 +234,13 @@ impl<C: Cell> Grid<C> {
         // cells' input slots, which the last pulse's edge collection left
         // idle. Lanes beyond the edge are never read.
         let b_south = (b0 + rows - 1) % rows * cols;
-        for (c, w) in self.north.at(pulse).take_while(|&(c, _)| c < cols) {
+        for &(c, w) in self.north.at(pulse).iter().take_while(|&&(c, _)| c < cols) {
             self.a[a0 * cols + c] = w;
         }
-        for (c, w) in self.south.at(pulse).take_while(|&(c, _)| c < cols) {
+        for &(c, w) in self.south.at(pulse).iter().take_while(|&&(c, _)| c < cols) {
             self.b[b_south + c] = w;
         }
-        for (r, w) in self.west.at(pulse).take_while(|&(r, _)| r < rows) {
+        for &(r, w) in self.west.at(pulse).iter().take_while(|&&(r, _)| r < rows) {
             self.t[r * cols + t0] = w;
         }
 
@@ -318,12 +319,17 @@ impl<C: Cell> Grid<C> {
         Ok(())
     }
 
-    /// Reset dynamic state (wires, pulse counter, collectors, stats, cell
-    /// state) so the same physical array can run another problem — §9's
-    /// integrated system reuses its fixed arrays across operations.
+    /// Reset dynamic state (wires, pulse counter, feeders, collectors, stats,
+    /// cell state) so the same physical array can run another problem — §9's
+    /// integrated system reuses its fixed arrays across operations. The next
+    /// problem installs its own schedules; an edge it leaves alone injects
+    /// nothing.
     pub fn reset(&mut self) {
         for plane in [&mut self.a, &mut self.b, &mut self.t] {
             plane.fill(Word::Null);
+        }
+        for feeder in [&mut self.north, &mut self.south, &mut self.west] {
+            *feeder = ScheduleFeeder::new();
         }
         self.live = 0;
         self.pulse = 0;
@@ -449,6 +455,21 @@ mod tests {
         g.set_north_feeder(ScheduleFeeder::from_entries([(0, 0, Word::Elem(1))]));
         g.run_until_quiescent(100).unwrap();
         assert_eq!(g.south_emissions().emissions(), first.as_slice());
+    }
+
+    #[test]
+    fn reset_forgets_the_last_problems_feeders() {
+        let mut g: Grid<Wire> = Grid::new(2, 2, |_, _| Wire);
+        g.set_west_feeder(ScheduleFeeder::from_entries([(0, 0, Word::Bool(true))]));
+        g.run_until_quiescent(100).unwrap();
+        assert_eq!(g.east_emissions().len(), 1);
+        g.reset();
+        g.set_north_feeder(ScheduleFeeder::from_entries([(0, 1, Word::Elem(5))]));
+        g.run_until_quiescent(100).unwrap();
+        // The old west schedule is not replayed from pulse 0.
+        assert!(g.east_emissions().is_empty());
+        assert_eq!(g.south_emissions().at(1, 1), Some(Word::Elem(5)));
+        assert_eq!(g.pulse(), 2);
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! * [`grid::Grid`] — orthogonally connected arrays (Figure 2-1) whose
 //!   wire planes each stay in their stream's own frame (a cell rewrites its
 //!   words in place and edge words are collected from the next injection
-//!   slot), pulse-bucketed boundary [`feed::ScheduleFeeder`]s and edge
+//!   slot), pulse-indexed boundary [`feed::ScheduleFeeder`]s and edge
 //!   [`feed::Collector`]s, utilisation statistics, and optional per-pulse
 //!   tracing;
+//! * [`compare::CompareGrid`] — the §3.2 comparison array on the same
+//!   stream frames, stepped a column at a time over packed element lanes;
 //! * [`schedule`] — the closed-form staggered input schedules of §3 and the
 //!   fixed-operand variant of §8;
 //! * [`trace`] — ASCII rendering of in-flight data, used to reproduce the
@@ -50,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod cell;
+pub mod compare;
 mod counters;
 pub mod feed;
 pub mod grid;
@@ -58,6 +61,7 @@ pub mod trace;
 pub mod word;
 
 pub use cell::{Cell, CellIo};
+pub use compare::{CompareGrid, RefusedWord};
 pub use feed::{Collector, Emission, ScheduleFeeder};
 pub use grid::{Grid, GridStats, NotQuiescent};
 pub use schedule::{CompareSchedule, FixedSchedule};

@@ -177,31 +177,36 @@ impl CompareSchedule {
         last_inject + (self.rows() + self.m + 2) as u64 + 4
     }
 
-    /// Build the north-edge feeder carrying relation `A` (one tuple per
+    /// The north-edge injections carrying relation `A` (one tuple per
     /// `tuples[i]`, each of width `m`).
-    pub fn a_feeder(&self, tuples: &[Vec<Elem>]) -> ScheduleFeeder {
+    pub fn a_entries<'t>(
+        &self,
+        tuples: &'t [Vec<Elem>],
+    ) -> impl Iterator<Item = (u64, usize, Word)> + 't {
         debug_assert_eq!(tuples.len(), self.n_a);
-        let mut f = ScheduleFeeder::new();
-        for (i, tup) in tuples.iter().enumerate() {
-            debug_assert_eq!(tup.len(), self.m);
-            for (c, &e) in tup.iter().enumerate() {
-                f.push(self.a_injection(i, c), c, Word::Elem(e));
-            }
-        }
-        f
+        let s = *self;
+        tuples.iter().enumerate().flat_map(move |(i, tup)| {
+            debug_assert_eq!(tup.len(), s.m);
+            tup.iter()
+                .enumerate()
+                .map(move |(c, &e)| (s.a_injection(i, c), c, Word::Elem(e)))
+        })
+    }
+
+    /// Build the north-edge feeder carrying relation `A`.
+    pub fn a_feeder(&self, tuples: &[Vec<Elem>]) -> ScheduleFeeder {
+        ScheduleFeeder::from_entries(self.a_entries(tuples))
     }
 
     /// Build the south-edge feeder carrying relation `B`.
     pub fn b_feeder(&self, tuples: &[Vec<Elem>]) -> ScheduleFeeder {
         debug_assert_eq!(tuples.len(), self.n_b);
-        let mut f = ScheduleFeeder::new();
-        for (j, tup) in tuples.iter().enumerate() {
+        ScheduleFeeder::from_entries(tuples.iter().enumerate().flat_map(|(j, tup)| {
             debug_assert_eq!(tup.len(), self.m);
-            for (c, &e) in tup.iter().enumerate() {
-                f.push(self.b_injection(j, c), c, Word::Elem(e));
-            }
-        }
-        f
+            tup.iter()
+                .enumerate()
+                .map(move |(c, &e)| (self.b_injection(j, c), c, Word::Elem(e)))
+        }))
     }
 
     /// Build the west-edge feeder of initial `t` values. `initial(i, j)`
@@ -209,19 +214,19 @@ impl CompareSchedule {
     /// for plain comparison (§3.2), `FALSE` on the diagonal and upper
     /// triangle for remove-duplicates (§5).
     pub fn t_feeder(&self, mut initial: impl FnMut(usize, usize) -> bool) -> ScheduleFeeder {
-        let mut f = ScheduleFeeder::new();
+        let mut entries = Vec::with_capacity(self.n_a * self.n_b);
         for i in 0..self.n_a {
             for j in 0..self.n_b {
                 let (lane, pulse) = self.t_injection(i, j);
-                f.push(pulse, lane, Word::Bool(initial(i, j)));
+                entries.push((pulse, lane, Word::Bool(initial(i, j))));
             }
         }
-        f
+        ScheduleFeeder::from_entries(entries)
     }
 
     /// Build the north-edge injections of the initial accumulated values
-    /// `t_i = FALSE` into the accumulation column (merged into the `A`
-    /// feeder by callers that use an `(m + 1)`-wide grid).
+    /// `t_i = FALSE` into the accumulation column (chained onto
+    /// [`Self::a_entries`] by callers that use an `(m + 1)`-wide grid).
     pub fn acc_feeder_entries(&self) -> Vec<(u64, usize, Word)> {
         (0..self.n_a)
             .map(|i| (self.acc_injection(i), self.acc_col(), Word::Bool(false)))
@@ -320,29 +325,36 @@ impl FixedSchedule {
         (self.n_a + self.n_b + 2 * self.m + 6) as u64
     }
 
+    /// The north-edge injections of the streaming relation `A`.
+    pub fn a_entries<'t>(
+        &self,
+        tuples: &'t [Vec<Elem>],
+    ) -> impl Iterator<Item = (u64, usize, Word)> + 't {
+        debug_assert_eq!(tuples.len(), self.n_a);
+        let s = *self;
+        tuples.iter().enumerate().flat_map(move |(i, tup)| {
+            debug_assert_eq!(tup.len(), s.m);
+            tup.iter()
+                .enumerate()
+                .map(move |(c, &e)| (s.a_injection(i, c), c, Word::Elem(e)))
+        })
+    }
+
     /// Build the north-edge feeder for the streaming relation `A`.
     pub fn a_feeder(&self, tuples: &[Vec<Elem>]) -> ScheduleFeeder {
-        debug_assert_eq!(tuples.len(), self.n_a);
-        let mut f = ScheduleFeeder::new();
-        for (i, tup) in tuples.iter().enumerate() {
-            debug_assert_eq!(tup.len(), self.m);
-            for (c, &e) in tup.iter().enumerate() {
-                f.push(self.a_injection(i, c), c, Word::Elem(e));
-            }
-        }
-        f
+        ScheduleFeeder::from_entries(self.a_entries(tuples))
     }
 
     /// West-edge feeder of initial `t` values.
     pub fn t_feeder(&self, mut initial: impl FnMut(usize, usize) -> bool) -> ScheduleFeeder {
-        let mut f = ScheduleFeeder::new();
+        let mut entries = Vec::with_capacity(self.n_a * self.n_b);
         for i in 0..self.n_a {
             for j in 0..self.n_b {
                 let (lane, pulse) = self.t_injection(i, j);
-                f.push(pulse, lane, Word::Bool(initial(i, j)));
+                entries.push((pulse, lane, Word::Bool(initial(i, j))));
             }
         }
-        f
+        ScheduleFeeder::from_entries(entries)
     }
 
     /// North-edge injections of initial accumulated values.

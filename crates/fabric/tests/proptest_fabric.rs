@@ -508,3 +508,58 @@ proptest! {
         matches_fresh_reference(&mut grid, make, [north, south, west], tracing, budget)?;
     }
 }
+
+/// `entries` reordered by `keys` (one key per entry, ties kept in order).
+fn permuted<T: Clone>(entries: &[T], keys: &[u32]) -> Vec<T> {
+    let mut order: Vec<usize> = (0..entries.len()).collect();
+    order.sort_by_key(|&k| keys[k % keys.len()]);
+    order.into_iter().map(|k| entries[k].clone()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn feeder_table_is_the_same_whatever_order_entries_come_in(
+        entries in schedule(),
+        keys in prop::collection::vec(any::<u32>(), 1..40),
+        clash in (0usize..16, -3i64..3),
+    ) {
+        // What the table must hold: one word per (pulse, lane), nulls dropped.
+        let expect: std::collections::BTreeMap<(u64, usize), Word> = entries
+            .iter()
+            .filter(|&&(_, _, w)| w.is_present())
+            .map(|&(p, l, w)| ((p, l), w))
+            .collect();
+        let horizon = expect.keys().map(|&(p, _)| p + 1).max().unwrap_or(0);
+        let forward = ScheduleFeeder::from_entries(entries.clone());
+        let shuffled = ScheduleFeeder::from_entries(permuted(&entries, &keys));
+        for f in [&forward, &shuffled] {
+            prop_assert_eq!(f.horizon(), horizon);
+            prop_assert_eq!(f.len(), expect.len());
+            for p in 0..horizon + 2 {
+                let want: Vec<(usize, Word)> = expect
+                    .range((p, 0)..(p + 1, 0))
+                    .map(|(&(_, l), &w)| (l, w))
+                    .collect();
+                prop_assert_eq!(f.at(p), want.as_slice());
+            }
+        }
+
+        // A different word on a slot already taken is refused loudly.
+        let present: Vec<_> = expect.iter().collect();
+        if !present.is_empty() {
+            let (&(p, l), &w) = present[clash.0 % present.len()];
+            let other = if w == Word::Elem(clash.1) { Word::Drain } else { Word::Elem(clash.1) };
+            let mut clashing = permuted(&entries, &keys);
+            clashing.insert(clash.0 % (clashing.len() + 1), (p, l, other));
+            let panic = std::panic::catch_unwind(|| ScheduleFeeder::from_entries(clashing))
+                .expect_err("a clash must panic");
+            let message = panic
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            prop_assert!(message.contains("feeder slot collision"), "{}", message);
+        }
+    }
+}

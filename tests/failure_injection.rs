@@ -34,9 +34,7 @@ fn conflicting_feeder_entries_panic_loudly() {
     // Two different words on the same wire in the same pulse is a schedule
     // construction bug; it must never be silently dropped.
     let result = std::panic::catch_unwind(|| {
-        let mut f = ScheduleFeeder::new();
-        f.push(3, 0, Word::Elem(1));
-        f.push(3, 0, Word::Elem(2));
+        ScheduleFeeder::from_entries([(3, 0, Word::Elem(1)), (3, 0, Word::Elem(2))])
     });
     assert!(result.is_err(), "collision must panic");
 }
@@ -52,11 +50,17 @@ fn stray_injected_word_is_detected_at_decode_time() {
     let mut grid: Grid<Comparator> = Grid::new(sched.rows(), 1, |_, _| Comparator);
     grid.set_north_feeder(sched.a_feeder(&a));
     grid.set_south_feeder(sched.b_feeder(&b));
-    let mut west = sched.t_feeder(|_, _| true);
+    let mut west: Vec<_> = (0..2)
+        .flat_map(|i| (0..2).map(move |j| (i, j)))
+        .map(|(i, j)| {
+            let (lane, pulse) = sched.t_injection(i, j);
+            (pulse, lane, Word::Bool(true))
+        })
+        .collect();
     // Rogue seed: one pulse after the last legitimate meeting on row 0.
     let rogue_pulse = sched.meeting_pulse(1, 0, 0) + 1;
-    west.push(rogue_pulse, 0, Word::Bool(true));
-    grid.set_west_feeder(west);
+    west.push((rogue_pulse, 0, Word::Bool(true)));
+    grid.set_west_feeder(ScheduleFeeder::from_entries(west));
     grid.run_until_quiescent(sched.pulse_bound()).unwrap();
     // Decode as the operator front-ends do: every emission must map to a
     // scheduled pair.
@@ -92,14 +96,14 @@ fn truncated_tuple_is_detected_by_the_accumulator_count() {
             IntersectCell::Accumulate(AccumulateCell)
         }
     });
-    let mut north = ScheduleFeeder::new();
+    let mut north = Vec::new();
     for (i, tup) in a[..2].iter().enumerate() {
         for (c, &e) in tup.iter().enumerate() {
-            north.push(sched.a_injection(i, c), c, Word::Elem(e));
+            north.push((sched.a_injection(i, c), c, Word::Elem(e)));
         }
-        north.push(sched.acc_injection(i), sched.acc_col(), Word::Bool(false));
+        north.push((sched.acc_injection(i), sched.acc_col(), Word::Bool(false)));
     }
-    grid.set_north_feeder(north);
+    grid.set_north_feeder(ScheduleFeeder::from_entries(north));
     grid.set_south_feeder(sched.b_feeder(&b));
     grid.set_west_feeder(sched.t_feeder(|_, _| true));
     grid.run_until_quiescent(sched.pulse_bound()).unwrap();
