@@ -7,9 +7,9 @@
 //! seeded; the output is deterministic.
 //!
 //! `repro --json [DIR]` additionally writes one `BENCH_<name>.json`
-//! artifact per workload (pulses, utilisation, host wall ns, queries/sec)
-//! into `DIR` (default `bench-artifacts/`), and appends the
-//! `serve_throughput` workload to the run so every workload is covered.
+//! artifact per experiment (pulses, utilisation, host wall ns, queries/sec)
+//! into `DIR` (default `bench-artifacts/`). What a served query costs is
+//! measured by `benchmark/`, not here.
 
 use std::time::Instant;
 
@@ -500,12 +500,17 @@ fn e9_tiling() -> Summary {
         let limits = ArrayLimits::new(ma, mb, mc);
         let tiled = t_matrix_tiled(&a, &b, &ops_eq, limits, |_, _| true).unwrap();
         sum.exec(&tiled.stats);
+        let identical = tiled.t == whole.t;
+        assert!(
+            identical,
+            "E9: T tiled on a {ma}x{mb}x{mc} array differs from the unbounded array's"
+        );
         t.rowd(&[
             format!("{ma}x{mb}x{mc}"),
             tiled.stats.array_runs.to_string(),
             tiled.stats.pulses.to_string(),
             tiled.stats.cells.to_string(),
-            (tiled.t == whole.t).to_string(),
+            identical.to_string(),
         ]);
     }
     print!("{}", t.render());
@@ -528,10 +533,12 @@ fn e9_tiling() -> Summary {
     .unwrap();
     sum.exec(&s_whole);
     sum.exec(&s_tiled);
-    println!(
-        "tiled intersection membership identical: {}",
-        keep_whole == keep_tiled
+    let identical = keep_whole == keep_tiled;
+    assert!(
+        identical,
+        "E9: intersection membership tiled on an 8x8x2 array differs from the 1000x1000x4 run"
     );
+    println!("tiled intersection membership identical: {identical}");
     sum
 }
 
@@ -1019,6 +1026,11 @@ fn e19_pipelined_tiles() -> Summary {
         let piped = t_matrix_tiled_pipelined(&a, &b, &ops_eq, limits, |_, _| true).unwrap();
         sum.exec(&seq.stats);
         sum.exec(&piped.stats);
+        let identical = seq.t == piped.t;
+        assert!(
+            identical,
+            "E19: pipelined T on {ta}x{tb} tiles differs from the sequential tiles'"
+        );
         tbl.rowd(&[
             format!("{ta}x{tb}"),
             piped.stats.array_runs.to_string(),
@@ -1028,7 +1040,7 @@ fn e19_pipelined_tiles() -> Summary {
                 "{:.2}x",
                 seq.stats.pulses as f64 / piped.stats.pulses as f64
             ),
-            (seq.t == piped.t).to_string(),
+            identical.to_string(),
         ]);
     }
     print!("{}", tbl.render());
@@ -1121,6 +1133,10 @@ fn e21_backend_speedup() -> (Summary, Vec<(String, Extra)>) {
         let (sim, sim_ns) = best(Backend::Sim);
         let (packed, columnar_ns) = best(Backend::Columnar);
         let identical = sim.0.rows() == packed.0.rows() && sim.1 == packed.1;
+        assert!(
+            identical,
+            "E21: {name} (n = {n}) differs between the sim and columnar backends"
+        );
         sim_total += sim_ns;
         columnar_total += columnar_ns;
         extras.push((format!("sim_ns_{name}"), Extra::U64(sim_ns)));
@@ -1323,690 +1339,107 @@ fn e22_columnar() -> (Summary, Vec<(String, Extra)>) {
     (sum, extras)
 }
 
-/// `repro serve-throughput`: queries/sec against a live in-process
-/// systolic-server — the classic thread-per-connection front end at 1, 4
-/// and 16 concurrent connections, then the poll(2) reactor with a 2-shard
-/// router at 64, 256 and 1024 pipelined connections.
-fn serve_throughput() -> (Summary, Vec<(String, Extra)>) {
-    use systolic_machine::Backend;
-    use systolic_server::{spawn, Client, IoModel, ServerConfig};
+/// E20: what the telemetry layer costs the code it threads through. The
+/// span and metric calls in `machine` and the server run on every query
+/// whether or not a collector is installed, so the disabled cost is what
+/// every uninstrumented run pays; an enabled span is the yardstick it must
+/// stay far below.
+fn e20_telemetry() -> (Summary, Vec<(String, Extra)>) {
+    use std::hint::black_box;
+    use systolic_telemetry::metrics::Counter;
+    use systolic_telemetry::{install, record_between, span, uninstall};
 
     let mut sum = Summary::default();
-    let mut extras: Vec<(String, Extra)> = Vec::new();
-
     heading(
-        "S1",
-        "systolic-server throughput",
-        "\u{a7}9: the crossbar organisation runs a set of transactions concurrently \u{2014} \
-         here served to TCP clients through the admission scheduler",
+        "E20",
+        "telemetry overhead (host wall time)",
+        "with no collector installed a span is one flag test and an inert guard; recording one costs a clock read, ids and a buffer push",
     );
-    let handle = spawn(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        ..ServerConfig::default()
-    })
-    .expect("bind a loopback server");
-    let addr = handle.addr;
-    let mut setup = Client::connect(addr).unwrap();
-    let a_csv: String = (0..96).map(|i| format!("{}\n", i % 48)).collect();
-    let b_csv: String = (0..96).map(|i| format!("{}\n", (i * 3) % 64)).collect();
-    setup.load_csv("a", "int", &a_csv).unwrap();
-    setup.load_csv("b", "int", &b_csv).unwrap();
-    setup.close().unwrap();
-
-    const QUERIES: &[&str] = &[
-        "intersect(scan(a), scan(b))",
-        "union(scan(a), scan(b))",
-        "difference(scan(a), scan(b))",
-        "dedup(scan(a))",
-    ];
-    const PER_CLIENT: usize = 8;
-
-    let mut t = Table::new(&["connections", "queries", "wall time", "queries/sec"]);
-    for clients in [1usize, 4, 16] {
-        let started = Instant::now();
-        let pulses: u64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|i| {
-                    scope.spawn(move || {
-                        let mut client = Client::connect(addr).unwrap();
-                        let mut pulses = 0u64;
-                        for k in 0..PER_CLIENT {
-                            let q = QUERIES[(i + k) % QUERIES.len()];
-                            pulses += client.query(q).unwrap().total_pulses;
-                        }
-                        client.close().unwrap();
-                        pulses
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        let elapsed = started.elapsed().as_secs_f64();
-        let total = clients * PER_CLIENT;
-        sum.pulses += pulses;
-        sum.queries += total as u64;
-        t.rowd(&[
-            clients.to_string(),
-            total.to_string(),
-            format!("{:.1} ms", elapsed * 1e3),
-            format!("{:.0}", total as f64 / elapsed),
-        ]);
+    /// Best of five timings of `iters` calls to `op`, in ns per call;
+    /// `reset` runs untimed after each timing.
+    fn per_call_ns(iters: u32, mut op: impl FnMut(), mut reset: impl FnMut()) -> f64 {
+        let mut best = f64::INFINITY;
+        for _ in 0..5 {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                op();
+            }
+            best = best.min(t0.elapsed().as_nanos() as f64 / f64::from(iters));
+            reset();
+        }
+        best
     }
-    print!("{}", t.render());
-    handle.shutdown();
-    let report = handle.join().unwrap();
-    println!(
-        "(answers are byte-identical to one-shot runs at every concurrency; merged \
-         admission formed {} multi-query schedules, largest batch {})",
-        report.batches, report.max_batch
-    );
+    const ITERS: u32 = 200_000;
 
-    // Second act: the event-driven front end. One poll(2) reactor thread
-    // multiplexes every connection onto an 8-thread worker pool, relations
-    // are hash-partitioned across 2 machine shards behind the router, and
-    // the closed-form columnar backend (bit-identical RESULT frames — the
-    // e2e suite proves it) lifts the per-query simulation cost off this
-    // box's single core so the front end itself is what's measured. Every
-    // connection has its request in flight before any answer is read.
-    println!();
-    println!(
-        "poll(2) reactor + 2-shard router (columnar backend, pipelined connections, \
-         8 workers):"
+    uninstall();
+    let probe = span("bench.noop");
+    assert!(
+        !probe.is_recording() && probe.ctx().is_none(),
+        "E20: a span opened with no collector installed is recording"
     );
-    let handle = spawn(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        io: IoModel::Poll,
-        shards: 2,
-        workers: 8,
-        max_pending: 4096,
-        max_batch: 64,
-        machine: systolic_machine::MachineConfig {
-            backend: Backend::Columnar,
-            ..systolic_machine::MachineConfig::default()
+    drop(probe);
+    let disabled_span = per_call_ns(
+        ITERS,
+        || drop(black_box(span(black_box("bench.noop")))),
+        || {},
+    );
+    let disabled_span_arg = per_call_ns(
+        ITERS,
+        || {
+            let mut guard = span(black_box("bench.noop"));
+            guard.arg("k", black_box(42u64));
+            guard.arg("label", "value");
+            drop(black_box(guard));
         },
-        ..ServerConfig::default()
-    })
-    .expect("bind a loopback server");
-    let addr = handle.addr;
-    let mut setup = Client::connect(addr).unwrap();
-    setup.load_csv("a", "int", &a_csv).unwrap();
-    setup.load_csv("b", "int", &b_csv).unwrap();
-    // Serial baseline frames — every pipelined answer below must match.
-    let baseline: Vec<String> = QUERIES
-        .iter()
-        .map(|q| setup.raw_query_frames(q).unwrap().0)
-        .collect();
-    setup.close().unwrap();
-
-    let mut t = Table::new(&["connections", "queries", "wall time", "queries/sec"]);
-    for conns in [64usize, 256, 1024] {
-        let mut clients: Vec<Client> = (0..conns).map(|_| Client::connect(addr).unwrap()).collect();
-        let started = Instant::now();
-        for (i, client) in clients.iter_mut().enumerate() {
-            client.send_query(QUERIES[i % QUERIES.len()]).unwrap();
-        }
-        let mut pulses = 0u64;
-        for (i, client) in clients.iter_mut().enumerate() {
-            let (frame, _host) = client.recv_query_frames().unwrap();
-            assert_eq!(
-                frame,
-                baseline[i % QUERIES.len()],
-                "pipelined answer diverged at connection {i}/{conns}"
-            );
-            pulses += systolic_server::protocol::parse_result_frame(&frame)
-                .expect("well-formed RESULT frame")
-                .total_pulses;
-        }
-        let elapsed = started.elapsed().as_secs_f64();
-        for client in &mut clients {
-            client.close().unwrap();
-        }
-        sum.pulses += pulses;
-        sum.queries += conns as u64;
-        let qps = conns as f64 / elapsed;
-        extras.push((format!("poll_conns_{conns}_qps"), Extra::F64(qps)));
-        t.rowd(&[
-            conns.to_string(),
-            conns.to_string(),
-            format!("{:.1} ms", elapsed * 1e3),
-            format!("{qps:.0}"),
-        ]);
-    }
-    print!("{}", t.render());
-    handle.shutdown();
-    let report = handle.join().unwrap();
-    println!(
-        "(every pipelined RESULT frame byte-identical to the serial baseline; \
-         {} queries served, {} answered via the shard router)",
-        report.queries, report.sharded
+        || {},
     );
-    extras.push(("poll_shards".to_string(), Extra::U64(2)));
-    (sum, extras)
-}
-
-fn durability() -> (Summary, Vec<(String, Extra)>) {
-    use std::sync::Arc;
-    use systolic_storage::{
-        BlobStore, ReplacerKind, SharedBlobStore, StorageEngine, StorageMetrics,
-    };
-    use systolic_telemetry::metrics::Registry;
-
-    let mut sum = Summary::default();
-    let mut extras: Vec<(String, Extra)> = Vec::new();
-
-    heading(
-        "D1",
-        "durable storage engine",
-        "\u{a7}9: the database is disk-resident \u{2014} acknowledged loads and queries \
-         survive power loss. Every number here is host time; none of it ever \
-         enters the simulated pulse accounting (the two-clocks rule)",
+    let t0 = Instant::now();
+    let between = per_call_ns(
+        ITERS,
+        || {
+            black_box(record_between(black_box("bench.wait"), None, t0, t0));
+        },
+        || {},
     );
-    let base = std::env::temp_dir().join(format!("sdb_bench_durability_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let counter = Counter::new();
+    let counter_inc = per_call_ns(ITERS, || black_box(&counter).inc(), || {});
 
-    // Act 1: WAL append throughput. Each append is fsynced before it
-    // returns — this is the price of the ack-after-durable discipline.
-    let dir = base.join("wal");
-    std::fs::create_dir_all(&dir).unwrap();
-    let (mut engine, _, _) = StorageEngine::open_with(&dir, 64, ReplacerKind::Clock).unwrap();
-    let kinds = vec!["int".to_string(), "str".to_string()];
-    let csv: String = (0..32).map(|i| format!("{i},row-{i}\n")).collect();
-    const APPENDS: usize = 512;
-    let started = Instant::now();
-    for i in 0..APPENDS {
-        engine.log_load(&format!("r{i}"), &kinds, &csv).unwrap();
+    // Each enabled span lands in the collector's buffer: drain it between
+    // timings, and uninstall before any later experiment runs.
+    let collector = install();
+    let probe = span("bench.live");
+    assert!(
+        probe.is_recording(),
+        "E20: a span opened under a collector is not recording"
+    );
+    drop(probe);
+    let enabled_span = per_call_ns(
+        ITERS / 10,
+        || drop(black_box(span(black_box("bench.live")))),
+        || drop(collector.drain()),
+    );
+    uninstall();
+
+    let mut t = Table::new(&["call", "collector", "ns/call"]);
+    for (call, installed, ns) in [
+        ("span open + drop", "none", disabled_span),
+        ("span + 2 args", "none", disabled_span_arg),
+        ("record_between", "none", between),
+        ("Counter::inc", "-", counter_inc),
+        ("span open + drop", "installed", enabled_span),
+    ] {
         sum.tick();
-    }
-    let wall = started.elapsed().as_secs_f64().max(1e-9);
-    let log_bytes = engine.wal_bytes();
-    drop(engine);
-    let records_per_sec = APPENDS as f64 / wall;
-    let bytes_per_sec = log_bytes as f64 / wall;
-    let mut t = Table::new(&[
-        "appends",
-        "log bytes",
-        "wall time",
-        "records/sec",
-        "MiB/sec",
-    ]);
-    t.rowd(&[
-        APPENDS.to_string(),
-        log_bytes.to_string(),
-        fmt_ns(wall * 1e9),
-        format!("{records_per_sec:.0}"),
-        format!("{:.1}", bytes_per_sec / (1024.0 * 1024.0)),
-    ]);
-    print!("{}", t.render());
-    println!("(each append fsyncs the log before returning: acked => on stable storage)");
-    extras.push((
-        "wal_append_records_per_sec".to_string(),
-        Extra::F64(records_per_sec),
-    ));
-    extras.push((
-        "wal_append_bytes_per_sec".to_string(),
-        Extra::F64(bytes_per_sec),
-    ));
-
-    // Act 2: crash-recovery time against log length. Recovery replays the
-    // logical WAL suffix through the same front door a client would use,
-    // so its cost is linear in the un-checkpointed tail.
-    println!();
-    println!("crash recovery (reopen + logical redo) vs write-ahead log length:");
-    let mut t = Table::new(&["wal records", "replayed", "recovery time"]);
-    for n in [100usize, 400, 1600] {
-        let dir = base.join(format!("recover_{n}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        {
-            let (mut engine, _, _) =
-                StorageEngine::open_with(&dir, 64, ReplacerKind::Clock).unwrap();
-            for i in 0..n {
-                engine
-                    .log_load(&format!("r{}", i % 8), &kinds, &csv)
-                    .unwrap();
-                sum.tick();
-            }
-        }
-        let (engine, replay, report) =
-            StorageEngine::open_with(&dir, 64, ReplacerKind::Clock).unwrap();
-        assert_eq!(replay.len(), n, "every appended record replays");
-        assert_eq!(engine.wal_records(), n);
-        assert_eq!(
-            report.dropped_tail_bytes, 0,
-            "clean shutdown leaves no torn tail"
-        );
-        t.rowd(&[
-            n.to_string(),
-            report.wal_records.to_string(),
-            fmt_ns(report.recovery_ns as f64),
-        ]);
-        extras.push((format!("recovery_{n}_ns"), Extra::U64(report.recovery_ns)));
+        t.rowd(&[call.to_string(), installed.to_string(), format!("{ns:.2}")]);
     }
     print!("{}", t.render());
-
-    // Act 3: buffer-pool hit rate as sessions pile up. A 32-frame pool over
-    // 24 three-page blobs; each session cycles a small working set of its
-    // own, so the rate measures how well the pool holds the sessions' union
-    // as it grows past the frame budget.
-    println!();
-    println!("buffer-pool hit rate under concurrent sessions (32-frame pool, 24 blobs):");
-    const BLOBS: usize = 24;
-    const READS: usize = 64;
-    let blob: Vec<u8> = (0..20 * 1024).map(|i| (i % 251) as u8).collect();
-    let mut t = Table::new(&["sessions", "page reads", "hits", "misses", "hit rate"]);
-    for sessions in [1usize, 4, 16] {
-        let registry = Registry::new();
-        let metrics = Arc::new(StorageMetrics::from_registry(&registry));
-        let dir = base.join(format!("pool_{sessions}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        let store = BlobStore::create(
-            &dir.join("relations.pg"),
-            32,
-            ReplacerKind::Clock,
-            Arc::clone(&metrics),
-        )
-        .unwrap();
-        let store = SharedBlobStore::new(store);
-        for b in 0..BLOBS {
-            store.put_next(&format!("blob{b}"), &blob).unwrap();
-        }
-        let (hits0, misses0) = (metrics.pool_hits.get(), metrics.pool_misses.get());
-        std::thread::scope(|scope| {
-            for s in 0..sessions {
-                let store = &store;
-                let blob_len = blob.len();
-                scope.spawn(move || {
-                    for k in 0..READS {
-                        // Each session cycles its own 6-blob working set,
-                        // offset per session so the union widens with the
-                        // session count.
-                        let b = (s * 5 + k % 6) % BLOBS;
-                        let bytes = store.get(&format!("blob{b}")).unwrap();
-                        assert_eq!(bytes.len(), blob_len);
-                    }
-                });
-            }
-        });
-        let hits = metrics.pool_hits.get() - hits0;
-        let misses = metrics.pool_misses.get() - misses0;
-        assert!(hits + misses > 0, "the read path goes through the pool");
-        let rate = hits as f64 / (hits + misses) as f64;
-        for _ in 0..sessions * READS {
-            sum.tick();
-        }
-        t.rowd(&[
-            sessions.to_string(),
-            (hits + misses).to_string(),
-            hits.to_string(),
-            misses.to_string(),
-            format!("{rate:.3}"),
-        ]);
-        extras.push((
-            format!("pool_hit_rate_{sessions}_sessions"),
-            Extra::F64(rate),
-        ));
-    }
-    print!("{}", t.render());
-
-    let _ = std::fs::remove_dir_all(&base);
-    (sum, extras)
-}
-
-/// `repro` P1 — the cost-based plan compiler: every optimizer workload
-/// query is compiled, both the original and the chosen plan run on a real
-/// machine, and the rows must match byte for byte while the chosen plan's
-/// measured pulses never exceed the baseline's. The artifact records the
-/// aggregate pulse saving, per-rule rewrite hit counts, and compile time.
-fn optimizer() -> (Summary, Vec<(String, Extra)>) {
-    use std::collections::BTreeMap;
-    use systolic_analyzer::{CatalogView, ColumnInfo};
-    use systolic_machine::{parse_spanned, MachineConfig};
-    use systolic_relation::{Column, DomainId, DomainKind, MultiRelation, Schema};
-
-    let mut sum = Summary::default();
-    let mut extras: Vec<(String, Extra)> = Vec::new();
-
-    heading(
-        "P1",
-        "cost-based plan compiler",
-        "verified algebraic rewrites costed by the \u{a7}8 pulse model pick a \
-         cheaper plan with byte-identical rows; the compile itself is host \
-         time and never enters the pulse accounting",
+    println!(
+        "disabled span: {:.1}x cheaper than a recorded one (floor 5x)",
+        enabled_span / disabled_span.max(1e-3)
     );
-
-    // The same workload the server e2e suite proves transparent: redundant
-    // dedups, nested projections, pushable filters — plus identity-path
-    // queries where no rule may fire.
-    const D_INT: DomainId = DomainId(0);
-    const D_STR: DomainId = DomainId(1);
-    let schema = |cols: &[DomainId]| {
-        Schema::new(
-            cols.iter()
-                .enumerate()
-                .map(|(k, d)| Column::new(format!("c{k}"), *d))
-                .collect(),
-        )
-    };
-    type Fixture = (&'static str, Vec<DomainId>, Vec<Vec<i64>>);
-    let tables: Vec<Fixture> = vec![
-        (
-            "emp",
-            vec![D_STR, D_INT],
-            vec![vec![1, 10], vec![2, 20], vec![3, 30]],
-        ),
-        ("dept", vec![D_INT, D_STR], vec![vec![10, 1], vec![20, 2]]),
-        (
-            "a",
-            vec![D_INT],
-            vec![vec![1], vec![2], vec![2], vec![3], vec![4]],
-        ),
-        ("b", vec![D_INT], vec![vec![2], vec![3], vec![5]]),
-        (
-            "ta",
-            vec![D_INT, D_INT],
-            (0..24).map(|i| vec![i, i % 3]).collect(),
-        ),
-        (
-            "tb",
-            vec![D_INT, D_INT],
-            (5..21).map(|i| vec![i, i % 3]).collect(),
-        ),
+    let extras = vec![
+        ("disabled_span_ns".to_string(), Extra::F64(disabled_span)),
+        ("enabled_span_ns".to_string(), Extra::F64(enabled_span)),
     ];
-    let mut view = CatalogView::new();
-    for (name, cols, rows) in &tables {
-        let info: Vec<ColumnInfo> = cols
-            .iter()
-            .map(|d| ColumnInfo {
-                domain: *d,
-                kind: if *d == D_STR {
-                    DomainKind::Str
-                } else {
-                    DomainKind::Int
-                },
-            })
-            .collect();
-        view.add_table(*name, info, rows.len() as u64);
-    }
-    let fresh_system = || {
-        let mut sys = System::new(MachineConfig::default()).unwrap();
-        for (name, cols, rows) in &tables {
-            sys.load_base(
-                *name,
-                MultiRelation::new(schema(cols), rows.clone()).unwrap(),
-            );
-        }
-        sys
-    };
-
-    const QUERIES: &[&str] = &[
-        "dedup(union(scan(a), scan(b)))",
-        "project(project(scan(emp), [1, 0]), [0])",
-        "project(dedup(scan(ta)), [1])",
-        "filter(filter(scan(ta), c0 >= 2), c1 <= 1)",
-        "filter(intersect(scan(ta), scan(tb)), c0 <= 6)",
-        "filter(union(scan(a), scan(b)), c0 >= 2)",
-        "filter(join(scan(ta), scan(tb), 1 = 1), c0 >= 1)",
-        "join(scan(emp), scan(dept), 1 = 0)",
-        "difference(scan(a), scan(b))",
-        "dedup(scan(a))",
-    ];
-
-    let machine = MachineConfig::default();
-    let mut pulses_baseline = 0u64;
-    let mut pulses_optimized = 0u64;
-    let mut rewrite_hits = 0u64;
-    let mut compile_ns = 0u64;
-    let mut per_rule: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut t = Table::new(&[
-        "query", "baseline", "chosen", "saved", "rewrites", "compile",
-    ]);
-    for q in QUERIES {
-        let (expr, _) = parse_spanned(q).unwrap();
-        let choice = systolic_planner::optimize(&expr, &view, &machine)
-            .unwrap_or_else(|d| panic!("{q}: workload query rejected: {d:?}"));
-        compile_ns += choice.compile_ns;
-        for event in &choice.rewrites {
-            rewrite_hits += event.sites as u64;
-            *per_rule.entry(event.rule).or_default() += event.sites as u64;
-        }
-        // Differential proof on a real machine: same rows, measured pulses
-        // never above the baseline's.
-        let base = fresh_system().run(&expr).unwrap();
-        let opt = fresh_system().run(&choice.expr).unwrap();
-        assert_eq!(
-            base.result.rows(),
-            opt.result.rows(),
-            "{q}: chosen plan changed the rows"
-        );
-        assert!(
-            opt.stats.total_pulses <= base.stats.total_pulses,
-            "{q}: chosen plan measured dearer: {} > {}",
-            opt.stats.total_pulses,
-            base.stats.total_pulses
-        );
-        pulses_baseline += base.stats.total_pulses;
-        pulses_optimized += opt.stats.total_pulses;
-        sum.pulses(opt.stats.total_pulses);
-        t.rowd(&[
-            (*q).to_string(),
-            base.stats.total_pulses.to_string(),
-            opt.stats.total_pulses.to_string(),
-            (base.stats.total_pulses - opt.stats.total_pulses).to_string(),
-            choice
-                .rewrites
-                .iter()
-                .map(|r| format!("{} x{}", r.rule, r.sites))
-                .collect::<Vec<_>>()
-                .join(", "),
-            fmt_ns(choice.compile_ns as f64),
-        ]);
-    }
-    print!("{}", t.render());
-    assert!(
-        per_rule.len() >= 4,
-        "expected >= 4 distinct rules on the workload, got {per_rule:?}"
-    );
-    assert!(
-        pulses_optimized < pulses_baseline,
-        "optimizer saved nothing: {pulses_optimized} vs {pulses_baseline}"
-    );
-    println!(
-        "aggregate: {pulses_baseline} -> {pulses_optimized} pulses \
-         ({} saved, {:.1}%), {} distinct rules / {rewrite_hits} rewrite sites, \
-         {} total compile time",
-        pulses_baseline - pulses_optimized,
-        100.0 * (pulses_baseline - pulses_optimized) as f64 / pulses_baseline as f64,
-        per_rule.len(),
-        fmt_ns(compile_ns as f64)
-    );
-    extras.push(("pulses_baseline".to_string(), Extra::U64(pulses_baseline)));
-    extras.push(("pulses_optimized".to_string(), Extra::U64(pulses_optimized)));
-    extras.push((
-        "pulses_saved".to_string(),
-        Extra::U64(pulses_baseline - pulses_optimized),
-    ));
-    extras.push(("rewrite_hits".to_string(), Extra::U64(rewrite_hits)));
-    extras.push(("rules_fired".to_string(), Extra::U64(per_rule.len() as u64)));
-    extras.push(("plan_compile_ns".to_string(), Extra::U64(compile_ns)));
-    for (rule, sites) in &per_rule {
-        extras.push((
-            format!("rewrites_{}", rule.replace('-', "_")),
-            Extra::U64(*sites),
-        ));
-    }
-    (sum, extras)
-}
-
-/// `repro` O1 — observability: what a `PROFILE`d query costs next to the
-/// plain path (the `RESULT` frame must stay byte-identical), how long the
-/// shutdown trace merge takes with a 2-shard fan-out feeding it, and how
-/// much memory the flight recorder's retained profiles occupy.
-fn observability() -> (Summary, Vec<(String, Extra)>) {
-    use systolic_server::{spawn, Client, ServerConfig};
-    use systolic_telemetry::json::{self, Json};
-
-    let mut sum = Summary::default();
-    let mut extras: Vec<(String, Extra)> = Vec::new();
-
-    heading(
-        "O1",
-        "end-to-end query profiles",
-        "\u{a7}8: the analyzer's pulse budgets are sound upper bounds \u{2014} the \
-         profile lines them up against the machine's actual accounting on \
-         every served query, and the flight recorder keeps the recent ones",
-    );
-
-    let trace_path =
-        std::env::temp_dir().join(format!("sdb_bench_obs_{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&trace_path);
-    const HISTORY: usize = 64;
-    let handle = spawn(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        shards: 2,
-        trace_out: Some(trace_path.clone()),
-        profile_history: HISTORY,
-        ..ServerConfig::default()
-    })
-    .expect("bind a loopback server");
-    let mut client = Client::connect(handle.addr).unwrap();
-    let a_csv: String = (0..96).map(|i| format!("{}\n", i % 48)).collect();
-    let b_csv: String = (0..96).map(|i| format!("{}\n", (i * 3) % 64)).collect();
-    client.load_csv("a", "int", &a_csv).unwrap();
-    client.load_csv("b", "int", &b_csv).unwrap();
-
-    const QUERIES: &[&str] = &[
-        "intersect(scan(a), scan(b))",
-        "union(scan(a), scan(b))",
-        "difference(scan(a), scan(b))",
-        "dedup(scan(a))",
-    ];
-    const ROUNDS: usize = 32;
-
-    // Act 1: profile overhead. The same queries plain and PROFILE'd; every
-    // profiled RESULT frame must equal the plain one byte for byte, and
-    // the budget must bound the actual pulses on every single profile.
-    let baseline: Vec<String> = QUERIES
-        .iter()
-        .map(|q| client.raw_query_frames(q).unwrap().0)
-        .collect();
-    let started = Instant::now();
-    for _ in 0..ROUNDS {
-        for q in QUERIES {
-            sum.pulses += client.query(q).unwrap().total_pulses;
-            sum.queries += 1;
-        }
-    }
-    let plain_wall = started.elapsed().as_secs_f64().max(1e-9);
-    let started = Instant::now();
-    let mut min_drift = i64::MAX;
-    for _ in 0..ROUNDS {
-        for (i, q) in QUERIES.iter().enumerate() {
-            let (result, profile) = client.profile(q).unwrap();
-            assert_eq!(result.raw, baseline[i], "PROFILE changed the RESULT frame");
-            let doc = json::parse(&profile).expect("profile is one JSON line");
-            let budget = doc
-                .get("predicted")
-                .and_then(|p| p.get("pulse_budget"))
-                .and_then(Json::as_u64)
-                .unwrap();
-            let pulses = doc
-                .get("actual")
-                .and_then(|a| a.get("pulses"))
-                .and_then(Json::as_u64)
-                .unwrap();
-            assert!(
-                budget >= pulses,
-                "{q}: predicted budget {budget} < actual {pulses}"
-            );
-            assert_eq!(pulses, result.total_pulses, "profile vs RESULT pulses");
-            min_drift = min_drift.min(budget as i64 - pulses as i64);
-            sum.pulses += pulses;
-            sum.queries += 1;
-        }
-    }
-    let profile_wall = started.elapsed().as_secs_f64().max(1e-9);
-    let n = (ROUNDS * QUERIES.len()) as f64;
-    let overhead_ns = (profile_wall - plain_wall) * 1e9 / n;
-    let ratio = profile_wall / plain_wall;
-    let mut t = Table::new(&[
-        "path",
-        "queries",
-        "wall time",
-        "ns/query",
-        "overhead ns/query",
-    ]);
-    t.rowd(&[
-        "QUERY".into(),
-        format!("{}", n as u64),
-        format!("{:.1} ms", plain_wall * 1e3),
-        format!("{:.0}", plain_wall * 1e9 / n),
-        "-".into(),
-    ]);
-    t.rowd(&[
-        "PROFILE".into(),
-        format!("{}", n as u64),
-        format!("{:.1} ms", profile_wall * 1e3),
-        format!("{:.0}", profile_wall * 1e9 / n),
-        format!("{overhead_ns:.0}"),
-    ]);
-    print!("{}", t.render());
-    println!(
-        "(every PROFILE'd RESULT frame byte-identical to the plain path; \
-         worst drift: budget - actual = {min_drift} pulses, never negative)"
-    );
-    extras.push(("profile_overhead_ratio".to_string(), Extra::F64(ratio)));
-    extras.push((
-        "profile_plain_ns_per_query".to_string(),
-        Extra::F64(plain_wall * 1e9 / n),
-    ));
-    extras.push((
-        "profile_profiled_ns_per_query".to_string(),
-        Extra::F64(profile_wall * 1e9 / n),
-    ));
-
-    // Act 2: flight-recorder memory — the retained dump is exactly what
-    // `PROFILES` ships, so its JSON byte total is the recorder's live
-    // payload.
-    let dump = client.profiles().unwrap();
-    assert_eq!(dump.len(), HISTORY, "recorder full after {} queries", n);
-    let recorder_bytes: usize = dump.iter().map(String::len).sum();
-    println!(
-        "flight recorder: {} profiles retained, {} bytes ({} bytes/profile)",
-        dump.len(),
-        recorder_bytes,
-        recorder_bytes / dump.len().max(1)
-    );
-    extras.push((
-        "flight_recorder_profiles".to_string(),
-        Extra::U64(dump.len() as u64),
-    ));
-    extras.push((
-        "flight_recorder_bytes".to_string(),
-        Extra::U64(recorder_bytes as u64),
-    ));
-    client.close().unwrap();
-
-    // Act 3: the shutdown trace merge — collector drain + shard trailer
-    // dedup + Chrome render + write, timed as the shutdown's cost.
-    handle.shutdown();
-    let started = Instant::now();
-    handle.join().unwrap();
-    let merge_ns = started.elapsed().as_nanos() as u64;
-    let trace = std::fs::read_to_string(&trace_path).expect("shutdown wrote the trace");
-    let events = json::parse(&trace)
-        .expect("trace is valid JSON")
-        .get("traceEvents")
-        .and_then(Json::as_array)
-        .map_or(0, <[Json]>::len);
-    assert!(events > 0, "the merged trace has events");
-    println!(
-        "shutdown trace merge: {} events, {} bytes, {} to merge and write",
-        events,
-        trace.len(),
-        fmt_ns(merge_ns as f64)
-    );
-    extras.push(("trace_merge_ns".to_string(), Extra::U64(merge_ns)));
-    extras.push(("trace_events".to_string(), Extra::U64(events as u64)));
-    let _ = std::fs::remove_file(&trace_path);
     (sum, extras)
 }
 
@@ -2030,17 +1463,13 @@ fn run_exp_extras(
 }
 
 fn main() {
-    let mut serve_only = false;
     let mut sink = ArtifactSink::disabled();
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "serve-throughput" => serve_only = true,
             "--json" => {
                 let dir = match args.peek() {
-                    Some(d) if !d.starts_with('-') && d.as_str() != "serve-throughput" => {
-                        args.next().unwrap()
-                    }
+                    Some(d) if !d.starts_with('-') => args.next().unwrap(),
                     _ => "bench-artifacts".to_string(),
                 };
                 sink = match ArtifactSink::to_dir(&dir) {
@@ -2053,15 +1482,10 @@ fn main() {
             }
             other => {
                 eprintln!("unknown argument {other:?}");
-                eprintln!("usage: repro [serve-throughput] [--json [DIR]]");
+                eprintln!("usage: repro [--json [DIR]]");
                 std::process::exit(2);
             }
         }
-    }
-    if serve_only {
-        run_exp_extras(&mut sink, "serve_throughput", serve_throughput);
-        finish(&sink);
-        return;
     }
     println!(
         "# Systolic (VLSI) Arrays for Relational Database Operations — experiment reproduction"
@@ -2091,18 +1515,8 @@ fn main() {
     run_exp(&mut sink, "e19_pipelined_tiles", e19_pipelined_tiles);
     run_exp_extras(&mut sink, "e21_backend_speedup", e21_backend_speedup);
     run_exp_extras(&mut sink, "e22_columnar", e22_columnar);
-    run_exp_extras(&mut sink, "durability", durability);
-    run_exp_extras(&mut sink, "observability", observability);
-    run_exp_extras(&mut sink, "optimizer", optimizer);
-    if sink.enabled() {
-        // `--json` covers every workload, the server one included.
-        run_exp_extras(&mut sink, "serve_throughput", serve_throughput);
-    }
+    run_exp_extras(&mut sink, "e20_telemetry", e20_telemetry);
     println!("\nAll experiments complete.");
-    finish(&sink);
-}
-
-fn finish(sink: &ArtifactSink) {
     if sink.enabled() {
         println!("wrote {} JSON artifacts:", sink.written.len());
         for path in &sink.written {

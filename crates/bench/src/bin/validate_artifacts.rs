@@ -27,9 +27,9 @@ const SCHEMA: &[(&str, bool)] = &[
     ("queries_per_sec", false),
 ];
 
-/// Optional keys the backend experiments (`e21`, `e22`) append. `e21`:
-/// aggregate wall time per backend and `speedup = sim / columnar`, with
-/// per-operator wall times under the `sim_ns_<op>` / `columnar_ns_<op>`
+/// Optional keys the host-time experiments (`e20`, `e21`, `e22`) append.
+/// `e21`: aggregate wall time per backend and `speedup = sim / columnar`,
+/// with per-operator wall times under the `sim_ns_<op>` / `columnar_ns_<op>`
 /// prefixes.
 const OPTIONAL: &[(&str, bool)] = &[
     ("sim_wall_ns", true),
@@ -42,50 +42,17 @@ const OPTIONAL: &[(&str, bool)] = &[
     ("pipelined_accounting_share", false),
     ("ingest_row_mb_per_sec", false),
     ("ingest_columnar_mb_per_sec", false),
-    // serve_throughput: shard count behind the poll(2) reactor and the
-    // pipelined queries/sec points at each connection count.
-    ("poll_shards", true),
-    ("poll_conns_64_qps", false),
-    ("poll_conns_256_qps", false),
-    ("poll_conns_1024_qps", false),
-    // durability: fsynced WAL append throughput, crash-recovery time at
-    // each measured log length, and buffer-pool hit rates per session
-    // count.
-    ("wal_append_records_per_sec", false),
-    ("wal_append_bytes_per_sec", false),
-    ("recovery_100_ns", true),
-    ("recovery_400_ns", true),
-    ("recovery_1600_ns", true),
-    ("pool_hit_rate_1_sessions", false),
-    ("pool_hit_rate_4_sessions", false),
-    ("pool_hit_rate_16_sessions", false),
-    // observability: the PROFILE path's cost next to the plain path, the
-    // shutdown trace merge, and the flight recorder's retained payload.
-    ("profile_overhead_ratio", false),
-    ("profile_plain_ns_per_query", false),
-    ("profile_profiled_ns_per_query", false),
-    ("flight_recorder_profiles", true),
-    ("flight_recorder_bytes", true),
-    ("trace_merge_ns", true),
-    ("trace_events", true),
-    // optimizer: the plan compiler's aggregate pulse accounting over the
-    // workload, rewrite activity, and host-side compile time. Per-rule hit
-    // counts use the `rewrites_<rule>` prefix.
-    ("pulses_baseline", true),
-    ("pulses_optimized", true),
-    ("pulses_saved", true),
-    ("rewrite_hits", true),
-    ("rules_fired", true),
-    ("plan_compile_ns", true),
+    // e20_telemetry: ns per span open + drop with no collector installed
+    // and with one recording.
+    ("disabled_span_ns", false),
+    ("enabled_span_ns", false),
 ];
 
-/// Whether `key` is an allowed optional per-operator wall-time field or a
-/// per-rule rewrite hit count.
+/// Whether `key` is an allowed optional per-operator wall-time field.
 fn per_op_key(key: &str) -> bool {
     key.strip_prefix("sim_ns_")
         .or_else(|| key.strip_prefix("columnar_ns_"))
         .or_else(|| key.strip_prefix("pipelined_ns_"))
-        .or_else(|| key.strip_prefix("rewrites_"))
         .is_some_and(|op| !op.is_empty() && op.chars().all(|c| c.is_ascii_lowercase() || c == '_'))
 }
 
@@ -182,17 +149,6 @@ fn check_file(path: &Path) -> Result<(), Vec<String>> {
             errs.push(format!(
                 "queries_per_sec {qps} is not a finite non-negative number"
             ));
-        }
-    }
-    for (key, value) in fields {
-        if let Some(rate) = key
-            .starts_with("pool_hit_rate_")
-            .then(|| value.as_f64())
-            .flatten()
-        {
-            if !(0.0..=1.0).contains(&rate) {
-                errs.push(format!("{key:?} {rate} outside [0, 1]"));
-            }
         }
     }
     if let (Some(sim), Some(columnar), Some(speedup)) = (

@@ -140,6 +140,10 @@ fn claim_8_utilisation_and_fixed_operand() {
     );
     // The fixed array halves the hardware too.
     assert!(fixed.stats.cells < marching.stats.cells);
+    // Both schedules run to their closed forms: 4n - 1 pulses marching
+    // (tuples two pulses apart), 2n + 1 with B resident.
+    assert_eq!(marching.stats.pulses, 4 * 48 - 1);
+    assert_eq!(fixed.stats.pulses, 2 * 48 + 1);
 }
 
 /// §8: the analytic model's headline numbers, exactly as printed in the
@@ -213,19 +217,49 @@ fn claim_9_throughput() {
 }
 
 /// §9: concurrency through the crossbar (measured by the machine tests in
-/// detail; here the headline assertion on the default machine).
+/// detail; here the headline assertion on the default machine, and the
+/// overlap a batch gets from one and from two set-operation devices).
 #[test]
 fn claim_9_concurrency() {
-    use systolic_db::machine::{Expr, System};
-    let rel = |r: std::ops::Range<i64>| MultiRelation::new(synth_schema(2), seq(r, 2)).unwrap();
-    let mut sys = System::default_machine();
-    sys.load_base("a", rel(0..64));
-    sys.load_base("b", rel(32..96));
-    sys.load_base("c", rel(200..264));
-    sys.load_base("d", rel(232..296));
+    use systolic_db::arrays::ArrayLimits;
+    use systolic_db::machine::{DeviceKind, Expr, MachineConfig, System};
+    let loaded = |mut sys: System| {
+        for (name, r) in [
+            ("a", 0..64),
+            ("b", 32..96),
+            ("c", 200..264),
+            ("d", 232..296),
+        ] {
+            sys.load_base(
+                name,
+                MultiRelation::new(synth_schema(2), seq(r, 2)).unwrap(),
+            );
+        }
+        sys
+    };
     let expr = Expr::scan("a")
         .intersect(Expr::scan("b"))
         .union(Expr::scan("c").intersect(Expr::scan("d")));
-    let out = sys.run(&expr).unwrap();
+    let out = loaded(System::default_machine()).run(&expr).unwrap();
     assert!(out.stats.max_device_concurrency >= 2);
+    let batch = [
+        Expr::scan("a").intersect(Expr::scan("b")),
+        Expr::scan("c").intersect(Expr::scan("d")),
+    ];
+    for setops in [1usize, 2] {
+        let limits = ArrayLimits::new(32, 32, 8);
+        let mut devices = vec![(DeviceKind::SetOp, limits); setops];
+        devices.push((DeviceKind::Join, limits));
+        let config = MachineConfig {
+            devices,
+            ..MachineConfig::default()
+        };
+        let (_, outcome) = loaded(System::new(config).unwrap())
+            .run_batch(&batch)
+            .unwrap();
+        assert_eq!(
+            outcome.stats.max_device_concurrency, setops,
+            "{setops} set-op devices"
+        );
+    }
 }

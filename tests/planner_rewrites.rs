@@ -4,7 +4,8 @@
 //! machines. The contract per rule:
 //!
 //! * the rule actually fired (its id appears in the rewrite log);
-//! * the chosen plan's §8 pulse budget never exceeds the baseline's;
+//! * the chosen plan's §8 pulse budget never exceeds the baseline's, and
+//!   neither do its measured pulses on the simulator;
 //! * the results are byte-identical — same schema, same rows, in order —
 //!   on the pulse simulator;
 //! * the chosen plan is also byte-identical across backends (sim vs the
@@ -85,7 +86,8 @@ fn pred(col: usize, op: CompareOp, value: i64) -> Predicate {
 }
 
 /// Optimize `expr`, require `rule` among the accepted rewrites, and prove
-/// the chosen plan result-identical to the original on both backends.
+/// the chosen plan result-identical to the original on both backends and
+/// no dearer in measured pulses.
 fn prove_rule(expr: Expr, rule: &str) {
     let choice = planner::optimize(&expr, &view(), &MachineConfig::default())
         .unwrap_or_else(|d| panic!("{expr:?} must analyze, got {d:?}"));
@@ -116,6 +118,12 @@ fn prove_rule(expr: Expr, rule: &str) {
         opt.result.rows(),
         "rewrite changed the rows for {expr:?} -> {:?}",
         choice.expr
+    );
+    assert!(
+        opt.stats.total_pulses <= base.stats.total_pulses,
+        "chosen plan measured dearer ({} > {}) for {expr:?}",
+        opt.stats.total_pulses,
+        base.stats.total_pulses
     );
     let columnar = fresh_system(Backend::Columnar).run(&choice.expr).unwrap();
     assert_eq!(
