@@ -61,6 +61,8 @@ accept 'join(scan(emp), scan(dept), 1 = 0)'
 accept 'filter(scan(emp), c1 >= 20)'
 accept 'divide(scan(takes), scan(core), 0, 1, 0)'
 accept 'store(dedup(union(scan(a), scan(b))), merged)'
+# A theta join keeps both operands' columns, so c1 is b's column.
+accept 'project(join(scan(a), scan(b), 0 < 0), [1])'
 
 "$SDB" check "${TABLES[@]}" --json 'scan(emp)' > "$WORK/json.txt"
 grep -q '"accepted": true' "$WORK/json.txt" \
@@ -122,4 +124,4 @@ grep -q '"accepted": false' "$WORK/jerr.txt" \
 grep -q '"code": "SA007"' "$WORK/jerr.txt" \
   || { echo "FAIL: JSON rejection code missing"; cat "$WORK/jerr.txt"; exit 1; }
 
-echo "sdb check examples passed: 5 accepted, 4 golden plans, 8 rejection classes verified"
+echo "sdb check examples passed: 6 accepted, 4 golden plans, 8 rejection classes verified"

@@ -33,13 +33,14 @@
 //!    read/write hazards in a merged §9 admission schedule.
 //!
 //! An accepted plan comes back as a typed [`Analysis`] — inferred schema
-//! and worst-case cardinality per node, plus predicted tile counts and a
-//! pulse budget from the `perfmodel` arithmetic. The capacity bound is
-//! sound in both directions for solo runs: an accepted plan cannot
-//! overflow machine memory (nothing is freed mid-run, and the total bound
-//! fits one module, so every module always has room), and any run that
-//! would overflow was flagged. The soundness harness in the workspace
-//! test-suite property-checks exactly this.
+//! and worst-case cardinality per node, plus the array runs and pulses the
+//! machine's own pricing ([`systolic_machine::price_op`]) charges within
+//! those bounds: exact when the bounds are, an upper bound otherwise. The
+//! capacity bound is sound in both directions for solo runs: an accepted
+//! plan cannot overflow machine memory (nothing is freed mid-run, and the
+//! total bound fits one module, so every module always has room), and any
+//! run that would overflow was flagged. The soundness harness in the
+//! workspace test-suite property-checks both bounds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,8 +55,7 @@ use diag::json_str;
 use systolic_core::select::Predicate;
 use systolic_core::{ArrayLimits, JoinSpec};
 use systolic_fabric::CompareOp;
-use systolic_machine::{DeviceKind, Expr, MachineConfig};
-use systolic_perfmodel::marching_pulses;
+use systolic_machine::{price_op, price_op_max, DeviceKind, Expr, MachineConfig, PlanOp};
 use systolic_relation::{DomainId, DomainKind};
 
 /// One inferred column: its underlying domain identity (what
@@ -124,32 +124,15 @@ impl CatalogView {
     }
 }
 
-/// The outcome of proving §8 tile coverage for one operator on one device.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TilingProof {
-    /// Tiles along the `A` axis.
-    pub tiles_a: u64,
-    /// Tiles along the `B` axis.
-    pub tiles_b: u64,
-    /// Column groups (width tiles).
-    pub col_groups: u64,
-    /// Total tile count (`tiles_a * tiles_b * col_groups`).
-    pub tiles: u64,
-}
-
 /// Prove, algebraically, that the §8 decomposition covers the full
 /// `n_a × n_b × m` problem exactly once on an array bounded by `limits` —
 /// the same `(0..n).step_by(limit)` arithmetic `t_matrix_tiled` and
 /// `t_matrix_tiled_pipelined` execute, checked without running them.
 /// Degenerate limits (a zero bound, representable because [`ArrayLimits`]
 /// fields are public and bypass `ArrayLimits::new`'s assertion) fail here
-/// instead of panicking inside the runtime's `step_by(0)`.
-pub fn prove_tiling(
-    n_a: u64,
-    n_b: u64,
-    m: u64,
-    limits: ArrayLimits,
-) -> Result<TilingProof, String> {
+/// instead of panicking inside the runtime's `step_by(0)`. (How many tiles
+/// run is the machine's to price: `ExecStats::array_runs`.)
+pub fn prove_tiling(n_a: u64, n_b: u64, m: u64, limits: ArrayLimits) -> Result<(), String> {
     for (axis, bound) in [
         ("max_a", limits.max_a),
         ("max_b", limits.max_b),
@@ -165,25 +148,18 @@ pub fn prove_tiling(
     if m == 0 {
         return Err("tuple width 0: there is no comparison column to cover".into());
     }
-    let tiles_a = axis_cover(n_a, limits.max_a as u64, "A")?;
-    let tiles_b = axis_cover(n_b, limits.max_b as u64, "B")?;
-    let col_groups = axis_cover(m, limits.max_cols as u64, "columns")?;
-    let tiles = tiles_a.saturating_mul(tiles_b).saturating_mul(col_groups);
-    Ok(TilingProof {
-        tiles_a,
-        tiles_b,
-        col_groups,
-        tiles,
-    })
+    axis_cover(n_a, limits.max_a as u64, "A")?;
+    axis_cover(n_b, limits.max_b as u64, "B")?;
+    axis_cover(m, limits.max_cols as u64, "columns")
 }
 
 /// Coverage proof along one axis: tile `k` spans
 /// `[k*step, min((k+1)*step, n))`, so the tiles are pairwise disjoint and
 /// contiguous by construction; exact cover of `[0, n)` then reduces to the
-/// last tile being non-empty and reaching `n`. Returns the tile count.
-fn axis_cover(n: u64, step: u64, axis: &str) -> Result<u64, String> {
+/// last tile being non-empty and reaching `n`.
+fn axis_cover(n: u64, step: u64, axis: &str) -> Result<(), String> {
     if n == 0 {
-        return Ok(0);
+        return Ok(());
     }
     let tiles = n.div_ceil(step);
     let last_start = (tiles - 1).saturating_mul(step);
@@ -192,7 +168,7 @@ fn axis_cover(n: u64, step: u64, axis: &str) -> Result<u64, String> {
             "axis {axis}: {tiles} tiles of width {step} do not cover [0, {n})"
         ));
     }
-    Ok(tiles)
+    Ok(())
 }
 
 /// Inferred facts about one expression node, in pre-order.
@@ -206,11 +182,13 @@ pub struct NodeReport {
     pub columns: Vec<ColumnInfo>,
     /// Worst-case output cardinality (rows).
     pub rows_bound: u64,
-    /// Predicted §8 tile count on the first eligible device (0 for
-    /// loads/stores).
+    /// Predicted array runs (§8 tiles), priced like
+    /// [`NodeReport::pulse_budget`] (0 for loads/stores).
     pub tiles: u64,
-    /// Predicted pulse budget (`tiles × marching pulses per tile`, an
-    /// upper-estimate; 0 for loads/stores).
+    /// Predicted pulses: the machine's price for the node on the eligible
+    /// device that charges most — at its inputs' rows when they are
+    /// unfiltered scans, else the most any rows within the bounds cost
+    /// ([`systolic_machine::price_op_max`]); 0 for loads/stores.
     pub pulse_budget: u64,
 }
 
@@ -222,9 +200,11 @@ pub struct Analysis {
     /// Sound upper bound on bytes staged in machine memory over the whole
     /// run (every load and operator output, worst case).
     pub staged_bytes_bound: u64,
-    /// Total predicted tile count across operator nodes.
+    /// Total predicted array runs across operator nodes.
     pub tiles: u64,
-    /// Total predicted pulse budget across operator nodes.
+    /// Total predicted pulses across operator nodes: a sound bound on what
+    /// the machine charges, and exactly that when the row bounds are exact,
+    /// the plan has no division and each device kind has one `ArrayLimits`.
     pub pulse_budget: u64,
 }
 
@@ -322,8 +302,25 @@ struct Walker<'a> {
     /// Store targets with their node spans, in source order.
     stores: Vec<(String, Option<(usize, usize)>)>,
     op_bytes: u64,
-    tiles: u64,
-    pulses: u64,
+    /// Operator nodes to price once the plan is accepted.
+    ops: Vec<PendingOp>,
+}
+
+/// An operator node awaiting its price.
+struct PendingOp {
+    /// Pre-order node index.
+    node: usize,
+    /// The machine operator the node compiles to.
+    op: PlanOp,
+    /// Its inputs' `(rows bound, arity)`, in `Device::execute` order.
+    shapes: Vec<(usize, usize)>,
+    /// Whether every input delivers exactly its bound.
+    exact: bool,
+}
+
+/// Whether `expr` delivers exactly its row bound: an unfiltered scan.
+fn exact_rows(expr: &Expr) -> bool {
+    matches!(expr, Expr::Scan { filter: None, .. })
 }
 
 impl Walker<'_> {
@@ -382,40 +379,22 @@ impl Walker<'_> {
         }
     }
 
-    /// Device eligibility + §8 tiling proof + tile/pulse prediction for one
-    /// operator node.
-    fn device_check(
+    /// Device eligibility and the §8 tiling proof of one `(n_a, n_b, m)`
+    /// pass: coverage must hold on *every* device of `kind` the scheduler
+    /// might pick.
+    fn prove(
         &mut self,
-        node: usize,
         kind: DeviceKind,
-        n_a: u64,
-        n_b: u64,
-        m: u64,
+        (n_a, n_b, m): (u64, u64, u64),
         span: Option<(usize, usize)>,
     ) {
-        let eligible: Vec<ArrayLimits> = self
-            .machine
-            .devices
-            .iter()
-            .filter(|(k, _)| *k == kind)
-            .map(|&(_, limits)| limits)
-            .collect();
-        if eligible.is_empty() {
-            self.diag(
-                Code::CapacityExceeded,
-                format!("no {kind:?} device is configured, so this operator cannot be placed"),
-                span,
-            );
-            return;
-        }
-        // Coverage must hold on *every* device the scheduler might pick.
         let mut checked: Vec<ArrayLimits> = Vec::new();
-        for limits in &eligible {
-            if checked.contains(limits) {
+        for &(k, limits) in &self.machine.devices {
+            if k != kind || checked.contains(&limits) {
                 continue;
             }
-            checked.push(*limits);
-            if let Err(why) = prove_tiling(n_a, n_b, m, *limits) {
+            checked.push(limits);
+            if let Err(why) = prove_tiling(n_a, n_b, m, limits) {
                 self.diag(
                     Code::TilingUncovered,
                     format!(
@@ -426,26 +405,35 @@ impl Walker<'_> {
                 );
             }
         }
-        // Prediction from the first eligible device (the execute pass uses
-        // the first eligible device's limits too).
-        if let Ok(proof) = prove_tiling(n_a, n_b, m, eligible[0]) {
-            let pulses = if proof.tiles == 0 {
-                0
-            } else {
-                let tile_a = n_a.min(eligible[0].max_a as u64).max(1);
-                let tile_b = n_b.min(eligible[0].max_b as u64).max(1);
-                let tile_m = m.min(eligible[0].max_cols as u64).max(1);
-                proof
-                    .tiles
-                    .saturating_mul(marching_pulses(tile_a, tile_b, tile_m))
-            };
-            // Accumulate: an operator that runs several device passes
-            // (division's dedup pre-pass, §7) calls this once per pass.
-            self.nodes[node].tiles = self.nodes[node].tiles.saturating_add(proof.tiles);
-            self.nodes[node].pulse_budget = self.nodes[node].pulse_budget.saturating_add(pulses);
-            self.tiles = self.tiles.saturating_add(proof.tiles);
-            self.pulses = self.pulses.saturating_add(pulses);
+        if checked.is_empty() {
+            self.diag(
+                Code::CapacityExceeded,
+                format!("no {kind:?} device is configured, so this operator cannot be placed"),
+                span,
+            );
         }
+    }
+
+    /// [`Walker::prove`] `op`'s device pass, and queue the node for pricing
+    /// over its inputs' `(rows bound, arity)`.
+    fn device_check(
+        &mut self,
+        node: usize,
+        op: PlanOp,
+        pass: (u64, u64, u64),
+        inputs: &[(u64, usize)],
+        exact: bool,
+        span: Option<(usize, usize)>,
+    ) {
+        self.prove(DeviceKind::of(&op), pass, span);
+        let rows = |r: u64| usize::try_from(r).unwrap_or(usize::MAX);
+        let shapes = inputs.iter().map(|&(r, a)| (rows(r), a)).collect();
+        self.ops.push(PendingOp {
+            node,
+            op,
+            shapes,
+            exact,
+        });
     }
 
     /// Record a staged operator output in the capacity bound.
@@ -535,27 +523,28 @@ impl Walker<'_> {
                         }
                     }
                 }
-                let rows = if matches!(expr, Expr::Union(..)) {
-                    lr.saturating_add(rr)
-                } else {
-                    lr
-                };
+                let m = lc.len();
                 // Union runs as remove-duplicates over the *concatenation*
-                // (§5), so both the tiling proof and the pulse budget must
-                // cover an (|A|+|B|) × (|A|+|B|) pass — budgeting the raw
-                // (|A|, |B|) shape would under-predict the device's work.
-                if matches!(expr, Expr::Union(..)) {
-                    self.device_check(node, DeviceKind::SetOp, rows, rows, lc.len() as u64, span);
-                } else {
-                    self.device_check(node, DeviceKind::SetOp, lr, rr, lc.len() as u64, span);
-                }
-                self.stage_op_output(rows, lc.len());
+                // (§5), so its tiling proof covers an (|A|+|B|) × (|A|+|B|)
+                // pass.
+                let sum = lr.saturating_add(rr);
+                let (op, rows, pass) = match expr {
+                    Expr::Union(..) => (PlanOp::Union, sum, (sum, sum, m as u64)),
+                    Expr::Intersect(..) => (PlanOp::Intersect, lr, (lr, rr, m as u64)),
+                    _ => (PlanOp::Difference, lr, (lr, rr, m as u64)),
+                };
+                let exact = exact_rows(l) && exact_rows(r);
+                self.device_check(node, op, pass, &[(lr, m), (rr, m)], exact, span);
+                self.stage_op_output(rows, m);
                 Some((lc, rows))
             }
             Expr::Dedup(inner) => {
                 let (cols, rows) = self.walk(inner)?;
-                self.device_check(node, DeviceKind::SetOp, rows, rows, cols.len() as u64, span);
-                self.stage_op_output(rows, cols.len());
+                let m = cols.len();
+                let pass = (rows, rows, m as u64);
+                let exact = exact_rows(inner);
+                self.device_check(node, PlanOp::Dedup, pass, &[(rows, m)], exact, span);
+                self.stage_op_output(rows, m);
                 Some((cols, rows))
             }
             Expr::Project(inner, indices) => {
@@ -582,14 +571,10 @@ impl Walker<'_> {
                         ),
                     }
                 }
-                self.device_check(
-                    node,
-                    DeviceKind::SetOp,
-                    rows,
-                    rows,
-                    indices.len() as u64,
-                    span,
-                );
+                let pass = (rows, rows, indices.len() as u64);
+                let op = PlanOp::Project(indices.clone());
+                let exact = exact_rows(inner);
+                self.device_check(node, op, pass, &[(rows, cols.len())], exact, span);
                 self.stage_op_output(rows, indices.len());
                 Some((out, rows))
             }
@@ -605,8 +590,12 @@ impl Walker<'_> {
                 for Predicate { col, op, value } in predicates {
                     self.check_predicate(&cols, *col, *op, *value, span, "predicate");
                 }
-                self.device_check(node, DeviceKind::SetOp, rows, 1, cols.len() as u64, span);
-                self.stage_op_output(rows, cols.len());
+                let m = cols.len();
+                let pass = (rows, 1, m as u64);
+                let op = PlanOp::Select(predicates.clone());
+                let exact = exact_rows(inner);
+                self.device_check(node, op, pass, &[(rows, m)], exact, span);
+                self.stage_op_output(rows, m);
                 Some((cols, rows))
             }
             Expr::Join(l, r, specs) => {
@@ -666,23 +655,21 @@ impl Walker<'_> {
                         }
                     }
                 }
-                // §6.1: A's columns, then B's columns that are not join
-                // columns.
+                // §6.1: A's columns, then B's; a pure equi-join drops B's
+                // join columns, a theta join keeps them (`JoinArray::assemble`).
+                let equi = specs.iter().all(|s| s.op == CompareOp::Eq);
                 let mut out = lc.clone();
                 for (k, col) in rc.iter().enumerate() {
-                    if !specs.iter().any(|s| s.col_b == k) {
+                    if !equi || !specs.iter().any(|s| s.col_b == k) {
                         out.push(*col);
                     }
                 }
                 let rows = lr.saturating_mul(rr);
-                self.device_check(
-                    node,
-                    DeviceKind::Join,
-                    lr,
-                    rr,
-                    specs.len().max(1) as u64,
-                    span,
-                );
+                let pass = (lr, rr, specs.len().max(1) as u64);
+                let inputs = [(lr, lc.len()), (rr, rc.len())];
+                let op = PlanOp::Join(specs.clone());
+                let exact = exact_rows(l) && exact_rows(r);
+                self.device_check(node, op, pass, &inputs, exact, span);
                 self.stage_op_output(rows, out.len());
                 Some((out, rows))
             }
@@ -739,9 +726,16 @@ impl Walker<'_> {
                 let out = vec![*dc.get(*key)?];
                 // Division first identifies the distinct dividend keys with
                 // the remove-duplicates array (§7), then streams the pairs
-                // through the division array: budget both passes.
-                self.device_check(node, DeviceKind::SetOp, dr, dr, 1, span);
-                self.device_check(node, DeviceKind::Divide, dr, vr, 1, span);
+                // through the division array: prove both passes.
+                self.prove(DeviceKind::SetOp, (dr, dr, 1), span);
+                let op = PlanOp::DivideBinary {
+                    key: *key,
+                    ca: *ca,
+                    cb: *cb,
+                };
+                let inputs = [(dr, dc.len()), (vr, vc.len())];
+                let exact = exact_rows(dividend) && exact_rows(divisor);
+                self.device_check(node, op, (dr, vr, 1), &inputs, exact, span);
                 self.stage_op_output(dr, 1);
                 Some((out, dr))
             }
@@ -835,8 +829,7 @@ pub fn analyze(
         scanned: Vec::new(),
         stores: Vec::new(),
         op_bytes: 0,
-        tiles: 0,
-        pulses: 0,
+        ops: Vec::new(),
     };
     w.walk(expr);
     w.check_stores();
@@ -864,12 +857,48 @@ pub fn analyze(
     if !w.diags.is_empty() {
         return Err(w.diags);
     }
+    // Priced only once accepted: every bound then fits machine memory.
+    let mut nodes = w.nodes;
+    let (mut tiles, mut pulses) = (0u64, 0u64);
+    for pending in &w.ops {
+        let (runs, cost) = price_node(machine, pending);
+        nodes[pending.node].tiles = runs;
+        nodes[pending.node].pulse_budget = cost;
+        tiles = tiles.saturating_add(runs);
+        pulses = pulses.saturating_add(cost);
+    }
     Ok(Analysis {
-        nodes: w.nodes,
+        nodes,
         staged_bytes_bound: staged,
-        tiles: w.tiles,
-        pulse_budget: w.pulses,
+        tiles,
+        pulse_budget: pulses,
     })
+}
+
+/// The machine's price for one operator node, as `(array runs, pulses)`:
+/// [`price_op`] at exact inputs, else [`price_op_max`] at the bounds, on
+/// every eligible device and maxed, since the clock history may give the
+/// step to any of them.
+fn price_node(machine: &MachineConfig, pending: &PendingOp) -> (u64, u64) {
+    let PendingOp {
+        op, shapes, exact, ..
+    } = pending;
+    let kind = DeviceKind::of(op);
+    machine
+        .devices
+        .iter()
+        .filter(|(k, _)| *k == kind)
+        .map(|&(_, limits)| {
+            if *exact {
+                let s = price_op(op, limits, shapes);
+                (s.array_runs, s.pulses)
+            } else {
+                price_op_max(op, limits, shapes)
+            }
+        })
+        .fold((0, 0), |(runs, pulses), (r, p)| {
+            (runs.max(r), pulses.max(p))
+        })
 }
 
 /// Map every `Plan` step (in `Plan::compile` order) to the pre-order
@@ -1105,6 +1134,30 @@ mod tests {
     }
 
     #[test]
+    fn theta_joins_keep_the_right_join_columns() {
+        let int = ColumnInfo {
+            domain: DomainId(0),
+            kind: DomainKind::Int,
+        };
+        let mut v = CatalogView::new();
+        v.add_table("x", vec![int, int], 3);
+        v.add_table("y", vec![int, int], 2);
+        let run = |src: &str| {
+            let (expr, spans) = parse_spanned(src).unwrap();
+            analyze(&expr, &v, &MachineConfig::default(), &spans)
+        };
+        // As the runtime assembles it, a theta join keeps all four columns,
+        // so c3 is y's c1.
+        let a = run("project(join(scan(x), scan(y), 0 < 0), [3])").unwrap();
+        assert_eq!(a.nodes[1].columns.len(), 4);
+        // Words staged: loads 6 + 4, join 6 rows x 4, projection 6 x 1.
+        assert_eq!(a.staged_bytes_bound, (6 + 4 + 24 + 6) * 4);
+        // A pure equi-join drops y's join column.
+        let a = run("join(scan(x), scan(y), 0 = 0)").unwrap();
+        assert_eq!(a.nodes[0].columns.len(), 3);
+    }
+
+    #[test]
     fn sa001_union_incompatibility() {
         // (str, int) vs (int, str): both column positions are reported.
         assert_eq!(
@@ -1194,19 +1247,15 @@ mod tests {
     }
 
     #[test]
-    fn tiling_proof_matches_the_runtime_arithmetic() {
-        // 13 x 9 rows, 3 columns on a (4, 4, 2) array: the runtime loops
-        // ceil(13/4) x ceil(9/4) x ceil(3/2) tiles.
-        let proof = prove_tiling(13, 9, 3, ArrayLimits::new(4, 4, 2)).unwrap();
-        assert_eq!((proof.tiles_a, proof.tiles_b, proof.col_groups), (4, 3, 2));
-        assert_eq!(proof.tiles, 24);
-        // Empty axes cover trivially with zero tiles.
-        assert_eq!(
-            prove_tiling(0, 5, 2, ArrayLimits::new(4, 4, 2))
-                .unwrap()
-                .tiles,
-            0
-        );
+    fn tiling_proof_covers_the_tiles_the_machine_runs() {
+        // 13 x 9 rows, 3 columns on a (4, 4, 2) array: the machine runs
+        // ceil(13/4) x ceil(9/4) x ceil(3/2) tiles, and the proof covers them.
+        let limits = ArrayLimits::new(4, 4, 2);
+        prove_tiling(13, 9, 3, limits).unwrap();
+        let op = PlanOp::Join(vec![JoinSpec::eq(0, 0); 3]);
+        assert_eq!(price_op(&op, limits, &[(13, 3), (9, 3)]).array_runs, 24);
+        // Empty axes cover trivially.
+        assert!(prove_tiling(0, 5, 2, limits).is_ok());
         // Degenerate limits are rejected, not looped on.
         assert!(prove_tiling(
             4,

@@ -68,10 +68,10 @@ fn kernel_membership_stats(exec: Execution, n_a: usize, n_b: usize, m: usize) ->
 /// Analytic [`ExecStats`] for [`intersect`]/[`difference`] on inputs of
 /// `n_a`/`n_b` rows and arity `m`, **without the data**. Every operator
 /// below charges hardware cost as a pure function of input shape (the
-/// data-dependent exception is division, which has no price function), so
-/// a scheduler that knows only cardinalities can reproduce the exact
-/// [`ExecStats`] an actual run would produce — including the empty-input
-/// short-circuits, which charge nothing.
+/// data-dependent exception is division, which is only bounded, by
+/// [`price_divide_bound`]), so a scheduler that knows only cardinalities
+/// can reproduce the exact [`ExecStats`] an actual run would produce —
+/// including the empty-input short-circuits, which charge nothing.
 pub fn price_membership(exec: Execution, n_a: usize, n_b: usize, m: usize) -> ExecStats {
     if n_a == 0 || n_b == 0 {
         return ExecStats::default();
@@ -123,6 +123,21 @@ pub fn price_join(exec: Execution, n_a: usize, n_b: usize, n_specs: usize) -> Ex
             kernel::tiled_stats(n_a, n_b, n_specs, limits)
         }
     }
+}
+
+/// An upper bound on [`divide_binary`]'s [`ExecStats`] over `n` dividend
+/// and `nd` divisor rows. Division is the one operator whose cost depends
+/// on the data: its key dedup finds `k` distinct keys and its §7 pass sees
+/// `hits` matching pairs. Both passes are priced by the closed forms a run
+/// charges, at `k = hits = n`, so the pulses exceed the run's by exactly
+/// `n - k`.
+pub fn price_divide_bound(exec: Execution, n: usize, nd: usize) -> ExecStats {
+    if n == 0 {
+        return ExecStats::default();
+    }
+    let mut stats = price_dedup(exec, n, 1);
+    stats.merge_sequential(&kernel::division_stats(n, n, nd, n));
+    stats
 }
 
 fn membership(
@@ -996,6 +1011,31 @@ mod tests {
         assert_eq!(price_select(a.len(), 1), got, "select");
         let got = select(&empty, &preds, Execution::Marching).unwrap().1;
         assert_eq!(price_select(0, 1), got, "empty select");
+    }
+
+    #[test]
+    fn division_bound_is_exact_on_distinct_hitting_keys_and_over_by_repeats() {
+        let divisor = multi(1, &[&[10], &[11]]);
+        // Six distinct keys, every pair hits the divisor: the bound is the run.
+        let distinct: Vec<Vec<Elem>> = (0..6).map(|k| vec![k, 10 + k % 2]).collect();
+        let distinct = MultiRelation::new(synth_schema(2), distinct).unwrap();
+        // Nine pairs over three keys, some missing the divisor.
+        let repeated: Vec<Vec<Elem>> = (0..9).map(|p| vec![p % 3, 9 + p % 4]).collect();
+        let repeated = MultiRelation::new(synth_schema(2), repeated).unwrap();
+        for exec in EXECS {
+            let run = divide_binary(&distinct, 0, 1, &divisor, 0, exec).unwrap().1;
+            assert_eq!(price_divide_bound(exec, 6, 2), run, "{exec:?}");
+            let run = divide_binary(&repeated, 0, 1, &divisor, 0, exec).unwrap().1;
+            let bound = price_divide_bound(exec, 9, 2);
+            assert_eq!(bound.pulses - run.pulses, 9 - 3, "{exec:?} pulses");
+            assert_eq!(bound.array_runs, run.array_runs, "{exec:?} runs");
+            assert!(bound.busy_cell_pulses >= run.busy_cell_pulses, "{exec:?}");
+            assert!(bound.total_cell_pulses >= run.total_cell_pulses, "{exec:?}");
+        }
+        assert_eq!(
+            price_divide_bound(Execution::Marching, 0, 2),
+            ExecStats::default()
+        );
     }
 
     #[test]

@@ -28,6 +28,70 @@ pub enum DeviceKind {
     Divide,
 }
 
+impl DeviceKind {
+    /// The device family that runs `op`.
+    pub fn of(op: &PlanOp) -> DeviceKind {
+        match op {
+            PlanOp::Intersect
+            | PlanOp::Difference
+            | PlanOp::Union
+            | PlanOp::Dedup
+            | PlanOp::Project(_)
+            | PlanOp::Select(_) => DeviceKind::SetOp,
+            PlanOp::Join(_) => DeviceKind::Join,
+            PlanOp::DivideBinary { .. } => DeviceKind::Divide,
+        }
+    }
+}
+
+/// The [`ExecStats`] an array of `limits` charges for `op` over inputs of
+/// the given `(rows, arity)` shapes, in [`Device::execute`]'s input order,
+/// without touching any data: the machine's one cost model, shared by
+/// [`Device::price`] and the static analyzer. Division is the exception
+/// that depends on the data, so its figure is the upper bound of
+/// [`ops::price_divide_bound`].
+pub fn price_op(op: &PlanOp, limits: ArrayLimits, shapes: &[(usize, usize)]) -> ExecStats {
+    let exec = Execution::TiledPipelined(limits);
+    match op {
+        PlanOp::Intersect | PlanOp::Difference => {
+            ops::price_membership(exec, shapes[0].0, shapes[1].0, shapes[0].1)
+        }
+        PlanOp::Union => ops::price_union(exec, shapes[0].0, shapes[1].0, shapes[0].1),
+        PlanOp::Dedup => ops::price_dedup(exec, shapes[0].0, shapes[0].1),
+        PlanOp::Project(cols) => ops::price_project(exec, shapes[0].0, cols.len()),
+        PlanOp::Select(preds) => ops::price_select(shapes[0].0, preds.len()),
+        PlanOp::Join(specs) => ops::price_join(exec, shapes[0].0, shapes[1].0, specs.len()),
+        PlanOp::DivideBinary { .. } => ops::price_divide_bound(exec, shapes[0].0, shapes[1].0),
+    }
+}
+
+/// The most array runs and pulses [`price_op`] charges over inputs of *at
+/// most* the given rows, as `(array_runs, pulses)`: the price of row
+/// counts known only from above. Pulses are not monotone in rows — a short
+/// remainder tile streams more phase padding than a long one (§8), so one
+/// more row can cost fewer pulses — but they peak only at a bound or at
+/// the first row of the tile band below it, along either array axis. Those
+/// are the row counts priced.
+pub fn price_op_max(op: &PlanOp, limits: ArrayLimits, shapes: &[(usize, usize)]) -> (u64, u64) {
+    // Union is one dedup pass over the concatenation.
+    let shapes = match op {
+        PlanOp::Union => vec![(shapes[0].0 + shapes[1].0, shapes[0].1), (0, shapes[1].1)],
+        _ => shapes.to_vec(),
+    };
+    let band_start = |n: usize, tile: usize| n.saturating_sub(1) / tile * tile + n.min(1);
+    let peaks = |n: usize| [n, band_start(n, limits.max_a), band_start(n, limits.max_b)];
+    let second = shapes.get(1).map_or([0; 3], |s| peaks(s.0));
+    let mut most = (0, 0);
+    for a in peaks(shapes[0].0) {
+        for b in second {
+            let at: Vec<_> = shapes.iter().zip([a, b]).map(|(s, n)| (n, s.1)).collect();
+            let s = price_op(op, limits, &at);
+            most = (most.0.max(s.array_runs), most.1.max(s.pulses));
+        }
+    }
+    most
+}
+
 /// One systolic device on the crossbar.
 #[derive(Debug, Clone)]
 pub struct Device {
@@ -72,19 +136,7 @@ impl Device {
 
     /// Whether this device's array family can run `op`.
     pub fn can_execute(&self, op: &PlanOp) -> bool {
-        matches!(
-            (self.kind, op),
-            (
-                DeviceKind::SetOp,
-                PlanOp::Intersect
-                    | PlanOp::Difference
-                    | PlanOp::Union
-                    | PlanOp::Dedup
-                    | PlanOp::Project(_)
-                    | PlanOp::Select(_)
-            ) | (DeviceKind::Join, PlanOp::Join(_))
-                | (DeviceKind::Divide, PlanOp::DivideBinary { .. })
-        )
+        self.kind == DeviceKind::of(op)
     }
 
     /// Execute `op` on staged inputs, returning the result and the array
@@ -122,27 +174,14 @@ impl Device {
     }
 
     /// The [`ExecStats`] this device *would* accumulate running `op` over
-    /// inputs of the given shapes, without touching any data. `shapes` is
-    /// `(rows, arity)` per staged input, in [`Device::execute`]'s input
-    /// order. Division is refused: its second array pass depends on how
-    /// many dividend pairs hit the divisor, which no shape can predict.
+    /// inputs of the given shapes ([`price_op`] on its limits). Division is
+    /// refused: its second array pass depends on how many dividend pairs
+    /// hit the divisor, which no shape can predict.
     pub fn price(&self, op: &PlanOp, shapes: &[(usize, usize)]) -> Result<ExecStats> {
-        if !self.can_execute(op) {
+        if !self.can_execute(op) || matches!(op, PlanOp::DivideBinary { .. }) {
             return Err(MachineError::NoDevice { kind: op.label() });
         }
-        let exec = Execution::TiledPipelined(self.limits);
-        let stats = match op {
-            PlanOp::Intersect | PlanOp::Difference => {
-                ops::price_membership(exec, shapes[0].0, shapes[1].0, shapes[0].1)
-            }
-            PlanOp::Union => ops::price_union(exec, shapes[0].0, shapes[1].0, shapes[0].1),
-            PlanOp::Dedup => ops::price_dedup(exec, shapes[0].0, shapes[0].1),
-            PlanOp::Project(cols) => ops::price_project(exec, shapes[0].0, cols.len()),
-            PlanOp::Select(preds) => ops::price_select(shapes[0].0, preds.len()),
-            PlanOp::Join(specs) => ops::price_join(exec, shapes[0].0, shapes[1].0, specs.len()),
-            PlanOp::DivideBinary { .. } => return Err(MachineError::NoDevice { kind: op.label() }),
-        };
-        Ok(stats)
+        Ok(price_op(op, self.limits, shapes))
     }
 }
 
@@ -259,6 +298,54 @@ mod tests {
             ),
             Err(MachineError::NoDevice { .. })
         ));
+    }
+
+    #[test]
+    fn price_op_max_is_the_most_any_inputs_within_the_bounds_are_charged() {
+        use systolic_core::select::Predicate;
+        use systolic_fabric::CompareOp;
+        let ops = [
+            PlanOp::Intersect,
+            PlanOp::Union,
+            PlanOp::Dedup,
+            PlanOp::Project(vec![0]),
+            PlanOp::Select(vec![Predicate::new(0, CompareOp::Ge, 3)]),
+            PlanOp::Join(vec![JoinSpec::eq(0, 0)]),
+            PlanOp::DivideBinary {
+                key: 1,
+                ca: 0,
+                cb: 0,
+            },
+        ];
+        // Pipelined (m <= max_cols) and drain-per-tile (m > max_cols) arrays.
+        let arrays = [
+            ArrayLimits::new(4, 4, 2),
+            ArrayLimits::new(3, 5, 2),
+            ArrayLimits::new(5, 3, 1),
+        ];
+        const N: usize = 24;
+        for limits in arrays {
+            for op in &ops {
+                let price = |a: usize, b: usize| price_op(op, limits, &[(a, 2), (b, 2)]);
+                // most[a][b]: the max over inputs of at most a x b rows.
+                let mut most = vec![vec![(0, 0); N]; N];
+                for a in 0..N {
+                    for b in 0..N {
+                        let here = price(a, b);
+                        let mut m = (here.array_runs, here.pulses);
+                        if a > 0 {
+                            m = (m.0.max(most[a - 1][b].0), m.1.max(most[a - 1][b].1));
+                        }
+                        if b > 0 {
+                            m = (m.0.max(most[a][b - 1].0), m.1.max(most[a][b - 1].1));
+                        }
+                        most[a][b] = m;
+                        let got = price_op_max(op, limits, &[(a, 2), (b, 2)]);
+                        assert_eq!(got, m, "{op:?} {limits:?} {a}x{b}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

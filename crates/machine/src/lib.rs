@@ -37,7 +37,7 @@ pub mod timeline;
 pub mod tree;
 
 pub use account::PricedOutcome;
-pub use device::{Device, DeviceKind};
+pub use device::{price_op, price_op_max, Device, DeviceKind};
 pub use error::{MachineError, Result};
 pub use plan::{push_selections, Action, Expr, Plan, PlanOp, PlanStep};
 pub use query::{parse, parse_spanned, render_caret, ParseError};

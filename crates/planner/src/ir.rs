@@ -1,16 +1,16 @@
 //! The typed plan IR: an [`Expr`] lowered against a [`CatalogView`] into a
 //! tree annotated with the facts the rewrite rules need — the inferred
-//! output schema, the worst-case cardinality, and *distinctness* (whether
-//! the node's output is provably duplicate-free, the property behind the
-//! paper's reduce-union-and-projection-to-remove-duplicates trick, §4–§5).
+//! output schema and *distinctness* (whether the node's output is provably
+//! duplicate-free, the property behind the paper's
+//! reduce-union-and-projection-to-remove-duplicates trick, §4–§5). Row
+//! bounds and costs are the analyzer's alone.
 //!
 //! Schemas here follow the **runtime** semantics of `systolic_core::ops`
-//! (byte-identity of results is defined there): a pure equi-join drops the
-//! right operand's join columns, a theta join keeps every column. Rules
-//! that depend on the column layout (predicate pushdown through a join)
-//! are restricted to the pure-equi case, where the runtime and the
-//! analyzer agree. The rewrite engine's SA009 schema-preservation gate is
-//! checked against the analyzer independently of this IR.
+//! (byte-identity of results is defined there), as the analyzer's do: a
+//! pure equi-join drops the right operand's join columns, a theta join
+//! keeps every column. Predicate pushdown through a join is restricted to
+//! the pure-equi case. The rewrite engine's SA009 schema-preservation gate
+//! is checked against the analyzer independently of this IR.
 
 use systolic_analyzer::{CatalogView, ColumnInfo};
 use systolic_core::select::Predicate;
@@ -63,8 +63,6 @@ pub struct TypedNode {
     pub op: IrOp,
     /// Inferred output schema (runtime column layout).
     pub schema: Vec<ColumnInfo>,
-    /// Worst-case output cardinality.
-    pub rows: u64,
     /// Whether the output is provably duplicate-free.
     pub distinct: bool,
     /// Child nodes (operands, in operand order).
@@ -94,7 +92,6 @@ pub fn lower(expr: &Expr, view: &CatalogView) -> Result<TypedNode, String> {
                     filter: *filter,
                 },
                 schema: table.columns.clone(),
-                rows: table.rows,
                 distinct: false,
                 children: Vec::new(),
             })
@@ -111,7 +108,7 @@ pub fn lower(expr: &Expr, view: &CatalogView) -> Result<TypedNode, String> {
             }
             // Intersection/difference filter A's rows by membership in B,
             // preserving A's order and multiplicity: distinctness is A's.
-            let (schema, rows, distinct) = (l.schema.clone(), l.rows, l.distinct);
+            let (schema, distinct) = (l.schema.clone(), l.distinct);
             let op = if matches!(expr, Expr::Intersect(..)) {
                 IrOp::Intersect
             } else {
@@ -120,7 +117,6 @@ pub fn lower(expr: &Expr, view: &CatalogView) -> Result<TypedNode, String> {
             Ok(TypedNode {
                 op,
                 schema,
-                rows,
                 distinct,
                 children: vec![l, r],
             })
@@ -138,22 +134,18 @@ pub fn lower(expr: &Expr, view: &CatalogView) -> Result<TypedNode, String> {
             // Union runs as remove-duplicates over the concatenation (§5):
             // the output is always duplicate-free.
             let schema = l.schema.clone();
-            let rows = l.rows.saturating_add(r.rows);
             Ok(TypedNode {
                 op: IrOp::Union,
                 schema,
-                rows,
                 distinct: true,
                 children: vec![l, r],
             })
         }
         Expr::Dedup(inner) => {
             let c = lower(inner, view)?;
-            let (schema, rows) = (c.schema.clone(), c.rows);
             Ok(TypedNode {
                 op: IrOp::Dedup,
-                schema,
-                rows,
+                schema: c.schema.clone(),
                 distinct: true,
                 children: vec![c],
             })
@@ -172,11 +164,9 @@ pub fn lower(expr: &Expr, view: &CatalogView) -> Result<TypedNode, String> {
                 );
             }
             // Projection ends in remove-duplicates (§5).
-            let rows = c.rows;
             Ok(TypedNode {
                 op: IrOp::Project(cols.clone()),
                 schema,
-                rows,
                 distinct: true,
                 children: vec![c],
             })
@@ -191,14 +181,12 @@ pub fn lower(expr: &Expr, view: &CatalogView) -> Result<TypedNode, String> {
                     return Err(format!("predicate column c{} out of range", p.col));
                 }
             }
-            // Selection keeps a subsequence of its input: distinctness (and
-            // the worst-case bound — the analyzer does not shrink it on
-            // filters) carries over.
-            let (schema, rows, distinct) = (c.schema.clone(), c.rows, c.distinct);
+            // Selection keeps a subsequence of its input: distinctness
+            // carries over.
+            let (schema, distinct) = (c.schema.clone(), c.distinct);
             Ok(TypedNode {
                 op: IrOp::Select(preds.clone()),
                 schema,
-                rows,
                 distinct,
                 children: vec![c],
             })
@@ -228,12 +216,10 @@ pub fn lower(expr: &Expr, view: &CatalogView) -> Result<TypedNode, String> {
             // A pair of distinct inputs joins into distinct outputs: two
             // differing pairs differ in the surviving columns (for the equi
             // case the dropped B join columns are determined by A's).
-            let rows = l.rows.saturating_mul(r.rows);
             let distinct = l.distinct && r.distinct;
             Ok(TypedNode {
                 op: IrOp::Join(specs.clone()),
                 schema,
-                rows,
                 distinct,
                 children: vec![l, r],
             })
@@ -256,7 +242,6 @@ pub fn lower(expr: &Expr, view: &CatalogView) -> Result<TypedNode, String> {
             // The quotient is built from the dedup pre-pass's distinct keys
             // (§7): always duplicate-free.
             let schema = vec![d.schema[*key]];
-            let rows = d.rows;
             Ok(TypedNode {
                 op: IrOp::Divide {
                     key: *key,
@@ -264,18 +249,16 @@ pub fn lower(expr: &Expr, view: &CatalogView) -> Result<TypedNode, String> {
                     cb: *cb,
                 },
                 schema,
-                rows,
                 distinct: true,
                 children: vec![d, v],
             })
         }
         Expr::Store(inner, name) => {
             let c = lower(inner, view)?;
-            let (schema, rows, distinct) = (c.schema.clone(), c.rows, c.distinct);
+            let (schema, distinct) = (c.schema.clone(), c.distinct);
             Ok(TypedNode {
                 op: IrOp::Store(name.clone()),
                 schema,
-                rows,
                 distinct,
                 children: vec![c],
             })

@@ -1,9 +1,11 @@
 //! # systolic-planner
 //!
 //! The cost-based plan compiler: a typed plan IR lowered from the parsed
-//! [`Expr`] and the analyzer's [`CatalogView`], a static rewrite engine
-//! whose every rule carries an algebraic-law justification, and per-step
-//! §9 device placement — all costed by the analyzer's §8 pulse model.
+//! [`Expr`] and the analyzer's [`CatalogView`], and a static rewrite engine
+//! whose every rule carries an algebraic-law justification. Plans are
+//! costed by the analyzer's [`Analysis::pulse_budget`], which is the
+//! machine's own pricing at the analyzer's row bounds — the planner has no
+//! cost model of its own.
 //!
 //! The engine is deliberately conservative. A candidate plan produced by a
 //! rewrite is adopted only when all three gates pass:
@@ -33,11 +35,8 @@ pub use rules::Rule;
 
 use std::time::Instant;
 
-use systolic_analyzer::{
-    analyze, plan_alignment, Analysis, CatalogView, Code, Diagnostic, TableInfo,
-};
-use systolic_machine::{Action, Backend, DeviceKind, Expr, MachineConfig, Plan};
-use systolic_perfmodel::marching_pulses;
+use systolic_analyzer::{analyze, Analysis, CatalogView, Code, Diagnostic, TableInfo};
+use systolic_machine::{Expr, MachineConfig};
 
 /// Optimizer options.
 #[derive(Debug, Clone, Copy, Default)]
@@ -60,23 +59,6 @@ pub struct RewriteEvent {
     pub after_pulses: u64,
 }
 
-/// Predicted §9 placement for one operator step of the compiled plan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StepPlacement {
-    /// Step id in [`Plan::compile`] order.
-    pub step: usize,
-    /// Operator label (matches the timeline labels).
-    pub label: String,
-    /// Chosen device name(s) (`setop0`, `join2`, …; division lists its
-    /// dedup pre-pass device too).
-    pub device: String,
-    /// Predicted pulses on the chosen device(s).
-    pub pulses: u64,
-    /// Backend recommendation (`sim` or `columnar`) — advisory: both
-    /// backends are bit-identical, only host wall time differs.
-    pub backend: &'static str,
-}
-
 /// The compiler's choice for one query.
 #[derive(Debug, Clone)]
 pub struct PlanChoice {
@@ -90,8 +72,6 @@ pub struct PlanChoice {
     pub rewrites: Vec<RewriteEvent>,
     /// SA009/SA010 lints from rejected candidates (rule misfires).
     pub lints: Vec<Diagnostic>,
-    /// Per-operator-step device placement for the chosen plan.
-    pub placement: Vec<StepPlacement>,
     /// Wall time spent compiling, in nanoseconds.
     pub compile_ns: u64,
 }
@@ -104,11 +84,6 @@ impl PlanChoice {
             .saturating_sub(self.chosen.pulse_budget)
     }
 }
-
-/// Past this predicted budget the closed-form columnar backend is the
-/// recommendation: stepping the cycle-accurate simulator through that many
-/// pulses costs more host time than the word-plane scan's setup.
-const COLUMNAR_PULSE_THRESHOLD: u64 = 4096;
 
 /// How many full rule sweeps the engine runs before declaring fixpoint.
 const MAX_PASSES: usize = 8;
@@ -213,14 +188,12 @@ pub fn optimize_with(
             break;
         }
     }
-    let placement = place(&current, view, machine);
     Ok(PlanChoice {
         expr: current,
         baseline,
         chosen,
         rewrites,
         lints,
-        placement,
         compile_ns: start.elapsed().as_nanos() as u64,
     })
 }
@@ -252,142 +225,8 @@ pub fn catalog_fingerprint(view: &CatalogView) -> u64 {
     h
 }
 
-/// The device passes one operator runs: kind and the `(n_a, n_b, m)`
-/// problem shape the §8 pulse model prices (division runs two passes, §7).
-fn node_passes(node: &TypedNode) -> Vec<(DeviceKind, u64, u64, u64)> {
-    let child = |i: usize| &node.children[i];
-    match &node.op {
-        IrOp::Scan { .. } | IrOp::Store(_) => Vec::new(),
-        IrOp::Intersect | IrOp::Difference => vec![(
-            DeviceKind::SetOp,
-            child(0).rows,
-            child(1).rows,
-            child(0).schema.len() as u64,
-        )],
-        IrOp::Union => {
-            let rows = child(0).rows.saturating_add(child(1).rows);
-            vec![(DeviceKind::SetOp, rows, rows, child(0).schema.len() as u64)]
-        }
-        IrOp::Dedup => vec![(
-            DeviceKind::SetOp,
-            child(0).rows,
-            child(0).rows,
-            child(0).schema.len() as u64,
-        )],
-        IrOp::Project(cols) => vec![(
-            DeviceKind::SetOp,
-            child(0).rows,
-            child(0).rows,
-            cols.len() as u64,
-        )],
-        IrOp::Select(_) => vec![(
-            DeviceKind::SetOp,
-            child(0).rows,
-            1,
-            child(0).schema.len() as u64,
-        )],
-        IrOp::Join(specs) => vec![(
-            DeviceKind::Join,
-            child(0).rows,
-            child(1).rows,
-            specs.len().max(1) as u64,
-        )],
-        IrOp::Divide { .. } => vec![
-            (DeviceKind::SetOp, child(0).rows, child(0).rows, 1),
-            (DeviceKind::Divide, child(0).rows, child(1).rows, 1),
-        ],
-    }
-}
-
-/// Predicted pulses for one pass on one device (the analyzer's
-/// `device_check` arithmetic).
-fn predict(n_a: u64, n_b: u64, m: u64, limits: systolic_core::ArrayLimits) -> Option<u64> {
-    let proof = systolic_analyzer::prove_tiling(n_a, n_b, m, limits).ok()?;
-    if proof.tiles == 0 {
-        return Some(0);
-    }
-    let tile_a = n_a.min(limits.max_a as u64).max(1);
-    let tile_b = n_b.min(limits.max_b as u64).max(1);
-    let tile_m = m.min(limits.max_cols as u64).max(1);
-    Some(
-        proof
-            .tiles
-            .saturating_mul(marching_pulses(tile_a, tile_b, tile_m)),
-    )
-}
-
-/// The device-name prefix `Device::new` assigns per kind.
-fn kind_prefix(kind: DeviceKind) -> &'static str {
-    match kind {
-        DeviceKind::SetOp => "setop",
-        DeviceKind::Join => "join",
-        DeviceKind::Divide => "divide",
-    }
-}
-
-/// Choose, by predicted cost, a device for every operator step of the
-/// compiled plan: for each pass the eligible device with the fewest
-/// predicted pulses (first configured wins ties). Placement is advisory —
-/// results are pure functions of `(op, inputs)`, so the runtime's
-/// earliest-free scheduling cannot change bytes, only the makespan.
-fn place(expr: &Expr, view: &CatalogView, machine: &MachineConfig) -> Vec<StepPlacement> {
-    let Ok(typed) = lower(expr, view) else {
-        return Vec::new();
-    };
-    // Pre-order node facts, aligned with `plan_alignment` indices.
-    let mut passes = Vec::new();
-    fn walk(node: &TypedNode, out: &mut Vec<Vec<(DeviceKind, u64, u64, u64)>>) {
-        out.push(node_passes(node));
-        for c in &node.children {
-            walk(c, out);
-        }
-    }
-    walk(&typed, &mut passes);
-    let plan = Plan::compile(expr);
-    let align = plan_alignment(expr);
-    let mut out = Vec::new();
-    for step in &plan.steps {
-        let Action::Op { op, .. } = &step.action else {
-            continue;
-        };
-        let node = align[step.id];
-        let mut devices = Vec::new();
-        let mut total = 0u64;
-        for &(kind, n_a, n_b, m) in &passes[node] {
-            let mut best: Option<(usize, u64)> = None;
-            for (id, &(k, limits)) in machine.devices.iter().enumerate() {
-                if k != kind {
-                    continue;
-                }
-                let Some(pulses) = predict(n_a, n_b, m, limits) else {
-                    continue;
-                };
-                if best.map(|(_, p)| pulses < p).unwrap_or(true) {
-                    best = Some((id, pulses));
-                }
-            }
-            if let Some((id, pulses)) = best {
-                devices.push(format!("{}{id}", kind_prefix(kind)));
-                total = total.saturating_add(pulses);
-            }
-        }
-        out.push(StepPlacement {
-            step: step.id,
-            label: op.label(),
-            device: devices.join("+"),
-            pulses: total,
-            backend: if total >= COLUMNAR_PULSE_THRESHOLD {
-                Backend::Columnar.label()
-            } else {
-                Backend::Sim.label()
-            },
-        });
-    }
-    out
-}
-
-/// Human-readable `--explain` rendering: the rewrite trail, both plans and
-/// the chosen placement. Deterministic (no timings), so it can be pinned
+/// Human-readable `--explain` rendering: the rewrite trail and both plans.
+/// Deterministic (no timings), so it can be pinned
 /// by golden files.
 pub fn render_explain(choice: &PlanChoice) -> String {
     let mut out = format!(
@@ -413,13 +252,6 @@ pub fn render_explain(choice: &PlanChoice) -> String {
     out.push_str("after:\n");
     for line in choice.chosen.render().lines() {
         out.push_str(&format!("  {line}\n"));
-    }
-    out.push_str("placement:\n");
-    for p in &choice.placement {
-        out.push_str(&format!(
-            "  step #{} {} -> {} ({} pulses, {})\n",
-            p.step, p.label, p.device, p.pulses, p.backend
-        ));
     }
     out
 }
@@ -451,41 +283,9 @@ pub fn json_explain(choice: &PlanChoice) -> String {
         }
         out.push_str(&lint.json());
     }
-    out.push_str("], \"placement\": [");
-    for (k, p) in choice.placement.iter().enumerate() {
-        if k > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"step\": {}, \"label\": {}, \"device\": \"{}\", \"pulses\": {}, \
-             \"backend\": \"{}\"}}",
-            p.step,
-            json_str(&p.label),
-            p.device,
-            p.pulses,
-            p.backend
-        ));
-    }
     out.push_str("]}, ");
     out.push_str(&format!("\"before\": {}, ", choice.baseline.json()));
     out.push_str(&format!("\"after\": {}}}", choice.chosen.json()));
-    out
-}
-
-/// Minimal JSON string escaping (mirrors the analyzer's).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -518,32 +318,6 @@ mod tests {
 
     fn opt(expr: &Expr) -> PlanChoice {
         optimize(expr, &view(), &MachineConfig::default()).unwrap()
-    }
-
-    #[test]
-    fn backend_recommendation_has_two_tiers() {
-        // sim below the one threshold, columnar from it upwards — however
-        // far above.
-        let mut v = CatalogView::new();
-        for (name, rows) in [
-            ("tiny_a", 3),
-            ("tiny_b", 3),
-            ("mid_a", 256),
-            ("mid_b", 256),
-            ("big_a", 1024),
-            ("big_b", 1024),
-        ] {
-            v.add_table(name, vec![col(0, DomainKind::Int)], rows);
-        }
-        let tier = |a: &str, b: &str| {
-            let e = Expr::scan(a).intersect(Expr::scan(b));
-            let c = optimize(&e, &v, &MachineConfig::default()).unwrap();
-            assert_eq!(c.placement.len(), 1);
-            c.placement[0].backend
-        };
-        assert_eq!(tier("tiny_a", "tiny_b"), "sim");
-        assert_eq!(tier("mid_a", "mid_b"), "columnar");
-        assert_eq!(tier("big_a", "big_b"), "columnar");
     }
 
     #[test]
@@ -761,24 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn placement_covers_every_op_step_with_real_devices() {
-        let e = Expr::scan("takes")
-            .divide(Expr::scan("courses"), 0, 1, 0)
-            .union(Expr::scan("courses"));
-        let c = opt(&e);
-        let plan = Plan::compile(&c.expr);
-        assert_eq!(c.placement.len(), plan.op_steps());
-        for p in &c.placement {
-            assert!(!p.device.is_empty(), "{p:?}");
-            assert!(["sim", "columnar"].contains(&p.backend));
-        }
-        // Division lists both its dedup pre-pass and division devices.
-        let div = c.placement.iter().find(|p| p.label == "divide").unwrap();
-        assert!(div.device.contains("setop") && div.device.contains('+'));
-        assert!(div.device.contains("divide"));
-    }
-
-    #[test]
     fn explain_renderings_are_deterministic_and_complete() {
         let e = Expr::scan("takes").union(Expr::scan("takes")).dedup();
         let c = opt(&e);
@@ -789,7 +545,6 @@ mod tests {
             text.contains("before:") && text.contains("after:"),
             "{text}"
         );
-        assert!(text.contains("placement:"), "{text}");
         assert_eq!(text, render_explain(&opt(&e)));
         let json = json_explain(&c);
         assert!(json.starts_with("{\"optimizer\": {"), "{json}");

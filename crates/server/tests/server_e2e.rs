@@ -1161,6 +1161,15 @@ fn profile_results_are_byte_identical_and_bounded_by_the_budget() {
                 Some(budget as f64 - pulses as f64),
                 "{label}: {q:?}"
             );
+            // Without a filter or a division every row bound is exact, and
+            // so is the machine's pricing at them: no drift at all.
+            if !q.starts_with("filter") && !q.starts_with("divide") {
+                assert_eq!(
+                    doc.get("drift_pulses").and_then(Json::as_f64),
+                    Some(0.0),
+                    "{label}: {q:?}"
+                );
+            }
             // Every plan step pairs a prediction with its actuals.
             let steps = doc.get("steps").and_then(Json::as_array).unwrap();
             assert!(!steps.is_empty(), "{label}: {q:?}");

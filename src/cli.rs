@@ -249,7 +249,7 @@ pub struct CheckArgs {
     /// Emit the machine-readable JSON rendering instead of prose.
     pub json: bool,
     /// Run the cost-based plan compiler and print the before/after plans
-    /// with per-step costs, accepted rewrites, and device placement.
+    /// with per-step costs and accepted rewrites.
     pub explain: bool,
     /// Override every device's array bounds with `--limits A,B,C`. Zeros
     /// are allowed — that is the point: probe how the analyzer proves (or
@@ -344,8 +344,8 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
   --json: (check) machine-readable output
   --explain: (check) run the cost-based plan compiler and print the chosen
                plan next to the unoptimized one — accepted rewrites (with
-               their algebraic law ids), per-step predicted pulses, §9
-               device placement, and the pulses the rewrites save
+               their algebraic law ids), per-step predicted pulses, and
+               the pulses the rewrites save
   profile: run the query via the server's PROFILE verb (on an ephemeral
                in-process server) and print the end-to-end profile — the
                analyzer's predicted rows/tiles/pulse budget next to the
@@ -1372,7 +1372,7 @@ mod tests {
     }
 
     #[test]
-    fn check_explain_reports_rewrites_and_placement() {
+    fn check_explain_reports_rewrites_and_costs() {
         let a = (spec("a", vec![DomainKind::Int]), "1\n2\n3\n".to_string());
         let b = (spec("b", vec![DomainKind::Int]), "2\n4\n".to_string());
         // Union output is distinct by construction, so the trailing dedup
@@ -1388,7 +1388,8 @@ mod tests {
         .unwrap();
         assert!(out.contains("plan compiler:"), "{out}");
         assert!(out.contains("dedup-elim"), "{out}");
-        assert!(out.contains("-> setop"), "{out}");
+        assert!(out.contains("pulses predicted"), "{out}");
+        assert!(!out.contains("placement"), "{out}");
         let json = run_check(
             &[a, b],
             "dedup(union(scan(a), scan(b)))",

@@ -20,8 +20,8 @@
 //!   queries against the paper's correctness conditions before they touch
 //!   the fabric;
 //! * [`planner`] — the cost-based plan compiler (typed IR, verified
-//!   algebraic rewrites, §9 device placement) built on the analyzer's §8
-//!   pulse model;
+//!   algebraic rewrites) costed by the machine's own pricing through the
+//!   analyzer;
 //! * [`server`] — the concurrent TCP query service.
 //!
 //! ## Quickstart

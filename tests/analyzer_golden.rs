@@ -111,11 +111,11 @@ fn check_golden(code: &str, query: &str, machine: &MachineConfig) {
 }
 
 /// Pin an *accepted* plan's prose and JSON renderings — the budgets the
-/// planner costs candidates against. `ACCEPT_union` pins the union budget
-/// as concat-then-dedup over `|A|+|B|` rows (not `max(|A|,|B|)`), and
-/// `ACCEPT_divide` pins division as a dedup pre-pass over the dividend
-/// plus the divide pass proper — the two budget fixes the §8 model needs
-/// to price the paper's reduce-to-remove-duplicates trick correctly.
+/// planner costs candidates against, which are the machine's own prices.
+/// `ACCEPT_union` pins the union budget as concat-then-dedup over
+/// `|A|+|B|` rows (not `max(|A|,|B|)`), and `ACCEPT_divide` pins division
+/// as a dedup pre-pass over the dividend plus the divide pass proper, the
+/// latter bounded at one key per dividend row.
 fn accept_golden(name: &str, query: &str) {
     let (expr, spans) = parse_spanned(query).expect("golden queries parse");
     let analysis = analyze(&expr, &view(), &MachineConfig::default(), &spans)

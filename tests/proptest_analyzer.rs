@@ -10,7 +10,9 @@
 //! under `catch_unwind`, since untyped plans may panic deep in the
 //! fabric); the property is the implication both ways:
 //!
-//! * accepted  ⇒  `System::run` returns `Ok`;
+//! * accepted  ⇒  `System::run` returns `Ok`, within the analyzer's row
+//!   and pulse bounds (the pulse budget is exact for one operator over
+//!   unfiltered scans, where the row bounds are exact too);
 //! * run fails ⇒  the analyzer rejected the plan up front.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,9 +20,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use proptest::prelude::*;
 
 use systolic_db::analyzer::{analyze, CatalogView, ColumnInfo};
-use systolic_db::arrays::{JoinSpec, Predicate};
+use systolic_db::arrays::{ArrayLimits, JoinSpec, Predicate};
 use systolic_db::fabric::CompareOp;
-use systolic_db::machine::{push_selections, Expr, MachineConfig, System, TrackFilter};
+use systolic_db::machine::{push_selections, DeviceKind, Expr, MachineConfig, System, TrackFilter};
 use systolic_db::relation::{Column, DomainId, DomainKind, MultiRelation, Schema};
 
 /// Domain ids shared by the machine schemas and the analyzer view:
@@ -157,8 +159,41 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
     })
 }
 
-fn fresh_system() -> System {
-    let mut sys = System::new(MachineConfig::default()).unwrap();
+/// Whether `expr` is one division-free operator over unfiltered scans, so
+/// every row bound the analyzer prices at is the run's row count. (A
+/// top-level selection is excluded: `push_selections` turns it into a
+/// filtered load.)
+fn one_operator_over_scans(expr: &Expr) -> bool {
+    let scan = |e: &Expr| matches!(e, Expr::Scan { filter: None, .. });
+    match expr {
+        Expr::Intersect(l, r)
+        | Expr::Difference(l, r)
+        | Expr::Union(l, r)
+        | Expr::Join(l, r, _) => scan(l) && scan(r),
+        Expr::Dedup(e) | Expr::Project(e, _) => scan(e),
+        _ => false,
+    }
+}
+
+/// The default machine, and one whose 3 x 3 arrays split every table into
+/// several tiles, where a remainder tile can cost more than a full one.
+fn machines() -> [MachineConfig; 2] {
+    let small = ArrayLimits::new(3, 3, 2);
+    [
+        MachineConfig::default(),
+        MachineConfig {
+            devices: vec![
+                (DeviceKind::SetOp, small),
+                (DeviceKind::Join, small),
+                (DeviceKind::Divide, small),
+            ],
+            ..MachineConfig::default()
+        },
+    ]
+}
+
+fn fresh_system(machine: &MachineConfig) -> System {
+    let mut sys = System::new(machine.clone()).unwrap();
     for (name, rel) in tables() {
         sys.load_base(name, rel);
     }
@@ -175,43 +210,59 @@ proptest! {
     /// plan before it was admitted.
     #[test]
     fn accepted_plans_execute_and_failures_were_flagged(expr in arb_expr()) {
-        let machine = MachineConfig::default();
-        let verdict = analyze(&expr, &view(), &machine, &[]);
-        // Run exactly what the server would run: the rewritten plan.
-        let rewritten = push_selections(expr.clone());
-        let ran = catch_unwind(AssertUnwindSafe(|| {
-            let mut sys = fresh_system();
-            sys.run(&rewritten).map(|out| out.result.len())
-        }));
-        let executed_cleanly = matches!(&ran, Ok(Ok(_)));
-        match &verdict {
-            Ok(analysis) => {
+        for machine in machines() {
+            let verdict = analyze(&expr, &view(), &machine, &[]);
+            // Run exactly what the server would run: the rewritten plan.
+            let rewritten = push_selections(expr.clone());
+            let ran = catch_unwind(AssertUnwindSafe(|| {
+                let mut sys = fresh_system(&machine);
+                sys.run(&rewritten).map(|out| (out.result.len(), out.stats))
+            }));
+            let executed_cleanly = matches!(&ran, Ok(Ok(_)));
+            match &verdict {
+                Ok(analysis) => {
+                    prop_assert!(
+                        executed_cleanly,
+                        "analyzer accepted but execution failed: {expr:?} -> {ran:?}"
+                    );
+                    // The row bound really bounds the result.
+                    let (rows, stats) = match &ran {
+                        Ok(Ok((n, stats))) => (*n as u64, *stats),
+                        _ => unreachable!(),
+                    };
+                    prop_assert!(
+                        rows <= analysis.nodes.last().map(|n| n.rows_bound).unwrap_or(u64::MAX),
+                        "result rows {rows} exceed the analyzer bound for {expr:?}"
+                    );
+                    // So does the pulse budget of the tree that runs (the
+                    // machine's own price at the bounds, as the server
+                    // profiles it)...
+                    let ran_analysis = analyze(&rewritten, &view(), &machine, &[]);
+                    let budget = ran_analysis.as_ref().map_or(0, |a| a.pulse_budget);
+                    prop_assert!(
+                        stats.total_pulses <= budget,
+                        "{} pulses exceed the budget {budget} for {expr:?}",
+                        stats.total_pulses
+                    );
+                    // ...and where every row bound is exact, it is what runs.
+                    if one_operator_over_scans(&expr) {
+                        prop_assert_eq!(analysis.pulse_budget, stats.total_pulses, "{:?}", expr);
+                        prop_assert_eq!(analysis.nodes[0].tiles, stats.array_runs, "{:?}", expr);
+                    }
+                }
+                Err(diags) => {
+                    prop_assert!(!diags.is_empty(), "rejection with no diagnostics: {expr:?}");
+                    // A rejected plan may still happen to run (the analyzer
+                    // is conservative); nothing to assert about `ran` here —
+                    // the binding direction is checked below.
+                }
+            }
+            if !executed_cleanly {
                 prop_assert!(
-                    executed_cleanly,
-                    "analyzer accepted but execution failed: {expr:?} -> {ran:?}"
-                );
-                // The row bound really bounds the result.
-                let rows = match &ran {
-                    Ok(Ok(n)) => *n as u64,
-                    _ => unreachable!(),
-                };
-                prop_assert!(
-                    rows <= analysis.nodes.last().map(|n| n.rows_bound).unwrap_or(u64::MAX),
-                    "result rows {rows} exceed the analyzer bound for {expr:?}"
+                    verdict.is_err(),
+                    "execution failed but the analyzer accepted: {expr:?} -> {ran:?}"
                 );
             }
-            Err(diags) => {
-                prop_assert!(!diags.is_empty(), "rejection with no diagnostics: {expr:?}");
-                // A rejected plan may still happen to run (the analyzer is
-                // conservative); nothing to assert about `ran` here — the
-                // binding direction is checked below.
-            }
-        }
-        if !executed_cleanly {
-            prop_assert!(
-                verdict.is_err(),
-                "execution failed but the analyzer accepted: {expr:?} -> {ran:?}"
-            );
         }
     }
 
