@@ -724,10 +724,10 @@ impl Walker<'_> {
                     }
                 }
                 let out = vec![*dc.get(*key)?];
-                // Division first identifies the distinct dividend keys with
-                // the remove-duplicates array (§7), then streams the pairs
-                // through the division array: prove both passes.
-                self.prove(DeviceKind::SetOp, (dr, dr, 1), span);
+                // The Divide device first finds the distinct dividend keys
+                // with a tiled remove-duplicates pass over its own limits
+                // (§7), then streams the pairs through the untiled division
+                // array: the key dedup is the pass that tiles, so prove it.
                 let op = PlanOp::DivideBinary {
                     key: *key,
                     ca: *ca,
@@ -735,7 +735,7 @@ impl Walker<'_> {
                 };
                 let inputs = [(dr, dc.len()), (vr, vc.len())];
                 let exact = exact_rows(dividend) && exact_rows(divisor);
-                self.device_check(node, op, (dr, vr, 1), &inputs, exact, span);
+                self.device_check(node, op, (dr, dr, 1), &inputs, exact, span);
                 self.stage_op_output(dr, 1);
                 Some((out, dr))
             }
@@ -1296,6 +1296,36 @@ mod tests {
             }),
             [Code::CapacityExceeded]
         );
+    }
+
+    #[test]
+    fn division_is_proved_and_run_on_the_divide_device_alone() {
+        // The key dedup runs on the Divide device's own array, so a machine
+        // with no SetOp device divides: the analyzer accepts the plan and
+        // the machine runs it.
+        let machine = MachineConfig {
+            devices: vec![
+                (DeviceKind::Join, ArrayLimits::new(8, 8, 4)),
+                (DeviceKind::Divide, ArrayLimits::new(4, 4, 1)),
+            ],
+            ..MachineConfig::default()
+        };
+        let (expr, spans) = parse_spanned("divide(scan(takes), scan(courses), 0, 1, 0)").unwrap();
+        let analysis = analyze(&expr, &view(), &machine, &spans).unwrap();
+        let rel = |rows: &[&[i64]]| {
+            let schema = systolic_relation::gen::synth_schema(rows[0].len());
+            let rows = rows.iter().map(|r| r.to_vec()).collect();
+            systolic_relation::MultiRelation::new(schema, rows).unwrap()
+        };
+        let mut sys = systolic_machine::System::new(machine).unwrap();
+        sys.load_base(
+            "takes",
+            rel(&[&[1, 10], &[1, 11], &[2, 10], &[3, 10], &[3, 11], &[2, 12]]),
+        );
+        sys.load_base("courses", rel(&[&[10], &[11]]));
+        let out = sys.run(&expr).unwrap();
+        assert_eq!(out.result.rows(), [vec![1], vec![3]]);
+        assert!(out.stats.total_pulses <= analysis.pulse_budget);
     }
 
     #[test]

@@ -93,6 +93,10 @@ fn e2_comparison_2d() -> Summary {
             .unwrap();
         sum.exec(&out.stats);
         let correct = (0..n).all(|i| (0..n).all(|j| out.t.get(i, j) == (a[i] == b[j])));
+        assert!(
+            correct,
+            "E2: T of the {n}x{n} array, m = {m}, is not pairwise equality"
+        );
         t.rowd(&[
             n.to_string(),
             m.to_string(),
@@ -138,6 +142,11 @@ fn e3_intersection() -> Summary {
         sum.exec(&s);
         sum.exec(&sd);
         let expect = nested_loop::intersect(&a, &b, &mut OpCounter::new()).unwrap();
+        let same = inter.set_eq(&expect);
+        assert!(
+            same,
+            "E3: A∩B at n = {n}, overlap {overlap} differs from the nested loop's"
+        );
         t.rowd(&[
             n.to_string(),
             format!("{overlap:.2}"),
@@ -145,7 +154,7 @@ fn e3_intersection() -> Summary {
             diff.len().to_string(),
             s.pulses.to_string(),
             fmt_ns(hardware_ns(s.pulses)),
-            inter.set_eq(&expect).to_string(),
+            same.to_string(),
         ]);
     }
     print!("{}", t.render());
@@ -172,13 +181,18 @@ fn e4_dedup_union() -> Summary {
         let (out, s) = ops::dedup(&multi, Execution::Marching).unwrap();
         sum.exec(&s);
         let expect = nested_loop::dedup(&multi, &mut OpCounter::new());
+        let same = out.rows() == expect.rows();
+        assert!(
+            same,
+            "E4: dedup of {nu} tuples x {dup} differs from the nested loop's"
+        );
         t.rowd(&[
             nu.to_string(),
             dup.to_string(),
             multi.len().to_string(),
             out.len().to_string(),
             s.pulses.to_string(),
-            (out.rows() == expect.rows()).to_string(),
+            same.to_string(),
         ]);
     }
     print!("{}", t.render());
@@ -186,12 +200,18 @@ fn e4_dedup_union() -> Summary {
     let b = workloads::seq_multi(24, 2, 12);
     let (u, su) = ops::union(&a, &b, Execution::Marching).unwrap();
     sum.exec(&su);
+    assert_eq!(
+        u.len(),
+        36,
+        "E4: |A∪B| of two 24-tuple relations sharing 12"
+    );
     println!(
         "union check: |A|=24, |B|=24, |A∩B|=12 -> |A∪B| = {} (expected 36)",
         u.len()
     );
     let (p, sp) = ops::project(&a, &[0], Execution::Marching).unwrap();
     sum.exec(&sp);
+    assert_eq!(p.len(), 24, "E4: project(A, [c0]) of 24 distinct c0 values");
     println!(
         "projection check: project(A, [c0]) -> {} distinct values (expected 24)",
         p.len()
@@ -226,6 +246,11 @@ fn e5_join() -> Summary {
         let (c, s) = ops::join(&a, &b, &[JoinSpec::eq(ka, kb)], Execution::Marching).unwrap();
         sum.exec(&s);
         let expect = nested_loop::equi_join(&a, &b, &[(ka, kb)], &mut OpCounter::new()).unwrap();
+        let same = c.set_eq(&expect);
+        assert!(
+            same,
+            "E5: equi-join at n = {n}, {keys} keys, skew {skew} differs from the nested loop's"
+        );
         t.rowd(&[
             n.to_string(),
             keys.to_string(),
@@ -233,7 +258,7 @@ fn e5_join() -> Summary {
             c.len().to_string(),
             s.pulses.to_string(),
             s.cells.to_string(),
-            c.set_eq(&expect).to_string(),
+            same.to_string(),
         ]);
     }
     print!("{}", t.render());
@@ -249,11 +274,12 @@ fn e5_join() -> Summary {
         } else {
             nested_loop::theta_join(&a, &b, &[(ka, kb, op)], &mut OpCounter::new()).unwrap()
         };
-        t.rowd(&[
-            op.to_string(),
-            c.len().to_string(),
-            c.set_eq(&expect).to_string(),
-        ]);
+        let same = c.set_eq(&expect);
+        assert!(
+            same,
+            "E5: theta join on {op} at n = 24 differs from the nested loop's"
+        );
+        t.rowd(&[op.to_string(), c.len().to_string(), same.to_string()]);
     }
     print!("{}", t.render());
     sum
@@ -283,6 +309,7 @@ fn e6_division() -> Summary {
     ];
     let out = DivisionArray.divide(&pairs, &[a, b, c, d]).unwrap();
     sum.exec(&out.stats);
+    assert_eq!(out.quotient, [i], "E6: the Figure 7-1 quotient is {{i}}");
     println!(
         "figure 7-1 instance: quotient = {:?} (paper: [1] i.e. {{i}}), {} pulses on {} cells",
         out.quotient, out.stats.pulses, out.stats.cells
@@ -307,13 +334,18 @@ fn e6_division() -> Summary {
         sum.exec(&s);
         let mut keys: Vec<Elem> = got.rows().iter().map(|r| r[0]).collect();
         keys.sort_unstable();
+        let correct = keys == expected;
+        assert!(
+            correct,
+            "E6: quotient over {xu} keys by {dv} divisor values, {q} planted, is wrong"
+        );
         t.rowd(&[
             xu.to_string(),
             dv.to_string(),
             q.to_string(),
             got.len().to_string(),
             s.pulses.to_string(),
-            (keys == expected).to_string(),
+            correct.to_string(),
         ]);
     }
     print!("{}", t.render());
@@ -328,6 +360,11 @@ fn e6_division() -> Summary {
     ];
     let out = DivisionArrayMulti::new(2).divide(&rows, &[10, 11]).unwrap();
     sum.exec(&out.stats);
+    assert_eq!(
+        out.quotient,
+        [vec![1, 1], vec![2, 2]],
+        "E6: general-case quotient"
+    );
     println!(
         "multi-column keys (general case): quotient over (x1,x2) = {:?} on {} cells",
         out.quotient, out.stats.cells
@@ -569,6 +606,10 @@ fn e10_fixed_operand() -> Summary {
         sum.exec(&marching.stats);
         sum.exec(&fixed.stats);
         let same = marching.keep == fixed.keep;
+        assert!(
+            same,
+            "E10: fixed-B membership at n = {n} differs from the marching array's"
+        );
         t.rowd(&[
             n.to_string(),
             "marching".to_string(),
@@ -629,27 +670,31 @@ fn e11_bitlevel() -> Summary {
         let (bv, bs) = bit.compare(&a, &b, true).unwrap();
         sum.exec(&word.stats);
         sum.exec(&bs);
+        let agree = word.result == bv;
+        assert!(
+            agree,
+            "E11: the {w}-bit array's verdict differs from the word array's"
+        );
         t.rowd(&[
             w.to_string(),
             word.stats.cells.to_string(),
             bs.cells.to_string(),
             word.stats.pulses.to_string(),
             bs.pulses.to_string(),
-            (word.result == bv).to_string(),
+            agree.to_string(),
         ]);
     }
     print!("{}", t.render());
     // Bit-serial magnitude comparators across all six operators.
-    let mut agree = true;
     for op in CompareOp::ALL {
         let cmp = BitSerialComparator::new(12, op);
         for (x, y) in [(0, 0), (5, 2000), (2000, 5), (4095, 4095)] {
             let (v, st) = cmp.compare(x, y).unwrap();
             sum.exec(&st);
-            agree &= v == op.eval(x, y);
+            assert_eq!(v, op.eval(x, y), "E11: bit-serial {x} {op} {y}");
         }
     }
-    println!("bit-serial magnitude comparator agrees with all 6 operators: {agree}");
+    println!("bit-serial magnitude comparator agrees with all 6 operators: true");
     sum
 }
 
@@ -699,6 +744,10 @@ fn e12_shape() -> Summary {
             .unwrap();
         sum.exec(&out.stats);
         let f = intersection_pulses(n as u64, 2);
+        assert_eq!(
+            out.stats.pulses, f,
+            "E12: simulated pulses at n = {n} against the formula"
+        );
         t.rowd(&[
             n.to_string(),
             out.stats.pulses.to_string(),
@@ -801,6 +850,11 @@ fn e14_tree_machine() -> Summary {
             .unwrap(),
         );
         let (tree_keep, tree_stats) = tree.membership(&probes).unwrap();
+        let agree = tree_keep == systolic.keep;
+        assert!(
+            agree,
+            "E14: tree-machine membership at n = {n} differs from the systolic array's"
+        );
         sum.exec(&systolic.stats);
         sum.pulses(tree_stats.total_pulses());
         t.rowd(&[
@@ -808,7 +862,7 @@ fn e14_tree_machine() -> Summary {
             systolic.stats.pulses.to_string(),
             tree_stats.total_pulses().to_string(),
             tree_stats.depth.to_string(),
-            (tree_keep == systolic.keep).to_string(),
+            agree.to_string(),
         ]);
     }
     print!("{}", t.render());
@@ -913,10 +967,15 @@ fn e16_programmable() -> Summary {
             .unwrap();
         sum.exec(&programmed.stats);
         sum.exec(&preloaded.stats);
+        let same = programmed.t == preloaded.t;
+        assert!(
+            same,
+            "E16: T programmed with {op} differs from the preloaded {op} array's"
+        );
         t.rowd(&[
             op.to_string(),
             programmed.t.count_true().to_string(),
-            (programmed.t == preloaded.t).to_string(),
+            same.to_string(),
         ]);
     }
     print!("{}", t.render());
@@ -1009,18 +1068,27 @@ fn e19_pipelined_tiles() -> Summary {
         "pipelined decomposition (§1 'extensive pipelining' across §8 tiles)",
         "streaming successive tiles back-to-back through one running array pays the fill/drain cost once per problem instead of once per tile",
     );
-    let a = workloads::seq_rows(64, 2, 0);
-    let b = workloads::seq_rows(64, 2, 32);
-    let ops_eq = vec![CompareOp::Eq; 2];
     let mut tbl = Table::new(&[
         "tile",
+        "arity",
         "tiles",
         "sequential pulses",
         "pipelined pulses",
         "speedup",
         "T identical",
     ]);
-    for (ta, tb) in [(32usize, 32usize), (16, 16), (8, 8), (4, 4)] {
+    // Every array has two columns; arity 4 splits each tile into two
+    // column groups, one pipelined pass each.
+    for (ta, tb, m) in [
+        (32usize, 32usize, 2usize),
+        (16, 16, 2),
+        (8, 8, 2),
+        (4, 4, 2),
+        (16, 16, 4),
+    ] {
+        let a = workloads::seq_rows(64, m, 0);
+        let b = workloads::seq_rows(64, m, 32);
+        let ops_eq = vec![CompareOp::Eq; m];
         let limits = ArrayLimits::new(ta, tb, 2);
         let seq = t_matrix_tiled(&a, &b, &ops_eq, limits, |_, _| true).unwrap();
         let piped = t_matrix_tiled_pipelined(&a, &b, &ops_eq, limits, |_, _| true).unwrap();
@@ -1029,10 +1097,17 @@ fn e19_pipelined_tiles() -> Summary {
         let identical = seq.t == piped.t;
         assert!(
             identical,
-            "E19: pipelined T on {ta}x{tb} tiles differs from the sequential tiles'"
+            "E19: pipelined T on {ta}x{tb}x2 tiles, arity {m}, differs from the sequential tiles'"
+        );
+        assert!(
+            piped.stats.pulses < seq.stats.pulses,
+            "E19: pipelined {ta}x{tb}x2 tiles, arity {m}, took {} pulses, sequential {}",
+            piped.stats.pulses,
+            seq.stats.pulses
         );
         tbl.rowd(&[
             format!("{ta}x{tb}"),
+            m.to_string(),
             piped.stats.array_runs.to_string(),
             seq.stats.pulses.to_string(),
             piped.stats.pulses.to_string(),

@@ -226,6 +226,15 @@ fn chunks(n: usize, max: usize) -> Vec<(usize, u64)> {
     v
 }
 
+/// `count` identical runs of `run`, merged sequentially onto `out`.
+fn merge_runs(out: &mut ExecStats, run: ExecStats, count: u64) {
+    out.pulses += run.pulses * count;
+    out.busy_cell_pulses += run.busy_cell_pulses * count;
+    out.total_cell_pulses += run.total_cell_pulses * count;
+    out.cells = out.cells.max(run.cells);
+    out.array_runs += run.array_runs * count;
+}
+
 /// A sequential tiled run ([`crate::tiling::t_matrix_tiled`]): one
 /// [`compare_run_stats`] grid run per (A-chunk, B-chunk, column-group)
 /// tile, merged sequentially. Tile sizes take at most two distinct values
@@ -235,15 +244,21 @@ pub(crate) fn tiled_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits)
     for &(ta, ca) in &chunks(n_a, limits.max_a) {
         for &(tb, cb) in &chunks(n_b, limits.max_b) {
             for &(w, cw) in &chunks(m, limits.max_cols) {
-                let tile = compare_run_stats(ta, tb, w);
-                let count = ca * cb * cw;
-                out.pulses += tile.pulses * count;
-                out.busy_cell_pulses += tile.busy_cell_pulses * count;
-                out.total_cell_pulses += tile.total_cell_pulses * count;
-                out.cells = out.cells.max(tile.cells);
-                out.array_runs += count;
+                merge_runs(&mut out, compare_run_stats(ta, tb, w), ca * cb * cw);
             }
         }
+    }
+    out
+}
+
+/// A pipelined tiled run ([`crate::tiling::t_matrix_tiled_pipelined`]):
+/// one [`pipelined_pass_stats`] pass per column group, merged sequentially
+/// (the groups' `T` blocks are ANDed on the host, so no pass feeds the
+/// next).
+pub(crate) fn pipelined_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits) -> ExecStats {
+    let mut out = ExecStats::default();
+    for &(w, count) in &chunks(m, limits.max_cols) {
+        merge_runs(&mut out, pipelined_pass_stats(n_a, n_b, w, limits), count);
     }
     out
 }
@@ -298,9 +313,8 @@ fn crossings(a: Stream, b: Stream, span: u64) -> u64 {
     (below((span - c) / 2) - below((-span - c) / 2 - 1)) as u64
 }
 
-/// A pipelined tiled run ([`crate::tiling::t_matrix_tiled_pipelined`]):
-/// every tile's streams injected back-to-back into one running
-/// `rows x m` grid.
+/// One pipelined pass over `m <= max_cols` columns: every tile's streams
+/// injected back-to-back into one running `rows x m` grid.
 ///
 /// This replays the injection arithmetic of the simulator's feeder loop by
 /// tile *shape*, never word by word: a tile's `A` tuples enter at
@@ -331,7 +345,7 @@ fn crossings(a: Stream, b: Stream, span: u64) -> u64 {
 /// per tile and a tile two places back ended more than `rows - 1` pulses
 /// before this one began. The window of tiles still within reach is
 /// therefore the previous tile alone.
-pub(crate) fn pipelined_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits) -> ExecStats {
+fn pipelined_pass_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits) -> ExecStats {
     debug_assert!(n_a > 0 && n_b > 0 && m > 0);
     let tile_a = limits.max_a;
     let rows = (tile_a.min(n_a) + limits.max_b.min(n_b))
@@ -634,29 +648,32 @@ mod tests {
 
     #[test]
     fn pipelined_stats_match_the_simulator_exactly() {
-        let ops2 = vec![CompareOp::Eq; 2];
         // 10 x 7 and 7 x 10 put many short tiles back to back (one-row
         // `B` or `A` chunks, one-row remainders), so cross-tile crossings
-        // with both neighbours carry most of the busy count.
-        for (n_a, n_b) in [(13, 17), (1, 1), (5, 1), (2, 9), (10, 7), (7, 10)] {
-            let a = relation(n_a, 2, 0);
-            let b = relation(n_b, 2, 3);
-            for limits in [
-                ArrayLimits::new(4, 4, 2),
-                ArrayLimits::new(5, 3, 2),
-                ArrayLimits::new(1, 1, 2),
-                ArrayLimits::new(3, 1, 2),
-                ArrayLimits::new(1, 3, 2),
-                ArrayLimits::new(2, 2, 2),
-                ArrayLimits::new(100, 100, 2),
-            ] {
-                let sim =
-                    tiling::t_matrix_tiled_pipelined(&a, &b, &ops2, limits, |_, _| true).unwrap();
-                assert_eq!(
-                    pipelined_stats(n_a, n_b, 2, limits),
-                    sim.stats,
-                    "{n_a}x{n_b} {limits:?}"
-                );
+        // with both neighbours carry most of the busy count. Width 5 on
+        // two-column arrays runs groups of 2, 2 and 1 columns.
+        for m in [2, 5] {
+            let ops = vec![CompareOp::Eq; m];
+            for (n_a, n_b) in [(13, 17), (1, 1), (5, 1), (2, 9), (10, 7), (7, 10)] {
+                let a = relation(n_a, m, 0);
+                let b = relation(n_b, m, 3);
+                for limits in [
+                    ArrayLimits::new(4, 4, 2),
+                    ArrayLimits::new(5, 3, 2),
+                    ArrayLimits::new(1, 1, 2),
+                    ArrayLimits::new(3, 1, 2),
+                    ArrayLimits::new(1, 3, 2),
+                    ArrayLimits::new(2, 2, 2),
+                    ArrayLimits::new(100, 100, 2),
+                ] {
+                    let sim = tiling::t_matrix_tiled_pipelined(&a, &b, &ops, limits, |_, _| true)
+                        .unwrap();
+                    assert_eq!(
+                        pipelined_stats(n_a, n_b, m, limits),
+                        sim.stats,
+                        "{n_a}x{n_b}x{m} {limits:?}"
+                    );
+                }
             }
         }
     }

@@ -39,9 +39,8 @@ pub enum Execution {
     /// draining between tiles.
     Tiled(ArrayLimits),
     /// As [`Execution::Tiled`], with successive tiles streamed back-to-back
-    /// through the running array (the E19 pipelining). Falls back to
-    /// [`Execution::Tiled`] when `limits.max_cols` cannot cover the
-    /// operation's streamed tuple width (pipelining cannot split columns).
+    /// through the running array (the E19 pipelining), one pass per column
+    /// group of at most `limits.max_cols` columns.
     TiledPipelined(ArrayLimits),
 }
 
@@ -56,12 +55,8 @@ fn kernel_membership_stats(exec: Execution, n_a: usize, n_b: usize, m: usize) ->
     match exec {
         Execution::Marching => kernel::marching_membership_stats(n_a, n_b, m),
         Execution::FixedOperand => kernel::fixed_membership_stats(n_a, n_b, m),
-        Execution::TiledPipelined(limits) if limits.max_cols >= m => {
-            kernel::pipelined_stats(n_a, n_b, m, limits)
-        }
-        Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
-            kernel::tiled_stats(n_a, n_b, m, limits)
-        }
+        Execution::Tiled(limits) => kernel::tiled_stats(n_a, n_b, m, limits),
+        Execution::TiledPipelined(limits) => kernel::pipelined_stats(n_a, n_b, m, limits),
     }
 }
 
@@ -116,12 +111,8 @@ pub fn price_join(exec: Execution, n_a: usize, n_b: usize, n_specs: usize) -> Ex
     match exec {
         Execution::Marching => kernel::compare_run_stats(n_a, n_b, n_specs),
         Execution::FixedOperand => kernel::fixed_t_matrix_stats(n_a, n_b, n_specs),
-        Execution::TiledPipelined(limits) if limits.max_cols >= n_specs => {
-            kernel::pipelined_stats(n_a, n_b, n_specs, limits)
-        }
-        Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
-            kernel::tiled_stats(n_a, n_b, n_specs, limits)
-        }
+        Execution::Tiled(limits) => kernel::tiled_stats(n_a, n_b, n_specs, limits),
+        Execution::TiledPipelined(limits) => kernel::pipelined_stats(n_a, n_b, n_specs, limits),
     }
 }
 
@@ -138,6 +129,23 @@ pub fn price_divide_bound(exec: Execution, n: usize, nd: usize) -> ExecStats {
     let mut stats = price_dedup(exec, n, 1);
     stats.merge_sequential(&kernel::division_stats(n, n, nd, n));
     stats
+}
+
+/// `T` on the bounded array of a tiled `exec`: drained per tile under
+/// [`Execution::Tiled`], pipelined under [`Execution::TiledPipelined`].
+fn tiled_t_matrix(
+    exec: Execution,
+    limits: ArrayLimits,
+    a: &[Row],
+    b: &[Row],
+    ops: &[CompareOp],
+    initial: impl FnMut(usize, usize) -> bool,
+) -> Result<tiling::TiledOutcome> {
+    if matches!(exec, Execution::Tiled(_)) {
+        tiling::t_matrix_tiled(a, b, ops, limits, initial)
+    } else {
+        tiling::t_matrix_tiled_pipelined(a, b, ops, limits, initial)
+    }
 }
 
 fn membership(
@@ -180,28 +188,15 @@ fn membership(
                 let out = FixedOperandArray::preload(b.rows()).run(a.rows(), mode)?;
                 (out.keep, out.stats)
             }
-            Execution::Tiled(limits) => {
-                tiling::membership_tiled(a.rows(), b.rows(), mode, limits, |_, _| true)?
-            }
-            Execution::TiledPipelined(limits) if limits.max_cols >= a.arity() => {
+            Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
                 let ops_eq = vec![CompareOp::Eq; a.arity()];
-                let out = tiling::t_matrix_tiled_pipelined(
-                    a.rows(),
-                    b.rows(),
-                    &ops_eq,
-                    limits,
-                    |_, _| true,
-                )?;
+                let out = tiled_t_matrix(exec, limits, a.rows(), b.rows(), &ops_eq, |_, _| true)?;
                 let t = out.t.row_ors();
                 let keep = match mode {
                     SetOpMode::Intersect => t,
                     SetOpMode::Difference => t.into_iter().map(|x| !x).collect(),
                 };
                 (keep, out.stats)
-            }
-            Execution::TiledPipelined(limits) => {
-                // Column splitting required: fall back to drain-per-tile.
-                tiling::membership_tiled(a.rows(), b.rows(), mode, limits, |_, _| true)?
             }
         },
     };
@@ -270,34 +265,14 @@ pub fn dedup_with(a: &MultiRelation, exec: Execution, backend: Backend) -> Resul
                 )?;
                 return Ok((a.filter_by_index(|i| out.keep[i]), out.stats));
             }
-            Execution::Tiled(limits) => tiling::membership_tiled(
-                a.rows(),
-                a.rows(),
-                SetOpMode::Intersect,
-                limits,
-                |i, j| i > j,
-            )?,
-            Execution::TiledPipelined(limits) if limits.max_cols >= a.arity() => {
+            Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
                 let ops_eq = vec![CompareOp::Eq; a.arity()];
-                let out = tiling::t_matrix_tiled_pipelined(
-                    a.rows(),
-                    a.rows(),
-                    &ops_eq,
-                    limits,
-                    |i, j| i > j,
-                )?;
+                let out = tiled_t_matrix(exec, limits, a.rows(), a.rows(), &ops_eq, |i, j| i > j)?;
                 (out.t.row_ors(), out.stats)
             }
-            Execution::TiledPipelined(limits) => tiling::membership_tiled(
-                a.rows(),
-                a.rows(),
-                SetOpMode::Intersect,
-                limits,
-                |i, j| i > j,
-            )?,
         },
     };
-    // Tiled path returns "has an earlier duplicate" flags in intersect mode.
+    // The tiled paths return "has an earlier duplicate" flags.
     Ok((a.filter_by_index(|i| !dup_flags[i]), stats))
 }
 
@@ -385,6 +360,11 @@ pub fn join_with(
     }
     let arr = JoinArray::new(specs.to_vec());
     let ops: Vec<CompareOp> = specs.iter().map(|s| s.op).collect();
+    // The join columns alone, as the keyed arrays stream them.
+    let keys = |rel: &MultiRelation, cols: &[usize]| -> Vec<Row> {
+        let key = |row: &Row| cols.iter().map(|&c| row[c]).collect();
+        rel.rows().iter().map(key).collect()
+    };
     let (t, stats) = match backend {
         Backend::Columnar => {
             // A theta comparator: scan B's cached word planes column by
@@ -401,36 +381,11 @@ pub fn join_with(
                 (out.t, out.stats)
             }
             Execution::FixedOperand => {
-                let b_keys: Vec<Row> = b
-                    .rows()
-                    .iter()
-                    .map(|row| specs.iter().map(|s| row[s.col_b]).collect())
-                    .collect();
-                let a_keys: Vec<Row> = a
-                    .rows()
-                    .iter()
-                    .map(|row| specs.iter().map(|s| row[s.col_a]).collect())
-                    .collect();
-                FixedOperandArray::preload(&b_keys).t_matrix(&a_keys, &ops)?
+                FixedOperandArray::preload(&keys(b, &cols_b)).t_matrix(&keys(a, &cols_a), &ops)?
             }
             Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
-                let a_keys: Vec<Row> = a
-                    .rows()
-                    .iter()
-                    .map(|row| specs.iter().map(|s| row[s.col_a]).collect())
-                    .collect();
-                let b_keys: Vec<Row> = b
-                    .rows()
-                    .iter()
-                    .map(|row| specs.iter().map(|s| row[s.col_b]).collect())
-                    .collect();
-                let pipelined =
-                    matches!(exec, Execution::TiledPipelined(_)) && limits.max_cols >= ops.len();
-                let out = if pipelined {
-                    tiling::t_matrix_tiled_pipelined(&a_keys, &b_keys, &ops, limits, |_, _| true)?
-                } else {
-                    tiling::t_matrix_tiled(&a_keys, &b_keys, &ops, limits, |_, _| true)?
-                };
+                let (a_keys, b_keys) = (keys(a, &cols_a), keys(b, &cols_b));
+                let out = tiled_t_matrix(exec, limits, &a_keys, &b_keys, &ops, |_, _| true)?;
                 (out.t, out.stats)
             }
         },
@@ -707,7 +662,7 @@ mod tests {
     use systolic_baseline::{nested_loop, OpCounter};
     use systolic_relation::gen::{self, synth_schema};
 
-    const EXECS: [Execution; 4] = [
+    const EXECS: [Execution; 5] = [
         Execution::Marching,
         Execution::FixedOperand,
         Execution::Tiled(ArrayLimits {
@@ -719,6 +674,12 @@ mod tests {
             max_a: 4,
             max_b: 3,
             max_cols: 3,
+        }),
+        // Every tuple wider than one column runs in column groups.
+        Execution::TiledPipelined(ArrayLimits {
+            max_a: 4,
+            max_b: 3,
+            max_cols: 1,
         }),
     ];
 

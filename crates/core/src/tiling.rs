@@ -65,11 +65,47 @@ pub struct TiledOutcome {
     pub stats: ExecStats,
 }
 
+/// Run `pass(c0, a, b, ops)` once per column group of at most
+/// `limits.max_cols` columns, `c0` its first column, in sequence, and AND
+/// the groups' `T` blocks outside the array: tuple equality over all
+/// columns is the AND over groups. So `pass` seeds only the group at
+/// `c0 == 0` with the caller's `initial` — ANDing it once is ANDing it at
+/// all — and every other group with TRUE.
+fn by_column_groups(
+    a: &[Vec<Elem>],
+    b: &[Vec<Elem>],
+    ops: &[CompareOp],
+    limits: ArrayLimits,
+    mut pass: impl FnMut(usize, &[Vec<Elem>], &[Vec<Elem>], &[CompareOp]) -> Result<TiledOutcome>,
+) -> Result<TiledOutcome> {
+    let (m, max_cols) = (ops.len(), limits.max_cols);
+    assert!(m > 0, "tuple width must be positive");
+    if m <= max_cols {
+        return pass(0, a, b, ops);
+    }
+    let group = |rows: &[Vec<Elem>], c0, c1| -> Vec<Vec<Elem>> {
+        rows.iter().map(|row| row[c0..c1].to_vec()).collect()
+    };
+    let mut out: Option<TiledOutcome> = None;
+    for c0 in (0..m).step_by(max_cols) {
+        let c1 = (c0 + max_cols).min(m);
+        let next = pass(c0, &group(a, c0, c1), &group(b, c0, c1), &ops[c0..c1])?;
+        out = Some(match out {
+            None => next,
+            Some(mut acc) => {
+                acc.t.and_assign(&next.t);
+                acc.stats.merge_sequential(&next.stats);
+                acc
+            }
+        });
+    }
+    Ok(out.expect("at least one column group"))
+}
+
 /// Compute the full `T` matrix with an array bounded by `limits`, tiling
-/// over `A`-chunks, `B`-chunks and column groups. `initial` supplies the
-/// west-edge seed per *global* pair index; when the tuple width exceeds
-/// `max_cols`, per-group results are ANDed, so the seed is applied to the
-/// first column group only (ANDing it once is ANDing it at all).
+/// over column groups, `A`-chunks and `B`-chunks, the array draining
+/// between tiles. `initial` supplies the west-edge seed per *global* pair
+/// index.
 pub fn t_matrix_tiled(
     a: &[Vec<Elem>],
     b: &[Vec<Elem>],
@@ -77,46 +113,22 @@ pub fn t_matrix_tiled(
     limits: ArrayLimits,
     mut initial: impl FnMut(usize, usize) -> bool,
 ) -> Result<TiledOutcome> {
-    let m = ops.len();
-    assert!(m > 0, "tuple width must be positive");
-    let mut t = TMatrix::new(a.len(), b.len());
-    let mut stats = ExecStats::default();
-    let col_groups: Vec<(usize, usize)> = (0..m)
-        .step_by(limits.max_cols)
-        .map(|start| (start, (start + limits.max_cols).min(m)))
-        .collect();
-    for a0 in (0..a.len()).step_by(limits.max_a) {
-        let a1 = (a0 + limits.max_a).min(a.len());
-        for b0 in (0..b.len()).step_by(limits.max_b) {
-            let b1 = (b0 + limits.max_b).min(b.len());
-            let mut block: Option<TMatrix> = None;
-            for (group_idx, &(c0, c1)) in col_groups.iter().enumerate() {
-                let sub_a: Vec<Vec<Elem>> =
-                    a[a0..a1].iter().map(|row| row[c0..c1].to_vec()).collect();
-                let sub_b: Vec<Vec<Elem>> =
-                    b[b0..b1].iter().map(|row| row[c0..c1].to_vec()).collect();
-                let arr = ComparisonArray2d::with_ops(ops[c0..c1].to_vec());
-                let out = arr.t_matrix(&sub_a, &sub_b, |i, j| {
-                    if group_idx == 0 {
-                        initial(a0 + i, b0 + j)
-                    } else {
-                        true
-                    }
-                })?;
+    by_column_groups(a, b, ops, limits, |c0, a, b, ops| {
+        let arr = ComparisonArray2d::with_ops(ops.to_vec());
+        let mut t = TMatrix::new(a.len(), b.len());
+        let mut stats = ExecStats::default();
+        for a0 in (0..a.len()).step_by(limits.max_a) {
+            let a1 = (a0 + limits.max_a).min(a.len());
+            for b0 in (0..b.len()).step_by(limits.max_b) {
+                let b1 = (b0 + limits.max_b).min(b.len());
+                let seed = |i, j| c0 > 0 || initial(a0 + i, b0 + j);
+                let out = arr.t_matrix(&a[a0..a1], &b[b0..b1], seed)?;
                 stats.merge_sequential(&out.stats);
-                block = Some(match block {
-                    None => out.t,
-                    Some(mut acc) => {
-                        // Tuple equality over all columns = AND over groups.
-                        acc.and_assign(&out.t);
-                        acc
-                    }
-                });
+                t.paste(a0, b0, &out.t);
             }
-            t.paste(a0, b0, &block.expect("at least one column group"));
         }
-    }
-    Ok(TiledOutcome { t, stats })
+        Ok(TiledOutcome { t, stats })
+    })
 }
 
 /// Compute the full `T` matrix on a bounded array with *pipelined* tiles:
@@ -129,8 +141,9 @@ pub fn t_matrix_tiled(
 /// instead of once per *tile*, roughly halving total pulses for large tile
 /// counts.
 ///
-/// Column groups are not supported here (each would need its own pass);
-/// `limits.max_cols` must cover the full tuple width.
+/// A tuple wider than `limits.max_cols` runs one such pass per column
+/// group, in sequence, each on its own grid (comparators are per column)
+/// and ANDed as in [`t_matrix_tiled`].
 pub fn t_matrix_tiled_pipelined(
     a: &[Vec<Elem>],
     b: &[Vec<Elem>],
@@ -138,35 +151,39 @@ pub fn t_matrix_tiled_pipelined(
     limits: ArrayLimits,
     initial: impl FnMut(usize, usize) -> bool,
 ) -> Result<TiledOutcome> {
-    pipelined_run(a, b, ops, limits, initial, 0)
+    pipelined_run(a, b, ops, limits, initial, None)
 }
 
-/// [`t_matrix_tiled_pipelined`] with a pulse budget shrunk by `trim` — only
-/// used by tests to prove the budget is *exact* (trim 1 must fail, trim 0
-/// must succeed).
+/// [`t_matrix_tiled_pipelined`], with the pass of the column group starting
+/// at column `short` given a budget one pulse short — only used by tests
+/// to prove every group's budget is *exact*.
 fn pipelined_run(
     a: &[Vec<Elem>],
     b: &[Vec<Elem>],
     ops: &[CompareOp],
     limits: ArrayLimits,
-    initial: impl FnMut(usize, usize) -> bool,
-    trim: u64,
+    mut initial: impl FnMut(usize, usize) -> bool,
+    short: Option<usize>,
 ) -> Result<TiledOutcome> {
-    let (grid, mut tiles) = pipelined_grid(a, b, ops, limits, initial, trim)?;
-    let mut t = TMatrix::new(a.len(), b.len());
-    let mut seen = 0usize;
-    decode_east(&mut tiles, grid.east_emissions().emissions(), |i, j, v| {
-        t.set(i, j, v);
-        seen += 1;
-    })?;
-    if seen != a.len() * b.len() {
-        return Err(crate::error::CoreError::ScheduleViolation {
-            detail: format!("expected {} results, saw {seen}", a.len() * b.len()),
-        });
-    }
-    let mut stats = ExecStats::from_grid(grid.stats(), grid.cell_count());
-    stats.array_runs = tiles.len() as u64;
-    Ok(TiledOutcome { t, stats })
+    by_column_groups(a, b, ops, limits, |c0, a, b, ops| {
+        let seed = |i, j| c0 > 0 || initial(i, j);
+        let trim = u64::from(short == Some(c0));
+        let (grid, mut tiles) = pipelined_grid(a, b, ops, limits, seed, trim)?;
+        let mut t = TMatrix::new(a.len(), b.len());
+        let mut seen = 0usize;
+        decode_east(&mut tiles, grid.east_emissions().emissions(), |i, j, v| {
+            t.set(i, j, v);
+            seen += 1;
+        })?;
+        if seen != a.len() * b.len() {
+            return Err(crate::error::CoreError::ScheduleViolation {
+                detail: format!("expected {} results, saw {seen}", a.len() * b.len()),
+            });
+        }
+        let mut stats = ExecStats::from_grid(grid.stats(), grid.cell_count());
+        stats.array_runs = tiles.len() as u64;
+        Ok(TiledOutcome { t, stats })
+    })
 }
 
 /// Where one pipelined tile's results leave the east edge: its schedule's
@@ -193,11 +210,6 @@ fn pipelined_grid(
     trim: u64,
 ) -> Result<(CompareGrid, Vec<TileExits>)> {
     let m = ops.len();
-    assert!(m > 0, "tuple width must be positive");
-    assert!(
-        limits.max_cols >= m,
-        "pipelined tiling needs the full tuple width per pass"
-    );
     let tile_a = limits.max_a;
     let tile_b = limits.max_b;
     // The physical grid is sized for the largest tile.
@@ -543,7 +555,7 @@ mod tests {
             let a = relation(n_a, 2, 0);
             let b = relation(n_b, 2, 4);
             for mask in masks {
-                let out = pipelined_run(&a, &b, &ops, limits, mask, 0).unwrap();
+                let out = pipelined_run(&a, &b, &ops, limits, mask, None).unwrap();
                 let expect = TMatrix::from_fn(n_a, n_b, |i, j| {
                     mask(i, j) && a[i][0] == b[j][0] && a[i][1] <= b[j][1]
                 });
@@ -593,10 +605,18 @@ mod tests {
 
     #[test]
     fn pipelined_pulse_budget_is_exact() {
-        // The derived budget is tight in both directions: the full budget
-        // drains the grid, one pulse less leaves a word in flight.
+        // The derived budget is tight in both directions, in every column
+        // group: the full budget drains the grid, one pulse less in any one
+        // group's pass leaves a word in flight.
         let ops2 = vec![CompareOp::Eq; 2];
         let ops1 = vec![CompareOp::Eq];
+        let ops5 = vec![
+            CompareOp::Eq,
+            CompareOp::Le,
+            CompareOp::Eq,
+            CompareOp::Ge,
+            CompareOp::Eq,
+        ];
         let narrow: Vec<Vec<Elem>> = relation(5, 1, 0);
         #[allow(clippy::type_complexity)]
         let cases: Vec<(Vec<Vec<Elem>>, Vec<Vec<Elem>>, Vec<CompareOp>, ArrayLimits)> = vec![
@@ -619,24 +639,47 @@ mod tests {
                 ArrayLimits::new(1, 1, 2),
             ),
             (narrow.clone(), narrow, ops1, ArrayLimits::new(2, 2, 1)),
+            // Groups of 2, 2 and 1 columns.
+            (
+                relation(11, 5, 0),
+                relation(7, 5, 3),
+                ops5,
+                ArrayLimits::new(4, 3, 2),
+            ),
         ];
         for (a, b, ops, limits) in cases {
-            let exact = pipelined_run(&a, &b, &ops, limits, |_, _| true, 0);
+            let exact = pipelined_run(&a, &b, &ops, limits, |_, _| true, None);
             assert!(exact.is_ok(), "budget must suffice for limits {limits:?}");
-            let short = pipelined_run(&a, &b, &ops, limits, |_, _| true, 1);
-            assert!(
-                matches!(short, Err(crate::error::CoreError::Fabric(_))),
-                "budget - 1 must time out for limits {limits:?}, got {short:?}"
-            );
+            for c0 in (0..ops.len()).step_by(limits.max_cols) {
+                let short = pipelined_run(&a, &b, &ops, limits, |_, _| true, Some(c0));
+                assert!(
+                    matches!(short, Err(crate::error::CoreError::Fabric(_))),
+                    "budget - 1 must time out for group {c0} on {limits:?}, got {short:?}"
+                );
+            }
         }
     }
 
     #[test]
-    #[should_panic(expected = "full tuple width")]
-    fn pipelined_tiling_rejects_column_splitting() {
-        let a = relation(4, 3, 0);
-        let ops = vec![CompareOp::Eq; 3];
-        let _ = t_matrix_tiled_pipelined(&a, &a, &ops, ArrayLimits::new(2, 2, 2), |_, _| true);
+    fn grouped_pipelined_matrix_equals_sequential_tiling_under_the_dedup_seed() {
+        // Wider tuples than the array has columns: one pipelined pass per
+        // column group, ANDed on the host, seeded in the first group only.
+        let rows: Vec<Vec<Elem>> = (0..14)
+            .map(|i| (0..5).map(|c| (i % 3 + c * (i % 2)) as Elem).collect())
+            .collect();
+        for max_cols in 1..=4 {
+            let ops = vec![CompareOp::Eq; 5];
+            let limits = ArrayLimits::new(4, 3, max_cols);
+            let seq = t_matrix_tiled(&rows, &rows, &ops, limits, |i, j| i > j).unwrap();
+            let piped = t_matrix_tiled_pipelined(&rows, &rows, &ops, limits, |i, j| i > j).unwrap();
+            assert_eq!(piped.t, seq.t, "max_cols {max_cols}");
+            assert_eq!(
+                piped.t,
+                TMatrix::from_fn(14, 14, |i, j| i > j && rows[i] == rows[j])
+            );
+            assert_eq!(piped.stats.array_runs, seq.stats.array_runs);
+            assert!(piped.stats.pulses < seq.stats.pulses, "max_cols {max_cols}");
+        }
     }
 
     #[test]

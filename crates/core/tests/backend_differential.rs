@@ -323,6 +323,7 @@ fn overwide_relations_agree() {
         Execution::FixedOperand,
         Execution::Tiled(ArrayLimits::new(2, 2, 1)),
         Execution::TiledPipelined(ArrayLimits::new(2, 2, 2)),
+        Execution::TiledPipelined(ArrayLimits::new(2, 2, 1)),
     ] {
         for (label, sim, fast) in [
             (
@@ -357,12 +358,13 @@ fn overwide_relations_agree() {
     assert_eq!(d.len(), 4, "the second (0, 5) is dropped");
 }
 
-fn every_execution() -> [Execution; 4] {
+fn every_execution() -> [Execution; 5] {
     [
         Execution::Marching,
         Execution::FixedOperand,
         Execution::Tiled(ArrayLimits::new(2, 3, 1)),
         Execution::TiledPipelined(ArrayLimits::new(2, 3, 2)),
+        Execution::TiledPipelined(ArrayLimits::new(2, 3, 1)),
     ]
 }
 

@@ -4,8 +4,9 @@
 //! the array are decomposed onto it (§8/§9: "relations may have to be
 //! decomposed to fit the (fixed) sizes of systolic arrays"). A device
 //! executes a [`PlanOp`] by running the corresponding `systolic-core`
-//! operator with `Execution::Tiled(limits)`, so the data is processed by
-//! the real simulated hardware and the time charged is `pulses x clock`.
+//! operator with `Execution::TiledPipelined(limits)`, so the data is
+//! processed by the real simulated hardware and the time charged is
+//! `pulses x clock`.
 
 use systolic_core::ops::{self, Execution};
 use systolic_core::{ArrayLimits, Backend, ExecStats};
@@ -149,8 +150,8 @@ impl Device {
         if !self.can_execute(op) {
             return Err(MachineError::NoDevice { kind: op.label() });
         }
-        // Pipelined tiles when the column budget allows (E19); the operator
-        // front-end falls back to drain-per-tile when columns must split.
+        // Pipelined tiles (E19), one pass per column group of a tuple wider
+        // than the array.
         let exec = Execution::TiledPipelined(self.limits);
         let be = self.backend;
         let out = match op {
@@ -317,7 +318,7 @@ mod tests {
                 cb: 0,
             },
         ];
-        // Pipelined (m <= max_cols) and drain-per-tile (m > max_cols) arrays.
+        // One pipelined pass (m <= max_cols) and column groups (m > max_cols).
         let arrays = [
             ArrayLimits::new(4, 4, 2),
             ArrayLimits::new(3, 5, 2),

@@ -729,17 +729,22 @@ pub fn run_query_traced(
     Ok(rendered)
 }
 
+/// The default machine, on the `--backend` the user named if any.
+fn machine_config(backend: Option<Backend>) -> MachineConfig {
+    let mut machine = MachineConfig::default();
+    if let Some(backend) = backend {
+        machine.backend = backend;
+    }
+    machine
+}
+
 fn run_engine(
     tables: &[(TableSpec, String)],
     query: &str,
     stats: bool,
     backend: Option<Backend>,
 ) -> Result<(String, RunOutcome), CliError> {
-    let mut config = MachineConfig::default();
-    if let Some(backend) = backend {
-        config.backend = backend;
-    }
-    let mut engine = Engine::new(config)?;
+    let mut engine = Engine::new(machine_config(backend))?;
     for (spec, text) in tables {
         engine.load_table(&spec.name, &spec.kinds, text)?;
     }
@@ -869,16 +874,12 @@ pub fn run_check(
 
 fn run_serve(args: &ServeArgs) -> Result<(), CliError> {
     let defaults = ServerConfig::default();
-    let mut machine = MachineConfig::default();
-    if let Some(backend) = args.backend {
-        machine.backend = backend;
-    }
     systolic_server::run(ServerConfig {
         addr: args.addr.clone(),
         workers: args.workers,
         io: args.io,
         shards: args.shards,
-        machine,
+        machine: machine_config(args.backend),
         batch_window: Duration::from_millis(args.batch_window_ms),
         slow_query: match args.slow_query_ms {
             0 => None,
@@ -900,13 +901,9 @@ fn run_serve(args: &ServeArgs) -> Result<(), CliError> {
 /// re-deriving the profile here) guarantees the printed profile is exactly
 /// what a long-lived server would report for the same query.
 pub fn run_profile(tables: &[(TableSpec, String)], args: &ProfileArgs) -> Result<String, CliError> {
-    let mut machine = MachineConfig::default();
-    if let Some(backend) = args.backend {
-        machine.backend = backend;
-    }
     let handle = systolic_server::spawn(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        machine,
+        machine: machine_config(args.backend),
         ..ServerConfig::default()
     })?;
     let run = || -> Result<String, CliError> {

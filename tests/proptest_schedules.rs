@@ -88,18 +88,26 @@ proptest! {
 
     #[test]
     fn tiling_is_invisible_to_results(
-        a in rows(10, 2, 4),
-        b in rows(10, 2, 4),
+        a in rows(10, 4, 3),
+        b in rows(10, 4, 3),
+        arity in 1usize..=4,
         max_a in 1usize..5,
         max_b in 1usize..5,
-        max_cols in 1usize..3,
+        max_cols in 1usize..=3,
     ) {
-        let ops_eq = vec![CompareOp::Eq; 2];
-        let whole = ComparisonArray2d::equality(2).t_matrix(&a, &b, |_, _| true).unwrap();
-        let tiled = tiling::t_matrix_tiled(
-            &a, &b, &ops_eq, ArrayLimits::new(max_a, max_b, max_cols), |_, _| true,
-        ).unwrap();
-        prop_assert_eq!(whole.t, tiled.t);
+        // Arity above max_cols splits every tile into column groups.
+        let narrow = |rows: &[Vec<Elem>]| -> Vec<Vec<Elem>> {
+            rows.iter().map(|row| row[..arity].to_vec()).collect()
+        };
+        let (a, b) = (narrow(&a), narrow(&b));
+        let ops_eq = vec![CompareOp::Eq; arity];
+        let limits = ArrayLimits::new(max_a, max_b, max_cols);
+        let whole = ComparisonArray2d::equality(arity).t_matrix(&a, &b, |_, _| true).unwrap();
+        let tiled = tiling::t_matrix_tiled(&a, &b, &ops_eq, limits, |_, _| true).unwrap();
+        prop_assert_eq!(&whole.t, &tiled.t);
+        let piped = tiling::t_matrix_tiled_pipelined(&a, &b, &ops_eq, limits, |_, _| true).unwrap();
+        prop_assert_eq!(&whole.t, &piped.t);
+        prop_assert_eq!(tiled.stats.array_runs, piped.stats.array_runs);
     }
 
     #[test]
