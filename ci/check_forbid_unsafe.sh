@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 # modules carries a documented `#[allow(unsafe_code)]` exception.
 DENY_OK=("crates/server/src/lib.rs")
 # the only files allowed to contain `#[allow(unsafe_code)]`.
-ALLOW_OK=("crates/server/src/shutdown.rs" "crates/server/src/reactor.rs")
+ALLOW_OK=("crates/server/src/shutdown.rs")
 
 fail=0
 

@@ -5,10 +5,10 @@
 #   3. check the joined rows arrived,
 #   4. scrape METRICS and verify the exposition parses and counters move,
 #   5. SIGTERM the server and verify it drains and exits 0,
-#   6. repeat the workload against `--io poll --shards 2` (the event-driven
-#      front end with a 2-shard router), check the answers match, and check
-#      the router actually routed (sharded counter) and fell back where it
-#      must (the join has no first-column equality, so it runs locally),
+#   6. repeat the workload against `--shards 2` (a 2-shard router), check
+#      the answers match, and check the router actually routed (sharded
+#      counter) and fell back where it must (the join has no first-column
+#      equality, so it runs locally),
 #   7. serve with `--data-dir`, load, SIGKILL the process mid-flight,
 #      restart on the same directory, and re-run the join WITHOUT reloading
 #      anything: recovery must produce the same rows, report itself in the
@@ -17,13 +17,11 @@
 #      fanned-out query (budget must bound the actual pulses, which must
 #      equal the RESULT RunStats), overflow and dump the flight recorder,
 #      and check the shutdown trace merged the shard fan-out spans,
-#   9. serve with `--backend columnar --io poll`, pipeline three queries
-#      with DISTINCT filter values over one shared table onto one socket
-#      in a single write (the reactor counts all three as arriving before
-#      it dispatches the first, so they are admitted as one batch), check
-#      every batched RESULT frame byte-matches its solo run, that word
-#      planes were packed at ingest (`sdb_columnar_builds`), and that the
-#      scheduler admitted the round whole (`sdb_batch_size` +1 batch of 3).
+#   9. serve with `--backend columnar`, pipeline three queries with
+#      DISTINCT filter values over one shared table onto one socket in a
+#      single write, check every pipelined RESULT frame byte-matches its
+#      solo run, that word planes were packed at ingest
+#      (`sdb_columnar_builds`), and that no gather closed on its deadline.
 # Any failure exits nonzero.
 set -euo pipefail
 
@@ -90,18 +88,18 @@ grep -q "shutdown:" "$WORK/serve.log" || { echo "missing shutdown summary"; cat 
 echo "--- server log ---"
 cat "$WORK/serve.log"
 
-# ---- Round 2: poll(2) front end + 2-shard router ----------------------
+# ---- Round 2: 2-shard router ------------------------------------------
 
 ADDR2=127.0.0.1:14172
-"$SDB" serve --addr "$ADDR2" --io poll --shards 2 > "$WORK/serve2.log" 2>&1 &
+"$SDB" serve --addr "$ADDR2" --shards 2 > "$WORK/serve2.log" 2>&1 &
 SRV2=$!
 
 for _ in $(seq 1 100); do
   grep -q "listening on" "$WORK/serve2.log" && break
-  kill -0 "$SRV2" 2>/dev/null || { echo "poll server died early:"; cat "$WORK/serve2.log"; exit 1; }
+  kill -0 "$SRV2" 2>/dev/null || { echo "sharded server died early:"; cat "$WORK/serve2.log"; exit 1; }
   sleep 0.1
 done
-grep -q "listening on" "$WORK/serve2.log" || { echo "poll server never came up"; cat "$WORK/serve2.log"; exit 1; }
+grep -q "listening on" "$WORK/serve2.log" || { echo "sharded server never came up"; cat "$WORK/serve2.log"; exit 1; }
 
 # The join's only equality is on column 1, not the partition column, so the
 # router must decline it and the local full-copy system must answer — with
@@ -136,11 +134,11 @@ awk '$1 == "sdb_server_shard_fallback_total" && $2 >= 1 { found = 1 } END { exit
 
 kill -TERM "$SRV2"
 if ! wait "$SRV2"; then
-  echo "poll server did not exit cleanly:"; cat "$WORK/serve2.log"; exit 1
+  echo "sharded server did not exit cleanly:"; cat "$WORK/serve2.log"; exit 1
 fi
-grep -q "shutdown:" "$WORK/serve2.log" || { echo "missing poll shutdown summary"; cat "$WORK/serve2.log"; exit 1; }
+grep -q "shutdown:" "$WORK/serve2.log" || { echo "missing sharded shutdown summary"; cat "$WORK/serve2.log"; exit 1; }
 
-echo "--- poll server log ---"
+echo "--- sharded server log ---"
 cat "$WORK/serve2.log"
 
 # ---- Round 3: durability — SIGKILL, restart, recover ------------------
@@ -298,10 +296,10 @@ grep -q 'server.shard_fanout' "$TRACE" || { echo "trace has no fan-out span"; ex
 echo "--- profiled server log ---"
 cat "$WORK/serve4.log"
 
-# ---- Round 5: columnar backend — one merged batch over a shared table ---
+# ---- Round 5: columnar backend — pipelined filters over a shared table ---
 
 ADDR5=127.0.0.1:14175
-"$SDB" serve --addr "$ADDR5" --backend columnar --io poll > "$WORK/serve5.log" 2>&1 &
+"$SDB" serve --addr "$ADDR5" --backend columnar > "$WORK/serve5.log" 2>&1 &
 SRV5=$!
 
 for _ in $(seq 1 100); do
@@ -343,36 +341,25 @@ grep -q 'sdb_server_backend_info{backend="columnar"} 1' "$WORK/metrics5a.txt" \
   || { echo "server is not running the columnar backend"; cat "$WORK/metrics5a.txt"; exit 1; }
 awk '$1 == "sdb_columnar_builds" && $2 >= 1 { found = 1 } END { exit !found }' \
   "$WORK/metrics5a.txt" || { echo "columnar ingest never packed word planes"; cat "$WORK/metrics5a.txt"; exit 1; }
-batch_metric() { awk -v name="$1" '$1 == name { print $2 }' "$2"; }
-ADMITTED_BEFORE=$(batch_metric sdb_batch_size_count "$WORK/metrics5a.txt")
-QUERIES_BEFORE=$(batch_metric sdb_batch_size_sum "$WORK/metrics5a.txt")
 
 # Three pipelined queries with DISTINCT filter values, one write: the
-# reactor counts the whole round as arriving, so the scheduler gathers all
-# three into one batch. Distinct values keep the scheduler's CSE out of
-# it, so the merged batch really evaluates three predicates, each priced
-# exactly as its solo run.
+# connection's worker answers them one at a time, in order. (That merged
+# batches answer exactly as solo runs is `server_e2e`'s
+# merged_requests_keep_distinct_traces_but_share_the_batch_span.)
 wire_results 'filter(scan(emp), c1 >= 10)' 'filter(scan(emp), c1 >= 20)' \
-  'filter(scan(emp), c1 >= 30)' > "$WORK/batched.txt"
+  'filter(scan(emp), c1 >= 30)' > "$WORK/pipelined.txt"
 "$SDB" --connect "$ADDR5" --metrics > "$WORK/metrics5b.txt"
 
-# Every batched answer must byte-match its solo baseline.
+# Every pipelined answer must byte-match its solo baseline.
 cat "$WORK/solo10.txt" "$WORK/solo20.txt" "$WORK/solo30.txt" > "$WORK/solo.txt"
-cmp -s "$WORK/solo.txt" "$WORK/batched.txt" \
-  || { echo "batched answers diverged from their solo runs"; \
-       diff "$WORK/solo.txt" "$WORK/batched.txt" || true; exit 1; }
+cmp -s "$WORK/solo.txt" "$WORK/pipelined.txt" \
+  || { echo "pipelined answers diverged from their solo runs"; \
+       diff "$WORK/solo.txt" "$WORK/pipelined.txt" || true; exit 1; }
 
-# The round was admitted whole, and no gather ever sat out its window.
+# No gather ever sat out its window.
 awk '$1 == "sdb_batch_window_close_total{reason=\"deadline\"}" && $2 == 0 { found = 1 } END { exit !found }' \
   "$WORK/metrics5b.txt" || { echo "a gather closed on its deadline (leaked arrival)"; cat "$WORK/metrics5b.txt"; exit 1; }
-
-# Exactly one admission happened across the round, and it held all three.
-ADMITTED=$(batch_metric sdb_batch_size_count "$WORK/metrics5b.txt")
-QUERIES=$(batch_metric sdb_batch_size_sum "$WORK/metrics5b.txt")
-[[ $((ADMITTED - ADMITTED_BEFORE)) -eq 1 && $((QUERIES - QUERIES_BEFORE)) -eq 3 ]] \
-  || { echo "round was not admitted as one batch of three: batches $ADMITTED_BEFORE -> $ADMITTED, queries $QUERIES_BEFORE -> $QUERIES"; \
-       cat "$WORK/metrics5b.txt"; exit 1; }
-echo "columnar: batched answers match solo; sdb_batch_size count $ADMITTED_BEFORE -> $ADMITTED, sum $QUERIES_BEFORE -> $QUERIES"
+echo "columnar: pipelined answers match solo"
 
 kill -TERM "$SRV5"
 if ! wait "$SRV5"; then

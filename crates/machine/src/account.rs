@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use systolic_core::{ArrayLimits, ExecStats};
 use systolic_fabric::CompareOp;
-use systolic_storage::pool::Replacer;
+use systolic_storage::ClockReplacer;
 use systolic_storage::StorageMetrics;
 use systolic_telemetry as telemetry;
 
@@ -121,9 +121,9 @@ struct Transient {
     /// the final result fetch). A name at zero is dead data a full memory
     /// may reclaim.
     uses: HashMap<String, usize>,
-    /// Staging replacement policy — the same [`Replacer`] family that
+    /// Staging replacement policy — the same [`ClockReplacer`] that
     /// drives the buffer pool, here keyed by staged-relation name.
-    replacer: Box<dyn Replacer<String>>,
+    replacer: ClockReplacer<String>,
     storage_metrics: Arc<StorageMetrics>,
 }
 
@@ -258,7 +258,7 @@ impl System {
             placement: HashMap::new(),
             placement_rr: 0,
             uses: HashMap::new(),
-            replacer: self.staging_replacer.build(),
+            replacer: ClockReplacer::new(),
             storage_metrics: self.storage_metrics.clone(),
         }
     }

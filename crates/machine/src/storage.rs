@@ -385,7 +385,7 @@ mod tests {
 
     #[test]
     fn backed_disk_round_trips_with_identical_transfer_time() {
-        use systolic_storage::{BlobStore, ReplacerKind, SharedBlobStore, StorageMetrics};
+        use systolic_storage::{BlobStore, SharedBlobStore, StorageMetrics};
 
         let mut path = std::env::temp_dir();
         path.push(format!("sdb_disk_backing_{}.pg", std::process::id()));
@@ -395,9 +395,8 @@ mod tests {
         let mut backed = Disk::paper_disk();
         // Store before attaching: attach must migrate existing contents.
         backed.store("emp", rel(&[&[1, 10], &[2, 20]]));
-        let store = SharedBlobStore::new(
-            BlobStore::create(&path, 8, ReplacerKind::Clock, StorageMetrics::shared()).unwrap(),
-        );
+        let store =
+            SharedBlobStore::new(BlobStore::create(&path, 8, StorageMetrics::shared()).unwrap());
         backed.attach_backing(store.clone(), "d0:".into());
         assert!(backed.is_backed());
         // And after attaching: writes go straight through.

@@ -34,7 +34,7 @@ use std::sync::{Arc, OnceLock};
 
 use systolic_core::{ArrayLimits, Backend};
 use systolic_relation::MultiRelation;
-use systolic_storage::{ReplacerKind, SharedBlobStore, StorageMetrics};
+use systolic_storage::{SharedBlobStore, StorageMetrics};
 use systolic_telemetry as telemetry;
 use systolic_telemetry::metrics::{self, Counter};
 
@@ -277,7 +277,6 @@ pub struct System {
     pub(crate) devices: Vec<Device>,
     pub(crate) interconnect: Interconnect,
     disk_rr: usize,
-    pub(crate) staging_replacer: ReplacerKind,
     pub(crate) storage_metrics: Arc<StorageMetrics>,
 }
 
@@ -304,7 +303,6 @@ impl System {
             devices,
             interconnect: config.interconnect,
             disk_rr: 0,
-            staging_replacer: ReplacerKind::Clock,
             storage_metrics: StorageMetrics::shared(),
         })
     }
@@ -315,12 +313,6 @@ impl System {
         for (i, disk) in self.disks.iter_mut().enumerate() {
             disk.attach_backing(store.clone(), format!("d{i}:"));
         }
-    }
-
-    /// Select the staging-memory replacement policy (shared with the
-    /// buffer pool's `--replacer` choice).
-    pub fn set_staging_replacer(&mut self, kind: ReplacerKind) {
-        self.staging_replacer = kind;
     }
 
     /// A machine with the default configuration.
@@ -789,9 +781,7 @@ mod tests {
         let metrics = Arc::new(StorageMetrics::from_registry(&metrics::Registry::new()));
         let mut path = std::env::temp_dir();
         path.push(format!("sdb_price_plan_paged_{}.pg", std::process::id()));
-        let store = SharedBlobStore::new(
-            BlobStore::create(&path, 8, ReplacerKind::Clock, metrics.clone()).unwrap(),
-        );
+        let store = SharedBlobStore::new(BlobStore::create(&path, 8, metrics.clone()).unwrap());
         let mut sys = System::default_machine();
         sys.attach_storage(&store);
         sys.load_base("a", seq(0..50));
@@ -917,7 +907,7 @@ mod tests {
 
     #[test]
     fn dead_staged_inputs_are_evicted_under_memory_pressure() {
-        use systolic_storage::{ReplacerKind, StorageMetrics};
+        use systolic_storage::StorageMetrics;
         // scan(a).dedup().union(scan(b)) compiles depth-first: by the time
         // `b` loads, the staged copy of `a` is dead (its only consumer, the
         // dedup, already ran). One module sized for exactly two 80-byte
@@ -942,20 +932,17 @@ mod tests {
         roomy.load_base("b", seq(10..20));
         let want = roomy.run(&expr).unwrap();
 
-        for kind in [ReplacerKind::Clock, ReplacerKind::Lru] {
-            let mut sys = System::new(tight()).unwrap();
-            sys.set_staging_replacer(kind);
-            sys.load_base("a", seq(0..10));
-            sys.load_base("b", seq(10..20));
-            let before = StorageMetrics::shared().staging_evictions.get();
-            let out = sys.run(&expr).unwrap();
-            let after = StorageMetrics::shared().staging_evictions.get();
-            // Eviction is a host-side bookkeeping move: results and every
-            // simulated clock must match the roomy machine bit for bit.
-            assert_eq!(out.result.rows(), want.result.rows());
-            assert_eq!(out.stats, want.stats);
-            assert!(after > before, "no staging eviction counted ({kind:?})");
-        }
+        let mut sys = System::new(tight()).unwrap();
+        sys.load_base("a", seq(0..10));
+        sys.load_base("b", seq(10..20));
+        let before = StorageMetrics::shared().staging_evictions.get();
+        let out = sys.run(&expr).unwrap();
+        let after = StorageMetrics::shared().staging_evictions.get();
+        // Eviction is a host-side bookkeeping move: results and every
+        // simulated clock must match the roomy machine bit for bit.
+        assert_eq!(out.result.rows(), want.result.rows());
+        assert_eq!(out.stats, want.stats);
+        assert!(after > before, "no staging eviction counted");
     }
 
     #[test]
@@ -1635,13 +1622,7 @@ mod tests {
         path.push(format!("sdb_machine_{tag}_{}.pg", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let store = SharedBlobStore::new(
-            systolic_storage::BlobStore::create(
-                &path,
-                8,
-                ReplacerKind::Clock,
-                StorageMetrics::shared(),
-            )
-            .unwrap(),
+            systolic_storage::BlobStore::create(&path, 8, StorageMetrics::shared()).unwrap(),
         );
         (store, path)
     }

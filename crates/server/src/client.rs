@@ -269,8 +269,7 @@ impl Client {
     /// Send one `QUERY` frame without waiting for the answer. Pairs with
     /// [`Client::recv_query_frames`]; together they let a test or benchmark
     /// hold requests in flight on *many* connections at once (send on every
-    /// connection first, then collect), which is what the poll front end is
-    /// for.
+    /// connection first, then collect).
     pub fn send_query(&mut self, query: &str) -> Result<(), ClientError> {
         self.send(&format!("QUERY {query}"))
     }
@@ -293,9 +292,8 @@ impl Client {
     }
 
     /// Send every query back-to-back without waiting for answers, then
-    /// read the (`RESULT`, `HOST`) frame pairs in request order — the
-    /// pipelined mode the poll front end multiplexes (the threads front
-    /// end also serves pipelined frames, one at a time off its buffer).
+    /// read the (`RESULT`, `HOST`) frame pairs in request order. The server
+    /// answers pipelined frames one at a time off its read buffer.
     pub fn pipeline_queries(
         &mut self,
         queries: &[&str],

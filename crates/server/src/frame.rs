@@ -59,9 +59,10 @@ pub fn unescape(s: &str) -> Result<String, String> {
 pub enum FrameRead {
     /// A complete line arrived (without its terminator).
     Frame(String),
-    /// The read timed out before a full line arrived; any partial bytes are
-    /// retained in the caller's buffer — poll again.
-    TimedOut,
+    /// No complete line yet: the read timed out, or bytes arrived without
+    /// a newline. Partial bytes are retained in the caller's buffer — poll
+    /// again.
+    Pending,
     /// The peer closed the connection.
     Closed,
     /// The line exceeded the size limit; framing is lost, close the
@@ -69,60 +70,54 @@ pub enum FrameRead {
     TooLong,
 }
 
-/// Read one `\n`-terminated frame, tolerating read timeouts (so callers can
-/// poll a shutdown flag between attempts) and capping the frame length at
-/// `max` bytes. `partial` accumulates bytes across `TimedOut` returns and
-/// must be reused verbatim on the next call for the same connection.
+/// Read one `\n`-terminated frame, tolerating read timeouts and capping the
+/// frame length at `max` bytes. Every chunk that does not finish a line
+/// returns [`FrameRead::Pending`], as a timeout does, so a caller can poll a
+/// shutdown flag and bound how long a started frame takes even against a
+/// peer that trickles bytes. `partial` accumulates bytes across `Pending`
+/// returns and must be reused verbatim on the next call for the same
+/// connection.
 pub fn read_frame<R: BufRead>(
     reader: &mut R,
     partial: &mut Vec<u8>,
     max: usize,
 ) -> io::Result<FrameRead> {
-    loop {
-        if partial.len() > max {
-            return Ok(FrameRead::TooLong);
-        }
-        let (line_done, used) = {
-            let available = match reader.fill_buf() {
-                Ok(buf) => buf,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(FrameRead::TimedOut)
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            if available.is_empty() {
-                return Ok(FrameRead::Closed);
-            }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    partial.extend_from_slice(&available[..pos]);
-                    (true, pos + 1)
-                }
-                None => {
-                    partial.extend_from_slice(available);
-                    (false, available.len())
-                }
-            }
-        };
-        reader.consume(used);
-        if line_done {
-            if partial.len() > max {
-                return Ok(FrameRead::TooLong);
-            }
-            let bytes = std::mem::take(partial);
-            let mut line = String::from_utf8(bytes).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "frame is not valid UTF-8")
-            })?;
-            if line.ends_with('\r') {
-                line.pop();
-            }
-            return Ok(FrameRead::Frame(line));
-        }
+    if partial.len() > max {
+        return Ok(FrameRead::TooLong);
     }
+    let available = loop {
+        match reader.fill_buf() {
+            Ok(buf) => break buf,
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                return Ok(FrameRead::Pending)
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    };
+    if available.is_empty() {
+        return Ok(FrameRead::Closed);
+    }
+    let Some(pos) = available.iter().position(|&b| b == b'\n') else {
+        partial.extend_from_slice(available);
+        let used = available.len();
+        reader.consume(used);
+        return Ok(FrameRead::Pending);
+    };
+    partial.extend_from_slice(&available[..pos]);
+    reader.consume(pos + 1);
+    if partial.len() > max {
+        return Ok(FrameRead::TooLong);
+    }
+    let bytes = std::mem::take(partial);
+    let mut line = String::from_utf8(bytes)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame is not valid UTF-8"))?;
+    if line.ends_with('\r') {
+        line.pop();
+    }
+    Ok(FrameRead::Frame(line))
 }
 
 #[cfg(test)]
@@ -192,7 +187,13 @@ mod tests {
             read_frame(&mut r, &mut partial, 1024).unwrap(),
             FrameRead::Frame(ref f) if f == "second"
         ));
-        // Trailing bytes without a newline: connection closed mid-frame.
+        // Trailing bytes without a newline are kept as a started frame...
+        assert!(matches!(
+            read_frame(&mut r, &mut partial, 1024).unwrap(),
+            FrameRead::Pending
+        ));
+        assert_eq!(partial, b"third");
+        // ...until the connection closes mid-frame.
         assert!(matches!(
             read_frame(&mut r, &mut partial, 1024).unwrap(),
             FrameRead::Closed

@@ -38,10 +38,10 @@
 //! ```
 
 // `deny` rather than the workspace-wide `forbid`: the [`shutdown`] module
-// (two `extern "C"` `signal(2)` registrations) and the reactor's poll(2)
-// binding carry the crate's documented exceptions — each an
-// `#[allow(unsafe_code)]` that names its safety argument. Everything else
-// in the crate is checked as strictly as a `forbid` would.
+// (two `extern "C"` `signal(2)` registrations) carries the crate's one
+// documented exception, an `#[allow(unsafe_code)]` that names its safety
+// argument. Everything else in the crate is checked as strictly as a
+// `forbid` would.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -52,8 +52,6 @@ mod locks;
 mod metrics;
 mod profile;
 pub mod protocol;
-#[cfg(unix)]
-mod reactor;
 mod router;
 mod scheduler;
 pub mod server;
@@ -61,7 +59,4 @@ mod shutdown;
 
 pub use client::{Client, ClientError, QueryResult};
 pub use engine::{Engine, EngineError, Store};
-pub use server::{run, spawn, IoModel, ServerConfig, ServerHandle, ServerReport};
-// Part of [`ServerConfig`]'s public surface: callers pick the buffer-pool
-// replacement policy without depending on the storage crate directly.
-pub use systolic_storage::ReplacerKind;
+pub use server::{run, spawn, ServerConfig, ServerHandle, ServerReport};

@@ -64,7 +64,7 @@ use crate::engine::{kind_name, store_names};
 use crate::locks;
 use crate::protocol::{err_frame, parse_result_frame, result_frame};
 use crate::scheduler::{submit_fenced, Arrival, Fenced, Job, QueryReply};
-use crate::server::{IoModel, ServerConfig, ServerHandle, Shared};
+use crate::server::{ServerConfig, ServerHandle, Shared};
 
 /// Client connection sets the fan-out rotates over, so several worker
 /// threads can have shard queries in flight at once (and the shard
@@ -152,7 +152,6 @@ impl Router {
             addr: "127.0.0.1:0".to_string(),
             workers: POOL_SETS,
             max_pending: POOL_SETS,
-            io: IoModel::Threads,
             shards: 1,
             machine: cfg.machine.clone(),
             request_timeout: cfg.request_timeout,
@@ -166,7 +165,6 @@ impl Router {
             // its own subdirectory of the outer server's data dir.
             data_dir: cfg.data_dir.as_ref().map(|d| d.join(format!("shard-{i}"))),
             pool_pages: cfg.pool_pages,
-            replacer: cfg.replacer,
             // Shards never write their own trace files: the outer server's
             // collector (plus the SPANS trailers) already sees their spans.
             trace_out: None,

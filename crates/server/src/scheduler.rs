@@ -169,9 +169,9 @@ pub(crate) fn submit_fenced<T>(
 pub(crate) struct Arrivals(AtomicUsize);
 
 impl Arrivals {
-    /// Count `n` requests just read off a socket.
-    pub(crate) fn add(&self, n: usize) {
-        self.0.fetch_add(n, Ordering::SeqCst);
+    /// Count one request just read off a socket.
+    fn add(&self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Requests currently on their way.
@@ -179,18 +179,9 @@ impl Arrivals {
         self.0.load(Ordering::SeqCst)
     }
 
-    /// Give `n` counts back; `true` when that left nothing on its way.
-    fn give_back(&self, n: usize) -> bool {
-        n > 0 && self.0.fetch_sub(n, Ordering::SeqCst) == n
-    }
-
-    /// Give back `n` counts whose requests ended where they were read (a
-    /// front end answered them itself), waking the scheduler if a gather
-    /// may be waiting on them.
-    pub(crate) fn cancel(&self, n: usize, wake: &Sender<Job>) {
-        if self.give_back(n) {
-            let _ = wake.send(Job::Wake);
-        }
+    /// Give one count back; `true` when that left nothing on its way.
+    fn give_back(&self) -> bool {
+        self.0.fetch_sub(1, Ordering::SeqCst) == 1
     }
 }
 
@@ -206,8 +197,9 @@ pub(crate) struct Arrival<'a> {
 }
 
 impl<'a> Arrival<'a> {
-    /// Adopt one count already added with [`Arrivals::add`].
-    pub(crate) fn counted(arrivals: &'a Arc<Arrivals>, wake: &'a Sender<Job>) -> Self {
+    /// Count one request just read off a socket.
+    pub(crate) fn new(arrivals: &'a Arc<Arrivals>, wake: &'a Sender<Job>) -> Self {
+        arrivals.add();
         Arrival { arrivals, wake }
     }
 
@@ -223,7 +215,9 @@ impl<'a> Arrival<'a> {
 
 impl Drop for Arrival<'_> {
     fn drop(&mut self) {
-        self.arrivals.cancel(1, self.wake);
+        if self.arrivals.give_back() {
+            let _ = self.wake.send(Job::Wake);
+        }
     }
 }
 
@@ -233,7 +227,7 @@ pub(crate) struct Counted(Arc<Arrivals>);
 
 impl Drop for Counted {
     fn drop(&mut self) {
-        self.0.give_back(1);
+        self.0.give_back();
     }
 }
 
@@ -798,7 +792,7 @@ mod tests {
         let (reply, _) = mpsc::sync_channel(1);
         let mut job = query_job("scan(t)", fence(false), reply);
         if let (Job::Query { arrival, .. }, Some(arrivals)) = (&mut job, arrivals) {
-            arrivals.add(1);
+            arrivals.add();
             *arrival = Some(Counted(Arc::clone(arrivals)));
         }
         job
@@ -861,7 +855,7 @@ mod tests {
     fn an_arrival_that_never_comes_is_bounded_by_the_window() {
         let (_tx, rx) = mpsc::channel();
         let arrivals = Arrivals::default();
-        arrivals.add(1);
+        arrivals.add();
         let started = Instant::now();
         let (batch, reason) = gather(job(None), &rx, &arrivals, SHORT, 16);
         assert_eq!((batch.len(), reason), (1, WindowClose::Deadline));
@@ -874,7 +868,7 @@ mod tests {
         // still out it keeps waiting — here, into the deadline.
         let (tx, rx) = mpsc::channel();
         let arrivals = Arrivals::default();
-        arrivals.add(1);
+        arrivals.add();
         tx.send(Job::Wake).unwrap();
         let started = Instant::now();
         let (batch, reason) = gather(job(None), &rx, &arrivals, SHORT, 16);
@@ -906,19 +900,20 @@ mod tests {
     fn a_dropped_arrival_wakes_only_when_nothing_else_is_on_its_way() {
         let (tx, rx) = mpsc::channel();
         let arrivals = Arc::new(Arrivals::default());
-        arrivals.add(3);
+        let [first, second, last] = [(); 3].map(|()| Arrival::new(&arrivals, &tx));
+        assert_eq!(arrivals.pending(), 3);
         // Ends without a job while others are still out: no wake yet.
-        drop(Arrival::counted(&arrivals, &tx));
+        drop(first);
         assert_eq!(arrivals.pending(), 2);
         assert!(rx.try_recv().is_err());
         // Moves into a job: the sender's side neither gives back nor wakes.
-        let counted = Arrival::counted(&arrivals, &tx).into_job();
+        let counted = second.into_job();
         assert_eq!(arrivals.pending(), 2);
         drop(counted);
         assert_eq!(arrivals.pending(), 1);
         assert!(rx.try_recv().is_err());
         // The last one out wakes the scheduler.
-        drop(Arrival::counted(&arrivals, &tx));
+        drop(last);
         assert_eq!(arrivals.pending(), 0);
         assert!(matches!(rx.try_recv(), Ok(Job::Wake)));
     }

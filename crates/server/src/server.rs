@@ -18,7 +18,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use systolic_machine::{Expr, MachineConfig, Plan, System};
-use systolic_storage::{LockMode, LockTable, ReplacerKind, StorageEngine, WalRecord};
+use systolic_storage::{LockMode, LockTable, StorageEngine, WalRecord};
 use systolic_telemetry::batch::{render_batch, SpanData};
 use systolic_telemetry::metrics::QuantileSummary;
 use systolic_telemetry::{record_between, root_span, span_in, TraceCtx};
@@ -37,59 +37,26 @@ use crate::router::{RouteOutcome, Router};
 use crate::scheduler::{self, Arrival, Arrivals, Fenced, Job};
 use crate::shutdown;
 
-/// Which connection front end the server runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// One worker thread per active connection (the classic model): simple,
-    /// but idle connections hold threads and concurrency is capped at the
-    /// pool size.
-    Threads,
-    /// A single poll(2)-based reactor thread multiplexes every connection —
-    /// thousands of idle sessions cost one pollfd each — and dispatches
-    /// complete request frames to the worker pool. Connections may pipeline
-    /// requests; responses come back in request order per connection.
-    Poll,
-}
-
-impl IoModel {
-    /// The CLI/wire name of this model.
-    pub fn label(&self) -> &'static str {
-        match self {
-            IoModel::Threads => "threads",
-            IoModel::Poll => "poll",
-        }
-    }
-
-    /// Parse a CLI/wire name.
-    pub fn parse(s: &str) -> Option<IoModel> {
-        match s {
-            "threads" => Some(IoModel::Threads),
-            "poll" => Some(IoModel::Poll),
-            _ => None,
-        }
-    }
-}
-
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:4171` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads — the number of connections served simultaneously.
+    /// Worker threads — the number of connections served simultaneously
+    /// (one thread per connection).
     pub workers: usize,
     /// Accepted connections allowed to wait for a free worker before new
     /// ones are refused with `ERR overloaded`.
     pub max_pending: usize,
-    /// The connection front end: classic thread-per-connection or the
-    /// poll(2) reactor.
-    pub io: IoModel,
     /// Number of independent machine shards relations are partitioned
     /// across; `1` runs the classic single-`System` server.
     pub shards: usize,
     /// Configuration of the shared simulated machine.
     pub machine: MachineConfig,
     /// How long a session waits for the scheduler to answer one request
-    /// before giving up with `ERR timeout`.
+    /// before giving up with `ERR timeout` — and how long a client may take
+    /// to finish a frame it has started sending before it is answered
+    /// `ERR timeout` and disconnected.
     pub request_timeout: Duration,
     /// The longest the admission scheduler waits for a request that has been
     /// read off a socket but has not reached it yet. It never waits for
@@ -112,9 +79,6 @@ pub struct ServerConfig {
     pub data_dir: Option<PathBuf>,
     /// Buffer-pool capacity of the paged relation store, in 8 KiB pages.
     pub pool_pages: usize,
-    /// Page replacement policy for the buffer pool and the machine's
-    /// staging-memory eviction.
-    pub replacer: ReplacerKind,
     /// Chrome-trace output path. When set, the server installs the process
     /// span collector at startup and, at shutdown, writes one merged trace
     /// covering its own spans, every shard's trailer span batches, and the
@@ -138,7 +102,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:4171".to_string(),
             workers: 32,
             max_pending: 32,
-            io: IoModel::Threads,
             shards: 1,
             machine: MachineConfig::default(),
             request_timeout: Duration::from_secs(30),
@@ -148,7 +111,6 @@ impl Default for ServerConfig {
             slow_query: Some(Duration::from_secs(1)),
             data_dir: None,
             pool_pages: 256,
-            replacer: ReplacerKind::Clock,
             trace_out: None,
             profile_history: 64,
             optimize: true,
@@ -313,7 +275,7 @@ impl Shared {
         })
     }
 
-    pub(crate) fn stopping(&self) -> bool {
+    fn stopping(&self) -> bool {
         self.stop.load(Ordering::SeqCst) || shutdown::signalled()
     }
 
@@ -472,10 +434,8 @@ fn serve_on(
     let durable = match &shared.cfg.data_dir {
         Some(dir) => {
             let (engine, records, report) =
-                StorageEngine::open_with(dir, shared.cfg.pool_pages, shared.cfg.replacer)
-                    .map_err(io::Error::other)?;
+                StorageEngine::open_with(dir, shared.cfg.pool_pages).map_err(io::Error::other)?;
             system.attach_storage(&engine.blobs());
-            system.set_staging_replacer(shared.cfg.replacer);
             replay(&shared, &mut system, &records);
             let stats = shared
                 .durable
@@ -517,14 +477,7 @@ fn serve_on(
                 durable,
             )
         });
-        let outcome = match shared.cfg.io {
-            IoModel::Threads => threads_front_end(scope, &listener, &shared, tx),
-            #[cfg(unix)]
-            IoModel::Poll => crate::reactor::serve(scope, &listener, &shared, tx),
-            #[cfg(not(unix))]
-            IoModel::Poll => threads_front_end(scope, &listener, &shared, tx),
-        };
-        if let Err(e) = outcome {
+        if let Err(e) = accept_loop(scope, &listener, &shared, tx) {
             shared.stop.store(true, Ordering::SeqCst);
             front_err = Some(e);
         }
@@ -597,10 +550,10 @@ fn replay(shared: &Shared, system: &mut System, records: &[WalRecord]) {
     }
 }
 
-/// The classic front end: a connection queue feeding thread-per-connection
+/// The front end: a connection queue feeding thread-per-connection
 /// workers. Returns when the stop flag is raised (or with the fatal
 /// listener error), after closing the queue so workers drain and exit.
-fn threads_front_end<'scope>(
+fn accept_loop<'scope>(
     scope: &'scope thread::Scope<'scope, '_>,
     listener: &TcpListener,
     shared: &Arc<Shared>,
@@ -684,11 +637,11 @@ fn engine_err_frame(err: &EngineError) -> String {
 
 /// The frames answering one request, and whether the connection should be
 /// closed after writing them.
-pub(crate) struct Reply {
+struct Reply {
     /// Response frames, in order (a `QUERY` answers with `RESULT` + `HOST`).
-    pub(crate) frames: Vec<String>,
+    frames: Vec<String>,
     /// Close the connection after the frames are written.
-    pub(crate) close: bool,
+    close: bool,
 }
 
 impl Reply {
@@ -707,10 +660,10 @@ impl Reply {
     }
 
     /// The reply as it goes on the wire — every frame and its newline in one
-    /// buffer, so both front ends hand the socket a whole reply at a time
-    /// (with `TCP_NODELAY`, a write is a segment). The buffer is the first
+    /// buffer, so the socket gets a whole reply at a time (with
+    /// `TCP_NODELAY`, a write is a segment). The buffer is the first
     /// frame's own: a `RESULT` is not copied again to be sent.
-    pub(crate) fn into_wire(self) -> Vec<u8> {
+    fn into_wire(self) -> Vec<u8> {
         let mut frames = self.frames.into_iter();
         let mut bytes = frames.next().map(String::into_bytes).unwrap_or_default();
         bytes.push(b'\n');
@@ -722,15 +675,13 @@ impl Reply {
     }
 }
 
-/// Serve one request line: the dispatcher both connection front ends (the
-/// thread-per-connection loop and the poll reactor's worker pool) share, so
-/// protocol semantics cannot drift between the two I/O models. Blocking is
-/// allowed here — callers run it on worker threads, never on the reactor.
+/// Serve one request line on the connection's worker thread. Blocking is
+/// allowed here: the worker waits on locks and the scheduler.
 ///
 /// `arrival` is the request's count in [`Shared::arriving`]. It travels with
 /// a `LOAD` or query into its job; every other path gives it back by
 /// dropping it — at the latest when this function returns.
-pub(crate) fn handle_request(
+fn handle_request(
     shared: &Shared,
     tx: &mpsc::Sender<Job>,
     line: &str,
@@ -815,10 +766,9 @@ fn handle_checkpoint(shared: &Shared, tx: &mpsc::Sender<Job>) -> String {
 }
 
 /// Answer a `QUERY`/`QUERYC`/`PROFILE` under the request span, latency
-/// histogram, flight recorder, and slow-query log. Both connection front
-/// ends route every query (local or shard-fanned-out) through here, so the
-/// slow-query log and the recorder fire identically under `--io threads`
-/// and `--io poll`, sharded or not.
+/// histogram, flight recorder, and slow-query log. Every query (local or
+/// shard-fanned-out) goes through here, so the slow-query log and the
+/// recorder fire identically, sharded or not.
 fn respond_query(
     shared: &Shared,
     tx: &mpsc::Sender<Job>,
@@ -897,11 +847,27 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) ->
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut partial = Vec::new();
+    // When the frame now in `partial` was first seen. A connection idle
+    // between frames may stay open; one that stops mid-frame may not hold
+    // its worker past the request timeout.
+    let mut frame_started: Option<Instant> = None;
     loop {
         let line = match read_frame(&mut reader, &mut partial, shared.cfg.max_request_bytes)? {
-            FrameRead::TimedOut => {
+            FrameRead::Pending => {
                 if shared.stopping() {
                     stream.write_all(b"BYE\n")?;
+                    return Ok(());
+                }
+                if partial.is_empty() {
+                    continue;
+                }
+                let started = *frame_started.get_or_insert_with(Instant::now);
+                if started.elapsed() >= shared.cfg.request_timeout {
+                    shared.counters.update(|c| c.timeouts += 1);
+                    shared.metrics.timeouts.inc();
+                    let frame =
+                        err_frame("timeout", "frame not finished within the request timeout");
+                    stream.write_all(&Reply::closing(frame).into_wire())?;
                     return Ok(());
                 }
                 continue;
@@ -916,10 +882,12 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) ->
                 stream.write_all(&Reply::closing(frame).into_wire())?;
                 return Ok(());
             }
-            FrameRead::Frame(line) => line,
+            FrameRead::Frame(line) => {
+                frame_started = None;
+                line
+            }
         };
-        shared.arriving.add(1);
-        let arrival = Arrival::counted(&shared.arriving, tx);
+        let arrival = Arrival::new(&shared.arriving, tx);
         let reply = handle_request(shared, tx, &line, arrival);
         let close = reply.close;
         stream.write_all(&reply.into_wire())?;
@@ -1306,8 +1274,7 @@ mod tests {
         let shared = Shared::new(ServerConfig::default()).unwrap();
         let (tx, rx) = mpsc::channel();
         let ask = |line: &str| {
-            shared.arriving.add(1);
-            let arrival = Arrival::counted(&shared.arriving, &tx);
+            let arrival = Arrival::new(&shared.arriving, &tx);
             let reply = handle_request(&shared, &tx, line, arrival);
             assert_eq!(shared.arriving.pending(), 0, "{line}");
             assert!(matches!(rx.try_recv(), Ok(Job::Wake)), "{line}");

@@ -67,11 +67,11 @@ pub fn stat(line: &str, name: &str) -> u64 {
 
 /// The query that keeps a pulse-simulator server busy for about [`HOLD`],
 /// once [`load_occupier`] has loaded what it scans.
-pub const OCCUPIER_QUERY: &str = "dedup(scan(occupier))";
+const OCCUPIER_QUERY: &str = "dedup(scan(occupier))";
 
 /// Load the relation [`OCCUPIER_QUERY`] runs over, sized by
 /// [`occupier_rows`].
-pub fn load_occupier(client: &mut Client) {
+fn load_occupier(client: &mut Client) {
     client
         .load_csv("occupier", "int", &distinct_ints(occupier_rows()))
         .unwrap();

@@ -11,12 +11,12 @@ mod common;
 use std::thread;
 use std::time::Duration;
 
-use common::{await_arriving, load_occupier, metric, occupy_machine, sim_machine, OCCUPIER_QUERY};
+use common::{await_arriving, metric, occupy_machine, sim_machine, stat};
 
 use systolic_machine::{Backend, MachineConfig};
 use systolic_relation::DomainKind;
 use systolic_server::protocol::result_frame;
-use systolic_server::{spawn, Client, ClientError, Engine, IoModel, ServerConfig};
+use systolic_server::{spawn, Client, ClientError, Engine, ServerConfig};
 
 /// (name, wire kinds, engine kinds, csv)
 const TABLES: &[(&str, &str, &[DomainKind], &str)] = &[
@@ -270,46 +270,78 @@ fn requests_time_out_instead_of_hanging() {
     );
 }
 
-/// The poll reactor must answer the whole workload with `RESULT` frames
-/// byte-identical to the threads front end — both serially and with every
-/// frame pipelined onto the socket at once before any response is read.
+/// A client that stops mid-frame cannot hold its worker: once the frame it
+/// started has waited out the request timeout, it is answered `ERR timeout`,
+/// disconnected and counted, and the only worker moves on to the next
+/// connection. A connection idle *between* frames stays open.
 #[test]
-fn poll_front_end_matches_threads_and_serves_pipelined_frames() {
-    let threads = spawn(local_config()).unwrap();
-    let mut c = Client::connect(threads.addr).unwrap();
-    load_all(&mut c);
-    let baseline: Vec<String> = QUERIES
-        .iter()
-        .map(|q| c.raw_query_frames(q).unwrap().0)
-        .collect();
-    c.close().unwrap();
-    threads.shutdown();
-    threads.join().unwrap();
+fn a_client_stalled_mid_frame_is_timed_out_and_frees_its_worker() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
-    let poll = spawn(ServerConfig {
-        io: IoModel::Poll,
+    let timeout = Duration::from_millis(300);
+    let handle = spawn(ServerConfig {
+        workers: 1,
+        request_timeout: timeout,
         ..local_config()
     })
     .unwrap();
-    let mut c = Client::connect(poll.addr).unwrap();
+    let connect = || {
+        let stream = TcpStream::connect(handle.addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(3)))
+            .unwrap();
+        stream
+    };
+    let read_line = |reader: &mut BufReader<TcpStream>| {
+        let mut line = String::new();
+        reader.read_line(&mut line).map(|_| line)
+    };
+
+    let mut stalled = connect();
+    stalled.write_all(b"QUERY scan(").unwrap();
+    // Queued behind the stalled connection for the one worker.
+    let mut next = connect();
+    next.write_all(b"STATS\n").unwrap();
+    let mut next_reader = BufReader::new(next.try_clone().unwrap());
+    let stats = read_line(&mut next_reader).expect("the stalled client held the only worker");
+    assert!(stats.starts_with("STATS "), "{stats}");
+    assert_eq!(stat(&stats, "timeouts"), 1, "{stats}");
+
+    let mut stalled_reader = BufReader::new(stalled);
+    let answer = read_line(&mut stalled_reader).unwrap();
+    assert!(answer.starts_with("ERR timeout "), "{answer}");
+    assert_eq!(read_line(&mut stalled_reader).unwrap(), "", "then closed");
+
+    // Idle between frames for longer than the timeout: still served.
+    thread::sleep(2 * timeout);
+    next.write_all(b"STATS\n").unwrap();
+    let stats = read_line(&mut next_reader).unwrap();
+    assert_eq!(stat(&stats, "timeouts"), 1, "{stats}");
+    next.write_all(b"CLOSE\n").unwrap();
+    assert_eq!(read_line(&mut next_reader).unwrap(), "BYE\n");
+    handle.shutdown();
+    assert_eq!(handle.join().unwrap().timeouts, 1);
+}
+
+/// Frames pipelined on one connection — every request on the socket before
+/// any response is read — are answered one at a time, in request order,
+/// with `RESULT` frames byte-identical to the same queries sent one by one.
+#[test]
+fn pipelined_frames_are_answered_in_order_and_byte_identically() {
+    let handle = spawn(local_config()).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
     load_all(&mut c);
-    // Serial pass...
     let serial: Vec<String> = QUERIES
         .iter()
         .map(|q| c.raw_query_frames(q).unwrap().0)
         .collect();
-    assert_eq!(serial, baseline, "poll backend must match threads backend");
-    // ...and a fully pipelined pass on one connection: all requests hit the
-    // socket before any response is read, and answers come back in order.
     let pairs = c.pipeline_queries(QUERIES).unwrap();
     let pipelined: Vec<String> = pairs.into_iter().map(|(result, _host)| result).collect();
-    assert_eq!(
-        pipelined, baseline,
-        "pipelined answers must arrive in order"
-    );
+    assert_eq!(pipelined, serial, "pipelined answers must arrive in order");
     c.close().unwrap();
-    poll.shutdown();
-    let report = poll.join().unwrap();
+    handle.shutdown();
+    let report = handle.join().unwrap();
     assert_eq!(report.queries, 2 * QUERIES.len() as u64);
     assert_eq!(report.loads, TABLES.len() as u64);
 }
@@ -470,56 +502,53 @@ fn stats_frame_carries_uptime_and_latency_summary() {
     assert_eq!(report.slow_queries, 0);
 }
 
-/// The gather rule as an operator sees it, on both front ends: requests sent
-/// one at a time close every window `idle` — never `deadline`, which would
-/// mean a counted arrival leaked — and every way a request can end (answered,
-/// refused by the parser or the analyzer, abandoned by a client that hangs
-/// up mid-pipeline) leaves `sdb_arriving` at zero. The window is set long
+/// The gather rule as an operator sees it: requests sent one at a time
+/// close every window `idle` — never `deadline`, which would mean a counted
+/// arrival leaked — and every way a request can end (answered, refused by
+/// the parser or the analyzer, abandoned by a client that hangs up
+/// mid-pipeline) leaves `sdb_arriving` at zero. The window is set long
 /// enough that a single leak would also show as a stall.
 #[test]
 fn depth_one_requests_close_every_window_idle_and_leak_no_arrivals() {
-    for io in [IoModel::Threads, IoModel::Poll] {
-        let handle = spawn(ServerConfig {
-            io,
-            batch_window: Duration::from_millis(500),
-            ..local_config()
-        })
-        .unwrap();
-        let addr = handle.addr;
-        let close = |reason: &str| {
-            metric(
-                addr,
-                "sdb_batch_window_close_total",
-                &format!("{{reason=\"{reason}\"}}"),
-            )
-        };
-        let mut c = Client::connect(addr).unwrap();
-        c.load_csv("t", "int", "1\n2\n3\n").unwrap();
-        assert_eq!(c.query("filter(scan(t), c0 >= 2)").unwrap().rows, 2);
-        // A lone load and a lone query: one gather each, both closed idle.
-        assert_eq!(close("idle"), 2.0, "{io:?}");
+    let handle = spawn(ServerConfig {
+        batch_window: Duration::from_millis(500),
+        ..local_config()
+    })
+    .unwrap();
+    let addr = handle.addr;
+    let close = |reason: &str| {
+        metric(
+            addr,
+            "sdb_batch_window_close_total",
+            &format!("{{reason=\"{reason}\"}}"),
+        )
+    };
+    let mut c = Client::connect(addr).unwrap();
+    c.load_csv("t", "int", "1\n2\n3\n").unwrap();
+    assert_eq!(c.query("filter(scan(t), c0 >= 2)").unwrap().rows, 2);
+    // A lone load and a lone query: one gather each, both closed idle.
+    assert_eq!(close("idle"), 2.0);
 
-        for refused in ["scan(", "scan(ghost)"] {
-            assert!(matches!(c.query(refused), Err(ClientError::Remote { .. })));
-        }
-        c.stats_line().unwrap();
-        // A client that pipelines three queries and hangs up unread.
-        let mut rude = Client::connect(addr).unwrap();
-        for _ in 0..3 {
-            rude.send_query("filter(scan(t), c0 >= 2)").unwrap();
-        }
-        drop(rude);
-        await_arriving(addr, 0);
-        assert_eq!(c.query("scan(t)").unwrap().rows, 3);
-
-        assert_eq!(close("deadline"), 0.0, "{io:?}: an arrival leaked");
-        assert_eq!(close("full"), 0.0, "{io:?}");
-        assert!(close("idle") >= 3.0, "{io:?}");
-        assert_eq!(metric(addr, "sdb_arriving", ""), 0.0, "{io:?}");
-        c.close().unwrap();
-        handle.shutdown();
-        handle.join().unwrap();
+    for refused in ["scan(", "scan(ghost)"] {
+        assert!(matches!(c.query(refused), Err(ClientError::Remote { .. })));
     }
+    c.stats_line().unwrap();
+    // A client that pipelines three queries and hangs up unread.
+    let mut rude = Client::connect(addr).unwrap();
+    for _ in 0..3 {
+        rude.send_query("filter(scan(t), c0 >= 2)").unwrap();
+    }
+    drop(rude);
+    await_arriving(addr, 0);
+    assert_eq!(c.query("scan(t)").unwrap().rows, 3);
+
+    assert_eq!(close("deadline"), 0.0, "an arrival leaked");
+    assert_eq!(close("full"), 0.0);
+    assert!(close("idle") >= 3.0);
+    assert_eq!(metric(addr, "sdb_arriving", ""), 0.0);
+    c.close().unwrap();
+    handle.shutdown();
+    handle.join().unwrap();
 }
 
 /// The same over the shard router: a routed query gives its count back
@@ -566,7 +595,8 @@ fn collector_lock() -> std::sync::MutexGuard<'static, ()> {
 
 /// Two requests merged into one admission batch must keep *distinct* trace
 /// ids (each client's story stays separate) while both their
-/// `server.batch_run` spans point at the *same* `server.batch` span.
+/// `server.batch_run` spans point at the *same* `server.batch` span — and
+/// each merged `RESULT` frame is the one that query gets alone.
 ///
 /// Holds [`collector_lock`]: the span collector is process-global, and
 /// concurrent tests' spans land in it too, so everything below filters by
@@ -599,18 +629,31 @@ fn merged_requests_keep_distinct_traces_but_share_the_batch_span() {
         .collect();
     await_arriving(addr, queries.len());
     occupied.finish();
-    for client in &mut clients {
-        client.recv_query_frames().unwrap();
-        client.close().unwrap();
+    let merged: Vec<String> = clients
+        .iter_mut()
+        .map(|client| {
+            let (result, _host) = client.recv_query_frames().unwrap();
+            client.close().unwrap();
+            result
+        })
+        .collect();
+    // Every span of the merged run is recorded before its reply is written;
+    // take them before the solo runs below add their own.
+    let spans = collector.drain();
+    // Batching changes throughput, never answers: each query sent alone
+    // afterwards gets the merged run's frame byte for byte.
+    let mut solo = Client::connect(addr).unwrap();
+    for (query, merged) in queries.iter().zip(&merged) {
+        assert_eq!(&solo.raw_query_frames(query).unwrap().0, merged, "{query}");
     }
+    solo.close().unwrap();
     handle.shutdown();
     let report = handle.join().unwrap();
     assert_eq!(
-        report.batches, 1,
-        "jobs queued together are admitted together"
+        (report.batches, report.max_batch),
+        (1, 2),
+        "jobs queued together are admitted together, once"
     );
-
-    let spans = collector.drain();
     systolic_telemetry::uninstall();
     let requests: Vec<_> = spans
         .iter()
@@ -885,68 +928,13 @@ fn sharded_servers_answer_byte_identically_to_a_single_system() {
     }
 }
 
-/// Connection scaling: the poll reactor holds 64/256/1024 simultaneous
-/// connections, *all* with requests in flight at once (every frame is
-/// written before any answer is read), and every `RESULT` frame is
-/// byte-identical to the serial baseline. The worker pool stays small —
-/// concurrency comes from the reactor, not from threads.
-#[test]
-fn poll_reactor_keeps_determinism_across_hundreds_of_connections() {
-    let config = || ServerConfig {
-        io: IoModel::Poll,
-        workers: 8,
-        max_pending: 4096,
-        max_batch: 64,
-        ..local_config()
-    };
-    let handle = spawn(config()).unwrap();
-    let addr = handle.addr;
-    let mut setup = Client::connect(addr).unwrap();
-    load_all(&mut setup);
-    let baseline: Vec<String> = QUERIES
-        .iter()
-        .map(|q| setup.raw_query_frames(q).unwrap().0)
-        .collect();
-
-    for conns in [64usize, 256, 1024] {
-        let mut clients: Vec<Client> = (0..conns).map(|_| Client::connect(addr).unwrap()).collect();
-        // Write phase: one query per connection, rotating through the
-        // workload, no answer read until every request is on the wire.
-        for (i, client) in clients.iter_mut().enumerate() {
-            client.send_query(QUERIES[i % QUERIES.len()]).unwrap();
-        }
-        // Read phase: answers must match the serial baseline bytewise.
-        for (i, client) in clients.iter_mut().enumerate() {
-            let (frame, _host) = client.recv_query_frames().unwrap();
-            assert_eq!(
-                frame,
-                baseline[i % QUERIES.len()],
-                "connection {i}/{conns} diverged"
-            );
-        }
-        for client in &mut clients {
-            client.close().unwrap();
-        }
-    }
-
-    setup.close().unwrap();
-    handle.shutdown();
-    let report = handle.join().unwrap();
-    assert_eq!(
-        report.queries,
-        (QUERIES.len() + 64 + 256 + 1024) as u64,
-        "every pipelined query must be served exactly once"
-    );
-    assert_eq!(report.timeouts, 0);
-}
-
 /// The result path — rows to CSV text to an escaped frame to one socket
 /// write — answers with the bytes it answered with before it was rewritten:
 /// a join, a union, and a filter over a string column whose values need
-/// quoting and escaping return, under both front ends, the `RESULT` frames
-/// recorded from the commit before the one-pass writer.
+/// quoting and escaping return the `RESULT` frames recorded from the commit
+/// before the one-pass writer, sent one by one and pipelined.
 #[test]
-fn result_frames_are_the_recorded_bytes_on_both_front_ends() {
+fn result_frames_are_the_recorded_bytes() {
     const RECORDED: [(&str, &str); 3] = [
         (
             "join(scan(emp), scan(dept), 1 = 0)",
@@ -968,93 +956,39 @@ fn result_frames_are_the_recorded_bytes_on_both_front_ends() {
     ];
     const NOTES: &str =
         "\"doe, jane\",1\n\"say \"\"hi\"\"\",2\nback\\slash,3\n padded ,4\nplain,5\n";
-    for io in [IoModel::Threads, IoModel::Poll] {
-        let handle = spawn(ServerConfig {
-            io,
-            ..local_config()
-        })
-        .unwrap();
-        let mut c = Client::connect(handle.addr).unwrap();
-        for (name, kinds, _, csv) in &TABLES[..4] {
-            c.load_csv(name, kinds, csv).unwrap();
-        }
-        c.load_csv("notes", "str,int", NOTES).unwrap();
-        for (query, recorded) in RECORDED {
-            let (frame, _host) = c.raw_query_frames(query).unwrap();
-            assert_eq!(frame, recorded, "{io:?} {query}");
-        }
-        // The same three as one pipelined write: one reply buffer each.
-        let queries = RECORDED.map(|(query, _)| query);
-        for ((frame, _host), (query, recorded)) in c
-            .pipeline_queries(&queries)
-            .unwrap()
-            .into_iter()
-            .zip(RECORDED)
-        {
-            assert_eq!(frame, recorded, "{io:?} pipelined {query}");
-        }
-        c.close().unwrap();
-        handle.shutdown();
-        handle.join().unwrap();
-    }
-}
-
-/// Overload under poll: with one worker and no pending allowance, frames
-/// pipelined behind a slow query that holds the worker are shed with
-/// `ERR overloaded` — in pipeline order, without wedging the connection —
-/// while the occupying query itself is answered for real.
-#[test]
-fn poll_front_end_sheds_pipelined_overload_in_order() {
-    let handle = spawn(ServerConfig {
-        io: IoModel::Poll,
-        workers: 1,
-        max_pending: 0,
-        machine: sim_machine(),
-        ..local_config()
-    })
-    .unwrap();
+    let handle = spawn(local_config()).unwrap();
     let mut c = Client::connect(handle.addr).unwrap();
-    c.load_csv("t", "int", "1\n2\n3\n").unwrap();
-    load_occupier(&mut c);
-
-    const BURST: usize = 6;
-    c.send_query(OCCUPIER_QUERY).unwrap();
-    for _ in 0..BURST {
-        c.send_query("filter(scan(t), c0 >= 2)").unwrap();
+    for (name, kinds, _, csv) in &TABLES[..4] {
+        c.load_csv(name, kinds, csv).unwrap();
     }
-    let (frame, _host) = c.recv_query_frames().unwrap();
-    assert!(frame.starts_with("RESULT rows="), "{frame}");
-    for i in 0..BURST {
-        match c.recv_query_frames() {
-            Err(ClientError::Remote { kind, .. }) => assert_eq!(kind, "overloaded", "answer {i}"),
-            other => panic!("answer {i}: the only worker was held, got {other:?}"),
-        }
+    c.load_csv("notes", "str,int", NOTES).unwrap();
+    for (query, recorded) in RECORDED {
+        let (frame, _host) = c.raw_query_frames(query).unwrap();
+        assert_eq!(frame, recorded, "{query}");
     }
-
-    // The connection survives shedding: a fresh query is answered. Shed
-    // frames gave their arrival counts back, or this gather would sit out
-    // its window — and say so in the close reasons.
-    let result = c.query("filter(scan(t), c0 >= 2)").unwrap();
-    assert_eq!(result.rows, 2);
-    let deadline = "{reason=\"deadline\"}";
-    assert_eq!(
-        metric(handle.addr, "sdb_batch_window_close_total", deadline),
-        0.0
-    );
-    assert_eq!(metric(handle.addr, "sdb_arriving", ""), 0.0);
+    // The same three as one pipelined write: one reply buffer each.
+    let queries = RECORDED.map(|(query, _)| query);
+    for ((frame, _host), (query, recorded)) in c
+        .pipeline_queries(&queries)
+        .unwrap()
+        .into_iter()
+        .zip(RECORDED)
+    {
+        assert_eq!(frame, recorded, "pipelined {query}");
+    }
     c.close().unwrap();
     handle.shutdown();
-    let report = handle.join().unwrap();
-    assert_eq!(report.refused, BURST as u64);
+    handle.join().unwrap();
 }
 
-/// Drain under poll: shutdown lands while pipelined queries are queued
-/// behind a busy machine; every already-accepted frame is still answered
-/// before the reactor closes the connection.
+/// Drain with pipelining: shutdown lands while a connection's first query
+/// waits behind a busy machine and two more are pipelined behind it. The
+/// query in flight is answered for real; the two frames behind it are each
+/// answered in order — refused `ERR shutting_down`, as new work is while
+/// draining — so a pipelining client never loses an answer.
 #[test]
-fn poll_shutdown_drains_pipelined_in_flight_queries() {
+fn shutdown_drains_pipelined_in_flight_queries() {
     let handle = spawn(ServerConfig {
-        io: IoModel::Poll,
         machine: sim_machine(),
         ..local_config()
     })
@@ -1068,12 +1002,20 @@ fn poll_shutdown_drains_pipelined_in_flight_queries() {
     for _ in 0..3 {
         client.send_query("filter(scan(t), c0 >= 2)").unwrap();
     }
-    await_arriving(addr, 3);
+    // The connection's worker reads one frame at a time: the first is
+    // queued behind the occupier, the other two wait on the socket.
+    await_arriving(addr, 1);
     handle.shutdown();
 
-    for _ in 0..3 {
-        let (frame, _host) = client.recv_query_frames().unwrap();
-        assert!(frame.starts_with("RESULT rows=2 "), "{frame}");
+    let (frame, _host) = client.recv_query_frames().unwrap();
+    assert!(frame.starts_with("RESULT rows=2 "), "{frame}");
+    for i in 1..3 {
+        match client.recv_query_frames() {
+            Err(ClientError::Remote { kind, .. }) => {
+                assert_eq!(kind, "shutting_down", "answer {i}")
+            }
+            other => panic!("answer {i}: expected a refusal while draining, got {other:?}"),
+        }
     }
     assert!(occupied.finish().starts_with("RESULT rows="));
     drop(setup);
@@ -1082,7 +1024,7 @@ fn poll_shutdown_drains_pipelined_in_flight_queries() {
 
 /// The observability acceptance check, half one: `PROFILE` answers with a
 /// `RESULT` frame *byte-identical* to `QUERY`'s for the same query — at one
-/// and two shards, on both front ends, and on both backends — and the
+/// and two shards, and on both backends — and the
 /// profile itself is internally consistent: the analyzer's predicted pulse
 /// budget bounds the actual pulses, and the actual pulses equal the
 /// `RESULT` frame's own `RunStats` pulses.
@@ -1091,14 +1033,7 @@ fn profile_results_are_byte_identical_and_bounded_by_the_budget() {
     use systolic_telemetry::json::{self, Json};
 
     let configs = [
-        ("threads", local_config()),
-        (
-            "poll",
-            ServerConfig {
-                io: IoModel::Poll,
-                ..local_config()
-            },
-        ),
+        ("1-shard", local_config()),
         (
             "2-shard",
             ServerConfig {

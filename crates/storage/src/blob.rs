@@ -20,7 +20,7 @@ use crate::error::{Result, StorageError};
 use crate::metrics::StorageMetrics;
 use crate::page::{Page, PageKind, PAYLOAD_CAP};
 use crate::pagefile::PageFile;
-use crate::pool::{BufferPool, ReplacerKind};
+use crate::pool::BufferPool;
 
 /// Directory entry: where a blob starts and how long it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,15 +78,10 @@ impl BlobStore {
     /// The scan stops at the first unreadable page — everything beyond a
     /// torn write is treated as garbage, exactly like a torn WAL tail. The
     /// logical redo pass re-stores anything lost this way.
-    pub fn open(
-        path: &Path,
-        pool_pages: usize,
-        replacer: ReplacerKind,
-        metrics: Arc<StorageMetrics>,
-    ) -> Result<BlobStore> {
+    pub fn open(path: &Path, pool_pages: usize, metrics: Arc<StorageMetrics>) -> Result<BlobStore> {
         let file = PageFile::open(path)?;
         let mut store = BlobStore {
-            pool: BufferPool::new(file, pool_pages, replacer, metrics),
+            pool: BufferPool::new(file, pool_pages, metrics),
             dir: BTreeMap::new(),
             next_page: 0,
             next_lsn: 1,
@@ -100,13 +95,12 @@ impl BlobStore {
     pub fn create(
         path: &Path,
         pool_pages: usize,
-        replacer: ReplacerKind,
         metrics: Arc<StorageMetrics>,
     ) -> Result<BlobStore> {
         let mut file = PageFile::open(path)?;
         file.truncate()?;
         Ok(BlobStore {
-            pool: BufferPool::new(file, pool_pages, replacer, metrics),
+            pool: BufferPool::new(file, pool_pages, metrics),
             dir: BTreeMap::new(),
             next_page: 0,
             next_lsn: 1,
@@ -343,7 +337,7 @@ mod tests {
     fn blobs_round_trip_across_reopen() {
         let path = tmp("roundtrip");
         let m = metrics();
-        let mut s = BlobStore::open(&path, 8, ReplacerKind::Clock, m.clone()).unwrap();
+        let mut s = BlobStore::open(&path, 8, m.clone()).unwrap();
         let big: Vec<u8> = (0..40_000u32).map(|i| (i % 251) as u8).collect();
         s.put("emp", b"small", 1).unwrap();
         s.put("big", &big, 2).unwrap();
@@ -351,7 +345,7 @@ mod tests {
         assert_eq!(s.get("emp").unwrap(), b"small");
         assert_eq!(s.get("big").unwrap(), big);
         drop(s);
-        let mut s = BlobStore::open(&path, 8, ReplacerKind::Clock, m).unwrap();
+        let mut s = BlobStore::open(&path, 8, m).unwrap();
         assert_eq!(s.names(), vec!["big".to_string(), "emp".to_string()]);
         assert_eq!(s.get("big").unwrap(), big);
         assert!(matches!(
@@ -365,13 +359,13 @@ mod tests {
     fn overwrite_appends_and_higher_lsn_wins_on_rescan() {
         let path = tmp("overwrite");
         let m = metrics();
-        let mut s = BlobStore::open(&path, 8, ReplacerKind::Lru, m.clone()).unwrap();
+        let mut s = BlobStore::open(&path, 8, m.clone()).unwrap();
         s.put("r", b"old", 1).unwrap();
         s.put("r", b"new contents", 2).unwrap();
         s.flush().unwrap();
         assert_eq!(s.get("r").unwrap(), b"new contents");
         drop(s);
-        let mut s = BlobStore::open(&path, 8, ReplacerKind::Lru, m).unwrap();
+        let mut s = BlobStore::open(&path, 8, m).unwrap();
         assert_eq!(s.get("r").unwrap(), b"new contents");
         let _ = std::fs::remove_file(&path);
     }
@@ -380,11 +374,11 @@ mod tests {
     fn create_truncates_existing_contents() {
         let path = tmp("create");
         let m = metrics();
-        let mut s = BlobStore::open(&path, 4, ReplacerKind::Clock, m.clone()).unwrap();
+        let mut s = BlobStore::open(&path, 4, m.clone()).unwrap();
         s.put("r", b"stale", 1).unwrap();
         s.flush().unwrap();
         drop(s);
-        let s = BlobStore::create(&path, 4, ReplacerKind::Clock, m).unwrap();
+        let s = BlobStore::create(&path, 4, m).unwrap();
         assert!(!s.contains("r"));
         let _ = std::fs::remove_file(&path);
     }
@@ -393,7 +387,7 @@ mod tests {
     fn tiny_pool_still_reassembles_large_blobs() {
         let path = tmp("tinypool");
         let m = metrics();
-        let mut s = BlobStore::open(&path, 1, ReplacerKind::Clock, m.clone()).unwrap();
+        let mut s = BlobStore::open(&path, 1, m.clone()).unwrap();
         let big: Vec<u8> = (0..100_000u32).map(|i| (i % 253) as u8).collect();
         s.put("big", &big, 1).unwrap();
         s.flush().unwrap();

@@ -28,7 +28,6 @@ use std::time::Instant;
 use crate::blob::{BlobStore, SharedBlobStore};
 use crate::error::{Result, StorageError};
 use crate::metrics::StorageMetrics;
-use crate::pool::ReplacerKind;
 use crate::wal::{decode_records, encode_frame, for_each_record, Wal, WalRecord};
 
 /// Name of the blob holding the snapshot record stream.
@@ -70,14 +69,13 @@ pub struct StorageEngine {
     wal_tail: usize,
     blobs: SharedBlobStore,
     pool_pages: usize,
-    replacer: ReplacerKind,
     metrics: Arc<StorageMetrics>,
 }
 
 impl StorageEngine {
     /// Open (or create) the engine at `dir` with default pool settings.
     pub fn open(dir: &Path) -> Result<(StorageEngine, Vec<WalRecord>, RecoveryReport)> {
-        StorageEngine::open_with(dir, 256, ReplacerKind::Clock)
+        StorageEngine::open_with(dir, 256)
     }
 
     /// Open (or create) the engine at `dir`.
@@ -88,7 +86,6 @@ impl StorageEngine {
     pub fn open_with(
         dir: &Path,
         pool_pages: usize,
-        replacer: ReplacerKind,
     ) -> Result<(StorageEngine, Vec<WalRecord>, RecoveryReport)> {
         let start = Instant::now();
         fs::create_dir_all(dir)?;
@@ -99,8 +96,7 @@ impl StorageEngine {
         let mut history: Vec<WalRecord> = Vec::new();
         let mut checkpoint_records = 0usize;
         if snap_path.exists() {
-            let mut snap =
-                BlobStore::open(&snap_path, SNAPSHOT_POOL_PAGES, replacer, metrics.clone())?;
+            let mut snap = BlobStore::open(&snap_path, SNAPSHOT_POOL_PAGES, metrics.clone())?;
             let bytes = snap.get(SNAPSHOT_BLOB)?;
             history = decode_records(&bytes)?;
             checkpoint_records = history.len();
@@ -117,12 +113,7 @@ impl StorageEngine {
 
         // 3. Fresh physical cache for the live relation store — its
         //    contents are rebuilt by the caller's replay.
-        let blobs = BlobStore::create(
-            &dir.join("relations.pg"),
-            pool_pages,
-            replacer,
-            metrics.clone(),
-        )?;
+        let blobs = BlobStore::create(&dir.join("relations.pg"), pool_pages, metrics.clone())?;
 
         let report = RecoveryReport {
             checkpoint_records,
@@ -140,7 +131,6 @@ impl StorageEngine {
             wal_tail: wal_count,
             blobs: SharedBlobStore::new(blobs),
             pool_pages,
-            replacer,
             metrics,
         };
         Ok((engine, history, report))
@@ -210,12 +200,7 @@ impl StorageEngine {
         let mut records = 0usize;
         let snap_path = self.dir.join("checkpoint.pg");
         if snap_path.exists() {
-            let mut snap = BlobStore::open(
-                &snap_path,
-                SNAPSHOT_POOL_PAGES,
-                self.replacer,
-                self.metrics.clone(),
-            )?;
+            let mut snap = BlobStore::open(&snap_path, SNAPSHOT_POOL_PAGES, self.metrics.clone())?;
             bytes = snap.get(SNAPSHOT_BLOB)?;
             for_each_record(&bytes, |_| records += 1)?;
         }
@@ -249,12 +234,7 @@ impl StorageEngine {
         let tmp = self.dir.join("checkpoint.tmp");
         let _ = fs::remove_file(&tmp);
         {
-            let mut snap = BlobStore::create(
-                &tmp,
-                SNAPSHOT_POOL_PAGES,
-                self.replacer,
-                self.metrics.clone(),
-            )?;
+            let mut snap = BlobStore::create(&tmp, SNAPSHOT_POOL_PAGES, self.metrics.clone())?;
             snap.put(SNAPSHOT_BLOB, &bytes, self.wal.next_lsn())?;
             snap.flush()?;
         }
@@ -273,11 +253,6 @@ impl StorageEngine {
     /// Pool frame budget this engine was opened with.
     pub fn pool_pages(&self) -> usize {
         self.pool_pages
-    }
-
-    /// Replacement policy this engine was opened with.
-    pub fn replacer(&self) -> ReplacerKind {
-        self.replacer
     }
 }
 

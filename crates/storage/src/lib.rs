@@ -9,8 +9,8 @@
 //!
 //! * [`page`] / [`pagefile`] — fixed-size pages with checksummed headers; a
 //!   torn or corrupted page is *detected*, never silently decoded.
-//! * [`pool`] — a buffer pool with a pluggable replacement policy
-//!   ([`pool::Replacer`]: clock or LRU) fronting the page files.
+//! * [`pool`] — a buffer pool with a second-chance clock replacement
+//!   policy ([`pool::ClockReplacer`]) fronting the page files.
 //! * [`blob`] — named byte blobs (encoded relations) laid out across pages;
 //!   the backing store for `Disk::read` in the machine crate.
 //! * [`wal`] — a redo-only write-ahead log of *logical* operations
@@ -44,7 +44,7 @@ pub use engine::{CheckpointReport, RecoveryReport, StorageEngine};
 pub use error::StorageError;
 pub use lock::{LockGuard, LockMode, LockTable};
 pub use metrics::StorageMetrics;
-pub use pool::{BufferPool, ReplacerKind};
+pub use pool::{BufferPool, ClockReplacer};
 pub use wal::WalRecord;
 
 /// FNV-1a over 64 bits — the checksum used by page headers and WAL frames.

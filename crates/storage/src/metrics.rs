@@ -37,7 +37,7 @@ pub struct StorageMetrics {
     /// Host nanoseconds spent in recovery.
     pub recovery_ns: Arc<Counter>,
     /// Staging-memory relations evicted by the replacement policy
-    /// (`MemoryModule` evictions, driven by the same `Replacer`).
+    /// (`MemoryModule` evictions, driven by the same `ClockReplacer`).
     pub staging_evictions: Arc<Counter>,
 }
 

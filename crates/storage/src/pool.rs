@@ -1,14 +1,12 @@
-//! Buffer pool and replacement policies.
+//! Buffer pool and its replacement policy.
 //!
 //! The pool keeps up to `capacity` resident pages in front of a
-//! [`PageFile`]. Which frame to surrender when full is delegated to a
-//! [`Replacer`] — clock (second-chance) by default, true LRU as the
-//! alternative. The trait is generic over the key so the *same* policies
-//! drive both page frames (keyed by page id) and the machine's staging
-//! memories (keyed by relation name) — the `MemoryModule::evict` hook that
-//! used to be dead weight.
+//! [`PageFile`]. Which frame to surrender when full is decided by a
+//! [`ClockReplacer`] (second-chance clock). It is generic over the key so
+//! the *same* policy drives both page frames (keyed by page id) and the
+//! machine's staging memories (keyed by relation name).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -17,65 +15,12 @@ use crate::metrics::StorageMetrics;
 use crate::page::Page;
 use crate::pagefile::PageFile;
 
-/// A replacement policy over keys of type `K`.
-///
-/// The policy tracks *candidates*: keys that may be surrendered. Callers
-/// record accesses, remove keys that become ineligible (e.g. unpinned →
-/// dropped), and ask for a victim when space is needed.
-pub trait Replacer<K>: Send {
-    /// Note that `key` was touched (inserting it if new).
-    fn record_access(&mut self, key: &K);
-    /// Forget `key` entirely.
-    fn remove(&mut self, key: &K);
-    /// Choose and forget a victim, or `None` when empty.
-    fn victim(&mut self) -> Option<K>;
-    /// Number of tracked candidates.
-    fn len(&self) -> usize;
-    /// True when no candidates are tracked.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Which policy to build — selectable with `serve --replacer clock|lru`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplacerKind {
-    /// Second-chance clock sweep (cheap, scan-resistant enough).
-    #[default]
-    Clock,
-    /// True least-recently-used ordering.
-    Lru,
-}
-
-impl ReplacerKind {
-    /// Parse the CLI spelling.
-    pub fn parse(s: &str) -> Option<ReplacerKind> {
-        match s {
-            "clock" => Some(ReplacerKind::Clock),
-            "lru" => Some(ReplacerKind::Lru),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ReplacerKind::Clock => "clock",
-            ReplacerKind::Lru => "lru",
-        }
-    }
-
-    /// Build a boxed policy over keys of type `K`.
-    pub fn build<K: Hash + Eq + Clone + Send + 'static>(&self) -> Box<dyn Replacer<K>> {
-        match self {
-            ReplacerKind::Clock => Box::new(ClockReplacer::new()),
-            ReplacerKind::Lru => Box::new(LruReplacer::new()),
-        }
-    }
-}
-
 /// Second-chance clock: a circular scan over (key, referenced-bit) slots.
 /// A referenced entry gets one more lap; an unreferenced one is the victim.
+///
+/// The clock tracks *candidates*: keys that may be surrendered. Callers
+/// record accesses, remove keys that become ineligible, and ask for a
+/// victim when space is needed.
 #[derive(Debug)]
 pub struct ClockReplacer<K> {
     slots: Vec<Option<(K, bool)>>,
@@ -94,16 +39,9 @@ impl<K: Hash + Eq + Clone> ClockReplacer<K> {
             hand: 0,
         }
     }
-}
 
-impl<K: Hash + Eq + Clone> Default for ClockReplacer<K> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<K: Hash + Eq + Clone + Send> Replacer<K> for ClockReplacer<K> {
-    fn record_access(&mut self, key: &K) {
+    /// Note that `key` was touched (inserting it if new).
+    pub fn record_access(&mut self, key: &K) {
         if let Some(&slot) = self.index.get(key) {
             if let Some(entry) = self.slots[slot].as_mut() {
                 entry.1 = true;
@@ -123,14 +61,16 @@ impl<K: Hash + Eq + Clone + Send> Replacer<K> for ClockReplacer<K> {
         self.index.insert(key.clone(), slot);
     }
 
-    fn remove(&mut self, key: &K) {
+    /// Forget `key` entirely.
+    pub fn remove(&mut self, key: &K) {
         if let Some(slot) = self.index.remove(key) {
             self.slots[slot] = None;
             self.free.push(slot);
         }
     }
 
-    fn victim(&mut self) -> Option<K> {
+    /// Choose and forget a victim, or `None` when empty.
+    pub fn victim(&mut self) -> Option<K> {
         if self.index.is_empty() {
             return None;
         }
@@ -153,61 +93,11 @@ impl<K: Hash + Eq + Clone + Send> Replacer<K> for ClockReplacer<K> {
         }
         None
     }
-
-    fn len(&self) -> usize {
-        self.index.len()
-    }
 }
 
-/// True LRU: a monotone tick per access, victims in ascending-tick order.
-#[derive(Debug)]
-pub struct LruReplacer<K> {
-    stamp: HashMap<K, u64>,
-    order: BTreeMap<u64, K>,
-    tick: u64,
-}
-
-impl<K: Hash + Eq + Clone> LruReplacer<K> {
-    /// An empty LRU.
-    pub fn new() -> Self {
-        LruReplacer {
-            stamp: HashMap::new(),
-            order: BTreeMap::new(),
-            tick: 0,
-        }
-    }
-}
-
-impl<K: Hash + Eq + Clone> Default for LruReplacer<K> {
+impl<K: Hash + Eq + Clone> Default for ClockReplacer<K> {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl<K: Hash + Eq + Clone + Send> Replacer<K> for LruReplacer<K> {
-    fn record_access(&mut self, key: &K) {
-        self.tick += 1;
-        if let Some(old) = self.stamp.insert(key.clone(), self.tick) {
-            self.order.remove(&old);
-        }
-        self.order.insert(self.tick, key.clone());
-    }
-
-    fn remove(&mut self, key: &K) {
-        if let Some(old) = self.stamp.remove(key) {
-            self.order.remove(&old);
-        }
-    }
-
-    fn victim(&mut self) -> Option<K> {
-        let (&tick, _) = self.order.iter().next()?;
-        let key = self.order.remove(&tick)?;
-        self.stamp.remove(&key);
-        Some(key)
-    }
-
-    fn len(&self) -> usize {
-        self.stamp.len()
     }
 }
 
@@ -218,7 +108,7 @@ pub struct BufferPool {
     capacity: usize,
     frames: HashMap<u64, Page>,
     dirty: HashSet<u64>,
-    replacer: Box<dyn Replacer<u64>>,
+    replacer: ClockReplacer<u64>,
     metrics: Arc<StorageMetrics>,
 }
 
@@ -233,19 +123,14 @@ impl std::fmt::Debug for BufferPool {
 }
 
 impl BufferPool {
-    /// A pool of `capacity` frames over `file`, evicting with `kind`.
-    pub fn new(
-        file: PageFile,
-        capacity: usize,
-        kind: ReplacerKind,
-        metrics: Arc<StorageMetrics>,
-    ) -> BufferPool {
+    /// A pool of `capacity` frames over `file`, evicting by clock.
+    pub fn new(file: PageFile, capacity: usize, metrics: Arc<StorageMetrics>) -> BufferPool {
         BufferPool {
             file,
             capacity: capacity.max(1),
             frames: HashMap::new(),
             dirty: HashSet::new(),
-            replacer: kind.build(),
+            replacer: ClockReplacer::new(),
             metrics,
         }
     }
@@ -370,32 +255,15 @@ mod tests {
     }
 
     #[test]
-    fn lru_evicts_least_recent() {
-        let mut l: LruReplacer<&'static str> = LruReplacer::new();
-        l.record_access(&"a");
-        l.record_access(&"b");
-        l.record_access(&"c");
-        l.record_access(&"a"); // refresh a
-        assert_eq!(l.victim(), Some("b"));
-        l.remove(&"c");
-        assert_eq!(l.victim(), Some("a"));
-        assert_eq!(l.victim(), None);
-    }
-
-    #[test]
     fn pool_counts_hits_misses_and_evictions() {
         let path = tmp("counts");
         let (_r, m) = metrics();
-        let mut pool = BufferPool::new(
-            PageFile::open(&path).unwrap(),
-            2,
-            ReplacerKind::Lru,
-            m.clone(),
-        );
+        let mut pool = BufferPool::new(PageFile::open(&path).unwrap(), 2, m.clone());
         for id in 0..3u64 {
             pool.put(page(id)).unwrap();
         }
-        // Capacity 2: inserting page 2 evicted page 0 (LRU), writing it back.
+        // Capacity 2: inserting page 2 evicted page 0 (the clock's first
+        // sweep clears every referenced bit), writing it back.
         assert_eq!(m.pool_evictions.get(), 1);
         assert_eq!(pool.resident(), 2);
         pool.fetch(2).unwrap(); // resident
@@ -410,7 +278,7 @@ mod tests {
     fn dirty_frames_survive_eviction_and_flush() {
         let path = tmp("dirty");
         let (_r, m) = metrics();
-        let mut pool = BufferPool::new(PageFile::open(&path).unwrap(), 1, ReplacerKind::Clock, m);
+        let mut pool = BufferPool::new(PageFile::open(&path).unwrap(), 1, m);
         pool.put(page(0)).unwrap();
         pool.put(page(1)).unwrap(); // evicts 0, which must hit the file
         pool.flush().unwrap();

@@ -151,8 +151,7 @@ fn engine_recovery_reports_torn_tails_at_any_offset() {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join("wal.log"), &full[..cut]).unwrap();
-        let (engine, replay, report) =
-            StorageEngine::open_with(&dir, 8, systolic_storage::ReplacerKind::Clock).unwrap();
+        let (engine, replay, report) = StorageEngine::open_with(&dir, 8).unwrap();
         assert_eq!(replay.len(), records.len() - 1, "cut at {cut}");
         assert_eq!(replay, records[..records.len() - 1], "cut at {cut}");
         assert_eq!(report.wal_records, records.len() - 1, "cut at {cut}");

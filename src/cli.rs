@@ -38,9 +38,7 @@ use systolic_core::ArrayLimits;
 use systolic_machine::{Backend, MachineConfig, MachineError, ParseError, RunOutcome};
 use systolic_relation::{DomainKind, RelationError};
 use systolic_server::engine::kind_name;
-use systolic_server::{
-    Client, ClientError, Engine, EngineError, IoModel, ReplacerKind, ServerConfig,
-};
+use systolic_server::{Client, ClientError, Engine, EngineError, ServerConfig};
 use systolic_telemetry::chrome::{ArgValue, ChromeTrace, PID_HOST, PID_SIMULATED};
 use systolic_telemetry::{prom, SpanRecord};
 
@@ -186,8 +184,6 @@ pub struct ServeArgs {
     pub backend: Option<Backend>,
     /// Connection worker threads.
     pub workers: usize,
-    /// Connection front end: thread-per-connection or the poll(2) reactor.
-    pub io: IoModel,
     /// Machine shards relations are hash-partitioned across (`1` = the
     /// classic single-`System` server).
     pub shards: usize,
@@ -201,8 +197,6 @@ pub struct ServeArgs {
     pub data_dir: Option<String>,
     /// Buffer-pool capacity of the paged store, in 8 KiB pages.
     pub pool_pages: usize,
-    /// Buffer-pool (and staging-memory) replacement policy.
-    pub replacer: ReplacerKind,
     /// Write one merged Chrome/Perfetto trace covering every query (and,
     /// with `--shards N`, every shard) on shutdown.
     pub trace_out: Option<String>,
@@ -221,7 +215,6 @@ impl Default for ServeArgs {
             addr: defaults.addr,
             backend: None,
             workers: defaults.workers,
-            io: defaults.io,
             shards: defaults.shards,
             batch_window_ms: defaults.batch_window.as_millis() as u64,
             slow_query_ms: defaults
@@ -230,7 +223,6 @@ impl Default for ServeArgs {
                 .unwrap_or(0),
             data_dir: None,
             pool_pages: defaults.pool_pages,
-            replacer: defaults.replacer,
             trace_out: None,
             profile_history: defaults.profile_history,
             optimize: defaults.optimize,
@@ -326,7 +318,7 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
        sdb profile --table NAME=PATH:type,... [--stats] [--backend sim|columnar] QUERY
        sdb serve [--addr HOST:PORT] [--backend sim|columnar] [--workers N] \
 [--io threads|poll] [--shards N] [--batch-window MS] [--slow-query-ms MS] \
-[--data-dir DIR] [--pool-pages N] [--replacer clock|lru] [--trace-out FILE] \
+[--data-dir DIR] [--pool-pages N] [--trace-out FILE] \
 [--profile-history N] [--optimize on|off]
        sdb --connect HOST:PORT [--table NAME=PATH:type,...] [--stats] [--profile] \
 [--profiles] [--metrics] [--check-metrics] [--checkpoint] [--shutdown] [QUERY]
@@ -355,9 +347,8 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
   --memory BYTES: (check) analyze against memory modules of BYTES capacity
                (to probe the SA006 staging bound)
   serve: run the concurrent query service until SIGINT/SIGTERM
-  --io M: serve connections thread-per-connection (threads, the default) or
-               through a single poll(2) reactor that multiplexes every
-               session and supports pipelined requests (poll)
+  --io threads|poll: accepted and ignored; every connection is served by
+               its own worker thread
   --shards N: hash-partition loaded relations across N independent machine
                shards; shardable queries fan out and merge, every other
                query transparently falls back to a full local copy — the
@@ -372,7 +363,6 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
                under DIR and recover them (byte-identically) on restart;
                with --shards N each shard persists under DIR/shard-i
   --pool-pages N: buffer-pool capacity of the paged store, in 8 KiB pages
-  --replacer P: buffer-pool replacement policy, clock (default) or lru
   --trace-out FILE: (serve) write one merged Chrome/Perfetto trace covering
                every query — and with --shards N, every shard's spans,
                parented under the router's fan-out — on shutdown
@@ -461,12 +451,19 @@ fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, CliError> {
                 let value = flag_value("--workers", &mut it)?;
                 args.workers = parse_number("--workers", value)?.max(1);
             }
-            "--io" => {
-                let value = flag_value("--io", &mut it)?;
-                args.io = IoModel::parse(value).ok_or_else(|| {
-                    CliError::Usage(format!("--io expects threads or poll, got {value:?}"))
-                })?;
-            }
+            "--io" => match flag_value("--io", &mut it)?.as_str() {
+                // The one front end serves every connection on its own
+                // thread; the old spellings still parse. Stderr, not
+                // stdout: scripts read the ready line from stdout.
+                value @ ("threads" | "poll") => eprintln!(
+                    "sdb serve: --io {value} is ignored; every connection is served thread-per-connection"
+                ),
+                value => {
+                    return Err(CliError::Usage(format!(
+                        "--io expects threads or poll, got {value:?}"
+                    )))
+                }
+            },
             "--shards" => {
                 let value = flag_value("--shards", &mut it)?;
                 args.shards = parse_number("--shards", value)?.max(1);
@@ -485,12 +482,6 @@ fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, CliError> {
             "--pool-pages" => {
                 let value = flag_value("--pool-pages", &mut it)?;
                 args.pool_pages = parse_number("--pool-pages", value)?.max(1);
-            }
-            "--replacer" => {
-                let value = flag_value("--replacer", &mut it)?;
-                args.replacer = ReplacerKind::parse(value).ok_or_else(|| {
-                    CliError::Usage(format!("--replacer expects clock or lru, got {value:?}"))
-                })?;
             }
             "--trace-out" => {
                 args.trace_out = Some(flag_value("--trace-out", &mut it)?.clone());
@@ -877,7 +868,6 @@ fn run_serve(args: &ServeArgs) -> Result<(), CliError> {
     systolic_server::run(ServerConfig {
         addr: args.addr.clone(),
         workers: args.workers,
-        io: args.io,
         shards: args.shards,
         machine: machine_config(args.backend),
         batch_window: Duration::from_millis(args.batch_window_ms),
@@ -887,7 +877,6 @@ fn run_serve(args: &ServeArgs) -> Result<(), CliError> {
         },
         data_dir: args.data_dir.as_deref().map(std::path::PathBuf::from),
         pool_pages: args.pool_pages,
-        replacer: args.replacer,
         trace_out: args.trace_out.as_deref().map(std::path::PathBuf::from),
         profile_history: args.profile_history,
         optimize: args.optimize,
@@ -1155,17 +1144,21 @@ mod tests {
                 assert_eq!(s.addr, "127.0.0.1:0");
                 assert_eq!(s.workers, 8);
                 assert_eq!(s.batch_window_ms, 5);
-                assert_eq!(s.io, IoModel::Poll);
                 assert_eq!(s.shards, 4);
             }
             other => panic!("expected serve, got {other:?}"),
         }
-        match parse_command(&argv(&["serve"])).unwrap() {
+        // `--io` is accepted and ignored: both spellings parse to the same
+        // arguments as leaving it out.
+        let plain = parse_command(&argv(&["serve"])).unwrap();
+        for io in ["threads", "poll"] {
+            let with_io = parse_command(&argv(&["serve", "--io", io])).unwrap();
+            assert_eq!(format!("{with_io:?}"), format!("{plain:?}"), "--io {io}");
+        }
+        match plain {
             Command::Serve(s) => {
-                assert_eq!(s.io, IoModel::Threads, "threads is the default front end");
                 assert_eq!(s.shards, 1, "single-System by default");
                 assert_eq!(s.data_dir, None, "in-memory by default");
-                assert_eq!(s.replacer, ReplacerKind::Clock);
             }
             other => panic!("expected serve, got {other:?}"),
         }
@@ -1175,22 +1168,23 @@ mod tests {
             "/tmp/sdb-data",
             "--pool-pages",
             "64",
-            "--replacer",
-            "lru",
         ]))
         .unwrap()
         {
             Command::Serve(s) => {
                 assert_eq!(s.data_dir.as_deref(), Some("/tmp/sdb-data"));
                 assert_eq!(s.pool_pages, 64);
-                assert_eq!(s.replacer, ReplacerKind::Lru);
             }
             other => panic!("expected serve, got {other:?}"),
         }
-        assert!(matches!(
-            parse_command(&argv(&["serve", "--replacer", "fifo"])),
-            Err(CliError::Usage(_))
-        ));
+        // Clock is the one replacement policy; `--replacer` is no flag.
+        match parse_command(&argv(&["serve", "--replacer", "lru"])) {
+            Err(CliError::Usage(msg)) => assert!(
+                msg.starts_with("unexpected serve argument \"--replacer\""),
+                "{msg}"
+            ),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
         match parse_command(&argv(&["--connect", "127.0.0.1:4171", "--checkpoint"])).unwrap() {
             Command::Connect(c) => {
                 assert!(c.checkpoint, "--checkpoint alone is a valid connect");

@@ -3,8 +3,7 @@
 //! on stable storage is gone. A server restarted on the same `--data-dir`
 //! must answer every query with `RESULT` frames *byte-identical* to the
 //! ones the killed server produced, at one shard and at two (each shard
-//! recovering its own partition from its own WAL), and under both the
-//! thread-per-connection and poll(2) front ends.
+//! recovering its own partition from its own WAL).
 
 #![cfg(unix)]
 
@@ -33,7 +32,7 @@ const QUERIES: &[&str] = &[
 ];
 
 /// Spawn `sdb serve` on an ephemeral port and wait for its ready line.
-fn spawn_server(data_dir: &Path, shards: usize, io: &str) -> (Child, SocketAddr) {
+fn spawn_server(data_dir: &Path, shards: usize) -> (Child, SocketAddr) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_sdb"))
         .args([
             "serve",
@@ -43,8 +42,6 @@ fn spawn_server(data_dir: &Path, shards: usize, io: &str) -> (Child, SocketAddr)
             data_dir.to_str().unwrap(),
             "--shards",
             &shards.to_string(),
-            "--io",
-            io,
         ])
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
@@ -84,12 +81,12 @@ fn stats_field(stats: &str, key: &str) -> u64 {
 
 #[test]
 fn sigkilled_server_restarts_byte_identically() {
-    for (shards, io) in [(1usize, "threads"), (2, "threads"), (1, "poll")] {
-        let dir = tmpdir(&format!("s{shards}_{io}"));
+    for shards in [1usize, 2] {
+        let dir = tmpdir(&format!("s{shards}"));
 
         // Generation 0: load everything, run a store(...) so a query is in
         // the WAL, and capture every acknowledged RESULT frame.
-        let (mut child, addr) = spawn_server(&dir, shards, io);
+        let (mut child, addr) = spawn_server(&dir, shards);
         let mut c = Client::connect(addr).expect("connect gen0");
         for (name, kinds, csv) in TABLES {
             c.load_csv(name, kinds, csv).expect("load");
@@ -124,7 +121,7 @@ fn sigkilled_server_restarts_byte_identically() {
 
         // Generation 1: same data dir, fresh process. Recovery must replay
         // every acknowledged load and the logged store query.
-        let (mut child, addr) = spawn_server(&dir, shards, io);
+        let (mut child, addr) = spawn_server(&dir, shards);
         let mut c = Client::connect(addr).expect("connect gen1");
         let stats = c.stats_line().expect("gen1 stats");
         assert_eq!(stats_field(&stats, "durable"), 1, "{stats}");
@@ -137,7 +134,7 @@ fn sigkilled_server_restarts_byte_identically() {
             let (frame, _host) = c.raw_query_frames(q).expect("gen1 query");
             assert_eq!(
                 &frame, want,
-                "shards={shards} io={io}: RESULT diverged after SIGKILL on {q:?}"
+                "shards={shards}: RESULT diverged after SIGKILL on {q:?}"
             );
         }
         // Loading survives recovery too: a fresh table plus a rerun.
@@ -150,7 +147,7 @@ fn sigkilled_server_restarts_byte_identically() {
         child.wait().expect("reap gen1");
 
         // Generation 2: the post-crash load must have been durable as well.
-        let (mut child, addr) = spawn_server(&dir, shards, io);
+        let (mut child, addr) = spawn_server(&dir, shards);
         let mut c = Client::connect(addr).expect("connect gen2");
         let (frame, _) = c.raw_query_frames("dedup(scan(late))").expect("gen2 query");
         assert!(frame.starts_with("RESULT rows=2 "), "{frame}");
@@ -158,7 +155,7 @@ fn sigkilled_server_restarts_byte_identically() {
             let (frame, _host) = c.raw_query_frames(q).expect("gen2 query");
             assert_eq!(
                 &frame, want,
-                "shards={shards} io={io}: second recovery diverged on {q:?}"
+                "shards={shards}: second recovery diverged on {q:?}"
             );
         }
         let _ = c.close();
