@@ -131,7 +131,8 @@ impl CatalogView {
 /// Degenerate limits (a zero bound, representable because [`ArrayLimits`]
 /// fields are public and bypass `ArrayLimits::new`'s assertion) fail here
 /// instead of panicking inside the runtime's `step_by(0)`. (How many tiles
-/// run is the machine's to price: `ExecStats::array_runs`.)
+/// run is the machine's to price: `ExecStats::array_runs`. A tile whose
+/// seed is all FALSE is covered too: the tiler places it on the host.)
 pub fn prove_tiling(n_a: u64, n_b: u64, m: u64, limits: ArrayLimits) -> Result<(), String> {
     for (axis, bound) in [
         ("max_a", limits.max_a),

@@ -20,7 +20,7 @@ use systolic_bench::{hardware_ns, intersection_pulses, workloads, PULSE_NS};
 use systolic_baseline::{hashed, nested_loop, sorted, OpCounter};
 use systolic_core::bitlevel::{BitLinearComparisonArray, BitSerialComparator};
 use systolic_core::ops::{self, Execution};
-use systolic_core::tiling::{membership_tiled, t_matrix_tiled};
+use systolic_core::tiling::{membership_tiled, t_matrix_tiled, Seed};
 use systolic_core::{
     ArrayLimits, ComparisonArray2d, DivisionArray, FixedOperandArray, IntersectionArray, JoinSpec,
     LinearComparisonArray, SetOpMode,
@@ -535,7 +535,7 @@ fn e9_tiling() -> Summary {
         (4, 4, 1),
     ] {
         let limits = ArrayLimits::new(ma, mb, mc);
-        let tiled = t_matrix_tiled(&a, &b, &ops_eq, limits, |_, _| true).unwrap();
+        let tiled = t_matrix_tiled(&a, &b, &ops_eq, limits, Seed::All).unwrap();
         sum.exec(&tiled.stats);
         let identical = tiled.t == whole.t;
         assert!(
@@ -557,7 +557,7 @@ fn e9_tiling() -> Summary {
         &b,
         SetOpMode::Intersect,
         ArrayLimits::new(1000, 1000, 4),
-        |_, _| true,
+        Seed::All,
     )
     .unwrap();
     let (keep_tiled, s_tiled) = membership_tiled(
@@ -565,7 +565,7 @@ fn e9_tiling() -> Summary {
         &b,
         SetOpMode::Intersect,
         ArrayLimits::new(8, 8, 2),
-        |_, _| true,
+        Seed::All,
     )
     .unwrap();
     sum.exec(&s_whole);
@@ -1090,8 +1090,8 @@ fn e19_pipelined_tiles() -> Summary {
         let b = workloads::seq_rows(64, m, 32);
         let ops_eq = vec![CompareOp::Eq; m];
         let limits = ArrayLimits::new(ta, tb, 2);
-        let seq = t_matrix_tiled(&a, &b, &ops_eq, limits, |_, _| true).unwrap();
-        let piped = t_matrix_tiled_pipelined(&a, &b, &ops_eq, limits, |_, _| true).unwrap();
+        let seq = t_matrix_tiled(&a, &b, &ops_eq, limits, Seed::All).unwrap();
+        let piped = t_matrix_tiled_pipelined(&a, &b, &ops_eq, limits, Seed::All).unwrap();
         sum.exec(&seq.stats);
         sum.exec(&piped.stats);
         let identical = seq.t == piped.t;

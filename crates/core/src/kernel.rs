@@ -33,7 +33,7 @@
 //! machine `RunStats`, server frames — is identical.
 
 use crate::stats::ExecStats;
-use crate::tiling::ArrayLimits;
+use crate::tiling::{ArrayLimits, Seed};
 
 /// Environment variable selecting the default backend (`sim` or
 /// `columnar`) when a configuration does not set one explicitly — the CI
@@ -215,15 +215,10 @@ pub(crate) fn fixed_membership_stats(n_a: usize, n_b: usize, m: usize) -> ExecSt
 /// The distinct chunk sizes (and their multiplicities) a length-`n` axis
 /// decomposes into under a per-tile bound of `max`: `n / max` full chunks
 /// and at most one remainder.
-fn chunks(n: usize, max: usize) -> Vec<(usize, u64)> {
-    let mut v = Vec::with_capacity(2);
-    if n / max > 0 {
-        v.push((max, (n / max) as u64));
-    }
-    if !n.is_multiple_of(max) {
-        v.push((n % max, 1));
-    }
-    v
+fn chunks(n: usize, max: usize) -> impl Iterator<Item = (usize, u64)> {
+    [(max, (n / max) as u64), (n % max, 1)]
+        .into_iter()
+        .filter(|&(size, count)| size > 0 && count > 0)
 }
 
 /// `count` identical runs of `run`, merged sequentially onto `out`.
@@ -236,15 +231,24 @@ fn merge_runs(out: &mut ExecStats, run: ExecStats, count: u64) {
 }
 
 /// A sequential tiled run ([`crate::tiling::t_matrix_tiled`]): one
-/// [`compare_run_stats`] grid run per (A-chunk, B-chunk, column-group)
-/// tile, merged sequentially. Tile sizes take at most two distinct values
-/// per axis, so the sum collapses to at most eight weighted terms.
-pub(crate) fn tiled_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits) -> ExecStats {
+/// [`compare_run_stats`] grid run per live (A-chunk, B-chunk, column-group)
+/// tile, merged sequentially. Under each `A`-chunk the live `B`-chunks are
+/// a prefix ([`Seed::live_rows`]) whose sizes take at most two distinct
+/// values, as do the column groups': `O(n_a / max_a)` weighted terms. No
+/// live tile charges nothing.
+pub(crate) fn tiled_stats(
+    n_a: usize,
+    n_b: usize,
+    m: usize,
+    limits: ArrayLimits,
+    seed: Seed,
+) -> ExecStats {
     let mut out = ExecStats::default();
-    for &(ta, ca) in &chunks(n_a, limits.max_a) {
-        for &(tb, cb) in &chunks(n_b, limits.max_b) {
-            for &(w, cw) in &chunks(m, limits.max_cols) {
-                merge_runs(&mut out, compare_run_stats(ta, tb, w), ca * cb * cw);
+    for a0 in (0..n_a).step_by(limits.max_a) {
+        let a1 = (a0 + limits.max_a).min(n_a);
+        for (tb, cb) in chunks(seed.live_rows(a1, n_b, limits.max_b), limits.max_b) {
+            for (w, cw) in chunks(m, limits.max_cols) {
+                merge_runs(&mut out, compare_run_stats(a1 - a0, tb, w), cb * cw);
             }
         }
     }
@@ -255,10 +259,20 @@ pub(crate) fn tiled_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits)
 /// one [`pipelined_pass_stats`] pass per column group, merged sequentially
 /// (the groups' `T` blocks are ANDed on the host, so no pass feeds the
 /// next).
-pub(crate) fn pipelined_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits) -> ExecStats {
+pub(crate) fn pipelined_stats(
+    n_a: usize,
+    n_b: usize,
+    m: usize,
+    limits: ArrayLimits,
+    seed: Seed,
+) -> ExecStats {
     let mut out = ExecStats::default();
-    for &(w, count) in &chunks(m, limits.max_cols) {
-        merge_runs(&mut out, pipelined_pass_stats(n_a, n_b, w, limits), count);
+    for (w, count) in chunks(m, limits.max_cols) {
+        merge_runs(
+            &mut out,
+            pipelined_pass_stats(n_a, n_b, w, limits, seed),
+            count,
+        );
     }
     out
 }
@@ -313,8 +327,9 @@ fn crossings(a: Stream, b: Stream, span: u64) -> u64 {
     (below((span - c) / 2) - below((-span - c) / 2 - 1)) as u64
 }
 
-/// One pipelined pass over `m <= max_cols` columns: every tile's streams
-/// injected back-to-back into one running `rows x m` grid.
+/// One pipelined pass over `m <= max_cols` columns: every live tile's
+/// streams injected back-to-back into one running `rows x m` grid, or
+/// nothing at all when no tile is live.
 ///
 /// This replays the injection arithmetic of the simulator's feeder loop by
 /// tile *shape*, never word by word: a tile's `A` tuples enter at
@@ -322,9 +337,10 @@ fn crossings(a: Stream, b: Stream, span: u64) -> u64 {
 /// offset` — two [`Stream`]s fixed by the tile's shape and `offset` — so
 /// every per-tile quantity is a maximum or a pair count over arithmetic
 /// progressions, and `offset` advances by a function of the shape alone.
-/// One sweep of `B` under an `A` chunk is at most two runs of identical
-/// tiles (§8: full chunks, then one remainder), each priced once and
-/// multiplied: `O(n_a / max_a)` time, `O(1)` memory. From the streams:
+/// One sweep of `B` under an `A` chunk covers only its live `B`-chunks, a
+/// prefix ([`Seed::live_rows`]), so it is still at most two runs of
+/// identical tiles (§8: full chunks, then one remainder), each priced once
+/// and multiplied: `O(n_a / max_a)` time, `O(1)` memory. From the streams:
 ///
 /// * pulses = (last activity) + 1, where each data word's activity ends
 ///   `rows - 1` pulses after its (lane-`m-1`) injection and each `t` seed's
@@ -339,21 +355,27 @@ fn crossings(a: Stream, b: Stream, span: u64) -> u64 {
 ///   `A` wavefront and add nothing.
 ///
 /// `D` splits by tile pair ([`crossings`]). Within a tile every pair
-/// meets (§3.2). Across tiles only *neighbours* can: a tile's last `A`
-/// base is at least `offset + rows - 1` (`delta` pads short tiles up to
-/// the physical grid), so `offset` advances by more than `rows - 1 + m`
-/// per tile and a tile two places back ended more than `rows - 1` pulses
-/// before this one began. The window of tiles still within reach is
-/// therefore the previous tile alone.
-fn pipelined_pass_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits) -> ExecStats {
-    debug_assert!(n_a > 0 && n_b > 0 && m > 0);
+/// meets (§3.2). Across tiles only *neighbours* in the stream of live
+/// tiles can: a tile's last `A` base is at least `offset + rows - 1`
+/// (`delta` pads short tiles up to the physical grid), so `offset`
+/// advances by more than `rows - 1 + m` per tile and a tile two places
+/// back ended more than `rows - 1` pulses before this one began. The
+/// window of tiles still within reach is therefore the previous live tile
+/// alone.
+fn pipelined_pass_stats(
+    n_a: usize,
+    n_b: usize,
+    m: usize,
+    limits: ArrayLimits,
+    seed: Seed,
+) -> ExecStats {
+    debug_assert!(m > 0);
     let tile_a = limits.max_a;
     let rows = (tile_a.min(n_a) + limits.max_b.min(n_b))
         .saturating_sub(1)
         .max(1);
     let span = (rows - 1) as u64;
     let lane = (m - 1) as u64;
-    let b_runs = chunks(n_b, limits.max_b);
     // Cross-tile meetings of two neighbouring tiles' `(A, B)` streams.
     let between = |p: (Stream, Stream), q: (Stream, Stream)| {
         crossings(q.0, p.1, span) + crossings(p.0, q.1, span)
@@ -365,8 +387,9 @@ fn pipelined_pass_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits) -
     let mut last_activity = 0u64;
     let mut prev: Option<(Stream, Stream)> = None;
     for a0 in (0..n_a).step_by(tile_a) {
-        let ta = (a0 + tile_a).min(n_a) - a0;
-        for &(tb, count) in &b_runs {
+        let a1 = (a0 + tile_a).min(n_a);
+        let ta = a1 - a0;
+        for (tb, count) in chunks(seed.live_rows(a1, n_b, limits.max_b), limits.max_b) {
             // `count` identical tiles, each `advance` pulses behind the
             // one before; `a` and `b` are the first one's streams.
             let (phase_a, phase_b) = phases(ta, tb);
@@ -403,6 +426,10 @@ fn pipelined_pass_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits) -
             tiles += count;
             offset += count * advance;
         }
+    }
+    if tiles == 0 {
+        // No live tile: no grid is built.
+        return ExecStats::default();
     }
     let pulses = last_activity + 1;
     let busy = m as u64 * (rows as u64 * words - meetings);
@@ -487,15 +514,16 @@ mod tests {
     }
 
     /// The per-word routine [`pipelined_stats`] replaced, kept as its
-    /// reference: one base pulse per streamed tuple per tile, meetings
+    /// reference: one base pulse per streamed tuple per live tile, meetings
     /// counted by a parity-split binary search over every `B` base.
     fn pipelined_stats_per_word(
         n_a: usize,
         n_b: usize,
         m: usize,
         limits: ArrayLimits,
+        seed: Seed,
     ) -> ExecStats {
-        debug_assert!(n_a > 0 && n_b > 0 && m > 0);
+        debug_assert!(m > 0);
         let tile_a = limits.max_a;
         let tile_b = limits.max_b;
         let rows = (tile_a.min(n_a) + tile_b.min(n_b)).saturating_sub(1).max(1);
@@ -507,6 +535,9 @@ mod tests {
         for a0 in (0..n_a).step_by(tile_a) {
             let ta = (a0 + tile_a).min(n_a) - a0;
             for b0 in (0..n_b).step_by(tile_b) {
+                if !seed.live(a0 + ta, b0) {
+                    continue;
+                }
                 let tb = (b0 + tile_b).min(n_b) - b0;
                 let (phase_a, phase_b) = phases(ta, tb);
                 let delta = (rows - (ta + tb - 1)) as u64;
@@ -529,6 +560,9 @@ mod tests {
                 tiles += 1;
                 offset = last_inject + 2;
             }
+        }
+        if tiles == 0 {
+            return ExecStats::default();
         }
         let pulses = last_activity + 1;
 
@@ -632,17 +666,27 @@ mod tests {
 
     #[test]
     fn tiled_stats_match_the_simulator_exactly() {
-        let a = relation(13, 3, 0);
-        let b = relation(9, 3, 3);
         let ops = vec![CompareOp::Eq; 3];
-        for limits in [
-            ArrayLimits::new(4, 4, 3),
-            ArrayLimits::new(5, 3, 2),
-            ArrayLimits::new(1, 1, 1),
-            ArrayLimits::new(100, 100, 100),
-        ] {
-            let sim = tiling::t_matrix_tiled(&a, &b, &ops, limits, |_, _| true).unwrap();
-            assert_eq!(tiled_stats(13, 9, 3, limits), sim.stats, "{limits:?}");
+        for (n_a, n_b) in [(13, 9), (9, 13), (12, 12), (1, 1), (2, 1)] {
+            let a = relation(n_a, 3, 0);
+            let b = relation(n_b, 3, 3);
+            for limits in [
+                ArrayLimits::new(4, 4, 3),
+                ArrayLimits::new(5, 3, 2),
+                ArrayLimits::new(3, 5, 2),
+                ArrayLimits::new(2, 7, 1),
+                ArrayLimits::new(1, 1, 1),
+                ArrayLimits::new(100, 100, 100),
+            ] {
+                for seed in [Seed::All, Seed::StrictLower] {
+                    let sim = tiling::t_matrix_tiled(&a, &b, &ops, limits, seed).unwrap();
+                    assert_eq!(
+                        tiled_stats(n_a, n_b, 3, limits, seed),
+                        sim.stats,
+                        "{n_a}x{n_b} {limits:?} {seed:?}"
+                    );
+                }
+            }
         }
     }
 
@@ -651,28 +695,34 @@ mod tests {
         // 10 x 7 and 7 x 10 put many short tiles back to back (one-row
         // `B` or `A` chunks, one-row remainders), so cross-tile crossings
         // with both neighbours carry most of the busy count. Width 5 on
-        // two-column arrays runs groups of 2, 2 and 1 columns.
+        // two-column arrays runs groups of 2, 2 and 1 columns. Under
+        // `StrictLower` the dead tiles drop out of the stream, so tiles of
+        // different `A`-chunks become neighbours; 1 x 1 has no live tile.
         for m in [2, 5] {
             let ops = vec![CompareOp::Eq; m];
-            for (n_a, n_b) in [(13, 17), (1, 1), (5, 1), (2, 9), (10, 7), (7, 10)] {
+            for (n_a, n_b) in [(13, 17), (1, 1), (5, 1), (2, 9), (10, 7), (7, 10), (12, 12)] {
                 let a = relation(n_a, m, 0);
                 let b = relation(n_b, m, 3);
                 for limits in [
                     ArrayLimits::new(4, 4, 2),
                     ArrayLimits::new(5, 3, 2),
+                    ArrayLimits::new(3, 5, 2),
+                    ArrayLimits::new(2, 7, 2),
                     ArrayLimits::new(1, 1, 2),
                     ArrayLimits::new(3, 1, 2),
                     ArrayLimits::new(1, 3, 2),
                     ArrayLimits::new(2, 2, 2),
                     ArrayLimits::new(100, 100, 2),
                 ] {
-                    let sim = tiling::t_matrix_tiled_pipelined(&a, &b, &ops, limits, |_, _| true)
-                        .unwrap();
-                    assert_eq!(
-                        pipelined_stats(n_a, n_b, m, limits),
-                        sim.stats,
-                        "{n_a}x{n_b}x{m} {limits:?}"
-                    );
+                    for seed in [Seed::All, Seed::StrictLower] {
+                        let sim =
+                            tiling::t_matrix_tiled_pipelined(&a, &b, &ops, limits, seed).unwrap();
+                        assert_eq!(
+                            pipelined_stats(n_a, n_b, m, limits, seed),
+                            sim.stats,
+                            "{n_a}x{n_b}x{m} {limits:?} {seed:?}"
+                        );
+                    }
                 }
             }
         }
@@ -682,21 +732,24 @@ mod tests {
     fn pipelined_stats_match_the_per_word_reference_at_device_scale() {
         let device = ArrayLimits::new(32, 32, 8);
         for (n_a, n_b, m) in [(2048, 2048, 2), (2048, 33, 1), (2047, 2049, 3), (33, 33, 8)] {
-            assert_eq!(
-                pipelined_stats(n_a, n_b, m, device),
-                pipelined_stats_per_word(n_a, n_b, m, device),
-                "{n_a}x{n_b}x{m}"
-            );
+            for seed in [Seed::All, Seed::StrictLower] {
+                assert_eq!(
+                    pipelined_stats(n_a, n_b, m, device, seed),
+                    pipelined_stats_per_word(n_a, n_b, m, device, seed),
+                    "{n_a}x{n_b}x{m} {seed:?}"
+                );
+            }
         }
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
-        /// Bit-identity with the per-word reference over arbitrary shapes:
-        /// `k` and `rem` place `n` on either side of a tile boundary
-        /// (`n < max`, `n = k * max`, one-row remainders `n = k * max + 1`),
-        /// and the two axes draw their limits independently.
+        /// Bit-identity with the per-word reference over arbitrary shapes
+        /// and both seeds: `k` and `rem` place `n` on either side of a tile
+        /// boundary (`n < max`, `n = k * max`, one-row remainders
+        /// `n = k * max + 1`), the two axes draw their limits
+        /// independently, and `m` may exceed `max_cols` (column groups).
         #[test]
         fn pipelined_stats_equal_the_per_word_reference(
             max_a in 1usize..=9,
@@ -705,15 +758,23 @@ mod tests {
             k_b in 0usize..=4,
             rem_a in 0usize..=9,
             rem_b in 0usize..=9,
-            m in 1usize..=3,
+            m in 1usize..=5,
+            max_cols in 1usize..=3,
+            strict_lower in proptest::prelude::any::<bool>(),
         ) {
             let n_a = (k_a * max_a + rem_a % (max_a + 1)).max(1);
             let n_b = (k_b * max_b + rem_b % (max_b + 1)).max(1);
-            let limits = ArrayLimits::new(max_a, max_b, m);
+            let limits = ArrayLimits::new(max_a, max_b, max_cols);
+            let seed = if strict_lower { Seed::StrictLower } else { Seed::All };
+            let mut reference = ExecStats::default();
+            for (w, count) in chunks(m, max_cols) {
+                let pass = pipelined_stats_per_word(n_a, n_b, w, limits, seed);
+                merge_runs(&mut reference, pass, count);
+            }
             proptest::prop_assert_eq!(
-                pipelined_stats(n_a, n_b, m, limits),
-                pipelined_stats_per_word(n_a, n_b, m, limits),
-                "{}x{}x{} {:?}", n_a, n_b, m, limits
+                pipelined_stats(n_a, n_b, m, limits, seed),
+                reference,
+                "{}x{}x{} {:?} {:?}", n_a, n_b, m, limits, seed
             );
         }
     }

@@ -25,7 +25,7 @@ use crate::intersection::{IntersectionArray, SetOpMode};
 use crate::join::{JoinArray, JoinSpec};
 use crate::kernel::{self, Backend};
 use crate::stats::ExecStats;
-use crate::tiling::{self, ArrayLimits};
+use crate::tiling::{self, ArrayLimits, Seed};
 
 /// How to realise an operation in hardware.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,14 +49,21 @@ pub type OpResult = (MultiRelation, ExecStats);
 
 /// The analytic [`ExecStats`] a membership-style run (intersection,
 /// difference, dedup — the arrays with an accumulation column, except for
-/// the pipelined/tiled paths which use the plain comparison grid) would
-/// have accumulated under each execution strategy.
-fn kernel_membership_stats(exec: Execution, n_a: usize, n_b: usize, m: usize) -> ExecStats {
+/// the pipelined/tiled paths which use the plain comparison grid and run
+/// only the `seed`'s live tiles) would have accumulated under each
+/// execution strategy.
+fn kernel_membership_stats(
+    exec: Execution,
+    n_a: usize,
+    n_b: usize,
+    m: usize,
+    seed: Seed,
+) -> ExecStats {
     match exec {
         Execution::Marching => kernel::marching_membership_stats(n_a, n_b, m),
         Execution::FixedOperand => kernel::fixed_membership_stats(n_a, n_b, m),
-        Execution::Tiled(limits) => kernel::tiled_stats(n_a, n_b, m, limits),
-        Execution::TiledPipelined(limits) => kernel::pipelined_stats(n_a, n_b, m, limits),
+        Execution::Tiled(limits) => kernel::tiled_stats(n_a, n_b, m, limits, seed),
+        Execution::TiledPipelined(limits) => kernel::pipelined_stats(n_a, n_b, m, limits, seed),
     }
 }
 
@@ -71,15 +78,16 @@ pub fn price_membership(exec: Execution, n_a: usize, n_b: usize, m: usize) -> Ex
     if n_a == 0 || n_b == 0 {
         return ExecStats::default();
     }
-    kernel_membership_stats(exec, n_a, n_b, m)
+    kernel_membership_stats(exec, n_a, n_b, m, Seed::All)
 }
 
-/// Analytic [`ExecStats`] for [`dedup`] on `n` rows of arity `m`.
+/// Analytic [`ExecStats`] for [`dedup`] on `n` rows of arity `m`. A tiled
+/// run has no live tile for one row, and then charges nothing either.
 pub fn price_dedup(exec: Execution, n: usize, m: usize) -> ExecStats {
     if n == 0 {
         return ExecStats::default();
     }
-    kernel_membership_stats(exec, n, n, m)
+    kernel_membership_stats(exec, n, n, m, Seed::StrictLower)
 }
 
 /// Analytic [`ExecStats`] for [`union`]: dedup over the concatenation.
@@ -111,8 +119,10 @@ pub fn price_join(exec: Execution, n_a: usize, n_b: usize, n_specs: usize) -> Ex
     match exec {
         Execution::Marching => kernel::compare_run_stats(n_a, n_b, n_specs),
         Execution::FixedOperand => kernel::fixed_t_matrix_stats(n_a, n_b, n_specs),
-        Execution::Tiled(limits) => kernel::tiled_stats(n_a, n_b, n_specs, limits),
-        Execution::TiledPipelined(limits) => kernel::pipelined_stats(n_a, n_b, n_specs, limits),
+        Execution::Tiled(limits) => kernel::tiled_stats(n_a, n_b, n_specs, limits, Seed::All),
+        Execution::TiledPipelined(limits) => {
+            kernel::pipelined_stats(n_a, n_b, n_specs, limits, Seed::All)
+        }
     }
 }
 
@@ -139,12 +149,12 @@ fn tiled_t_matrix(
     a: &[Row],
     b: &[Row],
     ops: &[CompareOp],
-    initial: impl FnMut(usize, usize) -> bool,
+    seed: Seed,
 ) -> Result<tiling::TiledOutcome> {
     if matches!(exec, Execution::Tiled(_)) {
-        tiling::t_matrix_tiled(a, b, ops, limits, initial)
+        tiling::t_matrix_tiled(a, b, ops, limits, seed)
     } else {
-        tiling::t_matrix_tiled_pipelined(a, b, ops, limits, initial)
+        tiling::t_matrix_tiled_pipelined(a, b, ops, limits, seed)
     }
 }
 
@@ -190,7 +200,7 @@ fn membership(
             }
             Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
                 let ops_eq = vec![CompareOp::Eq; a.arity()];
-                let out = tiled_t_matrix(exec, limits, a.rows(), b.rows(), &ops_eq, |_, _| true)?;
+                let out = tiled_t_matrix(exec, limits, a.rows(), b.rows(), &ops_eq, Seed::All)?;
                 let t = out.t.row_ors();
                 let keep = match mode {
                     SetOpMode::Intersect => t,
@@ -267,7 +277,8 @@ pub fn dedup_with(a: &MultiRelation, exec: Execution, backend: Backend) -> Resul
             }
             Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
                 let ops_eq = vec![CompareOp::Eq; a.arity()];
-                let out = tiled_t_matrix(exec, limits, a.rows(), a.rows(), &ops_eq, |i, j| i > j)?;
+                let out =
+                    tiled_t_matrix(exec, limits, a.rows(), a.rows(), &ops_eq, Seed::StrictLower)?;
                 (out.t.row_ors(), out.stats)
             }
         },
@@ -385,7 +396,7 @@ pub fn join_with(
             }
             Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
                 let (a_keys, b_keys) = (keys(a, &cols_a), keys(b, &cols_b));
-                let out = tiled_t_matrix(exec, limits, &a_keys, &b_keys, &ops, |_, _| true)?;
+                let out = tiled_t_matrix(exec, limits, &a_keys, &b_keys, &ops, Seed::All)?;
                 (out.t, out.stats)
             }
         },

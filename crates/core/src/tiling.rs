@@ -56,6 +56,53 @@ impl ArrayLimits {
     }
 }
 
+/// The west-edge seed of a tiled comparison: which pairs `(i, j)` of
+/// `A x B` may come out TRUE at all. The tilers, their closed forms in
+/// [`crate::kernel`] and every price built on them read the same two cases,
+/// so a tile the seed rules out is skipped alike in all of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Seed {
+    /// Every pair is seeded TRUE: intersection, difference, join.
+    All,
+    /// Only pairs `i > j` are seeded TRUE: §5's remove-duplicates array,
+    /// which compares a relation with itself so that row `i` of `T` marks
+    /// the earlier tuples equal to tuple `i`.
+    StrictLower,
+}
+
+impl Seed {
+    /// The seed of the global pair `(i, j)`.
+    pub fn at(self, i: usize, j: usize) -> bool {
+        match self {
+            Seed::All => true,
+            Seed::StrictLower => i > j,
+        }
+    }
+
+    /// Whether the tile of `A`-rows below `a1` and `B`-rows from `b0` on
+    /// holds a TRUE seed (where its `A`-chunk starts does not matter). A
+    /// dead tile's piece of `T` is FALSE before it runs (§8: "each of these
+    /// sub-problems would generate a piece of the matrix"), so the tilers
+    /// place it on the host and never run it.
+    pub fn live(self, a1: usize, b0: usize) -> bool {
+        match self {
+            Seed::All => true,
+            Seed::StrictLower => b0 + 1 < a1,
+        }
+    }
+
+    /// The end of the live tiles' `B`-rows under the `A`-chunk ending at
+    /// `a1`, with `B`'s `n_b` rows cut into chunks of `max_b`. [`Self::live`]
+    /// only falls as `b0` grows, so the live tiles are the chunks starting
+    /// below this end: a prefix of `B`'s chunks.
+    pub fn live_rows(self, a1: usize, n_b: usize, max_b: usize) -> usize {
+        match self {
+            Seed::All => n_b,
+            Seed::StrictLower => (a1.saturating_sub(1).div_ceil(max_b) * max_b).min(n_b),
+        }
+    }
+}
+
 /// Outcome of a tiled run.
 #[derive(Debug, Clone)]
 pub struct TiledOutcome {
@@ -68,9 +115,9 @@ pub struct TiledOutcome {
 /// Run `pass(c0, a, b, ops)` once per column group of at most
 /// `limits.max_cols` columns, `c0` its first column, in sequence, and AND
 /// the groups' `T` blocks outside the array: tuple equality over all
-/// columns is the AND over groups. So `pass` seeds only the group at
-/// `c0 == 0` with the caller's `initial` — ANDing it once is ANDing it at
-/// all — and every other group with TRUE.
+/// columns is the AND over groups. Every group carries the caller's
+/// [`Seed`] — ANDing it once is ANDing it in every group — so a tile that
+/// is dead in one group is dead in all of them.
 fn by_column_groups(
     a: &[Vec<Elem>],
     b: &[Vec<Elem>],
@@ -104,25 +151,28 @@ fn by_column_groups(
 
 /// Compute the full `T` matrix with an array bounded by `limits`, tiling
 /// over column groups, `A`-chunks and `B`-chunks, the array draining
-/// between tiles. `initial` supplies the west-edge seed per *global* pair
-/// index.
+/// between tiles. `seed` supplies the west-edge seed per *global* pair
+/// index; only its live tiles run, and the rest of `T` stays FALSE.
 pub fn t_matrix_tiled(
     a: &[Vec<Elem>],
     b: &[Vec<Elem>],
     ops: &[CompareOp],
     limits: ArrayLimits,
-    mut initial: impl FnMut(usize, usize) -> bool,
+    seed: Seed,
 ) -> Result<TiledOutcome> {
-    by_column_groups(a, b, ops, limits, |c0, a, b, ops| {
+    by_column_groups(a, b, ops, limits, |_, a, b, ops| {
         let arr = ComparisonArray2d::with_ops(ops.to_vec());
         let mut t = TMatrix::new(a.len(), b.len());
         let mut stats = ExecStats::default();
         for a0 in (0..a.len()).step_by(limits.max_a) {
             let a1 = (a0 + limits.max_a).min(a.len());
             for b0 in (0..b.len()).step_by(limits.max_b) {
+                if !seed.live(a1, b0) {
+                    continue;
+                }
                 let b1 = (b0 + limits.max_b).min(b.len());
-                let seed = |i, j| c0 > 0 || initial(a0 + i, b0 + j);
-                let out = arr.t_matrix(&a[a0..a1], &b[b0..b1], seed)?;
+                let at = |i, j| seed.at(a0 + i, b0 + j);
+                let out = arr.t_matrix(&a[a0..a1], &b[b0..b1], at)?;
                 stats.merge_sequential(&out.stats);
                 t.paste(a0, b0, &out.t);
             }
@@ -139,7 +189,7 @@ pub fn t_matrix_tiled(
 /// already requires. This is the "extensive pipelining" of §1 applied
 /// across sub-problems: the fill/drain cost is paid once per *problem*
 /// instead of once per *tile*, roughly halving total pulses for large tile
-/// counts.
+/// counts. As in [`t_matrix_tiled`], only the `seed`'s live tiles stream.
 ///
 /// A tuple wider than `limits.max_cols` runs one such pass per column
 /// group, in sequence, each on its own grid (comparators are per column)
@@ -149,9 +199,9 @@ pub fn t_matrix_tiled_pipelined(
     b: &[Vec<Elem>],
     ops: &[CompareOp],
     limits: ArrayLimits,
-    initial: impl FnMut(usize, usize) -> bool,
+    seed: Seed,
 ) -> Result<TiledOutcome> {
-    pipelined_run(a, b, ops, limits, initial, None)
+    pipelined_run(a, b, ops, limits, seed, None)
 }
 
 /// [`t_matrix_tiled_pipelined`], with the pass of the column group starting
@@ -162,15 +212,26 @@ fn pipelined_run(
     b: &[Vec<Elem>],
     ops: &[CompareOp],
     limits: ArrayLimits,
-    mut initial: impl FnMut(usize, usize) -> bool,
+    seed: Seed,
     short: Option<usize>,
 ) -> Result<TiledOutcome> {
     by_column_groups(a, b, ops, limits, |c0, a, b, ops| {
-        let seed = |i, j| c0 > 0 || initial(i, j);
         let trim = u64::from(short == Some(c0));
-        let (grid, mut tiles) = pipelined_grid(a, b, ops, limits, seed, trim)?;
         let mut t = TMatrix::new(a.len(), b.len());
-        let mut seen = 0usize;
+        let Some(PipelinedPass {
+            grid,
+            mut tiles,
+            dead,
+        }) = pipelined_grid(a, b, ops, limits, seed, trim)?
+        else {
+            // No live tile: `T` is all FALSE and no grid is built.
+            return Ok(TiledOutcome {
+                t,
+                stats: ExecStats::default(),
+            });
+        };
+        // The dead tiles' pairs are in place already, FALSE.
+        let mut seen = dead;
         decode_east(&mut tiles, grid.east_emissions().emissions(), |i, j, v| {
             t.set(i, j, v);
             seen += 1;
@@ -198,17 +259,25 @@ struct TileExits {
     last: u64,
 }
 
-/// Stream every tile of the problem back-to-back through one comparison
-/// grid and run it to quiescence within the exact budget less `trim`.
-/// Returns the drained grid and each tile's exit window.
+/// One drained pipelined pass: the grid, each live tile's exit window, and
+/// how many pairs the dead tiles hold.
+struct PipelinedPass {
+    grid: CompareGrid,
+    tiles: Vec<TileExits>,
+    dead: usize,
+}
+
+/// Stream every live tile of the problem back-to-back through one
+/// comparison grid and run it to quiescence within the exact budget less
+/// `trim`. `None` when no tile is live: then no grid is built at all.
 fn pipelined_grid(
     a: &[Vec<Elem>],
     b: &[Vec<Elem>],
     ops: &[CompareOp],
     limits: ArrayLimits,
-    mut initial: impl FnMut(usize, usize) -> bool,
+    seed: Seed,
     trim: u64,
-) -> Result<(CompareGrid, Vec<TileExits>)> {
+) -> Result<Option<PipelinedPass>> {
     let m = ops.len();
     let tile_a = limits.max_a;
     let tile_b = limits.max_b;
@@ -216,11 +285,11 @@ fn pipelined_grid(
     let rows = (tile_a.min(a.len()) + tile_b.min(b.len()))
         .saturating_sub(1)
         .max(1);
-    let mut grid = CompareGrid::new(rows, ops);
 
-    // Every tile's injections, gathered into one table per edge.
+    // Every live tile's injections, gathered into one table per edge.
     let (mut north, mut south, mut west) = (Vec::new(), Vec::new(), Vec::new());
     let mut tiles = Vec::new();
+    let mut dead = 0usize;
     let mut offset = 0u64;
     // The last pulse at which any word is still inside the grid. Tracking it
     // per injection yields an *exact* run budget instead of a padded guess:
@@ -233,6 +302,10 @@ fn pipelined_grid(
         let a1 = (a0 + tile_a).min(a.len());
         for b0 in (0..b.len()).step_by(tile_b) {
             let b1 = (b0 + tile_b).min(b.len());
+            if !seed.live(a1, b0) {
+                dead += (a1 - a0) * (b1 - b0);
+                continue;
+            }
             let sched = CompareSchedule::new(a1 - a0, b1 - b0, m);
             debug_assert!(sched.rows() <= rows);
             // Edge tiles are smaller than the physical grid: the schedule's
@@ -261,7 +334,7 @@ fn pipelined_grid(
             for i in 0..(a1 - a0) {
                 for j in 0..(b1 - b0) {
                     let (lane, pulse) = sched.t_injection(i, j);
-                    west.push((pulse + shift, lane, Word::Bool(initial(a0 + i, b0 + j))));
+                    west.push((pulse + shift, lane, Word::Bool(seed.at(a0 + i, b0 + j))));
                     last_activity = last_activity.max(pulse + shift + m as u64 - 1);
                 }
             }
@@ -279,6 +352,10 @@ fn pipelined_grid(
             offset = last_inject + 2;
         }
     }
+    if tiles.is_empty() {
+        return Ok(None);
+    }
+    let mut grid = CompareGrid::new(rows, ops);
     grid.set_north_feeder(ScheduleFeeder::from_entries(north))?;
     grid.set_south_feeder(ScheduleFeeder::from_entries(south))?;
     grid.set_west_feeder(ScheduleFeeder::from_entries(west))?;
@@ -290,7 +367,7 @@ fn pipelined_grid(
     // directions: `trim == 1` must fail with `NotQuiescent`.
     let budget = last_activity + 1;
     grid.run_until_quiescent(budget.saturating_sub(trim))?;
-    Ok((grid, tiles))
+    Ok(Some(PipelinedPass { grid, tiles, dead }))
 }
 
 /// Decode east-edge emissions (in pulse order) by inverting each tile's
@@ -358,11 +435,11 @@ pub fn membership_tiled(
     b: &[Vec<Elem>],
     mode: SetOpMode,
     limits: ArrayLimits,
-    initial: impl FnMut(usize, usize) -> bool,
+    seed: Seed,
 ) -> Result<(Vec<bool>, ExecStats)> {
     let m = a.first().map(|r| r.len()).unwrap_or(1);
     let ops = vec![CompareOp::Eq; m];
-    let out = t_matrix_tiled(a, b, &ops, limits, initial)?;
+    let out = t_matrix_tiled(a, b, &ops, limits, seed)?;
     let t = out.t.row_ors();
     let keep = match mode {
         SetOpMode::Intersect => t,
@@ -401,7 +478,7 @@ mod tests {
             ArrayLimits::new(1, 1, 1),
             ArrayLimits::new(100, 100, 100),
         ] {
-            let tiled = t_matrix_tiled(&a, &b, &ops, limits, |_, _| true).unwrap();
+            let tiled = t_matrix_tiled(&a, &b, &ops, limits, Seed::All).unwrap();
             assert_eq!(tiled.t, whole.t, "limits {limits:?}");
         }
     }
@@ -418,7 +495,7 @@ mod tests {
             &b,
             SetOpMode::Intersect,
             ArrayLimits::new(4, 3, 2),
-            |_, _| true,
+            Seed::All,
         )
         .unwrap();
         assert_eq!(keep, whole.keep);
@@ -430,7 +507,7 @@ mod tests {
             &b,
             SetOpMode::Difference,
             ArrayLimits::new(4, 3, 2),
-            |_, _| true,
+            Seed::All,
         )
         .unwrap();
         assert_eq!(keep_d, whole_d.keep);
@@ -445,7 +522,7 @@ mod tests {
             &rows,
             SetOpMode::Intersect,
             ArrayLimits::new(2, 2, 1),
-            |i, j| i > j,
+            Seed::StrictLower,
         )
         .unwrap();
         // dup[i] TRUE iff an earlier equal tuple exists.
@@ -459,7 +536,7 @@ mod tests {
         let a = vec![vec![1, 2, 3, 9]];
         let b = vec![vec![1, 2, 3, 8]];
         let ops = vec![CompareOp::Eq; 4];
-        let out = t_matrix_tiled(&a, &b, &ops, ArrayLimits::new(4, 4, 2), |_, _| true).unwrap();
+        let out = t_matrix_tiled(&a, &b, &ops, ArrayLimits::new(4, 4, 2), Seed::All).unwrap();
         assert!(!out.t.get(0, 0));
     }
 
@@ -469,7 +546,7 @@ mod tests {
         let b = relation(8, 2, 1);
         let limits = ArrayLimits::new(4, 4, 2);
         let ops = vec![CompareOp::Eq; 2];
-        let out = t_matrix_tiled(&a, &b, &ops, limits, |_, _| true).unwrap();
+        let out = t_matrix_tiled(&a, &b, &ops, limits, Seed::All).unwrap();
         assert_eq!(out.stats.array_runs, 4, "2x2 tile grid");
         // The physical array is never larger than the limits allow.
         assert!(out.stats.cells <= limits.cells() + limits.max_a + limits.max_b);
@@ -481,9 +558,8 @@ mod tests {
         let a = relation(16, 2, 0);
         let b = relation(16, 2, 2);
         let ops = vec![CompareOp::Eq; 2];
-        let whole =
-            t_matrix_tiled(&a, &b, &ops, ArrayLimits::new(100, 100, 2), |_, _| true).unwrap();
-        let tiled = t_matrix_tiled(&a, &b, &ops, ArrayLimits::new(4, 4, 2), |_, _| true).unwrap();
+        let whole = t_matrix_tiled(&a, &b, &ops, ArrayLimits::new(100, 100, 2), Seed::All).unwrap();
+        let tiled = t_matrix_tiled(&a, &b, &ops, ArrayLimits::new(4, 4, 2), Seed::All).unwrap();
         assert!(tiled.stats.pulses > whole.stats.pulses);
         assert!(tiled.stats.cells < whole.stats.cells);
         assert_eq!(tiled.t, whole.t);
@@ -503,7 +579,7 @@ mod tests {
             ArrayLimits::new(1, 1, 2),
             ArrayLimits::new(100, 100, 2),
         ] {
-            let piped = t_matrix_tiled_pipelined(&a, &b, &ops, limits, |_, _| true).unwrap();
+            let piped = t_matrix_tiled_pipelined(&a, &b, &ops, limits, Seed::All).unwrap();
             assert_eq!(piped.t, whole.t, "limits {limits:?}");
         }
     }
@@ -514,8 +590,8 @@ mod tests {
         let b = relation(32, 2, 5);
         let ops = vec![CompareOp::Eq; 2];
         let limits = ArrayLimits::new(4, 4, 2);
-        let sequential = t_matrix_tiled(&a, &b, &ops, limits, |_, _| true).unwrap();
-        let piped = t_matrix_tiled_pipelined(&a, &b, &ops, limits, |_, _| true).unwrap();
+        let sequential = t_matrix_tiled(&a, &b, &ops, limits, Seed::All).unwrap();
+        let piped = t_matrix_tiled_pipelined(&a, &b, &ops, limits, Seed::All).unwrap();
         assert_eq!(sequential.t, piped.t);
         assert_eq!(sequential.stats.array_runs, piped.stats.array_runs);
         assert!(
@@ -530,9 +606,14 @@ mod tests {
     fn pipelined_tiling_preserves_masks() {
         let rows: Vec<Vec<Elem>> = vec![vec![4], vec![4], vec![5], vec![4], vec![5]];
         let ops = vec![CompareOp::Eq];
-        let out =
-            t_matrix_tiled_pipelined(&rows, &rows, &ops, ArrayLimits::new(2, 2, 1), |i, j| i > j)
-                .unwrap();
+        let out = t_matrix_tiled_pipelined(
+            &rows,
+            &rows,
+            &ops,
+            ArrayLimits::new(2, 2, 1),
+            Seed::StrictLower,
+        )
+        .unwrap();
         let expect = TMatrix::from_fn(5, 5, |i, j| i > j && rows[i] == rows[j]);
         assert_eq!(out.t, expect);
     }
@@ -541,10 +622,10 @@ mod tests {
     fn pipelined_exit_decode_places_every_result() {
         // Each case stresses one part of the exit table: one tile that is
         // the whole problem, edge tiles shorter than the grid (the `delta`
-        // shift), one-tuple tiles, and seed masks that leave whole columns
-        // of T FALSE (dedup's `i > j` empties the last column).
+        // shift), one-tuple tiles, and a seed that leaves whole columns of
+        // T FALSE and whole tiles dead (dedup's `i > j` empties the last
+        // column).
         let ops = vec![CompareOp::Eq, CompareOp::Le];
-        let masks: [fn(usize, usize) -> bool; 3] = [|_, _| true, |i, j| i > j, |i, j| i < j];
         for (n_a, n_b, limits) in [
             (6, 4, ArrayLimits::new(8, 8, 2)),
             (13, 17, ArrayLimits::new(5, 3, 2)),
@@ -554,16 +635,16 @@ mod tests {
         ] {
             let a = relation(n_a, 2, 0);
             let b = relation(n_b, 2, 4);
-            for mask in masks {
-                let out = pipelined_run(&a, &b, &ops, limits, mask, None).unwrap();
+            for seed in [Seed::All, Seed::StrictLower] {
+                let out = pipelined_run(&a, &b, &ops, limits, seed, None).unwrap();
                 let expect = TMatrix::from_fn(n_a, n_b, |i, j| {
-                    mask(i, j) && a[i][0] == b[j][0] && a[i][1] <= b[j][1]
+                    seed.at(i, j) && a[i][0] == b[j][0] && a[i][1] <= b[j][1]
                 });
-                assert_eq!(out.t, expect, "{n_a}x{n_b} on {limits:?}");
+                assert_eq!(out.t, expect, "{n_a}x{n_b} on {limits:?} {seed:?}");
                 assert_eq!(
                     out.stats,
-                    crate::kernel::pipelined_stats(n_a, n_b, 2, limits),
-                    "{n_a}x{n_b} on {limits:?}"
+                    crate::kernel::pipelined_stats(n_a, n_b, 2, limits, seed),
+                    "{n_a}x{n_b} on {limits:?} {seed:?}"
                 );
             }
         }
@@ -572,11 +653,11 @@ mod tests {
     #[test]
     fn pipelined_exit_decode_sets_every_pair_exactly_once() {
         // A short edge tile follows full tiles on both axes, so tile exit
-        // windows differ in length and shift. Every pair must be decoded
-        // exactly once, and every east emission is either a decoded result
-        // or a discarded off-schedule boolean.
+        // windows differ in length and shift. Every pair of a live tile
+        // must be decoded exactly once and no pair of a dead one, and every
+        // east emission is either a decoded result or a discarded
+        // off-schedule boolean.
         let ops = vec![CompareOp::Eq, CompareOp::Le];
-        let masks: [fn(usize, usize) -> bool; 2] = [|_, _| true, |i, j| i > j];
         for (n_a, n_b, limits) in [
             (33, 65, ArrayLimits::new(32, 32, 2)),
             (31, 2, ArrayLimits::new(4, 8, 2)),
@@ -584,21 +665,35 @@ mod tests {
         ] {
             let a = relation(n_a, 2, 0);
             let b = relation(n_b, 2, 4);
-            for mask in masks {
-                let (grid, mut tiles) = pipelined_grid(&a, &b, &ops, limits, mask, 0).unwrap();
+            for seed in [Seed::All, Seed::StrictLower] {
+                let PipelinedPass {
+                    grid,
+                    mut tiles,
+                    dead,
+                } = pipelined_grid(&a, &b, &ops, limits, seed, 0)
+                    .unwrap()
+                    .expect("a live tile");
                 let mut hits = vec![0u32; n_a * n_b];
                 let emissions = grid.east_emissions().emissions();
                 let discarded = decode_east(&mut tiles, emissions, |i, j, v| {
                     hits[i * n_b + j] += 1;
-                    let expect = mask(i, j) && a[i][0] == b[j][0] && a[i][1] <= b[j][1];
+                    let expect = seed.at(i, j) && a[i][0] == b[j][0] && a[i][1] <= b[j][1];
                     assert_eq!(v, expect, "T[{i}][{j}] for {n_a}x{n_b} on {limits:?}");
                 })
                 .unwrap();
-                assert!(
-                    hits.iter().all(|&h| h == 1),
-                    "{n_a}x{n_b} on {limits:?}: a pair decoded other than once"
-                );
-                assert_eq!(hits.len() + discarded, emissions.len());
+                for (k, &h) in hits.iter().enumerate() {
+                    let (i, j) = (k / n_b, k % n_b);
+                    let a1 = (i / limits.max_a * limits.max_a + limits.max_a).min(n_a);
+                    let b0 = j / limits.max_b * limits.max_b;
+                    assert_eq!(
+                        h,
+                        u32::from(seed.live(a1, b0)),
+                        "{n_a}x{n_b} on {limits:?} {seed:?}: pair ({i}, {j})"
+                    );
+                }
+                let decoded = hits.iter().filter(|&&h| h == 1).count();
+                assert_eq!(decoded + dead, n_a * n_b);
+                assert_eq!(decoded + discarded, emissions.len());
             }
         }
     }
@@ -606,8 +701,10 @@ mod tests {
     #[test]
     fn pipelined_pulse_budget_is_exact() {
         // The derived budget is tight in both directions, in every column
-        // group: the full budget drains the grid, one pulse less in any one
-        // group's pass leaves a word in flight.
+        // group and under either seed: the full budget drains the grid, one
+        // pulse less in any one group's pass leaves a word in flight. Under
+        // `StrictLower` the one-tuple case has no live tile and builds no
+        // grid, so no budget can be short.
         let ops2 = vec![CompareOp::Eq; 2];
         let ops1 = vec![CompareOp::Eq];
         let ops5 = vec![
@@ -647,15 +744,22 @@ mod tests {
                 ArrayLimits::new(4, 3, 2),
             ),
         ];
-        for (a, b, ops, limits) in cases {
-            let exact = pipelined_run(&a, &b, &ops, limits, |_, _| true, None);
-            assert!(exact.is_ok(), "budget must suffice for limits {limits:?}");
-            for c0 in (0..ops.len()).step_by(limits.max_cols) {
-                let short = pipelined_run(&a, &b, &ops, limits, |_, _| true, Some(c0));
-                assert!(
-                    matches!(short, Err(crate::error::CoreError::Fabric(_))),
-                    "budget - 1 must time out for group {c0} on {limits:?}, got {short:?}"
-                );
+        for (a, b, ops, limits) in &cases {
+            for seed in [Seed::All, Seed::StrictLower] {
+                let exact =
+                    pipelined_run(a, b, ops, *limits, seed, None).expect("the budget must suffice");
+                for c0 in (0..ops.len()).step_by(limits.max_cols) {
+                    let short = pipelined_run(a, b, ops, *limits, seed, Some(c0));
+                    if exact.stats.array_runs == 0 {
+                        assert!(short.is_ok(), "{seed:?} on {limits:?}: no grid to starve");
+                        continue;
+                    }
+                    assert!(
+                        matches!(short, Err(crate::error::CoreError::Fabric(_))),
+                        "budget - 1 must time out for group {c0} on {limits:?} {seed:?}, \
+                         got {short:?}"
+                    );
+                }
             }
         }
     }
@@ -663,15 +767,17 @@ mod tests {
     #[test]
     fn grouped_pipelined_matrix_equals_sequential_tiling_under_the_dedup_seed() {
         // Wider tuples than the array has columns: one pipelined pass per
-        // column group, ANDed on the host, seeded in the first group only.
+        // column group, ANDed on the host, each seeded and skipping the
+        // same dead tiles.
         let rows: Vec<Vec<Elem>> = (0..14)
             .map(|i| (0..5).map(|c| (i % 3 + c * (i % 2)) as Elem).collect())
             .collect();
         for max_cols in 1..=4 {
             let ops = vec![CompareOp::Eq; 5];
             let limits = ArrayLimits::new(4, 3, max_cols);
-            let seq = t_matrix_tiled(&rows, &rows, &ops, limits, |i, j| i > j).unwrap();
-            let piped = t_matrix_tiled_pipelined(&rows, &rows, &ops, limits, |i, j| i > j).unwrap();
+            let seq = t_matrix_tiled(&rows, &rows, &ops, limits, Seed::StrictLower).unwrap();
+            let piped =
+                t_matrix_tiled_pipelined(&rows, &rows, &ops, limits, Seed::StrictLower).unwrap();
             assert_eq!(piped.t, seq.t, "max_cols {max_cols}");
             assert_eq!(
                 piped.t,
@@ -679,6 +785,77 @@ mod tests {
             );
             assert_eq!(piped.stats.array_runs, seq.stats.array_runs);
             assert!(piped.stats.pulses < seq.stats.pulses, "max_cols {max_cols}");
+        }
+    }
+
+    #[test]
+    fn live_tiles_are_a_prefix_of_b_chunks_ending_at_live_rows() {
+        for seed in [Seed::All, Seed::StrictLower] {
+            for max_b in 1..=6 {
+                for n_b in 0..=20 {
+                    for a1 in 0..=20 {
+                        let starts: Vec<usize> = (0..n_b).step_by(max_b).collect();
+                        let live = starts.iter().take_while(|&&b0| seed.live(a1, b0)).count();
+                        assert!(starts[live..].iter().all(|&b0| !seed.live(a1, b0)));
+                        let end = starts.get(live).copied().unwrap_or(n_b);
+                        assert_eq!(seed.live_rows(a1, n_b, max_b), end, "{seed:?} {a1} {n_b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strict_lower_keep_flags_equal_the_untiled_remove_duplicates_array() {
+        // Every relation size from empty to several tiles per side, with
+        // `max_a != max_b` and tuples wider than the array: both tilers
+        // skip the dead tiles, and the keep-flags are still §5's.
+        let limits = [
+            ArrayLimits::new(3, 5, 1),
+            ArrayLimits::new(5, 3, 2),
+            ArrayLimits::new(2, 7, 2),
+            ArrayLimits::new(4, 4, 2),
+            ArrayLimits::new(1, 1, 1),
+        ];
+        let ops = vec![CompareOp::Eq; 2];
+        for n in 0..=24usize {
+            let rows: Vec<Vec<Elem>> = (0..n)
+                .map(|i| vec![(i % 5) as Elem, (i % 3) as Elem])
+                .collect();
+            let expect = if n == 0 {
+                Vec::new()
+            } else {
+                crate::dedup::RemoveDuplicatesArray::new(2)
+                    .run(&rows)
+                    .unwrap()
+                    .keep
+            };
+            for limits in limits {
+                let seq = t_matrix_tiled(&rows, &rows, &ops, limits, Seed::StrictLower).unwrap();
+                let piped = t_matrix_tiled_pipelined(&rows, &rows, &ops, limits, Seed::StrictLower)
+                    .unwrap();
+                for out in [seq, piped] {
+                    let keep: Vec<bool> = out.t.row_ors().into_iter().map(|d| !d).collect();
+                    assert_eq!(keep, expect, "n {n} on {limits:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_live_tile_builds_no_grid_and_charges_nothing() {
+        // One tuple compared with itself (a one-row dedup, or the union of
+        // nothing with one row) has no pair `i > j`.
+        let one = relation(1, 2, 0);
+        let ops = vec![CompareOp::Eq; 2];
+        for limits in [ArrayLimits::new(4, 4, 2), ArrayLimits::new(1, 1, 1)] {
+            let seq = t_matrix_tiled(&one, &one, &ops, limits, Seed::StrictLower).unwrap();
+            let piped =
+                t_matrix_tiled_pipelined(&one, &one, &ops, limits, Seed::StrictLower).unwrap();
+            for out in [seq, piped] {
+                assert_eq!(out.t, TMatrix::new(1, 1));
+                assert_eq!(out.stats, ExecStats::default(), "{limits:?}");
+            }
         }
     }
 

@@ -257,14 +257,14 @@ mod tests {
 
     #[test]
     fn pipelined_span_matches_the_simulated_pipelined_tiling() {
-        use systolic_core::tiling::{t_matrix_tiled_pipelined, ArrayLimits};
+        use systolic_core::tiling::{t_matrix_tiled_pipelined, ArrayLimits, Seed};
         use systolic_fabric::CompareOp;
         // Total pipelined pulses = tiles x span + one final fill/drain tail.
         let (n, t, m) = (24usize, 4usize, 2usize);
         let rows: Vec<Vec<i64>> = (0..n as i64).map(|i| vec![i, i]).collect();
         let ops = vec![CompareOp::Eq; m];
         let out =
-            t_matrix_tiled_pipelined(&rows, &rows, &ops, ArrayLimits::new(t, t, m), |_, _| true)
+            t_matrix_tiled_pipelined(&rows, &rows, &ops, ArrayLimits::new(t, t, m), Seed::All)
                 .unwrap();
         let tiles = ((n / t) * (n / t)) as u64;
         let span = marching_pipelined_span(t as u64, t as u64, m as u64);

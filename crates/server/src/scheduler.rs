@@ -150,8 +150,7 @@ pub(crate) fn submit_fenced<T>(
         Ok(answer) => Fenced::Answered(answer),
         Err(RecvTimeoutError::Disconnected) => Fenced::Gone { mid_run: false },
         Err(RecvTimeoutError::Timeout) if claim(&fence) => {
-            shared.counters.update(|c| c.timeouts += 1);
-            shared.metrics.timeouts.inc();
+            shared.count_timeout();
             Fenced::TimedOut
         }
         Err(RecvTimeoutError::Timeout) => match reply_rx.recv() {

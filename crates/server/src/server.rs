@@ -279,6 +279,13 @@ impl Shared {
         self.stop.load(Ordering::SeqCst) || shutdown::signalled()
     }
 
+    /// Count one request that hit the request timeout, in `STATS` and in
+    /// `sdb_server_timeouts_total` alike.
+    pub(crate) fn count_timeout(&self) {
+        self.counters.update(|c| c.timeouts += 1);
+        self.metrics.timeouts.inc();
+    }
+
     fn report(&self) -> ServerReport {
         let c = self.counters.snapshot();
         ServerReport {
@@ -757,8 +764,7 @@ fn handle_checkpoint(shared: &Shared, tx: &mpsc::Sender<Job>) -> String {
         Ok(Ok((records, bytes))) => checkpointed_frame(records, bytes),
         Ok(Err(detail)) => err_frame("storage", &detail),
         Err(RecvTimeoutError::Timeout) => {
-            shared.counters.update(|c| c.timeouts += 1);
-            shared.metrics.timeouts.inc();
+            shared.count_timeout();
             err_frame("timeout", "checkpoint timed out")
         }
         Err(RecvTimeoutError::Disconnected) => err_frame("shutting_down", "scheduler has exited"),
@@ -840,10 +846,29 @@ fn respond_query(
     }
 }
 
+/// Write `bytes` to the client. A client that stops reading its replies
+/// fills the socket buffer; a write still blocked after the request timeout
+/// is counted as a timeout and fails, so the caller drops the connection
+/// and frees its worker.
+fn send(stream: &mut TcpStream, shared: &Shared, bytes: &[u8]) -> io::Result<()> {
+    let sent = stream.write_all(bytes);
+    if let Err(e) = &sent {
+        if matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        ) {
+            shared.count_timeout();
+        }
+    }
+    sent
+}
+
 fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) -> io::Result<()> {
     // Short read timeout: between frames every session polls the stop flag,
-    // so shutdown drains idle connections instead of hanging on them.
+    // so shutdown drains idle connections instead of hanging on them. A
+    // reply may block its write no longer than a request may take.
     stream.set_read_timeout(Some(Duration::from_millis(100)))?;
+    stream.set_write_timeout(Some(shared.cfg.request_timeout))?;
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut partial = Vec::new();
@@ -855,7 +880,7 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) ->
         let line = match read_frame(&mut reader, &mut partial, shared.cfg.max_request_bytes)? {
             FrameRead::Pending => {
                 if shared.stopping() {
-                    stream.write_all(b"BYE\n")?;
+                    send(&mut stream, shared, b"BYE\n")?;
                     return Ok(());
                 }
                 if partial.is_empty() {
@@ -863,11 +888,10 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) ->
                 }
                 let started = *frame_started.get_or_insert_with(Instant::now);
                 if started.elapsed() >= shared.cfg.request_timeout {
-                    shared.counters.update(|c| c.timeouts += 1);
-                    shared.metrics.timeouts.inc();
+                    shared.count_timeout();
                     let frame =
                         err_frame("timeout", "frame not finished within the request timeout");
-                    stream.write_all(&Reply::closing(frame).into_wire())?;
+                    send(&mut stream, shared, &Reply::closing(frame).into_wire())?;
                     return Ok(());
                 }
                 continue;
@@ -879,7 +903,7 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) ->
                     "too_large",
                     &format!("frame exceeds {} bytes", shared.cfg.max_request_bytes),
                 );
-                stream.write_all(&Reply::closing(frame).into_wire())?;
+                send(&mut stream, shared, &Reply::closing(frame).into_wire())?;
                 return Ok(());
             }
             FrameRead::Frame(line) => {
@@ -890,7 +914,7 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) ->
         let arrival = Arrival::new(&shared.arriving, tx);
         let reply = handle_request(shared, tx, &line, arrival);
         let close = reply.close;
-        stream.write_all(&reply.into_wire())?;
+        send(&mut stream, shared, &reply.into_wire())?;
         if close {
             return Ok(());
         }

@@ -324,6 +324,56 @@ fn a_client_stalled_mid_frame_is_timed_out_and_frees_its_worker() {
     assert_eq!(handle.join().unwrap().timeouts, 1);
 }
 
+/// A client that pipelines requests for large results and never reads a
+/// reply fills the socket buffers; the reply it blocks is timed out like a
+/// stalled frame, and the only worker is free for the next client.
+#[test]
+fn a_client_that_stops_reading_is_timed_out_and_frees_its_worker() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let timeout = Duration::from_millis(300);
+    let handle = spawn(ServerConfig {
+        workers: 1,
+        request_timeout: timeout,
+        ..local_config()
+    })
+    .unwrap();
+    // About 200 KB of CSV per answer, far less than a request may carry.
+    let csv: String = (0..20_000).map(|i| format!("{i},{}\n", i * 7)).collect();
+    let mut loader = Client::connect(handle.addr).unwrap();
+    assert_eq!(loader.load_csv("big", "int,int", &csv).unwrap(), 20_000);
+    loader.close().unwrap();
+
+    // A few hundred answers outgrow any loopback socket buffer.
+    let mut deaf = TcpStream::connect(handle.addr).unwrap();
+    deaf.write_all("QUERY scan(big)\n".repeat(300).as_bytes())
+        .unwrap();
+
+    let next = TcpStream::connect(handle.addr).unwrap();
+    next.set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    (&next).write_all(b"STATS\nCLOSE\n").unwrap();
+    let mut next_reader = BufReader::new(&next);
+    let mut stats = String::new();
+    next_reader
+        .read_line(&mut stats)
+        .expect("the client that stopped reading held the only worker");
+    assert!(stats.starts_with("STATS "), "{stats}");
+    assert_eq!(stat(&stats, "timeouts"), 1, "{stats}");
+    let mut bye = String::new();
+    next_reader.read_line(&mut bye).unwrap();
+    assert_eq!(bye, "BYE\n");
+    assert_eq!(
+        metric(handle.addr, "sdb_server_timeouts_total", ""),
+        1.0,
+        "the write timeout is the metric's too"
+    );
+    drop(deaf);
+    handle.shutdown();
+    assert_eq!(handle.join().unwrap().timeouts, 1);
+}
+
 /// Frames pipelined on one connection — every request on the socket before
 /// any response is read — are answered one at a time, in request order,
 /// with `RESULT` frames byte-identical to the same queries sent one by one.

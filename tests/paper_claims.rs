@@ -190,7 +190,10 @@ fn claim_8_disk_comparison() {
 /// on it, producing identical results piecewise.
 #[test]
 fn claim_8_decomposition() {
-    use systolic_db::arrays::tiling::{membership_tiled, ArrayLimits};
+    use systolic_db::arrays::tiling::{
+        membership_tiled, t_matrix_tiled, t_matrix_tiled_pipelined, ArrayLimits, Seed,
+    };
+    use systolic_db::fabric::CompareOp;
     let a = seq(0..40, 2);
     let b = seq(20..60, 2);
     let whole = IntersectionArray::new(2)
@@ -201,11 +204,31 @@ fn claim_8_decomposition() {
         &b,
         SetOpMode::Intersect,
         ArrayLimits::new(8, 8, 2),
-        |_, _| true,
+        Seed::All,
     )
     .unwrap();
     assert_eq!(tiled, whole.keep);
     assert_eq!(stats.array_runs, 25, "5x5 tile grid");
+
+    // "Each of these sub-problems would generate a piece of the matrix":
+    // §5's remove-duplicates seeds T's upper triangle and diagonal FALSE,
+    // so over t equal tiles per side the t(t - 1)/2 tiles above the
+    // diagonal have a known piece and only t(t + 1)/2 run.
+    let limits = ArrayLimits::new(8, 8, 2);
+    let ops_eq = vec![CompareOp::Eq; 2];
+    for t in 1..=4u64 {
+        let rows: Vec<Vec<Elem>> = (0..8 * t as i64).map(|i| vec![i % 5, i % 3]).collect();
+        let whole = ComparisonArray2d::equality(2)
+            .t_matrix(&rows, &rows, |i, j| i > j)
+            .unwrap();
+        let seq = t_matrix_tiled(&rows, &rows, &ops_eq, limits, Seed::StrictLower).unwrap();
+        let piped =
+            t_matrix_tiled_pipelined(&rows, &rows, &ops_eq, limits, Seed::StrictLower).unwrap();
+        for out in [seq, piped] {
+            assert_eq!(out.t, whole.t, "{t} tiles per side");
+            assert_eq!(out.stats.array_runs, t * (t + 1) / 2, "{t} tiles per side");
+        }
+    }
 }
 
 /// §9: "a systolic array may process hundreds of thousands of bytes per

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use systolic_db::arrays::bitlevel::{BitLinearComparisonArray, BitSerialComparator};
-use systolic_db::arrays::tiling::{self, ArrayLimits};
+use systolic_db::arrays::tiling::{self, ArrayLimits, Seed};
 use systolic_db::arrays::{
     ComparisonArray2d, FixedOperandArray, IntersectionArray, LinearComparisonArray, SetOpMode,
     TMatrix,
@@ -103,9 +103,9 @@ proptest! {
         let ops_eq = vec![CompareOp::Eq; arity];
         let limits = ArrayLimits::new(max_a, max_b, max_cols);
         let whole = ComparisonArray2d::equality(arity).t_matrix(&a, &b, |_, _| true).unwrap();
-        let tiled = tiling::t_matrix_tiled(&a, &b, &ops_eq, limits, |_, _| true).unwrap();
+        let tiled = tiling::t_matrix_tiled(&a, &b, &ops_eq, limits, Seed::All).unwrap();
         prop_assert_eq!(&whole.t, &tiled.t);
-        let piped = tiling::t_matrix_tiled_pipelined(&a, &b, &ops_eq, limits, |_, _| true).unwrap();
+        let piped = tiling::t_matrix_tiled_pipelined(&a, &b, &ops_eq, limits, Seed::All).unwrap();
         prop_assert_eq!(&whole.t, &piped.t);
         prop_assert_eq!(tiled.stats.array_runs, piped.stats.array_runs);
     }
