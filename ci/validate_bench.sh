@@ -19,7 +19,8 @@ cargo run -p systolic-bench --bin validate_artifacts -- "$DIR"
 
 # The backend speedup experiment must be present and must have recorded
 # at least a 100x host-wall-time win for the columnar backend over the
-# pulse simulator (the committed artifact reads ~614x).
+# pulse simulator (README.md and EXPERIMENTS.md render the committed
+# artifact's table; `repro --render-docs`).
 E21="$DIR/BENCH_e21_backend_speedup.json"
 if [[ ! -f "$E21" ]]; then
   echo "missing $E21" >&2

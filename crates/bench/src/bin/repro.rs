@@ -10,10 +10,16 @@
 //! artifact per experiment (pulses, utilisation, host wall ns, queries/sec)
 //! into `DIR` (default `bench-artifacts/`). What a served query costs is
 //! measured by `benchmark/`, not here.
+//!
+//! `repro --render-docs [DIR]` runs no experiment: it rewrites the tables
+//! between `<!-- repro:NAME -->` markers in `README.md` and `EXPERIMENTS.md`
+//! (in the current directory) from the artifacts in `DIR` (default
+//! `bench-artifacts/`). Run it from the repository root after `--json`.
 
 use std::time::Instant;
 
 use systolic_bench::artifact::{ArtifactSink, Extra, Summary};
+use systolic_bench::docs;
 use systolic_bench::table::{fmt_ns, Table};
 use systolic_bench::{hardware_ns, intersection_pulses, workloads, PULSE_NS};
 
@@ -89,7 +95,7 @@ fn e2_comparison_2d() -> Summary {
         let a = workloads::seq_rows(n, m, 0);
         let b = workloads::seq_rows(n, m, (n / 2) as i64);
         let out = ComparisonArray2d::equality(m)
-            .t_matrix(&a, &b, |_, _| true)
+            .t_matrix(&a, &b, Seed::All)
             .unwrap();
         sum.exec(&out.stats);
         let correct = (0..n).all(|i| (0..n).all(|j| out.t.get(i, j) == (a[i] == b[j])));
@@ -510,7 +516,7 @@ fn e9_tiling() -> Summary {
     let b = workloads::seq_rows(64, 4, 32);
     let ops_eq = vec![CompareOp::Eq; 4];
     let whole = ComparisonArray2d::equality(4)
-        .t_matrix(&a, &b, |_, _| true)
+        .t_matrix(&a, &b, Seed::All)
         .unwrap();
     sum.exec(&whole.stats);
     let mut t = Table::new(&[
@@ -1537,16 +1543,32 @@ fn run_exp_extras(
     }
 }
 
+/// Rewrite the artifact-rendered tables of the documents in the current
+/// directory from the artifacts in `dir`.
+fn render_docs(dir: &str) -> Result<(), String> {
+    let path = format!("{dir}/BENCH_e21_backend_speedup.json");
+    let artifact = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+    let table = docs::e21_table(&artifact)?;
+    for doc in ["README.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(doc).map_err(|e| format!("{doc}: {e}"))?;
+        let text = docs::splice(&text, "e21", &table).map_err(|e| format!("{doc}: {e}"))?;
+        std::fs::write(doc, text).map_err(|e| format!("{doc}: {e}"))?;
+        println!("rendered E21 into {doc}");
+    }
+    Ok(())
+}
+
 fn main() {
     let mut sink = ArtifactSink::disabled();
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
+        let mut dir = || match args.peek() {
+            Some(d) if !d.starts_with('-') => args.next().unwrap(),
+            _ => "bench-artifacts".to_string(),
+        };
         match arg.as_str() {
             "--json" => {
-                let dir = match args.peek() {
-                    Some(d) if !d.starts_with('-') => args.next().unwrap(),
-                    _ => "bench-artifacts".to_string(),
-                };
+                let dir = dir();
                 sink = match ArtifactSink::to_dir(&dir) {
                     Ok(s) => s,
                     Err(e) => {
@@ -1555,9 +1577,16 @@ fn main() {
                     }
                 };
             }
+            "--render-docs" => {
+                if let Err(e) = render_docs(&dir()) {
+                    eprintln!("error: {e}");
+                    std::process::exit(1);
+                }
+                return;
+            }
             other => {
                 eprintln!("unknown argument {other:?}");
-                eprintln!("usage: repro [--json [DIR]]");
+                eprintln!("usage: repro [--json [DIR]] | repro --render-docs [DIR]");
                 std::process::exit(2);
             }
         }

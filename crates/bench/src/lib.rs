@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
+pub mod docs;
 pub mod table;
 pub mod workloads;
 

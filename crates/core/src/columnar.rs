@@ -412,6 +412,7 @@ mod tests {
     use crate::dedup::RemoveDuplicatesArray;
     use crate::division::{DivisionArray, DivisionArrayMulti};
     use crate::intersection::{IntersectionArray, SetOpMode};
+    use crate::tiling::Seed;
 
     fn relation(n: usize, m: usize, seed: i64) -> Vec<Row> {
         (0..n)
@@ -434,7 +435,7 @@ mod tests {
     /// What the simulated §3.3 array emits for the same operands.
     fn simulated_t(a: &[Row], b: &[Row], ops: &[CompareOp]) -> TMatrix {
         ComparisonArray2d::with_ops(ops.to_vec())
-            .t_matrix(a, b, |_, _| true)
+            .t_matrix(a, b, Seed::All)
             .unwrap()
             .t
     }

@@ -7,13 +7,12 @@
 //! *all* `|A| x |B|` tuple comparisons and produces the boolean matrix `T`
 //! (§3.2, §3.3).
 
-use systolic_fabric::{
-    Cell, CellIo, CompareGrid, CompareOp, CompareSchedule, Elem, ScheduleFeeder, TraceFrame, Word,
-};
+use systolic_fabric::{Cell, CellIo, CompareOp, Elem, TraceFrame, Word};
 
-use crate::error::{CoreError, Result};
+use crate::error::Result;
 use crate::matrix::TMatrix;
 use crate::stats::ExecStats;
+use crate::tiling::{self, Seed};
 
 /// The individual comparison processor of Figure 3-2:
 /// `t_OUT = t_IN AND (a_IN = b_IN)`, with `a` and `b` passed through.
@@ -22,10 +21,10 @@ use crate::stats::ExecStats;
 /// non-equi-join of §6.3.2 ("processors in the array would simply perform
 /// that comparison"); the default is equality.
 ///
-/// The comparison arrays themselves run on [`CompareGrid`], which steps
-/// this cell's rule over packed lanes; the cell is the rule as a [`Cell`],
-/// for arrays that mix it with other processors and as the reference a
-/// `Grid` of it pins `CompareGrid` to.
+/// The comparison arrays themselves run on [`systolic_fabric::CompareGrid`],
+/// which steps this cell's rule over packed lanes; the cell is the rule as a
+/// [`Cell`], for arrays that mix it with other processors and as the
+/// reference a `Grid` of it pins `CompareGrid` to.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompareCell {
     /// The comparison this processor applies.
@@ -112,38 +111,31 @@ impl LinearComparisonArray {
     pub fn run(&self, a: &[Elem], b: &[Elem], initial: bool, trace: bool) -> Result<LinearOutcome> {
         assert_eq!(a.len(), self.m, "tuple a has wrong width");
         assert_eq!(b.len(), self.m, "tuple b has wrong width");
-        let mut grid = CompareGrid::new(1, &vec![self.op; self.m]);
-        if trace {
-            grid.enable_tracing();
-        }
-        // Staggered inputs (the "slanted" tuples of Figure 3-1): element k
-        // of both tuples enters lane k at pulse k, so that a_k and b_k meet
-        // the k-th processor at pulse k, together with the running AND.
-        let staggered = |tuple: &[Elem]| {
-            ScheduleFeeder::from_entries(
-                tuple
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &e)| (k as u64, k, Word::Elem(e))),
-            )
+        // One tuple pair is a one-tile stream on a one-row grid: element k
+        // of both tuples enters lane k at pulse k (the "slanted" tuples of
+        // Figure 3-1), so that a_k and b_k meet the k-th processor at pulse
+        // k together with the running AND, and the verdict exits east at
+        // pulse m - 1. Of the two seeds, `All` puts TRUE on the one pair
+        // and `StrictLower` FALSE.
+        let seed = if initial {
+            Seed::All
+        } else {
+            Seed::StrictLower
         };
-        grid.set_north_feeder(staggered(a))?;
-        grid.set_south_feeder(staggered(b))?;
-        grid.set_west_feeder(ScheduleFeeder::from_entries([(0, 0, Word::Bool(initial))]))?;
-        grid.run_until_quiescent(4 * self.m as u64 + 8)?;
-        // The verdict exits east from the rightmost processor at pulse m-1.
-        let result = grid
-            .east_emissions()
-            .at(self.m as u64 - 1, 0)
-            .and_then(Word::as_bool)
-            .ok_or_else(|| CoreError::ScheduleViolation {
-                detail: format!("linear array produced no verdict at pulse {}", self.m - 1),
-            })?;
-        let stats = ExecStats::from_grid(grid.stats(), grid.cell_count());
+        let mut t = TMatrix::new(1, 1);
+        let out = tiling::run_tile(
+            &[a.to_vec()],
+            &[b.to_vec()],
+            &vec![self.op; self.m],
+            seed,
+            (0..1, 0..1),
+            &mut t,
+            trace,
+        )?;
         Ok(LinearOutcome {
-            result,
-            stats,
-            frames: grid.trace_frames().to_vec(),
+            result: t.get(0, 0),
+            stats: out.stats,
+            frames: out.frames,
         })
     }
 }
@@ -166,10 +158,10 @@ pub struct MatrixOutcome {
 /// particular column pair".
 ///
 /// ```
-/// use systolic_core::ComparisonArray2d;
+/// use systolic_core::{tiling::Seed, ComparisonArray2d};
 /// let a = vec![vec![1, 2], vec![3, 4]];
 /// let b = vec![vec![3, 4], vec![5, 6], vec![1, 2]];
-/// let out = ComparisonArray2d::equality(2).t_matrix(&a, &b, |_, _| true).unwrap();
+/// let out = ComparisonArray2d::equality(2).t_matrix(&a, &b, Seed::All).unwrap();
 /// assert!(out.t.get(0, 2) && out.t.get(1, 0));
 /// assert_eq!(out.t.count_true(), 2);
 /// assert_eq!(out.stats.cells, (2 + 3 - 1) * 2); // n_A + n_B - 1 rows of m cells
@@ -200,16 +192,12 @@ impl ComparisonArray2d {
     }
 
     /// Produce the matrix `T` for relations `a` (fed from the top) and `b`
-    /// (fed from the bottom). `initial(i, j)` supplies the `t` value
-    /// injected at the west edge for pair `(i, j)` — TRUE everywhere for a
-    /// plain comparison, FALSE on `i <= j` for remove-duplicates (§5).
-    pub fn t_matrix(
-        &self,
-        a: &[Vec<Elem>],
-        b: &[Vec<Elem>],
-        initial: impl FnMut(usize, usize) -> bool,
-    ) -> Result<MatrixOutcome> {
-        self.run(a, b, initial, false)
+    /// (fed from the bottom). `seed` supplies the `t` value injected at the
+    /// west edge for each pair `(i, j)`: TRUE everywhere for a plain
+    /// comparison ([`Seed::All`]), FALSE on `i <= j` for remove-duplicates
+    /// (§5, [`Seed::StrictLower`]).
+    pub fn t_matrix(&self, a: &[Vec<Elem>], b: &[Vec<Elem>], seed: Seed) -> Result<MatrixOutcome> {
+        self.run(a, b, seed, false)
     }
 
     /// As [`Self::t_matrix`], optionally recording wire snapshots.
@@ -217,50 +205,24 @@ impl ComparisonArray2d {
         &self,
         a: &[Vec<Elem>],
         b: &[Vec<Elem>],
-        initial: impl FnMut(usize, usize) -> bool,
+        seed: Seed,
         trace: bool,
     ) -> Result<MatrixOutcome> {
-        let m = self.m();
-        let sched = CompareSchedule::new(a.len(), b.len(), m);
-        let mut grid = CompareGrid::new(sched.rows(), &self.ops);
-        if trace {
-            grid.enable_tracing();
-        }
-        grid.set_north_feeder(sched.a_feeder(a))?;
-        grid.set_south_feeder(sched.b_feeder(b))?;
-        grid.set_west_feeder(sched.t_feeder(initial))?;
-        grid.run_until_quiescent(sched.pulse_bound())?;
-
+        // The whole problem is one tile on an `n_A + n_B - 1`-row grid.
         let mut t = TMatrix::new(a.len(), b.len());
-        let mut seen = 0usize;
-        for em in grid.east_emissions().emissions() {
-            let (i, j) = sched.pair_at_exit(em.lane, em.pulse).ok_or_else(|| {
-                CoreError::ScheduleViolation {
-                    detail: format!(
-                        "unexpected east emission {:?} at row {}, pulse {}",
-                        em.word, em.lane, em.pulse
-                    ),
-                }
-            })?;
-            let v = em
-                .word
-                .as_bool()
-                .ok_or_else(|| CoreError::ScheduleViolation {
-                    detail: format!("non-boolean result {:?} for pair ({i},{j})", em.word),
-                })?;
-            t.set(i, j, v);
-            seen += 1;
-        }
-        if seen != a.len() * b.len() {
-            return Err(CoreError::ScheduleViolation {
-                detail: format!("expected {} results, saw {seen}", a.len() * b.len()),
-            });
-        }
-        let stats = ExecStats::from_grid(grid.stats(), grid.cell_count());
+        let out = tiling::run_tile(
+            a,
+            b,
+            &self.ops,
+            seed,
+            (0..a.len(), 0..b.len()),
+            &mut t,
+            trace,
+        )?;
         Ok(MatrixOutcome {
             t,
-            stats,
-            frames: grid.trace_frames().to_vec(),
+            stats: out.stats,
+            frames: out.frames,
         })
     }
 }
@@ -318,7 +280,7 @@ mod tests {
         let a = vec![vec![1, 2, 3], vec![4, 5, 6], vec![1, 2, 3]];
         let b = vec![vec![4, 5, 6], vec![7, 8, 9], vec![1, 2, 3]];
         let out = ComparisonArray2d::equality(3)
-            .t_matrix(&a, &b, |_, _| true)
+            .t_matrix(&a, &b, Seed::All)
             .unwrap();
         let expect = TMatrix::from_fn(3, 3, |i, j| a[i] == b[j]);
         assert_eq!(out.t, expect);
@@ -334,7 +296,7 @@ mod tests {
         let a: Vec<Vec<Elem>> = (0..5).map(|i| vec![i, i]).collect();
         let b: Vec<Vec<Elem>> = (3..10).map(|j| vec![j, j]).collect();
         let out = ComparisonArray2d::equality(2)
-            .t_matrix(&a, &b, |_, _| true)
+            .t_matrix(&a, &b, Seed::All)
             .unwrap();
         let expect = TMatrix::from_fn(5, 7, |i, j| a[i] == b[j]);
         assert_eq!(out.t, expect);
@@ -346,7 +308,7 @@ mod tests {
         // tuples are equal.
         let a = vec![vec![1], vec![1], vec![1]];
         let out = ComparisonArray2d::equality(1)
-            .t_matrix(&a, &a, |i, j| i > j)
+            .t_matrix(&a, &a, Seed::StrictLower)
             .unwrap();
         let expect = TMatrix::from_fn(3, 3, |i, j| i > j);
         assert_eq!(out.t, expect);
@@ -358,7 +320,7 @@ mod tests {
         let a = vec![vec![1, 7], vec![5, 7]];
         let b = vec![vec![3, 7], vec![0, 7]];
         let arr = ComparisonArray2d::with_ops(vec![CompareOp::Lt, CompareOp::Eq]);
-        let out = arr.t_matrix(&a, &b, |_, _| true).unwrap();
+        let out = arr.t_matrix(&a, &b, Seed::All).unwrap();
         let expect = TMatrix::from_fn(2, 2, |i, j| a[i][0] < b[j][0] && a[i][1] == b[j][1]);
         assert_eq!(out.t, expect);
     }
@@ -369,10 +331,10 @@ mod tests {
         // time is O(n_A + n_B + m), not O(n_A * n_B * m).
         let make = |n: usize| -> Vec<Vec<Elem>> { (0..n as i64).map(|i| vec![i, i]).collect() };
         let small = ComparisonArray2d::equality(2)
-            .t_matrix(&make(8), &make(8), |_, _| true)
+            .t_matrix(&make(8), &make(8), Seed::All)
             .unwrap();
         let large = ComparisonArray2d::equality(2)
-            .t_matrix(&make(32), &make(32), |_, _| true)
+            .t_matrix(&make(32), &make(32), Seed::All)
             .unwrap();
         // 4x the tuples -> ~4x the pulses (not 16x).
         let ratio = large.stats.pulses as f64 / small.stats.pulses as f64;
@@ -382,7 +344,7 @@ mod tests {
     #[test]
     fn single_tuple_relations_reduce_to_the_linear_array() {
         let out = ComparisonArray2d::equality(3)
-            .t_matrix(&[vec![1, 2, 3]], &[vec![1, 2, 3]], |_, _| true)
+            .t_matrix(&[vec![1, 2, 3]], &[vec![1, 2, 3]], Seed::All)
             .unwrap();
         assert!(out.t.get(0, 0));
         assert_eq!(out.stats.cells, 3);

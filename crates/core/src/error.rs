@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use systolic_fabric::{NotQuiescent, RefusedWord};
+use systolic_fabric::NotQuiescent;
 use systolic_relation::RelationError;
 
 /// Errors surfaced by the systolic operators.
@@ -64,16 +64,6 @@ impl From<NotQuiescent> for CoreError {
     }
 }
 
-/// A word a schedule put on a comparison-array edge that cannot carry it is
-/// an unexpected word at that edge.
-impl From<RefusedWord> for CoreError {
-    fn from(e: RefusedWord) -> Self {
-        CoreError::ScheduleViolation {
-            detail: e.to_string(),
-        }
-    }
-}
-
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
 
@@ -96,15 +86,6 @@ mod tests {
             detail: "row 3".into(),
         };
         assert!(e.to_string().contains("row 3"));
-        let e: CoreError = RefusedWord {
-            edge: "west",
-            pulse: 3,
-            lane: 1,
-            word: systolic_fabric::Word::Elem(4),
-        }
-        .into();
-        assert!(matches!(e, CoreError::ScheduleViolation { .. }));
-        assert!(e.to_string().contains("west edge at pulse 3, lane 1"));
     }
 
     #[test]

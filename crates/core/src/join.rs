@@ -14,6 +14,7 @@ use crate::comparison::{CompareCell, ComparisonArray2d};
 use crate::error::Result;
 use crate::matrix::TMatrix;
 use crate::stats::ExecStats;
+use crate::tiling::Seed;
 
 /// One join condition: compare `A` column `col_a` against `B` column
 /// `col_b` under `op`.
@@ -102,7 +103,7 @@ impl JoinArray {
             .map(|row| self.specs.iter().map(|s| row[s.col_b]).collect())
             .collect();
         let ops: Vec<CompareOp> = self.specs.iter().map(|s| s.op).collect();
-        let out = ComparisonArray2d::with_ops(ops).run(&a_keys, &b_keys, |_, _| true, trace)?;
+        let out = ComparisonArray2d::with_ops(ops).run(&a_keys, &b_keys, Seed::All, trace)?;
         Ok(JoinOutcome {
             t: out.t,
             stats: out.stats,

@@ -615,7 +615,7 @@ mod tests {
                     let a = relation(n_a, m, 0);
                     let b = relation(n_b, m, 2);
                     let sim = ComparisonArray2d::equality(m)
-                        .t_matrix(&a, &b, |_, _| true)
+                        .t_matrix(&a, &b, Seed::All)
                         .unwrap();
                     assert_eq!(compare_run_stats(n_a, n_b, m), sim.stats, "{n_a}x{n_b}x{m}");
                 }

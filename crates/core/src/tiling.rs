@@ -14,11 +14,10 @@
 //! systolic arrays before they are finally combined") — AND across column
 //! groups, then OR across `B` tiles for membership-style operations.
 
-use systolic_fabric::{
-    CompareGrid, CompareOp, CompareSchedule, Elem, Emission, ScheduleFeeder, Word,
-};
+use std::ops::Range;
 
-use crate::comparison::ComparisonArray2d;
+use systolic_fabric::{CompareFeed, CompareGrid, CompareOp, CompareSchedule, Elem, TraceFrame};
+
 use crate::error::Result;
 use crate::intersection::SetOpMode;
 use crate::matrix::TMatrix;
@@ -161,7 +160,6 @@ pub fn t_matrix_tiled(
     seed: Seed,
 ) -> Result<TiledOutcome> {
     by_column_groups(a, b, ops, limits, |_, a, b, ops| {
-        let arr = ComparisonArray2d::with_ops(ops.to_vec());
         let mut t = TMatrix::new(a.len(), b.len());
         let mut stats = ExecStats::default();
         for a0 in (0..a.len()).step_by(limits.max_a) {
@@ -171,10 +169,8 @@ pub fn t_matrix_tiled(
                     continue;
                 }
                 let b1 = (b0 + limits.max_b).min(b.len());
-                let at = |i, j| seed.at(a0 + i, b0 + j);
-                let out = arr.t_matrix(&a[a0..a1], &b[b0..b1], at)?;
+                let out = run_tile(a, b, ops, seed, (a0..a1, b0..b1), &mut t, false)?;
                 stats.merge_sequential(&out.stats);
-                t.paste(a0, b0, &out.t);
             }
         }
         Ok(TiledOutcome { t, stats })
@@ -218,95 +214,180 @@ fn pipelined_run(
     by_column_groups(a, b, ops, limits, |c0, a, b, ops| {
         let trim = u64::from(short == Some(c0));
         let mut t = TMatrix::new(a.len(), b.len());
-        let Some(PipelinedPass {
-            grid,
-            mut tiles,
-            dead,
-        }) = pipelined_grid(a, b, ops, limits, seed, trim)?
-        else {
+        let (rows, live, dead) = pipelined_layout(a.len(), b.len(), limits, seed);
+        if live.is_empty() {
             // No live tile: `T` is all FALSE and no grid is built.
             return Ok(TiledOutcome {
                 t,
                 stats: ExecStats::default(),
             });
-        };
-        // The dead tiles' pairs are in place already, FALSE.
-        let mut seen = dead;
-        decode_east(&mut tiles, grid.east_emissions().emissions(), |i, j, v| {
-            t.set(i, j, v);
-            seen += 1;
-        })?;
-        if seen != a.len() * b.len() {
-            return Err(crate::error::CoreError::ScheduleViolation {
-                detail: format!("expected {} results, saw {seen}", a.len() * b.len()),
-            });
         }
-        let mut stats = ExecStats::from_grid(grid.stats(), grid.cell_count());
-        stats.array_runs = tiles.len() as u64;
+        let runs = live.len() as u64;
+        let mut feed = TileFeed::new(a, b, seed, ops.len(), rows, live, &mut t);
+        let out = run_feed(&mut feed, ops, false, trim)?;
+        // The dead tiles' pairs are in place already, FALSE.
+        complete(dead + out.placed, a.len() * b.len())?;
+        let mut stats = out.stats;
+        stats.array_runs = runs;
         Ok(TiledOutcome { t, stats })
     })
 }
 
-/// Where one pipelined tile's results leave the east edge: its schedule's
-/// exit pulses shifted by `shift`, its pairs offset by `(a0, b0)`, all of
-/// them inside the pulse window `first..=last`.
-struct TileExits {
-    sched: CompareSchedule,
-    shift: u64,
-    a0: usize,
-    b0: usize,
-    first: u64,
-    last: u64,
+/// A pair of row ranges, `A`-rows and `B`-rows: one tile of `A x B`.
+type Block = (Range<usize>, Range<usize>);
+
+/// The physical rows of a pipelined pass over `n_a x n_b` pairs, its live
+/// tiles in stream order (`A`-chunks outer, `B`-chunks inner), and how many
+/// pairs its dead tiles hold.
+fn pipelined_layout(
+    n_a: usize,
+    n_b: usize,
+    limits: ArrayLimits,
+    seed: Seed,
+) -> (usize, Vec<Block>, usize) {
+    // The physical grid is sized for the largest tile.
+    let rows = (limits.max_a.min(n_a) + limits.max_b.min(n_b))
+        .saturating_sub(1)
+        .max(1);
+    let (mut live, mut dead) = (Vec::new(), 0);
+    for a0 in (0..n_a).step_by(limits.max_a) {
+        let a1 = (a0 + limits.max_a).min(n_a);
+        for b0 in (0..n_b).step_by(limits.max_b) {
+            let b1 = (b0 + limits.max_b).min(n_b);
+            if seed.live(a1, b0) {
+                live.push((a0..a1, b0..b1));
+            } else {
+                dead += (a1 - a0) * (b1 - b0);
+            }
+        }
+    }
+    (rows, live, dead)
 }
 
-/// One drained pipelined pass: the grid, each live tile's exit window, and
-/// how many pairs the dead tiles hold.
-struct PipelinedPass {
-    grid: CompareGrid,
-    tiles: Vec<TileExits>,
-    dead: usize,
-}
-
-/// Stream every live tile of the problem back-to-back through one
-/// comparison grid and run it to quiescence within the exact budget less
-/// `trim`. `None` when no tile is live: then no grid is built at all.
-fn pipelined_grid(
+/// Run the one tile `block` of `A x B` alone on a grid of its own size,
+/// drained, placing its verdicts in `t`: §3.2's whole array when the block
+/// is the whole problem. Every verdict must be one the tile scheduled, and
+/// every pair of the tile must be placed.
+pub(crate) fn run_tile(
     a: &[Vec<Elem>],
     b: &[Vec<Elem>],
     ops: &[CompareOp],
-    limits: ArrayLimits,
     seed: Seed,
-    trim: u64,
-) -> Result<Option<PipelinedPass>> {
-    let m = ops.len();
-    let tile_a = limits.max_a;
-    let tile_b = limits.max_b;
-    // The physical grid is sized for the largest tile.
-    let rows = (tile_a.min(a.len()) + tile_b.min(b.len()))
-        .saturating_sub(1)
-        .max(1);
+    block: Block,
+    t: &mut TMatrix,
+    trace: bool,
+) -> Result<Streamed> {
+    let pairs = block.0.len() * block.1.len();
+    let rows = (block.0.len() + block.1.len()).saturating_sub(1).max(1);
+    let mut feed = TileFeed::new(a, b, seed, ops.len(), rows, [block], t);
+    let out = run_feed(&mut feed, ops, trace, 0)?;
+    if out.discarded > 0 {
+        return Err(crate::error::CoreError::ScheduleViolation {
+            detail: format!("{} verdicts left the east edge off schedule", out.discarded),
+        });
+    }
+    complete(out.placed, pairs)?;
+    Ok(out)
+}
 
-    // Every live tile's injections, gathered into one table per edge.
-    let (mut north, mut south, mut west) = (Vec::new(), Vec::new(), Vec::new());
-    let mut tiles = Vec::new();
-    let mut dead = 0usize;
-    let mut offset = 0u64;
-    // The last pulse at which any word is still inside the grid. Tracking it
-    // per injection yields an *exact* run budget instead of a padded guess:
-    // an A or B word injected at pulse p is processed by one row per pulse
-    // and leaves the plane after row `rows - 1`, i.e. at pulse
-    // p + rows - 1; a t word injected on the west edge at pulse p crosses
-    // one comparison column per pulse and exits east at pulse p + m - 1.
-    let mut last_activity = 0u64;
-    for a0 in (0..a.len()).step_by(tile_a) {
-        let a1 = (a0 + tile_a).min(a.len());
-        for b0 in (0..b.len()).step_by(tile_b) {
-            let b1 = (b0 + tile_b).min(b.len());
-            if !seed.live(a1, b0) {
-                dead += (a1 - a0) * (b1 - b0);
-                continue;
-            }
-            let sched = CompareSchedule::new(a1 - a0, b1 - b0, m);
+/// Fail unless all `expected` results of a run were seen.
+fn complete(seen: usize, expected: usize) -> Result<()> {
+    if seen == expected {
+        return Ok(());
+    }
+    Err(crate::error::CoreError::ScheduleViolation {
+        detail: format!("expected {expected} results, saw {seen}"),
+    })
+}
+
+/// What a comparison-grid run over a stream of tiles leaves besides `T`.
+pub(crate) struct Streamed {
+    /// Run statistics (one array run).
+    pub stats: ExecStats,
+    /// Per-pulse wire snapshots, if tracing was requested.
+    pub frames: Vec<TraceFrame>,
+    /// Verdicts placed in `T`.
+    pub placed: usize,
+    /// Verdicts at pulses and rows no tile scheduled.
+    pub discarded: usize,
+}
+
+/// Drive a fresh comparison grid on `feed` to quiescence within the feed's
+/// exact budget less `trim`.
+fn run_feed(feed: &mut TileFeed, ops: &[CompareOp], trace: bool, trim: u64) -> Result<Streamed> {
+    let mut grid = CompareGrid::new(feed.rows, ops);
+    if trace {
+        grid.enable_tracing();
+    }
+    grid.run_until_quiescent(feed, feed.budget.saturating_sub(trim))?;
+    Ok(Streamed {
+        stats: ExecStats::from_grid(grid.stats(), grid.cell_count()),
+        frames: grid.trace_frames().to_vec(),
+        placed: feed.placed,
+        discarded: feed.discarded,
+    })
+}
+
+/// Edge indices into [`StreamTile::windows`] and [`TileFeed::open`].
+const NORTH: usize = 0;
+const SOUTH: usize = 1;
+const WEST: usize = 2;
+const EAST: usize = 3;
+
+/// One tile of a stream, placed in time: `A`-rows `a0..a0 + sched.n_a`
+/// against `B`-rows `b0..b0 + sched.n_b`, its `B` elements entering
+/// `offset` pulses late and its `A` elements, seeds and verdicts `shift`
+/// pulses late.
+#[derive(Debug, Clone, Copy)]
+struct StreamTile {
+    sched: CompareSchedule,
+    a0: usize,
+    b0: usize,
+    shift: u64,
+    /// The first and last pulse of the tile's traffic on each edge
+    /// (`NORTH`, `SOUTH`, `WEST`: injections; `EAST`: verdicts).
+    windows: [(u64, u64); 4],
+}
+
+/// The boundary of a comparison grid through which tiles stream back to
+/// back (§8 with §1's pipelining). Nothing is tabulated: each pulse's words
+/// are found by inverting the open tiles' [`CompareSchedule`]s, and each
+/// verdict by [`CompareSchedule::pair_at_exit`], straight into `T`.
+struct TileFeed<'r> {
+    a: &'r [Vec<Elem>],
+    b: &'r [Vec<Elem>],
+    seed: Seed,
+    tiles: Vec<StreamTile>,
+    /// Per edge, the tiles whose window has opened and not yet been passed.
+    open: [Open; 4],
+    /// Physical rows of the grid.
+    rows: usize,
+    /// The pulse at which the grid falls quiet: the exact run budget.
+    budget: u64,
+    /// One past the last injection.
+    horizon: u64,
+    t: &'r mut TMatrix,
+    placed: usize,
+    discarded: usize,
+}
+
+impl<'r> TileFeed<'r> {
+    /// Stream `blocks` in order through a `rows`-row grid comparing tuples
+    /// of width `m`, each tile's first injection two pulses (one tuple
+    /// slot) after the last one's last, placing verdicts in `t`.
+    fn new(
+        a: &'r [Vec<Elem>],
+        b: &'r [Vec<Elem>],
+        seed: Seed,
+        m: usize,
+        rows: usize,
+        blocks: impl IntoIterator<Item = Block>,
+        t: &'r mut TMatrix,
+    ) -> Self {
+        let mut tiles = Vec::new();
+        let (mut offset, mut horizon, mut last_activity) = (0u64, 0u64, 0u64);
+        for (rows_a, rows_b) in blocks {
+            let sched = CompareSchedule::new(rows_a.len(), rows_b.len(), m);
             debug_assert!(sched.rows() <= rows);
             // Edge tiles are smaller than the physical grid: the schedule's
             // row arithmetic assumes the B stream enters sched.rows() - 1
@@ -314,117 +395,166 @@ fn pipelined_grid(
             // Delaying the A stream (and the t seeds, and the exit pulses)
             // by the difference restores the meeting geometry.
             let shift = offset + (rows - sched.rows()) as u64;
-            let mut last_inject = 0u64;
-            for (i, row) in a[a0..a1].iter().enumerate() {
-                for (c, &e) in row.iter().enumerate() {
-                    let p = sched.a_injection(i, c) + shift;
-                    north.push((p, c, Word::Elem(e)));
-                    last_inject = last_inject.max(p);
-                    last_activity = last_activity.max(p + rows as u64 - 1);
-                }
-            }
-            for (j, row) in b[b0..b1].iter().enumerate() {
-                for (c, &e) in row.iter().enumerate() {
-                    let p = sched.b_injection(j, c) + offset;
-                    south.push((p, c, Word::Elem(e)));
-                    last_inject = last_inject.max(p);
-                    last_activity = last_activity.max(p + rows as u64 - 1);
-                }
-            }
-            for i in 0..(a1 - a0) {
-                for j in 0..(b1 - b0) {
-                    let (lane, pulse) = sched.t_injection(i, j);
-                    west.push((pulse + shift, lane, Word::Bool(seed.at(a0 + i, b0 + j))));
-                    last_activity = last_activity.max(pulse + shift + m as u64 - 1);
-                }
-            }
-            // A result's exit pulse grows with i + j.
-            tiles.push(TileExits {
+            // Every edge's traffic grows with `i`, `j` and `c`, so its
+            // window runs from pair (0, 0) to the last pair (i, j).
+            let (i, j) = (sched.n_a - 1, sched.n_b - 1);
+            let windows = [
+                (
+                    sched.a_injection(0, 0) + shift,
+                    sched.a_injection(i, m - 1) + shift,
+                ),
+                (
+                    sched.b_injection(0, 0) + offset,
+                    sched.b_injection(j, m - 1) + offset,
+                ),
+                (
+                    sched.t_injection(0, 0).1 + shift,
+                    sched.t_injection(i, j).1 + shift,
+                ),
+                (
+                    sched.t_exit_pulse(0, 0) + shift,
+                    sched.t_exit_pulse(i, j) + shift,
+                ),
+            ];
+            // Exact budget: an A or B word injected at pulse p leaves the
+            // grid after row rows - 1, at pulse p + rows - 1; a seed
+            // injected at p crosses the m columns and exits at p + m - 1.
+            // The last word in flight is consumed during the step at pulse
+            // `last_activity`, so the grid is quiescent exactly at pulse
+            // `last_activity + 1` and not one pulse sooner. The tightness
+            // test proves both directions: one pulse less must fail with
+            // `NotQuiescent`.
+            let last_inject = windows[NORTH].1.max(windows[SOUTH].1);
+            last_activity = last_activity
+                .max(last_inject + rows as u64 - 1)
+                .max(windows[WEST].1 + m as u64 - 1);
+            horizon = horizon.max(last_inject.max(windows[WEST].1) + 1);
+            tiles.push(StreamTile {
                 sched,
+                a0: rows_a.start,
+                b0: rows_b.start,
                 shift,
-                a0,
-                b0,
-                first: sched.t_exit_pulse(0, 0) + shift,
-                last: sched.t_exit_pulse(a1 - a0 - 1, b1 - b0 - 1) + shift,
+                windows,
             });
             // The next tile streams in right behind this one: its first
             // injection lands two pulses (one tuple slot) after our last.
             offset = last_inject + 2;
         }
+        TileFeed {
+            a,
+            b,
+            seed,
+            tiles,
+            open: Default::default(),
+            rows,
+            budget: last_activity + 1,
+            horizon,
+            t,
+            placed: 0,
+            discarded: 0,
+        }
     }
-    if tiles.is_empty() {
-        return Ok(None);
+
+    /// The global pair whose verdict leaves the east edge from `row` at
+    /// `pulse`, if any tile scheduled one there. Two scheduled verdicts
+    /// never share one `(row, pulse)` wire, so the first tile that claims it
+    /// owns it.
+    fn exit(&mut self, pulse: u64, row: usize) -> Option<(usize, usize)> {
+        let open = self.open[EAST].at(&self.tiles, pulse, EAST);
+        self.tiles[open].iter().find_map(|tile| {
+            let (i, j) = tile.sched.pair_at_exit(row, pulse - tile.shift)?;
+            Some((tile.a0 + i, tile.b0 + j))
+        })
     }
-    let mut grid = CompareGrid::new(rows, ops);
-    grid.set_north_feeder(ScheduleFeeder::from_entries(north))?;
-    grid.set_south_feeder(ScheduleFeeder::from_entries(south))?;
-    grid.set_west_feeder(ScheduleFeeder::from_entries(west))?;
-    // Exact budget: the last in-flight word is consumed during the step at
-    // pulse `last_activity`, so the grid is quiescent exactly at pulse
-    // `last_activity + 1` and not one pulse sooner (a word is still in a
-    // wire plane — or still owed by a feeder — at every pulse up to and
-    // including `last_activity`). The tightness test below proves both
-    // directions: `trim == 1` must fail with `NotQuiescent`.
-    let budget = last_activity + 1;
-    grid.run_until_quiescent(budget.saturating_sub(trim))?;
-    Ok(Some(PipelinedPass { grid, tiles, dead }))
 }
 
-/// Decode east-edge emissions (in pulse order) by inverting each tile's
-/// schedule, calling `place(i, j, v)` for every scheduled result. Returns
-/// how many off-schedule booleans were discarded.
-///
-/// Only the few tiles whose exit window holds an emission's pulse are
-/// asked. Two scheduled results never share one `(row, pulse)` wire, so
-/// the first tile that claims a slot owns it.
-fn decode_east(
-    tiles: &mut [TileExits],
-    emissions: &[Emission],
-    mut place: impl FnMut(usize, usize, bool),
-) -> Result<usize> {
-    // The decode does not rely on the order tiles were laid out in: sorted
-    // by first exit, every window open at a pulse lies in `lo..hi`.
-    tiles.sort_unstable_by_key(|tile| tile.first);
-    let (mut lo, mut hi) = (0, 0);
-    let mut discarded = 0;
-    for em in emissions {
-        while hi < tiles.len() && tiles[hi].first <= em.pulse {
-            hi += 1;
+impl CompareFeed for TileFeed<'_> {
+    fn horizon(&self) -> u64 {
+        self.horizon
+    }
+
+    fn north(&mut self, pulse: u64, mut put: impl FnMut(usize, Elem)) {
+        let open = self.open[NORTH].at(&self.tiles, pulse, NORTH);
+        for tile in &self.tiles[open] {
+            let tuples = &self.a[tile.a0..tile.a0 + tile.sched.n_a];
+            put_elements(tuples, pulse - tile.windows[NORTH].0, &mut put);
         }
-        while lo < hi && tiles[lo].last < em.pulse {
-            lo += 1;
+    }
+
+    fn south(&mut self, pulse: u64, mut put: impl FnMut(usize, Elem)) {
+        let open = self.open[SOUTH].at(&self.tiles, pulse, SOUTH);
+        for tile in &self.tiles[open] {
+            let tuples = &self.b[tile.b0..tile.b0 + tile.sched.n_b];
+            put_elements(tuples, pulse - tile.windows[SOUTH].0, &mut put);
         }
-        let scheduled = tiles[lo..hi].iter().find_map(|tile| {
-            let (i, j) = tile.sched.pair_at_exit(em.lane, em.pulse - tile.shift)?;
-            Some((tile.a0 + i, tile.b0 + j))
-        });
-        match scheduled {
+    }
+
+    fn west(&mut self, pulse: u64, mut put: impl FnMut(usize, bool)) {
+        let open = self.open[WEST].at(&self.tiles, pulse, WEST);
+        for tile in &self.tiles[open] {
+            // The seed of pair (i, j) enters row n_a - 1 + j - i when its
+            // first elements meet there, i + j pulses after pair (0, 0)'s.
+            let (n_a, n_b) = (tile.sched.n_a, tile.sched.n_b);
+            let s = (pulse - tile.windows[WEST].0) as usize;
+            for i in s.saturating_sub(n_b - 1)..=s.min(n_a - 1) {
+                let j = s - i;
+                put(n_a - 1 + j - i, self.seed.at(tile.a0 + i, tile.b0 + j));
+            }
+        }
+    }
+
+    fn east(&mut self, pulse: u64, row: usize, verdict: bool) {
+        match self.exit(pulse, row) {
             Some((i, j)) => {
-                let v = em.word.as_bool().ok_or_else(|| {
-                    crate::error::CoreError::ScheduleViolation {
-                        detail: format!("non-boolean result {:?}", em.word),
-                    }
-                })?;
-                place(i, j, v);
+                self.t.set(i, j, verdict);
+                self.placed += 1;
             }
             // With tiles streaming back-to-back, words of adjacent tiles
             // cross inside the grid and compare as they pass; those
-            // don't-care outputs exit at off-schedule pulses and the
+            // don't-care verdicts exit at off-schedule pulses and the
             // controller discards them (exactly as a §9 controller gates
-            // result capture by schedule). The caller's completeness check
-            // still guarantees every *scheduled* result arrived.
-            None if em.word.as_bool().is_some() => discarded += 1,
-            None => {
-                return Err(crate::error::CoreError::ScheduleViolation {
-                    detail: format!(
-                        "unexpected non-boolean emission {:?} at row {}, pulse {}",
-                        em.word, em.lane, em.pulse
-                    ),
-                })
-            }
+            // result capture by schedule). The completeness check still
+            // guarantees every *scheduled* result arrived.
+            None => self.discarded += 1,
         }
     }
-    Ok(discarded)
+}
+
+/// Put the elements of `tuples` that enter their edge `d` pulses after the
+/// first: element `c` of tuple `i` enters at `2i + c` (§3.2: tuples two
+/// pulses apart, their elements staggered one pulse apart).
+fn put_elements(tuples: &[Vec<Elem>], d: u64, put: &mut impl FnMut(usize, Elem)) {
+    let (d, m) = (d as usize, tuples[0].len());
+    let last = 2 * (tuples.len() - 1);
+    // `c` shares `d`'s parity, and `i = (d - c) / 2` must be a tuple.
+    let first = if d > last { d - last } else { d % 2 };
+    for c in (first..m.min(d + 1)).step_by(2) {
+        put(c, tuples[(d - c) / 2][c]);
+    }
+}
+
+/// The tiles whose window on one edge may hold the current pulse. On every
+/// edge the windows open in stream order (a tile's traffic starts after the
+/// last tile's last injection, which follows that tile's own start on any
+/// edge), and pulses only grow, so both ends only move forward.
+#[derive(Debug, Default)]
+struct Open {
+    lo: usize,
+    hi: usize,
+}
+
+impl Open {
+    /// The open tiles' indices at `pulse` on `edge`. A tile in the range
+    /// may have closed already; its schedule then finds nothing.
+    fn at(&mut self, tiles: &[StreamTile], pulse: u64, edge: usize) -> Range<usize> {
+        while self.hi < tiles.len() && tiles[self.hi].windows[edge].0 <= pulse {
+            self.hi += 1;
+        }
+        while self.lo < self.hi && tiles[self.lo].windows[edge].1 < pulse {
+            self.lo += 1;
+        }
+        self.lo..self.hi
+    }
 }
 
 /// Membership outcome of a tiled intersection/difference: one keep-flag per
@@ -449,8 +579,12 @@ pub fn membership_tiled(
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comparison::ComparisonArray2d;
     use crate::intersection::IntersectionArray;
 
     fn relation(n: usize, m: usize, seed: i64) -> Vec<Vec<Elem>> {
@@ -470,7 +604,7 @@ mod tests {
         let b = relation(9, 3, 3);
         let ops = vec![CompareOp::Eq; 3];
         let whole = ComparisonArray2d::equality(3)
-            .t_matrix(&a, &b, |_, _| true)
+            .t_matrix(&a, &b, Seed::All)
             .unwrap();
         for limits in [
             ArrayLimits::new(4, 4, 3),
@@ -571,7 +705,7 @@ mod tests {
         let b = relation(17, 2, 3);
         let ops = vec![CompareOp::Eq; 2];
         let whole = ComparisonArray2d::equality(2)
-            .t_matrix(&a, &b, |_, _| true)
+            .t_matrix(&a, &b, Seed::All)
             .unwrap();
         for limits in [
             ArrayLimits::new(4, 4, 2),
@@ -650,13 +784,42 @@ mod tests {
         }
     }
 
+    /// A verdict that left the east edge: pulse, row, value, and the pair
+    /// the schedule assigns it (if any).
+    type Verdict = (u64, usize, bool, Option<(usize, usize)>);
+
+    /// A [`TileFeed`] that also records every verdict leaving the east edge.
+    struct Spy<'f, 'r> {
+        feed: &'f mut TileFeed<'r>,
+        verdicts: Vec<Verdict>,
+    }
+
+    impl CompareFeed for Spy<'_, '_> {
+        fn horizon(&self) -> u64 {
+            self.feed.horizon()
+        }
+        fn north(&mut self, pulse: u64, put: impl FnMut(usize, Elem)) {
+            self.feed.north(pulse, put);
+        }
+        fn south(&mut self, pulse: u64, put: impl FnMut(usize, Elem)) {
+            self.feed.south(pulse, put);
+        }
+        fn west(&mut self, pulse: u64, put: impl FnMut(usize, bool)) {
+            self.feed.west(pulse, put);
+        }
+        fn east(&mut self, pulse: u64, row: usize, verdict: bool) {
+            let pair = self.feed.exit(pulse, row);
+            self.verdicts.push((pulse, row, verdict, pair));
+            self.feed.east(pulse, row, verdict);
+        }
+    }
+
     #[test]
-    fn pipelined_exit_decode_sets_every_pair_exactly_once() {
+    fn pipelined_exit_sink_places_every_pair_exactly_once() {
         // A short edge tile follows full tiles on both axes, so tile exit
         // windows differ in length and shift. Every pair of a live tile
-        // must be decoded exactly once and no pair of a dead one, and every
-        // east emission is either a decoded result or a discarded
-        // off-schedule boolean.
+        // must be placed in `T` exactly once and no pair of a dead one, and
+        // the sink's discards are exactly the verdicts no tile scheduled.
         let ops = vec![CompareOp::Eq, CompareOp::Le];
         for (n_a, n_b, limits) in [
             (33, 65, ArrayLimits::new(32, 32, 2)),
@@ -666,21 +829,25 @@ mod tests {
             let a = relation(n_a, 2, 0);
             let b = relation(n_b, 2, 4);
             for seed in [Seed::All, Seed::StrictLower] {
-                let PipelinedPass {
-                    grid,
-                    mut tiles,
-                    dead,
-                } = pipelined_grid(&a, &b, &ops, limits, seed, 0)
-                    .unwrap()
-                    .expect("a live tile");
+                let (rows, live, dead) = pipelined_layout(n_a, n_b, limits, seed);
+                let mut t = TMatrix::new(n_a, n_b);
+                let mut feed = TileFeed::new(&a, &b, seed, 2, rows, live, &mut t);
+                let budget = feed.budget;
+                let mut spy = Spy {
+                    feed: &mut feed,
+                    verdicts: Vec::new(),
+                };
+                let mut grid = CompareGrid::new(rows, &ops);
+                grid.run_until_quiescent(&mut spy, budget).unwrap();
+                let verdicts = std::mem::take(&mut spy.verdicts);
                 let mut hits = vec![0u32; n_a * n_b];
-                let emissions = grid.east_emissions().emissions();
-                let discarded = decode_east(&mut tiles, emissions, |i, j, v| {
-                    hits[i * n_b + j] += 1;
-                    let expect = seed.at(i, j) && a[i][0] == b[j][0] && a[i][1] <= b[j][1];
-                    assert_eq!(v, expect, "T[{i}][{j}] for {n_a}x{n_b} on {limits:?}");
-                })
-                .unwrap();
+                for &(_, _, v, pair) in &verdicts {
+                    if let Some((i, j)) = pair {
+                        hits[i * n_b + j] += 1;
+                        let expect = seed.at(i, j) && a[i][0] == b[j][0] && a[i][1] <= b[j][1];
+                        assert_eq!(v, expect, "T[{i}][{j}] for {n_a}x{n_b} on {limits:?}");
+                    }
+                }
                 for (k, &h) in hits.iter().enumerate() {
                     let (i, j) = (k / n_b, k % n_b);
                     let a1 = (i / limits.max_a * limits.max_a + limits.max_a).min(n_a);
@@ -691,9 +858,17 @@ mod tests {
                         "{n_a}x{n_b} on {limits:?} {seed:?}: pair ({i}, {j})"
                     );
                 }
-                let decoded = hits.iter().filter(|&&h| h == 1).count();
-                assert_eq!(decoded + dead, n_a * n_b);
-                assert_eq!(decoded + discarded, emissions.len());
+                let placed = hits.iter().filter(|&&h| h == 1).count();
+                let off_schedule = verdicts.iter().filter(|v| v.3.is_none()).count();
+                assert_eq!((feed.placed, feed.discarded), (placed, off_schedule));
+                assert_eq!(placed + dead, n_a * n_b);
+                assert_eq!(placed + off_schedule, verdicts.len());
+                assert_eq!(
+                    t,
+                    TMatrix::from_fn(n_a, n_b, |i, j| {
+                        seed.at(i, j) && a[i][0] == b[j][0] && a[i][1] <= b[j][1]
+                    })
+                );
             }
         }
     }

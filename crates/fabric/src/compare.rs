@@ -14,21 +14,27 @@
 //!   `a` stream, and the same for `b`;
 //! * each `t` slot is one byte: idle, FALSE or TRUE.
 //!
-//! A pulse injects from the feeders, then runs one loop per column, chosen
-//! once per [`CompareOp`] outside it. A column's `a` and `b` ring indices
-//! wrap at most once each, so the loop runs over at most three contiguous
-//! stretches and writes only `t` bytes: `a` and `b` stand still in their own
-//! frames. Then the edges drain: east verdicts go to the [`Collector`];
-//! `a`/`b` words leaving the array only leave the live count, because no
-//! caller reads them.
+//! The grid holds no schedule. Its boundary is a [`CompareFeed`], passed to
+//! every [`CompareGrid::step`]: each pulse the feed puts elements on the
+//! north and south lanes and seeds on the west rows, and takes every verdict
+//! that leaves the east edge. A typed feed cannot offer a word the lanes
+//! cannot carry, and a second word put into an occupied slot is refused
+//! (a panic: two data items on one wire is a schedule bug). The operator
+//! front ends compute each pulse's words from the closed-form schedule
+//! (`systolic_core::tiling`), so no table of injections or verdicts is ever
+//! built.
+//!
+//! A pulse injects, then runs one loop per column, chosen once per
+//! [`CompareOp`] outside it. A column's `a` and `b` ring indices wrap at most
+//! once each, so the loop runs over at most three contiguous stretches and
+//! writes only `t` bytes: `a` and `b` stand still in their own frames. Then
+//! the edges drain: east verdicts go to the feed; `a`/`b` words leaving the
+//! array only leave the live count, because no caller reads them.
 //!
 //! Pulses, busy and total cell-pulses, quiescence, [`NotQuiescent`] and trace
-//! frames are exactly those of a `Grid` of comparison cells given the same
-//! feeders. What such a grid could carry but lanes cannot — an `a`/`b` word
-//! that is not an element, a `t` word that is not a boolean — is refused with
-//! a [`RefusedWord`] when the feeder is installed, never mis-simulated.
+//! frames are exactly those of a `Grid` of comparison cells whose feeders
+//! hold the same words.
 
-use crate::feed::{Collector, ScheduleFeeder};
 use crate::grid::{GridStats, NotQuiescent};
 use crate::trace::{TraceFrame, Tracer};
 use crate::word::{CompareOp, Elem, Word};
@@ -40,36 +46,32 @@ const FALSE: u8 = 1;
 /// A `t` slot carrying `Bool(true)`.
 const TRUE: u8 = 2;
 
-/// A scheduled word the comparison array cannot carry: an `a`/`b` word that
-/// is not an element, or a `t` word that is not a boolean.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefusedWord {
-    /// The edge whose feeder scheduled it: `"north"`, `"south"` or `"west"`.
-    pub edge: &'static str,
-    /// The injection pulse.
-    pub pulse: u64,
-    /// The edge lane it was scheduled on.
-    pub lane: usize,
-    /// The word itself.
-    pub word: Word,
-}
+/// The boundary of a [`CompareGrid`]: what enters its north, south and west
+/// edges each pulse, and where its east verdicts go.
+///
+/// The grid asks for pulses in ascending order, one call per edge per
+/// pulse, and drains the east edge after the pulse's comparisons.
+pub trait CompareFeed {
+    /// One past the last pulse at which the feed puts anything (0 if it
+    /// never does): the grid is quiescent only from here on.
+    fn horizon(&self) -> u64;
 
-impl std::fmt::Display for RefusedWord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let carries = if self.edge == "west" {
-            "booleans"
-        } else {
-            "elements"
-        };
-        write!(
-            f,
-            "comparison array refuses {:?} on its {} edge at pulse {}, lane {}: that edge carries only {carries}",
-            self.word, self.edge, self.pulse, self.lane
-        )
-    }
-}
+    /// Put the elements of `A` entering the north edge at `pulse`, as
+    /// `put(column, element)`.
+    fn north(&mut self, pulse: u64, put: impl FnMut(usize, Elem));
 
-impl std::error::Error for RefusedWord {}
+    /// Put the elements of `B` entering the south edge at `pulse`, as
+    /// `put(column, element)`.
+    fn south(&mut self, pulse: u64, put: impl FnMut(usize, Elem));
+
+    /// Put the initial `t` values entering the west edge at `pulse`, as
+    /// `put(row, seed)`.
+    fn west(&mut self, pulse: u64, put: impl FnMut(usize, bool));
+
+    /// Take the verdict that left the east edge from `row`, computed by the
+    /// row's last cell at `pulse`.
+    fn east(&mut self, pulse: u64, row: usize, verdict: bool);
+}
 
 /// The §3.2 comparison array: `rows x ops.len()` Figure 3-2 processors,
 /// column `c` applying `ops[c]`.
@@ -91,10 +93,6 @@ pub struct CompareGrid {
     live: usize,
     pulse: u64,
     stats: GridStats,
-    north: ScheduleFeeder,
-    south: ScheduleFeeder,
-    west: ScheduleFeeder,
-    east_out: Collector,
     tracer: Option<Tracer>,
 }
 
@@ -120,10 +118,6 @@ impl CompareGrid {
             live: 0,
             pulse: 0,
             stats: GridStats::default(),
-            north: ScheduleFeeder::new(),
-            south: ScheduleFeeder::new(),
-            west: ScheduleFeeder::new(),
-            east_out: Collector::default(),
             tracer: None,
         }
     }
@@ -153,31 +147,6 @@ impl CompareGrid {
         self.stats
     }
 
-    /// Install the schedule of relation `A` (north edge, southbound): only
-    /// elements.
-    pub fn set_north_feeder(&mut self, f: ScheduleFeeder) -> Result<(), RefusedWord> {
-        self.north = refuse_unless(f, "north", self.cols(), |w| matches!(w, Word::Elem(_)))?;
-        Ok(())
-    }
-
-    /// Install the schedule of relation `B` (south edge, northbound): only
-    /// elements.
-    pub fn set_south_feeder(&mut self, f: ScheduleFeeder) -> Result<(), RefusedWord> {
-        self.south = refuse_unless(f, "south", self.cols(), |w| matches!(w, Word::Elem(_)))?;
-        Ok(())
-    }
-
-    /// Install the schedule of initial `t` values (west edge): only booleans.
-    pub fn set_west_feeder(&mut self, f: ScheduleFeeder) -> Result<(), RefusedWord> {
-        self.west = refuse_unless(f, "west", self.rows, |w| matches!(w, Word::Bool(_)))?;
-        Ok(())
-    }
-
-    /// The verdicts that left the east edge.
-    pub fn east_emissions(&self) -> &Collector {
-        &self.east_out
-    }
-
     /// Record per-pulse wire snapshots for rendering (see [`crate::trace`]).
     pub fn enable_tracing(&mut self) {
         self.tracer = Some(Tracer::default());
@@ -188,8 +157,13 @@ impl CompareGrid {
         self.tracer.as_ref().map(|t| t.frames()).unwrap_or(&[])
     }
 
-    /// Execute one pulse: inject, compare column by column, drain the edges.
-    pub fn step(&mut self) {
+    /// Execute one pulse: inject what `feed` puts at this pulse, compare
+    /// column by column, drain the edges (east verdicts into `feed`).
+    ///
+    /// # Panics
+    /// Panics if `feed` puts a word on a lane the edge does not have, or a
+    /// second word on one lane in one pulse.
+    pub fn step(&mut self, feed: &mut impl CompareFeed) {
         let pulse = self.pulse;
         let (rows, cols) = (self.rows, self.cols());
         // This pulse's ring slots of row 0 on the `a` and `b` rings and of
@@ -198,27 +172,45 @@ impl CompareGrid {
         let b0 = (pulse % rows as u64) as usize;
         let t0 = (cols - (pulse % cols as u64) as usize) % cols;
 
-        // Injection into the slots the last pulse's drain left idle. The
-        // feeders were checked when installed, so every word fits its lane.
+        // Injection into the slots the last pulse's drain left idle: a slot
+        // found occupied was filled earlier in this same pulse.
         let b_south = (b0 + rows - 1) % rows;
-        for &(c, w) in self.north.at(pulse).iter().take_while(|&&(c, _)| c < cols) {
-            if let Word::Elem(e) = w {
-                (self.a[c * rows + a0], self.a_on[c * rows + a0]) = (e, true);
-                self.live += 1;
-            }
-        }
-        for &(c, w) in self.south.at(pulse).iter().take_while(|&&(c, _)| c < cols) {
-            if let Word::Elem(e) = w {
-                (self.b[c * rows + b_south], self.b_on[c * rows + b_south]) = (e, true);
-                self.live += 1;
-            }
-        }
-        for &(r, w) in self.west.at(pulse).iter().take_while(|&&(r, _)| r < rows) {
-            if let Word::Bool(v) = w {
-                self.t[t0 * rows + r] = if v { TRUE } else { FALSE };
-                self.live += 1;
-            }
-        }
+        let mut put = 0usize;
+        let (a, a_on) = (&mut self.a[..], &mut self.a_on[..]);
+        feed.north(pulse, |c, e| {
+            latch(
+                a,
+                a_on,
+                lane("north", c, cols) * rows + a0,
+                e,
+                pulse,
+                "north",
+            );
+            put += 1;
+        });
+        let (b, b_on) = (&mut self.b[..], &mut self.b_on[..]);
+        feed.south(pulse, |c, e| {
+            latch(
+                b,
+                b_on,
+                lane("south", c, cols) * rows + b_south,
+                e,
+                pulse,
+                "south",
+            );
+            put += 1;
+        });
+        let t_west = &mut self.t[t0 * rows..][..rows];
+        feed.west(pulse, |r, v| {
+            let slot = &mut t_west[lane("west", r, rows)];
+            assert!(
+                *slot == IDLE,
+                "slot collision at pulse {pulse} on the west edge"
+            );
+            *slot = if v { TRUE } else { FALSE };
+            put += 1;
+        });
+        self.live += put;
 
         if let Some(tracer) = &mut self.tracer {
             let elem = |on: bool, e: Elem| if on { Word::Elem(e) } else { Word::Null };
@@ -273,7 +265,7 @@ impl CompareGrid {
         let t_east = (t0 + cols - 1) % cols * rows;
         for (r, slot) in self.t[t_east..t_east + rows].iter_mut().enumerate() {
             if *slot != IDLE {
-                self.east_out.collect(pulse, r, Word::Bool(*slot == TRUE));
+                feed.east(pulse, r, *slot == TRUE);
                 *slot = IDLE;
                 self.live -= 1;
             }
@@ -285,49 +277,42 @@ impl CompareGrid {
         self.pulse += 1;
     }
 
-    /// `true` when no feeder will inject again and every wire is idle.
-    pub fn is_quiescent(&self) -> bool {
-        self.north.horizon() <= self.pulse
-            && self.south.horizon() <= self.pulse
-            && self.west.horizon() <= self.pulse
-            && self.live == 0
+    /// `true` when `feed` will put nothing more and every wire is idle.
+    pub fn is_quiescent(&self, feed: &impl CompareFeed) -> bool {
+        feed.horizon() <= self.pulse && self.live == 0
     }
 
-    /// Pulse the grid until it drains, or fail after `max_pulses`.
-    pub fn run_until_quiescent(&mut self, max_pulses: u64) -> Result<(), NotQuiescent> {
+    /// Pulse the grid on `feed` until it drains, or fail after `max_pulses`.
+    pub fn run_until_quiescent(
+        &mut self,
+        feed: &mut impl CompareFeed,
+        max_pulses: u64,
+    ) -> Result<(), NotQuiescent> {
         let before = self.stats;
-        while !self.is_quiescent() {
+        while !self.is_quiescent(feed) {
             if self.pulse >= max_pulses {
                 return Err(NotQuiescent { max_pulses });
             }
-            self.step();
+            self.step(feed);
         }
         crate::counters::record_run(before, self.stats);
         Ok(())
     }
 }
 
-/// Check that every word `f` injects within the edge's `lanes` is one `fits`
-/// accepts (lanes beyond the edge are never read).
-fn refuse_unless(
-    f: ScheduleFeeder,
-    edge: &'static str,
-    lanes: usize,
-    fits: impl Fn(Word) -> bool,
-) -> Result<ScheduleFeeder, RefusedWord> {
-    for pulse in 0..f.horizon() {
-        for &(lane, word) in f.at(pulse).iter().take_while(|&&(lane, _)| lane < lanes) {
-            if !fits(word) {
-                return Err(RefusedWord {
-                    edge,
-                    pulse,
-                    lane,
-                    word,
-                });
-            }
-        }
-    }
-    Ok(f)
+/// `lane`, checked to be one of the `edge`'s `width` lanes.
+fn lane(edge: &str, lane: usize, width: usize) -> usize {
+    assert!(
+        lane < width,
+        "{edge} lane {lane} is off the array ({width} lanes)"
+    );
+    lane
+}
+
+/// Latch element `e` into ring slot `k`, which must be idle.
+fn latch(ring: &mut [Elem], on: &mut [bool], k: usize, e: Elem, pulse: u64, edge: &str) {
+    assert!(!on[k], "slot collision at pulse {pulse} on the {edge} edge");
+    (ring[k], on[k]) = (e, true);
 }
 
 /// One column's `a` and `b` rings for one pulse: row `r` reads slot
@@ -383,13 +368,42 @@ impl Lanes<'_> {
 mod tests {
     use super::*;
 
-    fn run(grid: &mut CompareGrid, budget: u64) -> Vec<(u64, usize, Word)> {
-        grid.run_until_quiescent(budget).unwrap();
-        grid.east_emissions()
-            .emissions()
-            .iter()
-            .map(|e| (e.pulse, e.lane, e.word))
-            .collect()
+    /// A feed read off short lists of `(pulse, lane, word)` entries, keeping
+    /// every east verdict.
+    #[derive(Default)]
+    struct Script {
+        north: Vec<(u64, usize, Elem)>,
+        south: Vec<(u64, usize, Elem)>,
+        west: Vec<(u64, usize, bool)>,
+        east: Vec<(u64, usize, bool)>,
+    }
+
+    fn put_at<W: Copy>(entries: &[(u64, usize, W)], pulse: u64, mut put: impl FnMut(usize, W)) {
+        for &(p, lane, w) in entries {
+            if p == pulse {
+                put(lane, w);
+            }
+        }
+    }
+
+    impl CompareFeed for Script {
+        fn horizon(&self) -> u64 {
+            let elems = self.north.iter().chain(&self.south).map(|&(p, _, _)| p);
+            let seeds = self.west.iter().map(|&(p, _, _)| p);
+            elems.chain(seeds).map(|p| p + 1).max().unwrap_or(0)
+        }
+        fn north(&mut self, pulse: u64, put: impl FnMut(usize, Elem)) {
+            put_at(&self.north, pulse, put);
+        }
+        fn south(&mut self, pulse: u64, put: impl FnMut(usize, Elem)) {
+            put_at(&self.south, pulse, put);
+        }
+        fn west(&mut self, pulse: u64, put: impl FnMut(usize, bool)) {
+            put_at(&self.west, pulse, put);
+        }
+        fn east(&mut self, pulse: u64, row: usize, verdict: bool) {
+            self.east.push((pulse, row, verdict));
+        }
     }
 
     #[test]
@@ -402,14 +416,15 @@ mod tests {
             ([1, 2, 3], false, false),
         ] {
             let mut g = CompareGrid::new(1, &[CompareOp::Eq; 3]);
-            let elems = |t: [Elem; 3]| {
-                ScheduleFeeder::from_entries((0..3).map(move |k| (k as u64, k, Word::Elem(t[k]))))
+            let elems = |t: [Elem; 3]| (0..3).map(|k| (k as u64, k, t[k])).collect();
+            let mut feed = Script {
+                north: elems([1, 2, 3]),
+                south: elems(b),
+                west: vec![(0, 0, seed)],
+                ..Script::default()
             };
-            g.set_north_feeder(elems([1, 2, 3])).unwrap();
-            g.set_south_feeder(elems(b)).unwrap();
-            g.set_west_feeder(ScheduleFeeder::from_entries([(0, 0, Word::Bool(seed))]))
-                .unwrap();
-            assert_eq!(run(&mut g, 20), [(2, 0, Word::Bool(want))]);
+            g.run_until_quiescent(&mut feed, 20).unwrap();
+            assert_eq!(feed.east, [(2, 0, want)]);
             assert_eq!(g.pulse(), 3);
         }
     }
@@ -417,17 +432,15 @@ mod tests {
     #[test]
     fn an_unseeded_meeting_starts_a_verdict_and_a_lone_t_passes() {
         let mut g = CompareGrid::new(1, &[CompareOp::Lt, CompareOp::Eq]);
-        g.set_north_feeder(ScheduleFeeder::from_entries([(0, 0, Word::Elem(1))]))
-            .unwrap();
-        g.set_south_feeder(ScheduleFeeder::from_entries([(0, 0, Word::Elem(2))]))
-            .unwrap();
-        g.set_west_feeder(ScheduleFeeder::from_entries([(3, 0, Word::Bool(false))]))
-            .unwrap();
+        let mut feed = Script {
+            north: vec![(0, 0, 1)],
+            south: vec![(0, 0, 2)],
+            west: vec![(3, 0, false)],
+            ..Script::default()
+        };
+        g.run_until_quiescent(&mut feed, 20).unwrap();
         // 1 < 2 with no seed is TRUE; column 1 sees no elements and passes it.
-        assert_eq!(
-            run(&mut g, 20),
-            [(1, 0, Word::Bool(true)), (4, 0, Word::Bool(false))]
-        );
+        assert_eq!(feed.east, [(1, 0, true), (4, 0, false)]);
         let s = g.stats();
         assert_eq!(
             (s.pulses, s.busy_cell_pulses, s.total_cell_pulses),
@@ -436,37 +449,67 @@ mod tests {
     }
 
     #[test]
-    fn words_off_their_kind_are_refused() {
+    #[should_panic(expected = "slot collision at pulse 3 on the north edge")]
+    fn a_second_element_into_an_occupied_slot_is_refused() {
+        // Two words on one wire in one pulse is a schedule bug: the grid
+        // refuses the second instead of overwriting the first.
+        let mut g = CompareGrid::new(2, &[CompareOp::Eq; 2]);
+        let mut feed = Script {
+            north: vec![(3, 1, 7), (3, 0, 5), (3, 1, 7)],
+            ..Script::default()
+        };
+        let _ = g.run_until_quiescent(&mut feed, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "slot collision at pulse 0 on the west edge")]
+    fn a_second_seed_into_an_occupied_slot_is_refused() {
         let mut g = CompareGrid::new(2, &[CompareOp::Eq]);
-        let err = g
-            .set_north_feeder(ScheduleFeeder::from_entries([(3, 0, Word::Drain)]))
-            .unwrap_err();
-        assert_eq!(
-            (err.edge, err.pulse, err.lane, err.word),
-            ("north", 3, 0, Word::Drain)
-        );
-        assert!(err.to_string().contains("only elements"));
-        let err = g
-            .set_west_feeder(ScheduleFeeder::from_entries([(0, 1, Word::Elem(4))]))
-            .unwrap_err();
-        assert!(err.to_string().contains("west edge at pulse 0, lane 1"));
-        // A lane beyond the edge is never read, so nothing there is refused.
-        g.set_south_feeder(ScheduleFeeder::from_entries([(0, 1, Word::Bool(true))]))
-            .unwrap();
-        assert_eq!(g.south.horizon(), 1);
+        let mut feed = Script {
+            west: vec![(0, 1, true), (0, 1, false)],
+            ..Script::default()
+        };
+        let _ = g.run_until_quiescent(&mut feed, 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "south lane 2 is off the array (2 lanes)")]
+    fn a_lane_off_the_edge_is_refused() {
+        let mut g = CompareGrid::new(3, &[CompareOp::Eq; 2]);
+        let mut feed = Script {
+            south: vec![(0, 2, 1)],
+            ..Script::default()
+        };
+        let _ = g.run_until_quiescent(&mut feed, 20);
     }
 
     #[test]
     fn a_short_budget_is_not_quiescent() {
         let mut g = CompareGrid::new(3, &[CompareOp::Eq]);
-        g.set_north_feeder(ScheduleFeeder::from_entries([(0, 0, Word::Elem(1))]))
-            .unwrap();
+        let mut feed = Script {
+            north: vec![(0, 0, 1)],
+            ..Script::default()
+        };
         assert_eq!(
-            g.run_until_quiescent(2),
+            g.run_until_quiescent(&mut feed, 2),
             Err(NotQuiescent { max_pulses: 2 })
         );
-        assert_eq!(g.run_until_quiescent(3), Ok(()));
-        assert!(g.is_quiescent());
+        assert_eq!(g.run_until_quiescent(&mut feed, 3), Ok(()));
+        assert!(g.is_quiescent(&feed));
+    }
+
+    #[test]
+    fn a_feed_still_owing_words_keeps_an_empty_grid_running() {
+        // Nothing is on the wires between pulse 0 and pulse 5, but the feed
+        // has not put its last word yet.
+        let mut g = CompareGrid::new(1, &[CompareOp::Eq]);
+        let mut feed = Script {
+            west: vec![(0, 0, true), (5, 0, false)],
+            ..Script::default()
+        };
+        g.run_until_quiescent(&mut feed, 20).unwrap();
+        assert_eq!(feed.east, [(0, 0, true), (5, 0, false)]);
+        assert_eq!(g.pulse(), 6);
     }
 
     #[test]

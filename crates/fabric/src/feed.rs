@@ -1,4 +1,4 @@
-//! Boundary schedules and collectors.
+//! Boundary schedules and collectors of the generic [`crate::Grid`].
 //!
 //! A systolic array computes correctly only if "all of the data \[is\] in the
 //! right place at the right time" (§3.1) — the inputs are *staggered* on the
@@ -8,6 +8,12 @@
 //! falls off an edge, together with the pulse and lane at which it did, so
 //! operator front-ends can decode results using the same schedule arithmetic
 //! that produced the inputs.
+//!
+//! Both serve only `Grid`, the mixed-cell arrays (§4's accumulation column,
+//! §6.3.2's opcodes, §7's division, the bit-level and fixed-operand
+//! layouts). The comparison array, [`crate::CompareGrid`], builds no table
+//! and records no emission: its [`crate::CompareFeed`] computes each
+//! pulse's words from the schedule and takes each verdict as it leaves.
 
 use crate::word::Word;
 

@@ -26,7 +26,9 @@
 //! [`ScheduleFeeder`]s on the north, south and west edges, one lane-ascending
 //! pass per edge per pulse. Linearly connected arrays (Fig 2-1(b)) are grids
 //! with a single row or column. The comparison array, whose cells are all
-//! alike, runs on [`crate::CompareGrid`] instead.
+//! alike, runs on [`crate::CompareGrid`] instead, fed by a
+//! [`crate::CompareFeed`] rather than by feeder tables; the feeders and
+//! collectors here serve the arrays of mixed cells.
 //!
 //! A pulse costs the comparisons: no word is copied between planes, and the
 //! grid counts the words left on its wires, so quiescence is one comparison.

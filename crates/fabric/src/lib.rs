@@ -17,7 +17,9 @@
 //!   [`feed::Collector`]s, utilisation statistics, and optional per-pulse
 //!   tracing;
 //! * [`compare::CompareGrid`] — the §3.2 comparison array on the same
-//!   stream frames, stepped a column at a time over packed element lanes;
+//!   stream frames, stepped a column at a time over packed element lanes
+//!   and fed each pulse by a [`compare::CompareFeed`] that computes its
+//!   words from the schedule (no feeder tables, no collectors);
 //! * [`schedule`] — the closed-form staggered input schedules of §3 and the
 //!   fixed-operand variant of §8;
 //! * [`trace`] — ASCII rendering of in-flight data, used to reproduce the
@@ -61,7 +63,7 @@ pub mod trace;
 pub mod word;
 
 pub use cell::{Cell, CellIo};
-pub use compare::{CompareGrid, RefusedWord};
+pub use compare::{CompareFeed, CompareGrid};
 pub use feed::{Collector, Emission, ScheduleFeeder};
 pub use grid::{Grid, GridStats, NotQuiescent};
 pub use schedule::{CompareSchedule, FixedSchedule};

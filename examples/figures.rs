@@ -38,7 +38,7 @@ fn main() {
     let a = vec![vec![1, 2, 3], vec![4, 5, 6], vec![7, 8, 9]];
     let b = vec![vec![4, 5, 6], vec![9, 9, 9], vec![1, 2, 3]];
     let out = systolic_db::arrays::ComparisonArray2d::equality(3)
-        .run(&a, &b, |_, _| true, true)
+        .run(&a, &b, systolic_db::arrays::tiling::Seed::All, true)
         .expect("run");
     println!("{}", render_animation(&out.frames));
     println!("result matrix T (t_ij = tuple a_i equals tuple b_j):");

@@ -2,6 +2,7 @@
 //! reproduction. Each test cites the section it reproduces.
 
 use systolic_db::arrays::ops::{self, Execution};
+use systolic_db::arrays::tiling::Seed;
 use systolic_db::arrays::{
     ComparisonArray2d, DivisionArray, FixedOperandArray, IntersectionArray, LinearComparisonArray,
     SetOpMode,
@@ -38,7 +39,7 @@ fn claim_3_2_all_pairs_compared() {
     let a = seq(0..7, 3);
     let b = seq(3..12, 3);
     let out = ComparisonArray2d::equality(3)
-        .t_matrix(&a, &b, |_, _| true)
+        .t_matrix(&a, &b, Seed::All)
         .unwrap();
     for (i, ra) in a.iter().enumerate() {
         for (j, rb) in b.iter().enumerate() {
@@ -191,7 +192,7 @@ fn claim_8_disk_comparison() {
 #[test]
 fn claim_8_decomposition() {
     use systolic_db::arrays::tiling::{
-        membership_tiled, t_matrix_tiled, t_matrix_tiled_pipelined, ArrayLimits, Seed,
+        membership_tiled, t_matrix_tiled, t_matrix_tiled_pipelined, ArrayLimits,
     };
     use systolic_db::fabric::CompareOp;
     let a = seq(0..40, 2);
@@ -219,7 +220,7 @@ fn claim_8_decomposition() {
     for t in 1..=4u64 {
         let rows: Vec<Vec<Elem>> = (0..8 * t as i64).map(|i| vec![i % 5, i % 3]).collect();
         let whole = ComparisonArray2d::equality(2)
-            .t_matrix(&rows, &rows, |i, j| i > j)
+            .t_matrix(&rows, &rows, Seed::StrictLower)
             .unwrap();
         let seq = t_matrix_tiled(&rows, &rows, &ops_eq, limits, Seed::StrictLower).unwrap();
         let piped =

@@ -45,7 +45,7 @@ proptest! {
         a in rows(9, 2, 5),
         b in rows(9, 2, 5),
     ) {
-        let out = ComparisonArray2d::equality(2).t_matrix(&a, &b, |_, _| true).unwrap();
+        let out = ComparisonArray2d::equality(2).t_matrix(&a, &b, Seed::All).unwrap();
         let expect = TMatrix::from_fn(a.len(), b.len(), |i, j| a[i] == b[j]);
         prop_assert_eq!(out.t, expect);
     }
@@ -102,7 +102,7 @@ proptest! {
         let (a, b) = (narrow(&a), narrow(&b));
         let ops_eq = vec![CompareOp::Eq; arity];
         let limits = ArrayLimits::new(max_a, max_b, max_cols);
-        let whole = ComparisonArray2d::equality(arity).t_matrix(&a, &b, |_, _| true).unwrap();
+        let whole = ComparisonArray2d::equality(arity).t_matrix(&a, &b, Seed::All).unwrap();
         let tiled = tiling::t_matrix_tiled(&a, &b, &ops_eq, limits, Seed::All).unwrap();
         prop_assert_eq!(&whole.t, &tiled.t);
         let piped = tiling::t_matrix_tiled_pipelined(&a, &b, &ops_eq, limits, Seed::All).unwrap();
