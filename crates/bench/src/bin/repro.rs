@@ -1024,7 +1024,10 @@ fn e17_pattern_match() -> Summary {
     sum
 }
 
-fn e18_capacity() -> Summary {
+/// E18: §8's intersection on §8's device, priced per layout by the pricer
+/// the machine serves. Returns each layout's tiles and cost as artifact
+/// extras, from which `repro --render-docs` renders EXPERIMENTS.md's table.
+fn e18_capacity() -> (Summary, Vec<(String, Extra)>) {
     use systolic_perfmodel::{CapacityPlan, Layout};
     let mut sum = Summary::default();
     heading(
@@ -1034,36 +1037,59 @@ fn e18_capacity() -> Summary {
     );
     let w = Workload::paper_typical();
     let t = Technology::paper_conservative();
+    let ideal_ms = Prediction::new(t, w).intersection_ms();
+    let mut extras = vec![("ideal_ms".to_string(), Extra::F64(ideal_ms))];
     let mut tbl = Table::new(&[
         "layout",
         "tile (AxB)",
         "tiles",
-        "pulses/tile",
+        "pulses",
         "total time",
-        "vs ideal 52.5 ms",
+        "vs ideal",
+        "utilisation",
     ]);
-    for (name, layout) in [
-        ("marching", Layout::Marching),
-        ("marching+pipelined tiles", Layout::MarchingPipelined),
-        ("fixed-operand", Layout::FixedOperand),
-    ] {
+    let layouts = [
+        Layout::Marching,
+        Layout::MarchingPipelined,
+        Layout::FixedOperand,
+    ];
+    let mut ms = Vec::new();
+    for ((key, name), layout) in docs::E18_LAYOUTS.into_iter().zip(layouts) {
         let plan = CapacityPlan::plan(t, w, layout);
-        sum.tick();
+        let s = plan.stats;
+        sum.exec(&s);
+        ms.push(plan.intersection_ms());
+        for (field, value) in [
+            ("tile_a", plan.tile_a),
+            ("tile_b", plan.tile_b),
+            ("tiles", s.array_runs),
+            ("pulses", s.pulses),
+            ("busy", s.busy_cell_pulses),
+            ("total", s.total_cell_pulses),
+        ] {
+            extras.push((format!("{field}_{key}"), Extra::U64(value)));
+        }
         tbl.rowd(&[
             name.to_string(),
             format!("{}x{}", plan.tile_a, plan.tile_b),
-            plan.tiles.to_string(),
-            plan.pulses_per_tile.to_string(),
+            s.array_runs.to_string(),
+            s.pulses.to_string(),
             format!("{:.1} ms", plan.intersection_ms()),
             format!("{:.1}x", plan.overhead_factor()),
+            format!("{:.3}", s.utilisation()),
         ]);
     }
     print!("{}", tbl.render());
-    println!(
-        "(pulse formulas cross-validated against the cycle-accurate simulator; the fixed-operand \
-         layout — §8's own fix — recovers most of the idealised figure)"
+    assert!(
+        ms[2] < ms[0] && ms[2] < ms[1],
+        "E18: the fixed-operand layout must beat both marching layouts: {ms:?} ms"
     );
-    sum
+    println!(
+        "(priced by ops::price_membership at the device's array limits, the closed forms that \
+         equal the cycle-accurate simulator; the fixed-operand layout — §8's own fix — recovers \
+         most of the idealised {ideal_ms:.1} ms)"
+    );
+    (sum, extras)
 }
 
 fn e19_pipelined_tiles() -> Summary {
@@ -1546,14 +1572,23 @@ fn run_exp_extras(
 /// Rewrite the artifact-rendered tables of the documents in the current
 /// directory from the artifacts in `dir`.
 fn render_docs(dir: &str) -> Result<(), String> {
-    let path = format!("{dir}/BENCH_e21_backend_speedup.json");
-    let artifact = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-    let table = docs::e21_table(&artifact)?;
-    for doc in ["README.md", "EXPERIMENTS.md"] {
-        let text = std::fs::read_to_string(doc).map_err(|e| format!("{doc}: {e}"))?;
-        let text = docs::splice(&text, "e21", &table).map_err(|e| format!("{doc}: {e}"))?;
+    let artifact = |name: &str| {
+        let path = format!("{dir}/BENCH_{name}.json");
+        std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))
+    };
+    let e18 = docs::e18_table(&artifact("e18_capacity")?)?;
+    let e21 = docs::e21_table(&artifact("e21_backend_speedup")?)?;
+    let renders: [(&str, &[(&str, &String)]); 2] = [
+        ("README.md", &[("e21", &e21)]),
+        ("EXPERIMENTS.md", &[("e18", &e18), ("e21", &e21)]),
+    ];
+    for (doc, tables) in renders {
+        let mut text = std::fs::read_to_string(doc).map_err(|e| format!("{doc}: {e}"))?;
+        for (name, table) in tables {
+            text = docs::splice(&text, name, table).map_err(|e| format!("{doc}: {e}"))?;
+            println!("rendered {} into {doc}", name.to_uppercase());
+        }
         std::fs::write(doc, text).map_err(|e| format!("{doc}: {e}"))?;
-        println!("rendered E21 into {doc}");
     }
     Ok(())
 }
@@ -1615,7 +1650,7 @@ fn main() {
     run_exp(&mut sink, "e15_machine_ablation", e15_machine_ablation);
     run_exp(&mut sink, "e16_programmable", e16_programmable);
     run_exp(&mut sink, "e17_pattern_match", e17_pattern_match);
-    run_exp(&mut sink, "e18_capacity", e18_capacity);
+    run_exp_extras(&mut sink, "e18_capacity", e18_capacity);
     run_exp(&mut sink, "e19_pipelined_tiles", e19_pipelined_tiles);
     run_exp_extras(&mut sink, "e21_backend_speedup", e21_backend_speedup);
     run_exp_extras(&mut sink, "e22_columnar", e22_columnar);

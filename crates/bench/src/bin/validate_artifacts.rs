@@ -12,6 +12,7 @@ use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
 
+use systolic_bench::docs::E18_LAYOUTS;
 use systolic_telemetry::json::{self, Json};
 
 /// Required keys, in the order the writer emits them. `true` marks integer
@@ -46,7 +47,21 @@ const OPTIONAL: &[(&str, bool)] = &[
     // and with one recording.
     ("disabled_span_ns", false),
     ("enabled_span_ns", false),
+    // e18_capacity: the §8 ideal every layout is measured against.
+    ("ideal_ms", false),
 ];
+
+/// e18_capacity's per-layout integer fields, `<field>_<layout>`.
+const E18_FIELDS: [&str; 6] = ["tile_a", "tile_b", "tiles", "pulses", "busy", "total"];
+
+/// Whether `key` is one of e18_capacity's per-layout integer fields.
+fn per_layout_key(key: &str) -> bool {
+    E18_FIELDS.iter().any(|field| {
+        key.strip_prefix(field)
+            .and_then(|rest| rest.strip_prefix('_'))
+            .is_some_and(|layout| E18_LAYOUTS.iter().any(|(l, _)| *l == layout))
+    })
+}
 
 /// Whether `key` is an allowed optional per-operator wall-time field.
 fn per_op_key(key: &str) -> bool {
@@ -113,7 +128,7 @@ fn check_file(path: &Path) -> Result<(), Vec<String>> {
                     errs.push(format!("{key:?} is not a number"));
                 }
             }
-            None if per_op_key(key) => {
+            None if per_op_key(key) || per_layout_key(key) => {
                 if value.as_u64().is_none() {
                     errs.push(format!("{key:?} is not a non-negative integer"));
                 }
@@ -142,6 +157,16 @@ fn check_file(path: &Path) -> Result<(), Vec<String>> {
         }
         if !(0.0..=1.0).contains(&util) {
             errs.push(format!("utilisation {util} outside [0, 1]"));
+        }
+    }
+    for (layout, _) in E18_LAYOUTS {
+        let field = |f: &str| doc.get(&format!("{f}_{layout}")).and_then(Json::as_u64);
+        if let (Some(busy), Some(total)) = (field("busy"), field("total")) {
+            if busy > total {
+                errs.push(format!(
+                    "busy_{layout} {busy} exceeds total_{layout} {total}"
+                ));
+            }
         }
     }
     if let Some(qps) = doc.get("queries_per_sec").and_then(Json::as_f64) {

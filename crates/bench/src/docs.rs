@@ -9,7 +9,47 @@
 
 use systolic_telemetry::json::{self, Json};
 
+use crate::hardware_ns;
 use crate::table::fmt_ns;
+
+/// E18's layouts, in the order `repro` prices them: each one's artifact key
+/// suffix (`pulses_<key>`, ...) and its row label.
+pub const E18_LAYOUTS: [(&str, &str); 3] = [
+    ("marching", "marching (drain per tile)"),
+    ("pipelined", "marching + pipelined tiles (E19)"),
+    ("fixed", "fixed-operand"),
+];
+
+/// E18's table (§8's intersection on §8's device, one row per layout) from
+/// the text of `BENCH_e18_capacity.json`. Time is pulses at the
+/// conservative §8 clock; utilisation is busy over total cell-pulses.
+pub fn e18_table(artifact: &str) -> Result<String, String> {
+    let doc = json::parse(artifact)?;
+    let field = |key: &str| -> Result<f64, String> {
+        doc.get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("BENCH_e18_capacity.json has no number {key:?}"))
+    };
+    let ideal_ms = field("ideal_ms")?;
+    let mut out = format!(
+        "| layout | tile (A×B) | tiles | pulses | total time | vs ideal {ideal_ms:.1} ms | utilisation |\n\
+         |---|---|---|---|---|---|---|\n"
+    );
+    for (key, name) in E18_LAYOUTS {
+        let value = |f: &str| field(&format!("{f}_{key}"));
+        let ms = hardware_ns(value("pulses")? as u64) * 1e-6;
+        out += &format!(
+            "| {name} | {}×{} | {} | {} | {ms:.1} ms | {:.1}× | {:.3} |\n",
+            value("tile_a")?,
+            value("tile_b")?,
+            value("tiles")?,
+            value("pulses")?,
+            ms / ideal_ms,
+            value("busy")? / value("total")?,
+        );
+    }
+    Ok(out)
+}
 
 /// The operators of E21, in the order `repro` runs them.
 const E21_OPS: [&str; 6] = [
@@ -96,6 +136,43 @@ mod tests {
             rows[8],
             "| **aggregate** | **10.00 ms** | **20.00 us** | **500×** |"
         );
+    }
+
+    const E18_ARTIFACT: &str = r#"{
+  "name": "e18_capacity",
+  "ideal_ms": 50.000,
+  "tile_a_marching": 10, "tile_b_marching": 10, "tiles_marching": 4,
+  "pulses_marching": 400000, "busy_marching": 25, "total_marching": 100,
+  "tile_a_pipelined": 10, "tile_b_pipelined": 10, "tiles_pipelined": 4,
+  "pulses_pipelined": 300000, "busy_pipelined": 1, "total_pipelined": 3,
+  "tile_a_fixed": 20, "tile_b_fixed": 5, "tiles_fixed": 2,
+  "pulses_fixed": 200000, "busy_fixed": 9, "total_fixed": 10
+}"#;
+
+    #[test]
+    fn e18_table_has_one_row_per_layout_with_time_factor_and_utilisation() {
+        let table = e18_table(E18_ARTIFACT).unwrap();
+        let rows: Vec<&str> = table.lines().collect();
+        assert_eq!(rows.len(), 2 + E18_LAYOUTS.len());
+        assert_eq!(
+            rows[0],
+            "| layout | tile (A×B) | tiles | pulses | total time | vs ideal 50.0 ms | utilisation |"
+        );
+        // 400 000 pulses at 350 ns are 140 ms, 2.8 times the ideal.
+        assert_eq!(
+            rows[2],
+            "| marching (drain per tile) | 10×10 | 4 | 400000 | 140.0 ms | 2.8× | 0.250 |"
+        );
+        assert_eq!(
+            rows[3],
+            "| marching + pipelined tiles (E19) | 10×10 | 4 | 300000 | 105.0 ms | 2.1× | 0.333 |"
+        );
+        assert_eq!(
+            rows[4],
+            "| fixed-operand | 20×5 | 2 | 200000 | 70.0 ms | 1.4× | 0.900 |"
+        );
+        let err = e18_table(&E18_ARTIFACT.replace("\"busy_fixed\"", "\"used_fixed\"")).unwrap_err();
+        assert!(err.contains("\"busy_fixed\""), "{err}");
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   Every word a feeder would inject occupies a known set of cell-pulses,
 //!   and the paper's schedules make coincidences (two words meeting in a
 //!   cell) exactly enumerable. Each function documents the word-by-word
-//!   accounting it replaces. Operators reach the shape-pure ones only
+//!   accounting it replaces. A tiled run is priced from the same
+//!   [`TileStream`] the simulator's tilers run, folded run by run, each
+//!   run's timing read from the one place the feed reads it. Operators
+//!   reach the shape-pure ones only
 //!   through the `price_*` functions of [`crate::ops`]; division, whose
 //!   cost depends on the data, passes `division[_multi]_stats` the hit
 //!   count its scan produced.
@@ -32,8 +35,10 @@
 //! grid is ever stepped. Everything derived from `ExecStats` — timelines,
 //! machine `RunStats`, server frames — is identical.
 
+use systolic_fabric::CompareSchedule;
+
 use crate::stats::ExecStats;
-use crate::tiling::{ArrayLimits, Seed};
+use crate::tiling::{ArrayLimits, Seed, TileStream, NORTH, SOUTH};
 
 /// Environment variable selecting the default backend (`sim` or
 /// `columnar`) when a configuration does not set one explicitly — the CI
@@ -108,39 +113,16 @@ impl std::fmt::Display for Backend {
 // meeting wavefront (it is always in a cell that already has its `a` word),
 // contributing zero busy of its own.
 
-/// The compare-schedule phases: `phase_b - phase_a = n_a - n_b`, both >= 0.
-fn phases(n_a: usize, n_b: usize) -> (u64, u64) {
-    (
-        n_b.saturating_sub(n_a) as u64,
-        n_a.saturating_sub(n_b) as u64,
-    )
-}
-
 /// One marching [`crate::comparison::ComparisonArray2d`] run over
-/// `n_a x n_b` tuples of width `m` (also the §6 join array):
-/// `rows = n_a + n_b - 1` rows of `m` comparison cells.
-///
-/// * pulses: the last data element is injected at
-///   `max(2(n_a-1) + phase_a, 2(n_b-1) + phase_b) + m - 1` and is consumed
-///   `rows - 1` pulses later; quiescence is detected one pulse after that.
-/// * busy: `(n_a + n_b) * m` data words occupy `rows` cell-pulses each;
-///   each of the `n_a * n_b * m` element meetings coincides two of them.
+/// `n_a x n_b` tuples of width `m` (also the §6 join array): a stream of
+/// one tile, the whole problem, on a grid of its own `n_a + n_b - 1` rows,
+/// as the simulator runs it. With no neighbour tile to cross, [`pass_stats`]
+/// charges `m * (rows * (n_a + n_b) - n_a * n_b)` busy cell-pulses: every
+/// data word occupies `rows` of them, and each element meeting coincides
+/// two words.
 pub(crate) fn compare_run_stats(n_a: usize, n_b: usize, m: usize) -> ExecStats {
-    debug_assert!(n_a > 0 && n_b > 0 && m > 0);
-    let rows = n_a + n_b - 1;
-    let cells = rows * m;
-    let (phase_a, phase_b) = phases(n_a, n_b);
-    let last_inject =
-        (2 * (n_a - 1) as u64 + phase_a).max(2 * (n_b - 1) as u64 + phase_b) + (m - 1) as u64;
-    let pulses = last_inject + rows as u64;
-    let busy = (m * (rows * (n_a + n_b) - n_a * n_b)) as u64;
-    ExecStats {
-        pulses,
-        cells,
-        busy_cell_pulses: busy,
-        total_cell_pulses: pulses * cells as u64,
-        array_runs: 1,
-    }
+    let whole = ArrayLimits::new(n_a, n_b, m);
+    pass_stats(&TileStream::new(n_a, n_b, m, whole, Seed::All), m)
 }
 
 /// One marching [`crate::intersection::IntersectionArray`] run (also the
@@ -155,20 +137,15 @@ pub(crate) fn compare_run_stats(n_a: usize, n_b: usize, m: usize) -> ExecStats {
 /// after that tuple's last data element).
 pub(crate) fn marching_membership_stats(n_a: usize, n_b: usize, m: usize) -> ExecStats {
     debug_assert!(n_a > 0 && n_b > 0 && m > 0);
-    let rows = n_a + n_b - 1;
+    let sched = CompareSchedule::new(n_a, n_b, m);
+    let rows = sched.rows();
     let cells = rows * (m + 1);
-    let (phase_a, phase_b) = phases(n_a, n_b);
-    let last_inject = (2 * (n_a - 1) as u64 + phase_a + m as u64)
-        .max(2 * (n_b - 1) as u64 + phase_b + (m - 1) as u64);
+    let last_inject = sched
+        .acc_injection(n_a - 1)
+        .max(sched.b_injection(n_b - 1, m - 1));
     let pulses = last_inject + rows as u64;
     let busy = (m * (rows * (n_a + n_b) - n_a * n_b) + n_a * rows) as u64;
-    ExecStats {
-        pulses,
-        cells,
-        busy_cell_pulses: busy,
-        total_cell_pulses: pulses * cells as u64,
-        array_runs: 1,
-    }
+    ExecStats::one_run(pulses, cells, busy)
 }
 
 /// One fixed-operand `t_matrix` run (§8, [`crate::fixed::FixedOperandArray`]
@@ -185,13 +162,7 @@ pub(crate) fn fixed_t_matrix_stats(n_a: usize, n_b: usize, m: usize) -> ExecStat
     let cells = n_b * m;
     let pulses = (n_a + n_b + m - 2) as u64;
     let busy = (n_a * n_b * m) as u64;
-    ExecStats {
-        pulses,
-        cells,
-        busy_cell_pulses: busy,
-        total_cell_pulses: pulses * cells as u64,
-        array_runs: 1,
-    }
+    ExecStats::one_run(pulses, cells, busy)
 }
 
 /// One fixed-operand membership run (`run`/`run_masked`): as
@@ -203,22 +174,7 @@ pub(crate) fn fixed_membership_stats(n_a: usize, n_b: usize, m: usize) -> ExecSt
     let cells = n_b * (m + 1);
     let pulses = (n_a + n_b + m - 1) as u64;
     let busy = (n_a * n_b * (m + 1)) as u64;
-    ExecStats {
-        pulses,
-        cells,
-        busy_cell_pulses: busy,
-        total_cell_pulses: pulses * cells as u64,
-        array_runs: 1,
-    }
-}
-
-/// The distinct chunk sizes (and their multiplicities) a length-`n` axis
-/// decomposes into under a per-tile bound of `max`: `n / max` full chunks
-/// and at most one remainder.
-fn chunks(n: usize, max: usize) -> impl Iterator<Item = (usize, u64)> {
-    [(max, (n / max) as u64), (n % max, 1)]
-        .into_iter()
-        .filter(|&(size, count)| size > 0 && count > 0)
+    ExecStats::one_run(pulses, cells, busy)
 }
 
 /// `count` identical runs of `run`, merged sequentially onto `out`.
@@ -231,11 +187,9 @@ fn merge_runs(out: &mut ExecStats, run: ExecStats, count: u64) {
 }
 
 /// A sequential tiled run ([`crate::tiling::t_matrix_tiled`]): one
-/// [`compare_run_stats`] grid run per live (A-chunk, B-chunk, column-group)
-/// tile, merged sequentially. Under each `A`-chunk the live `B`-chunks are
-/// a prefix ([`Seed::live_rows`]) whose sizes take at most two distinct
-/// values, as do the column groups': `O(n_a / max_a)` weighted terms. No
-/// live tile charges nothing.
+/// [`compare_run_stats`] grid run per live tile of the [`TileStream`] in
+/// every column group, merged sequentially: one weighted term per run and
+/// group. No live tile charges nothing.
 pub(crate) fn tiled_stats(
     n_a: usize,
     n_b: usize,
@@ -243,22 +197,24 @@ pub(crate) fn tiled_stats(
     limits: ArrayLimits,
     seed: Seed,
 ) -> ExecStats {
+    let stream = TileStream::new(n_a, n_b, m, limits, seed);
     let mut out = ExecStats::default();
-    for a0 in (0..n_a).step_by(limits.max_a) {
-        let a1 = (a0 + limits.max_a).min(n_a);
-        for (tb, cb) in chunks(seed.live_rows(a1, n_b, limits.max_b), limits.max_b) {
-            for (w, cw) in chunks(m, limits.max_cols) {
-                merge_runs(&mut out, compare_run_stats(a1 - a0, tb, w), cb * cw);
-            }
+    for &(w, groups) in &stream.groups {
+        for run in &stream.runs {
+            merge_runs(
+                &mut out,
+                compare_run_stats(run.ta, run.tb, w),
+                run.count * groups,
+            );
         }
     }
     out
 }
 
 /// A pipelined tiled run ([`crate::tiling::t_matrix_tiled_pipelined`]):
-/// one [`pipelined_pass_stats`] pass per column group, merged sequentially
-/// (the groups' `T` blocks are ANDed on the host, so no pass feeds the
-/// next).
+/// one [`pass_stats`] pass of the [`TileStream`] per column group, merged
+/// sequentially (the groups' `T` blocks are ANDed on the host, so no pass
+/// feeds the next).
 pub(crate) fn pipelined_stats(
     n_a: usize,
     n_b: usize,
@@ -266,13 +222,10 @@ pub(crate) fn pipelined_stats(
     limits: ArrayLimits,
     seed: Seed,
 ) -> ExecStats {
+    let stream = TileStream::new(n_a, n_b, m, limits, seed);
     let mut out = ExecStats::default();
-    for (w, count) in chunks(m, limits.max_cols) {
-        merge_runs(
-            &mut out,
-            pipelined_pass_stats(n_a, n_b, w, limits, seed),
-            count,
-        );
+    for &(w, count) in &stream.groups {
+        merge_runs(&mut out, pass_stats(&stream, w), count);
     }
     out
 }
@@ -327,20 +280,17 @@ fn crossings(a: Stream, b: Stream, span: u64) -> u64 {
     (below((span - c) / 2) - below((-span - c) / 2 - 1)) as u64
 }
 
-/// One pipelined pass over `m <= max_cols` columns: every live tile's
-/// streams injected back-to-back into one running `rows x m` grid, or
-/// nothing at all when no tile is live.
+/// One pipelined pass of `stream` over `m <= max_cols` columns: every live
+/// tile's streams injected back-to-back into one running `rows x m` grid,
+/// or nothing at all when no tile is live.
 ///
-/// This replays the injection arithmetic of the simulator's feeder loop by
-/// tile *shape*, never word by word: a tile's `A` tuples enter at
-/// `2i + phase_a + offset + delta` and its `B` tuples at `2j + phase_b +
-/// offset` — two [`Stream`]s fixed by the tile's shape and `offset` — so
-/// every per-tile quantity is a maximum or a pair count over arithmetic
-/// progressions, and `offset` advances by a function of the shape alone.
-/// One sweep of `B` under an `A` chunk covers only its live `B`-chunks, a
-/// prefix ([`Seed::live_rows`]), so it is still at most two runs of
-/// identical tiles (§8: full chunks, then one remainder), each priced once
-/// and multiplied: `O(n_a / max_a)` time, `O(1)` memory. From the streams:
+/// This folds the stream run by run, never word by word: each tile's `A`
+/// and `B` tuples enter as two [`Stream`]s placed by its run's timing
+/// (the same [`crate::tiling`] arithmetic the simulator's feed expands),
+/// so every per-tile quantity is a maximum or a pair count over arithmetic
+/// progressions, and the tiles of a run differ only by whole advances. A
+/// stream holds at most two runs per `A`-chunk: `O(n_a / max_a)` time,
+/// `O(1)` memory. From the streams:
 ///
 /// * pulses = (last activity) + 1, where each data word's activity ends
 ///   `rows - 1` pulses after its (lane-`m-1`) injection and each `t` seed's
@@ -362,84 +312,51 @@ fn crossings(a: Stream, b: Stream, span: u64) -> u64 {
 /// back ended more than `rows - 1` pulses before this one began. The
 /// window of tiles still within reach is therefore the previous live tile
 /// alone.
-fn pipelined_pass_stats(
-    n_a: usize,
-    n_b: usize,
-    m: usize,
-    limits: ArrayLimits,
-    seed: Seed,
-) -> ExecStats {
-    debug_assert!(m > 0);
-    let tile_a = limits.max_a;
-    let rows = (tile_a.min(n_a) + limits.max_b.min(n_b))
-        .saturating_sub(1)
-        .max(1);
+fn pass_stats(stream: &TileStream, m: usize) -> ExecStats {
+    if stream.runs.is_empty() {
+        // No live tile: no grid is built.
+        return ExecStats::default();
+    }
+    let rows = stream.rows;
     let span = (rows - 1) as u64;
-    let lane = (m - 1) as u64;
     // Cross-tile meetings of two neighbouring tiles' `(A, B)` streams.
     let between = |p: (Stream, Stream), q: (Stream, Stream)| {
         crossings(q.0, p.1, span) + crossings(p.0, q.1, span)
     };
-    let mut offset = 0u64;
-    let mut tiles = 0u64;
-    let mut words = 0u64;
-    let mut meetings = 0u64;
-    let mut last_activity = 0u64;
+    let (mut offset, mut words, mut meetings, mut last_activity) = (0u64, 0u64, 0u64, 0u64);
     let mut prev: Option<(Stream, Stream)> = None;
-    for a0 in (0..n_a).step_by(tile_a) {
-        let a1 = (a0 + tile_a).min(n_a);
-        let ta = a1 - a0;
-        for (tb, count) in chunks(seed.live_rows(a1, n_b, limits.max_b), limits.max_b) {
-            // `count` identical tiles, each `advance` pulses behind the
-            // one before; `a` and `b` are the first one's streams.
-            let (phase_a, phase_b) = phases(ta, tb);
-            let delta = (rows - (ta + tb - 1)) as u64;
-            let a = Stream {
-                start: phase_a + offset + delta,
-                len: ta as u64,
-            };
-            let b = Stream {
-                start: phase_b + offset,
-                len: tb as u64,
-            };
-            debug_assert!(a.last() >= offset + span, "only neighbours can meet");
-            let last_inject = a.last().max(b.last()) + lane;
-            // Last t seed: pair (ta-1, tb-1) injected at its meeting pulse.
-            let t_last = a.last() + (tb - 1) as u64;
-            // The next tile streams in two pulses after our last injection.
-            let advance = last_inject + 2 - offset;
-            let to_last = (count - 1) * advance;
-            last_activity = last_activity
-                .max(last_inject + to_last + span)
-                .max(t_last + to_last + lane);
-            // The run's tile that starts `by` pulses after its first.
-            let tile = |by: u64| (a.delayed(by), b.delayed(by));
-            meetings += count * a.len * b.len;
-            if let Some(prev) = prev {
-                meetings += between(prev, tile(0));
-            }
-            if count > 1 {
-                meetings += (count - 1) * between(tile(0), tile(advance));
-            }
-            prev = Some(tile(to_last));
-            words += count * (a.len + b.len);
-            tiles += count;
-            offset += count * advance;
+    for run in &stream.runs {
+        // `count` identical tiles, each `advance` pulses behind the one
+        // before; `a` and `b` are the first one's streams.
+        let time = run.timing(rows, m);
+        let a = Stream {
+            start: offset + time.windows[NORTH].0,
+            len: run.ta as u64,
+        };
+        let b = Stream {
+            start: offset + time.windows[SOUTH].0,
+            len: run.tb as u64,
+        };
+        debug_assert!(a.last() >= offset + span, "only neighbours can meet");
+        let to_last = (run.count - 1) * time.advance;
+        last_activity = last_activity.max(offset + to_last + time.quiet);
+        // The run's tile that starts `by` pulses after its first.
+        let tile = |by: u64| (a.delayed(by), b.delayed(by));
+        meetings += run.count * a.len * b.len;
+        if let Some(prev) = prev {
+            meetings += between(prev, tile(0));
         }
+        if run.count > 1 {
+            meetings += (run.count - 1) * between(tile(0), tile(time.advance));
+        }
+        prev = Some(tile(to_last));
+        words += run.count * (a.len + b.len);
+        offset += run.count * time.advance;
     }
-    if tiles == 0 {
-        // No live tile: no grid is built.
-        return ExecStats::default();
-    }
-    let pulses = last_activity + 1;
     let busy = m as u64 * (rows as u64 * words - meetings);
-    let cells = rows * m;
     ExecStats {
-        pulses,
-        cells,
-        busy_cell_pulses: busy,
-        total_cell_pulses: pulses * cells as u64,
-        array_runs: tiles,
+        array_runs: stream.tiles(),
+        ..ExecStats::one_run(last_activity + 1, rows * m, busy)
     }
 }
 
@@ -458,13 +375,7 @@ pub(crate) fn division_stats(n: usize, k: usize, nd: usize, hits: usize) -> Exec
     let cells = k * (2 + nd);
     let pulses = (n + k + nd + 1) as u64;
     let busy = (2 * n * k + 2 * k + k * nd + hits * nd) as u64;
-    ExecStats {
-        pulses,
-        cells,
-        busy_cell_pulses: busy,
-        total_cell_pulses: pulses * cells as u64,
-        array_runs: 1,
-    }
+    ExecStats::one_run(pulses, cells, busy)
 }
 
 /// One [`crate::division::DivisionArrayMulti`] run (composite keys of
@@ -483,13 +394,7 @@ pub(crate) fn division_multi_stats(
     let cells = k * (kw + 1 + nd);
     let pulses = (n + k + kw + nd) as u64;
     let busy = (n * k * (kw + 1) + hits * nd + k * (kw + 1) + k * nd) as u64;
-    ExecStats {
-        pulses,
-        cells,
-        busy_cell_pulses: busy,
-        total_cell_pulses: pulses * cells as u64,
-        array_runs: 1,
-    }
+    ExecStats::one_run(pulses, cells, busy)
 }
 
 #[cfg(test)]
@@ -500,7 +405,7 @@ mod tests {
     use crate::division::{DivisionArray, DivisionArrayMulti};
     use crate::fixed::FixedOperandArray;
     use crate::intersection::{IntersectionArray, SetOpMode};
-    use crate::tiling;
+    use crate::tiling::{self, chunks};
     use systolic_fabric::{CompareOp, Elem};
 
     fn relation(n: usize, m: usize, seed: i64) -> Vec<Vec<Elem>> {
@@ -539,7 +444,8 @@ mod tests {
                     continue;
                 }
                 let tb = (b0 + tile_b).min(n_b) - b0;
-                let (phase_a, phase_b) = phases(ta, tb);
+                let (phase_a, phase_b) =
+                    (tb.saturating_sub(ta) as u64, ta.saturating_sub(tb) as u64);
                 let delta = (rows - (ta + tb - 1)) as u64;
                 let mut last_inject = 0u64;
                 for i in 0..ta as u64 {

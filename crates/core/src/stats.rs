@@ -32,6 +32,18 @@ impl ExecStats {
         }
     }
 
+    /// One array run of `pulses` pulses on `cells` processors, `busy` of
+    /// its cell-pulses doing work: what the closed forms count.
+    pub(crate) fn one_run(pulses: u64, cells: usize, busy: u64) -> Self {
+        ExecStats {
+            pulses,
+            cells,
+            busy_cell_pulses: busy,
+            total_cell_pulses: pulses * cells as u64,
+            array_runs: 1,
+        }
+    }
+
     /// Fraction of cell-pulses doing work, in `[0, 1]`.
     pub fn utilisation(&self) -> f64 {
         if self.total_cell_pulses == 0 {

@@ -13,6 +13,15 @@
 //! the array (§9: "results from subrelations must be stored outside the
 //! systolic arrays before they are finally combined") — AND across column
 //! groups, then OR across `B` tiles for membership-style operations.
+//!
+//! The decomposition is built once, as a [`TileStream`]: the physical
+//! rows, the column groups, the live tiles as runs of identical tiles and
+//! the pairs left in dead ones. Each run's timing has one home
+//! (`Run::timing`, from [`CompareSchedule`]). The pipelined tiler's feed
+//! expands the runs tile by tile, the drained tiler runs the same tiles
+//! one grid each, the closed forms in [`crate::kernel`] fold the runs
+//! without expanding them, and `perfmodel`'s §8 capacity model prices the
+//! same stream through [`crate::ops`].
 
 use std::ops::Range;
 
@@ -111,39 +120,197 @@ pub struct TiledOutcome {
     pub stats: ExecStats,
 }
 
-/// Run `pass(c0, a, b, ops)` once per column group of at most
-/// `limits.max_cols` columns, `c0` its first column, in sequence, and AND
-/// the groups' `T` blocks outside the array: tuple equality over all
-/// columns is the AND over groups. Every group carries the caller's
-/// [`Seed`] — ANDing it once is ANDing it in every group — so a tile that
-/// is dead in one group is dead in all of them.
+/// A pair of row ranges, `A`-rows and `B`-rows: one tile of `A x B`.
+type Block = (Range<usize>, Range<usize>);
+
+/// §8's decomposition of one comparison, built once and read by everything
+/// that runs or prices it (see the module docs). `A` is cut into chunks of
+/// `max_a` rows, `B` into chunks of `max_b`, the columns into groups of
+/// `max_cols`; every column group streams the same live tiles, `A`-chunks
+/// outer and `B`-chunks inner. Under each `A`-chunk the live `B`-chunks
+/// are a prefix ([`Seed::live_rows`]) of full chunks and at most one
+/// remainder: at most two [`Run`]s, never one entry per tile.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TileStream {
+    /// Physical rows of the grid, sized for the largest tile.
+    pub(crate) rows: usize,
+    /// The column groups as `(width, count)`.
+    pub(crate) groups: Vec<(usize, u64)>,
+    /// The live tiles in stream order, as runs of identical tiles.
+    pub(crate) runs: Vec<Run>,
+    /// Pairs in dead tiles: FALSE in `T` before anything runs.
+    pub(crate) dead: usize,
+}
+
+/// `count` identical `ta x tb` tiles, one after another: `A`-rows
+/// `a0..a0 + ta` against the `B`-chunks starting at `b0`, `b0 + tb`, ...
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// `A`-rows per tile.
+    pub ta: usize,
+    /// `B`-rows per tile.
+    pub tb: usize,
+    /// Tiles in the run.
+    pub count: u64,
+    /// First `A`-row of every tile.
+    pub a0: usize,
+    /// First `B`-row of the first tile.
+    pub b0: usize,
+}
+
+/// The sizes (and their multiplicities) a length-`n` axis decomposes into
+/// under a per-tile bound of `max`: `n / max` full chunks and at most one
+/// remainder.
+pub(crate) fn chunks(n: usize, max: usize) -> impl Iterator<Item = (usize, u64)> {
+    [(max, (n / max) as u64), (n % max, 1)]
+        .into_iter()
+        .filter(|&(size, count)| size > 0 && count > 0)
+}
+
+impl TileStream {
+    /// Decompose `n_a x n_b` pairs of `m`-wide tuples onto an array bounded
+    /// by `limits`, keeping only the tiles `seed` leaves live.
+    pub fn new(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits, seed: Seed) -> Self {
+        assert!(m > 0, "tuple width must be positive");
+        let (mut runs, mut live) = (Vec::new(), 0);
+        for a0 in (0..n_a).step_by(limits.max_a) {
+            let (ta, mut b0) = ((a0 + limits.max_a).min(n_a) - a0, 0);
+            for (tb, count) in chunks(seed.live_rows(a0 + ta, n_b, limits.max_b), limits.max_b) {
+                runs.push(Run {
+                    ta,
+                    tb,
+                    count,
+                    a0,
+                    b0,
+                });
+                b0 += tb * count as usize;
+            }
+            live += ta * b0;
+        }
+        TileStream {
+            rows: (limits.max_a.min(n_a) + limits.max_b.min(n_b))
+                .saturating_sub(1)
+                .max(1),
+            groups: chunks(m, limits.max_cols).collect(),
+            runs,
+            dead: n_a * n_b - live,
+        }
+    }
+
+    /// The live tiles in stream order, as runs of identical tiles.
+    pub fn runs(&self) -> &[Run] {
+        &self.runs
+    }
+
+    /// Live tiles: the array runs of one column group.
+    pub(crate) fn tiles(&self) -> u64 {
+        self.runs.iter().map(|run| run.count).sum()
+    }
+
+    /// The live tiles one by one, in stream order.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = Block> + '_ {
+        self.runs.iter().flat_map(|run| {
+            (0..run.count as usize).map(|k| {
+                let b0 = run.b0 + k * run.tb;
+                (run.a0..run.a0 + run.ta, b0..b0 + run.tb)
+            })
+        })
+    }
+}
+
+impl Run {
+    /// Where each tile of this run puts its traffic on a `rows`-row grid
+    /// comparing `m` columns, in pulses after the tile's own offset.
+    pub(crate) fn timing(self, rows: usize, m: usize) -> TileTiming {
+        let sched = CompareSchedule::new(self.ta, self.tb, m);
+        debug_assert!(sched.rows() <= rows);
+        // Edge tiles are smaller than the physical grid: the schedule's
+        // row arithmetic assumes the B stream enters sched.rows() - 1 rows
+        // below the top, but it physically enters at row rows - 1. Delaying
+        // the A stream (and the t seeds, and the exit pulses) by the
+        // difference restores the meeting geometry.
+        let delta = (rows - sched.rows()) as u64;
+        let late = |(first, last): (u64, u64)| (first + delta, last + delta);
+        // Every edge's traffic grows with `i`, `j` and `c`, so its window
+        // runs from pair (0, 0) to the last pair (i, j).
+        let (i, j) = (self.ta - 1, self.tb - 1);
+        let windows = [
+            late((sched.a_injection(0, 0), sched.a_injection(i, m - 1))),
+            (sched.b_injection(0, 0), sched.b_injection(j, m - 1)),
+            late((sched.t_injection(0, 0).1, sched.t_injection(i, j).1)),
+            late((sched.t_exit_pulse(0, 0), sched.t_exit_pulse(i, j))),
+        ];
+        let last_inject = windows[NORTH].1.max(windows[SOUTH].1);
+        TileTiming {
+            sched,
+            delta,
+            windows,
+            // An A or B word injected at pulse p leaves the grid after row
+            // rows - 1, at pulse p + rows - 1; a seed injected at p crosses
+            // the m columns and exits at p + m - 1.
+            quiet: (last_inject + rows as u64 - 1).max(windows[WEST].1 + m as u64 - 1),
+            horizon: last_inject.max(windows[WEST].1) + 1,
+            // The next tile streams in right behind this one: its first
+            // injection lands two pulses (one tuple slot) after our last.
+            advance: last_inject + 2,
+        }
+    }
+}
+
+/// One tile's traffic in time, in pulses after its offset in the stream:
+/// the one home of the arithmetic [`TileFeed`] streams and
+/// [`crate::kernel`] prices.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TileTiming {
+    pub sched: CompareSchedule,
+    /// The short-tile shift of the `A` elements, seeds and verdicts.
+    pub delta: u64,
+    /// The first and last pulse of the tile's traffic on each edge
+    /// (`NORTH`, `SOUTH`, `WEST`: injections; `EAST`: verdicts).
+    pub windows: [(u64, u64); 4],
+    /// The pulse during which the tile's last word is consumed.
+    pub quiet: u64,
+    /// One past the tile's last injection.
+    pub horizon: u64,
+    /// The gap to the next tile's offset.
+    pub advance: u64,
+}
+
+/// Run `pass(c0, a, b, ops)` once per column group of `groups`, `c0` its
+/// first column, in sequence, and AND the groups' `T` blocks outside the
+/// array: tuple equality over all columns is the AND over groups. Every
+/// group carries the caller's [`Seed`] — ANDing it once is ANDing it in
+/// every group — so a tile that is dead in one group is dead in all of
+/// them.
 fn by_column_groups(
     a: &[Vec<Elem>],
     b: &[Vec<Elem>],
     ops: &[CompareOp],
-    limits: ArrayLimits,
+    groups: &[(usize, u64)],
     mut pass: impl FnMut(usize, &[Vec<Elem>], &[Vec<Elem>], &[CompareOp]) -> Result<TiledOutcome>,
 ) -> Result<TiledOutcome> {
-    let (m, max_cols) = (ops.len(), limits.max_cols);
-    assert!(m > 0, "tuple width must be positive");
-    if m <= max_cols {
+    if groups == [(ops.len(), 1)] {
         return pass(0, a, b, ops);
     }
     let group = |rows: &[Vec<Elem>], c0, c1| -> Vec<Vec<Elem>> {
         rows.iter().map(|row| row[c0..c1].to_vec()).collect()
     };
     let mut out: Option<TiledOutcome> = None;
-    for c0 in (0..m).step_by(max_cols) {
-        let c1 = (c0 + max_cols).min(m);
-        let next = pass(c0, &group(a, c0, c1), &group(b, c0, c1), &ops[c0..c1])?;
-        out = Some(match out {
-            None => next,
-            Some(mut acc) => {
-                acc.t.and_assign(&next.t);
-                acc.stats.merge_sequential(&next.stats);
-                acc
-            }
-        });
+    let mut c0 = 0;
+    for &(w, count) in groups {
+        for _ in 0..count {
+            let c1 = c0 + w;
+            let next = pass(c0, &group(a, c0, c1), &group(b, c0, c1), &ops[c0..c1])?;
+            c0 = c1;
+            out = Some(match out {
+                None => next,
+                Some(mut acc) => {
+                    acc.t.and_assign(&next.t);
+                    acc.stats.merge_sequential(&next.stats);
+                    acc
+                }
+            });
+        }
     }
     Ok(out.expect("at least one column group"))
 }
@@ -159,19 +326,13 @@ pub fn t_matrix_tiled(
     limits: ArrayLimits,
     seed: Seed,
 ) -> Result<TiledOutcome> {
-    by_column_groups(a, b, ops, limits, |_, a, b, ops| {
+    let stream = TileStream::new(a.len(), b.len(), ops.len(), limits, seed);
+    by_column_groups(a, b, ops, &stream.groups, |_, a, b, ops| {
         let mut t = TMatrix::new(a.len(), b.len());
         let mut stats = ExecStats::default();
-        for a0 in (0..a.len()).step_by(limits.max_a) {
-            let a1 = (a0 + limits.max_a).min(a.len());
-            for b0 in (0..b.len()).step_by(limits.max_b) {
-                if !seed.live(a1, b0) {
-                    continue;
-                }
-                let b1 = (b0 + limits.max_b).min(b.len());
-                let out = run_tile(a, b, ops, seed, (a0..a1, b0..b1), &mut t, false)?;
-                stats.merge_sequential(&out.stats);
-            }
+        for block in stream.blocks() {
+            let out = run_tile(a, b, ops, seed, block, &mut t, false)?;
+            stats.merge_sequential(&out.stats);
         }
         Ok(TiledOutcome { t, stats })
     })
@@ -211,57 +372,25 @@ fn pipelined_run(
     seed: Seed,
     short: Option<usize>,
 ) -> Result<TiledOutcome> {
-    by_column_groups(a, b, ops, limits, |c0, a, b, ops| {
+    let stream = TileStream::new(a.len(), b.len(), ops.len(), limits, seed);
+    by_column_groups(a, b, ops, &stream.groups, |c0, a, b, ops| {
         let trim = u64::from(short == Some(c0));
         let mut t = TMatrix::new(a.len(), b.len());
-        let (rows, live, dead) = pipelined_layout(a.len(), b.len(), limits, seed);
-        if live.is_empty() {
+        if stream.runs.is_empty() {
             // No live tile: `T` is all FALSE and no grid is built.
             return Ok(TiledOutcome {
                 t,
                 stats: ExecStats::default(),
             });
         }
-        let runs = live.len() as u64;
-        let mut feed = TileFeed::new(a, b, seed, ops.len(), rows, live, &mut t);
+        let mut feed = TileFeed::new(a, b, seed, ops.len(), stream.rows, &stream.runs, &mut t);
         let out = run_feed(&mut feed, ops, false, trim)?;
         // The dead tiles' pairs are in place already, FALSE.
-        complete(dead + out.placed, a.len() * b.len())?;
+        complete(stream.dead + out.placed, a.len() * b.len())?;
         let mut stats = out.stats;
-        stats.array_runs = runs;
+        stats.array_runs = stream.tiles();
         Ok(TiledOutcome { t, stats })
     })
-}
-
-/// A pair of row ranges, `A`-rows and `B`-rows: one tile of `A x B`.
-type Block = (Range<usize>, Range<usize>);
-
-/// The physical rows of a pipelined pass over `n_a x n_b` pairs, its live
-/// tiles in stream order (`A`-chunks outer, `B`-chunks inner), and how many
-/// pairs its dead tiles hold.
-fn pipelined_layout(
-    n_a: usize,
-    n_b: usize,
-    limits: ArrayLimits,
-    seed: Seed,
-) -> (usize, Vec<Block>, usize) {
-    // The physical grid is sized for the largest tile.
-    let rows = (limits.max_a.min(n_a) + limits.max_b.min(n_b))
-        .saturating_sub(1)
-        .max(1);
-    let (mut live, mut dead) = (Vec::new(), 0);
-    for a0 in (0..n_a).step_by(limits.max_a) {
-        let a1 = (a0 + limits.max_a).min(n_a);
-        for b0 in (0..n_b).step_by(limits.max_b) {
-            let b1 = (b0 + limits.max_b).min(n_b);
-            if seed.live(a1, b0) {
-                live.push((a0..a1, b0..b1));
-            } else {
-                dead += (a1 - a0) * (b1 - b0);
-            }
-        }
-    }
-    (rows, live, dead)
 }
 
 /// Run the one tile `block` of `A x B` alone on a grid of its own size,
@@ -277,16 +406,23 @@ pub(crate) fn run_tile(
     t: &mut TMatrix,
     trace: bool,
 ) -> Result<Streamed> {
-    let pairs = block.0.len() * block.1.len();
-    let rows = (block.0.len() + block.1.len()).saturating_sub(1).max(1);
-    let mut feed = TileFeed::new(a, b, seed, ops.len(), rows, [block], t);
+    let (ta, tb) = (block.0.len(), block.1.len());
+    let rows = (ta + tb).saturating_sub(1).max(1);
+    let run = Run {
+        ta,
+        tb,
+        count: 1,
+        a0: block.0.start,
+        b0: block.1.start,
+    };
+    let mut feed = TileFeed::new(a, b, seed, ops.len(), rows, &[run], t);
     let out = run_feed(&mut feed, ops, trace, 0)?;
     if out.discarded > 0 {
         return Err(crate::error::CoreError::ScheduleViolation {
             detail: format!("{} verdicts left the east edge off schedule", out.discarded),
         });
     }
-    complete(out.placed, pairs)?;
+    complete(out.placed, ta * tb)?;
     Ok(out)
 }
 
@@ -328,16 +464,16 @@ fn run_feed(feed: &mut TileFeed, ops: &[CompareOp], trace: bool, trim: u64) -> R
     })
 }
 
-/// Edge indices into [`StreamTile::windows`] and [`TileFeed::open`].
-const NORTH: usize = 0;
-const SOUTH: usize = 1;
+/// Edge indices into [`TileTiming::windows`] and [`TileFeed::open`].
+pub(crate) const NORTH: usize = 0;
+pub(crate) const SOUTH: usize = 1;
 const WEST: usize = 2;
 const EAST: usize = 3;
 
 /// One tile of a stream, placed in time: `A`-rows `a0..a0 + sched.n_a`
-/// against `B`-rows `b0..b0 + sched.n_b`, its `B` elements entering
-/// `offset` pulses late and its `A` elements, seeds and verdicts `shift`
-/// pulses late.
+/// against `B`-rows `b0..b0 + sched.n_b`, its `A` elements, seeds and
+/// verdicts `shift` pulses later than its schedule says (its offset plus
+/// the short-tile `delta`).
 #[derive(Debug, Clone, Copy)]
 struct StreamTile {
     sched: CompareSchedule,
@@ -372,73 +508,37 @@ struct TileFeed<'r> {
 }
 
 impl<'r> TileFeed<'r> {
-    /// Stream `blocks` in order through a `rows`-row grid comparing tuples
-    /// of width `m`, each tile's first injection two pulses (one tuple
-    /// slot) after the last one's last, placing verdicts in `t`.
+    /// Stream the tiles of `runs` in order through a `rows`-row grid
+    /// comparing tuples of width `m`, placing verdicts in `t`: tile `k` of a
+    /// run sits `k` advances after the run's first, and each run starts one
+    /// advance after the last tile of the one before.
     fn new(
         a: &'r [Vec<Elem>],
         b: &'r [Vec<Elem>],
         seed: Seed,
         m: usize,
         rows: usize,
-        blocks: impl IntoIterator<Item = Block>,
+        runs: &[Run],
         t: &'r mut TMatrix,
     ) -> Self {
         let mut tiles = Vec::new();
-        let (mut offset, mut horizon, mut last_activity) = (0u64, 0u64, 0u64);
-        for (rows_a, rows_b) in blocks {
-            let sched = CompareSchedule::new(rows_a.len(), rows_b.len(), m);
-            debug_assert!(sched.rows() <= rows);
-            // Edge tiles are smaller than the physical grid: the schedule's
-            // row arithmetic assumes the B stream enters sched.rows() - 1
-            // rows below the top, but it physically enters at row rows - 1.
-            // Delaying the A stream (and the t seeds, and the exit pulses)
-            // by the difference restores the meeting geometry.
-            let shift = offset + (rows - sched.rows()) as u64;
-            // Every edge's traffic grows with `i`, `j` and `c`, so its
-            // window runs from pair (0, 0) to the last pair (i, j).
-            let (i, j) = (sched.n_a - 1, sched.n_b - 1);
-            let windows = [
-                (
-                    sched.a_injection(0, 0) + shift,
-                    sched.a_injection(i, m - 1) + shift,
-                ),
-                (
-                    sched.b_injection(0, 0) + offset,
-                    sched.b_injection(j, m - 1) + offset,
-                ),
-                (
-                    sched.t_injection(0, 0).1 + shift,
-                    sched.t_injection(i, j).1 + shift,
-                ),
-                (
-                    sched.t_exit_pulse(0, 0) + shift,
-                    sched.t_exit_pulse(i, j) + shift,
-                ),
-            ];
-            // Exact budget: an A or B word injected at pulse p leaves the
-            // grid after row rows - 1, at pulse p + rows - 1; a seed
-            // injected at p crosses the m columns and exits at p + m - 1.
-            // The last word in flight is consumed during the step at pulse
-            // `last_activity`, so the grid is quiescent exactly at pulse
-            // `last_activity + 1` and not one pulse sooner. The tightness
-            // test proves both directions: one pulse less must fail with
-            // `NotQuiescent`.
-            let last_inject = windows[NORTH].1.max(windows[SOUTH].1);
-            last_activity = last_activity
-                .max(last_inject + rows as u64 - 1)
-                .max(windows[WEST].1 + m as u64 - 1);
-            horizon = horizon.max(last_inject.max(windows[WEST].1) + 1);
-            tiles.push(StreamTile {
-                sched,
-                a0: rows_a.start,
-                b0: rows_b.start,
-                shift,
-                windows,
-            });
-            // The next tile streams in right behind this one: its first
-            // injection lands two pulses (one tuple slot) after our last.
-            offset = last_inject + 2;
+        let (mut offset, mut horizon, mut quiet) = (0u64, 0u64, 0u64);
+        for &run in runs {
+            let time = run.timing(rows, m);
+            for k in 0..run.count {
+                let at = offset + k * time.advance;
+                tiles.push(StreamTile {
+                    sched: time.sched,
+                    a0: run.a0,
+                    b0: run.b0 + k as usize * run.tb,
+                    shift: at + time.delta,
+                    windows: time.windows.map(|(first, last)| (first + at, last + at)),
+                });
+            }
+            let last = offset + (run.count - 1) * time.advance;
+            quiet = quiet.max(last + time.quiet);
+            horizon = horizon.max(last + time.horizon);
+            offset += run.count * time.advance;
         }
         TileFeed {
             a,
@@ -447,7 +547,12 @@ impl<'r> TileFeed<'r> {
             tiles,
             open: Default::default(),
             rows,
-            budget: last_activity + 1,
+            // Exact budget: the last word in flight is consumed during the
+            // step at pulse `quiet`, so the grid is quiescent exactly at
+            // pulse `quiet + 1` and not one pulse sooner. The tightness
+            // test proves both directions: one pulse less must fail with
+            // `NotQuiescent`.
+            budget: quiet + 1,
             horizon,
             t,
             placed: 0,
@@ -829,9 +934,10 @@ mod tests {
             let a = relation(n_a, 2, 0);
             let b = relation(n_b, 2, 4);
             for seed in [Seed::All, Seed::StrictLower] {
-                let (rows, live, dead) = pipelined_layout(n_a, n_b, limits, seed);
+                let stream = TileStream::new(n_a, n_b, 2, limits, seed);
+                let (rows, dead) = (stream.rows, stream.dead);
                 let mut t = TMatrix::new(n_a, n_b);
-                let mut feed = TileFeed::new(&a, &b, seed, 2, rows, live, &mut t);
+                let mut feed = TileFeed::new(&a, &b, seed, 2, rows, &stream.runs, &mut t);
                 let budget = feed.budget;
                 let mut spy = Spy {
                     feed: &mut feed,

@@ -1,55 +1,25 @@
-//! Schedule-accurate capacity model: the §8 arithmetic, re-derived with
-//! real array schedules.
+//! Schedule-accurate capacity model: the §8 arithmetic, priced by the
+//! machine's own pricer.
 //!
 //! §8's headline calculation divides total bit comparisons by the device's
 //! parallel comparator count — implicitly assuming every comparator
 //! performs a useful comparison on every pulse. The same section admits the
 //! marching layouts keep "only half of the processors ... busy at any one
 //! time". This module closes that loop: it sizes tiles for a device of
-//! `parallel_comparators()` bit processors, uses the *closed-form pulse
-//! counts of the actual schedules* (verified against the cycle-accurate
-//! simulator in this crate's tests), and predicts end-to-end intersection
-//! time for both the marching (§3–4) and fixed-operand (§8) layouts —
-//! quantifying exactly how far the idealised 52.5 ms figure stretches.
+//! `parallel_comparators()` bit processors and prices the decomposition
+//! with [`systolic_core::ops::price_membership`] at that device's
+//! [`ArrayLimits`] — the same closed forms, over the same
+//! [`TileStream`], that charge every served query and equal the
+//! cycle-accurate simulator exactly. It predicts end-to-end intersection
+//! time for the marching (§3–4) and fixed-operand (§8) layouts, quantifying
+//! exactly how far the idealised 52.5 ms figure stretches.
+
+use systolic_core::ops::{price_membership, Execution};
+use systolic_core::tiling::{ArrayLimits, Seed, TileStream};
+use systolic_core::ExecStats;
 
 use crate::predict::Workload;
 use crate::technology::Technology;
-
-/// Closed-form pulse count of the marching intersection array (relations of
-/// `n_a` and `n_b` tuples, `m` columns, plus the accumulation column),
-/// until full quiescence. At equal cardinalities the last accumulated `t`
-/// is the final event (`4n + m - 3` total); at unequal cardinalities the
-/// longer relation's tail draining out of the array dominates. Verified
-/// against the cycle-accurate simulator in the tests below.
-pub fn marching_pulses(n_a: u64, n_b: u64, m: u64) -> u64 {
-    let rows = n_a + n_b - 1;
-    if n_a >= n_b {
-        // The last accumulated t_{n_a-1} is the final event.
-        rows + m + 2 * n_a - 2
-    } else {
-        // The longer B stream's tail drains last.
-        rows + m + 2 * n_b - 3
-    }
-}
-
-/// Closed-form pulse count of the fixed-operand intersection array
-/// (`n_b` resident rows, `n_a` streaming tuples, `m` columns + accumulator):
-/// the last `t` exits at `(n_a-1) + m + (n_b-1)`, plus the drain pulse.
-pub fn fixed_pulses(n_a: u64, n_b: u64, m: u64) -> u64 {
-    n_a + n_b + m - 1
-}
-
-/// Per-tile *stream span* of the marching schedule when tiles are
-/// pipelined back-to-back (E19): the next tile's first injection lands two
-/// pulses behind this tile's last, so each tile occupies
-/// `max(last A injection, last B injection) + 2` pulses of input stream.
-pub fn marching_pipelined_span(n_a: u64, n_b: u64, m: u64) -> u64 {
-    let phi_a = n_b.saturating_sub(n_a);
-    let phi_b = n_a.saturating_sub(n_b);
-    let last_a = 2 * (n_a - 1) + (m - 1) + phi_a;
-    let last_b = 2 * (n_b - 1) + (m - 1) + phi_b;
-    last_a.max(last_b) + 2
-}
 
 /// Which §8 layout the device uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,16 +48,16 @@ pub struct CapacityPlan {
     pub tile_a: u64,
     /// Tuples of `B` per tile.
     pub tile_b: u64,
-    /// Number of tile runs.
-    pub tiles: u64,
-    /// Pulses per tile run.
-    pub pulses_per_tile: u64,
+    /// What the device's array runs cost in all: pulses, processors,
+    /// busy/total cell-pulses and tile runs (the tiles are not identical,
+    /// so no per-tile figure stands for them).
+    pub stats: ExecStats,
 }
 
 impl CapacityPlan {
     /// Plan the decomposition: choose the largest square-ish tile whose
     /// bit-level array (rows x (tuple_bits + 1) cells, §8 bit-level cells
-    /// including the accumulation column) fits the device.
+    /// including the accumulation column) fits the device, then price it.
     pub fn plan(technology: Technology, workload: Workload, layout: Layout) -> Self {
         let capacity = technology.parallel_comparators();
         let cells_per_row = workload.tuple_bits + 1;
@@ -103,17 +73,29 @@ impl CapacityPlan {
             // rows = tile_b; the whole of A streams through each pass.
             Layout::FixedOperand => (workload.n_a, max_rows.min(workload.n_b)),
         };
-        let tiles_a = workload.n_a.div_ceil(tile_a);
-        let tiles_b = workload.n_b.div_ceil(tile_b);
-        let tiles = tiles_a * tiles_b;
-        let pulses_per_tile = match layout {
-            Layout::Marching => marching_pulses(tile_a, tile_b, workload.tuple_bits),
-            // Pipelined tiles cost their stream span; the fill/drain is
-            // paid once per problem and is negligible against tiles*span.
+        let (n_a, n_b, m) = (
+            workload.n_a as usize,
+            workload.n_b as usize,
+            workload.tuple_bits as usize,
+        );
+        let limits = ArrayLimits::new(tile_a as usize, tile_b as usize, m);
+        let stats = match layout {
+            Layout::Marching => price_membership(Execution::Tiled(limits), n_a, n_b, m),
             Layout::MarchingPipelined => {
-                marching_pipelined_span(tile_a, tile_b, workload.tuple_bits)
+                price_membership(Execution::TiledPipelined(limits), n_a, n_b, m)
             }
-            Layout::FixedOperand => fixed_pulses(tile_a, tile_b, workload.tuple_bits),
+            // The stream of `B`-slices with `A` whole: each slice is one
+            // fixed-operand run, the slices one after another.
+            Layout::FixedOperand => {
+                let mut stats = ExecStats::default();
+                for run in TileStream::new(n_a, n_b, m, limits, Seed::All).runs() {
+                    let slice = price_membership(Execution::FixedOperand, run.ta, run.tb, m);
+                    for _ in 0..run.count {
+                        stats.merge_sequential(&slice);
+                    }
+                }
+                stats
+            }
         };
         CapacityPlan {
             technology,
@@ -121,19 +103,15 @@ impl CapacityPlan {
             layout,
             tile_a,
             tile_b,
-            tiles,
-            pulses_per_tile,
+            stats,
         }
-    }
-
-    /// Total pulses across all tile runs (one physical device, sequential).
-    pub fn total_pulses(&self) -> u64 {
-        self.tiles * self.pulses_per_tile
     }
 
     /// End-to-end intersection time in milliseconds.
     pub fn intersection_ms(&self) -> f64 {
-        self.total_pulses() as f64 * self.technology.comparison_time_ns * 1e-6
+        self.stats
+            .hardware_time_ns(self.technology.comparison_time_ns)
+            * 1e-6
     }
 
     /// The §8 idealised time (every comparator busy every pulse) for the
@@ -154,23 +132,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn marching_formula_matches_equal_cardinalities() {
-        // 4n + m - 3 for n_a = n_b = n.
-        for n in [2u64, 5, 16] {
-            for m in [1u64, 2, 4] {
-                assert_eq!(marching_pulses(n, n, m), 4 * n + m - 3, "n={n} m={m}");
-            }
-        }
-    }
-
-    #[test]
-    fn fixed_formula_matches_known_values() {
-        // 2n + 1 for n_a = n_b = n, m = 2 (measured in E10).
-        assert_eq!(fixed_pulses(16, 16, 2), 33);
-        assert_eq!(fixed_pulses(256, 256, 2), 513);
-    }
-
-    #[test]
     fn paper_workload_plans_fit_the_device() {
         let w = Workload::paper_typical();
         let t = Technology::paper_conservative();
@@ -180,15 +141,12 @@ mod tests {
             Layout::FixedOperand,
         ] {
             let plan = CapacityPlan::plan(t, w, layout);
-            let rows = match layout {
-                Layout::Marching | Layout::MarchingPipelined => plan.tile_a + plan.tile_b - 1,
-                Layout::FixedOperand => plan.tile_b,
-            };
             assert!(
-                rows * (w.tuple_bits + 1) <= t.parallel_comparators(),
-                "{layout:?} tile exceeds device capacity"
+                plan.stats.cells as u64 <= t.parallel_comparators(),
+                "{layout:?} array of {} cells exceeds device capacity",
+                plan.stats.cells
             );
-            assert!(plan.tiles >= 1);
+            assert!(plan.stats.array_runs >= 1);
         }
     }
 
@@ -227,58 +185,59 @@ mod tests {
     }
 
     #[test]
-    fn closed_forms_match_the_cycle_accurate_simulator() {
-        use systolic_core::{FixedOperandArray, IntersectionArray, SetOpMode};
-        for (n_a, n_b, m) in [(3u64, 3u64, 1u64), (5, 9, 2), (9, 5, 3), (16, 16, 4)] {
-            let a: Vec<Vec<i64>> = (0..n_a as i64)
-                .map(|i| (0..m as i64).map(|c| i + c).collect())
-                .collect();
-            let b: Vec<Vec<i64>> = (0..n_b as i64)
-                .map(|i| (0..m as i64).map(|c| i + c + 1).collect())
-                .collect();
-            let marching = IntersectionArray::new(m as usize)
-                .run(&a, &b, SetOpMode::Intersect)
-                .unwrap();
-            assert_eq!(
-                marching.stats.pulses,
-                marching_pulses(n_a, n_b, m),
-                "marching n_a={n_a} n_b={n_b} m={m}"
-            );
-            let fixed = FixedOperandArray::preload(&b)
+    fn plans_equal_the_cycle_accurate_simulator_exactly() {
+        use systolic_core::tiling::{t_matrix_tiled, t_matrix_tiled_pipelined};
+        use systolic_core::{FixedOperandArray, SetOpMode};
+        use systolic_fabric::CompareOp;
+        // A 24-comparator device (one 6µ chip of 1.5µ x 1µ comparators) and
+        // 13 x 17 tuples of 3 bits: 4 cells a row, so 3 x 3 marching tiles
+        // (5 rows) and resident slices of 6 tuples, with short edge tiles
+        // on both axes and runs of several identical tiles.
+        let t = Technology {
+            comparator_width_um: 1.5,
+            comparator_height_um: 1.0,
+            chip_side_um: 6.0,
+            chips: 1,
+            ..Technology::paper_conservative()
+        };
+        let w = Workload {
+            tuple_bits: 3,
+            n_a: 13,
+            n_b: 17,
+        };
+        let rows = |n: usize, salt: i64| -> Vec<Vec<i64>> {
+            (0..n as i64)
+                .map(|i| (0..3).map(|c| (i * 5 + salt + c) % 4).collect())
+                .collect()
+        };
+        let (a, b) = (rows(13, 0), rows(17, 1));
+        let ops = vec![CompareOp::Eq; 3];
+
+        let marching = CapacityPlan::plan(t, w, Layout::Marching);
+        let piped = CapacityPlan::plan(t, w, Layout::MarchingPipelined);
+        assert_eq!((marching.tile_a, marching.tile_b), (3, 3));
+        let limits = ArrayLimits::new(3, 3, 3);
+        let sim = t_matrix_tiled(&a, &b, &ops, limits, Seed::All).unwrap();
+        assert_eq!(marching.stats, sim.stats);
+        let sim = t_matrix_tiled_pipelined(&a, &b, &ops, limits, Seed::All).unwrap();
+        assert_eq!(piped.stats, sim.stats);
+        assert_eq!(piped.stats.array_runs, 5 * 6);
+
+        let fixed = CapacityPlan::plan(t, w, Layout::FixedOperand);
+        assert_eq!((fixed.tile_a, fixed.tile_b), (13, 6));
+        let mut sim = ExecStats::default();
+        for slice in b.chunks(6) {
+            let out = FixedOperandArray::preload(slice)
                 .run(&a, SetOpMode::Intersect)
                 .unwrap();
-            assert_eq!(
-                fixed.stats.pulses,
-                fixed_pulses(n_a, n_b, m),
-                "fixed n_a={n_a} n_b={n_b} m={m}"
-            );
+            sim.merge_sequential(&out.stats);
         }
+        assert_eq!(fixed.stats, sim);
+        assert_eq!(fixed.stats.array_runs, 3);
     }
 
     #[test]
-    fn pipelined_span_matches_the_simulated_pipelined_tiling() {
-        use systolic_core::tiling::{t_matrix_tiled_pipelined, ArrayLimits, Seed};
-        use systolic_fabric::CompareOp;
-        // Total pipelined pulses = tiles x span + one final fill/drain tail.
-        let (n, t, m) = (24usize, 4usize, 2usize);
-        let rows: Vec<Vec<i64>> = (0..n as i64).map(|i| vec![i, i]).collect();
-        let ops = vec![CompareOp::Eq; m];
-        let out =
-            t_matrix_tiled_pipelined(&rows, &rows, &ops, ArrayLimits::new(t, t, m), Seed::All)
-                .unwrap();
-        let tiles = ((n / t) * (n / t)) as u64;
-        let span = marching_pipelined_span(t as u64, t as u64, m as u64);
-        let modelled = tiles * span;
-        let measured = out.stats.pulses;
-        // The model omits only the single final drain (< one tile's rows+m).
-        assert!(
-            measured >= modelled && measured <= modelled + (2 * t + m + 4) as u64,
-            "measured {measured} vs modelled {modelled}"
-        );
-    }
-
-    #[test]
-    fn pipelined_layout_beats_sequential_marching() {
+    fn pipelined_tiles_beat_sequential_marching() {
         let w = Workload::paper_typical();
         let t = Technology::paper_conservative();
         let seq = CapacityPlan::plan(t, w, Layout::Marching);
@@ -298,8 +257,13 @@ mod tests {
             n_b: 8,
         };
         let plan = CapacityPlan::plan(Technology::paper_conservative(), w, Layout::Marching);
-        assert_eq!(plan.tiles, 1);
+        assert_eq!(plan.stats.array_runs, 1);
         assert_eq!(plan.tile_a, 8);
-        assert_eq!(plan.pulses_per_tile, marching_pulses(8, 8, 64));
+        // One tile is §3.2's whole comparison array.
+        let rows: Vec<Vec<i64>> = (0..8).map(|i| vec![i; 64]).collect();
+        let whole = systolic_core::ComparisonArray2d::equality(64)
+            .t_matrix(&rows, &rows, Seed::All)
+            .unwrap();
+        assert_eq!(plan.stats, whole.stats);
     }
 }

@@ -28,7 +28,7 @@ pub mod disk;
 pub mod predict;
 pub mod technology;
 
-pub use capacity::{fixed_pulses, marching_pipelined_span, marching_pulses, CapacityPlan, Layout};
+pub use capacity::{CapacityPlan, Layout};
 pub use disk::{array_keeps_up_with_disk, DiskModel};
 pub use predict::{Prediction, Workload};
 pub use technology::Technology;
