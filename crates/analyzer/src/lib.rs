@@ -842,8 +842,8 @@ pub fn analyze(
     // Sound capacity proof: staged relations are never freed mid-run, so if
     // the worst-case total fits one module, every module always has room
     // for the next allocation regardless of placement. (Merged batches sum
-    // several transactions; the admission scheduler falls back to solo runs
-    // if a merged schedule overflows, and solo runs are covered here.)
+    // several transactions; admission falls back to solo runs if a merged
+    // schedule overflows, and solo runs are covered here.)
     if staged > machine.memory_capacity && w.diags.is_empty() {
         w.diags.push(Diagnostic::new(
             Code::CapacityExceeded,

@@ -3,8 +3,8 @@
 //! [`Store`] owns the [`Catalog`] and per-table [`Schema`]s: everything a
 //! worker thread needs to import CSV into encoded relations and render
 //! results back out. It deliberately does *not* own the
-//! [`systolic_machine::System`] — machine runs belong to the admission
-//! scheduler, which serialises them; the store sits behind an `RwLock` so
+//! [`systolic_machine::System`] — machine runs go through admission, which
+//! serialises them behind the machine lock; the store sits behind an `RwLock` so
 //! many connections can render results concurrently.
 //!
 //! [`Engine`] pairs a `Store` with a private `System` for one-shot,

@@ -10,11 +10,15 @@
 //! Architecture, in one paragraph: a bounded pool of worker threads serves
 //! newline-delimited request frames (`LOAD`/`QUERY`/`STATS`/`CLOSE`) over
 //! `std::net` sockets. Parsing and CSV rendering happen on the worker, with
-//! the catalog behind an `RwLock`; actual machine runs are submitted to a
-//! single *admission scheduler* thread that owns the `System`, gathers
-//! requests arriving within a short window, and runs them as one merged
-//! dependency-level schedule (`run_batch_accounted`) so independent client
-//! queries genuinely share crossbar ports and devices. Each response still
+//! the catalog behind an `RwLock`. The `System` sits behind one machine
+//! lock, and *admission* is done by whichever worker holds it: a worker
+//! that finds the machine free admits its own request at once; one that
+//! finds it busy queues its job and is handed the machine when the holder
+//! is done, gathering everything queued meanwhile. Each gathered batch runs
+//! as one merged dependency-level schedule (`run_batch_accounted`) so
+//! independent client queries genuinely share crossbar ports and devices.
+//! A panic while the machine is held fails it closed: every later request
+//! is answered `ERR shutting_down`. Each response still
 //! carries standalone per-request accounting, bit-identical to a one-shot
 //! run — simulated hardware time in the `RESULT` frame, nondeterministic
 //! host wall time in a separate `HOST` frame.

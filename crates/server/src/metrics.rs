@@ -52,7 +52,7 @@ pub(crate) struct ServerMetrics {
     /// lazy packs both count; a low number relative to loads means the
     /// zero-detour path is doing its job).
     pub(crate) columnar_builds: Arc<Gauge>,
-    /// Requests read off a socket that have not reached the scheduler yet,
+    /// Requests read off a socket whose jobs have not been gathered yet,
     /// synced from the server's arrival count at exposition time.
     arriving: Arc<Gauge>,
     /// `sdb_batch_window_close_total{reason=...}`, indexed by
@@ -125,7 +125,7 @@ impl ServerMetrics {
         );
         let arriving = registry.gauge(
             "sdb_arriving",
-            "Requests read off a socket that have not reached the scheduler yet.",
+            "Requests read off a socket whose jobs have not been gathered for admission yet.",
         );
         // Registered up front so all three reasons render from the first
         // scrape: an absent `deadline` series could not be told from zero.
@@ -159,9 +159,9 @@ impl ServerMetrics {
         }
     }
 
-    /// `sdb_batch_window_close_total{reason=...}`: why the scheduler stopped
-    /// gathering and admitted a batch. A non-zero `deadline` count means a
-    /// counted arrival never reached the scheduler in time — a leak.
+    /// `sdb_batch_window_close_total{reason=...}`: why a gather stopped and
+    /// admitted a batch. A non-zero `deadline` count means a counted
+    /// arrival never reached the queue in time — a leak.
     pub(crate) fn window_close(&self, reason: WindowClose) -> &Counter {
         &self.window_close[reason as usize]
     }
@@ -179,8 +179,8 @@ impl ServerMetrics {
     }
 
     /// The per-operator simulated-pulse counter (`op` is the §8 operator
-    /// label: `intersect`, `join`, ...). Cheap enough for the scheduler
-    /// thread; workers never call this.
+    /// label: `intersect`, `join`, ...). Called only by the worker holding
+    /// the machine, once per admitted run.
     pub(crate) fn op_pulses(&self, op: &str) -> Arc<Counter> {
         self.registry.counter_with(
             "sdb_op_pulses_total",

@@ -219,7 +219,7 @@ impl QueryProfile {
 
 /// Build a successful query's profile by aligning three views of the same
 /// run: the analyzer report (`analysis.nodes[alignment[step.id]]`), the
-/// compiled plan (labels, outputs), and the scheduler reply (stats, the
+/// compiled plan (labels, outputs), and the admission reply (stats, the
 /// solo-accounted timeline, host waits).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build(

@@ -46,7 +46,6 @@
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
@@ -68,7 +67,7 @@ use crate::server::{ServerConfig, ServerHandle, Shared};
 
 /// Client connection sets the fan-out rotates over, so several worker
 /// threads can have shard queries in flight at once (and the shard
-/// schedulers can merge them into batches).
+/// servers can merge them into batches).
 const POOL_SETS: usize = 4;
 
 /// One shard's `QUERYC` answer: the raw `RESULT` frame, the per-plan-step
@@ -288,7 +287,6 @@ impl Router {
     pub(crate) fn try_query(
         &self,
         shared: &Shared,
-        tx: &Sender<Job>,
         arrival: &mut Option<Arrival<'_>>,
         expr: &Expr,
         query: &str,
@@ -312,7 +310,7 @@ impl Router {
 
         // From here the worker parks on the shards' sockets, and what it
         // submits afterwards is a `Job::Price` that merges with nothing:
-        // the local scheduler must not hold a batch open for this request.
+        // the local gather must not hold a batch open for this request.
         *arrival = None;
 
         // Fan the query out and read every shard's RESULT + CARDS. When
@@ -410,7 +408,7 @@ impl Router {
         // Re-price the merged run on the local system so the RESULT frame
         // carries the same simulated-hardware stats a single-shard run
         // would report.
-        match self.price(shared, tx, expr, cards, trace) {
+        match self.price(shared, expr, cards, trace) {
             PriceOutcome::Priced(reply) => {
                 // The root step was priced at the cardinality the merged
                 // rows have, or the stats describe some other run.
@@ -432,12 +430,11 @@ impl Router {
     fn price(
         &self,
         shared: &Shared,
-        tx: &Sender<Job>,
         expr: &Expr,
         cards: Vec<u64>,
         trace: Option<TraceCtx>,
     ) -> PriceOutcome {
-        let waited = submit_fenced(shared, tx, |fence, reply| Job::Price {
+        let waited = submit_fenced(shared, |fence, reply| Job::Price {
             expr: expr.clone(),
             cards,
             trace,

@@ -1,9 +1,11 @@
-//! The admission scheduler: the single thread that owns the machine.
+//! Admission: the machine is a lock, and the worker that finds it free
+//! admits its own batch.
 //!
-//! Workers hand it jobs over a channel; it gathers what is *present* —
-//! whatever queued while the machine was busy, plus every request already
-//! read off a socket and still on its way (the [`Arrivals`] count) — and
-//! admits the set as *one* merged dependency-level schedule via
+//! A worker queues its job and, when no one holds the machine, takes it
+//! itself. It gathers what is *present* — its own job, whatever queued
+//! while the machine was busy, plus every request already read off a socket
+//! and still on its way (the [`Arrivals`] count) — and admits the set as
+//! *one* merged dependency-level schedule via
 //! [`System::run_batch_accounted`] — this is where the paper's "set of
 //! transactions" concurrency actually happens: queries from different TCP
 //! connections share crossbar ports and devices inside one simulated
@@ -11,6 +13,13 @@
 //! the queue empty and nothing counted the batch is admitted at once, and
 //! the batch window only bounds how long a counted request may be waited
 //! for.
+//!
+//! A job that finds the machine held waits in the queue. The holder answers
+//! the batch holding its own job and then stops: it hands the machine,
+//! still held, to the oldest waiting job's worker, which gathers the next
+//! batch. So an idle machine costs a query no wakeup, a queued query one
+//! wakeup, and jobs queued behind a busy machine are still admitted
+//! together when it frees.
 //!
 //! Each query's reply still carries its *standalone* accounting (stats and
 //! timeline priced as if it ran alone), which `run_batch_accounted`
@@ -24,9 +33,11 @@
 //! merged requests keep distinct trace ids while both point at the one
 //! batch that served them.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use systolic_machine::{Expr, MachineError, Plan, RunStats, System, Timeline};
@@ -35,19 +46,20 @@ use systolic_storage::StorageEngine;
 use systolic_telemetry::{root_span, span_in, TraceCtx};
 
 use crate::engine::{kind_name, store_names};
+use crate::locks;
 use crate::metrics::ServerMetrics;
 use crate::server::{Counters, DurableStats, Shared};
 
 /// A query waiting in a merged batch: its expression and source text, the
-/// submitting request's trace, its timeout fence, the reply channel, and the
-/// host-side waits measured on its way through the scheduler.
+/// submitting request's trace, its timeout fence, where its answer goes,
+/// and the host-side waits measured on its way to the machine.
 struct PendingQuery {
     expr: Expr,
     text: String,
     trace: Option<TraceCtx>,
-    fence: Arc<AtomicBool>,
-    reply: SyncSender<QueryAnswer>,
-    /// When the submitting worker handed the job to the scheduler.
+    fence: Arc<Fence>,
+    reply: ReplyTo<QueryAnswer>,
+    /// When the submitting worker queued the job.
     submitted: Instant,
     /// Host ns from submission to admission (queue + gather window).
     queue_wait_ns: u64,
@@ -56,9 +68,17 @@ struct PendingQuery {
     wal_fsync_ns: u64,
 }
 
-/// The scheduler's durable half: the storage engine (WAL + paged store)
-/// plus the gauges `STATS` reads. Owned by the scheduler thread, so every
-/// log append happens in admission order — the order recovery replays.
+/// The machine a server admits jobs onto: the §9 `System` and, on a
+/// durable server, its durable half. One lock in [`Shared`] guards both.
+pub(crate) struct Machine {
+    pub(crate) system: System,
+    pub(crate) durable: Option<Durable>,
+}
+
+/// The machine's durable half: the storage engine (WAL + paged store)
+/// plus the gauges `STATS` reads. Behind the machine lock with the
+/// `System`, so every log append happens in admission order — the order
+/// recovery replays.
 pub(crate) struct Durable {
     pub(crate) engine: StorageEngine,
     pub(crate) stats: Arc<DurableStats>,
@@ -107,65 +127,136 @@ impl Durable {
     }
 }
 
-/// Claim a job's timeout fence. Exactly one side wins the swap: if the
-/// scheduler wins, the job runs (and its side effects land) and the reply
-/// is delivered, so a worker that times out after losing the swap must keep
-/// waiting for the real answer. If the worker wins (it timed out first),
-/// the scheduler sees `true` here and must skip the job entirely — no run,
-/// no `store(...)` write-back, no catalog change the client was never told
-/// about.
-fn claim(fence: &AtomicBool) -> bool {
-    !fence.swap(true, Ordering::SeqCst)
+/// A job's timeout fence, shared by the worker that submitted the job and
+/// whoever holds the machine. Exactly one side settles it. If the machine's
+/// side [claims](Fence::claim) it first, the job runs (its side effects
+/// land) and is answered, so a worker that times out afterwards must keep
+/// waiting for the real answer. If the worker [times out](Fence::time_out)
+/// first, the job is skipped whole — no run, no `store(...)` write-back, no
+/// catalog change the client was never told about.
+#[derive(Debug, Default)]
+pub(crate) struct Fence(AtomicU8);
+
+const OPEN: u8 = 0;
+const CLAIMED: u8 = 1;
+const TIMED_OUT: u8 = 2;
+
+impl Fence {
+    /// The machine's side: `true` when the job is the machine's to run,
+    /// claimed now or already (a hand-off claims before admission does).
+    fn claim(&self) -> bool {
+        match self
+            .0
+            .compare_exchange(OPEN, CLAIMED, Ordering::SeqCst, Ordering::SeqCst)
+        {
+            Ok(_) => true,
+            Err(state) => state == CLAIMED,
+        }
+    }
+
+    /// The worker's side: `true` when it timed out before the machine
+    /// claimed the job.
+    fn time_out(&self) -> bool {
+        self.0
+            .compare_exchange(OPEN, TIMED_OUT, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    }
+
+    /// The machine has claimed the job: it will run, or has run.
+    fn claimed(&self) -> bool {
+        self.0.load(Ordering::SeqCst) == CLAIMED
+    }
+}
+
+/// What a worker waiting on its job receives.
+enum Handed<T> {
+    /// The job ran; this is its answer.
+    Answer(T),
+    /// The machine itself: the previous holder claimed this job's fence and
+    /// passed the machine on without releasing it.
+    Machine,
+}
+
+/// Where a job's answer goes: a capacity-1 channel to the submitting
+/// worker, which carries one [`Handed`] at a time, so no send ever blocks,
+/// even to a worker that gave up.
+pub(crate) struct ReplyTo<T>(SyncSender<Handed<T>>);
+
+impl<T> ReplyTo<T> {
+    fn send(&self, answer: T) {
+        let _ = self.0.send(Handed::Answer(answer));
+    }
+
+    /// Hand the machine to the job's worker; `false` when it is gone.
+    fn hand_machine(&self) -> bool {
+        self.0.send(Handed::Machine).is_ok()
+    }
 }
 
 /// How a worker's wait on a fenced job ended.
 pub(crate) enum Fenced<T> {
-    /// The scheduler ran the job and this is its answer.
+    /// The job ran and this is its answer.
     Answered(T),
-    /// The worker timed out first and took the fence: the scheduler will
-    /// skip the job whole, so `ERR timeout` is the truth. Already counted.
+    /// The worker timed out first and took the fence: the job is skipped
+    /// whole, so `ERR timeout` is the truth. Already counted.
     TimedOut,
-    /// The scheduler hung up — `mid_run` when it had claimed the job first
-    /// (its side effects may have landed), otherwise before touching it.
+    /// The job was dropped unanswered, because a panic while the machine
+    /// was held left it out of service — `mid_run` when the machine had
+    /// claimed the job first (its side effects may have landed).
     Gone { mid_run: bool },
 }
 
-/// The worker's half of the fence race: submit the job `build` makes around
-/// a fresh fence and capacity-1 reply channel (the send never blocks, even
-/// to a worker that gave up), and wait out the request timeout for its
-/// answer. On expiry the worker tries to [`claim`] the fence itself; losing
-/// means the job is running and its side effects will land, so it blocks
-/// for the real answer rather than tell the client a lie.
+/// The worker's half of the fence race: queue the job `build` makes around
+/// a fresh fence and reply channel, taking the machine when it is free, and
+/// wait out the request timeout for the answer — or for the machine, handed
+/// on by its holder. On expiry the worker tries to [time out](Fence::time_out)
+/// the fence itself; losing means the job is running, or its worker is about
+/// to be handed the machine, so it blocks for the real answer rather than
+/// tell the client a lie.
 pub(crate) fn submit_fenced<T>(
     shared: &Shared,
-    tx: &Sender<Job>,
-    build: impl FnOnce(Arc<AtomicBool>, SyncSender<T>) -> Job,
+    build: impl FnOnce(Arc<Fence>, ReplyTo<T>) -> Job,
 ) -> Fenced<T> {
-    let fence = Arc::new(AtomicBool::new(false));
-    let (reply_tx, reply_rx) = sync_channel(1);
-    if tx.send(build(Arc::clone(&fence), reply_tx)).is_err() {
-        return Fenced::Gone { mid_run: false };
-    }
-    match reply_rx.recv_timeout(shared.cfg.request_timeout) {
-        Ok(answer) => Fenced::Answered(answer),
-        Err(RecvTimeoutError::Disconnected) => Fenced::Gone { mid_run: false },
-        Err(RecvTimeoutError::Timeout) if claim(&fence) => {
-            shared.count_timeout();
-            Fenced::TimedOut
+    let fence = Arc::new(Fence::default());
+    let (reply, handed) = sync_channel(1);
+    let deadline = Instant::now() + shared.cfg.request_timeout;
+    let mut holder = enqueue(shared, build(Arc::clone(&fence), ReplyTo(reply)));
+    loop {
+        // The batch holds this worker's own job; dropping the holder passes
+        // the machine on before the answer is read, so rendering and the
+        // socket write happen outside the lock.
+        if let Some(holder) = holder.take() {
+            holder.admit_batch();
         }
-        Err(RecvTimeoutError::Timeout) => match reply_rx.recv() {
-            Ok(answer) => Fenced::Answered(answer),
-            Err(_) => Fenced::Gone { mid_run: true },
-        },
+        let next = if fence.claimed() {
+            handed.recv().map_err(|_| RecvTimeoutError::Disconnected)
+        } else {
+            handed.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        };
+        match next {
+            Ok(Handed::Answer(answer)) => return Fenced::Answered(answer),
+            Ok(Handed::Machine) => holder = Some(Holder { shared }),
+            Err(RecvTimeoutError::Disconnected) => {
+                return Fenced::Gone {
+                    mid_run: fence.claimed(),
+                }
+            }
+            Err(RecvTimeoutError::Timeout) if fence.time_out() => {
+                shared.count_timeout();
+                return Fenced::TimedOut;
+            }
+            // Claimed meanwhile: wait on, without a deadline.
+            Err(RecvTimeoutError::Timeout) => {}
+        }
     }
 }
 
-/// Requests that have been read off a socket but have not reached the
-/// scheduler yet. The gather loop admits the moment its queue is empty and
-/// this reads zero; every counted request gives its count back exactly once
-/// — see [`Arrival`] (worker side) and [`Counted`] (travelling in a job).
+/// Requests that have been read off a socket but whose jobs have not been
+/// gathered yet. A gather admits the moment the queue is empty and this
+/// reads zero; every counted request gives its count back exactly once —
+/// see [`Arrival`] (worker side) and [`Counted`] (travelling in a job).
 #[derive(Debug, Default)]
-pub(crate) struct Arrivals(AtomicUsize);
+struct Arrivals(AtomicUsize);
 
 impl Arrivals {
     /// Count one request just read off a socket.
@@ -174,7 +265,7 @@ impl Arrivals {
     }
 
     /// Requests currently on their way.
-    pub(crate) fn pending(&self) -> usize {
+    fn pending(&self) -> usize {
         self.0.load(Ordering::SeqCst)
     }
 
@@ -185,48 +276,207 @@ impl Arrivals {
 }
 
 /// One counted request in the hands of the worker serving it. Dropping it
-/// gives the count back and wakes the scheduler — the request ended without
-/// a job (`ERR`, `STATS`, shed, draining) or is about to park on something
-/// slow (a relation lock, the shard fan-out), and a gather must not sit out
-/// its window waiting for it. [`Arrival::into_job`] moves the count into a
-/// job instead.
+/// gives the count back and, when it was the last one out, wakes a waiting
+/// gather — the request ended without a job (`ERR`, `STATS`, shed,
+/// draining) or is about to park on something slow (a relation lock, the
+/// shard fan-out), and a gather must not sit out its window waiting for it.
+/// [`Arrival::into_job`] moves the count into a job instead.
 pub(crate) struct Arrival<'a> {
-    arrivals: &'a Arc<Arrivals>,
-    wake: &'a Sender<Job>,
+    jobs: &'a Jobs,
 }
 
 impl<'a> Arrival<'a> {
     /// Count one request just read off a socket.
-    pub(crate) fn new(arrivals: &'a Arc<Arrivals>, wake: &'a Sender<Job>) -> Self {
-        arrivals.add();
-        Arrival { arrivals, wake }
+    pub(crate) fn new(jobs: &'a Jobs) -> Self {
+        jobs.arrivals.add();
+        Arrival { jobs }
     }
 
-    /// Travel with a job. The count must not come back on the sender's side
-    /// of the channel: the scheduler would wake on the job, see its own
-    /// submitter still counted, and sleep out the window.
+    /// Travel with a job. The count must not come back on the submitter's
+    /// side: the gather — the submitter's own, when the machine is free —
+    /// would find the job, see its submitter still counted, and sit out the
+    /// window.
     pub(crate) fn into_job(self) -> Counted {
-        let counted = Counted(Arc::clone(self.arrivals));
         std::mem::forget(self);
-        counted
+        Counted(())
     }
 }
 
 impl Drop for Arrival<'_> {
     fn drop(&mut self) {
-        if self.arrivals.give_back() {
-            let _ = self.wake.send(Job::Wake);
+        if self.jobs.arrivals.give_back() {
+            self.jobs.wake();
         }
     }
 }
 
-/// A count travelling inside a [`Job`]; given back when the scheduler
-/// dequeues the job (or when an undeliverable job is dropped).
-pub(crate) struct Counted(Arc<Arrivals>);
+/// A count travelling inside a [`Job`]; given back when the job leaves the
+/// queue.
+pub(crate) struct Counted(());
 
-impl Drop for Counted {
+/// The jobs waiting for the machine, and whether a worker holds it.
+///
+/// Why no job is ever stranded — queued while the machine is free: one
+/// mutex guards both the queue and the `held` flag. A submitter pushes its
+/// job and then tries to take the machine; a holder that is done releases
+/// the machine and then re-checks the queue. Each pair is one critical
+/// section, so whichever of the two comes second sees the other's effect:
+/// a push after the release finds the machine free and takes it, and a
+/// release after the push finds the job and hands the machine over instead
+/// of freeing it. Whenever the mutex is free, `held || waiting.is_empty()`.
+#[derive(Default)]
+pub(crate) struct Jobs {
+    queue: Mutex<Queue>,
+    /// Wakes the holder's gather: a job was queued, or the last counted
+    /// arrival gave its count back.
+    arrived: Condvar,
+    arrivals: Arrivals,
+}
+
+#[derive(Default)]
+struct Queue {
+    waiting: VecDeque<Job>,
+    /// A worker holds the machine, or it has been handed to one that has
+    /// not woken yet.
+    held: bool,
+}
+
+impl Queue {
+    /// Take the oldest job off the queue: its journey, and so its arrival
+    /// count, ends here.
+    fn pop(&mut self, arrivals: &Arrivals) -> Option<Job> {
+        let mut job = self.waiting.pop_front()?;
+        if let Job::Query { arrival, .. } | Job::Load { arrival, .. } = &mut job {
+            if arrival.take().is_some() {
+                arrivals.give_back();
+            }
+        }
+        Some(job)
+    }
+}
+
+impl Jobs {
+    /// Requests currently on their way to the machine.
+    pub(crate) fn arriving(&self) -> usize {
+        self.arrivals.pending()
+    }
+
+    /// Queue `job`, then take the machine if no one holds it; `true` when
+    /// the caller now holds it.
+    fn push(&self, job: Job) -> bool {
+        let mut queue = locks::lock(&self.queue);
+        queue.waiting.push_back(job);
+        let took = !queue.held;
+        queue.held = true;
+        drop(queue);
+        if !took {
+            self.arrived.notify_one();
+        }
+        took
+    }
+
+    /// Wake a gather waiting on the arrival count. Taking the mutex first
+    /// means a gather that saw the count non-zero is already waiting.
+    fn wake(&self) {
+        if locks::lock(&self.queue).held {
+            self.arrived.notify_one();
+        }
+    }
+
+    /// Gather one batch from the queue: everything already queued joins;
+    /// with the queue empty the batch closes at once unless a counted
+    /// request is still on its way, and such a request is waited for no
+    /// longer than `window`.
+    fn gather(&self, window: Duration, max_batch: usize) -> (Vec<Job>, WindowClose) {
+        let mut queue = locks::lock(&self.queue);
+        let mut batch = Vec::new();
+        let deadline = Instant::now() + window;
+        let reason = loop {
+            if batch.len() >= max_batch.max(1) {
+                break WindowClose::Full;
+            }
+            if let Some(job) = queue.pop(&self.arrivals) {
+                batch.push(job);
+                continue;
+            }
+            if self.arrivals.pending() == 0 {
+                break WindowClose::Idle;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                break WindowClose::Deadline;
+            }
+            queue = locks::wait_timeout(&self.arrived, queue, deadline - now);
+        };
+        (batch, reason)
+    }
+
+    /// Give the machine up: hand it to the oldest waiting job's worker, or
+    /// free it when nothing waits.
+    fn pass_on(&self) {
+        let mut queue = locks::lock(&self.queue);
+        while let Some(next) = queue.waiting.front() {
+            // Claim before handing over, as admission claims before it
+            // runs: a worker whose fence is claimed cannot time out, so it
+            // is certain to take its turn. A job whose worker timed out
+            // first is skipped whole.
+            if next.fence().claim() && next.hand_machine() {
+                return;
+            }
+            queue.pop(&self.arrivals);
+        }
+        queue.held = false;
+    }
+
+    /// Fail closed: drop every waiting job unanswered, so each worker sees
+    /// [`Fenced::Gone`].
+    fn drop_all(&self) {
+        let mut queue = locks::lock(&self.queue);
+        while queue.pop(&self.arrivals).is_some() {}
+    }
+}
+
+/// Queue `job`, returning the machine when it was free.
+fn enqueue(shared: &Shared, job: Job) -> Option<Holder<'_>> {
+    shared.jobs.push(job).then(|| Holder { shared })
+}
+
+/// The machine, held by one worker: the one that found it free, or the one
+/// it was handed to. Dropping the holder passes the machine on — also when
+/// its worker panics.
+struct Holder<'a> {
+    shared: &'a Shared,
+}
+
+impl Holder<'_> {
+    /// Gather one batch and admit it.
+    fn admit_batch(&self) {
+        let shared = self.shared;
+        // The machine lock does not recover from poisoning: a panic while
+        // it was held may have left the machine half-updated, and nothing
+        // runs on it again. Every job is answered `Gone` instead.
+        let Ok(mut machine) = shared.machine.lock() else {
+            shared.jobs.drop_all();
+            return;
+        };
+        let mut window_span = root_span("server.batch_window");
+        let (batch, reason) = shared
+            .jobs
+            .gather(shared.cfg.batch_window, shared.cfg.max_batch);
+        window_span.arg("jobs", batch.len());
+        window_span.arg("reason", reason.label());
+        drop(window_span);
+        shared.metrics.window_close(reason).inc();
+        admit(&mut machine, batch, &shared.counters, &shared.metrics);
+    }
+}
+
+impl Drop for Holder<'_> {
     fn drop(&mut self) {
-        self.0.give_back();
+        if thread::panicking() {
+            self.shared.jobs.drop_all();
+        }
+        self.shared.jobs.pass_on();
     }
 }
 
@@ -288,7 +538,7 @@ pub(crate) struct QueryReply {
     pub pool_misses: u64,
 }
 
-/// A unit of work submitted to the scheduler.
+/// A unit of work for the machine.
 pub(crate) enum Job {
     /// Run a prepared query.
     Query {
@@ -297,14 +547,13 @@ pub(crate) enum Job {
         /// The original query text, as logged to the WAL when the query has
         /// durable side effects.
         text: String,
-        /// The submitting request's trace context, so scheduler spans for
+        /// The submitting request's trace context, so admission spans for
         /// this query land in the request's trace.
         trace: Option<TraceCtx>,
-        /// Timeout fence, shared with the submitting worker (see [`claim`]).
-        fence: Arc<AtomicBool>,
-        /// Where to deliver the answer; capacity-1 channel so the send
-        /// never blocks even if the worker gave up waiting.
-        reply: SyncSender<QueryAnswer>,
+        /// Timeout fence, shared with the submitting worker.
+        fence: Arc<Fence>,
+        /// Where to deliver the answer.
+        reply: ReplyTo<QueryAnswer>,
         /// When the worker submitted the job (host clock; feeds the
         /// profile's queue-wait, never pulse accounting).
         submitted: Instant,
@@ -321,10 +570,10 @@ pub(crate) enum Job {
         cards: Vec<u64>,
         /// The submitting request's trace context.
         trace: Option<TraceCtx>,
-        /// Timeout fence, shared with the submitting worker (see [`claim`]).
-        fence: Arc<AtomicBool>,
+        /// Timeout fence, shared with the submitting worker.
+        fence: Arc<Fence>,
         /// Where to deliver the priced outcome.
-        reply: SyncSender<Result<QueryReply, MachineError>>,
+        reply: ReplyTo<Result<QueryReply, MachineError>>,
         /// When the worker submitted the job (host clock).
         submitted: Instant,
     },
@@ -339,260 +588,207 @@ pub(crate) enum Job {
         /// The original CSV text, for the write-ahead log record (replay
         /// re-imports it so §2.3 dictionary codes come out identical).
         csv: String,
-        /// Timeout fence, shared with the submitting worker (see [`claim`]).
-        fence: Arc<AtomicBool>,
+        /// Timeout fence, shared with the submitting worker.
+        fence: Arc<Fence>,
         /// Acknowledgement carrying the row count.
-        reply: SyncSender<usize>,
+        reply: ReplyTo<usize>,
         /// The request's arrival count, when it is still counted.
         arrival: Option<Counted>,
     },
     /// Snapshot the durable history and reset the WAL.
     Checkpoint {
+        /// Timeout fence, shared with the submitting worker.
+        fence: Arc<Fence>,
         /// Delivers (records, snapshot bytes) or the rendered error.
-        reply: SyncSender<Result<(u64, u64), String>>,
+        reply: ReplyTo<Result<(u64, u64), String>>,
     },
-    /// No work: a count was given back off the scheduler thread, so a
-    /// gather waiting on it should look again. Neither starts nor closes a
-    /// batch.
-    Wake,
 }
 
 impl Job {
-    /// The job has reached the scheduler: its journey, and so its arrival
-    /// count, ends here.
-    fn dequeued(mut self) -> Job {
-        if let Job::Query { arrival, .. } | Job::Load { arrival, .. } = &mut self {
-            *arrival = None;
+    fn fence(&self) -> &Fence {
+        match self {
+            Job::Query { fence, .. }
+            | Job::Price { fence, .. }
+            | Job::Load { fence, .. }
+            | Job::Checkpoint { fence, .. } => fence,
         }
-        self
+    }
+
+    /// Hand the machine to this job's worker; `false` when it is gone.
+    fn hand_machine(&self) -> bool {
+        match self {
+            Job::Query { reply, .. } => reply.hand_machine(),
+            Job::Price { reply, .. } => reply.hand_machine(),
+            Job::Load { reply, .. } => reply.hand_machine(),
+            Job::Checkpoint { reply, .. } => reply.hand_machine(),
+        }
     }
 }
 
-/// Gather one batch behind `first`: everything already queued joins; with
-/// the queue empty the batch closes at once unless a counted request is
-/// still on its way, and such a request is waited for no longer than
-/// `window`.
-fn gather(
-    first: Job,
-    jobs: &Receiver<Job>,
-    arrivals: &Arrivals,
-    window: Duration,
-    max_batch: usize,
-) -> (Vec<Job>, WindowClose) {
-    let mut batch = vec![first.dequeued()];
-    let deadline = Instant::now() + window;
-    let reason = loop {
-        if batch.len() >= max_batch.max(1) {
-            break WindowClose::Full;
-        }
-        let next = match jobs.try_recv() {
-            Ok(job) => Ok(job),
-            Err(TryRecvError::Disconnected) => break WindowClose::Idle,
-            Err(TryRecvError::Empty) => {
-                if arrivals.pending() == 0 {
-                    break WindowClose::Idle;
+/// Admit one gathered batch onto the machine.
+fn admit(machine: &mut Machine, batch: Vec<Job>, counters: &Counters, metrics: &ServerMetrics) {
+    let Machine { system, durable } = machine;
+    // Loads first, in arrival order: a query admitted in the same window as
+    // the load it depends on sees the table. A job whose worker already
+    // fenced it off (client told `ERR timeout`) is skipped whole — a load's
+    // relation must never reach the machine, a checkpoint must not reset the
+    // log.
+    let mut queries = Vec::new();
+    for job in batch {
+        match job {
+            Job::Load {
+                name,
+                rel,
+                kinds,
+                csv,
+                fence,
+                reply,
+                arrival: _,
+            } => {
+                if !fence.claim() {
+                    continue;
                 }
-                let now = Instant::now();
-                if now >= deadline {
-                    break WindowClose::Deadline;
+                // Write-ahead: the log record lands (and is fsynced) before
+                // the relation reaches the machine.
+                if let Some(d) = durable.as_mut() {
+                    d.log_load(&name, &kinds, &csv);
                 }
-                jobs.recv_timeout(deadline - now)
+                let rows = rel.len();
+                system.load_base(name, rel);
+                counters.update(|c| c.loads += 1);
+                metrics.loads.inc();
+                reply.send(rows);
             }
-        };
-        match next {
-            Ok(Job::Wake) => {}
-            Ok(job) => batch.push(job.dequeued()),
-            Err(RecvTimeoutError::Timeout) => break WindowClose::Deadline,
-            Err(RecvTimeoutError::Disconnected) => break WindowClose::Idle,
+            Job::Checkpoint { fence, reply } => {
+                if !fence.claim() {
+                    continue;
+                }
+                reply.send(match durable.as_mut() {
+                    Some(d) => d.checkpoint(),
+                    None => Err("server is running without --data-dir".to_string()),
+                });
+            }
+            Job::Price {
+                expr,
+                cards,
+                trace,
+                fence,
+                reply,
+                submitted,
+            } => {
+                if !fence.claim() {
+                    continue;
+                }
+                counters.update(|c| c.queries += 1);
+                metrics.queries.add(1);
+                let queue_wait_ns = submitted.elapsed().as_nanos() as u64;
+                let _span = span_in(trace, "server.price");
+                let plan = Plan::compile(&expr);
+                reply.send(system.price_plan(&plan, &cards).map(|o| QueryReply {
+                    stats: o.stats,
+                    host_wall_ns: o.host_wall_ns,
+                    step_rows: o.step_rows,
+                    timeline: o.timeline,
+                    queue_wait_ns,
+                    wal_fsync_ns: 0,
+                    pool_hits: 0,
+                    pool_misses: 0,
+                }));
+            }
+            Job::Query {
+                expr,
+                text,
+                trace,
+                fence,
+                reply,
+                submitted,
+                arrival: _,
+            } => queries.push(PendingQuery {
+                expr,
+                text,
+                trace,
+                fence,
+                reply,
+                submitted,
+                queue_wait_ns: 0,
+                wal_fsync_ns: 0,
+            }),
         }
-    };
-    (batch, reason)
-}
-
-/// Run the scheduler until every job sender has hung up.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run(
-    mut system: System,
-    jobs: Receiver<Job>,
-    arrivals: Arc<Arrivals>,
-    window: Duration,
-    max_batch: usize,
-    counters: Arc<Counters>,
-    metrics: Arc<ServerMetrics>,
-    mut durable: Option<Durable>,
-) {
-    while let Ok(first) = jobs.recv() {
-        if matches!(first, Job::Wake) {
+    }
+    // Cross-query hazard analysis: a query that reads or writes a relation
+    // an earlier admitted query writes must not share the merged schedule —
+    // it is deferred and run solo, after the batch, in arrival order, so it
+    // observes the earlier write-back whole.
+    let mut deferred = Vec::new();
+    if queries.len() > 1 {
+        let exprs: Vec<Expr> = queries.iter().map(|q| q.expr.clone()).collect();
+        let conflicted = systolic_analyzer::deferred_indices(&exprs);
+        if !conflicted.is_empty() {
+            let mut admitted = Vec::new();
+            for (i, q) in queries.into_iter().enumerate() {
+                if conflicted.contains(&i) {
+                    deferred.push(q);
+                } else {
+                    admitted.push(q);
+                }
+            }
+            queries = admitted;
+        }
+    }
+    // Claim the admitted queries' fences *before* running: a query whose
+    // worker timed out first never runs (no store(...) side effects can
+    // land behind the client's back).
+    queries.retain(|q| q.fence.claim());
+    // Admission: the queue wait ends here, whatever happens next.
+    for q in &mut queries {
+        q.queue_wait_ns = q.submitted.elapsed().as_nanos() as u64;
+    }
+    // Write-ahead the admitted queries' side effects in admission order —
+    // the order the merged run's write-backs are equivalent to (hazard
+    // analysis deferred anything that could tell the difference).
+    if let Some(d) = durable.as_mut() {
+        for q in &mut queries {
+            let logged = Instant::now();
+            d.log_query(&q.expr, &q.text);
+            q.wal_fsync_ns = logged.elapsed().as_nanos() as u64;
+        }
+    }
+    let n = queries.len();
+    counters.update(|c| c.queries += n as u64);
+    metrics.queries.add(n as u64);
+    if n > 0 {
+        metrics.batch_size.observe(n as u64);
+    }
+    match queries.len() {
+        0 => {}
+        1 => {
+            let q = queries.pop().expect("len checked");
+            let _span = span_in(q.trace, "server.run_solo");
+            q.reply.send(run_solo(system, &q, metrics));
+        }
+        n => {
+            counters.update(|c| {
+                c.batches += 1;
+                c.max_batch = c.max_batch.max(n as u64);
+            });
+            metrics.batches.inc();
+            run_merged(system, queries, counters, metrics);
+        }
+    }
+    for mut q in deferred {
+        if !q.fence.claim() {
             continue;
         }
-        let mut window_span = root_span("server.batch_window");
-        let (batch, reason) = gather(first, &jobs, &arrivals, window, max_batch);
-        window_span.arg("jobs", batch.len());
-        window_span.arg("reason", reason.label());
-        drop(window_span);
-        metrics.window_close(reason).inc();
-
-        // Loads first, in arrival order: a query admitted in the same
-        // window as the load it depends on sees the table. A load whose
-        // worker already fenced it off (client told `ERR timeout`) is
-        // skipped whole — its relation must never reach the machine.
-        let mut queries = Vec::new();
-        for job in batch {
-            match job {
-                Job::Load {
-                    name,
-                    rel,
-                    kinds,
-                    csv,
-                    fence,
-                    reply,
-                    arrival: _,
-                } => {
-                    if !claim(&fence) {
-                        continue;
-                    }
-                    // Write-ahead: the log record lands (and is fsynced)
-                    // before the relation reaches the machine.
-                    if let Some(d) = durable.as_mut() {
-                        d.log_load(&name, &kinds, &csv);
-                    }
-                    let rows = rel.len();
-                    system.load_base(name, rel);
-                    counters.update(|c| c.loads += 1);
-                    metrics.loads.inc();
-                    let _ = reply.send(rows);
-                }
-                Job::Checkpoint { reply } => {
-                    let answer = match durable.as_mut() {
-                        Some(d) => d.checkpoint(),
-                        None => Err("server is running without --data-dir".to_string()),
-                    };
-                    let _ = reply.send(answer);
-                }
-                Job::Wake => {}
-                Job::Price {
-                    expr,
-                    cards,
-                    trace,
-                    fence,
-                    reply,
-                    submitted,
-                } => {
-                    if !claim(&fence) {
-                        continue;
-                    }
-                    counters.update(|c| c.queries += 1);
-                    metrics.queries.add(1);
-                    let queue_wait_ns = submitted.elapsed().as_nanos() as u64;
-                    let _span = span_in(trace, "server.price");
-                    let plan = Plan::compile(&expr);
-                    let _ = reply.send(system.price_plan(&plan, &cards).map(|o| QueryReply {
-                        stats: o.stats,
-                        host_wall_ns: o.host_wall_ns,
-                        step_rows: o.step_rows,
-                        timeline: o.timeline,
-                        queue_wait_ns,
-                        wal_fsync_ns: 0,
-                        pool_hits: 0,
-                        pool_misses: 0,
-                    }));
-                }
-                Job::Query {
-                    expr,
-                    text,
-                    trace,
-                    fence,
-                    reply,
-                    submitted,
-                    arrival: _,
-                } => queries.push(PendingQuery {
-                    expr,
-                    text,
-                    trace,
-                    fence,
-                    reply,
-                    submitted,
-                    queue_wait_ns: 0,
-                    wal_fsync_ns: 0,
-                }),
-            }
-        }
-        // Cross-query hazard analysis: a query that reads or writes a
-        // relation an earlier admitted query writes must not share the
-        // merged schedule — it is deferred and run solo, after the batch,
-        // in arrival order, so it observes the earlier write-back whole.
-        let mut deferred = Vec::new();
-        if queries.len() > 1 {
-            let exprs: Vec<Expr> = queries.iter().map(|q| q.expr.clone()).collect();
-            let conflicted = systolic_analyzer::deferred_indices(&exprs);
-            if !conflicted.is_empty() {
-                let mut admitted = Vec::new();
-                for (i, q) in queries.into_iter().enumerate() {
-                    if conflicted.contains(&i) {
-                        deferred.push(q);
-                    } else {
-                        admitted.push(q);
-                    }
-                }
-                queries = admitted;
-            }
-        }
-        // Claim the admitted queries' fences *before* running: a query
-        // whose worker timed out first never runs (no store(...) side
-        // effects can land behind the client's back).
-        queries.retain(|q| claim(&q.fence));
-        // Admission: the queue wait ends here, whatever happens next.
-        for q in &mut queries {
-            q.queue_wait_ns = q.submitted.elapsed().as_nanos() as u64;
-        }
-        // Write-ahead the admitted queries' side effects in admission
-        // order — the order the merged run's write-backs are equivalent to
-        // (hazard analysis deferred anything that could tell the
-        // difference).
+        q.queue_wait_ns = q.submitted.elapsed().as_nanos() as u64;
         if let Some(d) = durable.as_mut() {
-            for q in &mut queries {
-                let logged = Instant::now();
-                d.log_query(&q.expr, &q.text);
-                q.wal_fsync_ns = logged.elapsed().as_nanos() as u64;
-            }
+            let logged = Instant::now();
+            d.log_query(&q.expr, &q.text);
+            q.wal_fsync_ns = logged.elapsed().as_nanos() as u64;
         }
-        let n = queries.len();
-        counters.update(|c| c.queries += n as u64);
-        metrics.queries.add(n as u64);
-        if n > 0 {
-            metrics.batch_size.observe(n as u64);
-        }
-        match queries.len() {
-            0 => {}
-            1 => {
-                let q = queries.pop().expect("len checked");
-                let _span = span_in(q.trace, "server.run_solo");
-                let _ = q.reply.send(run_solo(&mut system, &q, &metrics));
-            }
-            n => {
-                counters.update(|c| {
-                    c.batches += 1;
-                    c.max_batch = c.max_batch.max(n as u64);
-                });
-                metrics.batches.inc();
-                run_merged(&mut system, queries, &counters, &metrics);
-            }
-        }
-        for mut q in deferred {
-            if !claim(&q.fence) {
-                continue;
-            }
-            q.queue_wait_ns = q.submitted.elapsed().as_nanos() as u64;
-            if let Some(d) = durable.as_mut() {
-                let logged = Instant::now();
-                d.log_query(&q.expr, &q.text);
-                q.wal_fsync_ns = logged.elapsed().as_nanos() as u64;
-            }
-            counters.update(|c| c.queries += 1);
-            metrics.queries.add(1);
-            let _span = span_in(q.trace, "server.run_solo");
-            let _ = q.reply.send(run_solo(&mut system, &q, &metrics));
-        }
+        counters.update(|c| c.queries += 1);
+        metrics.queries.add(1);
+        let _span = span_in(q.trace, "server.run_solo");
+        q.reply.send(run_solo(system, &q, metrics));
     }
 }
 
@@ -702,15 +898,14 @@ fn run_merged(
                     pool_hits,
                     pool_misses,
                 };
-                let _ = q.reply.send(Ok((outcome.result, reply)));
+                q.reply.send(Ok((outcome.result, reply)));
             }
         }
         Err(_) => {
-            // Fences were already claimed at admission; the fallback must
-            // not re-claim (it would see `true` and wrongly skip).
+            // Fences were already claimed at admission.
             for q in queries.drain(..) {
                 let _span = span_in(q.trace, "server.run_solo");
-                let _ = q.reply.send(run_solo(system, &q, metrics));
+                q.reply.send(run_solo(system, &q, metrics));
             }
         }
     }
@@ -719,10 +914,13 @@ fn run_merged(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc;
-    use systolic_machine::{parse, MachineConfig};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc::{self, Receiver};
+    use systolic_machine::{parse, Backend, MachineConfig};
     use systolic_relation::gen::synth_schema;
     use systolic_relation::Elem;
+
+    use crate::server::{CounterState, ServerConfig};
 
     fn rel(rows: &[&[Elem]]) -> MultiRelation {
         MultiRelation::new(
@@ -732,36 +930,57 @@ mod tests {
         .unwrap()
     }
 
-    /// Feed the jobs through a fresh scheduler until it drains, returning
-    /// the counters it maintained.
-    fn run_jobs(jobs: Vec<Job>) -> Arc<Counters> {
-        let system = System::new(MachineConfig::default()).unwrap();
-        let (tx, rx) = mpsc::channel();
-        for job in jobs {
-            tx.send(job).unwrap();
-        }
-        drop(tx);
-        let counters = Arc::new(Counters::default());
-        let metrics = Arc::new(ServerMetrics::new());
-        run(
-            system,
-            rx,
-            Arc::new(Arrivals::default()),
-            Duration::from_millis(1),
-            16,
-            Arc::clone(&counters),
-            metrics,
-            None,
-        );
-        counters
+    fn shared_with(machine: MachineConfig, request_timeout: Duration) -> Shared {
+        Shared::new(ServerConfig {
+            machine,
+            request_timeout,
+            batch_window: Duration::from_millis(1),
+            max_batch: 16,
+            ..ServerConfig::default()
+        })
+        .unwrap()
     }
 
-    fn load_job(
-        name: &str,
-        rel: MultiRelation,
-        f: Arc<AtomicBool>,
-        reply: SyncSender<usize>,
-    ) -> Job {
+    fn shared() -> Shared {
+        shared_with(MachineConfig::default(), Duration::from_secs(30))
+    }
+
+    /// No worker holds the machine and no job waits for it.
+    fn idle(shared: &Shared) -> bool {
+        let queue = locks::lock(&shared.jobs.queue);
+        !queue.held && queue.waiting.is_empty()
+    }
+
+    /// Queue the jobs and admit them as the worker that found the machine
+    /// free, returning the counters admission maintained.
+    fn run_jobs(jobs: Vec<Job>) -> CounterState {
+        let shared = shared();
+        let mut jobs = jobs.into_iter();
+        let holder = enqueue(&shared, jobs.next().unwrap()).expect("the machine is free");
+        for job in jobs {
+            assert!(enqueue(&shared, job).is_none(), "the machine is held");
+        }
+        holder.admit_batch();
+        drop(holder);
+        assert!(idle(&shared));
+        shared.counters.snapshot()
+    }
+
+    /// A reply channel whose receiving end the test keeps.
+    fn reply<T>() -> (ReplyTo<T>, Receiver<Handed<T>>) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        (ReplyTo(tx), rx)
+    }
+
+    /// The answer delivered on `rx`, if any.
+    fn answer<T>(rx: &Receiver<Handed<T>>) -> Option<T> {
+        match rx.try_recv() {
+            Ok(Handed::Answer(answer)) => Some(answer),
+            _ => None,
+        }
+    }
+
+    fn load_job(name: &str, rel: MultiRelation, f: Arc<Fence>, reply: ReplyTo<usize>) -> Job {
         Job::Load {
             name: name.into(),
             rel,
@@ -773,7 +992,7 @@ mod tests {
         }
     }
 
-    fn query_job(text: &str, f: Arc<AtomicBool>, reply: SyncSender<QueryAnswer>) -> Job {
+    fn query_job(text: &str, f: Arc<Fence>, reply: ReplyTo<QueryAnswer>) -> Job {
         Job::Query {
             expr: parse(text).unwrap(),
             text: text.into(),
@@ -785,16 +1004,20 @@ mod tests {
         }
     }
 
-    /// A live query job whose reply nobody reads, counted in `arrivals`
-    /// when given.
-    fn job(arrivals: Option<&Arc<Arrivals>>) -> Job {
-        let (reply, _) = mpsc::sync_channel(1);
+    /// A live query job whose reply nobody reads, carrying `arrival`.
+    fn job(arrival: Option<Counted>) -> Job {
+        let (reply, _) = reply();
         let mut job = query_job("scan(t)", fence(false), reply);
-        if let (Job::Query { arrival, .. }, Some(arrivals)) = (&mut job, arrivals) {
-            arrivals.add();
-            *arrival = Some(Counted(Arc::clone(arrivals)));
+        if let Job::Query { arrival: slot, .. } = &mut job {
+            *slot = arrival;
         }
         job
+    }
+
+    fn fence(timed_out_by_worker: bool) -> Arc<Fence> {
+        let fence = Fence::default();
+        assert!(!timed_out_by_worker || fence.time_out());
+        Arc::new(fence)
     }
 
     /// Long enough that a gather which waits it out is unmistakable.
@@ -804,176 +1027,326 @@ mod tests {
 
     #[test]
     fn an_idle_gather_admits_at_once() {
-        let (_tx, rx) = mpsc::channel();
-        let arrivals = Arrivals::default();
+        let jobs = Jobs::default();
+        assert!(jobs.push(job(None)));
         let started = Instant::now();
-        let (batch, reason) = gather(job(None), &rx, &arrivals, LONG, 16);
+        let (batch, reason) = jobs.gather(LONG, 16);
         assert_eq!((batch.len(), reason), (1, WindowClose::Idle));
         assert!(started.elapsed() < LONG / 4, "{:?}", started.elapsed());
     }
 
     #[test]
     fn queued_jobs_join_until_the_batch_is_full() {
-        let (tx, rx) = mpsc::channel();
-        let arrivals = Arc::new(Arrivals::default());
+        let jobs = Jobs::default();
+        assert!(jobs.push(job(None)));
         for _ in 0..5 {
-            tx.send(job(Some(&arrivals))).unwrap();
+            assert!(!jobs.push(job(Some(Arrival::new(&jobs).into_job()))));
         }
-        let (batch, reason) = gather(job(None), &rx, &arrivals, LONG, 4);
+        let (batch, reason) = jobs.gather(LONG, 4);
         assert_eq!((batch.len(), reason), (4, WindowClose::Full));
         // The two left behind are still queued, hence still counted.
-        assert_eq!(arrivals.pending(), 2);
-        let (batch, reason) = gather(rx.recv().unwrap(), &rx, &arrivals, LONG, 4);
+        assert_eq!(jobs.arriving(), 2);
+        let (batch, reason) = jobs.gather(LONG, 4);
         assert_eq!((batch.len(), reason), (2, WindowClose::Idle));
-        assert_eq!(arrivals.pending(), 0);
+        assert_eq!(jobs.arriving(), 0);
     }
 
     #[test]
     fn a_counted_arrival_is_waited_for_and_merged() {
-        let (tx, rx) = mpsc::channel();
-        let arrivals = Arc::new(Arrivals::default());
-        // Counted before the gather starts, sent only once it is running
+        let jobs = Jobs::default();
+        assert!(jobs.push(job(None)));
+        // Counted before the gather starts, queued only once it is running
         // (or about to): either way the gather must not admit without it.
-        let late = job(Some(&arrivals));
-        let (go_tx, go_rx) = mpsc::channel::<()>();
-        let sender = std::thread::spawn(move || {
-            go_rx.recv().unwrap();
-            tx.send(late).unwrap();
-            tx
+        let late = job(Some(Arrival::new(&jobs).into_job()));
+        thread::scope(|s| {
+            let (go_tx, go_rx) = mpsc::channel::<()>();
+            let jobs = &jobs;
+            s.spawn(move || {
+                go_rx.recv().unwrap();
+                assert!(!jobs.push(late));
+            });
+            let started = Instant::now();
+            go_tx.send(()).unwrap();
+            let (batch, reason) = jobs.gather(LONG, 16);
+            assert_eq!((batch.len(), reason), (2, WindowClose::Idle));
+            assert!(started.elapsed() < LONG / 4, "{:?}", started.elapsed());
         });
-        let started = Instant::now();
-        go_tx.send(()).unwrap();
-        let (batch, reason) = gather(job(None), &rx, &arrivals, LONG, 16);
-        assert_eq!((batch.len(), reason), (2, WindowClose::Idle));
-        assert!(started.elapsed() < LONG / 4, "{:?}", started.elapsed());
-        assert_eq!(arrivals.pending(), 0);
-        drop(sender.join().unwrap());
+        assert_eq!(jobs.arriving(), 0);
     }
 
     #[test]
     fn an_arrival_that_never_comes_is_bounded_by_the_window() {
-        let (_tx, rx) = mpsc::channel();
-        let arrivals = Arrivals::default();
-        arrivals.add();
+        let jobs = Jobs::default();
+        assert!(jobs.push(job(None)));
+        let _never = Arrival::new(&jobs);
         let started = Instant::now();
-        let (batch, reason) = gather(job(None), &rx, &arrivals, SHORT, 16);
+        let (batch, reason) = jobs.gather(SHORT, 16);
         assert_eq!((batch.len(), reason), (1, WindowClose::Deadline));
         assert!(started.elapsed() >= SHORT);
     }
 
     #[test]
-    fn a_wake_neither_starts_nor_closes_a_batch() {
-        // Mid-gather: a wake makes the gather look again, and with a count
-        // still out it keeps waiting — here, into the deadline.
-        let (tx, rx) = mpsc::channel();
-        let arrivals = Arrivals::default();
-        arrivals.add();
-        tx.send(Job::Wake).unwrap();
-        let started = Instant::now();
-        let (batch, reason) = gather(job(None), &rx, &arrivals, SHORT, 16);
-        assert_eq!((batch.len(), reason), (1, WindowClose::Deadline));
-        assert!(started.elapsed() >= SHORT);
+    fn a_spurious_wake_neither_starts_nor_closes_a_batch() {
+        // Mid-gather: each wake makes the gather look again, and with a
+        // count still out it keeps waiting — here, into the deadline.
+        let jobs = Jobs::default();
+        assert!(jobs.push(job(None)));
+        let _never = Arrival::new(&jobs);
+        let gathered = AtomicBool::new(false);
+        thread::scope(|s| {
+            s.spawn(|| {
+                while !gathered.load(Ordering::SeqCst) {
+                    jobs.wake();
+                    thread::yield_now();
+                }
+            });
+            let started = Instant::now();
+            let (batch, reason) = jobs.gather(SHORT, 16);
+            gathered.store(true, Ordering::SeqCst);
+            assert_eq!((batch.len(), reason), (1, WindowClose::Deadline));
+            assert!(started.elapsed() >= SHORT);
+        });
 
         // Idle: wakes alone run nothing and close nothing.
-        let (tx, rx) = mpsc::channel();
-        tx.send(Job::Wake).unwrap();
-        tx.send(Job::Wake).unwrap();
-        drop(tx);
-        let metrics = Arc::new(ServerMetrics::new());
-        run(
-            System::new(MachineConfig::default()).unwrap(),
-            rx,
-            Arc::new(Arrivals::default()),
-            LONG,
-            16,
-            Arc::new(Counters::default()),
-            Arc::clone(&metrics),
-            None,
-        );
+        let shared = shared();
+        drop(Arrival::new(&shared.jobs));
+        shared.jobs.wake();
         for reason in WindowClose::ALL {
-            assert_eq!(metrics.window_close(reason).get(), 0, "{reason:?}");
+            assert_eq!(shared.metrics.window_close(reason).get(), 0, "{reason:?}");
         }
+        assert!(idle(&shared));
     }
 
     #[test]
     fn a_dropped_arrival_wakes_only_when_nothing_else_is_on_its_way() {
-        let (tx, rx) = mpsc::channel();
-        let arrivals = Arc::new(Arrivals::default());
-        let [first, second, last] = [(); 3].map(|()| Arrival::new(&arrivals, &tx));
-        assert_eq!(arrivals.pending(), 3);
-        // Ends without a job while others are still out: no wake yet.
-        drop(first);
-        assert_eq!(arrivals.pending(), 2);
-        assert!(rx.try_recv().is_err());
-        // Moves into a job: the sender's side neither gives back nor wakes.
-        let counted = second.into_job();
-        assert_eq!(arrivals.pending(), 2);
-        drop(counted);
-        assert_eq!(arrivals.pending(), 1);
-        assert!(rx.try_recv().is_err());
-        // The last one out wakes the scheduler.
-        drop(last);
-        assert_eq!(arrivals.pending(), 0);
-        assert!(matches!(rx.try_recv(), Ok(Job::Wake)));
-    }
-
-    fn fence(claimed_by_worker: bool) -> Arc<AtomicBool> {
-        Arc::new(AtomicBool::new(claimed_by_worker))
+        let jobs = Jobs::default();
+        assert!(jobs.push(job(None)));
+        let [first, second, last] = [(); 3].map(|()| Arrival::new(&jobs));
+        thread::scope(|s| {
+            let gather = s.spawn(|| {
+                let started = Instant::now();
+                let (batch, reason) = jobs.gather(LONG, 16);
+                (batch.len(), reason, started.elapsed())
+            });
+            // Ends without a job while others are still out: the gather
+            // keeps waiting.
+            drop(first);
+            // Moves into a job: the submitter's side neither gives back nor
+            // wakes; the gather takes the job and the count with it.
+            let counted = second.into_job();
+            assert_eq!(jobs.arriving(), 2);
+            assert!(!jobs.push(job(Some(counted))));
+            // The last one out wakes the gather, long before its window.
+            drop(last);
+            let (jobs_gathered, reason, waited) = gather.join().unwrap();
+            assert_eq!((jobs_gathered, reason), (2, WindowClose::Idle));
+            assert!(waited < LONG / 4, "{waited:?}");
+        });
+        assert_eq!(jobs.arriving(), 0);
     }
 
     #[test]
     fn a_fenced_load_never_reaches_the_machine() {
-        let (dead_tx, dead_rx) = mpsc::sync_channel(1);
-        let (live_tx, live_rx) = mpsc::sync_channel(1);
+        let (dead_tx, dead_rx) = reply();
+        let (live_tx, live_rx) = reply();
         let counters = run_jobs(vec![
             load_job("dead", rel(&[&[1], &[2], &[3]]), fence(true), dead_tx),
             load_job("alive", rel(&[&[4], &[5]]), fence(false), live_tx),
         ]);
         assert!(
-            dead_rx.try_recv().is_err(),
+            answer(&dead_rx).is_none(),
             "a fenced load must never be acknowledged"
         );
-        assert_eq!(live_rx.try_recv().unwrap(), 2);
-        assert_eq!(counters.snapshot().loads, 1, "only the live load lands");
+        assert_eq!(answer(&live_rx), Some(2));
+        assert_eq!(counters.loads, 1, "only the live load lands");
     }
 
     #[test]
     fn a_fenced_query_is_skipped_whole() {
-        let (load_tx, _load_rx) = mpsc::sync_channel(1);
-        let (dead_tx, dead_rx) = mpsc::sync_channel(1);
-        let (live_tx, live_rx) = mpsc::sync_channel(1);
+        let (load_tx, _load_rx) = reply();
+        let (dead_tx, dead_rx) = reply();
+        let (live_tx, live_rx) = reply();
         let counters = run_jobs(vec![
             load_job("t", rel(&[&[1], &[2]]), fence(false), load_tx),
             query_job("scan(t)", fence(true), dead_tx),
             query_job("scan(t)", fence(false), live_tx),
         ]);
         assert!(
-            dead_rx.try_recv().is_err(),
+            answer(&dead_rx).is_none(),
             "a fenced query must never be answered"
         );
-        let (rows, _) = live_rx.try_recv().unwrap().unwrap();
+        let (rows, _) = answer(&live_rx).unwrap().unwrap();
         assert_eq!(rows.len(), 2);
-        assert_eq!(counters.snapshot().queries, 1, "only the live query runs");
+        assert_eq!(counters.queries, 1, "only the live query runs");
     }
 
     #[test]
     fn a_fenced_deferred_query_is_skipped_with_its_side_effects() {
         // q2 reads what q1 writes, so the hazard pass defers it; its fence
-        // is already claimed, so the deferred pass must drop it — in
-        // particular `store(scan(u), v)` must leave no `v` on the machine.
-        let (load_tx, _load_rx) = mpsc::sync_channel(1);
-        let (q1_tx, q1_rx) = mpsc::sync_channel(1);
-        let (q2_tx, q2_rx) = mpsc::sync_channel(1);
+        // is already taken by its worker, so the deferred pass must drop it
+        // — in particular `store(scan(u), v)` must leave no `v` behind.
+        let (load_tx, _load_rx) = reply();
+        let (q1_tx, q1_rx) = reply();
+        let (q2_tx, q2_rx) = reply();
         let counters = run_jobs(vec![
             load_job("t", rel(&[&[1], &[2]]), fence(false), load_tx),
             query_job("store(scan(t), u)", fence(false), q1_tx),
             query_job("store(scan(u), v)", fence(true), q2_tx),
         ]);
-        assert!(q1_rx.try_recv().unwrap().is_ok());
+        assert!(answer(&q1_rx).unwrap().is_ok());
         assert!(
-            q2_rx.try_recv().is_err(),
+            answer(&q2_rx).is_none(),
             "a fenced deferred query must never run"
         );
-        assert_eq!(counters.snapshot().queries, 1);
+        assert_eq!(counters.queries, 1);
+    }
+
+    /// Load `t` (two rows) through the front door.
+    fn load_t(shared: &Shared) {
+        let loaded = submit_fenced(shared, |fence, reply| {
+            load_job("t", rel(&[&[1], &[2]]), fence, reply)
+        });
+        assert!(matches!(loaded, Fenced::Answered(2)));
+    }
+
+    /// Submit `scan(t)` as a worker would.
+    fn scan_t(shared: &Shared) -> Fenced<QueryAnswer> {
+        submit_fenced(shared, |fence, reply| query_job("scan(t)", fence, reply))
+    }
+
+    /// Block until a job waits behind the machine's holder.
+    fn await_queued(shared: &Shared) {
+        while locks::lock(&shared.jobs.queue).waiting.is_empty() {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn no_job_is_stranded_under_concurrent_submitters() {
+        const THREADS: u64 = 8;
+        const CALLS: u64 = 200;
+        let shared = shared_with(
+            MachineConfig {
+                backend: Backend::Columnar,
+                ..MachineConfig::default()
+            },
+            Duration::from_secs(30),
+        );
+        load_t(&shared);
+        thread::scope(|s| {
+            for t in 0..THREADS {
+                let shared = &shared;
+                s.spawn(move || {
+                    // xorshift: random yields at the racy points.
+                    let mut x = 0x9e37_79b9_7f4a_7c15_u64 ^ (t + 1);
+                    let mut coin = || {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x.is_multiple_of(3)
+                    };
+                    for _ in 0..CALLS {
+                        if coin() {
+                            thread::yield_now();
+                        }
+                        let arrival = Arrival::new(&shared.jobs);
+                        if coin() {
+                            thread::yield_now();
+                        }
+                        let answered = submit_fenced(shared, |fence, reply| {
+                            let mut job = query_job("scan(t)", fence, reply);
+                            if let Job::Query { arrival: slot, .. } = &mut job {
+                                *slot = Some(arrival.into_job());
+                            }
+                            job
+                        });
+                        assert!(matches!(answered, Fenced::Answered(Ok(_))));
+                    }
+                });
+            }
+        });
+        assert_eq!(shared.jobs.arriving(), 0);
+        assert_eq!(shared.counters.snapshot().queries, THREADS * CALLS);
+        assert!(idle(&shared));
+    }
+
+    #[test]
+    fn a_queued_job_is_handed_the_machine_when_its_worker_is_the_last_one_waiting() {
+        let shared = shared();
+        load_t(&shared);
+        let (reply, _rx) = reply();
+        let holder = enqueue(&shared, query_job("scan(t)", fence(false), reply))
+            .expect("the machine is free");
+        // The holder's batch is its own job alone.
+        holder.admit_batch();
+        thread::scope(|s| {
+            let waiter = s.spawn(|| scan_t(&shared));
+            await_queued(&shared);
+            // The holder stops serving: no one but the waiter is left to
+            // run its job.
+            drop(holder);
+            match waiter.join().unwrap() {
+                Fenced::Answered(Ok((rows, _))) => assert_eq!(rows.len(), 2),
+                _ => panic!("the queued job must be answered"),
+            }
+        });
+        assert_eq!(shared.counters.snapshot().queries, 2);
+        assert!(idle(&shared));
+    }
+
+    #[test]
+    fn a_job_that_timed_out_in_the_queue_is_skipped_at_hand_off() {
+        let shared = shared_with(MachineConfig::default(), SHORT);
+        load_t(&shared);
+        let (reply, _rx) = reply();
+        let holder = enqueue(&shared, query_job("scan(t)", fence(false), reply))
+            .expect("the machine is free");
+        holder.admit_batch();
+        thread::scope(|s| {
+            let waiter = s.spawn(|| scan_t(&shared));
+            await_queued(&shared);
+            assert!(matches!(waiter.join().unwrap(), Fenced::TimedOut));
+        });
+        drop(holder);
+        assert_eq!(
+            shared.counters.snapshot().queries,
+            1,
+            "the timed-out job never ran"
+        );
+        assert_eq!(shared.counters.snapshot().timeouts, 1);
+        assert!(idle(&shared));
+    }
+
+    #[test]
+    fn a_panic_holding_the_machine_fails_every_later_job_closed() {
+        let shared = shared();
+        load_t(&shared);
+        let (held_tx, held_rx) = mpsc::channel();
+        thread::scope(|s| {
+            let panicker = s.spawn(|| {
+                let (reply, _rx) = reply();
+                let _holder = enqueue(&shared, query_job("scan(t)", fence(false), reply))
+                    .expect("the machine is free");
+                let _machine = shared.machine.lock().unwrap();
+                let _own = shared.jobs.gather(Duration::ZERO, 16);
+                held_tx.send(()).unwrap();
+                await_queued(&shared);
+                panic!("injected panic while holding the machine");
+            });
+            held_rx.recv().unwrap();
+            // Queued behind the holder when it panics.
+            let queued = s.spawn(|| scan_t(&shared));
+            assert!(panicker.join().is_err());
+            assert!(matches!(
+                queued.join().unwrap(),
+                Fenced::Gone { mid_run: false }
+            ));
+        });
+        assert!(shared.machine.is_poisoned());
+        // Submitted to the free, poisoned machine.
+        assert!(matches!(scan_t(&shared), Fenced::Gone { mid_run: false }));
+        assert_eq!(shared.counters.snapshot().queries, 0, "nothing ran");
+        assert_eq!(shared.jobs.arriving(), 0);
+        assert!(idle(&shared));
     }
 }

@@ -12,7 +12,6 @@ use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -34,7 +33,7 @@ use crate::protocol::{
     spans_frame, Request,
 };
 use crate::router::{RouteOutcome, Router};
-use crate::scheduler::{self, Arrival, Arrivals, Fenced, Job};
+use crate::scheduler::{self, Arrival, Fenced, Job, Jobs, Machine};
 use crate::shutdown;
 
 /// Server configuration.
@@ -53,15 +52,16 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Configuration of the shared simulated machine.
     pub machine: MachineConfig,
-    /// How long a session waits for the scheduler to answer one request
-    /// before giving up with `ERR timeout` — and how long a client may take
-    /// to finish a frame it has started sending before it is answered
-    /// `ERR timeout` and disconnected.
+    /// How long a session waits for one request's turn on the machine and
+    /// its answer before giving up with `ERR timeout` — and how long a
+    /// client may take to finish a frame it has started sending before it
+    /// is answered `ERR timeout` and disconnected.
     pub request_timeout: Duration,
-    /// The longest the admission scheduler waits for a request that has been
-    /// read off a socket but has not reached it yet. It never waits for
-    /// requests that may not exist: with nothing queued and nothing on its
-    /// way a batch is admitted at once.
+    /// The longest the worker holding the machine waits, while it gathers a
+    /// batch, for a request that has been read off a socket but has not
+    /// been queued yet. It never waits for requests that may not exist:
+    /// with nothing queued and nothing on its way a batch is admitted at
+    /// once.
     pub batch_window: Duration,
     /// Largest number of jobs admitted as one batch.
     pub max_batch: usize,
@@ -118,7 +118,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Live durability gauges the scheduler maintains and `STATS` reads.
+/// Live durability gauges admission maintains and `STATS` reads.
 #[derive(Debug, Default)]
 pub(crate) struct DurableStats {
     /// Current WAL file length in bytes (drops to 0 at a checkpoint).
@@ -131,7 +131,7 @@ pub(crate) struct DurableStats {
     pub(crate) recovered: AtomicU64,
 }
 
-/// Monotonic service counters, shared between workers and the scheduler.
+/// Monotonic service counters, shared by every worker.
 ///
 /// One mutex guards the whole set, so a concurrent `STATS` probe (or the
 /// final report) always reads a consistent snapshot — it can never see,
@@ -206,14 +206,19 @@ pub struct ServerReport {
 
 pub(crate) struct Shared {
     pub(crate) store: RwLock<Store>,
-    pub(crate) counters: Arc<Counters>,
-    pub(crate) metrics: Arc<ServerMetrics>,
+    pub(crate) counters: Counters,
+    pub(crate) metrics: ServerMetrics,
     pub(crate) active: AtomicUsize,
     pub(crate) cfg: ServerConfig,
     pub(crate) stop: AtomicBool,
-    /// Requests read off a socket that have not reached the scheduler yet:
-    /// what its gather waits for instead of a timer.
-    pub(crate) arriving: Arc<Arrivals>,
+    /// The machine: held by one worker at a time, the one admitting a
+    /// batch. It does not recover from poisoning: after a panic while it
+    /// was held, admission drops every job unanswered (`ERR
+    /// shutting_down`) instead of running it.
+    pub(crate) machine: Mutex<Machine>,
+    /// The jobs waiting for the machine, whether a worker holds it, and the
+    /// requests on their way to it.
+    pub(crate) jobs: Jobs,
     pub(crate) started: Instant,
     /// The shard router, when `cfg.shards > 1`. The local system always
     /// holds a full copy of every table, so routing is an optimisation and
@@ -244,8 +249,9 @@ pub(crate) struct Shared {
 const PLAN_CACHE_CAP: usize = 1024;
 
 impl Shared {
-    fn new(cfg: ServerConfig) -> io::Result<Self> {
-        let metrics = Arc::new(ServerMetrics::new());
+    pub(crate) fn new(cfg: ServerConfig) -> io::Result<Self> {
+        let system = System::new(cfg.machine.clone()).map_err(io::Error::other)?;
+        let metrics = ServerMetrics::new();
         metrics.backend_info(cfg.machine.backend.label()).inc();
         let router = if cfg.shards > 1 {
             Some(Router::start(&cfg)?)
@@ -259,12 +265,16 @@ impl Shared {
         let recorder = FlightRecorder::new(cfg.profile_history);
         Ok(Shared {
             store: RwLock::new(Store::new()),
-            counters: Arc::new(Counters::default()),
+            counters: Counters::default(),
             metrics,
             active: AtomicUsize::new(0),
             cfg,
             stop: AtomicBool::new(false),
-            arriving: Arc::new(Arrivals::default()),
+            machine: Mutex::new(Machine {
+                system,
+                durable: None,
+            }),
+            jobs: Jobs::default(),
             started: Instant::now(),
             router,
             lock_table: LockTable::new(),
@@ -434,57 +444,39 @@ fn serve_on(
         .trace_out
         .as_ref()
         .map(|_| systolic_telemetry::install());
-    let mut system = System::new(shared.cfg.machine.clone()).map_err(io::Error::other)?;
     // Crash recovery happens before `ready()` fires and before any frame is
     // answered: open the durable engine, back the machine's disks with its
     // paged store, and redo the logged history in its original order.
-    let durable = match &shared.cfg.data_dir {
-        Some(dir) => {
-            let (engine, records, report) =
-                StorageEngine::open_with(dir, shared.cfg.pool_pages).map_err(io::Error::other)?;
-            system.attach_storage(&engine.blobs());
-            replay(&shared, &mut system, &records);
-            let stats = shared
-                .durable
-                .as_ref()
-                .expect("durable stats exist when data_dir is set");
-            stats.wal_bytes.store(engine.wal_bytes(), Ordering::SeqCst);
-            stats
-                .wal_records
-                .store(engine.wal_records() as u64, Ordering::SeqCst);
-            stats.recovered.store(
-                (report.checkpoint_records + report.wal_records) as u64,
-                Ordering::SeqCst,
-            );
-            Some(scheduler::Durable {
-                engine,
-                stats: Arc::clone(stats),
-            })
-        }
-        None => None,
-    };
+    if let Some(dir) = &shared.cfg.data_dir {
+        let mut machine = shared
+            .machine
+            .lock()
+            .expect("no request has reached the machine yet");
+        let (engine, records, report) =
+            StorageEngine::open_with(dir, shared.cfg.pool_pages).map_err(io::Error::other)?;
+        machine.system.attach_storage(&engine.blobs());
+        replay(&shared, &mut machine.system, &records);
+        let stats = shared
+            .durable
+            .as_ref()
+            .expect("durable stats exist when data_dir is set");
+        stats.wal_bytes.store(engine.wal_bytes(), Ordering::SeqCst);
+        stats
+            .wal_records
+            .store(engine.wal_records() as u64, Ordering::SeqCst);
+        stats.recovered.store(
+            (report.checkpoint_records + report.wal_records) as u64,
+            Ordering::SeqCst,
+        );
+        machine.durable = Some(scheduler::Durable {
+            engine,
+            stats: Arc::clone(stats),
+        });
+    }
     ready();
-    let (tx, rx) = mpsc::channel::<Job>();
     let mut front_err: Option<io::Error> = None;
     thread::scope(|scope| {
-        let window = shared.cfg.batch_window;
-        let max_batch = shared.cfg.max_batch;
-        let sched_counters = Arc::clone(&shared.counters);
-        let sched_metrics = Arc::clone(&shared.metrics);
-        let arriving = Arc::clone(&shared.arriving);
-        scope.spawn(move || {
-            scheduler::run(
-                system,
-                rx,
-                arriving,
-                window,
-                max_batch,
-                sched_counters,
-                sched_metrics,
-                durable,
-            )
-        });
-        if let Err(e) = accept_loop(scope, &listener, &shared, tx) {
+        if let Err(e) = accept_loop(scope, &listener, &shared) {
             shared.stop.store(true, Ordering::SeqCst);
             front_err = Some(e);
         }
@@ -564,20 +556,14 @@ fn accept_loop<'scope>(
     scope: &'scope thread::Scope<'scope, '_>,
     listener: &TcpListener,
     shared: &Arc<Shared>,
-    tx: mpsc::Sender<Job>,
 ) -> io::Result<()> {
     let queue = Arc::new(ConnQueue::default());
     let workers = shared.cfg.workers.max(1);
     for _ in 0..workers {
         let queue = Arc::clone(&queue);
         let shared = Arc::clone(shared);
-        let tx = tx.clone();
-        scope.spawn(move || worker_loop(&queue, &shared, &tx));
+        scope.spawn(move || worker_loop(&queue, &shared));
     }
-    // Workers now hold the only senders the scheduler waits on: once
-    // the queue closes and they exit, the scheduler's channel hangs up
-    // and it exits too, so the scope join is deadlock-free.
-    drop(tx);
     let mut result = Ok(());
     loop {
         if shared.stopping() {
@@ -623,12 +609,12 @@ fn refuse(mut stream: TcpStream) {
     let _ = stream.write_all(&Reply::closing(frame).into_wire());
 }
 
-fn worker_loop(queue: &ConnQueue, shared: &Shared, tx: &mpsc::Sender<Job>) {
+fn worker_loop(queue: &ConnQueue, shared: &Shared) {
     while let Some((stream, enqueued)) = queue.pop() {
         shared.metrics.queue_depth.set(queue.len() as f64);
         record_between("server.queue_wait", None, enqueued, Instant::now());
         shared.active.fetch_add(1, Ordering::SeqCst);
-        let _ = serve_conn(stream, shared, tx);
+        let _ = serve_conn(stream, shared);
         shared.active.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -683,17 +669,12 @@ impl Reply {
 }
 
 /// Serve one request line on the connection's worker thread. Blocking is
-/// allowed here: the worker waits on locks and the scheduler.
+/// allowed here: the worker waits on locks and for the machine.
 ///
-/// `arrival` is the request's count in [`Shared::arriving`]. It travels with
+/// `arrival` is the request's count in [`Shared::jobs`]. It travels with
 /// a `LOAD` or query into its job; every other path gives it back by
 /// dropping it — at the latest when this function returns.
-fn handle_request(
-    shared: &Shared,
-    tx: &mpsc::Sender<Job>,
-    line: &str,
-    arrival: Arrival<'_>,
-) -> Reply {
+fn handle_request(shared: &Shared, line: &str, arrival: Arrival<'_>) -> Reply {
     let request = match parse_request(line) {
         Ok(request) => request,
         Err(msg) => return Reply::frame(err_frame("proto", &msg)),
@@ -709,7 +690,7 @@ fn handle_request(
         Request::Metrics => {
             // A scrape must not count itself in `sdb_arriving`.
             drop(arrival);
-            let arriving = shared.arriving.pending();
+            let arriving = shared.jobs.arriving();
             Reply::frame(metrics_frame(&shared.metrics.exposition(arriving)))
         }
         Request::Profiles => Reply::frame(profiles_frame(&shared.recorder.dump_json())),
@@ -718,20 +699,18 @@ fn handle_request(
             "server is draining; no new work",
         )),
         Request::Load { name, kinds, csv } => {
-            Reply::frame(handle_load(shared, tx, arrival, &name, &kinds, &csv))
+            Reply::frame(handle_load(shared, arrival, &name, &kinds, &csv))
         }
-        Request::Query(query) => respond_query(shared, tx, arrival, &query, QueryMode::Plain, None),
-        Request::Profile(query) => {
-            respond_query(shared, tx, arrival, &query, QueryMode::Profile, None)
-        }
+        Request::Query(query) => respond_query(shared, arrival, &query, QueryMode::Plain, None),
+        Request::Profile(query) => respond_query(shared, arrival, &query, QueryMode::Profile, None),
         Request::QueryCards { query, trace } => {
-            respond_query(shared, tx, arrival, &query, QueryMode::Cards, trace)
+            respond_query(shared, arrival, &query, QueryMode::Cards, trace)
         }
         Request::Checkpoint => {
-            // The checkpoint job is never batched: it must not find its own
-            // submitter still on its way and wait out the window for it.
+            // The checkpoint job carries no count: a gather must not find
+            // its own submitter still on its way and wait out the window.
             drop(arrival);
-            Reply::frame(handle_checkpoint(shared, tx))
+            Reply::frame(handle_checkpoint(shared))
         }
     }
 }
@@ -750,26 +729,23 @@ enum QueryMode {
     Profile,
 }
 
-/// Answer a `CHECKPOINT`: ask the scheduler (the thread that owns the WAL)
-/// to snapshot the history and reset the log.
-fn handle_checkpoint(shared: &Shared, tx: &mpsc::Sender<Job>) -> String {
+/// Answer a `CHECKPOINT`: snapshot the history and reset the log, on the
+/// machine (which owns the WAL) in admission order. A checkpoint that
+/// times out first is skipped whole.
+fn handle_checkpoint(shared: &Shared) -> String {
     if shared.cfg.data_dir.is_none() {
         return err_frame("not_durable", "server is running without --data-dir");
     }
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    if tx.send(Job::Checkpoint { reply: reply_tx }).is_err() {
-        return err_frame("shutting_down", "scheduler has exited");
-    }
-    match reply_rx.recv_timeout(shared.cfg.request_timeout) {
-        Ok(Ok((records, bytes))) => checkpointed_frame(records, bytes),
-        Ok(Err(detail)) => err_frame("storage", &detail),
-        Err(RecvTimeoutError::Timeout) => {
-            shared.count_timeout();
-            err_frame("timeout", "checkpoint timed out")
-        }
-        Err(RecvTimeoutError::Disconnected) => err_frame("shutting_down", "scheduler has exited"),
+    match scheduler::submit_fenced(shared, |fence, reply| Job::Checkpoint { fence, reply }) {
+        Fenced::Answered(Ok((records, bytes))) => checkpointed_frame(records, bytes),
+        Fenced::Answered(Err(detail)) => err_frame("storage", &detail),
+        Fenced::TimedOut => err_frame("timeout", "checkpoint timed out"),
+        Fenced::Gone { .. } => err_frame("shutting_down", MACHINE_GONE),
     }
 }
+
+/// The `ERR shutting_down` detail for a job a failed machine dropped.
+const MACHINE_GONE: &str = "the machine failed and runs no more jobs";
 
 /// Answer a `QUERY`/`QUERYC`/`PROFILE` under the request span, latency
 /// histogram, flight recorder, and slow-query log. Every query (local or
@@ -777,7 +753,6 @@ fn handle_checkpoint(shared: &Shared, tx: &mpsc::Sender<Job>) -> String {
 /// recorder fire identically, sharded or not.
 fn respond_query(
     shared: &Shared,
-    tx: &mpsc::Sender<Job>,
     arrival: Arrival<'_>,
     query: &str,
     mode: QueryMode,
@@ -785,7 +760,7 @@ fn respond_query(
 ) -> Reply {
     let started = Instant::now();
     // A fresh trace per request: concurrent clients must never share a
-    // trace id even when the scheduler merges them into one batch schedule.
+    // trace id even when admission merges them into one batch schedule.
     // A stamped `QUERYC` instead joins the router's trace, parented under
     // its fan-out span, so all shards' spans merge into one tree.
     let mut span = match stamp {
@@ -794,7 +769,7 @@ fn respond_query(
     };
     span.arg("query", query);
     let trace = span.ctx();
-    let (mut frames, profile) = handle_query(shared, tx, arrival, query, trace, mode);
+    let (mut frames, profile) = handle_query(shared, arrival, query, trace, mode);
     drop(span);
     let elapsed = started.elapsed();
     shared.metrics.latency.observe(elapsed.as_nanos() as u64);
@@ -863,7 +838,7 @@ fn send(stream: &mut TcpStream, shared: &Shared, bytes: &[u8]) -> io::Result<()>
     sent
 }
 
-fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) -> io::Result<()> {
+fn serve_conn(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
     // Short read timeout: between frames every session polls the stop flag,
     // so shutdown drains idle connections instead of hanging on them. A
     // reply may block its write no longer than a request may take.
@@ -911,8 +886,8 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared, tx: &mpsc::Sender<Job>) ->
                 line
             }
         };
-        let arrival = Arrival::new(&shared.arriving, tx);
-        let reply = handle_request(shared, tx, &line, arrival);
+        let arrival = Arrival::new(&shared.jobs);
+        let reply = handle_request(shared, &line, arrival);
         let close = reply.close;
         send(&mut stream, shared, &reply.into_wire())?;
         if close {
@@ -1001,7 +976,6 @@ fn valid_table_name(name: &str) -> bool {
 
 fn handle_load(
     shared: &Shared,
-    tx: &mpsc::Sender<Job>,
     arrival: Arrival<'_>,
     name: &str,
     kinds: &[systolic_relation::DomainKind],
@@ -1023,12 +997,11 @@ fn handle_load(
         .acquire_all_or(vec![(name.to_string(), LockMode::Exclusive)], || {
             arrival = None
         });
-    // Register under the write lock, then ship the encoded relation to the
-    // scheduler so it lands on the machine's disk in admission order. The
-    // registration is speculative until the scheduler acknowledges the
-    // load: if we time out first we win the fence, the scheduler skips the
-    // job, and we unregister — catalog and machine stay in step with what
-    // the client was told.
+    // Register under the write lock, then submit the encoded relation so it
+    // lands on the machine's disk in admission order. The registration is
+    // speculative until the load is acknowledged: if we time out first we
+    // win the fence, admission skips the job, and we unregister — catalog
+    // and machine stay in step with what the client was told.
     let rel = {
         let mut store = locks::write(&shared.store);
         if store.has_table(name) {
@@ -1039,7 +1012,7 @@ fn handle_load(
             Err(e) => return engine_err_frame(&e),
         }
     };
-    let waited = scheduler::submit_fenced(shared, tx, |fence, reply| Job::Load {
+    let waited = scheduler::submit_fenced(shared, |fence, reply| Job::Load {
         name: name.to_string(),
         rel,
         kinds: kinds.to_vec(),
@@ -1050,7 +1023,7 @@ fn handle_load(
     });
     match waited {
         Fenced::Answered(rows) => loaded_shard_forwarded(shared, name, kinds, csv, rows),
-        // The scheduler skips the job, so the relation never reaches the
+        // Admission skips the job, so the relation never reaches the
         // machine: undo the speculative catalog registration to match.
         Fenced::TimedOut => {
             locks::write(&shared.store).unregister(name);
@@ -1060,9 +1033,9 @@ fn handle_load(
         // client was told it did — drop it.
         Fenced::Gone { mid_run: false } => {
             locks::write(&shared.store).unregister(name);
-            err_frame("shutting_down", "scheduler has exited")
+            err_frame("shutting_down", MACHINE_GONE)
         }
-        Fenced::Gone { mid_run: true } => err_frame("shutting_down", "scheduler exited mid-load"),
+        Fenced::Gone { mid_run: true } => err_frame("shutting_down", "the machine failed mid-load"),
     }
 }
 
@@ -1137,7 +1110,6 @@ fn optimize_plan(
 /// success — plus the built [`QueryProfile`] for the flight recorder.
 fn handle_query(
     shared: &Shared,
-    tx: &mpsc::Sender<Job>,
     arrival: Arrival<'_>,
     query: &str,
     trace: Option<TraceCtx>,
@@ -1155,7 +1127,7 @@ fn handle_query(
         };
         // Cost-based compilation between checking and admission: the chosen
         // plan replaces the checked one, so everything downstream — the
-        // re-analysis below, `Plan::compile`, the scheduler, PROFILE's
+        // re-analysis below, `Plan::compile`, admission, PROFILE's
         // drift accounting — sees only the optimized tree.
         let expr = if shared.cfg.optimize {
             optimize_plan(shared, query, &view, expr)
@@ -1214,7 +1186,7 @@ fn handle_query(
         (frames, Some(built))
     };
     if let Some(router) = &shared.router {
-        match router.try_query(shared, tx, &mut arrival, &expr, query, trace) {
+        match router.try_query(shared, &mut arrival, &expr, query, trace) {
             RouteOutcome::Answered { result, reply } => {
                 shared.metrics.sharded.inc();
                 shared.counters.update(|c| c.sharded += 1);
@@ -1233,7 +1205,7 @@ fn handle_query(
             }
         }
     }
-    let waited = scheduler::submit_fenced(shared, tx, |fence, reply| Job::Query {
+    let waited = scheduler::submit_fenced(shared, |fence, reply| Job::Query {
         expr,
         text: query.to_string(),
         trace,
@@ -1248,9 +1220,9 @@ fn handle_query(
         Fenced::TimedOut => return (vec![err_frame("timeout", "query timed out")], None),
         Fenced::Gone { mid_run } => {
             let detail = if mid_run {
-                "scheduler exited mid-query"
+                "the machine failed mid-query"
             } else {
-                "scheduler has exited"
+                MACHINE_GONE
             };
             return (vec![err_frame("shutting_down", detail)], None);
         }
@@ -1294,15 +1266,18 @@ mod tests {
     }
 
     #[test]
-    fn requests_that_end_without_a_job_give_their_count_back_and_wake() {
+    fn requests_that_end_without_a_job_give_their_count_back() {
         let shared = Shared::new(ServerConfig::default()).unwrap();
-        let (tx, rx) = mpsc::channel();
         let ask = |line: &str| {
-            let arrival = Arrival::new(&shared.arriving, &tx);
-            let reply = handle_request(&shared, &tx, line, arrival);
-            assert_eq!(shared.arriving.pending(), 0, "{line}");
-            assert!(matches!(rx.try_recv(), Ok(Job::Wake)), "{line}");
-            assert!(rx.try_recv().is_err(), "{line}: submitted a job");
+            let arrival = Arrival::new(&shared.jobs);
+            let reply = handle_request(&shared, line, arrival);
+            assert_eq!(shared.jobs.arriving(), 0, "{line}");
+            assert_eq!(shared.counters.snapshot().queries, 0, "{line}: ran a job");
+            assert_eq!(
+                shared.metrics.batch_size.count(),
+                0,
+                "{line}: admitted a batch"
+            );
             reply.frames[0].clone()
         };
         assert!(ask("BOGUS").starts_with("ERR proto "));
@@ -1315,7 +1290,7 @@ mod tests {
         // The scrape does not count itself.
         let scrape = parse_metrics_frame(&ask("METRICS")).unwrap();
         assert!(scrape.contains("\nsdb_arriving 0\n"), "{scrape}");
-        // A CHECKPOINT that did reach the scheduler would be uncounted too.
+        // A CHECKPOINT that did reach the machine would be uncounted too.
         assert!(ask("CHECKPOINT").starts_with("ERR not_durable "));
         assert_eq!(ask("CLOSE"), "BYE");
         shared.stop.store(true, Ordering::SeqCst);

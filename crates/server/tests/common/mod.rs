@@ -1,12 +1,13 @@
 //! Deterministic "in flight" and "merged" conditions for the e2e tests.
 //!
-//! The admission scheduler closes a batch the moment nothing is on its way,
-//! so a test cannot park a request behind a long `batch_window` any more —
-//! the window is only an upper bound. What a test *can* do is keep the
-//! machine busy: the scheduler thread runs one batch at a time, so while a
-//! slow pulse-simulated query is inside the machine every later job queues
-//! behind it, and when it ends they are all gathered into one batch. No
-//! server-side hook is involved; everything here goes over the wire.
+//! A gather closes its batch the moment nothing is on its way, so a test
+//! cannot park a request behind a long `batch_window` — the window is only
+//! an upper bound. What a test *can* do is keep the machine busy: one
+//! worker holds it at a time, so while a slow pulse-simulated query is
+//! inside the machine every later job queues behind it, and when it ends
+//! the machine is handed to the oldest waiting job's worker, which gathers
+//! them all into one batch. No server-side hook is involved; everything
+//! here goes over the wire.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -79,7 +80,7 @@ fn load_occupier(client: &mut Client) {
 
 /// Occupy the machine of the (pulse-simulator) server at `addr`: send
 /// [`OCCUPIER_QUERY`] without reading the answer, and return once `STATS`
-/// shows it admitted — the scheduler thread is now inside the machine and
+/// shows it admitted — the occupier's worker is now inside the machine and
 /// stays there for about [`HOLD`]. Leaves one table (`occupier`), one load
 /// and one query on the server's counters.
 pub fn occupy_machine(addr: SocketAddr) -> Occupied {
@@ -119,8 +120,8 @@ pub fn metric(addr: SocketAddr, name: &str, labels: &str) -> f64 {
         .unwrap_or_else(|| panic!("no {name}{labels} in the exposition"))
 }
 
-/// Block until exactly `n` requests have been read off sockets and not yet
-/// reached the scheduler (`sdb_arriving`) — on an occupied machine, until
+/// Block until exactly `n` requests have been read off sockets and their
+/// jobs not yet gathered (`sdb_arriving`) — on an occupied machine, until
 /// `n` jobs are queued behind the occupier.
 pub fn await_arriving(addr: SocketAddr, n: usize) {
     let deadline = Instant::now() + PATIENCE;

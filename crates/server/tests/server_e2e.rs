@@ -109,7 +109,7 @@ fn sixteen_concurrent_clients_match_serial_and_one_shot() {
     assert_eq!(serial, one_shot_frames());
 
     // Now 16 clients fire the whole workload concurrently, each starting at
-    // a different offset so every batch the admission scheduler forms mixes
+    // a different offset so every batch admission forms mixes
     // different queries.
     thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
@@ -226,11 +226,11 @@ fn columnar_backend_result_frames_are_byte_identical_to_sim() {
 #[test]
 fn requests_time_out_instead_of_hanging() {
     // A 100ms request timeout against a machine held busy for about a
-    // second. Both sides of the timeout fence get exercised: the occupying
-    // query times out *after* the scheduler claimed it, so its worker must
-    // keep waiting for the real answer; the load behind it times out while
-    // still queued, wins the fence, and must be skipped whole — the catalog
-    // can never advertise a table whose load the client was told failed.
+    // second. The occupying query runs on its own worker, which holds the
+    // machine and never waits out a timeout; the load behind it times out
+    // while still queued, wins the fence, and must be skipped whole — the
+    // catalog can never advertise a table whose load the client was told
+    // failed.
     let handle = spawn(ServerConfig {
         request_timeout: Duration::from_millis(100),
         machine: sim_machine(),
@@ -255,7 +255,7 @@ fn requests_time_out_instead_of_hanging() {
         Ok(_) => panic!("query must not see the fenced table"),
         Err(other) => panic!("unexpected error {other}"),
     }
-    // The occupier lost its fence to the scheduler: a real answer, late.
+    // The occupier ran to the end on its own worker: a real answer, late.
     let answer = occupied.finish();
     assert!(answer.starts_with("RESULT rows="), "{answer}");
     // Every path above gave its arrival count back.
@@ -268,6 +268,37 @@ fn requests_time_out_instead_of_hanging() {
         report.loads, 1,
         "a fenced load must never reach the machine"
     );
+}
+
+/// A `CHECKPOINT` that times out behind a busy machine is skipped whole:
+/// a client told `ERR timeout` must not have its log reset behind its back.
+#[test]
+fn a_timed_out_checkpoint_never_runs() {
+    let data_dir = std::env::temp_dir().join(format!("sdb_srv_ckpt_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&data_dir);
+    let handle = spawn(ServerConfig {
+        request_timeout: Duration::from_millis(100),
+        machine: sim_machine(),
+        data_dir: Some(data_dir.clone()),
+        ..local_config()
+    })
+    .unwrap();
+    let occupied = occupy_machine(handle.addr);
+    let mut client = Client::connect(handle.addr).unwrap();
+    match client.checkpoint() {
+        Err(ClientError::Remote { kind, .. }) => assert_eq!(kind, "timeout"),
+        other => panic!("a checkpoint behind a busy machine must time out, got {other:?}"),
+    }
+    assert!(occupied.finish().starts_with("RESULT rows="));
+    // Anything still queued has been admitted once this is answered.
+    client.query("scan(occupier)").unwrap();
+    let stats = client.stats_line().unwrap();
+    assert!(stats.contains(" checkpoints=0 "), "{stats}");
+    client.close().unwrap();
+    handle.shutdown();
+    let report = handle.join().unwrap();
+    assert_eq!(report.timeouts, 1, "only the checkpoint timed out");
+    let _ = std::fs::remove_dir_all(&data_dir);
 }
 
 /// A client that stops mid-frame cannot hold its worker: once the frame it
@@ -798,7 +829,7 @@ fn analyzer_rejects_each_code_class_over_the_wire() {
     client.close().unwrap();
     handle.shutdown();
     let report = handle.join().unwrap();
-    // Rejected queries never reach the scheduler, so the machine-level
+    // Rejected queries never reach the machine, so the machine-level
     // query counter records only the one sound run.
     assert_eq!(report.queries, 1);
 }

@@ -187,8 +187,9 @@ pub struct ServeArgs {
     /// Machine shards relations are hash-partitioned across (`1` = the
     /// classic single-`System` server).
     pub shards: usize,
-    /// Upper bound, in milliseconds, on how long the admission scheduler
-    /// waits for a request that is counted as on its way.
+    /// Upper bound, in milliseconds, on how long the worker holding the
+    /// machine, gathering a batch, waits for a request that is counted as
+    /// on its way.
     pub batch_window_ms: u64,
     /// Slow-query log threshold in milliseconds; 0 disables the log.
     pub slow_query_ms: u64,
@@ -353,11 +354,12 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
                shards; shardable queries fan out and merge, every other
                query transparently falls back to a full local copy — the
                RESULT frames are byte-identical either way
-  --batch-window MS: the longest the admission scheduler waits for a
-               request that is already on its way (read off a socket, not
-               yet submitted) before admitting the batch without it; it
-               never waits for requests that may not exist, so a lone query
-               is admitted at once (default 2)
+  --batch-window MS: the longest the worker holding the machine waits,
+               while it gathers a batch, for a request that is already on
+               its way (read off a socket, not yet submitted) before
+               admitting the batch without it; it never waits for requests
+               that may not exist, so a lone query is admitted at once by
+               its own worker (default 2)
   --slow-query-ms MS: log queries slower than MS to stderr (0 disables)
   --data-dir DIR: persist loads and store(...) queries to a write-ahead log
                under DIR and recover them (byte-identically) on restart;
