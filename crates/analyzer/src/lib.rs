@@ -29,8 +29,7 @@
 //!    module; operators with no device of the required kind are also
 //!    capacity failures ([`Code::CapacityExceeded`]).
 //! 5. **Write-back hygiene**: duplicate or shadowing `store` targets
-//!    ([`Code::ShadowedLoad`]), plus [`batch_conflicts`] for cross-query
-//!    read/write hazards in a merged §9 admission schedule.
+//!    ([`Code::ShadowedLoad`]).
 //!
 //! An accepted plan comes back as a typed [`Analysis`] — inferred schema
 //! and worst-case cardinality per node, plus the array runs and pulses the
@@ -841,9 +840,8 @@ pub fn analyze(
     let staged = load_bytes.saturating_add(w.op_bytes);
     // Sound capacity proof: staged relations are never freed mid-run, so if
     // the worst-case total fits one module, every module always has room
-    // for the next allocation regardless of placement. (Merged batches sum
-    // several transactions; admission falls back to solo runs if a merged
-    // schedule overflows, and solo runs are covered here.)
+    // for the next allocation regardless of placement. The bound covers a
+    // query run alone, which is how the server runs every query.
     if staged > machine.memory_capacity && w.diags.is_empty() {
         w.diags.push(Diagnostic::new(
             Code::CapacityExceeded,
@@ -979,108 +977,6 @@ pub fn plan_alignment(expr: &Expr) -> Vec<usize> {
     };
     a.go(expr);
     a.steps
-}
-
-/// The relation names an expression scans and stores.
-fn scan_store_names(expr: &Expr) -> (Vec<String>, Vec<String>) {
-    fn go(expr: &Expr, scans: &mut Vec<String>, stores: &mut Vec<String>) {
-        match expr {
-            Expr::Scan { name, .. } => scans.push(name.clone()),
-            Expr::Intersect(a, b)
-            | Expr::Difference(a, b)
-            | Expr::Union(a, b)
-            | Expr::Join(a, b, _) => {
-                go(a, scans, stores);
-                go(b, scans, stores);
-            }
-            Expr::Dedup(a) | Expr::Project(a, _) | Expr::Select(a, _) => go(a, scans, stores),
-            Expr::Divide {
-                dividend, divisor, ..
-            } => {
-                go(dividend, scans, stores);
-                go(divisor, scans, stores);
-            }
-            Expr::Store(a, name) => {
-                stores.push(name.clone());
-                go(a, scans, stores);
-            }
-        }
-    }
-    let mut scans = Vec::new();
-    let mut stores = Vec::new();
-    go(expr, &mut scans, &mut stores);
-    (scans, stores)
-}
-
-/// One cross-query hazard in an admission batch: the later query reads or
-/// writes a relation an earlier *admitted* query writes (or writes one it
-/// reads), so merging them into one §9 schedule could observe a half-baked
-/// write-back.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchConflict {
-    /// Index of the admitted query the hazard is against.
-    pub earlier: usize,
-    /// Index of the conflicting (to-be-deferred) query.
-    pub later: usize,
-    /// The contested relation name.
-    pub relation: String,
-}
-
-impl BatchConflict {
-    /// Render as an SA008 diagnostic (no source span: the hazard spans two
-    /// queries).
-    pub fn diagnostic(&self) -> Diagnostic {
-        Diagnostic::new(
-            Code::ShadowedLoad,
-            format!(
-                "query #{} conflicts with query #{} over relation {:?} in the merged \
-                 schedule",
-                self.later, self.earlier, self.relation
-            ),
-            None,
-        )
-    }
-}
-
-/// Batch-conflict analysis for a merged §9 admission schedule: greedily
-/// admit queries in arrival order and report, for each query that cannot
-/// join the merged schedule, the first hazard against an admitted query.
-/// A query conflicts if it scans a relation an admitted query stores, or
-/// stores a relation an admitted query scans or stores.
-pub fn batch_conflicts(exprs: &[Expr]) -> Vec<BatchConflict> {
-    let sets: Vec<(Vec<String>, Vec<String>)> = exprs.iter().map(scan_store_names).collect();
-    let mut admitted: Vec<usize> = Vec::new();
-    let mut out = Vec::new();
-    'queries: for later in 0..exprs.len() {
-        let (scans, stores) = &sets[later];
-        for &earlier in &admitted {
-            let (e_scans, e_stores) = &sets[earlier];
-            let hazard = scans.iter().find(|n| e_stores.contains(n)).or_else(|| {
-                stores
-                    .iter()
-                    .find(|n| e_stores.contains(n) || e_scans.contains(n))
-            });
-            if let Some(name) = hazard {
-                out.push(BatchConflict {
-                    earlier,
-                    later,
-                    relation: name.clone(),
-                });
-                continue 'queries;
-            }
-        }
-        admitted.push(later);
-    }
-    out
-}
-
-/// Indices of queries that must not join a merged schedule with those
-/// before them (run them solo, after the merged batch, in arrival order).
-pub fn deferred_indices(exprs: &[Expr]) -> Vec<usize> {
-    batch_conflicts(exprs)
-        .into_iter()
-        .map(|c| c.later)
-        .collect()
 }
 
 #[cfg(test)]
@@ -1393,38 +1289,6 @@ mod tests {
         assert!(json.contains("\"nodes\": ["), "{json}");
         let diags = vec![Diagnostic::new(Code::UnknownRelation, "x", None)];
         assert!(diagnostics_json(&diags).contains("\"accepted\": false"));
-    }
-
-    #[test]
-    fn batch_conflicts_defer_cross_query_hazards() {
-        let q0 = systolic_machine::parse("store(dedup(scan(takes)), fresh)").unwrap();
-        let q1 = systolic_machine::parse("scan(fresh)").unwrap();
-        let q2 = systolic_machine::parse("dedup(scan(courses))").unwrap();
-        let q3 = systolic_machine::parse("store(scan(courses), other)").unwrap();
-        let conflicts = batch_conflicts(&[q0.clone(), q1.clone(), q2.clone(), q3.clone()]);
-        // q1 reads q0's write target; q3 writes... nothing admitted touches
-        // "other", but q3 stores over "courses" which q2 scans? No — q3
-        // stores to "other" and scans "courses"; q2 only scans. No hazard.
-        assert_eq!(conflicts.len(), 1);
-        assert_eq!(
-            conflicts[0],
-            BatchConflict {
-                earlier: 0,
-                later: 1,
-                relation: "fresh".into()
-            }
-        );
-        assert_eq!(deferred_indices(&[q0, q1, q2, q3]), vec![1]);
-        // A write-write hazard also defers.
-        let w0 = systolic_machine::parse("store(dedup(scan(takes)), out)").unwrap();
-        let w1 = systolic_machine::parse("store(dedup(scan(courses)), out)").unwrap();
-        assert_eq!(deferred_indices(&[w0, w1]), vec![1]);
-        let d = batch_conflicts(&[
-            systolic_machine::parse("store(dedup(scan(takes)), out)").unwrap(),
-            systolic_machine::parse("scan(out)").unwrap(),
-        ])[0]
-            .diagnostic();
-        assert_eq!(d.code, Code::ShadowedLoad);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! [`Store`] owns the [`Catalog`] and per-table [`Schema`]s: everything a
 //! worker thread needs to import CSV into encoded relations and render
 //! results back out. It deliberately does *not* own the
-//! [`systolic_machine::System`] — machine runs go through admission, which
-//! serialises them behind the machine lock; the store sits behind an `RwLock` so
-//! many connections can render results concurrently.
+//! [`systolic_machine::System`] — machine runs take turns behind the
+//! machine lock; the store sits behind an `RwLock` so many connections can
+//! render results concurrently.
 //!
 //! [`Engine`] pairs a `Store` with a private `System` for one-shot,
 //! in-process use (tests, the classic CLI path, and the byte-identity

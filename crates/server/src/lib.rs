@@ -3,25 +3,26 @@
 //! A long-running, multi-client query service in front of the §9 integrated
 //! machine. The paper's crossbar organisation exists precisely so that
 //! "several operations may be run concurrently" across "a single
-//! transaction or a set of transactions" — this crate is the set-of-
-//! transactions part: many TCP sessions multiplexed onto one shared
-//! [`systolic_machine::System`] and one shared catalog.
+//! transaction or a set of transactions". This crate serves a set of
+//! transactions: many TCP sessions multiplexed onto one shared
+//! [`systolic_machine::System`] and one shared catalog, one request per
+//! turn. Operations of several transactions sharing crossbar ports and
+//! devices inside one schedule is
+//! [`systolic_machine::System::run_batch_accounted`]'s part.
 //!
 //! Architecture, in one paragraph: a bounded pool of worker threads serves
 //! newline-delimited request frames (`LOAD`/`QUERY`/`STATS`/`CLOSE`) over
 //! `std::net` sockets. Parsing and CSV rendering happen on the worker, with
 //! the catalog behind an `RwLock`. The `System` sits behind one machine
-//! lock, and *admission* is done by whichever worker holds it: a worker
-//! that finds the machine free admits its own request at once; one that
-//! finds it busy queues its job and is handed the machine when the holder
-//! is done, gathering everything queued meanwhile. Each gathered batch runs
-//! as one merged dependency-level schedule (`run_batch_accounted`) so
-//! independent client queries genuinely share crossbar ports and devices.
-//! A panic while the machine is held fails it closed: every later request
-//! is answered `ERR shutting_down`. Each response still
-//! carries standalone per-request accounting, bit-identical to a one-shot
-//! run — simulated hardware time in the `RESULT` frame, nondeterministic
-//! host wall time in a separate `HOST` frame.
+//! lock, and requests take *turns* on it, one request per turn: a worker
+//! that finds the machine free runs its own request at once; one that
+//! finds it busy waits in a first-come-first-served queue and is handed
+//! the turn when the requests before it are done. A panic during a turn
+//! fails the machine closed: every later request is answered
+//! `ERR shutting_down`. Each response carries standalone per-request
+//! accounting, bit-identical to a one-shot run — simulated hardware time
+//! in the `RESULT` frame, nondeterministic host wall time in a separate
+//! `HOST` frame.
 //!
 //! ```
 //! use systolic_server::{spawn, Client, ServerConfig};

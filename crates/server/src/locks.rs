@@ -7,11 +7,10 @@
 //! integers, queues are pop-safe, the catalog's `register` is effectively
 //! transactional), so the right recovery is to take the data and keep
 //! serving. These helpers centralise that decision. The one lock that must
-//! not recover is the machine's (`Shared::machine`): a panic mid-admission
-//! can leave it half-updated, so admission fails closed instead.
+//! not recover is the machine's (`Shared::machine`): a panic during a turn
+//! can leave it half-updated, so every later turn fails closed instead.
 
 use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::Duration;
 
 /// Lock a mutex, recovering the data if a previous holder panicked.
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -32,19 +31,6 @@ pub(crate) fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
 pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard)
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Wait on a condition variable for at most `timeout`, recovering the guard
-/// from poisoning.
-pub(crate) fn wait_timeout<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    timeout: Duration,
-) -> MutexGuard<'a, T> {
-    match cv.wait_timeout(guard, timeout) {
-        Ok((guard, _)) => guard,
-        Err(poisoned) => poisoned.into_inner().0,
-    }
 }
 
 #[cfg(test)]

@@ -7,19 +7,13 @@
 
 use std::sync::Arc;
 
-use systolic_telemetry::metrics::{
-    Counter, Gauge, Histogram, Registry, LATENCY_BOUNDS_NS, SIZE_BOUNDS,
-};
-
-use crate::scheduler::WindowClose;
+use systolic_telemetry::metrics::{Counter, Gauge, Histogram, Registry, LATENCY_BOUNDS_NS};
 
 /// Instruments for one server instance.
 pub(crate) struct ServerMetrics {
     registry: Registry,
     /// End-to-end request latency (receive -> response written), host ns.
     pub(crate) latency: Arc<Histogram>,
-    /// Queries admitted per merged batch.
-    pub(crate) batch_size: Arc<Histogram>,
     /// Connections waiting for a worker right now.
     pub(crate) queue_depth: Arc<Gauge>,
     /// High-water mark of the connection queue.
@@ -28,8 +22,6 @@ pub(crate) struct ServerMetrics {
     pub(crate) queries: Arc<Counter>,
     /// Tables loaded.
     pub(crate) loads: Arc<Counter>,
-    /// Merged batch schedules admitted.
-    pub(crate) batches: Arc<Counter>,
     /// Connections refused with `ERR overloaded`.
     pub(crate) refused: Arc<Counter>,
     /// Requests that hit the per-request timeout.
@@ -44,20 +36,14 @@ pub(crate) struct ServerMetrics {
     pub(crate) plan_cache_hits: Arc<Counter>,
     /// Queries that went through the full plan compiler.
     pub(crate) plan_cache_misses: Arc<Counter>,
-    /// Batched queries answered by sharing an identical query's slot
-    /// (batch-window common-subexpression elimination).
-    pub(crate) cse_hits: Arc<Counter>,
     /// Columnar word-plane packs performed process-wide, synced from the
     /// relation crate's counter at exposition time (ingest-time packs and
     /// lazy packs both count; a low number relative to loads means the
     /// zero-detour path is doing its job).
     pub(crate) columnar_builds: Arc<Gauge>,
-    /// Requests read off a socket whose jobs have not been gathered yet,
-    /// synced from the server's arrival count at exposition time.
-    arriving: Arc<Gauge>,
-    /// `sdb_batch_window_close_total{reason=...}`, indexed by
-    /// [`WindowClose`].
-    window_close: [Arc<Counter>; 3],
+    /// Requests waiting for their turn on the machine, synced from the
+    /// turn queue at exposition time.
+    waiting: Arc<Gauge>,
 }
 
 impl ServerMetrics {
@@ -67,11 +53,6 @@ impl ServerMetrics {
             "sdb_request_latency_ns",
             "End-to-end request latency in host nanoseconds.",
             LATENCY_BOUNDS_NS,
-        );
-        let batch_size = registry.histogram(
-            "sdb_batch_size",
-            "Queries admitted per merged batch schedule.",
-            SIZE_BOUNDS,
         );
         let queue_depth = registry.gauge(
             "sdb_queue_depth",
@@ -83,10 +64,6 @@ impl ServerMetrics {
         );
         let queries = registry.counter("sdb_server_queries_total", "Queries answered.");
         let loads = registry.counter("sdb_server_loads_total", "Tables loaded.");
-        let batches = registry.counter(
-            "sdb_server_batches_total",
-            "Merged multi-query schedules admitted.",
-        );
         let refused = registry.counter(
             "sdb_server_refused_total",
             "Connections refused with ERR overloaded.",
@@ -115,36 +92,21 @@ impl ServerMetrics {
             "sdb_plan_cache_misses_total",
             "Queries compiled by the cost-based planner (cache misses).",
         );
-        let cse_hits = registry.counter(
-            "sdb_batch_cse_hits_total",
-            "Batched queries that shared an identical query's slot.",
-        );
         let columnar_builds = registry.gauge(
             "sdb_columnar_builds",
             "Columnar word-plane packs performed by this process (ingest-time and lazy).",
         );
-        let arriving = registry.gauge(
-            "sdb_arriving",
-            "Requests read off a socket whose jobs have not been gathered for admission yet.",
+        let waiting = registry.gauge(
+            "sdb_machine_waiting",
+            "Requests waiting for their turn on the machine.",
         );
-        // Registered up front so all three reasons render from the first
-        // scrape: an absent `deadline` series could not be told from zero.
-        let window_close = WindowClose::ALL.map(|r| {
-            registry.counter_with(
-                "sdb_batch_window_close_total",
-                "Admission gathers closed, by reason (idle, full, deadline).",
-                &[("reason", r.label())],
-            )
-        });
         ServerMetrics {
             registry,
             latency,
-            batch_size,
             queue_depth,
             queue_depth_hwm,
             queries,
             loads,
-            batches,
             refused,
             timeouts,
             slow_queries,
@@ -152,18 +114,9 @@ impl ServerMetrics {
             shard_fallback,
             plan_cache_hits,
             plan_cache_misses,
-            cse_hits,
             columnar_builds,
-            arriving,
-            window_close,
+            waiting,
         }
-    }
-
-    /// `sdb_batch_window_close_total{reason=...}`: why a gather stopped and
-    /// admitted a batch. A non-zero `deadline` count means a counted
-    /// arrival never reached the queue in time — a leak.
-    pub(crate) fn window_close(&self, reason: WindowClose) -> &Counter {
-        &self.window_close[reason as usize]
     }
 
     /// The backend identity series, `sdb_server_backend_info{backend=...}`:
@@ -180,7 +133,7 @@ impl ServerMetrics {
 
     /// The per-operator simulated-pulse counter (`op` is the §8 operator
     /// label: `intersect`, `join`, ...). Called only by the worker holding
-    /// the machine, once per admitted run.
+    /// the machine, once per run.
     pub(crate) fn op_pulses(&self, op: &str) -> Arc<Counter> {
         self.registry.counter_with(
             "sdb_op_pulses_total",
@@ -201,8 +154,8 @@ impl ServerMetrics {
     }
 
     /// Render this server's exposition followed by the process-global one.
-    pub(crate) fn exposition(&self, arriving: usize) -> String {
-        self.arriving.set(arriving as f64);
+    pub(crate) fn exposition(&self, waiting: usize) -> String {
+        self.waiting.set(waiting as f64);
         // The relation crate cannot depend on the telemetry registry, so
         // its pack counter is bridged into the exposition here.
         self.columnar_builds
@@ -222,25 +175,15 @@ mod tests {
         let m = ServerMetrics::new();
         m.queries.inc();
         m.latency.observe(1_000_000);
-        m.batch_size.observe(3);
         m.op_pulses("intersect").add(42);
         // Make sure at least one global series exists.
         systolic_telemetry::metrics::global()
             .counter("sdb_machine_runs_total", "")
             .add(0);
-        m.window_close(WindowClose::Idle).inc();
         let text = m.exposition(2);
         let exp = systolic_telemetry::prom::validate(&text).expect("exposition parses");
         assert_eq!(exp.value("sdb_server_queries_total", ""), Some(1.0));
-        assert_eq!(exp.value("sdb_arriving", ""), Some(2.0));
-        assert_eq!(
-            exp.value("sdb_batch_window_close_total", "{reason=\"idle\"}"),
-            Some(1.0)
-        );
-        assert_eq!(
-            exp.value("sdb_batch_window_close_total", "{reason=\"deadline\"}"),
-            Some(0.0)
-        );
+        assert_eq!(exp.value("sdb_machine_waiting", ""), Some(2.0));
         assert_eq!(
             exp.value("sdb_op_pulses_total", "{op=\"intersect\"}"),
             Some(42.0)

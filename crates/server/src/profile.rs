@@ -90,13 +90,13 @@ pub(crate) struct QueryProfile {
     /// analyzer's bound was unsound — the one number a budget regression
     /// cannot hide behind.
     pub drift_pulses: i64,
-    /// Host ns the job waited between submission and admission.
+    /// Host ns the request waited for its turn on the machine.
     pub queue_wait_ns: u64,
     /// Host ns spent acquiring relation locks.
     pub lock_wait_ns: u64,
     /// Host ns spent write-ahead-logging (0 when read-only or in-memory).
     pub wal_fsync_ns: u64,
-    /// Buffer-pool hits over the run (batch-scoped best effort).
+    /// Buffer-pool hits over the run (process-wide, best effort).
     pub pool_hits: u64,
     /// Buffer-pool misses over the same interval.
     pub pool_misses: u64,
@@ -219,7 +219,7 @@ impl QueryProfile {
 
 /// Build a successful query's profile by aligning three views of the same
 /// run: the analyzer report (`analysis.nodes[alignment[step.id]]`), the
-/// compiled plan (labels, outputs), and the admission reply (stats, the
+/// compiled plan (labels, outputs), and the machine's reply (stats, the
 /// solo-accounted timeline, host waits).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build(

@@ -24,10 +24,12 @@
 //! HOST ns=<n>
 //! SPANS <escaped JSON-lines span batch>
 //! PROFILES count=<n> json=<escaped JSON-lines, newest first>
-//! STATS tables=<n> queries=<n> loads=<n> batches=<n> max_batch=<n> \
-//!       refused=<n> timeouts=<n> active=<n> uptime_ms=<n> queue_hwm=<n> \
-//!       slow=<n> lat_p50_ns=<n> lat_p95_ns=<n> lat_p99_ns=<n> lat_count=<n> \
-//!       backend=<sim|columnar>
+//! STATS tables=<n> queries=<n> loads=<n> refused=<n> timeouts=<n> \
+//!       active=<n> uptime_ms=<n> queue_hwm=<n> slow=<n> lat_p50_ns=<n> \
+//!       lat_p95_ns=<n> lat_p99_ns=<n> lat_count=<n> backend=<sim|columnar> \
+//!       sharded=<n> shard_fallback=<n> durable=<0|1> wal_records=<n> \
+//!       wal_bytes=<n> checkpoints=<n> recovered=<n> optimize=<0|1> \
+//!       rewrites=<n> plan_cache_hits=<n>
 //! METRICS <escaped Prometheus text exposition>
 //! CHECKPOINTED records=<n> bytes=<n>
 //! BYE
@@ -655,7 +657,7 @@ mod tests {
         let frame = analysis_err_frame(&diags, query);
         assert!(frame.starts_with("ERR analysis SA007 at=0..11 "), "{frame}");
         assert!(frame.contains("\\n"), "caret rendering is multi-line");
-        // Span-less findings (e.g. batch conflicts) omit at=.
+        // Span-less findings omit at=.
         let diags = vec![Diagnostic::new(Code::ShadowedLoad, "conflict", None)];
         let frame = analysis_err_frame(&diags, query);
         assert!(frame.starts_with("ERR analysis SA008 "), "{frame}");

@@ -47,7 +47,6 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
-use std::time::Instant;
 
 use systolic_core::select::Predicate;
 use systolic_core::JoinSpec;
@@ -62,12 +61,11 @@ use crate::client::{Client, ClientError};
 use crate::engine::{kind_name, store_names};
 use crate::locks;
 use crate::protocol::{err_frame, parse_result_frame, result_frame};
-use crate::scheduler::{submit_fenced, Arrival, Fenced, Job, QueryReply};
+use crate::scheduler::{self, Fenced, QueryReply};
 use crate::server::{ServerConfig, ServerHandle, Shared};
 
 /// Client connection sets the fan-out rotates over, so several worker
-/// threads can have shard queries in flight at once (and the shard
-/// servers can merge them into batches).
+/// threads can have shard queries in flight at once.
 const POOL_SETS: usize = 4;
 
 /// One shard's `QUERYC` answer: the raw `RESULT` frame, the per-plan-step
@@ -154,8 +152,6 @@ impl Router {
             shards: 1,
             machine: cfg.machine.clone(),
             request_timeout: cfg.request_timeout,
-            batch_window: cfg.batch_window,
-            max_batch: cfg.max_batch,
             max_request_bytes: cfg.max_request_bytes,
             // The outer server already logs slow queries; shard echoes
             // would double-count them.
@@ -287,7 +283,6 @@ impl Router {
     pub(crate) fn try_query(
         &self,
         shared: &Shared,
-        arrival: &mut Option<Arrival<'_>>,
         expr: &Expr,
         query: &str,
         trace: Option<TraceCtx>,
@@ -307,11 +302,6 @@ impl Router {
         for (row, line) in value.rows.iter().zip(&merged_lines) {
             expected[home_shard(&row[0], self.shards)].push(line.as_str());
         }
-
-        // From here the worker parks on the shards' sockets, and what it
-        // submits afterwards is a `Job::Price` that merges with nothing:
-        // the local gather must not hold a batch open for this request.
-        *arrival = None;
 
         // Fan the query out and read every shard's RESULT + CARDS. When
         // tracing is live the fan-out span's context is stamped onto each
@@ -408,8 +398,8 @@ impl Router {
         // Re-price the merged run on the local system so the RESULT frame
         // carries the same simulated-hardware stats a single-shard run
         // would report.
-        match self.price(shared, expr, cards, trace) {
-            PriceOutcome::Priced(reply) => {
+        match scheduler::price(shared, expr, &cards, trace) {
+            Fenced::Answered(Ok(reply)) => {
                 // The root step was priced at the cardinality the merged
                 // rows have, or the stats describe some other run.
                 if reply.step_rows.last().copied() != Some(value.rows.len() as u64) {
@@ -420,40 +410,12 @@ impl Router {
                     reply,
                 }
             }
-            PriceOutcome::Fallback => RouteOutcome::NotRouted,
-            PriceOutcome::Failed(frame) => RouteOutcome::Failed { frame },
+            Fenced::Answered(Err(_)) | Fenced::Gone => RouteOutcome::NotRouted,
+            Fenced::TimedOut => RouteOutcome::Failed {
+                frame: err_frame("timeout", "query timed out"),
+            },
         }
     }
-
-    /// Submit a [`Job::Price`] and wait, with the same timeout-fence
-    /// protocol `handle_query` uses for real runs.
-    fn price(
-        &self,
-        shared: &Shared,
-        expr: &Expr,
-        cards: Vec<u64>,
-        trace: Option<TraceCtx>,
-    ) -> PriceOutcome {
-        let waited = submit_fenced(shared, |fence, reply| Job::Price {
-            expr: expr.clone(),
-            cards,
-            trace,
-            fence,
-            reply,
-            submitted: Instant::now(),
-        });
-        match waited {
-            Fenced::Answered(Ok(reply)) => PriceOutcome::Priced(reply),
-            Fenced::Answered(Err(_)) | Fenced::Gone { .. } => PriceOutcome::Fallback,
-            Fenced::TimedOut => PriceOutcome::Failed(err_frame("timeout", "query timed out")),
-        }
-    }
-}
-
-enum PriceOutcome {
-    Priced(crate::scheduler::QueryReply),
-    Fallback,
-    Failed(String),
 }
 
 /// Reconnect one full set of shard clients.

@@ -33,7 +33,7 @@ use crate::protocol::{
     spans_frame, Request,
 };
 use crate::router::{RouteOutcome, Router};
-use crate::scheduler::{self, Arrival, Fenced, Job, Jobs, Machine};
+use crate::scheduler::{self, Fenced, Machine, Turns};
 use crate::shutdown;
 
 /// Server configuration.
@@ -52,19 +52,12 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Configuration of the shared simulated machine.
     pub machine: MachineConfig,
-    /// How long a session waits for one request's turn on the machine and
-    /// its answer before giving up with `ERR timeout` — and how long a
-    /// client may take to finish a frame it has started sending before it
-    /// is answered `ERR timeout` and disconnected.
+    /// How long a request waits for its turn on the machine before giving
+    /// up with `ERR timeout` (a request whose turn has come runs to the
+    /// end) — and how long a client may take to finish a frame it has
+    /// started sending before it is answered `ERR timeout` and
+    /// disconnected.
     pub request_timeout: Duration,
-    /// The longest the worker holding the machine waits, while it gathers a
-    /// batch, for a request that has been read off a socket but has not
-    /// been queued yet. It never waits for requests that may not exist:
-    /// with nothing queued and nothing on its way a batch is admitted at
-    /// once.
-    pub batch_window: Duration,
-    /// Largest number of jobs admitted as one batch.
-    pub max_batch: usize,
     /// Largest accepted request frame, in bytes.
     pub max_request_bytes: usize,
     /// Queries slower than this (end-to-end host time) are written to the
@@ -105,8 +98,6 @@ impl Default for ServerConfig {
             shards: 1,
             machine: MachineConfig::default(),
             request_timeout: Duration::from_secs(30),
-            batch_window: Duration::from_millis(2),
-            max_batch: 16,
             max_request_bytes: 1 << 20,
             slow_query: Some(Duration::from_secs(1)),
             data_dir: None,
@@ -118,7 +109,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// Live durability gauges admission maintains and `STATS` reads.
+/// Live durability gauges the machine's turns maintain and `STATS` reads.
 #[derive(Debug, Default)]
 pub(crate) struct DurableStats {
     /// Current WAL file length in bytes (drops to 0 at a checkpoint).
@@ -134,9 +125,8 @@ pub(crate) struct DurableStats {
 /// Monotonic service counters, shared by every worker.
 ///
 /// One mutex guards the whole set, so a concurrent `STATS` probe (or the
-/// final report) always reads a consistent snapshot — it can never see,
-/// say, a batch counted whose queries aren't, the torn view the old
-/// independent atomics allowed.
+/// final report) always reads a consistent snapshot, never the torn view
+/// independent atomics would allow.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     state: Mutex<CounterState>,
@@ -147,8 +137,6 @@ pub(crate) struct Counters {
 pub(crate) struct CounterState {
     pub(crate) queries: u64,
     pub(crate) loads: u64,
-    pub(crate) batches: u64,
-    pub(crate) max_batch: u64,
     pub(crate) refused: u64,
     pub(crate) timeouts: u64,
     pub(crate) slow_queries: u64,
@@ -157,7 +145,6 @@ pub(crate) struct CounterState {
     pub(crate) shard_fallback: u64,
     pub(crate) rewrites: u64,
     pub(crate) plan_cache_hits: u64,
-    pub(crate) cse_hits: u64,
 }
 
 impl Counters {
@@ -179,10 +166,6 @@ pub struct ServerReport {
     pub queries: u64,
     /// Tables loaded.
     pub loads: u64,
-    /// Multi-query merged schedules admitted.
-    pub batches: u64,
-    /// Largest batch admitted.
-    pub max_batch: u64,
     /// Connections refused because the pool was full.
     pub refused: u64,
     /// Requests that hit the per-request timeout.
@@ -199,9 +182,6 @@ pub struct ServerReport {
     pub rewrites: u64,
     /// Queries whose optimized plan came from the plan cache.
     pub plan_cache_hits: u64,
-    /// Queries answered by sharing another identical query's slot in a
-    /// merged batch (batch-window common-subexpression elimination).
-    pub cse_hits: u64,
 }
 
 pub(crate) struct Shared {
@@ -211,14 +191,14 @@ pub(crate) struct Shared {
     pub(crate) active: AtomicUsize,
     pub(crate) cfg: ServerConfig,
     pub(crate) stop: AtomicBool,
-    /// The machine: held by one worker at a time, the one admitting a
-    /// batch. It does not recover from poisoning: after a panic while it
-    /// was held, admission drops every job unanswered (`ERR
-    /// shutting_down`) instead of running it.
+    /// The machine: held by one worker at a time, the one whose turn it
+    /// is. It does not recover from poisoning: after a panic during a turn,
+    /// every later request is answered `ERR shutting_down` instead of
+    /// running.
     pub(crate) machine: Mutex<Machine>,
-    /// The jobs waiting for the machine, whether a worker holds it, and the
-    /// requests on their way to it.
-    pub(crate) jobs: Jobs,
+    /// The workers waiting for their turn on the machine, and whether one
+    /// holds it.
+    pub(crate) turns: Turns,
     pub(crate) started: Instant,
     /// The shard router, when `cfg.shards > 1`. The local system always
     /// holds a full copy of every table, so routing is an optimisation and
@@ -274,7 +254,7 @@ impl Shared {
                 system,
                 durable: None,
             }),
-            jobs: Jobs::default(),
+            turns: Turns::default(),
             started: Instant::now(),
             router,
             lock_table: LockTable::new(),
@@ -301,8 +281,6 @@ impl Shared {
         ServerReport {
             queries: c.queries,
             loads: c.loads,
-            batches: c.batches,
-            max_batch: c.max_batch,
             refused: c.refused,
             timeouts: c.timeouts,
             queue_hwm: c.queue_hwm,
@@ -311,7 +289,6 @@ impl Shared {
             shard_fallback: c.shard_fallback,
             rewrites: c.rewrites,
             plan_cache_hits: c.plan_cache_hits,
-            cse_hits: c.cse_hits,
         }
     }
 }
@@ -417,14 +394,8 @@ pub fn run(config: ServerConfig) -> io::Result<ServerReport> {
         let _ = io::stdout().flush();
     })?;
     println!(
-        "shutdown: {} queries ({} batched schedules, largest {}), {} loads, \
-         {} refused, {} timeouts",
-        report.queries,
-        report.batches,
-        report.max_batch,
-        report.loads,
-        report.refused,
-        report.timeouts,
+        "shutdown: {} queries, {} loads, {} refused, {} timeouts",
+        report.queries, report.loads, report.refused, report.timeouts,
     );
     Ok(report)
 }
@@ -669,12 +640,8 @@ impl Reply {
 }
 
 /// Serve one request line on the connection's worker thread. Blocking is
-/// allowed here: the worker waits on locks and for the machine.
-///
-/// `arrival` is the request's count in [`Shared::jobs`]. It travels with
-/// a `LOAD` or query into its job; every other path gives it back by
-/// dropping it — at the latest when this function returns.
-fn handle_request(shared: &Shared, line: &str, arrival: Arrival<'_>) -> Reply {
+/// allowed here: the worker waits on locks and for its turn on the machine.
+fn handle_request(shared: &Shared, line: &str) -> Reply {
     let request = match parse_request(line) {
         Ok(request) => request,
         Err(msg) => return Reply::frame(err_frame("proto", &msg)),
@@ -687,31 +654,23 @@ fn handle_request(shared: &Shared, line: &str, arrival: Arrival<'_>) -> Reply {
         }
         Request::Stats => Reply::frame(stats_frame(shared)),
         // Like STATS: observability stays answerable while draining.
-        Request::Metrics => {
-            // A scrape must not count itself in `sdb_arriving`.
-            drop(arrival);
-            let arriving = shared.jobs.arriving();
-            Reply::frame(metrics_frame(&shared.metrics.exposition(arriving)))
-        }
+        Request::Metrics => Reply::frame(metrics_frame(
+            &shared.metrics.exposition(shared.turns.waiting()),
+        )),
         Request::Profiles => Reply::frame(profiles_frame(&shared.recorder.dump_json())),
         _ if shared.stopping() => Reply::frame(err_frame(
             "shutting_down",
             "server is draining; no new work",
         )),
         Request::Load { name, kinds, csv } => {
-            Reply::frame(handle_load(shared, arrival, &name, &kinds, &csv))
+            Reply::frame(handle_load(shared, &name, &kinds, &csv))
         }
-        Request::Query(query) => respond_query(shared, arrival, &query, QueryMode::Plain, None),
-        Request::Profile(query) => respond_query(shared, arrival, &query, QueryMode::Profile, None),
+        Request::Query(query) => respond_query(shared, &query, QueryMode::Plain, None),
+        Request::Profile(query) => respond_query(shared, &query, QueryMode::Profile, None),
         Request::QueryCards { query, trace } => {
-            respond_query(shared, arrival, &query, QueryMode::Cards, trace)
+            respond_query(shared, &query, QueryMode::Cards, trace)
         }
-        Request::Checkpoint => {
-            // The checkpoint job carries no count: a gather must not find
-            // its own submitter still on its way and wait out the window.
-            drop(arrival);
-            Reply::frame(handle_checkpoint(shared))
-        }
+        Request::Checkpoint => Reply::frame(handle_checkpoint(shared)),
     }
 }
 
@@ -730,38 +689,31 @@ enum QueryMode {
 }
 
 /// Answer a `CHECKPOINT`: snapshot the history and reset the log, on the
-/// machine (which owns the WAL) in admission order. A checkpoint that
-/// times out first is skipped whole.
+/// machine (which owns the WAL) in turn order. A checkpoint that times out
+/// waiting for its turn is skipped whole.
 fn handle_checkpoint(shared: &Shared) -> String {
     if shared.cfg.data_dir.is_none() {
         return err_frame("not_durable", "server is running without --data-dir");
     }
-    match scheduler::submit_fenced(shared, |fence, reply| Job::Checkpoint { fence, reply }) {
+    match scheduler::checkpoint(shared) {
         Fenced::Answered(Ok((records, bytes))) => checkpointed_frame(records, bytes),
         Fenced::Answered(Err(detail)) => err_frame("storage", &detail),
         Fenced::TimedOut => err_frame("timeout", "checkpoint timed out"),
-        Fenced::Gone { .. } => err_frame("shutting_down", MACHINE_GONE),
+        Fenced::Gone => err_frame("shutting_down", MACHINE_GONE),
     }
 }
 
-/// The `ERR shutting_down` detail for a job a failed machine dropped.
-const MACHINE_GONE: &str = "the machine failed and runs no more jobs";
+/// The `ERR shutting_down` detail for a request a failed machine refused.
+const MACHINE_GONE: &str = "the machine failed and runs no more requests";
 
 /// Answer a `QUERY`/`QUERYC`/`PROFILE` under the request span, latency
 /// histogram, flight recorder, and slow-query log. Every query (local or
 /// shard-fanned-out) goes through here, so the slow-query log and the
 /// recorder fire identically, sharded or not.
-fn respond_query(
-    shared: &Shared,
-    arrival: Arrival<'_>,
-    query: &str,
-    mode: QueryMode,
-    stamp: Option<TraceCtx>,
-) -> Reply {
+fn respond_query(shared: &Shared, query: &str, mode: QueryMode, stamp: Option<TraceCtx>) -> Reply {
     let started = Instant::now();
-    // A fresh trace per request: concurrent clients must never share a
-    // trace id even when admission merges them into one batch schedule.
-    // A stamped `QUERYC` instead joins the router's trace, parented under
+    // A fresh trace per request: concurrent clients never share a trace
+    // id. A stamped `QUERYC` instead joins the router's trace, parented under
     // its fan-out span, so all shards' spans merge into one tree.
     let mut span = match stamp {
         Some(parent) => span_in(Some(parent), "server.request"),
@@ -769,7 +721,7 @@ fn respond_query(
     };
     span.arg("query", query);
     let trace = span.ctx();
-    let (mut frames, profile) = handle_query(shared, arrival, query, trace, mode);
+    let (mut frames, profile) = handle_query(shared, query, trace, mode);
     drop(span);
     let elapsed = started.elapsed();
     shared.metrics.latency.observe(elapsed.as_nanos() as u64);
@@ -886,8 +838,7 @@ fn serve_conn(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 line
             }
         };
-        let arrival = Arrival::new(&shared.jobs);
-        let reply = handle_request(shared, &line, arrival);
+        let reply = handle_request(shared, &line);
         let close = reply.close;
         send(&mut stream, shared, &reply.into_wire())?;
         if close {
@@ -912,19 +863,16 @@ fn stats_frame(shared: &Shared) -> String {
         ),
         None => (0, 0, 0, 0, 0),
     };
-    // New fields only ever get appended: clients key on names, but scripted
-    // consumers of older servers may still slice by position.
+    // Clients key on names; new fields are appended.
     format!(
-        "STATS tables={tables} queries={} loads={} batches={} max_batch={} refused={} \
+        "STATS tables={tables} queries={} loads={} refused={} \
          timeouts={} active={} uptime_ms={} queue_hwm={} slow={} lat_p50_ns={} \
          lat_p95_ns={} lat_p99_ns={} lat_count={} backend={} sharded={} \
          shard_fallback={} durable={durable} wal_records={wal_records} \
          wal_bytes={wal_bytes} checkpoints={checkpoints} recovered={recovered} \
-         optimize={optimize} rewrites={} plan_cache_hits={} cse_hits={}",
+         optimize={optimize} rewrites={} plan_cache_hits={}",
         report.queries,
         report.loads,
-        report.batches,
-        report.max_batch,
         report.refused,
         report.timeouts,
         shared.active.load(Ordering::SeqCst),
@@ -940,7 +888,6 @@ fn stats_frame(shared: &Shared) -> String {
         report.shard_fallback,
         report.rewrites,
         report.plan_cache_hits,
-        report.cse_hits,
         optimize = u8::from(shared.cfg.optimize),
     )
 }
@@ -976,7 +923,6 @@ fn valid_table_name(name: &str) -> bool {
 
 fn handle_load(
     shared: &Shared,
-    arrival: Arrival<'_>,
     name: &str,
     kinds: &[systolic_relation::DomainKind],
     csv: &str,
@@ -989,19 +935,13 @@ fn handle_load(
     }
     // Exclusive relation lock for the whole load: a concurrent query
     // scanning this name blocks until the relation is fully registered,
-    // loaded, and acknowledged — it can never observe a partial load. A
-    // load that has to wait for the lock stops being counted as on its way.
-    let mut arrival = Some(arrival);
-    let _lock = shared
-        .lock_table
-        .acquire_all_or(vec![(name.to_string(), LockMode::Exclusive)], || {
-            arrival = None
-        });
-    // Register under the write lock, then submit the encoded relation so it
-    // lands on the machine's disk in admission order. The registration is
-    // speculative until the load is acknowledged: if we time out first we
-    // win the fence, admission skips the job, and we unregister — catalog
-    // and machine stay in step with what the client was told.
+    // loaded, and acknowledged — it can never observe a partial load.
+    let _lock = shared.lock_table.acquire(name, LockMode::Exclusive);
+    // Register under the write lock, then load the encoded relation onto
+    // the machine's disk on this request's turn. The registration is
+    // speculative until the load is acknowledged: if we time out waiting
+    // for the turn, the load never runs and we unregister — catalog and
+    // machine stay in step with what the client was told.
     let rel = {
         let mut store = locks::write(&shared.store);
         if store.has_table(name) {
@@ -1012,31 +952,15 @@ fn handle_load(
             Err(e) => return engine_err_frame(&e),
         }
     };
-    let waited = scheduler::submit_fenced(shared, |fence, reply| Job::Load {
-        name: name.to_string(),
-        rel,
-        kinds: kinds.to_vec(),
-        csv: csv.to_string(),
-        fence,
-        reply,
-        arrival: arrival.map(Arrival::into_job),
-    });
-    match waited {
-        Fenced::Answered(rows) => loaded_shard_forwarded(shared, name, kinds, csv, rows),
-        // Admission skips the job, so the relation never reaches the
-        // machine: undo the speculative catalog registration to match.
-        Fenced::TimedOut => {
-            locks::write(&shared.store).unregister(name);
-            err_frame("timeout", "load timed out")
-        }
-        // Never acknowledged; the load may or may not have landed, but no
-        // client was told it did — drop it.
-        Fenced::Gone { mid_run: false } => {
-            locks::write(&shared.store).unregister(name);
-            err_frame("shutting_down", MACHINE_GONE)
-        }
-        Fenced::Gone { mid_run: true } => err_frame("shutting_down", "the machine failed mid-load"),
-    }
+    let (kind, detail) = match scheduler::load(shared, name, rel, kinds, csv) {
+        Fenced::Answered(rows) => return loaded_shard_forwarded(shared, name, kinds, csv, rows),
+        Fenced::TimedOut => ("timeout", "load timed out"),
+        Fenced::Gone => ("shutting_down", MACHINE_GONE),
+    };
+    // The relation never reached the machine: undo the speculative catalog
+    // registration to match.
+    locks::write(&shared.store).unregister(name);
+    err_frame(kind, detail)
 }
 
 /// Forward a successfully-loaded table's partitions to the shards (when
@@ -1110,25 +1034,24 @@ fn optimize_plan(
 /// success — plus the built [`QueryProfile`] for the flight recorder.
 fn handle_query(
     shared: &Shared,
-    arrival: Arrival<'_>,
     query: &str,
     trace: Option<TraceCtx>,
     mode: QueryMode,
 ) -> (Vec<String>, Option<QueryProfile>) {
-    // Static analysis before admission: a query that cannot execute (typo'd
-    // relation, type error, capacity overflow, ...) never occupies a slot in
-    // a merged batch schedule, and the client gets a stable SA00N code with
-    // carets instead of a mid-run machine error.
+    // Static analysis before the machine: a query that cannot execute
+    // (typo'd relation, type error, capacity overflow, ...) never takes a
+    // turn, and the client gets a stable SA00N code with carets instead of
+    // a mid-run machine error.
     let (expr, analysis) = {
         let view = locks::read(&shared.store).catalog_view();
         let expr = match engine::prepare_checked(query, &view, &shared.cfg.machine) {
             Ok((expr, _pre)) => expr,
             Err(e) => return (vec![engine_err_frame(&e)], None),
         };
-        // Cost-based compilation between checking and admission: the chosen
+        // Cost-based compilation between checking and the run: the chosen
         // plan replaces the checked one, so everything downstream — the
-        // re-analysis below, `Plan::compile`, admission, PROFILE's
-        // drift accounting — sees only the optimized tree.
+        // re-analysis below, `Plan::compile`, the run, PROFILE's drift
+        // accounting — sees only the optimized tree.
         let expr = if shared.cfg.optimize {
             optimize_plan(shared, query, &view, expr)
         } else {
@@ -1156,12 +1079,8 @@ fn handle_query(
             .into_iter()
             .map(|n| (n, LockMode::Exclusive)),
     );
-    // A request that parks — here on a lock, below on the shard fan-out —
-    // stops being counted as on its way: whoever holds the lock may be
-    // sitting in the very batch a gather would keep open for this request.
-    let mut arrival = Some(arrival);
     let lock_started = Instant::now();
-    let _lock = shared.lock_table.acquire_all_or(wants, || arrival = None);
+    let _lock = shared.lock_table.acquire_all(wants);
     let lock_wait_ns = lock_started.elapsed().as_nanos() as u64;
     let finish = |result: String, reply: &scheduler::QueryReply, rows: u64| {
         let built = profile::build(
@@ -1186,7 +1105,7 @@ fn handle_query(
         (frames, Some(built))
     };
     if let Some(router) = &shared.router {
-        match router.try_query(shared, &mut arrival, &expr, query, trace) {
+        match router.try_query(shared, &expr, query, trace) {
             RouteOutcome::Answered { result, reply } => {
                 shared.metrics.sharded.inc();
                 shared.counters.update(|c| c.sharded += 1);
@@ -1205,27 +1124,11 @@ fn handle_query(
             }
         }
     }
-    let waited = scheduler::submit_fenced(shared, |fence, reply| Job::Query {
-        expr,
-        text: query.to_string(),
-        trace,
-        fence,
-        reply,
-        submitted: Instant::now(),
-        arrival: arrival.map(Arrival::into_job),
-    });
-    let reply = match waited {
+    let reply = match scheduler::run_query(shared, &expr, query, trace) {
         Fenced::Answered(reply) => reply,
-        // Skipped whole — no run, no `store(...)` side effects.
+        // Never ran — no `store(...)` side effects.
         Fenced::TimedOut => return (vec![err_frame("timeout", "query timed out")], None),
-        Fenced::Gone { mid_run } => {
-            let detail = if mid_run {
-                "the machine failed mid-query"
-            } else {
-                MACHINE_GONE
-            };
-            return (vec![err_frame("shutting_down", detail)], None);
-        }
+        Fenced::Gone => return (vec![err_frame("shutting_down", MACHINE_GONE)], None),
     };
     match reply {
         Ok((rows, reply)) => {
@@ -1253,7 +1156,6 @@ fn handle_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::parse_metrics_frame;
 
     #[test]
     fn table_names_are_validated() {
@@ -1266,18 +1168,13 @@ mod tests {
     }
 
     #[test]
-    fn requests_that_end_without_a_job_give_their_count_back() {
+    fn requests_refused_before_the_machine_never_take_a_turn() {
         let shared = Shared::new(ServerConfig::default()).unwrap();
         let ask = |line: &str| {
-            let arrival = Arrival::new(&shared.jobs);
-            let reply = handle_request(&shared, line, arrival);
-            assert_eq!(shared.jobs.arriving(), 0, "{line}");
-            assert_eq!(shared.counters.snapshot().queries, 0, "{line}: ran a job");
-            assert_eq!(
-                shared.metrics.batch_size.count(),
-                0,
-                "{line}: admitted a batch"
-            );
+            let reply = handle_request(&shared, line);
+            assert_eq!(shared.counters.snapshot().queries, 0, "{line}: ran a query");
+            assert_eq!(shared.counters.snapshot().loads, 0, "{line}: ran a load");
+            assert_eq!(shared.turns.waiting(), 0, "{line}");
             reply.frames[0].clone()
         };
         assert!(ask("BOGUS").starts_with("ERR proto "));
@@ -1287,10 +1184,6 @@ mod tests {
         assert!(ask("LOAD t int x").starts_with("ERR relation "));
         assert!(ask("STATS").starts_with("STATS "));
         assert!(ask("PROFILES").starts_with("PROFILES"));
-        // The scrape does not count itself.
-        let scrape = parse_metrics_frame(&ask("METRICS")).unwrap();
-        assert!(scrape.contains("\nsdb_arriving 0\n"), "{scrape}");
-        // A CHECKPOINT that did reach the machine would be uncounted too.
         assert!(ask("CHECKPOINT").starts_with("ERR not_durable "));
         assert_eq!(ask("CLOSE"), "BYE");
         shared.stop.store(true, Ordering::SeqCst);
@@ -1302,7 +1195,6 @@ mod tests {
     fn default_config_is_sane() {
         let cfg = ServerConfig::default();
         assert!(cfg.workers >= 16, "must sustain 16 concurrent connections");
-        assert!(cfg.max_batch > 1);
         assert!(cfg.max_request_bytes >= 1 << 20);
         assert!(cfg.slow_query.is_some(), "slow-query log on by default");
     }

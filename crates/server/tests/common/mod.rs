@@ -1,13 +1,10 @@
-//! Deterministic "in flight" and "merged" conditions for the e2e tests.
+//! Deterministic "in flight" conditions for the e2e tests.
 //!
-//! A gather closes its batch the moment nothing is on its way, so a test
-//! cannot park a request behind a long `batch_window` — the window is only
-//! an upper bound. What a test *can* do is keep the machine busy: one
-//! worker holds it at a time, so while a slow pulse-simulated query is
-//! inside the machine every later job queues behind it, and when it ends
-//! the machine is handed to the oldest waiting job's worker, which gathers
-//! them all into one batch. No server-side hook is involved; everything
-//! here goes over the wire.
+//! The machine runs one request per turn, so a test can park requests by
+//! keeping it busy: while a slow pulse-simulated query has its turn, every
+//! later request waits for its own, and when the slow one ends the turn
+//! passes to the oldest waiter. No server-side hook is involved;
+//! everything here goes over the wire.
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -80,8 +77,8 @@ fn load_occupier(client: &mut Client) {
 
 /// Occupy the machine of the (pulse-simulator) server at `addr`: send
 /// [`OCCUPIER_QUERY`] without reading the answer, and return once `STATS`
-/// shows it admitted — the occupier's worker is now inside the machine and
-/// stays there for about [`HOLD`]. Leaves one table (`occupier`), one load
+/// counts it — the occupier's worker has its turn on the machine and keeps
+/// it for about [`HOLD`]. Leaves one table (`occupier`), one load
 /// and one query on the server's counters.
 pub fn occupy_machine(addr: SocketAddr) -> Occupied {
     let mut client = Client::connect(addr).unwrap();
@@ -91,7 +88,7 @@ pub fn occupy_machine(addr: SocketAddr) -> Occupied {
     client.send_query(OCCUPIER_QUERY).unwrap();
     let deadline = Instant::now() + PATIENCE;
     while stat(&probe.stats_line().unwrap(), "queries") == before {
-        assert!(Instant::now() < deadline, "the occupier was never admitted");
+        assert!(Instant::now() < deadline, "the occupier never got its turn");
         std::thread::yield_now();
     }
     let _ = probe.close();
@@ -99,8 +96,8 @@ pub fn occupy_machine(addr: SocketAddr) -> Occupied {
 }
 
 impl Occupied {
-    /// Read the occupying query's `RESULT` frame: the machine is free again
-    /// and everything that queued behind it has been gathered.
+    /// Read the occupying query's `RESULT` frame: its turn is over and has
+    /// passed to whatever waited behind it.
     pub fn finish(mut self) -> String {
         let (result, _host) = self.client.recv_query_frames().unwrap();
         let _ = self.client.close();
@@ -120,19 +117,19 @@ pub fn metric(addr: SocketAddr, name: &str, labels: &str) -> f64 {
         .unwrap_or_else(|| panic!("no {name}{labels} in the exposition"))
 }
 
-/// Block until exactly `n` requests have been read off sockets and their
-/// jobs not yet gathered (`sdb_arriving`) — on an occupied machine, until
-/// `n` jobs are queued behind the occupier.
-pub fn await_arriving(addr: SocketAddr, n: usize) {
+/// Block until exactly `n` requests wait for their turn on the machine
+/// (`sdb_machine_waiting`) — on an occupied machine, until `n` requests are
+/// queued behind the occupier.
+pub fn await_waiting(addr: SocketAddr, n: usize) {
     let deadline = Instant::now() + PATIENCE;
     loop {
-        let arriving = metric(addr, "sdb_arriving", "");
-        if arriving == n as f64 {
+        let waiting = metric(addr, "sdb_machine_waiting", "");
+        if waiting == n as f64 {
             return;
         }
         assert!(
             Instant::now() < deadline,
-            "sdb_arriving stuck at {arriving}, wanted {n}"
+            "sdb_machine_waiting stuck at {waiting}, wanted {n}"
         );
         std::thread::yield_now();
     }

@@ -7,8 +7,6 @@
 //! *chosen* plan, so `PROFILE`'s `drift_pulses >= 0` invariant keeps
 //! holding against the optimized budget.
 
-mod common;
-
 use systolic_machine::MachineConfig;
 use systolic_server::{spawn, Client, ServerConfig};
 
@@ -198,55 +196,6 @@ fn profile_drift_stays_nonnegative_against_the_chosen_plan() {
         );
     }
     let _ = client.close();
-    handle.shutdown();
-    let _ = handle.join();
-}
-
-/// Identical read-only queries gathered into one batch share a slot in the
-/// merged schedule; every client still gets the full answer.
-#[test]
-fn batch_window_cse_shares_slots_without_changing_answers() {
-    const CLIENTS: usize = 8;
-    let handle = spawn(ServerConfig {
-        workers: CLIENTS + 4,
-        machine: common::sim_machine(),
-        ..config(true, 1)
-    })
-    .unwrap();
-    let addr = handle.addr;
-    let mut setup = Client::connect(addr).unwrap();
-    for (name, kinds, csv) in TABLES {
-        setup.load_csv(name, kinds, csv).unwrap();
-    }
-    let q = "dedup(union(scan(a), scan(b)))";
-    let expect = setup.query(q).unwrap();
-    // Send the same query on 8 connections while the machine is occupied:
-    // all 8 queue behind it and are gathered into one batch.
-    let occupied = common::occupy_machine(addr);
-    let mut clients: Vec<Client> = (0..CLIENTS)
-        .map(|_| {
-            let mut c = Client::connect(addr).unwrap();
-            c.send_query(q).unwrap();
-            c
-        })
-        .collect();
-    common::await_arriving(addr, CLIENTS);
-    occupied.finish();
-    for c in &mut clients {
-        let (frame, _host) = c.recv_query_frames().unwrap();
-        assert_eq!(frame, expect.raw, "solo accounting must be preserved");
-        let _ = c.close();
-    }
-    let stats = setup.stats_line().unwrap();
-    let field = |name: &str| common::stat(&stats, name);
-    assert_eq!(field("batches"), 1, "{stats}");
-    assert_eq!(field("max_batch"), CLIENTS as u64, "{stats}");
-    assert_eq!(
-        field("cse_hits"),
-        CLIENTS as u64 - 1,
-        "one slot, every duplicate shared: {stats}"
-    );
-    let _ = setup.close();
     handle.shutdown();
     let _ = handle.join();
 }

@@ -1,8 +1,8 @@
 //! End-to-end tests against a live TCP server.
 //!
 //! The load-bearing one is `sixteen_concurrent_clients_match_serial_and_one_shot`:
-//! it checks the tentpole guarantee that a shared, long-lived, batching
-//! server returns `RESULT` frames *byte-identical* — rows and simulated
+//! it checks the tentpole guarantee that a shared, long-lived server
+//! returns `RESULT` frames *byte-identical* — rows and simulated
 //! hardware stats both — to (a) the same server queried serially and (b) a
 //! fresh in-process [`Engine`] per the one-shot `sdb` path.
 
@@ -11,7 +11,7 @@ mod common;
 use std::thread;
 use std::time::Duration;
 
-use common::{await_arriving, metric, occupy_machine, sim_machine, stat};
+use common::{await_waiting, metric, occupy_machine, sim_machine, stat};
 
 use systolic_machine::{Backend, MachineConfig};
 use systolic_relation::DomainKind;
@@ -109,8 +109,8 @@ fn sixteen_concurrent_clients_match_serial_and_one_shot() {
     assert_eq!(serial, one_shot_frames());
 
     // Now 16 clients fire the whole workload concurrently, each starting at
-    // a different offset so every batch admission forms mixes
-    // different queries.
+    // a different offset so the machine's turns interleave different
+    // queries.
     thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|i| {
@@ -135,8 +135,8 @@ fn sixteen_concurrent_clients_match_serial_and_one_shot() {
     });
 
     // The acceptance check: after the concurrent run the server answers
-    // METRICS with a request-latency histogram covering every query and the
-    // batch counters, while the RESULT frames above stayed byte-identical.
+    // METRICS with a request-latency histogram covering every query, while
+    // the RESULT frames above stayed byte-identical.
     let mut probe = Client::connect(addr).unwrap();
     let text = probe.metrics().unwrap();
     probe.close().unwrap();
@@ -149,10 +149,6 @@ fn sixteen_concurrent_clients_match_serial_and_one_shot() {
     assert_eq!(
         exp.value("sdb_request_latency_ns_count", ""),
         Some(expected as f64)
-    );
-    assert!(
-        exp.value("sdb_batch_size_count", "").unwrap_or(0.0) >= 1.0,
-        "batch-size histogram must have observations"
     );
 
     handle.shutdown();
@@ -258,8 +254,8 @@ fn requests_time_out_instead_of_hanging() {
     // The occupier ran to the end on its own worker: a real answer, late.
     let answer = occupied.finish();
     assert!(answer.starts_with("RESULT rows="), "{answer}");
-    // Every path above gave its arrival count back.
-    assert_eq!(metric(handle.addr, "sdb_arriving", ""), 0.0);
+    // The timed-out load left the queue: nothing waits for a turn.
+    assert_eq!(metric(handle.addr, "sdb_machine_waiting", ""), 0.0);
     client.close().unwrap();
     handle.shutdown();
     let report = handle.join().unwrap();
@@ -290,7 +286,7 @@ fn a_timed_out_checkpoint_never_runs() {
         other => panic!("a checkpoint behind a busy machine must time out, got {other:?}"),
     }
     assert!(occupied.finish().starts_with("RESULT rows="));
-    // Anything still queued has been admitted once this is answered.
+    // Anything still queued has had its turn once this is answered.
     client.query("scan(occupier)").unwrap();
     let stats = client.stats_line().unwrap();
     assert!(stats.contains(" checkpoints=0 "), "{stats}");
@@ -466,7 +462,7 @@ fn shutdown_drains_in_flight_queries() {
     let occupied = occupy_machine(addr);
     let mut queued = Client::connect(addr).unwrap();
     queued.send_query("filter(scan(t), c0 >= 2)").unwrap();
-    await_arriving(addr, 1);
+    await_waiting(addr, 1);
     handle.shutdown();
 
     let (frame, _host) = queued.recv_query_frames().unwrap();
@@ -583,86 +579,36 @@ fn stats_frame_carries_uptime_and_latency_summary() {
     assert_eq!(report.slow_queries, 0);
 }
 
-/// The gather rule as an operator sees it: requests sent one at a time
-/// close every window `idle` — never `deadline`, which would mean a counted
-/// arrival leaked — and every way a request can end (answered, refused by
-/// the parser or the analyzer, abandoned by a client that hangs up
-/// mid-pipeline) leaves `sdb_arriving` at zero. The window is set long
-/// enough that a single leak would also show as a stall.
+/// The waiting gauge as an operator sees it: requests queued behind a busy
+/// machine each count once in `sdb_machine_waiting`, and the gauge returns
+/// to zero once their turns have come.
 #[test]
-fn depth_one_requests_close_every_window_idle_and_leak_no_arrivals() {
+fn the_waiting_gauge_counts_requests_queued_behind_the_machine() {
     let handle = spawn(ServerConfig {
-        batch_window: Duration::from_millis(500),
+        machine: sim_machine(),
         ..local_config()
     })
     .unwrap();
     let addr = handle.addr;
-    let close = |reason: &str| {
-        metric(
-            addr,
-            "sdb_batch_window_close_total",
-            &format!("{{reason=\"{reason}\"}}"),
-        )
-    };
-    let mut c = Client::connect(addr).unwrap();
-    c.load_csv("t", "int", "1\n2\n3\n").unwrap();
-    assert_eq!(c.query("filter(scan(t), c0 >= 2)").unwrap().rows, 2);
-    // A lone load and a lone query: one gather each, both closed idle.
-    assert_eq!(close("idle"), 2.0);
-
-    for refused in ["scan(", "scan(ghost)"] {
-        assert!(matches!(c.query(refused), Err(ClientError::Remote { .. })));
+    let mut setup = Client::connect(addr).unwrap();
+    setup.load_csv("t", "int", "1\n2\n3\n").unwrap();
+    assert_eq!(metric(addr, "sdb_machine_waiting", ""), 0.0);
+    let occupied = occupy_machine(addr);
+    let mut clients: Vec<Client> = (0..3)
+        .map(|_| {
+            let mut client = Client::connect(addr).unwrap();
+            client.send_query("filter(scan(t), c0 >= 2)").unwrap();
+            client
+        })
+        .collect();
+    await_waiting(addr, clients.len());
+    occupied.finish();
+    for client in &mut clients {
+        let (frame, _host) = client.recv_query_frames().unwrap();
+        assert!(frame.starts_with("RESULT rows=2 "), "{frame}");
     }
-    c.stats_line().unwrap();
-    // A client that pipelines three queries and hangs up unread.
-    let mut rude = Client::connect(addr).unwrap();
-    for _ in 0..3 {
-        rude.send_query("filter(scan(t), c0 >= 2)").unwrap();
-    }
-    drop(rude);
-    await_arriving(addr, 0);
-    assert_eq!(c.query("scan(t)").unwrap().rows, 3);
-
-    assert_eq!(close("deadline"), 0.0, "an arrival leaked");
-    assert_eq!(close("full"), 0.0);
-    assert!(close("idle") >= 3.0);
-    assert_eq!(metric(addr, "sdb_arriving", ""), 0.0);
-    c.close().unwrap();
-    handle.shutdown();
-    handle.join().unwrap();
-}
-
-/// The same over the shard router: a routed query gives its count back
-/// before the fan-out and its `Job::Price` is uncounted, a declined one
-/// falls back to a local run — neither may hold a window to its deadline.
-#[test]
-fn routed_and_fallback_queries_leak_no_arrivals() {
-    let handle = spawn(ServerConfig {
-        shards: 2,
-        batch_window: Duration::from_millis(500),
-        ..local_config()
-    })
-    .unwrap();
-    let mut c = Client::connect(handle.addr).unwrap();
-    load_all(&mut c);
-    for q in QUERIES {
-        c.raw_query_frames(q).unwrap();
-    }
-    let text = c.metrics().unwrap();
-    let exp = systolic_telemetry::prom::validate(&text).unwrap();
-    assert!(exp.value("sdb_server_sharded_total", "").unwrap_or(0.0) >= 1.0);
-    assert!(
-        exp.value("sdb_server_shard_fallback_total", "")
-            .unwrap_or(0.0)
-            >= 1.0
-    );
-    assert_eq!(
-        exp.value("sdb_batch_window_close_total", "{reason=\"deadline\"}"),
-        Some(0.0),
-        "an arrival leaked"
-    );
-    assert_eq!(exp.value("sdb_arriving", ""), Some(0.0));
-    c.close().unwrap();
+    assert_eq!(metric(addr, "sdb_machine_waiting", ""), 0.0);
+    setup.close().unwrap();
     handle.shutdown();
     handle.join().unwrap();
 }
@@ -674,16 +620,15 @@ fn collector_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Two requests merged into one admission batch must keep *distinct* trace
-/// ids (each client's story stays separate) while both their
-/// `server.batch_run` spans point at the *same* `server.batch` span — and
-/// each merged `RESULT` frame is the one that query gets alone.
+/// Two requests queued together behind a busy machine keep *distinct*
+/// trace ids (each client's story stays separate), and each gets the
+/// `RESULT` frame that query gets alone.
 ///
 /// Holds [`collector_lock`]: the span collector is process-global, and
 /// concurrent tests' spans land in it too, so everything below filters by
 /// this test's own query text.
 #[test]
-fn merged_requests_keep_distinct_traces_but_share_the_batch_span() {
+fn queued_requests_keep_distinct_traces_and_their_solo_frames() {
     let _guard = collector_lock();
     let collector = systolic_telemetry::install();
     let handle = spawn(ServerConfig {
@@ -696,8 +641,8 @@ fn merged_requests_keep_distinct_traces_but_share_the_batch_span() {
     setup.load_csv("trc", "int", "1\n2\n3\n").unwrap();
     setup.close().unwrap();
 
-    // Both requests queue behind an occupied machine, so the gather that
-    // follows it finds them together.
+    // Both requests queue behind an occupied machine and take their turns
+    // one after the other when it frees.
     let queries = ["filter(scan(trc), c0 >= 1)", "filter(scan(trc), c0 >= 2)"];
     let occupied = occupy_machine(addr);
     let mut clients: Vec<Client> = queries
@@ -708,9 +653,9 @@ fn merged_requests_keep_distinct_traces_but_share_the_batch_span() {
             client
         })
         .collect();
-    await_arriving(addr, queries.len());
+    await_waiting(addr, queries.len());
     occupied.finish();
-    let merged: Vec<String> = clients
+    let queued: Vec<String> = clients
         .iter_mut()
         .map(|client| {
             let (result, _host) = client.recv_query_frames().unwrap();
@@ -718,23 +663,18 @@ fn merged_requests_keep_distinct_traces_but_share_the_batch_span() {
             result
         })
         .collect();
-    // Every span of the merged run is recorded before its reply is written;
+    // Every span of a request is recorded before its reply is written;
     // take them before the solo runs below add their own.
     let spans = collector.drain();
-    // Batching changes throughput, never answers: each query sent alone
-    // afterwards gets the merged run's frame byte for byte.
+    // Queueing changes latency, never answers: each query sent alone
+    // afterwards gets the queued run's frame byte for byte.
     let mut solo = Client::connect(addr).unwrap();
-    for (query, merged) in queries.iter().zip(&merged) {
-        assert_eq!(&solo.raw_query_frames(query).unwrap().0, merged, "{query}");
+    for (query, queued) in queries.iter().zip(&queued) {
+        assert_eq!(&solo.raw_query_frames(query).unwrap().0, queued, "{query}");
     }
     solo.close().unwrap();
     handle.shutdown();
-    let report = handle.join().unwrap();
-    assert_eq!(
-        (report.batches, report.max_batch),
-        (1, 2),
-        "jobs queued together are admitted together, once"
-    );
+    handle.join().unwrap();
     systolic_telemetry::uninstall();
     let requests: Vec<_> = spans
         .iter()
@@ -744,32 +684,8 @@ fn merged_requests_keep_distinct_traces_but_share_the_batch_span() {
     assert_eq!(requests.len(), 2, "one request span per client");
     assert_ne!(
         requests[0].trace_id, requests[1].trace_id,
-        "merged requests must keep distinct trace ids"
+        "queued requests must keep distinct trace ids"
     );
-
-    let batch_runs: Vec<_> = requests
-        .iter()
-        .map(|r| {
-            spans
-                .iter()
-                .find(|s| s.name == "server.batch_run" && s.trace_id == r.trace_id)
-                .expect("each request trace carries its batch_run span")
-        })
-        .collect();
-    let batch_ids: Vec<&str> = batch_runs
-        .iter()
-        .map(|s| s.arg("batch_span").expect("batch_run names its batch"))
-        .collect();
-    assert_eq!(
-        batch_ids[0], batch_ids[1],
-        "both requests must point at the one shared batch span"
-    );
-    // And that id is a real server.batch span with size=2.
-    let batch = spans
-        .iter()
-        .find(|s| s.name == "server.batch" && s.span_id.to_string() == batch_ids[0])
-        .expect("the shared batch span exists");
-    assert_eq!(batch.arg("size"), Some("2"));
 
     // Turning the answer into bytes is a layer the server names: one
     // `server.render` span under each request, carrying that reply's row
@@ -1085,7 +1001,7 @@ fn shutdown_drains_pipelined_in_flight_queries() {
     }
     // The connection's worker reads one frame at a time: the first is
     // queued behind the occupier, the other two wait on the socket.
-    await_arriving(addr, 1);
+    await_waiting(addr, 1);
     handle.shutdown();
 
     let (frame, _host) = client.recv_query_frames().unwrap();

@@ -1,8 +1,8 @@
 //! A shared/exclusive lock table for concurrent sessions.
 //!
-//! The scheduler already serialises *execution* (one thread owns the
-//! `System`), but admission is concurrent: many sessions register loads and
-//! prepare queries against the catalog at once. The lock table gives those
+//! The machine already serialises *execution* (one request runs on the
+//! `System` at a time), but the sessions around it are concurrent: many
+//! register loads and prepare queries against the catalog at once. The lock table gives those
 //! sessions real isolation — readers share, writers exclude — so a `QUERY`
 //! can never observe a relation mid-`LOAD`.
 //!
@@ -71,11 +71,10 @@ impl LockTable {
     }
 
     /// The grant map, whether or not a holder panicked. Every critical
-    /// section here is a few map updates that cannot themselves panic, and
-    /// the one foreign call made under the lock (`before_wait`) runs before
-    /// anything is granted — so the map is consistent after a poisoning
-    /// panic, and refusing it would fail every later session (and abort in
-    /// [`LockGuard`]'s `drop` during an unwind).
+    /// section here is a few map updates that cannot themselves panic, so
+    /// the map is consistent after a poisoning panic, and refusing it would
+    /// fail every later session (and abort in [`LockGuard`]'s `drop` during
+    /// an unwind).
     fn state(&self) -> MutexGuard<'_, HashMap<String, LockState>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -87,24 +86,12 @@ impl LockTable {
 
     /// Block until *every* requested lock is grantable, then take them all
     /// atomically. Duplicate names collapse to the strongest mode requested.
-    pub fn acquire_all(&self, wants: Vec<(String, LockMode)>) -> LockGuard<'_> {
-        self.acquire_all_or(wants, || {})
-    }
-
-    /// [`LockTable::acquire_all`], calling `before_wait` once if — and
-    /// before — the caller has to block: a session about to park can first
-    /// tell whoever is counting on it.
-    pub fn acquire_all_or(
-        &self,
-        mut wants: Vec<(String, LockMode)>,
-        before_wait: impl FnOnce(),
-    ) -> LockGuard<'_> {
+    pub fn acquire_all(&self, mut wants: Vec<(String, LockMode)>) -> LockGuard<'_> {
         // Sort and collapse duplicates, exclusive winning — a session that
         // both reads and writes a name needs the write lock.
         wants.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
         wants.dedup_by(|next, keep| next.0 == keep.0);
 
-        let mut before_wait = Some(before_wait);
         let mut state = self.state();
         loop {
             let all_free = wants
@@ -118,9 +105,6 @@ impl LockTable {
                     table: self,
                     held: wants,
                 };
-            }
-            if let Some(f) = before_wait.take() {
-                f();
             }
             state = self
                 .released
@@ -191,6 +175,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn readers_share_writers_exclude() {
@@ -208,13 +193,6 @@ mod tests {
         assert!(t
             .try_acquire_all(vec![("dept".into(), LockMode::Exclusive)])
             .is_some());
-    }
-
-    #[test]
-    fn an_uncontended_acquire_never_calls_the_wait_hook() {
-        let t = LockTable::new();
-        let wants = vec![("emp".to_string(), LockMode::Exclusive)];
-        let _g = t.acquire_all_or(wants, || panic!("nothing to wait for"));
     }
 
     #[test]
@@ -238,48 +216,16 @@ mod tests {
         let t2 = t.clone();
         let done = Arc::new(AtomicUsize::new(0));
         let done2 = done.clone();
-        let (parking_tx, parking_rx) = std::sync::mpsc::channel();
         let h = thread::spawn(move || {
-            let wants = vec![("emp".to_string(), LockMode::Exclusive)];
-            let _w = t2.acquire_all_or(wants, || parking_tx.send(()).unwrap());
+            let _w = t2.acquire("emp", LockMode::Exclusive);
             done2.store(1, Ordering::SeqCst);
         });
-        // The hook fires exactly when the writer is about to block.
-        parking_rx.recv().unwrap();
+        thread::sleep(Duration::from_millis(30));
         assert_eq!(done.load(Ordering::SeqCst), 0, "writer must wait");
         drop(r);
         h.join().unwrap();
         assert_eq!(done.load(Ordering::SeqCst), 1);
         assert_eq!(t.held_names(), 0, "idle entries are pruned");
-    }
-
-    #[test]
-    fn a_panic_in_the_wait_hook_does_not_poison_the_table() {
-        let t = LockTable::new();
-        let emp = |mode| vec![("emp".to_string(), mode)];
-        let reader = t.acquire("emp", LockMode::Shared);
-        // A contended writer panics in its hook, with the table locked.
-        let hook = thread::scope(|s| {
-            s.spawn(|| {
-                t.acquire_all_or(emp(LockMode::Exclusive), || panic!("hook failed"));
-            })
-            .join()
-        });
-        assert!(hook.is_err(), "the hook's panic reaches the session");
-        // Every entry point still works, and the panicking session holds
-        // nothing: one reader, then none.
-        assert_eq!(t.held_names(), 1);
-        assert!(t.try_acquire_all(emp(LockMode::Exclusive)).is_none());
-        drop(
-            t.try_acquire_all(emp(LockMode::Shared))
-                .expect("readers share"),
-        );
-        drop(reader);
-        assert_eq!(t.held_names(), 0, "no grant leaked");
-        let writer = t.acquire_all_or(emp(LockMode::Exclusive), || panic!("nothing to wait for"));
-        assert!(t.try_acquire_all(emp(LockMode::Shared)).is_none());
-        drop(writer);
-        assert_eq!(t.held_names(), 0);
     }
 
     #[test]

@@ -131,10 +131,6 @@ pub const LATENCY_BOUNDS_NS: &[u64] = &[
     10_000_000_000,
 ];
 
-/// Fixed upper bounds for small-cardinality size histograms (batch sizes,
-/// queue depths).
-pub const SIZE_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128];
-
 /// Fixed-bucket histogram over `u64` observations.
 #[derive(Debug)]
 pub struct Histogram {

@@ -187,10 +187,6 @@ pub struct ServeArgs {
     /// Machine shards relations are hash-partitioned across (`1` = the
     /// classic single-`System` server).
     pub shards: usize,
-    /// Upper bound, in milliseconds, on how long the worker holding the
-    /// machine, gathering a batch, waits for a request that is counted as
-    /// on its way.
-    pub batch_window_ms: u64,
     /// Slow-query log threshold in milliseconds; 0 disables the log.
     pub slow_query_ms: u64,
     /// Durable data directory (`None` = in-memory only). With `--shards N`
@@ -217,7 +213,6 @@ impl Default for ServeArgs {
             backend: None,
             workers: defaults.workers,
             shards: defaults.shards,
-            batch_window_ms: defaults.batch_window.as_millis() as u64,
             slow_query_ms: defaults
                 .slow_query
                 .map(|d| d.as_millis() as u64)
@@ -318,7 +313,7 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
 [--memory BYTES] QUERY
        sdb profile --table NAME=PATH:type,... [--stats] [--backend sim|columnar] QUERY
        sdb serve [--addr HOST:PORT] [--backend sim|columnar] [--workers N] \
-[--io threads|poll] [--shards N] [--batch-window MS] [--slow-query-ms MS] \
+[--io threads|poll] [--shards N] [--slow-query-ms MS] \
 [--data-dir DIR] [--pool-pages N] [--trace-out FILE] \
 [--profile-history N] [--optimize on|off]
        sdb --connect HOST:PORT [--table NAME=PATH:type,...] [--stats] [--profile] \
@@ -354,12 +349,6 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
                shards; shardable queries fan out and merge, every other
                query transparently falls back to a full local copy — the
                RESULT frames are byte-identical either way
-  --batch-window MS: the longest the worker holding the machine waits,
-               while it gathers a batch, for a request that is already on
-               its way (read off a socket, not yet submitted) before
-               admitting the batch without it; it never waits for requests
-               that may not exist, so a lone query is admitted at once by
-               its own worker (default 2)
   --slow-query-ms MS: log queries slower than MS to stderr (0 disables)
   --data-dir DIR: persist loads and store(...) queries to a write-ahead log
                under DIR and recover them (byte-identically) on restart;
@@ -469,10 +458,6 @@ fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, CliError> {
             "--shards" => {
                 let value = flag_value("--shards", &mut it)?;
                 args.shards = parse_number("--shards", value)?.max(1);
-            }
-            "--batch-window" => {
-                let value = flag_value("--batch-window", &mut it)?;
-                args.batch_window_ms = parse_number("--batch-window", value)? as u64;
             }
             "--slow-query-ms" => {
                 let value = flag_value("--slow-query-ms", &mut it)?;
@@ -872,7 +857,6 @@ fn run_serve(args: &ServeArgs) -> Result<(), CliError> {
         workers: args.workers,
         shards: args.shards,
         machine: machine_config(args.backend),
-        batch_window: Duration::from_millis(args.batch_window_ms),
         slow_query: match args.slow_query_ms {
             0 => None,
             ms => Some(Duration::from_millis(ms)),
@@ -1097,23 +1081,31 @@ mod tests {
     }
 
     #[test]
-    fn the_removed_threads_flag_is_a_usage_error_on_every_verb() {
-        // A stale `--threads` in a script must fail loudly, not be ignored.
-        for args in [
-            argv(&["--table", "a=a.csv:int", "--threads", "4", "scan(a)"]),
-            argv(&[
-                "profile",
-                "--table",
-                "a=a.csv:int",
+    fn the_removed_flags_are_usage_errors_on_every_verb() {
+        // A stale `--threads` or `--batch-window` in a script must fail
+        // loudly, not be ignored.
+        for (flag, args) in [
+            (
                 "--threads",
-                "4",
-                "scan(a)",
-            ]),
-            argv(&["serve", "--threads", "4"]),
+                argv(&["--table", "a=a.csv:int", "--threads", "4", "scan(a)"]),
+            ),
+            (
+                "--threads",
+                argv(&[
+                    "profile",
+                    "--table",
+                    "a=a.csv:int",
+                    "--threads",
+                    "4",
+                    "scan(a)",
+                ]),
+            ),
+            ("--threads", argv(&["serve", "--threads", "4"])),
+            ("--batch-window", argv(&["serve", "--batch-window", "5"])),
         ] {
             match parse_command(&args) {
                 Err(CliError::Usage(msg)) => assert!(
-                    msg.starts_with("unexpected ") && msg.contains("argument \"--threads\""),
+                    msg.starts_with("unexpected ") && msg.contains(&format!("argument \"{flag}\"")),
                     "{args:?}: {msg}"
                 ),
                 other => panic!("{args:?}: expected a usage error, got {other:?}"),
@@ -1133,8 +1125,6 @@ mod tests {
             "127.0.0.1:0",
             "--workers",
             "8",
-            "--batch-window",
-            "5",
             "--io",
             "poll",
             "--shards",
@@ -1145,7 +1135,6 @@ mod tests {
             Command::Serve(s) => {
                 assert_eq!(s.addr, "127.0.0.1:0");
                 assert_eq!(s.workers, 8);
-                assert_eq!(s.batch_window_ms, 5);
                 assert_eq!(s.shards, 4);
             }
             other => panic!("expected serve, got {other:?}"),
