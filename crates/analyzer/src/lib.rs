@@ -49,6 +49,7 @@ mod diag;
 pub use diag::{Code, Diagnostic};
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use diag::json_str;
 use systolic_core::select::Predicate;
@@ -71,8 +72,9 @@ pub struct ColumnInfo {
 /// What the analyzer knows about one base relation.
 #[derive(Debug, Clone)]
 pub struct TableInfo {
-    /// Per-column domain info, in column order.
-    pub columns: Vec<ColumnInfo>,
+    /// Per-column domain info, in column order. Shared: a catalog that
+    /// interns its schemas hands every table of one shape the same slice.
+    pub columns: Arc<[ColumnInfo]>,
     /// Exact row count at registration time.
     pub rows: u64,
 }
@@ -80,6 +82,11 @@ pub struct TableInfo {
 /// The catalog as the analyzer sees it: base relation names mapped to
 /// their column domains and row counts. Built by callers from their
 /// catalog/store (the analyzer does not touch relation data).
+///
+/// The analyzer (and the planner) read a view only through
+/// [`CatalogView::table`] and [`CatalogView::has`], on names the query
+/// itself contains — so a result depends on the entries for those names
+/// alone, never on the rest of the catalog.
 #[derive(Debug, Clone, Default)]
 pub struct CatalogView {
     tables: BTreeMap<String, TableInfo>,
@@ -91,9 +98,20 @@ impl CatalogView {
         CatalogView::default()
     }
 
-    /// Register a table.
-    pub fn add_table(&mut self, name: impl Into<String>, columns: Vec<ColumnInfo>, rows: u64) {
+    /// Register a table (a re-registered name is overwritten).
+    pub fn add_table(
+        &mut self,
+        name: impl Into<String>,
+        columns: impl Into<Arc<[ColumnInfo]>>,
+        rows: u64,
+    ) {
+        let columns = columns.into();
         self.tables.insert(name.into(), TableInfo { columns, rows });
+    }
+
+    /// Forget a table, if registered.
+    pub fn remove_table(&mut self, name: &str) {
+        self.tables.remove(name);
     }
 
     /// Look up a table.
@@ -481,7 +499,7 @@ impl Walker<'_> {
                     );
                     return None;
                 };
-                let columns = table.columns.clone();
+                let columns = table.columns.to_vec();
                 let rows = table.rows;
                 if let Some(f) = filter {
                     self.check_predicate(&columns, f.col, f.op, f.value, span, "track filter");

@@ -8,11 +8,11 @@
 //! be processed outside the disks" — modelled as a selection predicate
 //! applied during the transfer at no extra cost.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use systolic_fabric::CompareOp;
 use systolic_relation::{Elem, MultiRelation};
-use systolic_storage::{codec, SharedBlobStore};
+use systolic_storage::{codec, BlobRef, SharedBlobStore};
 
 use crate::error::{MachineError, Result};
 
@@ -59,21 +59,44 @@ impl TrackFilter {
 }
 
 /// The paged backing of one disk: a shared blob store plus this disk's
-/// namespace prefix and the names it owns, each with the `(rows, arity)` it
-/// was written with — so pricing can size a stored relation without
-/// decoding a page. Each simulated disk keys its blobs as `d<i>:<name>` so a
-/// name that moves between disks (`store(...)` write-backs pick channels by
-/// load) never aliases another disk's bytes.
+/// namespace prefix and the names it owns. This map is the one in-memory
+/// record of a stored relation: where its blob is (the blob store keeps no
+/// directory entry for it) and the `(rows, arity)` it was written with, so
+/// pricing can size it without decoding a page. Each simulated disk names
+/// its blobs `d<i>:<name>` so a name that moves between disks (`store(...)`
+/// write-backs pick channels by load) never aliases another disk's bytes
+/// when a page file is rescanned. A `BTreeMap` grows a node at a time; a
+/// hash map's doubling would hold two tables at its peak.
 #[derive(Debug)]
 struct Backing {
     store: SharedBlobStore,
     prefix: String,
-    owned: HashMap<String, (u64, usize)>,
+    owned: BTreeMap<String, Stored>,
+}
+
+/// One relation in the paged store.
+#[derive(Debug, Clone, Copy)]
+struct Stored {
+    blob: BlobRef,
+    shape: (u64, usize),
 }
 
 impl Backing {
     fn key(&self, name: &str) -> String {
         format!("{}{name}", self.prefix)
+    }
+
+    /// Encode `rel` into pages; false (nothing recorded) on a host I/O
+    /// error.
+    fn write(&mut self, name: String, rel: &MultiRelation) -> bool {
+        let written = self
+            .store
+            .append_next(&self.key(&name), &codec::encode_relation(rel));
+        if let Ok(blob) = written {
+            let shape = shape_of(rel);
+            self.owned.insert(name, Stored { blob, shape });
+        }
+        written.is_ok()
     }
 }
 
@@ -118,19 +141,13 @@ impl Disk {
         let mut backing = Backing {
             store,
             prefix,
-            owned: HashMap::new(),
+            owned: BTreeMap::new(),
         };
-        for (name, rel) in self.relations.drain() {
-            // Move-in failures fall through to the map below via re-insert;
-            // in practice this runs on an empty disk at server startup.
-            if backing
-                .store
-                .put_next(&backing.key(&name), &codec::encode_relation(&rel))
-                .is_ok()
-            {
-                backing.owned.insert(name, shape_of(&rel));
-            }
-        }
+        // A relation whose move-in fails stays in the host map, as after a
+        // failed `store`; in practice this runs on an empty disk at server
+        // startup.
+        self.relations
+            .retain(|name, rel| !backing.write(name.clone(), rel));
         self.backing = Some(backing);
     }
 
@@ -141,21 +158,16 @@ impl Disk {
 
     /// Store a base relation under `name` (overwrites).
     ///
-    /// When backed, the relation is encoded into pages through the buffer
-    /// pool. If the paged write fails (host I/O error), the copy is kept
-    /// in memory instead — the paged store is a rebuildable cache, the
-    /// WAL above this layer owns durability, and reads must keep working.
+    /// When backed, the relation is encoded into pages written to the
+    /// paged store (they take no pool frame until read). If the paged
+    /// write fails (host I/O error), the copy is kept in memory instead —
+    /// the paged store is a rebuildable cache, the WAL above this layer
+    /// owns durability, and reads must keep working.
     pub fn store(&mut self, name: impl Into<String>, rel: MultiRelation) {
         let name = name.into();
         self.remove(&name);
         if let Some(backing) = &mut self.backing {
-            let key = backing.key(&name);
-            if backing
-                .store
-                .put_next(&key, &codec::encode_relation(&rel))
-                .is_ok()
-            {
-                backing.owned.insert(name, shape_of(&rel));
+            if backing.write(name.clone(), &rel) {
                 return;
             }
         }
@@ -177,7 +189,7 @@ impl Disk {
         self.relations.get(name).map(shape_of).or_else(|| {
             self.backing
                 .as_ref()
-                .and_then(|b| b.owned.get(name).copied())
+                .and_then(|b| b.owned.get(name).map(|s| s.shape))
         })
     }
 
@@ -195,16 +207,16 @@ impl Disk {
         if let Some(rel) = self.relations.get(name) {
             return Ok(rel.clone());
         }
-        let backing = self
+        let (backing, stored) = self
             .backing
             .as_ref()
-            .filter(|b| b.owned.contains_key(name))
+            .and_then(|b| Some((b, b.owned.get(name)?)))
             .ok_or_else(|| MachineError::UnknownRelation {
                 name: name.to_string(),
             })?;
         let bytes = backing
             .store
-            .get(&backing.key(name))
+            .read(&backing.key(name), stored.blob)
             .map_err(|e| MachineError::Storage {
                 detail: e.to_string(),
             })?;
@@ -410,9 +422,8 @@ mod tests {
             assert_eq!(got.rows(), want.rows(), "{name} rows diverge");
             assert_eq!(got_ns, want_ns, "{name} transfer time diverges");
         }
-        // The bytes really live in the paged store, under the disk prefix.
-        assert!(store.contains("d0:emp"));
-        assert!(store.contains("d0:dept"));
+        // The bytes really live in the paged store, not in the host map.
+        assert!(backed.relations.is_empty());
         assert!(backed.shape("missing").is_none());
         let mut names = backed.names();
         names.sort();

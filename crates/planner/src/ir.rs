@@ -91,7 +91,7 @@ pub fn lower(expr: &Expr, view: &CatalogView) -> Result<TypedNode, String> {
                     name: name.clone(),
                     filter: *filter,
                 },
-                schema: table.columns.clone(),
+                schema: table.columns.to_vec(),
                 distinct: false,
                 children: Vec::new(),
             })

@@ -199,30 +199,52 @@ pub fn optimize_with(
 }
 
 /// A deterministic fingerprint of a catalog view (name, arity, rows and
-/// column domains of every table, in name order) — the plan-cache key
-/// component that invalidates cached choices when the catalog changes.
+/// column domains of every table, in name order). It costs O(tables):
+/// the per-request plan-cache key is [`names_fingerprint`] instead.
 pub fn catalog_fingerprint(view: &CatalogView) -> u64 {
-    // FNV-1a, the same std-only construction the bench artifact writer uses.
-    fn eat_bytes(h: u64, bytes: &[u8]) -> u64 {
-        bytes.iter().fold(h, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-    fn eat(h: u64, v: u64) -> u64 {
-        eat_bytes(h, &v.to_le_bytes())
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for (name, info) in view.tables() {
-        h = eat_bytes(h, name.as_bytes());
-        let TableInfo { columns, rows } = info;
-        h = eat(h, *rows);
-        h = eat(h, columns.len() as u64);
-        for c in columns {
-            h = eat(h, c.domain.0 as u64);
-            h = eat(h, c.kind as u64);
-        }
-    }
-    h
+    view.tables()
+        .fold(FNV_OFFSET, |h, (name, info)| eat_entry(h, name, Some(info)))
+}
+
+/// A deterministic fingerprint of what a query can see of a catalog view:
+/// each of `names` (the query's scanned and `store(...)` target names, in
+/// the order given) with its [`TableInfo`], or a marker for its absence.
+///
+/// [`analyze`] and [`optimize`] read a view only through the names the
+/// query contains, so two views that agree on those names give the same
+/// result. Paired with the query text this is the plan-cache key: a
+/// `LOAD` re-keys only the plans that name the loaded table, and the key
+/// costs O(names in the query), not O(tables in the catalog).
+pub fn names_fingerprint<'a>(view: &CatalogView, names: impl IntoIterator<Item = &'a str>) -> u64 {
+    names
+        .into_iter()
+        .fold(FNV_OFFSET, |h, name| eat_entry(h, name, view.table(name)))
+}
+
+/// FNV-1a, the same std-only construction the bench artifact writer uses.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn eat_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn eat(h: u64, v: u64) -> u64 {
+    eat_bytes(h, &v.to_le_bytes())
+}
+
+/// Fold one catalog entry into `h`: the name (length-prefixed, so names
+/// cannot run together), then its shape and rows, or an absence marker.
+fn eat_entry(h: u64, name: &str, info: Option<&TableInfo>) -> u64 {
+    let h = eat_bytes(eat(h, name.len() as u64), name.as_bytes());
+    let Some(TableInfo { columns, rows }) = info else {
+        return eat(h, u64::MAX);
+    };
+    let h = eat(eat(h, columns.len() as u64), *rows);
+    columns
+        .iter()
+        .fold(h, |h, c| eat(eat(h, c.domain.0 as u64), c.kind as u64))
 }
 
 /// Human-readable `--explain` rendering: the rewrite trail and both plans.
@@ -567,6 +589,28 @@ mod tests {
             4,
         );
         assert_ne!(a, catalog_fingerprint(&v), "row-count change re-keys");
+    }
+
+    #[test]
+    fn names_fingerprint_reads_only_the_names_given() {
+        let names = ["emp", "out"];
+        let a = names_fingerprint(&view(), names);
+        let mut v = view();
+        v.add_table("extra", vec![col(0, DomainKind::Int)], 1);
+        assert_eq!(a, names_fingerprint(&v, names), "unrelated table");
+        v.add_table("out", vec![col(0, DomainKind::Int)], 1);
+        assert_ne!(a, names_fingerprint(&v, names), "absent -> present");
+        let mut v = view();
+        v.add_table(
+            "emp",
+            vec![col(1, DomainKind::Str), col(0, DomainKind::Int)],
+            4,
+        );
+        assert_ne!(a, names_fingerprint(&v, names), "row-count change");
+        assert_ne!(
+            names_fingerprint(&view(), ["ab", "c"]),
+            names_fingerprint(&view(), ["a", "bc"])
+        );
     }
 
     #[test]

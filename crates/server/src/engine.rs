@@ -1,18 +1,19 @@
 //! Shared catalog + query preparation for the server.
 //!
-//! [`Store`] owns the [`Catalog`] and per-table [`Schema`]s: everything a
-//! worker thread needs to import CSV into encoded relations and render
-//! results back out. It deliberately does *not* own the
-//! [`systolic_machine::System`] — machine runs take turns behind the
-//! machine lock; the store sits behind an `RwLock` so many connections can
-//! render results concurrently.
+//! [`Store`] owns the [`Catalog`] and the analyzer's live [`CatalogView`]:
+//! everything a worker thread needs to admit a query, import CSV into
+//! encoded relations and render results back out. It deliberately does
+//! *not* own the [`systolic_machine::System`] — machine runs take turns
+//! behind the machine lock; the store sits behind an `RwLock` so many
+//! connections can admit queries and render results concurrently.
 //!
 //! [`Engine`] pairs a `Store` with a private `System` for one-shot,
 //! in-process use (tests, the classic CLI path, and the byte-identity
 //! oracle the server is checked against).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use systolic_analyzer::{analyze, Analysis, CatalogView, ColumnInfo, Diagnostic};
 use systolic_machine::{
@@ -107,18 +108,26 @@ pub fn parse_kinds(list: &str) -> Result<Vec<DomainKind>, String> {
         .collect()
 }
 
-/// The shared catalog: domains, per-table schemas, and CSV import/render.
+/// The shared catalog: domains, the analyzer's view of every table, and
+/// CSV import/render.
 ///
 /// Tables get columns named `c0..c{n-1}`, and all columns of a given type
 /// share one underlying domain so same-typed columns across tables are
 /// comparable (§2.4's union-compatibility by construction) — the same
-/// convention the `sdb` one-shot path uses.
+/// convention the `sdb` one-shot path uses. It follows that a table's
+/// schema is a function of its kind list alone, so schemas are interned
+/// per kind list: every `int,int` table shares one [`Schema`] and one
+/// column slice in the view.
+///
+/// The [`CatalogView`] is the store's only table map. It is kept live by
+/// [`Store::register`] and [`Store::unregister`], so a query borrows it
+/// ([`Store::view`]) instead of copying the catalog.
 #[derive(Debug, Default)]
 pub struct Store {
     catalog: Catalog,
     domains: HashMap<&'static str, DomainId>,
-    schemas: BTreeMap<String, Schema>,
-    rows: BTreeMap<String, u64>,
+    shapes: HashMap<Vec<DomainKind>, (Schema, Arc<[ColumnInfo]>)>,
+    view: CatalogView,
 }
 
 impl Store {
@@ -139,8 +148,31 @@ impl Store {
         }
     }
 
+    /// The interned schema and view columns of a kind list.
+    fn shape_of(&mut self, kinds: &[DomainKind]) -> (Schema, Arc<[ColumnInfo]>) {
+        if let Some(shape) = self.shapes.get(kinds) {
+            return shape.clone();
+        }
+        let columns: Vec<Column> = kinds
+            .iter()
+            .enumerate()
+            .map(|(k, &kind)| Column::new(format!("c{k}"), self.domain_of(kind)))
+            .collect();
+        let infos: Arc<[ColumnInfo]> = columns
+            .iter()
+            .zip(kinds)
+            .map(|(col, &kind)| ColumnInfo {
+                domain: col.domain,
+                kind,
+            })
+            .collect();
+        let shape = (Schema::new(columns), infos);
+        self.shapes.insert(kinds.to_vec(), shape.clone());
+        shape
+    }
+
     /// Import CSV text as table `name` with the given column kinds,
-    /// remembering its schema. Re-registering a name overwrites its schema.
+    /// registering it in the view. Re-registering a name overwrites it.
     ///
     /// The zero-detour ingest path: the bit-packed columnar planes are
     /// built *while parsing*, so a later columnar scan never re-walks the
@@ -151,61 +183,43 @@ impl Store {
         kinds: &[DomainKind],
         csv: &str,
     ) -> Result<MultiRelation, EngineError> {
-        let columns: Vec<Column> = kinds
-            .iter()
-            .enumerate()
-            .map(|(k, &kind)| Column::new(format!("c{k}"), self.domain_of(kind)))
-            .collect();
-        let schema = Schema::new(columns);
+        let (schema, infos) = self.shape_of(kinds);
         let rel = import_csv_columnar(&mut self.catalog, &schema, csv)?;
-        self.rows.insert(name.to_string(), rel.len() as u64);
-        self.schemas.insert(name.to_string(), schema);
+        self.view.add_table(name, infos, rel.len() as u64);
         Ok(rel)
     }
 
-    /// The registered schema for a table, if any.
-    pub fn schema(&self, name: &str) -> Option<&Schema> {
-        self.schemas.get(name)
+    /// The live analyzer view: per-table column domains (identity and
+    /// kind) plus registration-time row counts. Borrowed, not copied —
+    /// what the per-request admission path reads under the store's lock.
+    pub fn view(&self) -> &CatalogView {
+        &self.view
     }
 
-    /// Snapshot the catalog as the analyzer's view: per-table column
-    /// domains (identity and kind) plus registration-time row counts.
+    /// An owned copy of [`Store::view`], for callers that keep it past the
+    /// store's lock. O(tables): not for per-request code.
     pub fn catalog_view(&self) -> CatalogView {
-        let mut view = CatalogView::new();
-        for (name, schema) in &self.schemas {
-            let columns: Vec<ColumnInfo> = schema
-                .columns()
-                .iter()
-                .map(|col| ColumnInfo {
-                    domain: col.domain,
-                    kind: self.catalog.domain(col.domain).kind(),
-                })
-                .collect();
-            let rows = self.rows.get(name).copied().unwrap_or(0);
-            view.add_table(name.clone(), columns, rows);
-        }
-        view
+        self.view.clone()
     }
 
     /// Whether a table with this name has been registered.
     pub fn has_table(&self, name: &str) -> bool {
-        self.schemas.contains_key(name)
+        self.view.has(name)
     }
 
-    /// Remove a table registration (schema and row count).
+    /// Remove a table registration.
     ///
     /// Used to undo a speculative [`Store::register`] when the load it
     /// belongs to is fenced off (e.g. the client timed out before the
     /// relation reached the machine), so the catalog never advertises a
     /// table whose load the client was told failed.
     pub fn unregister(&mut self, name: &str) {
-        self.schemas.remove(name);
-        self.rows.remove(name);
+        self.view.remove_table(name);
     }
 
     /// Number of registered tables.
     pub fn table_count(&self) -> usize {
-        self.schemas.len()
+        self.view.len()
     }
 
     /// Render a result relation as CSV.
@@ -388,6 +402,28 @@ mod tests {
         let rendered = err.to_string();
         assert!(rendered.contains('^'), "{rendered}");
         assert!(rendered.contains("explode(scan(a))"), "{rendered}");
+    }
+
+    #[test]
+    fn the_view_is_live_and_shares_one_schema_per_kind_list() {
+        let mut store = Store::new();
+        let ints = [DomainKind::Int, DomainKind::Int];
+        store.register("x", &ints, "1,2\n").unwrap();
+        store.register("y", &ints, "3,4\n5,6\n").unwrap();
+        store.register("z", &[DomainKind::Str], "s\n").unwrap();
+        let view = store.view();
+        let (x, y, z) = (
+            view.table("x").unwrap(),
+            view.table("y").unwrap(),
+            view.table("z").unwrap(),
+        );
+        assert!(Arc::ptr_eq(&x.columns, &y.columns));
+        assert!(!Arc::ptr_eq(&x.columns, &z.columns));
+        assert_eq!((x.rows, y.rows, z.rows), (1, 2, 1));
+        assert_eq!(store.table_count(), 3);
+        store.unregister("y");
+        assert!(!store.view().has("y") && !store.has_table("y"));
+        assert_eq!(store.catalog_view().len(), 2);
     }
 
     #[test]

@@ -70,7 +70,8 @@ pub struct ServerConfig {
     /// on the same directory serves byte-identical `RESULT` frames. `None`
     /// runs fully in memory, exactly as before.
     pub data_dir: Option<PathBuf>,
-    /// Buffer-pool capacity of the paged relation store, in 8 KiB pages.
+    /// Buffer-pool capacity of the paged relation store, in 8 KiB pages:
+    /// frames for pages that are read (writes bypass the pool).
     pub pool_pages: usize,
     /// Chrome-trace output path. When set, the server installs the process
     /// span collector at startup and, at shutdown, writes one merged trace
@@ -216,10 +217,13 @@ pub(crate) struct Shared {
     /// Span batches shards returned in `SPANS` trailers, buffered for the
     /// shutdown trace merge.
     pub(crate) remote_spans: Mutex<Vec<SpanData>>,
-    /// Compiled-plan cache: query text + catalog fingerprint → the chosen
-    /// expression. The fingerprint covers every table's name, arity, row
-    /// count, and column domains, so a `LOAD` or `store(...)` that changes
-    /// what the cost model would predict silently invalidates stale entries.
+    /// Compiled-plan cache: query text + a fingerprint of the catalog
+    /// entries the query names → the chosen expression. The fingerprint
+    /// covers each scanned name and `store(...)` target with its arity, row
+    /// count and column domains (or its absence), so a `LOAD` or
+    /// `store(...)` that changes what the cost model would predict for this
+    /// query invalidates its entry, and one that changes another table
+    /// leaves it a hit.
     pub(crate) plan_cache: Mutex<HashMap<(String, u64), Expr>>,
 }
 
@@ -980,10 +984,13 @@ fn loaded_shard_forwarded(
 }
 
 /// Run the cost-based plan compiler over a checked expression, consulting
-/// the plan cache first. Cache keys pair the query text with the catalog
-/// fingerprint, so catalog changes (loads, `store(...)` write-backs) route
-/// the next occurrence back through the compiler instead of serving a plan
-/// costed against stale cardinalities.
+/// the plan cache first. Cache keys pair the query text with
+/// [`systolic_planner::names_fingerprint`] over the names the query scans
+/// and the `store(...)` targets it writes: each name with its catalog
+/// entry, or a marker for its absence. The compiler reads the catalog only
+/// through those names, so a `LOAD` or write-back re-keys exactly the
+/// plans that name the table it changed, and building the key costs
+/// O(names in the query), not O(tables).
 ///
 /// The compiler only errs when the input does not analyze — impossible
 /// here, `prepare_checked` just accepted it — but if it ever does, the
@@ -994,9 +1001,12 @@ fn optimize_plan(
     view: &systolic_analyzer::CatalogView,
     expr: Expr,
 ) -> Expr {
+    let scans = engine::scan_names(&expr);
+    let stores = engine::store_names(&expr);
+    let names = scans.iter().chain(&stores).map(String::as_str);
     let key = (
         query.to_string(),
-        systolic_planner::catalog_fingerprint(view),
+        systolic_planner::names_fingerprint(view, names),
     );
     {
         let cache = locks::lock(&shared.plan_cache);
@@ -1042,9 +1052,15 @@ fn handle_query(
     // (typo'd relation, type error, capacity overflow, ...) never takes a
     // turn, and the client gets a stable SA00N code with carets instead of
     // a mid-run machine error.
+    //
+    // The whole admission reads the store's live view under one read
+    // guard, dropped before the relation locks and the machine's turn
+    // below (`handle_load` takes a relation lock, then the store's write
+    // guard: holding the guard across relation locks could deadlock).
     let (expr, analysis) = {
-        let view = locks::read(&shared.store).catalog_view();
-        let expr = match engine::prepare_checked(query, &view, &shared.cfg.machine) {
+        let store = locks::read(&shared.store);
+        let view = store.view();
+        let expr = match engine::prepare_checked(query, view, &shared.cfg.machine) {
             Ok((expr, _pre)) => expr,
             Err(e) => return (vec![engine_err_frame(&e)], None),
         };
@@ -1053,7 +1069,7 @@ fn handle_query(
         // re-analysis below, `Plan::compile`, the run, PROFILE's drift
         // accounting — sees only the optimized tree.
         let expr = if shared.cfg.optimize {
-            optimize_plan(shared, query, &view, expr)
+            optimize_plan(shared, query, view, expr)
         } else {
             expr
         };
@@ -1061,7 +1077,7 @@ fn handle_query(
         // *rewritten* tree — the shape `Plan::compile` actually runs —
         // under the same catalog read, before execution can register
         // `store(...)` targets and change what the analyzer would say.
-        let analysis = systolic_analyzer::analyze(&expr, &view, &shared.cfg.machine, &[]).ok();
+        let analysis = systolic_analyzer::analyze(&expr, view, &shared.cfg.machine, &[]).ok();
         (expr, analysis)
     };
     let alignment = systolic_analyzer::plan_alignment(&expr);

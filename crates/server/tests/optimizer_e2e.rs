@@ -149,8 +149,8 @@ fn plan_cache_hits_repeat_queries_and_invalidates_on_catalog_change() {
     };
     let hits: u64 = field("plan_cache_hits", &stats).parse().unwrap();
     assert!(hits >= 1, "repeat query missed the plan cache: {stats}");
-    // A catalog change (new table) changes the fingerprint: the same text
-    // recompiles rather than serving a stale plan.
+    // A catalog change (new table) leaves the answer byte-identical; an
+    // unrelated table does not re-key the plan (`plan_cache_e2e.rs`).
     client.load_csv("late", "int", "7\n").unwrap();
     let third = client.query(q).unwrap();
     assert_eq!(first.csv, third.csv);

@@ -9,8 +9,14 @@
 //! scan of an existing file finds two heads claiming one name, the higher
 //! LSN wins.
 //!
+//! A caller that keeps its own directory — the machine's disks, which
+//! already record every relation they hold — writes with
+//! [`BlobStore::append`] and reads by the returned [`BlobRef`], so each
+//! relation is recorded once in memory, not also here by name.
+//!
 //! All reads go through the [`BufferPool`], so disk-model reads exercise
-//! real hit/miss/eviction behaviour (`sdb_storage_pool_*`).
+//! real hit/miss/eviction behaviour (`sdb_storage_pool_*`); writes go
+//! straight to the file, so blobs nobody reads take no frame.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -22,11 +28,19 @@ use crate::page::{Page, PageKind, PAYLOAD_CAP};
 use crate::pagefile::PageFile;
 use crate::pool::BufferPool;
 
-/// Directory entry: where a blob starts and how long it is.
+/// Where a blob's pages start and how many bytes it holds: what
+/// [`BlobStore::append`] returns and [`BlobStore::read`] takes, for callers
+/// that keep their own directory (the machine's disks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BlobMeta {
+pub struct BlobRef {
     head: u64,
     len: u64,
+}
+
+/// Directory entry: where a named blob is, and the LSN it was written at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BlobMeta {
+    at: BlobRef,
     lsn: u64,
 }
 
@@ -128,14 +142,11 @@ impl BlobStore {
                     .map(|old| page.lsn >= old.lsn)
                     .unwrap_or(true);
                 if replace {
-                    self.dir.insert(
-                        name,
-                        BlobMeta {
-                            head: id,
-                            len: total,
-                            lsn: page.lsn,
-                        },
-                    );
+                    let at = BlobRef {
+                        head: id,
+                        len: total,
+                    };
+                    self.dir.insert(name, BlobMeta { at, lsn: page.lsn });
                 }
                 id += span;
             } else {
@@ -157,9 +168,19 @@ impl BlobStore {
     }
 
     /// Store `bytes` under `name` (overwrites), stamping pages with `lsn`.
-    /// Pages are written through the pool; call [`BlobStore::flush`] for a
-    /// durability point.
+    /// Pages go straight to the file (refreshing any resident frame); call
+    /// [`BlobStore::flush`] for a durability point.
     pub fn put(&mut self, name: &str, bytes: &[u8], lsn: u64) -> Result<()> {
+        let at = self.append(name, bytes, lsn)?;
+        self.dir.insert(name.to_string(), BlobMeta { at, lsn });
+        Ok(())
+    }
+
+    /// Write `bytes` as a blob whose head page carries `name`, stamping
+    /// pages with `lsn`, without entering it in the directory: the caller
+    /// keeps the returned [`BlobRef`] and reads it back with
+    /// [`BlobStore::read`]. A rescan of the file still finds it by name.
+    pub fn append(&mut self, name: &str, bytes: &[u8], lsn: u64) -> Result<BlobRef> {
         let prefix = encode_head_prefix(name, bytes.len() as u64);
         let head_room = PAYLOAD_CAP - prefix.len();
         let head_chunk = bytes.len().min(head_room);
@@ -184,23 +205,18 @@ impl BlobStore {
         }
         self.next_page = id;
         self.next_lsn = self.next_lsn.max(lsn + 1);
-        self.dir.insert(
-            name.to_string(),
-            BlobMeta {
-                head: head_id,
-                len: bytes.len() as u64,
-                lsn,
-            },
-        );
-        Ok(())
+        Ok(BlobRef {
+            head: head_id,
+            len: bytes.len() as u64,
+        })
     }
 
-    /// Store `bytes` under `name`, stamping with the store's own monotone
-    /// LSN — for callers (like the disk backing) that don't run a WAL.
-    pub fn put_next(&mut self, name: &str, bytes: &[u8]) -> Result<()> {
+    /// [`BlobStore::append`], stamping with the store's own monotone LSN —
+    /// for callers (like the disk backing) that don't run a WAL.
+    pub fn append_next(&mut self, name: &str, bytes: &[u8]) -> Result<BlobRef> {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        self.put(name, bytes, lsn)
+        self.append(name, bytes, lsn)
     }
 
     /// Read the blob stored under `name`, through the pool.
@@ -211,21 +227,27 @@ impl BlobStore {
             .ok_or_else(|| StorageError::UnknownBlob {
                 name: name.to_string(),
             })?;
-        let head = self.pool.fetch(meta.head)?;
+        self.read(name, meta.at)
+    }
+
+    /// Read the blob at `at`, through the pool, checking that its head
+    /// page carries `name` and its length.
+    pub fn read(&mut self, name: &str, at: BlobRef) -> Result<Vec<u8>> {
+        let head = self.pool.fetch(at.head)?;
         if head.kind != PageKind::BlobHead {
             return Err(StorageError::Corrupt {
-                detail: format!("page {} is not a blob head", meta.head),
+                detail: format!("page {} is not a blob head", at.head),
             });
         }
-        let (stored_name, total, prefix) = decode_head_prefix(&head.payload, meta.head)?;
-        if stored_name != name || total != meta.len {
+        let (stored_name, total, prefix) = decode_head_prefix(&head.payload, at.head)?;
+        if stored_name != name || total != at.len {
             return Err(StorageError::Corrupt {
-                detail: format!("blob head {} does not match directory", meta.head),
+                detail: format!("blob head {} does not match its reference", at.head),
             });
         }
         let mut out = Vec::with_capacity(total as usize);
         out.extend_from_slice(&head.payload[prefix..]);
-        let mut id = meta.head + 1;
+        let mut id = at.head + 1;
         while (out.len() as u64) < total {
             let page = self.pool.fetch(id)?;
             if page.kind != PageKind::BlobCont {
@@ -254,7 +276,7 @@ impl BlobStore {
         self.dir.keys().cloned().collect()
     }
 
-    /// Flush dirty frames and fsync.
+    /// fsync the page file.
     pub fn flush(&mut self) -> Result<()> {
         self.pool.flush()
     }
@@ -288,14 +310,19 @@ impl SharedBlobStore {
         self.inner.lock().unwrap().put(name, bytes, lsn)
     }
 
-    /// See [`BlobStore::put_next`].
-    pub fn put_next(&self, name: &str, bytes: &[u8]) -> Result<()> {
-        self.inner.lock().unwrap().put_next(name, bytes)
+    /// See [`BlobStore::append_next`].
+    pub fn append_next(&self, name: &str, bytes: &[u8]) -> Result<BlobRef> {
+        self.inner.lock().unwrap().append_next(name, bytes)
     }
 
     /// See [`BlobStore::get`].
     pub fn get(&self, name: &str) -> Result<Vec<u8>> {
         self.inner.lock().unwrap().get(name)
+    }
+
+    /// See [`BlobStore::read`].
+    pub fn read(&self, name: &str, at: BlobRef) -> Result<Vec<u8>> {
+        self.inner.lock().unwrap().read(name, at)
     }
 
     /// See [`BlobStore::contains`].
@@ -367,6 +394,27 @@ mod tests {
         drop(s);
         let mut s = BlobStore::open(&path, 8, m).unwrap();
         assert_eq!(s.get("r").unwrap(), b"new contents");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn appended_blobs_are_read_by_reference_not_by_name() {
+        let path = tmp("append");
+        let m = metrics();
+        let mut s = BlobStore::create(&path, 4, m.clone()).unwrap();
+        let big: Vec<u8> = (0..20_000u32).map(|i| (i % 249) as u8).collect();
+        let at = s.append_next("d0:r", &big).unwrap();
+        assert!(!s.contains("d0:r"), "append keeps no directory entry");
+        assert_eq!(s.read("d0:r", at).unwrap(), big);
+        assert!(matches!(
+            s.read("d0:other", at),
+            Err(StorageError::Corrupt { .. })
+        ));
+        s.flush().unwrap();
+        drop(s);
+        // The head page still names the blob, so a rescan finds it.
+        let mut s = BlobStore::open(&path, 4, m).unwrap();
+        assert_eq!(s.get("d0:r").unwrap(), big);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -9,8 +9,9 @@
 //!
 //! * [`page`] / [`pagefile`] — fixed-size pages with checksummed headers; a
 //!   torn or corrupted page is *detected*, never silently decoded.
-//! * [`pool`] — a buffer pool with a second-chance clock replacement
-//!   policy ([`pool::ClockReplacer`]) fronting the page files.
+//! * [`pool`] — a read-cache buffer pool with a second-chance clock
+//!   replacement policy ([`pool::ClockReplacer`]) fronting the page
+//!   files; writes bypass it.
 //! * [`blob`] — named byte blobs (encoded relations) laid out across pages;
 //!   the backing store for `Disk::read` in the machine crate.
 //! * [`wal`] — a redo-only write-ahead log of *logical* operations
@@ -39,7 +40,7 @@ pub mod pagefile;
 pub mod pool;
 pub mod wal;
 
-pub use blob::{BlobStore, SharedBlobStore};
+pub use blob::{BlobRef, BlobStore, SharedBlobStore};
 pub use engine::{CheckpointReport, RecoveryReport, StorageEngine};
 pub use error::StorageError;
 pub use lock::{LockGuard, LockMode, LockTable};

@@ -1,8 +1,8 @@
 //! A file of fixed-size pages with positioned read/write.
 //!
 //! The page file is deliberately dumb: it seeks, reads exactly one page,
-//! verifies it through [`Page::decode`], and that is all. Caching,
-//! replacement and dirty tracking live in the buffer pool; durability
+//! verifies it through [`Page::decode`], and that is all. Read
+//! caching and replacement live in the buffer pool; durability
 //! ordering lives in the WAL. A trailing partial page (a crash mid-append)
 //! is truncated away at open — the page it was replacing, if any, is
 //! recovered by the logical redo pass, never from the torn bytes.

@@ -1,12 +1,12 @@
 //! Buffer pool and its replacement policy.
 //!
 //! The pool keeps up to `capacity` resident pages in front of a
-//! [`PageFile`]. Which frame to surrender when full is decided by a
+//! [`PageFile`], admitted by reads; writes go straight to the file. Which frame to surrender when full is decided by a
 //! [`ClockReplacer`] (second-chance clock). It is generic over the key so
 //! the *same* policy drives both page frames (keyed by page id) and the
 //! machine's staging memories (keyed by relation name).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -101,13 +101,17 @@ impl<K: Hash + Eq + Clone> Default for ClockReplacer<K> {
     }
 }
 
-/// The buffer pool: resident frames over a page file, write-back on
-/// eviction, explicit [`BufferPool::flush`] for durability points.
+/// The buffer pool: a read cache of resident frames over a page file.
+///
+/// Writes bypass it: [`BufferPool::put`] writes the page straight to the
+/// file and refreshes the frame only if that page is already resident.
+/// Only [`BufferPool::fetch`] admits frames, so pages that are written and
+/// never read (a `LOAD` nobody queries) never take one, and no frame is
+/// ever dirty. [`BufferPool::flush`] is the durability point: an fsync.
 pub struct BufferPool {
     file: PageFile,
     capacity: usize,
     frames: HashMap<u64, Page>,
-    dirty: HashSet<u64>,
     replacer: ClockReplacer<u64>,
     metrics: Arc<StorageMetrics>,
 }
@@ -117,7 +121,6 @@ impl std::fmt::Debug for BufferPool {
         f.debug_struct("BufferPool")
             .field("capacity", &self.capacity)
             .field("resident", &self.frames.len())
-            .field("dirty", &self.dirty.len())
             .finish()
     }
 }
@@ -129,7 +132,6 @@ impl BufferPool {
             file,
             capacity: capacity.max(1),
             frames: HashMap::new(),
-            dirty: HashSet::new(),
             replacer: ClockReplacer::new(),
             metrics,
         }
@@ -145,7 +147,8 @@ impl BufferPool {
         &mut self.file
     }
 
-    /// Fetch page `id`, from a resident frame or the file.
+    /// Fetch page `id`, from a resident frame or the file (admitting it,
+    /// evicting by clock if the pool is full).
     pub fn fetch(&mut self, id: u64) -> Result<Page> {
         if let Some(page) = self.frames.get(&id) {
             self.metrics.pool_hits.inc();
@@ -155,63 +158,30 @@ impl BufferPool {
         }
         self.metrics.pool_misses.inc();
         let page = self.file.read_page(id)?;
-        self.admit(page.clone())?;
-        Ok(page)
-    }
-
-    /// Write `page` through the pool (frame made resident and dirty; the
-    /// file is updated on eviction or [`BufferPool::flush`]).
-    pub fn put(&mut self, page: Page) -> Result<()> {
-        self.dirty.insert(page.page_id);
-        self.admit(page)
-    }
-
-    /// Make a frame resident, evicting if the pool is full.
-    fn admit(&mut self, page: Page) -> Result<()> {
-        let id = page.page_id;
-        if !self.frames.contains_key(&id) && self.frames.len() >= self.capacity {
-            self.evict_one()?;
-        }
-        self.frames.insert(id, page);
-        self.replacer.record_access(&id);
-        Ok(())
-    }
-
-    fn evict_one(&mut self) -> Result<()> {
-        if let Some(victim) = self.replacer.victim() {
-            if let Some(page) = self.frames.remove(&victim) {
-                if self.dirty.remove(&victim) {
-                    self.file.write_page(&page)?;
-                }
+        if self.frames.len() >= self.capacity {
+            if let Some(victim) = self.replacer.victim() {
+                self.frames.remove(&victim);
                 self.metrics.pool_evictions.inc();
             }
         }
+        self.frames.insert(id, page.clone());
+        self.replacer.record_access(&id);
+        Ok(page)
+    }
+
+    /// Write `page` to the file (buffered by the OS until
+    /// [`BufferPool::flush`]), refreshing its frame if it is resident.
+    pub fn put(&mut self, page: Page) -> Result<()> {
+        self.file.write_page(&page)?;
+        if let Some(frame) = self.frames.get_mut(&page.page_id) {
+            *frame = page;
+        }
         Ok(())
     }
 
-    /// Write every dirty frame and fsync the file.
+    /// fsync the file: every page [`BufferPool::put`] so far is durable.
     pub fn flush(&mut self) -> Result<()> {
-        if self.dirty.is_empty() {
-            return Ok(());
-        }
-        let mut ids: Vec<u64> = self.dirty.drain().collect();
-        ids.sort_unstable();
-        for id in ids {
-            if let Some(page) = self.frames.get(&id) {
-                self.file.write_page(page)?;
-            }
-        }
         self.file.sync()
-    }
-
-    /// Drop every frame (dirty ones are flushed first).
-    pub fn clear(&mut self) -> Result<()> {
-        self.flush()?;
-        for id in self.frames.keys() {
-            self.replacer.remove(id);
-        }
-        self.frames.clear();
-        Ok(())
     }
 }
 
@@ -255,37 +225,84 @@ mod tests {
     }
 
     #[test]
-    fn pool_counts_hits_misses_and_evictions() {
+    fn fetches_count_hits_misses_and_evictions() {
         let path = tmp("counts");
         let (_r, m) = metrics();
         let mut pool = BufferPool::new(PageFile::open(&path).unwrap(), 2, m.clone());
         for id in 0..3u64 {
             pool.put(page(id)).unwrap();
         }
-        // Capacity 2: inserting page 2 evicted page 0 (the clock's first
-        // sweep clears every referenced bit), writing it back.
+        assert_eq!(m.pool_misses.get() + m.pool_evictions.get(), 0);
+        for id in 0..3u64 {
+            pool.fetch(id).unwrap(); // cold: file reads
+        }
+        // Capacity 2: admitting page 2 evicted page 0 (the clock's first
+        // sweep clears every referenced bit).
+        assert_eq!(m.pool_misses.get(), 3);
         assert_eq!(m.pool_evictions.get(), 1);
         assert_eq!(pool.resident(), 2);
-        pool.fetch(2).unwrap(); // resident
+        assert_eq!(pool.fetch(2).unwrap().payload, vec![2u8; 8]); // resident
         assert_eq!(m.pool_hits.get(), 1);
-        pool.flush().unwrap();
         pool.fetch(0).unwrap(); // evicted earlier -> file read
-        assert_eq!(m.pool_misses.get(), 1);
+        assert_eq!(m.pool_misses.get(), 4);
+        assert_eq!(m.pool_evictions.get(), 2);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn dirty_frames_survive_eviction_and_flush() {
-        let path = tmp("dirty");
+    fn puts_reach_the_file_and_survive_flush() {
+        let path = tmp("writes");
         let (_r, m) = metrics();
         let mut pool = BufferPool::new(PageFile::open(&path).unwrap(), 1, m);
         pool.put(page(0)).unwrap();
-        pool.put(page(1)).unwrap(); // evicts 0, which must hit the file
+        pool.put(page(1)).unwrap();
         pool.flush().unwrap();
         drop(pool);
         let mut f = PageFile::open(&path).unwrap();
         assert_eq!(f.read_page(0).unwrap().payload, vec![0u8; 8]);
         assert_eq!(f.read_page(1).unwrap().payload, vec![1u8; 8]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_put_page_is_in_the_file_before_any_flush() {
+        let path = tmp("unflushed");
+        let (_r, m) = metrics();
+        let mut pool = BufferPool::new(PageFile::open(&path).unwrap(), 4, m);
+        pool.put(page(0)).unwrap();
+        assert_eq!(pool.file_mut().read_page(0).unwrap().payload, vec![0u8; 8]);
+        let mut other = PageFile::open(&path).unwrap();
+        assert_eq!(other.read_page(0).unwrap().payload, vec![0u8; 8]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn put_alone_admits_no_frame() {
+        let path = tmp("noadmit");
+        let (_r, m) = metrics();
+        let mut pool = BufferPool::new(PageFile::open(&path).unwrap(), 4, m.clone());
+        for id in 0..8u64 {
+            pool.put(page(id)).unwrap();
+        }
+        assert_eq!(pool.resident(), 0);
+        assert_eq!(m.pool_evictions.get(), 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn put_refreshes_a_resident_frame() {
+        let path = tmp("refresh");
+        let (_r, m) = metrics();
+        let mut pool = BufferPool::new(PageFile::open(&path).unwrap(), 4, m.clone());
+        pool.put(page(3)).unwrap();
+        pool.fetch(3).unwrap();
+        assert_eq!(pool.resident(), 1);
+        pool.put(Page::new(PageKind::BlobCont, 3, 1, vec![9u8; 8]))
+            .unwrap();
+        assert_eq!(pool.resident(), 1);
+        assert_eq!(pool.fetch(3).unwrap().payload, vec![9u8; 8]);
+        assert_eq!(m.pool_hits.get(), 1, "the refreshed frame served the read");
+        assert_eq!(m.pool_misses.get(), 1);
         let _ = std::fs::remove_file(&path);
     }
 }

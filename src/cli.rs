@@ -192,7 +192,8 @@ pub struct ServeArgs {
     /// Durable data directory (`None` = in-memory only). With `--shards N`
     /// each shard persists under `DIR/shard-i`.
     pub data_dir: Option<String>,
-    /// Buffer-pool capacity of the paged store, in 8 KiB pages.
+    /// Buffer-pool capacity of the paged store, in 8 KiB pages: frames for
+    /// pages that are read (writes bypass the pool).
     pub pool_pages: usize,
     /// Write one merged Chrome/Perfetto trace covering every query (and,
     /// with `--shards N`, every shard) on shutdown.
@@ -353,7 +354,8 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
   --data-dir DIR: persist loads and store(...) queries to a write-ahead log
                under DIR and recover them (byte-identically) on restart;
                with --shards N each shard persists under DIR/shard-i
-  --pool-pages N: buffer-pool capacity of the paged store, in 8 KiB pages
+  --pool-pages N: buffer-pool capacity of the paged store, in 8 KiB pages:
+               frames for pages that are read (writes bypass the pool)
   --trace-out FILE: (serve) write one merged Chrome/Perfetto trace covering
                every query — and with --shards N, every shard's spans,
                parented under the router's fan-out — on shutdown
