@@ -19,15 +19,15 @@ pub fn intersect(
     let mut set: HashSet<&[i64]> = HashSet::with_capacity(b.len());
     for row in b.rows() {
         counter.hash();
-        set.insert(row.as_slice());
+        set.insert(row);
     }
     let mut out = MultiRelation::empty(a.schema().clone());
     for row in a.rows() {
         counter.hash();
         counter.tuple_comparisons += 1;
-        if set.contains(row.as_slice()) {
+        if set.contains(row) {
             counter.moved();
-            out.push(row.clone())?;
+            out.push(row)?;
         }
     }
     Ok(out)
@@ -43,15 +43,15 @@ pub fn difference(
     let mut set: HashSet<&[i64]> = HashSet::with_capacity(b.len());
     for row in b.rows() {
         counter.hash();
-        set.insert(row.as_slice());
+        set.insert(row);
     }
     let mut out = MultiRelation::empty(a.schema().clone());
     for row in a.rows() {
         counter.hash();
         counter.tuple_comparisons += 1;
-        if !set.contains(row.as_slice()) {
+        if !set.contains(row) {
             counter.moved();
-            out.push(row.clone())?;
+            out.push(row)?;
         }
     }
     Ok(out)
@@ -59,13 +59,13 @@ pub fn difference(
 
 /// Hash remove-duplicates, keeping first occurrences.
 pub fn dedup(a: &MultiRelation, counter: &mut OpCounter) -> MultiRelation {
-    let mut seen: HashSet<Row> = HashSet::with_capacity(a.len());
+    let mut seen: HashSet<&[i64]> = HashSet::with_capacity(a.len());
     let mut out = MultiRelation::empty(a.schema().clone());
     for row in a.rows() {
         counter.hash();
-        if seen.insert(row.clone()) {
+        if seen.insert(row) {
             counter.moved();
-            out.push(row.clone()).expect("same schema");
+            out.push(row).expect("same schema");
         }
     }
     out
@@ -92,7 +92,7 @@ pub fn equi_join(
     let drop_b: Vec<bool> = (0..b.arity())
         .map(|k| pairs.iter().any(|&(_, cb)| cb == k))
         .collect();
-    let mut table: HashMap<Row, Vec<&Row>> = HashMap::with_capacity(b.len());
+    let mut table: HashMap<Row, Vec<&[i64]>> = HashMap::with_capacity(b.len());
     for row in b.rows() {
         counter.hash();
         let key: Row = pairs.iter().map(|&(_, cb)| row[cb]).collect();
@@ -105,7 +105,7 @@ pub fn equi_join(
         if let Some(matches) = table.get(&key) {
             for row_b in matches {
                 counter.element_comparisons += pairs.len() as u64;
-                let mut joined: Row = row_a.clone();
+                let mut joined: Row = row_a.to_vec();
                 joined.extend(
                     row_b
                         .iter()
@@ -114,7 +114,7 @@ pub fn equi_join(
                         .map(|(_, &e)| e),
                 );
                 counter.moved();
-                out.push(joined)?;
+                out.push(&joined)?;
             }
         }
     }

@@ -115,7 +115,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31337);
         for _ in 0..8 {
             let multi = gen::with_duplicates(&mut rng, 8, 3, 2);
-            let out = RemoveDuplicatesArray::new(2).run(multi.rows()).unwrap();
+            let out = RemoveDuplicatesArray::new(2)
+                .run(&multi.rows().to_vec())
+                .unwrap();
             let expect = nested_loop::dedup(&multi, &mut OpCounter::new());
             let kept = multi.filter_by_index(|i| out.keep[i]);
             assert_eq!(kept.rows(), expect.rows(), "same rows in the same order");

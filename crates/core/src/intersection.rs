@@ -277,7 +277,8 @@ mod tests {
         for _ in 0..10 {
             let (a, b) = gen::pair_with_overlap(&mut rng, 12, 9, 2, 0.5);
             let arr = IntersectionArray::new(2);
-            let out = arr.run(a.rows(), b.rows(), SetOpMode::Intersect).unwrap();
+            let (rows_a, rows_b) = (a.rows().to_vec(), b.rows().to_vec());
+            let out = arr.run(&rows_a, &rows_b, SetOpMode::Intersect).unwrap();
             for (i, row) in a.rows().iter().enumerate() {
                 assert_eq!(out.keep[i], b.contains(row), "row {i}");
             }

@@ -9,6 +9,7 @@
 //! comparison can replace equality (§6.3.2).
 
 use systolic_fabric::{CompareOp, Elem, TraceFrame};
+use systolic_relation::Rows;
 
 use crate::comparison::{CompareCell, ComparisonArray2d};
 use crate::error::Result;
@@ -112,28 +113,20 @@ impl JoinArray {
     }
 
     /// Assemble the joined rows from a match matrix — the host-side step of
-    /// §6.2. For a pure equi-join, `B`'s join columns are dropped
-    /// ("removing the redundant column"); for joins involving any non-
-    /// equality comparison all columns of both relations are kept.
-    pub fn assemble(&self, a: &[Vec<Elem>], b: &[Vec<Elem>], t: &TMatrix) -> Vec<Vec<Elem>> {
+    /// §6.2 — end to end into one buffer, in `T`'s row-major order. For a
+    /// pure equi-join, `B`'s join columns are dropped ("removing the
+    /// redundant column"); for joins involving any non-equality comparison
+    /// all columns of both relations are kept.
+    pub fn assemble(&self, a: Rows<'_>, b: Rows<'_>, t: &TMatrix) -> Vec<Elem> {
         let pure_equi = self.specs.iter().all(|s| s.op == CompareOp::Eq);
-        let drop_b: Vec<bool> = if pure_equi {
-            (0..b.first().map(|r| r.len()).unwrap_or(0))
-                .map(|k| self.specs.iter().any(|s| s.col_b == k))
-                .collect()
-        } else {
-            vec![false; b.first().map(|r| r.len()).unwrap_or(0)]
-        };
-        let mut out = Vec::with_capacity(t.count_true());
+        let kept_b: Vec<usize> = (0..b.arity())
+            .filter(|&k| !pure_equi || self.specs.iter().all(|s| s.col_b != k))
+            .collect();
+        let mut out = Vec::with_capacity(t.count_true() * (a.arity() + kept_b.len()));
         for (i, j) in t.true_pairs() {
-            let mut row = a[i].clone();
-            row.extend(
-                b[j].iter()
-                    .enumerate()
-                    .filter(|(k, _)| !drop_b[*k])
-                    .map(|(_, &e)| e),
-            );
-            out.push(row);
+            let row_b = &b[j];
+            out.extend_from_slice(&a[i]);
+            out.extend(kept_b.iter().map(|&k| row_b[k]));
         }
         out
     }
@@ -292,6 +285,20 @@ mod tests {
         vals.iter().map(|r| r.to_vec()).collect()
     }
 
+    /// [`JoinArray::assemble`] over row lists, its buffer cut back into
+    /// rows of `width`.
+    fn assembled(
+        arr: &JoinArray,
+        a: &[Vec<Elem>],
+        b: &[Vec<Elem>],
+        t: &TMatrix,
+        width: usize,
+    ) -> Vec<Vec<Elem>> {
+        let (fa, fb) = (a.concat(), b.concat());
+        let codes = arr.assemble(Rows::new(&fa, a[0].len()), Rows::new(&fb, b[0].len()), t);
+        codes.chunks(width).map(<[Elem]>::to_vec).collect()
+    }
+
     #[test]
     fn single_column_equi_join_matches_figure_6_1_semantics() {
         // Column 2 of A against column 0 of B (the figure joins A's column
@@ -313,7 +320,7 @@ mod tests {
         let b = rows(&[&[7, 99]]);
         let arr = JoinArray::equi(1, 0);
         let out = arr.t_matrix(&a, &b).unwrap();
-        let joined = arr.assemble(&a, &b, &out.t);
+        let joined = assembled(&arr, &a, &b, &out.t, 3);
         assert_eq!(joined, vec![vec![10, 7, 99]]);
     }
 
@@ -326,7 +333,7 @@ mod tests {
         let expect = TMatrix::from_fn(2, 2, |i, j| a[i][0] == b[j][0] && a[i][1] == b[j][1]);
         assert_eq!(out.t, expect);
         assert_eq!(out.stats.cells, (2 + 2 - 1) * 2, "two processor columns");
-        let joined = arr.assemble(&a, &b, &out.t);
+        let joined = assembled(&arr, &a, &b, &out.t, 4);
         assert_eq!(joined, vec![vec![1, 2, 50, 70]]);
     }
 
@@ -341,7 +348,7 @@ mod tests {
         let expect = TMatrix::from_fn(3, 2, |i, j| a[i][0] > b[j][0]);
         assert_eq!(out.t, expect);
         // Theta-join assembly keeps both compared columns.
-        let joined = arr.assemble(&a, &b, &out.t);
+        let joined = assembled(&arr, &a, &b, &out.t, 2);
         assert!(joined.contains(&vec![5, 3]));
         assert!(joined.contains(&vec![9, 7]));
         assert_eq!(joined.len(), 3);
@@ -367,7 +374,7 @@ mod tests {
         let arr = JoinArray::equi(0, 0);
         let out = arr.t_matrix(&a, &b).unwrap();
         assert_eq!(out.t.count_true(), 6);
-        assert_eq!(arr.assemble(&a, &b, &out.t).len(), 6);
+        assert_eq!(assembled(&arr, &a, &b, &out.t, 3).len(), 6);
     }
 
     #[test]
@@ -381,9 +388,11 @@ mod tests {
         for _ in 0..8 {
             let (a, b, ka, kb) = gen::join_pair(&mut rng, 10, 12, 3, 2, 4, 0.0);
             let arr = JoinArray::equi(ka, kb);
-            let out = arr.t_matrix(a.rows(), b.rows()).unwrap();
+            let out = arr
+                .t_matrix(&a.rows().to_vec(), &b.rows().to_vec())
+                .unwrap();
             let joined = arr.assemble(a.rows(), b.rows(), &out.t);
-            let got = MultiRelation::new(synth_schema(4), joined).unwrap();
+            let got = MultiRelation::from_codes(synth_schema(4), joined).unwrap();
             let expect =
                 nested_loop::equi_join(&a, &b, &[(ka, kb)], &mut OpCounter::new()).unwrap();
             assert!(got.set_eq(&expect));

@@ -407,6 +407,7 @@ mod tests {
     use crate::intersection::{IntersectionArray, SetOpMode};
     use crate::tiling::{self, chunks};
     use systolic_fabric::{CompareOp, Elem};
+    use systolic_relation::Rows;
 
     fn relation(n: usize, m: usize, seed: i64) -> Vec<Vec<Elem>> {
         (0..n)
@@ -718,7 +719,13 @@ mod tests {
                 .collect();
             let divisor: Vec<Elem> = (0..nd as Elem).collect();
             let sim = DivisionArrayMulti::new(kw).divide(&rows, &divisor).unwrap();
-            let (flags, hits) = columnar::quotient_flags_multi(&rows, &sim.keys, kw, &divisor);
+            let (flat_rows, flat_keys) = (rows.concat(), sim.keys.concat());
+            let (flags, hits) = columnar::quotient_flags_multi(
+                Rows::new(&flat_rows, kw + 1),
+                Rows::new(&flat_keys, kw),
+                kw,
+                &divisor,
+            );
             assert_eq!(flags, sim.quotient_flags, "n {n} kw {kw} nd {nd}");
             assert_eq!(
                 division_multi_stats(n, sim.keys.len(), kw, nd, hits),

@@ -84,6 +84,7 @@ impl TreeMachine {
     pub fn load(&mut self, rel: &MultiRelation) {
         self.leaves = rel
             .rows()
+            .to_vec()
             .chunks(self.leaf_capacity)
             .map(|chunk| chunk.to_vec())
             .collect();

@@ -99,15 +99,19 @@ impl CompositeSpec {
 
     /// The layout [`ColumnarRelation::from_rows`] would arrive at, from
     /// the per-column extremes alone.
-    pub fn from_rows(rows: &[Row], arity: usize) -> Option<CompositeSpec> {
+    pub fn from_rows<R: AsRef<[Elem]>>(
+        rows: impl IntoIterator<Item = R>,
+        arity: usize,
+    ) -> Option<CompositeSpec> {
+        let mut rows = rows.into_iter();
         // An empty column packs as the constant 0, as in `pack_column`.
-        let mut extremes: Vec<(Elem, Elem)> = match rows.first() {
-            Some(first) => first.iter().map(|&v| (v, v)).collect(),
+        let mut extremes: Vec<(Elem, Elem)> = match rows.next() {
+            Some(first) => first.as_ref().iter().map(|&v| (v, v)).collect(),
             None => vec![(0, 0); arity],
         };
         debug_assert_eq!(extremes.len(), arity);
         for row in rows {
-            for ((lo, hi), &v) in extremes.iter_mut().zip(row) {
+            for ((lo, hi), &v) in extremes.iter_mut().zip(row.as_ref()) {
                 *lo = (*lo).min(v);
                 *hi = (*hi).max(v);
             }
@@ -153,12 +157,18 @@ fn code_width(base: Elem, max: Elem) -> u32 {
 }
 
 impl ColumnarRelation {
-    /// Pack a row matrix (`arity` columns) into word planes. One pass to
-    /// find per-column extremes, one pass to scatter bits.
-    pub fn from_rows(rows: &[Row], arity: usize) -> ColumnarRelation {
+    /// Pack rows of `arity` columns — a relation's [`Rows`] view, or any
+    /// row list — into word planes. One pass to find per-column extremes,
+    /// one pass to scatter bits.
+    ///
+    /// [`Rows`]: crate::relation::Rows
+    pub fn from_rows<R: AsRef<[Elem]>>(
+        rows: impl IntoIterator<Item = R>,
+        arity: usize,
+    ) -> ColumnarRelation {
         let mut b = ColumnarBuilder::new(arity);
         for row in rows {
-            b.push(row);
+            b.push(row.as_ref());
         }
         b.finish()
     }
@@ -494,7 +504,7 @@ mod tests {
 
     #[test]
     fn empty_and_zero_arity_relations_pack() {
-        let c = ColumnarRelation::from_rows(&[], 2);
+        let c = ColumnarRelation::from_rows(&[] as &[Row], 2);
         assert_eq!(c.n_rows(), 0);
         assert_eq!(c.words(), 0);
         assert_eq!(c.tail_mask(), u64::MAX);
@@ -504,7 +514,10 @@ mod tests {
         let c = ColumnarRelation::from_rows(&[vec![], vec![]], 0);
         assert_eq!(c.n_rows(), 2);
         assert_eq!(c.arity(), 0);
-        assert_eq!(c.composite_spec(), CompositeSpec::from_rows(&[], 0));
+        assert_eq!(
+            c.composite_spec(),
+            CompositeSpec::from_rows(&[] as &[Row], 0)
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub fn random_multi(rng: &mut impl Rng, n: usize, m: usize, domain_size: Elem) -
     let mut out = MultiRelation::empty(synth_schema(m));
     for _ in 0..n {
         let row: Row = (0..m).map(|_| rng.gen_range(0..domain_size)).collect();
-        out.push(row).expect("generated row has schema arity");
+        out.push(&row).expect("generated row has schema arity");
     }
     out
 }
@@ -75,9 +75,14 @@ pub fn pair_with_overlap(
     let a = random_relation(rng, n_a, m, domain);
     let shared = ((n_b as f64) * overlap).round() as usize;
     let shared = shared.min(n_a).min(n_b);
-    let mut rows: Vec<Row> = a.rows().choose_multiple(rng, shared).cloned().collect();
+    let mut rows: Vec<Row> = a
+        .rows()
+        .to_vec()
+        .choose_multiple(rng, shared)
+        .cloned()
+        .collect();
     let mut seen: HashSet<Row> = rows.iter().cloned().collect();
-    seen.extend(a.rows().iter().cloned());
+    seen.extend(a.rows().iter().map(<[Elem]>::to_vec));
     while rows.len() < n_b {
         let row: Row = (0..m).map(|_| domain + rng.gen_range(0..domain)).collect();
         if seen.insert(row.clone()) {
@@ -109,7 +114,7 @@ pub fn with_duplicates(
             rng.gen_range(1..=(2 * dup_factor - 1))
         };
         for _ in 0..copies {
-            rows.push(row.clone());
+            rows.push(row.to_vec());
         }
     }
     rows.shuffle(rng);
@@ -171,13 +176,13 @@ pub fn join_pair(
     for &k in &keys_a {
         let mut row = vec![k];
         row.extend((1..m_a).map(|_| rng.gen_range(0..payload_domain)));
-        a.push(row).expect("arity");
+        a.push(&row).expect("arity");
     }
     let mut b = MultiRelation::empty(synth_schema(m_b));
     for &k in &keys_b {
         let mut row = vec![k];
         row.extend((1..m_b).map(|_| rng.gen_range(0..payload_domain)));
-        b.push(row).expect("arity");
+        b.push(&row).expect("arity");
     }
     (a, b, key_a, key_b)
 }

@@ -24,6 +24,8 @@
 pub mod catalog;
 pub mod columnar;
 pub mod csv;
+#[cfg(test)]
+mod csv_strategies;
 pub mod domain;
 pub mod error;
 pub mod gen;
@@ -35,9 +37,10 @@ pub use catalog::Catalog;
 pub use columnar::{ColumnarBuilder, ColumnarRelation, CompositeSpec};
 pub use csv::{
     canonical_field, export_csv, import_csv, import_csv_columnar, render_field, split_line,
+    write_csv,
 };
 pub use domain::{Datum, Domain, DomainId, DomainKind, Elem};
 pub use error::RelationError;
-pub use relation::{MultiRelation, Relation, Row};
+pub use relation::{MultiRelation, Relation, Row, RowIter, Rows};
 pub use schema::{Column, Schema};
 pub use store::{Database, StoreError};

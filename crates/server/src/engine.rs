@@ -18,7 +18,7 @@ use std::sync::Arc;
 use systolic_analyzer::{analyze, Analysis, CatalogView, ColumnInfo, Diagnostic};
 use systolic_machine::{
     parse, parse_spanned, push_selections, Expr, MachineConfig, MachineError, ParseError,
-    RunOutcome, System,
+    RunOutcome, RunStats, System,
 };
 use systolic_relation::{
     export_csv, import_csv_columnar, Catalog, Column, DomainId, DomainKind, MultiRelation,
@@ -225,6 +225,20 @@ impl Store {
     /// Render a result relation as CSV.
     pub fn render_csv(&self, rel: &MultiRelation) -> Result<String, EngineError> {
         Ok(export_csv(&self.catalog, rel)?)
+    }
+
+    /// Render a result relation as its `RESULT` frame, in one pass (see
+    /// [`crate::protocol::render_result_frame`]).
+    pub fn render_result_frame(
+        &self,
+        rel: &MultiRelation,
+        stats: &RunStats,
+    ) -> Result<String, EngineError> {
+        Ok(crate::protocol::render_result_frame(
+            &self.catalog,
+            rel,
+            stats,
+        )?)
     }
 }
 

@@ -56,7 +56,7 @@ use std::fmt::Write as _;
 
 use systolic_analyzer::Diagnostic;
 use systolic_machine::{ParseError, RunStats};
-use systolic_relation::DomainKind;
+use systolic_relation::{write_csv, Catalog, DomainKind, MultiRelation, RelationError};
 use systolic_telemetry::TraceCtx;
 
 use crate::engine::parse_kinds;
@@ -208,10 +208,34 @@ pub fn queryc_request(query: &str, trace: Option<TraceCtx>) -> String {
     }
 }
 
-/// Render the deterministic half of a query answer: the header and the
-/// escaped CSV written into one buffer sized for both.
+/// Render the deterministic half of a query answer from CSV text already
+/// rendered elsewhere (a one-shot export, a router's merged rows): the
+/// header and the escaped CSV written into one buffer sized for both.
 pub fn result_frame(rows: usize, stats: &RunStats, csv: &str) -> String {
     let mut frame = String::with_capacity(160 + csv.len() + csv.len() / 16);
+    push_result_header(&mut frame, rows, stats);
+    escape_into(&mut frame, csv);
+    frame
+}
+
+/// [`result_frame`] straight from a query's result relation: the header,
+/// then the relation's CSV written from its codes already escaped, in one
+/// pass into one buffer — no CSV string exists on the way. Byte-identical
+/// to `result_frame(rel.len(), stats, &export_csv(catalog, rel)?)`, and
+/// fails as that export does.
+pub fn render_result_frame(
+    catalog: &Catalog,
+    rel: &MultiRelation,
+    stats: &RunStats,
+) -> Result<String, RelationError> {
+    let mut frame = String::with_capacity(160);
+    push_result_header(&mut frame, rel.len(), stats);
+    write_csv(catalog, rel, &mut frame, escape_into, "\\n")?;
+    Ok(frame)
+}
+
+/// The `RESULT` frame's fields up to `csv=`.
+fn push_result_header(frame: &mut String, rows: usize, stats: &RunStats) {
     let _ = write!(
         frame,
         "RESULT rows={rows} makespan_ns={} pulses={} array_runs={} disk_bytes={} \
@@ -222,8 +246,6 @@ pub fn result_frame(rows: usize, stats: &RunStats, csv: &str) -> String {
         stats.bytes_from_disk,
         stats.max_device_concurrency,
     );
-    escape_into(&mut frame, csv);
-    frame
 }
 
 /// Render the nondeterministic half of a query answer.

@@ -29,8 +29,8 @@ use crate::metrics::ServerMetrics;
 use crate::profile::{self, FlightRecorder, QueryProfile};
 use crate::protocol::{
     analysis_err_frame, cards_frame, checkpointed_frame, err_frame, host_frame, loaded_frame,
-    metrics_frame, parse_err_frame, parse_request, profile_frame, profiles_frame, result_frame,
-    spans_frame, Request,
+    metrics_frame, parse_err_frame, parse_request, profile_frame, profiles_frame, spans_frame,
+    Request,
 };
 use crate::router::{RouteOutcome, Router};
 use crate::scheduler::{self, Fenced, Machine, Turns};
@@ -1151,13 +1151,12 @@ fn handle_query(
             // From bits to bytes: the host-side step the arrays leave to us.
             let mut span = span_in(trace, "server.render");
             span.arg("rows", rows.len());
-            let csv = {
+            let result = {
                 let store = locks::read(&shared.store);
-                store.render_csv(&rows)
+                store.render_result_frame(&rows, &reply.stats)
             };
-            match csv {
-                Ok(csv) => {
-                    let result = result_frame(rows.len(), &reply.stats, &csv);
+            match result {
+                Ok(result) => {
                     span.arg("bytes", result.len());
                     drop(span);
                     finish(result, &reply, rows.len() as u64)

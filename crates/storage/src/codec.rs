@@ -30,10 +30,8 @@ pub fn encode_relation(rel: &MultiRelation) -> Vec<u8> {
         out.extend_from_slice(&(col.domain.0 as u64).to_le_bytes());
     }
     out.extend_from_slice(&(rel.len() as u64).to_le_bytes());
-    for row in rel.rows() {
-        for &e in row {
-            out.extend_from_slice(&e.to_le_bytes());
-        }
+    for &e in rel.rows().codes() {
+        out.extend_from_slice(&e.to_le_bytes());
     }
     out
 }
@@ -75,15 +73,11 @@ pub fn decode_relation(bytes: &[u8]) -> Result<MultiRelation> {
             bytes.len() - at
         )));
     }
-    let mut rows = Vec::with_capacity(nrows);
-    for _ in 0..nrows {
-        let mut row = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            row.push(i64::from_le_bytes(take(&mut at, 8)?.try_into().unwrap()));
-        }
-        rows.push(row);
-    }
-    MultiRelation::new(Schema::new(columns), rows)
+    let codes = bytes[at..]
+        .chunks_exact(8)
+        .map(|word| i64::from_le_bytes(word.try_into().expect("8-byte chunk")))
+        .collect();
+    MultiRelation::from_codes(Schema::new(columns), codes)
         .map_err(|e| corrupt(format!("relation blob: {e}")))
 }
 

@@ -18,6 +18,7 @@ use systolic_db::arrays::{
     DivisionArray, IntersectionArray, JoinArray, LinearComparisonArray, PatternMatchChip, SetOpMode,
 };
 use systolic_db::fabric::render_animation;
+use systolic_db::relation::Rows;
 
 fn main() {
     println!("==============================================================");
@@ -77,7 +78,9 @@ fn main() {
             .collect();
         println!("   {}", row.join(" "));
     }
-    println!("joined tuples: {:?}\n", arr.assemble(&emp, &dept, &out.t));
+    let (emp, dept) = (emp.concat(), dept.concat());
+    let joined = arr.assemble(Rows::new(&emp, 3), Rows::new(&dept, 2), &out.t);
+    println!("joined tuples: {:?}\n", Rows::new(&joined, 4));
 
     println!("==============================================================");
     println!("Figure 7-2: division array on the Figure 7-1 example");
