@@ -1239,7 +1239,7 @@ mod tests {
         );
         sys.load_base("courses", rel(&[&[10], &[11]]));
         let out = sys.run(&expr).unwrap();
-        assert_eq!(out.result.rows(), [vec![1], vec![3]]);
+        assert_eq!(out.result.rows().to_vec(), [vec![1], vec![3]]);
         assert!(out.stats.total_pulses <= analysis.pulse_budget);
     }
 

@@ -34,7 +34,7 @@
 //! let a = MultiRelation::new(synth_schema(2), vec![vec![1, 1], vec![2, 2]]).unwrap();
 //! let b = MultiRelation::new(synth_schema(2), vec![vec![2, 2], vec![3, 3]]).unwrap();
 //! let (c, stats) = ops::intersect(&a, &b, Execution::Marching).unwrap();
-//! assert_eq!(c.rows(), &[vec![2, 2]]);
+//! assert_eq!(c.rows().to_vec(), [vec![2, 2]]);
 //! assert!(stats.utilisation() <= 0.5 + 1e-9); // §8: marching arrays are half busy
 //! ```
 
