@@ -5,18 +5,18 @@
 #   3. check the joined rows arrived,
 #   4. scrape METRICS and verify the exposition parses and counters move,
 #   5. SIGTERM the server and verify it drains and exits 0,
-#   6. repeat the workload against `--shards 2` (a 2-shard router), check
-#      the answers match, and check the router actually routed (sharded
-#      counter) and fell back where it must (the join has no first-column
-#      equality, so it runs locally),
+#   6. repeat the workload against `sdb serve --shards 2`, check the flag
+#      is announced as ignored on stderr and that the join's answer matches
+#      the first round's,
 #   7. serve with `--data-dir`, load, SIGKILL the process mid-flight,
 #      restart on the same directory, and re-run the join WITHOUT reloading
 #      anything: recovery must produce the same rows, report itself in the
 #      storage metrics, and survive an explicit checkpoint,
-#   8. serve with `--shards 2 --profile-history 2 --trace-out`, PROFILE a
-#      fanned-out query (budget must bound the actual pulses, which must
-#      equal the RESULT RunStats), overflow and dump the flight recorder,
-#      and check the shutdown trace merged the shard fan-out spans,
+#   8. serve with `--profile-history 2 --trace-out`, PROFILE a query
+#      (budget must bound the actual pulses, which must equal the RESULT
+#      RunStats), overflow and dump the flight recorder, and check the
+#      shutdown trace carries a request span on the host track (pid 2) and
+#      a simulated step on the pulse-time track (pid 1),
 #   9. serve with `--backend columnar`, pipeline three queries with
 #      DISTINCT filter values over one shared table onto one socket in a
 #      single write, check every pipelined RESULT frame byte-matches its
@@ -88,58 +88,46 @@ grep -q "shutdown:" "$WORK/serve.log" || { echo "missing shutdown summary"; cat 
 echo "--- server log ---"
 cat "$WORK/serve.log"
 
-# ---- Round 2: 2-shard router ------------------------------------------
+# ---- Round 2: --shards N is accepted and ignored ----------------------
 
 ADDR2=127.0.0.1:14172
-"$SDB" serve --addr "$ADDR2" --shards 2 > "$WORK/serve2.log" 2>&1 &
+"$SDB" serve --addr "$ADDR2" --shards 2 > "$WORK/serve2.log" 2> "$WORK/serve2.err" &
 SRV2=$!
 
 for _ in $(seq 1 100); do
   grep -q "listening on" "$WORK/serve2.log" && break
-  kill -0 "$SRV2" 2>/dev/null || { echo "sharded server died early:"; cat "$WORK/serve2.log"; exit 1; }
+  kill -0 "$SRV2" 2>/dev/null || { echo "server died early:"; cat "$WORK/serve2.log" "$WORK/serve2.err"; exit 1; }
   sleep 0.1
 done
-grep -q "listening on" "$WORK/serve2.log" || { echo "sharded server never came up"; cat "$WORK/serve2.log"; exit 1; }
+grep -q "listening on" "$WORK/serve2.log" || { echo "server never came up"; cat "$WORK/serve2.log" "$WORK/serve2.err"; exit 1; }
 
-# The join's only equality is on column 1, not the partition column, so the
-# router must decline it and the local full-copy system must answer — with
-# exactly the rows the single-System server produced above.
+# One machine serves every query: the flag is announced once, on stderr
+# (stdout carries only the ready line).
+[[ $(grep -c -- '--shards 2 is ignored' "$WORK/serve2.err") == 1 ]] \
+  || { echo "missing the --shards ignore line on stderr"; cat "$WORK/serve2.err"; exit 1; }
+if grep -q 'is ignored' "$WORK/serve2.log"; then echo "ignore line leaked onto stdout"; exit 1; fi
+
 "$SDB" --connect "$ADDR2" \
   --table "emp=$WORK/emp.csv:str,int" \
   --table "dept=$WORK/dept.csv:int,str" \
   --stats \
   'join(scan(emp), scan(dept), 1 = 0)' > "$WORK/out2.txt"
 
-echo "--- sharded client output ---"
+echo "--- --shards 2 client output ---"
 cat "$WORK/out2.txt"
 
-grep -q 'ada,10,storage' "$WORK/out2.txt" || { echo "sharded: missing joined row ada"; exit 1; }
-grep -q 'grace,20,query' "$WORK/out2.txt" || { echo "sharded: missing joined row grace"; exit 1; }
-if grep -q 'edsger' "$WORK/out2.txt"; then echo "sharded: unjoined row leaked"; exit 1; fi
-grep -q -- '-- 2 tuples' "$WORK/out2.txt" || { echo "sharded: missing stats footer"; exit 1; }
-
-# A first-column filter is partition-friendly: the router fans it out to
-# both shards and merges. The rows must still be the plain answer.
-"$SDB" --connect "$ADDR2" 'filter(scan(emp), c1 >= 20)' > "$WORK/out3.txt"
-grep -q 'grace,20' "$WORK/out3.txt" || { echo "routed filter: missing grace"; exit 1; }
-grep -q 'edsger,30' "$WORK/out3.txt" || { echo "routed filter: missing edsger"; exit 1; }
-if grep -q 'ada' "$WORK/out3.txt"; then echo "routed filter: unfiltered row leaked"; exit 1; fi
-
-# The router metrics must show both paths were exercised.
-"$SDB" --connect "$ADDR2" --metrics > "$WORK/metrics2.txt"
-awk '$1 == "sdb_server_sharded_total" && $2 >= 1 { found = 1 } END { exit !found }' \
-  "$WORK/metrics2.txt" || { echo "router never routed a query"; cat "$WORK/metrics2.txt"; exit 1; }
-awk '$1 == "sdb_server_shard_fallback_total" && $2 >= 1 { found = 1 } END { exit !found }' \
-  "$WORK/metrics2.txt" || { echo "router never fell back"; cat "$WORK/metrics2.txt"; exit 1; }
+# The same answer as round 1, stats footer included; only host time varies.
+diff <(grep -v '^-- host:' "$WORK/out.txt") <(grep -v '^-- host:' "$WORK/out2.txt") \
+  || { echo "--shards 2: the join's answer diverged from round 1"; exit 1; }
 
 kill -TERM "$SRV2"
 if ! wait "$SRV2"; then
-  echo "sharded server did not exit cleanly:"; cat "$WORK/serve2.log"; exit 1
+  echo "server did not exit cleanly:"; cat "$WORK/serve2.log" "$WORK/serve2.err"; exit 1
 fi
-grep -q "shutdown:" "$WORK/serve2.log" || { echo "missing sharded shutdown summary"; cat "$WORK/serve2.log"; exit 1; }
+grep -q "shutdown:" "$WORK/serve2.log" || { echo "missing shutdown summary"; cat "$WORK/serve2.log"; exit 1; }
 
-echo "--- sharded server log ---"
-cat "$WORK/serve2.log"
+echo "--- --shards 2 server log ---"
+cat "$WORK/serve2.log" "$WORK/serve2.err"
 
 # ---- Round 3: durability — SIGKILL, restart, recover ------------------
 
@@ -223,7 +211,7 @@ cat "$WORK/serve3.log" "$WORK/serve3b.log"
 
 ADDR4=127.0.0.1:14174
 TRACE="$WORK/trace.json"
-"$SDB" serve --addr "$ADDR4" --shards 2 --profile-history 2 --trace-out "$TRACE" \
+"$SDB" serve --addr "$ADDR4" --profile-history 2 --trace-out "$TRACE" \
   > "$WORK/serve4.log" 2>&1 &
 SRV4=$!
 
@@ -234,11 +222,10 @@ for _ in $(seq 1 100); do
 done
 grep -q "listening on" "$WORK/serve4.log" || { echo "profiled server never came up"; cat "$WORK/serve4.log"; exit 1; }
 
-# PROFILE a fan-out query: the result rows and stats footer arrive as
-# usual, plus one `-- profile:` JSON line. The analyzer's pulse budget
-# must bound the actual pulses, and the profile's actual pulses must be
-# the same number the RESULT frame's RunStats printed in the footer.
-# An intersect on the partition column routes to both shards AND runs a
+# PROFILE a query: the result rows and stats footer arrive as usual, plus
+# one `-- profile:` JSON line. The analyzer's pulse budget must bound the
+# actual pulses, and the profile's actual pulses must be the same number
+# the RESULT frame's RunStats printed in the footer. An intersect runs a
 # real array pass, so the pulse numbers are nonzero.
 printf '1\n2\n3\n4\n' > "$WORK/a.csv"
 printf '2\n4\n5\n' > "$WORK/b.csv"
@@ -287,11 +274,14 @@ kill -TERM "$SRV4"
 if ! wait "$SRV4"; then
   echo "profiled server did not exit cleanly:"; cat "$WORK/serve4.log"; exit 1
 fi
-# The shutdown trace must merge spans from the router and both shards into
-# one Chrome JSON on the two-clock pid convention.
+# The shutdown trace must be one Chrome JSON on the two-clock pid
+# convention: host spans on pid 2, the simulated schedule on pid 1.
 [[ -f "$TRACE" ]] || { echo "shutdown wrote no trace"; cat "$WORK/serve4.log"; exit 1; }
 grep -q '"traceEvents"' "$TRACE" || { echo "trace is not Chrome JSON"; exit 1; }
-grep -q 'server.shard_fanout' "$TRACE" || { echo "trace has no fan-out span"; exit 1; }
+grep -q '{"name":"server.request","ph":"X","pid":2,' "$TRACE" \
+  || { echo "trace has no server.request span on pid 2"; exit 1; }
+grep -q '{"name":"[^"]*","ph":"X","pid":1,[^}]*"args":{"trace_id":[0-9]*,"pulses":' "$TRACE" \
+  || { echo "trace has no simulated step on pid 1"; exit 1; }
 
 echo "--- profiled server log ---"
 cat "$WORK/serve4.log"

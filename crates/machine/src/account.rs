@@ -447,11 +447,10 @@ impl System {
         Ok((priced, write_backs))
     }
 
-    /// Price a compiled plan from per-step output cardinalities alone — the
-    /// re-pricing half of relation sharding. `cards[i]` is the output
-    /// cardinality of `plan.steps[i]` as observed by whoever actually ran
-    /// the data (for a partitioned run: the sum over the partitions'
-    /// [`RunOutcome::step_rows`](crate::RunOutcome::step_rows)).
+    /// Price a compiled plan from per-step output cardinalities alone,
+    /// without running it. `cards[i]` is the output cardinality of
+    /// `plan.steps[i]` as observed by whoever actually ran the data (a
+    /// run's [`RunOutcome::step_rows`](crate::RunOutcome::step_rows)).
     ///
     /// Takes `&self` and touches no data: a `Load` is sized from the
     /// `(rows, arity)` its disk recorded when the relation was written (no

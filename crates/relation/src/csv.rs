@@ -7,6 +7,8 @@
 //! quotes (doubled quotes escape), no embedded newlines. Fields are typed
 //! by the target schema's domain kinds.
 
+use std::ops::Range;
+
 use crate::catalog::Catalog;
 use crate::columnar::ColumnarBuilder;
 use crate::domain::{Datum, Domain, DomainKind, Elem};
@@ -14,52 +16,102 @@ use crate::error::RelationError;
 use crate::relation::MultiRelation;
 use crate::schema::Schema;
 
-/// Split one CSV line into fields (handles double-quoted fields with
-/// doubled-quote escapes). Public so consumers working at the rendered-text
-/// level (e.g. a shard router partitioning and merging result lines) use
-/// the same dialect as import/export.
-pub fn split_line(line: &str) -> Result<Vec<String>, RelationError> {
-    let mut fields = Vec::new();
-    let mut cur = String::new();
-    let mut chars = line.chars().peekable();
-    let mut in_quotes = false;
-    while let Some(c) = chars.next() {
-        match c {
-            '"' if in_quotes => {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cur.push('"');
-                } else {
-                    in_quotes = false;
-                }
-            }
-            '"' if cur.is_empty() => in_quotes = true,
-            '"' => {
-                return Err(RelationError::DomainMismatch {
-                    detail: format!("stray quote in CSV field at line fragment {cur:?}"),
-                })
-            }
-            ',' if !in_quotes => {
-                fields.push(std::mem::take(&mut cur));
-            }
-            c => cur.push(c),
-        }
-    }
-    if in_quotes {
-        return Err(RelationError::DomainMismatch {
-            detail: "unterminated quoted CSV field".to_string(),
-        });
-    }
-    fields.push(cur);
-    Ok(fields)
+/// Where one field of a split line lies: a byte range of the line itself,
+/// or of the scratch buffer a quoted field was unescaped into.
+enum FieldAt {
+    Line(Range<usize>),
+    Scratch(Range<usize>),
 }
 
-/// Render one field, quoting when necessary (the inverse of
-/// [`split_line`]'s unquoting; public for the same text-level consumers).
-pub fn render_field(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    push_field(&mut out, s, String::push_str);
-    out
+impl FieldAt {
+    /// The field's text.
+    fn text<'a>(&self, line: &'a str, scratch: &'a str) -> &'a str {
+        match self {
+            FieldAt::Line(at) => &line[at.clone()],
+            FieldAt::Scratch(at) => &scratch[at.clone()],
+        }
+    }
+}
+
+fn stray_quote(fragment: &str) -> RelationError {
+    RelationError::DomainMismatch {
+        detail: format!("stray quote in CSV field at line fragment {fragment:?}"),
+    }
+}
+
+/// Split one CSV line into `fields`. A field may be double-quoted, so that
+/// it can hold commas, with a doubled quote standing for one quote; text
+/// after the closing quote belongs to the field too. A field is a range of
+/// the line unless it must be unescaped (a doubled quote, or text after the
+/// closing quote); then its text is appended to `scratch`. Both buffers are
+/// cleared first, so one pair serves every line of an import.
+fn split_line(
+    line: &str,
+    fields: &mut Vec<FieldAt>,
+    scratch: &mut String,
+) -> Result<(), RelationError> {
+    fields.clear();
+    scratch.clear();
+    let bytes = line.as_bytes();
+    // `"` and `,` are ASCII, so no byte of a multi-byte character is either.
+    let stop = |from: usize| {
+        bytes[from..]
+            .iter()
+            .position(|&b| b == b',' || b == b'"')
+            .map_or(bytes.len(), |k| from + k)
+    };
+    let mut at = 0;
+    loop {
+        let field = if bytes.get(at) == Some(&b'"') {
+            let open = at + 1;
+            let mut close = open;
+            let mut doubled = false;
+            loop {
+                let Some(k) = bytes[close..].iter().position(|&b| b == b'"') else {
+                    return Err(RelationError::DomainMismatch {
+                        detail: "unterminated quoted CSV field".to_string(),
+                    });
+                };
+                close += k;
+                if bytes.get(close + 1) != Some(&b'"') {
+                    break;
+                }
+                doubled = true;
+                close += 2;
+            }
+            let quoted = &line[open..close];
+            at = stop(close + 1);
+            let tail = &line[close + 1..at];
+            if bytes.get(at) == Some(&b'"') {
+                return Err(stray_quote(&(quoted.replace("\"\"", "\"") + tail)));
+            }
+            if doubled || !tail.is_empty() {
+                let start = scratch.len();
+                for (k, run) in quoted.split("\"\"").enumerate() {
+                    if k > 0 {
+                        scratch.push('"');
+                    }
+                    scratch.push_str(run);
+                }
+                scratch.push_str(tail);
+                FieldAt::Scratch(start..scratch.len())
+            } else {
+                FieldAt::Line(open..close)
+            }
+        } else {
+            let start = at;
+            at = stop(start);
+            if bytes.get(at) == Some(&b'"') {
+                return Err(stray_quote(&line[start..at]));
+            }
+            FieldAt::Line(start..at)
+        };
+        fields.push(field);
+        if at == bytes.len() {
+            return Ok(());
+        }
+        at += 1;
+    }
 }
 
 /// Append one field to `out` under the quoting rule: a field containing a
@@ -150,15 +202,6 @@ fn parse_field(kind: DomainKind, field: &str) -> Result<Datum, RelationError> {
     }
 }
 
-/// Canonicalise one field: parse it under `kind` and render it back the way
-/// [`export_csv`] would (`" 30 "` → `"30"`, `"1"` → `"true"` for booleans,
-/// `"19000"` → `"day#19000"` for dates). Text-level consumers (the shard
-/// router) cache canonical fields so their rendered rows compare equal,
-/// byte for byte, with engine output.
-pub fn canonical_field(kind: DomainKind, field: &str) -> Result<String, RelationError> {
-    Ok(parse_field(kind, field)?.to_string())
-}
-
 /// Import CSV text as a multi-relation under `schema`, interning new string
 /// values into the catalog's domains. A leading header line equal to the
 /// schema's column names is skipped if present.
@@ -197,10 +240,12 @@ fn read_rows(
     mut row_done: impl FnMut(&[Elem]),
 ) -> Result<MultiRelation, RelationError> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty()).peekable();
+    let mut fields = Vec::with_capacity(schema.arity());
+    let mut scratch = String::new();
     if let Some(first) = lines.peek() {
-        let headers: Vec<String> = split_line(first)?;
-        let names: Vec<&str> = schema.columns().iter().map(|c| c.name.as_str()).collect();
-        if headers.iter().map(|h| h.as_str()).eq(names.iter().copied()) {
+        split_line(first, &mut fields, &mut scratch)?;
+        let headers = fields.iter().map(|f| f.text(first, &scratch));
+        if headers.eq(schema.columns().iter().map(|c| c.name.as_str())) {
             lines.next();
         }
     }
@@ -212,7 +257,7 @@ fn read_rows(
     let mut codes = Vec::new();
     let mut datums = Vec::with_capacity(kinds.len());
     for line in lines {
-        let fields = split_line(line)?;
+        split_line(line, &mut fields, &mut scratch)?;
         if fields.len() != kinds.len() {
             return Err(RelationError::ArityMismatch {
                 expected: kinds.len(),
@@ -221,7 +266,7 @@ fn read_rows(
         }
         datums.clear();
         for (field, &kind) in fields.iter().zip(&kinds) {
-            datums.push(parse_field(kind, field)?);
+            datums.push(parse_field(kind, field.text(line, &scratch))?);
         }
         let start = codes.len();
         catalog.encode_row(schema, &datums, &mut codes)?;
@@ -323,6 +368,43 @@ mod tests {
     mod reference {
         use super::super::*;
 
+        /// The splitter the range-based one replaced: a `String` per field.
+        pub fn split_line(line: &str) -> Result<Vec<String>, RelationError> {
+            let mut fields = Vec::new();
+            let mut cur = String::new();
+            let mut chars = line.chars().peekable();
+            let mut in_quotes = false;
+            while let Some(c) = chars.next() {
+                match c {
+                    '"' if in_quotes => {
+                        if chars.peek() == Some(&'"') {
+                            chars.next();
+                            cur.push('"');
+                        } else {
+                            in_quotes = false;
+                        }
+                    }
+                    '"' if cur.is_empty() => in_quotes = true,
+                    '"' => {
+                        return Err(RelationError::DomainMismatch {
+                            detail: format!("stray quote in CSV field at line fragment {cur:?}"),
+                        })
+                    }
+                    ',' if !in_quotes => {
+                        fields.push(std::mem::take(&mut cur));
+                    }
+                    c => cur.push(c),
+                }
+            }
+            if in_quotes {
+                return Err(RelationError::DomainMismatch {
+                    detail: "unterminated quoted CSV field".to_string(),
+                });
+            }
+            fields.push(cur);
+            Ok(fields)
+        }
+
         pub fn render_field(s: &str) -> String {
             if s.contains(',') || s.contains('"') {
                 format!("\"{}\"", s.replace('"', "\"\""))
@@ -352,6 +434,23 @@ mod tests {
             }
             Ok(out)
         }
+    }
+
+    /// One field under the quoting rule, on its own.
+    fn render_field(s: &str) -> String {
+        let mut out = String::new();
+        push_field(&mut out, s, String::push_str);
+        out
+    }
+
+    /// [`super::split_line`]'s fields, each copied out.
+    fn split_line(line: &str) -> Result<Vec<String>, RelationError> {
+        let (mut fields, mut scratch) = (Vec::new(), String::new());
+        super::split_line(line, &mut fields, &mut scratch)?;
+        Ok(fields
+            .iter()
+            .map(|f| f.text(line, &scratch).to_string())
+            .collect())
     }
 
     fn setup() -> (Catalog, Schema) {
@@ -441,23 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_fields_match_export_rendering() {
-        assert_eq!(canonical_field(DomainKind::Int, " 30 ").unwrap(), "30");
-        assert_eq!(canonical_field(DomainKind::Bool, "1").unwrap(), "true");
-        assert_eq!(canonical_field(DomainKind::Bool, "false").unwrap(), "false");
-        assert_eq!(
-            canonical_field(DomainKind::Date, "19000").unwrap(),
-            "day#19000"
-        );
-        assert_eq!(canonical_field(DomainKind::Date, "day#7").unwrap(), "day#7");
-        assert_eq!(
-            canonical_field(DomainKind::Str, "doe, jane").unwrap(),
-            "doe, jane"
-        );
-        assert!(canonical_field(DomainKind::Int, "x").is_err());
-    }
-
-    #[test]
     fn empty_input_gives_empty_relation() {
         let (mut cat, schema) = setup();
         let rel = import_csv(&mut cat, &schema, "").unwrap();
@@ -483,6 +565,19 @@ mod tests {
                 prop_assert_eq!(render_field(name), reference::render_field(name));
                 prop_assert_eq!(split_line(&render_field(name)).unwrap(), vec![name.clone()]);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn split_fields_are_the_reference_splits(
+            picks in prop::collection::vec(0usize..6, 0..14),
+        ) {
+            const PALETTE: [char; 6] = ['a', ',', '"', '"', ' ', 'é'];
+            let line: String = picks.into_iter().map(|k| PALETTE[k]).collect();
+            prop_assert_eq!(split_line(&line), reference::split_line(&line));
         }
     }
 

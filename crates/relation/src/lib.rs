@@ -35,10 +35,7 @@ pub mod store;
 
 pub use catalog::Catalog;
 pub use columnar::{ColumnarBuilder, ColumnarRelation, CompositeSpec};
-pub use csv::{
-    canonical_field, export_csv, import_csv, import_csv_columnar, render_field, split_line,
-    write_csv,
-};
+pub use csv::{export_csv, import_csv, import_csv_columnar, write_csv};
 pub use domain::{Datum, Domain, DomainId, DomainKind, Elem};
 pub use error::RelationError;
 pub use relation::{MultiRelation, Relation, Row, RowIter, Rows};

@@ -57,7 +57,6 @@ mod locks;
 mod metrics;
 mod profile;
 pub mod protocol;
-mod router;
 mod scheduler;
 pub mod server;
 mod shutdown;

@@ -28,10 +28,6 @@ pub(crate) struct ServerMetrics {
     pub(crate) timeouts: Arc<Counter>,
     /// Queries slower than the configured slow-query threshold.
     pub(crate) slow_queries: Arc<Counter>,
-    /// Queries answered via the shard router (fan-out + merge + re-price).
-    pub(crate) sharded: Arc<Counter>,
-    /// Queries the router declined or failed, served by the local system.
-    pub(crate) shard_fallback: Arc<Counter>,
     /// Queries whose optimized plan was served from the plan cache.
     pub(crate) plan_cache_hits: Arc<Counter>,
     /// Queries that went through the full plan compiler.
@@ -76,14 +72,6 @@ impl ServerMetrics {
             "sdb_server_slow_queries_total",
             "Queries slower than the slow-query threshold.",
         );
-        let sharded = registry.counter(
-            "sdb_server_sharded_total",
-            "Queries answered via the shard router.",
-        );
-        let shard_fallback = registry.counter(
-            "sdb_server_shard_fallback_total",
-            "Queries the shard router declined, served by the local system.",
-        );
         let plan_cache_hits = registry.counter(
             "sdb_plan_cache_hits_total",
             "Queries whose optimized plan came from the plan cache.",
@@ -110,8 +98,6 @@ impl ServerMetrics {
             refused,
             timeouts,
             slow_queries,
-            sharded,
-            shard_fallback,
             plan_cache_hits,
             plan_cache_misses,
             columnar_builds,

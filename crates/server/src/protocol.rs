@@ -22,14 +22,12 @@
 //!        concurrency=<n> csv=<escaped-csv>
 //! PROFILE <escaped single-line JSON profile>
 //! HOST ns=<n>
-//! SPANS <escaped JSON-lines span batch>
 //! PROFILES count=<n> json=<escaped JSON-lines, newest first>
 //! STATS tables=<n> queries=<n> loads=<n> refused=<n> timeouts=<n> \
 //!       active=<n> uptime_ms=<n> queue_hwm=<n> slow=<n> lat_p50_ns=<n> \
 //!       lat_p95_ns=<n> lat_p99_ns=<n> lat_count=<n> backend=<sim|columnar> \
-//!       sharded=<n> shard_fallback=<n> durable=<0|1> wal_records=<n> \
-//!       wal_bytes=<n> checkpoints=<n> recovered=<n> optimize=<0|1> \
-//!       rewrites=<n> plan_cache_hits=<n>
+//!       durable=<0|1> wal_records=<n> wal_bytes=<n> checkpoints=<n> \
+//!       recovered=<n> optimize=<0|1> rewrites=<n> plan_cache_hits=<n>
 //! METRICS <escaped Prometheus text exposition>
 //! CHECKPOINTED records=<n> bytes=<n>
 //! BYE
@@ -43,11 +41,6 @@
 //! `PROFILE` answer keeps that `RESULT` frame byte-identical and inserts
 //! exactly one `PROFILE` frame between it and `HOST`.
 //!
-//! `QUERYC` (the shard-router verb) accepts an optional distributed-tracing
-//! stamp, `QUERYC trace=<id> parent=<id> <query>`; a stamped request's
-//! answer grows a trailing `SPANS` frame carrying the shard's span batch so
-//! the router can merge every shard's spans into one trace.
-//!
 //! `ERR` kinds: `proto`, `parse` (with `at=<byte>`), `analysis` (with the
 //! stable `SA00N` code and `at=<start>..<end>`), `relation`, `machine`,
 //! `timeout`, `overloaded`, `shutting_down`, `too_large`, `conflict`.
@@ -57,7 +50,6 @@ use std::fmt::Write as _;
 use systolic_analyzer::Diagnostic;
 use systolic_machine::{ParseError, RunStats};
 use systolic_relation::{write_csv, Catalog, DomainKind, MultiRelation, RelationError};
-use systolic_telemetry::TraceCtx;
 
 use crate::engine::parse_kinds;
 use crate::frame::{escape, escape_into, unescape};
@@ -83,18 +75,6 @@ pub enum Request {
     /// Dump the flight recorder (`PROFILES`): the retained recent query
     /// profiles, newest first, in one `PROFILES` frame.
     Profiles,
-    /// Run a query and also report per-plan-step output cardinalities
-    /// (`QUERYC`): the answer is `RESULT` + `CARDS` + `HOST`. This is what a
-    /// shard router sends its shards — the public `QUERY` answer stays
-    /// exactly two frames.
-    QueryCards {
-        /// The query text.
-        query: String,
-        /// Distributed-tracing stamp: the router's trace id and the span to
-        /// parent this shard's spans under. When present, the answer grows
-        /// a trailing `SPANS` frame.
-        trace: Option<TraceCtx>,
-    },
     /// Ask for server statistics.
     Stats,
     /// Ask for the full Prometheus-style metrics exposition.
@@ -149,16 +129,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             Ok(Request::Profile(rest.to_string()))
         }
         "PROFILES" if rest.is_empty() => Ok(Request::Profiles),
-        "QUERYC" => {
-            let (trace, query) = parse_trace_stamp(rest);
-            if query.is_empty() {
-                return Err("QUERYC needs query text".to_string());
-            }
-            Ok(Request::QueryCards {
-                query: query.to_string(),
-                trace,
-            })
-        }
         "STATS" if rest.is_empty() => Ok(Request::Stats),
         "METRICS" if rest.is_empty() => Ok(Request::Metrics),
         "CHECKPOINT" if rest.is_empty() => Ok(Request::Checkpoint),
@@ -171,45 +141,8 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Split an optional `trace=<id> parent=<id> ` stamp off the front of a
-/// `QUERYC` body. Both fields must be present and numeric to count as a
-/// stamp; anything else is treated as plain query text.
-fn parse_trace_stamp(rest: &str) -> (Option<TraceCtx>, &str) {
-    let Some(after_trace) = rest.strip_prefix("trace=") else {
-        return (None, rest);
-    };
-    let Some((trace_id, tail)) = after_trace.split_once(' ') else {
-        return (None, rest);
-    };
-    let Ok(trace_id) = trace_id.parse::<u64>() else {
-        return (None, rest);
-    };
-    let Some(after_parent) = tail.strip_prefix("parent=") else {
-        return (None, rest);
-    };
-    let Some((span_id, query)) = after_parent.split_once(' ') else {
-        return (None, rest);
-    };
-    let Ok(span_id) = span_id.parse::<u64>() else {
-        return (None, rest);
-    };
-    (Some(TraceCtx { trace_id, span_id }), query)
-}
-
-/// Render a `QUERYC` request line, stamping the optional tracing context
-/// (the builder half of `parse_trace_stamp`).
-pub fn queryc_request(query: &str, trace: Option<TraceCtx>) -> String {
-    match trace {
-        Some(ctx) => format!(
-            "QUERYC trace={} parent={} {query}",
-            ctx.trace_id, ctx.span_id
-        ),
-        None => format!("QUERYC {query}"),
-    }
-}
-
 /// Render the deterministic half of a query answer from CSV text already
-/// rendered elsewhere (a one-shot export, a router's merged rows): the
+/// rendered elsewhere (a one-shot export): the
 /// header and the escaped CSV written into one buffer sized for both.
 pub fn result_frame(rows: usize, stats: &RunStats, csv: &str) -> String {
     let mut frame = String::with_capacity(160 + csv.len() + csv.len() / 16);
@@ -251,40 +184,6 @@ fn push_result_header(frame: &mut String, rows: usize, stats: &RunStats) {
 /// Render the nondeterministic half of a query answer.
 pub fn host_frame(host_wall_ns: u64) -> String {
     format!("HOST ns={host_wall_ns}")
-}
-
-/// Render a `CARDS` frame: per-plan-step output cardinalities, in step
-/// order (the `QUERYC` extra frame).
-pub fn cards_frame(step_rows: &[u64]) -> String {
-    let rows: Vec<String> = step_rows.iter().map(|r| r.to_string()).collect();
-    format!("CARDS steps={} rows={}", step_rows.len(), rows.join(","))
-}
-
-/// Parse a `CARDS` frame back into per-step cardinalities.
-pub fn parse_cards_frame(frame: &str) -> Result<Vec<u64>, String> {
-    let body = frame
-        .strip_prefix("CARDS steps=")
-        .ok_or_else(|| format!("expected CARDS frame, got {frame:?}"))?;
-    let (steps, rows) = body
-        .split_once(" rows=")
-        .ok_or_else(|| "CARDS frame is missing rows=".to_string())?;
-    let steps: usize = steps
-        .parse()
-        .map_err(|_| format!("bad CARDS steps {steps:?}"))?;
-    let cards: Vec<u64> = if rows.is_empty() {
-        Vec::new()
-    } else {
-        rows.split(',')
-            .map(|v| v.parse().map_err(|_| format!("bad CARDS row count {v:?}")))
-            .collect::<Result<_, String>>()?
-    };
-    if cards.len() != steps {
-        return Err(format!(
-            "CARDS frame claims {steps} steps but lists {}",
-            cards.len()
-        ));
-    }
-    Ok(cards)
 }
 
 /// Render a successful `LOAD` answer.
@@ -339,20 +238,6 @@ pub fn parse_profile_frame(frame: &str) -> Result<String, String> {
     let body = frame
         .strip_prefix("PROFILE ")
         .ok_or_else(|| format!("expected PROFILE frame, got {frame:?}"))?;
-    unescape(body)
-}
-
-/// Render a `SPANS` trailer frame carrying an escaped JSON-lines span batch
-/// (see `systolic_telemetry::batch`).
-pub fn spans_frame(batch: &str) -> String {
-    format!("SPANS {}", escape(batch))
-}
-
-/// Parse a `SPANS` frame back into the JSON-lines span batch text.
-pub fn parse_spans_frame(frame: &str) -> Result<String, String> {
-    let body = frame
-        .strip_prefix("SPANS ")
-        .ok_or_else(|| format!("expected SPANS frame, got {frame:?}"))?;
     unescape(body)
 }
 
@@ -519,14 +404,6 @@ mod tests {
             Request::Query("scan(emp)".into())
         );
         assert_eq!(
-            parse_request("QUERYC scan(emp)").unwrap(),
-            Request::QueryCards {
-                query: "scan(emp)".into(),
-                trace: None,
-            }
-        );
-        assert!(parse_request("QUERYC").is_err());
-        assert_eq!(
             parse_request("PROFILE scan(emp)").unwrap(),
             Request::Profile("scan(emp)".into())
         );
@@ -569,16 +446,6 @@ mod tests {
     }
 
     #[test]
-    fn cards_frames_round_trip() {
-        let frame = cards_frame(&[3, 5, 2]);
-        assert_eq!(frame, "CARDS steps=3 rows=3,5,2");
-        assert_eq!(parse_cards_frame(&frame).unwrap(), vec![3, 5, 2]);
-        assert_eq!(parse_cards_frame("CARDS steps=0 rows=").unwrap(), vec![]);
-        assert!(parse_cards_frame("CARDS steps=2 rows=1").is_err());
-        assert!(parse_cards_frame("RESULT rows=1").is_err());
-    }
-
-    #[test]
     fn checkpointed_frames_round_trip() {
         let frame = checkpointed_frame(12, 4096);
         assert_eq!(frame, "CHECKPOINTED records=12 bytes=4096");
@@ -588,53 +455,12 @@ mod tests {
     }
 
     #[test]
-    fn queryc_trace_stamps_round_trip() {
-        let ctx = TraceCtx {
-            trace_id: 12345,
-            span_id: 678,
-        };
-        let line = queryc_request("scan(emp)", Some(ctx));
-        assert_eq!(line, "QUERYC trace=12345 parent=678 scan(emp)");
-        assert_eq!(
-            parse_request(&line).unwrap(),
-            Request::QueryCards {
-                query: "scan(emp)".into(),
-                trace: Some(ctx),
-            }
-        );
-        assert_eq!(
-            parse_request(&queryc_request("scan(emp)", None)).unwrap(),
-            Request::QueryCards {
-                query: "scan(emp)".into(),
-                trace: None,
-            }
-        );
-        // A query that merely *starts* with trace= but carries no numeric
-        // stamp stays plain query text.
-        assert_eq!(
-            parse_request("QUERYC trace=x parent=1 q").unwrap(),
-            Request::QueryCards {
-                query: "trace=x parent=1 q".into(),
-                trace: None,
-            }
-        );
-        // A stamp with no query text after it is an error.
-        assert!(parse_request("QUERYC trace=1 parent=2 ").is_err());
-    }
-
-    #[test]
-    fn profile_and_spans_frames_round_trip() {
+    fn profile_frames_round_trip() {
         let json = "{\"query\":\"scan(emp)\",\"steps\":[]}";
         let frame = profile_frame(json);
         assert!(!frame.contains('\n'));
         assert_eq!(parse_profile_frame(&frame).unwrap(), json);
         assert!(parse_profile_frame("RESULT rows=1").is_err());
-
-        let batch = "{\"name\":\"a\"}\n{\"name\":\"b\"}";
-        let frame = spans_frame(batch);
-        assert!(!frame.contains('\n'));
-        assert_eq!(parse_spans_frame(&frame).unwrap(), batch);
-        assert!(parse_spans_frame("HOST ns=1").is_err());
     }
 
     #[test]

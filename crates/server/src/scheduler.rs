@@ -21,7 +21,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use systolic_machine::{Expr, MachineError, Plan, RunStats, System, Timeline};
+use systolic_machine::{Expr, MachineError, RunStats, System, Timeline};
 use systolic_relation::{DomainKind, MultiRelation};
 use systolic_storage::StorageEngine;
 use systolic_telemetry::{span_in, TraceCtx};
@@ -231,17 +231,15 @@ pub(crate) fn with_machine<T>(shared: &Shared, run: impl FnOnce(&mut Machine) ->
 /// worker renders it) and the run's report.
 pub(crate) type QueryAnswer = Result<(MultiRelation, QueryReply), MachineError>;
 
-/// What the machine reported about a finished query — run or, for the
-/// router's merge path, [priced](price) from cardinalities (which yields no
-/// relation).
+/// What the machine reported about a finished query.
 pub(crate) struct QueryReply {
     /// Standalone simulated-hardware statistics.
     pub stats: RunStats,
     /// Host wall-clock nanoseconds of the run that produced this answer.
     pub host_wall_ns: u64,
     /// Per-plan-step output cardinalities (see
-    /// [`systolic_machine::RunOutcome::step_rows`]) — what a shard reports
-    /// via `CARDS` so a router can re-price the merged run.
+    /// [`systolic_machine::RunOutcome::step_rows`]) — what the profile's
+    /// per-step `actual_rows` reads.
     pub step_rows: Vec<u64>,
     /// The query's simulated schedule — what the profiler mines for
     /// per-step actual pulses and device occupancy.
@@ -292,35 +290,6 @@ pub(crate) fn run_query(
             pool_misses: storage.pool_misses.get().saturating_sub(misses0),
         };
         Ok((out.result, reply))
-    })
-}
-
-/// Price a prepared query on its turn from per-step cardinalities gathered
-/// off the machine (the shard router's merge path) — stored shapes for the
-/// `Load` steps, analytic stats for the `Op` steps; no row is touched.
-pub(crate) fn price(
-    shared: &Shared,
-    expr: &Expr,
-    cards: &[u64],
-    trace: Option<TraceCtx>,
-) -> Fenced<Result<QueryReply, MachineError>> {
-    let submitted = Instant::now();
-    let plan = Plan::compile(expr);
-    with_machine(shared, |machine| {
-        let queue_wait_ns = submitted.elapsed().as_nanos() as u64;
-        shared.counters.update(|c| c.queries += 1);
-        shared.metrics.queries.inc();
-        let _span = span_in(trace, "server.price");
-        machine.system.price_plan(&plan, cards).map(|o| QueryReply {
-            stats: o.stats,
-            host_wall_ns: o.host_wall_ns,
-            step_rows: o.step_rows,
-            timeline: o.timeline,
-            queue_wait_ns,
-            wal_fsync_ns: 0,
-            pool_hits: 0,
-            pool_misses: 0,
-        })
     })
 }
 

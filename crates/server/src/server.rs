@@ -18,7 +18,6 @@ use std::time::{Duration, Instant};
 
 use systolic_machine::{Expr, MachineConfig, Plan, System};
 use systolic_storage::{LockMode, LockTable, StorageEngine, WalRecord};
-use systolic_telemetry::batch::{render_batch, SpanData};
 use systolic_telemetry::metrics::QuantileSummary;
 use systolic_telemetry::{record_between, root_span, span_in, TraceCtx};
 
@@ -28,11 +27,9 @@ use crate::locks;
 use crate::metrics::ServerMetrics;
 use crate::profile::{self, FlightRecorder, QueryProfile};
 use crate::protocol::{
-    analysis_err_frame, cards_frame, checkpointed_frame, err_frame, host_frame, loaded_frame,
-    metrics_frame, parse_err_frame, parse_request, profile_frame, profiles_frame, spans_frame,
-    Request,
+    analysis_err_frame, checkpointed_frame, err_frame, host_frame, loaded_frame, metrics_frame,
+    parse_err_frame, parse_request, profile_frame, profiles_frame, Request,
 };
-use crate::router::{RouteOutcome, Router};
 use crate::scheduler::{self, Fenced, Machine, Turns};
 use crate::shutdown;
 
@@ -47,9 +44,6 @@ pub struct ServerConfig {
     /// Accepted connections allowed to wait for a free worker before new
     /// ones are refused with `ERR overloaded`.
     pub max_pending: usize,
-    /// Number of independent machine shards relations are partitioned
-    /// across; `1` runs the classic single-`System` server.
-    pub shards: usize,
     /// Configuration of the shared simulated machine.
     pub machine: MachineConfig,
     /// How long a request waits for its turn on the machine before giving
@@ -75,9 +69,8 @@ pub struct ServerConfig {
     pub pool_pages: usize,
     /// Chrome-trace output path. When set, the server installs the process
     /// span collector at startup and, at shutdown, writes one merged trace
-    /// covering its own spans, every shard's trailer span batches, and the
-    /// flight recorder's simulated per-step schedule — host time on pid 2,
-    /// pulse time on pid 1, never mixed.
+    /// covering its own spans and the flight recorder's simulated per-step
+    /// schedule — host time on pid 2, pulse time on pid 1, never mixed.
     pub trace_out: Option<PathBuf>,
     /// Flight-recorder capacity: how many recent query profiles the server
     /// retains for `PROFILES` and the shutdown trace (0 disables it).
@@ -96,7 +89,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:4171".to_string(),
             workers: 32,
             max_pending: 32,
-            shards: 1,
             machine: MachineConfig::default(),
             request_timeout: Duration::from_secs(30),
             max_request_bytes: 1 << 20,
@@ -142,8 +134,6 @@ pub(crate) struct CounterState {
     pub(crate) timeouts: u64,
     pub(crate) slow_queries: u64,
     pub(crate) queue_hwm: u64,
-    pub(crate) sharded: u64,
-    pub(crate) shard_fallback: u64,
     pub(crate) rewrites: u64,
     pub(crate) plan_cache_hits: u64,
 }
@@ -175,10 +165,6 @@ pub struct ServerReport {
     pub queue_hwm: u64,
     /// Queries slower than the slow-query threshold.
     pub slow_queries: u64,
-    /// Queries answered by the shard router (fan-out + merge).
-    pub sharded: u64,
-    /// Queries the router declined, served by the local full-copy system.
-    pub shard_fallback: u64,
     /// Planner rewrites accepted across all compiled queries.
     pub rewrites: u64,
     /// Queries whose optimized plan came from the plan cache.
@@ -201,10 +187,6 @@ pub(crate) struct Shared {
     /// holds it.
     pub(crate) turns: Turns,
     pub(crate) started: Instant,
-    /// The shard router, when `cfg.shards > 1`. The local system always
-    /// holds a full copy of every table, so routing is an optimisation and
-    /// any declined or failed route runs locally instead.
-    pub(crate) router: Option<Router>,
     /// Relation-name lock table: `LOAD` and `store(...)` take exclusive
     /// locks, scans take shared ones, so a concurrent reader can never
     /// observe a partially-loaded relation.
@@ -214,9 +196,6 @@ pub(crate) struct Shared {
     /// The always-on ring of recent query profiles (`PROFILES`, the
     /// slow-query dump, the shutdown trace's simulated track).
     pub(crate) recorder: FlightRecorder,
-    /// Span batches shards returned in `SPANS` trailers, buffered for the
-    /// shutdown trace merge.
-    pub(crate) remote_spans: Mutex<Vec<SpanData>>,
     /// Compiled-plan cache: query text + a fingerprint of the catalog
     /// entries the query names → the chosen expression. The fingerprint
     /// covers each scanned name and `store(...)` target with its arity, row
@@ -237,11 +216,6 @@ impl Shared {
         let system = System::new(cfg.machine.clone()).map_err(io::Error::other)?;
         let metrics = ServerMetrics::new();
         metrics.backend_info(cfg.machine.backend.label()).inc();
-        let router = if cfg.shards > 1 {
-            Some(Router::start(&cfg)?)
-        } else {
-            None
-        };
         let durable = cfg
             .data_dir
             .as_ref()
@@ -260,11 +234,9 @@ impl Shared {
             }),
             turns: Turns::default(),
             started: Instant::now(),
-            router,
             lock_table: LockTable::new(),
             durable,
             recorder,
-            remote_spans: Mutex::new(Vec::new()),
             plan_cache: Mutex::new(HashMap::new()),
         })
     }
@@ -289,8 +261,6 @@ impl Shared {
             timeouts: c.timeouts,
             queue_hwm: c.queue_hwm,
             slow_queries: c.slow_queries,
-            sharded: c.sharded,
-            shard_fallback: c.shard_fallback,
             rewrites: c.rewrites,
             plan_cache_hits: c.plan_cache_hits,
         }
@@ -411,9 +381,7 @@ fn serve_on(
 ) -> io::Result<ServerReport> {
     listener.set_nonblocking(true)?;
     // Tracing on: install the process-global collector before any request
-    // runs. In-process shard servers share it, so their spans land here
-    // directly *and* arrive again via `SPANS` trailers — the shutdown merge
-    // deduplicates by (trace, span) id.
+    // runs.
     let trace_collector = shared
         .cfg
         .trace_out
@@ -456,14 +424,9 @@ fn serve_on(
             front_err = Some(e);
         }
     });
-    if let Some(router) = &shared.router {
-        router.stop();
-    }
     if let (Some(path), Some(collector)) = (&shared.cfg.trace_out, trace_collector) {
         systolic_telemetry::uninstall();
-        let mut spans: Vec<SpanData> = collector.drain().iter().map(SpanData::from).collect();
-        spans.append(&mut locks::lock(&shared.remote_spans));
-        let trace = profile::server_trace(&spans, &shared.recorder.profiles());
+        let trace = profile::server_trace(&collector.drain(), &shared.recorder.profiles());
         if let Err(e) = trace.write_to(path) {
             eprintln!("trace-out: failed to write {}: {e}", path.display());
         }
@@ -499,12 +462,6 @@ fn replay(shared: &Shared, system: &mut System, records: &[WalRecord]) {
                     }
                 };
                 system.load_base(name.clone(), rel);
-                if let Some(router) = &shared.router {
-                    // The shards recovered their partitions from their own
-                    // logs; only the router's text-level cache needs
-                    // rebuilding — without re-forwarding the rows.
-                    router.register_recovered(name, &parsed, csv);
-                }
             }
             WalRecord::Query { text } => {
                 // Only queries with store(...) side effects are logged; the
@@ -669,27 +626,10 @@ fn handle_request(shared: &Shared, line: &str) -> Reply {
         Request::Load { name, kinds, csv } => {
             Reply::frame(handle_load(shared, &name, &kinds, &csv))
         }
-        Request::Query(query) => respond_query(shared, &query, QueryMode::Plain, None),
-        Request::Profile(query) => respond_query(shared, &query, QueryMode::Profile, None),
-        Request::QueryCards { query, trace } => {
-            respond_query(shared, &query, QueryMode::Cards, trace)
-        }
+        Request::Query(query) => respond_query(shared, &query, false),
+        Request::Profile(query) => respond_query(shared, &query, true),
         Request::Checkpoint => Reply::frame(handle_checkpoint(shared)),
     }
-}
-
-/// How a query's answer is framed: `QUERY` (two frames), `QUERYC` (plus
-/// `CARDS`, and a `SPANS` trailer when trace-stamped), or `PROFILE` (plus
-/// the inline `PROFILE` frame).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QueryMode {
-    /// Public `QUERY`: `RESULT` + `HOST`, byte-identical with or without
-    /// profiling anywhere else in the system.
-    Plain,
-    /// Shard-router `QUERYC`: `RESULT` + `CARDS` + `HOST`.
-    Cards,
-    /// `PROFILE`: `RESULT` + `PROFILE` + `HOST`.
-    Profile,
 }
 
 /// Answer a `CHECKPOINT`: snapshot the history and reset the log, on the
@@ -710,22 +650,15 @@ fn handle_checkpoint(shared: &Shared) -> String {
 /// The `ERR shutting_down` detail for a request a failed machine refused.
 const MACHINE_GONE: &str = "the machine failed and runs no more requests";
 
-/// Answer a `QUERY`/`QUERYC`/`PROFILE` under the request span, latency
-/// histogram, flight recorder, and slow-query log. Every query (local or
-/// shard-fanned-out) goes through here, so the slow-query log and the
-/// recorder fire identically, sharded or not.
-fn respond_query(shared: &Shared, query: &str, mode: QueryMode, stamp: Option<TraceCtx>) -> Reply {
+/// Answer a `QUERY`, or with `profiled` a `PROFILE`, under the request
+/// span, latency histogram, flight recorder, and slow-query log.
+fn respond_query(shared: &Shared, query: &str, profiled: bool) -> Reply {
     let started = Instant::now();
-    // A fresh trace per request: concurrent clients never share a trace
-    // id. A stamped `QUERYC` instead joins the router's trace, parented under
-    // its fan-out span, so all shards' spans merge into one tree.
-    let mut span = match stamp {
-        Some(parent) => span_in(Some(parent), "server.request"),
-        None => root_span("server.request"),
-    };
+    // A fresh trace per request: concurrent clients never share a trace id.
+    let mut span = root_span("server.request");
     span.arg("query", query);
     let trace = span.ctx();
-    let (mut frames, profile) = handle_query(shared, query, trace, mode);
+    let (frames, profile) = handle_query(shared, query, trace, profiled);
     drop(span);
     let elapsed = started.elapsed();
     shared.metrics.latency.observe(elapsed.as_nanos() as u64);
@@ -755,21 +688,6 @@ fn respond_query(shared: &Shared, query: &str, mode: QueryMode, stamp: Option<Tr
         shared.counters.update(|c| c.slow_queries += 1);
         shared.metrics.slow_queries.inc();
         eprintln!("{line}");
-    }
-    // A trace-stamped shard answer grows its `SPANS` trailer after the
-    // request span has closed, so the batch includes it.
-    if mode == QueryMode::Cards {
-        if let Some(parent) = stamp {
-            let batch: Vec<SpanData> = systolic_telemetry::collector()
-                .map(|c| {
-                    c.trace_spans(parent.trace_id)
-                        .iter()
-                        .map(SpanData::from)
-                        .collect()
-                })
-                .unwrap_or_default();
-            frames.push(spans_frame(&render_batch(&batch)));
-        }
     }
     Reply {
         frames,
@@ -871,8 +789,8 @@ fn stats_frame(shared: &Shared) -> String {
     format!(
         "STATS tables={tables} queries={} loads={} refused={} \
          timeouts={} active={} uptime_ms={} queue_hwm={} slow={} lat_p50_ns={} \
-         lat_p95_ns={} lat_p99_ns={} lat_count={} backend={} sharded={} \
-         shard_fallback={} durable={durable} wal_records={wal_records} \
+         lat_p95_ns={} lat_p99_ns={} lat_count={} backend={} \
+         durable={durable} wal_records={wal_records} \
          wal_bytes={wal_bytes} checkpoints={checkpoints} recovered={recovered} \
          optimize={optimize} rewrites={} plan_cache_hits={}",
         report.queries,
@@ -888,8 +806,6 @@ fn stats_frame(shared: &Shared) -> String {
         lat.p99,
         lat.count,
         shared.cfg.machine.backend.label(),
-        report.sharded,
-        report.shard_fallback,
         report.rewrites,
         report.plan_cache_hits,
         optimize = u8::from(shared.cfg.optimize),
@@ -957,7 +873,7 @@ fn handle_load(
         }
     };
     let (kind, detail) = match scheduler::load(shared, name, rel, kinds, csv) {
-        Fenced::Answered(rows) => return loaded_shard_forwarded(shared, name, kinds, csv, rows),
+        Fenced::Answered(rows) => return loaded_frame(name, rows),
         Fenced::TimedOut => ("timeout", "load timed out"),
         Fenced::Gone => ("shutting_down", MACHINE_GONE),
     };
@@ -965,22 +881,6 @@ fn handle_load(
     // registration to match.
     locks::write(&shared.store).unregister(name);
     err_frame(kind, detail)
-}
-
-/// Forward a successfully-loaded table's partitions to the shards (when
-/// routing), then answer `LOADED`. Forwarding failure only degrades the
-/// table to local-only — the local load is the truth the client was told.
-fn loaded_shard_forwarded(
-    shared: &Shared,
-    name: &str,
-    kinds: &[systolic_relation::DomainKind],
-    csv: &str,
-    rows: usize,
-) -> String {
-    if let Some(router) = &shared.router {
-        router.register_load(name, kinds, csv);
-    }
-    loaded_frame(name, rows)
 }
 
 /// Run the cost-based plan compiler over a checked expression, consulting
@@ -1039,14 +939,14 @@ fn optimize_plan(
     }
 }
 
-/// Answer one query: the `RESULT` (or `ERR`) frame, the `CARDS` frame for
-/// `QUERYC`, the `PROFILE` frame for `PROFILE`, and the `HOST` frame on
-/// success — plus the built [`QueryProfile`] for the flight recorder.
+/// Answer one query: the `RESULT` (or `ERR`) frame, the `PROFILE` frame
+/// when `profiled`, and the `HOST` frame on success — plus the built
+/// [`QueryProfile`] for the flight recorder.
 fn handle_query(
     shared: &Shared,
     query: &str,
     trace: Option<TraceCtx>,
-    mode: QueryMode,
+    profiled: bool,
 ) -> (Vec<String>, Option<QueryProfile>) {
     // Static analysis before the machine: a query that cannot execute
     // (typo'd relation, type error, capacity overflow, ...) never takes a
@@ -1112,34 +1012,12 @@ fn handle_query(
             QuantileSummary::from_histogram(&shared.metrics.latency),
         );
         let mut frames = vec![result];
-        match mode {
-            QueryMode::Plain => {}
-            QueryMode::Cards => frames.push(cards_frame(&reply.step_rows)),
-            QueryMode::Profile => frames.push(profile_frame(&built.to_json())),
+        if profiled {
+            frames.push(profile_frame(&built.to_json()));
         }
         frames.push(host_frame(reply.host_wall_ns));
         (frames, Some(built))
     };
-    if let Some(router) = &shared.router {
-        match router.try_query(shared, &expr, query, trace) {
-            RouteOutcome::Answered { result, reply } => {
-                shared.metrics.sharded.inc();
-                shared.counters.update(|c| c.sharded += 1);
-                // The routed result frame was built from the merged rows;
-                // the router verified `step_rows.last()` equals its count.
-                let rows = reply.step_rows.last().copied().unwrap_or(0);
-                return finish(result, &reply, rows);
-            }
-            RouteOutcome::Failed { frame } => return (vec![frame], None),
-            RouteOutcome::NotRouted => {
-                shared.metrics.shard_fallback.inc();
-                shared.counters.update(|c| c.shard_fallback += 1);
-                // The local run may overwrite a routed base table via
-                // `store(...)`; stop routing such tables first.
-                router.invalidate(&expr);
-            }
-        }
-    }
     let reply = match scheduler::run_query(shared, &expr, query, trace) {
         Fenced::Answered(reply) => reply,
         // Never ran — no `store(...)` side effects.

@@ -1,9 +1,8 @@
 //! End-to-end plan-compiler tests against live TCP servers.
 //!
 //! The tentpole guarantee: a server with the optimizer on answers every
-//! query with rows *byte-identical* to a server with it off — across one
-//! and two shards — while spending no more (and on this workload strictly
-//! fewer) simulated pulses. The pulse accounting a client sees prices the
+//! query with rows *byte-identical* to a server with it off, while
+//! spending no more (and on this workload strictly fewer) simulated pulses. The pulse accounting a client sees prices the
 //! *chosen* plan, so `PROFILE`'s `drift_pulses >= 0` invariant keeps
 //! holding against the optimized budget.
 
@@ -37,11 +36,10 @@ const QUERIES: &[&str] = &[
     "dedup(scan(a))",
 ];
 
-fn config(optimize: bool, shards: usize) -> ServerConfig {
+fn config(optimize: bool) -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         optimize,
-        shards,
         machine: MachineConfig::default(),
         slow_query: None,
         ..ServerConfig::default()
@@ -50,8 +48,8 @@ fn config(optimize: bool, shards: usize) -> ServerConfig {
 
 /// Run the whole workload on a fresh server; returns per-query
 /// (rows, csv, total_pulses) plus the final `STATS` line.
-fn run_workload(optimize: bool, shards: usize) -> (Vec<(usize, String, u64)>, String) {
-    let handle = spawn(config(optimize, shards)).unwrap();
+fn run_workload(optimize: bool) -> (Vec<(usize, String, u64)>, String) {
+    let handle = spawn(config(optimize)).unwrap();
     let mut client = Client::connect(handle.addr).unwrap();
     for (name, kinds, csv) in TABLES {
         client.load_csv(name, kinds, csv).unwrap();
@@ -79,8 +77,8 @@ fn rows_match(on: &[(usize, String, u64)], off: &[(usize, String, u64)]) {
 
 #[test]
 fn optimized_rows_are_byte_identical_and_strictly_cheaper() {
-    let (on, stats_on) = run_workload(true, 1);
-    let (off, stats_off) = run_workload(false, 1);
+    let (on, stats_on) = run_workload(true);
+    let (off, stats_off) = run_workload(false);
     rows_match(&on, &off);
     let pulses = |r: &[(usize, String, u64)]| r.iter().map(|x| x.2).sum::<u64>();
     assert!(
@@ -115,19 +113,8 @@ fn optimized_rows_are_byte_identical_and_strictly_cheaper() {
 }
 
 #[test]
-fn optimizer_is_transparent_across_shards() {
-    let (off1, _) = run_workload(false, 1);
-    let (on2, stats) = run_workload(true, 2);
-    let (off2, _) = run_workload(false, 2);
-    rows_match(&on2, &off2);
-    // And sharding itself stays transparent under the optimizer.
-    rows_match(&on2, &off1);
-    assert!(stats.contains(" optimize=1 "), "{stats}");
-}
-
-#[test]
 fn plan_cache_hits_repeat_queries_and_invalidates_on_catalog_change() {
-    let handle = spawn(config(true, 1)).unwrap();
+    let handle = spawn(config(true)).unwrap();
     let mut client = Client::connect(handle.addr).unwrap();
     for (name, kinds, csv) in TABLES {
         client.load_csv(name, kinds, csv).unwrap();
@@ -171,7 +158,7 @@ fn plan_cache_hits_repeat_queries_and_invalidates_on_catalog_change() {
 
 #[test]
 fn profile_drift_stays_nonnegative_against_the_chosen_plan() {
-    let handle = spawn(config(true, 1)).unwrap();
+    let handle = spawn(config(true)).unwrap();
     let mut client = Client::connect(handle.addr).unwrap();
     for (name, kinds, csv) in TABLES {
         client.load_csv(name, kinds, csv).unwrap();

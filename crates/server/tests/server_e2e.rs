@@ -849,82 +849,6 @@ fn duplicate_loads_conflict_and_errors_are_structured() {
     handle.join().unwrap();
 }
 
-/// The sharding acceptance check: a server partitioning relations across
-/// N machine shards answers the whole e2e workload — shardable fan-outs
-/// and transparent local fallbacks alike — with `RESULT` frames
-/// *byte-identical* to the single-`System` server's, and `QUERYC`'s
-/// per-step cardinalities (summed across shards on the router) match too.
-#[test]
-fn sharded_servers_answer_byte_identically_to_a_single_system() {
-    // store() runs only on the local system (the analyzer guarantees the
-    // target is a fresh name, so shard partitions cannot go stale); the
-    // follow-up re-query proves routing still works after the write-back.
-    const FOLLOW_UPS: &[&str] = &[
-        "store(filter(scan(a), c0 >= 3), b2)",
-        "union(scan(a), scan(b))",
-    ];
-
-    // Single-System oracle: every query, then the store scenario.
-    let baseline = spawn(local_config()).unwrap();
-    let mut c = Client::connect(baseline.addr).unwrap();
-    load_all(&mut c);
-    let expect: Vec<String> = QUERIES
-        .iter()
-        .chain(FOLLOW_UPS)
-        .map(|q| c.raw_query_frames(q).unwrap().0)
-        .collect();
-    let expect_cards: Vec<(String, Vec<u64>)> = QUERIES
-        .iter()
-        .map(|q| {
-            let (frame, cards, _host) = c.query_cards(q).unwrap();
-            (frame, cards)
-        })
-        .collect();
-    c.close().unwrap();
-    baseline.shutdown();
-    baseline.join().unwrap();
-
-    for shards in [2usize, 4] {
-        let handle = spawn(ServerConfig {
-            shards,
-            ..local_config()
-        })
-        .unwrap();
-        let mut c = Client::connect(handle.addr).unwrap();
-        load_all(&mut c);
-        for (i, q) in QUERIES.iter().chain(FOLLOW_UPS).enumerate() {
-            let (frame, _host) = c.raw_query_frames(q).unwrap();
-            assert_eq!(frame, expect[i], "{shards}-shard RESULT diverged on {q:?}");
-        }
-        for (q, (want_frame, want_cards)) in QUERIES.iter().zip(&expect_cards) {
-            let (frame, cards, _host) = c.query_cards(q).unwrap();
-            assert_eq!(
-                &frame, want_frame,
-                "{shards}-shard QUERYC diverged on {q:?}"
-            );
-            assert_eq!(&cards, want_cards, "{shards}-shard CARDS diverged on {q:?}");
-        }
-
-        // Both paths must actually have run: shardable set ops fanned out,
-        // while divide/Str-join/store queries fell back to the local copy.
-        let text = c.metrics().unwrap();
-        let exp = systolic_telemetry::prom::validate(&text).expect("exposition must validate");
-        assert!(
-            exp.value("sdb_server_sharded_total", "").unwrap_or(0.0) >= 1.0,
-            "{shards}-shard server never routed a query:\n{text}"
-        );
-        assert!(
-            exp.value("sdb_server_shard_fallback_total", "")
-                .unwrap_or(0.0)
-                >= 1.0,
-            "{shards}-shard server never fell back:\n{text}"
-        );
-        c.close().unwrap();
-        handle.shutdown();
-        handle.join().unwrap();
-    }
-}
-
 /// The result path — rows to CSV text to an escaped frame to one socket
 /// write — answers with the bytes it answered with before it was rewritten:
 /// a join, a union, and a filter over a string column whose values need
@@ -1020,9 +944,8 @@ fn shutdown_drains_pipelined_in_flight_queries() {
 }
 
 /// The observability acceptance check, half one: `PROFILE` answers with a
-/// `RESULT` frame *byte-identical* to `QUERY`'s for the same query — at one
-/// and two shards, and on both backends — and the
-/// profile itself is internally consistent: the analyzer's predicted pulse
+/// `RESULT` frame *byte-identical* to `QUERY`'s for the same query — on
+/// both backends — and the profile itself is internally consistent: the analyzer's predicted pulse
 /// budget bounds the actual pulses, and the actual pulses equal the
 /// `RESULT` frame's own `RunStats` pulses.
 #[test]
@@ -1030,14 +953,7 @@ fn profile_results_are_byte_identical_and_bounded_by_the_budget() {
     use systolic_telemetry::json::{self, Json};
 
     let configs = [
-        ("1-shard", local_config()),
-        (
-            "2-shard",
-            ServerConfig {
-                shards: 2,
-                ..local_config()
-            },
-        ),
+        ("sim", local_config()),
         (
             "columnar",
             ServerConfig {
@@ -1117,16 +1033,16 @@ fn profile_results_are_byte_identical_and_bounded_by_the_budget() {
     }
 }
 
-/// The observability acceptance check, half two: a two-shard server with
-/// `trace_out` writes ONE merged Chrome trace in which every shard's
-/// `server.request` span (returned over the wire in `SPANS` trailers)
-/// parents under the router's `server.shard_fanout` span, which itself
-/// parents under the outer request's root span — one trace id end to end.
+/// The observability acceptance check, half two: a server with
+/// `trace_out` writes ONE Chrome trace at shutdown, in which a query's
+/// `server.request` span is its trace's root on the host track (pid 2),
+/// the machine run parents under it, and the query's simulated steps sit
+/// on the pulse-time track (pid 1) under the same trace id.
 ///
 /// Holds [`collector_lock`]: `trace_out` installs the process-global
 /// collector for the server's lifetime.
 #[test]
-fn sharded_trace_out_parents_shard_spans_under_the_fanout() {
+fn trace_out_writes_host_spans_and_simulated_steps_on_two_tracks() {
     use systolic_telemetry::json::{self, Json};
 
     let _guard = collector_lock();
@@ -1135,24 +1051,16 @@ fn sharded_trace_out_parents_shard_spans_under_the_fanout() {
     let path = dir.join("merged.json");
 
     let handle = spawn(ServerConfig {
-        shards: 2,
         trace_out: Some(path.clone()),
         ..local_config()
     })
     .unwrap();
     let mut c = Client::connect(handle.addr).unwrap();
     load_all(&mut c);
-    // A shardable query, so the router actually fans out — spelled like no
-    // other test's, because sharded servers of concurrently running tests
-    // record their fan-outs into the same process-global collector.
-    let shardable = "intersect(scan(b), scan(a))";
-    c.query(shardable).unwrap();
-    let text = c.metrics().unwrap();
-    let exp = systolic_telemetry::prom::validate(&text).unwrap();
-    assert!(
-        exp.value("sdb_server_sharded_total", "").unwrap_or(0.0) >= 1.0,
-        "query must have routed:\n{text}"
-    );
+    // Spelled like no other test's query: concurrently running tests record
+    // into the same process-global collector.
+    let traced = "intersect(scan(b), scan(a))";
+    c.query(traced).unwrap();
     c.close().unwrap();
     handle.shutdown();
     handle.join().unwrap();
@@ -1160,6 +1068,7 @@ fn sharded_trace_out_parents_shard_spans_under_the_fanout() {
     let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).expect("valid trace JSON");
     let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
     let arg = |e: &Json, k: &str| e.get("args").and_then(|a| a.get(k)).and_then(Json::as_u64);
+    let pid = |e: &Json| e.get("pid").and_then(Json::as_u64);
     let named = |n: &str| {
         events
             .iter()
@@ -1167,47 +1076,35 @@ fn sharded_trace_out_parents_shard_spans_under_the_fanout() {
             .collect::<Vec<_>>()
     };
 
-    // The outer request is its trace's root span...
-    let requests = named("server.request");
-    let asks = |e: &Json| {
-        let query = e.get("args").and_then(|a| a.get("query"));
-        query.and_then(Json::as_str) == Some(shardable)
-    };
-    let root = requests
-        .iter()
-        .find(|e| asks(e) && arg(e, "parent_id").is_none())
-        .expect("the outer request is the trace's root span");
+    // The request is its trace's root span, on the host track...
+    let root = named("server.request")
+        .into_iter()
+        .find(|e| {
+            let query = e.get("args").and_then(|a| a.get("query"));
+            query.and_then(Json::as_str) == Some(traced)
+        })
+        .expect("the request span is in the trace");
+    assert_eq!(arg(root, "parent_id"), None, "the request is the root");
+    assert_eq!(pid(root), Some(2), "host spans are on pid 2");
     let trace_id = arg(root, "trace_id").unwrap();
 
-    // ...its one fan-out parents under it...
-    let fanouts: Vec<_> = named("server.shard_fanout")
+    // ...the machine run parents under it...
+    let runs: Vec<_> = named("server.run")
         .into_iter()
         .filter(|e| arg(e, "trace_id") == Some(trace_id))
         .collect();
-    assert_eq!(
-        fanouts.len(),
-        1,
-        "one fan-out span for the one routed query"
-    );
-    let fanout = fanouts[0];
-    let fanout_span = arg(fanout, "span_id").unwrap();
-    assert_eq!(arg(fanout, "parent_id"), arg(root, "span_id"));
+    assert_eq!(runs.len(), 1, "one run for the one query");
+    assert_eq!(arg(runs[0], "parent_id"), arg(root, "span_id"));
 
-    // ...and both shards' request spans parent under the fan-out, on the
-    // same trace id, each exactly once (the SPANS trailer duplicates the
-    // in-process collector's copy; the merge must dedup).
-    let shard_requests: Vec<_> = requests
+    // ...and the simulated schedule carries the same trace id on pid 1.
+    let steps: Vec<_> = events
         .iter()
-        .filter(|e| arg(e, "parent_id") == Some(fanout_span))
+        .filter(|e| pid(e) == Some(1) && arg(e, "trace_id") == Some(trace_id))
         .collect();
-    assert_eq!(
-        shard_requests.len(),
-        2,
-        "both shard request spans, deduped, under the fan-out"
+    assert!(
+        !steps.is_empty(),
+        "the query's simulated steps are on pid 1"
     );
-    for e in &shard_requests {
-        assert_eq!(arg(e, "trace_id"), Some(trace_id), "one trace end to end");
-    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -1266,8 +1163,7 @@ fn flight_recorder_retains_newest_profiles_and_records_errors() {
 
 /// Durability across graceful restarts: a server opened on a `--data-dir`
 /// recovers every load and every logged `store(...)` query from its WAL,
-/// so the whole workload answers *byte-identically* after a restart — at
-/// one shard and at two (each shard recovering its own partition). A
+/// so the whole workload answers *byte-identically* after a restart. A
 /// `CHECKPOINT` mid-sequence snapshots the history and the next recovery
 /// (snapshot + empty tail) must answer identically again.
 #[test]
@@ -1275,73 +1171,64 @@ fn durable_servers_answer_byte_identically_after_restart() {
     let root = std::env::temp_dir().join(format!("sdb_srv_durable_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
 
-    for shards in [1usize, 2] {
-        let data_dir = root.join(format!("s{shards}"));
-        let config = || ServerConfig {
-            shards,
-            data_dir: Some(data_dir.clone()),
-            ..local_config()
-        };
+    let data_dir = root.join("data");
+    let config = || ServerConfig {
+        data_dir: Some(data_dir.clone()),
+        ..local_config()
+    };
 
-        // Generation 0: load, run a store(...) so a query lands in the WAL,
-        // then capture the post-store answers as the oracle.
-        let handle = spawn(config()).unwrap();
-        let mut c = Client::connect(handle.addr).unwrap();
-        load_all(&mut c);
-        c.query("store(filter(scan(a), c0 >= 3), a_big)").unwrap();
-        let expect: Vec<String> = QUERIES
-            .iter()
-            .map(|q| c.raw_query_frames(q).unwrap().0)
-            .collect();
-        let stats = c.stats_line().unwrap();
-        assert!(stats.contains("durable=1"), "{stats}");
-        assert!(
-            stats.contains(" wal_records=7"),
-            "6 loads + 1 store: {stats}"
-        );
-        c.close().unwrap();
-        handle.shutdown();
-        handle.join().unwrap();
+    // Generation 0: load, run a store(...) so a query lands in the WAL,
+    // then capture the post-store answers as the oracle.
+    let handle = spawn(config()).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    load_all(&mut c);
+    c.query("store(filter(scan(a), c0 >= 3), a_big)").unwrap();
+    let expect: Vec<String> = QUERIES
+        .iter()
+        .map(|q| c.raw_query_frames(q).unwrap().0)
+        .collect();
+    let stats = c.stats_line().unwrap();
+    assert!(stats.contains("durable=1"), "{stats}");
+    assert!(
+        stats.contains(" wal_records=7"),
+        "6 loads + 1 store: {stats}"
+    );
+    c.close().unwrap();
+    handle.shutdown();
+    handle.join().unwrap();
 
-        // Generation 1: recovered purely from the WAL.
-        let handle = spawn(config()).unwrap();
-        let mut c = Client::connect(handle.addr).unwrap();
-        let stats = c.stats_line().unwrap();
-        assert!(stats.contains(" recovered=7"), "{stats}");
-        for (q, want) in QUERIES.iter().zip(&expect) {
-            let (frame, _host) = c.raw_query_frames(q).unwrap();
-            assert_eq!(
-                &frame, want,
-                "{shards}-shard WAL recovery diverged on {q:?}"
-            );
-        }
-        // Snapshot the history; the log resets but nothing is forgotten.
-        let (records, bytes) = c.checkpoint().unwrap();
-        assert_eq!(records, 7, "all history records snapshotted");
-        assert!(bytes > 0);
-        let stats = c.stats_line().unwrap();
-        assert!(stats.contains(" wal_records=0"), "log reset: {stats}");
-        assert!(stats.contains(" checkpoints=1"), "{stats}");
-        c.close().unwrap();
-        handle.shutdown();
-        handle.join().unwrap();
-
-        // Generation 2: recovered from the checkpoint snapshot alone.
-        let handle = spawn(config()).unwrap();
-        let mut c = Client::connect(handle.addr).unwrap();
-        let stats = c.stats_line().unwrap();
-        assert!(stats.contains(" recovered=7"), "{stats}");
-        for (q, want) in QUERIES.iter().zip(&expect) {
-            let (frame, _host) = c.raw_query_frames(q).unwrap();
-            assert_eq!(
-                &frame, want,
-                "{shards}-shard snapshot recovery diverged on {q:?}"
-            );
-        }
-        c.close().unwrap();
-        handle.shutdown();
-        handle.join().unwrap();
+    // Generation 1: recovered purely from the WAL.
+    let handle = spawn(config()).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    let stats = c.stats_line().unwrap();
+    assert!(stats.contains(" recovered=7"), "{stats}");
+    for (q, want) in QUERIES.iter().zip(&expect) {
+        let (frame, _host) = c.raw_query_frames(q).unwrap();
+        assert_eq!(&frame, want, "WAL recovery diverged on {q:?}");
     }
+    // Snapshot the history; the log resets but nothing is forgotten.
+    let (records, bytes) = c.checkpoint().unwrap();
+    assert_eq!(records, 7, "all history records snapshotted");
+    assert!(bytes > 0);
+    let stats = c.stats_line().unwrap();
+    assert!(stats.contains(" wal_records=0"), "log reset: {stats}");
+    assert!(stats.contains(" checkpoints=1"), "{stats}");
+    c.close().unwrap();
+    handle.shutdown();
+    handle.join().unwrap();
+
+    // Generation 2: recovered from the checkpoint snapshot alone.
+    let handle = spawn(config()).unwrap();
+    let mut c = Client::connect(handle.addr).unwrap();
+    let stats = c.stats_line().unwrap();
+    assert!(stats.contains(" recovered=7"), "{stats}");
+    for (q, want) in QUERIES.iter().zip(&expect) {
+        let (frame, _host) = c.raw_query_frames(q).unwrap();
+        assert_eq!(&frame, want, "snapshot recovery diverged on {q:?}");
+    }
+    c.close().unwrap();
+    handle.shutdown();
+    handle.join().unwrap();
 
     // A server without a data dir refuses CHECKPOINT with a stable kind.
     let handle = spawn(local_config()).unwrap();

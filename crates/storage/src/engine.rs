@@ -57,7 +57,7 @@ pub struct CheckpointReport {
     pub bytes: u64,
 }
 
-/// The engine: one per data directory (one per shard).
+/// The engine: one per data directory.
 #[derive(Debug)]
 pub struct StorageEngine {
     dir: PathBuf,

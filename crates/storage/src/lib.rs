@@ -51,8 +51,7 @@ pub use wal::WalRecord;
 /// FNV-1a over 64 bits — the checksum used by page headers and WAL frames.
 ///
 /// Not cryptographic; it detects torn writes and bit rot, which is all a
-/// single-writer log needs. The same family the server's shard router uses
-/// for partitioning, so the repo carries one hash idiom.
+/// single-writer log needs.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

@@ -63,8 +63,8 @@ impl Json {
 
 /// Append `s` to `out` as a quoted JSON string literal, escaping quotes,
 /// backslashes and control characters. The one string *writer* shared by
-/// every JSON emitter in the workspace (Chrome traces, span batches, query
-/// profiles) so they all escape identically.
+/// every JSON emitter in the workspace (Chrome traces and query profiles)
+/// so they all escape identically.
 pub fn write_str(out: &mut String, s: &str) {
     use std::fmt::Write as _;
     out.push('"');

@@ -184,19 +184,15 @@ pub struct ServeArgs {
     pub backend: Option<Backend>,
     /// Connection worker threads.
     pub workers: usize,
-    /// Machine shards relations are hash-partitioned across (`1` = the
-    /// classic single-`System` server).
-    pub shards: usize,
     /// Slow-query log threshold in milliseconds; 0 disables the log.
     pub slow_query_ms: u64,
-    /// Durable data directory (`None` = in-memory only). With `--shards N`
-    /// each shard persists under `DIR/shard-i`.
+    /// Durable data directory (`None` = in-memory only).
     pub data_dir: Option<String>,
     /// Buffer-pool capacity of the paged store, in 8 KiB pages: frames for
     /// pages that are read (writes bypass the pool).
     pub pool_pages: usize,
-    /// Write one merged Chrome/Perfetto trace covering every query (and,
-    /// with `--shards N`, every shard) on shutdown.
+    /// Write one merged Chrome/Perfetto trace covering every query on
+    /// shutdown.
     pub trace_out: Option<String>,
     /// Flight-recorder depth: how many recent query profiles `PROFILES`
     /// retains (0 disables the recorder).
@@ -213,7 +209,6 @@ impl Default for ServeArgs {
             addr: defaults.addr,
             backend: None,
             workers: defaults.workers,
-            shards: defaults.shards,
             slow_query_ms: defaults
                 .slow_query
                 .map(|d| d.as_millis() as u64)
@@ -346,19 +341,14 @@ pub const USAGE: &str = "usage: sdb --table NAME=PATH:type,type,... [--table ...
   serve: run the concurrent query service until SIGINT/SIGTERM
   --io threads|poll: accepted and ignored; every connection is served by
                its own worker thread
-  --shards N: hash-partition loaded relations across N independent machine
-               shards; shardable queries fan out and merge, every other
-               query transparently falls back to a full local copy — the
-               RESULT frames are byte-identical either way
+  --shards N: accepted and ignored; one machine serves every query
   --slow-query-ms MS: log queries slower than MS to stderr (0 disables)
   --data-dir DIR: persist loads and store(...) queries to a write-ahead log
-               under DIR and recover them (byte-identically) on restart;
-               with --shards N each shard persists under DIR/shard-i
+               under DIR and recover them (byte-identically) on restart
   --pool-pages N: buffer-pool capacity of the paged store, in 8 KiB pages:
                frames for pages that are read (writes bypass the pool)
   --trace-out FILE: (serve) write one merged Chrome/Perfetto trace covering
-               every query — and with --shards N, every shard's spans,
-               parented under the router's fan-out — on shutdown
+               every query on shutdown
   --profile-history N: (serve) flight-recorder depth: how many recent query
                profiles PROFILES retains (0 disables)
   --optimize on|off: (serve) route admitted queries through the cost-based
@@ -458,8 +448,11 @@ fn parse_serve_args(argv: &[String]) -> Result<ServeArgs, CliError> {
                 }
             },
             "--shards" => {
+                // One machine serves every query; the count still parses,
+                // like `--io`.
                 let value = flag_value("--shards", &mut it)?;
-                args.shards = parse_number("--shards", value)?.max(1);
+                parse_number("--shards", value)?;
+                eprintln!("sdb serve: --shards {value} is ignored; one machine serves every query");
             }
             "--slow-query-ms" => {
                 let value = flag_value("--slow-query-ms", &mut it)?;
@@ -857,7 +850,6 @@ fn run_serve(args: &ServeArgs) -> Result<(), CliError> {
     systolic_server::run(ServerConfig {
         addr: args.addr.clone(),
         workers: args.workers,
-        shards: args.shards,
         machine: machine_config(args.backend),
         slow_query: match args.slow_query_ms {
             0 => None,
@@ -1129,15 +1121,12 @@ mod tests {
             "8",
             "--io",
             "poll",
-            "--shards",
-            "4",
         ]))
         .unwrap()
         {
             Command::Serve(s) => {
                 assert_eq!(s.addr, "127.0.0.1:0");
                 assert_eq!(s.workers, 8);
-                assert_eq!(s.shards, 4);
             }
             other => panic!("expected serve, got {other:?}"),
         }
@@ -1148,9 +1137,15 @@ mod tests {
             let with_io = parse_command(&argv(&["serve", "--io", io])).unwrap();
             assert_eq!(format!("{with_io:?}"), format!("{plain:?}"), "--io {io}");
         }
+        // So is `--shards N`: one machine serves every query.
+        let with_shards = parse_command(&argv(&["serve", "--shards", "4"])).unwrap();
+        assert_eq!(
+            format!("{with_shards:?}"),
+            format!("{plain:?}"),
+            "--shards 4"
+        );
         match plain {
             Command::Serve(s) => {
-                assert_eq!(s.shards, 1, "single-System by default");
                 assert_eq!(s.data_dir, None, "in-memory by default");
             }
             other => panic!("expected serve, got {other:?}"),
