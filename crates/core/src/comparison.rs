@@ -22,9 +22,9 @@ use crate::tiling::{self, Seed};
 /// that comparison"); the default is equality.
 ///
 /// The comparison arrays themselves run on [`systolic_fabric::CompareGrid`],
-/// which steps this cell's rule over packed lanes; the cell is the rule as a
-/// [`Cell`], for arrays that mix it with other processors and as the
-/// reference a `Grid` of it pins `CompareGrid` to.
+/// which steps this cell's rule over packed wire planes; the cell is the
+/// rule as a [`Cell`], for arrays that mix it with other processors and as
+/// the reference a `Grid` of it pins `CompareGrid` to.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompareCell {
     /// The comparison this processor applies.

@@ -25,7 +25,9 @@
 
 use std::ops::Range;
 
-use systolic_fabric::{CompareFeed, CompareGrid, CompareOp, CompareSchedule, Elem, TraceFrame};
+use systolic_fabric::{
+    CompareFeed, CompareGrid, CompareOp, CompareSchedule, EastEdge, Elem, TraceFrame, WestEdge,
+};
 
 use crate::error::Result;
 use crate::intersection::SetOpMode;
@@ -84,6 +86,16 @@ impl Seed {
         match self {
             Seed::All => true,
             Seed::StrictLower => i > j,
+        }
+    }
+
+    /// The first `i` for which the pair `(a0 + i, d - i)` is seeded TRUE:
+    /// along such a diagonal the seeds are FALSE before it and TRUE from it.
+    pub(crate) fn first_true(self, a0: usize, d: usize) -> usize {
+        match self {
+            Seed::All => 0,
+            // a0 + i > d - i
+            Seed::StrictLower => d.checked_sub(a0).map_or(0, |gap| gap / 2 + 1),
         }
     }
 
@@ -243,7 +255,6 @@ impl Run {
         let last_inject = windows[NORTH].1.max(windows[SOUTH].1);
         TileTiming {
             sched,
-            delta,
             windows,
             // An A or B word injected at pulse p leaves the grid after row
             // rows - 1, at pulse p + rows - 1; a seed injected at p crosses
@@ -263,8 +274,6 @@ impl Run {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TileTiming {
     pub sched: CompareSchedule,
-    /// The short-tile shift of the `A` elements, seeds and verdicts.
-    pub delta: u64,
     /// The first and last pulse of the tile's traffic on each edge
     /// (`NORTH`, `SOUTH`, `WEST`: injections; `EAST`: verdicts).
     pub windows: [(u64, u64); 4],
@@ -471,15 +480,13 @@ const WEST: usize = 2;
 const EAST: usize = 3;
 
 /// One tile of a stream, placed in time: `A`-rows `a0..a0 + sched.n_a`
-/// against `B`-rows `b0..b0 + sched.n_b`, its `A` elements, seeds and
-/// verdicts `shift` pulses later than its schedule says (its offset plus
-/// the short-tile `delta`).
+/// against `B`-rows `b0..b0 + sched.n_b`, its traffic on each edge in its
+/// `windows`.
 #[derive(Debug, Clone, Copy)]
 struct StreamTile {
     sched: CompareSchedule,
     a0: usize,
     b0: usize,
-    shift: u64,
     /// The first and last pulse of the tile's traffic on each edge
     /// (`NORTH`, `SOUTH`, `WEST`: injections; `EAST`: verdicts).
     windows: [(u64, u64); 4],
@@ -487,8 +494,9 @@ struct StreamTile {
 
 /// The boundary of a comparison grid through which tiles stream back to
 /// back (§8 with §1's pipelining). Nothing is tabulated: each pulse's words
-/// are found by inverting the open tiles' [`CompareSchedule`]s, and each
-/// verdict by [`CompareSchedule::pair_at_exit`], straight into `T`.
+/// are found by inverting the open tiles' [`CompareSchedule`]s, and of the
+/// east column only the rows those schedules name at the pulse are read,
+/// straight into `T`.
 struct TileFeed<'r> {
     a: &'r [Vec<Elem>],
     b: &'r [Vec<Elem>],
@@ -531,7 +539,6 @@ impl<'r> TileFeed<'r> {
                     sched: time.sched,
                     a0: run.a0,
                     b0: run.b0 + k as usize * run.tb,
-                    shift: at + time.delta,
                     windows: time.windows.map(|(first, last)| (first + at, last + at)),
                 });
             }
@@ -559,17 +566,34 @@ impl<'r> TileFeed<'r> {
             discarded: 0,
         }
     }
+}
 
-    /// The global pair whose verdict leaves the east edge from `row` at
-    /// `pulse`, if any tile scheduled one there. Two scheduled verdicts
-    /// never share one `(row, pulse)` wire, so the first tile that claims it
-    /// owns it.
-    fn exit(&mut self, pulse: u64, row: usize) -> Option<(usize, usize)> {
-        let open = self.open[EAST].at(&self.tiles, pulse, EAST);
-        self.tiles[open].iter().find_map(|tile| {
-            let (i, j) = tile.sched.pair_at_exit(row, pulse - tile.shift)?;
-            Some((tile.a0 + i, tile.b0 + j))
-        })
+impl StreamTile {
+    /// The tile's pairs `(i, s - i)` whose traffic on `edge` (`WEST`: seeds,
+    /// `EAST`: verdicts) is at `pulse`, `s` pulses after pair (0, 0)'s, as
+    /// `(s, first i, last i)`; `None` outside the window.
+    fn diagonal(&self, pulse: u64, edge: usize) -> Option<(usize, usize, usize)> {
+        let s = pulse.checked_sub(self.windows[edge].0)? as usize;
+        let (lo, hi) = (
+            s.saturating_sub(self.sched.n_b - 1),
+            s.min(self.sched.n_a - 1),
+        );
+        (lo <= hi).then_some((s, lo, hi))
+    }
+
+    /// The row on which pair `(i, s - i)` meets: `n_a - 1 + j - i`.
+    fn row(&self, s: usize, i: usize) -> usize {
+        self.sched.n_a - 1 + s - 2 * i
+    }
+
+    /// The rows of the pairs `(i, s - i)` for `i` in `lo..=hi`, every other
+    /// row from `row(s, hi)` to `row(s, lo)`, as `(word, rows)` per plane
+    /// word they touch.
+    fn rows(&self, s: usize, lo: usize, hi: usize) -> impl Iterator<Item = (usize, u64)> {
+        let (first, last) = (self.row(s, hi), self.row(s, lo));
+        let parity = 0x5555_5555_5555_5555u64 << (first % 2);
+        let below = move |w| first.checked_sub(1).map_or(0, |r| through(w, r));
+        (first / 64..=last / 64).map(move |w| (w, parity & through(w, last) & !below(w)))
     }
 }
 
@@ -594,34 +618,63 @@ impl CompareFeed for TileFeed<'_> {
         }
     }
 
-    fn west(&mut self, pulse: u64, mut put: impl FnMut(usize, bool)) {
+    fn west(&mut self, pulse: u64, seeds: &mut WestEdge<'_>) {
         let open = self.open[WEST].at(&self.tiles, pulse, WEST);
         for tile in &self.tiles[open] {
             // The seed of pair (i, j) enters row n_a - 1 + j - i when its
             // first elements meet there, i + j pulses after pair (0, 0)'s.
-            let (n_a, n_b) = (tile.sched.n_a, tile.sched.n_b);
-            let s = (pulse - tile.windows[WEST].0) as usize;
-            for i in s.saturating_sub(n_b - 1)..=s.min(n_a - 1) {
-                let j = s - i;
-                put(n_a - 1 + j - i, self.seed.at(tile.a0 + i, tile.b0 + j));
+            // Along the diagonal the seeds are FALSE up to some `i` and
+            // TRUE from it on, so the TRUE ones fill the lowest rows.
+            let Some((s, lo, hi)) = tile.diagonal(pulse, WEST) else {
+                continue;
+            };
+            let from = self.seed.first_true(tile.a0, tile.b0 + s).max(lo);
+            for (w, rows) in tile.rows(s, lo, hi) {
+                let trues = if from <= hi {
+                    rows & through(w, tile.row(s, from))
+                } else {
+                    0
+                };
+                seeds.put_word(w, rows, trues);
             }
         }
     }
 
-    fn east(&mut self, pulse: u64, row: usize, verdict: bool) {
-        match self.exit(pulse, row) {
-            Some((i, j)) => {
-                self.t.set(i, j, verdict);
-                self.placed += 1;
+    fn east(&mut self, pulse: u64, verdicts: &mut EastEdge<'_>) {
+        let open = self.open[EAST].at(&self.tiles, pulse, EAST);
+        for tile in &self.tiles[open] {
+            // Two scheduled verdicts never share one `(row, pulse)` wire;
+            // if they did, the first tile to name the row would take it.
+            // `T` starts FALSE, so only the TRUE verdicts are written.
+            let Some((s, lo, hi)) = tile.diagonal(pulse, EAST) else {
+                continue;
+            };
+            for (w, rows) in tile.rows(s, lo, hi) {
+                let (taken, mut trues) = verdicts.take_word(w, rows);
+                self.placed += taken.count_ones() as usize;
+                while trues != 0 {
+                    let row = 64 * w + trues.trailing_zeros() as usize;
+                    trues &= trues - 1;
+                    let i = (tile.row(s, 0) - row) / 2;
+                    self.t.set(tile.a0 + i, tile.b0 + s - i, true);
+                }
             }
-            // With tiles streaming back-to-back, words of adjacent tiles
-            // cross inside the grid and compare as they pass; those
-            // don't-care verdicts exit at off-schedule pulses and the
-            // controller discards them (exactly as a §9 controller gates
-            // result capture by schedule). The completeness check still
-            // guarantees every *scheduled* result arrived.
-            None => self.discarded += 1,
         }
+        // With tiles streaming back-to-back, words of adjacent tiles cross
+        // inside the grid and compare as they pass; those don't-care
+        // verdicts exit at rows no tile names at this pulse and the
+        // controller discards them (exactly as a §9 controller gates result
+        // capture by schedule). The completeness check still guarantees
+        // every *scheduled* result arrived.
+        self.discarded += verdicts.len();
+    }
+}
+
+/// The bits of plane word `w` for rows up to and including `row`.
+fn through(w: usize, row: usize) -> u64 {
+    match (row + 1).saturating_sub(64 * w) {
+        n if n >= 64 => u64::MAX,
+        n => (1 << n) - 1,
     }
 }
 
@@ -909,13 +962,23 @@ mod tests {
         fn south(&mut self, pulse: u64, put: impl FnMut(usize, Elem)) {
             self.feed.south(pulse, put);
         }
-        fn west(&mut self, pulse: u64, put: impl FnMut(usize, bool)) {
-            self.feed.west(pulse, put);
+        fn west(&mut self, pulse: u64, seeds: &mut WestEdge<'_>) {
+            self.feed.west(pulse, seeds);
         }
-        fn east(&mut self, pulse: u64, row: usize, verdict: bool) {
-            let pair = self.feed.exit(pulse, row);
-            self.verdicts.push((pulse, row, verdict, pair));
-            self.feed.east(pulse, row, verdict);
+        fn east(&mut self, pulse: u64, verdicts: &mut EastEdge<'_>) {
+            let feed = &mut *self.feed;
+            let open = feed.open[EAST].at(&feed.tiles, pulse, EAST);
+            for (row, verdict) in verdicts.iter() {
+                // The first open tile whose exit diagonal holds `row`.
+                let pair = feed.tiles[open.clone()].iter().find_map(|tile| {
+                    let (s, lo, hi) = tile.diagonal(pulse, EAST)?;
+                    let gap = tile.row(s, 0).checked_sub(row)?;
+                    let i = gap / 2;
+                    (gap % 2 == 0 && (lo..=hi).contains(&i)).then(|| (tile.a0 + i, tile.b0 + s - i))
+                });
+                self.verdicts.push((pulse, row, verdict, pair));
+            }
+            feed.east(pulse, verdicts);
         }
     }
 

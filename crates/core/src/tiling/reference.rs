@@ -12,7 +12,7 @@
 //! feed must match pulse by pulse.
 
 use proptest::prelude::*;
-use systolic_fabric::{CompareFeed, CompareSchedule, Elem, ScheduleFeeder, Word};
+use systolic_fabric::{CompareFeed, CompareSchedule, Elem, ScheduleFeeder, WestEdge, Word};
 
 use super::*;
 
@@ -102,7 +102,17 @@ fn put_at(feed: &mut TileFeed, pulse: u64) -> [Vec<(usize, Word)>; 3] {
     let (mut north, mut south, mut west) = (Vec::new(), Vec::new(), Vec::new());
     feed.north(pulse, |c, e| north.push((c, Word::Elem(e))));
     feed.south(pulse, |c, e| south.push((c, Word::Elem(e))));
-    feed.west(pulse, |r, v| west.push((r, Word::Bool(v))));
+    let mut on = vec![0u64; feed.rows.div_ceil(64)];
+    let mut val = on.clone();
+    feed.west(
+        pulse,
+        &mut WestEdge::new(feed.rows, pulse, &mut on, &mut val),
+    );
+    for r in 0..feed.rows {
+        if on[r / 64] >> (r % 64) & 1 == 1 {
+            west.push((r, Word::Bool(val[r / 64] >> (r % 64) & 1 == 1)));
+        }
+    }
     [north, south, west].map(|mut words| {
         words.sort_by_key(|&(lane, _)| lane);
         words

@@ -10,7 +10,8 @@ use proptest::prelude::*;
 
 use systolic_core::comparison::CompareCell;
 use systolic_fabric::{
-    CompareFeed, CompareGrid, CompareOp, Elem, Emission, Grid, NotQuiescent, ScheduleFeeder, Word,
+    CompareFeed, CompareGrid, CompareOp, EastEdge, Elem, Emission, Grid, NotQuiescent,
+    ScheduleFeeder, WestEdge, Word,
 };
 
 /// The reference's three feeder tables as a [`CompareFeed`], keeping every
@@ -50,17 +51,18 @@ impl CompareFeed for TableFeed {
             put(c, w.as_elem().expect("south schedules carry elements"));
         }
     }
-    fn west(&mut self, pulse: u64, mut put: impl FnMut(usize, bool)) {
+    fn west(&mut self, pulse: u64, seeds: &mut WestEdge<'_>) {
         for &(r, w) in words_at(&self.west, pulse, self.rows) {
-            put(r, w.as_bool().expect("west schedules carry booleans"));
+            seeds.put(r, w.as_bool().expect("west schedules carry booleans"));
         }
     }
-    fn east(&mut self, pulse: u64, row: usize, verdict: bool) {
-        self.east.push(Emission {
-            pulse,
-            lane: row,
-            word: Word::Bool(verdict),
-        });
+    fn east(&mut self, pulse: u64, verdicts: &mut EastEdge<'_>) {
+        self.east
+            .extend(verdicts.iter().map(|(row, verdict)| Emission {
+                pulse,
+                lane: row,
+                word: Word::Bool(verdict),
+            }));
     }
 }
 

@@ -1,35 +1,36 @@
-//! The §3 comparison array, stepped a column at a time over packed lanes.
+//! The §3 comparison array, stepped a column at a time over packed wires.
 //!
 //! Every array the machine serves except selection is the comparison array
 //! of §3.2: an `rows x m` grid of identical Figure 3-2 processors,
 //! `t_OUT = t_IN AND (a_IN op b_IN)`, with `a` and `b` passed through. A
 //! [`crate::Grid`] of such cells would match and rewrite three [`Word`]s per
-//! cell-pulse although two of them only pass through. [`CompareGrid`] keeps
-//! the same three planes in the same stream frames as [`crate::grid`]
-//! (`a` row `r` at ring slot `(r - pulse) mod rows`, `b` at
-//! `(r + pulse) mod rows`, `t` column `c` at `(c - pulse) mod cols`), but as
-//! lanes:
+//! cell-pulse although two of them only pass through, and a cell only
+//! computes where an `a` word meets a `b` word. [`CompareGrid`] keeps each
+//! wire as `u64` planes, one bit per row:
 //!
-//! * each column keeps a ring of `rows` elements and a presence flag for the
-//!   `a` stream, and the same for `b`;
-//! * each `t` slot is one byte: idle, FALSE or TRUE.
+//! * per column, which rows hold an `a` word and which a `b` word. These
+//!   bits are kept by row, so `a` shifts one bit south and `b` one bit
+//!   north each pulse; the elements themselves stand still in the stream
+//!   frames of [`crate::grid`] (`a` row `r` at ring slot
+//!   `(r - pulse) mod rows`, `b` at `(r + pulse) mod rows`);
+//! * per `t` ring slot (column `c` at `(c - pulse) mod cols`), which rows
+//!   carry a verdict and which of those are TRUE.
+//!
+//! A column-pulse is then a few word operations over its planes plus one
+//! element comparison per row where `a` and `b` meet (the set bits of
+//! `a_on & b_on`); busy cells and new verdicts are popcounts. Planes span
+//! several words when `rows > 64`.
 //!
 //! The grid holds no schedule. Its boundary is a [`CompareFeed`], passed to
 //! every [`CompareGrid::step`]: each pulse the feed puts elements on the
-//! north and south lanes and seeds on the west rows, and takes every verdict
-//! that leaves the east edge. A typed feed cannot offer a word the lanes
-//! cannot carry, and a second word put into an occupied slot is refused
-//! (a panic: two data items on one wire is a schedule bug). The operator
-//! front ends compute each pulse's words from the closed-form schedule
+//! north and south lanes and seeds on the west rows, and is handed the
+//! whole east column of verdicts as an [`EastEdge`], from which it takes
+//! the rows its schedule names. A typed feed cannot offer a word the lanes
+//! cannot carry, and a second word put into an occupied slot is refused (a
+//! panic: two data items on one wire is a schedule bug). The operator front
+//! ends compute each pulse's words from the closed-form schedule
 //! (`systolic_core::tiling`), so no table of injections or verdicts is ever
 //! built.
-//!
-//! A pulse injects, then runs one loop per column, chosen once per
-//! [`CompareOp`] outside it. A column's `a` and `b` ring indices wrap at most
-//! once each, so the loop runs over at most three contiguous stretches and
-//! writes only `t` bytes: `a` and `b` stand still in their own frames. Then
-//! the edges drain: east verdicts go to the feed; `a`/`b` words leaving the
-//! array only leave the live count, because no caller reads them.
 //!
 //! Pulses, busy and total cell-pulses, quiescence, [`NotQuiescent`] and trace
 //! frames are exactly those of a `Grid` of comparison cells whose feeders
@@ -39,18 +40,11 @@ use crate::grid::{GridStats, NotQuiescent};
 use crate::trace::{TraceFrame, Tracer};
 use crate::word::{CompareOp, Elem, Word};
 
-/// A `t` slot with no word on it.
-const IDLE: u8 = 0;
-/// A `t` slot carrying `Bool(false)`.
-const FALSE: u8 = 1;
-/// A `t` slot carrying `Bool(true)`.
-const TRUE: u8 = 2;
-
 /// The boundary of a [`CompareGrid`]: what enters its north, south and west
 /// edges each pulse, and where its east verdicts go.
 ///
 /// The grid asks for pulses in ascending order, one call per edge per
-/// pulse, and drains the east edge after the pulse's comparisons.
+/// pulse, and hands over the east edge after the pulse's comparisons.
 pub trait CompareFeed {
     /// One past the last pulse at which the feed puts anything (0 if it
     /// never does): the grid is quiescent only from here on.
@@ -64,34 +58,161 @@ pub trait CompareFeed {
     /// `put(column, element)`.
     fn south(&mut self, pulse: u64, put: impl FnMut(usize, Elem));
 
-    /// Put the initial `t` values entering the west edge at `pulse`, as
-    /// `put(row, seed)`.
-    fn west(&mut self, pulse: u64, put: impl FnMut(usize, bool));
+    /// Put the initial `t` values entering the west edge at `pulse` on
+    /// `seeds`.
+    fn west(&mut self, pulse: u64, seeds: &mut WestEdge<'_>);
 
-    /// Take the verdict that left the east edge from `row`, computed by the
-    /// row's last cell at `pulse`.
-    fn east(&mut self, pulse: u64, row: usize, verdict: bool);
+    /// Take the verdicts computed by the last column at `pulse`. Called
+    /// only at pulses at which at least one verdict leaves; whatever the
+    /// feed does not take leaves the array all the same.
+    fn east(&mut self, pulse: u64, verdicts: &mut EastEdge<'_>);
+}
+
+/// The seeds entering the west edge in one pulse: one presence bit and one
+/// value bit per row, put a row or a word of rows at a time.
+pub struct WestEdge<'g> {
+    rows: usize,
+    pulse: u64,
+    on: &'g mut [u64],
+    val: &'g mut [u64],
+    put: usize,
+}
+
+impl<'g> WestEdge<'g> {
+    /// The west edge of a `rows`-row array at `pulse`, whose seeds land in
+    /// the planes `on` (rows carrying a seed) and `val` (TRUE seeds), one
+    /// bit per row.
+    ///
+    /// # Panics
+    /// Panics if the planes are not `rows.div_ceil(64)` words long.
+    pub fn new(rows: usize, pulse: u64, on: &'g mut [u64], val: &'g mut [u64]) -> Self {
+        let words = rows.div_ceil(64);
+        assert!(
+            on.len() == words && val.len() == words,
+            "planes of {rows} rows"
+        );
+        WestEdge {
+            rows,
+            pulse,
+            on,
+            val,
+            put: 0,
+        }
+    }
+
+    /// Put `seed` on `row`.
+    ///
+    /// # Panics
+    /// Panics if `row` is off the array or already carries a seed.
+    pub fn put(&mut self, row: usize, seed: bool) {
+        let row = lane("west", row, self.rows);
+        let bit = 1 << (row % 64);
+        self.put_word(row / 64, bit, bit * u64::from(seed));
+    }
+
+    /// Put a seed on row `64 * word + k` for each set bit `k` of `rows`,
+    /// TRUE where `seeds` has the bit set too.
+    ///
+    /// # Panics
+    /// Panics if a row is off the array or already carries a seed.
+    pub fn put_word(&mut self, word: usize, rows: u64, seeds: u64) {
+        let on_array = match self.rows.saturating_sub(64 * word) {
+            n if n >= 64 => u64::MAX,
+            n => (1 << n) - 1,
+        };
+        if rows & !on_array != 0 {
+            let first = 64 * word + (rows & !on_array).trailing_zeros() as usize;
+            lane("west", first, self.rows);
+        }
+        let pulse = self.pulse;
+        assert!(
+            self.on[word] & rows == 0,
+            "slot collision at pulse {pulse} on the west edge"
+        );
+        self.on[word] |= rows;
+        self.val[word] |= seeds & rows;
+        self.put += rows.count_ones() as usize;
+    }
+}
+
+/// The verdicts leaving the east edge in one pulse: one presence bit and
+/// one value bit per row.
+pub struct EastEdge<'g> {
+    on: &'g mut [u64],
+    val: &'g [u64],
+}
+
+impl EastEdge<'_> {
+    /// Take the verdicts leaving from row `64 * word + k` for each set bit
+    /// `k` of `rows`: the rows that had one not yet taken, and which of
+    /// those are TRUE, as bits of the same word.
+    pub fn take_word(&mut self, word: usize, rows: u64) -> (u64, u64) {
+        let Some(on) = self.on.get_mut(word) else {
+            return (0, 0);
+        };
+        let taken = *on & rows;
+        *on &= !rows;
+        (taken, self.val[word] & taken)
+    }
+
+    /// The verdicts not taken yet.
+    pub fn len(&self) -> usize {
+        self.on.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// `true` if every verdict has been taken.
+    pub fn is_empty(&self) -> bool {
+        self.on.iter().all(|&w| w == 0)
+    }
+
+    /// The verdicts not taken yet as `(row, verdict)`, row-ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, bool)> + '_ {
+        ones(self.on).map(|r| (r, self.val[r / 64] & (1 << (r % 64)) != 0))
+    }
+}
+
+/// The set bits of `plane`, ascending.
+fn ones(plane: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    plane.iter().enumerate().flat_map(|(k, &w)| {
+        let mut w = w;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let bit = w.trailing_zeros() as usize;
+                w &= w - 1;
+                64 * k + bit
+            })
+        })
+    })
 }
 
 /// The §3.2 comparison array: `rows x ops.len()` Figure 3-2 processors,
 /// column `c` applying `ops[c]`.
 pub struct CompareGrid {
     rows: usize,
+    /// `u64` words per plane: one bit per row.
+    words: usize,
     ops: Vec<CompareOp>,
     /// Southbound elements, one ring of `rows` slots per column: row `r` of
     /// column `c` reads `c * rows + (r - pulse) mod rows`.
     a: Vec<Elem>,
-    a_on: Vec<bool>,
+    /// Rows holding an `a` word, `words` per column.
+    a_on: Vec<u64>,
     /// Northbound elements: row `r` of column `c` reads
     /// `c * rows + (r + pulse) mod rows`.
     b: Vec<Elem>,
-    b_on: Vec<bool>,
-    /// Eastbound verdicts, `rows` per ring slot: row `r` of column `c` reads
-    /// `((c - pulse) mod cols) * rows + r`.
-    t: Vec<u8>,
+    /// Rows holding a `b` word, `words` per column.
+    b_on: Vec<u64>,
+    /// Rows carrying a verdict, `words` per ring slot: column `c` reads
+    /// slot `(c - pulse) mod cols`.
+    t_on: Vec<u64>,
+    /// Which of those verdicts are TRUE (never set where `t_on` is not).
+    t_val: Vec<u64>,
     /// Present words on the three planes between pulses.
     live: usize,
     pulse: u64,
+    /// This pulse's ring slots of row 0 on the `a` and `b` rings and of
+    /// column 0 on the `t` ring.
+    ring: Ring,
     stats: GridStats,
     tracer: Option<Tracer>,
 }
@@ -106,17 +227,20 @@ impl CompareGrid {
             rows > 0 && !ops.is_empty(),
             "grid must have at least one cell"
         );
-        let n = rows * ops.len();
+        let (cols, words) = (ops.len(), rows.div_ceil(64));
         CompareGrid {
             rows,
+            words,
             ops: ops.to_vec(),
-            a: vec![0; n],
-            a_on: vec![false; n],
-            b: vec![0; n],
-            b_on: vec![false; n],
-            t: vec![IDLE; n],
+            a: vec![0; rows * cols],
+            a_on: vec![0; words * cols],
+            b: vec![0; rows * cols],
+            b_on: vec![0; words * cols],
+            t_on: vec![0; words * cols],
+            t_val: vec![0; words * cols],
             live: 0,
             pulse: 0,
+            ring: Ring::default(),
             stats: GridStats::default(),
             tracer: None,
         }
@@ -158,71 +282,64 @@ impl CompareGrid {
     }
 
     /// Execute one pulse: inject what `feed` puts at this pulse, compare
-    /// column by column, drain the edges (east verdicts into `feed`).
+    /// column by column, drain the edges (the east verdicts through `feed`).
     ///
     /// # Panics
     /// Panics if `feed` puts a word on a lane the edge does not have, or a
     /// second word on one lane in one pulse.
     pub fn step(&mut self, feed: &mut impl CompareFeed) {
         let pulse = self.pulse;
-        let (rows, cols) = (self.rows, self.cols());
-        // This pulse's ring slots of row 0 on the `a` and `b` rings and of
-        // column 0 on the `t` ring.
-        let a0 = (rows - (pulse % rows as u64) as usize) % rows;
-        let b0 = (pulse % rows as u64) as usize;
-        let t0 = (cols - (pulse % cols as u64) as usize) % cols;
+        let (rows, cols, words) = (self.rows, self.cols(), self.words);
+        let Ring { a0, b0, t0 } = self.ring;
 
-        // Injection into the slots the last pulse's drain left idle: a slot
+        // Injection into the rows the last pulse's drain left idle: a row
         // found occupied was filled earlier in this same pulse.
-        let b_south = (b0 + rows - 1) % rows;
+        let south = Bit::of(rows - 1);
+        let b_south = back(b0, rows);
         let mut put = 0usize;
         let (a, a_on) = (&mut self.a[..], &mut self.a_on[..]);
         feed.north(pulse, |c, e| {
-            latch(
-                a,
-                a_on,
-                lane("north", c, cols) * rows + a0,
-                e,
-                pulse,
-                "north",
-            );
+            let c = lane("north", c, cols);
+            Bit::of(0).latch(&mut a_on[c * words..], pulse, "north");
+            a[c * rows + a0] = e;
             put += 1;
         });
         let (b, b_on) = (&mut self.b[..], &mut self.b_on[..]);
         feed.south(pulse, |c, e| {
-            latch(
-                b,
-                b_on,
-                lane("south", c, cols) * rows + b_south,
-                e,
-                pulse,
-                "south",
-            );
+            let c = lane("south", c, cols);
+            south.latch(&mut b_on[c * words..], pulse, "south");
+            b[c * rows + b_south] = e;
             put += 1;
         });
-        let t_west = &mut self.t[t0 * rows..][..rows];
-        feed.west(pulse, |r, v| {
-            let slot = &mut t_west[lane("west", r, rows)];
-            assert!(
-                *slot == IDLE,
-                "slot collision at pulse {pulse} on the west edge"
-            );
-            *slot = if v { TRUE } else { FALSE };
-            put += 1;
-        });
+        let west = t0 * words..(t0 + 1) * words;
+        let mut seeds = WestEdge::new(
+            rows,
+            pulse,
+            &mut self.t_on[west.clone()],
+            &mut self.t_val[west],
+        );
+        feed.west(pulse, &mut seeds);
+        put += seeds.put;
         self.live += put;
 
         if let Some(tracer) = &mut self.tracer {
-            let elem = |on: bool, e: Elem| if on { Word::Elem(e) } else { Word::Null };
+            let on = |plane: &[u64], r: usize| plane[r / 64] & (1 << (r % 64)) != 0;
             let (mut a, mut b, mut t) = (Vec::new(), Vec::new(), Vec::new());
             for r in 0..rows {
                 for c in 0..cols {
-                    let (ia, ib) = (c * rows + (a0 + r) % rows, c * rows + (b0 + r) % rows);
-                    a.push(elem(self.a_on[ia], self.a[ia]));
-                    b.push(elem(self.b_on[ib], self.b[ib]));
-                    t.push(match self.t[(t0 + c) % cols * rows + r] {
-                        IDLE => Word::Null,
-                        v => Word::Bool(v == TRUE),
+                    let (col, slot) = (c * words, (t0 + c) % cols * words);
+                    let elem = |on: bool, e: Elem| if on { Word::Elem(e) } else { Word::Null };
+                    a.push(elem(
+                        on(&self.a_on[col..], r),
+                        self.a[c * rows + (a0 + r) % rows],
+                    ));
+                    b.push(elem(
+                        on(&self.b_on[col..], r),
+                        self.b[c * rows + (b0 + r) % rows],
+                    ));
+                    t.push(match on(&self.t_on[slot..], r) {
+                        false => Word::Null,
+                        true => Word::Bool(on(&self.t_val[slot..], r)),
                     });
                 }
             }
@@ -230,51 +347,71 @@ impl CompareGrid {
         }
 
         let (mut busy, mut made) = (0u64, 0usize);
+        let mut slot = t0 * words;
         for (c, &op) in self.ops.iter().enumerate() {
-            let col = c * rows..(c + 1) * rows;
-            let t = &mut self.t[(t0 + c) % cols * rows..][..rows];
+            let col = c * words..(c + 1) * words;
             let lanes = Lanes {
-                a: &self.a[col.clone()],
+                a: &self.a[c * rows..(c + 1) * rows],
                 a_on: &self.a_on[col.clone()],
-                b: &self.b[col.clone()],
+                b: &self.b[c * rows..(c + 1) * rows],
                 b_on: &self.b_on[col],
                 a0,
                 b0,
             };
+            let t_on = &mut self.t_on[slot..slot + words];
+            let t_val = &mut self.t_val[slot..slot + words];
             let (col_busy, col_made) = match op {
-                CompareOp::Eq => lanes.compare(t, |x, y| x == y),
-                CompareOp::Ne => lanes.compare(t, |x, y| x != y),
-                CompareOp::Lt => lanes.compare(t, |x, y| x < y),
-                CompareOp::Le => lanes.compare(t, |x, y| x <= y),
-                CompareOp::Gt => lanes.compare(t, |x, y| x > y),
-                CompareOp::Ge => lanes.compare(t, |x, y| x >= y),
+                CompareOp::Eq => lanes.compare(t_on, t_val, |x, y| x == y),
+                CompareOp::Ne => lanes.compare(t_on, t_val, |x, y| x != y),
+                CompareOp::Lt => lanes.compare(t_on, t_val, |x, y| x < y),
+                CompareOp::Le => lanes.compare(t_on, t_val, |x, y| x <= y),
+                CompareOp::Gt => lanes.compare(t_on, t_val, |x, y| x > y),
+                CompareOp::Ge => lanes.compare(t_on, t_val, |x, y| x >= y),
             };
             busy += col_busy;
             made += col_made;
+            slot = if slot + words == cols * words {
+                0
+            } else {
+                slot + words
+            };
         }
         self.live += made;
 
-        // Each edge cell's outgoing word sits in the slot the next pulse
-        // injects into: the south row's `a` slot, the north row's `b` slot
-        // and the east column's `t` slots.
-        let a_south = (a0 + rows - 1) % rows;
+        // The edges drain: the east column's verdicts go to the feed, and
+        // the `a` words on the south row and the `b` words on the north row
+        // leave the array as the planes shift a row on.
+        let east = back(t0, cols) * words;
+        let east = east..east + words;
+        let out = popcount(&self.t_on[east.clone()]);
+        if out > 0 {
+            let mut edge = EastEdge {
+                on: &mut self.t_on[east.clone()],
+                val: &self.t_val[east.clone()],
+            };
+            feed.east(pulse, &mut edge);
+            self.t_on[east.clone()].fill(0);
+            self.t_val[east].fill(0);
+        }
+        let mut gone = 0;
         for c in 0..cols {
-            self.live -= usize::from(std::mem::take(&mut self.a_on[c * rows + a_south]));
-            self.live -= usize::from(std::mem::take(&mut self.b_on[c * rows + b0]));
+            let col = c * words..(c + 1) * words;
+            gone += south.clear(&mut self.a_on[col.clone()]);
+            shift_south(&mut self.a_on[col.clone()]);
+            gone += Bit::of(0).clear(&mut self.b_on[col.clone()]);
+            shift_north(&mut self.b_on[col]);
         }
-        let t_east = (t0 + cols - 1) % cols * rows;
-        for (r, slot) in self.t[t_east..t_east + rows].iter_mut().enumerate() {
-            if *slot != IDLE {
-                feed.east(pulse, r, *slot == TRUE);
-                *slot = IDLE;
-                self.live -= 1;
-            }
-        }
+        self.live -= out + gone;
 
         self.stats.pulses += 1;
         self.stats.busy_cell_pulses += busy;
         self.stats.total_cell_pulses += (rows * cols) as u64;
         self.pulse += 1;
+        self.ring = Ring {
+            a0: back(a0, rows),
+            b0: if b0 + 1 == rows { 0 } else { b0 + 1 },
+            t0: back(t0, cols),
+        };
     }
 
     /// `true` when `feed` will put nothing more and every wire is idle.
@@ -300,6 +437,25 @@ impl CompareGrid {
     }
 }
 
+/// The ring slots of row 0 on the `a` and `b` rings and of column 0 on the
+/// `t` ring at one pulse: `-pulse`, `pulse` and `-pulse` modulo their ring
+/// sizes, kept by stepping rather than dividing.
+#[derive(Clone, Copy, Default)]
+struct Ring {
+    a0: usize,
+    b0: usize,
+    t0: usize,
+}
+
+/// The ring slot before `slot` on a ring of `len` slots.
+fn back(slot: usize, len: usize) -> usize {
+    if slot == 0 {
+        len - 1
+    } else {
+        slot - 1
+    }
+}
+
 /// `lane`, checked to be one of the `edge`'s `width` lanes.
 fn lane(edge: &str, lane: usize, width: usize) -> usize {
     assert!(
@@ -309,60 +465,110 @@ fn lane(edge: &str, lane: usize, width: usize) -> usize {
     lane
 }
 
-/// Latch element `e` into ring slot `k`, which must be idle.
-fn latch(ring: &mut [Elem], on: &mut [bool], k: usize, e: Elem, pulse: u64, edge: &str) {
-    assert!(!on[k], "slot collision at pulse {pulse} on the {edge} edge");
-    (ring[k], on[k]) = (e, true);
+/// One row's bit in a plane.
+#[derive(Clone, Copy)]
+struct Bit {
+    word: usize,
+    mask: u64,
 }
 
-/// One column's `a` and `b` rings for one pulse: row `r` reads slot
+impl Bit {
+    fn of(row: usize) -> Self {
+        Bit {
+            word: row / 64,
+            mask: 1 << (row % 64),
+        }
+    }
+
+    /// Set the bit, which must be clear: a word latched into an idle slot.
+    fn latch(self, plane: &mut [u64], pulse: u64, edge: &str) {
+        let w = &mut plane[self.word];
+        assert!(
+            *w & self.mask == 0,
+            "slot collision at pulse {pulse} on the {edge} edge"
+        );
+        *w |= self.mask;
+    }
+
+    /// Clear the bit; 1 if it was set.
+    fn clear(self, plane: &mut [u64]) -> usize {
+        let w = &mut plane[self.word];
+        let was = usize::from(*w & self.mask != 0);
+        *w &= !self.mask;
+        was
+    }
+}
+
+fn popcount(plane: &[u64]) -> usize {
+    plane.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Move every bit one row south (row `r` to `r + 1`); the south row must be
+/// clear.
+fn shift_south(plane: &mut [u64]) {
+    let mut carry = 0;
+    for w in plane {
+        (*w, carry) = ((*w << 1) | carry, *w >> 63);
+    }
+}
+
+/// Move every bit one row north (row `r` to `r - 1`); row 0 must be clear.
+fn shift_north(plane: &mut [u64]) {
+    let mut carry = 0;
+    for w in plane.iter_mut().rev() {
+        (*w, carry) = ((*w >> 1) | carry, *w << 63);
+    }
+}
+
+/// One column's `a` and `b` planes for one pulse: row `r` reads slot
 /// `(a0 + r) mod rows` of `a` and `(b0 + r) mod rows` of `b`.
 struct Lanes<'g> {
     a: &'g [Elem],
-    a_on: &'g [bool],
+    a_on: &'g [u64],
     b: &'g [Elem],
-    b_on: &'g [bool],
+    b_on: &'g [u64],
     a0: usize,
     b0: usize,
 }
 
 impl Lanes<'_> {
-    /// Pulse the column's cells against its `t` slots (row-indexed), split
-    /// into the stretches where neither ring index wraps. Returns the busy
+    /// Pulse the column's cells against its `t` planes. Returns the busy
     /// cells and the verdicts that appeared on an idle `t` wire.
     #[inline(always)]
-    fn compare(&self, t: &mut [u8], cmp: impl Fn(Elem, Elem) -> bool + Copy) -> (u64, usize) {
-        let rows = t.len();
-        let (wrap_a, wrap_b) = (rows - self.a0, rows - self.b0);
-        let cuts = [wrap_a.min(wrap_b), wrap_a.max(wrap_b), rows];
-        let (mut busy, mut made, mut lo) = (0u64, 0usize, 0);
-        for hi in cuts {
-            if hi == lo {
-                continue;
+    fn compare(
+        &self,
+        t_on: &mut [u64],
+        t_val: &mut [u64],
+        cmp: impl Fn(Elem, Elem) -> bool + Copy,
+    ) -> (u64, usize) {
+        let rows = self.a.len();
+        let wrap = |i: usize| if i >= rows { i - rows } else { i };
+        let (mut busy, mut made) = (0u64, 0usize);
+        for k in 0..t_on.len() {
+            let (x_on, y_on, on, val) = (self.a_on[k], self.b_on[k], t_on[k], t_val[k]);
+            busy += u64::from((x_on | y_on | on).count_ones());
+            // Figure 3-2: where both elements meet, the verdict is the
+            // incoming `t` (an idle wire is the TRUE seed) AND the
+            // comparison; elsewhere `t` passes unchanged.
+            let meet = x_on & y_on;
+            made += (meet & !on).count_ones() as usize;
+            let (mut rest, mut holds) = (meet, 0u64);
+            while rest != 0 {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let r = 64 * k + bit;
+                let (x, y) = (self.a[wrap(self.a0 + r)], self.b[wrap(self.b0 + r)]);
+                holds |= u64::from(cmp(x, y)) << bit;
             }
-            let (ia, ib, n) = ((self.a0 + lo) % rows, (self.b0 + lo) % rows, hi - lo);
-            let stretch = self.a[ia..ia + n]
-                .iter()
-                .zip(&self.a_on[ia..ia + n])
-                .zip(&self.b[ib..ib + n])
-                .zip(&self.b_on[ib..ib + n])
-                .zip(&mut t[lo..hi]);
-            for ((((&x, &x_on), &y), &y_on), slot) in stretch {
-                // Figure 3-2: where both elements meet, the verdict is the
-                // incoming `t` (an idle wire is the TRUE seed) AND the
-                // comparison; elsewhere `t` passes unchanged.
-                let t_in = *slot;
-                let meet = x_on & y_on;
-                let verdict = FALSE + u8::from((t_in != FALSE) & cmp(x, y));
-                *slot = if meet { verdict } else { t_in };
-                busy += u64::from(x_on | y_on | (t_in != IDLE));
-                made += usize::from(meet & (t_in == IDLE));
-            }
-            lo = hi;
+            t_on[k] = on | meet;
+            t_val[k] = (val & !meet) | (holds & (!on | val));
         }
         (busy, made)
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -398,11 +604,12 @@ mod tests {
         fn south(&mut self, pulse: u64, put: impl FnMut(usize, Elem)) {
             put_at(&self.south, pulse, put);
         }
-        fn west(&mut self, pulse: u64, put: impl FnMut(usize, bool)) {
-            put_at(&self.west, pulse, put);
+        fn west(&mut self, pulse: u64, seeds: &mut WestEdge<'_>) {
+            put_at(&self.west, pulse, |r, v| seeds.put(r, v));
         }
-        fn east(&mut self, pulse: u64, row: usize, verdict: bool) {
-            self.east.push((pulse, row, verdict));
+        fn east(&mut self, pulse: u64, verdicts: &mut EastEdge<'_>) {
+            let left = verdicts.iter().map(|(row, verdict)| (pulse, row, verdict));
+            self.east.extend(left);
         }
     }
 

@@ -47,8 +47,9 @@ fn counters() -> &'static GridCounters {
 }
 
 /// Record the portion of a grid run delimited by `before`/`after` stats
-/// snapshots. Called by `Grid::run_until_quiescent` on success.
-pub(crate) fn record_run(before: GridStats, after: GridStats) {
+/// snapshots. Called by every stepper's `run_until_quiescent` on success
+/// (the packed division array's in `systolic_core` among them).
+pub fn record_run(before: GridStats, after: GridStats) {
     if !metrics::metrics_enabled() {
         return;
     }

@@ -17,9 +17,11 @@
 //!   [`feed::Collector`]s, utilisation statistics, and optional per-pulse
 //!   tracing;
 //! * [`compare::CompareGrid`] — the §3.2 comparison array on the same
-//!   stream frames, stepped a column at a time over packed element lanes
-//!   and fed each pulse by a [`compare::CompareFeed`] that computes its
-//!   words from the schedule (no feeder tables, no collectors);
+//!   stream frames, its wires kept as `u64` planes (one bit per row),
+//!   stepped a column at a time with element comparisons only where `a`
+//!   and `b` meet, and fed each pulse by a [`compare::CompareFeed`] that
+//!   computes its words from the schedule (no feeder tables, no
+//!   collectors);
 //! * [`schedule`] — the closed-form staggered input schedules of §3 and the
 //!   fixed-operand variant of §8;
 //! * [`trace`] — ASCII rendering of in-flight data, used to reproduce the
@@ -63,7 +65,8 @@ pub mod trace;
 pub mod word;
 
 pub use cell::{Cell, CellIo};
-pub use compare::{CompareFeed, CompareGrid};
+pub use compare::{CompareFeed, CompareGrid, EastEdge, WestEdge};
+pub use counters::record_run;
 pub use feed::{Collector, Emission, ScheduleFeeder};
 pub use grid::{Grid, GridStats, NotQuiescent};
 pub use schedule::{CompareSchedule, FixedSchedule};

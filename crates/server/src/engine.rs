@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use systolic_analyzer::{analyze, Analysis, CatalogView, ColumnInfo, Diagnostic};
 use systolic_machine::{
-    parse, parse_spanned, push_selections, Expr, MachineConfig, MachineError, ParseError,
-    RunOutcome, RunStats, System,
+    parse, parse_spanned, push_selections, Action, Expr, MachineConfig, MachineError, ParseError,
+    Plan, RunOutcome, RunStats, System,
 };
 use systolic_relation::{
     export_csv, import_csv_columnar, Catalog, Column, DomainId, DomainKind, MultiRelation,
@@ -187,6 +187,25 @@ impl Store {
         let rel = import_csv_columnar(&mut self.catalog, &schema, csv)?;
         self.view.add_table(name, infos, rel.len() as u64);
         Ok(rel)
+    }
+
+    /// Advertise the `store(...)` write-backs of a finished run of `plan`:
+    /// each target with the columns `analysis` inferred for it and the rows
+    /// the run wrote back (`step_rows`, aligned with `plan.steps`), so later
+    /// queries can scan it. A same-named table is overwritten, as a load
+    /// overwrites one.
+    pub fn register_stored(&mut self, plan: &Plan, analysis: &Analysis, step_rows: &[u64]) {
+        for (step, &rows) in plan.steps.iter().zip(step_rows) {
+            let Action::Store { as_name, .. } = &step.action else {
+                continue;
+            };
+            let label = format!("store({as_name})");
+            if let Some(node) = analysis.nodes.iter().find(|n| n.label == label) {
+                let kinds: Vec<DomainKind> = node.columns.iter().map(|c| c.kind).collect();
+                let (_, infos) = self.shape_of(&kinds);
+                self.view.add_table(as_name.as_str(), infos, rows);
+            }
+        }
     }
 
     /// The live analyzer view: per-table column domains (identity and

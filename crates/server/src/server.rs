@@ -16,7 +16,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use systolic_machine::{Expr, MachineConfig, Plan, System};
+use systolic_machine::{Action, Expr, MachineConfig, Plan, System};
 use systolic_storage::{LockMode, LockTable, StorageEngine, WalRecord};
 use systolic_telemetry::metrics::QuantileSummary;
 use systolic_telemetry::{record_between, root_span, span_in, TraceCtx};
@@ -467,13 +467,25 @@ fn replay(shared: &Shared, system: &mut System, records: &[WalRecord]) {
                 // Only queries with store(...) side effects are logged; the
                 // run rebuilds the write-back. Errors were deterministic
                 // before the crash too.
-                match engine::prepare(text) {
-                    Ok(expr) => {
-                        if let Err(e) = system.run(&expr) {
-                            eprintln!("recovery: logged query failed to re-run: {e}");
-                        }
+                // Its targets enter the catalog as they did when it ran.
+                let expr = match engine::prepare(text) {
+                    Ok(expr) => expr,
+                    Err(e) => {
+                        eprintln!("recovery: logged query failed to parse: {e}");
+                        continue;
                     }
-                    Err(e) => eprintln!("recovery: logged query failed to parse: {e}"),
+                };
+                let mut store = locks::write(&shared.store);
+                let analysis =
+                    systolic_analyzer::analyze(&expr, store.view(), &shared.cfg.machine, &[]);
+                match system.run(&expr) {
+                    Ok(out) => match analysis {
+                        Ok(analysis) => {
+                            store.register_stored(&Plan::compile(&expr), &analysis, &out.step_rows)
+                        }
+                        Err(_) => eprintln!("recovery: logged query no longer analyzes"),
+                    },
+                    Err(e) => eprintln!("recovery: logged query failed to re-run: {e}"),
                 }
             }
             WalRecord::Checkpoint => {}
@@ -1026,6 +1038,17 @@ fn handle_query(
     };
     match reply {
         Ok((rows, reply)) => {
+            // The write-backs are tables now, under the exclusive relation
+            // locks still held on their names.
+            if let Some(analysis) = &analysis {
+                if plan
+                    .steps
+                    .iter()
+                    .any(|s| matches!(s.action, Action::Store { .. }))
+                {
+                    locks::write(&shared.store).register_stored(&plan, analysis, &reply.step_rows);
+                }
+            }
             // From bits to bytes: the host-side step the arrays leave to us.
             let mut span = span_in(trace, "server.render");
             span.arg("rows", rows.len());

@@ -1,7 +1,7 @@
 //! The plan cache over a live TCP server: a cached plan is keyed by the
 //! query text and the catalog entries of the names it scans and stores
-//! into, so a `LOAD` of any other table leaves it a hit, and a `LOAD` of a
-//! name the query reads or writes changes what the same text answers.
+//! into, so a `LOAD` of any other table leaves it a hit, and a `store(...)`
+//! write-back is a catalog table like a loaded one.
 
 use systolic_machine::MachineConfig;
 use systolic_server::{spawn, Client, ClientError, ServerConfig};
@@ -62,23 +62,34 @@ fn loads_of_unrelated_tables_leave_a_cached_plan_a_hit() {
 }
 
 #[test]
-fn loading_a_store_target_turns_the_cached_query_into_a_shadowed_load() {
+fn a_store_target_is_a_catalog_table() {
     let handle = spawn(config()).unwrap();
     let mut client = Client::connect(handle.addr).unwrap();
     client.load_csv("a", "int,int", "1,2\n3,4\n").unwrap();
-    let q = "store(dedup(scan(a)), out)";
+    let store = "store(dedup(scan(a)), out)";
+    assert_eq!(client.query(store).unwrap().rows, 2);
+    // The target is a table now: a query over it compiles once, then hits.
+    let q = "union(scan(out), scan(a))";
     assert_eq!(client.query(q).unwrap().rows, 2);
+    let (hits, misses) = cache_counts(&mut client);
     assert_eq!(client.query(q).unwrap().rows, 2);
-    let (hits, _) = cache_counts(&mut client);
-    assert_eq!(hits, 1, "the repeat is a cache hit");
-    client.load_csv("out", "int,int", "9,9\n").unwrap();
-    match client.query(q) {
+    assert_eq!(
+        cache_counts(&mut client),
+        (hits + 1, misses),
+        "the repeat is a hit"
+    );
+    // Storing or loading over it is writing over a catalog table.
+    match client.query(store) {
         Err(ClientError::Remote { kind, detail }) => {
             assert_eq!(kind, "analysis", "{detail}");
             assert!(detail.contains("SA008"), "want ShadowedLoad: {detail}");
             assert!(detail.contains("out"), "{detail}");
         }
         other => panic!("expected a ShadowedLoad rejection, got {other:?}"),
+    }
+    match client.load_csv("out", "int,int", "9,9\n") {
+        Err(ClientError::Remote { kind, .. }) => assert_eq!(kind, "conflict"),
+        other => panic!("expected a conflict, got {other:?}"),
     }
     let _ = client.close();
     handle.shutdown();
