@@ -39,7 +39,7 @@ pub mod tree;
 pub use account::PricedOutcome;
 pub use device::{price_op, price_op_max, Device, DeviceKind};
 pub use error::{MachineError, Result};
-pub use plan::{push_selections, Action, Expr, Plan, PlanOp, PlanStep};
+pub use plan::{push_selections, track_filtered, Action, Expr, Plan, PlanOp, PlanStep};
 pub use query::{parse, parse_spanned, render_caret, ParseError};
 pub use storage::{relation_bytes, Disk, MemoryModule, TrackFilter};
 pub use system::{

@@ -130,50 +130,23 @@ impl Expr {
 
 /// Rewrite an expression to exploit logic-per-track disks (§9: "some
 /// simple queries never have to be processed outside the disks"): a
-/// single-predicate selection applied directly to an unfiltered scan moves
-/// into the scan itself, so the filtering happens behind the disk head and
-/// the rejected tuples are never staged. Multi-predicate selections keep
-/// one predicate at the disk and leave the rest for a device.
+/// selection applied directly to an unfiltered scan becomes
+/// [`track_filtered`], so the filtering happens behind the disk head and
+/// the rejected tuples are never staged.
 pub fn push_selections(expr: Expr) -> Expr {
+    let push = |e: Box<Expr>| Box::new(push_selections(*e));
     match expr {
-        Expr::Select(inner, mut preds) => {
-            let inner = push_selections(*inner);
-            if let Expr::Scan { name, filter: None } = inner {
-                let first = preds.remove(0);
-                let filtered = Expr::Scan {
-                    name,
-                    filter: Some(TrackFilter {
-                        col: first.col,
-                        op: first.op,
-                        value: first.value,
-                    }),
-                };
-                if preds.is_empty() {
-                    filtered
-                } else {
-                    Expr::Select(Box::new(filtered), preds)
-                }
-            } else {
-                Expr::Select(Box::new(inner), preds)
-            }
-        }
+        Expr::Select(inner, preds) => match push_selections(*inner) {
+            Expr::Scan { name, filter: None } => track_filtered(name, &preds),
+            inner => Expr::Select(Box::new(inner), preds),
+        },
         Expr::Scan { .. } => expr,
-        Expr::Intersect(l, r) => {
-            Expr::Intersect(Box::new(push_selections(*l)), Box::new(push_selections(*r)))
-        }
-        Expr::Difference(l, r) => {
-            Expr::Difference(Box::new(push_selections(*l)), Box::new(push_selections(*r)))
-        }
-        Expr::Union(l, r) => {
-            Expr::Union(Box::new(push_selections(*l)), Box::new(push_selections(*r)))
-        }
-        Expr::Dedup(e) => Expr::Dedup(Box::new(push_selections(*e))),
-        Expr::Project(e, cols) => Expr::Project(Box::new(push_selections(*e)), cols),
-        Expr::Join(l, r, specs) => Expr::Join(
-            Box::new(push_selections(*l)),
-            Box::new(push_selections(*r)),
-            specs,
-        ),
+        Expr::Intersect(l, r) => Expr::Intersect(push(l), push(r)),
+        Expr::Difference(l, r) => Expr::Difference(push(l), push(r)),
+        Expr::Union(l, r) => Expr::Union(push(l), push(r)),
+        Expr::Dedup(e) => Expr::Dedup(push(e)),
+        Expr::Project(e, cols) => Expr::Project(push(e), cols),
+        Expr::Join(l, r, specs) => Expr::Join(push(l), push(r), specs),
         Expr::Divide {
             dividend,
             divisor,
@@ -181,13 +154,29 @@ pub fn push_selections(expr: Expr) -> Expr {
             ca,
             cb,
         } => Expr::Divide {
-            dividend: Box::new(push_selections(*dividend)),
-            divisor: Box::new(push_selections(*divisor)),
+            dividend: push(dividend),
+            divisor: push(divisor),
             key,
             ca,
             cb,
         },
-        Expr::Store(e, name) => Expr::Store(Box::new(push_selections(*e)), name),
+        Expr::Store(e, name) => Expr::Store(push(e), name),
+    }
+}
+
+/// `σ_preds(scan(name))` on a logic-per-track disk (§9): the first
+/// predicate moves into the scan's track filter and any others stay on a
+/// device. The one body of the law both [`push_selections`] and the
+/// planner's filter rules apply.
+///
+/// # Panics
+///
+/// If `preds` is empty.
+pub fn track_filtered(name: String, preds: &[Predicate]) -> Expr {
+    let scan = Expr::scan_filtered(name, preds[0].into());
+    match &preds[1..] {
+        [] => scan,
+        rest => scan.select(rest.to_vec()),
     }
 }
 
@@ -349,38 +338,10 @@ impl Plan {
                 divisor,
                 scans,
             ),
-            Expr::Dedup(input) => {
-                let dep = self.compile_expr(input, scans);
-                let name = self.steps[dep].output.clone();
-                self.push(
-                    Action::Op {
-                        op: PlanOp::Dedup,
-                        inputs: vec![name],
-                    },
-                    vec![dep],
-                )
-            }
-            Expr::Project(input, cols) => {
-                let dep = self.compile_expr(input, scans);
-                let name = self.steps[dep].output.clone();
-                self.push(
-                    Action::Op {
-                        op: PlanOp::Project(cols.clone()),
-                        inputs: vec![name],
-                    },
-                    vec![dep],
-                )
-            }
+            Expr::Dedup(input) => self.unary(PlanOp::Dedup, input, scans),
+            Expr::Project(input, cols) => self.unary(PlanOp::Project(cols.clone()), input, scans),
             Expr::Select(input, predicates) => {
-                let dep = self.compile_expr(input, scans);
-                let name = self.steps[dep].output.clone();
-                self.push(
-                    Action::Op {
-                        op: PlanOp::Select(predicates.clone()),
-                        inputs: vec![name],
-                    },
-                    vec![dep],
-                )
+                self.unary(PlanOp::Select(predicates.clone()), input, scans)
             }
             Expr::Store(input, as_name) => {
                 let dep = self.compile_expr(input, scans);
@@ -394,6 +355,17 @@ impl Plan {
                 )
             }
         }
+    }
+
+    fn unary(
+        &mut self,
+        op: PlanOp,
+        input: &Expr,
+        scans: &mut Vec<(String, Option<TrackFilter>, usize)>,
+    ) -> usize {
+        let dep = self.compile_expr(input, scans);
+        let inputs = vec![self.steps[dep].output.clone()];
+        self.push(Action::Op { op, inputs }, vec![dep])
     }
 
     fn binary(

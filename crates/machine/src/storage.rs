@@ -10,6 +10,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use systolic_core::select::Predicate;
 use systolic_fabric::CompareOp;
 use systolic_relation::{Elem, MultiRelation};
 use systolic_storage::{codec, BlobRef, SharedBlobStore};
@@ -35,6 +36,16 @@ pub struct TrackFilter {
     pub op: CompareOp,
     /// Constant compared against.
     pub value: Elem,
+}
+
+impl From<Predicate> for TrackFilter {
+    fn from(p: Predicate) -> Self {
+        TrackFilter {
+            col: p.col,
+            op: p.op,
+            value: p.value,
+        }
+    }
 }
 
 impl TrackFilter {

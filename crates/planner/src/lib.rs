@@ -21,8 +21,8 @@
 //! re-checked at runtime by the workspace differential harness and the
 //! server's `--optimize off` byte-compare), this keeps the server's
 //! PROFILE `drift_pulses ≥ 0` invariant holding against the *chosen*
-//! plan's budget: the chosen plan is re-analyzed and its own budget is the
-//! one profiled.
+//! plan's budget: [`PlanChoice::chosen`] is the chosen plan's own analysis,
+//! and its budget is the one profiled.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -200,7 +200,7 @@ pub fn optimize_with(
 
 /// A deterministic fingerprint of a catalog view (name, arity, rows and
 /// column domains of every table, in name order). It costs O(tables):
-/// the per-request plan-cache key is [`names_fingerprint`] instead.
+/// the per-request plan-cache check is [`names_fingerprint`] instead.
 pub fn catalog_fingerprint(view: &CatalogView) -> u64 {
     view.tables()
         .fold(FNV_OFFSET, |h, (name, info)| eat_entry(h, name, Some(info)))
@@ -212,9 +212,10 @@ pub fn catalog_fingerprint(view: &CatalogView) -> u64 {
 ///
 /// [`analyze`] and [`optimize`] read a view only through the names the
 /// query contains, so two views that agree on those names give the same
-/// result. Paired with the query text this is the plan-cache key: a
-/// `LOAD` re-keys only the plans that name the loaded table, and the key
-/// costs O(names in the query), not O(tables in the catalog).
+/// result. The server keeps it with each cached plan and revalidates a
+/// hit against it: a `LOAD` re-plans only the queries that name the loaded
+/// table, and the check costs O(names in the query), not O(tables in the
+/// catalog).
 pub fn names_fingerprint<'a>(view: &CatalogView, names: impl IntoIterator<Item = &'a str>) -> u64 {
     names
         .into_iter()

@@ -42,7 +42,7 @@
 //!   as a deliberate misfire exercising the lint path.
 
 use systolic_core::select::Predicate;
-use systolic_machine::{Expr, TrackFilter};
+use systolic_machine::{track_filtered, Expr};
 
 use crate::ir::{pure_equi, IrOp, TypedNode};
 
@@ -172,15 +172,6 @@ fn rebuild(rule: Rule, node: &TypedNode) -> (Expr, usize) {
     (expr, sites)
 }
 
-/// The single-predicate track filter a pushed predicate becomes.
-fn track(p: &Predicate) -> TrackFilter {
-    TrackFilter {
-        col: p.col,
-        op: p.op,
-        value: p.value,
-    }
-}
-
 fn rw(rule: Rule, node: &TypedNode) -> (Expr, usize) {
     match (rule, &node.op) {
         // dedup(X) → X when X is provably duplicate-free.
@@ -220,16 +211,7 @@ fn rw(rule: Rule, node: &TypedNode) -> (Expr, usize) {
         // filter(scan(R), p…) → scan!(R) absorbing the first predicate.
         (Rule::FilterIntoScan, IrOp::Select(preds)) if !preds.is_empty() => {
             if let IrOp::Scan { name, filter: None } = &node.children[0].op {
-                let scanned = Expr::Scan {
-                    name: name.clone(),
-                    filter: Some(track(&preds[0])),
-                };
-                let expr = if preds.len() == 1 {
-                    scanned
-                } else {
-                    Expr::Select(Box::new(scanned), preds[1..].to_vec())
-                };
-                return (expr, 1);
+                return (track_filtered(name.clone(), preds), 1);
             }
             rebuild(rule, node)
         }
@@ -241,10 +223,7 @@ fn rw(rule: Rule, node: &TypedNode) -> (Expr, usize) {
             match &child.op {
                 IrOp::Intersect | IrOp::Difference => {
                     if let IrOp::Scan { name, filter: None } = &child.children[0].op {
-                        let left = Expr::Scan {
-                            name: name.clone(),
-                            filter: Some(track(&preds[0])),
-                        };
+                        let left = track_filtered(name.clone(), preds);
                         let (right, sites) = rw(rule, &child.children[1]);
                         let expr = if matches!(child.op, IrOp::Intersect) {
                             Expr::Intersect(Box::new(left), Box::new(right))
@@ -263,11 +242,8 @@ fn rw(rule: Rule, node: &TypedNode) -> (Expr, usize) {
                     if let (Some(l), Some(r)) =
                         (plain(&child.children[0]), plain(&child.children[1]))
                     {
-                        let scan = |name: String| Expr::Scan {
-                            name,
-                            filter: Some(track(&preds[0])),
-                        };
-                        return (Expr::Union(Box::new(scan(l)), Box::new(scan(r))), 1);
+                        let scan = |name| Box::new(track_filtered(name, preds));
+                        return (Expr::Union(scan(l), scan(r)), 1);
                     }
                     rebuild(rule, node)
                 }

@@ -1,4 +1,4 @@
-//! Shared catalog + query preparation for the server.
+//! Shared catalog + query compilation for the server.
 //!
 //! [`Store`] owns the [`Catalog`] and the analyzer's live [`CatalogView`]:
 //! everything a worker thread needs to admit a query, import CSV into
@@ -6,6 +6,12 @@
 //! *not* own the [`systolic_machine::System`] — machine runs take turns
 //! behind the machine lock; the store sits behind an `RwLock` so many
 //! connections can admit queries and render results concurrently.
+//!
+//! [`compile`] is the served path's one front end, §9's "compile the
+//! transaction into a plan": parse, check, rewrite, choose and lower a
+//! query text into a [`Compiled`] plan. The server caches that artifact
+//! per text and runs it as compiled; nothing downstream parses, analyzes
+//! or compiles again.
 //!
 //! [`Engine`] pairs a `Store` with a private `System` for one-shot,
 //! in-process use (tests, the classic CLI path, and the byte-identity
@@ -15,11 +21,12 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use systolic_analyzer::{analyze, Analysis, CatalogView, ColumnInfo, Diagnostic};
+use systolic_analyzer::{analyze, plan_alignment, Analysis, CatalogView, ColumnInfo, Diagnostic};
 use systolic_machine::{
     parse, parse_spanned, push_selections, Action, Expr, MachineConfig, MachineError, ParseError,
     Plan, RunOutcome, RunStats, System,
 };
+use systolic_planner::{names_fingerprint, RewriteEvent};
 use systolic_relation::{
     export_csv, import_csv_columnar, Catalog, Column, DomainId, DomainKind, MultiRelation,
     RelationError, Schema,
@@ -292,30 +299,129 @@ pub fn prepare_checked(
     Ok((push_selections(expr), analysis))
 }
 
-/// The base-relation names an expression scans, sorted and deduplicated.
-pub fn scan_names(expr: &Expr) -> Vec<String> {
-    fn walk(expr: &Expr, out: &mut Vec<String>) {
-        match expr {
-            Expr::Scan { name, .. } => out.push(name.clone()),
-            Expr::Intersect(a, b)
-            | Expr::Difference(a, b)
-            | Expr::Union(a, b)
-            | Expr::Join(a, b, _) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            Expr::Dedup(a) | Expr::Project(a, _) | Expr::Select(a, _) => walk(a, out),
-            Expr::Store(a, _) => walk(a, out),
-            Expr::Divide {
-                dividend, divisor, ..
-            } => {
-                walk(dividend, out);
-                walk(divisor, out);
-            }
+/// A query compiled against the catalog: everything the served path needs
+/// to lock, run, log, register and profile it, built once by [`compile`].
+#[derive(Debug)]
+pub struct Compiled {
+    /// The chosen expression (the planner's choice, or the checked tree
+    /// with selections pushed to the disks when the planner is off).
+    pub expr: Expr,
+    /// The analysis of `expr`: the per-step predictions a profile reads
+    /// and the columns a `store(...)` target is registered with.
+    pub analysis: Analysis,
+    /// `analysis.nodes` index of each plan step
+    /// ([`systolic_analyzer::plan_alignment`]).
+    pub alignment: Vec<usize>,
+    /// The plan the machine runs.
+    pub plan: Plan,
+    /// The base relations the query scans, sorted and deduplicated.
+    pub reads: Vec<String>,
+    /// The `store(...)` targets it writes, in tree order.
+    pub writes: Vec<String>,
+    /// [`names_fingerprint`] of `reads` then `writes` in the catalog the
+    /// plan was compiled against.
+    pub fingerprint: u64,
+    /// The planner rewrites adopted in choosing `expr`.
+    pub rewrites: Vec<RewriteEvent>,
+}
+
+impl Compiled {
+    /// Whether `view` still holds the catalog entries this plan was
+    /// compiled against. Compilation reads the catalog only through the
+    /// names the query reads and writes, so a current plan is exactly the
+    /// plan [`compile`] would build again.
+    pub fn is_current(&self, view: &CatalogView) -> bool {
+        fingerprint(view, &self.reads, &self.writes) == self.fingerprint
+    }
+}
+
+fn fingerprint(view: &CatalogView, reads: &[String], writes: &[String]) -> u64 {
+    names_fingerprint(view, reads.iter().chain(writes).map(String::as_str))
+}
+
+/// Compile a query for the server: parse and check it
+/// ([`prepare_checked`], so a rejection keeps its caret diagnostics), then
+/// with `optimize` let the cost-based planner choose the plan, else keep
+/// the checked tree with its selections pushed to the disks and analyze
+/// it. Either way the chosen tree's analysis is kept, never redone.
+pub fn compile(
+    query: &str,
+    view: &CatalogView,
+    machine: &MachineConfig,
+    optimize: bool,
+) -> Result<Arc<Compiled>, EngineError> {
+    let (pushed, _) = prepare_checked(query, view, machine)?;
+    let rejected = |diags| EngineError::Analysis {
+        diags,
+        query: query.to_string(),
+    };
+    let reads = scan_names(&pushed);
+    let writes = store_names(&pushed);
+    let (expr, analysis, rewrites) = if optimize {
+        let choice = systolic_planner::optimize(&pushed, view, machine).map_err(rejected)?;
+        (choice.expr, choice.chosen, choice.rewrites)
+    } else {
+        let analysis = analyze(&pushed, view, machine, &[]).map_err(rejected)?;
+        (pushed, analysis, Vec::new())
+    };
+    Ok(Arc::new(Compiled {
+        alignment: plan_alignment(&expr),
+        plan: Plan::compile(&expr),
+        expr,
+        analysis,
+        fingerprint: fingerprint(view, &reads, &writes),
+        reads,
+        writes,
+        rewrites,
+    }))
+}
+
+/// Compile a logged `store(...)` query for crash recovery: its plan over
+/// the parsed tree, and its analysis when it still analyzes (what
+/// registers its targets). Recovery refuses nothing the log holds.
+pub fn compile_logged(
+    text: &str,
+    view: &CatalogView,
+    machine: &MachineConfig,
+) -> Result<(Plan, Option<Analysis>), EngineError> {
+    let expr = prepare(text)?;
+    Ok((
+        Plan::compile(&expr),
+        analyze(&expr, view, machine, &[]).ok(),
+    ))
+}
+
+/// Visit every node of an expression, each before its operands.
+fn walk<'e>(expr: &'e Expr, visit: &mut impl FnMut(&'e Expr)) {
+    visit(expr);
+    match expr {
+        Expr::Scan { .. } => {}
+        Expr::Intersect(a, b)
+        | Expr::Difference(a, b)
+        | Expr::Union(a, b)
+        | Expr::Join(a, b, _)
+        | Expr::Divide {
+            dividend: a,
+            divisor: b,
+            ..
+        } => {
+            walk(a, visit);
+            walk(b, visit);
+        }
+        Expr::Dedup(a) | Expr::Project(a, _) | Expr::Select(a, _) | Expr::Store(a, _) => {
+            walk(a, visit)
         }
     }
+}
+
+/// The base-relation names an expression scans, sorted and deduplicated.
+pub fn scan_names(expr: &Expr) -> Vec<String> {
     let mut names = Vec::new();
-    walk(expr, &mut names);
+    walk(expr, &mut |e| {
+        if let Expr::Scan { name, .. } = e {
+            names.push(name.clone());
+        }
+    });
     names.sort();
     names.dedup();
     names
@@ -323,31 +429,12 @@ pub fn scan_names(expr: &Expr) -> Vec<String> {
 
 /// The `store(...)` target names in an expression, in tree order.
 pub fn store_names(expr: &Expr) -> Vec<String> {
-    fn walk(expr: &Expr, out: &mut Vec<String>) {
-        match expr {
-            Expr::Scan { .. } => {}
-            Expr::Intersect(a, b)
-            | Expr::Difference(a, b)
-            | Expr::Union(a, b)
-            | Expr::Join(a, b, _) => {
-                walk(a, out);
-                walk(b, out);
-            }
-            Expr::Dedup(a) | Expr::Project(a, _) | Expr::Select(a, _) => walk(a, out),
-            Expr::Store(a, name) => {
-                out.push(name.clone());
-                walk(a, out);
-            }
-            Expr::Divide {
-                dividend, divisor, ..
-            } => {
-                walk(dividend, out);
-                walk(divisor, out);
-            }
-        }
-    }
     let mut names = Vec::new();
-    walk(expr, &mut names);
+    walk(expr, &mut |e| {
+        if let Expr::Store(_, name) = e {
+            names.push(name.clone());
+        }
+    });
     names
 }
 

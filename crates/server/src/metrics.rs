@@ -28,9 +28,9 @@ pub(crate) struct ServerMetrics {
     pub(crate) timeouts: Arc<Counter>,
     /// Queries slower than the configured slow-query threshold.
     pub(crate) slow_queries: Arc<Counter>,
-    /// Queries whose optimized plan was served from the plan cache.
+    /// Queries whose compiled plan was served from the plan cache.
     pub(crate) plan_cache_hits: Arc<Counter>,
-    /// Queries that went through the full plan compiler.
+    /// Queries compiled on a plan-cache miss.
     pub(crate) plan_cache_misses: Arc<Counter>,
     /// Columnar word-plane packs performed process-wide, synced from the
     /// relation crate's counter at exposition time (ingest-time packs and
@@ -74,11 +74,11 @@ impl ServerMetrics {
         );
         let plan_cache_hits = registry.counter(
             "sdb_plan_cache_hits_total",
-            "Queries whose optimized plan came from the plan cache.",
+            "Queries whose compiled plan came from the plan cache.",
         );
         let plan_cache_misses = registry.counter(
             "sdb_plan_cache_misses_total",
-            "Queries compiled by the cost-based planner (cache misses).",
+            "Queries compiled on a plan-cache miss.",
         );
         let columnar_builds = registry.gauge(
             "sdb_columnar_builds",

@@ -226,7 +226,7 @@ pub(crate) fn build(
     query: &str,
     trace_id: u64,
     backend: &str,
-    analysis: Option<&Analysis>,
+    analysis: &Analysis,
     alignment: &[usize],
     plan: &Plan,
     reply: &QueryReply,
@@ -239,7 +239,7 @@ pub(crate) fn build(
         .steps
         .iter()
         .map(|step| {
-            let node = analysis.and_then(|a| alignment.get(step.id).and_then(|&n| a.nodes.get(n)));
+            let node = alignment.get(step.id).and_then(|&n| analysis.nodes.get(n));
             // Each step has a unique timeline signature: ops are the pulsed
             // `"<op> -> <output>"` event on their device, loads the
             // `"receive <output>"` staging event, stores the
@@ -273,16 +273,16 @@ pub(crate) fn build(
             }
         })
         .collect();
-    let predicted_pulse_budget = analysis.map_or(0, |a| a.pulse_budget);
+    let predicted_pulse_budget = analysis.pulse_budget;
     QueryProfile {
         query: query.to_string(),
         trace_id,
         backend: backend.to_string(),
         error: None,
         predicted_pulse_budget,
-        predicted_tiles: analysis.map_or(0, |a| a.tiles),
-        predicted_staged_bytes_bound: analysis.map_or(0, |a| a.staged_bytes_bound),
-        predicted_rows_bound: analysis.map_or(0, |a| a.nodes.first().map_or(0, |n| n.rows_bound)),
+        predicted_tiles: analysis.tiles,
+        predicted_staged_bytes_bound: analysis.staged_bytes_bound,
+        predicted_rows_bound: analysis.nodes.first().map_or(0, |n| n.rows_bound),
         actual_pulses: reply.stats.total_pulses,
         actual_array_runs: reply.stats.array_runs,
         actual_makespan_ns: reply.stats.makespan_ns,

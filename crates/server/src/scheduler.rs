@@ -21,12 +21,12 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use systolic_machine::{Expr, MachineError, RunStats, System, Timeline};
+use systolic_machine::{MachineError, RunStats, System, Timeline};
 use systolic_relation::{DomainKind, MultiRelation};
 use systolic_storage::StorageEngine;
 use systolic_telemetry::{span_in, TraceCtx};
 
-use crate::engine::{kind_name, store_names};
+use crate::engine::{kind_name, Compiled};
 use crate::locks;
 use crate::metrics::ServerMetrics;
 use crate::server::{DurableStats, Shared};
@@ -70,8 +70,8 @@ impl Durable {
     /// Write-ahead a query, but only when it has `store(...)` side effects —
     /// read-only queries change no durable state and replay would only
     /// slow recovery down.
-    fn log_query(&mut self, expr: &Expr, text: &str) {
-        if store_names(expr).is_empty() {
+    fn log_query(&mut self, compiled: &Compiled, text: &str) {
+        if compiled.writes.is_empty() {
             return;
         }
         if let Err(e) = self.engine.log_query(text) {
@@ -254,12 +254,12 @@ pub(crate) struct QueryReply {
     pub pool_misses: u64,
 }
 
-/// Run a prepared query on its turn: write it ahead when it has
+/// Run a compiled query's plan on its turn: write it ahead when it has
 /// `store(...)` side effects, then run it and stamp the host-side waits
 /// measured for it onto the reply.
 pub(crate) fn run_query(
     shared: &Shared,
-    expr: &Expr,
+    compiled: &Compiled,
     text: &str,
     trace: Option<TraceCtx>,
 ) -> Fenced<QueryAnswer> {
@@ -269,7 +269,7 @@ pub(crate) fn run_query(
         let mut wal_fsync_ns = 0;
         if let Some(d) = machine.durable.as_mut() {
             let logged = Instant::now();
-            d.log_query(expr, text);
+            d.log_query(compiled, text);
             wal_fsync_ns = logged.elapsed().as_nanos() as u64;
         }
         shared.counters.update(|c| c.queries += 1);
@@ -277,7 +277,7 @@ pub(crate) fn run_query(
         let _span = span_in(trace, "server.run");
         let storage = systolic_storage::StorageMetrics::shared();
         let (hits0, misses0) = (storage.pool_hits.get(), storage.pool_misses.get());
-        let out = machine.system.run(expr)?;
+        let out = machine.system.run_plan(&compiled.plan)?;
         record_op_pulses(&shared.metrics, &out.timeline);
         let reply = QueryReply {
             stats: out.stats,
@@ -345,10 +345,11 @@ mod tests {
     use std::sync::mpsc;
     use std::thread;
     use std::time::Duration;
-    use systolic_machine::{parse, Backend, MachineConfig};
+    use systolic_machine::{Backend, MachineConfig};
     use systolic_relation::gen::synth_schema;
     use systolic_relation::Elem;
 
+    use crate::engine::{compile, Store};
     use crate::server::ServerConfig;
 
     fn rel(rows: &[&[Elem]]) -> MultiRelation {
@@ -394,7 +395,10 @@ mod tests {
 
     /// Run `scan(t)` as a worker would.
     fn scan_t(shared: &Shared) -> Fenced<QueryAnswer> {
-        run_query(shared, &parse("scan(t)").unwrap(), "scan(t)", None)
+        let mut store = Store::new();
+        store.register("t", &[DomainKind::Int], "1\n2\n").unwrap();
+        let compiled = compile("scan(t)", store.view(), &shared.cfg.machine, false).unwrap();
+        run_query(shared, &compiled, "scan(t)", None)
     }
 
     /// Block until `n` requests wait for their turn.

@@ -16,12 +16,13 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use systolic_machine::{Action, Expr, MachineConfig, Plan, System};
+use systolic_analyzer::CatalogView;
+use systolic_machine::{MachineConfig, System};
 use systolic_storage::{LockMode, LockTable, StorageEngine, WalRecord};
 use systolic_telemetry::metrics::QuantileSummary;
 use systolic_telemetry::{record_between, root_span, span_in, TraceCtx};
 
-use crate::engine::{self, EngineError, Store};
+use crate::engine::{self, Compiled, EngineError, Store};
 use crate::frame::{read_frame, FrameRead};
 use crate::locks;
 use crate::metrics::ServerMetrics;
@@ -75,8 +76,10 @@ pub struct ServerConfig {
     /// Flight-recorder capacity: how many recent query profiles the server
     /// retains for `PROFILES` and the shutdown trace (0 disables it).
     pub profile_history: usize,
-    /// Route admitted queries through the cost-based plan compiler
-    /// (`sdb serve --optimize on|off`). Every accepted rewrite is proven
+    /// Let the cost-based planner choose the plan a query text compiles
+    /// to on a plan-cache miss (`sdb serve --optimize on|off`); off keeps
+    /// the checked tree. Either way the compiled plan is cached and a hit
+    /// runs it as compiled. Every accepted rewrite is proven
     /// schema-preserving and never pulse-regressing by the planner, so
     /// result rows are byte-identical either way; only the pulse accounting
     /// (which prices the cheaper chosen plan) changes.
@@ -167,7 +170,7 @@ pub struct ServerReport {
     pub slow_queries: u64,
     /// Planner rewrites accepted across all compiled queries.
     pub rewrites: u64,
-    /// Queries whose optimized plan came from the plan cache.
+    /// Queries whose compiled plan came from the plan cache.
     pub plan_cache_hits: u64,
 }
 
@@ -196,14 +199,12 @@ pub(crate) struct Shared {
     /// The always-on ring of recent query profiles (`PROFILES`, the
     /// slow-query dump, the shutdown trace's simulated track).
     pub(crate) recorder: FlightRecorder,
-    /// Compiled-plan cache: query text + a fingerprint of the catalog
-    /// entries the query names → the chosen expression. The fingerprint
-    /// covers each scanned name and `store(...)` target with its arity, row
-    /// count and column domains (or its absence), so a `LOAD` or
-    /// `store(...)` that changes what the cost model would predict for this
-    /// query invalidates its entry, and one that changes another table
-    /// leaves it a hit.
-    pub(crate) plan_cache: Mutex<HashMap<(String, u64), Expr>>,
+    /// Compiled-plan cache: query text → its [`Compiled`] plan, valid while
+    /// the catalog entries of the names it reads and writes are the ones it
+    /// was compiled against ([`Compiled::is_current`]). Plans that write
+    /// are never admitted: running one registers its target, so its text
+    /// could only ever be refused (SA008) again.
+    pub(crate) plan_cache: Mutex<HashMap<String, Arc<Compiled>>>,
 }
 
 /// Entries the plan cache holds before it is wholesale cleared. Compiling a
@@ -468,22 +469,19 @@ fn replay(shared: &Shared, system: &mut System, records: &[WalRecord]) {
                 // run rebuilds the write-back. Errors were deterministic
                 // before the crash too.
                 // Its targets enter the catalog as they did when it ran.
-                let expr = match engine::prepare(text) {
-                    Ok(expr) => expr,
-                    Err(e) => {
-                        eprintln!("recovery: logged query failed to parse: {e}");
-                        continue;
-                    }
-                };
                 let mut store = locks::write(&shared.store);
-                let analysis =
-                    systolic_analyzer::analyze(&expr, store.view(), &shared.cfg.machine, &[]);
-                match system.run(&expr) {
-                    Ok(out) => match analysis {
-                        Ok(analysis) => {
-                            store.register_stored(&Plan::compile(&expr), &analysis, &out.step_rows)
+                let (plan, analysis) =
+                    match engine::compile_logged(text, store.view(), &shared.cfg.machine) {
+                        Ok(compiled) => compiled,
+                        Err(e) => {
+                            eprintln!("recovery: logged query failed to parse: {e}");
+                            continue;
                         }
-                        Err(_) => eprintln!("recovery: logged query no longer analyzes"),
+                    };
+                match system.run_plan(&plan) {
+                    Ok(out) => match analysis {
+                        Some(analysis) => store.register_stored(&plan, &analysis, &out.step_rows),
+                        None => eprintln!("recovery: logged query no longer analyzes"),
                     },
                     Err(e) => eprintln!("recovery: logged query failed to re-run: {e}"),
                 }
@@ -895,60 +893,42 @@ fn handle_load(
     err_frame(kind, detail)
 }
 
-/// Run the cost-based plan compiler over a checked expression, consulting
-/// the plan cache first. Cache keys pair the query text with
-/// [`systolic_planner::names_fingerprint`] over the names the query scans
-/// and the `store(...)` targets it writes: each name with its catalog
-/// entry, or a marker for its absence. The compiler reads the catalog only
-/// through those names, so a `LOAD` or write-back re-keys exactly the
-/// plans that name the table it changed, and building the key costs
-/// O(names in the query), not O(tables).
-///
-/// The compiler only errs when the input does not analyze — impossible
-/// here, `prepare_checked` just accepted it — but if it ever does, the
-/// checked tree runs unoptimized rather than failing the query.
-fn optimize_plan(
+/// The compiled plan of `query` against `view`: the cached one while it
+/// [is current](Compiled::is_current) — no parse, analysis or compile —
+/// else a fresh [`engine::compile`], admitted to the cache unless it
+/// writes. The validity check reads only the catalog entries of the names
+/// the query reads and writes, so a `LOAD` re-plans exactly the queries
+/// that name the loaded table, at O(names in the query), not O(tables).
+fn compile_cached(
     shared: &Shared,
     query: &str,
-    view: &systolic_analyzer::CatalogView,
-    expr: Expr,
-) -> Expr {
-    let scans = engine::scan_names(&expr);
-    let stores = engine::store_names(&expr);
-    let names = scans.iter().chain(&stores).map(String::as_str);
-    let key = (
-        query.to_string(),
-        systolic_planner::names_fingerprint(view, names),
-    );
-    {
-        let cache = locks::lock(&shared.plan_cache);
-        if let Some(plan) = cache.get(&key) {
-            shared.metrics.plan_cache_hits.inc();
-            shared.counters.update(|c| c.plan_cache_hits += 1);
-            return plan.clone();
-        }
+    view: &CatalogView,
+) -> Result<Arc<Compiled>, EngineError> {
+    let cached = locks::lock(&shared.plan_cache).get(query).cloned();
+    if let Some(compiled) = cached.filter(|c| c.is_current(view)) {
+        shared.metrics.plan_cache_hits.inc();
+        shared.counters.update(|c| c.plan_cache_hits += 1);
+        return Ok(compiled);
     }
+    let compiled = engine::compile(query, view, &shared.cfg.machine, shared.cfg.optimize)?;
     shared.metrics.plan_cache_misses.inc();
-    match systolic_planner::optimize(&expr, view, &shared.cfg.machine) {
-        Ok(choice) => {
-            for event in &choice.rewrites {
-                shared
-                    .metrics
-                    .rewrite_hits(event.rule)
-                    .add(event.sites as u64);
-            }
-            shared
-                .counters
-                .update(|c| c.rewrites += choice.rewrites.len() as u64);
-            let mut cache = locks::lock(&shared.plan_cache);
-            if cache.len() >= PLAN_CACHE_CAP {
-                cache.clear();
-            }
-            cache.insert(key, choice.expr.clone());
-            choice.expr
-        }
-        Err(_) => expr,
+    for event in &compiled.rewrites {
+        shared
+            .metrics
+            .rewrite_hits(event.rule)
+            .add(event.sites as u64);
     }
+    shared
+        .counters
+        .update(|c| c.rewrites += compiled.rewrites.len() as u64);
+    if compiled.writes.is_empty() {
+        let mut cache = locks::lock(&shared.plan_cache);
+        if cache.len() >= PLAN_CACHE_CAP {
+            cache.clear();
+        }
+        cache.insert(query.to_string(), Arc::clone(&compiled));
+    }
+    Ok(compiled)
 }
 
 /// Answer one query: the `RESULT` (or `ERR`) frame, the `PROFILE` frame
@@ -965,59 +945,36 @@ fn handle_query(
     // turn, and the client gets a stable SA00N code with carets instead of
     // a mid-run machine error.
     //
-    // The whole admission reads the store's live view under one read
-    // guard, dropped before the relation locks and the machine's turn
-    // below (`handle_load` takes a relation lock, then the store's write
-    // guard: holding the guard across relation locks could deadlock).
-    let (expr, analysis) = {
-        let store = locks::read(&shared.store);
-        let view = store.view();
-        let expr = match engine::prepare_checked(query, view, &shared.cfg.machine) {
-            Ok((expr, _pre)) => expr,
-            Err(e) => return (vec![engine_err_frame(&e)], None),
-        };
-        // Cost-based compilation between checking and the run: the chosen
-        // plan replaces the checked one, so everything downstream — the
-        // re-analysis below, `Plan::compile`, the run, PROFILE's drift
-        // accounting — sees only the optimized tree.
-        let expr = if shared.cfg.optimize {
-            optimize_plan(shared, query, view, expr)
-        } else {
-            expr
-        };
-        // The profile's per-step predictions come from re-analyzing the
-        // *rewritten* tree — the shape `Plan::compile` actually runs —
-        // under the same catalog read, before execution can register
-        // `store(...)` targets and change what the analyzer would say.
-        let analysis = systolic_analyzer::analyze(&expr, view, &shared.cfg.machine, &[]).ok();
-        (expr, analysis)
+    // Admission reads the store's live view under one read guard, dropped
+    // before the relation locks and the machine's turn below
+    // (`handle_load` takes a relation lock, then the store's write guard:
+    // holding the guard across relation locks could deadlock). The
+    // compiled plan's analysis predates the run, which may register
+    // `store(...)` targets and change what the analyzer would say.
+    let compiled = match compile_cached(shared, query, locks::read(&shared.store).view()) {
+        Ok(compiled) => compiled,
+        Err(e) => return (vec![engine_err_frame(&e)], None),
     };
-    let alignment = systolic_analyzer::plan_alignment(&expr);
-    let plan = Plan::compile(&expr);
     // Relation locks for the whole request: shared on every scanned name,
     // exclusive on every `store(...)` target. All-or-nothing acquisition
     // (sorted, no hold-and-wait) keeps concurrent sessions deadlock-free,
     // and a reader can never interleave with a load or store of its input.
-    let mut wants: Vec<(String, LockMode)> = engine::scan_names(&expr)
-        .into_iter()
-        .map(|n| (n, LockMode::Shared))
-        .collect();
-    wants.extend(
-        engine::store_names(&expr)
-            .into_iter()
-            .map(|n| (n, LockMode::Exclusive)),
-    );
+    let reads = compiled.reads.iter().map(|n| (n.clone(), LockMode::Shared));
+    let writes = compiled
+        .writes
+        .iter()
+        .map(|n| (n.clone(), LockMode::Exclusive));
     let lock_started = Instant::now();
-    let _lock = shared.lock_table.acquire_all(wants);
+    let _lock = shared.lock_table.acquire_all(reads.chain(writes).collect());
     let lock_wait_ns = lock_started.elapsed().as_nanos() as u64;
     let finish = |result: String, reply: &scheduler::QueryReply, rows: u64| {
         let built = profile::build(
             query,
             trace.map_or(0, |c| c.trace_id),
             shared.cfg.machine.backend.label(),
-            analysis.as_ref(),
-            &alignment,
-            &plan,
+            &compiled.analysis,
+            &compiled.alignment,
+            &compiled.plan,
             reply,
             rows,
             lock_wait_ns,
@@ -1030,7 +987,7 @@ fn handle_query(
         frames.push(host_frame(reply.host_wall_ns));
         (frames, Some(built))
     };
-    let reply = match scheduler::run_query(shared, &expr, query, trace) {
+    let reply = match scheduler::run_query(shared, &compiled, query, trace) {
         Fenced::Answered(reply) => reply,
         // Never ran — no `store(...)` side effects.
         Fenced::TimedOut => return (vec![err_frame("timeout", "query timed out")], None),
@@ -1040,14 +997,12 @@ fn handle_query(
         Ok((rows, reply)) => {
             // The write-backs are tables now, under the exclusive relation
             // locks still held on their names.
-            if let Some(analysis) = &analysis {
-                if plan
-                    .steps
-                    .iter()
-                    .any(|s| matches!(s.action, Action::Store { .. }))
-                {
-                    locks::write(&shared.store).register_stored(&plan, analysis, &reply.step_rows);
-                }
+            if !compiled.writes.is_empty() {
+                locks::write(&shared.store).register_stored(
+                    &compiled.plan,
+                    &compiled.analysis,
+                    &reply.step_rows,
+                );
             }
             // From bits to bytes: the host-side step the arrays leave to us.
             let mut span = span_in(trace, "server.render");
@@ -1105,6 +1060,28 @@ mod tests {
         shared.stop.store(true, Ordering::SeqCst);
         assert!(ask("QUERY scan(t)").starts_with("ERR shutting_down "));
         assert!(ask("LOAD t int 1").starts_with("ERR shutting_down "));
+    }
+
+    #[test]
+    fn plans_that_write_are_never_cached() {
+        let shared = Shared::new(ServerConfig::default()).unwrap();
+        let ok = |line: &str| {
+            let frame = handle_request(&shared, line).frames.remove(0);
+            assert!(!frame.starts_with("ERR "), "{line}: {frame}");
+        };
+        ok("LOAD a int,int 1,2\\n3,4\\n1,2\\n");
+        ok("QUERY dedup(scan(a))");
+        for k in 0..8 {
+            ok(&format!("QUERY store(dedup(scan(a)), out_{k})"));
+            ok(&format!("QUERY union(scan(a), scan(out_{k}))"));
+        }
+        ok("QUERY dedup(scan(a))");
+        let cache = locks::lock(&shared.plan_cache);
+        assert_eq!(cache.len(), 9, "one read plan per read text");
+        assert!(cache.contains_key("dedup(scan(a))"));
+        assert!(cache.values().all(|c| c.writes.is_empty()));
+        assert_eq!(shared.counters.snapshot().plan_cache_hits, 1);
+        assert_eq!(shared.metrics.plan_cache_misses.get(), 17);
     }
 
     #[test]
