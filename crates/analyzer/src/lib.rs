@@ -921,80 +921,18 @@ fn price_node(machine: &MachineConfig, pending: &PendingOp) -> (u64, u64) {
 /// Map every `Plan` step (in `Plan::compile` order) to the pre-order
 /// [`Analysis::nodes`] index of the expression node it executes, so a query
 /// profile can sit the analyzer's per-node prediction next to the runtime's
-/// per-step actuals.
+/// per-step actuals. It reads each step's [`PlanStep::node`], which the
+/// compiler records on its one walk of the tree; a repeated scan maps back
+/// to the first scan's load step. Call it on the **same** expression an
+/// [`analyze`] ran on; `alignment[step] = node` then holds for every step.
 ///
-/// Mirrors `Plan::compile`'s traversal exactly: children before the parent's
-/// step, scans deduplicated on `(name, filter)` so a repeated scan advances
-/// the pre-order node counter but maps back to the first scan's load step.
-/// Call it on the **same** expression the plan was compiled from (i.e. the
-/// `push_selections`-rewritten tree) with an [`analyze`] run on that same
-/// tree; `alignment[step] = node` then holds for every step.
+/// [`PlanStep::node`]: systolic_machine::PlanStep::node
 pub fn plan_alignment(expr: &Expr) -> Vec<usize> {
-    struct Align {
-        /// Pre-order node counter, advancing at every node entry exactly as
-        /// [`Walker::walk`] does.
-        next: usize,
-        /// `steps[step_id] = node_index`, in `Plan::compile` push order.
-        steps: Vec<usize>,
-        /// Deduped scans: `(name, filter, step_id)`, mirroring the compiler's
-        /// shared-load rule.
-        scans: Vec<(String, Option<systolic_machine::TrackFilter>, usize)>,
-    }
-
-    impl Align {
-        fn push(&mut self, node: usize) -> usize {
-            self.steps.push(node);
-            self.steps.len() - 1
-        }
-
-        fn go(&mut self, expr: &Expr) -> usize {
-            let node = self.next;
-            self.next += 1;
-            match expr {
-                Expr::Scan { name, filter } => {
-                    if let Some(&(_, _, id)) =
-                        self.scans.iter().find(|(n, f, _)| n == name && f == filter)
-                    {
-                        return id;
-                    }
-                    let id = self.push(node);
-                    self.scans.push((name.clone(), *filter, id));
-                    id
-                }
-                Expr::Intersect(l, r)
-                | Expr::Difference(l, r)
-                | Expr::Union(l, r)
-                | Expr::Join(l, r, _) => {
-                    self.go(l);
-                    self.go(r);
-                    self.push(node)
-                }
-                Expr::Dedup(inner) | Expr::Project(inner, _) | Expr::Select(inner, _) => {
-                    self.go(inner);
-                    self.push(node)
-                }
-                Expr::Divide {
-                    dividend, divisor, ..
-                } => {
-                    self.go(dividend);
-                    self.go(divisor);
-                    self.push(node)
-                }
-                Expr::Store(inner, _) => {
-                    self.go(inner);
-                    self.push(node)
-                }
-            }
-        }
-    }
-
-    let mut a = Align {
-        next: 0,
-        steps: Vec::new(),
-        scans: Vec::new(),
-    };
-    a.go(expr);
-    a.steps
+    systolic_machine::Plan::compile(expr)
+        .steps
+        .iter()
+        .map(|step| step.node)
+        .collect()
 }
 
 #[cfg(test)]

@@ -261,6 +261,10 @@ pub struct PlanStep {
     pub deps: Vec<usize>,
     /// Name under which the result is staged in memory.
     pub output: String,
+    /// Pre-order index of the [`Expr`] node the step executes (its
+    /// analyzer report is `Analysis::nodes[node]`). A repeated scan shares
+    /// the first scan's load, and so its index.
+    pub node: usize,
 }
 
 /// A compiled, dependency-ordered transaction plan.
@@ -275,10 +279,13 @@ impl Plan {
     /// the same filter share a single load step (the relation is staged
     /// once).
     pub fn compile(expr: &Expr) -> Plan {
-        let mut plan = Plan::default();
-        let mut scans: Vec<(String, Option<TrackFilter>, usize)> = Vec::new();
-        plan.compile_expr(expr, &mut scans);
-        plan
+        let mut compiler = Compiler {
+            plan: Plan::default(),
+            next: 0,
+            scans: Vec::new(),
+        };
+        compiler.compile(expr);
+        compiler.plan
     }
 
     /// The name of the final result (output of the last step).
@@ -297,92 +304,77 @@ impl Plan {
             .filter(|s| matches!(s.action, Action::Op { .. }))
             .count()
     }
+}
 
-    fn compile_expr(
-        &mut self,
-        expr: &Expr,
-        scans: &mut Vec<(String, Option<TrackFilter>, usize)>,
-    ) -> usize {
-        match expr {
+/// One [`Plan::compile`] walk: children before the parent's step.
+struct Compiler {
+    plan: Plan,
+    /// Pre-order index of the next node entered.
+    next: usize,
+    /// The loads so far, `(name, filter, step)`.
+    scans: Vec<(String, Option<TrackFilter>, usize)>,
+}
+
+impl Compiler {
+    fn compile(&mut self, expr: &Expr) -> usize {
+        let node = self.next;
+        self.next += 1;
+        let (op, operands): (PlanOp, Vec<&Expr>) = match expr {
             Expr::Scan { name, filter } => {
-                if let Some(&(_, _, id)) = scans.iter().find(|(n, f, _)| n == name && f == filter) {
+                if let Some(&(_, _, id)) =
+                    self.scans.iter().find(|(n, f, _)| n == name && f == filter)
+                {
                     return id;
                 }
-                let id = self.push(
-                    Action::Load {
-                        relation: name.clone(),
-                        filter: *filter,
-                    },
-                    vec![],
-                );
-                scans.push((name.clone(), *filter, id));
-                id
+                let load = Action::Load {
+                    relation: name.clone(),
+                    filter: *filter,
+                };
+                let id = self.push(load, vec![], node);
+                self.scans.push((name.clone(), *filter, id));
+                return id;
             }
-            Expr::Intersect(l, r) => self.binary(PlanOp::Intersect, l, r, scans),
-            Expr::Difference(l, r) => self.binary(PlanOp::Difference, l, r, scans),
-            Expr::Union(l, r) => self.binary(PlanOp::Union, l, r, scans),
-            Expr::Join(l, r, specs) => self.binary(PlanOp::Join(specs.clone()), l, r, scans),
+            Expr::Store(input, as_name) => {
+                let dep = self.compile(input);
+                let store = Action::Store {
+                    input: self.plan.steps[dep].output.clone(),
+                    as_name: as_name.clone(),
+                };
+                return self.push(store, vec![dep], node);
+            }
+            Expr::Intersect(l, r) => (PlanOp::Intersect, vec![l, r]),
+            Expr::Difference(l, r) => (PlanOp::Difference, vec![l, r]),
+            Expr::Union(l, r) => (PlanOp::Union, vec![l, r]),
+            Expr::Join(l, r, specs) => (PlanOp::Join(specs.clone()), vec![l, r]),
             Expr::Divide {
                 dividend,
                 divisor,
                 key,
                 ca,
                 cb,
-            } => self.binary(
+            } => (
                 PlanOp::DivideBinary {
                     key: *key,
                     ca: *ca,
                     cb: *cb,
                 },
-                dividend,
-                divisor,
-                scans,
+                vec![dividend, divisor],
             ),
-            Expr::Dedup(input) => self.unary(PlanOp::Dedup, input, scans),
-            Expr::Project(input, cols) => self.unary(PlanOp::Project(cols.clone()), input, scans),
-            Expr::Select(input, predicates) => {
-                self.unary(PlanOp::Select(predicates.clone()), input, scans)
-            }
-            Expr::Store(input, as_name) => {
-                let dep = self.compile_expr(input, scans);
-                let name = self.steps[dep].output.clone();
-                self.push(
-                    Action::Store {
-                        input: name,
-                        as_name: as_name.clone(),
-                    },
-                    vec![dep],
-                )
-            }
-        }
+            Expr::Dedup(input) => (PlanOp::Dedup, vec![input]),
+            Expr::Project(input, cols) => (PlanOp::Project(cols.clone()), vec![input]),
+            Expr::Select(input, predicates) => (PlanOp::Select(predicates.clone()), vec![input]),
+        };
+        let deps: Vec<usize> = operands.into_iter().map(|e| self.compile(e)).collect();
+        let inputs = deps
+            .iter()
+            .map(|&d| self.plan.steps[d].output.clone())
+            .collect();
+        self.push(Action::Op { op, inputs }, deps, node)
     }
 
-    fn unary(
-        &mut self,
-        op: PlanOp,
-        input: &Expr,
-        scans: &mut Vec<(String, Option<TrackFilter>, usize)>,
-    ) -> usize {
-        let dep = self.compile_expr(input, scans);
-        let inputs = vec![self.steps[dep].output.clone()];
-        self.push(Action::Op { op, inputs }, vec![dep])
-    }
-
-    fn binary(
-        &mut self,
-        op: PlanOp,
-        l: &Expr,
-        r: &Expr,
-        scans: &mut Vec<(String, Option<TrackFilter>, usize)>,
-    ) -> usize {
-        let dl = self.compile_expr(l, scans);
-        let dr = self.compile_expr(r, scans);
-        let inputs = vec![self.steps[dl].output.clone(), self.steps[dr].output.clone()];
-        self.push(Action::Op { op, inputs }, vec![dl, dr])
-    }
-
-    fn push(&mut self, action: Action, deps: Vec<usize>) -> usize {
-        let id = self.steps.len();
+    fn push(&mut self, action: Action, deps: Vec<usize>, node: usize) -> usize {
+        let steps = &mut self.plan.steps;
+        let id = steps.len();
         let output = match &action {
             Action::Load {
                 relation,
@@ -395,7 +387,7 @@ impl Plan {
                 // One relation under two track filters is two staged
                 // copies: every one after the first carries its step id.
                 let name = format!("{relation}@mem/filtered");
-                if self.steps.iter().any(|s| s.output == name) {
+                if steps.iter().any(|s| s.output == name) {
                     format!("{name}#{id}")
                 } else {
                     name
@@ -405,11 +397,12 @@ impl Plan {
             // A store passes its staged input through as the plan result.
             Action::Store { input, .. } => input.clone(),
         };
-        self.steps.push(PlanStep {
+        steps.push(PlanStep {
             id,
             action,
             deps,
             output,
+            node,
         });
         id
     }

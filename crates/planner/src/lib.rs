@@ -1,8 +1,11 @@
 //! # systolic-planner
 //!
-//! The cost-based plan compiler: a typed plan IR lowered from the parsed
-//! [`Expr`] and the analyzer's [`CatalogView`], and a static rewrite engine
-//! whose every rule carries an algebraic-law justification. Plans are
+//! The cost-based plan compiler: a static rewrite engine over the parsed
+//! [`Expr`] whose every rule carries an algebraic-law justification. A
+//! rule matches and rebuilds the tree itself; the facts it needs beyond
+//! the tree's shape — an operand's arity — it reads from the analyzer's
+//! pre-order [`Analysis`] of that same tree, which the engine holds
+//! anyway to gate and price each candidate. Plans are
 //! costed by the analyzer's [`Analysis::pulse_budget`], which is the
 //! machine's own pricing at the analyzer's row bounds — the planner has no
 //! cost model of its own.
@@ -27,10 +30,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ir;
 pub mod rules;
 
-pub use ir::{lower, raise, IrOp, TypedNode};
 pub use rules::Rule;
 
 use std::time::Instant;
@@ -118,13 +119,11 @@ pub fn optimize_with(
     } else {
         Rule::default_set()
     };
-    'passes: for _ in 0..MAX_PASSES {
+    for _ in 0..MAX_PASSES {
         let mut changed = false;
         for &rule in rule_set {
-            let Ok(typed) = lower(&current, view) else {
-                break 'passes;
-            };
-            let (candidate, sites) = rule.apply(&typed);
+            // `chosen` is always the analysis of `current`.
+            let (candidate, sites) = rule.apply(&current, &chosen.nodes);
             if sites == 0 {
                 continue;
             }
@@ -315,6 +314,7 @@ pub fn json_explain(choice: &PlanChoice) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rules::distinct;
     use systolic_analyzer::ColumnInfo;
     use systolic_core::select::Predicate;
     use systolic_core::JoinSpec;
@@ -344,61 +344,20 @@ mod tests {
     }
 
     #[test]
-    fn lower_raise_roundtrips() {
-        let exprs = [
-            Expr::scan("takes").dedup(),
-            Expr::scan("takes")
-                .union(Expr::scan("takes"))
-                .project(vec![0]),
-            Expr::scan("emp")
-                .join(Expr::scan("dept"), vec![JoinSpec::eq(1, 0)])
-                .select(vec![Predicate::new(0, CompareOp::Eq, 1)]),
-            Expr::scan("takes")
-                .divide(Expr::scan("courses"), 0, 1, 0)
-                .store("out"),
-        ];
-        for e in exprs {
-            let t = lower(&e, &view()).unwrap();
-            assert_eq!(raise(&t), e);
-        }
-    }
-
-    #[test]
     fn distinctness_tracks_the_paper_semantics() {
-        let v = view();
-        assert!(!lower(&Expr::scan("takes"), &v).unwrap().distinct);
-        assert!(
-            lower(&Expr::scan("takes").union(Expr::scan("takes")), &v)
-                .unwrap()
-                .distinct
-        );
-        assert!(
-            lower(&Expr::scan("takes").project(vec![0]), &v)
-                .unwrap()
-                .distinct
-        );
-        assert!(
-            lower(
-                &Expr::scan("takes").divide(Expr::scan("courses"), 0, 1, 0),
-                &v
-            )
-            .unwrap()
-            .distinct
-        );
-        // Intersect inherits from the left operand.
-        assert!(
-            !lower(&Expr::scan("takes").intersect(Expr::scan("takes")), &v)
-                .unwrap()
-                .distinct
-        );
-        assert!(
-            lower(
-                &Expr::scan("takes").dedup().intersect(Expr::scan("takes")),
-                &v
-            )
-            .unwrap()
-            .distinct
-        );
+        let scan = || Expr::scan("takes");
+        assert!(!distinct(&scan()));
+        assert!(distinct(&scan().union(scan())));
+        assert!(distinct(&scan().project(vec![0])));
+        assert!(distinct(&scan().divide(Expr::scan("courses"), 0, 1, 0)));
+        // Intersect, select and store inherit from the first operand.
+        assert!(!distinct(&scan().intersect(scan())));
+        assert!(distinct(&scan().dedup().intersect(scan())));
+        assert!(distinct(&scan().dedup().select(vec![]).store("out")));
+        // A join is duplicate-free when both operands are.
+        let specs = || vec![JoinSpec::eq(0, 0)];
+        assert!(!distinct(&scan().dedup().join(scan(), specs())));
+        assert!(distinct(&scan().dedup().join(scan().dedup(), specs())));
     }
 
     #[test]

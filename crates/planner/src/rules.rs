@@ -14,8 +14,8 @@
 //! - **dedup-elim** — `ops::dedup_with` keeps first occurrences; applied
 //!   to an already duplicate-free stream it is the identity. Union,
 //!   projection, dedup and division outputs are duplicate-free by
-//!   construction (§5, §7), so the IR's `distinct` flag licenses dropping
-//!   the redundant pass.
+//!   construction (§5, §7), so [`distinct`] over the tree licenses
+//!   dropping the redundant pass.
 //! - **project-fuse** — a row's composed projection is determined by its
 //!   inner projection, so the first occurrence of a composed value is
 //!   exactly the first occurrence of some inner value that maps to it:
@@ -41,10 +41,11 @@
 //!   assembled result, so the engine's SA009 gate rejects it; it exists
 //!   as a deliberate misfire exercising the lint path.
 
+use systolic_analyzer::NodeReport;
 use systolic_core::select::Predicate;
+use systolic_core::JoinSpec;
+use systolic_fabric::CompareOp;
 use systolic_machine::{track_filtered, Expr};
-
-use crate::ir::{pure_equi, IrOp, TypedNode};
 
 /// A rewrite rule id. `Copy` so rule sets are plain slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,185 +128,241 @@ impl Rule {
         ]
     }
 
-    /// Rewrite every matching site in one bottom-up sweep, returning the
-    /// rewritten expression and the number of sites that fired.
-    pub fn apply(self, node: &TypedNode) -> (Expr, usize) {
-        rw(self, node)
+    /// Rewrite every matching site of `expr` in one bottom-up sweep,
+    /// returning the rewritten expression and the number of sites that
+    /// fired. `nodes` is the analyzer's pre-order report of `expr` itself
+    /// ([`systolic_analyzer::Analysis::nodes`]), where a rule reads the
+    /// arity of an operand.
+    pub fn apply(self, expr: &Expr, nodes: &[NodeReport]) -> (Expr, usize) {
+        let mut sweep = Sweep {
+            rule: self,
+            nodes,
+            sites: 0,
+        };
+        let out = sweep.rw(expr, 0);
+        (out, sweep.sites)
     }
 }
 
-/// Rebuild `node` with children rewritten by `rule` (the no-match path).
-fn rebuild(rule: Rule, node: &TypedNode) -> (Expr, usize) {
-    let mut sites = 0;
-    let kids: Vec<Expr> = node
-        .children
-        .iter()
-        .map(|c| {
-            let (e, s) = rw(rule, c);
-            sites += s;
-            e
-        })
-        .collect();
-    let mut k = kids.into_iter();
-    let mut one = || Box::new(k.next().expect("child arity"));
-    let expr = match &node.op {
-        IrOp::Scan { name, filter } => Expr::Scan {
-            name: name.clone(),
-            filter: *filter,
-        },
-        IrOp::Intersect => Expr::Intersect(one(), one()),
-        IrOp::Difference => Expr::Difference(one(), one()),
-        IrOp::Union => Expr::Union(one(), one()),
-        IrOp::Dedup => Expr::Dedup(one()),
-        IrOp::Project(cols) => Expr::Project(one(), cols.clone()),
-        IrOp::Select(preds) => Expr::Select(one(), preds.clone()),
-        IrOp::Join(specs) => Expr::Join(one(), one(), specs.clone()),
-        IrOp::Divide { key, ca, cb } => Expr::Divide {
-            dividend: one(),
-            divisor: one(),
-            key: *key,
-            ca: *ca,
-            cb: *cb,
-        },
-        IrOp::Store(name) => Expr::Store(one(), name.clone()),
-    };
-    (expr, sites)
+/// Whether every condition of a join is plain equality (§6 equi-join).
+fn pure_equi(specs: &[JoinSpec]) -> bool {
+    !specs.is_empty() && specs.iter().all(|s| s.op == CompareOp::Eq)
 }
 
-fn rw(rule: Rule, node: &TypedNode) -> (Expr, usize) {
-    match (rule, &node.op) {
-        // dedup(X) → X when X is provably duplicate-free.
-        (Rule::DedupElim, IrOp::Dedup) if node.children[0].distinct => {
-            let (inner, sites) = rw(rule, &node.children[0]);
-            (inner, sites + 1)
+/// Whether `expr`'s output is provably duplicate-free. Union, projection,
+/// dedup and division end in remove-duplicates (§5, §7). Intersection,
+/// difference, selection and store keep a subsequence of their first
+/// operand. A join of duplicate-free operands is duplicate-free: two
+/// differing pairs differ in the surviving columns (an equi-join's dropped
+/// B columns are determined by A's). A scan may repeat rows.
+pub fn distinct(expr: &Expr) -> bool {
+    match expr {
+        Expr::Scan { .. } => false,
+        Expr::Union(..) | Expr::Project(..) | Expr::Dedup(_) | Expr::Divide { .. } => true,
+        Expr::Intersect(a, _) | Expr::Difference(a, _) | Expr::Select(a, _) | Expr::Store(a, _) => {
+            distinct(a)
         }
-        // project(project(X, a), b) → project(X, a∘b).
-        (Rule::ProjectFuse, IrOp::Project(outer)) => {
-            if let IrOp::Project(inner) = &node.children[0].op {
-                if outer.iter().all(|&i| i < inner.len()) {
-                    let composed: Vec<usize> = outer.iter().map(|&i| inner[i]).collect();
-                    let (below, sites) = rw(rule, &node.children[0].children[0]);
-                    return (Expr::Project(Box::new(below), composed), sites + 1);
+        Expr::Join(a, b, _) => distinct(a) && distinct(b),
+    }
+}
+
+/// The number of nodes in `expr`, so a second operand's pre-order index is
+/// the first operand's plus the first operand's size.
+fn size(expr: &Expr) -> usize {
+    1 + match expr {
+        Expr::Scan { .. } => 0,
+        Expr::Dedup(a) | Expr::Project(a, _) | Expr::Select(a, _) | Expr::Store(a, _) => size(a),
+        Expr::Intersect(a, b)
+        | Expr::Difference(a, b)
+        | Expr::Union(a, b)
+        | Expr::Join(a, b, _)
+        | Expr::Divide {
+            dividend: a,
+            divisor: b,
+            ..
+        } => size(a) + size(b),
+    }
+}
+
+/// The relation name of an unfiltered scan.
+fn plain_scan(expr: &Expr) -> Option<String> {
+    match expr {
+        Expr::Scan { name, filter: None } => Some(name.clone()),
+        _ => None,
+    }
+}
+
+/// One rule's sweep over a tree, with the tree's pre-order analysis.
+struct Sweep<'a> {
+    rule: Rule,
+    nodes: &'a [NodeReport],
+    sites: usize,
+}
+
+impl Sweep<'_> {
+    /// Rewrite `expr`, the node at pre-order index `at` of the swept tree.
+    fn rw(&mut self, expr: &Expr, at: usize) -> Expr {
+        match self.fire(expr, at) {
+            Some(out) => out,
+            None => self.rebuild(expr, at),
+        }
+    }
+
+    /// The rule's rewrite of `expr` when it matches there, with what lies
+    /// below rewritten in turn; `None` when it does not match.
+    fn fire(&mut self, expr: &Expr, at: usize) -> Option<Expr> {
+        let out = match (self.rule, expr) {
+            // dedup(X) → X when X is provably duplicate-free.
+            (Rule::DedupElim, Expr::Dedup(x)) if distinct(x) => self.rw(x, at + 1),
+            // project(project(X, a), b) → project(X, a∘b).
+            (Rule::ProjectFuse, Expr::Project(inner, outer)) => {
+                let Expr::Project(x, cols) = &**inner else {
+                    return None;
+                };
+                if !outer.iter().all(|&i| i < cols.len()) {
+                    return None;
+                }
+                let composed = outer.iter().map(|&i| cols[i]).collect();
+                self.one(x, at + 2, |x| Expr::Project(x, composed))
+            }
+            // project(dedup(X), c) → project(X, c).
+            (Rule::ProjectDedup, Expr::Project(inner, cols)) => {
+                let Expr::Dedup(x) = &**inner else {
+                    return None;
+                };
+                self.one(x, at + 2, |x| Expr::Project(x, cols.clone()))
+            }
+            // filter(filter(X, p1), p2) → filter(X, p1 ∧ p2).
+            (Rule::FilterFuse, Expr::Select(inner, outer)) => {
+                let Expr::Select(x, first) = &**inner else {
+                    return None;
+                };
+                let preds = first.iter().chain(outer).copied().collect();
+                self.one(x, at + 2, |x| Expr::Select(x, preds))
+            }
+            // filter(scan(R), p…) → scan!(R) absorbing the first predicate.
+            (Rule::FilterIntoScan, Expr::Select(inner, preds)) if !preds.is_empty() => {
+                track_filtered(plain_scan(inner)?, preds)
+            }
+            // filter over ∩/−: push into a plain-scan left operand; over ∪:
+            // push into both operands when both are plain scans. Restricted
+            // to single predicates so the filter lands wholly on the disk.
+            (Rule::FilterSetOpPush, Expr::Select(inner, preds)) if preds.len() == 1 => {
+                let scan = |name| Box::new(track_filtered(name, preds));
+                // Select at `at`, the set operation at `at + 1`, its scan
+                // operand at `at + 2`, so B sits at `at + 3`.
+                match &**inner {
+                    Expr::Intersect(a, b) => {
+                        let a = scan(plain_scan(a)?);
+                        self.one(b, at + 3, |b| Expr::Intersect(a, b))
+                    }
+                    Expr::Difference(a, b) => {
+                        let a = scan(plain_scan(a)?);
+                        self.one(b, at + 3, |b| Expr::Difference(a, b))
+                    }
+                    Expr::Union(a, b) => Expr::Union(scan(plain_scan(a)?), scan(plain_scan(b)?)),
+                    _ => return None,
                 }
             }
-            rebuild(rule, node)
-        }
-        // project(dedup(X), c) → project(X, c).
-        (Rule::ProjectDedup, IrOp::Project(cols)) => {
-            if matches!(node.children[0].op, IrOp::Dedup) {
-                let (below, sites) = rw(rule, &node.children[0].children[0]);
-                return (Expr::Project(Box::new(below), cols.clone()), sites + 1);
-            }
-            rebuild(rule, node)
-        }
-        // filter(filter(X, p1), p2) → filter(X, p1 ∧ p2).
-        (Rule::FilterFuse, IrOp::Select(outer)) => {
-            if let IrOp::Select(inner) = &node.children[0].op {
-                let mut preds = inner.clone();
-                preds.extend(outer.iter().copied());
-                let (below, sites) = rw(rule, &node.children[0].children[0]);
-                return (Expr::Select(Box::new(below), preds), sites + 1);
-            }
-            rebuild(rule, node)
-        }
-        // filter(scan(R), p…) → scan!(R) absorbing the first predicate.
-        (Rule::FilterIntoScan, IrOp::Select(preds)) if !preds.is_empty() => {
-            if let IrOp::Scan { name, filter: None } = &node.children[0].op {
-                return (track_filtered(name.clone(), preds), 1);
-            }
-            rebuild(rule, node)
-        }
-        // filter over ∩/−: push into a plain-scan left operand; over ∪:
-        // push into both operands when both are plain scans. Restricted to
-        // single predicates so the filter lands wholly on the disk.
-        (Rule::FilterSetOpPush, IrOp::Select(preds)) if preds.len() == 1 => {
-            let child = &node.children[0];
-            match &child.op {
-                IrOp::Intersect | IrOp::Difference => {
-                    if let IrOp::Scan { name, filter: None } = &child.children[0].op {
-                        let left = track_filtered(name.clone(), preds);
-                        let (right, sites) = rw(rule, &child.children[1]);
-                        let expr = if matches!(child.op, IrOp::Intersect) {
-                            Expr::Intersect(Box::new(left), Box::new(right))
-                        } else {
-                            Expr::Difference(Box::new(left), Box::new(right))
-                        };
-                        return (expr, sites + 1);
-                    }
-                    rebuild(rule, node)
+            // filter over a pure equi-join: partition the predicates by the
+            // operand that produces the tested column and push each one down.
+            (Rule::FilterJoinPush, Expr::Select(inner, preds)) if !preds.is_empty() => {
+                let Expr::Join(a, b, specs) = &**inner else {
+                    return None;
+                };
+                if !pure_equi(specs) {
+                    return None;
                 }
-                IrOp::Union => {
-                    let plain = |n: &TypedNode| match &n.op {
-                        IrOp::Scan { name, filter: None } => Some(name.clone()),
-                        _ => None,
-                    };
-                    if let (Some(l), Some(r)) =
-                        (plain(&child.children[0]), plain(&child.children[1]))
-                    {
-                        let scan = |name| Box::new(track_filtered(name, preds));
-                        return (Expr::Union(scan(l), scan(r)), 1);
-                    }
-                    rebuild(rule, node)
-                }
-                _ => rebuild(rule, node),
-            }
-        }
-        // filter over a pure equi-join: partition the predicates by the
-        // operand that produces the tested column and push each one down.
-        (Rule::FilterJoinPush, IrOp::Select(preds)) => {
-            let child = &node.children[0];
-            if let IrOp::Join(specs) = &child.op {
-                if pure_equi(specs) {
-                    let la = child.children[0].schema.len();
-                    // Output columns ≥ la map to B's surviving (non-join)
-                    // columns, in order.
-                    let b_cols: Vec<usize> = (0..child.children[1].schema.len())
-                        .filter(|k| !specs.iter().any(|s| s.col_b == *k))
-                        .collect();
-                    let mut lp = Vec::new();
-                    let mut rp = Vec::new();
-                    let mut ok = true;
-                    for p in preds {
-                        if p.col < la {
-                            lp.push(*p);
-                        } else if let Some(&col) = b_cols.get(p.col - la) {
-                            rp.push(Predicate { col, ..*p });
-                        } else {
-                            ok = false;
-                        }
-                    }
-                    if ok && !(lp.is_empty() && rp.is_empty()) {
-                        let (mut l, sl) = rw(rule, &child.children[0]);
-                        let (mut r, sr) = rw(rule, &child.children[1]);
-                        if !lp.is_empty() {
-                            l = Expr::Select(Box::new(l), lp);
-                        }
-                        if !rp.is_empty() {
-                            r = Expr::Select(Box::new(r), rp);
-                        }
-                        return (
-                            Expr::Join(Box::new(l), Box::new(r), specs.clone()),
-                            sl + sr + 1,
-                        );
+                let (at_a, at_b) = (at + 2, at + 2 + size(a));
+                let la = self.nodes.get(at_a)?.columns.len();
+                // Output columns ≥ la map to B's surviving (non-join)
+                // columns, in order.
+                let b_cols: Vec<usize> = (0..self.nodes.get(at_b)?.columns.len())
+                    .filter(|k| !specs.iter().any(|s| s.col_b == *k))
+                    .collect();
+                let (mut ap, mut bp) = (Vec::new(), Vec::new());
+                for p in preds {
+                    if p.col < la {
+                        ap.push(*p);
+                    } else {
+                        let col = *b_cols.get(p.col - la)?;
+                        bp.push(Predicate { col, ..*p });
                     }
                 }
+                let filtered = |x: Expr, preds: Vec<Predicate>| {
+                    if preds.is_empty() {
+                        x
+                    } else {
+                        x.select(preds)
+                    }
+                };
+                let a = filtered(self.rw(a, at_a), ap);
+                let b = filtered(self.rw(b, at_b), bp);
+                a.join(b, specs.clone())
             }
-            rebuild(rule, node)
+            // join(A, B) → join(B, A): deliberately layout-changing.
+            (Rule::JoinCommute, Expr::Join(a, b, specs)) => {
+                let flipped = specs
+                    .iter()
+                    .map(|s| JoinSpec {
+                        col_a: s.col_b,
+                        col_b: s.col_a,
+                        op: s.op,
+                    })
+                    .collect();
+                self.two(a, b, at + 1, |a, b| Expr::Join(b, a, flipped))
+            }
+            _ => return None,
+        };
+        self.sites += 1;
+        Some(out)
+    }
+
+    /// Rebuild `expr` over its rewritten operands (the no-match path).
+    fn rebuild(&mut self, expr: &Expr, at: usize) -> Expr {
+        let at = at + 1;
+        match expr {
+            Expr::Scan { .. } => expr.clone(),
+            Expr::Dedup(x) => self.one(x, at, Expr::Dedup),
+            Expr::Project(x, cols) => self.one(x, at, |x| Expr::Project(x, cols.clone())),
+            Expr::Select(x, preds) => self.one(x, at, |x| Expr::Select(x, preds.clone())),
+            Expr::Store(x, name) => self.one(x, at, |x| Expr::Store(x, name.clone())),
+            Expr::Intersect(a, b) => self.two(a, b, at, Expr::Intersect),
+            Expr::Difference(a, b) => self.two(a, b, at, Expr::Difference),
+            Expr::Union(a, b) => self.two(a, b, at, Expr::Union),
+            Expr::Join(a, b, specs) => self.two(a, b, at, |a, b| Expr::Join(a, b, specs.clone())),
+            Expr::Divide {
+                dividend,
+                divisor,
+                key,
+                ca,
+                cb,
+            } => self.two(dividend, divisor, at, |dividend, divisor| Expr::Divide {
+                dividend,
+                divisor,
+                key: *key,
+                ca: *ca,
+                cb: *cb,
+            }),
         }
-        // join(A, B) → join(B, A): deliberately layout-changing.
-        (Rule::JoinCommute, IrOp::Join(specs)) => {
-            let (l, sl) = rw(rule, &node.children[0]);
-            let (r, sr) = rw(rule, &node.children[1]);
-            let flipped = specs
-                .iter()
-                .map(|s| systolic_core::JoinSpec {
-                    col_a: s.col_b,
-                    col_b: s.col_a,
-                    op: s.op,
-                })
-                .collect();
-            (Expr::Join(Box::new(r), Box::new(l), flipped), sl + sr + 1)
-        }
-        _ => rebuild(rule, node),
+    }
+
+    /// `make` over operand `x`, at pre-order index `at`, rewritten.
+    fn one(&mut self, x: &Expr, at: usize, make: impl FnOnce(Box<Expr>) -> Expr) -> Expr {
+        make(Box::new(self.rw(x, at)))
+    }
+
+    /// `make` over operands `a` (at pre-order index `at`) and `b`, both
+    /// rewritten.
+    fn two(
+        &mut self,
+        a: &Expr,
+        b: &Expr,
+        at: usize,
+        make: impl FnOnce(Box<Expr>, Box<Expr>) -> Expr,
+    ) -> Expr {
+        let a_out = Box::new(self.rw(a, at));
+        let b_out = Box::new(self.rw(b, at + size(a)));
+        make(a_out, b_out)
     }
 }

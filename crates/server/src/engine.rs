@@ -7,21 +7,21 @@
 //! behind the machine lock; the store sits behind an `RwLock` so many
 //! connections can admit queries and render results concurrently.
 //!
-//! [`compile`] is the served path's one front end, §9's "compile the
-//! transaction into a plan": parse, check, rewrite, choose and lower a
-//! query text into a [`Compiled`] plan. The server caches that artifact
-//! per text and runs it as compiled; nothing downstream parses, analyzes
-//! or compiles again.
+//! [`compile`] is the one front end, §9's "compile the transaction into a
+//! plan": parse, check, rewrite, choose and lower a query text into a
+//! [`Compiled`] plan. The server caches that artifact per text and runs it
+//! as compiled; nothing downstream parses, analyzes or compiles again.
 //!
 //! [`Engine`] pairs a `Store` with a private `System` for one-shot,
 //! in-process use (tests, the classic CLI path, and the byte-identity
-//! oracle the server is checked against).
+//! oracle the server is checked against). It compiles each query with the
+//! same [`compile`], so it refuses and plans exactly what the server does.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use systolic_analyzer::{analyze, plan_alignment, Analysis, CatalogView, ColumnInfo, Diagnostic};
+use systolic_analyzer::{analyze, Analysis, CatalogView, ColumnInfo, Diagnostic};
 use systolic_machine::{
     parse, parse_spanned, push_selections, Action, Expr, MachineConfig, MachineError, ParseError,
     Plan, RunOutcome, RunStats, System,
@@ -197,17 +197,16 @@ impl Store {
     }
 
     /// Advertise the `store(...)` write-backs of a finished run of `plan`:
-    /// each target with the columns `analysis` inferred for it and the rows
-    /// the run wrote back (`step_rows`, aligned with `plan.steps`), so later
-    /// queries can scan it. A same-named table is overwritten, as a load
-    /// overwrites one.
+    /// each target with the columns `analysis` (of the tree `plan` was
+    /// compiled from) inferred for its node and the rows the run wrote back
+    /// (`step_rows`, aligned with `plan.steps`), so later queries can scan
+    /// it. A same-named table is overwritten, as a load overwrites one.
     pub fn register_stored(&mut self, plan: &Plan, analysis: &Analysis, step_rows: &[u64]) {
         for (step, &rows) in plan.steps.iter().zip(step_rows) {
             let Action::Store { as_name, .. } = &step.action else {
                 continue;
             };
-            let label = format!("store({as_name})");
-            if let Some(node) = analysis.nodes.iter().find(|n| n.label == label) {
+            if let Some(node) = analysis.nodes.get(step.node) {
                 let kinds: Vec<DomainKind> = node.columns.iter().map(|c| c.kind).collect();
                 let (_, infos) = self.shape_of(&kinds);
                 self.view.add_table(as_name.as_str(), infos, rows);
@@ -307,11 +306,9 @@ pub struct Compiled {
     /// with selections pushed to the disks when the planner is off).
     pub expr: Expr,
     /// The analysis of `expr`: the per-step predictions a profile reads
-    /// and the columns a `store(...)` target is registered with.
+    /// (at each step's [`systolic_machine::PlanStep::node`]) and the
+    /// columns a `store(...)` target is registered with.
     pub analysis: Analysis,
-    /// `analysis.nodes` index of each plan step
-    /// ([`systolic_analyzer::plan_alignment`]).
-    pub alignment: Vec<usize>,
     /// The plan the machine runs.
     pub plan: Plan,
     /// The base relations the query scans, sorted and deduplicated.
@@ -365,7 +362,6 @@ pub fn compile(
         (pushed, analysis, Vec::new())
     };
     Ok(Arc::new(Compiled {
-        alignment: plan_alignment(&expr),
         plan: Plan::compile(&expr),
         expr,
         analysis,
@@ -443,6 +439,7 @@ pub fn store_names(expr: &Expr) -> Vec<String> {
 pub struct Engine {
     store: Store,
     system: System,
+    machine: MachineConfig,
 }
 
 impl Engine {
@@ -450,7 +447,8 @@ impl Engine {
     pub fn new(config: MachineConfig) -> Result<Self, EngineError> {
         Ok(Engine {
             store: Store::new(),
-            system: System::new(config)?,
+            system: System::new(config.clone())?,
+            machine: config,
         })
     }
 
@@ -468,10 +466,16 @@ impl Engine {
         Ok(rows)
     }
 
-    /// Parse, rewrite, and run a query.
+    /// Compile a query as the server does ([`compile`], planner on), so
+    /// it is checked and planned exactly as a served one, and run the
+    /// chosen plan. A `store(...)` target becomes a table later queries
+    /// can scan.
     pub fn run_query(&mut self, query: &str) -> Result<RunOutcome, EngineError> {
-        let expr = prepare(query)?;
-        Ok(self.system.run(&expr)?)
+        let compiled = compile(query, self.store.view(), &self.machine, true)?;
+        let out = self.system.run_plan(&compiled.plan)?;
+        let (plan, analysis) = (&compiled.plan, &compiled.analysis);
+        self.store.register_stored(plan, analysis, &out.step_rows);
+        Ok(out)
     }
 
     /// Render a result relation as CSV.

@@ -218,7 +218,7 @@ impl QueryProfile {
 }
 
 /// Build a successful query's profile by aligning three views of the same
-/// run: the analyzer report (`analysis.nodes[alignment[step.id]]`), the
+/// run: the analyzer report (`analysis.nodes[step.node]`), the
 /// compiled plan (labels, outputs), and the machine's reply (stats, the
 /// solo-accounted timeline, host waits).
 #[allow(clippy::too_many_arguments)]
@@ -227,7 +227,6 @@ pub(crate) fn build(
     trace_id: u64,
     backend: &str,
     analysis: &Analysis,
-    alignment: &[usize],
     plan: &Plan,
     reply: &QueryReply,
     rows: u64,
@@ -239,7 +238,7 @@ pub(crate) fn build(
         .steps
         .iter()
         .map(|step| {
-            let node = alignment.get(step.id).and_then(|&n| analysis.nodes.get(n));
+            let node = analysis.nodes.get(step.node);
             // Each step has a unique timeline signature: ops are the pulsed
             // `"<op> -> <output>"` event on their device, loads the
             // `"receive <output>"` staging event, stores the

@@ -973,7 +973,6 @@ fn handle_query(
             trace.map_or(0, |c| c.trace_id),
             shared.cfg.machine.backend.label(),
             &compiled.analysis,
-            &compiled.alignment,
             &compiled.plan,
             reply,
             rows,

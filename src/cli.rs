@@ -663,8 +663,11 @@ fn stats_footer(
 }
 
 /// Execute a query over in-memory CSV texts (the testable core; the binary
-/// reads the files and delegates here). This is exactly the server's
-/// engine, run in-process for one query.
+/// reads the files and delegates here). The query is compiled as the
+/// server compiles it (`engine::compile` with the planner on): checked by
+/// the analyzer, so a rejection is an `SA00N` with carets, then planned,
+/// and the chosen plan runs on a private in-process machine. The footer
+/// prices that plan, the one `sdb profile` and a server would run.
 pub fn run_query(
     tables: &[(TableSpec, String)],
     query: &str,
@@ -1489,10 +1492,11 @@ mod tests {
             run_query(std::slice::from_ref(&t), "explode(scan(a))", false),
             Err(CliError::Query { .. })
         ));
-        assert!(matches!(
-            run_query(std::slice::from_ref(&t), "scan(missing)", false),
-            Err(CliError::Machine(_))
-        ));
+        // Checked before it runs, as the server checks it: SA007 with a caret.
+        match run_query(std::slice::from_ref(&t), "scan(missing)", false) {
+            Err(CliError::Rejected(msg)) => assert!(msg.contains("SA007") && msg.contains('^')),
+            other => panic!("expected an SA007 rejection, got {other:?}"),
+        }
         assert!(matches!(
             run_query(&[(t.0.clone(), "notanint\n".to_string())], "scan(a)", false),
             Err(CliError::Relation(_))
@@ -1743,6 +1747,43 @@ mod tests {
         assert!(budget >= pulses, "budget {budget} < actual {pulses}");
         assert_eq!(actual.get("rows").and_then(Json::as_u64), Some(2));
         assert!(doc.get("steps").and_then(Json::as_array).is_some());
+    }
+
+    #[test]
+    fn one_shot_stats_price_the_plan_the_server_runs() {
+        use systolic_telemetry::json::{self, Json};
+
+        // `dedup(union(...))` is one of the planner's golden rewrites: the
+        // union is already duplicate-free, so the chosen plan drops the
+        // dedup pass. The one-shot footer must price that plan.
+        let a = (
+            spec("a", vec![DomainKind::Int]),
+            "1\n2\n2\n3\n4\n".to_string(),
+        );
+        let b = (spec("b", vec![DomainKind::Int]), "2\n3\n5\n".to_string());
+        let query = "dedup(union(scan(a), scan(b)))";
+        let tables = [a, b];
+        let footer = run_query(&tables, query, true).unwrap();
+        let pulses: u64 = footer
+            .split("; ")
+            .find(|f| f.contains(" array pulses over "))
+            .and_then(|f| f.split(' ').next()?.parse().ok())
+            .unwrap_or_else(|| panic!("no pulse count in {footer}"));
+        let args = ProfileArgs {
+            query: query.into(),
+            ..ProfileArgs::default()
+        };
+        let out = run_profile(&tables, &args).unwrap();
+        let profile_line = out
+            .lines()
+            .find_map(|l| l.strip_prefix("-- profile: "))
+            .expect("profile line");
+        let doc = json::parse(profile_line).expect("profile is valid JSON");
+        let served = doc
+            .get("actual")
+            .and_then(|a| a.get("pulses"))
+            .and_then(Json::as_u64);
+        assert_eq!(Some(pulses), served, "{footer}");
     }
 
     #[test]

@@ -213,6 +213,23 @@ fn filter_join_push_is_sound() {
 }
 
 #[test]
+fn filter_join_push_is_sound_deep_in_the_tree() {
+    // The join sits at pre-order index 3, under a union, and its left
+    // operand is a one-column projection rather than a scan: the rule
+    // reads both operand arities from the analysis at those positions, so
+    // c0 tests the projection and c1 (B's surviving c0) tests `tb`.
+    prove_rule(
+        Expr::scan("ta").union(
+            Expr::scan("ta")
+                .project(vec![1])
+                .join(Expr::scan("tb"), vec![JoinSpec::eq(0, 1)])
+                .select(vec![pred(0, CompareOp::Ge, 1), pred(1, CompareOp::Le, 11)]),
+        ),
+        "filter-join-push",
+    );
+}
+
+#[test]
 fn a_theta_join_filter_is_left_alone() {
     // Theta joins keep every column of both operands; pushing would need a
     // different column map, so the rule must not fire — and the chosen
