@@ -29,7 +29,7 @@ use systolic_core::ops::{self, Execution};
 use systolic_core::tiling::{membership_tiled, t_matrix_tiled, Seed};
 use systolic_core::{
     ArrayLimits, ComparisonArray2d, DivisionArray, FixedOperandArray, IntersectionArray, JoinSpec,
-    LinearComparisonArray, SetOpMode,
+    LinearComparisonArray, SetOpMode, Tuples,
 };
 use systolic_fabric::{CompareOp, Elem};
 use systolic_machine::{Backend, Expr, System};
@@ -518,6 +518,8 @@ fn e9_tiling() -> Summary {
     let whole = ComparisonArray2d::equality(4)
         .t_matrix(&a, &b, Seed::All)
         .unwrap();
+    let (a_tuples, b_tuples) = (Tuples::new(&a, 4), Tuples::new(&b, 4));
+    let (a_all, b_all) = (a_tuples.operand(), b_tuples.operand());
     sum.exec(&whole.stats);
     let mut t = Table::new(&[
         "physical array",
@@ -541,7 +543,7 @@ fn e9_tiling() -> Summary {
         (4, 4, 1),
     ] {
         let limits = ArrayLimits::new(ma, mb, mc);
-        let tiled = t_matrix_tiled(&a, &b, &ops_eq, limits, Seed::All).unwrap();
+        let tiled = t_matrix_tiled(a_all, b_all, &ops_eq, limits, Seed::All).unwrap();
         sum.exec(&tiled.stats);
         let identical = tiled.t == whole.t;
         assert!(
@@ -559,16 +561,16 @@ fn e9_tiling() -> Summary {
     print!("{}", t.render());
     // Membership (intersection) variant.
     let (keep_whole, s_whole) = membership_tiled(
-        &a,
-        &b,
+        a_all,
+        b_all,
         SetOpMode::Intersect,
         ArrayLimits::new(1000, 1000, 4),
         Seed::All,
     )
     .unwrap();
     let (keep_tiled, s_tiled) = membership_tiled(
-        &a,
-        &b,
+        a_all,
+        b_all,
         SetOpMode::Intersect,
         ArrayLimits::new(8, 8, 2),
         Seed::All,
@@ -1122,8 +1124,10 @@ fn e19_pipelined_tiles() -> Summary {
         let b = workloads::seq_rows(64, m, 32);
         let ops_eq = vec![CompareOp::Eq; m];
         let limits = ArrayLimits::new(ta, tb, 2);
-        let seq = t_matrix_tiled(&a, &b, &ops_eq, limits, Seed::All).unwrap();
-        let piped = t_matrix_tiled_pipelined(&a, &b, &ops_eq, limits, Seed::All).unwrap();
+        let (a_tuples, b_tuples) = (Tuples::new(&a, m), Tuples::new(&b, m));
+        let (a_all, b_all) = (a_tuples.operand(), b_tuples.operand());
+        let seq = t_matrix_tiled(a_all, b_all, &ops_eq, limits, Seed::All).unwrap();
+        let piped = t_matrix_tiled_pipelined(a_all, b_all, &ops_eq, limits, Seed::All).unwrap();
         sum.exec(&seq.stats);
         sum.exec(&piped.stats);
         let identical = seq.t == piped.t;

@@ -8,11 +8,12 @@
 //! (§3.2, §3.3).
 
 use systolic_fabric::{Cell, CellIo, CompareOp, Elem, TraceFrame, Word};
+use systolic_relation::Rows;
 
 use crate::error::Result;
 use crate::matrix::TMatrix;
 use crate::stats::ExecStats;
-use crate::tiling::{self, Seed};
+use crate::tiling::{self, Operand, Seed};
 
 /// The individual comparison processor of Figure 3-2:
 /// `t_OUT = t_IN AND (a_IN = b_IN)`, with `a` and `b` passed through.
@@ -123,9 +124,10 @@ impl LinearComparisonArray {
             Seed::StrictLower
         };
         let mut t = TMatrix::new(1, 1);
+        let cols = tiling::every_column(self.m);
         let out = tiling::run_tile(
-            &[a.to_vec()],
-            &[b.to_vec()],
+            Operand::new(Rows::new(a, self.m), &cols),
+            Operand::new(Rows::new(b, self.m), &cols),
             &vec![self.op; self.m],
             seed,
             (0..1, 0..1),
@@ -137,6 +139,39 @@ impl LinearComparisonArray {
             stats: out.stats,
             frames: out.frames,
         })
+    }
+}
+
+/// Tuples given one `Vec` each, copied into one buffer so that a tiler can
+/// read them as an [`Operand`] over all their columns: the arrays that
+/// still take row lists (§3's whole-array comparison) and the tests.
+#[derive(Debug, Clone)]
+pub struct Tuples {
+    codes: Vec<Elem>,
+    m: usize,
+    cols: Vec<usize>,
+}
+
+impl Tuples {
+    /// Copy `rows`, each `m` wide.
+    ///
+    /// # Panics
+    /// Panics if `m` is zero or a row is not `m` wide.
+    pub fn new(rows: &[Vec<Elem>], m: usize) -> Self {
+        assert!(
+            rows.iter().all(|row| row.len() == m),
+            "tuples must be {m} wide"
+        );
+        Tuples {
+            codes: rows.concat(),
+            m,
+            cols: tiling::every_column(m),
+        }
+    }
+
+    /// The copy, compared on every column.
+    pub fn operand(&self) -> Operand<'_> {
+        Operand::new(Rows::new(&self.codes, self.m), &self.cols)
     }
 }
 
@@ -209,10 +244,11 @@ impl ComparisonArray2d {
         trace: bool,
     ) -> Result<MatrixOutcome> {
         // The whole problem is one tile on an `n_A + n_B - 1`-row grid.
+        let (a_tuples, b_tuples) = (Tuples::new(a, self.m()), Tuples::new(b, self.m()));
         let mut t = TMatrix::new(a.len(), b.len());
         let out = tiling::run_tile(
-            a,
-            b,
+            a_tuples.operand(),
+            b_tuples.operand(),
             &self.ops,
             seed,
             (0..a.len(), 0..b.len()),

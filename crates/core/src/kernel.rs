@@ -406,6 +406,7 @@ mod tests {
     use crate::fixed::FixedOperandArray;
     use crate::intersection::{IntersectionArray, SetOpMode};
     use crate::tiling::{self, chunks};
+    use crate::Tuples;
     use systolic_fabric::{CompareOp, Elem};
     use systolic_relation::Rows;
 
@@ -586,7 +587,9 @@ mod tests {
                 ArrayLimits::new(100, 100, 100),
             ] {
                 for seed in [Seed::All, Seed::StrictLower] {
-                    let sim = tiling::t_matrix_tiled(&a, &b, &ops, limits, seed).unwrap();
+                    let (a, b) = (Tuples::new(&a, 3), Tuples::new(&b, 3));
+                    let sim = tiling::t_matrix_tiled(a.operand(), b.operand(), &ops, limits, seed)
+                        .unwrap();
                     assert_eq!(
                         tiled_stats(n_a, n_b, 3, limits, seed),
                         sim.stats,
@@ -622,8 +625,15 @@ mod tests {
                     ArrayLimits::new(100, 100, 2),
                 ] {
                     for seed in [Seed::All, Seed::StrictLower] {
-                        let sim =
-                            tiling::t_matrix_tiled_pipelined(&a, &b, &ops, limits, seed).unwrap();
+                        let (a, b) = (Tuples::new(&a, m), Tuples::new(&b, m));
+                        let sim = tiling::t_matrix_tiled_pipelined(
+                            a.operand(),
+                            b.operand(),
+                            &ops,
+                            limits,
+                            seed,
+                        )
+                        .unwrap();
                         assert_eq!(
                             pipelined_stats(n_a, n_b, m, limits, seed),
                             sim.stats,

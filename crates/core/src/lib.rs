@@ -54,7 +54,7 @@ pub mod select;
 pub mod stats;
 pub mod tiling;
 
-pub use comparison::{ComparisonArray2d, LinearComparisonArray};
+pub use comparison::{ComparisonArray2d, LinearComparisonArray, Tuples};
 pub use dedup::RemoveDuplicatesArray;
 pub use division::{DivisionArray, DivisionArrayMulti};
 pub use error::{CoreError, Result};

@@ -25,7 +25,7 @@ use crate::intersection::{IntersectionArray, SetOpMode};
 use crate::join::{JoinArray, JoinSpec};
 use crate::kernel::{self, Backend};
 use crate::stats::ExecStats;
-use crate::tiling::{self, ArrayLimits, Seed};
+use crate::tiling::{self, ArrayLimits, Operand, Seed};
 
 /// How to realise an operation in hardware.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,8 +146,8 @@ pub fn price_divide_bound(exec: Execution, n: usize, nd: usize) -> ExecStats {
 fn tiled_t_matrix(
     exec: Execution,
     limits: ArrayLimits,
-    a: &[Row],
-    b: &[Row],
+    a: Operand<'_>,
+    b: Operand<'_>,
     ops: &[CompareOp],
     seed: Seed,
 ) -> Result<tiling::TiledOutcome> {
@@ -189,30 +189,31 @@ fn membership(
             };
             (keep, price_membership(exec, a.len(), b.len(), a.arity()))
         }
-        Backend::Sim => {
-            // The arrays stream rows as the simulator always has.
-            let (a_rows, b_rows) = (a.rows().to_vec(), b.rows().to_vec());
-            match exec {
-                Execution::Marching => {
-                    let out = IntersectionArray::new(a.arity()).run(&a_rows, &b_rows, mode)?;
-                    (out.keep, out.stats)
-                }
-                Execution::FixedOperand => {
-                    let out = FixedOperandArray::preload(&b_rows).run(&a_rows, mode)?;
-                    (out.keep, out.stats)
-                }
-                Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
-                    let ops_eq = vec![CompareOp::Eq; a.arity()];
-                    let out = tiled_t_matrix(exec, limits, &a_rows, &b_rows, &ops_eq, Seed::All)?;
-                    let t = out.t.row_ors();
-                    let keep = match mode {
-                        SetOpMode::Intersect => t,
-                        SetOpMode::Difference => t.into_iter().map(|x| !x).collect(),
-                    };
-                    (keep, out.stats)
-                }
+        Backend::Sim => match exec {
+            Execution::Marching => {
+                let (a_rows, b_rows) = (a.rows().to_vec(), b.rows().to_vec());
+                let out = IntersectionArray::new(a.arity()).run(&a_rows, &b_rows, mode)?;
+                (out.keep, out.stats)
             }
-        }
+            Execution::FixedOperand => {
+                let (a_rows, b_rows) = (a.rows().to_vec(), b.rows().to_vec());
+                let out = FixedOperandArray::preload(&b_rows).run(&a_rows, mode)?;
+                (out.keep, out.stats)
+            }
+            Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
+                // The tiler reads both relations' rows in place.
+                let cols = tiling::every_column(a.arity());
+                let (a_all, b_all) = (Operand::new(a.rows(), &cols), Operand::new(b.rows(), &cols));
+                let ops_eq = vec![CompareOp::Eq; a.arity()];
+                let out = tiled_t_matrix(exec, limits, a_all, b_all, &ops_eq, Seed::All)?;
+                let t = out.t.row_ors();
+                let keep = match mode {
+                    SetOpMode::Intersect => t,
+                    SetOpMode::Difference => t.into_iter().map(|x| !x).collect(),
+                };
+                (keep, out.stats)
+            }
+        },
     };
     Ok((a.filter_by_index(|i| keep[i]), stats))
 }
@@ -265,30 +266,29 @@ pub fn dedup_with(a: &MultiRelation, exec: Execution, backend: Backend) -> Resul
             crate::columnar::duplicate_bits(a),
             price_dedup(exec, a.len(), a.arity()),
         ),
-        Backend::Sim => {
-            let rows = a.rows().to_vec();
-            match exec {
-                Execution::Marching => {
-                    let out = RemoveDuplicatesArray::new(a.arity()).run(&rows)?;
-                    // RemoveDuplicatesArray already returns keep flags.
-                    return Ok((a.filter_by_index(|i| out.keep[i]), out.stats));
-                }
-                Execution::FixedOperand => {
-                    let out = FixedOperandArray::preload(&rows).run_masked(
-                        &rows,
-                        SetOpMode::Difference,
-                        |i, j| i > j,
-                    )?;
-                    return Ok((a.filter_by_index(|i| out.keep[i]), out.stats));
-                }
-                Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
-                    let ops_eq = vec![CompareOp::Eq; a.arity()];
-                    let out =
-                        tiled_t_matrix(exec, limits, &rows, &rows, &ops_eq, Seed::StrictLower)?;
-                    (out.t.row_ors(), out.stats)
-                }
+        Backend::Sim => match exec {
+            Execution::Marching => {
+                let out = RemoveDuplicatesArray::new(a.arity()).run(&a.rows().to_vec())?;
+                // RemoveDuplicatesArray already returns keep flags.
+                return Ok((a.filter_by_index(|i| out.keep[i]), out.stats));
             }
-        }
+            Execution::FixedOperand => {
+                let rows = a.rows().to_vec();
+                let out = FixedOperandArray::preload(&rows).run_masked(
+                    &rows,
+                    SetOpMode::Difference,
+                    |i, j| i > j,
+                )?;
+                return Ok((a.filter_by_index(|i| out.keep[i]), out.stats));
+            }
+            Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
+                let cols = tiling::every_column(a.arity());
+                let all = Operand::new(a.rows(), &cols);
+                let ops_eq = vec![CompareOp::Eq; a.arity()];
+                let out = tiled_t_matrix(exec, limits, all, all, &ops_eq, Seed::StrictLower)?;
+                (out.t.row_ors(), out.stats)
+            }
+        },
     };
     // The tiled paths return "has an earlier duplicate" flags.
     Ok((a.filter_by_index(|i| !dup_flags[i]), stats))
@@ -378,7 +378,7 @@ pub fn join_with(
     }
     let arr = JoinArray::new(specs.to_vec());
     let ops: Vec<CompareOp> = specs.iter().map(|s| s.op).collect();
-    // The join columns alone, as the keyed arrays stream them.
+    // The join columns alone, as the fixed-operand array streams them.
     let keys = |rel: &MultiRelation, cols: &[usize]| -> Vec<Row> {
         let key = |row: &[Elem]| cols.iter().map(|&c| row[c]).collect();
         rel.rows().iter().map(key).collect()
@@ -402,8 +402,12 @@ pub fn join_with(
                 FixedOperandArray::preload(&keys(b, &cols_b)).t_matrix(&keys(a, &cols_a), &ops)?
             }
             Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
-                let (a_keys, b_keys) = (keys(a, &cols_a), keys(b, &cols_b));
-                let out = tiled_t_matrix(exec, limits, &a_keys, &b_keys, &ops, Seed::All)?;
+                // The tiler reads the key columns of both relations in place.
+                let (a_keys, b_keys) = (
+                    Operand::new(a.rows(), &cols_a),
+                    Operand::new(b.rows(), &cols_b),
+                );
+                let out = tiled_t_matrix(exec, limits, a_keys, b_keys, &ops, Seed::All)?;
                 (out.t, out.stats)
             }
         },

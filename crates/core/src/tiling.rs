@@ -28,6 +28,7 @@ use std::ops::Range;
 use systolic_fabric::{
     CompareFeed, CompareGrid, CompareOp, CompareSchedule, EastEdge, Elem, TraceFrame, WestEdge,
 };
+use systolic_relation::Rows;
 
 use crate::error::Result;
 use crate::intersection::SetOpMode;
@@ -285,32 +286,81 @@ pub(crate) struct TileTiming {
     pub advance: u64,
 }
 
+/// One side of a tiled comparison: the rows, read in place, and the
+/// columns the array compares, in the order of its processor columns —
+/// every column for the set operations, the key columns for a join. A
+/// column group of a wide comparison is a sub-range of `cols`, so no row
+/// is ever copied onto the pulse path.
+#[derive(Debug, Clone, Copy)]
+pub struct Operand<'r> {
+    rows: Rows<'r>,
+    cols: &'r [usize],
+}
+
+impl<'r> Operand<'r> {
+    /// `rows`, compared on `cols`.
+    ///
+    /// # Panics
+    /// Panics if a column is not one of the rows'.
+    pub fn new(rows: Rows<'r>, cols: &'r [usize]) -> Self {
+        assert!(
+            cols.iter().all(|&c| c < rows.arity()),
+            "compared columns {cols:?} are not all among {}",
+            rows.arity()
+        );
+        Operand { rows, cols }
+    }
+
+    /// Rows on this side.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// `true` if there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The compared columns `range` of the list: one column group.
+    fn group(self, range: Range<usize>) -> Self {
+        Operand {
+            cols: &self.cols[range],
+            ..self
+        }
+    }
+
+    /// The compared element `c` of row `i`.
+    fn elem(&self, i: usize, c: usize) -> Elem {
+        self.rows.codes()[i * self.rows.arity() + self.cols[c]]
+    }
+}
+
+/// Every column of an `m`-wide tuple, in order: the list the set
+/// operations compare.
+pub fn every_column(m: usize) -> Vec<usize> {
+    (0..m).collect()
+}
+
 /// Run `pass(c0, a, b, ops)` once per column group of `groups`, `c0` its
 /// first column, in sequence, and AND the groups' `T` blocks outside the
 /// array: tuple equality over all columns is the AND over groups. Every
 /// group carries the caller's [`Seed`] — ANDing it once is ANDing it in
 /// every group — so a tile that is dead in one group is dead in all of
 /// them.
-fn by_column_groups(
-    a: &[Vec<Elem>],
-    b: &[Vec<Elem>],
+fn by_column_groups<'r>(
+    a: Operand<'r>,
+    b: Operand<'r>,
     ops: &[CompareOp],
     groups: &[(usize, u64)],
-    mut pass: impl FnMut(usize, &[Vec<Elem>], &[Vec<Elem>], &[CompareOp]) -> Result<TiledOutcome>,
+    mut pass: impl FnMut(usize, Operand<'r>, Operand<'r>, &[CompareOp]) -> Result<TiledOutcome>,
 ) -> Result<TiledOutcome> {
-    if groups == [(ops.len(), 1)] {
-        return pass(0, a, b, ops);
-    }
-    let group = |rows: &[Vec<Elem>], c0, c1| -> Vec<Vec<Elem>> {
-        rows.iter().map(|row| row[c0..c1].to_vec()).collect()
-    };
     let mut out: Option<TiledOutcome> = None;
     let mut c0 = 0;
     for &(w, count) in groups {
         for _ in 0..count {
-            let c1 = c0 + w;
-            let next = pass(c0, &group(a, c0, c1), &group(b, c0, c1), &ops[c0..c1])?;
-            c0 = c1;
+            let cols = c0..c0 + w;
+            let next = pass(c0, a.group(cols.clone()), b.group(cols.clone()), &ops[cols])?;
+            c0 += w;
             out = Some(match out {
                 None => next,
                 Some(mut acc) => {
@@ -326,11 +376,12 @@ fn by_column_groups(
 
 /// Compute the full `T` matrix with an array bounded by `limits`, tiling
 /// over column groups, `A`-chunks and `B`-chunks, the array draining
-/// between tiles. `seed` supplies the west-edge seed per *global* pair
-/// index; only its live tiles run, and the rest of `T` stays FALSE.
+/// between tiles. `ops[c]` compares column `c` of `a`'s and `b`'s lists.
+/// `seed` supplies the west-edge seed per *global* pair index; only its
+/// live tiles run, and the rest of `T` stays FALSE.
 pub fn t_matrix_tiled(
-    a: &[Vec<Elem>],
-    b: &[Vec<Elem>],
+    a: Operand<'_>,
+    b: Operand<'_>,
     ops: &[CompareOp],
     limits: ArrayLimits,
     seed: Seed,
@@ -361,8 +412,8 @@ pub fn t_matrix_tiled(
 /// group, in sequence, each on its own grid (comparators are per column)
 /// and ANDed as in [`t_matrix_tiled`].
 pub fn t_matrix_tiled_pipelined(
-    a: &[Vec<Elem>],
-    b: &[Vec<Elem>],
+    a: Operand<'_>,
+    b: Operand<'_>,
     ops: &[CompareOp],
     limits: ArrayLimits,
     seed: Seed,
@@ -374,8 +425,8 @@ pub fn t_matrix_tiled_pipelined(
 /// at column `short` given a budget one pulse short — only used by tests
 /// to prove every group's budget is *exact*.
 fn pipelined_run(
-    a: &[Vec<Elem>],
-    b: &[Vec<Elem>],
+    a: Operand<'_>,
+    b: Operand<'_>,
     ops: &[CompareOp],
     limits: ArrayLimits,
     seed: Seed,
@@ -392,7 +443,7 @@ fn pipelined_run(
                 stats: ExecStats::default(),
             });
         }
-        let mut feed = TileFeed::new(a, b, seed, ops.len(), stream.rows, &stream.runs, &mut t);
+        let mut feed = TileFeed::new(a, b, seed, stream.rows, &stream.runs, &mut t);
         let out = run_feed(&mut feed, ops, false, trim)?;
         // The dead tiles' pairs are in place already, FALSE.
         complete(stream.dead + out.placed, a.len() * b.len())?;
@@ -407,8 +458,8 @@ fn pipelined_run(
 /// is the whole problem. Every verdict must be one the tile scheduled, and
 /// every pair of the tile must be placed.
 pub(crate) fn run_tile(
-    a: &[Vec<Elem>],
-    b: &[Vec<Elem>],
+    a: Operand<'_>,
+    b: Operand<'_>,
     ops: &[CompareOp],
     seed: Seed,
     block: Block,
@@ -424,7 +475,7 @@ pub(crate) fn run_tile(
         a0: block.0.start,
         b0: block.1.start,
     };
-    let mut feed = TileFeed::new(a, b, seed, ops.len(), rows, &[run], t);
+    let mut feed = TileFeed::new(a, b, seed, rows, &[run], t);
     let out = run_feed(&mut feed, ops, trace, 0)?;
     if out.discarded > 0 {
         return Err(crate::error::CoreError::ScheduleViolation {
@@ -467,7 +518,7 @@ fn run_feed(feed: &mut TileFeed, ops: &[CompareOp], trace: bool, trim: u64) -> R
     grid.run_until_quiescent(feed, feed.budget.saturating_sub(trim))?;
     Ok(Streamed {
         stats: ExecStats::from_grid(grid.stats(), grid.cell_count()),
-        frames: grid.trace_frames().to_vec(),
+        frames: grid.take_trace_frames(),
         placed: feed.placed,
         discarded: feed.discarded,
     })
@@ -494,12 +545,12 @@ struct StreamTile {
 
 /// The boundary of a comparison grid through which tiles stream back to
 /// back (§8 with §1's pipelining). Nothing is tabulated: each pulse's words
-/// are found by inverting the open tiles' [`CompareSchedule`]s, and of the
-/// east column only the rows those schedules name at the pulse are read,
-/// straight into `T`.
+/// are found by inverting the open tiles' [`CompareSchedule`]s and read
+/// from the operands in place, and of the east column only the rows those
+/// schedules name at the pulse are read, straight into `T`.
 struct TileFeed<'r> {
-    a: &'r [Vec<Elem>],
-    b: &'r [Vec<Elem>],
+    a: Operand<'r>,
+    b: Operand<'r>,
     seed: Seed,
     tiles: Vec<StreamTile>,
     /// Per edge, the tiles whose window has opened and not yet been passed.
@@ -517,18 +568,19 @@ struct TileFeed<'r> {
 
 impl<'r> TileFeed<'r> {
     /// Stream the tiles of `runs` in order through a `rows`-row grid
-    /// comparing tuples of width `m`, placing verdicts in `t`: tile `k` of a
-    /// run sits `k` advances after the run's first, and each run starts one
-    /// advance after the last tile of the one before.
+    /// comparing `a`'s and `b`'s columns, placing verdicts in `t`: tile `k`
+    /// of a run sits `k` advances after the run's first, and each run
+    /// starts one advance after the last tile of the one before.
     fn new(
-        a: &'r [Vec<Elem>],
-        b: &'r [Vec<Elem>],
+        a: Operand<'r>,
+        b: Operand<'r>,
         seed: Seed,
-        m: usize,
         rows: usize,
         runs: &[Run],
         t: &'r mut TMatrix,
     ) -> Self {
+        let m = a.cols.len();
+        debug_assert_eq!(m, b.cols.len());
         let mut tiles = Vec::new();
         let (mut offset, mut horizon, mut quiet) = (0u64, 0u64, 0u64);
         for &run in runs {
@@ -605,16 +657,16 @@ impl CompareFeed for TileFeed<'_> {
     fn north(&mut self, pulse: u64, mut put: impl FnMut(usize, Elem)) {
         let open = self.open[NORTH].at(&self.tiles, pulse, NORTH);
         for tile in &self.tiles[open] {
-            let tuples = &self.a[tile.a0..tile.a0 + tile.sched.n_a];
-            put_elements(tuples, pulse - tile.windows[NORTH].0, &mut put);
+            let d = pulse - tile.windows[NORTH].0;
+            put_elements(&self.a, tile.a0, tile.sched.n_a, d, &mut put);
         }
     }
 
     fn south(&mut self, pulse: u64, mut put: impl FnMut(usize, Elem)) {
         let open = self.open[SOUTH].at(&self.tiles, pulse, SOUTH);
         for tile in &self.tiles[open] {
-            let tuples = &self.b[tile.b0..tile.b0 + tile.sched.n_b];
-            put_elements(tuples, pulse - tile.windows[SOUTH].0, &mut put);
+            let d = pulse - tile.windows[SOUTH].0;
+            put_elements(&self.b, tile.b0, tile.sched.n_b, d, &mut put);
         }
     }
 
@@ -649,9 +701,14 @@ impl CompareFeed for TileFeed<'_> {
             let Some((s, lo, hi)) = tile.diagonal(pulse, EAST) else {
                 continue;
             };
+            // Every named row normally has its verdict: count the
+            // diagonal, less any row found empty.
+            self.placed += hi + 1 - lo;
             for (w, rows) in tile.rows(s, lo, hi) {
                 let (taken, mut trues) = verdicts.take_word(w, rows);
-                self.placed += taken.count_ones() as usize;
+                if taken != rows {
+                    self.placed -= (rows & !taken).count_ones() as usize;
+                }
                 while trues != 0 {
                     let row = 64 * w + trues.trailing_zeros() as usize;
                     trues &= trues - 1;
@@ -666,7 +723,9 @@ impl CompareFeed for TileFeed<'_> {
         // controller discards them (exactly as a §9 controller gates result
         // capture by schedule). The completeness check still guarantees
         // every *scheduled* result arrived.
-        self.discarded += verdicts.len();
+        if !verdicts.is_empty() {
+            self.discarded += verdicts.len();
+        }
     }
 }
 
@@ -678,16 +737,18 @@ fn through(w: usize, row: usize) -> u64 {
     }
 }
 
-/// Put the elements of `tuples` that enter their edge `d` pulses after the
-/// first: element `c` of tuple `i` enters at `2i + c` (§3.2: tuples two
-/// pulses apart, their elements staggered one pulse apart).
-fn put_elements(tuples: &[Vec<Elem>], d: u64, put: &mut impl FnMut(usize, Elem)) {
-    let (d, m) = (d as usize, tuples[0].len());
-    let last = 2 * (tuples.len() - 1);
+/// Put the elements of `side`'s `n` tuples from row `i0` on that enter
+/// their edge `d` pulses after the first: element `c` of tuple `i` enters
+/// at `2i + c` (§3.2: tuples two pulses apart, their elements staggered one
+/// pulse apart).
+fn put_elements(side: &Operand, i0: usize, n: usize, d: u64, put: &mut impl FnMut(usize, Elem)) {
+    let (d, m) = (d as usize, side.cols.len());
+    let last = 2 * (n - 1);
     // `c` shares `d`'s parity, and `i = (d - c) / 2` must be a tuple.
-    let first = if d > last { d - last } else { d % 2 };
-    for c in (first..m.min(d + 1)).step_by(2) {
-        put(c, tuples[(d - c) / 2][c]);
+    let mut c = if d > last { d - last } else { d % 2 };
+    while c < m.min(d + 1) {
+        put(c, side.elem(i0 + (d - c) / 2, c));
+        c += 2;
     }
 }
 
@@ -699,18 +760,29 @@ fn put_elements(tuples: &[Vec<Elem>], d: u64, put: &mut impl FnMut(usize, Elem))
 struct Open {
     lo: usize,
     hi: usize,
+    /// The first pulse at which `lo` or `hi` may move: until then every
+    /// pulse finds the same tiles.
+    until: u64,
 }
 
 impl Open {
     /// The open tiles' indices at `pulse` on `edge`. A tile in the range
     /// may have closed already; its schedule then finds nothing.
     fn at(&mut self, tiles: &[StreamTile], pulse: u64, edge: usize) -> Range<usize> {
+        if pulse < self.until {
+            return self.lo..self.hi;
+        }
         while self.hi < tiles.len() && tiles[self.hi].windows[edge].0 <= pulse {
             self.hi += 1;
         }
         while self.lo < self.hi && tiles[self.lo].windows[edge].1 < pulse {
             self.lo += 1;
         }
+        let opens = tiles.get(self.hi).map_or(u64::MAX, |t| t.windows[edge].0);
+        let closes = tiles[self.lo..self.hi]
+            .first()
+            .map_or(u64::MAX, |t| t.windows[edge].1 + 1);
+        self.until = opens.min(closes);
         self.lo..self.hi
     }
 }
@@ -719,14 +791,13 @@ impl Open {
 /// tuple of `A`, computed by ORing partial results across `B`-tiles outside
 /// the array.
 pub fn membership_tiled(
-    a: &[Vec<Elem>],
-    b: &[Vec<Elem>],
+    a: Operand<'_>,
+    b: Operand<'_>,
     mode: SetOpMode,
     limits: ArrayLimits,
     seed: Seed,
 ) -> Result<(Vec<bool>, ExecStats)> {
-    let m = a.first().map(|r| r.len()).unwrap_or(1);
-    let ops = vec![CompareOp::Eq; m];
+    let ops = vec![CompareOp::Eq; a.cols.len()];
     let out = t_matrix_tiled(a, b, &ops, limits, seed)?;
     let t = out.t.row_ors();
     let keep = match mode {
@@ -743,7 +814,57 @@ mod reference;
 mod tests {
     use super::*;
     use crate::comparison::ComparisonArray2d;
+    use crate::comparison::Tuples;
     use crate::intersection::IntersectionArray;
+
+    /// [`t_matrix_tiled`] over row lists, compared on every column.
+    fn drained(
+        a: &[Vec<Elem>],
+        b: &[Vec<Elem>],
+        ops: &[CompareOp],
+        limits: ArrayLimits,
+        seed: Seed,
+    ) -> Result<TiledOutcome> {
+        let (a, b) = (Tuples::new(a, ops.len()), Tuples::new(b, ops.len()));
+        t_matrix_tiled(a.operand(), b.operand(), ops, limits, seed)
+    }
+
+    /// [`t_matrix_tiled_pipelined`] over row lists.
+    fn piped(
+        a: &[Vec<Elem>],
+        b: &[Vec<Elem>],
+        ops: &[CompareOp],
+        limits: ArrayLimits,
+        seed: Seed,
+    ) -> Result<TiledOutcome> {
+        pipelined(a, b, ops, limits, seed, None)
+    }
+
+    /// [`pipelined_run`] over row lists.
+    fn pipelined(
+        a: &[Vec<Elem>],
+        b: &[Vec<Elem>],
+        ops: &[CompareOp],
+        limits: ArrayLimits,
+        seed: Seed,
+        short: Option<usize>,
+    ) -> Result<TiledOutcome> {
+        let (a, b) = (Tuples::new(a, ops.len()), Tuples::new(b, ops.len()));
+        pipelined_run(a.operand(), b.operand(), ops, limits, seed, short)
+    }
+
+    /// [`membership_tiled`] over row lists.
+    fn membership(
+        a: &[Vec<Elem>],
+        b: &[Vec<Elem>],
+        mode: SetOpMode,
+        limits: ArrayLimits,
+        seed: Seed,
+    ) -> Result<(Vec<bool>, ExecStats)> {
+        let m = a[0].len();
+        let (a, b) = (Tuples::new(a, m), Tuples::new(b, m));
+        membership_tiled(a.operand(), b.operand(), mode, limits, seed)
+    }
 
     fn relation(n: usize, m: usize, seed: i64) -> Vec<Vec<Elem>> {
         // Deterministic pseudo-data with collisions across seeds.
@@ -770,7 +891,7 @@ mod tests {
             ArrayLimits::new(1, 1, 1),
             ArrayLimits::new(100, 100, 100),
         ] {
-            let tiled = t_matrix_tiled(&a, &b, &ops, limits, Seed::All).unwrap();
+            let tiled = drained(&a, &b, &ops, limits, Seed::All).unwrap();
             assert_eq!(tiled.t, whole.t, "limits {limits:?}");
         }
     }
@@ -782,7 +903,7 @@ mod tests {
         let whole = IntersectionArray::new(2)
             .run(&a, &b, SetOpMode::Intersect)
             .unwrap();
-        let (keep, _) = membership_tiled(
+        let (keep, _) = membership(
             &a,
             &b,
             SetOpMode::Intersect,
@@ -794,7 +915,7 @@ mod tests {
         let whole_d = IntersectionArray::new(2)
             .run(&a, &b, SetOpMode::Difference)
             .unwrap();
-        let (keep_d, _) = membership_tiled(
+        let (keep_d, _) = membership(
             &a,
             &b,
             SetOpMode::Difference,
@@ -809,7 +930,7 @@ mod tests {
     fn masked_tiling_preserves_triangle_suppression() {
         // Remove-duplicates semantics must survive decomposition.
         let rows: Vec<Vec<Elem>> = vec![vec![4], vec![4], vec![5], vec![4], vec![5]];
-        let (dup, _) = membership_tiled(
+        let (dup, _) = membership(
             &rows,
             &rows,
             SetOpMode::Intersect,
@@ -828,7 +949,7 @@ mod tests {
         let a = vec![vec![1, 2, 3, 9]];
         let b = vec![vec![1, 2, 3, 8]];
         let ops = vec![CompareOp::Eq; 4];
-        let out = t_matrix_tiled(&a, &b, &ops, ArrayLimits::new(4, 4, 2), Seed::All).unwrap();
+        let out = drained(&a, &b, &ops, ArrayLimits::new(4, 4, 2), Seed::All).unwrap();
         assert!(!out.t.get(0, 0));
     }
 
@@ -838,7 +959,7 @@ mod tests {
         let b = relation(8, 2, 1);
         let limits = ArrayLimits::new(4, 4, 2);
         let ops = vec![CompareOp::Eq; 2];
-        let out = t_matrix_tiled(&a, &b, &ops, limits, Seed::All).unwrap();
+        let out = drained(&a, &b, &ops, limits, Seed::All).unwrap();
         assert_eq!(out.stats.array_runs, 4, "2x2 tile grid");
         // The physical array is never larger than the limits allow.
         assert!(out.stats.cells <= limits.cells() + limits.max_a + limits.max_b);
@@ -850,8 +971,8 @@ mod tests {
         let a = relation(16, 2, 0);
         let b = relation(16, 2, 2);
         let ops = vec![CompareOp::Eq; 2];
-        let whole = t_matrix_tiled(&a, &b, &ops, ArrayLimits::new(100, 100, 2), Seed::All).unwrap();
-        let tiled = t_matrix_tiled(&a, &b, &ops, ArrayLimits::new(4, 4, 2), Seed::All).unwrap();
+        let whole = drained(&a, &b, &ops, ArrayLimits::new(100, 100, 2), Seed::All).unwrap();
+        let tiled = drained(&a, &b, &ops, ArrayLimits::new(4, 4, 2), Seed::All).unwrap();
         assert!(tiled.stats.pulses > whole.stats.pulses);
         assert!(tiled.stats.cells < whole.stats.cells);
         assert_eq!(tiled.t, whole.t);
@@ -871,7 +992,7 @@ mod tests {
             ArrayLimits::new(1, 1, 2),
             ArrayLimits::new(100, 100, 2),
         ] {
-            let piped = t_matrix_tiled_pipelined(&a, &b, &ops, limits, Seed::All).unwrap();
+            let piped = piped(&a, &b, &ops, limits, Seed::All).unwrap();
             assert_eq!(piped.t, whole.t, "limits {limits:?}");
         }
     }
@@ -882,8 +1003,8 @@ mod tests {
         let b = relation(32, 2, 5);
         let ops = vec![CompareOp::Eq; 2];
         let limits = ArrayLimits::new(4, 4, 2);
-        let sequential = t_matrix_tiled(&a, &b, &ops, limits, Seed::All).unwrap();
-        let piped = t_matrix_tiled_pipelined(&a, &b, &ops, limits, Seed::All).unwrap();
+        let sequential = drained(&a, &b, &ops, limits, Seed::All).unwrap();
+        let piped = piped(&a, &b, &ops, limits, Seed::All).unwrap();
         assert_eq!(sequential.t, piped.t);
         assert_eq!(sequential.stats.array_runs, piped.stats.array_runs);
         assert!(
@@ -898,7 +1019,7 @@ mod tests {
     fn pipelined_tiling_preserves_masks() {
         let rows: Vec<Vec<Elem>> = vec![vec![4], vec![4], vec![5], vec![4], vec![5]];
         let ops = vec![CompareOp::Eq];
-        let out = t_matrix_tiled_pipelined(
+        let out = piped(
             &rows,
             &rows,
             &ops,
@@ -928,7 +1049,7 @@ mod tests {
             let a = relation(n_a, 2, 0);
             let b = relation(n_b, 2, 4);
             for seed in [Seed::All, Seed::StrictLower] {
-                let out = pipelined_run(&a, &b, &ops, limits, seed, None).unwrap();
+                let out = pipelined(&a, &b, &ops, limits, seed, None).unwrap();
                 let expect = TMatrix::from_fn(n_a, n_b, |i, j| {
                     seed.at(i, j) && a[i][0] == b[j][0] && a[i][1] <= b[j][1]
                 });
@@ -1000,7 +1121,9 @@ mod tests {
                 let stream = TileStream::new(n_a, n_b, 2, limits, seed);
                 let (rows, dead) = (stream.rows, stream.dead);
                 let mut t = TMatrix::new(n_a, n_b);
-                let mut feed = TileFeed::new(&a, &b, seed, 2, rows, &stream.runs, &mut t);
+                let (a_tuples, b_tuples) = (Tuples::new(&a, 2), Tuples::new(&b, 2));
+                let (a_all, b_all) = (a_tuples.operand(), b_tuples.operand());
+                let mut feed = TileFeed::new(a_all, b_all, seed, rows, &stream.runs, &mut t);
                 let budget = feed.budget;
                 let mut spy = Spy {
                     feed: &mut feed,
@@ -1091,9 +1214,9 @@ mod tests {
         for (a, b, ops, limits) in &cases {
             for seed in [Seed::All, Seed::StrictLower] {
                 let exact =
-                    pipelined_run(a, b, ops, *limits, seed, None).expect("the budget must suffice");
+                    pipelined(a, b, ops, *limits, seed, None).expect("the budget must suffice");
                 for c0 in (0..ops.len()).step_by(limits.max_cols) {
-                    let short = pipelined_run(a, b, ops, *limits, seed, Some(c0));
+                    let short = pipelined(a, b, ops, *limits, seed, Some(c0));
                     if exact.stats.array_runs == 0 {
                         assert!(short.is_ok(), "{seed:?} on {limits:?}: no grid to starve");
                         continue;
@@ -1119,9 +1242,8 @@ mod tests {
         for max_cols in 1..=4 {
             let ops = vec![CompareOp::Eq; 5];
             let limits = ArrayLimits::new(4, 3, max_cols);
-            let seq = t_matrix_tiled(&rows, &rows, &ops, limits, Seed::StrictLower).unwrap();
-            let piped =
-                t_matrix_tiled_pipelined(&rows, &rows, &ops, limits, Seed::StrictLower).unwrap();
+            let seq = drained(&rows, &rows, &ops, limits, Seed::StrictLower).unwrap();
+            let piped = piped(&rows, &rows, &ops, limits, Seed::StrictLower).unwrap();
             assert_eq!(piped.t, seq.t, "max_cols {max_cols}");
             assert_eq!(
                 piped.t,
@@ -1175,9 +1297,8 @@ mod tests {
                     .keep
             };
             for limits in limits {
-                let seq = t_matrix_tiled(&rows, &rows, &ops, limits, Seed::StrictLower).unwrap();
-                let piped = t_matrix_tiled_pipelined(&rows, &rows, &ops, limits, Seed::StrictLower)
-                    .unwrap();
+                let seq = drained(&rows, &rows, &ops, limits, Seed::StrictLower).unwrap();
+                let piped = piped(&rows, &rows, &ops, limits, Seed::StrictLower).unwrap();
                 for out in [seq, piped] {
                     let keep: Vec<bool> = out.t.row_ors().into_iter().map(|d| !d).collect();
                     assert_eq!(keep, expect, "n {n} on {limits:?}");
@@ -1193,12 +1314,69 @@ mod tests {
         let one = relation(1, 2, 0);
         let ops = vec![CompareOp::Eq; 2];
         for limits in [ArrayLimits::new(4, 4, 2), ArrayLimits::new(1, 1, 1)] {
-            let seq = t_matrix_tiled(&one, &one, &ops, limits, Seed::StrictLower).unwrap();
-            let piped =
-                t_matrix_tiled_pipelined(&one, &one, &ops, limits, Seed::StrictLower).unwrap();
+            let seq = drained(&one, &one, &ops, limits, Seed::StrictLower).unwrap();
+            let piped = piped(&one, &one, &ops, limits, Seed::StrictLower).unwrap();
             for out in [seq, piped] {
                 assert_eq!(out.t, TMatrix::new(1, 1));
                 assert_eq!(out.stats, ExecStats::default(), "{limits:?}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn flat_operands_tile_exactly_like_row_copies(
+            arity_pick in 0usize..4,
+            extra in 0usize..3,
+            rot_a in 0usize..20,
+            rot_b in 0usize..20,
+            reversed in proptest::prelude::any::<bool>(),
+            mixed_ops in proptest::prelude::any::<bool>(),
+            device_pick in 0usize..5,
+            da in 0usize..4,
+            db in 0usize..4,
+        ) {
+            // Arities 1, 8, 9 and 17 on an 8-column device: one, one full,
+            // one full plus one, and three column groups. Rows are wider
+            // than the comparison, and the compared columns are rotated
+            // (and maybe reversed) lists — a join's key map, not a prefix.
+            let m = [1, 8, 9, 17][arity_pick];
+            let width = m + extra;
+            let cols = |rot: usize| -> Vec<usize> {
+                let mut cols: Vec<usize> = (0..m).map(|k| (rot + k) % width).collect();
+                if reversed {
+                    cols.reverse();
+                }
+                cols
+            };
+            let (a_cols, b_cols) = (cols(rot_a), cols(rot_b));
+            let ops: Vec<CompareOp> = (0..m)
+                .map(|k| if mixed_ops { CompareOp::ALL[k % 6] } else { CompareOp::Eq })
+                .collect();
+            // 63-, 64- and 65-row grids, and small devices of many tiles;
+            // row counts on both sides of a tile boundary.
+            let (max_a, max_b) = [(32, 32), (32, 33), (33, 33), (3, 4), (5, 2)][device_pick];
+            let limits = ArrayLimits::new(max_a, max_b, 8);
+            let n_a = [max_a - 1, max_a, max_a + 1, 2 * max_a + 1][da];
+            let n_b = [max_b - 1, max_b, max_b + 1, 2 * max_b + 1][db];
+            let row = |i: usize, salt: usize| -> Vec<Elem> {
+                (0..width).map(|c| ((i * 7 + c * 3 + salt) % 5 % 3) as Elem).collect()
+            };
+            let a: Vec<Vec<Elem>> = (0..n_a).map(|i| row(i, 0)).collect();
+            let b: Vec<Vec<Elem>> = (0..n_b).map(|j| row(j, 2)).collect();
+            let (a_codes, b_codes) = (a.concat(), b.concat());
+            let a_flat = Operand::new(Rows::new(&a_codes, width), &a_cols);
+            let b_flat = Operand::new(Rows::new(&b_codes, width), &b_cols);
+            for seed in [Seed::All, Seed::StrictLower] {
+                let expect =
+                    reference::row_copy_t_matrix(&a, &a_cols, &b, &b_cols, &ops, limits, seed);
+                let piped = t_matrix_tiled_pipelined(a_flat, b_flat, &ops, limits, seed).unwrap();
+                proptest::prop_assert_eq!(&piped.t, &expect.t, "{:?}", seed);
+                proptest::prop_assert_eq!(piped.stats, expect.stats, "{:?}", seed);
+                let drained = t_matrix_tiled(a_flat, b_flat, &ops, limits, seed).unwrap();
+                proptest::prop_assert_eq!(&drained.t, &expect.t, "{:?}", seed);
             }
         }
     }

@@ -12,9 +12,13 @@
 //! feed must match pulse by pulse.
 
 use proptest::prelude::*;
-use systolic_fabric::{CompareFeed, CompareSchedule, Elem, ScheduleFeeder, WestEdge, Word};
+use systolic_fabric::{
+    CompareFeed, CompareGrid, CompareOp, CompareSchedule, EastEdge, Elem, ScheduleFeeder, WestEdge,
+    Word,
+};
 
 use super::*;
+use crate::comparison::Tuples;
 
 /// The physical rows of a pipelined pass over `n_a x n_b` pairs, its live
 /// tiles in stream order (`A`-chunks outer, `B`-chunks inner), and how many
@@ -43,20 +47,21 @@ fn nested_chunk_loop(
     (rows, live, dead)
 }
 
-/// The gathered north, south and west tables of a pipelined pass, and its
-/// run budget.
+/// The gathered north, south and west tables of a pipelined pass, its run
+/// budget, and its live tiles in stream order, each with the shift of its
+/// `A` stream, seeds and verdicts.
 fn gathered(
     a: &[Vec<Elem>],
     b: &[Vec<Elem>],
     m: usize,
     limits: ArrayLimits,
     seed: Seed,
-) -> ([ScheduleFeeder; 3], u64) {
+) -> ([ScheduleFeeder; 3], u64, Vec<(Block, u64)>) {
     let rows = (limits.max_a.min(a.len()) + limits.max_b.min(b.len()))
         .saturating_sub(1)
         .max(1);
     let (mut north, mut south, mut west) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut offset, mut last_activity) = (0u64, 0u64);
+    let (mut offset, mut last_activity, mut tiles) = (0u64, 0u64, Vec::new());
     for a0 in (0..a.len()).step_by(limits.max_a) {
         let a1 = (a0 + limits.max_a).min(a.len());
         for b0 in (0..b.len()).step_by(limits.max_b) {
@@ -66,6 +71,7 @@ fn gathered(
             }
             let sched = CompareSchedule::new(a1 - a0, b1 - b0, m);
             let shift = offset + (rows - sched.rows()) as u64;
+            tiles.push(((a0..a1, b0..b1), shift));
             let mut last_inject = 0u64;
             for (i, row) in a[a0..a1].iter().enumerate() {
                 for (c, &e) in row.iter().enumerate() {
@@ -94,7 +100,104 @@ fn gathered(
         }
     }
     let tables = [north, south, west].map(ScheduleFeeder::from_entries);
-    (tables, last_activity + 1)
+    (tables, last_activity + 1, tiles)
+}
+
+/// The gathered tables as the comparison array's boundary, keeping every
+/// verdict that leaves the east edge as `(pulse, row, verdict)`.
+struct TableFeed {
+    tables: [ScheduleFeeder; 3],
+    east: Vec<(u64, usize, bool)>,
+}
+
+impl CompareFeed for TableFeed {
+    fn horizon(&self) -> u64 {
+        self.tables
+            .iter()
+            .map(ScheduleFeeder::horizon)
+            .max()
+            .unwrap_or(0)
+    }
+    fn north(&mut self, pulse: u64, mut put: impl FnMut(usize, Elem)) {
+        for &(c, w) in self.tables[NORTH].at(pulse) {
+            put(c, w.as_elem().expect("north tables carry elements"));
+        }
+    }
+    fn south(&mut self, pulse: u64, mut put: impl FnMut(usize, Elem)) {
+        for &(c, w) in self.tables[SOUTH].at(pulse) {
+            put(c, w.as_elem().expect("south tables carry elements"));
+        }
+    }
+    fn west(&mut self, pulse: u64, seeds: &mut WestEdge<'_>) {
+        for &(r, w) in self.tables[WEST].at(pulse) {
+            seeds.put(r, w.as_bool().expect("west tables carry seeds"));
+        }
+    }
+    fn east(&mut self, pulse: u64, verdicts: &mut EastEdge<'_>) {
+        let left = verdicts.iter().map(|(row, verdict)| (pulse, row, verdict));
+        self.east.extend(left);
+    }
+}
+
+/// [`t_matrix_tiled_pipelined`] as the tilers computed it from row copies:
+/// per column group, the group's columns of `a_cols` and `b_cols` copied
+/// out of every row, the pass's tables gathered over the copies by the
+/// nested chunk loop, and each live pair's verdict read off the east edge
+/// at the pulse and row its tile's schedule names.
+pub(super) fn row_copy_t_matrix(
+    a: &[Vec<Elem>],
+    a_cols: &[usize],
+    b: &[Vec<Elem>],
+    b_cols: &[usize],
+    ops: &[CompareOp],
+    limits: ArrayLimits,
+    seed: Seed,
+) -> TiledOutcome {
+    let copy = |rows: &[Vec<Elem>], cols: &[usize]| -> Vec<Vec<Elem>> {
+        rows.iter()
+            .map(|row| cols.iter().map(|&c| row[c]).collect())
+            .collect()
+    };
+    let (rows, live, _) = nested_chunk_loop(a.len(), b.len(), limits, seed);
+    let mut out: Option<TiledOutcome> = None;
+    for c0 in (0..ops.len()).step_by(limits.max_cols) {
+        let group = c0..(c0 + limits.max_cols).min(ops.len());
+        let (ga, gb) = (
+            copy(a, &a_cols[group.clone()]),
+            copy(b, &b_cols[group.clone()]),
+        );
+        let (tables, budget, tiles) = gathered(&ga, &gb, group.len(), limits, seed);
+        let mut t = TMatrix::new(a.len(), b.len());
+        let mut stats = ExecStats::default();
+        if !live.is_empty() {
+            let mut grid = CompareGrid::new(rows, &ops[group.clone()]);
+            let mut feed = TableFeed {
+                tables,
+                east: Vec::new(),
+            };
+            grid.run_until_quiescent(&mut feed, budget).unwrap();
+            for ((ra, rb), shift) in tiles {
+                let sched = CompareSchedule::new(ra.len(), rb.len(), group.len());
+                for (i, j) in ra.clone().flat_map(|i| rb.clone().map(move |j| (i, j))) {
+                    let (ti, tj) = (i - ra.start, j - rb.start);
+                    let at = (sched.t_exit_pulse(ti, tj) + shift, ra.len() - 1 + tj - ti);
+                    let verdict = feed.east.iter().find(|v| (v.0, v.1) == at);
+                    t.set(i, j, verdict.expect("a scheduled verdict left the array").2);
+                }
+            }
+            stats = ExecStats::from_grid(grid.stats(), grid.cell_count());
+            stats.array_runs = live.len() as u64;
+        }
+        out = Some(match out {
+            None => TiledOutcome { t, stats },
+            Some(mut acc) => {
+                acc.t.and_assign(&t);
+                acc.stats.merge_sequential(&stats);
+                acc
+            }
+        });
+    }
+    out.expect("at least one column group")
 }
 
 /// What `feed` puts on each edge at `pulse`, lane-ascending, as words.
@@ -144,10 +247,12 @@ proptest! {
         let seed = if strict { Seed::StrictLower } else { Seed::All };
         let limits = ArrayLimits::new(max_a, max_b, m);
         let (a, b) = (relation(n_a, m, 0), relation(n_b, m, 3));
-        let (tables, budget) = gathered(&a, &b, m, limits, seed);
+        let (tables, budget, _) = gathered(&a, &b, m, limits, seed);
         let stream = TileStream::new(n_a, n_b, m, limits, seed);
         let mut t = TMatrix::new(n_a, n_b);
-        let mut feed = TileFeed::new(&a, &b, seed, m, stream.rows, &stream.runs, &mut t);
+        let (a_tuples, b_tuples) = (Tuples::new(&a, m), Tuples::new(&b, m));
+        let (a_all, b_all) = (a_tuples.operand(), b_tuples.operand());
+        let mut feed = TileFeed::new(a_all, b_all, seed, stream.rows, &stream.runs, &mut t);
         let horizon = tables.iter().map(ScheduleFeeder::horizon).max().unwrap_or(0);
         prop_assert_eq!(feed.horizon(), horizon);
         if horizon > 0 {

@@ -16,10 +16,11 @@
 //! * per `t` ring slot (column `c` at `(c - pulse) mod cols`), which rows
 //!   carry a verdict and which of those are TRUE.
 //!
-//! A column-pulse is then a few word operations over its planes plus one
-//! element comparison per row where `a` and `b` meet (the set bits of
-//! `a_on & b_on`); busy cells and new verdicts are popcounts. Planes span
-//! several words when `rows > 64`.
+//! A pulse is then one sweep over the columns, each a few word operations
+//! over its planes plus one element comparison per row where `a` and `b`
+//! meet (the set bits of `a_on & b_on`), the `a` and `b` planes moving a
+//! row on in the same sweep; busy cells are a popcount. Planes span several
+//! words when `rows > 64`.
 //!
 //! The grid holds no schedule. Its boundary is a [`CompareFeed`], passed to
 //! every [`CompareGrid::step`]: each pulse the feed puts elements on the
@@ -75,7 +76,6 @@ pub struct WestEdge<'g> {
     pulse: u64,
     on: &'g mut [u64],
     val: &'g mut [u64],
-    put: usize,
 }
 
 impl<'g> WestEdge<'g> {
@@ -85,6 +85,7 @@ impl<'g> WestEdge<'g> {
     ///
     /// # Panics
     /// Panics if the planes are not `rows.div_ceil(64)` words long.
+    #[inline]
     pub fn new(rows: usize, pulse: u64, on: &'g mut [u64], val: &'g mut [u64]) -> Self {
         let words = rows.div_ceil(64);
         assert!(
@@ -96,7 +97,6 @@ impl<'g> WestEdge<'g> {
             pulse,
             on,
             val,
-            put: 0,
         }
     }
 
@@ -104,6 +104,7 @@ impl<'g> WestEdge<'g> {
     ///
     /// # Panics
     /// Panics if `row` is off the array or already carries a seed.
+    #[inline]
     pub fn put(&mut self, row: usize, seed: bool) {
         let row = lane("west", row, self.rows);
         let bit = 1 << (row % 64);
@@ -115,6 +116,7 @@ impl<'g> WestEdge<'g> {
     ///
     /// # Panics
     /// Panics if a row is off the array or already carries a seed.
+    #[inline]
     pub fn put_word(&mut self, word: usize, rows: u64, seeds: u64) {
         let on_array = match self.rows.saturating_sub(64 * word) {
             n if n >= 64 => u64::MAX,
@@ -131,7 +133,6 @@ impl<'g> WestEdge<'g> {
         );
         self.on[word] |= rows;
         self.val[word] |= seeds & rows;
-        self.put += rows.count_ones() as usize;
     }
 }
 
@@ -146,6 +147,7 @@ impl EastEdge<'_> {
     /// Take the verdicts leaving from row `64 * word + k` for each set bit
     /// `k` of `rows`: the rows that had one not yet taken, and which of
     /// those are TRUE, as bits of the same word.
+    #[inline]
     pub fn take_word(&mut self, word: usize, rows: u64) -> (u64, u64) {
         let Some(on) = self.on.get_mut(word) else {
             return (0, 0);
@@ -156,11 +158,13 @@ impl EastEdge<'_> {
     }
 
     /// The verdicts not taken yet.
+    #[inline]
     pub fn len(&self) -> usize {
         self.on.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// `true` if every verdict has been taken.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.on.iter().all(|&w| w == 0)
     }
@@ -192,23 +196,25 @@ pub struct CompareGrid {
     /// `u64` words per plane: one bit per row.
     words: usize,
     ops: Vec<CompareOp>,
-    /// Southbound elements, one ring of `rows` slots per column: row `r` of
-    /// column `c` reads `c * rows + (r - pulse) mod rows`.
+    /// Slots per column on the element rings: each ring of `rows` slots
+    /// stored twice over, so that a column's rows are one unbroken run, and
+    /// a word's worth of padding, so that every plane word's 64 rows are.
+    span: usize,
+    /// Southbound elements: row `r` of column `c` reads
+    /// `span * c + a0 + r`, `a0 = (-pulse) mod rows`.
     a: Vec<Elem>,
-    /// Rows holding an `a` word, `words` per column.
-    a_on: Vec<u64>,
-    /// Northbound elements: row `r` of column `c` reads
-    /// `c * rows + (r + pulse) mod rows`.
+    /// Per column, the rows holding an `a` word and then the rows holding
+    /// a `b` word: `2 * words` per column.
+    on: Vec<u64>,
+    /// Northbound elements: row `r` of column `c` reads `span * c + b0 + r`,
+    /// `b0 = pulse mod rows`.
     b: Vec<Elem>,
-    /// Rows holding a `b` word, `words` per column.
-    b_on: Vec<u64>,
-    /// Rows carrying a verdict, `words` per ring slot: column `c` reads
-    /// slot `(c - pulse) mod cols`.
-    t_on: Vec<u64>,
-    /// Which of those verdicts are TRUE (never set where `t_on` is not).
-    t_val: Vec<u64>,
-    /// Present words on the three planes between pulses.
-    live: usize,
+    /// Per `t` ring slot, the rows carrying a verdict and then which of
+    /// those verdicts are TRUE (never a row that carries none): `2 * words`
+    /// per slot. Column `c` reads slot `(c - pulse) mod cols`.
+    t: Vec<u64>,
+    /// `true` while no wire carries a word between pulses.
+    idle: bool,
     pulse: u64,
     /// This pulse's ring slots of row 0 on the `a` and `b` rings and of
     /// column 0 on the `t` ring.
@@ -228,17 +234,17 @@ impl CompareGrid {
             "grid must have at least one cell"
         );
         let (cols, words) = (ops.len(), rows.div_ceil(64));
+        let span = 2 * rows + 64;
         CompareGrid {
             rows,
             words,
             ops: ops.to_vec(),
-            a: vec![0; rows * cols],
-            a_on: vec![0; words * cols],
-            b: vec![0; rows * cols],
-            b_on: vec![0; words * cols],
-            t_on: vec![0; words * cols],
-            t_val: vec![0; words * cols],
-            live: 0,
+            span,
+            a: vec![0; span * cols],
+            b: vec![0; span * cols],
+            on: vec![0; 2 * words * cols],
+            t: vec![0; 2 * words * cols],
+            idle: true,
             pulse: 0,
             ring: Ring::default(),
             stats: GridStats::default(),
@@ -281,127 +287,95 @@ impl CompareGrid {
         self.tracer.as_ref().map(|t| t.frames()).unwrap_or(&[])
     }
 
-    /// Execute one pulse: inject what `feed` puts at this pulse, compare
-    /// column by column, drain the edges (the east verdicts through `feed`).
+    /// Take the recorded trace frames out of the grid (none if tracing was
+    /// not enabled); recording stops.
+    pub fn take_trace_frames(&mut self) -> Vec<TraceFrame> {
+        self.tracer
+            .take()
+            .map(Tracer::into_frames)
+            .unwrap_or_default()
+    }
+
+    /// Execute one pulse: inject what `feed` puts at this pulse, then in one
+    /// sweep over the columns compare and move the `a` and `b` planes a row
+    /// on (the south row's `a` words and the north row's `b` words leave),
+    /// and hand the east column's verdicts to `feed`.
     ///
     /// # Panics
     /// Panics if `feed` puts a word on a lane the edge does not have, or a
     /// second word on one lane in one pulse.
     pub fn step(&mut self, feed: &mut impl CompareFeed) {
         let pulse = self.pulse;
-        let (rows, cols, words) = (self.rows, self.cols(), self.words);
+        let (rows, cols, words, span) = (self.rows, self.cols(), self.words, self.span);
         let Ring { a0, b0, t0 } = self.ring;
 
-        // Injection into the rows the last pulse's drain left idle: a row
+        // Injection into the rows the last pulse's shift left idle: a row
         // found occupied was filled earlier in this same pulse.
-        let south = Bit::of(rows - 1);
-        let b_south = back(b0, rows);
-        let mut put = 0usize;
-        let (a, a_on) = (&mut self.a[..], &mut self.a_on[..]);
+        let (a, on) = (&mut self.a[..], &mut self.on[..]);
         feed.north(pulse, |c, e| {
             let c = lane("north", c, cols);
-            Bit::of(0).latch(&mut a_on[c * words..], pulse, "north");
-            a[c * rows + a0] = e;
-            put += 1;
+            Bit::of(0).latch(&mut on[2 * words * c..], pulse, "north");
+            a[c * span + a0] = e;
+            a[c * span + a0 + rows] = e;
         });
-        let (b, b_on) = (&mut self.b[..], &mut self.b_on[..]);
+        let south = Bit::of(rows - 1);
+        let b_south = back(b0, rows);
+        let (b, on) = (&mut self.b[..], &mut self.on[..]);
         feed.south(pulse, |c, e| {
             let c = lane("south", c, cols);
-            south.latch(&mut b_on[c * words..], pulse, "south");
-            b[c * rows + b_south] = e;
-            put += 1;
+            south.latch(&mut on[(2 * c + 1) * words..], pulse, "south");
+            b[c * span + b_south] = e;
+            b[c * span + b_south + rows] = e;
         });
-        let west = t0 * words..(t0 + 1) * words;
-        let mut seeds = WestEdge::new(
-            rows,
-            pulse,
-            &mut self.t_on[west.clone()],
-            &mut self.t_val[west],
-        );
+        let (west_on, west_val) = self.t[2 * words * t0..][..2 * words].split_at_mut(words);
+        let mut seeds = WestEdge::new(rows, pulse, west_on, west_val);
         feed.west(pulse, &mut seeds);
-        put += seeds.put;
-        self.live += put;
 
-        if let Some(tracer) = &mut self.tracer {
-            let on = |plane: &[u64], r: usize| plane[r / 64] & (1 << (r % 64)) != 0;
-            let (mut a, mut b, mut t) = (Vec::new(), Vec::new(), Vec::new());
-            for r in 0..rows {
-                for c in 0..cols {
-                    let (col, slot) = (c * words, (t0 + c) % cols * words);
-                    let elem = |on: bool, e: Elem| if on { Word::Elem(e) } else { Word::Null };
-                    a.push(elem(
-                        on(&self.a_on[col..], r),
-                        self.a[c * rows + (a0 + r) % rows],
-                    ));
-                    b.push(elem(
-                        on(&self.b_on[col..], r),
-                        self.b[c * rows + (b0 + r) % rows],
-                    ));
-                    t.push(match on(&self.t_on[slot..], r) {
-                        false => Word::Null,
-                        true => Word::Bool(on(&self.t_val[slot..], r)),
-                    });
-                }
-            }
-            tracer.snapshot(pulse, rows, cols, &a, &b, &t);
+        if self.tracer.is_some() {
+            self.snapshot();
         }
 
-        let (mut busy, mut made) = (0u64, 0usize);
-        let mut slot = t0 * words;
+        // The row bits of the last plane word that are on the array.
+        let last = match rows % 64 {
+            0 => u64::MAX,
+            n => (1 << n) - 1,
+        };
+        let (mut busy, mut held) = (0u64, 0u64);
+        let mut slot = t0;
         for (c, &op) in self.ops.iter().enumerate() {
-            let col = c * words..(c + 1) * words;
-            let lanes = Lanes {
-                a: &self.a[c * rows..(c + 1) * rows],
-                a_on: &self.a_on[col.clone()],
-                b: &self.b[c * rows..(c + 1) * rows],
-                b_on: &self.b_on[col],
-                a0,
-                b0,
+            let mut lanes = Lanes {
+                a: &self.a[c * span + a0..][..64 * words],
+                b: &self.b[c * span + b0..][..64 * words],
+                on: &mut self.on[2 * words * c..][..2 * words],
+                t: &mut self.t[2 * words * slot..][..2 * words],
+                last,
             };
-            let t_on = &mut self.t_on[slot..slot + words];
-            let t_val = &mut self.t_val[slot..slot + words];
-            let (col_busy, col_made) = match op {
-                CompareOp::Eq => lanes.compare(t_on, t_val, |x, y| x == y),
-                CompareOp::Ne => lanes.compare(t_on, t_val, |x, y| x != y),
-                CompareOp::Lt => lanes.compare(t_on, t_val, |x, y| x < y),
-                CompareOp::Le => lanes.compare(t_on, t_val, |x, y| x <= y),
-                CompareOp::Gt => lanes.compare(t_on, t_val, |x, y| x > y),
-                CompareOp::Ge => lanes.compare(t_on, t_val, |x, y| x >= y),
+            let (col_busy, col_words, col_verdicts) = match op {
+                CompareOp::Eq => lanes.pulse(|x, y| x == y),
+                CompareOp::Ne => lanes.pulse(|x, y| x != y),
+                CompareOp::Lt => lanes.pulse(|x, y| x < y),
+                CompareOp::Le => lanes.pulse(|x, y| x <= y),
+                CompareOp::Gt => lanes.pulse(|x, y| x > y),
+                CompareOp::Ge => lanes.pulse(|x, y| x >= y),
             };
             busy += col_busy;
-            made += col_made;
-            slot = if slot + words == cols * words {
-                0
-            } else {
-                slot + words
-            };
+            held |= col_words;
+            // The east column's verdicts leave this pulse; every other
+            // column's stay on the array.
+            if c + 1 < cols {
+                held |= col_verdicts;
+            }
+            slot = if slot + 1 == cols { 0 } else { slot + 1 };
         }
-        self.live += made;
 
-        // The edges drain: the east column's verdicts go to the feed, and
-        // the `a` words on the south row and the `b` words on the north row
-        // leave the array as the planes shift a row on.
-        let east = back(t0, cols) * words;
-        let east = east..east + words;
-        let out = popcount(&self.t_on[east.clone()]);
-        if out > 0 {
-            let mut edge = EastEdge {
-                on: &mut self.t_on[east.clone()],
-                val: &self.t_val[east.clone()],
-            };
-            feed.east(pulse, &mut edge);
-            self.t_on[east.clone()].fill(0);
-            self.t_val[east].fill(0);
+        // `slot` has come round to the east column's ring slot.
+        let east = &mut self.t[2 * words * back(slot, cols)..][..2 * words];
+        let (on, val) = east.split_at_mut(words);
+        if on.iter().any(|&w| w != 0) {
+            feed.east(pulse, &mut EastEdge { on, val });
+            east.fill(0);
         }
-        let mut gone = 0;
-        for c in 0..cols {
-            let col = c * words..(c + 1) * words;
-            gone += south.clear(&mut self.a_on[col.clone()]);
-            shift_south(&mut self.a_on[col.clone()]);
-            gone += Bit::of(0).clear(&mut self.b_on[col.clone()]);
-            shift_north(&mut self.b_on[col]);
-        }
-        self.live -= out + gone;
+        self.idle = held == 0;
 
         self.stats.pulses += 1;
         self.stats.busy_cell_pulses += busy;
@@ -414,9 +388,37 @@ impl CompareGrid {
         };
     }
 
+    /// Record the words entering every cell at this pulse.
+    #[cold]
+    #[inline(never)]
+    fn snapshot(&mut self) {
+        let (rows, cols, words, span) = (self.rows, self.cols(), self.words, self.span);
+        let Ring { a0, b0, t0 } = self.ring;
+        let on = |plane: &[u64], r: usize| plane[r / 64] & (1 << (r % 64)) != 0;
+        let elem = |on: bool, e: Elem| if on { Word::Elem(e) } else { Word::Null };
+        let (mut a, mut b, mut t) = (Vec::new(), Vec::new(), Vec::new());
+        for r in 0..rows {
+            for c in 0..cols {
+                let (col, slot) = (2 * words * c, 2 * words * ((t0 + c) % cols));
+                a.push(elem(on(&self.on[col..], r), self.a[c * span + a0 + r]));
+                b.push(elem(
+                    on(&self.on[col + words..], r),
+                    self.b[c * span + b0 + r],
+                ));
+                t.push(match on(&self.t[slot..], r) {
+                    false => Word::Null,
+                    true => Word::Bool(on(&self.t[slot + words..], r)),
+                });
+            }
+        }
+        if let Some(tracer) = &mut self.tracer {
+            tracer.snapshot(self.pulse, rows, cols, &a, &b, &t);
+        }
+    }
+
     /// `true` when `feed` will put nothing more and every wire is idle.
     pub fn is_quiescent(&self, feed: &impl CompareFeed) -> bool {
-        feed.horizon() <= self.pulse && self.live == 0
+        feed.horizon() <= self.pulse && self.idle
     }
 
     /// Pulse the grid on `feed` until it drains, or fail after `max_pulses`.
@@ -448,6 +450,7 @@ struct Ring {
 }
 
 /// The ring slot before `slot` on a ring of `len` slots.
+#[inline]
 fn back(slot: usize, len: usize) -> usize {
     if slot == 0 {
         len - 1
@@ -457,6 +460,7 @@ fn back(slot: usize, len: usize) -> usize {
 }
 
 /// `lane`, checked to be one of the `edge`'s `width` lanes.
+#[inline]
 fn lane(edge: &str, lane: usize, width: usize) -> usize {
     assert!(
         lane < width,
@@ -473,6 +477,7 @@ struct Bit {
 }
 
 impl Bit {
+    #[inline]
     fn of(row: usize) -> Self {
         Bit {
             word: row / 64,
@@ -481,6 +486,7 @@ impl Bit {
     }
 
     /// Set the bit, which must be clear: a word latched into an idle slot.
+    #[inline]
     fn latch(self, plane: &mut [u64], pulse: u64, edge: &str) {
         let w = &mut plane[self.word];
         assert!(
@@ -489,81 +495,66 @@ impl Bit {
         );
         *w |= self.mask;
     }
-
-    /// Clear the bit; 1 if it was set.
-    fn clear(self, plane: &mut [u64]) -> usize {
-        let w = &mut plane[self.word];
-        let was = usize::from(*w & self.mask != 0);
-        *w &= !self.mask;
-        was
-    }
 }
 
-fn popcount(plane: &[u64]) -> usize {
-    plane.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-/// Move every bit one row south (row `r` to `r + 1`); the south row must be
-/// clear.
-fn shift_south(plane: &mut [u64]) {
-    let mut carry = 0;
-    for w in plane {
-        (*w, carry) = ((*w << 1) | carry, *w >> 63);
-    }
-}
-
-/// Move every bit one row north (row `r` to `r - 1`); row 0 must be clear.
-fn shift_north(plane: &mut [u64]) {
-    let mut carry = 0;
-    for w in plane.iter_mut().rev() {
-        (*w, carry) = ((*w >> 1) | carry, *w << 63);
-    }
-}
-
-/// One column's `a` and `b` planes for one pulse: row `r` reads slot
-/// `(a0 + r) mod rows` of `a` and `(b0 + r) mod rows` of `b`.
+/// One column's wires for one pulse: its elements on the `a` and `b` rings
+/// from this pulse's row 0 on, a whole word of rows per plane word (rows
+/// past the array read padding no plane bit selects), its `a` and `b`
+/// planes, and the `t` planes of the ring slot it reads.
 struct Lanes<'g> {
     a: &'g [Elem],
-    a_on: &'g [u64],
     b: &'g [Elem],
-    b_on: &'g [u64],
-    a0: usize,
-    b0: usize,
+    /// The `a` plane, then the `b` plane.
+    on: &'g mut [u64],
+    /// The `t` presence plane, then the value plane.
+    t: &'g mut [u64],
+    /// The bits of the last plane word that are rows of the array.
+    last: u64,
 }
 
 impl Lanes<'_> {
-    /// Pulse the column's cells against its `t` planes. Returns the busy
-    /// cells and the verdicts that appeared on an idle `t` wire.
+    /// Pulse the column's cells, then move its `a` plane a row south and
+    /// its `b` plane a row north, dropping the words that leave. Returns
+    /// the busy cells, the OR of the moved `a` and `b` planes and the OR of
+    /// the new `t` planes (each zero iff no such word is left).
     #[inline(always)]
-    fn compare(
-        &self,
-        t_on: &mut [u64],
-        t_val: &mut [u64],
-        cmp: impl Fn(Elem, Elem) -> bool + Copy,
-    ) -> (u64, usize) {
-        let rows = self.a.len();
-        let wrap = |i: usize| if i >= rows { i - rows } else { i };
-        let (mut busy, mut made) = (0u64, 0usize);
-        for k in 0..t_on.len() {
-            let (x_on, y_on, on, val) = (self.a_on[k], self.b_on[k], t_on[k], t_val[k]);
+    fn pulse(&mut self, cmp: impl Fn(Elem, Elem) -> bool + Copy) -> (u64, u64, u64) {
+        let words = self.on.len() / 2;
+        let ((a_on, b_on), (t_on, t_val)) =
+            (self.on.split_at_mut(words), self.t.split_at_mut(words));
+        let (mut busy, mut elems, mut verdicts) = (0u64, 0u64, 0u64);
+        let (mut carry, mut y_on) = (0u64, b_on[0]);
+        for k in 0..words {
+            let (x_on, on, val) = (a_on[k], t_on[k], t_val[k]);
             busy += u64::from((x_on | y_on | on).count_ones());
             // Figure 3-2: where both elements meet, the verdict is the
             // incoming `t` (an idle wire is the TRUE seed) AND the
             // comparison; elsewhere `t` passes unchanged.
             let meet = x_on & y_on;
-            made += (meet & !on).count_ones() as usize;
             let (mut rest, mut holds) = (meet, 0u64);
+            let (a, b) = (&self.a[64 * k..][..64], &self.b[64 * k..][..64]);
             while rest != 0 {
-                let bit = rest.trailing_zeros() as usize;
+                let bit = rest.trailing_zeros() as usize & 63;
                 rest &= rest - 1;
-                let r = 64 * k + bit;
-                let (x, y) = (self.a[wrap(self.a0 + r)], self.b[wrap(self.b0 + r)]);
-                holds |= u64::from(cmp(x, y)) << bit;
+                holds |= u64::from(cmp(a[bit], b[bit])) << bit;
             }
-            t_on[k] = on | meet;
+            let verdict = on | meet;
+            t_on[k] = verdict;
             t_val[k] = (val & !meet) | (holds & (!on | val));
+            // Row r's `a` word moves to row r + 1 (off the south edge from
+            // the last row), row r's `b` word to row r - 1.
+            let (keep, y_above) = match b_on.get(k + 1) {
+                Some(&above) => (u64::MAX, above),
+                None => (self.last, 0),
+            };
+            let (x_next, y_next) = (((x_on << 1) | carry) & keep, (y_on >> 1) | (y_above << 63));
+            (carry, y_on) = (x_on >> 63, y_above);
+            a_on[k] = x_next;
+            b_on[k] = y_next;
+            elems |= x_next | y_next;
+            verdicts |= verdict;
         }
-        (busy, made)
+        (busy, elems, verdicts)
     }
 }
 

@@ -70,6 +70,11 @@ impl Tracer {
         &self.frames
     }
 
+    /// The recorded frames, in pulse order, by value.
+    pub fn into_frames(self) -> Vec<TraceFrame> {
+        self.frames
+    }
+
     /// Discard all frames.
     pub fn clear(&mut self) {
         self.frames.clear();

@@ -187,6 +187,7 @@ mod tests {
     #[test]
     fn plans_equal_the_cycle_accurate_simulator_exactly() {
         use systolic_core::tiling::{t_matrix_tiled, t_matrix_tiled_pipelined};
+        use systolic_core::Tuples;
         use systolic_core::{FixedOperandArray, SetOpMode};
         use systolic_fabric::CompareOp;
         // A 24-comparator device (one 6µ chip of 1.5µ x 1µ comparators) and
@@ -217,9 +218,11 @@ mod tests {
         let piped = CapacityPlan::plan(t, w, Layout::MarchingPipelined);
         assert_eq!((marching.tile_a, marching.tile_b), (3, 3));
         let limits = ArrayLimits::new(3, 3, 3);
-        let sim = t_matrix_tiled(&a, &b, &ops, limits, Seed::All).unwrap();
+        let (a_tuples, b_tuples) = (Tuples::new(&a, 3), Tuples::new(&b, 3));
+        let (a_all, b_all) = (a_tuples.operand(), b_tuples.operand());
+        let sim = t_matrix_tiled(a_all, b_all, &ops, limits, Seed::All).unwrap();
         assert_eq!(marching.stats, sim.stats);
-        let sim = t_matrix_tiled_pipelined(&a, &b, &ops, limits, Seed::All).unwrap();
+        let sim = t_matrix_tiled_pipelined(a_all, b_all, &ops, limits, Seed::All).unwrap();
         assert_eq!(piped.stats, sim.stats);
         assert_eq!(piped.stats.array_runs, 5 * 6);
 

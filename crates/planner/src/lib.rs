@@ -39,14 +39,6 @@ use std::time::Instant;
 use systolic_analyzer::{analyze, Analysis, CatalogView, Code, Diagnostic, TableInfo};
 use systolic_machine::{Expr, MachineConfig};
 
-/// Optimizer options.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Options {
-    /// Also try the experimental rules (deliberate misfires exercising the
-    /// SA009 gate). Never enabled by the server.
-    pub experimental: bool,
-}
-
 /// One adopted rewrite.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RewriteEvent {
@@ -89,7 +81,7 @@ impl PlanChoice {
 /// How many full rule sweeps the engine runs before declaring fixpoint.
 const MAX_PASSES: usize = 8;
 
-/// Optimize one expression with the default (sound) rule set.
+/// Optimize one expression with the rule set.
 ///
 /// Fails only when the *input* expression does not analyze; callers that
 /// run [`analyze`] first can treat the error arm as unreachable.
@@ -98,76 +90,27 @@ pub fn optimize(
     view: &CatalogView,
     machine: &MachineConfig,
 ) -> Result<PlanChoice, Vec<Diagnostic>> {
-    optimize_with(expr, view, machine, Options::default())
-}
-
-/// [`optimize`] with explicit [`Options`].
-pub fn optimize_with(
-    expr: &Expr,
-    view: &CatalogView,
-    machine: &MachineConfig,
-    opts: Options,
-) -> Result<PlanChoice, Vec<Diagnostic>> {
     let start = Instant::now();
     let baseline = analyze(expr, view, machine, &[])?;
     let mut current = expr.clone();
     let mut chosen = baseline.clone();
     let mut rewrites = Vec::new();
     let mut lints = Vec::new();
-    let rule_set = if opts.experimental {
-        Rule::experimental_set()
-    } else {
-        Rule::default_set()
-    };
     for _ in 0..MAX_PASSES {
         let mut changed = false;
-        for &rule in rule_set {
+        for &rule in Rule::default_set() {
             // `chosen` is always the analysis of `current`.
             let (candidate, sites) = rule.apply(&current, &chosen.nodes);
             if sites == 0 {
                 continue;
             }
-            let analysis = match analyze(&candidate, view, machine, &[]) {
-                Ok(a) => a,
-                Err(diags) => {
-                    lints.push(Diagnostic::new(
-                        Code::RewriteSchemaChanged,
-                        format!(
-                            "rule {} produced a plan the analyzer rejects ({}); not applied",
-                            rule.id(),
-                            diags[0]
-                        ),
-                        None,
-                    ));
+            let analysis = match vet(rule, &candidate, &chosen, view, machine) {
+                Ok(analysis) => analysis,
+                Err(lint) => {
+                    lints.push(lint);
                     continue;
                 }
             };
-            if analysis.nodes[0].columns != chosen.nodes[0].columns {
-                lints.push(Diagnostic::new(
-                    Code::RewriteSchemaChanged,
-                    format!(
-                        "rule {} changes the result schema (arity {} -> {}); not applied",
-                        rule.id(),
-                        chosen.nodes[0].columns.len(),
-                        analysis.nodes[0].columns.len()
-                    ),
-                    None,
-                ));
-                continue;
-            }
-            if analysis.pulse_budget > chosen.pulse_budget {
-                lints.push(Diagnostic::new(
-                    Code::RewriteCostRegressed,
-                    format!(
-                        "rule {} regresses the pulse budget ({} -> {}); not applied",
-                        rule.id(),
-                        chosen.pulse_budget,
-                        analysis.pulse_budget
-                    ),
-                    None,
-                ));
-                continue;
-            }
             let strictly_cheaper = analysis.pulse_budget < chosen.pulse_budget;
             let same_cost_smaller = analysis.pulse_budget == chosen.pulse_budget
                 && analysis.nodes.len() < chosen.nodes.len();
@@ -195,6 +138,58 @@ pub fn optimize_with(
         lints,
         compile_ns: start.elapsed().as_nanos() as u64,
     })
+}
+
+/// The gates a `rule`'s `candidate` passes before it may replace the plan
+/// whose analysis is `chosen`: the candidate analyzes, its result columns
+/// (arity and domains) are the same, and its pulse budget is no larger.
+/// Returns the candidate's analysis, or the lint that refuses it: SA009
+/// when it does not analyze or changes the result columns, SA010 when it
+/// costs more.
+///
+/// The column check cannot tell a permutation of same-domain columns from
+/// the original: that a rewrite keeps every row's values in place is the
+/// rule's own law (see [`rules`]), not something this gate proves.
+fn vet(
+    rule: Rule,
+    candidate: &Expr,
+    chosen: &Analysis,
+    view: &CatalogView,
+    machine: &MachineConfig,
+) -> Result<Analysis, Diagnostic> {
+    let refuse = |code, detail: String| {
+        Diagnostic::new(
+            code,
+            format!("rule {} {detail}; not applied", rule.id()),
+            None,
+        )
+    };
+    let analysis = analyze(candidate, view, machine, &[]).map_err(|diags| {
+        refuse(
+            Code::RewriteSchemaChanged,
+            format!("produced a plan the analyzer rejects ({})", diags[0]),
+        )
+    })?;
+    if analysis.nodes[0].columns != chosen.nodes[0].columns {
+        return Err(refuse(
+            Code::RewriteSchemaChanged,
+            format!(
+                "changes the result schema (arity {} -> {})",
+                chosen.nodes[0].columns.len(),
+                analysis.nodes[0].columns.len()
+            ),
+        ));
+    }
+    if analysis.pulse_budget > chosen.pulse_budget {
+        return Err(refuse(
+            Code::RewriteCostRegressed,
+            format!(
+                "regresses the pulse budget ({} -> {})",
+                chosen.pulse_budget, analysis.pulse_budget
+            ),
+        ));
+    }
+    Ok(analysis)
 }
 
 /// A deterministic fingerprint of a catalog view (name, arity, rows and
@@ -472,21 +467,32 @@ mod tests {
     }
 
     #[test]
-    fn join_commute_misfires_into_an_sa009_lint() {
-        let e = Expr::scan("emp").join(Expr::scan("dept"), vec![JoinSpec::eq(1, 0)]);
-        let c = optimize_with(
-            &e,
+    fn a_schema_changing_candidate_is_refused_with_an_sa009_lint() {
+        // Candidates no rule of the set produces: one that drops a column
+        // and one that swaps `emp`'s str and int columns, each vetted
+        // against the plain scan it would replace.
+        let machine = MachineConfig::default();
+        let scan = Expr::scan("emp");
+        let chosen = analyze(&scan, &view(), &machine, &[]).unwrap();
+        for candidate in [scan.clone().project(vec![0]), scan.project(vec![1, 0])] {
+            let lint = vet(Rule::ProjectFuse, &candidate, &chosen, &view(), &machine)
+                .expect_err("a changed result schema must be refused");
+            assert_eq!(lint.code, Code::RewriteSchemaChanged, "{lint:?}");
+            assert!(lint.message.contains("project-fuse"), "{lint:?}");
+        }
+        // A candidate the analyzer rejects is refused the same way.
+        let unknown = Expr::scan("nowhere");
+        let lint = vet(Rule::FilterIntoScan, &unknown, &chosen, &view(), &machine).unwrap_err();
+        assert_eq!(lint.code, Code::RewriteSchemaChanged, "{lint:?}");
+        // The same plan passes.
+        assert!(vet(
+            Rule::ProjectFuse,
+            &Expr::scan("emp"),
+            &chosen,
             &view(),
-            &MachineConfig::default(),
-            Options { experimental: true },
+            &machine
         )
-        .unwrap();
-        assert_eq!(c.expr, e, "the misfiring rule must never be applied");
-        assert!(
-            c.lints.iter().any(|l| l.code == Code::RewriteSchemaChanged),
-            "{:?}",
-            c.lints
-        );
+        .is_ok());
     }
 
     #[test]

@@ -36,10 +36,6 @@
 //!   surviving input column, so a predicate on the output is a predicate
 //!   on one operand; dropping an operand row drops exactly the output
 //!   rows built from it, preserving the §6.2 assembly order of the rest.
-//! - **join-commute** (experimental, never in the default set) — operand
-//!   order changes both the column layout and the row order of the
-//!   assembled result, so the engine's SA009 gate rejects it; it exists
-//!   as a deliberate misfire exercising the lint path.
 
 use systolic_analyzer::NodeReport;
 use systolic_core::select::Predicate;
@@ -64,9 +60,6 @@ pub enum Rule {
     FilterSetOpPush,
     /// Push a selection over a pure equi-join onto the operand(s) it tests.
     FilterJoinPush,
-    /// Swap join operands (experimental: changes the result layout; kept
-    /// only to exercise the SA009 misfire gate).
-    JoinCommute,
 }
 
 impl Rule {
@@ -80,7 +73,6 @@ impl Rule {
             Rule::FilterIntoScan => "filter-into-scan",
             Rule::FilterSetOpPush => "filter-setop-push",
             Rule::FilterJoinPush => "filter-join-push",
-            Rule::JoinCommute => "join-commute",
         }
     }
 
@@ -96,7 +88,6 @@ impl Rule {
                 "σ_p(A∩B) = σ_p(A)∩B; σ_p(A−B) = σ_p(A)−B; σ_p(A∪B) = σ_p(A)∪σ_p(B)"
             }
             Rule::FilterJoinPush => "σ_p(A ⋈ B) = σ_pA(A) ⋈ σ_pB(B) for equi-joins (§6)",
-            Rule::JoinCommute => "A ⋈ B = B ⋈ A (unsound on this machine: layout changes)",
         }
     }
 
@@ -110,21 +101,6 @@ impl Rule {
             Rule::FilterIntoScan,
             Rule::FilterSetOpPush,
             Rule::FilterJoinPush,
-        ]
-    }
-
-    /// The experimental rule set: the default set plus deliberate
-    /// misfires, exercising the SA009/SA010 lint gates.
-    pub fn experimental_set() -> &'static [Rule] {
-        &[
-            Rule::DedupElim,
-            Rule::ProjectFuse,
-            Rule::ProjectDedup,
-            Rule::FilterFuse,
-            Rule::FilterIntoScan,
-            Rule::FilterSetOpPush,
-            Rule::FilterJoinPush,
-            Rule::JoinCommute,
         ]
     }
 
@@ -299,18 +275,6 @@ impl Sweep<'_> {
                 let a = filtered(self.rw(a, at_a), ap);
                 let b = filtered(self.rw(b, at_b), bp);
                 a.join(b, specs.clone())
-            }
-            // join(A, B) → join(B, A): deliberately layout-changing.
-            (Rule::JoinCommute, Expr::Join(a, b, specs)) => {
-                let flipped = specs
-                    .iter()
-                    .map(|s| JoinSpec {
-                        col_a: s.col_b,
-                        col_b: s.col_a,
-                        op: s.op,
-                    })
-                    .collect();
-                self.two(a, b, at + 1, |a, b| Expr::Join(b, a, flipped))
             }
             _ => return None,
         };

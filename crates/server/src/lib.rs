@@ -6,9 +6,8 @@
 //! transaction or a set of transactions". This crate serves a set of
 //! transactions: many TCP sessions multiplexed onto one shared
 //! [`systolic_machine::System`] and one shared catalog, one request per
-//! turn. Operations of several transactions sharing crossbar ports and
-//! devices inside one schedule is
-//! [`systolic_machine::System::run_batch_accounted`]'s part.
+//! turn: on its turn a request runs its compiled plan with
+//! [`systolic_machine::System::run_plan`], alone on the machine.
 //!
 //! Architecture, in one paragraph: a bounded pool of worker threads serves
 //! newline-delimited request frames (`LOAD`/`QUERY`/`STATS`/`CLOSE`) over

@@ -10,10 +10,9 @@
 //! turn, so the next request runs meanwhile.
 //!
 //! Every reply carries the query's standalone accounting, exactly what a
-//! one-shot run reports. §9's "set of transactions" concurrency — queries
-//! sharing crossbar ports and devices inside one schedule — is
-//! [`System::run_batch_accounted`], which prices each query of a merged
-//! schedule the same way.
+//! one-shot run reports: on its turn a query runs its compiled plan alone,
+//! with [`System::run_plan`]. No served path merges the queries of several
+//! requests into one schedule.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;

@@ -194,6 +194,7 @@ fn claim_8_decomposition() {
     use systolic_db::arrays::tiling::{
         membership_tiled, t_matrix_tiled, t_matrix_tiled_pipelined, ArrayLimits,
     };
+    use systolic_db::arrays::Tuples;
     use systolic_db::fabric::CompareOp;
     let a = seq(0..40, 2);
     let b = seq(20..60, 2);
@@ -201,8 +202,8 @@ fn claim_8_decomposition() {
         .run(&a, &b, SetOpMode::Intersect)
         .unwrap();
     let (tiled, stats) = membership_tiled(
-        &a,
-        &b,
+        Tuples::new(&a, 2).operand(),
+        Tuples::new(&b, 2).operand(),
         SetOpMode::Intersect,
         ArrayLimits::new(8, 8, 2),
         Seed::All,
@@ -222,9 +223,10 @@ fn claim_8_decomposition() {
         let whole = ComparisonArray2d::equality(2)
             .t_matrix(&rows, &rows, Seed::StrictLower)
             .unwrap();
-        let seq = t_matrix_tiled(&rows, &rows, &ops_eq, limits, Seed::StrictLower).unwrap();
-        let piped =
-            t_matrix_tiled_pipelined(&rows, &rows, &ops_eq, limits, Seed::StrictLower).unwrap();
+        let tuples = Tuples::new(&rows, 2);
+        let all = tuples.operand();
+        let seq = t_matrix_tiled(all, all, &ops_eq, limits, Seed::StrictLower).unwrap();
+        let piped = t_matrix_tiled_pipelined(all, all, &ops_eq, limits, Seed::StrictLower).unwrap();
         for out in [seq, piped] {
             assert_eq!(out.t, whole.t, "{t} tiles per side");
             assert_eq!(out.stats.array_runs, t * (t + 1) / 2, "{t} tiles per side");

@@ -8,7 +8,7 @@ use systolic_db::arrays::bitlevel::{BitLinearComparisonArray, BitSerialComparato
 use systolic_db::arrays::tiling::{self, ArrayLimits, Seed};
 use systolic_db::arrays::{
     ComparisonArray2d, FixedOperandArray, IntersectionArray, LinearComparisonArray, SetOpMode,
-    TMatrix,
+    TMatrix, Tuples,
 };
 use systolic_db::fabric::{CompareOp, CompareSchedule, Elem};
 
@@ -103,9 +103,11 @@ proptest! {
         let ops_eq = vec![CompareOp::Eq; arity];
         let limits = ArrayLimits::new(max_a, max_b, max_cols);
         let whole = ComparisonArray2d::equality(arity).t_matrix(&a, &b, Seed::All).unwrap();
-        let tiled = tiling::t_matrix_tiled(&a, &b, &ops_eq, limits, Seed::All).unwrap();
+        let (a_tuples, b_tuples) = (Tuples::new(&a, arity), Tuples::new(&b, arity));
+        let (a_all, b_all) = (a_tuples.operand(), b_tuples.operand());
+        let tiled = tiling::t_matrix_tiled(a_all, b_all, &ops_eq, limits, Seed::All).unwrap();
         prop_assert_eq!(&whole.t, &tiled.t);
-        let piped = tiling::t_matrix_tiled_pipelined(&a, &b, &ops_eq, limits, Seed::All).unwrap();
+        let piped = tiling::t_matrix_tiled_pipelined(a_all, b_all, &ops_eq, limits, Seed::All).unwrap();
         prop_assert_eq!(&whole.t, &piped.t);
         prop_assert_eq!(tiled.stats.array_runs, piped.stats.array_runs);
     }
