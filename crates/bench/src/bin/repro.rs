@@ -143,8 +143,8 @@ fn e3_intersection() -> Summary {
         (256, 0.5),
     ] {
         let (a, b) = workloads::overlap_pair(n, 2, overlap);
-        let (inter, s) = ops::intersect(&a, &b, Execution::Marching).unwrap();
-        let (diff, sd) = ops::difference(&a, &b, Execution::Marching).unwrap();
+        let (inter, s) = ops::intersect_with(&a, &b, Execution::Marching, Backend::Sim).unwrap();
+        let (diff, sd) = ops::difference_with(&a, &b, Execution::Marching, Backend::Sim).unwrap();
         sum.exec(&s);
         sum.exec(&sd);
         let expect = nested_loop::intersect(&a, &b, &mut OpCounter::new()).unwrap();
@@ -184,7 +184,7 @@ fn e4_dedup_union() -> Summary {
     ]);
     for (nu, dup) in [(16usize, 1usize), (16, 2), (16, 4), (16, 8), (64, 4)] {
         let multi = workloads::duplicated(nu, dup, 2);
-        let (out, s) = ops::dedup(&multi, Execution::Marching).unwrap();
+        let (out, s) = ops::dedup_with(&multi, Execution::Marching, Backend::Sim).unwrap();
         sum.exec(&s);
         let expect = nested_loop::dedup(&multi, &mut OpCounter::new());
         let same = out.rows() == expect.rows();
@@ -204,7 +204,7 @@ fn e4_dedup_union() -> Summary {
     print!("{}", t.render());
     let a = workloads::seq_multi(24, 2, 0);
     let b = workloads::seq_multi(24, 2, 12);
-    let (u, su) = ops::union(&a, &b, Execution::Marching).unwrap();
+    let (u, su) = ops::union_with(&a, &b, Execution::Marching, Backend::Sim).unwrap();
     sum.exec(&su);
     assert_eq!(
         u.len(),
@@ -215,7 +215,7 @@ fn e4_dedup_union() -> Summary {
         "union check: |A|=24, |B|=24, |A∩B|=12 -> |A∪B| = {} (expected 36)",
         u.len()
     );
-    let (p, sp) = ops::project(&a, &[0], Execution::Marching).unwrap();
+    let (p, sp) = ops::project_with(&a, &[0], Execution::Marching, Backend::Sim).unwrap();
     sum.exec(&sp);
     assert_eq!(p.len(), 24, "E4: project(A, [c0]) of 24 distinct c0 values");
     println!(
@@ -249,7 +249,14 @@ fn e5_join() -> Summary {
         (128, 16, 1.2),
     ] {
         let (a, b, ka, kb) = workloads::join_pair(n, keys, skew);
-        let (c, s) = ops::join(&a, &b, &[JoinSpec::eq(ka, kb)], Execution::Marching).unwrap();
+        let (c, s) = ops::join_with(
+            &a,
+            &b,
+            &[JoinSpec::eq(ka, kb)],
+            Execution::Marching,
+            Backend::Sim,
+        )
+        .unwrap();
         sum.exec(&s);
         let expect = nested_loop::equi_join(&a, &b, &[(ka, kb)], &mut OpCounter::new()).unwrap();
         let same = c.set_eq(&expect);
@@ -272,8 +279,14 @@ fn e5_join() -> Summary {
     let mut t = Table::new(&["theta op", "|C|", "== reference"]);
     let (a, b, ka, kb) = workloads::join_pair(24, 6, 0.0);
     for op in CompareOp::ALL {
-        let (c, st) =
-            ops::join(&a, &b, &[JoinSpec::theta(ka, kb, op)], Execution::Marching).unwrap();
+        let (c, st) = ops::join_with(
+            &a,
+            &b,
+            &[JoinSpec::theta(ka, kb, op)],
+            Execution::Marching,
+            Backend::Sim,
+        )
+        .unwrap();
         sum.exec(&st);
         let expect = if op == CompareOp::Eq {
             nested_loop::equi_join(&a, &b, &[(ka, kb)], &mut OpCounter::new()).unwrap()
@@ -335,8 +348,16 @@ fn e6_division() -> Summary {
         (64, 8, 16),
     ] {
         let (dividend, divisor, expected) = workloads::division(xu, dv, q);
-        let (got, s) =
-            ops::divide_binary(&dividend, 0, 1, &divisor, 0, Execution::Marching).unwrap();
+        let (got, s) = ops::divide_binary_with(
+            &dividend,
+            0,
+            1,
+            &divisor,
+            0,
+            Execution::Marching,
+            Backend::Sim,
+        )
+        .unwrap();
         sum.exec(&s);
         let mut keys: Vec<Elem> = got.rows().iter().map(|r| r[0]).collect();
         keys.sort_unstable();
@@ -1087,9 +1108,10 @@ fn e18_capacity() -> (Summary, Vec<(String, Extra)>) {
         "E18: the fixed-operand layout must beat both marching layouts: {ms:?} ms"
     );
     println!(
-        "(priced by ops::price_membership at the device's array limits, the closed forms that \
-         equal the cycle-accurate simulator; the fixed-operand layout — §8's own fix — recovers \
-         most of the idealised {ideal_ms:.1} ms)"
+        "(priced at the device's array limits by kernel's closed forms, which equal the \
+         cycle-accurate simulator — the pipelined layout by ops::price_membership, as served \
+         queries are; the fixed-operand layout — §8's own fix — recovers most of the idealised \
+         {ideal_ms:.1} ms)"
     );
     (sum, extras)
 }

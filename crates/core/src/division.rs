@@ -67,7 +67,7 @@ impl DivisionArray {
     /// elements of `B1`. Distinct keys are extracted host-side in
     /// first-occurrence order (the paper notes they "can be identified by
     /// the remove-duplicates array"; the operator front-end does exactly
-    /// that — see `ops::divide_binary`).
+    /// that — see `ops::divide_binary_with`).
     pub fn divide(&self, pairs: &[(Elem, Elem)], divisor: &[Elem]) -> Result<DivisionOutcome> {
         let keys = distinct(pairs.iter().map(|&(x, _)| x));
         self.divide_with_keys(pairs, &keys, divisor, false)

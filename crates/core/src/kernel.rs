@@ -21,7 +21,10 @@
 //!   reach the shape-pure ones only
 //!   through the `price_*` functions of [`crate::ops`]; division, whose
 //!   cost depends on the data, passes `division[_multi]_stats` the hit
-//!   count its scan produced.
+//!   count its scan produced. §8's two layouts that `ops` does not run —
+//!   the drained tiler and the resident operand — are priced by
+//!   [`tiled_stats`] and [`fixed_membership_stats`], which `perfmodel`'s
+//!   capacity model calls directly.
 //!
 //! The invariant — enforced by the differential tests here, in `ops`, and
 //! in `tests/backend_differential.rs` — is **bit-identity**: for every
@@ -165,11 +168,14 @@ pub(crate) fn fixed_t_matrix_stats(n_a: usize, n_b: usize, m: usize) -> ExecStat
     ExecStats::one_run(pulses, cells, busy)
 }
 
-/// One fixed-operand membership run (`run`/`run_masked`): as
-/// [`fixed_t_matrix_stats`] plus the accumulation column — `n_a`
-/// accumulator words occupying `n_b` cell-pulses each, last injection one
-/// pulse later than the plain `t_matrix` layout.
-pub(crate) fn fixed_membership_stats(n_a: usize, n_b: usize, m: usize) -> ExecStats {
+/// One fixed-operand membership run
+/// ([`crate::fixed::FixedOperandArray::run`]/`run_masked`, `n_b` resident
+/// tuples): as the plain `t_matrix` layout (`fixed_t_matrix_stats`) plus
+/// the accumulation column — `n_a` accumulator words occupying `n_b`
+/// cell-pulses each, last injection one pulse later. `perfmodel`'s
+/// capacity model prices each resident slice of §8's fixed-operand layout
+/// with it.
+pub fn fixed_membership_stats(n_a: usize, n_b: usize, m: usize) -> ExecStats {
     debug_assert!(n_a > 0 && n_b > 0 && m > 0);
     let cells = n_b * (m + 1);
     let pulses = (n_a + n_b + m - 1) as u64;
@@ -186,17 +192,13 @@ fn merge_runs(out: &mut ExecStats, run: ExecStats, count: u64) {
     out.array_runs += run.array_runs * count;
 }
 
-/// A sequential tiled run ([`crate::tiling::t_matrix_tiled`]): one
-/// [`compare_run_stats`] grid run per live tile of the [`TileStream`] in
-/// every column group, merged sequentially: one weighted term per run and
-/// group. No live tile charges nothing.
-pub(crate) fn tiled_stats(
-    n_a: usize,
-    n_b: usize,
-    m: usize,
-    limits: ArrayLimits,
-    seed: Seed,
-) -> ExecStats {
+/// A sequential tiled run ([`crate::tiling::t_matrix_tiled`], the array
+/// draining between tiles): one marching grid run (`compare_run_stats`) per
+/// live tile of the [`TileStream`] in every column group, merged
+/// sequentially: one weighted term per run and group. No live tile charges
+/// nothing. `perfmodel`'s capacity model prices §8's drained marching
+/// layout with it.
+pub fn tiled_stats(n_a: usize, n_b: usize, m: usize, limits: ArrayLimits, seed: Seed) -> ExecStats {
     let stream = TileStream::new(n_a, n_b, m, limits, seed);
     let mut out = ExecStats::default();
     for &(w, groups) in &stream.groups {

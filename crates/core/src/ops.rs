@@ -1,15 +1,23 @@
 //! Relation-level operator front-ends.
 //!
-//! This is the public API a downstream user calls: each function takes
-//! relations from `systolic-relation`, checks the paper's preconditions
-//! (union-compatibility etc.), chooses an array per the requested
-//! [`Execution`] strategy, streams the rows through the simulated hardware,
-//! and assembles the result relation from the bits/matrix the array emits —
-//! exactly the division of labour the paper describes (the array produces
-//! `t` bits or `T`; "it is then a simple matter to use the t_i's to
-//! generate C from A", §4.2).
+//! This is the public API a downstream user calls: one `*_with` function
+//! per operator takes relations from `systolic-relation`, checks the
+//! paper's preconditions (union-compatibility etc.), runs the array of
+//! the requested [`Execution`], and assembles the result relation from the
+//! bits/matrix the array emits — exactly the division of labour the paper
+//! describes (the array produces `t` bits or `T`; "it is then a simple
+//! matter to use the t_i's to generate C from A", §4.2).
 //!
-//! Each `*_with` operator dispatches on its [`Backend`] exactly once:
+//! There are two executions: the paper's array, as large as its operands
+//! ([`Execution::Marching`], §3–§7), and the served device, a bounded
+//! array that streams §8's tiles back to back
+//! ([`Execution::TiledPipelined`]). §8's other layouts — the resident
+//! operand ([`crate::fixed::FixedOperandArray`]) and the tiler that drains
+//! between tiles ([`crate::tiling::t_matrix_tiled`]) — are called
+//! directly by the experiments that study them, and priced by
+//! [`crate::kernel`]'s closed forms.
+//!
+//! Each operator dispatches on its [`Backend`] exactly once:
 //! [`Backend::Sim`] steps the array, [`Backend::Columnar`] takes the bits
 //! from [`crate::columnar`] and the [`ExecStats`] from the `price_*`
 //! function that prices the same run without data.
@@ -20,7 +28,6 @@ use systolic_relation::{MultiRelation, RelationError, Row, Rows, Schema};
 use crate::dedup::RemoveDuplicatesArray;
 use crate::division::DivisionArray;
 use crate::error::Result;
-use crate::fixed::FixedOperandArray;
 use crate::intersection::{IntersectionArray, SetOpMode};
 use crate::join::{JoinArray, JoinSpec};
 use crate::kernel::{self, Backend};
@@ -33,12 +40,8 @@ pub enum Execution {
     /// The §3–§7 designs: both relations march through an unbounded array.
     #[default]
     Marching,
-    /// The §8 optimisation: one relation resident, the other streaming.
-    FixedOperand,
-    /// The §8 decomposition: a fixed-size physical array reused over tiles,
-    /// draining between tiles.
-    Tiled(ArrayLimits),
-    /// As [`Execution::Tiled`], with successive tiles streamed back-to-back
+    /// The §8 decomposition on the served device: a fixed-size physical
+    /// array reused over tiles, successive tiles streamed back-to-back
     /// through the running array (the E19 pipelining), one pass per column
     /// group of at most `limits.max_cols` columns.
     TiledPipelined(ArrayLimits),
@@ -48,10 +51,9 @@ pub enum Execution {
 pub type OpResult = (MultiRelation, ExecStats);
 
 /// The analytic [`ExecStats`] a membership-style run (intersection,
-/// difference, dedup — the arrays with an accumulation column, except for
-/// the pipelined/tiled paths which use the plain comparison grid and run
-/// only the `seed`'s live tiles) would have accumulated under each
-/// execution strategy.
+/// difference, dedup — the marching array has an accumulation column; the
+/// pipelined device uses the plain comparison grid and runs only the
+/// `seed`'s live tiles) would have accumulated under `exec`.
 fn kernel_membership_stats(
     exec: Execution,
     n_a: usize,
@@ -61,16 +63,14 @@ fn kernel_membership_stats(
 ) -> ExecStats {
     match exec {
         Execution::Marching => kernel::marching_membership_stats(n_a, n_b, m),
-        Execution::FixedOperand => kernel::fixed_membership_stats(n_a, n_b, m),
-        Execution::Tiled(limits) => kernel::tiled_stats(n_a, n_b, m, limits, seed),
         Execution::TiledPipelined(limits) => kernel::pipelined_stats(n_a, n_b, m, limits, seed),
     }
 }
 
-/// Analytic [`ExecStats`] for [`intersect`]/[`difference`] on inputs of
-/// `n_a`/`n_b` rows and arity `m`, **without the data**. Every operator
-/// below charges hardware cost as a pure function of input shape (the
-/// data-dependent exception is division, which is only bounded, by
+/// Analytic [`ExecStats`] for [`intersect_with`]/[`difference_with`] on
+/// inputs of `n_a`/`n_b` rows and arity `m`, **without the data**. Every
+/// operator below charges hardware cost as a pure function of input shape
+/// (the data-dependent exception is division, which is only bounded, by
 /// [`price_divide_bound`]), so a scheduler that knows only cardinalities
 /// can reproduce the exact [`ExecStats`] an actual run would produce —
 /// including the empty-input short-circuits, which charge nothing.
@@ -81,8 +81,8 @@ pub fn price_membership(exec: Execution, n_a: usize, n_b: usize, m: usize) -> Ex
     kernel_membership_stats(exec, n_a, n_b, m, Seed::All)
 }
 
-/// Analytic [`ExecStats`] for [`dedup`] on `n` rows of arity `m`. A tiled
-/// run has no live tile for one row, and then charges nothing either.
+/// Analytic [`ExecStats`] for [`dedup_with`] on `n` rows of arity `m`. A
+/// tiled run has no live tile for one row, and then charges nothing either.
 pub fn price_dedup(exec: Execution, n: usize, m: usize) -> ExecStats {
     if n == 0 {
         return ExecStats::default();
@@ -90,20 +90,21 @@ pub fn price_dedup(exec: Execution, n: usize, m: usize) -> ExecStats {
     kernel_membership_stats(exec, n, n, m, Seed::StrictLower)
 }
 
-/// Analytic [`ExecStats`] for [`union`]: dedup over the concatenation.
+/// Analytic [`ExecStats`] for [`union_with`]: dedup over the concatenation.
 pub fn price_union(exec: Execution, n_a: usize, n_b: usize, m: usize) -> ExecStats {
     price_dedup(exec, n_a + n_b, m)
 }
 
-/// Analytic [`ExecStats`] for [`project`] to `n_cols` columns: the strip is
-/// free (it happens "while the tuples are retrieved"), the dedup is priced
-/// at the stripped arity.
+/// Analytic [`ExecStats`] for [`project_with`] to `n_cols` columns: the
+/// strip is free (it happens "while the tuples are retrieved"), the dedup
+/// is priced at the stripped arity.
 pub fn price_project(exec: Execution, n: usize, n_cols: usize) -> ExecStats {
     price_dedup(exec, n, n_cols)
 }
 
-/// Analytic [`ExecStats`] for [`select`] with `n_preds` predicates over `n`
-/// rows. Selection always uses its dedicated one-row array, so no `exec`.
+/// Analytic [`ExecStats`] for [`select_with`] with `n_preds` predicates
+/// over `n` rows. Selection always uses its dedicated one-row array, so no
+/// `exec`.
 pub fn price_select(n: usize, n_preds: usize) -> ExecStats {
     if n == 0 {
         return ExecStats::default();
@@ -111,27 +112,25 @@ pub fn price_select(n: usize, n_preds: usize) -> ExecStats {
     kernel::fixed_t_matrix_stats(n, 1, n_preds)
 }
 
-/// Analytic [`ExecStats`] for [`join`] over `n_specs` column pairs.
+/// Analytic [`ExecStats`] for [`join_with`] over `n_specs` column pairs.
 pub fn price_join(exec: Execution, n_a: usize, n_b: usize, n_specs: usize) -> ExecStats {
     if n_a == 0 || n_b == 0 {
         return ExecStats::default();
     }
     match exec {
         Execution::Marching => kernel::compare_run_stats(n_a, n_b, n_specs),
-        Execution::FixedOperand => kernel::fixed_t_matrix_stats(n_a, n_b, n_specs),
-        Execution::Tiled(limits) => kernel::tiled_stats(n_a, n_b, n_specs, limits, Seed::All),
         Execution::TiledPipelined(limits) => {
             kernel::pipelined_stats(n_a, n_b, n_specs, limits, Seed::All)
         }
     }
 }
 
-/// An upper bound on [`divide_binary`]'s [`ExecStats`] over `n` dividend
-/// and `nd` divisor rows. Division is the one operator whose cost depends
-/// on the data: its key dedup finds `k` distinct keys and its §7 pass sees
-/// `hits` matching pairs. Both passes are priced by the closed forms a run
-/// charges, at `k = hits = n`, so the pulses exceed the run's by exactly
-/// `n - k`.
+/// An upper bound on [`divide_binary_with`]'s [`ExecStats`] over `n`
+/// dividend and `nd` divisor rows. Division is the one operator whose cost
+/// depends on the data: its key dedup finds `k` distinct keys and its §7
+/// pass sees `hits` matching pairs. Both passes are priced by the closed
+/// forms a run charges, at `k = hits = n`, so the pulses exceed the run's
+/// by exactly `n - k`.
 pub fn price_divide_bound(exec: Execution, n: usize, nd: usize) -> ExecStats {
     if n == 0 {
         return ExecStats::default();
@@ -139,23 +138,6 @@ pub fn price_divide_bound(exec: Execution, n: usize, nd: usize) -> ExecStats {
     let mut stats = price_dedup(exec, n, 1);
     stats.merge_sequential(&kernel::division_stats(n, n, nd, n));
     stats
-}
-
-/// `T` on the bounded array of a tiled `exec`: drained per tile under
-/// [`Execution::Tiled`], pipelined under [`Execution::TiledPipelined`].
-fn tiled_t_matrix(
-    exec: Execution,
-    limits: ArrayLimits,
-    a: Operand<'_>,
-    b: Operand<'_>,
-    ops: &[CompareOp],
-    seed: Seed,
-) -> Result<tiling::TiledOutcome> {
-    if matches!(exec, Execution::Tiled(_)) {
-        tiling::t_matrix_tiled(a, b, ops, limits, seed)
-    } else {
-        tiling::t_matrix_tiled_pipelined(a, b, ops, limits, seed)
-    }
 }
 
 fn membership(
@@ -195,17 +177,13 @@ fn membership(
                 let out = IntersectionArray::new(a.arity()).run(&a_rows, &b_rows, mode)?;
                 (out.keep, out.stats)
             }
-            Execution::FixedOperand => {
-                let (a_rows, b_rows) = (a.rows().to_vec(), b.rows().to_vec());
-                let out = FixedOperandArray::preload(&b_rows).run(&a_rows, mode)?;
-                (out.keep, out.stats)
-            }
-            Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
+            Execution::TiledPipelined(limits) => {
                 // The tiler reads both relations' rows in place.
                 let cols = tiling::every_column(a.arity());
                 let (a_all, b_all) = (Operand::new(a.rows(), &cols), Operand::new(b.rows(), &cols));
                 let ops_eq = vec![CompareOp::Eq; a.arity()];
-                let out = tiled_t_matrix(exec, limits, a_all, b_all, &ops_eq, Seed::All)?;
+                let out =
+                    tiling::t_matrix_tiled_pipelined(a_all, b_all, &ops_eq, limits, Seed::All)?;
                 let t = out.t.row_ors();
                 let keep = match mode {
                     SetOpMode::Intersect => t,
@@ -219,11 +197,6 @@ fn membership(
 }
 
 /// `C = A ∩ B` (§4). Requires union-compatibility.
-pub fn intersect(a: &MultiRelation, b: &MultiRelation, exec: Execution) -> Result<OpResult> {
-    membership(a, b, SetOpMode::Intersect, exec, Backend::Sim)
-}
-
-/// [`intersect`] on an explicit [`Backend`].
 pub fn intersect_with(
     a: &MultiRelation,
     b: &MultiRelation,
@@ -234,11 +207,6 @@ pub fn intersect_with(
 }
 
 /// `C = A - B` (§4.3). Requires union-compatibility.
-pub fn difference(a: &MultiRelation, b: &MultiRelation, exec: Execution) -> Result<OpResult> {
-    membership(a, b, SetOpMode::Difference, exec, Backend::Sim)
-}
-
-/// [`difference`] on an explicit [`Backend`].
 pub fn difference_with(
     a: &MultiRelation,
     b: &MultiRelation,
@@ -250,11 +218,6 @@ pub fn difference_with(
 
 /// Remove-duplicates (§5): turn a multi-relation into a relation, keeping
 /// each tuple's first occurrence.
-pub fn dedup(a: &MultiRelation, exec: Execution) -> Result<OpResult> {
-    dedup_with(a, exec, Backend::Sim)
-}
-
-/// [`dedup`] on an explicit [`Backend`].
 pub fn dedup_with(a: &MultiRelation, exec: Execution, backend: Backend) -> Result<OpResult> {
     if a.is_empty() {
         return Ok((a.clone(), ExecStats::default()));
@@ -272,34 +235,22 @@ pub fn dedup_with(a: &MultiRelation, exec: Execution, backend: Backend) -> Resul
                 // RemoveDuplicatesArray already returns keep flags.
                 return Ok((a.filter_by_index(|i| out.keep[i]), out.stats));
             }
-            Execution::FixedOperand => {
-                let rows = a.rows().to_vec();
-                let out = FixedOperandArray::preload(&rows).run_masked(
-                    &rows,
-                    SetOpMode::Difference,
-                    |i, j| i > j,
-                )?;
-                return Ok((a.filter_by_index(|i| out.keep[i]), out.stats));
-            }
-            Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
+            Execution::TiledPipelined(limits) => {
                 let cols = tiling::every_column(a.arity());
                 let all = Operand::new(a.rows(), &cols);
                 let ops_eq = vec![CompareOp::Eq; a.arity()];
-                let out = tiled_t_matrix(exec, limits, all, all, &ops_eq, Seed::StrictLower)?;
+                let out =
+                    tiling::t_matrix_tiled_pipelined(all, all, &ops_eq, limits, Seed::StrictLower)?;
                 (out.t.row_ors(), out.stats)
             }
         },
     };
-    // The tiled paths return "has an earlier duplicate" flags.
+    // The columnar and pipelined paths return "has an earlier duplicate"
+    // flags.
     Ok((a.filter_by_index(|i| !dup_flags[i]), stats))
 }
 
 /// `C = A ∪ B` (§5): remove-duplicates over the concatenation `A + B`.
-pub fn union(a: &MultiRelation, b: &MultiRelation, exec: Execution) -> Result<OpResult> {
-    union_with(a, b, exec, Backend::Sim)
-}
-
-/// [`union`] on an explicit [`Backend`].
 pub fn union_with(
     a: &MultiRelation,
     b: &MultiRelation,
@@ -312,11 +263,6 @@ pub fn union_with(
 
 /// Projection (§5): strip columns while the tuples are retrieved, then
 /// remove duplicates with the array.
-pub fn project(a: &MultiRelation, cols: &[usize], exec: Execution) -> Result<OpResult> {
-    project_with(a, cols, exec, Backend::Sim)
-}
-
-/// [`project`] on an explicit [`Backend`].
 pub fn project_with(
     a: &MultiRelation,
     cols: &[usize],
@@ -330,16 +276,6 @@ pub fn project_with(
 /// Join (§6): equi or theta, over one or more column pairs. For pure
 /// equi-joins `B`'s copies of the join columns are dropped from the result
 /// schema; any theta comparator keeps all columns.
-pub fn join(
-    a: &MultiRelation,
-    b: &MultiRelation,
-    specs: &[JoinSpec],
-    exec: Execution,
-) -> Result<OpResult> {
-    join_with(a, b, specs, exec, Backend::Sim)
-}
-
-/// [`join`] on an explicit [`Backend`].
 pub fn join_with(
     a: &MultiRelation,
     b: &MultiRelation,
@@ -378,11 +314,6 @@ pub fn join_with(
     }
     let arr = JoinArray::new(specs.to_vec());
     let ops: Vec<CompareOp> = specs.iter().map(|s| s.op).collect();
-    // The join columns alone, as the fixed-operand array streams them.
-    let keys = |rel: &MultiRelation, cols: &[usize]| -> Vec<Row> {
-        let key = |row: &[Elem]| cols.iter().map(|&c| row[c]).collect();
-        rel.rows().iter().map(key).collect()
-    };
     let (t, stats) = match backend {
         Backend::Columnar => {
             // A theta comparator: scan B's cached word planes column by
@@ -398,16 +329,14 @@ pub fn join_with(
                 let out = arr.t_matrix(&a.rows().to_vec(), &b.rows().to_vec())?;
                 (out.t, out.stats)
             }
-            Execution::FixedOperand => {
-                FixedOperandArray::preload(&keys(b, &cols_b)).t_matrix(&keys(a, &cols_a), &ops)?
-            }
-            Execution::Tiled(limits) | Execution::TiledPipelined(limits) => {
+            Execution::TiledPipelined(limits) => {
                 // The tiler reads the key columns of both relations in place.
                 let (a_keys, b_keys) = (
                     Operand::new(a.rows(), &cols_a),
                     Operand::new(b.rows(), &cols_b),
                 );
-                let out = tiled_t_matrix(exec, limits, a_keys, b_keys, &ops, Seed::All)?;
+                let out =
+                    tiling::t_matrix_tiled_pipelined(a_keys, b_keys, &ops, limits, Seed::All)?;
                 (out.t, out.stats)
             }
         },
@@ -420,15 +349,6 @@ pub fn join_with(
 /// predicate. The predicates are resident in a one-row §8-style array and
 /// the relation streams through (see [`crate::select`]); `exec` is accepted
 /// for interface uniformity but selection always uses its dedicated array.
-pub fn select(
-    a: &MultiRelation,
-    predicates: &[crate::select::Predicate],
-    exec: Execution,
-) -> Result<OpResult> {
-    select_with(a, predicates, exec, Backend::Sim)
-}
-
-/// [`select`] on an explicit [`Backend`].
 pub fn select_with(
     a: &MultiRelation,
     predicates: &[crate::select::Predicate],
@@ -463,18 +383,6 @@ pub fn select_with(
 /// The distinct dividend keys are identified with the remove-duplicates
 /// array first (as the paper suggests), then pre-loaded into the division
 /// array; the two runs' statistics are merged sequentially.
-pub fn divide_binary(
-    a: &MultiRelation,
-    key: usize,
-    ca: usize,
-    b: &MultiRelation,
-    cb: usize,
-    exec: Execution,
-) -> Result<OpResult> {
-    divide_binary_with(a, key, ca, b, cb, exec, Backend::Sim)
-}
-
-/// [`divide_binary`] on an explicit [`Backend`].
 pub fn divide_binary_with(
     a: &MultiRelation,
     key: usize,
@@ -525,17 +433,6 @@ pub fn divide_binary_with(
 /// Multi-column keys and values are dictionary-encoded into composite
 /// integers host-side (the same §2.3 trick that turns any domain into
 /// integers), then the binary/unary division array is applied.
-pub fn divide(
-    a: &MultiRelation,
-    ca: &[usize],
-    b: &MultiRelation,
-    cb: &[usize],
-    exec: Execution,
-) -> Result<OpResult> {
-    divide_with(a, ca, b, cb, exec, Backend::Sim)
-}
-
-/// [`divide`] on an explicit [`Backend`].
 pub fn divide_with(
     a: &MultiRelation,
     ca: &[usize],
@@ -686,18 +583,18 @@ mod tests {
     use systolic_baseline::{nested_loop, OpCounter};
     use systolic_relation::gen::{self, synth_schema};
 
-    const EXECS: [Execution; 5] = [
+    const EXECS: [Execution; 4] = [
         Execution::Marching,
-        Execution::FixedOperand,
-        Execution::Tiled(ArrayLimits {
-            max_a: 4,
-            max_b: 3,
-            max_cols: 2,
-        }),
         Execution::TiledPipelined(ArrayLimits {
             max_a: 4,
             max_b: 3,
             max_cols: 3,
+        }),
+        // A 3-wide tuple runs as a 2-column and a 1-column group.
+        Execution::TiledPipelined(ArrayLimits {
+            max_a: 4,
+            max_b: 3,
+            max_cols: 2,
         }),
         // Every tuple wider than one column runs in column groups.
         Execution::TiledPipelined(ArrayLimits {
@@ -721,11 +618,11 @@ mod tests {
             let expect_d = nested_loop::difference(&a, &b, &mut OpCounter::new()).unwrap();
             let expect_u = nested_loop::union(&a, &b, &mut OpCounter::new()).unwrap();
             for exec in EXECS {
-                let (got, _) = intersect(&a, &b, exec).unwrap();
+                let (got, _) = intersect_with(&a, &b, exec, Backend::Sim).unwrap();
                 assert!(got.set_eq(&expect_i), "{exec:?} intersection");
-                let (got, _) = difference(&a, &b, exec).unwrap();
+                let (got, _) = difference_with(&a, &b, exec, Backend::Sim).unwrap();
                 assert!(got.set_eq(&expect_d), "{exec:?} difference");
-                let (got, _) = union(&a, &b, exec).unwrap();
+                let (got, _) = union_with(&a, &b, exec, Backend::Sim).unwrap();
                 assert!(got.set_eq(&expect_u), "{exec:?} union");
             }
         }
@@ -738,9 +635,9 @@ mod tests {
         let expect = nested_loop::dedup(&m, &mut OpCounter::new());
         let expect_p = nested_loop::project(&m, &[0, 2], &mut OpCounter::new()).unwrap();
         for exec in EXECS {
-            let (got, _) = dedup(&m, exec).unwrap();
+            let (got, _) = dedup_with(&m, exec, Backend::Sim).unwrap();
             assert_eq!(got.rows(), expect.rows(), "{exec:?} dedup order");
-            let (got, _) = project(&m, &[0, 2], exec).unwrap();
+            let (got, _) = project_with(&m, &[0, 2], exec, Backend::Sim).unwrap();
             assert!(got.set_eq(&expect_p), "{exec:?} projection");
         }
     }
@@ -751,7 +648,7 @@ mod tests {
         let (a, b, ka, kb) = gen::join_pair(&mut rng, 9, 8, 3, 2, 4, 0.0);
         let expect = nested_loop::equi_join(&a, &b, &[(ka, kb)], &mut OpCounter::new()).unwrap();
         for exec in EXECS {
-            let (got, _) = join(&a, &b, &[JoinSpec::eq(ka, kb)], exec).unwrap();
+            let (got, _) = join_with(&a, &b, &[JoinSpec::eq(ka, kb)], exec, Backend::Sim).unwrap();
             assert!(got.set_eq(&expect), "{exec:?} join");
             assert_eq!(got.len(), expect.len(), "{exec:?} multiplicity");
         }
@@ -761,11 +658,12 @@ mod tests {
     fn theta_join_keeps_all_columns() {
         let a = multi(1, &[&[5], &[1]]);
         let b = multi(1, &[&[3]]);
-        let (got, _) = join(
+        let (got, _) = join_with(
             &a,
             &b,
             &[JoinSpec::theta(0, 0, CompareOp::Gt)],
             Execution::Marching,
+            Backend::Sim,
         )
         .unwrap();
         assert_eq!(got.rows().to_vec(), [vec![5, 3]]);
@@ -780,7 +678,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(558);
         let (a, b, expected) = gen::division_instance(&mut rng, 8, 3, 3);
         for exec in EXECS {
-            let (got, _) = divide_binary(&a, 0, 1, &b, 0, exec).unwrap();
+            let (got, _) = divide_binary_with(&a, 0, 1, &b, 0, exec, Backend::Sim).unwrap();
             let mut keys: Vec<Elem> = got.rows().iter().map(|r| r[0]).collect();
             keys.sort_unstable();
             assert_eq!(keys, expected, "{exec:?} division");
@@ -801,7 +699,7 @@ mod tests {
             ],
         );
         let b = multi(1, &[&[10], &[11]]);
-        let (got, _) = divide(&a, &[2], &b, &[0], Execution::Marching).unwrap();
+        let (got, _) = divide_with(&a, &[2], &b, &[0], Execution::Marching, Backend::Sim).unwrap();
         let expect = nested_loop::divide(&a, &[2], &b, &[0], &mut OpCounter::new()).unwrap();
         assert!(got.set_eq(&expect));
         assert_eq!(got.arity(), 2);
@@ -814,18 +712,26 @@ mod tests {
     fn empty_relations_short_circuit() {
         let a = multi(1, &[&[1]]);
         let empty = MultiRelation::empty(synth_schema(1));
-        let (r, s) = intersect(&a, &empty, Execution::Marching).unwrap();
+        let (r, s) = intersect_with(&a, &empty, Execution::Marching, Backend::Sim).unwrap();
         assert!(r.is_empty());
         assert_eq!(s.pulses, 0, "no array built for an empty operand");
-        let (r, _) = difference(&a, &empty, Execution::Marching).unwrap();
+        let (r, _) = difference_with(&a, &empty, Execution::Marching, Backend::Sim).unwrap();
         assert_eq!(r.rows(), a.rows());
-        let (r, _) = intersect(&empty, &a, Execution::Marching).unwrap();
+        let (r, _) = intersect_with(&empty, &a, Execution::Marching, Backend::Sim).unwrap();
         assert!(r.is_empty());
-        let (r, _) = dedup(&empty, Execution::Marching).unwrap();
+        let (r, _) = dedup_with(&empty, Execution::Marching, Backend::Sim).unwrap();
         assert!(r.is_empty());
-        let (r, _) = join(&empty, &a, &[JoinSpec::eq(0, 0)], Execution::Marching).unwrap();
+        let (r, _) = join_with(
+            &empty,
+            &a,
+            &[JoinSpec::eq(0, 0)],
+            Execution::Marching,
+            Backend::Sim,
+        )
+        .unwrap();
         assert!(r.is_empty());
-        let (r, _) = divide_binary(&empty, 0, 0, &a, 0, Execution::Marching).unwrap();
+        let (r, _) =
+            divide_binary_with(&empty, 0, 0, &a, 0, Execution::Marching, Backend::Sim).unwrap();
         assert!(r.is_empty());
     }
 
@@ -833,7 +739,7 @@ mod tests {
     fn union_result_is_a_set() {
         let a = multi(1, &[&[1], &[2]]);
         let b = multi(1, &[&[2], &[2], &[3]]);
-        let (r, _) = union(&a, &b, Execution::Marching).unwrap();
+        let (r, _) = union_with(&a, &b, Execution::Marching, Backend::Sim).unwrap();
         assert!(r.is_set());
         assert_eq!(r.len(), 3);
     }
@@ -841,35 +747,38 @@ mod tests {
     #[test]
     fn join_without_specs_is_an_error() {
         let a = multi(1, &[&[1]]);
-        assert!(join(&a, &a, &[], Execution::Marching).is_err());
+        assert!(join_with(&a, &a, &[], Execution::Marching, Backend::Sim).is_err());
     }
 
     #[test]
     fn select_filters_and_validates_columns() {
         use crate::select::Predicate;
         let a = multi(2, &[&[1, 10], &[2, 20], &[3, 30]]);
-        let (kept, stats) = select(
+        let (kept, stats) = select_with(
             &a,
             &[Predicate::new(1, CompareOp::Gt, 10)],
             Execution::Marching,
+            Backend::Sim,
         )
         .unwrap();
         assert_eq!(kept.rows().to_vec(), [vec![2, 20], vec![3, 30]]);
         assert!(stats.pulses > 0);
         // Out-of-range column and empty predicate list are errors.
-        assert!(select(
+        assert!(select_with(
             &a,
             &[Predicate::new(9, CompareOp::Eq, 0)],
-            Execution::Marching
+            Execution::Marching,
+            Backend::Sim
         )
         .is_err());
-        assert!(select(&a, &[], Execution::Marching).is_err());
+        assert!(select_with(&a, &[], Execution::Marching, Backend::Sim).is_err());
         // Empty input short-circuits.
         let empty = MultiRelation::empty(synth_schema(2));
-        let (out, s) = select(
+        let (out, s) = select_with(
             &empty,
             &[Predicate::new(0, CompareOp::Eq, 1)],
             Execution::Marching,
+            Backend::Sim,
         )
         .unwrap();
         assert!(out.is_empty());
@@ -888,32 +797,32 @@ mod tests {
         let (da, db, _) = gen::division_instance(&mut rng, 8, 3, 3);
         let backend = Backend::Columnar;
         for exec in EXECS {
-            let sim = intersect(&a, &b, exec).unwrap();
+            let sim = intersect_with(&a, &b, exec, Backend::Sim).unwrap();
             let fast = intersect_with(&a, &b, exec, backend).unwrap();
             assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} intersect");
             assert_eq!(fast.1, sim.1, "{backend} {exec:?} intersect stats");
-            let sim = difference(&a, &b, exec).unwrap();
+            let sim = difference_with(&a, &b, exec, Backend::Sim).unwrap();
             let fast = difference_with(&a, &b, exec, backend).unwrap();
             assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} difference");
             assert_eq!(fast.1, sim.1, "{backend} {exec:?} difference stats");
-            let sim = union(&a, &b, exec).unwrap();
+            let sim = union_with(&a, &b, exec, Backend::Sim).unwrap();
             let fast = union_with(&a, &b, exec, backend).unwrap();
             assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} union");
             assert_eq!(fast.1, sim.1, "{backend} {exec:?} union stats");
-            let sim = dedup(&dupes, exec).unwrap();
+            let sim = dedup_with(&dupes, exec, Backend::Sim).unwrap();
             let fast = dedup_with(&dupes, exec, backend).unwrap();
             assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} dedup");
             assert_eq!(fast.1, sim.1, "{backend} {exec:?} dedup stats");
-            let sim = project(&dupes, &[0, 2], exec).unwrap();
+            let sim = project_with(&dupes, &[0, 2], exec, Backend::Sim).unwrap();
             let fast = project_with(&dupes, &[0, 2], exec, backend).unwrap();
             assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} project");
             assert_eq!(fast.1, sim.1, "{backend} {exec:?} project stats");
             let specs = [JoinSpec::eq(0, 0), JoinSpec::theta(1, 1, CompareOp::Le)];
-            let sim = join(&a, &b, &specs, exec).unwrap();
+            let sim = join_with(&a, &b, &specs, exec, Backend::Sim).unwrap();
             let fast = join_with(&a, &b, &specs, exec, backend).unwrap();
             assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} join");
             assert_eq!(fast.1, sim.1, "{backend} {exec:?} join stats");
-            let sim = divide_binary(&da, 0, 1, &db, 0, exec).unwrap();
+            let sim = divide_binary_with(&da, 0, 1, &db, 0, exec, Backend::Sim).unwrap();
             let fast = divide_binary_with(&da, 0, 1, &db, 0, exec, backend).unwrap();
             assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} {exec:?} divide");
             assert_eq!(fast.1, sim.1, "{backend} {exec:?} divide stats");
@@ -925,7 +834,7 @@ mod tests {
             Predicate::new(0, CompareOp::Gt, 2),
             Predicate::new(1, CompareOp::Ne, 5),
         ];
-        let sim = select(&a, &preds, Execution::Marching).unwrap();
+        let sim = select_with(&a, &preds, Execution::Marching, Backend::Sim).unwrap();
         let fast = select_with(&a, &preds, Execution::Marching, backend).unwrap();
         assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} select rows");
         assert_eq!(fast.1, sim.1, "{backend} select stats");
@@ -940,7 +849,7 @@ mod tests {
             ],
         );
         let wdiv = multi(1, &[&[10], &[11]]);
-        let sim = divide(&wide, &[2], &wdiv, &[0], Execution::Marching).unwrap();
+        let sim = divide_with(&wide, &[2], &wdiv, &[0], Execution::Marching, Backend::Sim).unwrap();
         let fast = divide_with(&wide, &[2], &wdiv, &[0], Execution::Marching, backend).unwrap();
         assert_eq!(fast.0.rows(), sim.0.rows(), "{backend} multi-divide rows");
         assert_eq!(fast.1, sim.1, "{backend} multi-divide stats");
@@ -959,42 +868,46 @@ mod tests {
         let empty = MultiRelation::empty(synth_schema(2));
         for exec in EXECS {
             let (n_a, n_b, m) = (a.len(), b.len(), a.arity());
-            let got = intersect(&a, &b, exec).unwrap().1;
+            let got = intersect_with(&a, &b, exec, Backend::Sim).unwrap().1;
             assert_eq!(
                 price_membership(exec, n_a, n_b, m),
                 got,
                 "{exec:?} intersect"
             );
-            let got = difference(&a, &b, exec).unwrap().1;
+            let got = difference_with(&a, &b, exec, Backend::Sim).unwrap().1;
             assert_eq!(
                 price_membership(exec, n_a, n_b, m),
                 got,
                 "{exec:?} difference"
             );
-            let got = union(&a, &b, exec).unwrap().1;
+            let got = union_with(&a, &b, exec, Backend::Sim).unwrap().1;
             assert_eq!(price_union(exec, n_a, n_b, m), got, "{exec:?} union");
-            let got = dedup(&dupes, exec).unwrap().1;
+            let got = dedup_with(&dupes, exec, Backend::Sim).unwrap().1;
             assert_eq!(
                 price_dedup(exec, dupes.len(), dupes.arity()),
                 got,
                 "{exec:?} dedup"
             );
-            let got = project(&dupes, &[0, 2], exec).unwrap().1;
+            let got = project_with(&dupes, &[0, 2], exec, Backend::Sim).unwrap().1;
             assert_eq!(price_project(exec, dupes.len(), 2), got, "{exec:?} project");
             let specs = [JoinSpec::eq(0, 0)];
-            let got = join(&a, &b, &specs, exec).unwrap().1;
+            let got = join_with(&a, &b, &specs, exec, Backend::Sim).unwrap().1;
             assert_eq!(price_join(exec, n_a, n_b, 1), got, "{exec:?} join");
             // Empty inputs charge nothing, in price and in run alike.
-            let got = intersect(&empty, &b, exec).unwrap().1;
+            let got = intersect_with(&empty, &b, exec, Backend::Sim).unwrap().1;
             assert_eq!(price_membership(exec, 0, n_b, m), got, "{exec:?} empty");
             assert_eq!(price_membership(exec, 0, n_b, m), ExecStats::default());
-            let got = join(&a, &empty, &specs, exec).unwrap().1;
+            let got = join_with(&a, &empty, &specs, exec, Backend::Sim).unwrap().1;
             assert_eq!(price_join(exec, n_a, 0, 1), got, "{exec:?} empty join");
         }
         let preds = [Predicate::new(0, CompareOp::Gt, 2)];
-        let got = select(&a, &preds, Execution::Marching).unwrap().1;
+        let got = select_with(&a, &preds, Execution::Marching, Backend::Sim)
+            .unwrap()
+            .1;
         assert_eq!(price_select(a.len(), 1), got, "select");
-        let got = select(&empty, &preds, Execution::Marching).unwrap().1;
+        let got = select_with(&empty, &preds, Execution::Marching, Backend::Sim)
+            .unwrap()
+            .1;
         assert_eq!(price_select(0, 1), got, "empty select");
     }
 
@@ -1008,9 +921,13 @@ mod tests {
         let repeated: Vec<Vec<Elem>> = (0..9).map(|p| vec![p % 3, 9 + p % 4]).collect();
         let repeated = MultiRelation::new(synth_schema(2), repeated).unwrap();
         for exec in EXECS {
-            let run = divide_binary(&distinct, 0, 1, &divisor, 0, exec).unwrap().1;
+            let run = divide_binary_with(&distinct, 0, 1, &divisor, 0, exec, Backend::Sim)
+                .unwrap()
+                .1;
             assert_eq!(price_divide_bound(exec, 6, 2), run, "{exec:?}");
-            let run = divide_binary(&repeated, 0, 1, &divisor, 0, exec).unwrap().1;
+            let run = divide_binary_with(&repeated, 0, 1, &divisor, 0, exec, Backend::Sim)
+                .unwrap()
+                .1;
             let bound = price_divide_bound(exec, 9, 2);
             assert_eq!(bound.pulses - run.pulses, 9 - 3, "{exec:?} pulses");
             assert_eq!(bound.array_runs, run.array_runs, "{exec:?} runs");
@@ -1027,7 +944,7 @@ mod tests {
     fn stats_report_hardware_shape() {
         let a = multi(2, &[&[1, 1], &[2, 2], &[3, 3]]);
         let b = multi(2, &[&[2, 2]]);
-        let (_, s) = intersect(&a, &b, Execution::Marching).unwrap();
+        let (_, s) = intersect_with(&a, &b, Execution::Marching, Backend::Sim).unwrap();
         // (3 + 1 - 1) rows x (2 + 1) columns.
         assert_eq!(s.cells, 9);
         assert!(s.pulses > 0);

@@ -38,8 +38,6 @@ fn limits_strategy() -> impl Strategy<Value = ArrayLimits> {
 fn exec_strategy() -> impl Strategy<Value = Execution> {
     prop_oneof![
         Just(Execution::Marching),
-        Just(Execution::FixedOperand),
-        limits_strategy().prop_map(Execution::Tiled),
         limits_strategy().prop_map(Execution::TiledPipelined),
     ]
 }
@@ -256,8 +254,6 @@ fn empty_and_exact_fit_shapes_agree() {
     ];
     let execs = [
         Execution::Marching,
-        Execution::FixedOperand,
-        Execution::Tiled(ArrayLimits::new(4, 4, 2)),
         Execution::TiledPipelined(ArrayLimits::new(4, 4, 2)),
     ];
     for (rows_a, rows_b) in shapes {
@@ -320,8 +316,6 @@ fn overwide_relations_agree() {
     assert!(a.composite_spec().is_none() && b.composite_spec().is_none());
     for exec in [
         Execution::Marching,
-        Execution::FixedOperand,
-        Execution::Tiled(ArrayLimits::new(2, 2, 1)),
         Execution::TiledPipelined(ArrayLimits::new(2, 2, 2)),
         Execution::TiledPipelined(ArrayLimits::new(2, 2, 1)),
     ] {
@@ -361,11 +355,9 @@ fn overwide_relations_agree() {
     assert_eq!(d.len(), 4, "the second (0, 5) is dropped");
 }
 
-fn every_execution() -> [Execution; 5] {
+fn every_execution() -> [Execution; 3] {
     [
         Execution::Marching,
-        Execution::FixedOperand,
-        Execution::Tiled(ArrayLimits::new(2, 3, 1)),
         Execution::TiledPipelined(ArrayLimits::new(2, 3, 2)),
         Execution::TiledPipelined(ArrayLimits::new(2, 3, 1)),
     ]

@@ -642,8 +642,10 @@ mod tests {
             .difference(Expr::scan("c"));
         let out = sys.run(&expr).unwrap();
         use systolic_core::ops::{self, Execution};
-        let (u, _) = ops::union(&seq(0..8), &seq(4..12), Execution::Marching).unwrap();
-        let (expect, _) = ops::difference(&u, &seq(0..2), Execution::Marching).unwrap();
+        let (u, _) =
+            ops::union_with(&seq(0..8), &seq(4..12), Execution::Marching, Backend::Sim).unwrap();
+        let (expect, _) =
+            ops::difference_with(&u, &seq(0..2), Execution::Marching, Backend::Sim).unwrap();
         assert!(out.result.set_eq(&expect));
         assert_eq!(out.result.len(), 10);
     }

@@ -7,13 +7,17 @@
 //! marching layouts keep "only half of the processors ... busy at any one
 //! time". This module closes that loop: it sizes tiles for a device of
 //! `parallel_comparators()` bit processors and prices the decomposition
-//! with [`systolic_core::ops::price_membership`] at that device's
-//! [`ArrayLimits`] — the same closed forms, over the same
-//! [`TileStream`], that charge every served query and equal the
-//! cycle-accurate simulator exactly. It predicts end-to-end intersection
-//! time for the marching (§3–4) and fixed-operand (§8) layouts, quantifying
-//! exactly how far the idealised 52.5 ms figure stretches.
+//! at that device's [`ArrayLimits`] with `systolic_core::kernel`'s closed
+//! forms over the same [`TileStream`] the tilers run, which equal the
+//! cycle-accurate simulator exactly: the pipelined layout through
+//! [`systolic_core::ops::price_membership`], as every served query is
+//! charged, the drained and fixed-operand layouts through
+//! [`kernel::tiled_stats`] and [`kernel::fixed_membership_stats`]. It
+//! predicts end-to-end intersection time for the marching (§3–4) and
+//! fixed-operand (§8) layouts, quantifying exactly how far the idealised
+//! 52.5 ms figure stretches.
 
+use systolic_core::kernel;
 use systolic_core::ops::{price_membership, Execution};
 use systolic_core::tiling::{ArrayLimits, Seed, TileStream};
 use systolic_core::ExecStats;
@@ -80,7 +84,7 @@ impl CapacityPlan {
         );
         let limits = ArrayLimits::new(tile_a as usize, tile_b as usize, m);
         let stats = match layout {
-            Layout::Marching => price_membership(Execution::Tiled(limits), n_a, n_b, m),
+            Layout::Marching => kernel::tiled_stats(n_a, n_b, m, limits, Seed::All),
             Layout::MarchingPipelined => {
                 price_membership(Execution::TiledPipelined(limits), n_a, n_b, m)
             }
@@ -89,7 +93,7 @@ impl CapacityPlan {
             Layout::FixedOperand => {
                 let mut stats = ExecStats::default();
                 for run in TileStream::new(n_a, n_b, m, limits, Seed::All).runs() {
-                    let slice = price_membership(Execution::FixedOperand, run.ta, run.tb, m);
+                    let slice = kernel::fixed_membership_stats(run.ta, run.tb, m);
                     for _ in 0..run.count {
                         stats.merge_sequential(&slice);
                     }

@@ -7,15 +7,17 @@
 //! everything here goes over the wire.
 
 use std::net::SocketAddr;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use systolic_machine::{Backend, MachineConfig};
 use systolic_relation::DomainKind;
 use systolic_server::{Client, Engine};
 
-/// How long an occupied machine should stay occupied: ample for a test to
-/// connect a few clients and poll `METRICS`, short enough to sit out.
-const HOLD: Duration = Duration::from_millis(1200);
+/// How long an occupied machine stays occupied, at least: ample for a test
+/// to connect a few clients, poll `METRICS` and see a 100 ms timeout
+/// expire, short enough to sit out.
+const HOLD: Duration = Duration::from_millis(400);
 
 /// Give up waiting for a condition an occupied machine should make true.
 const PATIENCE: Duration = Duration::from_secs(20);
@@ -39,21 +41,39 @@ fn distinct_ints(n: usize) -> String {
     (0..n).map(|i| format!("{i}\n")).collect()
 }
 
-/// Rows over which one simulated `dedup` runs for about [`HOLD`] on this
-/// host and build profile. The §5 array compares every pair of rows, so
-/// host time grows with the square of the row count: time a small probe
-/// in-process and scale.
+/// Rows over which one simulated `dedup` runs for at least [`HOLD`] on
+/// this host and build profile, measured once per test binary. The §5
+/// array compares every pair of rows, so host time grows with the square
+/// of the row count — once the rows are many: a small run is mostly fixed
+/// costs, and scaling one up undersizes the occupier, in a release build
+/// far below `HOLD`. So the probe doubles until it alone takes an eighth
+/// of `HOLD`, and only then is scaled by the square root, at most 4×. The
+/// doubling stops at [`MAX_PROBE`] rows, whose `T` matrix takes 18 MiB.
 fn occupier_rows() -> usize {
-    const PROBE: usize = 96;
-    let mut engine = Engine::new(sim_machine()).unwrap();
-    engine
-        .load_table("probe", &[DomainKind::Int], &distinct_ints(PROBE))
-        .unwrap();
-    let started = Instant::now();
-    engine.run_query("dedup(scan(probe))").unwrap();
-    let ratio = HOLD.as_secs_f64() / started.elapsed().as_secs_f64().max(1e-6);
-    ((PROBE as f64 * ratio.sqrt()) as usize).clamp(PROBE, 4096)
+    static ROWS: OnceLock<usize> = OnceLock::new();
+    *ROWS.get_or_init(|| {
+        let mut engine = Engine::new(sim_machine()).unwrap();
+        let mut rows = 96;
+        loop {
+            let probe = format!("probe{rows}");
+            engine
+                .load_table(&probe, &[DomainKind::Int], &distinct_ints(rows))
+                .unwrap();
+            let started = Instant::now();
+            engine.run_query(&format!("dedup(scan({probe}))")).unwrap();
+            let ratio = HOLD.as_secs_f64() / started.elapsed().as_secs_f64();
+            if ratio <= 8.0 || rows >= MAX_PROBE {
+                // A quarter over `HOLD`: at these sizes host time still
+                // grows a little slower than the square.
+                return (rows as f64 * (1.25 * ratio).sqrt().clamp(1.0, 4.0)) as usize;
+            }
+            rows *= 2;
+        }
+    })
 }
+
+/// The largest probe [`occupier_rows`] runs.
+const MAX_PROBE: usize = 12 * 1024;
 
 /// One `name=<u64>` field of a `STATS` line.
 pub fn stat(line: &str, name: &str) -> u64 {
@@ -63,7 +83,7 @@ pub fn stat(line: &str, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {name}= in {line}"))
 }
 
-/// The query that keeps a pulse-simulator server busy for about [`HOLD`],
+/// The query that keeps a pulse-simulator server busy for at least [`HOLD`],
 /// once [`load_occupier`] has loaded what it scans.
 const OCCUPIER_QUERY: &str = "dedup(scan(occupier))";
 
@@ -78,7 +98,7 @@ fn load_occupier(client: &mut Client) {
 /// Occupy the machine of the (pulse-simulator) server at `addr`: send
 /// [`OCCUPIER_QUERY`] without reading the answer, and return once `STATS`
 /// counts it — the occupier's worker has its turn on the machine and keeps
-/// it for about [`HOLD`]. Leaves one table (`occupier`), one load
+/// it for at least [`HOLD`]. Leaves one table (`occupier`), one load
 /// and one query on the server's counters.
 pub fn occupy_machine(addr: SocketAddr) -> Occupied {
     let mut client = Client::connect(addr).unwrap();

@@ -10,9 +10,10 @@
 //! Run with: `cargo run --example payroll_join`
 
 use systolic_db::arrays::ops::{self, Execution};
-use systolic_db::arrays::{ArrayLimits, JoinSpec};
-use systolic_db::fabric::CompareOp;
-use systolic_db::relation::{Catalog, Column, Datum, DomainKind, Schema};
+use systolic_db::arrays::tiling::{self, Operand, Seed};
+use systolic_db::arrays::{ArrayLimits, Backend, FixedOperandArray, JoinArray, JoinSpec, TMatrix};
+use systolic_db::fabric::{CompareOp, Elem};
+use systolic_db::relation::{Catalog, Column, Datum, DomainKind, MultiRelation, Schema};
 
 fn main() {
     let mut catalog = Catalog::new();
@@ -59,11 +60,12 @@ fn main() {
     println!("payroll analytics on systolic hardware\n");
 
     // 1. Equi-join employees with their departments (§6).
-    let (staffed, join_stats) = ops::join(
+    let (staffed, join_stats) = ops::join_with(
         &employees,
         &departments,
         &[JoinSpec::eq(1, 0)],
         Execution::Marching,
+        Backend::Sim,
     )
     .expect("dept columns share a domain");
     println!("employees |x| departments:");
@@ -76,11 +78,12 @@ fn main() {
     // 2. Theta-join: who earns above their department's per-head budget?
     // staffed columns: name, dept, salary, dept_name, budget_per_head.
     // The array compares salary (col 2 of employees side) against budget.
-    let (over_budget, theta_stats) = ops::join(
+    let (over_budget, theta_stats) = ops::join_with(
         &employees,
         &departments,
         &[JoinSpec::eq(1, 0), JoinSpec::theta(2, 2, CompareOp::Gt)],
         Execution::Marching,
+        Backend::Sim,
     )
     .expect("comparable columns");
     println!("earning above the department budget (equi + > join, §6.3):");
@@ -89,24 +92,38 @@ fn main() {
 
     // 3. Distinct salary bands via projection + remove-duplicates (§5).
     let (bands, band_stats) =
-        ops::project(&staffed, &[1], Execution::Marching).expect("valid column");
+        ops::project_with(&staffed, &[1], Execution::Marching, Backend::Sim).expect("valid column");
     println!("distinct departments with staff (projection, §5):");
     print!("{}", catalog.render(&bands).expect("decodable"));
     println!("   [{} pulses]\n", band_stats.pulses);
 
     // 4. The same join on constrained hardware: a 4x4x2 physical array,
-    // with the problem decomposed onto it (§8), and the fixed-operand
-    // variant with departments resident in the array.
-    let tiled = Execution::Tiled(ArrayLimits::new(4, 4, 2));
-    let (staffed_tiled, tiled_stats) =
-        ops::join(&employees, &departments, &[JoinSpec::eq(1, 0)], tiled).expect("join");
-    let (staffed_fixed, fixed_stats) = ops::join(
-        &employees,
-        &departments,
-        &[JoinSpec::eq(1, 0)],
-        Execution::FixedOperand,
+    // with the problem decomposed onto it and drained between tiles (§8),
+    // and the fixed-operand variant with departments resident in the
+    // array. Both produce `T` over the key columns; the host assembles the
+    // joined rows from it, as `ops` does.
+    let spec = [JoinSpec::eq(1, 0)];
+    let assemble = |t: &TMatrix| {
+        let codes = JoinArray::new(spec.to_vec()).assemble(employees.rows(), departments.rows(), t);
+        MultiRelation::from_codes(staffed.schema().clone(), codes).expect("joined rows")
+    };
+    let (emp_key, dept_key) = ([1], [0]);
+    let tiled = tiling::t_matrix_tiled(
+        Operand::new(employees.rows(), &emp_key),
+        Operand::new(departments.rows(), &dept_key),
+        &[CompareOp::Eq],
+        ArrayLimits::new(4, 4, 2),
+        Seed::All,
     )
-    .expect("join");
+    .expect("tiled join");
+    let (staffed_tiled, tiled_stats) = (assemble(&tiled.t), tiled.stats);
+    let keys = |rel: &MultiRelation, col: usize| -> Vec<Vec<Elem>> {
+        rel.rows().iter().map(|row| vec![row[col]]).collect()
+    };
+    let (fixed_t, fixed_stats) = FixedOperandArray::preload(&keys(&departments, 0))
+        .t_matrix(&keys(&employees, 1), &[CompareOp::Eq])
+        .expect("fixed-operand join");
+    let staffed_fixed = assemble(&fixed_t);
     assert!(staffed_tiled.set_eq(&staffed));
     assert!(staffed_fixed.set_eq(&staffed));
     println!("same join, three hardware strategies (§8):");

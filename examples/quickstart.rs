@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use systolic_db::arrays::ops::{self, Execution};
-use systolic_db::arrays::{ExecStats, JoinSpec};
+use systolic_db::arrays::{Backend, ExecStats, JoinSpec};
 use systolic_db::fabric::CompareOp;
 use systolic_db::relation::{Catalog, Column, Datum, DomainKind, MultiRelation, Schema};
 
@@ -54,16 +54,20 @@ fn main() {
 
     println!("Systolic (VLSI) arrays for relational database operations — quickstart\n");
 
-    let (c, s) = ops::intersect(&active, &retired, Execution::Marching).expect("compatible");
+    let (c, s) = ops::intersect_with(&active, &retired, Execution::Marching, Backend::Sim)
+        .expect("compatible");
     show("intersection: active ∩ retired (§4)", &catalog, &c, &s);
 
-    let (c, s) = ops::difference(&active, &retired, Execution::Marching).expect("compatible");
+    let (c, s) = ops::difference_with(&active, &retired, Execution::Marching, Backend::Sim)
+        .expect("compatible");
     show("difference: active - retired (§4.3)", &catalog, &c, &s);
 
-    let (c, s) = ops::union(&active, &retired, Execution::Marching).expect("compatible");
+    let (c, s) =
+        ops::union_with(&active, &retired, Execution::Marching, Backend::Sim).expect("compatible");
     show("union: active ∪ retired (§5)", &catalog, &c, &s);
 
-    let (c, s) = ops::project(&active, &[1], Execution::Marching).expect("valid column");
+    let (c, s) =
+        ops::project_with(&active, &[1], Execution::Marching, Backend::Sim).expect("valid column");
     show(
         "projection on dept, duplicates removed (§5)",
         &catalog,
@@ -86,11 +90,12 @@ fn main() {
             ],
         )
         .expect("valid rows");
-    let (c, s) = ops::join(
+    let (c, s) = ops::join_with(
         &active,
         &locations,
         &[JoinSpec::eq(1, 0)],
         Execution::Marching,
+        Backend::Sim,
     )
     .expect("join columns share a domain");
     show("equi-join with locations over dept (§6)", &catalog, &c, &s);
@@ -122,8 +127,8 @@ fn main() {
             &[vec![Datum::str("db")], vec![Datum::str("os")]],
         )
         .expect("valid rows");
-    let (c, s) =
-        ops::divide_binary(&takes, 0, 1, &core, 0, Execution::Marching).expect("valid columns");
+    let (c, s) = ops::divide_binary_with(&takes, 0, 1, &core, 0, Execution::Marching, Backend::Sim)
+        .expect("valid columns");
     show("division: takes ÷ core courses (§7)", &catalog, &c, &s);
 
     // Theta-join (§6.3.2): numeric comparison between columns.
@@ -138,11 +143,12 @@ fn main() {
     let highs = catalog
         .encode_multi(num_schema, &[vec![Datum::Int(3)]])
         .expect("ints");
-    let (c, s) = ops::join(
+    let (c, s) = ops::join_with(
         &lows,
         &highs,
         &[JoinSpec::theta(0, 0, CompareOp::Gt)],
         Execution::Marching,
+        Backend::Sim,
     )
     .expect("comparable");
     show("greater-than join (§6.3.2)", &catalog, &c, &s);

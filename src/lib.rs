@@ -28,12 +28,13 @@
 //!
 //! ```
 //! use systolic_db::arrays::ops::{self, Execution};
+//! use systolic_db::arrays::Backend;
 //! use systolic_db::relation::gen::synth_schema;
 //! use systolic_db::relation::MultiRelation;
 //!
 //! let a = MultiRelation::new(synth_schema(2), vec![vec![1, 1], vec![2, 2]]).unwrap();
 //! let b = MultiRelation::new(synth_schema(2), vec![vec![2, 2], vec![3, 3]]).unwrap();
-//! let (c, stats) = ops::intersect(&a, &b, Execution::Marching).unwrap();
+//! let (c, stats) = ops::intersect_with(&a, &b, Execution::Marching, Backend::Sim).unwrap();
 //! assert_eq!(c.rows().to_vec(), [vec![2, 2]]);
 //! assert!(stats.utilisation() <= 0.5 + 1e-9); // §8: marching arrays are half busy
 //! ```

@@ -2,7 +2,7 @@
 //! simulated arrays, through the integrated machine, and back out.
 
 use systolic_db::arrays::ops::{self, Execution};
-use systolic_db::arrays::{ArrayLimits, JoinSpec};
+use systolic_db::arrays::{ArrayLimits, Backend, FixedOperandArray, JoinSpec, SetOpMode};
 use systolic_db::baseline::{hashed, nested_loop, sorted, OpCounter};
 use systolic_db::fabric::CompareOp;
 use systolic_db::machine::{Expr, MachineConfig, System};
@@ -44,7 +44,7 @@ fn typed_data_survives_the_full_pipeline() {
             &[vec![Datum::str("y")], vec![Datum::str("q")]],
         )
         .unwrap();
-    let (c, _) = ops::intersect(&a, &b, Execution::Marching).unwrap();
+    let (c, _) = ops::intersect_with(&a, &b, Execution::Marching, Backend::Sim).unwrap();
     let decoded = catalog.decode_row(&schema, &c.rows()[0]).unwrap();
     assert_eq!(decoded, vec![Datum::str("y")]);
     assert_eq!(c.len(), 1);
@@ -67,8 +67,8 @@ fn machine_transactions_agree_with_direct_operator_calls() {
         .union(Expr::scan("c"));
     let out = sys.run(&expr).unwrap();
 
-    let (i, _) = ops::intersect(&a, &b, Execution::Marching).unwrap();
-    let (expect, _) = ops::union(&i, &c, Execution::Marching).unwrap();
+    let (i, _) = ops::intersect_with(&a, &b, Execution::Marching, Backend::Sim).unwrap();
+    let (expect, _) = ops::union_with(&i, &c, Execution::Marching, Backend::Sim).unwrap();
     assert!(out.result.set_eq(&expect));
 }
 
@@ -85,14 +85,19 @@ fn three_baseline_families_and_three_executions_all_agree() {
     assert!(sorted::intersect(&a, &b, &mut c)
         .unwrap()
         .set_eq(&reference));
+    // The paper's array and the served device through `ops`, and §8's
+    // resident operand run directly.
     for exec in [
         Execution::Marching,
-        Execution::FixedOperand,
-        Execution::Tiled(ArrayLimits::new(6, 5, 2)),
+        Execution::TiledPipelined(ArrayLimits::new(6, 5, 2)),
     ] {
-        let (got, _) = ops::intersect(&a, &b, exec).unwrap();
+        let (got, _) = ops::intersect_with(&a, &b, exec, Backend::Sim).unwrap();
         assert!(got.set_eq(&reference), "{exec:?}");
     }
+    let fixed = FixedOperandArray::preload(&b.rows().to_vec())
+        .run(&a.rows().to_vec(), SetOpMode::Intersect)
+        .unwrap();
+    assert!(a.filter_by_index(|i| fixed.keep[i]).set_eq(&reference));
 }
 
 #[test]
@@ -103,23 +108,23 @@ fn relational_algebra_identities_hold_on_the_hardware() {
     let e = Execution::Marching;
 
     // A ∩ B == A - (A - B)
-    let (inter, _) = ops::intersect(&a, &b, e).unwrap();
-    let (amb, _) = ops::difference(&a, &b, e).unwrap();
-    let (a_minus_amb, _) = ops::difference(&a, &amb, e).unwrap();
+    let (inter, _) = ops::intersect_with(&a, &b, e, Backend::Sim).unwrap();
+    let (amb, _) = ops::difference_with(&a, &b, e, Backend::Sim).unwrap();
+    let (a_minus_amb, _) = ops::difference_with(&a, &amb, e, Backend::Sim).unwrap();
     assert!(inter.set_eq(&a_minus_amb));
 
     // |A ∪ B| == |A| + |B| - |A ∩ B| for duplicate-free A, B.
-    let (uni, _) = ops::union(&a, &b, e).unwrap();
+    let (uni, _) = ops::union_with(&a, &b, e, Backend::Sim).unwrap();
     assert_eq!(uni.len(), a.len() + b.len() - inter.len());
 
     // Union is commutative as a set.
-    let (uni_ba, _) = ops::union(&b, &a, e).unwrap();
+    let (uni_ba, _) = ops::union_with(&b, &a, e, Backend::Sim).unwrap();
     assert!(uni.set_eq(&uni_ba));
 
     // Dedup is idempotent.
     let dup = a.concat(&a).unwrap();
-    let (d1, _) = ops::dedup(&dup, e).unwrap();
-    let (d2, _) = ops::dedup(&d1, e).unwrap();
+    let (d1, _) = ops::dedup_with(&dup, e, Backend::Sim).unwrap();
+    let (d2, _) = ops::dedup_with(&d1, e, Backend::Sim).unwrap();
     assert_eq!(d1.rows(), d2.rows());
     assert!(d1.set_eq(&a));
 }
@@ -129,11 +134,11 @@ fn join_then_project_recovers_join_keys() {
     let mut rng = StdRng::seed_from_u64(21);
     let (a, b, ka, kb) = gen::join_pair(&mut rng, 14, 14, 2, 2, 5, 0.0);
     let e = Execution::Marching;
-    let (joined, _) = ops::join(&a, &b, &[JoinSpec::eq(ka, kb)], e).unwrap();
+    let (joined, _) = ops::join_with(&a, &b, &[JoinSpec::eq(ka, kb)], e, Backend::Sim).unwrap();
     if joined.is_empty() {
         return; // extremely unlikely with 5 keys over 14x14
     }
-    let (keys, _) = ops::project(&joined, &[ka], e).unwrap();
+    let (keys, _) = ops::project_with(&joined, &[ka], e, Backend::Sim).unwrap();
     // Every surviving key appears in both inputs.
     for row in keys.rows() {
         assert!(a.rows().iter().any(|r| r[ka] == row[0]));
@@ -146,7 +151,8 @@ fn division_identity_quotient_times_divisor_is_contained_in_dividend() {
     let mut rng = StdRng::seed_from_u64(33);
     for _ in 0..5 {
         let (a, b, _) = gen::division_instance(&mut rng, 10, 4, 3);
-        let (q, _) = ops::divide_binary(&a, 0, 1, &b, 0, Execution::Marching).unwrap();
+        let (q, _) =
+            ops::divide_binary_with(&a, 0, 1, &b, 0, Execution::Marching, Backend::Sim).unwrap();
         // (A ÷ B) x B ⊆ A …
         for qrow in q.rows() {
             for brow in b.rows() {
@@ -172,9 +178,16 @@ fn theta_join_composes_with_set_difference() {
     let a = seq(0..10, 1);
     let b = seq(4..6, 1);
     let e = Execution::Marching;
-    let (le_pairs, _) = ops::join(&a, &b, &[JoinSpec::theta(0, 0, CompareOp::Le)], e).unwrap();
-    let (le_keys, _) = ops::project(&le_pairs, &[0], e).unwrap();
-    let (gt_all, _) = ops::difference(&a, &le_keys, e).unwrap();
+    let (le_pairs, _) = ops::join_with(
+        &a,
+        &b,
+        &[JoinSpec::theta(0, 0, CompareOp::Le)],
+        e,
+        Backend::Sim,
+    )
+    .unwrap();
+    let (le_keys, _) = ops::project_with(&le_pairs, &[0], e, Backend::Sim).unwrap();
+    let (gt_all, _) = ops::difference_with(&a, &le_keys, e, Backend::Sim).unwrap();
     let expect: Vec<i64> = (6..10).collect();
     let got: Vec<i64> = gt_all.rows().iter().map(|r| r[0]).collect();
     assert_eq!(got, expect);
@@ -217,7 +230,7 @@ fn heavily_constrained_machine_still_computes_correctly() {
 fn relation_type_round_trips_through_operators() {
     let mut rng = StdRng::seed_from_u64(17);
     let r = gen::random_relation(&mut rng, 12, 2, 64);
-    let (deduped, _) = ops::dedup(r.as_multi(), Execution::Marching).unwrap();
+    let (deduped, _) = ops::dedup_with(r.as_multi(), Execution::Marching, Backend::Sim).unwrap();
     // A relation is already duplicate-free: dedup is the identity.
     assert_eq!(deduped.rows(), r.rows());
     let back = Relation::dedup_first(&deduped);

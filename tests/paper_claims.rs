@@ -4,8 +4,8 @@
 use systolic_db::arrays::ops::{self, Execution};
 use systolic_db::arrays::tiling::Seed;
 use systolic_db::arrays::{
-    ComparisonArray2d, DivisionArray, FixedOperandArray, IntersectionArray, LinearComparisonArray,
-    SetOpMode,
+    Backend, ComparisonArray2d, DivisionArray, FixedOperandArray, IntersectionArray,
+    LinearComparisonArray, SetOpMode,
 };
 use systolic_db::fabric::Elem;
 use systolic_db::perfmodel::{
@@ -70,8 +70,8 @@ fn claim_5_union_is_dedup_of_concatenation() {
     let a = MultiRelation::new(synth_schema(1), seq(0..6, 1)).unwrap();
     let b = MultiRelation::new(synth_schema(1), seq(3..9, 1)).unwrap();
     let concat = a.concat(&b).unwrap();
-    let (via_dedup, _) = ops::dedup(&concat, Execution::Marching).unwrap();
-    let (via_union, _) = ops::union(&a, &b, Execution::Marching).unwrap();
+    let (via_dedup, _) = ops::dedup_with(&concat, Execution::Marching, Backend::Sim).unwrap();
+    let (via_union, _) = ops::union_with(&a, &b, Execution::Marching, Backend::Sim).unwrap();
     assert_eq!(via_dedup.rows(), via_union.rows());
     assert_eq!(via_union.len(), 9);
 }

@@ -35,35 +35,60 @@ fn interpret(expr: &Expr) -> MultiRelation {
             }
         }
         Expr::Intersect(l, r) => {
-            ops::intersect(&interpret(l), &interpret(r), Execution::Marching)
-                .unwrap()
-                .0
+            ops::intersect_with(
+                &interpret(l),
+                &interpret(r),
+                Execution::Marching,
+                Backend::Sim,
+            )
+            .unwrap()
+            .0
         }
         Expr::Difference(l, r) => {
-            ops::difference(&interpret(l), &interpret(r), Execution::Marching)
-                .unwrap()
-                .0
+            ops::difference_with(
+                &interpret(l),
+                &interpret(r),
+                Execution::Marching,
+                Backend::Sim,
+            )
+            .unwrap()
+            .0
         }
         Expr::Union(l, r) => {
-            ops::union(&interpret(l), &interpret(r), Execution::Marching)
+            ops::union_with(
+                &interpret(l),
+                &interpret(r),
+                Execution::Marching,
+                Backend::Sim,
+            )
+            .unwrap()
+            .0
+        }
+        Expr::Dedup(e) => {
+            ops::dedup_with(&interpret(e), Execution::Marching, Backend::Sim)
                 .unwrap()
                 .0
         }
-        Expr::Dedup(e) => ops::dedup(&interpret(e), Execution::Marching).unwrap().0,
         Expr::Project(e, cols) => {
-            ops::project(&interpret(e), cols, Execution::Marching)
+            ops::project_with(&interpret(e), cols, Execution::Marching, Backend::Sim)
                 .unwrap()
                 .0
         }
         Expr::Select(e, preds) => {
-            ops::select(&interpret(e), preds, Execution::Marching)
+            ops::select_with(&interpret(e), preds, Execution::Marching, Backend::Sim)
                 .unwrap()
                 .0
         }
         Expr::Join(l, r, specs) => {
-            ops::join(&interpret(l), &interpret(r), specs, Execution::Marching)
-                .unwrap()
-                .0
+            ops::join_with(
+                &interpret(l),
+                &interpret(r),
+                specs,
+                Execution::Marching,
+                Backend::Sim,
+            )
+            .unwrap()
+            .0
         }
         Expr::Divide {
             dividend,
@@ -72,13 +97,14 @@ fn interpret(expr: &Expr) -> MultiRelation {
             ca,
             cb,
         } => {
-            ops::divide_binary(
+            ops::divide_binary_with(
                 &interpret(dividend),
                 *key,
                 *ca,
                 &interpret(divisor),
                 *cb,
                 Execution::Marching,
+                Backend::Sim,
             )
             .unwrap()
             .0
