@@ -226,16 +226,6 @@ pub struct Analysis {
     pub pulse_budget: u64,
 }
 
-/// Lower-case name of a domain kind (matches the wire type names).
-fn kind_str(kind: DomainKind) -> &'static str {
-    match kind {
-        DomainKind::Int => "int",
-        DomainKind::Str => "str",
-        DomainKind::Bool => "bool",
-        DomainKind::Date => "date",
-    }
-}
-
 impl Analysis {
     /// Human-readable multi-line summary (what `sdb check` prints).
     pub fn render(&self) -> String {
@@ -247,7 +237,7 @@ impl Analysis {
             self.pulse_budget
         );
         for (k, node) in self.nodes.iter().enumerate() {
-            let kinds: Vec<&str> = node.columns.iter().map(|c| kind_str(c.kind)).collect();
+            let kinds: Vec<&str> = node.columns.iter().map(|c| c.kind.name()).collect();
             out.push_str(&format!(
                 "  #{k} {} :: ({}) <= {} rows",
                 node.label,
@@ -284,7 +274,7 @@ impl Analysis {
             let kinds: Vec<String> = node
                 .columns
                 .iter()
-                .map(|c| json_str(kind_str(c.kind)))
+                .map(|c| json_str(c.kind.name()))
                 .collect();
             out.push_str(&format!(", \"columns\": [{}]", kinds.join(", ")));
             out.push_str(&format!(
@@ -532,9 +522,9 @@ impl Walker<'_> {
                                     "column c{k} is drawn from domain {} ({}) on the left \
                                      but domain {} ({}) on the right (§2.4)",
                                     a.domain.0,
-                                    kind_str(a.kind),
+                                    a.kind.name(),
                                     b.domain.0,
-                                    kind_str(b.kind)
+                                    b.kind.name()
                                 ),
                                 span,
                             );
@@ -665,8 +655,8 @@ impl Walker<'_> {
                                 format!(
                                     "join columns c{col_a}/c{col_b} are drawn from different \
                                      domains ({} vs {}); §6 compares values of one domain",
-                                    kind_str(a.kind),
-                                    kind_str(b.kind)
+                                    a.kind.name(),
+                                    b.kind.name()
                                 ),
                                 span,
                             );
@@ -734,8 +724,8 @@ impl Walker<'_> {
                                 "divisor column c{cb} ({}) is not drawn from the same domain \
                                  as dividend column c{ca} ({}); §7 requires the divisor to \
                                  be a subset of the dividend's projection",
-                                kind_str(b.kind),
-                                kind_str(a.kind)
+                                b.kind.name(),
+                                a.kind.name()
                             ),
                             span,
                         );

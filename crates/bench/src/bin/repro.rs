@@ -870,7 +870,7 @@ fn e14_tree_machine() -> Summary {
         let systolic = IntersectionArray::new(2)
             .run(&probes, &stored, SetOpMode::Intersect)
             .unwrap();
-        let mut tree = TreeMachine::new(4, PULSE_NS);
+        let mut tree = TreeMachine::new(4);
         tree.load(
             &systolic_relation::MultiRelation::new(
                 systolic_relation::gen::synth_schema(2),

@@ -173,11 +173,6 @@ impl Collector {
         &self.emissions
     }
 
-    /// Consume the collector, returning the recorded emissions.
-    pub fn into_emissions(self) -> Vec<Emission> {
-        self.emissions
-    }
-
     /// Look up the word emitted from `lane` at `pulse`, if any.
     pub fn at(&self, pulse: u64, lane: usize) -> Option<Word> {
         self.emissions

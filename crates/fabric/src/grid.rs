@@ -173,11 +173,6 @@ impl<C: Cell> Grid<C> {
         &self.cells[r * self.cols + c]
     }
 
-    /// Mutable access to a cell, e.g. for pre-loading stored elements (§7).
-    pub fn cell_mut(&mut self, r: usize, c: usize) -> &mut C {
-        &mut self.cells[r * self.cols + c]
-    }
-
     /// Install the schedule driving the north edge (relation `A`,
     /// southbound).
     pub fn set_north_feeder(&mut self, f: ScheduleFeeder) {

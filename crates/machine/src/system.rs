@@ -356,11 +356,6 @@ impl System {
         self.base_shape(name).is_ok()
     }
 
-    /// Number of disks.
-    pub fn disk_count(&self) -> usize {
-        self.disks.len()
-    }
-
     /// The devices, for inspection.
     pub fn devices(&self) -> &[Device] {
         &self.devices

@@ -43,8 +43,6 @@ pub struct TreeMachine {
     pub leaf_capacity: usize,
     /// Leaves (each a small store of rows).
     leaves: Vec<Vec<Row>>,
-    /// Pulse period in nanoseconds, for time accounting.
-    pub clock_ns: f64,
 }
 
 /// Latency accounting for one tree-machine operation.
@@ -71,12 +69,11 @@ impl TreeStats {
 
 impl TreeMachine {
     /// Build an empty machine.
-    pub fn new(leaf_capacity: usize, clock_ns: f64) -> Self {
+    pub fn new(leaf_capacity: usize) -> Self {
         assert!(leaf_capacity > 0, "leaf capacity must be positive");
         TreeMachine {
             leaf_capacity,
             leaves: Vec::new(),
-            clock_ns,
         }
     }
 
@@ -185,11 +182,6 @@ impl TreeMachine {
         };
         Ok((out, stats))
     }
-
-    /// Hardware time in nanoseconds for a stats record.
-    pub fn time_ns(&self, stats: &TreeStats) -> f64 {
-        stats.total_pulses() as f64 * self.clock_ns
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +195,7 @@ mod tests {
 
     #[test]
     fn membership_is_exact() {
-        let mut t = TreeMachine::new(2, 350.0);
+        let mut t = TreeMachine::new(2);
         t.load(&rel(vec![
             vec![1, 1],
             vec![2, 2],
@@ -221,7 +213,7 @@ mod tests {
 
     #[test]
     fn empty_machine_rejects_nothing_and_matches_nothing() {
-        let t = TreeMachine::new(4, 350.0);
+        let t = TreeMachine::new(4);
         let (keep, stats) = t.membership(&[vec![1]]).unwrap();
         assert_eq!(keep, vec![false]);
         assert_eq!(stats.leaves, 0);
@@ -229,14 +221,14 @@ mod tests {
 
     #[test]
     fn arity_mismatch_is_reported() {
-        let mut t = TreeMachine::new(2, 350.0);
+        let mut t = TreeMachine::new(2);
         t.load(&rel(vec![vec![1, 2]]));
         assert!(t.membership(&[vec![1]]).is_err());
     }
 
     #[test]
     fn join_probe_returns_all_matching_row_indices() {
-        let mut t = TreeMachine::new(2, 350.0);
+        let mut t = TreeMachine::new(2);
         t.load(&rel(vec![vec![7, 0], vec![8, 1], vec![7, 2], vec![9, 3]]));
         let (hits, stats) = t.probe_join(&[7, 9, 5], 0).unwrap();
         assert_eq!(hits, vec![vec![0, 2], vec![3], vec![]]);
@@ -249,9 +241,9 @@ mod tests {
         // The tree's broadcast/combine cost is log(leaves); the leaf-local
         // cost is leaf_capacity per probe.
         let probe = vec![vec![0i64, 0]];
-        let mut small = TreeMachine::new(4, 350.0);
+        let mut small = TreeMachine::new(4);
         small.load(&rel((0..64).map(|i| vec![i, i]).collect()));
-        let mut large = TreeMachine::new(4, 350.0);
+        let mut large = TreeMachine::new(4);
         large.load(&rel((0..4096).map(|i| vec![i, i]).collect()));
         let (_, s_small) = small.membership(&probe).unwrap();
         let (_, s_large) = large.membership(&probe).unwrap();
@@ -266,7 +258,7 @@ mod tests {
         use systolic_core::{IntersectionArray, SetOpMode};
         let stored: Vec<Row> = (0..20).map(|i| vec![i, i]).collect();
         let probes: Vec<Row> = (10..30).map(|i| vec![i, i]).collect();
-        let mut t = TreeMachine::new(4, 350.0);
+        let mut t = TreeMachine::new(4);
         t.load(&rel(stored.clone()));
         let (tree_keep, _) = t.membership(&probes).unwrap();
         let systolic = IntersectionArray::new(2)
@@ -278,6 +270,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_capacity_rejected() {
-        TreeMachine::new(0, 1.0);
+        TreeMachine::new(0);
     }
 }

@@ -61,6 +61,31 @@ pub enum DomainKind {
     Date,
 }
 
+impl DomainKind {
+    /// The kind's type name, as `LOAD`, `sdb --table` and the analyzer
+    /// spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            DomainKind::Int => "int",
+            DomainKind::Str => "str",
+            DomainKind::Bool => "bool",
+            DomainKind::Date => "date",
+        }
+    }
+
+    /// The kind a type name spells ([`DomainKind::name`] inverted).
+    pub fn parse(name: &str) -> Option<DomainKind> {
+        [
+            DomainKind::Int,
+            DomainKind::Str,
+            DomainKind::Bool,
+            DomainKind::Date,
+        ]
+        .into_iter()
+        .find(|k| k.name() == name)
+    }
+}
+
 /// Identifies a domain within a [`crate::catalog::Catalog`]. Two columns are
 /// drawn from "the same underlying domain" (§2.4) exactly when their
 /// `DomainId`s are equal.
@@ -133,30 +158,6 @@ impl Domain {
         }
     }
 
-    /// Encode without interning; unknown strings are an error. Used when a
-    /// value must already be a member of the domain (e.g. query constants).
-    pub fn encode_existing(&self, datum: &Datum) -> Result<Elem, RelationError> {
-        match (self.kind, datum) {
-            (DomainKind::Int, Datum::Int(v)) => Ok(*v),
-            (DomainKind::Date, Datum::Date(v)) => Ok(*v),
-            (DomainKind::Bool, Datum::Bool(b)) => Ok(*b as Elem),
-            (DomainKind::Str, Datum::Str(s)) => {
-                self.index
-                    .get(s)
-                    .copied()
-                    .ok_or_else(|| RelationError::DomainMismatch {
-                        detail: format!("string {s:?} is not a member of domain {:?}", self.name),
-                    })
-            }
-            (kind, datum) => Err(RelationError::DomainMismatch {
-                detail: format!(
-                    "datum {datum:?} cannot live in {kind:?} domain {:?}",
-                    self.name
-                ),
-            }),
-        }
-    }
-
     /// Decode an element back to a typed datum ("whenever necessary, the
     /// integers are decoded into the appropriate value", §2.3).
     pub fn decode(&self, code: Elem) -> Result<Datum, RelationError> {
@@ -187,6 +188,19 @@ impl Domain {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kind_tables_round_trip() {
+        for kind in [
+            DomainKind::Int,
+            DomainKind::Str,
+            DomainKind::Bool,
+            DomainKind::Date,
+        ] {
+            assert_eq!(DomainKind::parse(kind.name()), Some(kind));
+        }
+        assert!(DomainKind::parse("blob").is_none());
+    }
 
     #[test]
     fn int_and_date_domains_encode_identity() {
@@ -226,16 +240,8 @@ mod tests {
     fn kind_mismatch_is_rejected() {
         let mut d = Domain::new("age", DomainKind::Int);
         assert!(d.encode(&Datum::str("x")).is_err());
-        let d = Domain::new("name", DomainKind::Str);
-        assert!(d.encode_existing(&Datum::Int(3)).is_err());
-    }
-
-    #[test]
-    fn encode_existing_rejects_unknown_strings() {
         let mut d = Domain::new("name", DomainKind::Str);
-        d.encode(&Datum::str("known")).unwrap();
-        assert!(d.encode_existing(&Datum::str("known")).is_ok());
-        assert!(d.encode_existing(&Datum::str("unknown")).is_err());
+        assert!(d.encode(&Datum::Int(3)).is_err());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The relational data model substrate for the Kung & Lehman (SIGMOD 1980)
 //! reproduction: typed values and underlying domains with reversible integer
 //! encoding (§2.3), schemas and union-compatibility (§2.4), relations and
-//! multi-relations (§2.5), a catalog owning the encoding dictionaries, and
-//! seeded synthetic workload generators for the experiments.
+//! multi-relations (§2.5), a catalog owning the encoding dictionaries, CSV
+//! import/export, and seeded workload generators. It keeps nothing on disk:
+//! the server's data directory does (`examples/course_audit.rs`).
 //!
 //! ```
 //! use systolic_relation::{Catalog, Column, Datum, DomainKind, Schema};
@@ -31,7 +32,6 @@ pub mod error;
 pub mod gen;
 pub mod relation;
 pub mod schema;
-pub mod store;
 
 pub use catalog::Catalog;
 pub use columnar::{ColumnarBuilder, ColumnarRelation, CompositeSpec};
@@ -40,4 +40,3 @@ pub use domain::{Datum, Domain, DomainId, DomainKind, Elem};
 pub use error::RelationError;
 pub use relation::{MultiRelation, Relation, Row, RowIter, Rows};
 pub use schema::{Column, Schema};
-pub use store::{Database, StoreError};

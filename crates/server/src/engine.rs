@@ -84,32 +84,16 @@ impl From<MachineError> for EngineError {
     }
 }
 
-/// Map a wire-format type name to a domain kind.
-pub fn kind_of(name: &str) -> Option<DomainKind> {
-    match name {
-        "int" => Some(DomainKind::Int),
-        "str" => Some(DomainKind::Str),
-        "bool" => Some(DomainKind::Bool),
-        "date" => Some(DomainKind::Date),
-        _ => None,
-    }
-}
-
 /// The wire-format name of a domain kind.
 pub fn kind_name(kind: DomainKind) -> &'static str {
-    match kind {
-        DomainKind::Int => "int",
-        DomainKind::Str => "str",
-        DomainKind::Bool => "bool",
-        DomainKind::Date => "date",
-    }
+    kind.name()
 }
 
 /// Parse a comma-separated type list (`int,str,date`).
 pub fn parse_kinds(list: &str) -> Result<Vec<DomainKind>, String> {
     list.split(',')
         .map(|t| {
-            kind_of(t.trim())
+            DomainKind::parse(t.trim())
                 .ok_or_else(|| format!("unknown column type {:?} (int, str, bool, date)", t.trim()))
         })
         .collect()
@@ -565,16 +549,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_tables_round_trip() {
-        for kind in [
-            DomainKind::Int,
-            DomainKind::Str,
-            DomainKind::Bool,
-            DomainKind::Date,
-        ] {
-            assert_eq!(kind_of(kind_name(kind)), Some(kind));
-        }
-        assert!(kind_of("blob").is_none());
+    fn kind_lists_parse() {
         assert_eq!(
             parse_kinds("int, str,date").unwrap(),
             vec![DomainKind::Int, DomainKind::Str, DomainKind::Date]

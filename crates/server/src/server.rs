@@ -18,6 +18,7 @@ use std::time::{Duration, Instant};
 
 use systolic_analyzer::CatalogView;
 use systolic_machine::{MachineConfig, System};
+use systolic_relation::DomainKind;
 use systolic_storage::{LockMode, LockTable, StorageEngine, WalRecord};
 use systolic_telemetry::metrics::QuantileSummary;
 use systolic_telemetry::{record_between, root_span, span_in, TraceCtx};
@@ -449,8 +450,8 @@ fn replay(shared: &Shared, system: &mut System, records: &[WalRecord]) {
     for record in records {
         match record {
             WalRecord::Load { name, kinds, csv } => {
-                let parsed: Option<Vec<systolic_relation::DomainKind>> =
-                    kinds.iter().map(|k| engine::kind_of(k)).collect();
+                let parsed: Option<Vec<DomainKind>> =
+                    kinds.iter().map(|k| DomainKind::parse(k)).collect();
                 let Some(parsed) = parsed else {
                     eprintln!("recovery: load {name:?} has unknown column kinds; skipped");
                     continue;

@@ -37,7 +37,6 @@ use systolic_analyzer::diagnostics_json;
 use systolic_core::ArrayLimits;
 use systolic_machine::{Backend, MachineConfig, MachineError, ParseError, RunOutcome};
 use systolic_relation::{DomainKind, RelationError};
-use systolic_server::engine::kind_name;
 use systolic_server::{Client, ClientError, Engine, EngineError, ServerConfig};
 use systolic_telemetry::chrome::{ArgValue, ChromeTrace, PID_HOST, PID_SIMULATED};
 use systolic_telemetry::{prom, SpanRecord};
@@ -141,13 +140,7 @@ pub fn parse_table_spec(spec: &str) -> Result<TableSpec, CliError> {
     }
     let kinds = types
         .split(',')
-        .map(|t| match t.trim() {
-            "int" => Ok(DomainKind::Int),
-            "str" => Ok(DomainKind::Str),
-            "bool" => Ok(DomainKind::Bool),
-            "date" => Ok(DomainKind::Date),
-            _ => Err(usage()),
-        })
+        .map(|t| DomainKind::parse(t.trim()).ok_or_else(usage))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(TableSpec {
         name: name.to_string(),
@@ -881,7 +874,7 @@ pub fn run_profile(tables: &[(TableSpec, String)], args: &ProfileArgs) -> Result
     let run = || -> Result<String, CliError> {
         let mut client = Client::connect(handle.addr)?;
         for (spec, text) in tables {
-            let kinds: Vec<&str> = spec.kinds.iter().map(|&k| kind_name(k)).collect();
+            let kinds: Vec<&str> = spec.kinds.iter().map(|k| k.name()).collect();
             client.load_csv(&spec.name, &kinds.join(","), text)?;
         }
         let (result, profile) = client.profile(&args.query)?;
@@ -914,7 +907,7 @@ fn run_connect(args: &ConnectArgs) -> Result<String, CliError> {
     let mut out = String::new();
     for spec in &args.tables {
         let text = std::fs::read_to_string(&spec.path)?;
-        let kinds: Vec<&str> = spec.kinds.iter().map(|&k| kind_name(k)).collect();
+        let kinds: Vec<&str> = spec.kinds.iter().map(|k| k.name()).collect();
         let rows = client.load_csv(&spec.name, &kinds.join(","), &text)?;
         out.push_str(&format!("loaded {} ({rows} rows)\n", spec.name));
     }

@@ -19,9 +19,9 @@
 //! * [`analyzer`] — the static plan/schedule analyzer that verifies
 //!   queries against the paper's correctness conditions before they touch
 //!   the fabric;
-//! * [`planner`] — the cost-based plan compiler (typed IR, verified
-//!   algebraic rewrites) costed by the machine's own pricing through the
-//!   analyzer;
+//! * [`planner`] — the cost-based plan compiler (verified algebraic
+//!   rewrites of the query tree) costed by the machine's own pricing
+//!   through the analyzer;
 //! * [`server`] — the concurrent TCP query service.
 //!
 //! ## Quickstart
